@@ -2,7 +2,7 @@
 //! dispatch, trace sampling, wire bookkeeping) batch-at-a-time execution
 //! amortizes away.
 //!
-//! Sweeps the process-wide batch size (1 = the row-at-a-time baseline)
+//! Sweeps the session's batch size (1 = the row-at-a-time baseline)
 //! over the two middleware-heavy fixed plans of the paper's study:
 //! Query 1 plan 2 (`SORT^M` + `TAGGR^M`, Figure 7) and Query 3 plan 2
 //! (`TMERGEJOIN^M`, Figure 11a). Wire time is identical across sizes by
@@ -35,7 +35,6 @@ use tango_core::phys::PhysNode;
 use tango_core::Tango;
 use tango_trace::json::Object;
 use tango_uis::UisConfig;
-use tango_xxl::set_batch_rows;
 
 const SIZES: [usize; 5] = [1, 64, 256, 1024, 4096];
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -55,7 +54,7 @@ fn measure(
     plan: &PhysNode,
     batch_rows: usize,
 ) -> Sample {
-    set_batch_rows(batch_rows);
+    tango.options_mut().batch_rows = Some(batch_rows);
     let mut best: Option<Sample> = None;
     for _ in 0..RUNS {
         link.reset();
@@ -170,7 +169,7 @@ fn main() {
 
         // morsel worker sweep at the default batch size, gated on
         // byte-identical results and invariant wire time
-        set_batch_rows(DEFAULT_BATCH_ROWS);
+        setup.tango.options_mut().batch_rows = None;
         let mut worker_samples = Vec::new();
         let mut base_bytes: Vec<u8> = Vec::new();
         let mut base_wire = Duration::ZERO;
@@ -251,7 +250,6 @@ fn main() {
         );
         per_size.push(samples);
     }
-    set_batch_rows(DEFAULT_BATCH_ROWS);
 
     for (i, bs) in SIZES.iter().enumerate() {
         table.row(*bs, per_size.iter().map(|s| Some(s[i].wall)).collect());

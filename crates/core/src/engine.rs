@@ -25,8 +25,9 @@ use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin,
-    NestedLoopJoin, Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
+    drain_of, fill_batch, BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExecOpts, ExternalSort,
+    Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate, TemporalDiff,
+    TemporalMergeJoin, VecScan,
 };
 
 /// Observed execution of one algorithm instance.
@@ -153,102 +154,145 @@ impl ExecReport {
     }
 }
 
-/// Execute an optimized physical plan against the DBMS connection,
-/// returning the materialized result and the execution report with
-/// per-operator spans (the adaptive feedback loop consumes them).
-pub fn execute(conn: &Connection, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
-    execute_with(conn, plan, true)
+/// The one execution driver: everything a plan needs to run, with the
+/// modes — tracing, caching, mid-query re-planning — as fields.
+pub struct Executor<'a> {
+    /// The DBMS connection `TRANSFER^M` / `TRANSFER^D` go through.
+    pub conn: &'a Connection,
+    /// The middleware relation cache every `TRANSFER^M` consults: a
+    /// **hit** serves the resident copy through a [`CachedScan`] without
+    /// issuing any SQL; a **miss** streams normally and, if the transfer
+    /// drains to completion without faulting or re-planning, populates
+    /// the cache; a **bypass** (uncacheable fragment, see
+    /// [`cache::fragment_key`]) streams normally and is annotated as
+    /// such. `None` runs as if the cache did not exist.
+    pub cache: Option<&'a Arc<MidCache>>,
+    /// Per-execution knobs (batch size, morsel-parallel worker pool),
+    /// threaded into every operator the plan builds.
+    pub exec: ExecOpts,
+    /// Cost factors: what the per-`TRANSFER^M` cache-maintenance decision
+    /// (refresh-by-delta vs refetch vs drop, see
+    /// [`cache::maintenance_choice`]) and the re-planner price with.
+    pub factors: CostFactors,
+    /// Wrap every cursor in a measuring span. With `false` the bare
+    /// operator pipeline runs and the report's `steps` come back empty
+    /// (only the whole-query totals are filled in). Re-planning reads its
+    /// actuals from the spans, so `replan: Some(..)` always traces.
+    pub trace: bool,
+    /// `None` runs the plan as given. `Some` stages it at pipeline
+    /// breakers and re-optimizes the remainder on a misestimate (see
+    /// [`Replan`]).
+    pub replan: Option<Replan>,
 }
 
-/// [`execute`] with tracing control. With `trace == false` no cursor is
-/// wrapped and nothing is measured per tuple — the bare operator
-/// pipeline runs (the report's `steps` comes back empty, only the
-/// whole-query totals are filled in).
-pub fn execute_with(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached(conn, plan, trace, None)
+/// Everything mid-query re-planning needs in order to re-run the Volcano
+/// optimizer over the unexecuted remainder of a plan (see
+/// `docs/ADAPTIVITY.md`).
+///
+/// The driver repeatedly finds the first unexecuted pipeline breaker
+/// (`TRANSFER^M`, `SORT^M`, `XSORT^M`, `TAGGR^M`) whose ancestors are
+/// all middleware-resident, runs it to completion, and materializes its
+/// output in the middleware. When the materialized row count diverges
+/// from the optimizer's estimate by at least `ratio` (in either
+/// direction), the actuals are fed back as injected cardinalities and
+/// the optimizer re-runs over the remainder of the plan — which may flip
+/// operators between middleware and DBMS — pinned to the delivery order
+/// the original plan promised, so results stay byte-identical. The new
+/// remainder is spliced over the already materialized outputs and
+/// execution continues. A breaker that already degraded due to a wire
+/// fault mid-drain is never re-planned a second time over the same
+/// observation.
+pub struct Replan {
+    /// The catalog snapshot the original optimization used.
+    pub catalog: Catalog,
+    /// Optimizer knobs; re-optimization runs with the same rule groups
+    /// (and the same, possibly deliberately naive, estimation mode).
+    pub opt: OptOptions,
+    /// Cache-residency snapshot for `TRANSFER^M` enforcer pricing.
+    pub residency: Residency,
+    /// Trigger threshold: re-plan when actual and estimated rows at a
+    /// pipeline breaker diverge by at least this factor, in either
+    /// direction.
+    pub ratio: f64,
+    /// Histogram buckets for statistics derived from materializations
+    /// (0 disables histograms).
+    pub histogram_buckets: usize,
 }
 
-/// [`execute_with`] against a middleware relation cache. Every
-/// `TRANSFER^M` consults the cache: a **hit** serves the resident copy
-/// through a [`CachedScan`] without issuing any SQL (zero wire, zero
-/// server time); a **miss** streams normally and, if the transfer drains
-/// to completion without faulting or re-planning, populates the cache; a
-/// **bypass** (uncacheable fragment, see [`cache::fragment_key`])
-/// streams normally and is annotated as such. With `cache == None`
-/// behavior is byte-identical to [`execute_with`].
-pub fn execute_cached(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached_opts(conn, plan, trace, cache, ExecOpts::default())
+/// What one [`Executor::run`] produced.
+pub struct Run {
+    /// The query result.
+    pub rel: Relation,
+    /// The execution report (per-operator spans when traced).
+    pub report: ExecReport,
+    /// With re-planning on: the plan as actually executed — every staged
+    /// breaker appears as a `MATSCAN^M` node whose child is the subtree
+    /// that produced the materialization, and a triggered re-plan
+    /// replaces everything above the materializations; the report's
+    /// steps are in its post-order — and the catalog extended with the
+    /// observed statistics of every materialization (what re-estimating
+    /// that plan needs). `None` when the plan ran as given.
+    pub staged: Option<(PhysNode, Catalog)>,
 }
 
-/// [`execute_cached`] with explicit per-execution knobs (batch size and
-/// worker-pool width for the morsel-parallel operators). The default
-/// `ExecOpts` reproduces [`execute_cached`] exactly.
-pub fn execute_cached_opts(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-    exec: ExecOpts,
-) -> Result<(Relation, ExecReport)> {
-    execute_cached_full(conn, plan, trace, cache, exec, CostFactors::default())
-}
+/// Safety net against pathological re-plan loops: at most this many
+/// breakers are staged per query.
+const MAX_STAGES: usize = 32;
 
-/// [`execute_cached_opts`] with explicit cost factors — what the
-/// per-`TRANSFER^M` cache-maintenance decision (refresh-by-delta vs
-/// refetch vs drop, see [`cache::maintenance_choice`]) prices with. The
-/// session threads its calibrated/adapted factors through here; the
-/// default factors reproduce [`execute_cached_opts`] exactly.
-pub fn execute_cached_full(
-    conn: &Connection,
-    plan: &PhysNode,
-    trace: bool,
-    cache: Option<&Arc<MidCache>>,
-    exec: ExecOpts,
-    factors: CostFactors,
-) -> Result<(Relation, ExecReport)> {
-    if plan.algo.site() != Site::Middleware {
-        return Err(TangoError::Exec(
-            "plan root must be middleware-resident (delivery to the client)".into(),
-        ));
-    }
-    // meter this session's wire alone — the link clock is shared with
-    // every other session on the database and would cross-charge
-    let wire_before = conn.wire_time();
-    let mut ctx = Ctx::new(conn, trace, cache, exec, factors);
-    let started = Instant::now();
-    let result = (|| -> Result<Relation> {
-        let mut root = ctx.build_mid(plan)?;
-        root.open()?;
-        let schema = root.schema().clone();
-        let mut rows = Vec::new();
-        // drive the root batch-at-a-time: one virtual dispatch per batch
-        // instead of one per row
-        while let Some(b) = root.next_batch_of(exec.batch_rows)? {
-            rows.extend(b.into_rows());
+impl<'a> Executor<'a> {
+    /// The plain configuration: traced, no cache, default knobs and
+    /// factors, no re-planning. Override fields with struct update
+    /// syntax.
+    pub fn new(conn: &'a Connection) -> Self {
+        Executor {
+            conn,
+            cache: None,
+            exec: ExecOpts::default(),
+            factors: CostFactors::default(),
+            trace: true,
+            replan: None,
         }
-        root.close()?;
-        Ok(Relation::new(schema, rows))
-    })();
-    let wall = started.elapsed();
-    // drop temp tables whatever happened ("the table must be dropped at
-    // the end of the query")
-    for t in &ctx.temp_tables {
-        let _ = conn.execute(&format!("DROP TABLE IF EXISTS {t}"));
     }
-    let result = result?;
-    let wire = conn.wire_time().saturating_sub(wire_before);
-    let steps = resolve_steps(ctx.collector, ctx.algos);
-    let report = ExecReport { rows: result.len(), wall, wire, steps };
-    Ok((result, report))
+
+    /// Execute a physical plan against the DBMS connection, returning the
+    /// materialized result and the execution report (the adaptive
+    /// feedback loop consumes its spans).
+    pub fn run(self, plan: &PhysNode) -> Result<Run> {
+        if plan.algo.site() != Site::Middleware {
+            return Err(TangoError::Exec(
+                "plan root must be middleware-resident (delivery to the client)".into(),
+            ));
+        }
+        let conn = self.conn;
+        // meter this session's wire alone — the link clock is shared with
+        // every other session on the database and would cross-charge
+        let wire_before = conn.wire_time();
+        let trace = self.trace || self.replan.is_some();
+        let mut ctx = Ctx::new(conn, trace, self.cache, self.exec, self.factors);
+        let mut staging = self.replan.map(|cfg| (plan.clone(), cfg));
+        let started = Instant::now();
+        let result = (|| -> Result<Relation> {
+            let plan = match &mut staging {
+                Some((work, cfg)) => {
+                    ctx.stage_breakers(cfg, work)?;
+                    &*work
+                }
+                None => plan,
+            };
+            Ok(ctx.materialize(plan)?.0)
+        })();
+        let wall = started.elapsed();
+        // drop temp tables whatever happened ("the table must be dropped
+        // at the end of the query")
+        for t in &ctx.temp_tables {
+            let _ = conn.execute(&format!("DROP TABLE IF EXISTS {t}"));
+        }
+        let rel = result?;
+        let wire = conn.wire_time().saturating_sub(wire_before);
+        let steps = resolve_steps(ctx.collector, ctx.algos);
+        let report = ExecReport { rows: rel.len(), wall, wire, steps };
+        Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.catalog)) })
+    }
 }
 
 /// Resolve collected spans into step reports.
@@ -271,215 +315,6 @@ fn resolve_steps(collector: Collector, algos: Vec<Algo>) -> Vec<StepReport> {
             children: span.children,
         })
         .collect()
-}
-
-/// Everything the mid-query re-planner needs in order to re-run the
-/// Volcano optimizer over the unexecuted remainder of a plan (see
-/// `docs/ADAPTIVITY.md`).
-pub struct AdaptiveOptions {
-    /// The catalog snapshot the original optimization used.
-    pub catalog: Catalog,
-    /// Current cost factors.
-    pub factors: CostFactors,
-    /// Optimizer knobs; re-optimization runs with the same rule groups
-    /// (and the same, possibly deliberately naive, estimation mode).
-    pub opt: OptOptions,
-    /// Cache-residency snapshot for `TRANSFER^M` enforcer pricing.
-    pub residency: Residency,
-    /// Trigger threshold: re-plan when actual and estimated rows at a
-    /// pipeline breaker diverge by at least this factor, in either
-    /// direction.
-    pub ratio: f64,
-    /// Histogram buckets for statistics derived from materializations
-    /// (0 disables histograms).
-    pub histogram_buckets: usize,
-    /// Per-execution knobs (batch size, morsel-parallel worker pool).
-    pub exec: ExecOpts,
-}
-
-/// The outcome of one adaptive execution.
-pub struct AdaptiveRun {
-    /// The query result.
-    pub rel: Relation,
-    /// The execution report; steps are in post-order of
-    /// [`AdaptiveRun::plan`].
-    pub report: ExecReport,
-    /// The plan as actually executed: every staged breaker appears as a
-    /// `MATSCAN^M` node whose child is the subtree that produced the
-    /// materialization, and a triggered re-plan replaces everything
-    /// above the materializations.
-    pub plan: PhysNode,
-    /// The catalog extended with the observed statistics of every
-    /// materialization (what re-estimating [`AdaptiveRun::plan`] needs).
-    pub catalog: Catalog,
-    /// Cardinality-triggered re-optimizations performed.
-    pub replans: usize,
-}
-
-/// Safety net against pathological re-plan loops: at most this many
-/// breakers are staged per query.
-const MAX_STAGES: usize = 32;
-
-/// Execute a plan with mid-query adaptive re-optimization at pipeline
-/// breakers.
-///
-/// The driver repeatedly finds the first unexecuted pipeline breaker
-/// (`TRANSFER^M`, `SORT^M`, `XSORT^M`, `TAGGR^M`) whose ancestors are
-/// all middleware-resident, runs it to completion, and materializes its
-/// output in the middleware. When the materialized row count diverges
-/// from the optimizer's estimate by at least `ratio` (in either
-/// direction), the actuals are fed back as injected cardinalities and
-/// the Volcano optimizer re-runs over the remainder of the plan — which
-/// may flip operators between middleware and DBMS — pinned to the
-/// delivery order the original plan promised, so results stay
-/// byte-identical. The new remainder is spliced over the already
-/// materialized outputs and execution continues. A breaker that already
-/// degraded due to a wire fault mid-drain is never re-planned a second
-/// time over the same observation.
-///
-/// Always traced: the monitor reads actuals from the spans.
-pub fn execute_adaptive(
-    conn: &Connection,
-    plan: &PhysNode,
-    cache: Option<&Arc<MidCache>>,
-    cfg: AdaptiveOptions,
-) -> Result<AdaptiveRun> {
-    if plan.algo.site() != Site::Middleware {
-        return Err(TangoError::Exec(
-            "plan root must be middleware-resident (delivery to the client)".into(),
-        ));
-    }
-    let AdaptiveOptions {
-        mut catalog,
-        factors,
-        opt: options,
-        residency,
-        ratio,
-        histogram_buckets,
-        exec,
-    } = cfg;
-    let naive = options.naive_overlaps;
-    let wire_before = conn.wire_time();
-    let mut ctx = Ctx::new(conn, true, cache, exec, factors);
-    let mut work = plan.clone();
-    let mut mat_orders: HashMap<String, SortSpec> = HashMap::new();
-    let mut replans = 0usize;
-    // the delivery order the chosen plan promised — every re-optimized
-    // remainder is pinned to it so the splice cannot change the result
-    let pinned = delivered_order(&work, &mat_orders).project_onto(&work.schema);
-    let started = Instant::now();
-    let result = (|| -> Result<Relation> {
-        for mat_seq in 0..MAX_STAGES {
-            let Some(path) = find_breaker(&work, true) else { break };
-            let breaker = node_at(&work, &path).clone();
-            // what the optimizer believes this breaker will produce,
-            // given everything observed so far
-            let est_rows = session::estimate_plan_nodes_with(&breaker, &catalog, &factors, naive)
-                .ok()
-                .and_then(|v| v.first().map(|e| e.est_rows));
-            // run the breaker to completion and materialize its output
-            let (mut cur, breaker_idx) = ctx.build_mid_indexed(&breaker)?;
-            cur.open()?;
-            let schema = cur.schema().clone();
-            let mut rows = Vec::new();
-            while let Some(b) = cur.next_batch_of(exec.batch_rows)? {
-                rows.extend(b.into_rows());
-            }
-            cur.close()?;
-            let slot = ctx.collector.slot(breaker_idx).clone();
-            let actual = rows.len();
-            let rel = Relation::new(schema.clone(), rows);
-
-            // register the materialization: observed statistics, the
-            // order it holds, and the span that will serve it (created
-            // now so span order stays the post-order of the final plan)
-            let name = format!("#MAT{mat_seq}");
-            let order = delivered_order(&breaker, &mat_orders);
-            catalog.insert(
-                name.to_uppercase(),
-                (schema.clone(), RelationStats::from_relation(&rel, histogram_buckets)),
-            );
-            mat_orders.insert(name.clone(), order);
-            let span = Some(ctx.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]));
-            ctx.mats.insert(name.clone(), MatEntry { rel, span });
-            replace_at(
-                &mut work,
-                &path,
-                PhysNode {
-                    algo: Algo::MatScanM(name),
-                    schema: breaker.schema.clone(),
-                    children: vec![breaker],
-                },
-            );
-
-            // the misestimate monitor — unless a wire fault already
-            // re-planned this breaker mid-drain (never re-plan twice
-            // over one observation)
-            let divergence = est_rows.map(|est| {
-                let e = est.max(1.0);
-                let a = (actual as f64).max(1.0);
-                (a / e).max(e / a)
-            });
-            let triggered =
-                !slot.has_event("replan") && divergence.map(|d| d >= ratio).unwrap_or(false);
-            if !triggered {
-                continue;
-            }
-            let old_cost =
-                session::estimate_plan_with(&remainder_only(&work), &catalog, &factors, naive).ok();
-            let logical = phys_to_logical(&work)?;
-            let Ok(new) = opt::reoptimize(
-                &logical,
-                pinned.clone(),
-                catalog.clone(),
-                factors,
-                options,
-                residency.clone(),
-                mat_orders.clone(),
-            ) else {
-                // no feasible alternative: keep the running plan
-                continue;
-            };
-            replans += 1;
-            let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
-            slot.add_event(
-                "cardinality-replan",
-                format!(
-                    "est {est:.1} rows, actual {actual} ({div:.1}x off): \
-                     remainder re-optimized, est gain {gain:.0}us",
-                    est = est_rows.unwrap_or(0.0),
-                    div = divergence.unwrap_or(0.0),
-                ),
-            );
-            slot.add_counter("replans", 1);
-            slot.add_counter("replan_gain_est", gain as u64);
-            ctx.spliced = true;
-            // splice: the optimizer returns bare MATSCAN^M leaves;
-            // re-attach each one's consumed subtree for rendering
-            let mut subtrees = HashMap::new();
-            collect_mat_subtrees(&work, &mut subtrees);
-            work = attach_mat_subtrees(new.plan, &subtrees);
-        }
-        // run what remains of the plan
-        let mut root = ctx.build_mid(&work)?;
-        root.open()?;
-        let schema = root.schema().clone();
-        let mut rows = Vec::new();
-        while let Some(b) = root.next_batch_of(exec.batch_rows)? {
-            rows.extend(b.into_rows());
-        }
-        root.close()?;
-        Ok(Relation::new(schema, rows))
-    })();
-    let wall = started.elapsed();
-    for t in &ctx.temp_tables {
-        let _ = conn.execute(&format!("DROP TABLE IF EXISTS {t}"));
-    }
-    let rel = result?;
-    let wire = conn.wire_time().saturating_sub(wire_before);
-    let steps = resolve_steps(ctx.collector, ctx.algos);
-    let report = ExecReport { rows: rel.len(), wall, wire, steps };
-    Ok(AdaptiveRun { rel, report, plan: work, catalog, replans })
 }
 
 /// Pipeline breakers: operators that buffer (or can cheaply stage) their
@@ -625,9 +460,13 @@ fn attach_mat_subtrees(n: PhysNode, subtrees: &HashMap<String, PhysNode>) -> Phy
     }
 }
 
-/// Deferred cursor constructor: builds a cursor once its span's
-/// server-time sink is known (see `TRANSFER^M` in `build_mid_indexed`).
-type DeferredCursor = Box<dyn FnOnce(Option<Arc<SpanSlot>>) -> BoxCursor>;
+/// What `build_mid` has for a node before its span exists.
+enum Built {
+    Ready(BoxCursor),
+    /// `TRANSFER^M` reports server time and wire events into its own
+    /// span, so its cursor is built once that span is known.
+    NeedsSpan(Box<dyn FnOnce(Option<Arc<SpanSlot>>) -> BoxCursor>),
+}
 
 struct Ctx<'a> {
     conn: &'a Connection,
@@ -639,8 +478,9 @@ struct Ctx<'a> {
     trace: bool,
     /// The middleware relation cache, when this execution runs with one.
     cache: Option<Arc<MidCache>>,
-    /// Mid-query materializations produced by the adaptive driver, by
-    /// name — what a `MATSCAN^M` leaf serves.
+    /// Mid-query materializations staged by the re-planning policy, by
+    /// name — what a `MATSCAN^M` leaf serves (once: serving moves the
+    /// rows out).
     mats: HashMap<String, MatEntry>,
     /// Set once a cardinality-triggered re-plan has spliced the running
     /// plan: spans created after that point are annotated so the
@@ -659,8 +499,8 @@ struct MatEntry {
     rel: Relation,
     /// The `MATSCAN^M` span that will serve it, created eagerly at
     /// materialization time so span order stays the post-order of the
-    /// final plan (`None` on the untraced path).
-    span: Option<(usize, Arc<SpanSlot>)>,
+    /// final plan.
+    span: (usize, Arc<SpanSlot>),
 }
 
 /// What the cache decided for one `TRANSFER^M`, resolved at plan-build
@@ -734,17 +574,119 @@ impl<'a> Ctx<'a> {
         (idx, slot)
     }
 
-    /// Build the cursor for a middleware-resident node. Returns the cursor
-    /// and its slot index.
-    fn build_mid(&mut self, node: &PhysNode) -> Result<BoxCursor> {
-        Ok(self.build_mid_indexed(node)?.0)
+    /// Run a middleware-resident subtree from `open` to `close`. Returns
+    /// its output and its span index.
+    fn materialize(&mut self, node: &PhysNode) -> Result<(Relation, usize)> {
+        let (mut cur, idx) = self.build_mid(node)?;
+        cur.open()?;
+        let schema = cur.schema().clone();
+        let rows = drain_of(cur.as_mut(), self.exec.batch_rows)?;
+        cur.close()?;
+        Ok((Relation::new(schema, rows), idx))
     }
 
-    fn build_mid_indexed(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
-        // TRANSFER^M needs its span's server-time sink, which exists only
-        // after the span is created: defer its construction.
-        let mut server_sink: Option<DeferredCursor> = None;
-        let (inner, child_ids): (BoxCursor, Vec<usize>) = match &node.algo {
+    /// The re-planning policy (see [`Replan`]): stage `work`'s pipeline
+    /// breakers one at a time, leaving each as a `MATSCAN^M` over its
+    /// materialized output, and re-optimize what remains above them
+    /// whenever a breaker's actual cardinality diverges from its estimate.
+    fn stage_breakers(&mut self, cfg: &mut Replan, work: &mut PhysNode) -> Result<()> {
+        let factors = self.factors;
+        let naive = cfg.opt.naive_overlaps;
+        let mut mat_orders: HashMap<String, SortSpec> = HashMap::new();
+        // the delivery order the chosen plan promised — every re-optimized
+        // remainder is pinned to it so the splice cannot change the result
+        let pinned = delivered_order(work, &mat_orders).project_onto(&work.schema);
+        for mat_seq in 0..MAX_STAGES {
+            let Some(path) = find_breaker(work, true) else { break };
+            let breaker = node_at(work, &path).clone();
+            // what the optimizer believes this breaker will produce,
+            // given everything observed so far
+            let est_rows =
+                session::estimate_plan_nodes_with(&breaker, &cfg.catalog, &factors, naive)
+                    .ok()
+                    .and_then(|v| v.first().map(|e| e.est_rows));
+            let (rel, breaker_idx) = self.materialize(&breaker)?;
+            let slot = self.collector.slot(breaker_idx).clone();
+            let actual = rel.len();
+
+            // register the materialization: observed statistics, the
+            // order it holds, and the span that will serve it (created
+            // now so span order stays the post-order of the final plan)
+            let name = format!("#MAT{mat_seq}");
+            let order = delivered_order(&breaker, &mat_orders);
+            cfg.catalog.insert(
+                name.to_uppercase(),
+                (rel.schema().clone(), RelationStats::from_relation(&rel, cfg.histogram_buckets)),
+            );
+            mat_orders.insert(name.clone(), order);
+            let span = self.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]);
+            self.mats.insert(name.clone(), MatEntry { rel, span });
+            replace_at(
+                work,
+                &path,
+                PhysNode {
+                    algo: Algo::MatScanM(name),
+                    schema: breaker.schema.clone(),
+                    children: vec![breaker],
+                },
+            );
+
+            // the misestimate monitor — unless a wire fault already
+            // re-planned this breaker mid-drain (never re-plan twice
+            // over one observation)
+            let divergence = est_rows.map(|est| {
+                let e = est.max(1.0);
+                let a = (actual as f64).max(1.0);
+                (a / e).max(e / a)
+            });
+            let triggered =
+                !slot.has_event("replan") && divergence.map(|d| d >= cfg.ratio).unwrap_or(false);
+            if !triggered {
+                continue;
+            }
+            let old_cost =
+                session::estimate_plan_with(&remainder_only(work), &cfg.catalog, &factors, naive)
+                    .ok();
+            let logical = phys_to_logical(work)?;
+            let Ok(new) = opt::reoptimize(
+                &logical,
+                pinned.clone(),
+                cfg.catalog.clone(),
+                factors,
+                cfg.opt,
+                cfg.residency.clone(),
+                mat_orders.clone(),
+            ) else {
+                // no feasible alternative: keep the running plan
+                continue;
+            };
+            let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
+            slot.add_event(
+                "cardinality-replan",
+                format!(
+                    "est {est:.1} rows, actual {actual} ({div:.1}x off): \
+                     remainder re-optimized, est gain {gain:.0}us",
+                    est = est_rows.unwrap_or(0.0),
+                    div = divergence.unwrap_or(0.0),
+                ),
+            );
+            slot.add_counter("replans", 1);
+            slot.add_counter("replan_gain_est", gain as u64);
+            self.spliced = true;
+            // splice: the optimizer returns bare MATSCAN^M leaves;
+            // re-attach each one's consumed subtree for rendering
+            let mut subtrees = HashMap::new();
+            collect_mat_subtrees(work, &mut subtrees);
+            *work = attach_mat_subtrees(new.plan, &subtrees);
+        }
+        Ok(())
+    }
+
+    /// Build the cursor for a middleware-resident node. Returns the cursor
+    /// and its span index (0 when untraced).
+    fn build_mid(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
+        let ready = |c: BoxCursor, child_ids: Vec<usize>| (Built::Ready(c), child_ids);
+        let (built, child_ids) = match &node.algo {
             Algo::TransferM => {
                 // lower the DBMS subtree: replace T^D descendants with temp
                 // scans, building their loader cursors as prerequisites
@@ -753,7 +695,8 @@ impl<'a> Ctx<'a> {
                 let conn = self.conn.clone();
                 let schema = node.schema.clone();
                 let decision = self.consult_cache(&clean, &sql);
-                server_sink = Some(Box::new(move |sink: Option<Arc<SpanSlot>>| -> BoxCursor {
+                let exec = self.exec;
+                let build = move |sink: Option<Arc<SpanSlot>>| -> BoxCursor {
                     let mut populate = None;
                     match decision {
                         CacheDecision::Hit(rel) => {
@@ -823,6 +766,7 @@ impl<'a> Ctx<'a> {
                         // exhausts its retries, the fragment is re-planned
                         // with middleware operators (see `degrade`)
                         fragment: clean,
+                        exec,
                         prereqs,
                         cur: None,
                         buf: VecDeque::new(),
@@ -836,91 +780,76 @@ impl<'a> Ctx<'a> {
                         wire_faults: 0,
                         replans: 0,
                     })
-                }));
-                // placeholder; replaced once the slot exists
-                (Box::new(EmptyCursor { schema: node.schema.clone() }) as BoxCursor, prereq_ids)
+                };
+                (Built::NeedsSpan(Box::new(build)), prereq_ids)
             }
             Algo::FilterM(pred) => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Filter::new(c, pred.clone())) as BoxCursor, vec![id])
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(Box::new(Filter::new(c, pred.clone())), vec![id])
             }
             Algo::ProjectM(items) => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Project::new(c, items.clone())?) as BoxCursor, vec![id])
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(Box::new(Project::new(c, items.clone())?), vec![id])
             }
             Algo::SortM(spec) => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Sort::with_opts(c, spec.clone(), self.exec)) as BoxCursor, vec![id])
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(Box::new(Sort::with_opts(c, spec.clone(), self.exec)), vec![id])
             }
             Algo::SortXM(spec, run_rows) => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (
-                    Box::new(ExternalSort::with_opts(c, spec.clone(), *run_rows, self.exec))
-                        as BoxCursor,
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(
+                    Box::new(ExternalSort::with_opts(c, spec.clone(), *run_rows, self.exec)),
                     vec![id],
                 )
             }
             Algo::MergeJoinM(eq) => {
-                let (l, lid) = self.build_mid_indexed(&node.children[0])?;
-                let (r, rid) = self.build_mid_indexed(&node.children[1])?;
-                (Box::new(MergeJoin::with_opts(l, r, eq, self.exec)?) as BoxCursor, vec![lid, rid])
+                let (l, lid) = self.build_mid(&node.children[0])?;
+                let (r, rid) = self.build_mid(&node.children[1])?;
+                ready(Box::new(MergeJoin::with_opts(l, r, eq, self.exec)?), vec![lid, rid])
             }
             Algo::TMergeJoinM(eq) => {
-                let (l, lid) = self.build_mid_indexed(&node.children[0])?;
-                let (r, rid) = self.build_mid_indexed(&node.children[1])?;
-                (
-                    Box::new(TemporalMergeJoin::with_opts(l, r, eq, self.exec)?) as BoxCursor,
-                    vec![lid, rid],
-                )
+                let (l, lid) = self.build_mid(&node.children[0])?;
+                let (r, rid) = self.build_mid(&node.children[1])?;
+                ready(Box::new(TemporalMergeJoin::with_opts(l, r, eq, self.exec)?), vec![lid, rid])
             }
             Algo::TAggrM { group_by, aggs } => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(
                     Box::new(TemporalAggregate::with_opts(
                         c,
                         group_by.clone(),
                         aggs.clone(),
                         self.exec,
-                    )?) as BoxCursor,
+                    )?),
                     vec![id],
                 )
             }
             Algo::DupElimM => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(DupElim::new(c)) as BoxCursor, vec![id])
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(Box::new(DupElim::new(c)), vec![id])
             }
             Algo::CoalesceM => {
-                let (c, id) = self.build_mid_indexed(&node.children[0])?;
-                (Box::new(Coalesce::with_opts(c, self.exec)?) as BoxCursor, vec![id])
+                let (c, id) = self.build_mid(&node.children[0])?;
+                ready(Box::new(Coalesce::with_opts(c, self.exec)?), vec![id])
             }
             Algo::TDiffM => {
-                let (l, lid) = self.build_mid_indexed(&node.children[0])?;
-                let (r, rid) = self.build_mid_indexed(&node.children[1])?;
-                (Box::new(TemporalDiff::new(l, r)?) as BoxCursor, vec![lid, rid])
+                let (l, lid) = self.build_mid(&node.children[0])?;
+                let (r, rid) = self.build_mid(&node.children[1])?;
+                ready(Box::new(TemporalDiff::with_opts(l, r, self.exec)?), vec![lid, rid])
             }
-            // serve a mid-query materialization; its span was created
-            // eagerly when the breaker drained, so reuse it rather than
-            // appending a new one (children are kept for rendering only)
+            // serve a mid-query materialization by moving its rows out (each
+            // is consumed once: staging never descends into a MATSCAN^M);
+            // its span was created eagerly when the breaker drained, so
+            // reuse it rather than appending a new one (children are kept
+            // for rendering only)
             Algo::MatScanM(name) => {
-                let entry = self.mats.get(name).ok_or_else(|| {
-                    TangoError::Exec(format!("unknown mid-query materialization {name}"))
-                })?;
-                let cursor: BoxCursor = Box::new(VecScan::from_parts(
-                    entry.rel.schema().clone(),
-                    entry.rel.tuples().to_vec(),
-                ));
-                return Ok(match (&entry.span, self.trace) {
-                    (Some((idx, slot)), true) => {
-                        let wrapped = Instrumented {
-                            inner: cursor,
-                            slot: slot.clone(),
-                            conn: self.conn.clone(),
-                            batches: 0,
-                        };
-                        (Box::new(wrapped) as BoxCursor, *idx)
-                    }
-                    _ => (cursor, 0),
-                });
+                let MatEntry { rel, span: (idx, slot) } =
+                    self.mats.remove(name).ok_or_else(|| {
+                        TangoError::Exec(format!(
+                            "mid-query materialization {name} is unknown or was already served"
+                        ))
+                    })?;
+                return Ok((self.instrument(Box::new(VecScan::new(rel)), slot), idx));
             }
             other => {
                 return Err(TangoError::Exec(format!(
@@ -929,21 +858,20 @@ impl<'a> Ctx<'a> {
                 )))
             }
         };
-        if !self.trace {
-            // untraced fast path: no wrapper, no per-tuple measurement
-            let inner = match server_sink.take() {
-                Some(cursor_builder) => cursor_builder(None),
-                None => inner,
-            };
-            return Ok((inner, 0));
-        }
-        let (idx, slot) = self.new_slot(node.algo.clone(), child_ids);
-        let inner = match server_sink.take() {
-            Some(cursor_builder) => cursor_builder(Some(slot.clone())),
-            None => inner,
+        // untraced fast path: no span, no wrapper, no measurement
+        let span = self.trace.then(|| self.new_slot(node.algo.clone(), child_ids));
+        let inner = match built {
+            Built::Ready(c) => c,
+            Built::NeedsSpan(build) => build(span.as_ref().map(|(_, slot)| slot.clone())),
         };
-        let conn = self.conn.clone();
-        Ok((Box::new(Instrumented { inner, slot, conn, batches: 0 }), idx))
+        Ok(match span {
+            Some((idx, slot)) => (self.instrument(inner, slot), idx),
+            None => (inner, 0),
+        })
+    }
+
+    fn instrument(&self, inner: BoxCursor, slot: Arc<SpanSlot>) -> BoxCursor {
+        Box::new(Instrumented { inner, slot, conn: self.conn.clone(), batches: 0 })
     }
 
     /// Decide hit/refresh/refetch/drop/miss/bypass for one `TRANSFER^M`
@@ -1047,7 +975,7 @@ impl<'a> Ctx<'a> {
     /// opened before the fragment's SQL runs.
     fn lower_dbms(&mut self, node: &PhysNode) -> Result<(PhysNode, Vec<BoxCursor>, Vec<usize>)> {
         if node.algo == Algo::TransferD {
-            let (input, input_id) = self.build_mid_indexed(&node.children[0])?;
+            let (input, input_id) = self.build_mid(&node.children[0])?;
             self.temp_seq += 1;
             let table = format!("TANGO_TMP_{}", self.temp_seq);
             self.temp_tables.push(table.clone());
@@ -1061,6 +989,7 @@ impl<'a> Ctx<'a> {
                 table,
                 schema: node.schema.clone(),
                 input: Some(input),
+                batch_rows: self.exec.batch_rows,
                 rows_loaded: 0,
                 sink: None,
                 wire_retries: 0,
@@ -1071,10 +1000,7 @@ impl<'a> Ctx<'a> {
             }
             let (idx, slot) = self.new_slot(Algo::TransferD, vec![input_id]);
             loader.sink = Some(slot.clone());
-            let conn = self.conn.clone();
-            let instrumented: BoxCursor =
-                Box::new(Instrumented { inner: Box::new(loader), slot, conn, batches: 0 });
-            return Ok((scan, vec![instrumented], vec![idx]));
+            return Ok((scan, vec![self.instrument(Box::new(loader), slot)], vec![idx]));
         }
         if node.algo.site() == Site::Middleware {
             return Err(TangoError::Exec(format!(
@@ -1099,7 +1025,7 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Cursor wrapper measuring time spent in `open`/`next` — wall clock
+/// Cursor wrapper measuring time spent in `open`/`next_batch` — wall clock
 /// *plus* any simulated wire time charged while the call ran (so the
 /// feedback loop sees transfer costs the way the experiments report
 /// them) — and the output volume.
@@ -1108,7 +1034,7 @@ struct Instrumented {
     slot: Arc<SpanSlot>,
     conn: Connection,
     /// Batches this operator produced (reported as a `batches` counter
-    /// at close when the batch path ran).
+    /// at close unless it produced none, like a `TRANSFER^D` loader).
     batches: u64,
 }
 
@@ -1132,19 +1058,9 @@ impl Cursor for Instrumented {
         self.measure(|c| c.open())
     }
 
-    fn next(&mut self) -> tango_xxl::Result<Option<Tuple>> {
-        let r = self.measure(|c| c.next());
-        if let Ok(Some(tup)) = &r {
-            self.slot.add_row(tup.byte_size() as u64);
-        }
-        r
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
-        // One stopwatch sample and one row/byte accumulation per *batch*
-        // — the amortized path. Falling through to the default (which
-        // loops `self.next`) would double-count rows via `add_row`.
-        let r = self.measure(|c| c.next_batch_of(max_rows));
+    fn next_batch(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
+        // one stopwatch sample and one row/byte accumulation per batch
+        let r = self.measure(|c| c.next_batch(max_rows));
         if let Ok(Some(b)) = &r {
             self.batches += 1;
             self.slot.add_batch(b.len() as u64, b.byte_size() as u64);
@@ -1164,25 +1080,6 @@ impl Cursor for Instrumented {
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         self.inner.counters()
-    }
-}
-
-/// Placeholder cursor swapped out before use (see `build_mid_indexed`).
-struct EmptyCursor {
-    schema: Arc<Schema>,
-}
-
-impl Cursor for EmptyCursor {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> tango_xxl::Result<()> {
-        Err(tango_xxl::ExecError::State("placeholder cursor used".into()))
-    }
-
-    fn next(&mut self) -> tango_xxl::Result<Option<Tuple>> {
-        Err(tango_xxl::ExecError::State("placeholder cursor used".into()))
     }
 }
 
@@ -1209,8 +1106,21 @@ fn wire_exec_err(e: &tango_minidb::DbError) -> tango_xxl::ExecError {
 /// relational work runs on the XXL operators, with sorts inserted where
 /// the merge-based algorithms need ordered inputs. This is the transfer
 /// operator "flipped": `T^M ∘ fragment^D` becomes `fragment^M ∘ T^M`.
-fn middleware_fallback(conn: &Connection, node: &PhysNode) -> tango_xxl::Result<BoxCursor> {
-    let sorted = |c: BoxCursor, spec: SortSpec| -> BoxCursor { Box::new(Sort::new(c, spec)) };
+fn middleware_fallback(
+    conn: &Connection,
+    node: &PhysNode,
+    exec: ExecOpts,
+) -> tango_xxl::Result<BoxCursor> {
+    let child = |i: usize| middleware_fallback(conn, &node.children[i], exec);
+    let sorted =
+        |c: BoxCursor, spec: SortSpec| -> BoxCursor { Box::new(Sort::with_opts(c, spec, exec)) };
+    // both join inputs, each sorted on its side of the equi-join keys
+    let sorted_pair = |eq: &[(String, String)]| -> tango_xxl::Result<(BoxCursor, BoxCursor)> {
+        Ok((
+            sorted(child(0)?, SortSpec::by(eq.iter().map(|(a, _)| a.clone()))),
+            sorted(child(1)?, SortSpec::by(eq.iter().map(|(_, b)| b.clone()))),
+        ))
+    };
     Ok(match &node.algo {
         Algo::ScanD(table) => {
             let cols: Vec<&str> = node.schema.attrs().iter().map(|a| a.name.as_str()).collect();
@@ -1222,41 +1132,27 @@ fn middleware_fallback(conn: &Connection, node: &PhysNode) -> tango_xxl::Result<
                 cur: None,
             })
         }
-        Algo::FilterD(pred) => {
-            Box::new(Filter::new(middleware_fallback(conn, &node.children[0])?, pred.clone()))
-        }
-        Algo::ProjectD(items) => {
-            Box::new(Project::new(middleware_fallback(conn, &node.children[0])?, items.clone())?)
-        }
-        Algo::SortD(spec) => sorted(middleware_fallback(conn, &node.children[0])?, spec.clone()),
-        Algo::DupElimD => Box::new(DupElim::new(middleware_fallback(conn, &node.children[0])?)),
+        Algo::FilterD(pred) => Box::new(Filter::new(child(0)?, pred.clone())),
+        Algo::ProjectD(items) => Box::new(Project::new(child(0)?, items.clone())?),
+        Algo::SortD(spec) => sorted(child(0)?, spec.clone()),
+        Algo::DupElimD => Box::new(DupElim::new(child(0)?)),
         Algo::JoinD(eq) => {
-            let l = middleware_fallback(conn, &node.children[0])?;
-            let r = middleware_fallback(conn, &node.children[1])?;
-            let l = sorted(l, SortSpec::by(eq.iter().map(|(a, _)| a.clone())));
-            let r = sorted(r, SortSpec::by(eq.iter().map(|(_, b)| b.clone())));
-            Box::new(MergeJoin::new(l, r, eq)?)
+            let (l, r) = sorted_pair(eq)?;
+            Box::new(MergeJoin::with_opts(l, r, eq, exec)?)
         }
         Algo::TJoinD(eq) => {
-            let l = middleware_fallback(conn, &node.children[0])?;
-            let r = middleware_fallback(conn, &node.children[1])?;
-            let l = sorted(l, SortSpec::by(eq.iter().map(|(a, _)| a.clone())));
-            let r = sorted(r, SortSpec::by(eq.iter().map(|(_, b)| b.clone())));
-            Box::new(TemporalMergeJoin::new(l, r, eq)?)
+            let (l, r) = sorted_pair(eq)?;
+            Box::new(TemporalMergeJoin::with_opts(l, r, eq, exec)?)
         }
-        Algo::ProductD => {
-            let l = middleware_fallback(conn, &node.children[0])?;
-            let r = middleware_fallback(conn, &node.children[1])?;
-            Box::new(NestedLoopJoin::new(l, r, None))
-        }
+        Algo::ProductD => Box::new(NestedLoopJoin::with_opts(child(0)?, child(1)?, None, exec)),
         Algo::TAggrD { group_by, aggs } => {
-            let child = &node.children[0];
+            let input_schema = &node.children[0].schema;
             let mut keys = group_by.clone();
-            if let Some((t1, _)) = child.schema.period() {
-                keys.push(child.schema.attr(t1).name.clone());
+            if let Some((t1, _)) = input_schema.period() {
+                keys.push(input_schema.attr(t1).name.clone());
             }
-            let input = sorted(middleware_fallback(conn, child)?, SortSpec::by(keys));
-            Box::new(TemporalAggregate::new(input, group_by.clone(), aggs.clone())?)
+            let input = sorted(child(0)?, SortSpec::by(keys));
+            Box::new(TemporalAggregate::with_opts(input, group_by.clone(), aggs.clone(), exec)?)
         }
         other => {
             return Err(tango_xxl::ExecError::State(format!(
@@ -1295,11 +1191,12 @@ impl Cursor for FetchCursor {
         Ok(())
     }
 
-    fn next(&mut self) -> tango_xxl::Result<Option<Tuple>> {
-        match &mut self.cur {
-            Some(c) => c.fetch().map_err(|e| wire_exec_err(&e)),
-            None => Err(tango_xxl::ExecError::State("fallback fetch not opened".into())),
-        }
+    fn next_batch(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
+        let cur = self
+            .cur
+            .as_mut()
+            .ok_or_else(|| tango_xxl::ExecError::State("fallback fetch not opened".into()))?;
+        fill_batch(self.schema.clone(), max_rows, || cur.fetch().map_err(|e| wire_exec_err(&e)))
     }
 
     fn close(&mut self) -> tango_xxl::Result<()> {
@@ -1326,9 +1223,11 @@ struct TransferMCursor {
     /// The cleaned DBMS fragment (temp scans in place of `T^D`), kept
     /// for re-planning.
     fragment: PhysNode,
+    /// The executor's knobs, for the operators a re-plan builds.
+    exec: ExecOpts,
     prereqs: Vec<BoxCursor>,
     cur: Option<DbCursor>,
-    /// Rows of a prefetch batch beyond what the last `next_batch_of`
+    /// Rows of a prefetch batch beyond what the last `next_batch`
     /// request asked for, served before the next wire pull.
     buf: VecDeque<Tuple>,
     /// The middleware re-plan of `fragment`, once degraded.
@@ -1409,7 +1308,7 @@ impl TransferMCursor {
                 ),
             );
         }
-        let mut fb = middleware_fallback(&self.conn, &self.fragment)?;
+        let mut fb = middleware_fallback(&self.conn, &self.fragment, self.exec)?;
         fb.open()?;
         self.cur = None;
         self.fallback = Some(fb);
@@ -1497,53 +1396,10 @@ impl Cursor for TransferMCursor {
         }
     }
 
-    fn next(&mut self) -> tango_xxl::Result<Option<Tuple>> {
-        if let Some(fb) = &mut self.fallback {
-            let r = fb.next();
-            if let Ok(Some(_)) = &r {
-                self.rows_emitted += 1;
-            }
-            return r;
-        }
-        if let Some(t) = self.buf.pop_front() {
-            self.rows_emitted += 1;
-            return Ok(Some(t));
-        }
-        match &mut self.cur {
-            Some(c) => {
-                let before = (self.conn.wire_faults(), self.conn.wire_retries());
-                match c.fetch() {
-                    Ok(t) => {
-                        self.note_wire_activity(before);
-                        match &t {
-                            Some(tup) => {
-                                self.rows_emitted += 1;
-                                self.populate_rows(std::slice::from_ref(tup));
-                            }
-                            None => self.finish_populate(),
-                        }
-                        Ok(t)
-                    }
-                    Err(e) => {
-                        self.note_wire_activity(before);
-                        if self.rows_emitted == 0 {
-                            // nothing delivered yet: safe to re-plan
-                            self.degrade("fetch", &e)?;
-                            self.next()
-                        } else {
-                            Err(wire_exec_err(&e))
-                        }
-                    }
-                }
-            }
-            None => Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into())),
-        }
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
         let max = max_rows.max(1);
         if let Some(fb) = &mut self.fallback {
-            let r = fb.next_batch_of(max);
+            let r = fb.next_batch(max);
             if let Ok(Some(b)) = &r {
                 self.rows_emitted += b.len() as u64;
             }
@@ -1588,7 +1444,7 @@ impl Cursor for TransferMCursor {
                         // nothing delivered yet: safe to re-plan, at
                         // batch granularity
                         self.degrade("fetch", &e)?;
-                        return self.next_batch_of(max);
+                        return self.next_batch(max);
                     }
                     return Err(wire_exec_err(&e));
                 }
@@ -1643,6 +1499,8 @@ struct TransferDCursor {
     table: String,
     schema: Arc<Schema>,
     input: Option<BoxCursor>,
+    /// Rows per pull while draining `input` (the executor's batch size).
+    batch_rows: usize,
     rows_loaded: u64,
     /// Sink for fault/retry events raised during the bulk load.
     sink: Option<Arc<SpanSlot>>,
@@ -1661,10 +1519,7 @@ impl Cursor for TransferDCursor {
             .take()
             .ok_or_else(|| tango_xxl::ExecError::State("TRANSFER^D reopened".into()))?;
         input.open()?;
-        let mut rows = Vec::new();
-        while let Some(b) = input.next_batch()? {
-            rows.extend(b.into_rows());
-        }
+        let rows = drain_of(input.as_mut(), self.batch_rows)?;
         input.close()?;
         self.rows_loaded = rows.len() as u64;
         // Sample the connection meters around the load alone, so nested
@@ -1687,7 +1542,7 @@ impl Cursor for TransferDCursor {
         Ok(())
     }
 
-    fn next(&mut self) -> tango_xxl::Result<Option<Tuple>> {
+    fn next_batch(&mut self, _max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
         Ok(None)
     }
 
@@ -1746,28 +1601,34 @@ mod tests {
         PhysNode { algo, schema, children: vec![l, r] }
     }
 
-    /// The full Figure 5 shape: aggregate in the middleware, load the
-    /// result back via TRANSFER^D, temporal-join in the DBMS, fetch.
-    #[test]
-    fn transfer_d_round_trip_executes_figure5() {
-        let conn = setup();
+    fn execute(conn: &Connection, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
+        Executor::new(conn).run(plan).map(|run| (run.rel, run.report))
+    }
+
+    /// The Figure 5 shape below the final fetch: aggregate in the
+    /// middleware, load the result back via TRANSFER^D, temporal-join
+    /// against POSITION in the DBMS.
+    fn figure5_join(conn: &Connection) -> PhysNode {
         let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "COUNTofPosID")];
         let agg_m = un(
             Algo::TAggrM { group_by: vec!["PosID".into()], aggs },
             un(
                 Algo::TransferM,
-                un(Algo::SortD(SortSpec::by(["PosID", "T1"])), scan(&conn, "POSITION")),
+                un(Algo::SortD(SortSpec::by(["PosID", "T1"])), scan(conn, "POSITION")),
             ),
         );
         let eq = vec![("PosID".to_string(), "PosID".to_string())];
-        let plan = un(
-            Algo::TransferM,
-            un(
-                Algo::SortD(SortSpec::by(["PosID"])),
-                bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), scan(&conn, "POSITION")),
-            ),
-        );
-        let (rel, report) = execute(&conn, &plan).unwrap();
+        bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), scan(conn, "POSITION"))
+    }
+
+    fn figure5_plan(conn: &Connection) -> PhysNode {
+        un(Algo::TransferM, un(Algo::SortD(SortSpec::by(["PosID"])), figure5_join(conn)))
+    }
+
+    #[test]
+    fn transfer_d_round_trip_executes_figure5() {
+        let conn = setup();
+        let (rel, report) = execute(&conn, &figure5_plan(&conn)).unwrap();
         assert_eq!(rel.len(), 5); // Figure 3(b)
                                   // temp table dropped afterwards
         assert!(!conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")));
@@ -1777,20 +1638,36 @@ mod tests {
         assert!(report.steps.iter().any(|s| matches!(s.algo, Algo::TAggrM { .. })));
     }
 
-    /// A failing plan must still clean up its temp tables.
+    /// `TRANSFER^D` drains its argument at the session's batch size. One
+    /// position with 30 disjoint versions: TAGGR^M stages whole groups,
+    /// so a single group slices into exactly `ceil(rows / 7)` batches.
+    #[test]
+    fn transfer_d_drains_at_the_session_batch_size() {
+        let conn = Connection::new(Database::in_memory());
+        conn.execute("CREATE TABLE POSITION (PosID INT, EmpName VARCHAR(20), T1 INT, T2 INT)")
+            .unwrap();
+        let versions: Vec<String> =
+            (0..30).map(|v| format!("(1,'Tom',{},{})", 10 * v, 10 * v + 5)).collect();
+        conn.execute(&format!("INSERT INTO POSITION VALUES {}", versions.join(","))).unwrap();
+        let mut tango = crate::Tango::connect(conn.database().clone());
+        tango.options_mut().batch_rows = Some(7);
+        let (rel, report) = tango.execute_physical(&figure5_plan(&conn)).unwrap();
+        assert_eq!(rel.len(), 30);
+        let td = report.exec_step(&Algo::TransferD).expect("TRANSFER^D step missing");
+        let arg = &report.steps[td.children[0]];
+        assert!(matches!(arg.algo, Algo::TAggrM { .. }));
+        assert_eq!(arg.out_rows, 30);
+        let batches = arg.counters.iter().find(|(k, _)| *k == "batches").map(|(_, v)| *v);
+        assert_eq!(batches, Some(30u64.div_ceil(7)), "T^D ignored batch_rows: {:?}", arg.counters);
+    }
+
+    /// A failing plan must still clean up its temp tables, with and
+    /// without re-planning: the left input's `T^D` loads its temp table
+    /// (as the first staged breaker, or at the join's `open`), then the
+    /// right input's SQL hits a missing table.
     #[test]
     fn temp_tables_cleaned_on_failure() {
         let conn = setup();
-        // TransferD feeding a TJoinD whose other side references a
-        // missing table => the outer SQL fails after the load happened
-        let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "C")];
-        let agg_m = un(
-            Algo::TAggrM { group_by: vec!["PosID".into()], aggs },
-            un(
-                Algo::TransferM,
-                un(Algo::SortD(SortSpec::by(["PosID", "T1"])), scan(&conn, "POSITION")),
-            ),
-        );
         let ghost = PhysNode {
             algo: Algo::ScanD("GHOST".into()),
             schema: Arc::new(Schema::with_inferred_period(vec![
@@ -1801,9 +1678,27 @@ mod tests {
             children: vec![],
         };
         let eq = vec![("PosID".to_string(), "PosID".to_string())];
-        let plan = un(Algo::TransferM, bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), ghost));
-        assert!(execute(&conn, &plan).is_err());
-        assert!(!conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")));
+        let plan = bin(
+            Algo::TMergeJoinM(eq),
+            un(Algo::TransferM, figure5_join(&conn)),
+            un(Algo::TransferM, ghost),
+        );
+        let replan = || Replan {
+            catalog: crate::collector::collect(&conn, true).unwrap(),
+            opt: OptOptions::default(),
+            residency: Residency::default(),
+            ratio: 8.0,
+            histogram_buckets: 0,
+        };
+        for replan in [None, Some(replan())] {
+            let staged = replan.is_some();
+            let err = Executor { replan, ..Executor::new(&conn) }.run(&plan).err();
+            assert!(err.is_some(), "staged={staged}: the ghost scan must fail the query");
+            assert!(
+                !conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")),
+                "staged={staged}: temp table survived the failure"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct NodeEstimate {
 /// executed it — `None` for DBMS-interior nodes, which are evaluated by
 /// the generated SQL of the enclosing `TRANSFER^M`.
 ///
-/// Mirrors the span-creation order of `engine::execute` exactly.
+/// Mirrors the span-creation order of `engine::Executor::run` exactly.
 pub fn step_indices(plan: &PhysNode) -> Vec<Option<usize>> {
     let mut out = vec![None; plan.node_count()];
     let mut next = 0usize;

@@ -27,7 +27,7 @@ use crate::cache::{MidCache, Residency, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHAR
 use crate::calibrate::{self, Calibration};
 use crate::collector;
 use crate::cost::CostFactors;
-use crate::engine::{self, ExecReport};
+use crate::engine::{ExecReport, Executor, Replan, Run};
 use crate::error::{Result, TangoError};
 use crate::explain::{self, NodeEstimate};
 use crate::feedback;
@@ -78,8 +78,8 @@ pub struct TangoOptions {
     /// compares against).
     pub cache_refresh: bool,
     /// Rows per batch pulled between operators, per session. `None` (the
-    /// default) falls back to the deprecated process-wide
-    /// [`tango_xxl::set_batch_rows`] knob.
+    /// default) means [`tango_algebra::DEFAULT_BATCH_ROWS`]; `Some(1)`
+    /// degenerates to row-at-a-time execution.
     pub batch_rows: Option<usize>,
     /// Worker threads for the morsel-parallel middleware operators
     /// (sorts, joins, TAGGR). `1` (the default) runs everything
@@ -114,11 +114,11 @@ impl Default for TangoOptions {
 
 impl TangoOptions {
     /// Resolve the per-execution knobs: the session's `batch_rows`
-    /// (falling back to the process-wide default) and the worker-pool
-    /// width (`0` = the host's available parallelism).
+    /// (`None` = the default) and the worker-pool width (`0` = the
+    /// host's available parallelism).
     pub fn exec_opts(&self) -> tango_xxl::ExecOpts {
         tango_xxl::ExecOpts {
-            batch_rows: self.batch_rows.unwrap_or_else(tango_xxl::batch_rows).max(1),
+            batch_rows: self.batch_rows.unwrap_or(tango_algebra::DEFAULT_BATCH_ROWS).max(1),
             workers: match self.workers {
                 0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
                 n => n,
@@ -530,53 +530,35 @@ impl Tango {
     /// under a `MATSCAN^M` node.
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
         let mut optimized = self.optimize(sql)?;
-        let (rel, exec) = match self.options.opt.replan_ratio {
-            Some(ratio) => {
-                let cfg = engine::AdaptiveOptions {
-                    catalog: self.catalog()?.clone(),
-                    factors: self.factors,
-                    opt: self.options.opt,
-                    residency: self.residency(),
-                    ratio,
-                    histogram_buckets: if self.options.use_histograms {
-                        tango_minidb::catalog::HISTOGRAM_BUCKETS
-                    } else {
-                        0
-                    },
-                    exec: self.options.exec_opts(),
-                };
-                let run = engine::execute_adaptive(
-                    &self.conn,
-                    &optimized.plan,
-                    self.active_cache(),
-                    cfg,
-                )?;
-                // the executed plan differs from the optimized one (staged
-                // breakers became MATSCAN^M nodes; a re-plan may have
-                // spliced): adopt it so EXPLAIN ANALYZE shows what ran
-                optimized.node_estimates = estimate_plan_nodes_with(
-                    &run.plan,
-                    &run.catalog,
-                    &self.factors,
-                    self.options.opt.naive_overlaps,
-                )
-                .unwrap_or_default();
-                optimized.plan = run.plan;
-                (run.rel, run.report)
-            }
-            None => engine::execute_cached_full(
-                &self.conn,
-                &optimized.plan,
-                true,
-                self.active_cache(),
-                self.options.exec_opts(),
-                self.factors,
-            )?,
+        let replan = match self.options.opt.replan_ratio {
+            Some(ratio) => Some(Replan {
+                catalog: self.catalog()?.clone(),
+                opt: self.options.opt,
+                residency: self.residency(),
+                ratio,
+                histogram_buckets: if self.options.use_histograms {
+                    tango_minidb::catalog::HISTOGRAM_BUCKETS
+                } else {
+                    0
+                },
+            }),
+            None => None,
         };
-        if self.options.feedback {
-            feedback::apply_feedback(&mut self.factors, &exec, self.options.feedback_alpha);
+        let factors = self.factors; // as the plan was priced, before feedback adapts them
+        let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, replan)?;
+        // the executed plan differs from the optimized one (staged
+        // breakers became MATSCAN^M nodes; a re-plan may have spliced):
+        // adopt it so EXPLAIN ANALYZE shows what ran
+        if let Some((plan, catalog)) = staged {
+            optimized.node_estimates = estimate_plan_nodes_with(
+                &plan,
+                &catalog,
+                &factors,
+                self.options.opt.naive_overlaps,
+            )
+            .unwrap_or_default();
+            optimized.plan = plan;
         }
-        let mut exec = exec;
         // surface pre-optimization rewrites on the plan root, so EXPLAIN
         // ANALYZE and the JSON trace carry them next to the execution
         // counters (packs off ⇒ nothing changes, golden outputs intact)
@@ -600,18 +582,28 @@ impl Tango {
     /// Execute a hand-built physical plan (the performance study runs
     /// the paper's fixed Plans 1..n this way).
     pub fn execute_physical(&mut self, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
-        let (rel, exec) = engine::execute_cached_full(
-            &self.conn,
-            plan,
-            true,
-            self.active_cache(),
-            self.options.exec_opts(),
-            self.factors,
-        )?;
-        if self.options.feedback {
-            feedback::apply_feedback(&mut self.factors, &exec, self.options.feedback_alpha);
+        let run = self.run(plan, None)?;
+        Ok((run.rel, run.report))
+    }
+
+    /// The one way this session executes a plan: traced, against the
+    /// active cache, under the session's knobs and factors — re-planning
+    /// mid-query when `replan` says so — followed by cost-factor feedback
+    /// if enabled.
+    fn run(&mut self, plan: &PhysNode, replan: Option<Replan>) -> Result<Run> {
+        let run = Executor {
+            conn: &self.conn,
+            cache: self.active_cache(),
+            exec: self.options.exec_opts(),
+            factors: self.factors,
+            trace: true,
+            replan,
         }
-        Ok((rel, exec))
+        .run(plan)?;
+        if self.options.feedback {
+            feedback::apply_feedback(&mut self.factors, &run.report, self.options.feedback_alpha);
+        }
+        Ok(run)
     }
 
     /// Evaluate the estimated cost of a hand-built physical plan under the

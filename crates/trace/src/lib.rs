@@ -123,16 +123,8 @@ impl SpanSlot {
         self.ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record one produced tuple of the given size.
-    pub fn add_row(&self, bytes: u64) {
-        self.rows.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Record a whole produced batch in one shot: `rows` tuples totalling
-    /// `bytes`. Two relaxed adds amortized over the batch — row and byte
-    /// accounting stay exactly equal to calling [`SpanSlot::add_row`]
-    /// once per tuple.
+    /// `bytes` — two relaxed adds amortized over the batch.
     pub fn add_batch(&self, rows: u64, bytes: u64) {
         self.rows.fetch_add(rows, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -192,7 +184,7 @@ impl SpanSlot {
 /// ```
 /// # use tango_trace::TraceHandle;
 /// let disabled = TraceHandle::disabled();
-/// disabled.with(|s| s.add_row(100)); // no-op, no atomics touched
+/// disabled.with(|s| s.add_batch(1, 100)); // no-op, no atomics touched
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceHandle(Option<Arc<SpanSlot>>);
@@ -472,8 +464,7 @@ mod tests {
         let (_, s1) = c.span("FILTER^M", SpanSite::Middleware, vec![leaf]);
         s0.add_time(Duration::from_micros(300));
         s1.add_time(Duration::from_micros(1000));
-        s1.add_row(40);
-        s1.add_row(60);
+        s1.add_batch(2, 100);
         let spans = Collector::finish(c);
         assert_eq!(spans[1].rows, 2);
         assert_eq!(spans[1].bytes, 100);

@@ -7,9 +7,9 @@
 //! The input must be sorted on (all non-temporal attributes, `T1`); the
 //! output is sorted the same way.
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
 use std::sync::Arc;
-use tango_algebra::{Period, Schema, Tuple, Type, Value};
+use tango_algebra::{Batch, Period, Schema, Tuple, Type, Value};
 
 /// The coalescing cursor: merges value-equivalent tuples with
 /// overlapping or adjacent periods into maximal periods.
@@ -75,20 +75,9 @@ impl Coalesce {
         out.set(self.period.1, v2);
         out
     }
-}
 
-impl Cursor for Coalesce {
-    fn schema(&self) -> &Arc<Schema> {
-        self.input.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.input.open()?;
-        self.opened = true;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    /// The merge scan, one maximal period per call.
+    fn step(&mut self) -> Result<Option<Tuple>> {
         if !self.opened {
             return Err(ExecError::State("coalesce not opened".into()));
         }
@@ -124,6 +113,22 @@ impl Cursor for Coalesce {
                 }
             }
         }
+    }
+}
+
+impl Cursor for Coalesce {
+    fn schema(&self) -> &Arc<Schema> {
+        self.input.schema()
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.input.open()?;
+        self.opened = true;
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        fill_batch(self.schema().clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {

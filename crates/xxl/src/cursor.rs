@@ -2,44 +2,23 @@
 //!
 //! Mirrors the `ResultSet` interface of the paper's Execution Engine
 //! (Figure 2): `init()` / `getNext()` become [`Cursor::open`] /
-//! [`Cursor::next`]. Opening may do real work — e.g. a sort materializes
-//! its input, and the `TRANSFER^D` algorithm in `tango-core` copies its
+//! [`Cursor::next_batch`] — one pull method, whose row target makes
+//! row-at-a-time execution the `max_rows = 1` case rather than a second
+//! protocol. Opening may do real work — e.g. a sort materializes its
+//! input, and the `TRANSFER^D` algorithm in `tango-core` copies its
 //! whole argument into the DBMS during `open`.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tango_algebra::{AlgebraError, Batch, Relation, Schema, Tuple, DEFAULT_BATCH_ROWS};
-
-/// The process-wide batch-size knob, defaulting to
-/// [`DEFAULT_BATCH_ROWS`]. A value of 1 degenerates batch-at-a-time
-/// execution to the row-at-a-time baseline (used by the batch-size
-/// ablation benchmark).
-static BATCH_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH_ROWS);
-
-/// The number of rows [`Cursor::next_batch`] targets per batch.
-pub fn batch_rows() -> usize {
-    BATCH_ROWS.load(Ordering::Relaxed)
-}
-
-/// Set the process-wide target batch size (clamped to at least 1).
-///
-/// **Deprecated default**: concurrent sessions in one process share this
-/// atomic, so prefer the per-session knob (`TangoOptions::batch_rows` in
-/// `tango-core`, threaded to operators as [`ExecOpts::batch_rows`]). The
-/// global remains as the default for sessions that don't set their own.
-pub fn set_batch_rows(n: usize) {
-    BATCH_ROWS.store(n.max(1), Ordering::Relaxed);
-}
 
 /// Per-execution knobs threaded from the session options through the
 /// engine into every operator constructor (`with_opts`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOpts {
-    /// Rows per batch pulled between operators. Captured once per
-    /// execution so concurrent sessions cannot race on the process-wide
-    /// [`set_batch_rows`] knob.
+    /// Rows per batch pulled between operators; 1 degenerates to
+    /// row-at-a-time execution (the batch-size ablation's baseline).
     pub batch_rows: usize,
     /// Worker threads for morsel-driven parallel pipeline breakers
     /// (sorts, joins, TAGGR). `1` = sequential execution — today's exact
@@ -49,7 +28,7 @@ pub struct ExecOpts {
 
 impl Default for ExecOpts {
     fn default() -> Self {
-        ExecOpts { batch_rows: batch_rows(), workers: 1 }
+        ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 1 }
     }
 }
 
@@ -73,7 +52,7 @@ pub enum ExecError {
         /// Driver-style error text.
         msg: String,
     },
-    /// Protocol violations (e.g. `next` before `open`) or bad input
+    /// Protocol violations (e.g. `next_batch` before `open`) or bad input
     /// order/shape detected at runtime.
     State(String),
 }
@@ -116,42 +95,16 @@ pub trait Cursor: Send {
     fn schema(&self) -> &Arc<Schema>;
 
     /// Prepare the cursor (bind expressions, materialize inputs where the
-    /// algorithm requires it). Must be called exactly once before `next`.
+    /// algorithm requires it). Must be called exactly once before
+    /// `next_batch`.
     fn open(&mut self) -> Result<()>;
 
-    /// Produce the next tuple, or `None` at end of stream.
-    fn next(&mut self) -> Result<Option<Tuple>>;
-
-    /// Produce the next batch of up to [`batch_rows`] tuples, or `None`
-    /// at end of stream. Equivalent to calling [`Cursor::next`]
-    /// repeatedly — the default implementation does exactly that, so
-    /// every row-at-a-time cursor keeps working — but native
-    /// implementations amortize per-tuple dispatch, trace accounting and
-    /// wire bookkeeping over the whole batch.
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        self.next_batch_of(batch_rows())
-    }
-
-    /// Like [`Cursor::next_batch`] with an explicit row target. Batches
-    /// may come back smaller than `max_rows` (e.g. wire cursors return
-    /// prefetch-aligned batches); an empty stream yields `None`, never an
-    /// empty batch. Implementations must share state with
-    /// [`Cursor::next`] so the two pull styles can be mixed freely.
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(DEFAULT_BATCH_ROWS));
-        while rows.len() < max {
-            match self.next()? {
-                Some(t) => rows.push(t),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(Batch::new(self.schema().clone(), rows)))
-        }
-    }
+    /// Produce the next batch of up to `max_rows` tuples (at least one is
+    /// always allowed), or `None` at end of stream — never an empty
+    /// batch. Batches may come back smaller than `max_rows` (a filter
+    /// passes on what survived, wire cursors return prefetch-aligned
+    /// batches).
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>>;
 
     /// Release resources held by the cursor (spill files, buffered
     /// state) and propagate to the inputs. Called once after the stream
@@ -171,46 +124,20 @@ pub trait Cursor: Send {
 /// An owned, dynamically-typed cursor — how operators hold their inputs.
 pub type BoxCursor = Box<dyn Cursor>;
 
-/// Drain a cursor into a materialized [`Relation`] (opens it first).
+/// Run a cursor from `open` to `close` into a materialized [`Relation`],
+/// pulling [`DEFAULT_BATCH_ROWS`] at a time.
 pub fn collect(mut c: BoxCursor) -> Result<Relation> {
     c.open()?;
     let schema = c.schema().clone();
-    let mut tuples = Vec::new();
-    while let Some(t) = c.next()? {
-        tuples.push(t);
-    }
+    let tuples = drain_of(c.as_mut(), DEFAULT_BATCH_ROWS)?;
     c.close()?;
     Ok(Relation::new(schema, tuples))
 }
 
-/// Like [`collect`], but pulls whole batches via
-/// [`Cursor::next_batch`] — the differential tests compare this against
-/// [`collect`] to prove the two pull styles agree byte for byte.
-pub fn collect_batched(mut c: BoxCursor) -> Result<Relation> {
-    c.open()?;
-    let schema = c.schema().clone();
-    let mut tuples = Vec::new();
-    while let Some(b) = c.next_batch()? {
-        tuples.extend(b.into_rows());
-    }
-    c.close()?;
-    Ok(Relation::new(schema, tuples))
-}
-
-/// Drain an already-open cursor (batch-at-a-time, so inputs with native
-/// batch support are consumed at batch cost).
-pub fn drain(c: &mut dyn Cursor) -> Result<Vec<Tuple>> {
-    let mut tuples = Vec::new();
-    while let Some(b) = c.next_batch()? {
-        tuples.extend(b.into_rows());
-    }
-    Ok(tuples)
-}
-
-/// Like [`drain`] with an explicit per-pull batch-size target.
+/// Drain an already-open cursor, pulling `rows` tuples at a time.
 pub fn drain_of(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Tuple>> {
     let mut tuples = Vec::new();
-    while let Some(b) = c.next_batch_of(rows)? {
+    while let Some(b) = c.next_batch(rows)? {
         tuples.extend(b.into_rows());
     }
     Ok(tuples)
@@ -218,20 +145,39 @@ pub fn drain_of(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Tuple>> {
 
 /// Drain an already-open cursor into whole batches (no materialization),
 /// for pipeline breakers that columnarize their input.
-pub fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch>> {
+pub(crate) fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch>> {
     let mut out = Vec::new();
-    while let Some(b) = c.next_batch_of(rows)? {
+    while let Some(b) = c.next_batch(rows)? {
         out.push(b);
     }
     Ok(out)
 }
 
+/// The batch pull of every cursor whose logic is row-at-a-time (merge
+/// joins, coalescing, difference, nested loop, bag filters, wire
+/// fetches): call its row `step` until `max_rows` tuples are gathered or
+/// the stream ends.
+pub fn fill_batch(
+    schema: Arc<Schema>,
+    max_rows: usize,
+    mut step: impl FnMut() -> Result<Option<Tuple>>,
+) -> Result<Option<Batch>> {
+    let max = max_rows.max(1);
+    let mut rows = Vec::with_capacity(max.min(DEFAULT_BATCH_ROWS));
+    while rows.len() < max {
+        match step()? {
+            Some(t) => rows.push(t),
+            None => break,
+        }
+    }
+    Ok((!rows.is_empty()).then(|| Batch::new(schema, rows)))
+}
+
 /// Buffers an input cursor batch-at-a-time while exposing a cheap
-/// per-row [`BatchBuffered::next`]. Stream-merging operators (joins,
-/// aggregation, coalescing) hold their inputs in this adapter: their
-/// group-reading logic stays row-oriented, but each underlying
-/// (possibly traced, possibly remote) cursor is only dispatched once per
-/// batch.
+/// per-row [`BatchBuffered::next`]. The row-logic operators hold their
+/// inputs in this adapter: their group-reading logic stays row-oriented,
+/// but each underlying (possibly traced, possibly remote) cursor is only
+/// dispatched once per batch.
 pub struct BatchBuffered {
     inner: BoxCursor,
     buf: VecDeque<Tuple>,
@@ -240,15 +186,8 @@ pub struct BatchBuffered {
 }
 
 impl BatchBuffered {
-    /// Wrap `inner`; rows are pulled through the wrapper from `open` on.
-    /// The per-refill batch size is captured from the process-wide default
-    /// at construction; use [`BatchBuffered::with_rows`] for a per-session
-    /// size.
-    pub fn new(inner: BoxCursor) -> Self {
-        Self::with_rows(inner, batch_rows())
-    }
-
-    /// Wrap `inner` with an explicit per-refill batch-size target.
+    /// Wrap `inner`, refilling `rows` tuples at a time; rows are pulled
+    /// through the wrapper from `open` on.
     pub fn with_rows(inner: BoxCursor, rows: usize) -> Self {
         BatchBuffered { inner, buf: VecDeque::new(), done: false, rows: rows.max(1) }
     }
@@ -265,9 +204,8 @@ impl BatchBuffered {
         self.inner.open()
     }
 
-    /// Next row: pops the buffer, refilling it one batch at a time.
-    /// Named after [`Cursor::next`] (fallible, lifecycle-bound), which
-    /// `Iterator` cannot express.
+    /// Next row: pops the buffer, refilling it one batch at a time
+    /// (fallible and lifecycle-bound, which `Iterator` cannot express).
     #[allow(clippy::should_implement_trait)]
     #[inline]
     pub fn next(&mut self) -> Result<Option<Tuple>> {
@@ -281,7 +219,7 @@ impl BatchBuffered {
         if self.done {
             return Ok(None);
         }
-        match self.inner.next_batch_of(self.rows)? {
+        match self.inner.next_batch(self.rows)? {
             Some(b) => {
                 self.buf.extend(b.into_rows());
                 Ok(self.buf.pop_front())
@@ -291,6 +229,17 @@ impl BatchBuffered {
                 Ok(None)
             }
         }
+    }
+
+    /// Every remaining row (the parallel joins materialize both sides
+    /// before partitioning).
+    pub(crate) fn drain(&mut self) -> Result<Vec<Tuple>> {
+        let mut rows: Vec<Tuple> = std::mem::take(&mut self.buf).into();
+        if !self.done {
+            rows.extend(drain_of(self.inner.as_mut(), self.rows)?);
+            self.done = true;
+        }
+        Ok(rows)
     }
 
     /// Close the wrapped cursor.

@@ -11,7 +11,7 @@ use crate::cursor::{BoxCursor, Cursor, Result};
 use std::collections::HashSet;
 use std::sync::Arc;
 use tango_algebra::value::Key;
-use tango_algebra::{Batch, Schema, Tuple};
+use tango_algebra::{Batch, Schema};
 
 /// Order-preserving hash duplicate elimination (keeps first occurrences).
 pub struct DupElim {
@@ -37,20 +37,9 @@ impl Cursor for DupElim {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.input.next()? {
-            let key: Vec<Key> = t.values().iter().map(|v| v.key()).collect();
-            if self.seen.insert(key) {
-                return Ok(Some(t));
-            }
-            self.dropped += 1;
-        }
-        Ok(None)
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         loop {
-            let Some(b) = self.input.next_batch_of(max_rows)? else {
+            let Some(b) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
             let mut rows = b.into_rows();

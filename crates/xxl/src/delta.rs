@@ -23,7 +23,7 @@
 //! falls back to a refetch — incremental maintenance is an optimization
 //! that must be byte-identical or absent.
 
-use crate::cursor::{BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{collect, BoxCursor, Cursor, ExecError, Result};
 use crate::filter::Filter;
 use crate::merge_join::MergeJoin;
 use crate::project::Project;
@@ -120,14 +120,11 @@ impl ZSet {
 
 /// Drain a cursor built over one signed part, tagging every output row
 /// with `sign`.
-fn run_part(mut cur: BoxCursor, sign: i64, out: &mut ZSet) -> Result<()> {
-    cur.open()?;
-    while let Some(b) = cur.next_batch()? {
-        for t in b.into_rows() {
-            out.add(t, sign);
-        }
+fn run_part(cur: BoxCursor, sign: i64, out: &mut ZSet) -> Result<()> {
+    for t in collect(cur)?.into_tuples() {
+        out.add(t, sign);
     }
-    cur.close()
+    Ok(())
 }
 
 fn scan_of(schema: &Arc<Schema>, rows: Vec<Tuple>) -> BoxCursor {
@@ -300,21 +297,9 @@ impl Cursor for DeltaApply {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if !self.opened {
-            return Err(ExecError::State("DeltaApply::next before open".into()));
-        }
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let t = self.rows[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(t))
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if !self.opened {
-            return Err(ExecError::State("DeltaApply::next_batch before open".into()));
+            return Err(ExecError::State("DeltaApply pulled before open".into()));
         }
         if self.pos >= self.rows.len() {
             return Ok(None);
@@ -333,7 +318,6 @@ impl Cursor for DeltaApply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cursor::collect;
     use tango_algebra::{tup, Attr, CmpOp, Type};
 
     fn schema() -> Arc<Schema> {

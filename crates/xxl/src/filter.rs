@@ -8,7 +8,7 @@
 
 use crate::cursor::{BoxCursor, Cursor, Result};
 use std::sync::Arc;
-use tango_algebra::{Batch, Expr, Schema, Tuple};
+use tango_algebra::{Batch, Expr, Schema};
 
 /// The `FILTER^M` cursor: pipelined, order-preserving selection.
 pub struct Filter {
@@ -36,31 +36,14 @@ impl Cursor for Filter {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            let t = match self.input.next()? {
-                Some(t) => t,
-                None => return Ok(None),
-            };
-            let pred = self
-                .bound
-                .as_ref()
-                .ok_or_else(|| crate::cursor::ExecError::State("filter not opened".into()))?;
-            if pred.matches(&t)? {
-                return Ok(Some(t));
-            }
-            self.dropped += 1;
-        }
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         let Some(pred) = self.bound.as_ref() else {
             return Err(crate::cursor::ExecError::State("filter not opened".into()));
         };
         // Keep pulling input batches until one survives the predicate;
         // an all-dropped batch must not end the stream early.
         loop {
-            let Some(b) = self.input.next_batch_of(max_rows)? else {
+            let Some(b) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
             if b.is_columnar() {

@@ -4,27 +4,28 @@
 //! XXL library the paper's Execution Engine builds on (van den Bercken,
 //! Dittrich & Seeger, SIGMOD 2000).
 //!
-//! Every algorithm is a [`Cursor`]: an iterator with explicit `open` /
-//! `next` lifecycle enabling the pipelined execution of Figure 2 of the
-//! paper. Algorithms are deliberately *order-preserving* wherever the
-//! paper requires it (Section 4: "the middleware algorithms are designed
-//! to be order preserving").
+//! Every algorithm is a [`Cursor`]: an iterator with an explicit `open` /
+//! `next_batch` / `close` lifecycle enabling the pipelined execution of
+//! Figure 2 of the paper. Algorithms are deliberately *order-preserving*
+//! wherever the paper requires it (Section 4: "the middleware algorithms
+//! are designed to be order preserving").
 //!
-//! Cursors also support *batch-at-a-time* pulls via
-//! [`Cursor::next_batch`]: every algorithm answers batch requests (a
-//! default implementation loops `next`), the bulk operators (scan,
-//! filter, project, sort, dedup, aggregation) produce batches natively
-//! over tango-algebra's columnar `Batch` layout, and the stream-merging
-//! operators amortize their input dispatch with
-//! [`cursor::BatchBuffered`]. Execution knobs travel per operator
-//! instance as [`ExecOpts`] (every algorithm has a `with_opts`
-//! constructor): `batch_rows` sets the batch size (1 degenerates to
-//! row-at-a-time execution; the process-wide
-//! [`cursor::batch_rows`]/[`cursor::set_batch_rows`] knob survives as
-//! the deprecated default) and `workers` sizes the morsel-driven worker
-//! pool of the [`par`] module — the heavy stages (sorts, the merge
-//! joins, `TAGGR^M`) split into ~64k-row morsels, execute on scoped
-//! threads and merge order-preserving, byte-identical to `workers = 1`.
+//! [`Cursor::next_batch`] is the only pull method: the caller names a row
+//! target, so row-at-a-time execution is the `max_rows = 1` case of the
+//! one protocol. The bulk operators (scan, filter, project, sort, dedup,
+//! aggregation) produce batches natively over tango-algebra's columnar
+//! `Batch` layout; the row-logic operators (merge joins, coalescing,
+//! difference, nested loop, bag filters) keep a private row step, fill
+//! their output batches through one shared helper, and read their inputs
+//! through [`cursor::BatchBuffered`], so an upstream (possibly traced,
+//! possibly remote) cursor is dispatched once per batch. Execution knobs
+//! travel per operator instance as [`ExecOpts`] (every plan-reachable
+//! algorithm with internal pulls has a `with_opts` constructor; there is
+//! no process-wide state): `batch_rows` sizes those pulls and `workers`
+//! sizes the morsel-driven worker pool of the [`par`] module — the heavy
+//! stages (sorts, the merge joins, `TAGGR^M`) split into ~64k-row
+//! morsels, execute on scoped threads and merge order-preserving,
+//! byte-identical to `workers = 1`.
 //!
 //! Inventory:
 //!
@@ -90,8 +91,7 @@ pub mod temporal_join;
 
 pub use coalesce::Coalesce;
 pub use cursor::{
-    batch_rows, collect, collect_batched, drain_batches, drain_of, set_batch_rows, BatchBuffered,
-    BoxCursor, Cursor, ExecError, ExecOpts, Result,
+    collect, drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result,
 };
 pub use dedup::DupElim;
 pub use delta::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};

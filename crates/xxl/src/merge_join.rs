@@ -6,8 +6,8 @@
 //! join attributes, which is why the optimizer can sometimes skip a final
 //! sort.
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{drain_buffered, partition_pairs, run_ordered, ParStats};
+use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::par::{partition_pairs, run_ordered, ParStats};
 use crate::scan::VecScan;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -92,8 +92,8 @@ impl MergeJoin {
     /// Parallel path: materialize, partition at key boundaries, run a
     /// sequential sub-join per partition, concatenate in order.
     fn open_parallel(&mut self) -> Result<()> {
-        let lrows = drain_buffered(&mut self.left)?;
-        let rrows = drain_buffered(&mut self.right)?;
+        let lrows = self.left.drain()?;
+        let rrows = self.right.drain()?;
         let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
         let keys = self.keys.clone();
         let same = |a: &Tuple, b: &Tuple| {
@@ -122,7 +122,7 @@ impl MergeJoin {
                     )?;
                     j.open()?;
                     let mut out = Vec::new();
-                    while let Some(t) = j.next()? {
+                    while let Some(t) = j.step()? {
                         out.push(t);
                     }
                     let groups = j.groups;
@@ -144,45 +144,9 @@ impl MergeJoin {
         self.staged = Some(scan);
         Ok(())
     }
-}
 
-fn key_cmp(keys: &[(usize, usize)], l: &Tuple, r: &Tuple) -> Ordering {
-    for &(li, ri) in keys {
-        let o = l[li].total_cmp(&r[ri]);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
-impl Cursor for MergeJoin {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
-        let left_cur = self.left.next()?;
-        let right_next = self.right.next()?;
-        self.state = Some(State {
-            left_cur,
-            right_group: Vec::new(),
-            right_next,
-            emit_idx: 0,
-            matching: false,
-        });
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(s) = &mut self.staged {
-            return s.next();
-        }
+    /// The merge itself, one output row per call.
+    fn step(&mut self) -> Result<Option<Tuple>> {
         // Split borrows up front: the merge state, the two inputs and the
         // key indices are disjoint fields, so the loop below can advance
         // the inputs while holding borrowed tuples out of the state — no
@@ -277,24 +241,46 @@ impl Cursor for MergeJoin {
             }
         }
     }
+}
 
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<tango_algebra::Batch>> {
+fn key_cmp(keys: &[(usize, usize)], l: &Tuple, r: &Tuple) -> Ordering {
+    for &(li, ri) in keys {
+        let o = l[li].total_cmp(&r[ri]);
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
+impl Cursor for MergeJoin {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.left.open()?;
+        self.right.open()?;
+        if self.opts.workers > 1 {
+            return self.open_parallel();
+        }
+        let left_cur = self.left.next()?;
+        let right_next = self.right.next()?;
+        self.state = Some(State {
+            left_cur,
+            right_group: Vec::new(),
+            right_next,
+            emit_idx: 0,
+            matching: false,
+        });
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<tango_algebra::Batch>> {
         if let Some(s) = &mut self.staged {
-            return s.next_batch_of(max_rows);
+            return s.next_batch(max_rows);
         }
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(tango_algebra::DEFAULT_BATCH_ROWS));
-        while rows.len() < max {
-            match self.next()? {
-                Some(t) => rows.push(t),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(tango_algebra::Batch::new(self.schema.clone(), rows)))
-        }
+        fill_batch(self.schema.clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {

@@ -2,15 +2,16 @@
 //! middleware. Materializes the right input at open; order-preserving on
 //! the left input (outer-major output order).
 
-use crate::cursor::{drain, BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, ExecOpts, Result};
 use std::sync::Arc;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{Expr, Schema, Tuple};
+use tango_algebra::{Batch, Expr, Schema, Tuple};
 
 /// The nested-loop theta-join cursor (right input materialized at open).
 pub struct NestedLoopJoin {
-    left: BoxCursor,
+    left: BatchBuffered,
     right: BoxCursor,
+    opts: ExecOpts,
     pred: Option<Expr>,
     bound: Option<Expr>,
     schema: Arc<Schema>,
@@ -23,10 +24,22 @@ impl NestedLoopJoin {
     /// `pred` is evaluated over the concatenated tuple; `None` yields the
     /// Cartesian product.
     pub fn new(left: BoxCursor, right: BoxCursor, pred: Option<Expr>) -> Self {
+        Self::with_opts(left, right, pred, ExecOpts::default())
+    }
+
+    /// Like [`NestedLoopJoin::new`] with explicit execution knobs (only
+    /// `batch_rows` applies: the loop is sequential).
+    pub fn with_opts(
+        left: BoxCursor,
+        right: BoxCursor,
+        pred: Option<Expr>,
+        opts: ExecOpts,
+    ) -> Self {
         let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
         NestedLoopJoin {
-            left,
+            left: BatchBuffered::with_rows(left, opts.batch_rows),
             right,
+            opts,
             pred,
             bound: None,
             schema,
@@ -35,27 +48,9 @@ impl NestedLoopJoin {
             j: 0,
         }
     }
-}
 
-impl Cursor for NestedLoopJoin {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        self.right_buf = drain(self.right.as_mut())?;
-        self.bound = match &self.pred {
-            Some(p) => Some(p.bound(&self.schema)?),
-            None => None,
-        };
-        self.left_cur = self.left.next()?;
-        self.j = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    /// The loop itself, one qualifying pair per call.
+    fn step(&mut self) -> Result<Option<Tuple>> {
         loop {
             let Some(l) = &self.left_cur else {
                 return Ok(None);
@@ -80,6 +75,29 @@ impl Cursor for NestedLoopJoin {
             }
         }
     }
+}
+
+impl Cursor for NestedLoopJoin {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.left.open()?;
+        self.right.open()?;
+        self.right_buf = drain_of(self.right.as_mut(), self.opts.batch_rows)?;
+        self.bound = match &self.pred {
+            Some(p) => Some(p.bound(&self.schema)?),
+            None => None,
+        };
+        self.left_cur = self.left.next()?;
+        self.j = 0;
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        fill_batch(self.schema.clone(), max_rows, || self.step())
+    }
 
     fn close(&mut self) -> Result<()> {
         self.right_buf.clear();
@@ -89,16 +107,6 @@ impl Cursor for NestedLoopJoin {
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![("rows_buffered", self.right_buf.len() as u64)]
-    }
-}
-
-impl NestedLoopJoin {
-    /// Guard against misuse in tests: error if opened twice.
-    pub fn assert_unopened(&self) -> Result<()> {
-        if self.left_cur.is_some() || !self.right_buf.is_empty() {
-            return Err(ExecError::State("join already opened".into()));
-        }
-        Ok(())
     }
 }
 

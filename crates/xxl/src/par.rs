@@ -10,10 +10,8 @@
 //! default) everything runs inline on the calling thread — no pool, no
 //! behavior change.
 
-use crate::cursor::{BatchBuffered, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use tango_algebra::Tuple;
 
 /// Target rows per morsel: large enough to amortize claim overhead, small
 /// enough to load-balance skewed inputs across the pool.
@@ -86,16 +84,6 @@ pub fn morsel_ranges(rows: usize, workers: usize) -> Vec<(usize, usize)> {
         at = hi;
     }
     out
-}
-
-/// Drain a [`BatchBuffered`] input to a materialized row vector (parallel
-/// joins materialize both sides before partitioning).
-pub fn drain_buffered(b: &mut BatchBuffered) -> Result<Vec<Tuple>> {
-    let mut rows = Vec::new();
-    while let Some(t) = b.next()? {
-        rows.push(t);
-    }
-    Ok(rows)
 }
 
 /// Partition two key-sorted inputs for a parallel merge join: split the

@@ -62,27 +62,11 @@ impl Cursor for Project {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if self.bound.is_empty() && !self.items.is_empty() {
             return Err(ExecError::State("project not opened".into()));
         }
-        match self.input.next()? {
-            None => Ok(None),
-            Some(t) => {
-                let mut out = Vec::with_capacity(self.bound.len());
-                for e in &self.bound {
-                    out.push(e.eval(&t)?);
-                }
-                Ok(Some(Tuple::new(out)))
-            }
-        }
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if self.bound.is_empty() && !self.items.is_empty() {
-            return Err(ExecError::State("project not opened".into()));
-        }
-        let Some(b) = self.input.next_batch_of(max_rows)? else {
+        let Some(b) = self.input.next_batch(max_rows)? else {
             return Ok(None);
         };
         if let Some(pick) = &self.col_pick {

@@ -34,12 +34,7 @@ impl Cursor for VecScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        debug_assert!(self.opened, "scan consumed before open()");
-        Ok(self.tuples.next())
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         debug_assert!(self.opened, "scan consumed before open()");
         let rows: Vec<Tuple> = self.tuples.by_ref().take(max_rows.max(1)).collect();
         if rows.is_empty() {
@@ -83,14 +78,7 @@ impl Cursor for CachedScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        debug_assert!(self.opened, "scan consumed before open()");
-        let t = self.rows.get(self.pos).cloned();
-        self.pos += t.is_some() as usize;
-        Ok(t)
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         debug_assert!(self.opened, "scan consumed before open()");
         if self.pos >= self.rows.len() {
             return Ok(None);
@@ -132,11 +120,11 @@ mod tests {
             let got = collect(Box::new(c)).unwrap();
             assert!(got.list_eq(&figure3_position()));
         }
-        // batch path agrees with the row path
+        // small pulls cover the entry exactly
         let mut c = CachedScan::new(schema, rows.clone(), bytes);
         c.open().unwrap();
         let mut n = 0;
-        while let Some(b) = c.next_batch_of(2).unwrap() {
+        while let Some(b) = c.next_batch(2).unwrap() {
             assert!(!b.is_empty());
             n += b.len();
         }

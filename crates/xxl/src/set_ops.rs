@@ -2,12 +2,15 @@
 //! `INTERSECT ALL` and `EXCEPT ALL` (bag semantics, as in the paper's
 //! multiset foundation [19]). The temporal (snapshot-semantics)
 //! difference lives in [`crate::tdiff`].
+//!
+//! No physical plan reaches these operators, so they take no execution
+//! knobs: inputs are read [`DEFAULT_BATCH_ROWS`] at a time.
 
-use crate::cursor::{BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tango_algebra::value::Key;
-use tango_algebra::{Schema, Tuple};
+use tango_algebra::{Batch, Schema, Tuple, DEFAULT_BATCH_ROWS};
 
 fn check_compatible(l: &Schema, r: &Schema) -> Result<()> {
     if l.len() != r.len() {
@@ -51,14 +54,14 @@ impl Cursor for UnionAll {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if !self.on_right {
-            if let Some(t) = self.left.next()? {
-                return Ok(Some(t));
+            if let Some(b) = self.left.next_batch(max_rows)? {
+                return Ok(Some(b));
             }
             self.on_right = true;
         }
-        self.right.next()
+        self.right.next_batch(max_rows)
     }
 
     fn close(&mut self) -> Result<()> {
@@ -67,10 +70,20 @@ impl Cursor for UnionAll {
     }
 }
 
+/// Count `right`'s tuples into a per-tuple budget (the build side of
+/// both bag filters).
+fn budget_of(right: &mut dyn Cursor) -> Result<HashMap<Vec<Key>, usize>> {
+    let mut budget = HashMap::new();
+    for t in drain_of(right, DEFAULT_BATCH_ROWS)? {
+        *budget.entry(key_of(&t)).or_insert(0) += 1;
+    }
+    Ok(budget)
+}
+
 /// Bag intersection: a tuple appears `min(m, n)` times when it occurs `m`
 /// times on the left and `n` on the right. Preserves left order.
 pub struct IntersectAll {
-    left: BoxCursor,
+    left: BatchBuffered,
     right: BoxCursor,
     budget: HashMap<Vec<Key>, usize>,
 }
@@ -79,7 +92,20 @@ impl IntersectAll {
     /// Multiset intersection of two schema-compatible inputs.
     pub fn new(left: BoxCursor, right: BoxCursor) -> Result<Self> {
         check_compatible(left.schema(), right.schema())?;
+        let left = BatchBuffered::with_rows(left, DEFAULT_BATCH_ROWS);
         Ok(IntersectAll { left, right, budget: HashMap::new() })
+    }
+
+    fn step(&mut self) -> Result<Option<Tuple>> {
+        while let Some(t) = self.left.next()? {
+            if let Some(n) = self.budget.get_mut(&key_of(&t)) {
+                if *n > 0 {
+                    *n -= 1;
+                    return Ok(Some(t));
+                }
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -91,23 +117,12 @@ impl Cursor for IntersectAll {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.budget.clear();
-        while let Some(t) = self.right.next()? {
-            *self.budget.entry(key_of(&t)).or_insert(0) += 1;
-        }
+        self.budget = budget_of(self.right.as_mut())?;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.left.next()? {
-            if let Some(n) = self.budget.get_mut(&key_of(&t)) {
-                if *n > 0 {
-                    *n -= 1;
-                    return Ok(Some(t));
-                }
-            }
-        }
-        Ok(None)
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        fill_batch(self.schema().clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {
@@ -121,7 +136,7 @@ impl Cursor for IntersectAll {
 /// order (the *last* `m - n` occurrences survive would be equally valid;
 /// we keep occurrences once the right-side budget is exhausted).
 pub struct ExceptAll {
-    left: BoxCursor,
+    left: BatchBuffered,
     right: BoxCursor,
     budget: HashMap<Vec<Key>, usize>,
 }
@@ -130,7 +145,18 @@ impl ExceptAll {
     /// Multiset difference of two schema-compatible inputs.
     pub fn new(left: BoxCursor, right: BoxCursor) -> Result<Self> {
         check_compatible(left.schema(), right.schema())?;
+        let left = BatchBuffered::with_rows(left, DEFAULT_BATCH_ROWS);
         Ok(ExceptAll { left, right, budget: HashMap::new() })
+    }
+
+    fn step(&mut self) -> Result<Option<Tuple>> {
+        while let Some(t) = self.left.next()? {
+            match self.budget.get_mut(&key_of(&t)) {
+                Some(n) if *n > 0 => *n -= 1, // cancelled by a right tuple
+                _ => return Ok(Some(t)),
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -142,21 +168,12 @@ impl Cursor for ExceptAll {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.budget.clear();
-        while let Some(t) = self.right.next()? {
-            *self.budget.entry(key_of(&t)).or_insert(0) += 1;
-        }
+        self.budget = budget_of(self.right.as_mut())?;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.left.next()? {
-            match self.budget.get_mut(&key_of(&t)) {
-                Some(n) if *n > 0 => *n -= 1, // cancelled by a right tuple
-                _ => return Ok(Some(t)),
-            }
-        }
-        Ok(None)
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        fill_batch(self.schema().clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {

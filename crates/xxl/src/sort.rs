@@ -87,19 +87,7 @@ impl Cursor for Sort {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let Some(s) = self.sorted.as_ref() else {
-            return Err(ExecError::State("sort not opened".into()));
-        };
-        if self.pos >= s.len() {
-            return Ok(None);
-        }
-        let t = s.tuple_at(self.pos);
-        self.pos += 1;
-        Ok(Some(t))
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         let Some(s) = self.sorted.as_ref() else {
             return Err(ExecError::State("sort not opened".into()));
         };
@@ -297,13 +285,15 @@ impl Cursor for ExternalSort {
             }
             Ok(())
         };
-        while let Some(t) = self.input.next()? {
-            self.rows_spilled += 1;
-            chunk.push(t);
-            if chunk.len() >= self.run_size {
-                pending.push(std::mem::take(&mut chunk));
-                if pending.len() >= workers {
-                    flush(&mut pending, &mut runs, &mut par)?;
+        while let Some(b) = self.input.next_batch(self.opts.batch_rows)? {
+            for t in b.into_rows() {
+                self.rows_spilled += 1;
+                chunk.push(t);
+                if chunk.len() >= self.run_size {
+                    pending.push(std::mem::take(&mut chunk));
+                    if pending.len() >= workers {
+                        flush(&mut pending, &mut runs, &mut par)?;
+                    }
                 }
             }
         }
@@ -327,22 +317,7 @@ impl Cursor for ExternalSort {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let m = self
-            .merge
-            .as_mut()
-            .ok_or_else(|| ExecError::State("external sort not opened".into()))?;
-        let Some(top) = m.heap.pop() else {
-            return Ok(None);
-        };
-        if let Some(t) = m.runs[top.run].next_tuple()? {
-            m.heap.push(HeapEntry { tuple: t, run: top.run, seq: m.seq, keys: m.keys.clone() });
-            m.seq += 1;
-        }
-        Ok(Some(top.tuple))
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         let m = self
             .merge
             .as_mut()

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
 use tango_algebra::value::Key;
 use tango_algebra::{
-    AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Schema, SortSpec, Tuple, Type, Value,
+    AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Schema, SortSpec, Type, Value,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -259,29 +259,7 @@ impl Cursor for TemporalAggregate {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if !self.opened {
-            return Err(ExecError::State("temporal aggregation not opened".into()));
-        }
-        loop {
-            if let Some(out) = &self.out {
-                if self.out_pos < out.len() {
-                    let t = out.tuple_at(self.out_pos);
-                    self.out_pos += 1;
-                    return Ok(Some(t));
-                }
-            }
-            if self.next_group >= self.bounds.len() {
-                return Ok(None);
-            }
-            self.refill(1)?;
-            if self.out.is_none() {
-                return Ok(None);
-            }
-        }
-    }
-
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if !self.opened {
             return Err(ExecError::State("temporal aggregation not opened".into()));
         }

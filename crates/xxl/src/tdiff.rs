@@ -5,18 +5,18 @@
 //!
 //! Both inputs must be sorted on all non-temporal attributes (then `T1`).
 
-use crate::cursor::{BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tango_algebra::{Period, Schema, Tuple, Type, Value};
+use tango_algebra::{Batch, Period, Schema, Tuple, Type, Value};
 
 /// The temporal-difference cursor: subtracts the right input's periods
 /// from value-equivalent left tuples, splitting them into the remaining
 /// fragments. Inputs sorted on (value attributes, `T1`).
 pub struct TemporalDiff {
-    left: BoxCursor,
-    right: BoxCursor,
+    left: BatchBuffered,
+    right: BatchBuffered,
     value_idx: Vec<usize>,
     lperiod: (usize, usize),
     rperiod: (usize, usize),
@@ -34,6 +34,12 @@ impl TemporalDiff {
     /// Subtract `right` from `left`; both must be temporal with matching
     /// value attributes.
     pub fn new(left: BoxCursor, right: BoxCursor) -> Result<Self> {
+        Self::with_opts(left, right, ExecOpts::default())
+    }
+
+    /// Like [`TemporalDiff::new`] with explicit execution knobs (the
+    /// merge scan is inherently sequential, so only `batch_rows` applies).
+    pub fn with_opts(left: BoxCursor, right: BoxCursor, opts: ExecOpts) -> Result<Self> {
         let ls = left.schema();
         let rs = right.schema();
         let lperiod = ls
@@ -49,8 +55,8 @@ impl TemporalDiff {
             (0..ls.len()).filter(|&i| i != lperiod.0 && i != lperiod.1).collect();
         let date_typed = matches!(ls.attr(lperiod.0).ty, Type::Date);
         Ok(TemporalDiff {
-            left,
-            right,
+            left: BatchBuffered::with_rows(left, opts.batch_rows),
+            right: BatchBuffered::with_rows(right, opts.batch_rows),
             value_idx,
             lperiod,
             rperiod,
@@ -157,21 +163,9 @@ impl TemporalDiff {
             self.out.push_back(t);
         }
     }
-}
 
-impl Cursor for TemporalDiff {
-    fn schema(&self) -> &Arc<Schema> {
-        self.left.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        self.opened = true;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    /// The difference scan, one surviving fragment per call.
+    fn step(&mut self) -> Result<Option<Tuple>> {
         if !self.opened {
             return Err(ExecError::State("temporal diff not opened".into()));
         }
@@ -203,6 +197,23 @@ impl Cursor for TemporalDiff {
                 self.out.push_back(l);
             }
         }
+    }
+}
+
+impl Cursor for TemporalDiff {
+    fn schema(&self) -> &Arc<Schema> {
+        self.left.schema()
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.left.open()?;
+        self.right.open()?;
+        self.opened = true;
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        fill_batch(self.schema().clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {

@@ -9,8 +9,8 @@
 //! them, so a query that sorts its result on the join key needs no extra
 //! sort after this algorithm (exploited by Queries 2 and 3 in the paper).
 
-use crate::cursor::{BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{drain_buffered, partition_pairs, run_ordered, ParStats};
+use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::par::{partition_pairs, run_ordered, ParStats};
 use crate::scan::VecScan;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -128,8 +128,8 @@ impl TemporalMergeJoin {
     /// Parallel path: materialize, partition at key boundaries, run a
     /// sequential sub-join per partition, concatenate in order.
     fn open_parallel(&mut self) -> Result<()> {
-        let lrows = drain_buffered(&mut self.left)?;
-        let rrows = drain_buffered(&mut self.right)?;
+        let lrows = self.left.drain()?;
+        let rrows = self.right.drain()?;
         let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
         let (lkeys, rkeys) = (self.lkeys.clone(), self.rkeys.clone());
         let same =
@@ -157,7 +157,7 @@ impl TemporalMergeJoin {
                     )?;
                     j.open()?;
                     let mut out = Vec::new();
-                    while let Some(t) = j.next()? {
+                    while let Some(t) = j.step()? {
                         out.push(t);
                     }
                     let groups = j.groups;
@@ -202,74 +202,10 @@ impl TemporalMergeJoin {
             }
         }
     }
-}
 
-fn key_cmp(lkeys: &[usize], rkeys: &[usize], l: &Tuple, r: &Tuple) -> Ordering {
-    for (&li, &ri) in lkeys.iter().zip(rkeys) {
-        let o = l[li].total_cmp(&r[ri]);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
-fn emit(
-    lkeep: &[usize],
-    rkeep: &[usize],
-    date_typed: bool,
-    l: &Tuple,
-    r: &Tuple,
-    p: Period,
-) -> Tuple {
-    let mut out = Vec::with_capacity(lkeep.len() + rkeep.len() + 2);
-    for &i in lkeep {
-        out.push(l[i].clone());
-    }
-    for &i in rkeep {
-        out.push(r[i].clone());
-    }
-    if date_typed {
-        out.push(Value::Date(p.start));
-        out.push(Value::Date(p.end));
-    } else {
-        out.push(Value::Int(p.start as i64));
-        out.push(Value::Int(p.end as i64));
-    }
-    Tuple::new(out)
-}
-
-impl Cursor for TemporalMergeJoin {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
-        let lnext = self.left.next()?;
-        let rnext = self.right.next()?;
-        self.state = Some(State {
-            lgroup: Vec::new(),
-            rgroup: Vec::new(),
-            lper: Vec::new(),
-            rper: Vec::new(),
-            lnext,
-            rnext,
-            i: 0,
-            j: 0,
-        });
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if let Some(s) = &mut self.staged {
-            return s.next();
-        }
-        // Split borrows up front (same pattern as `MergeJoin::next`): the
+    /// The merge itself, one output row per call.
+    fn step(&mut self) -> Result<Option<Tuple>> {
+        // Split borrows up front (same pattern as `MergeJoin::step`): the
         // state, the two inputs and the resolved indices are disjoint
         // fields, so the loop can advance the inputs while reading the
         // buffered groups out of the state.
@@ -341,24 +277,74 @@ impl Cursor for TemporalMergeJoin {
             st.rnext = rn;
         }
     }
+}
 
-    fn next_batch_of(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+fn key_cmp(lkeys: &[usize], rkeys: &[usize], l: &Tuple, r: &Tuple) -> Ordering {
+    for (&li, &ri) in lkeys.iter().zip(rkeys) {
+        let o = l[li].total_cmp(&r[ri]);
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
+fn emit(
+    lkeep: &[usize],
+    rkeep: &[usize],
+    date_typed: bool,
+    l: &Tuple,
+    r: &Tuple,
+    p: Period,
+) -> Tuple {
+    let mut out = Vec::with_capacity(lkeep.len() + rkeep.len() + 2);
+    for &i in lkeep {
+        out.push(l[i].clone());
+    }
+    for &i in rkeep {
+        out.push(r[i].clone());
+    }
+    if date_typed {
+        out.push(Value::Date(p.start));
+        out.push(Value::Date(p.end));
+    } else {
+        out.push(Value::Int(p.start as i64));
+        out.push(Value::Int(p.end as i64));
+    }
+    Tuple::new(out)
+}
+
+impl Cursor for TemporalMergeJoin {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        self.left.open()?;
+        self.right.open()?;
+        if self.opts.workers > 1 {
+            return self.open_parallel();
+        }
+        let lnext = self.left.next()?;
+        let rnext = self.right.next()?;
+        self.state = Some(State {
+            lgroup: Vec::new(),
+            rgroup: Vec::new(),
+            lper: Vec::new(),
+            rper: Vec::new(),
+            lnext,
+            rnext,
+            i: 0,
+            j: 0,
+        });
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if let Some(s) = &mut self.staged {
-            return s.next_batch_of(max_rows);
+            return s.next_batch(max_rows);
         }
-        let max = max_rows.max(1);
-        let mut rows = Vec::with_capacity(max.min(tango_algebra::DEFAULT_BATCH_ROWS));
-        while rows.len() < max {
-            match self.next()? {
-                Some(t) => rows.push(t),
-                None => break,
-            }
-        }
-        if rows.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(Batch::new(self.schema.clone(), rows)))
-        }
+        fill_batch(self.schema.clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {

@@ -149,7 +149,10 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
             if rest.is_empty() {
                 match tango.options().batch_rows {
                     Some(n) => println!("batch_rows = {n}"),
-                    None => println!("batch_rows = default ({})", tango::xxl::batch_rows()),
+                    None => println!(
+                        "batch_rows = default ({})",
+                        tango::algebra::DEFAULT_BATCH_ROWS
+                    ),
                 }
             } else {
                 match rest.parse::<usize>() {

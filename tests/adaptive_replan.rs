@@ -14,7 +14,7 @@
 //! single result byte.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use tango::algebra::{tup, Attr, Schema, SortSpec, Type, Value};
 use tango::minidb::{
     Connection, Database, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode,
@@ -386,14 +386,6 @@ fn retried_faults_leave_the_rescue_intact() {
 // Differential property: adaptive ≡ non-adaptive
 // ---------------------------------------------------------------------
 
-/// `set_batch_rows` is process-global; serialize the sections that
-/// change it so parallel tests in this binary never observe a torn
-/// setting.
-fn batch_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Query shapes whose plans exercise every pipeline-breaker kind the
 /// stager knows: `TRANSFER^M` (conventional join), `TAGGR^M` (temporal
 /// aggregation), and the middleware sorts that appear between a join and
@@ -441,38 +433,30 @@ proptest! {
         let batch = [1usize, 1024][batch_pick];
         let db = rescue_db(LinkProfile::instant(), 12, 6);
 
-        let _guard = batch_lock();
-        let before = tango::xxl::batch_rows();
-        tango::xxl::set_batch_rows(batch);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (sql, order) in breaker_queries() {
-                let mut base = session(&db, naive, None);
-                if tiny_sort_budget {
-                    base.options_mut().opt.mid_sort_budget = Some(16);
-                }
-                let (expected, _) = base.query(sql).unwrap();
-
-                let mut adaptive = session(&db, naive, ratio);
-                if tiny_sort_budget {
-                    adaptive.options_mut().opt.mid_sort_budget = Some(16);
-                }
-                let (got, report) = adaptive.query(sql).unwrap();
-                assert!(
-                    got.multiset_eq(&expected),
-                    "adaptive(ratio {ratio:?}, naive {naive}, batch {batch}) diverged on {sql}\n\
-                     expected:\n{expected}\ngot:\n{got}\nplan:\n{}",
-                    report.optimized.explain()
-                );
-                assert!(
-                    got.is_sorted_by(&order),
-                    "adaptive lost the delivery order on {sql}:\n{got}"
-                );
+        for (sql, order) in breaker_queries() {
+            let mut base = session(&db, naive, None);
+            base.options_mut().batch_rows = Some(batch);
+            if tiny_sort_budget {
+                base.options_mut().opt.mid_sort_budget = Some(16);
             }
-        }));
-        tango::xxl::set_batch_rows(before);
-        drop(_guard);
-        if let Err(panic) = outcome {
-            std::panic::resume_unwind(panic);
+            let (expected, _) = base.query(sql).unwrap();
+
+            let mut adaptive = session(&db, naive, ratio);
+            adaptive.options_mut().batch_rows = Some(batch);
+            if tiny_sort_budget {
+                adaptive.options_mut().opt.mid_sort_budget = Some(16);
+            }
+            let (got, report) = adaptive.query(sql).unwrap();
+            assert!(
+                got.multiset_eq(&expected),
+                "adaptive(ratio {ratio:?}, naive {naive}, batch {batch}) diverged on {sql}\n\
+                 expected:\n{expected}\ngot:\n{got}\nplan:\n{}",
+                report.optimized.explain()
+            );
+            assert!(
+                got.is_sorted_by(&order),
+                "adaptive lost the delivery order on {sql}:\n{got}"
+            );
         }
     }
 }

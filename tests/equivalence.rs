@@ -166,7 +166,7 @@ mod placements {
     use super::make_db;
     use std::sync::Arc;
     use tango::algebra::{AggFunc, AggSpec, Expr, ProjItem, Relation, SortSpec};
-    use tango::core::engine;
+    use tango::core::engine::Executor;
     use tango::core::phys::{Algo, PhysNode};
     use tango::minidb::{Connection, Database};
 
@@ -300,7 +300,7 @@ mod placements {
     }
 
     fn run(conn: &Connection, plan: &PhysNode) -> Relation {
-        engine::execute(conn, plan).unwrap_or_else(|e| panic!("{e}\nplan:\n{plan:?}")).0
+        Executor::new(conn).run(plan).unwrap_or_else(|e| panic!("{e}\nplan:\n{plan:?}")).rel
     }
 
     fn assert_placements_agree(db: &Database, plans: Vec<(&'static str, PhysNode)>, query: &str) {

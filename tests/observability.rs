@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use tango::algebra::{tup, Attr, Expr, Schema, Type, Value};
 use tango::core::cost::CostFactors;
-use tango::core::engine::{self, ExecReport};
+use tango::core::engine::{ExecReport, Executor};
 use tango::core::phys::{Algo, PhysNode, Site};
 use tango::core::tsql::{strip_explain, Explain};
 use tango::minidb::{Connection, Database, Link, LinkProfile};
@@ -49,9 +49,9 @@ fn three_op_plan(conn: &Connection) -> PhysNode {
 
 fn run_traced(conn: &Connection) -> ExecReport {
     let plan = three_op_plan(conn);
-    let (rel, report) = engine::execute(conn, &plan).unwrap();
-    assert_eq!(rel.len(), 2); // PosID = 1 matches Tom and Jane
-    report
+    let run = Executor::new(conn).run(&plan).unwrap();
+    assert_eq!(run.rel.len(), 2); // PosID = 1 matches Tom and Jane
+    run.report
 }
 
 #[test]
@@ -152,10 +152,11 @@ fn exec_report_json_is_well_formed() {
 fn untraced_execution_collects_nothing() {
     let (_db, conn) = setup();
     let plan = three_op_plan(&conn);
-    let (rel, report) = engine::execute_with(&conn, &plan, false).unwrap();
-    assert_eq!(rel.len(), 2);
-    assert_eq!(report.rows, 2);
-    assert!(report.steps.is_empty(), "untraced run must create no spans");
+    let traced = Executor::new(&conn).run(&plan).unwrap();
+    let untraced = Executor { trace: false, ..Executor::new(&conn) }.run(&plan).unwrap();
+    assert!(untraced.rel.list_eq(&traced.rel), "tracing changed the rows");
+    assert_eq!(untraced.report.rows, 2);
+    assert!(untraced.report.steps.is_empty(), "untraced run must create no spans");
 }
 
 #[test]

@@ -1,15 +1,14 @@
-//! Differential suite for batch-at-a-time execution: pulling whole
-//! batches ([`Cursor::next_batch`]) must agree **byte for byte** with
-//! pulling single rows ([`Cursor::next`]) — for every XXL operator on
+//! Differential suite for batch-at-a-time execution: every batch size
+//! must agree **byte for byte** with the row-at-a-time degenerate case
+//! (`batch_rows = 1`, one-row pulls) — for every XXL operator on
 //! randomized inputs, for full middleware plans end to end, and under
 //! seeded chaos schedules on the simulated wire.
 //!
-//! All tests here mutate the process-wide batch-size knob, so they
-//! serialize on one mutex and always restore the default before
-//! releasing it.
+//! The batch size is per operator ([`ExecOpts`]) and per session
+//! (`TangoOptions::batch_rows`), so the tests here share no state.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, Expr, ProjItem, Relation, Schema, SortSpec, Type, Value,
@@ -17,43 +16,42 @@ use tango::algebra::{
 };
 use tango::minidb::{Database, FaultPlan, Link, LinkProfile, WireMode};
 use tango::xxl::{
-    collect, collect_batched, set_batch_rows, BoxCursor, Coalesce, DupElim, ExecOpts, ExternalSort,
-    Filter, MergeJoin, Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
+    collect, drain_of, BoxCursor, Coalesce, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin,
+    Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
 };
 use tango::Tango;
-
-/// Serializes access to the process-wide batch-size knob.
-static KNOB: Mutex<()> = Mutex::new(());
 
 /// Batch sizes every differential sweeps: the row-at-a-time degenerate
 /// case, sizes that straddle group/prefetch boundaries, and the default.
 const SIZES: [usize; 5] = [1, 2, 3, 7, DEFAULT_BATCH_ROWS];
 
-fn with_knob<R>(f: impl FnOnce() -> R) -> R {
-    let _g = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-    let r = f();
-    set_batch_rows(DEFAULT_BATCH_ROWS);
-    r
+/// Run a cursor to completion, pulling `rows` tuples at a time.
+fn collect_of(mut c: BoxCursor, rows: usize) -> Relation {
+    c.open().unwrap();
+    let schema = c.schema().clone();
+    let tuples = drain_of(c.as_mut(), rows).unwrap();
+    c.close().unwrap();
+    Relation::new(schema, tuples)
 }
 
-/// Row vs batch on the same cursor constructor, across all of [`SIZES`].
-fn assert_differential(label: &str, make: &dyn Fn() -> BoxCursor) {
-    with_knob(|| {
-        let row = collect(make()).unwrap(); // pure `next()` pulls
-        for bs in SIZES {
-            set_batch_rows(bs);
-            let batched = collect_batched(make()).unwrap();
-            assert!(
-                batched.list_eq(&row),
-                "{label}: batch size {bs} differs from row-at-a-time\nrow:\n{row}\nbatch:\n{batched}"
-            );
-            assert_eq!(
-                batched.schema().names().collect::<Vec<_>>(),
-                row.schema().names().collect::<Vec<_>>(),
-                "{label}: schema drifted at batch size {bs}"
-            );
-        }
-    })
+/// The same cursor constructor at every size of [`SIZES`] — built with
+/// `ExecOpts { batch_rows }` (its internal pulls) and drained with pulls
+/// of the same size — against the batch-1 baseline.
+fn assert_differential(label: &str, make: &dyn Fn(ExecOpts) -> BoxCursor) {
+    let at = |batch_rows: usize| collect_of(make(ExecOpts { batch_rows, workers: 1 }), batch_rows);
+    let row = at(1);
+    for bs in SIZES {
+        let batched = at(bs);
+        assert!(
+            batched.list_eq(&row),
+            "{label}: batch size {bs} differs from row-at-a-time\nrow:\n{row}\nbatch:\n{batched}"
+        );
+        assert_eq!(
+            batched.schema().names().collect::<Vec<_>>(),
+            row.schema().names().collect::<Vec<_>>(),
+            "{label}: schema drifted at batch size {bs}"
+        );
+    }
 }
 
 type Row = (i64, i64, i32, i32); // (PosID, EmpID, T1, duration)
@@ -89,10 +87,10 @@ proptest! {
         raw in proptest::collection::vec((0i64..5, 0i64..4, 0i32..30, 1i32..10), 0..40),
     ) {
         let rel = temporal_rel(&raw);
-        assert_differential("FILTER^M", &|| {
+        assert_differential("FILTER^M", &|_| {
             Box::new(Filter::new(scan(&rel), Expr::eq(Expr::col("PosID"), Expr::lit(1))))
         });
-        assert_differential("PROJECT^M", &|| {
+        assert_differential("PROJECT^M", &|_| {
             Box::new(
                 Project::new(
                     scan(&rel),
@@ -101,20 +99,20 @@ proptest! {
                 .unwrap(),
             )
         });
-        assert_differential("SORT^M", &|| {
-            Box::new(Sort::new(scan(&rel), SortSpec::by(["PosID", "T1"])))
+        assert_differential("SORT^M", &|o| {
+            Box::new(Sort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), o))
         });
         for run in [2usize, 7] {
-            assert_differential("XSORT^M", &|| {
-                Box::new(ExternalSort::new(scan(&rel), SortSpec::by(["PosID", "T1"]), run))
+            assert_differential("XSORT^M", &|o| {
+                Box::new(ExternalSort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), run, o))
             });
         }
-        assert_differential("DUPELIM^M", &|| Box::new(DupElim::new(scan(&rel))));
+        assert_differential("DUPELIM^M", &|_| Box::new(DupElim::new(scan(&rel))));
     }
 
-    /// The stream-merging operators, whose batch path goes through the
-    /// `BatchBuffered` input adapter: joins, aggregation, coalescing,
-    /// temporal difference.
+    /// The row-logic operators, which read their inputs through the
+    /// `BatchBuffered` adapter (joins, coalescing, temporal difference),
+    /// and the aggregation sweep.
     #[test]
     fn merging_operators_agree(
         left in proptest::collection::vec((0i64..4, 0i64..4, 0i32..25, 1i32..10), 0..30),
@@ -123,18 +121,19 @@ proptest! {
         let l = sorted_by(&temporal_rel(&left), &["PosID", "T1"]);
         let r = sorted_by(&temporal_rel(&right), &["PosID", "T1"]);
         let eq = [("PosID".to_string(), "PosID".to_string())];
-        assert_differential("MERGEJOIN^M", &|| {
-            Box::new(MergeJoin::new(scan(&l), scan(&r), &eq).unwrap())
+        assert_differential("MERGEJOIN^M", &|o| {
+            Box::new(MergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
         });
-        assert_differential("TMERGEJOIN^M", &|| {
-            Box::new(TemporalMergeJoin::new(scan(&l), scan(&r), &eq).unwrap())
+        assert_differential("TMERGEJOIN^M", &|o| {
+            Box::new(TemporalMergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
         });
-        assert_differential("TAGGR^M", &|| {
+        assert_differential("TAGGR^M", &|o| {
             Box::new(
-                TemporalAggregate::new(
+                TemporalAggregate::with_opts(
                     scan(&l),
                     vec!["PosID".into()],
                     vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")],
+                    o,
                 )
                 .unwrap(),
             )
@@ -143,9 +142,11 @@ proptest! {
         // attributes then T1
         let lv = sorted_by(&l, &["PosID", "EmpID", "T1"]);
         let rv = sorted_by(&r, &["PosID", "EmpID", "T1"]);
-        assert_differential("COALESCE^M", &|| Box::new(Coalesce::new(scan(&lv)).unwrap()));
-        assert_differential("TDIFF^M", &|| {
-            Box::new(TemporalDiff::new(scan(&lv), scan(&rv)).unwrap())
+        assert_differential("COALESCE^M", &|o| {
+            Box::new(Coalesce::with_opts(scan(&lv), o).unwrap())
+        });
+        assert_differential("TDIFF^M", &|o| {
+            Box::new(TemporalDiff::with_opts(scan(&lv), scan(&rv), o).unwrap())
         });
     }
 }
@@ -382,22 +383,20 @@ fn queries() -> Vec<String> {
 fn middleware_plans_agree_row_vs_batch() {
     let db = seed_db();
     let mut tango = Tango::connect(db);
-    with_knob(|| {
-        for q in queries() {
-            set_batch_rows(1);
-            let (row, _) = tango.query(&q).unwrap();
-            for bs in [2usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
-                set_batch_rows(bs);
-                let (batch, report) = tango.query(&q).unwrap();
-                assert!(
-                    batch.list_eq(&row),
-                    "batch size {bs} changed the answer\nquery: {q}\nrow:\n{row}\nbatch:\n{batch}"
-                );
-                // row accounting stays exact regardless of batch size
-                assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
-            }
+    for q in queries() {
+        tango.options_mut().batch_rows = Some(1);
+        let (row, _) = tango.query(&q).unwrap();
+        for bs in [2usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
+            tango.options_mut().batch_rows = Some(bs);
+            let (batch, report) = tango.query(&q).unwrap();
+            assert!(
+                batch.list_eq(&row),
+                "batch size {bs} changed the answer\nquery: {q}\nrow:\n{row}\nbatch:\n{batch}"
+            );
+            // row accounting stays exact regardless of batch size
+            assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
         }
-    })
+    }
 }
 
 /// The external-sort plan (middleware sort-memory budget) under the
@@ -414,15 +413,13 @@ fn external_sort_plan_agrees_row_vs_batch() {
              GROUP BY PosID ORDER BY PosID";
     let optimized = tango.optimize(q).unwrap();
     assert!(optimized.explain().contains("XSORT^M"), "{}", optimized.explain());
-    with_knob(|| {
-        set_batch_rows(1);
-        let (row, _) = tango.execute_physical(&optimized.plan).unwrap();
-        for bs in [3usize, 8, DEFAULT_BATCH_ROWS] {
-            set_batch_rows(bs);
-            let (batch, _) = tango.execute_physical(&optimized.plan).unwrap();
-            assert!(batch.list_eq(&row), "batch size {bs}\nrow:\n{row}\nbatch:\n{batch}");
-        }
-    })
+    tango.options_mut().batch_rows = Some(1);
+    let (row, _) = tango.execute_physical(&optimized.plan).unwrap();
+    for bs in [3usize, 8, DEFAULT_BATCH_ROWS] {
+        tango.options_mut().batch_rows = Some(bs);
+        let (batch, _) = tango.execute_physical(&optimized.plan).unwrap();
+        assert!(batch.list_eq(&row), "batch size {bs}\nrow:\n{row}\nbatch:\n{batch}");
+    }
 }
 
 /// Seeded chaos schedules (latency spikes, throttles, transient faults
@@ -435,28 +432,29 @@ fn chaos_schedules_agree_row_vs_batch() {
     let queries = &queries()[..2]; // aggregation + join cover both wires
     let baselines: Vec<Relation> = queries.iter().map(|q| tango.query(q).unwrap().0).collect();
 
-    with_knob(|| {
-        for seed in [0xA11CEu64, 0x5EED5, 0xC0FFEE] {
-            let plan = Arc::new(
-                FaultPlan::random(seed, 0.2)
-                    .with_budget(3)
-                    .with_spikes(0.1, Duration::from_millis(2))
-                    .with_throttle(0.1, 4.0),
-            );
-            for bs in [1usize, 8, DEFAULT_BATCH_ROWS] {
-                set_batch_rows(bs);
-                db.link().set_injector(plan.clone());
-                for (q, base) in queries.iter().zip(&baselines) {
-                    let (rel, _) = tango.query(q).unwrap_or_else(|e| {
-                        panic!("seed {seed:#x} batch {bs}: chaos run failed: {e}\nquery: {q}")
-                    });
-                    assert!(
-                        rel.list_eq(base),
-                        "seed {seed:#x} batch {bs}: chaos result differs\nquery: {q}"
-                    );
-                }
-                db.link().clear_injector();
+    for seed in [0xA11CEu64, 0x5EED5, 0xC0FFEE] {
+        let plan = Arc::new(
+            FaultPlan::random(seed, 0.2)
+                .with_budget(3)
+                .with_spikes(0.1, Duration::from_millis(2))
+                .with_throttle(0.1, 4.0),
+        );
+        for bs in [1usize, 8, DEFAULT_BATCH_ROWS] {
+            // set before arming the link: changing an option re-collects
+            // statistics, which must not consume the fault schedule
+            tango.options_mut().batch_rows = Some(bs);
+            tango.refresh_statistics().unwrap();
+            db.link().set_injector(plan.clone());
+            for (q, base) in queries.iter().zip(&baselines) {
+                let (rel, _) = tango.query(q).unwrap_or_else(|e| {
+                    panic!("seed {seed:#x} batch {bs}: chaos run failed: {e}\nquery: {q}")
+                });
+                assert!(
+                    rel.list_eq(base),
+                    "seed {seed:#x} batch {bs}: chaos result differs\nquery: {q}"
+                );
             }
+            db.link().clear_injector();
         }
-    })
+    }
 }
