@@ -13,7 +13,15 @@
 //! arguments to expensive operations"), showing their effect on the
 //! search space and the plan.
 //!
-//! Usage: `cargo run --release -p tango-bench --bin optimizer_stats [--no-pushdown] [--small]`
+//! `--check` gates the search *effort* (never its time): exit 1 if a
+//! query's search answered nothing from the memoization table or costed
+//! more algorithms per class element / made more optimize calls per
+//! class than `OptimizedQuery::search_effort_bounded` allows. It plans
+//! under the default cost factors instead of calibrating, because a
+//! fresh calibration flips Query 4 between `join=M` and `join=D` from
+//! run to run and the counts with it.
+//!
+//! Usage: `cargo run --release -p tango-bench --bin optimizer_stats [--no-pushdown] [--small] [--check]`
 
 use tango_algebra::date::day;
 use tango_bench::plans::{placement_summary, q1_sql, q2_sql, q3_sql, q4_sql};
@@ -23,9 +31,10 @@ use tango_uis::UisConfig;
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let no_pushdown = std::env::args().any(|a| a == "--no-pushdown");
+    let check = std::env::args().any(|a| a == "--check");
     let cfg = if small { UisConfig::small(0xEC1) } else { UisConfig::default() };
     eprintln!("loading UIS ({} POSITION rows) ...", cfg.position_rows);
-    let mut setup = load_uis(&cfg, uis_link_profile(), true);
+    let mut setup = load_uis(&cfg, uis_link_profile(), !check);
     setup.tango.options_mut().opt.pushdown_rules = !no_pushdown;
 
     let queries: Vec<(&str, String)> = vec![
@@ -43,8 +52,12 @@ fn main() {
         "{:24} {:>8} {:>9} {:>10} {:>10}  placement",
         "query", "classes", "elements", "opt. time", "est. cost"
     );
+    let mut unbounded = Vec::new();
     for (name, sql) in queries {
         let q = setup.tango.optimize(&sql).expect("optimize failed");
+        if q.search.cache_hits == 0 || !q.search_effort_bounded() {
+            unbounded.push(name);
+        }
         println!(
             "{:24} {:>8} {:>9} {:>8.1}ms {:>8.0}ms  {}",
             name,
@@ -60,19 +73,19 @@ fn main() {
         if !fired.is_empty() {
             println!("{:24}   rules: {}", "", fired.join(", "));
         }
-        println!(
-            "{:24}   search: {} optimize calls, {} impls, {} enforcers, {} cache hits",
-            "",
-            q.search.optimize_calls,
-            q.search.implementations_considered,
-            q.search.enforcers_considered,
-            q.search.cache_hits,
-        );
+        println!("{:24}   search: {}", "", q.search_summary());
         println!("{:24}   plan:\n{}", "", indent(&q.explain(), 8));
     }
     println!(
         "paper (its rule formulation): Q1 12/29, Q2 142/452, Q3 104/301, Q4 13/30 classes/elements"
     );
+    if check {
+        if !unbounded.is_empty() {
+            eprintln!("CHECK FAILED: search effort out of proportion to the memo: {unbounded:?}");
+            std::process::exit(1);
+        }
+        println!("check passed: every search hit its table and stayed within the effort bound");
+    }
 }
 
 fn indent(s: &str, n: usize) -> String {

@@ -203,13 +203,16 @@ pub struct Executor<'a> {
 /// fault mid-drain is never re-planned a second time over the same
 /// observation.
 pub struct Replan {
-    /// The catalog snapshot the original optimization used.
-    pub catalog: Catalog,
+    /// The catalog snapshot the original optimization used — shared with
+    /// it, and copied only when the first breaker is staged (its observed
+    /// statistics are registered in the copy).
+    pub catalog: Arc<Catalog>,
     /// Optimizer knobs; re-optimization runs with the same rule groups
     /// (and the same, possibly deliberately naive, estimation mode).
     pub opt: OptOptions,
-    /// Cache-residency snapshot for `TRANSFER^M` enforcer pricing.
-    pub residency: Residency,
+    /// The cache-residency snapshot the original optimization priced
+    /// `TRANSFER^M` enforcers with.
+    pub residency: Arc<Residency>,
     /// Trigger threshold: re-plan when actual and estimated rows at a
     /// pipeline breaker diverge by at least this factor, in either
     /// direction.
@@ -232,12 +235,19 @@ pub struct Run {
     /// steps are in its post-order — and the catalog extended with the
     /// observed statistics of every materialization (what re-estimating
     /// that plan needs). `None` when the plan ran as given.
-    pub staged: Option<(PhysNode, Catalog)>,
+    pub staged: Option<(PhysNode, Arc<Catalog>)>,
 }
 
 /// Safety net against pathological re-plan loops: at most this many
 /// breakers are staged per query.
 const MAX_STAGES: usize = 32;
+
+#[cfg(test)]
+thread_local! {
+    /// Deep copies of a shared catalog made by runs on this thread.
+    pub(crate) static CATALOG_COPIES: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
 
 impl<'a> Executor<'a> {
     /// The plain configuration: traced, no cache, default knobs and
@@ -614,7 +624,11 @@ impl<'a> Ctx<'a> {
             // now so span order stays the post-order of the final plan)
             let name = format!("#MAT{mat_seq}");
             let order = delivered_order(&breaker, &mat_orders);
-            cfg.catalog.insert(
+            #[cfg(test)]
+            if Arc::strong_count(&cfg.catalog) > 1 {
+                CATALOG_COPIES.with(|n| n.set(n.get() + 1));
+            }
+            Arc::make_mut(&mut cfg.catalog).insert(
                 name.to_uppercase(),
                 (rel.schema().clone(), RelationStats::from_relation(&rel, cfg.histogram_buckets)),
             );
@@ -1684,9 +1698,9 @@ mod tests {
             un(Algo::TransferM, ghost),
         );
         let replan = || Replan {
-            catalog: crate::collector::collect(&conn, true).unwrap(),
+            catalog: Arc::new(crate::collector::collect(&conn, true).unwrap()),
             opt: OptOptions::default(),
-            residency: Residency::default(),
+            residency: Arc::default(),
             ratio: 8.0,
             histogram_buckets: 0,
         };

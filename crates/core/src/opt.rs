@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tango_algebra::{Logical, Schema, SortKey, SortSpec};
 use tango_stats::RelationStats;
-use volcano::{Enforcer, Implementation, Memo, NewExpr, PhysPlan, SearchStats, Semantics};
+use volcano::{Enforcer, GroupId, Implementation, Memo, NewExpr, PhysPlan, SearchStats, Semantics};
 
 /// Logical properties of an equivalence class.
 #[derive(Debug, Clone)]
@@ -86,8 +86,8 @@ impl Default for OptOptions {
 
 /// The Volcano semantics for TANGO.
 pub struct TangoSem {
-    /// Base-relation statistics snapshot.
-    pub catalog: Catalog,
+    /// Base-relation statistics snapshot, shared with whoever took it.
+    pub catalog: Arc<Catalog>,
     /// Cost factors used by the implementations' formulas.
     pub factors: CostFactors,
     /// Middleware sort-memory budget (see [`OptOptions::mid_sort_budget`]).
@@ -99,7 +99,7 @@ pub struct TangoSem {
     /// [`CostFactors::p_tm`] — cheap enough to flip join-side placement
     /// (the Figure 10 "one argument already resides" scenario), while
     /// staying strictly positive so transfers are never free.
-    pub residency: Residency,
+    pub residency: Arc<Residency>,
     /// Mid-query materialized intermediates available to this run, by
     /// name (normally `#MATn`), with the order each was materialized in.
     /// A `Get` over one of these becomes `MATSCAN^M` at the middleware
@@ -538,23 +538,24 @@ pub struct Optimized {
 /// [`Residency`]).
 pub fn optimize_logical(
     logical: &Logical,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
 ) -> Result<Optimized> {
-    optimize_resident(logical, catalog, factors, options, Residency::default())
+    optimize_resident(logical, catalog, factors, options, Arc::default())
 }
 
 /// Optimize a logical plan against a catalog snapshot *and* a snapshot
 /// of what the middleware relation cache holds. Residency only changes
 /// `TRANSFER^M` enforcer pricing — plan correctness never depends on the
 /// snapshot being current (a stale hit simply re-fetches at runtime).
+/// Both snapshots are shared, never copied.
 pub fn optimize_resident(
     logical: &Logical,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
+    residency: Arc<Residency>,
 ) -> Result<Optimized> {
     optimize_with(logical, None, catalog, factors, options, residency, HashMap::new())
 }
@@ -571,10 +572,10 @@ pub fn optimize_resident(
 pub fn reoptimize(
     logical: &Logical,
     root_order: SortSpec,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
+    residency: Arc<Residency>,
     materialized: HashMap<String, SortSpec>,
 ) -> Result<Optimized> {
     optimize_with(logical, Some(root_order), catalog, factors, options, residency, materialized)
@@ -584,12 +585,41 @@ pub fn reoptimize(
 fn optimize_with(
     logical: &Logical,
     pinned_order: Option<SortSpec>,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
     factors: CostFactors,
     options: OptOptions,
-    residency: Residency,
+    residency: Arc<Residency>,
     materialized: HashMap<String, SortSpec>,
 ) -> Result<Optimized> {
+    let (memo, root, required) =
+        explore(logical, pinned_order, catalog, factors, options, residency, materialized)?;
+    let mut search = SearchStats::default();
+    let best = volcano::optimize(&memo, root, required, &mut search)
+        .ok_or_else(|| TangoError::Optimizer("no feasible plan".into()))?;
+    let plan = annotate(&best.plan, &memo)?;
+    Ok(Optimized {
+        plan,
+        cost: best.cost,
+        classes: memo.group_count(),
+        elements: memo.expr_count(),
+        search,
+        rule_fires: memo.rule_fires().collect(),
+    })
+}
+
+/// Phase one: the memo of everything the transformation rules generate
+/// from `logical`, its root class and the properties the plan must
+/// deliver there.
+#[allow(clippy::too_many_arguments)]
+fn explore(
+    logical: &Logical,
+    pinned_order: Option<SortSpec>,
+    catalog: Arc<Catalog>,
+    factors: CostFactors,
+    options: OptOptions,
+    residency: Arc<Residency>,
+    materialized: HashMap<String, SortSpec>,
+) -> Result<(Memo<TangoSem>, GroupId, Req)> {
     let (tree, order) = to_initial(logical)?;
     let order = pinned_order.unwrap_or(order);
     let materialized =
@@ -605,18 +635,7 @@ fn optimize_with(
     let mut memo = Memo::new(sem);
     let root = memo.insert_root(tree);
     memo.explore(&rules::rule_set(options));
-    let mut search = SearchStats::default();
-    let best = volcano::optimize(&memo, root, Req::mid(order), &mut search)
-        .ok_or_else(|| TangoError::Optimizer("no feasible plan".into()))?;
-    let plan = annotate(&best.plan, &memo)?;
-    Ok(Optimized {
-        plan,
-        cost: best.cost,
-        classes: memo.group_count(),
-        elements: memo.expr_count(),
-        search,
-        rule_fires: memo.rule_fires().collect(),
-    })
+    Ok((memo, root, Req::mid(order)))
 }
 
 /// Attach output schemas to a physical plan by bottom-up derivation.
@@ -637,4 +656,93 @@ fn annotate(plan: &PhysPlan<Algo>, memo: &Memo<TangoSem>) -> Result<PhysNode> {
         Ok(PhysNode { algo: p.algo.clone(), schema, children })
     }
     go(plan, memo.semantics())
+}
+
+/// The table-free search `volcano`'s own tests compare against.
+#[cfg(test)]
+#[path = "../../volcano/tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
+mod tests {
+    //! The four queries of the performance study, searched with and
+    //! without memoization.
+
+    use super::*;
+    use crate::{collector, tsql};
+    use tango_algebra::date::{day, format_date};
+    use tango_minidb::{Connection, Database, Link, LinkProfile};
+    use tango_uis::{generate_employee, generate_position, UisConfig};
+
+    fn figure_queries() -> [String; 4] {
+        let date = |y| format_date(day(y, 1, 1));
+        [
+            "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
+             GROUP BY PosID ORDER BY PosID"
+                .to_string(),
+            format!(
+                "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
+                   (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
+                   POSITION P \
+                 WHERE A.PosID = P.PosID AND P.PayRate > 10 \
+                   AND T1 < DATE '{}' AND T2 > DATE '{}' \
+                 ORDER BY P.PosID",
+                date(1996),
+                date(1983),
+            ),
+            format!(
+                "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
+                 WHERE A.PosID = B.PosID AND A.T1 < DATE '{0}' AND B.T1 < DATE '{0}' \
+                 ORDER BY A.PosID",
+                date(1996),
+            ),
+            "SELECT P.PosID, E.EmpName, E.Address FROM POSITION P, EMPLOYEE E \
+             WHERE P.EmpID = E.EmpID ORDER BY P.PosID"
+                .to_string(),
+        ]
+    }
+
+    /// Query 1–4 under default factors: [`optimize_logical`] returns the
+    /// plan and the cost a search with the cycle guard and *no* table
+    /// finds over the same memo (Query 2: half a million optimize calls).
+    /// Query 2's winning tree has alternatives of equal cost; both
+    /// searches keep the first of the cheapest, so the plans still agree.
+    #[test]
+    fn figure_queries_match_the_exhaustive_search() {
+        let cfg = UisConfig::small(0xEC1);
+        let db = Database::new(Link::new(LinkProfile::instant()));
+        for (name, rel) in
+            [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+        {
+            db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+            db.insert_rows(name, rel.into_tuples()).unwrap();
+            db.analyze(name).unwrap();
+        }
+        let conn = Connection::new(db);
+        let catalog = Arc::new(collector::collect(&conn, true).unwrap());
+        let (factors, options) = (CostFactors::default(), OptOptions::default());
+        for sql in figure_queries() {
+            let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
+            let found = optimize_logical(&logical, catalog.clone(), factors, options).unwrap();
+
+            let (memo, root, required) = explore(
+                &logical,
+                None,
+                catalog.clone(),
+                factors,
+                options,
+                Arc::default(),
+                HashMap::new(),
+            )
+            .unwrap();
+            let exact = reference::exhaustive(&memo, root, required).expect("feasible");
+            assert_eq!(found.cost, exact.cost, "{sql}");
+            assert_eq!(
+                found.plan.render(),
+                annotate(&exact.plan, &memo).unwrap().render(),
+                "{sql}"
+            );
+            assert!(found.search.cycles_pruned > 0 && found.search.cache_hits > 0, "{sql}");
+        }
+    }
 }

@@ -869,7 +869,7 @@ mod tests {
         let mut catalog: Catalog = Catalog::new();
         catalog.insert("POSITION".into(), (schema, stats));
         TangoSem {
-            catalog,
+            catalog: Arc::new(catalog),
             factors: CostFactors::default(),
             mid_sort_budget: None,
             residency: Default::default(),

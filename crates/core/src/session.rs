@@ -127,6 +127,23 @@ impl TangoOptions {
     }
 }
 
+/// Bound on implementations + enforcers costed per class element (see
+/// [`OptimizedQuery::search_effort_bounded`]), with room for a costlier
+/// memo shape but none for a search that stops memoizing. Measured at
+/// `UisConfig::small` under default factors — Query 1: 18 + 24 over 5
+/// elements (8.4), Query 2: 170 + 171 over 43 (7.9), Query 3: 26 + 36
+/// over 7 (8.9), Query 4: 118 + 72 over 20 (9.5); the serving pool's
+/// short statements: 22 + 30 over 6 (8.7) and 10 + 18 over 3 (9.3).
+/// Before winners under a cycle prune were memoized, Query 2 read
+/// 371,999 + 545,083 over the same 43 (21,327).
+const MAX_ALGOS_PER_ELEMENT: usize = 12;
+
+/// Bound on optimize calls per equivalence class. Measured as above —
+/// Query 1: 20 over 4 classes (5.0), Query 2: 142 over 28 (5.1), Query 3:
+/// 30 over 6 (5.0), Query 4: 61 over 9 (6.8); short statements: 25 over 5
+/// and 15 over 3 (5.0). Query 2 used to read 523,294 over 28 (18,689).
+const MAX_CALLS_PER_CLASS: usize = 8;
+
 /// The outcome of optimizing one temporal-SQL statement.
 pub struct OptimizedQuery {
     /// The initial (all-DBMS) logical plan.
@@ -172,6 +189,34 @@ impl OptimizedQuery {
         explain::render_explain_analyze(&self.plan, &self.node_estimates, exec, redact_timings)
     }
 
+    /// One line on what the Volcano search did: its counters and the
+    /// share of `(class, required)` lookups the memoization table answered.
+    pub fn search_summary(&self) -> String {
+        let s = &self.search;
+        format!(
+            "{} optimize calls, {} implementations, {} enforcers, \
+             {} cache hits ({:.0}% of lookups), {} cycles pruned",
+            s.optimize_calls,
+            s.implementations_considered,
+            s.enforcers_considered,
+            s.cache_hits,
+            s.hit_ratio() * 100.0,
+            s.cycles_pruned,
+        )
+    }
+
+    /// Whether the search cost stayed proportional to the memo: at most
+    /// 12 implementations + enforcers costed per class element and 8
+    /// optimize calls per class. Counts repeat exactly from run to run,
+    /// so this — not optimization time — is what
+    /// `tests/optimizer_effort.rs` and `optimizer_stats --check` gate on.
+    pub fn search_effort_bounded(&self) -> bool {
+        let s = &self.search;
+        s.implementations_considered + s.enforcers_considered
+            <= MAX_ALGOS_PER_ELEMENT * self.elements
+            && s.optimize_calls <= MAX_CALLS_PER_CLASS * self.classes
+    }
+
     /// Render the optimizer-side trace: memo size, search effort and rule
     /// firings (the numbers Section 5.2 of the paper reports).
     pub fn optimizer_trace(&self) -> String {
@@ -182,13 +227,7 @@ impl OptimizedQuery {
             self.elements,
             self.optimize_time.as_secs_f64() * 1e3,
         ));
-        s.push_str(&format!(
-            "search: {} optimize calls, {} implementations, {} enforcers, {} cache hits\n",
-            self.search.optimize_calls,
-            self.search.implementations_considered,
-            self.search.enforcers_considered,
-            self.search.cache_hits,
-        ));
+        s.push_str(&format!("search: {}\n", self.search_summary()));
         let fires: Vec<String> = self
             .rule_fires
             .iter()
@@ -215,6 +254,18 @@ impl OptimizedQuery {
         }
         s
     }
+}
+
+/// See [`Tango::snapshot`].
+struct Snapshot {
+    catalog: Arc<Catalog>,
+    residency: Arc<Residency>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Snapshots taken by sessions on this thread.
+    static SNAPSHOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-query report: optimization + execution.
@@ -245,7 +296,7 @@ pub struct Tango {
     conn: Connection,
     factors: CostFactors,
     options: TangoOptions,
-    catalog: Option<Catalog>,
+    catalog: Option<Arc<Catalog>>,
     cache: Arc<MidCache>,
     /// Loaded rewriter, cached per pack list (reloaded when
     /// [`TangoOptions::rewrite_packs`] changes).
@@ -409,15 +460,24 @@ impl Tango {
 
     /// Refresh the Statistics Collector's catalog snapshot.
     pub fn refresh_statistics(&mut self) -> Result<()> {
-        self.catalog = Some(collector::collect(&self.conn, self.options.use_histograms)?);
+        self.catalog = Some(Arc::new(collector::collect(&self.conn, self.options.use_histograms)?));
         Ok(())
     }
 
-    fn catalog(&mut self) -> Result<&Catalog> {
+    fn catalog(&mut self) -> Result<&Arc<Catalog>> {
         if self.catalog.is_none() {
             self.refresh_statistics()?;
         }
         Ok(self.catalog.as_ref().unwrap())
+    }
+
+    /// What one statement is planned against — statistics and cache
+    /// residency as of now. Taken once per statement and shared between
+    /// the search, the node estimates and mid-query re-planning.
+    fn snapshot(&mut self) -> Result<Snapshot> {
+        #[cfg(test)]
+        SNAPSHOTS.with(|n| n.set(n.get() + 1));
+        Ok(Snapshot { catalog: self.catalog()?.clone(), residency: Arc::new(self.residency()) })
     }
 
     /// Parse temporal SQL into the initial (all-DBMS) logical plan.
@@ -429,11 +489,18 @@ impl Tango {
     /// Parse, rewrite (when [`TangoOptions::rewrite_packs`] are active)
     /// and optimize a temporal-SQL statement.
     pub fn optimize(&mut self, sql: &str) -> Result<OptimizedQuery> {
+        Ok(self.optimize_sql(sql)?.0)
+    }
+
+    /// [`Tango::optimize`], handing back the snapshot the plan was priced
+    /// under so that [`Tango::query`] can re-plan against the same one.
+    fn optimize_sql(&mut self, sql: &str) -> Result<(OptimizedQuery, Snapshot)> {
         let logical = self.parse(sql)?;
         let (logical, rewrites) = self.apply_rewrites(logical)?;
-        let mut optimized = self.optimize_logical(logical)?;
+        let snapshot = self.snapshot()?;
+        let mut optimized = self.optimize_under(logical, &snapshot)?;
         optimized.rewrites = rewrites;
-        Ok(optimized)
+        Ok((optimized, snapshot))
     }
 
     /// The loaded rewriter for the session's current pack list (packs
@@ -469,17 +536,29 @@ impl Tango {
 
     /// Optimize an already-built logical plan.
     pub fn optimize_logical(&mut self, logical: Logical) -> Result<OptimizedQuery> {
+        let snapshot = self.snapshot()?;
+        self.optimize_under(logical, &snapshot)
+    }
+
+    fn optimize_under(&self, logical: Logical, snapshot: &Snapshot) -> Result<OptimizedQuery> {
         let options = self.options.opt;
         let factors = self.factors;
-        let catalog = self.catalog()?.clone();
-        let residency = self.residency();
         let t0 = Instant::now();
-        let optimized =
-            opt::optimize_resident(&logical, catalog.clone(), factors, options, residency)?;
+        let optimized = opt::optimize_resident(
+            &logical,
+            snapshot.catalog.clone(),
+            factors,
+            options,
+            snapshot.residency.clone(),
+        )?;
         let optimize_time = t0.elapsed();
-        let node_estimates =
-            estimate_plan_nodes_with(&optimized.plan, &catalog, &factors, options.naive_overlaps)
-                .unwrap_or_default();
+        let node_estimates = estimate_plan_nodes_with(
+            &optimized.plan,
+            &snapshot.catalog,
+            &factors,
+            options.naive_overlaps,
+        )
+        .unwrap_or_default();
         Ok(OptimizedQuery {
             logical,
             plan: optimized.plan,
@@ -529,21 +608,18 @@ impl Tango {
     /// is then the plan as actually executed, with each staged breaker
     /// under a `MATSCAN^M` node.
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
-        let mut optimized = self.optimize(sql)?;
-        let replan = match self.options.opt.replan_ratio {
-            Some(ratio) => Some(Replan {
-                catalog: self.catalog()?.clone(),
-                opt: self.options.opt,
-                residency: self.residency(),
-                ratio,
-                histogram_buckets: if self.options.use_histograms {
-                    tango_minidb::catalog::HISTOGRAM_BUCKETS
-                } else {
-                    0
-                },
-            }),
-            None => None,
-        };
+        let (mut optimized, snapshot) = self.optimize_sql(sql)?;
+        let replan = self.options.opt.replan_ratio.map(|ratio| Replan {
+            catalog: snapshot.catalog,
+            opt: self.options.opt,
+            residency: snapshot.residency,
+            ratio,
+            histogram_buckets: if self.options.use_histograms {
+                tango_minidb::catalog::HISTOGRAM_BUCKETS
+            } else {
+                0
+            },
+        });
         let factors = self.factors; // as the plan was priced, before feedback adapts them
         let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, replan)?;
         // the executed plan differs from the optimized one (staged
@@ -914,6 +990,51 @@ mod tests {
         assert!(!Arc::ptr_eq(a.cache(), p.cache()), "connect_private() must be isolated");
         let c = Tango::connect(Database::new(Link::new(LinkProfile::instant())));
         assert!(!Arc::ptr_eq(a.cache(), c.cache()), "distinct databases must not share");
+    }
+
+    /// One statement = one catalog + residency snapshot, shared by the
+    /// search, the estimates and the re-planner; the catalog is copied
+    /// once if breakers are staged (however many), never otherwise.
+    #[test]
+    fn a_query_takes_one_snapshot_and_copies_the_catalog_at_most_once() {
+        use crate::engine::CATALOG_COPIES;
+        let counts = || (SNAPSHOTS.with(|n| n.get()), CATALOG_COPIES.with(|n| n.get()));
+        let mut tango = setup();
+        tango.refresh_statistics().unwrap();
+        let shared = tango.catalog.clone().unwrap();
+
+        // the only breaker is the root transfer: nothing staged, no copy
+        let (s0, c0) = counts();
+        let (_, report) = tango
+            .query("SELECT EmpName, PosID FROM POSITION WHERE PosID = 1 ORDER BY EmpName")
+            .unwrap();
+        let plan = report.optimized.explain();
+        assert!(!plan.contains("MATSCAN^M"), "{plan}");
+        let (s1, c1) = counts();
+        assert_eq!((s1 - s0, c1 - c0), (1, 0));
+
+        // two transfers and a middleware aggregation are staged
+        let (_, report) = tango
+            .query(
+                "VALIDTIME SELECT P.PosID, P.EmpName, A.CNT FROM \
+                   (VALIDTIME SELECT PosID, COUNT(PosID) AS CNT FROM POSITION GROUP BY PosID) A, \
+                   POSITION P \
+                 WHERE A.PosID = P.PosID ORDER BY P.PosID",
+            )
+            .unwrap();
+        let staged = report.optimized.explain().matches("MATSCAN^M").count();
+        assert!(
+            staged >= 2,
+            "fixture must stage several breakers:\n{}",
+            report.optimized.explain()
+        );
+        let (s2, c2) = counts();
+        assert_eq!((s2 - s1, c2 - c1), (1, 1));
+
+        // the session's own snapshot was never written to or replaced
+        assert!(Arc::ptr_eq(&shared, tango.catalog.as_ref().unwrap()));
+        assert!(!shared.keys().any(|t| t.starts_with("#MAT")));
+        assert_eq!(Arc::strong_count(&shared), 2);
     }
 
     #[test]

@@ -5,9 +5,33 @@
 //! ("for each algebraic operation in a plan, it assumes that each of the
 //! algorithms available for computing that operation is being used, and
 //! it estimates the consequent cost").
+//!
+//! # Enforcer cycles and what may be memoized
+//!
+//! Bidirectional enforcers (TANGO's `T^M`/`T^D`) make the `(group,
+//! required)` graph cyclic, so the search keeps the stack of pairs in
+//! progress and prunes a call that asks for a pair already on it. A
+//! frame's answer is therefore computed *relative to the stack*: a branch
+//! pruned because it ran into a pair **above** the frame may be feasible
+//! (and cheaper) when the frame's pair is reached from elsewhere, and
+//! such an answer must not be replayed. A prune that ran into the frame's
+//! **own** pair, or into a pair pushed beneath it, is different: all
+//! costs are strictly positive, so a cheapest plan never nests a pair
+//! under itself — the pruned branch could not have won in any context,
+//! and the frame explored everything else. Each frame therefore tracks
+//! the lowest stack position a prune beneath it hit and is memoized
+//! exactly when that position is not above its own; the frames *between*
+//! a pruned pair and the prune site are the ones left out. Search effort
+//! is then proportional to the number of distinct pairs, not to the
+//! number of paths through them.
+//!
+//! Winners are kept behind [`Rc`] and shared between the table and the
+//! frames that use them; the [`PhysPlan`] tree is assembled once, from
+//! the root winner, when the search is over.
 
 use crate::memo::{ExprId, GroupId, Memo, Semantics};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A candidate physical implementation of one logical operator.
 pub struct Implementation<S: Semantics> {
@@ -15,6 +39,7 @@ pub struct Implementation<S: Semantics> {
     /// Physical properties required from each child, in order.
     pub child_required: Vec<S::PhysProps>,
     /// The algorithm's own cost (children costs are added by the search).
+    /// Must be strictly positive.
     pub cost: f64,
 }
 
@@ -23,6 +48,7 @@ pub struct Implementation<S: Semantics> {
 pub struct Enforcer<S: Semantics> {
     pub algo: S::Algo,
     pub inner_required: S::PhysProps,
+    /// Must be strictly positive (see the module documentation).
     pub cost: f64,
 }
 
@@ -48,12 +74,6 @@ pub struct Best<S: Semantics> {
     pub expr: ExprId,
 }
 
-impl<S: Semantics> Clone for Best<S> {
-    fn clone(&self) -> Self {
-        Best { cost: self.cost, plan: self.plan.clone(), expr: self.expr }
-    }
-}
-
 /// Search-effort accounting.
 #[derive(Debug, Default, Clone)]
 pub struct SearchStats {
@@ -67,6 +87,13 @@ pub struct SearchStats {
     pub cycles_pruned: usize,
 }
 
+impl SearchStats {
+    /// Share of `(group, required)` lookups answered from the table.
+    pub fn hit_ratio(&self) -> f64 {
+        self.cache_hits as f64 / (self.cache_hits + self.optimize_calls).max(1) as f64
+    }
+}
+
 /// Find the cheapest physical plan for `group` delivering `required`.
 pub fn optimize<S: Semantics>(
     memo: &Memo<S>,
@@ -74,41 +101,68 @@ pub fn optimize<S: Semantics>(
     required: S::PhysProps,
     stats: &mut SearchStats,
 ) -> Option<Best<S>> {
-    let mut ctx = Ctx { memo, table: HashMap::new(), in_progress: Vec::new(), pruned: 0, stats };
-    ctx.optimize(group, required)
+    let mut ctx =
+        Ctx { memo, table: HashMap::new(), in_progress: Vec::new(), lowest_pruned: NONE, stats };
+    let winner = ctx.optimize(group, required)?;
+    Some(Best { cost: winner.cost, plan: winner.plan(), expr: winner.expr })
 }
+
+/// The decision a frame made: the root algorithm and the winners it
+/// stands on, shared rather than copied.
+struct Winner<S: Semantics> {
+    cost: f64,
+    expr: ExprId,
+    algo: S::Algo,
+    inputs: Vec<Rc<Winner<S>>>,
+}
+
+impl<S: Semantics> Winner<S> {
+    fn plan(&self) -> PhysPlan<S::Algo> {
+        PhysPlan {
+            algo: self.algo.clone(),
+            children: self.inputs.iter().map(|w| w.plan()).collect(),
+        }
+    }
+}
+
+/// A `(group, required)` pair: the unit of search and of memoization.
+type Pair<S> = (GroupId, <S as Semantics>::PhysProps);
+
+/// "No prune beneath this frame": above every stack position.
+const NONE: usize = usize::MAX;
 
 struct Ctx<'a, S: Semantics> {
     memo: &'a Memo<S>,
-    table: HashMap<(GroupId, S::PhysProps), Option<Best<S>>>,
+    table: HashMap<Pair<S>, Option<Rc<Winner<S>>>>,
     /// Guard against enforcer cycles.
-    in_progress: Vec<(GroupId, S::PhysProps)>,
-    /// Total cycle prunes so far; frames compare before/after to learn
-    /// whether their own evaluation was truncated by a prune.
-    pruned: usize,
+    in_progress: Vec<Pair<S>>,
+    /// The lowest `in_progress` position a cycle prune hit since the
+    /// current frame began ([`NONE`] if there was none).
+    lowest_pruned: usize,
     stats: &'a mut SearchStats,
 }
 
 impl<S: Semantics> Ctx<'_, S> {
-    fn optimize(&mut self, group: GroupId, required: S::PhysProps) -> Option<Best<S>> {
-        let key = (group, required.clone());
+    fn optimize(&mut self, group: GroupId, required: S::PhysProps) -> Option<Rc<Winner<S>>> {
+        let key = (group, required);
         if let Some(hit) = self.table.get(&key) {
             self.stats.cache_hits += 1;
             return hit.clone();
         }
-        if self.in_progress.contains(&key) {
-            // cycle via enforcers: prune this path. The outcome of every
-            // frame on the stack now depends on the truncation, so none
-            // of them may be memoized (see below).
-            self.pruned += 1;
+        if let Some(at) = self.in_progress.iter().position(|k| *k == key) {
+            // cycle via enforcers: prune this path, and remember how far
+            // up the stack the truncation reaches
+            self.lowest_pruned = self.lowest_pruned.min(at);
             self.stats.cycles_pruned += 1;
             return None;
         }
-        self.in_progress.push(key.clone());
+        let depth = self.in_progress.len();
+        let required = key.1.clone();
+        self.in_progress.push(key);
         self.stats.optimize_calls += 1;
-        let pruned_before = self.pruned;
+        let pruned_outside = std::mem::replace(&mut self.lowest_pruned, NONE);
 
-        let mut best: Option<Best<S>> = None;
+        let mut best: Option<Winner<S>> = None;
         let props = self.memo.props(group);
 
         // 1. native implementations of every class element
@@ -122,26 +176,19 @@ impl<S: Semantics> Ctx<'_, S> {
                 self.stats.implementations_considered += 1;
                 debug_assert_eq!(imp.child_required.len(), e.children.len());
                 let mut cost = imp.cost;
-                let mut children = Vec::with_capacity(e.children.len());
-                let mut feasible = true;
-                for (&cg, creq) in e.children.iter().zip(&imp.child_required) {
-                    match self.optimize(cg, creq.clone()) {
-                        Some(b) => {
-                            cost += b.cost;
-                            children.push(b.plan);
+                let mut inputs = Vec::with_capacity(e.children.len());
+                for (&cg, creq) in e.children.iter().zip(imp.child_required) {
+                    match self.optimize(cg, creq) {
+                        Some(w) => {
+                            cost += w.cost;
+                            inputs.push(w);
                         }
-                        None => {
-                            feasible = false;
-                            break;
-                        }
+                        None => break,
                     }
                 }
-                if !feasible {
-                    continue;
-                }
-                if best.as_ref().is_none_or(|b| cost < b.cost) {
-                    best =
-                        Some(Best { cost, plan: PhysPlan { algo: imp.algo, children }, expr: eid });
+                let feasible = inputs.len() == e.children.len();
+                if feasible && best.as_ref().is_none_or(|b| cost < b.cost) {
+                    best = Some(Winner { cost, expr: eid, algo: imp.algo, inputs });
                 }
             }
         }
@@ -152,29 +199,29 @@ impl<S: Semantics> Ctx<'_, S> {
             if enf.inner_required == required {
                 continue; // would recurse forever
             }
-            if let Some(inner) = self.optimize(group, enf.inner_required.clone()) {
+            if let Some(inner) = self.optimize(group, enf.inner_required) {
                 let cost = enf.cost + inner.cost;
                 if best.as_ref().is_none_or(|b| cost < b.cost) {
-                    let expr = inner.expr;
-                    best = Some(Best {
+                    best = Some(Winner {
                         cost,
-                        plan: PhysPlan { algo: enf.algo, children: vec![inner.plan] },
-                        expr,
+                        expr: inner.expr,
+                        algo: enf.algo,
+                        inputs: vec![inner],
                     });
                 }
             }
         }
 
-        self.in_progress.pop();
-        // Memoize only results computed from a clean stack. A frame that
-        // saw a cycle prune anywhere beneath it was evaluated *relative
-        // to the requirements currently in progress*: the pruned branch
-        // may be perfectly feasible (and cheaper) when the same
-        // `(group, required)` pair is reached from a different context,
-        // so caching the truncated answer would poison later lookups.
-        if self.pruned == pruned_before {
+        let best = best.map(Rc::new);
+        let key = self.in_progress.pop().expect("frame pushed above");
+        // Memoize unless a prune beneath this frame ran into a pair
+        // *above* it (see the module documentation): that answer holds
+        // only under the current stack. The caller inherits the lowest
+        // position either way.
+        if self.lowest_pruned >= depth {
             self.table.insert(key, best.clone());
         }
+        self.lowest_pruned = self.lowest_pruned.min(pruned_outside);
         best
     }
 }

@@ -1,0 +1,144 @@
+//! The Volcano search costs what the memo holds, not what the paths
+//! through it number.
+//!
+//! `T^M`/`T^D` make the `(class, required)` graph cyclic; a search that
+//! refuses to memoize anything computed under a cycle prune re-derives
+//! every pair once per path and is exponential in the memo (Query 2 used
+//! to take 523,294 optimize calls for 28 classes). The counters below
+//! repeat exactly from run to run, so they gate; optimization *time* is
+//! deliberately not asserted anywhere.
+
+use tango::algebra::date::{day, format_date};
+use tango::core::OptimizedQuery;
+use tango::minidb::{Connection, Database, Link, LinkProfile};
+use tango::uis::{generate_employee, generate_position, UisConfig};
+use tango::Tango;
+
+/// The UIS tables at smoke-test scale, analyzed; a session with default
+/// cost factors (a fresh calibration moves plans — and counts — from run
+/// to run) and all three rewrite packs, as the serving workloads run.
+fn uis_session() -> Tango {
+    let cfg = UisConfig::small(0xEC1);
+    let db = Database::new(Link::new(LinkProfile::instant()));
+    for (name, rel) in
+        [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+    {
+        db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+        db.insert_rows(name, rel.into_tuples()).unwrap();
+        db.analyze(name).unwrap();
+    }
+    Connection::new(db.clone()).execute("CREATE INDEX EMP_PK ON EMPLOYEE (EmpID)").unwrap();
+    let mut tango = Tango::connect(db);
+    tango.options_mut().rewrite_packs =
+        ["temporal-normalize", "subquery-to-join", "compat"].map(String::from).to_vec();
+    tango
+}
+
+const Q1: &str =
+    "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID ORDER BY PosID";
+
+fn q2() -> String {
+    format!(
+        "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
+           (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
+           POSITION P \
+         WHERE A.PosID = P.PosID AND P.PayRate > 10 \
+           AND T1 < DATE '{}' AND T2 > DATE '{}' \
+         ORDER BY P.PosID",
+        format_date(day(1996, 1, 1)),
+        format_date(day(1983, 1, 1)),
+    )
+}
+
+fn q3(bound: i32) -> String {
+    format!(
+        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
+         WHERE A.PosID = B.PosID AND A.T1 < DATE '{0}' AND B.T1 < DATE '{0}' \
+         ORDER BY A.PosID",
+        format_date(bound),
+    )
+}
+
+const Q4: &str = "SELECT P.PosID, E.EmpName, E.Address FROM POSITION P, EMPLOYEE E \
+                  WHERE P.EmpID = E.EmpID ORDER BY P.PosID";
+
+/// The eight statements of the benchmark's serving pool (`serve-warm`,
+/// `serve-churn`), without the per-seed jitter.
+fn serving_pool() -> Vec<String> {
+    let mut pool: Vec<String> = [8, 16, 24, 32]
+        .iter()
+        .map(|k| {
+            format!(
+                "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
+                 WHERE PosID < {k} GROUP BY PosID ORDER BY PosID"
+            )
+        })
+        .collect();
+    for k in [400, 800] {
+        pool.push(format!(
+            "SELECT EmpID, Dept, Salary FROM EMPLOYEE WHERE EmpID < {k} ORDER BY EmpID"
+        ));
+    }
+    pool.push(q3(day(1988, 1, 1)));
+    pool.push(format!(
+        "SELECT PosID, EmpID, T1, T2 FROM POSITION WHERE PosID < 36 \
+         AND NOT (T1 > DATE '{}') AND NOT (T2 < DATE '{}') \
+         ORDER BY PosID, EmpID, T1, T2",
+        format_date(day(1996, 1, 1)),
+        format_date(day(1995, 1, 1)),
+    ));
+    pool
+}
+
+fn assert_linear(name: &str, q: &OptimizedQuery) {
+    let at =
+        format!("{name}: {} classes, {} elements; {}", q.classes, q.elements, q.search_summary());
+    assert!(q.search.cache_hits > 0, "nothing was memoized — {at}");
+    assert!(q.search_effort_bounded(), "search effort is not proportional to the memo — {at}");
+}
+
+#[test]
+fn figure_queries_search_in_proportion_to_the_memo() {
+    let mut tango = uis_session();
+    let queries = [
+        ("Query 1", Q1.to_string()),
+        ("Query 2", q2()),
+        ("Query 3", q3(day(1996, 1, 1))),
+        ("Query 4", Q4.to_string()),
+    ];
+    for (name, sql) in queries {
+        assert_linear(name, &tango.optimize(&sql).unwrap());
+    }
+}
+
+#[test]
+fn serving_statements_search_in_proportion_to_the_memo() {
+    let mut tango = uis_session();
+    for (i, sql) in serving_pool().iter().enumerate() {
+        assert_linear(&format!("pool statement {i}"), &tango.optimize(sql).unwrap());
+    }
+}
+
+/// The counts are a property of the memo and the cost model, not of the
+/// run: optimizing the same statement twice — the second time with its
+/// fragments resident in the cache — searches exactly as much.
+#[test]
+fn search_counts_repeat_exactly() {
+    let mut tango = uis_session();
+    let counts = |q: &OptimizedQuery| {
+        let s = &q.search;
+        (
+            q.classes,
+            q.elements,
+            s.optimize_calls,
+            s.implementations_considered,
+            s.enforcers_considered,
+            s.cache_hits,
+            s.cycles_pruned,
+        )
+    };
+    let cold = counts(&tango.optimize(&q2()).unwrap());
+    tango.query(&q2()).unwrap();
+    assert_eq!(cold, counts(&tango.optimize(&q2()).unwrap()));
+    assert_eq!(cold, counts(&uis_session().optimize(&q2()).unwrap()));
+}
