@@ -7,7 +7,7 @@
 //! connects, runs `OPS_PER_CLIENT` operations, disconnects), measuring
 //! queries/sec over the wall clock plus p50/p99 per-query latency
 //! (compute + simulated wire, like every other bench). `shared` clients
-//! use [`Tango::connect`] — one sharded `MidCache` per database —
+//! use [`Tango::connect`] — one shared `MidCache` per database —
 //! while `private` clients use [`Tango::connect_private`], the old
 //! session-local cache, so the delta is exactly the serving tier.
 //!

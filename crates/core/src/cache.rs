@@ -13,20 +13,22 @@
 //! concurrent**: one `MidCache` lives at `Database` scope (every
 //! [`crate::Tango`] session attached to the same database sees the same
 //! residency — a fragment one session paid to fetch is a warm hit for
-//! all of them), and the store is sharded so parallel sessions do not
-//! serialize on one lock. See `docs/CONCURRENCY.md` for the full
-//! serving model.
+//! all of them). See `docs/CONCURRENCY.md` for the full serving model.
 //!
-//! # Sharding and locking
+//! # Locking
 //!
-//! Entries are spread over [`MidCache::shard_count`] shards by a hash
-//! of the fragment signature; each shard is an independent `RwLock`'d
-//! store with its own [`CacheStats`]. All cross-shard state — total
-//! bytes, the byte budget, the GreedyDual-Size clock, the admission
-//! frequency sketch — is atomic or behind a leaf mutex, and no
-//! operation ever holds two shard locks at once (the global budget is
-//! enforced by evicting one shard at a time), so the cache cannot
-//! deadlock and scales with the shard count.
+//! The whole store — entries, counters, byte total, byte budget, the
+//! GreedyDual-Size clock and the admission frequency sketch — is plain
+//! data behind **one mutex**. Every public method takes it once, does
+//! in-memory work only (rows travel as `Arc`s, so a hit copies a
+//! pointer) and releases it before returning; none calls another
+//! locking method and none runs while the engine talks to the DBMS (the
+//! `version_of` / `delta_bytes_of` callbacks of [`MidCache::lookup`] and
+//! [`MidCache::residency`] are client-side catalog peeks, not round
+//! trips), so the lock is never held across wire I/O and cannot
+//! deadlock. One lock also means one view: the admission contest,
+//! eviction and the budget all judge the same global minimum-priority
+//! victim.
 //!
 //! # Keying — canonical fragment signatures
 //!
@@ -88,7 +90,7 @@
 //! Under byte pressure, inserting means evicting, and evicting the
 //! wrong entry under contention is how shared caches churn. When an
 //! insert would force eviction (and only then — an unpressured cache
-//! admits everything), the candidate must *win* its shard's space:
+//! admits everything), the candidate must *win* its space:
 //!
 //! * fragments **cheaper to refetch than the space they occupy**
 //!   (measured fill cost below [`ADMISSION_MIN_FILL_US_PER_BYTE`] per
@@ -101,21 +103,20 @@
 //!   and wins admission on a later attempt, so hot fragments displace
 //!   cold ones but a one-off scan cannot flush the working set.
 //!
-//! Rejections are counted per shard ([`CacheStats::admission_rejects`])
-//! and the gate can be disabled ([`MidCache::set_admission`], surfaced
-//! as [`crate::TangoOptions::cache_admission`]).
+//! The would-be victim is the entry eviction would remove first — the
+//! global minimum GreedyDual-Size priority. Rejections are counted in
+//! [`CacheStats::admission_rejects`].
 //!
 //! # Eviction — GreedyDual-Size
 //!
 //! The store keeps an inflation clock `L`; an entry's priority is
 //! `L + fill_cost/size` where `fill_cost` is the measured wire+server
 //! time the entry saved. Eviction removes the minimum-priority entry
-//! (across all shards, scanned one lock at a time) and advances `L` to
-//! its priority; a hit refreshes the entry's priority against the
-//! current clock. This is the classic GreedyDual-Size policy: recency,
-//! byte footprint and the real cost of refetching all trade off in one
-//! number, and plain LRU falls out when fetch costs are uniform per
-//! byte. Entries larger than the whole budget are never admitted.
+//! and advances `L` to its priority; a hit refreshes the entry's
+//! priority against the current clock. This is the classic
+//! GreedyDual-Size policy: recency, byte footprint and the real cost of
+//! refetching all trade off in one number, and plain LRU falls out when
+//! fetch costs are uniform per byte. Entries larger than the whole budget are never admitted.
 //!
 //! # Exactly-one populate
 //!
@@ -131,20 +132,13 @@
 
 use crate::cost::CostFactors;
 use crate::phys::{Algo, PhysNode, TOp};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tango_algebra::{ProjItem, Schema, SortSpec, Tuple};
 
 /// Default cache budget used by a new session: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
-
-/// Default number of shards of a shared cache. Eight keeps per-shard
-/// contention negligible for tens of concurrent sessions while the
-/// per-shard stores stay large enough for GreedyDual-Size to rank
-/// meaningfully.
-pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
 /// Admission floor: under byte pressure, a fragment whose measured fill
 /// cost is below this many µs per byte is cheaper to refetch than the
@@ -302,7 +296,7 @@ pub enum Lookup {
 
 /// A stale cache entry surfaced by [`Lookup::Stale`]: everything the
 /// engine needs to price and execute refresh-by-delta without holding
-/// the shard lock.
+/// the cache lock.
 #[derive(Debug, Clone)]
 pub struct StaleEntry {
     /// Output schema of the cached fragment.
@@ -364,8 +358,7 @@ impl Admission {
     }
 }
 
-/// Monotonic activity counters of a [`MidCache`] (or of one shard; see
-/// [`MidCache::shard_stats`]).
+/// Monotonic activity counters of a [`MidCache`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from a fresh entry.
@@ -373,8 +366,6 @@ pub struct CacheStats {
     /// Lookups that found no usable entry.
     pub misses: u64,
     /// Transfers whose fragment was uncacheable (see [`fragment_key`]).
-    /// Tracked cache-wide, not per shard (a bypassed fragment never
-    /// hashes to a shard).
     pub bypasses: u64,
     /// Relations admitted (including replacements).
     pub insertions: u64,
@@ -402,32 +393,10 @@ pub struct CacheStats {
     pub refresh_bails: u64,
 }
 
-impl CacheStats {
-    fn add(&mut self, o: &CacheStats) {
-        self.hits += o.hits;
-        self.misses += o.misses;
-        self.bypasses += o.bypasses;
-        self.insertions += o.insertions;
-        self.evictions += o.evictions;
-        self.invalidations += o.invalidations;
-        self.rejections += o.rejections;
-        self.admission_rejects += o.admission_rejects;
-        self.duplicate_populates += o.duplicate_populates;
-        self.refreshes += o.refreshes;
-        self.refresh_bytes += o.refresh_bytes;
-        self.refresh_bails += o.refresh_bails;
-    }
-
-    /// Whether every counter is zero (the shard saw no activity).
-    pub fn is_idle(&self) -> bool {
-        *self == CacheStats::default()
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     signature: String,
-    /// [`sig_hash`] of `signature` — the sketch/shard key, precomputed.
+    /// [`sig_hash`] of `signature` — the sketch key, precomputed.
     hash: u64,
     order: SortSpec,
     sql: String,
@@ -484,54 +453,9 @@ impl Entry {
     }
 }
 
-/// One lock's worth of the store.
-#[derive(Debug, Default)]
-struct Shard {
-    entries: Vec<Entry>,
-    stats: CacheStats,
-}
-
-impl Shard {
-    /// Drop entries that are [`Freshness::Gone`] — stale with no delta
-    /// coverage — appending their SQL to `invalidated` and returning the
-    /// bytes freed. Stale-but-covered entries are kept (the engine
-    /// decides their fate via [`maintenance_choice`]). `filter`
-    /// restricts which entries are checked.
-    fn validate(
-        &mut self,
-        version_of: &dyn Fn(&str) -> Option<u64>,
-        delta_bytes_of: &dyn Fn(&str, u64) -> Option<u64>,
-        filter: impl Fn(&Entry) -> bool,
-        invalidated: &mut Vec<String>,
-    ) -> u64 {
-        let mut freed = 0;
-        let mut i = 0;
-        while i < self.entries.len() {
-            let e = &self.entries[i];
-            if filter(e) && e.freshness(version_of, delta_bytes_of) == Freshness::Gone {
-                let e = self.entries.remove(i);
-                freed += e.bytes;
-                self.stats.invalidations += 1;
-                invalidated.push(e.sql);
-            } else {
-                i += 1;
-            }
-        }
-        freed
-    }
-
-    fn min_priority_index(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.priority.total_cmp(&b.priority))
-            .map(|(i, _)| i)
-    }
-}
-
-/// FNV-1a hash of a fragment signature — the key both the shard map and
-/// the admission sketch are driven by.
-pub fn sig_hash(signature: &str) -> u64 {
+/// FNV-1a hash of a fragment signature — the key the admission sketch
+/// is driven by.
+fn sig_hash(signature: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in signature.as_bytes() {
         h ^= *b as u64;
@@ -553,7 +477,7 @@ const SKETCH_CAP: u8 = 15;
 
 /// A count-min sketch with saturating 4-bit-style counters and periodic
 /// halving — the frequency memory of the TinyLFU admission gate. Tiny
-/// (4 KiB), touched once per transfer, behind its own leaf mutex.
+/// (4 KiB), touched once per transfer.
 #[derive(Debug)]
 struct FreqSketch {
     rows: Vec<[u8; SKETCH_WIDTH]>,
@@ -599,7 +523,91 @@ impl FreqSketch {
     }
 }
 
-/// The middleware-resident relation cache — shared, sharded, concurrent.
+/// Everything the cache knows, as plain fields behind [`MidCache`]'s one
+/// mutex.
+#[derive(Debug)]
+struct Store {
+    entries: Vec<Entry>,
+    stats: CacheStats,
+    /// Total bytes of `entries`.
+    bytes: u64,
+    /// The byte budget `bytes` is held under.
+    budget: u64,
+    /// GreedyDual-Size inflation clock `L`.
+    clock: f64,
+    /// TinyLFU frequency memory, touched on every lookup and insert.
+    sketch: FreqSketch,
+    /// Whether lookups may surface stale-but-delta-covered entries for
+    /// refresh-by-delta (off = binary drop-on-write staleness).
+    refreshing: bool,
+}
+
+impl Store {
+    fn position(&self, key: &FragmentKey) -> Option<usize> {
+        self.entries.iter().position(|e| e.signature == key.signature && e.order == key.order)
+    }
+
+    fn take(&mut self, i: usize) -> Entry {
+        let e = self.entries.remove(i);
+        self.bytes -= e.bytes;
+        e
+    }
+
+    fn gds_priority(&self, fill_cost_us: f64, bytes: u64) -> f64 {
+        self.clock + fill_cost_us / bytes.max(1) as f64
+    }
+
+    /// Drop entries that are [`Freshness::Gone`] — stale with no delta
+    /// coverage — returning their SQL. Stale-but-covered entries are
+    /// kept (the engine decides their fate via [`maintenance_choice`]).
+    /// `filter` restricts which entries are checked.
+    fn validate(
+        &mut self,
+        version_of: &dyn Fn(&str) -> Option<u64>,
+        delta_bytes_of: &dyn Fn(&str, u64) -> Option<u64>,
+        filter: impl Fn(&Entry) -> bool,
+    ) -> Vec<String> {
+        let mut invalidated = Vec::new();
+        let mut i = 0;
+        while i < self.entries.len() {
+            let e = &self.entries[i];
+            if filter(e) && e.freshness(version_of, delta_bytes_of) == Freshness::Gone {
+                invalidated.push(self.take(i).sql);
+                self.stats.invalidations += 1;
+            } else {
+                i += 1;
+            }
+        }
+        invalidated
+    }
+
+    /// The entry eviction removes next: the minimum GreedyDual-Size
+    /// priority. The admission contest judges a newcomer against this
+    /// same entry.
+    fn victim(&self) -> Option<usize> {
+        self.entries
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.priority.total_cmp(&b.priority))
+            .map(|(i, _)| i)
+    }
+
+    /// Evict victims until the bytes fit the budget again, returning
+    /// each one's `(sql, bytes)`.
+    fn enforce_budget(&mut self) -> Vec<(String, u64)> {
+        let mut evicted = Vec::new();
+        while self.bytes > self.budget {
+            let Some(i) = self.victim() else { break };
+            let e = self.take(i);
+            self.clock = self.clock.max(e.priority);
+            self.stats.evictions += 1;
+            evicted.push((e.sql, e.bytes));
+        }
+        evicted
+    }
+}
+
+/// The middleware-resident relation cache — shared and concurrent.
 ///
 /// One instance is held at `Database` scope and consulted by every
 /// session ([`crate::Tango::connect`] attaches to the shared instance;
@@ -608,90 +616,36 @@ impl FreqSketch {
 /// locking discipline.
 #[derive(Debug)]
 pub struct MidCache {
-    shards: Vec<RwLock<Shard>>,
-    /// Total bytes stored, across shards.
-    bytes: AtomicU64,
-    /// The global byte budget.
-    budget: AtomicU64,
-    /// Whether the TinyLFU admission gate is active.
-    admission: AtomicBool,
-    /// Whether lookups may surface stale-but-delta-covered entries for
-    /// refresh-by-delta (off = binary drop-on-write staleness).
-    refreshing: AtomicBool,
-    /// GreedyDual-Size inflation clock `L` (f64 bits; non-negative, so
-    /// integer `fetch_max` is order-preserving).
-    clock: AtomicU64,
-    /// Uncacheable-fragment counter (bypasses never reach a shard).
-    bypasses: AtomicU64,
-    sketch: Mutex<FreqSketch>,
+    store: Mutex<Store>,
 }
 
 impl MidCache {
-    /// An empty cache with the given byte budget and
-    /// [`DEFAULT_CACHE_SHARDS`] shards.
+    /// An empty cache with the given byte budget.
     pub fn new(budget: u64) -> MidCache {
-        MidCache::with_shards(budget, DEFAULT_CACHE_SHARDS)
-    }
-
-    /// An empty cache with the given byte budget and shard count
-    /// (clamped to at least 1).
-    pub fn with_shards(budget: u64, shards: usize) -> MidCache {
         MidCache {
-            shards: (0..shards.max(1)).map(|_| RwLock::new(Shard::default())).collect(),
-            bytes: AtomicU64::new(0),
-            budget: AtomicU64::new(budget),
-            admission: AtomicBool::new(true),
-            refreshing: AtomicBool::new(true),
-            clock: AtomicU64::new(0f64.to_bits()),
-            bypasses: AtomicU64::new(0),
-            sketch: Mutex::new(FreqSketch::new()),
+            store: Mutex::new(Store {
+                entries: Vec::new(),
+                stats: CacheStats::default(),
+                bytes: 0,
+                budget,
+                clock: 0.0,
+                sketch: FreqSketch::new(),
+                refreshing: true,
+            }),
         }
-    }
-
-    /// Number of shards the store is spread over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, hash: u64) -> usize {
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    fn clock_load(&self) -> f64 {
-        f64::from_bits(self.clock.load(Ordering::Relaxed))
-    }
-
-    fn clock_raise(&self, to: f64) {
-        // non-negative f64s order like their bit patterns
-        self.clock.fetch_max(to.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn gds_priority(&self, fill_cost_us: f64, bytes: u64) -> f64 {
-        self.clock_load() + fill_cost_us / bytes.max(1) as f64
     }
 
     /// The byte budget.
     pub fn budget(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed)
+        self.store.lock().budget
     }
 
     /// Change the byte budget, evicting (by priority) down to the new
     /// limit if it shrank.
     pub fn set_budget(&self, budget: u64) {
-        self.budget.store(budget, Ordering::Relaxed);
-        self.enforce_budget();
-    }
-
-    /// Whether the TinyLFU admission gate is active (it is by default).
-    pub fn admission(&self) -> bool {
-        self.admission.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable the admission gate. Disabled, every cleanly
-    /// drained cacheable fragment is admitted (pre-serving-tier
-    /// behavior), relying on GreedyDual-Size eviction alone.
-    pub fn set_admission(&self, on: bool) {
-        self.admission.store(on, Ordering::Relaxed);
+        let mut s = self.store.lock();
+        s.budget = budget;
+        s.enforce_budget();
     }
 
     /// Whether incremental maintenance is active (it is by default):
@@ -699,67 +653,47 @@ impl MidCache {
     /// [`Lookup::Stale`] and the engine prices refresh-by-delta against
     /// refetch and drop.
     pub fn refresh_enabled(&self) -> bool {
-        self.refreshing.load(Ordering::Relaxed)
+        self.store.lock().refreshing
     }
 
     /// Enable or disable incremental maintenance. Disabled, the engine
     /// passes no delta source and every version-moved entry is dropped
     /// at lookup — the pre-delta-log drop-on-write baseline.
     pub fn set_refresh(&self, on: bool) {
-        self.refreshing.store(on, Ordering::Relaxed);
+        self.store.lock().refreshing = on;
     }
 
-    /// Total bytes currently stored, across all shards.
+    /// Total bytes currently stored.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.store.lock().bytes
     }
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().entries.len()).sum()
+        self.store.lock().entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().entries.is_empty())
+        self.len() == 0
     }
 
     /// Activity counters since creation (or the last [`MidCache::clear`];
-    /// clearing resets contents, not counters), summed across shards.
+    /// clearing resets contents, not counters).
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shards {
-            total.add(&s.read().stats);
-        }
-        total.bypasses += self.bypasses.load(Ordering::Relaxed);
-        total
-    }
-
-    /// Per-shard activity counters, indexed by shard. Bypasses are
-    /// cache-wide and appear only in the [`MidCache::stats`] aggregate.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.read().stats).collect()
-    }
-
-    /// Entry count per shard (the shard-layout view `tango-trace`
-    /// reports alongside the counters).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().entries.len()).collect()
+        self.store.lock().stats
     }
 
     /// Drop every entry. Counters are preserved.
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut g = s.write();
-            let freed: u64 = g.entries.iter().map(|e| e.bytes).sum();
-            g.entries.clear();
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
+        let mut s = self.store.lock();
+        s.entries.clear();
+        s.bytes = 0;
     }
 
     /// Record that a transfer's fragment was uncacheable.
     pub fn note_bypass(&self) {
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
+        self.store.lock().stats.bypasses += 1;
     }
 
     /// Drop all entries that depend on `table` (any version). Validation
@@ -767,24 +701,13 @@ impl MidCache {
     /// explicit invalidation, e.g. after `DROP TABLE`.
     pub fn invalidate_table(&self, table: &str) -> usize {
         let t = table.to_uppercase();
-        let mut n = 0;
-        for s in &self.shards {
-            let mut g = s.write();
-            let mut freed = 0;
-            let before = g.entries.len();
-            g.entries.retain(|e| {
-                let dep = e.deps.iter().any(|(d, _)| *d == t);
-                if dep {
-                    freed += e.bytes;
-                }
-                !dep
-            });
-            let dropped = before - g.entries.len();
-            g.stats.invalidations += dropped as u64;
-            n += dropped;
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-        n
+        let mut s = self.store.lock();
+        let before = s.entries.len();
+        s.entries.retain(|e| !e.deps.iter().any(|(d, _)| *d == t));
+        let dropped = before - s.entries.len();
+        s.bytes = s.entries.iter().map(|e| e.bytes).sum();
+        s.stats.invalidations += dropped as u64;
+        dropped
     }
 
     /// Look up a fragment. A hit requires a fresh entry (every recorded
@@ -805,21 +728,13 @@ impl MidCache {
         version_of: &dyn Fn(&str) -> Option<u64>,
         delta_bytes_of: &dyn Fn(&str, u64) -> Option<u64>,
     ) -> Lookup {
-        let hash = sig_hash(&key.signature);
-        self.sketch.lock().touch(hash);
-        let mut g = self.shards[self.shard_of(hash)].write();
-        let mut invalidated = Vec::new();
-        let freed = g.validate(
-            version_of,
-            delta_bytes_of,
-            |e| e.signature == key.signature,
-            &mut invalidated,
-        );
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
+        let mut s = self.store.lock();
+        s.sketch.touch(sig_hash(&key.signature));
+        let invalidated = s.validate(version_of, delta_bytes_of, |e| e.signature == key.signature);
         // prefer a fresh entry; fall back to the cheapest stale one
         let mut fresh: Option<usize> = None;
         let mut stale: Option<(usize, u64)> = None;
-        for (i, e) in g.entries.iter().enumerate() {
+        for (i, e) in s.entries.iter().enumerate() {
             if e.signature != key.signature || !e.order.satisfies(&key.order) {
                 continue;
             }
@@ -829,7 +744,7 @@ impl MidCache {
                     break;
                 }
                 Freshness::Stale(d) => {
-                    if stale.map(|(j, dj)| d + e.bytes < dj + g.entries[j].bytes).unwrap_or(true) {
+                    if stale.map(|(j, dj)| d + e.bytes < dj + s.entries[j].bytes).unwrap_or(true) {
                         stale = Some((i, d));
                     }
                 }
@@ -837,9 +752,9 @@ impl MidCache {
             }
         }
         if let Some(i) = fresh {
-            g.stats.hits += 1;
-            let p = self.gds_priority(g.entries[i].fill_cost_us, g.entries[i].bytes);
-            let e = &mut g.entries[i];
+            s.stats.hits += 1;
+            let p = s.gds_priority(s.entries[i].fill_cost_us, s.entries[i].bytes);
+            let e = &mut s.entries[i];
             e.priority = p;
             e.hits += 1;
             return Lookup::Hit(CachedRelation {
@@ -850,7 +765,7 @@ impl MidCache {
             });
         }
         if let Some((i, delta_bytes)) = stale {
-            let e = &g.entries[i];
+            let e = &s.entries[i];
             return Lookup::Stale {
                 entry: StaleEntry {
                     schema: e.schema.clone(),
@@ -866,7 +781,7 @@ impl MidCache {
                 invalidated,
             };
         }
-        g.stats.misses += 1;
+        s.stats.misses += 1;
         Lookup::Miss { invalidated }
     }
 
@@ -891,60 +806,49 @@ impl MidCache {
     ) -> Admission {
         let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
         let hash = sig_hash(&key.signature);
-        let freq = self.sketch.lock().touch(hash);
-        let shard = self.shard_of(hash);
-        {
-            let mut g = self.shards[shard].write();
-            if bytes > self.budget() {
-                g.stats.rejections += 1;
-                return Admission::skipped(AdmitOutcome::Oversized);
-            }
-            if let Some(i) =
-                g.entries.iter().position(|e| e.signature == key.signature && e.order == key.order)
-            {
-                if !newer_deps(&deps, &g.entries[i].deps) {
-                    // a concurrent session populated the same (or a
-                    // fresher) entry first: exactly-one-populate
-                    g.stats.duplicate_populates += 1;
-                    return Admission::skipped(AdmitOutcome::Duplicate);
-                }
-                let old = g.entries.remove(i);
-                self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            }
-            let pressured = self.bytes() + bytes > self.budget();
-            if pressured && self.admission() {
-                if fill_cost_us < bytes as f64 * ADMISSION_MIN_FILL_US_PER_BYTE {
-                    // cheaper to refetch than the space it occupies
-                    g.stats.admission_rejects += 1;
-                    return Admission::skipped(AdmitOutcome::Rejected);
-                }
-                if let Some(v) = g.min_priority_index() {
-                    let victim_freq = self.sketch.lock().estimate(g.entries[v].hash);
-                    if freq <= victim_freq {
-                        // not hot enough to displace the incumbent
-                        g.stats.admission_rejects += 1;
-                        return Admission::skipped(AdmitOutcome::Rejected);
-                    }
-                }
-            }
-            let priority = self.gds_priority(fill_cost_us, bytes);
-            g.entries.push(Entry {
-                signature: key.signature.clone(),
-                hash,
-                order: key.order.clone(),
-                sql: key.sql.clone(),
-                schema,
-                rows: Arc::new(rows),
-                bytes,
-                deps,
-                fill_cost_us,
-                priority,
-                hits: 0,
-            });
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
-            g.stats.insertions += 1;
+        let mut s = self.store.lock();
+        let freq = s.sketch.touch(hash);
+        if bytes > s.budget {
+            s.stats.rejections += 1;
+            return Admission::skipped(AdmitOutcome::Oversized);
         }
-        let evicted = self.enforce_budget();
+        if let Some(i) = s.position(key) {
+            if !newer_deps(&deps, &s.entries[i].deps) {
+                // a concurrent session populated the same (or a
+                // fresher) entry first: exactly-one-populate
+                s.stats.duplicate_populates += 1;
+                return Admission::skipped(AdmitOutcome::Duplicate);
+            }
+            s.take(i);
+        }
+        if s.bytes + bytes > s.budget {
+            // under pressure the candidate must win its space: dearer to
+            // refetch than to keep, and asked for more often than the
+            // entry eviction would remove for it (ties keep the incumbent)
+            let cheap = fill_cost_us < bytes as f64 * ADMISSION_MIN_FILL_US_PER_BYTE;
+            let cold = s.victim().is_some_and(|v| freq <= s.sketch.estimate(s.entries[v].hash));
+            if cheap || cold {
+                s.stats.admission_rejects += 1;
+                return Admission::skipped(AdmitOutcome::Rejected);
+            }
+        }
+        let priority = s.gds_priority(fill_cost_us, bytes);
+        s.entries.push(Entry {
+            signature: key.signature.clone(),
+            hash,
+            order: key.order.clone(),
+            sql: key.sql.clone(),
+            schema,
+            rows: Arc::new(rows),
+            bytes,
+            deps,
+            fill_cost_us,
+            priority,
+            hits: 0,
+        });
+        s.bytes += bytes;
+        s.stats.insertions += 1;
+        let evicted = s.enforce_budget();
         Admission { admitted: true, outcome: AdmitOutcome::Admitted, evicted }
     }
 
@@ -968,32 +872,24 @@ impl MidCache {
         delta_bytes: u64,
     ) -> bool {
         let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
-        let hash = sig_hash(&key.signature);
-        {
-            let mut g = self.shards[self.shard_of(hash)].write();
-            let Some(i) =
-                g.entries.iter().position(|e| e.signature == key.signature && e.order == key.order)
-            else {
-                return false;
-            };
-            if !newer_deps(&deps, &g.entries[i].deps) {
-                return false;
-            }
-            let p = self.gds_priority(g.entries[i].fill_cost_us, bytes);
-            let e = &mut g.entries[i];
-            let old_bytes = e.bytes;
-            e.rows = rows;
-            e.bytes = bytes;
-            e.deps = deps;
-            e.priority = p;
-            e.hits += 1;
-            self.bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.bytes.fetch_sub(old_bytes, Ordering::Relaxed);
-            g.stats.refreshes += 1;
-            g.stats.refresh_bytes += delta_bytes;
-            g.stats.hits += 1;
+        let mut s = self.store.lock();
+        let Some(i) = s.position(key) else { return false };
+        if !newer_deps(&deps, &s.entries[i].deps) {
+            return false;
         }
-        self.enforce_budget();
+        let p = s.gds_priority(s.entries[i].fill_cost_us, bytes);
+        let e = &mut s.entries[i];
+        let old_bytes = e.bytes;
+        e.rows = rows;
+        e.bytes = bytes;
+        e.deps = deps;
+        e.priority = p;
+        e.hits += 1;
+        s.bytes = s.bytes - old_bytes + bytes;
+        s.stats.refreshes += 1;
+        s.stats.refresh_bytes += delta_bytes;
+        s.stats.hits += 1;
+        s.enforce_budget();
         true
     }
 
@@ -1001,18 +897,11 @@ impl MidCache {
     /// exactly (counted as an invalidation). The engine calls this when
     /// the maintenance decision for a stale entry is refetch or drop.
     pub fn remove(&self, key: &FragmentKey) -> bool {
-        let hash = sig_hash(&key.signature);
-        let mut g = self.shards[self.shard_of(hash)].write();
-        if let Some(i) =
-            g.entries.iter().position(|e| e.signature == key.signature && e.order == key.order)
-        {
-            let e = g.entries.remove(i);
-            self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-            g.stats.invalidations += 1;
-            true
-        } else {
-            false
-        }
+        let mut s = self.store.lock();
+        let Some(i) = s.position(key) else { return false };
+        s.take(i);
+        s.stats.invalidations += 1;
+        true
     }
 
     /// Peek at a resident entry by bare signature (any stored order),
@@ -1025,9 +914,8 @@ impl MidCache {
         &self,
         signature: &str,
     ) -> Option<(Arc<Schema>, Arc<Vec<Tuple>>, Vec<(String, u64)>)> {
-        let hash = sig_hash(signature);
-        let g = self.shards[self.shard_of(hash)].read();
-        g.entries
+        let s = self.store.lock();
+        s.entries
             .iter()
             .find(|e| e.signature == signature)
             .map(|e| (e.schema.clone(), e.rows.clone(), e.deps.clone()))
@@ -1036,39 +924,8 @@ impl MidCache {
     /// Record that a refresh attempt bailed (unsupported shape,
     /// ambiguous merge, racing write, wire fault) and degraded to the
     /// refetch path.
-    pub fn note_refresh_bail(&self, key: &FragmentKey) {
-        let hash = sig_hash(&key.signature);
-        self.shards[self.shard_of(hash)].write().stats.refresh_bails += 1;
-    }
-
-    /// Evict globally-minimum-priority entries, one shard lock at a
-    /// time, until total bytes fit the budget again.
-    fn enforce_budget(&self) -> Vec<(String, u64)> {
-        let mut evicted = Vec::new();
-        while self.bytes() > self.budget() {
-            // pick the shard holding the globally-minimum priority (read
-            // locks, one at a time — the choice may go momentarily stale,
-            // which only costs evicting the second-best victim)
-            let mut best: Option<(usize, f64)> = None;
-            for (i, s) in self.shards.iter().enumerate() {
-                let g = s.read();
-                if let Some(j) = g.min_priority_index() {
-                    let p = g.entries[j].priority;
-                    if best.map(|(_, bp)| p < bp).unwrap_or(true) {
-                        best = Some((i, p));
-                    }
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let mut g = self.shards[i].write();
-            let Some(j) = g.min_priority_index() else { continue };
-            let e = g.entries.remove(j);
-            self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-            self.clock_raise(e.priority);
-            g.stats.evictions += 1;
-            evicted.push((e.sql, e.bytes));
-        }
-        evicted
+    pub fn note_refresh_bail(&self) {
+        self.store.lock().stats.refresh_bails += 1;
     }
 
     /// Snapshot which fragments are resident, for the optimizer.
@@ -1083,99 +940,76 @@ impl MidCache {
         version_of: &dyn Fn(&str) -> Option<u64>,
         delta_bytes_of: &dyn Fn(&str, u64) -> Option<u64>,
     ) -> Residency {
+        let mut s = self.store.lock();
+        s.validate(version_of, delta_bytes_of, |_| true);
         let mut by_signature: HashMap<String, Vec<ResidentFragment>> = HashMap::new();
-        for s in &self.shards {
-            let mut g = s.write();
-            let mut dropped = Vec::new();
-            let freed = g.validate(version_of, delta_bytes_of, |_| true, &mut dropped);
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-            for e in &g.entries {
-                let delta_bytes = match e.freshness(version_of, delta_bytes_of) {
-                    Freshness::Fresh => None,
-                    Freshness::Stale(d) => Some(d),
-                    Freshness::Gone => continue, // removed above; unreachable
-                };
-                by_signature.entry(e.signature.clone()).or_default().push(ResidentFragment {
-                    order: e.order.clone(),
-                    bytes: e.bytes,
-                    delta_bytes,
-                });
-            }
+        for e in &s.entries {
+            let delta_bytes = match e.freshness(version_of, delta_bytes_of) {
+                Freshness::Fresh => None,
+                Freshness::Stale(d) => Some(d),
+                Freshness::Gone => continue, // removed above; unreachable
+            };
+            by_signature.entry(e.signature.clone()).or_default().push(ResidentFragment {
+                order: e.order.clone(),
+                bytes: e.bytes,
+                delta_bytes,
+            });
         }
         Residency { by_signature }
     }
 
-    /// Human-readable serving report: totals plus one line per active
-    /// shard (hit/miss/evict/admission-reject/invalidation counters and
-    /// entry count). Appended to `EXPLAIN ANALYZE` output by
+    /// Human-readable serving report: contents, then the activity
+    /// counters. Appended to `EXPLAIN ANALYZE` output by
     /// [`crate::Tango::explain_analyze`].
     pub fn render_report(&self) -> String {
-        let mut s = format!(
-            "cache: {} shards, {} entries, {}/{} bytes, admission {}\n",
-            self.shard_count(),
-            self.len(),
-            self.bytes(),
-            self.budget(),
-            if self.admission() { "on" } else { "off" },
-        );
-        let lens = self.shard_lens();
-        for (i, st) in self.shard_stats().iter().enumerate() {
-            if st.is_idle() && lens[i] == 0 {
-                continue;
-            }
-            s.push_str(&format!(
-                "  shard {i}: {} entries, hits {}, misses {}, evictions {}, \
-                 admission rejects {}, invalidations {}, duplicates {}, \
-                 refreshes {} ({} delta bytes, {} bails)\n",
-                lens[i],
-                st.hits,
-                st.misses,
-                st.evictions,
-                st.admission_rejects,
-                st.invalidations,
-                st.duplicate_populates,
-                st.refreshes,
-                st.refresh_bytes,
-                st.refresh_bails,
-            ));
-        }
-        s
+        let s = self.store.lock();
+        let st = &s.stats;
+        format!(
+            "cache: {} entries, {}/{} bytes\n  hits {}, misses {}, evictions {}, \
+             admission rejects {}, invalidations {}, duplicates {}, \
+             refreshes {} ({} delta bytes, {} bails)\n",
+            s.entries.len(),
+            s.bytes,
+            s.budget,
+            st.hits,
+            st.misses,
+            st.evictions,
+            st.admission_rejects,
+            st.invalidations,
+            st.duplicate_populates,
+            st.refreshes,
+            st.refresh_bytes,
+            st.refresh_bails,
+        )
     }
 
     /// The serving report as JSON (via the `tango-trace` writer):
-    /// `{"shards": n, "bytes": .., "budget": .., "per_shard": [...]}`.
+    /// `{"entries": n, "bytes": .., "budget": .., "totals": {...}}` with
+    /// every [`CacheStats`] counter under `totals`.
     pub fn stats_json(&self) -> String {
         use tango_trace::json::Object;
+        let s = self.store.lock();
+        let st = &s.stats;
+        let mut totals = Object::new();
+        totals.number("hits", st.hits as f64);
+        totals.number("misses", st.misses as f64);
+        totals.number("bypasses", st.bypasses as f64);
+        totals.number("insertions", st.insertions as f64);
+        totals.number("evictions", st.evictions as f64);
+        totals.number("invalidations", st.invalidations as f64);
+        totals.number("rejections", st.rejections as f64);
+        totals.number("admission_rejects", st.admission_rejects as f64);
+        totals.number("duplicate_populates", st.duplicate_populates as f64);
+        totals.number("refreshes", st.refreshes as f64);
+        totals.number("refresh_bytes", st.refresh_bytes as f64);
+        totals.number("refresh_bails", st.refresh_bails as f64);
         let mut o = Object::new();
-        o.number("shards", self.shard_count() as f64);
-        o.number("entries", self.len() as f64);
-        o.number("bytes", self.bytes() as f64);
-        o.number("budget", self.budget() as f64);
-        o.string("admission", if self.admission() { "on" } else { "off" });
-        let total = self.stats();
-        o.raw("totals", &stats_json_object(&total));
-        let shards: Vec<String> = self.shard_stats().iter().map(stats_json_object).collect();
-        o.raw("per_shard", &format!("[{}]", shards.join(",")));
+        o.number("entries", s.entries.len() as f64);
+        o.number("bytes", s.bytes as f64);
+        o.number("budget", s.budget as f64);
+        o.raw("totals", &totals.build());
         o.build()
     }
-}
-
-fn stats_json_object(s: &CacheStats) -> String {
-    use tango_trace::json::Object;
-    let mut o = Object::new();
-    o.number("hits", s.hits as f64);
-    o.number("misses", s.misses as f64);
-    o.number("bypasses", s.bypasses as f64);
-    o.number("insertions", s.insertions as f64);
-    o.number("evictions", s.evictions as f64);
-    o.number("invalidations", s.invalidations as f64);
-    o.number("rejections", s.rejections as f64);
-    o.number("admission_rejects", s.admission_rejects as f64);
-    o.number("duplicate_populates", s.duplicate_populates as f64);
-    o.number("refreshes", s.refreshes as f64);
-    o.number("refresh_bytes", s.refresh_bytes as f64);
-    o.number("refresh_bails", s.refresh_bails as f64);
-    o.build()
 }
 
 /// Whether `new` dependency versions strictly supersede `old`: every
@@ -1434,20 +1268,30 @@ mod tests {
         assert_eq!(cache.bytes(), 0);
     }
 
+    /// Ask for the absent `k` `n` times: every miss feeds the sketch, so
+    /// its next insert outweighs a victim touched `n` times or fewer at
+    /// the admission gate.
+    fn ask(cache: &MidCache, k: &FragmentKey, n: usize) {
+        for _ in 0..n {
+            assert!(matches!(cache.lookup(k, &|_| Some(1), &no_delta), Lookup::Miss { .. }));
+        }
+    }
+
     /// GreedyDual-Size: under pressure the entry with the lowest
     /// cost-per-byte goes first, and the byte budget is never exceeded.
-    /// (Admission gating is switched off to isolate the eviction order.)
+    /// (The newcomer is asked for first, so admission lets it in and the
+    /// eviction order is what is observed.)
     #[test]
     fn gds_eviction_prefers_cheap_large_entries() {
         let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
         // room for exactly two 8-row entries
         let cache = MidCache::new(row_bytes * 17);
-        cache.set_admission(false);
         let cheap = key("CHEAP");
         let dear = key("DEAR");
         let third = key("THIRD");
         cache.insert(&cheap, schema(), rows(8), vec![], 10.0);
         cache.insert(&dear, schema(), rows(8), vec![], 10_000.0);
+        ask(&cache, &third, 1);
         let adm = cache.insert(&third, schema(), rows(8), vec![], 1_000.0);
         assert_eq!(adm.evicted.len(), 1);
         assert_eq!(adm.evicted[0].0, cheap.sql, "cheapest-to-refill entry should go first");
@@ -1510,8 +1354,8 @@ mod tests {
     #[test]
     fn admission_gate_prefers_hot_fragments() {
         let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        // one shard so the contest is deterministic; room for one entry
-        let cache = MidCache::with_shards(row_bytes * 10, 1);
+        // room for one entry
+        let cache = MidCache::new(row_bytes * 10);
         let v = |_: &str| Some(1);
         let incumbent = key("INCUMBENT");
         let challenger = key("CHALLENGER");
@@ -1526,28 +1370,48 @@ mod tests {
 
         // demand for the challenger keeps arriving (missed lookups feed
         // the sketch) — eventually it outweighs the incumbent and enters
-        for _ in 0..4 {
-            assert!(matches!(cache.lookup(&challenger, &v, &no_delta), Lookup::Miss { .. }));
-        }
+        ask(&cache, &challenger, 4);
         let adm = cache.insert(&challenger, schema(), rows(8), vec![], 1_000.0);
         assert!(adm.admitted, "a repeatedly-requested fragment must win admission");
         assert!(matches!(cache.lookup(&challenger, &v, &no_delta), Lookup::Hit(_)));
     }
 
     /// Fragments cheaper to refetch than the space they occupy are
-    /// rejected under pressure — and admitted when the gate is off.
+    /// rejected under pressure, however often they are asked for.
     #[test]
     fn admission_gate_rejects_cheap_refetches() {
         let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        let cache = MidCache::with_shards(row_bytes * 10, 1);
+        let cache = MidCache::new(row_bytes * 10);
         assert!(cache.insert(&key("A"), schema(), rows(8), vec![], 1_000.0).admitted);
+        ask(&cache, &key("B"), 1);
         // fill cost far below ADMISSION_MIN_FILL_US_PER_BYTE × bytes
         let adm = cache.insert(&key("B"), schema(), rows(8), vec![], 0.001);
         assert_eq!(adm.outcome, AdmitOutcome::Rejected);
+    }
 
-        cache.set_admission(false);
-        let adm = cache.insert(&key("B"), schema(), rows(8), vec![], 0.001);
-        assert!(adm.admitted, "with the gate off, GDS alone decides");
+    /// Admission and eviction judge the same victim. A hot incumbent
+    /// fills the budget; a cold newcomer with a higher fill cost per
+    /// byte must lose to it. (In the sharded store these two signatures
+    /// hashed to shards 4 and 7 of 8: the newcomer met no victim in its
+    /// own shard, was admitted unconditionally, and the global eviction
+    /// then removed the hot incumbent.)
+    #[test]
+    fn admission_and_eviction_judge_the_same_victim() {
+        assert_ne!(sig_hash("HOT") % 8, sig_hash("COLD") % 8);
+        let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
+        let cache = MidCache::new(row_bytes * 10); // room for one entry
+        let v = |_: &str| Some(1);
+        let hot = key("HOT");
+        let cold = key("COLD");
+        assert!(cache.insert(&hot, schema(), rows(8), vec![], 1_000.0).admitted);
+        for _ in 0..4 {
+            assert!(matches!(cache.lookup(&hot, &v, &no_delta), Lookup::Hit(_)));
+        }
+        let adm = cache.insert(&cold, schema(), rows(8), vec![], 5_000.0);
+        assert_eq!(adm.outcome, AdmitOutcome::Rejected);
+        assert!(adm.evicted.is_empty());
+        assert!(matches!(cache.lookup(&hot, &v, &no_delta), Lookup::Hit(_)));
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     /// With no pressure there is no admission contest: everything
@@ -1581,16 +1445,18 @@ mod tests {
         assert!(cache.bytes() <= 1);
     }
 
-    /// The byte budget is global across shards: many entries spread over
-    /// different shards must still sum below the budget, with eviction
-    /// reaching across shards.
+    /// The byte budget holds after every insert: many admitted entries
+    /// must still sum below it, each one past the third evicting another
+    /// (each newcomer is asked for once more than the one before, so it
+    /// is hotter than whichever older entry is the victim).
     #[test]
-    fn byte_budget_is_global_across_shards() {
+    fn byte_budget_holds_across_many_inserts() {
         let entry_bytes = rows(8).iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        let cache = MidCache::with_shards(entry_bytes * 3 + entry_bytes / 2, 8);
-        cache.set_admission(false);
+        let cache = MidCache::new(entry_bytes * 3 + entry_bytes / 2);
         for i in 0..12 {
-            cache.insert(&key(&format!("SIG{i}")), schema(), rows(8), vec![], 100.0);
+            let k = key(&format!("SIG{i}"));
+            ask(&cache, &k, i);
+            assert!(cache.insert(&k, schema(), rows(8), vec![], 100.0).admitted);
             assert!(
                 cache.bytes() <= cache.budget(),
                 "global budget exceeded: {} > {}",
@@ -1600,8 +1466,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().evictions, 9);
-        // entries really are spread over multiple shards
-        assert!(cache.shard_lens().iter().filter(|&&n| n > 0).count() >= 2);
     }
 
     #[test]
@@ -1630,21 +1494,18 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// The serving report lists totals and only the active shards; the
-    /// JSON form is well-formed enough for the trace tooling.
+    /// The serving report lists contents and counters (the JSON form
+    /// is parsed back by `tests/observability.rs`).
     #[test]
-    fn report_renders_shards_and_json() {
-        let cache = MidCache::with_shards(1 << 20, 4);
+    fn report_renders_text_and_json() {
+        let cache = MidCache::new(1 << 20);
         cache.insert(&key("A"), schema(), rows(2), vec![("T".into(), 1)], 1.0);
         let _ = cache.lookup(&key("A"), &|_| Some(1), &no_delta);
         cache.note_bypass();
         let text = cache.render_report();
-        assert!(text.starts_with("cache: 4 shards, 1 entries"), "{text}");
+        assert!(text.starts_with("cache: 1 entries"), "{text}");
         assert!(text.contains("hits 1"), "{text}");
-        let json = cache.stats_json();
-        assert!(json.contains("\"per_shard\":["), "{json}");
-        assert!(json.contains("\"bypasses\":1"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
+        assert!(cache.stats_json().contains("\"bypasses\":1"));
     }
 
     /// Hammer one cache from many threads: mixed lookups, inserts and
@@ -1654,7 +1515,7 @@ mod tests {
     fn concurrent_hammer_keeps_accounting_exact() {
         use std::thread;
         let entry_bytes = rows(8).iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        let cache = Arc::new(MidCache::with_shards(entry_bytes * 6, 4));
+        let cache = Arc::new(MidCache::new(entry_bytes * 6));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let cache = cache.clone();
@@ -1678,12 +1539,8 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.bytes() <= cache.budget());
-        // recount from scratch: the atomic total must match the shards
-        let recount: u64 = {
-            let r = cache.residency(&|_| Some(1), &no_delta);
-            let _ = r;
-            cache.shard_lens().iter().sum::<usize>() as u64 * entry_bytes
-        };
+        // recount from scratch: the running total must match the entries
+        let recount = cache.len() as u64 * entry_bytes;
         assert_eq!(cache.bytes(), recount, "byte accounting drifted under concurrency");
     }
 

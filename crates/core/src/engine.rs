@@ -965,7 +965,7 @@ impl<'a> Ctx<'a> {
                                 CacheDecision::Refresh { rows, bytes, delta_bytes }
                             }
                             refresh::RefreshOutcome::Bail(reason) => {
-                                cache.note_refresh_bail(&addr);
+                                cache.note_refresh_bail();
                                 miss(cache, key, invalidated, "miss", Some(reason))
                             }
                         }

@@ -39,6 +39,7 @@ use crate::error::{Result, TangoError};
 use std::path::{Path, PathBuf};
 use tango_algebra::logical::{concat_schemas, tjoin_schema};
 use tango_algebra::{CmpOp, Expr, Logical, ProjItem, SchemaSource};
+use tango_trace::json::{self, Json};
 
 /// Default whole-tree sweep budget of [`Rewriter::apply`]; a pack file
 /// may lower it with a `"budget"` key.
@@ -313,6 +314,11 @@ fn err(msg: impl Into<String>) -> TangoError {
     TangoError::Rewrite(msg.into())
 }
 
+/// `s` as a JSON string literal.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", json::escape(s))
+}
+
 impl RulePack {
     /// Load a pack by name or path. A bare name `x` resolves to
     /// `rules/x.json` relative to the current directory, then relative
@@ -349,8 +355,8 @@ impl RulePack {
     /// missing fields, unbound template variables and unknown pass names
     /// are all rejected with the offending name in the message.
     pub fn parse(text: &str, origin: &str) -> Result<RulePack> {
-        let json = json::parse(text).map_err(|e| err(format!("{origin}: {e}")))?;
-        let obj = as_obj(&json, origin, "rule pack")?;
+        let doc = json::parse(text).map_err(|e| err(format!("{origin}: {e}")))?;
+        let obj = as_obj(&doc, origin, "rule pack")?;
         let mut name = None;
         let mut description = None;
         let mut budget = DEFAULT_PASS_BUDGET;
@@ -381,8 +387,8 @@ impl RulePack {
         let description =
             description.ok_or_else(|| err(format!("{origin}: missing \"description\"")))?;
         let rules_json = match rules {
-            Some(json::Json::Arr(items)) if !items.is_empty() => items,
-            Some(json::Json::Arr(_)) => {
+            Some(Json::Arr(items)) if !items.is_empty() => items,
+            Some(Json::Arr(_)) => {
                 return Err(err(format!("{origin}: \"rules\" must not be empty")))
             }
             Some(_) => return Err(err(format!("{origin}: \"rules\" must be an array"))),
@@ -403,15 +409,15 @@ impl RulePack {
     pub fn canonical_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str(&format!("  \"pack\": {},\n", json::quote(&self.name)));
-        s.push_str(&format!("  \"description\": {},\n", json::quote(&self.description)));
+        s.push_str(&format!("  \"pack\": {},\n", quote(&self.name)));
+        s.push_str(&format!("  \"description\": {},\n", quote(&self.description)));
         if self.budget != DEFAULT_PASS_BUDGET {
             s.push_str(&format!("  \"budget\": {},\n", self.budget));
         }
         s.push_str("  \"rules\": [\n");
         for (i, r) in self.rules.iter().enumerate() {
             s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": {},\n", json::quote(&r.name)));
+            s.push_str(&format!("      \"name\": {},\n", quote(&r.name)));
             match &r.kind {
                 RuleKind::Expr { pattern, replace } => {
                     s.push_str("      \"kind\": \"expr\",\n");
@@ -420,7 +426,7 @@ impl RulePack {
                 }
                 RuleKind::Pass(p) => {
                     s.push_str("      \"kind\": \"pass\",\n");
-                    s.push_str(&format!("      \"pass\": {}\n", json::quote(p.config_name())));
+                    s.push_str(&format!("      \"pass\": {}\n", quote(p.config_name())));
                 }
             }
             s.push_str(if i + 1 == self.rules.len() { "    }\n" } else { "    },\n" });
@@ -430,7 +436,7 @@ impl RulePack {
     }
 }
 
-fn parse_rule(j: &json::Json, origin: &str, idx: usize) -> Result<Rule> {
+fn parse_rule(j: &Json, origin: &str, idx: usize) -> Result<Rule> {
     let obj = as_obj(j, origin, &format!("rules[{idx}]"))?;
     let mut name = None;
     let mut kind = None;
@@ -488,23 +494,23 @@ fn parse_rule(j: &json::Json, origin: &str, idx: usize) -> Result<Rule> {
     }
 }
 
-fn as_obj<'a>(j: &'a json::Json, origin: &str, what: &str) -> Result<&'a [(String, json::Json)]> {
+fn as_obj<'a>(j: &'a Json, origin: &str, what: &str) -> Result<&'a [(String, Json)]> {
     match j {
-        json::Json::Obj(kv) => Ok(kv),
+        Json::Obj(kv) => Ok(kv),
         _ => Err(err(format!("{origin}: {what} must be a JSON object"))),
     }
 }
 
-fn as_str<'a>(j: &'a json::Json, origin: &str, what: &str) -> Result<&'a str> {
+fn as_str<'a>(j: &'a Json, origin: &str, what: &str) -> Result<&'a str> {
     match j {
-        json::Json::Str(s) => Ok(s),
+        Json::Str(s) => Ok(s),
         _ => Err(err(format!("{origin}: \"{what}\" must be a string"))),
     }
 }
 
-fn as_num(j: &json::Json, origin: &str, what: &str) -> Result<f64> {
+fn as_num(j: &Json, origin: &str, what: &str) -> Result<f64> {
     match j {
-        json::Json::Num(n) => Ok(*n),
+        Json::Num(n) => Ok(*n),
         _ => Err(err(format!("{origin}: \"{what}\" must be a number"))),
     }
 }
@@ -539,18 +545,18 @@ fn parse_cmp_op(s: &str) -> Option<CmpOp> {
     }
 }
 
-fn parse_pat(j: &json::Json, where_: &str) -> Result<Pat> {
+fn parse_pat(j: &Json, where_: &str) -> Result<Pat> {
     match j {
-        json::Json::Str(s) if s.starts_with('?') => {
+        Json::Str(s) if s.starts_with('?') => {
             let (name, kind) = parse_binder(s, where_)?;
             Ok(Pat::Bind(name, kind))
         }
-        json::Json::Str(s) => Err(err(format!(
+        Json::Str(s) => Err(err(format!(
             "{where_}: pattern atom \"{s}\" is not a binder (binders start with '?')"
         ))),
-        json::Json::Arr(items) => {
+        Json::Arr(items) => {
             let head = match items.first() {
-                Some(json::Json::Str(s)) => s.as_str(),
+                Some(Json::Str(s)) => s.as_str(),
                 _ => {
                     return Err(err(format!("{where_}: pattern list must start with a form name")))
                 }
@@ -579,7 +585,7 @@ fn parse_pat(j: &json::Json, where_: &str) -> Result<Pat> {
                 "cmp" => {
                     arity(3)?;
                     let op = match &items[1] {
-                        json::Json::Str(s) if s.starts_with('?') => {
+                        Json::Str(s) if s.starts_with('?') => {
                             let (name, kind) = parse_binder(s, where_)?;
                             if kind != BindKind::Any {
                                 return Err(err(format!(
@@ -588,7 +594,7 @@ fn parse_pat(j: &json::Json, where_: &str) -> Result<Pat> {
                             }
                             OpPat::Bind(name)
                         }
-                        json::Json::Str(s) => OpPat::Exact(parse_cmp_op(s).ok_or_else(|| {
+                        Json::Str(s) => OpPat::Exact(parse_cmp_op(s).ok_or_else(|| {
                             err(format!("{where_}: unknown comparison operator \"{s}\""))
                         })?),
                         _ => {
@@ -611,9 +617,9 @@ fn parse_pat(j: &json::Json, where_: &str) -> Result<Pat> {
     }
 }
 
-fn parse_template(j: &json::Json, where_: &str) -> Result<Template> {
+fn parse_template(j: &Json, where_: &str) -> Result<Template> {
     match j {
-        json::Json::Str(s) if s.starts_with('?') => {
+        Json::Str(s) if s.starts_with('?') => {
             let (name, kind) = parse_binder(s, where_)?;
             if kind != BindKind::Any {
                 return Err(err(format!(
@@ -622,9 +628,9 @@ fn parse_template(j: &json::Json, where_: &str) -> Result<Template> {
             }
             Ok(Template::Var(name))
         }
-        json::Json::Arr(items) => {
+        Json::Arr(items) => {
             let head = match items.first() {
-                Some(json::Json::Str(s)) => s.as_str(),
+                Some(Json::Str(s)) => s.as_str(),
                 _ => {
                     return Err(err(format!("{where_}: template list must start with a form name")))
                 }
@@ -667,18 +673,16 @@ fn parse_template(j: &json::Json, where_: &str) -> Result<Template> {
     }
 }
 
-fn parse_op_template(j: &json::Json, where_: &str) -> Result<OpTemplate> {
+fn parse_op_template(j: &Json, where_: &str) -> Result<OpTemplate> {
     match j {
-        json::Json::Str(s) if s.starts_with('?') => Ok(OpTemplate::Var(parse_binder(s, where_)?.0)),
-        json::Json::Str(s) => Ok(OpTemplate::Exact(
+        Json::Str(s) if s.starts_with('?') => Ok(OpTemplate::Var(parse_binder(s, where_)?.0)),
+        Json::Str(s) => Ok(OpTemplate::Exact(
             parse_cmp_op(s)
                 .ok_or_else(|| err(format!("{where_}: unknown comparison operator \"{s}\"")))?,
         )),
-        json::Json::Arr(items) => {
+        Json::Arr(items) => {
             let (f, v) = match items.as_slice() {
-                [json::Json::Str(f), json::Json::Str(v)] if v.starts_with('?') => {
-                    (f.as_str(), v.as_str())
-                }
+                [Json::Str(f), Json::Str(v)] if v.starts_with('?') => (f.as_str(), v.as_str()),
                 _ => {
                     return Err(err(format!(
                         "{where_}: operator function must be [\"flip\"|\"negate\", \"?op\"]"
@@ -745,13 +749,13 @@ fn check_template_bound(t: &Template, bound: &[String], where_: &str) -> Result<
 
 fn render_pat(p: &Pat) -> String {
     match p {
-        Pat::Bind(n, BindKind::Any) => json::quote(&format!("?{n}")),
-        Pat::Bind(n, BindKind::Col) => json::quote(&format!("?{n}:col")),
-        Pat::Bind(n, BindKind::Lit) => json::quote(&format!("?{n}:lit")),
+        Pat::Bind(n, BindKind::Any) => quote(&format!("?{n}")),
+        Pat::Bind(n, BindKind::Col) => quote(&format!("?{n}:col")),
+        Pat::Bind(n, BindKind::Lit) => quote(&format!("?{n}:lit")),
         Pat::Cmp(op, l, r) => {
             let op = match op {
-                OpPat::Exact(o) => json::quote(o.sql()),
-                OpPat::Bind(n) => json::quote(&format!("?{n}")),
+                OpPat::Exact(o) => quote(o.sql()),
+                OpPat::Bind(n) => quote(&format!("?{n}")),
             };
             format!("[\"cmp\", {op}, {}, {}]", render_pat(l), render_pat(r))
         }
@@ -763,13 +767,13 @@ fn render_pat(p: &Pat) -> String {
 
 fn render_template(t: &Template) -> String {
     match t {
-        Template::Var(n) => json::quote(&format!("?{n}")),
+        Template::Var(n) => quote(&format!("?{n}")),
         Template::Cmp(op, l, r) => {
             let op = match op {
-                OpTemplate::Exact(o) => json::quote(o.sql()),
-                OpTemplate::Var(n) => json::quote(&format!("?{n}")),
-                OpTemplate::Flip(n) => format!("[\"flip\", {}]", json::quote(&format!("?{n}"))),
-                OpTemplate::Negate(n) => format!("[\"negate\", {}]", json::quote(&format!("?{n}"))),
+                OpTemplate::Exact(o) => quote(o.sql()),
+                OpTemplate::Var(n) => quote(&format!("?{n}")),
+                OpTemplate::Flip(n) => format!("[\"flip\", {}]", quote(&format!("?{n}"))),
+                OpTemplate::Negate(n) => format!("[\"negate\", {}]", quote(&format!("?{n}"))),
             };
             format!("[\"cmp\", {op}, {}, {}]", render_template(l), render_template(r))
         }
@@ -1239,238 +1243,6 @@ fn rename_cols(e: &mut Expr, f: &mut dyn FnMut(&mut String)) {
             for x in es {
                 rename_cols(x, f);
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// A minimal JSON reader. The workspace deliberately has no JSON parser
-// (tango-trace only writes), and no new dependencies may be added — so
-// rule packs get a small, strict, offset-reporting recursive-descent one.
-// ---------------------------------------------------------------------------
-
-mod json {
-    /// A parsed JSON value; object keys keep file order (the canonical
-    /// formatter depends on it).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        Obj(Vec<(String, Json)>),
-        Arr(Vec<Json>),
-        Str(String),
-        Num(f64),
-        Bool(bool),
-        Null,
-    }
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(p.fail("trailing characters after the top-level value"));
-        }
-        Ok(v)
-    }
-
-    /// Quote a string as a JSON literal.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn fail(&self, msg: &str) -> String {
-            let (mut line, mut col) = (1usize, 1usize);
-            for &c in &self.b[..self.i.min(self.b.len())] {
-                if c == b'\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
-                }
-            }
-            format!("line {line}, col {col}: {msg}")
-        }
-
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-
-        fn eat(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(self.fail(&format!("expected '{}'", c as char)))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Json::Str(self.string()?)),
-                Some(b't') => self.keyword("true", Json::Bool(true)),
-                Some(b'f') => self.keyword("false", Json::Bool(false)),
-                Some(b'n') => self.keyword("null", Json::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(self.fail("expected a JSON value")),
-            }
-        }
-
-        fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(self.fail(&format!("expected '{word}'")))
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, String> {
-            self.eat(b'{')?;
-            let mut kv = Vec::new();
-            self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                return Ok(Json::Obj(kv));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                if kv.iter().any(|(k, _)| *k == key) {
-                    return Err(self.fail(&format!("duplicate key \"{key}\"")));
-                }
-                self.ws();
-                self.eat(b':')?;
-                self.ws();
-                let v = self.value()?;
-                kv.push((key, v));
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(Json::Obj(kv));
-                    }
-                    _ => return Err(self.fail("expected ',' or '}' in object")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            self.ws();
-            if self.peek() == Some(b']') {
-                self.i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                self.ws();
-                items.push(self.value()?);
-                self.ws();
-                match self.peek() {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(self.fail("expected ',' or ']' in array")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err(self.fail("unterminated string")),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                if self.i + 4 >= self.b.len() {
-                                    return Err(self.fail("truncated \\u escape"));
-                                }
-                                let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
-                                    .map_err(|_| self.fail("bad \\u escape"))?;
-                                let n = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| self.fail("bad \\u escape"))?;
-                                out.push(
-                                    char::from_u32(n)
-                                        .ok_or_else(|| self.fail("bad \\u code point"))?,
-                                );
-                                self.i += 4;
-                            }
-                            _ => return Err(self.fail("unknown escape")),
-                        }
-                        self.i += 1;
-                    }
-                    Some(_) => {
-                        // consume one UTF-8 scalar
-                        let rest = std::str::from_utf8(&self.b[self.i..])
-                            .map_err(|_| self.fail("invalid UTF-8"))?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.i += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.i;
-            if self.peek() == Some(b'-') {
-                self.i += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-            }
-            if self.peek() == Some(b'.') {
-                self.i += 1;
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.i += 1;
-                }
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-            text.parse::<f64>().map(Json::Num).map_err(|_| self.fail("bad number"))
         }
     }
 }

@@ -23,7 +23,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::cache::{MidCache, Residency, DEFAULT_CACHE_BUDGET, DEFAULT_CACHE_SHARDS};
+use crate::cache::{MidCache, Residency, DEFAULT_CACHE_BUDGET};
 use crate::calibrate::{self, Calibration};
 use crate::collector;
 use crate::cost::CostFactors;
@@ -57,17 +57,6 @@ pub struct TangoOptions {
     /// caching entirely (every `TRANSFER^M` streams from the DBMS and the
     /// optimizer sees an empty [`Residency`]).
     pub cache_budget: Option<u64>,
-    /// Number of lock shards of the relation cache (see
-    /// `docs/CONCURRENCY.md`). Only the session that *creates* a shared
-    /// cache decides its shard count — later sessions attach to whatever
-    /// exists. Default [`DEFAULT_CACHE_SHARDS`].
-    pub cache_shards: usize,
-    /// Whether the TinyLFU admission gate is active: under byte pressure
-    /// a fragment must be accessed more frequently than the eviction
-    /// victim (and cost more to refetch than the space it occupies) to
-    /// be admitted. `false` restores admit-everything behavior, relying
-    /// on GreedyDual-Size eviction alone. Default `true`.
-    pub cache_admission: bool,
     /// Whether stale cache entries may be **refreshed by delta replay**
     /// instead of dropped on write. `true` (the default) keeps
     /// stale-but-covered entries resident and lets the engine pick the
@@ -102,8 +91,6 @@ impl Default for TangoOptions {
             feedback: false,
             feedback_alpha: 0.3,
             cache_budget: Some(DEFAULT_CACHE_BUDGET),
-            cache_shards: DEFAULT_CACHE_SHARDS,
-            cache_admission: true,
             cache_refresh: true,
             batch_rows: None,
             workers: 1,
@@ -289,7 +276,7 @@ impl QueryReport {
 ///
 /// Sessions are cheap to construct and `Send`: the serving tier spawns
 /// one per client thread against a shared [`Database`], and by default
-/// they all attach to one shared, sharded relation cache held at
+/// they all attach to one shared relation cache held at
 /// database scope (see `docs/CONCURRENCY.md`) — a fragment one session
 /// paid to transfer is a warm hit for every other session.
 pub struct Tango {
@@ -311,16 +298,13 @@ impl Tango {
     }
 
     /// [`Tango::connect`] with explicit options. The shared cache is
-    /// created lazily by the first connecting session (its
-    /// [`TangoOptions::cache_shards`] decides the shard layout; later
-    /// sessions attach to whatever exists), while
-    /// [`TangoOptions::cache_budget`] and
-    /// [`TangoOptions::cache_admission`] are applied per query by
+    /// created lazily by the first connecting session; later sessions
+    /// attach to it, and [`TangoOptions::cache_budget`] and
+    /// [`TangoOptions::cache_refresh`] are applied per query by
     /// whichever session runs.
     pub fn connect_with(db: Database, options: TangoOptions) -> Tango {
         let budget = options.cache_budget.unwrap_or(DEFAULT_CACHE_BUDGET);
-        let shards = options.cache_shards;
-        let cache = db.middleware_state(|| MidCache::with_shards(budget, shards));
+        let cache = db.middleware_state(|| MidCache::new(budget));
         Tango::assemble(db, options, cache)
     }
 
@@ -330,12 +314,8 @@ impl Tango {
     /// shared-vs-private comparison in `concurrency_bench` and anywhere
     /// isolation matters more than compounding warm hits.
     pub fn connect_private(db: Database) -> Tango {
-        let options = TangoOptions::default();
-        let cache = Arc::new(MidCache::with_shards(
-            options.cache_budget.unwrap_or(DEFAULT_CACHE_BUDGET),
-            options.cache_shards,
-        ));
-        Tango::assemble(db, options, cache)
+        let cache = Arc::new(MidCache::new(DEFAULT_CACHE_BUDGET));
+        Tango::assemble(db, TangoOptions::default(), cache)
     }
 
     fn assemble(db: Database, options: TangoOptions, cache: Arc<MidCache>) -> Tango {
@@ -398,8 +378,8 @@ impl Tango {
         self.cache.clear();
     }
 
-    /// The serving report of this session's cache: totals plus one line
-    /// per active shard (hits, misses, evictions, admission rejects,
+    /// The serving report of this session's cache: contents and the
+    /// activity counters (hits, misses, evictions, admission rejects,
     /// invalidations, refreshes), followed by the database's pending
     /// delta-log footprint. The same text [`Tango::explain_analyze`]
     /// appends to its rendering; the REPL prints it as `\cache`.
@@ -413,19 +393,11 @@ impl Tango {
     }
 
     /// The cache to hand to the engine this query, with the configured
-    /// budget and admission toggle applied — or `None` when caching is
+    /// budget and refresh toggle applied — or `None` when caching is
     /// disabled.
     fn active_cache(&self) -> Option<&Arc<MidCache>> {
-        let budget = self.options.cache_budget?;
-        if self.cache.budget() != budget {
-            self.cache.set_budget(budget);
-        }
-        if self.cache.admission() != self.options.cache_admission {
-            self.cache.set_admission(self.options.cache_admission);
-        }
-        if self.cache.refresh_enabled() != self.options.cache_refresh {
-            self.cache.set_refresh(self.options.cache_refresh);
-        }
+        self.cache.set_budget(self.options.cache_budget?);
+        self.cache.set_refresh(self.options.cache_refresh);
         Some(&self.cache)
     }
 
@@ -582,8 +554,8 @@ impl Tango {
     /// `EXPLAIN ANALYZE`: optimize and execute `sql`, then render the
     /// plan annotated with estimated vs. actual rows, site placement and
     /// per-operator exclusive times, followed by the cache serving
-    /// report (per-shard hit/miss/evict/admission-reject counters) when
-    /// caching is enabled. Returns the rendering plus the full report
+    /// report (hit/miss/evict/admission-reject counters) when caching is
+    /// enabled. Returns the rendering plus the full report
     /// (the result relation is discarded, as in PostgreSQL).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<(String, QueryReport)> {
         let (_, report) = self.query(sql)?;

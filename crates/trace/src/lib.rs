@@ -19,9 +19,11 @@
 //!   (cheap atomics, written from inside the cursor hot path) and
 //!   [`Collector::finish`] turns the slots into immutable [`OpSpan`]s
 //!   with inclusive/exclusive times resolved.
-//! * [`json`] — a tiny hand-rolled JSON writer (the workspace is
-//!   offline and carries no serde_json), used to emit machine-readable
-//!   trace reports from `EXPLAIN ANALYZE` and the benchmark binaries.
+//! * [`json`] — a tiny hand-rolled JSON writer and parser (the
+//!   workspace is offline and carries no serde_json): the writer emits
+//!   machine-readable trace reports from `EXPLAIN ANALYZE` and the
+//!   benchmark binaries, the parser reads rule packs and those reports
+//!   back.
 //!
 //! Tracing is zero-cost when disabled: a [`TraceHandle`] is an
 //! `Option<Arc<SpanSlot>>`, and the engine's untraced execution path
@@ -381,8 +383,11 @@ pub fn events_to_json(events: &[SpanEvent]) -> String {
     format!("[{}]", parts.join(","))
 }
 
-/// Minimal JSON construction — just enough for trace reports, with
-/// correct string escaping and locale-independent number formatting.
+/// The workspace's one JSON facility: minimal construction — just
+/// enough for trace reports, with correct string escaping and
+/// locale-independent number formatting — and a small strict parser
+/// ([`json::parse`]) for rule packs and for reading back what the
+/// writer emits.
 pub mod json {
     /// Escape a string for use inside a JSON string literal.
     pub fn escape(s: &str) -> String {
@@ -449,6 +454,222 @@ pub mod json {
         /// Serialize the object.
         pub fn build(&self) -> String {
             format!("{{{}}}", self.parts.join(","))
+        }
+    }
+
+    /// A parsed JSON value; object keys keep document order (the
+    /// rule-pack canonical formatter depends on it).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Json {
+        /// `{...}` — `(key, value)` pairs in document order.
+        Obj(Vec<(String, Json)>),
+        /// `[...]`
+        Arr(Vec<Json>),
+        /// A string literal, unescaped.
+        Str(String),
+        /// A number.
+        Num(f64),
+        /// `true` / `false`
+        Bool(bool),
+        /// `null`
+        Null,
+    }
+
+    /// Parse one JSON document — strict (no trailing characters, no
+    /// duplicate keys), errors carry `line L, col C`. Small and
+    /// recursive-descent: the workspace is offline and carries no
+    /// serde_json, so rule packs and the trace round-trip tests read
+    /// JSON through this.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        p.ws();
+        let v = p.value()?;
+        p.ws();
+        if p.i != p.b.len() {
+            return Err(p.fail("trailing characters after the top-level value"));
+        }
+        Ok(v)
+    }
+
+    struct Parser<'a> {
+        b: &'a [u8],
+        i: usize,
+    }
+
+    impl Parser<'_> {
+        fn fail(&self, msg: &str) -> String {
+            let (mut line, mut col) = (1usize, 1usize);
+            for &c in &self.b[..self.i.min(self.b.len())] {
+                if c == b'\n' {
+                    line += 1;
+                    col = 1;
+                } else {
+                    col += 1;
+                }
+            }
+            format!("line {line}, col {col}: {msg}")
+        }
+
+        fn ws(&mut self) {
+            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
+                self.i += 1;
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.b.get(self.i).copied()
+        }
+
+        fn eat(&mut self, c: u8) -> Result<(), String> {
+            if self.peek() == Some(c) {
+                self.i += 1;
+                Ok(())
+            } else {
+                Err(self.fail(&format!("expected '{}'", c as char)))
+            }
+        }
+
+        fn value(&mut self) -> Result<Json, String> {
+            match self.peek() {
+                Some(b'{') => self.object(),
+                Some(b'[') => self.array(),
+                Some(b'"') => Ok(Json::Str(self.string()?)),
+                Some(b't') => self.keyword("true", Json::Bool(true)),
+                Some(b'f') => self.keyword("false", Json::Bool(false)),
+                Some(b'n') => self.keyword("null", Json::Null),
+                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+                _ => Err(self.fail("expected a JSON value")),
+            }
+        }
+
+        fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
+            if self.b[self.i..].starts_with(word.as_bytes()) {
+                self.i += word.len();
+                Ok(v)
+            } else {
+                Err(self.fail(&format!("expected '{word}'")))
+            }
+        }
+
+        fn object(&mut self) -> Result<Json, String> {
+            self.eat(b'{')?;
+            let mut kv = Vec::new();
+            self.ws();
+            if self.peek() == Some(b'}') {
+                self.i += 1;
+                return Ok(Json::Obj(kv));
+            }
+            loop {
+                self.ws();
+                let key = self.string()?;
+                if kv.iter().any(|(k, _)| *k == key) {
+                    return Err(self.fail(&format!("duplicate key \"{key}\"")));
+                }
+                self.ws();
+                self.eat(b':')?;
+                self.ws();
+                let v = self.value()?;
+                kv.push((key, v));
+                self.ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b'}') => {
+                        self.i += 1;
+                        return Ok(Json::Obj(kv));
+                    }
+                    _ => return Err(self.fail("expected ',' or '}' in object")),
+                }
+            }
+        }
+
+        fn array(&mut self) -> Result<Json, String> {
+            self.eat(b'[')?;
+            let mut items = Vec::new();
+            self.ws();
+            if self.peek() == Some(b']') {
+                self.i += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                self.ws();
+                items.push(self.value()?);
+                self.ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(b']') => {
+                        self.i += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(self.fail("expected ',' or ']' in array")),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.eat(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err(self.fail("unterminated string")),
+                    Some(b'"') => {
+                        self.i += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.i += 1;
+                        match self.peek() {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b'u') => {
+                                if self.i + 4 >= self.b.len() {
+                                    return Err(self.fail("truncated \\u escape"));
+                                }
+                                let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5])
+                                    .map_err(|_| self.fail("bad \\u escape"))?;
+                                let n = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| self.fail("bad \\u escape"))?;
+                                out.push(
+                                    char::from_u32(n)
+                                        .ok_or_else(|| self.fail("bad \\u code point"))?,
+                                );
+                                self.i += 4;
+                            }
+                            _ => return Err(self.fail("unknown escape")),
+                        }
+                        self.i += 1;
+                    }
+                    Some(_) => {
+                        // consume one UTF-8 scalar
+                        let rest = std::str::from_utf8(&self.b[self.i..])
+                            .map_err(|_| self.fail("invalid UTF-8"))?;
+                        let c = rest.chars().next().unwrap();
+                        out.push(c);
+                        self.i += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Json, String> {
+            let start = self.i;
+            if self.peek() == Some(b'-') {
+                self.i += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.i += 1;
+            }
+            if self.peek() == Some(b'.') {
+                self.i += 1;
+                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    self.i += 1;
+                }
+            }
+            let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
+            text.parse::<f64>().map(Json::Num).map_err(|_| self.fail("bad number"))
         }
     }
 }

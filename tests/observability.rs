@@ -10,6 +10,9 @@ use tango::core::phys::{Algo, PhysNode, Site};
 use tango::core::tsql::{strip_explain, Explain};
 use tango::minidb::{Connection, Database, Link, LinkProfile};
 use tango::Tango;
+use tango_bench::JsonLog;
+use tango_trace::json::{parse, Json};
+use tango_trace::{spans_to_json, Collector, SpanSite};
 
 fn setup() -> (Database, Connection) {
     let db = Database::new(Link::new(LinkProfile::instant()));
@@ -142,10 +145,108 @@ fn exec_report_json_is_well_formed() {
     }
     assert!(json.contains("\"op\":\"TRANSFER^M\""), "{json}");
     assert!(json.contains("\"rows_dropped\":1"), "{json}");
-    // balanced braces/brackets — cheap well-formedness check
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    assert_eq!(opens, closes, "{json}");
+    parse(&json).expect("ExecReport::to_json must be valid JSON");
+}
+
+fn keys(doc: &Json) -> Vec<&str> {
+    match doc {
+        Json::Obj(kv) => kv.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected a JSON object, got {other:?}"),
+    }
+}
+
+fn get<'a>(doc: &'a Json, key: &str) -> &'a Json {
+    match doc {
+        Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+    .unwrap_or_else(|| panic!("no key {key:?} in {doc:?}"))
+}
+
+fn items(doc: &Json) -> &[Json] {
+    match doc {
+        Json::Arr(items) => items,
+        other => panic!("expected a JSON array, got {other:?}"),
+    }
+}
+
+/// Every JSON document the system emits is accepted by the one parser
+/// (`tango_trace::json::parse`) and carries its expected top-level keys.
+#[test]
+fn every_emitted_json_document_parses_back() {
+    const REPORT_KEYS: [&str; 5] = ["rows", "wall_us", "wire_us", "total_us", "steps"];
+    const SPAN_KEYS: [&str; 8] =
+        ["op", "site", "inclusive_us", "exclusive_us", "rows", "bytes", "server_us", "children"];
+
+    // `ExecReport::to_json` for Query 1
+    let (db, _conn) = setup();
+    let mut tango = Tango::connect(db);
+    let (_, report) = tango.query(QUERY1).unwrap();
+    let exec = parse(&report.exec.to_json()).expect("ExecReport::to_json");
+    assert_eq!(keys(&exec), REPORT_KEYS);
+    assert_eq!(get(&exec, "rows"), &Json::Num(4.0));
+    let steps = items(get(&exec, "steps"));
+    assert_eq!(steps.len(), report.exec.steps.len());
+    for step in steps {
+        for k in SPAN_KEYS {
+            assert!(keys(step).contains(&k), "step without {k}: {step:?}");
+        }
+    }
+
+    // `spans_to_json`, with every optional field and text that needs escaping
+    let detail = "ORA-03113 \"end-of-file\"\non\tround trip 4 \\ attempt 2";
+    let mut c = Collector::new();
+    let (leaf, _) = c.span("SCAN^D", SpanSite::Dbms, vec![]);
+    let (_, transfer) = c.span("TRANSFER^M", SpanSite::Middleware, vec![leaf]);
+    transfer.set_counters(vec![("sql_round_trips", 1)]);
+    transfer.add_annotation("cache", "miss");
+    transfer.add_event("fault", detail);
+    let spans = parse(&spans_to_json(&c.finish())).expect("spans_to_json");
+    let [scan, transfer] = items(&spans) else { panic!("expected two spans: {spans:?}") };
+    assert_eq!(keys(scan), SPAN_KEYS);
+    assert_eq!(
+        keys(transfer),
+        [&SPAN_KEYS[..7], &["annotations", "counters", "events", "children"]].concat()
+    );
+    assert_eq!(get(transfer, "children"), &Json::Arr(vec![Json::Num(0.0)]));
+    assert_eq!(get(get(transfer, "counters"), "sql_round_trips"), &Json::Num(1.0));
+    let [event] = items(get(transfer, "events")) else { panic!("expected one event") };
+    assert_eq!(get(event, "detail"), &Json::Str(detail.into()), "escaping must round-trip");
+
+    // `MidCache::stats_json`
+    let cache = parse(&tango.cache().stats_json()).expect("MidCache::stats_json");
+    assert_eq!(keys(&cache), ["entries", "bytes", "budget", "totals"]);
+    assert_eq!(
+        keys(get(&cache, "totals")),
+        [
+            "hits",
+            "misses",
+            "bypasses",
+            "insertions",
+            "evictions",
+            "invalidations",
+            "rejections",
+            "admission_rejects",
+            "duplicate_populates",
+            "refreshes",
+            "refresh_bytes",
+            "refresh_bails"
+        ]
+    );
+    assert_eq!(get(get(&cache, "totals"), "insertions"), &Json::Num(1.0));
+
+    // a `JsonLog` with two entries
+    let mut log = JsonLog::new();
+    log.push("plan 1", 1000, &report.exec);
+    log.push("optimizer's \"choice\"", "2000", &report.exec);
+    let log = parse(&log.to_json()).expect("JsonLog::to_json");
+    let [first, second] = items(&log) else { panic!("expected two entries: {log:?}") };
+    for entry in [first, second] {
+        assert_eq!(keys(entry), ["series", "x", "report"]);
+        assert_eq!(get(entry, "report"), &exec);
+    }
+    assert_eq!(get(first, "x"), &Json::Str("1000".into()));
+    assert_eq!(get(second, "series"), &Json::Str("optimizer's \"choice\"".into()));
 }
 
 #[test]

@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Print the tracked size numbers of the middleware (ROADMAP aim 2):
+# source lines, public items and option-field counts. Prints only; CI
+# runs it so every PR's log carries the numbers, and CHANGES.md quotes
+# its output before and after a change instead of hand-run commands.
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}" # optional argument: another checkout to measure
+
+lines() { cat "$@" | wc -l; }
+# lines of a file above its `#[cfg(test)]` module
+non_test_lines() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
+public_items() {
+    grep -hE "^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) " "$@" | wc -l
+}
+# `pub` fields of struct $1 in file $2
+fields() {
+    awk -v s="pub struct $1 {" \
+        'index($0, s) == 1 { on = 1; next } on && /^}/ { exit } on && /^[ \t]*pub [a-z_]+:/ { n++ } END { print n + 0 }' "$2"
+}
+
+echo "lines:        tango-core $(lines crates/core/src/*.rs)  tango-xxl $(lines crates/xxl/src/*.rs)  volcano $(lines crates/volcano/src/*.rs)"
+echo "non-test:     cache.rs $(non_test_lines crates/core/src/cache.rs)  rewrite.rs $(non_test_lines crates/core/src/rewrite.rs)"
+echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)"
+echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)  ExecOpts $(fields ExecOpts crates/xxl/src/cursor.rs)"
