@@ -15,9 +15,11 @@
 //! sequential run through the wire codec. The host core count is
 //! recorded in the JSON (`host_cpus`) so speedups are read in context —
 //! on a single-core host the parallel wall times measure scheduling
-//! overhead, not speedup; such runs are stamped
-//! `scheduling_overhead_only: true` and the worker-speedup check is
-//! skipped (the byte-identity and wire-invariance checks still gate).
+//! overhead, not speedup, and such runs are stamped
+//! `scheduling_overhead_only: true`. The worker-speedup check is
+//! evaluated only on hosts with at least 4 cores and otherwise prints
+//! `skipped: N cpus` (the byte-identity and wire-invariance checks
+//! always gate).
 //!
 //! Usage: `cargo run --release -p tango-bench --bin batch_ablation \
 //!         [--small] [--check]`
@@ -198,14 +200,11 @@ fn main() {
         }
         let w8 = worker_samples.iter().find(|s| s.batch_rows == 8).unwrap().wall;
         let w_speedup = worker_samples[0].wall.as_secs_f64() / w8.as_secs_f64().max(1e-9);
-        if host_cpus == 1 {
-            // on a single core the morsel pool can only add scheduling
-            // overhead — record the wall times but don't read them as a
-            // speedup (and don't gate on one)
-            eprintln!(
-                "    wall ratio at 8 workers: {w_speedup:.2}x \
-                 (single-core host: scheduling overhead only, speedup check skipped)"
-            );
+        if host_cpus < 4 {
+            // 8 workers on fewer than 4 cores measure the morsel pool's
+            // scheduling overhead, not a speedup: record the wall times,
+            // gate on nothing
+            eprintln!("    wall ratio at 8 workers: {w_speedup:.2}x (skipped: {host_cpus} cpus)");
         } else {
             eprintln!("    wall speedup at 8 workers: {w_speedup:.2}x");
             if w_speedup < 1.0 {

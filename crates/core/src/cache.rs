@@ -131,7 +131,7 @@
 //! newer versions replace the incumbent.
 
 use crate::cost::CostFactors;
-use crate::phys::{Algo, PhysNode, TOp};
+use crate::phys::{Algo, PhysNode, Site, TOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -234,26 +234,17 @@ fn erase(
     let kids: Option<Vec<String>> =
         node.children.iter().map(|c| erase(c, is_temp, tables)).collect();
     let kids = kids?;
-    Some(match &node.algo {
-        Algo::ScanD(t) => {
-            if is_temp(t) {
-                return None;
-            }
-            tables.push(t.to_uppercase());
-            canon("GET", &t.to_uppercase(), &[])
+    if let Algo::ScanD(t) = &node.algo {
+        if is_temp(t) {
+            return None;
         }
-        Algo::FilterD(pred) => canon("SEL", &pred.to_string(), &kids),
-        Algo::ProjectD(items) => canon("PROJ", &proj_params(items), &kids),
-        Algo::JoinD(eq) => canon("JOIN", &eq_params(eq), &kids),
-        Algo::TJoinD(eq) => canon("TJOIN", &eq_params(eq), &kids),
-        Algo::ProductD => canon("PROD", "", &kids),
-        Algo::TAggrD { group_by, aggs } => canon("TAGGR", &taggr_params(group_by, aggs), &kids),
-        Algo::DupElimD => canon("DUP", "", &kids),
-        // an interior sort's order is not representable in the key, and
-        // any middleware algorithm or TRANSFER^D means this is not a
-        // pure DBMS fragment
-        _ => return None,
-    })
+        tables.push(t.to_uppercase());
+    }
+    // an interior sort's order is not representable in the key, and any
+    // middleware algorithm or TRANSFER^D means this is not a pure DBMS
+    // fragment
+    let op = node.algo.op().filter(|_| node.algo.site() == Site::Dbms)?;
+    Some(top_signature(&op, &kids))
 }
 
 /// A materialized relation served from the cache: shared, immutable.

@@ -252,7 +252,7 @@ pub enum FactorId {
 
 impl FactorId {
     /// The dominant factor of an algorithm, if it has one.
-    pub fn for_algo(algo: &Algo) -> Option<FactorId> {
+    fn for_algo(algo: &Algo) -> Option<FactorId> {
         Some(match algo {
             Algo::TransferM => FactorId::Tm,
             Algo::TransferD => FactorId::Td,

@@ -11,16 +11,16 @@
 //! Every cursor is instrumented: per-algorithm inclusive time and output
 //! volume feed the adaptive cost-factor loop (`crate::feedback`).
 
-use crate::cache::{self, MidCache, Residency};
+use crate::cache::{self, MidCache};
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
-use crate::opt::{self, Catalog, OptOptions};
+use crate::opt::{self, TangoSem};
 use crate::phys::{Algo, PhysNode, Site};
-use crate::{refresh, session, to_sql};
+use crate::{refresh, to_sql};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Batch, Logical, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, Relation, Schema, SortSpec, Tuple};
 use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
@@ -128,8 +128,7 @@ pub struct ExecReport {
     pub wall: Duration,
     /// Virtual wire time charged during this execution.
     pub wire: Duration,
-    /// Per-algorithm observations (post-order). Empty when the plan ran
-    /// on the untraced fast path.
+    /// Per-algorithm observations (post-order).
     pub steps: Vec<StepReport>,
 }
 
@@ -155,7 +154,8 @@ impl ExecReport {
 }
 
 /// The one execution driver: everything a plan needs to run, with the
-/// modes — tracing, caching, mid-query re-planning — as fields.
+/// modes — caching, mid-query re-planning — as fields. Every cursor is
+/// wrapped in a measuring span.
 pub struct Executor<'a> {
     /// The DBMS connection `TRANSFER^M` / `TRANSFER^D` go through.
     pub conn: &'a Connection,
@@ -172,13 +172,8 @@ pub struct Executor<'a> {
     pub exec: ExecOpts,
     /// Cost factors: what the per-`TRANSFER^M` cache-maintenance decision
     /// (refresh-by-delta vs refetch vs drop, see
-    /// [`cache::maintenance_choice`]) and the re-planner price with.
+    /// [`cache::maintenance_choice`]) prices with.
     pub factors: CostFactors,
-    /// Wrap every cursor in a measuring span. With `false` the bare
-    /// operator pipeline runs and the report's `steps` come back empty
-    /// (only the whole-query totals are filled in). Re-planning reads its
-    /// actuals from the spans, so `replan: Some(..)` always traces.
-    pub trace: bool,
     /// `None` runs the plan as given. `Some` stages it at pipeline
     /// breakers and re-optimizes the remainder on a misestimate (see
     /// [`Replan`]).
@@ -197,22 +192,20 @@ pub struct Executor<'a> {
 /// direction), the actuals are fed back as injected cardinalities and
 /// the optimizer re-runs over the remainder of the plan — which may flip
 /// operators between middleware and DBMS — pinned to the delivery order
-/// the original plan promised, so results stay byte-identical. The new
-/// remainder is spliced over the already materialized outputs and
-/// execution continues. A breaker that already degraded due to a wire
-/// fault mid-drain is never re-planned a second time over the same
+/// the original plan promised, so results stay byte-identical. If the
+/// new remainder prices cheaper than the running one (both through
+/// [`TangoSem::price`]) it is spliced over the already materialized
+/// outputs; otherwise the re-plan is declined and leaves only a
+/// `replan-declined` event. A breaker that already degraded due to a
+/// wire fault mid-drain is never re-planned a second time over the same
 /// observation.
 pub struct Replan {
-    /// The catalog snapshot the original optimization used — shared with
-    /// it, and copied only when the first breaker is staged (its observed
-    /// statistics are registered in the copy).
-    pub catalog: Arc<Catalog>,
-    /// Optimizer knobs; re-optimization runs with the same rule groups
-    /// (and the same, possibly deliberately naive, estimation mode).
-    pub opt: OptOptions,
-    /// The cache-residency snapshot the original optimization priced
-    /// `TRANSFER^M` enforcers with.
-    pub residency: Arc<Residency>,
+    /// The pricing context the original optimization ran under: the same
+    /// factors, rule groups and (possibly deliberately naive) estimation
+    /// mode, the same residency snapshot, and the same catalog — shared
+    /// with it, and copied only when the first breaker is staged (its
+    /// observed statistics are registered in the copy).
+    pub sem: TangoSem,
     /// Trigger threshold: re-plan when actual and estimated rows at a
     /// pipeline breaker diverge by at least this factor, in either
     /// direction.
@@ -226,16 +219,16 @@ pub struct Replan {
 pub struct Run {
     /// The query result.
     pub rel: Relation,
-    /// The execution report (per-operator spans when traced).
+    /// The execution report (per-operator spans).
     pub report: ExecReport,
     /// With re-planning on: the plan as actually executed — every staged
     /// breaker appears as a `MATSCAN^M` node whose child is the subtree
     /// that produced the materialization, and a triggered re-plan
     /// replaces everything above the materializations; the report's
-    /// steps are in its post-order — and the catalog extended with the
-    /// observed statistics of every materialization (what re-estimating
-    /// that plan needs). `None` when the plan ran as given.
-    pub staged: Option<(PhysNode, Arc<Catalog>)>,
+    /// steps are in its post-order — and the pricing context extended
+    /// with the observed statistics of every materialization (what
+    /// re-estimating that plan needs). `None` when the plan ran as given.
+    pub staged: Option<(PhysNode, TangoSem)>,
 }
 
 /// Safety net against pathological re-plan loops: at most this many
@@ -250,8 +243,8 @@ thread_local! {
 }
 
 impl<'a> Executor<'a> {
-    /// The plain configuration: traced, no cache, default knobs and
-    /// factors, no re-planning. Override fields with struct update
+    /// The plain configuration: no cache, default knobs and factors, no
+    /// re-planning. Override fields with struct update
     /// syntax.
     pub fn new(conn: &'a Connection) -> Self {
         Executor {
@@ -259,7 +252,6 @@ impl<'a> Executor<'a> {
             cache: None,
             exec: ExecOpts::default(),
             factors: CostFactors::default(),
-            trace: true,
             replan: None,
         }
     }
@@ -277,8 +269,7 @@ impl<'a> Executor<'a> {
         // meter this session's wire alone — the link clock is shared with
         // every other session on the database and would cross-charge
         let wire_before = conn.wire_time();
-        let trace = self.trace || self.replan.is_some();
-        let mut ctx = Ctx::new(conn, trace, self.cache, self.exec, self.factors);
+        let mut ctx = Ctx::new(conn, self.cache, self.exec, self.factors);
         let mut staging = self.replan.map(|cfg| (plan.clone(), cfg));
         let started = Instant::now();
         let result = (|| -> Result<Relation> {
@@ -301,7 +292,7 @@ impl<'a> Executor<'a> {
         let wire = conn.wire_time().saturating_sub(wire_before);
         let steps = resolve_steps(ctx.collector, ctx.algos);
         let report = ExecReport { rows: rel.len(), wall, wire, steps };
-        Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.catalog)) })
+        Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.sem)) })
     }
 }
 
@@ -407,41 +398,6 @@ fn remainder_only(n: &PhysNode) -> PhysNode {
     PhysNode { algo: n.algo.clone(), schema: n.schema.clone(), children }
 }
 
-/// Translate the unexecuted remainder of a physical plan back into a
-/// logical tree for re-optimization. Transfers and sorts are physical
-/// concerns the optimizer re-derives (the delivery order is pinned
-/// separately); materializations become `Get`s that only the
-/// `MATSCAN^M` implementation can resolve.
-fn phys_to_logical(n: &PhysNode) -> Result<Logical> {
-    let child =
-        |i: usize| -> Result<Box<Logical>> { Ok(Box::new(phys_to_logical(&n.children[i])?)) };
-    Ok(match &n.algo {
-        Algo::MatScanM(t) | Algo::ScanD(t) => Logical::Get { table: t.clone() },
-        Algo::TransferM | Algo::TransferD | Algo::SortM(_) | Algo::SortXM(..) | Algo::SortD(_) => {
-            phys_to_logical(&n.children[0])?
-        }
-        Algo::FilterM(p) | Algo::FilterD(p) => {
-            Logical::Select { pred: p.clone(), input: child(0)? }
-        }
-        Algo::ProjectM(items) | Algo::ProjectD(items) => {
-            Logical::Project { items: items.clone(), input: child(0)? }
-        }
-        Algo::MergeJoinM(eq) | Algo::JoinD(eq) => {
-            Logical::Join { eq: eq.clone(), left: child(0)?, right: child(1)? }
-        }
-        Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => {
-            Logical::TJoin { eq: eq.clone(), left: child(0)?, right: child(1)? }
-        }
-        Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-            Logical::TAggr { group_by: group_by.clone(), aggs: aggs.clone(), input: child(0)? }
-        }
-        Algo::DupElimM | Algo::DupElimD => Logical::DupElim { input: child(0)? },
-        Algo::CoalesceM => Logical::Coalesce { input: child(0)? },
-        Algo::TDiffM => Logical::Diff { left: child(0)?, right: child(1)? },
-        Algo::ProductD => Logical::Product { left: child(0)?, right: child(1)? },
-    })
-}
-
 /// Record each `MATSCAN^M` node (with its rendered subtree) by name.
 fn collect_mat_subtrees(n: &PhysNode, out: &mut HashMap<String, PhysNode>) {
     if let Algo::MatScanM(name) = &n.algo {
@@ -470,14 +426,6 @@ fn attach_mat_subtrees(n: PhysNode, subtrees: &HashMap<String, PhysNode>) -> Phy
     }
 }
 
-/// What `build_mid` has for a node before its span exists.
-enum Built {
-    Ready(BoxCursor),
-    /// `TRANSFER^M` reports server time and wire events into its own
-    /// span, so its cursor is built once that span is known.
-    NeedsSpan(Box<dyn FnOnce(Option<Arc<SpanSlot>>) -> BoxCursor>),
-}
-
 struct Ctx<'a> {
     conn: &'a Connection,
     temp_tables: Vec<String>,
@@ -485,7 +433,6 @@ struct Ctx<'a> {
     /// Algorithm of each collected span, index-aligned with the collector.
     algos: Vec<Algo>,
     temp_seq: usize,
-    trace: bool,
     /// The middleware relation cache, when this execution runs with one.
     cache: Option<Arc<MidCache>>,
     /// Mid-query materializations staged by the re-planning policy, by
@@ -550,7 +497,6 @@ enum CacheDecision {
 impl<'a> Ctx<'a> {
     fn new(
         conn: &'a Connection,
-        trace: bool,
         cache: Option<&Arc<MidCache>>,
         exec: ExecOpts,
         factors: CostFactors,
@@ -561,7 +507,6 @@ impl<'a> Ctx<'a> {
             collector: Collector::new(),
             algos: Vec::new(),
             temp_seq: 0,
-            trace,
             cache: cache.cloned(),
             mats: HashMap::new(),
             spliced: false,
@@ -600,21 +545,19 @@ impl<'a> Ctx<'a> {
     /// materialized output, and re-optimize what remains above them
     /// whenever a breaker's actual cardinality diverges from its estimate.
     fn stage_breakers(&mut self, cfg: &mut Replan, work: &mut PhysNode) -> Result<()> {
-        let factors = self.factors;
-        let naive = cfg.opt.naive_overlaps;
-        let mut mat_orders: HashMap<String, SortSpec> = HashMap::new();
+        // what a plan costs as the optimizer prices it, given everything
+        // observed so far — both sides of every re-plan decision
+        let priced = |sem: &TangoSem, plan: &PhysNode| -> Option<f64> {
+            Some(sem.price(plan).ok()?.iter().map(|e| e.est_cost_us).sum())
+        };
         // the delivery order the chosen plan promised — every re-optimized
         // remainder is pinned to it so the splice cannot change the result
-        let pinned = delivered_order(work, &mat_orders).project_onto(&work.schema);
+        let pinned = delivered_order(work, &cfg.sem.materialized).project_onto(&work.schema);
         for mat_seq in 0..MAX_STAGES {
             let Some(path) = find_breaker(work, true) else { break };
             let breaker = node_at(work, &path).clone();
-            // what the optimizer believes this breaker will produce,
-            // given everything observed so far
-            let est_rows =
-                session::estimate_plan_nodes_with(&breaker, &cfg.catalog, &factors, naive)
-                    .ok()
-                    .and_then(|v| v.first().map(|e| e.est_rows));
+            // what the optimizer believes this breaker will produce
+            let est_rows = cfg.sem.price(&breaker).ok().map(|nodes| nodes[0].est_rows);
             let (rel, breaker_idx) = self.materialize(&breaker)?;
             let slot = self.collector.slot(breaker_idx).clone();
             let actual = rel.len();
@@ -623,16 +566,16 @@ impl<'a> Ctx<'a> {
             // order it holds, and the span that will serve it (created
             // now so span order stays the post-order of the final plan)
             let name = format!("#MAT{mat_seq}");
-            let order = delivered_order(&breaker, &mat_orders);
+            let order = delivered_order(&breaker, &cfg.sem.materialized);
             #[cfg(test)]
-            if Arc::strong_count(&cfg.catalog) > 1 {
+            if Arc::strong_count(&cfg.sem.catalog) > 1 {
                 CATALOG_COPIES.with(|n| n.set(n.get() + 1));
             }
-            Arc::make_mut(&mut cfg.catalog).insert(
-                name.to_uppercase(),
+            Arc::make_mut(&mut cfg.sem.catalog).insert(
+                name.clone(),
                 (rel.schema().clone(), RelationStats::from_relation(&rel, cfg.histogram_buckets)),
             );
-            mat_orders.insert(name.clone(), order);
+            cfg.sem.materialized.insert(name.clone(), order);
             let span = self.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]);
             self.mats.insert(name.clone(), MatEntry { rel, span });
             replace_at(
@@ -658,31 +601,38 @@ impl<'a> Ctx<'a> {
             if !triggered {
                 continue;
             }
-            let old_cost =
-                session::estimate_plan_with(&remainder_only(work), &cfg.catalog, &factors, naive)
-                    .ok();
-            let logical = phys_to_logical(work)?;
-            let Ok(new) = opt::reoptimize(
-                &logical,
-                pinned.clone(),
-                cfg.catalog.clone(),
-                factors,
-                cfg.opt,
-                cfg.residency.clone(),
-                mat_orders.clone(),
-            ) else {
-                // no feasible alternative: keep the running plan
+            // no feasible alternative: keep the running plan
+            let Ok(new) = opt::optimize(&work.logical(), cfg.sem.clone(), Some(pinned.clone()))
+            else {
                 continue;
             };
-            let gain = old_cost.map(|c| (c - new.cost).max(0.0)).unwrap_or(0.0);
+            let observed = format!(
+                "est {est:.1} rows, actual {actual} ({div:.1}x off)",
+                est = est_rows.unwrap_or(0.0),
+                div = divergence.unwrap_or(0.0),
+            );
+            // the priced gain: the running remainder against the
+            // re-optimized one, both through the one fold. An alternative
+            // that prices no cheaper (the running plan itself, usually)
+            // is declined — nothing is spliced, later spans stay clean
+            let old_cost = priced(&cfg.sem, &remainder_only(work));
+            let new_cost = priced(&cfg.sem, &new.plan);
+            let gain = old_cost.zip(new_cost).map_or(0.0, |(old, new)| old - new);
+            if gain <= 0.0 {
+                slot.add_event(
+                    "replan-declined",
+                    format!(
+                        "{observed}: remainder priced {old:.0}us as running, \
+                         {new:.0}us re-optimized",
+                        old = old_cost.unwrap_or(0.0),
+                        new = new_cost.unwrap_or(0.0),
+                    ),
+                );
+                continue;
+            }
             slot.add_event(
                 "cardinality-replan",
-                format!(
-                    "est {est:.1} rows, actual {actual} ({div:.1}x off): \
-                     remainder re-optimized, est gain {gain:.0}us",
-                    est = est_rows.unwrap_or(0.0),
-                    div = divergence.unwrap_or(0.0),
-                ),
+                format!("{observed}: remainder re-optimized, est gain {gain:.0}us"),
             );
             slot.add_counter("replans", 1);
             slot.add_counter("replan_gain_est", gain as u64);
@@ -696,161 +646,15 @@ impl<'a> Ctx<'a> {
         Ok(())
     }
 
-    /// Build the cursor for a middleware-resident node. Returns the cursor
-    /// and its span index (0 when untraced).
+    /// Build the instrumented cursor for a middleware-resident node;
+    /// returns it with its span index. Inputs are built first and the
+    /// node's span is created before its cursor, so span order is the
+    /// plan's post-order and a cursor can report into its own span.
     fn build_mid(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
-        let ready = |c: BoxCursor, child_ids: Vec<usize>| (Built::Ready(c), child_ids);
-        let (built, child_ids) = match &node.algo {
-            Algo::TransferM => {
-                // lower the DBMS subtree: replace T^D descendants with temp
-                // scans, building their loader cursors as prerequisites
-                let (clean, prereqs, prereq_ids) = self.lower_dbms(&node.children[0])?;
-                let sql = to_sql::render_select(&clean)?;
-                let conn = self.conn.clone();
-                let schema = node.schema.clone();
-                let decision = self.consult_cache(&clean, &sql);
-                let exec = self.exec;
-                let build = move |sink: Option<Arc<SpanSlot>>| -> BoxCursor {
-                    let mut populate = None;
-                    match decision {
-                        CacheDecision::Hit(rel) => {
-                            // serve the resident copy: no SQL, no wire
-                            if let Some(s) = &sink {
-                                s.add_annotation("cache", "hit");
-                            }
-                            return Box::new(CachedScan::new(schema, rel.rows, rel.bytes));
-                        }
-                        CacheDecision::Refresh { rows, bytes, delta_bytes } => {
-                            // serve the delta-merged copy: no fragment SQL
-                            if let Some(s) = &sink {
-                                s.add_annotation("cache", "refresh");
-                                s.add_event(
-                                    "refresh",
-                                    format!("merged {delta_bytes} delta bytes in place"),
-                                );
-                            }
-                            return Box::new(CachedScan::new(schema, rows, bytes));
-                        }
-                        CacheDecision::Off => {}
-                        CacheDecision::Bypass => {
-                            if let Some(s) = &sink {
-                                s.add_annotation("cache", "bypass");
-                            }
-                        }
-                        CacheDecision::Drop => {
-                            // the maintenance decision evicted the stale
-                            // entry and declined to refill it
-                            if let Some(s) = &sink {
-                                s.add_annotation("cache", "drop");
-                                s.add_event(
-                                    "invalidate",
-                                    "stale entry dropped: refill would outcost its future hits"
-                                        .to_string(),
-                                );
-                            }
-                        }
-                        CacheDecision::Miss { cache, key, deps, invalidated, label, bail } => {
-                            if let Some(s) = &sink {
-                                s.add_annotation("cache", label);
-                                if let Some(reason) = &bail {
-                                    s.add_event("refresh", format!("refresh bailed: {reason}"));
-                                }
-                                for stale in &invalidated {
-                                    s.add_event(
-                                        "invalidate",
-                                        format!("stale entry dropped: {stale}"),
-                                    );
-                                }
-                            }
-                            populate = Some(CachePopulate {
-                                cache,
-                                key,
-                                deps,
-                                rows: Vec::new(),
-                                wire_start: Duration::ZERO,
-                                server_us: 0.0,
-                            });
-                        }
-                    }
-                    Box::new(TransferMCursor {
-                        conn,
-                        sql,
-                        schema,
-                        // keep the cleaned fragment: if the DBMS side
-                        // exhausts its retries, the fragment is re-planned
-                        // with middleware operators (see `degrade`)
-                        fragment: clean,
-                        exec,
-                        prereqs,
-                        cur: None,
-                        buf: VecDeque::new(),
-                        fallback: None,
-                        server_sink: sink,
-                        populate,
-                        populated_bytes: None,
-                        round_trips: 0,
-                        rows_emitted: 0,
-                        wire_retries: 0,
-                        wire_faults: 0,
-                        replans: 0,
-                    })
-                };
-                (Built::NeedsSpan(Box::new(build)), prereq_ids)
-            }
-            Algo::FilterM(pred) => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(Box::new(Filter::new(c, pred.clone())), vec![id])
-            }
-            Algo::ProjectM(items) => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(Box::new(Project::new(c, items.clone())?), vec![id])
-            }
-            Algo::SortM(spec) => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(Box::new(Sort::with_opts(c, spec.clone(), self.exec)), vec![id])
-            }
-            Algo::SortXM(spec, run_rows) => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(
-                    Box::new(ExternalSort::with_opts(c, spec.clone(), *run_rows, self.exec)),
-                    vec![id],
-                )
-            }
-            Algo::MergeJoinM(eq) => {
-                let (l, lid) = self.build_mid(&node.children[0])?;
-                let (r, rid) = self.build_mid(&node.children[1])?;
-                ready(Box::new(MergeJoin::with_opts(l, r, eq, self.exec)?), vec![lid, rid])
-            }
-            Algo::TMergeJoinM(eq) => {
-                let (l, lid) = self.build_mid(&node.children[0])?;
-                let (r, rid) = self.build_mid(&node.children[1])?;
-                ready(Box::new(TemporalMergeJoin::with_opts(l, r, eq, self.exec)?), vec![lid, rid])
-            }
-            Algo::TAggrM { group_by, aggs } => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(
-                    Box::new(TemporalAggregate::with_opts(
-                        c,
-                        group_by.clone(),
-                        aggs.clone(),
-                        self.exec,
-                    )?),
-                    vec![id],
-                )
-            }
-            Algo::DupElimM => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(Box::new(DupElim::new(c)), vec![id])
-            }
-            Algo::CoalesceM => {
-                let (c, id) = self.build_mid(&node.children[0])?;
-                ready(Box::new(Coalesce::with_opts(c, self.exec)?), vec![id])
-            }
-            Algo::TDiffM => {
-                let (l, lid) = self.build_mid(&node.children[0])?;
-                let (r, rid) = self.build_mid(&node.children[1])?;
-                ready(Box::new(TemporalDiff::with_opts(l, r, self.exec)?), vec![lid, rid])
-            }
+        let not_mid =
+            || TangoError::Exec(format!("{} is not a middleware algorithm", node.algo.label()));
+        match &node.algo {
+            Algo::TransferM => return self.build_transfer_m(node),
             // serve a mid-query materialization by moving its rows out (each
             // is consumed once: staging never descends into a MATSCAN^M);
             // its span was created eagerly when the breaker drained, so
@@ -865,23 +669,127 @@ impl<'a> Ctx<'a> {
                     })?;
                 return Ok((self.instrument(Box::new(VecScan::new(rel)), slot), idx));
             }
-            other => {
-                return Err(TangoError::Exec(format!(
-                    "{} is not a middleware algorithm",
-                    other.label()
-                )))
+            other if other.site() != Site::Middleware => return Err(not_mid()),
+            _ => {}
+        }
+        let mut inputs = Vec::with_capacity(node.children.len());
+        let mut child_ids = Vec::with_capacity(node.children.len());
+        for c in &node.children {
+            let (cursor, id) = self.build_mid(c)?;
+            inputs.push(cursor);
+            child_ids.push(id);
+        }
+        let (idx, slot) = self.new_slot(node.algo.clone(), child_ids);
+        let mut inputs = inputs.into_iter();
+        let mut input = || {
+            inputs
+                .next()
+                .ok_or_else(|| TangoError::Exec(format!("{} lacks an input", node.algo.label())))
+        };
+        let exec = self.exec;
+        let cursor: BoxCursor = match &node.algo {
+            Algo::FilterM(pred) => Box::new(Filter::new(input()?, pred.clone())),
+            Algo::ProjectM(items) => Box::new(Project::new(input()?, items.clone())?),
+            Algo::SortM(spec) => Box::new(Sort::with_opts(input()?, spec.clone(), exec)),
+            Algo::SortXM(spec, run_rows) => {
+                Box::new(ExternalSort::with_opts(input()?, spec.clone(), *run_rows, exec))
             }
+            Algo::MergeJoinM(eq) => Box::new(MergeJoin::with_opts(input()?, input()?, eq, exec)?),
+            Algo::TMergeJoinM(eq) => {
+                Box::new(TemporalMergeJoin::with_opts(input()?, input()?, eq, exec)?)
+            }
+            Algo::TAggrM { group_by, aggs } => Box::new(TemporalAggregate::with_opts(
+                input()?,
+                group_by.clone(),
+                aggs.clone(),
+                exec,
+            )?),
+            Algo::DupElimM => Box::new(DupElim::new(input()?)),
+            Algo::CoalesceM => Box::new(Coalesce::with_opts(input()?, exec)?),
+            Algo::TDiffM => Box::new(TemporalDiff::with_opts(input()?, input()?, exec)?),
+            _ => return Err(not_mid()),
         };
-        // untraced fast path: no span, no wrapper, no measurement
-        let span = self.trace.then(|| self.new_slot(node.algo.clone(), child_ids));
-        let inner = match built {
-            Built::Ready(c) => c,
-            Built::NeedsSpan(build) => build(span.as_ref().map(|(_, slot)| slot.clone())),
-        };
-        Ok(match span {
-            Some((idx, slot)) => (self.instrument(inner, slot), idx),
-            None => (inner, 0),
-        })
+        Ok((self.instrument(cursor, slot), idx))
+    }
+
+    /// `TRANSFER^M`: lower the DBMS fragment below it, settle the cache
+    /// decision (before any SQL is issued), and build the cursor that
+    /// serves the resident copy or streams the fragment's SELECT.
+    fn build_transfer_m(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
+        // replace T^D descendants with temp scans, building their loader
+        // cursors as prerequisites
+        let (clean, prereqs, prereq_ids) = self.lower_dbms(&node.children[0])?;
+        let sql = to_sql::render_select(&clean)?;
+        let decision = self.consult_cache(&clean, &sql);
+        let (idx, slot) = self.new_slot(Algo::TransferM, prereq_ids);
+        let schema = node.schema.clone();
+        let mut populate = None;
+        match decision {
+            CacheDecision::Hit(rel) => {
+                // serve the resident copy: no SQL, no wire
+                slot.add_annotation("cache", "hit");
+                let scan = Box::new(CachedScan::new(schema, rel.rows, rel.bytes));
+                return Ok((self.instrument(scan, slot), idx));
+            }
+            CacheDecision::Refresh { rows, bytes, delta_bytes } => {
+                // serve the delta-merged copy: no fragment SQL
+                slot.add_annotation("cache", "refresh");
+                slot.add_event("refresh", format!("merged {delta_bytes} delta bytes in place"));
+                let scan = Box::new(CachedScan::new(schema, rows, bytes));
+                return Ok((self.instrument(scan, slot), idx));
+            }
+            CacheDecision::Off => {}
+            CacheDecision::Bypass => slot.add_annotation("cache", "bypass"),
+            CacheDecision::Drop => {
+                // the maintenance decision evicted the stale entry and
+                // declined to refill it
+                slot.add_annotation("cache", "drop");
+                slot.add_event(
+                    "invalidate",
+                    "stale entry dropped: refill would outcost its future hits".to_string(),
+                );
+            }
+            CacheDecision::Miss { cache, key, deps, invalidated, label, bail } => {
+                slot.add_annotation("cache", label);
+                if let Some(reason) = &bail {
+                    slot.add_event("refresh", format!("refresh bailed: {reason}"));
+                }
+                for stale in &invalidated {
+                    slot.add_event("invalidate", format!("stale entry dropped: {stale}"));
+                }
+                populate = Some(CachePopulate {
+                    cache,
+                    key,
+                    deps,
+                    rows: Vec::new(),
+                    wire_start: Duration::ZERO,
+                    server_us: 0.0,
+                });
+            }
+        }
+        let cursor = Box::new(TransferMCursor {
+            conn: self.conn.clone(),
+            sql,
+            schema,
+            // keep the cleaned fragment: if the DBMS side exhausts its
+            // retries, the fragment is re-planned with middleware
+            // operators (see `degrade`)
+            fragment: clean,
+            exec: self.exec,
+            prereqs,
+            cur: None,
+            buf: VecDeque::new(),
+            fallback: None,
+            server_sink: slot.clone(),
+            populate,
+            populated_bytes: None,
+            round_trips: 0,
+            rows_emitted: 0,
+            wire_retries: 0,
+            wire_faults: 0,
+            replans: 0,
+        });
+        Ok((self.instrument(cursor, slot), idx))
     }
 
     fn instrument(&self, inner: BoxCursor, slot: Arc<SpanSlot>) -> BoxCursor {
@@ -998,22 +906,18 @@ impl<'a> Ctx<'a> {
                 schema: node.schema.clone(),
                 children: vec![],
             };
-            let mut loader = TransferDCursor {
+            let (idx, slot) = self.new_slot(Algo::TransferD, vec![input_id]);
+            let loader = TransferDCursor {
                 conn: self.conn.clone(),
                 table,
                 schema: node.schema.clone(),
                 input: Some(input),
                 batch_rows: self.exec.batch_rows,
                 rows_loaded: 0,
-                sink: None,
+                sink: slot.clone(),
                 wire_retries: 0,
                 wire_faults: 0,
             };
-            if !self.trace {
-                return Ok((scan, vec![Box::new(loader)], vec![]));
-            }
-            let (idx, slot) = self.new_slot(Algo::TransferD, vec![input_id]);
-            loader.sink = Some(slot.clone());
             return Ok((scan, vec![self.instrument(Box::new(loader), slot)], vec![idx]));
         }
         if node.algo.site() == Site::Middleware {
@@ -1248,7 +1152,7 @@ struct TransferMCursor {
     fallback: Option<BoxCursor>,
     /// Sink for the producing statement's server-side execution time
     /// and for fault/retry/replan events.
-    server_sink: Option<Arc<SpanSlot>>,
+    server_sink: Arc<SpanSlot>,
     /// Pending cache population (a cache miss): rows are accumulated at
     /// wire-fetch time and inserted only if the stream drains cleanly.
     /// Dropped on degrade — a re-planned or partial result must never
@@ -1287,13 +1191,12 @@ impl TransferMCursor {
         let retries = self.conn.wire_retries() - before.1;
         self.wire_faults += faults;
         self.wire_retries += retries;
-        if let Some(s) = &self.server_sink {
-            if faults > 0 {
-                s.add_event("fault", format!("{faults} wire fault(s) injected"));
-            }
-            if retries > 0 {
-                s.add_event("retry", format!("{retries} transfer retr(y/ies) with backoff"));
-            }
+        if faults > 0 {
+            self.server_sink.add_event("fault", format!("{faults} wire fault(s) injected"));
+        }
+        if retries > 0 {
+            self.server_sink
+                .add_event("retry", format!("{retries} transfer retr(y/ies) with backoff"));
         }
     }
 
@@ -1313,15 +1216,13 @@ impl TransferMCursor {
         // over a consistent base-table snapshot: never populate from it
         self.populate = None;
         self.replans += 1;
-        if let Some(s) = &self.server_sink {
-            s.add_event(
-                "replan",
-                format!(
-                    "DBMS fragment failed at {when} ({e}); \
-                     re-planned with middleware operators over base fetches"
-                ),
-            );
-        }
+        self.server_sink.add_event(
+            "replan",
+            format!(
+                "DBMS fragment failed at {when} ({e}); \
+                 re-planned with middleware operators over base fetches"
+            ),
+        );
         let mut fb = middleware_fallback(&self.conn, &self.fragment, self.exec)?;
         fb.open()?;
         self.cur = None;
@@ -1348,24 +1249,23 @@ impl TransferMCursor {
         if admission.admitted {
             self.populated_bytes = Some(bytes);
         }
-        if let Some(s) = &self.server_sink {
-            match admission.outcome {
-                cache::AdmitOutcome::Admitted | cache::AdmitOutcome::Oversized => {}
-                // a racing session populated the same entry first; this
-                // drain admits nothing (exactly-one-populate)
-                cache::AdmitOutcome::Duplicate => {
-                    s.add_event("populate-duplicate", "already populated by a concurrent session");
-                }
-                cache::AdmitOutcome::Rejected => {
-                    s.add_event(
-                        "admission-reject",
-                        format!("{bytes}-byte entry lost the admission contest"),
-                    );
-                }
+        let s = &self.server_sink;
+        match admission.outcome {
+            cache::AdmitOutcome::Admitted | cache::AdmitOutcome::Oversized => {}
+            // a racing session populated the same entry first; this
+            // drain admits nothing (exactly-one-populate)
+            cache::AdmitOutcome::Duplicate => {
+                s.add_event("populate-duplicate", "already populated by a concurrent session");
             }
-            for (sql, b) in &admission.evicted {
-                s.add_event("evict", format!("evicted {b}-byte entry: {sql}"));
+            cache::AdmitOutcome::Rejected => {
+                s.add_event(
+                    "admission-reject",
+                    format!("{bytes}-byte entry lost the admission contest"),
+                );
             }
+        }
+        for (sql, b) in &admission.evicted {
+            s.add_event("evict", format!("evicted {b}-byte entry: {sql}"));
         }
     }
 }
@@ -1393,9 +1293,7 @@ impl Cursor for TransferMCursor {
                         cur.schema().len()
                     )));
                 }
-                if let Some(sink) = &self.server_sink {
-                    sink.add_server_time(cur.server_time());
-                }
+                self.server_sink.add_server_time(cur.server_time());
                 if let Some(p) = &mut self.populate {
                     p.server_us = cur.server_time().as_secs_f64() * 1e6;
                 }
@@ -1517,7 +1415,7 @@ struct TransferDCursor {
     batch_rows: usize,
     rows_loaded: u64,
     /// Sink for fault/retry events raised during the bulk load.
-    sink: Option<Arc<SpanSlot>>,
+    sink: Arc<SpanSlot>,
     wire_retries: u64,
     wire_faults: u64,
 }
@@ -1540,17 +1438,15 @@ impl Cursor for TransferDCursor {
         // `T^M` activity never shows up on this span.
         let before = (self.conn.wire_faults(), self.conn.wire_retries());
         let loaded = self.conn.load_direct(&self.table, self.schema.as_ref().clone(), rows);
-        self.wire_faults += self.conn.wire_faults() - before.0;
-        self.wire_retries += self.conn.wire_retries() - before.1;
-        if let Some(s) = &self.sink {
-            let faults = self.conn.wire_faults() - before.0;
-            let retries = self.conn.wire_retries() - before.1;
-            if faults > 0 {
-                s.add_event("fault", format!("{faults} wire fault(s) injected during load"));
-            }
-            if retries > 0 {
-                s.add_event("retry", format!("{retries} bulk-load retr(y/ies) with backoff"));
-            }
+        let faults = self.conn.wire_faults() - before.0;
+        let retries = self.conn.wire_retries() - before.1;
+        self.wire_faults += faults;
+        self.wire_retries += retries;
+        if faults > 0 {
+            self.sink.add_event("fault", format!("{faults} wire fault(s) injected during load"));
+        }
+        if retries > 0 {
+            self.sink.add_event("retry", format!("{retries} bulk-load retr(y/ies) with backoff"));
         }
         loaded.map_err(|e| wire_exec_err(&e))?;
         Ok(())
@@ -1698,9 +1594,13 @@ mod tests {
             un(Algo::TransferM, ghost),
         );
         let replan = || Replan {
-            catalog: Arc::new(crate::collector::collect(&conn, true).unwrap()),
-            opt: OptOptions::default(),
-            residency: Arc::default(),
+            sem: TangoSem::new(
+                Arc::new(crate::collector::collect(&conn, true).unwrap()),
+                CostFactors::default(),
+                crate::opt::OptOptions::default(),
+                Arc::default(),
+                HashMap::new(),
+            ),
             ratio: 8.0,
             histogram_buckets: 0,
         };

@@ -124,9 +124,10 @@ fn render(
     redact: bool,
 ) -> String {
     let steps = report.map(|_| step_indices(plan));
-    let mut out = String::new();
-    let mut pre = 0usize;
-    render_node(plan, 0, &mut pre, estimates, report, steps.as_deref(), redact, &mut out);
+    let mut pass =
+        Renderer { estimates, report, steps: steps.as_deref(), redact, pre: 0, out: String::new() };
+    pass.node(plan, 0);
+    let mut out = pass.out;
     if let Some(r) = report {
         let (wall, wire, total) = if redact {
             ("?".to_string(), "?".to_string(), "?".to_string())
@@ -145,86 +146,91 @@ fn render(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_node(
-    n: &PhysNode,
-    depth: usize,
-    pre: &mut usize,
-    estimates: &[NodeEstimate],
-    report: Option<&ExecReport>,
-    steps: Option<&[Option<usize>]>,
+/// One rendering pass: what every line is annotated from, the pre-order
+/// position reached and the text so far.
+struct Renderer<'a> {
+    estimates: &'a [NodeEstimate],
+    report: Option<&'a ExecReport>,
+    steps: Option<&'a [Option<usize>]>,
     redact: bool,
-    out: &mut String,
-) {
-    let my_pre = *pre;
-    *pre += 1;
-    out.push_str(&"  ".repeat(depth));
-    out.push_str(&n.algo.label());
-    out.push_str(&params_of(&n.algo));
+    pre: usize,
+    out: String,
+}
 
-    let site = match n.algo.site() {
-        Site::Middleware => "middleware",
-        Site::Dbms => "dbms",
-    };
-    let mut annots: Vec<String> = vec![site.to_string()];
-    if let Some(e) = estimates.get(my_pre) {
-        annots.push(format!("est rows {}", fmt_rows(e.est_rows)));
-    }
-    if let (Some(r), Some(map)) = (report, steps) {
-        match map.get(my_pre).copied().flatten() {
-            Some(si) if si < r.steps.len() => {
-                let s = &r.steps[si];
-                annots.push(format!("actual rows {}", s.out_rows));
-                let excl = if redact { "?".into() } else { fmt_us(s.exclusive_us) };
-                annots.push(format!("exclusive {excl}"));
-                if s.server_us > 0.0 || matches!(s.algo, Algo::TransferM) {
-                    let sv = if redact { "?".into() } else { fmt_us(s.server_us) };
-                    annots.push(format!("server {sv}"));
-                }
-                for (k, v) in &s.annotations {
-                    annots.push(format!("{k} {v}"));
-                }
-                for (k, v) in &s.counters {
-                    // the estimated replan gain is a duration, so it is
-                    // redacted along with the measured timings
-                    if redact && *k == "replan_gain_est" {
-                        annots.push(format!("{k} ?"));
-                    } else {
+impl Renderer<'_> {
+    fn node(&mut self, n: &PhysNode, depth: usize) {
+        let (estimates, report, steps, redact) =
+            (self.estimates, self.report, self.steps, self.redact);
+        let my_pre = self.pre;
+        self.pre += 1;
+        let out = &mut self.out;
+        out.push_str(&"  ".repeat(depth));
+        out.push_str(&n.algo.label());
+        out.push_str(&params_of(&n.algo));
+
+        let site = match n.algo.site() {
+            Site::Middleware => "middleware",
+            Site::Dbms => "dbms",
+        };
+        let mut annots: Vec<String> = vec![site.to_string()];
+        if let Some(e) = estimates.get(my_pre) {
+            annots.push(format!("est rows {}", fmt_rows(e.est_rows)));
+        }
+        if let (Some(r), Some(map)) = (report, steps) {
+            match map.get(my_pre).copied().flatten() {
+                Some(si) if si < r.steps.len() => {
+                    let s = &r.steps[si];
+                    annots.push(format!("actual rows {}", s.out_rows));
+                    let excl = if redact { "?".into() } else { fmt_us(s.exclusive_us) };
+                    annots.push(format!("exclusive {excl}"));
+                    if s.server_us > 0.0 || matches!(s.algo, Algo::TransferM) {
+                        let sv = if redact { "?".into() } else { fmt_us(s.server_us) };
+                        annots.push(format!("server {sv}"));
+                    }
+                    for (k, v) in &s.annotations {
                         annots.push(format!("{k} {v}"));
                     }
-                }
-                if !s.events.is_empty() {
-                    // aggregate by kind, first-appearance order, so the
-                    // annotation stays short under heavy fault schedules
-                    let mut kinds: Vec<(&str, u64)> = Vec::new();
-                    for e in &s.events {
-                        match kinds.iter_mut().find(|(k, _)| *k == e.kind) {
-                            Some((_, n)) => *n += 1,
-                            None => kinds.push((&e.kind, 1)),
+                    for (k, v) in &s.counters {
+                        // the estimated replan gain is a duration, so it is
+                        // redacted along with the measured timings
+                        if redact && *k == "replan_gain_est" {
+                            annots.push(format!("{k} ?"));
+                        } else {
+                            annots.push(format!("{k} {v}"));
                         }
                     }
-                    let shown: Vec<String> = kinds
-                        .iter()
-                        .map(
-                            |(k, n)| {
-                                if *n > 1 {
-                                    format!("{k}\u{00d7}{n}")
-                                } else {
-                                    (*k).to_string()
-                                }
-                            },
-                        )
-                        .collect();
-                    annots.push(format!("events: {}", shown.join(" ")));
+                    if !s.events.is_empty() {
+                        // aggregate by kind, first-appearance order, so the
+                        // annotation stays short under heavy fault schedules
+                        let mut kinds: Vec<(&str, u64)> = Vec::new();
+                        for e in &s.events {
+                            match kinds.iter_mut().find(|(k, _)| *k == e.kind) {
+                                Some((_, n)) => *n += 1,
+                                None => kinds.push((&e.kind, 1)),
+                            }
+                        }
+                        let shown: Vec<String> =
+                            kinds
+                                .iter()
+                                .map(|(k, n)| {
+                                    if *n > 1 {
+                                        format!("{k}\u{00d7}{n}")
+                                    } else {
+                                        (*k).to_string()
+                                    }
+                                })
+                                .collect();
+                        annots.push(format!("events: {}", shown.join(" ")));
+                    }
                 }
+                _ => annots.push("in SQL".to_string()),
             }
-            _ => annots.push("in SQL".to_string()),
         }
-    }
-    out.push_str(&format!("  ({})", annots.join(", ")));
-    out.push('\n');
-    for c in &n.children {
-        render_node(c, depth + 1, pre, estimates, report, steps, redact, out);
+        out.push_str(&format!("  ({})", annots.join(", ")));
+        out.push('\n');
+        for c in &n.children {
+            self.node(c, depth + 1);
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 use crate::cache::{self, Residency};
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
+use crate::explain::NodeEstimate;
 use crate::phys::{Algo, PhysNode, Req, Site, TOp};
 use crate::rules;
 use std::collections::HashMap;
@@ -84,14 +85,22 @@ impl Default for OptOptions {
     }
 }
 
-/// The Volcano semantics for TANGO.
+/// The Volcano semantics for TANGO — and the one pricing context: what
+/// one statement is planned, priced and re-planned against. The search
+/// ([`optimize`]) and [`TangoSem::price`] derive properties and costs
+/// through the same two functions, so a plan's per-node estimates sum to
+/// the cost the search found for it — up to the memo pricing a class by
+/// its first expression where the fold prices what runs (see "One
+/// estimator" in `docs/ARCHITECTURE.md`).
+#[derive(Clone)]
 pub struct TangoSem {
-    /// Base-relation statistics snapshot, shared with whoever took it.
-    pub catalog: Arc<Catalog>,
+    /// Base-relation statistics snapshot, shared with whoever took it;
+    /// mid-query materializations are registered next to the base tables.
+    pub(crate) catalog: Arc<Catalog>,
     /// Cost factors used by the implementations' formulas.
-    pub factors: CostFactors,
-    /// Middleware sort-memory budget (see [`OptOptions::mid_sort_budget`]).
-    pub mid_sort_budget: Option<u64>,
+    factors: CostFactors,
+    /// Optimizer knobs: rule groups, sort-memory budget, estimation mode.
+    options: OptOptions,
     /// Snapshot of the middleware relation cache taken when optimization
     /// started: which fragment signatures are resident, in which orders.
     /// A `TRANSFER^M` over a resident fragment is priced at
@@ -99,25 +108,165 @@ pub struct TangoSem {
     /// [`CostFactors::p_tm`] — cheap enough to flip join-side placement
     /// (the Figure 10 "one argument already resides" scenario), while
     /// staying strictly positive so transfers are never free.
-    pub residency: Arc<Residency>,
+    residency: Arc<Residency>,
     /// Mid-query materialized intermediates available to this run, by
-    /// name (normally `#MATn`), with the order each was materialized in.
-    /// A `Get` over one of these becomes `MATSCAN^M` at the middleware
-    /// (delivering the stored order for free) and is *excluded* from
-    /// `SCAN^D` — the DBMS has no such table. Empty outside mid-query
-    /// re-optimization.
-    pub materialized: HashMap<String, SortSpec>,
-    /// Estimation mode (see [`OptOptions::naive_overlaps`]).
-    pub naive_overlaps: bool,
+    /// upper-cased name (normally `#MATn`), with the order each was
+    /// materialized in. A `Get` over one of these becomes `MATSCAN^M` at
+    /// the middleware (delivering the stored order for free) and is
+    /// *excluded* from `SCAN^D` — the DBMS has no such table. Empty
+    /// outside mid-query re-optimization.
+    pub(crate) materialized: HashMap<String, SortSpec>,
 }
 
 impl TangoSem {
+    /// The pricing context of one statement. Both snapshots are shared,
+    /// never copied; residency only changes `TRANSFER^M` pricing — plan
+    /// correctness never depends on the snapshot being current (a stale
+    /// hit simply re-fetches at runtime). `catalog` must hold the schema
+    /// and *observed* statistics of every name in `materialized`.
+    pub fn new(
+        catalog: Arc<Catalog>,
+        factors: CostFactors,
+        options: OptOptions,
+        residency: Arc<Residency>,
+        materialized: HashMap<String, SortSpec>,
+    ) -> TangoSem {
+        let materialized = materialized.into_iter().map(|(k, v)| (k.to_uppercase(), v)).collect();
+        TangoSem { catalog, factors, options, residency, materialized }
+    }
+
     fn table(&self, name: &str) -> Option<&(Arc<Schema>, RelationStats)> {
         self.catalog.get(&name.to_uppercase())
     }
 
     fn mat_order(&self, name: &str) -> Option<&SortSpec> {
         self.materialized.get(&name.to_uppercase())
+    }
+
+    /// The logical properties of `op` over `children`: the statistics
+    /// derivation every estimate goes through. The memo derives `schema`
+    /// and `signature` from the class ([`Semantics::derive_props`]); a
+    /// physical plan already carries both.
+    fn props(
+        &self,
+        op: TOp,
+        children: &[&GroupProps],
+        schema: Arc<Schema>,
+        signature: String,
+    ) -> GroupProps {
+        let stats = match op {
+            TOp::Get { table } => {
+                self.table(&table).map(|(_, s)| s.clone()).unwrap_or_else(|| RelationStats {
+                    rows: 1000.0,
+                    avg_tuple_bytes: schema.est_tuple_bytes() as f64,
+                    ..Default::default()
+                })
+            }
+            _ => {
+                let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
+                let child_schemas: Vec<&Schema> =
+                    children.iter().map(|p| p.schema.as_ref()).collect();
+                tango_stats::derive_stats_with(
+                    &op.logical(vec![]),
+                    &child_stats,
+                    &child_schemas,
+                    &schema,
+                    self.options.naive_overlaps,
+                )
+            }
+        };
+        GroupProps { schema, stats, signature }
+    }
+
+    /// What the algorithm costs producing `props` from `inputs`, in µs —
+    /// the only place a cost formula is applied. A leaf or an enforcer
+    /// reads the class it delivers; a `TRANSFER^M` (the one algorithm
+    /// priced by more than its formula) additionally knows the `order` it
+    /// must deliver in.
+    fn cost(
+        &self,
+        algo: &Algo,
+        inputs: &[&GroupProps],
+        props: &GroupProps,
+        order: &SortSpec,
+    ) -> f64 {
+        let full = match inputs {
+            [] => self.factors.cost(algo, &[&props.stats], &props.stats),
+            _ => {
+                let inputs: Vec<&RelationStats> = inputs.iter().map(|p| &p.stats).collect();
+                self.factors.cost(algo, &inputs, &props.stats)
+            }
+        };
+        match algo {
+            // When the fragment is already resident in the middleware
+            // cache (in a satisfying order), the transfer ships no bytes —
+            // price it as a memory scan of the cached copy instead of a
+            // wire transfer; a stale-but-delta-covered copy additionally
+            // pays its refresh (delta wire + merge CPU, see
+            // `cache::refresh_cost_us`). The estimate is conservative: the
+            // fragment below is still costed as if it ran, so residency
+            // can only *shrink* a plan's cost.
+            Algo::TransferM => self
+                .residency
+                .transfer_cost(&props.signature, order, &self.factors)
+                .map_or(full, |c| c.min(full)),
+            _ => full,
+        }
+    }
+
+    /// Price a physical plan as the search prices it: one bottom-up fold
+    /// deriving each node's statistics with the derivation behind
+    /// [`Semantics::derive_props`] and its cost with the closure
+    /// `implementations` / `enforcers` use. Returns the per-node
+    /// predictions in pre-order (the numbering `EXPLAIN` renders
+    /// against); their costs sum to the plan's.
+    pub fn price(&self, plan: &PhysNode) -> Result<Vec<NodeEstimate>> {
+        let mut out = Vec::with_capacity(plan.node_count());
+        self.price_node(plan, &mut out)?;
+        Ok(out)
+    }
+
+    fn price_node(&self, n: &PhysNode, out: &mut Vec<NodeEstimate>) -> Result<GroupProps> {
+        let at = out.len();
+        out.push(NodeEstimate::default());
+        let mut kids: Vec<GroupProps> =
+            n.children.iter().map(|c| self.price_node(c, out)).collect::<Result<_>>()?;
+        let (props, cost) = match n.algo.op() {
+            Some(op) => {
+                let inputs: Vec<&GroupProps> = match &op {
+                    // a MATSCAN^M's child is the consumed subtree, kept (and
+                    // priced) for rendering only: the scan reads the
+                    // *observed* statistics registered under its name
+                    TOp::Get { table } if self.table(table).is_none() => {
+                        return Err(TangoError::Optimizer(format!("no statistics for {table}")))
+                    }
+                    TOp::Get { .. } => vec![],
+                    _ => kids.iter().collect(),
+                };
+                // only a TRANSFER^M reads a signature, and it reads its own
+                let props = self.props(op, &inputs, n.schema.clone(), String::new());
+                let cost = self.cost(&n.algo, &inputs, &props, &SortSpec::none());
+                (props, cost)
+            }
+            // sorts and transfers deliver the class they are applied to
+            None => {
+                let mut props = kids.pop().ok_or_else(|| {
+                    TangoError::Optimizer(format!("{} without input", n.algo.label()))
+                })?;
+                // what the engine will look the fragment up under: its own
+                // signature and the order its SORT^D delivers
+                let mut order = SortSpec::none();
+                if matches!(n.algo, Algo::TransferM) && !self.residency.is_empty() {
+                    let key = cache::fragment_key(&n.children[0], "", &|_| false);
+                    (props.signature, order) =
+                        key.map(|k| (k.signature, k.order)).unwrap_or_default();
+                }
+                let cost = self.cost(&n.algo, &[], &props, &order);
+                (props, cost)
+            }
+        };
+        out[at] = NodeEstimate { est_rows: props.stats.rows, est_cost_us: cost };
+        Ok(props)
     }
 
     /// Order produced by `TAGGR^M`: grouping attributes then `T1`.
@@ -132,7 +281,7 @@ impl TangoSem {
     /// estimated input exceeds the configured sort-memory budget. The
     /// run size is however many rows fit in the budget.
     fn mid_sort(&self, props: &GroupProps, order: SortSpec) -> Algo {
-        match self.mid_sort_budget {
+        match self.options.mid_sort_budget {
             Some(b) if props.stats.size_bytes() > b as f64 => {
                 let width = props.stats.avg_tuple_bytes.max(1.0);
                 let run_rows = ((b as f64 / width) as usize).max(2);
@@ -168,28 +317,8 @@ impl Semantics for TangoSem {
         let schema = op
             .output_schema(&child_schemas, &|t| self.table(t).map(|(s, _)| s.as_ref().clone()))
             .unwrap_or_else(|_| Schema::new(vec![]));
-        let stats = match op {
-            TOp::Get { table } => {
-                self.table(table).map(|(_, s)| s.clone()).unwrap_or_else(|| RelationStats {
-                    rows: 1000.0,
-                    avg_tuple_bytes: schema.est_tuple_bytes() as f64,
-                    ..Default::default()
-                })
-            }
-            _ => {
-                let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
-                tango_stats::derive_stats_with(
-                    &op.as_logical(),
-                    &child_stats,
-                    &child_schemas,
-                    &schema,
-                    self.naive_overlaps,
-                )
-            }
-        };
         let child_sigs: Vec<String> = children.iter().map(|p| p.signature.clone()).collect();
-        let signature = cache::top_signature(op, &child_sigs);
-        GroupProps { schema: Arc::new(schema), stats, signature }
+        self.props(op.clone(), children, Arc::new(schema), cache::top_signature(op, &child_sigs))
     }
 
     fn implementations(
@@ -200,89 +329,29 @@ impl Semantics for TangoSem {
         required: &Req,
     ) -> Vec<Implementation<Self>> {
         let mut out = Vec::new();
-        let cost = |algo: &Algo| {
-            let inputs: Vec<&RelationStats> = child_props.iter().map(|p| &p.stats).collect();
-            self.factors.cost(algo, &inputs, &props.stats)
-        };
+        let cost = |algo: &Algo| self.cost(algo, child_props, props, &required.order);
         match required.site {
             // ---------------- DBMS-side generic algorithms ------------
             // None of them guarantees an output order; `SORT^D` is the
             // only way to deliver order at the DBMS (as enforcer).
             Site::Dbms => {
-                if !required.order.is_none() {
-                    return out;
-                }
-                let dbms = Req::any(Site::Dbms);
-                match op {
+                // mid-query materializations live only in the middleware —
+                // the DBMS has no table to scan
+                let scannable = match op {
                     TOp::Get { table } => {
-                        // mid-query materializations live only in the
-                        // middleware — the DBMS has no table to scan
-                        if self.table(table).is_some() && self.mat_order(table).is_none() {
-                            let algo = Algo::ScanD(table.clone());
-                            // scan cost is over its own output
-                            let c = self.factors.cost(&algo, &[&props.stats], &props.stats);
-                            out.push(Implementation { algo, child_required: vec![], cost: c });
-                        }
+                        self.table(table).is_some() && self.mat_order(table).is_none()
                     }
-                    TOp::Select { pred } => {
-                        let algo = Algo::FilterD(pred.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms],
-                        });
-                    }
-                    TOp::Project { items } => {
-                        let algo = Algo::ProjectD(items.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms],
-                        });
-                    }
-                    TOp::Join { eq } => {
-                        let algo = Algo::JoinD(eq.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms.clone(), dbms],
-                        });
-                    }
-                    TOp::TJoin { eq } => {
-                        let algo = Algo::TJoinD(eq.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms.clone(), dbms],
-                        });
-                    }
-                    TOp::Product => {
-                        let algo = Algo::ProductD;
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms.clone(), dbms],
-                        });
-                    }
-                    TOp::TAggr { group_by, aggs } => {
-                        let algo = Algo::TAggrD { group_by: group_by.clone(), aggs: aggs.clone() };
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms],
-                        });
-                    }
-                    TOp::DupElim => {
-                        let algo = Algo::DupElimD;
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![dbms],
-                        });
-                    }
-                    // no SQL implementation for coalescing / temporal
-                    // difference in the generic dialect: middleware only
-                    TOp::Coalesce | TOp::Diff => {}
+                    _ => true,
+                };
+                // no SQL implementation for coalescing / temporal
+                // difference in the generic dialect: middleware only
+                if let Some(algo) = op.dbms_algo().filter(|_| required.order.is_none() && scannable)
+                {
+                    out.push(Implementation {
+                        cost: cost(&algo),
+                        algo,
+                        child_required: vec![Req::any(Site::Dbms); child_props.len()],
+                    });
                 }
             }
             // ---------------- middleware (XXL) algorithms -------------
@@ -295,8 +364,11 @@ impl Semantics for TangoSem {
                     if let Some(stored) = self.mat_order(table) {
                         if stored.satisfies(&required.order) {
                             let algo = Algo::MatScanM(table.clone());
-                            let c = self.factors.cost(&algo, &[], &props.stats);
-                            out.push(Implementation { algo, child_required: vec![], cost: c });
+                            out.push(Implementation {
+                                cost: cost(&algo),
+                                algo,
+                                child_required: vec![],
+                            });
                         }
                     }
                 }
@@ -420,54 +492,31 @@ impl Semantics for TangoSem {
 
     fn enforcers(&self, props: &GroupProps, required: &Req) -> Vec<Enforcer<Self>> {
         let mut out = Vec::new();
-        let stats = [&props.stats];
+        let cost = |algo: &Algo| self.cost(algo, &[], props, &required.order);
         // sorting enforces order at either site
         if !required.order.is_none() {
             let algo = match required.site {
                 Site::Middleware => self.mid_sort(props, required.order.clone()),
                 Site::Dbms => Algo::SortD(required.order.clone()),
             };
-            out.push(Enforcer {
-                cost: self.factors.cost(&algo, &stats, &props.stats),
-                algo,
-                inner_required: Req::any(required.site),
-            });
+            out.push(Enforcer { cost: cost(&algo), algo, inner_required: Req::any(required.site) });
         }
         match required.site {
-            Site::Middleware => {
-                // T^M preserves order (rule T6, type →_L): ask the DBMS
-                // side for the same order (SORT^D below, as in Query 1's
-                // Plan 1). When the fragment is already resident in the
-                // middleware cache (in a satisfying order), the transfer
-                // ships no bytes — price it as a memory scan of the
-                // cached copy instead of a wire transfer; a stale-but-
-                // delta-covered copy additionally pays its refresh (delta
-                // wire + merge CPU, see `cache::refresh_cost_us`). The
-                // estimate is conservative: the fragment below is still
-                // costed as if it ran, so residency can only *shrink* a
-                // plan's cost.
-                let full = self.factors.cost(&Algo::TransferM, &stats, &props.stats);
-                let cost = self
-                    .residency
-                    .transfer_cost(&props.signature, &required.order, &self.factors)
-                    .map_or(full, |c| c.min(full));
-                out.push(Enforcer {
-                    cost,
-                    algo: Algo::TransferM,
-                    inner_required: Req::dbms(required.order.clone()),
-                });
-            }
-            Site::Dbms => {
-                // T^D loads into an (unordered) table: only useful when no
-                // order is required.
-                if required.order.is_none() {
-                    out.push(Enforcer {
-                        cost: self.factors.cost(&Algo::TransferD, &stats, &props.stats),
-                        algo: Algo::TransferD,
-                        inner_required: Req::any(Site::Middleware),
-                    });
-                }
-            }
+            // T^M preserves order (rule T6, type →_L): ask the DBMS side
+            // for the same order (SORT^D below, as in Query 1's Plan 1).
+            Site::Middleware => out.push(Enforcer {
+                cost: cost(&Algo::TransferM),
+                algo: Algo::TransferM,
+                inner_required: Req::dbms(required.order.clone()),
+            }),
+            // T^D loads into an (unordered) table: only useful when no
+            // order is required.
+            Site::Dbms if required.order.is_none() => out.push(Enforcer {
+                cost: cost(&Algo::TransferD),
+                algo: Algo::TransferD,
+                inner_required: Req::any(Site::Middleware),
+            }),
+            Site::Dbms => {}
         }
         out
     }
@@ -476,7 +525,7 @@ impl Semantics for TangoSem {
 /// Convert a parser-produced [`Logical`] tree into the memo form,
 /// stripping the top `T^M` and top-level sorts into required properties
 /// (site = middleware, the recorded ordering).
-pub fn to_initial(logical: &Logical) -> Result<(NewExpr<TOp>, SortSpec)> {
+fn to_initial(logical: &Logical) -> Result<(NewExpr<TOp>, SortSpec)> {
     let mut node = logical;
     let mut order = SortSpec::none();
     loop {
@@ -533,66 +582,18 @@ pub struct Optimized {
     pub rule_fires: Vec<(&'static str, usize)>,
 }
 
-/// Optimize a logical plan against a catalog snapshot, with nothing
-/// resident in the middleware ([`optimize_resident`] with an empty
-/// [`Residency`]).
-pub fn optimize_logical(
+/// Optimize a logical plan under `sem`. `pinned_order` is the mid-query
+/// re-optimization case: `logical` is the unexecuted *remainder* of a
+/// running plan (some inputs already [materialized](TangoSem::new) in the
+/// middleware) and must deliver the order the original plan guaranteed,
+/// so the spliced plan returns byte-identical results. `None` takes the
+/// order from the statement's own top-level sort.
+pub fn optimize(
     logical: &Logical,
-    catalog: Arc<Catalog>,
-    factors: CostFactors,
-    options: OptOptions,
-) -> Result<Optimized> {
-    optimize_resident(logical, catalog, factors, options, Arc::default())
-}
-
-/// Optimize a logical plan against a catalog snapshot *and* a snapshot
-/// of what the middleware relation cache holds. Residency only changes
-/// `TRANSFER^M` enforcer pricing — plan correctness never depends on the
-/// snapshot being current (a stale hit simply re-fetches at runtime).
-/// Both snapshots are shared, never copied.
-pub fn optimize_resident(
-    logical: &Logical,
-    catalog: Arc<Catalog>,
-    factors: CostFactors,
-    options: OptOptions,
-    residency: Arc<Residency>,
-) -> Result<Optimized> {
-    optimize_with(logical, None, catalog, factors, options, residency, HashMap::new())
-}
-
-/// Mid-query re-optimization entry point: optimize the unexecuted
-/// *remainder* of a running plan, where some inputs are already
-/// materialized in the middleware.
-///
-/// `root_order` pins the delivery order the original plan guaranteed (so
-/// the spliced plan returns byte-identical results); `materialized` names
-/// the available mid-query materializations and the order each holds,
-/// and `catalog` must contain their schemas and *actual* (observed)
-/// statistics alongside the base tables.
-pub fn reoptimize(
-    logical: &Logical,
-    root_order: SortSpec,
-    catalog: Arc<Catalog>,
-    factors: CostFactors,
-    options: OptOptions,
-    residency: Arc<Residency>,
-    materialized: HashMap<String, SortSpec>,
-) -> Result<Optimized> {
-    optimize_with(logical, Some(root_order), catalog, factors, options, residency, materialized)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn optimize_with(
-    logical: &Logical,
+    sem: TangoSem,
     pinned_order: Option<SortSpec>,
-    catalog: Arc<Catalog>,
-    factors: CostFactors,
-    options: OptOptions,
-    residency: Arc<Residency>,
-    materialized: HashMap<String, SortSpec>,
 ) -> Result<Optimized> {
-    let (memo, root, required) =
-        explore(logical, pinned_order, catalog, factors, options, residency, materialized)?;
+    let (memo, root, required) = explore(logical, sem, pinned_order)?;
     let mut search = SearchStats::default();
     let best = volcano::optimize(&memo, root, required, &mut search)
         .ok_or_else(|| TangoError::Optimizer("no feasible plan".into()))?;
@@ -610,32 +611,17 @@ fn optimize_with(
 /// Phase one: the memo of everything the transformation rules generate
 /// from `logical`, its root class and the properties the plan must
 /// deliver there.
-#[allow(clippy::too_many_arguments)]
 fn explore(
     logical: &Logical,
+    sem: TangoSem,
     pinned_order: Option<SortSpec>,
-    catalog: Arc<Catalog>,
-    factors: CostFactors,
-    options: OptOptions,
-    residency: Arc<Residency>,
-    materialized: HashMap<String, SortSpec>,
 ) -> Result<(Memo<TangoSem>, GroupId, Req)> {
     let (tree, order) = to_initial(logical)?;
-    let order = pinned_order.unwrap_or(order);
-    let materialized =
-        materialized.into_iter().map(|(k, v)| (k.to_uppercase(), v)).collect::<HashMap<_, _>>();
-    let sem = TangoSem {
-        catalog,
-        factors,
-        mid_sort_budget: options.mid_sort_budget,
-        residency,
-        materialized,
-        naive_overlaps: options.naive_overlaps,
-    };
+    let rules = rules::rule_set(sem.options);
     let mut memo = Memo::new(sem);
     let root = memo.insert_root(tree);
-    memo.explore(&rules::rule_set(options));
-    Ok((memo, root, Req::mid(order)))
+    memo.explore(&rules);
+    Ok((memo, root, Req::mid(pinned_order.unwrap_or(order))))
 }
 
 /// Attach output schemas to a physical plan by bottom-up derivation.
@@ -702,7 +688,7 @@ mod tests {
         ]
     }
 
-    /// Query 1–4 under default factors: [`optimize_logical`] returns the
+    /// Query 1–4 under default factors: [`optimize`] returns the
     /// plan and the cost a search with the cycle guard and *no* table
     /// finds over the same memo (Query 2: half a million optimize calls).
     /// Query 2's winning tree has alternatives of equal cost; both
@@ -723,18 +709,11 @@ mod tests {
         let (factors, options) = (CostFactors::default(), OptOptions::default());
         for sql in figure_queries() {
             let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
-            let found = optimize_logical(&logical, catalog.clone(), factors, options).unwrap();
+            let sem =
+                || TangoSem::new(catalog.clone(), factors, options, Arc::default(), HashMap::new());
+            let found = optimize(&logical, sem(), None).unwrap();
 
-            let (memo, root, required) = explore(
-                &logical,
-                None,
-                catalog.clone(),
-                factors,
-                options,
-                Arc::default(),
-                HashMap::new(),
-            )
-            .unwrap();
+            let (memo, root, required) = explore(&logical, sem(), None).unwrap();
             let exact = reference::exhaustive(&memo, root, required).expect("feasible");
             assert_eq!(found.cost, exact.cost, "{sql}");
             assert_eq!(

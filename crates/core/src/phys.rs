@@ -100,25 +100,44 @@ pub enum TOp {
 }
 
 impl TOp {
-    /// Reconstruct a [`Logical`] node (with dummy children) for the
-    /// statistics-derivation machinery, which dispatches on the operator
-    /// shape only.
-    pub fn as_logical(&self) -> Logical {
-        let dummy = || Box::new(Logical::Get { table: "_".into() });
+    /// The [`Logical`] node applying this operator to `inputs`, in
+    /// argument order. A missing input becomes a placeholder `Get` — the
+    /// statistics derivation dispatches on the operator's shape alone and
+    /// passes none.
+    pub fn logical(self, inputs: Vec<Logical>) -> Logical {
+        let mut inputs = inputs.into_iter();
+        let mut next = || Box::new(inputs.next().unwrap_or(Logical::Get { table: String::new() }));
         match self {
-            TOp::Get { table } => Logical::Get { table: table.clone() },
-            TOp::Select { pred } => Logical::Select { pred: pred.clone(), input: dummy() },
-            TOp::Project { items } => Logical::Project { items: items.clone(), input: dummy() },
-            TOp::Join { eq } => Logical::Join { eq: eq.clone(), left: dummy(), right: dummy() },
-            TOp::TJoin { eq } => Logical::TJoin { eq: eq.clone(), left: dummy(), right: dummy() },
-            TOp::Product => Logical::Product { left: dummy(), right: dummy() },
-            TOp::TAggr { group_by, aggs } => {
-                Logical::TAggr { group_by: group_by.clone(), aggs: aggs.clone(), input: dummy() }
-            }
-            TOp::DupElim => Logical::DupElim { input: dummy() },
-            TOp::Coalesce => Logical::Coalesce { input: dummy() },
-            TOp::Diff => Logical::Diff { left: dummy(), right: dummy() },
+            TOp::Get { table } => Logical::Get { table },
+            TOp::Select { pred } => Logical::Select { pred, input: next() },
+            TOp::Project { items } => Logical::Project { items, input: next() },
+            TOp::Join { eq } => Logical::Join { eq, left: next(), right: next() },
+            TOp::TJoin { eq } => Logical::TJoin { eq, left: next(), right: next() },
+            TOp::Product => Logical::Product { left: next(), right: next() },
+            TOp::TAggr { group_by, aggs } => Logical::TAggr { group_by, aggs, input: next() },
+            TOp::DupElim => Logical::DupElim { input: next() },
+            TOp::Coalesce => Logical::Coalesce { input: next() },
+            TOp::Diff => Logical::Diff { left: next(), right: next() },
         }
+    }
+
+    /// The generic DBMS algorithm evaluating this operator — the inverse
+    /// of [`Algo::op`] on the DBMS side. Coalescing and temporal
+    /// difference have no SQL implementation in the generic dialect.
+    pub fn dbms_algo(&self) -> Option<Algo> {
+        Some(match self {
+            TOp::Get { table } => Algo::ScanD(table.clone()),
+            TOp::Select { pred } => Algo::FilterD(pred.clone()),
+            TOp::Project { items } => Algo::ProjectD(items.clone()),
+            TOp::Join { eq } => Algo::JoinD(eq.clone()),
+            TOp::TJoin { eq } => Algo::TJoinD(eq.clone()),
+            TOp::Product => Algo::ProductD,
+            TOp::TAggr { group_by, aggs } => {
+                Algo::TAggrD { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            TOp::DupElim => Algo::DupElimD,
+            TOp::Coalesce | TOp::Diff => return None,
+        })
     }
 
     /// Output schema given child schemas; `table_schema` resolves `Get`.
@@ -145,22 +164,6 @@ impl TOp {
             TOp::TJoin { eq } => tjoin_schema(eq, children[0], children[1])?,
             TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, children[0])?,
         })
-    }
-
-    /// Display name of the operator.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TOp::Get { .. } => "GET",
-            TOp::Select { .. } => "SELECT",
-            TOp::Project { .. } => "PROJECT",
-            TOp::Join { .. } => "JOIN",
-            TOp::TJoin { .. } => "TJOIN",
-            TOp::Product => "PRODUCT",
-            TOp::TAggr { .. } => "TAGGR",
-            TOp::DupElim => "DUPELIM",
-            TOp::Coalesce => "COALESCE",
-            TOp::Diff => "DIFF",
-        }
     }
 }
 
@@ -258,6 +261,29 @@ impl Algo {
             | Algo::TAggrD { .. }
             | Algo::DupElimD => Site::Dbms,
         }
+    }
+
+    /// The logical operator this algorithm evaluates — the one table
+    /// tying the physical inventory back to the memo's operators. Sorts
+    /// and transfers are property enforcers and evaluate none; both scans
+    /// are a `Get`.
+    pub fn op(&self) -> Option<TOp> {
+        Some(match self {
+            Algo::SortM(_) | Algo::SortXM(..) | Algo::SortD(_) => return None,
+            Algo::TransferM | Algo::TransferD => return None,
+            Algo::ScanD(table) | Algo::MatScanM(table) => TOp::Get { table: table.clone() },
+            Algo::FilterM(pred) | Algo::FilterD(pred) => TOp::Select { pred: pred.clone() },
+            Algo::ProjectM(items) | Algo::ProjectD(items) => TOp::Project { items: items.clone() },
+            Algo::MergeJoinM(eq) | Algo::JoinD(eq) => TOp::Join { eq: eq.clone() },
+            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => TOp::TJoin { eq: eq.clone() },
+            Algo::ProductD => TOp::Product,
+            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
+                TOp::TAggr { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            Algo::DupElimM | Algo::DupElimD => TOp::DupElim,
+            Algo::CoalesceM => TOp::Coalesce,
+            Algo::TDiffM => TOp::Diff,
+        })
     }
 
     /// Display name matching the paper's superscript notation.
@@ -372,6 +398,17 @@ impl PhysNode {
         let mut s = String::new();
         go(self, 0, &mut s);
         s
+    }
+
+    /// The logical tree this plan evaluates: enforcers (sorts, transfers)
+    /// vanish, and a `MATSCAN^M` is a `Get` of its materialization
+    /// whatever consumed subtree it keeps for rendering.
+    pub fn logical(&self) -> Logical {
+        match self.algo.op() {
+            None => self.children[0].logical(),
+            Some(op @ TOp::Get { .. }) => op.logical(vec![]),
+            Some(op) => op.logical(self.children.iter().map(PhysNode::logical).collect()),
+        }
     }
 
     /// Number of nodes in this plan (pre-order size).

@@ -868,14 +868,13 @@ mod tests {
         let stats = RelationStats { rows: 1000.0, avg_tuple_bytes: 28.0, ..Default::default() };
         let mut catalog: Catalog = Catalog::new();
         catalog.insert("POSITION".into(), (schema, stats));
-        TangoSem {
-            catalog: Arc::new(catalog),
-            factors: CostFactors::default(),
-            mid_sort_budget: None,
-            residency: Default::default(),
-            materialized: Default::default(),
-            naive_overlaps: false,
-        }
+        TangoSem::new(
+            Arc::new(catalog),
+            CostFactors::default(),
+            OptOptions::default(),
+            Default::default(),
+            Default::default(),
+        )
     }
 
     fn get() -> NewExpr<TOp> {

@@ -28,10 +28,10 @@ use crate::calibrate::{self, Calibration};
 use crate::collector;
 use crate::cost::CostFactors;
 use crate::engine::{ExecReport, Executor, Replan, Run};
-use crate::error::{Result, TangoError};
+use crate::error::Result;
 use crate::explain::{self, NodeEstimate};
 use crate::feedback;
-use crate::opt::{self, Catalog, OptOptions};
+use crate::opt::{self, Catalog, OptOptions, TangoSem};
 use crate::phys::PhysNode;
 use crate::rewrite::{RewriteOutcome, Rewriter};
 use crate::tsql;
@@ -159,6 +159,12 @@ pub struct OptimizedQuery {
 }
 
 impl OptimizedQuery {
+    /// Fill in `node_estimates`: the plan priced under `sem`.
+    fn priced(mut self, sem: &TangoSem) -> Result<OptimizedQuery> {
+        self.node_estimates = sem.price(&self.plan)?;
+        Ok(self)
+    }
+
     /// Render the chosen plan like Figure 7/9 of the paper.
     pub fn explain(&self) -> String {
         self.plan.render()
@@ -243,12 +249,6 @@ impl OptimizedQuery {
     }
 }
 
-/// See [`Tango::snapshot`].
-struct Snapshot {
-    catalog: Arc<Catalog>,
-    residency: Arc<Residency>,
-}
-
 #[cfg(test)]
 thread_local! {
     /// Snapshots taken by sessions on this thread.
@@ -283,7 +283,9 @@ pub struct Tango {
     conn: Connection,
     factors: CostFactors,
     options: TangoOptions,
-    catalog: Option<Arc<Catalog>>,
+    /// The Statistics Collector's snapshot and the
+    /// [`TangoOptions::use_histograms`] value it was collected under.
+    catalog: Option<(bool, Arc<Catalog>)>,
     cache: Arc<MidCache>,
     /// Loaded rewriter, cached per pack list (reloaded when
     /// [`TangoOptions::rewrite_packs`] changes).
@@ -345,10 +347,10 @@ impl Tango {
         &self.options
     }
 
-    /// Mutate session options (invalidates the statistics cache).
+    /// Mutate session options. The statistics snapshot survives unless
+    /// [`TangoOptions::use_histograms`] ends up different from what it
+    /// was collected under (checked when the next statement needs it).
     pub fn options_mut(&mut self) -> &mut TangoOptions {
-        // statistics with/without histograms differ: drop the cache
-        self.catalog = None;
         &mut self.options
     }
 
@@ -432,24 +434,37 @@ impl Tango {
 
     /// Refresh the Statistics Collector's catalog snapshot.
     pub fn refresh_statistics(&mut self) -> Result<()> {
-        self.catalog = Some(Arc::new(collector::collect(&self.conn, self.options.use_histograms)?));
-        Ok(())
+        self.catalog = None;
+        self.catalog().map(drop)
     }
 
-    fn catalog(&mut self) -> Result<&Arc<Catalog>> {
-        if self.catalog.is_none() {
-            self.refresh_statistics()?;
+    fn catalog(&mut self) -> Result<Arc<Catalog>> {
+        // statistics with/without histograms differ: re-collect on a flip
+        let histograms = self.options.use_histograms;
+        match &self.catalog {
+            Some((h, catalog)) if *h == histograms => Ok(catalog.clone()),
+            _ => {
+                let catalog = Arc::new(collector::collect(&self.conn, histograms)?);
+                self.catalog = Some((histograms, catalog.clone()));
+                Ok(catalog)
+            }
         }
-        Ok(self.catalog.as_ref().unwrap())
     }
 
     /// What one statement is planned against — statistics and cache
-    /// residency as of now. Taken once per statement and shared between
-    /// the search, the node estimates and mid-query re-planning.
-    fn snapshot(&mut self) -> Result<Snapshot> {
+    /// residency as of now, under the session's factors and optimizer
+    /// knobs. Taken once per statement and shared between the search,
+    /// the node estimates and mid-query re-planning.
+    fn snapshot(&mut self) -> Result<TangoSem> {
         #[cfg(test)]
         SNAPSHOTS.with(|n| n.set(n.get() + 1));
-        Ok(Snapshot { catalog: self.catalog()?.clone(), residency: Arc::new(self.residency()) })
+        Ok(TangoSem::new(
+            self.catalog()?,
+            self.factors,
+            self.options.opt,
+            Arc::new(self.residency()),
+            Default::default(),
+        ))
     }
 
     /// Parse temporal SQL into the initial (all-DBMS) logical plan.
@@ -461,12 +476,14 @@ impl Tango {
     /// Parse, rewrite (when [`TangoOptions::rewrite_packs`] are active)
     /// and optimize a temporal-SQL statement.
     pub fn optimize(&mut self, sql: &str) -> Result<OptimizedQuery> {
-        Ok(self.optimize_sql(sql)?.0)
+        let (optimized, snapshot) = self.optimize_sql(sql)?;
+        optimized.priced(&snapshot)
     }
 
-    /// [`Tango::optimize`], handing back the snapshot the plan was priced
-    /// under so that [`Tango::query`] can re-plan against the same one.
-    fn optimize_sql(&mut self, sql: &str) -> Result<(OptimizedQuery, Snapshot)> {
+    /// [`Tango::optimize`] short of the node estimates, handing back the
+    /// snapshot the plan was searched under: [`Tango::query`] re-plans
+    /// against the same one and prices once, the plan that ran.
+    fn optimize_sql(&mut self, sql: &str) -> Result<(OptimizedQuery, TangoSem)> {
         let logical = self.parse(sql)?;
         let (logical, rewrites) = self.apply_rewrites(logical)?;
         let snapshot = self.snapshot()?;
@@ -509,28 +526,15 @@ impl Tango {
     /// Optimize an already-built logical plan.
     pub fn optimize_logical(&mut self, logical: Logical) -> Result<OptimizedQuery> {
         let snapshot = self.snapshot()?;
-        self.optimize_under(logical, &snapshot)
+        self.optimize_under(logical, &snapshot)?.priced(&snapshot)
     }
 
-    fn optimize_under(&self, logical: Logical, snapshot: &Snapshot) -> Result<OptimizedQuery> {
-        let options = self.options.opt;
-        let factors = self.factors;
+    /// The search alone; `node_estimates` are filled in by
+    /// [`OptimizedQuery::priced`].
+    fn optimize_under(&self, logical: Logical, snapshot: &TangoSem) -> Result<OptimizedQuery> {
         let t0 = Instant::now();
-        let optimized = opt::optimize_resident(
-            &logical,
-            snapshot.catalog.clone(),
-            factors,
-            options,
-            snapshot.residency.clone(),
-        )?;
+        let optimized = opt::optimize(&logical, snapshot.clone(), None)?;
         let optimize_time = t0.elapsed();
-        let node_estimates = estimate_plan_nodes_with(
-            &optimized.plan,
-            &snapshot.catalog,
-            &factors,
-            options.naive_overlaps,
-        )
-        .unwrap_or_default();
         Ok(OptimizedQuery {
             logical,
             plan: optimized.plan,
@@ -540,7 +544,7 @@ impl Tango {
             optimize_time,
             rule_fires: optimized.rule_fires,
             search: optimized.search,
-            node_estimates,
+            node_estimates: Vec::new(),
             rewrites: RewriteOutcome::default(),
         })
     }
@@ -582,9 +586,7 @@ impl Tango {
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
         let (mut optimized, snapshot) = self.optimize_sql(sql)?;
         let replan = self.options.opt.replan_ratio.map(|ratio| Replan {
-            catalog: snapshot.catalog,
-            opt: self.options.opt,
-            residency: snapshot.residency,
+            sem: snapshot.clone(),
             ratio,
             histogram_buckets: if self.options.use_histograms {
                 tango_minidb::catalog::HISTOGRAM_BUCKETS
@@ -592,21 +594,20 @@ impl Tango {
                 0
             },
         });
-        let factors = self.factors; // as the plan was priced, before feedback adapts them
         let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, replan)?;
         // the executed plan differs from the optimized one (staged
         // breakers became MATSCAN^M nodes; a re-plan may have spliced):
-        // adopt it so EXPLAIN ANALYZE shows what ran
-        if let Some((plan, catalog)) = staged {
-            optimized.node_estimates = estimate_plan_nodes_with(
-                &plan,
-                &catalog,
-                &factors,
-                self.options.opt.naive_overlaps,
-            )
-            .unwrap_or_default();
-            optimized.plan = plan;
-        }
+        // adopt it so EXPLAIN ANALYZE shows what ran, priced as the plan
+        // was searched (before feedback adapted the factors) plus what
+        // the breakers were observed to produce
+        let sem = match staged {
+            Some((plan, sem)) => {
+                optimized.plan = plan;
+                sem
+            }
+            None => snapshot,
+        };
+        let optimized = optimized.priced(&sem)?;
         // surface pre-optimization rewrites on the plan root, so EXPLAIN
         // ANALYZE and the JSON trace carry them next to the execution
         // counters (packs off ⇒ nothing changes, golden outputs intact)
@@ -644,7 +645,6 @@ impl Tango {
             cache: self.active_cache(),
             exec: self.options.exec_opts(),
             factors: self.factors,
-            trace: true,
             replan,
         }
         .run(plan)?;
@@ -654,138 +654,12 @@ impl Tango {
         Ok(run)
     }
 
-    /// Evaluate the estimated cost of a hand-built physical plan under the
-    /// current factors and statistics (used by plan-choice experiments).
+    /// The estimated cost of a physical plan under the current factors,
+    /// statistics and cache residency — for a plan [`Tango::optimize`]
+    /// just returned, its `est_cost_us` (used by plan-choice experiments
+    /// on hand-built plans).
     pub fn estimate_physical(&mut self, plan: &PhysNode) -> Result<f64> {
-        let catalog = self.catalog()?.clone();
-        estimate_plan(plan, &catalog, &self.factors)
-    }
-}
-
-/// Bottom-up cost estimate of a physical plan: derive statistics per node
-/// (using the same machinery as the optimizer) and sum the formula costs.
-fn estimate_plan(plan: &PhysNode, catalog: &Catalog, factors: &CostFactors) -> Result<f64> {
-    estimate_plan_with(plan, catalog, factors, false)
-}
-
-/// [`estimate_plan`] with the optimizer's `naive_overlaps` mode threaded
-/// through, so the engine's re-plan driver prices remainders exactly as
-/// the (possibly deliberately naive) optimizer would.
-pub(crate) fn estimate_plan_with(
-    plan: &PhysNode,
-    catalog: &Catalog,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-) -> Result<f64> {
-    let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, factors, naive_overlaps, &mut out).map(|(_, c)| c)
-}
-
-/// Per-node predictions for the plan, indexed in pre-order (the numbering
-/// `EXPLAIN` renders against).
-pub(crate) fn estimate_plan_nodes_with(
-    plan: &PhysNode,
-    catalog: &Catalog,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-) -> Result<Vec<NodeEstimate>> {
-    let mut out = vec![NodeEstimate::default(); plan.node_count()];
-    go_estimate(plan, 0, catalog, factors, naive_overlaps, &mut out)?;
-    Ok(out)
-}
-
-fn go_estimate(
-    n: &PhysNode,
-    pre: usize,
-    catalog: &Catalog,
-    factors: &CostFactors,
-    naive_overlaps: bool,
-    out: &mut [NodeEstimate],
-) -> Result<(tango_stats::RelationStats, f64)> {
-    use crate::phys::Algo;
-    {
-        let mut child_stats = Vec::new();
-        let mut child_cost = 0.0;
-        let mut cpre = pre + 1;
-        for c in &n.children {
-            let (s, cost) = go_estimate(c, cpre, catalog, factors, naive_overlaps, out)?;
-            cpre += c.node_count();
-            child_stats.push(s);
-            child_cost += cost;
-        }
-        let stats = match &n.algo {
-            // MATSCAN^M estimates come from the *observed* statistics the
-            // re-plan driver registered under the materialization's name,
-            // not from the consumed subtree kept for rendering.
-            Algo::ScanD(t) | Algo::MatScanM(t) => catalog
-                .get(&t.to_uppercase())
-                .map(|(_, s)| s.clone())
-                .ok_or_else(|| TangoError::Optimizer(format!("no statistics for {t}")))?,
-            Algo::FilterM(p) | Algo::FilterD(p) => {
-                let schema = &n.children[0].schema;
-                tango_stats::cardinality::derive_select_with(
-                    p,
-                    &child_stats[0],
-                    schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                let op = tango_algebra::Logical::TAggr {
-                    group_by: group_by.clone(),
-                    aggs: aggs.clone(),
-                    input: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0]],
-                    &[n.children[0].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::MergeJoinM(eq) | Algo::JoinD(eq) => {
-                let op = tango_algebra::Logical::Join {
-                    eq: eq.clone(),
-                    left: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                    right: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0], &child_stats[1]],
-                    &[n.children[0].schema.as_ref(), n.children[1].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => {
-                let op = tango_algebra::Logical::TJoin {
-                    eq: eq.clone(),
-                    left: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                    right: Box::new(tango_algebra::Logical::Get { table: "_".into() }),
-                };
-                tango_stats::derive_stats_with(
-                    &op,
-                    &[&child_stats[0], &child_stats[1]],
-                    &[n.children[0].schema.as_ref(), n.children[1].schema.as_ref()],
-                    &n.schema,
-                    naive_overlaps,
-                )
-            }
-            // size-preserving (transfers, sorts) and the rest: inherit
-            _ => child_stats.first().cloned().unwrap_or_default(),
-        };
-        let in_refs: Vec<&tango_stats::RelationStats> = child_stats.iter().collect();
-        let leaf_like = matches!(n.algo, Algo::ScanD(_) | Algo::MatScanM(_));
-        let own = if in_refs.is_empty() && !leaf_like {
-            0.0
-        } else if leaf_like {
-            factors.cost(&n.algo, &[&stats], &stats)
-        } else {
-            factors.cost(&n.algo, &in_refs, &stats)
-        };
-        out[pre] = NodeEstimate { est_rows: stats.rows, est_cost_us: own };
-        Ok((stats, child_cost + own))
+        Ok(self.snapshot()?.price(plan)?.iter().map(|e| e.est_cost_us).sum())
     }
 }
 
@@ -973,7 +847,7 @@ mod tests {
         let counts = || (SNAPSHOTS.with(|n| n.get()), CATALOG_COPIES.with(|n| n.get()));
         let mut tango = setup();
         tango.refresh_statistics().unwrap();
-        let shared = tango.catalog.clone().unwrap();
+        let shared = tango.catalog.clone().unwrap().1;
 
         // the only breaker is the root transfer: nothing staged, no copy
         let (s0, c0) = counts();
@@ -1004,9 +878,38 @@ mod tests {
         assert_eq!((s2 - s1, c2 - c1), (1, 1));
 
         // the session's own snapshot was never written to or replaced
-        assert!(Arc::ptr_eq(&shared, tango.catalog.as_ref().unwrap()));
+        assert!(Arc::ptr_eq(&shared, &tango.catalog.as_ref().unwrap().1));
         assert!(!shared.keys().any(|t| t.starts_with("#MAT")));
         assert_eq!(Arc::strong_count(&shared), 2);
+    }
+
+    /// Options that do not change what the Statistics Collector fetches
+    /// leave the catalog snapshot alone; flipping `use_histograms`
+    /// re-collects it, once.
+    #[test]
+    fn options_mut_recollects_statistics_only_on_a_histogram_flip() {
+        let q1 = "VALIDTIME SELECT PosID, COUNT(PosID) AS CNT FROM POSITION GROUP BY PosID";
+        let mut tango = setup();
+        let link = tango.conn().database().link().clone();
+        tango.optimize(q1).unwrap();
+        let collected = tango.catalog.clone().unwrap().1;
+
+        let before = link.roundtrips();
+        tango.options_mut().batch_rows = Some(64);
+        tango.options_mut().cache_budget = Some(1 << 20);
+        tango.options_mut().rewrite_packs = vec!["compat".into()];
+        tango.optimize(q1).unwrap();
+        assert_eq!(link.roundtrips(), before, "statistics re-collected over the wire");
+        assert!(Arc::ptr_eq(&collected, &tango.catalog.as_ref().unwrap().1));
+
+        tango.options_mut().use_histograms = false;
+        tango.optimize(q1).unwrap();
+        let recollected = tango.catalog.clone().unwrap().1;
+        assert!(!Arc::ptr_eq(&collected, &recollected), "histogram flip must re-collect");
+        assert!(link.roundtrips() > before);
+        let after = link.roundtrips();
+        tango.optimize(q1).unwrap();
+        assert_eq!(link.roundtrips(), after, "one re-collection per flip");
     }
 
     #[test]

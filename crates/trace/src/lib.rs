@@ -25,10 +25,9 @@
 //!   benchmark binaries, the parser reads rule packs and those reports
 //!   back.
 //!
-//! Tracing is zero-cost when disabled: a [`TraceHandle`] is an
-//! `Option<Arc<SpanSlot>>`, and the engine's untraced execution path
-//! never wraps cursors at all, so disabled runs execute the bare
-//! operator pipeline.
+//! A [`TraceHandle`] is an `Option<Arc<SpanSlot>>` for code that may run
+//! without a span; the engine itself always traces (every cursor it
+//! builds is handed its span).
 
 #![warn(missing_docs)]
 

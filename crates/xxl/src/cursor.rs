@@ -154,9 +154,8 @@ pub(crate) fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch
 }
 
 /// The batch pull of every cursor whose logic is row-at-a-time (merge
-/// joins, coalescing, difference, nested loop, bag filters, wire
-/// fetches): call its row `step` until `max_rows` tuples are gathered or
-/// the stream ends.
+/// joins, coalescing, difference, nested loop, wire fetches): call its
+/// row `step` until `max_rows` tuples are gathered or the stream ends.
 pub fn fill_batch(
     schema: Arc<Schema>,
     max_rows: usize,

@@ -15,7 +15,7 @@
 //! one protocol. The bulk operators (scan, filter, project, sort, dedup,
 //! aggregation) produce batches natively over tango-algebra's columnar
 //! `Batch` layout; the row-logic operators (merge joins, coalescing,
-//! difference, nested loop, bag filters) keep a private row step, fill
+//! difference, nested loop) keep a private row step, fill
 //! their output batches through one shared helper, and read their inputs
 //! through [`cursor::BatchBuffered`], so an upstream (possibly traced,
 //! possibly remote) cursor is dispatched once per batch. Execution knobs
@@ -41,8 +41,7 @@
 //! * [`taggr::TemporalAggregate`] — `TAGGR^M`, the two-sorted-copies
 //!   sweep of Section 3.4,
 //! * [`dedup::DupElim`], [`coalesce::Coalesce`], [`tdiff::TemporalDiff`] —
-//!   the extension operators the paper lists as future additions,
-//! * [`set_ops`] — multiset `UNION ALL` / `INTERSECT ALL` / `EXCEPT ALL`.
+//!   the extension operators the paper lists as future additions.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -83,7 +82,6 @@ pub mod nested_loop;
 pub mod par;
 pub mod project;
 pub mod scan;
-pub mod set_ops;
 pub mod sort;
 pub mod taggr;
 pub mod tdiff;
@@ -101,7 +99,6 @@ pub use nested_loop::NestedLoopJoin;
 pub use par::{morsel_ranges, run_ordered, ParStats, MORSEL_ROWS};
 pub use project::Project;
 pub use scan::{CachedScan, VecScan};
-pub use set_ops::{ExceptAll, IntersectAll, UnionAll};
 pub use sort::{ExternalSort, Sort};
 pub use taggr::TemporalAggregate;
 pub use tdiff::TemporalDiff;

@@ -134,19 +134,31 @@ fn session_with(
     tango
 }
 
-/// All `cardinality-replan` events in an execution report.
+/// Whether a span event records the misestimate monitor firing: the
+/// remainder was re-optimized and either spliced (`cardinality-replan`)
+/// or, pricing no gain, left as it ran (`replan-declined`).
+fn monitor_fired(kind: &str) -> bool {
+    kind == "cardinality-replan" || kind == "replan-declined"
+}
+
+/// The detail of every monitor firing in an execution report.
 fn replan_events(report: &tango::core::engine::ExecReport) -> Vec<String> {
     report
         .steps
         .iter()
         .flat_map(|s| s.events.iter())
-        .filter(|e| e.kind == "cardinality-replan")
+        .filter(|e| monitor_fired(&e.kind))
         .map(|e| e.detail.clone())
         .collect()
 }
 
-/// The observed est-vs-actual divergence, parsed from a
-/// `cardinality-replan` event detail of the form `"... (20.3x off) ..."`.
+/// The value of counter `key` on whichever step carries it.
+fn counter(report: &tango::core::engine::ExecReport, key: &str) -> Option<u64> {
+    report.steps.iter().flat_map(|s| s.counters.iter()).find(|c| c.0 == key).map(|c| c.1)
+}
+
+/// The observed est-vs-actual divergence, parsed from a monitor event
+/// detail of the form `"... (20.3x off) ..."`.
 fn parse_divergence(detail: &str) -> f64 {
     let start = detail.find('(').expect("detail has divergence") + 1;
     let end = detail[start..].find("x off").expect("detail has divergence") + start;
@@ -215,6 +227,8 @@ fn misestimate_rescue_flips_placement_mid_query() {
     let analyze = report.optimized.explain_analyze(&report.exec, true);
     assert!(analyze.contains("cardinality-replan"), "{analyze}");
     assert!(analyze.contains("replans 1"), "{analyze}");
+    // spliced because it priced a gain, both sides through the one fold
+    assert!(counter(&report.exec, "replan_gain_est") > Some(0), "{analyze}");
 
     // the rescue must actually pay off: strictly less virtual wire time
     // than the pinned bad plan (both sessions ran cache-disabled on the
@@ -251,6 +265,48 @@ fn accurate_estimates_never_replan() {
         report.optimized.explain_analyze(&report.exec, true)
     );
     assert!(!report.exec.steps.iter().any(|s| s.counters.iter().any(|c| c.0 == "replans")));
+}
+
+/// A re-plan that prices no gain is not taken. On the small fixture
+/// under default factors the monitor fires (the naive estimate is ~45x
+/// off) but re-optimizing over the observed cardinalities returns the
+/// plan that is already running, at the same price: the event says so
+/// with both prices, `replans` stays absent, and no later span is marked
+/// `replan=spliced` — so cost-factor feedback keeps every observation.
+#[test]
+fn zero_gain_replan_is_declined() {
+    let db = rescue_db(slow_wire(), 60, 12);
+    let (truth, pinned) = session(&db, true, None).query(RESCUE_SQL).unwrap();
+
+    let mut tango = session(&db, true, Some(8.0));
+    tango.options_mut().feedback = true;
+    let p_tm = tango.factors().p_tm;
+    let (rel, report) = tango.query(RESCUE_SQL).unwrap();
+    assert!(rel.list_eq(&truth), "declined re-plan changed the answer");
+
+    let analyze = report.optimized.explain_analyze(&report.exec, true);
+    let declined: Vec<_> = report
+        .exec
+        .steps
+        .iter()
+        .flat_map(|s| s.events.iter())
+        .filter(|e| e.kind == "replan-declined")
+        .collect();
+    assert_eq!(declined.len(), 1, "{analyze}");
+    assert!(declined[0].detail.contains("us as running"), "{}", declined[0].detail);
+    assert!(!analyze.contains("cardinality-replan"), "{analyze}");
+    assert_eq!(counter(&report.exec, "replans"), None, "{analyze}");
+    assert_eq!(counter(&report.exec, "replan_gain_est"), None, "{analyze}");
+    assert!(report.exec.steps.iter().all(|s| s.annotation("replan").is_none()), "{analyze}");
+
+    // the plan that ran is the plan the optimizer chose, breakers staged
+    let strip = |plan: String| -> String {
+        plan.lines().filter(|l| !l.contains("MATSCAN^M")).map(str::trim).collect()
+    };
+    assert_eq!(strip(report.optimized.explain()), strip(pinned.optimized.explain()));
+    // and its spans refit the factors (the wire here is far slower than
+    // the default `p_tm` believes)
+    assert_ne!(tango.factors().p_tm, p_tm, "feedback threw the observations away");
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +402,7 @@ fn fault_degrade_suppresses_cardinality_replan() {
     assert!(rel.is_sorted_by(&SortSpec::by(["PosID", "T1"])), "ORDER BY lost:\n{rel}");
     for step in &report.exec.steps {
         let degraded = step.events.iter().any(|e| e.kind == "replan");
-        let cardinality = step.events.iter().any(|e| e.kind == "cardinality-replan");
+        let cardinality = step.events.iter().any(|e| monitor_fired(&e.kind));
         assert!(
             !(degraded && cardinality),
             "step {} double-replanned over one observation:\n{}",

@@ -1,6 +1,6 @@
 //! The execution-trace layer end to end: per-operator accounting in
 //! [`ExecReport`], the machine-readable JSON form, `EXPLAIN` /
-//! `EXPLAIN ANALYZE` rendering, and the zero-overhead untraced path.
+//! `EXPLAIN ANALYZE` rendering.
 
 use std::sync::Arc;
 use tango::algebra::{tup, Attr, Expr, Schema, Type, Value};
@@ -247,17 +247,6 @@ fn every_emitted_json_document_parses_back() {
     }
     assert_eq!(get(first, "x"), &Json::Str("1000".into()));
     assert_eq!(get(second, "series"), &Json::Str("optimizer's \"choice\"".into()));
-}
-
-#[test]
-fn untraced_execution_collects_nothing() {
-    let (_db, conn) = setup();
-    let plan = three_op_plan(&conn);
-    let traced = Executor::new(&conn).run(&plan).unwrap();
-    let untraced = Executor { trace: false, ..Executor::new(&conn) }.run(&plan).unwrap();
-    assert!(untraced.rel.list_eq(&traced.rel), "tracing changed the rows");
-    assert_eq!(untraced.report.rows, 2);
-    assert!(untraced.report.steps.is_empty(), "untraced run must create no spans");
 }
 
 #[test]
