@@ -17,7 +17,7 @@ use crate::error::{Result, TangoError};
 use crate::opt::{self, TangoSem};
 use crate::phys::{Algo, PhysNode, Site};
 use crate::{refresh, to_sql};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tango_algebra::{Batch, Relation, Schema, SortSpec, Tuple};
@@ -204,14 +204,15 @@ pub struct Replan {
     /// factors, rule groups and (possibly deliberately naive) estimation
     /// mode, the same residency snapshot, and the same catalog — shared
     /// with it, and copied only when the first breaker is staged (its
-    /// observed statistics are registered in the copy).
+    /// observed size is registered in the copy; its attribute statistics
+    /// are taken if and when the monitor triggers while it is held).
     pub sem: TangoSem,
     /// Trigger threshold: re-plan when actual and estimated rows at a
     /// pipeline breaker diverge by at least this factor, in either
     /// direction.
     pub ratio: f64,
-    /// Histogram buckets for statistics derived from materializations
-    /// (0 disables histograms).
+    /// Histogram buckets for the statistics a triggered re-plan takes of
+    /// the materializations it plans over (0 disables histograms).
     pub histogram_buckets: usize,
 }
 
@@ -226,8 +227,9 @@ pub struct Run {
     /// that produced the materialization, and a triggered re-plan
     /// replaces everything above the materializations; the report's
     /// steps are in its post-order — and the pricing context extended
-    /// with the observed statistics of every materialization (what
-    /// re-estimating that plan needs). `None` when the plan ran as given.
+    /// with the observed size of every materialization, plus the full
+    /// statistics of those a re-plan was planned over (what re-estimating
+    /// that plan needs). `None` when the plan ran as given.
     pub staged: Option<(PhysNode, TangoSem)>,
 }
 
@@ -239,6 +241,9 @@ const MAX_STAGES: usize = 32;
 thread_local! {
     /// Deep copies of a shared catalog made by runs on this thread.
     pub(crate) static CATALOG_COPIES: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// ANALYZEs of mid-query materializations made by runs on this thread.
+    pub(crate) static MAT_ANALYZES: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
 }
 
@@ -553,28 +558,32 @@ impl<'a> Ctx<'a> {
         // the delivery order the chosen plan promised — every re-optimized
         // remainder is pinned to it so the splice cannot change the result
         let pinned = delivered_order(work, &cfg.sem.materialized).project_onto(&work.schema);
+        let mut analyzed = HashSet::new();
         for mat_seq in 0..MAX_STAGES {
             let Some(path) = find_breaker(work, true) else { break };
             let breaker = node_at(work, &path).clone();
             // what the optimizer believes this breaker will produce
-            let est_rows = cfg.sem.price(&breaker).ok().map(|nodes| nodes[0].est_rows);
+            let believed = cfg.sem.stats(&breaker).ok();
+            let est_rows = believed.as_ref().map(|s| s.rows);
             let (rel, breaker_idx) = self.materialize(&breaker)?;
             let slot = self.collector.slot(breaker_idx).clone();
             let actual = rel.len();
 
-            // register the materialization: observed statistics, the
-            // order it holds, and the span that will serve it (created
-            // now so span order stays the post-order of the final plan)
+            // register the materialization: its observed size (the span
+            // counted it while the breaker drained) over the attribute
+            // statistics the optimizer believed — measuring those is an
+            // ANALYZE, left to a re-plan that needs them — the order it
+            // holds, and the span that will serve it (created now so span
+            // order stays the post-order of the final plan)
             let name = format!("#MAT{mat_seq}");
             let order = delivered_order(&breaker, &cfg.sem.materialized);
             #[cfg(test)]
             if Arc::strong_count(&cfg.sem.catalog) > 1 {
                 CATALOG_COPIES.with(|n| n.set(n.get() + 1));
             }
-            Arc::make_mut(&mut cfg.sem.catalog).insert(
-                name.clone(),
-                (rel.schema().clone(), RelationStats::from_relation(&rel, cfg.histogram_buckets)),
-            );
+            let mut stats = RelationStats::of_size(actual, slot.bytes(), rel.schema());
+            stats.attrs = believed.map(|b| b.attrs).unwrap_or_default();
+            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), (rel.schema().clone(), stats));
             cfg.sem.materialized.insert(name.clone(), order);
             let span = self.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]);
             self.mats.insert(name.clone(), MatEntry { rel, span });
@@ -600,6 +609,17 @@ impl<'a> Ctx<'a> {
                 !slot.has_event("replan") && divergence.map(|d| d >= cfg.ratio).unwrap_or(false);
             if !triggered {
                 continue;
+            }
+            // a re-plan is wanted: only now ANALYZE what it will be
+            // planned over — every materialization still held
+            let catalog = Arc::make_mut(&mut cfg.sem.catalog);
+            for (name, mat) in &self.mats {
+                if analyzed.insert(name.clone()) {
+                    #[cfg(test)]
+                    MAT_ANALYZES.with(|n| n.set(n.get() + 1));
+                    let stats = RelationStats::from_relation(&mat.rel, cfg.histogram_buckets);
+                    catalog.insert(name.clone(), (mat.rel.schema().clone(), stats));
+                }
             }
             // no feasible alternative: keep the running plan
             let Ok(new) = opt::optimize(&work.logical(), cfg.sem.clone(), Some(pinned.clone()))
@@ -1481,7 +1501,7 @@ mod tests {
     use super::*;
     use crate::phys::PhysNode;
     use std::sync::Arc;
-    use tango_algebra::{tup, AggFunc, AggSpec, Attr, Schema, SortSpec, Type};
+    use tango_algebra::{tup, AggFunc, AggSpec, Attr, Expr, Schema, SortSpec, Type};
     use tango_minidb::{Connection, Database};
 
     fn setup() -> Connection {
@@ -1571,6 +1591,40 @@ mod tests {
         assert_eq!(batches, Some(30u64.div_ceil(7)), "T^D ignored batch_rows: {:?}", arg.counters);
     }
 
+    fn replan(conn: &Connection, ratio: f64) -> Replan {
+        let catalog = Arc::new(crate::collector::collect(conn, true).unwrap());
+        let (factors, options) = (CostFactors::default(), crate::opt::OptOptions::default());
+        let sem = TangoSem::new(catalog, factors, options, Arc::default(), HashMap::new());
+        Replan { sem, ratio, histogram_buckets: 4 }
+    }
+
+    /// A staged breaker is registered with its observed size over the
+    /// attribute statistics the optimizer believed; it is ANALYZEd if and
+    /// when the monitor triggers, to exactly the statistics an eager
+    /// ANALYZE would have registered.
+    #[test]
+    fn materializations_are_analyzed_only_for_a_triggered_replan() {
+        let conn = setup();
+        conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
+        let all = Expr::eq(Expr::col("PosID"), Expr::col("PosID"));
+        let plan = un(Algo::FilterM(all), un(Algo::TransferM, scan(&conn, "POSITION")));
+        let staged = |ratio: f64| {
+            let before = MAT_ANALYZES.with(|n| n.get());
+            let replan = Some(replan(&conn, ratio));
+            let run = Executor { replan, ..Executor::new(&conn) }.run(&plan).unwrap();
+            let catalog = run.staged.unwrap().1.catalog;
+            let stats = |t: &str| catalog[t].1.clone();
+            (MAT_ANALYZES.with(|n| n.get()) - before, stats("#MAT0"), stats("POSITION"), run.rel)
+        };
+        // a threshold nothing reaches, then one everything reaches
+        let (analyzes, mat, base, rel) = staged(f64::INFINITY);
+        let observed = RelationStats::from_relation(&rel, 4);
+        assert_eq!(analyzes, 0);
+        assert_eq!(mat, RelationStats { attrs: base.attrs, ..observed.clone() });
+        let (analyzes, mat, ..) = staged(1.0);
+        assert_eq!((analyzes, mat), (1, observed));
+    }
+
     /// A failing plan must still clean up its temp tables, with and
     /// without re-planning: the left input's `T^D` loads its temp table
     /// (as the first staged breaker, or at the join's `open`), then the
@@ -1593,18 +1647,7 @@ mod tests {
             un(Algo::TransferM, figure5_join(&conn)),
             un(Algo::TransferM, ghost),
         );
-        let replan = || Replan {
-            sem: TangoSem::new(
-                Arc::new(crate::collector::collect(&conn, true).unwrap()),
-                CostFactors::default(),
-                crate::opt::OptOptions::default(),
-                Arc::default(),
-                HashMap::new(),
-            ),
-            ratio: 8.0,
-            histogram_buckets: 0,
-        };
-        for replan in [None, Some(replan())] {
+        for replan in [None, Some(replan(&conn, 8.0))] {
             let staged = replan.is_some();
             let err = Executor { replan, ..Executor::new(&conn) }.run(&plan).err();
             assert!(err.is_some(), "staged={staged}: the ghost scan must fail the query");

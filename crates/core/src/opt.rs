@@ -226,6 +226,11 @@ impl TangoSem {
         Ok(out)
     }
 
+    /// The statistics that fold derives for `plan`'s output.
+    pub(crate) fn stats(&self, plan: &PhysNode) -> Result<RelationStats> {
+        Ok(self.price_node(plan, &mut Vec::new())?.stats)
+    }
+
     fn price_node(&self, n: &PhysNode, out: &mut Vec<NodeEstimate>) -> Result<GroupProps> {
         let at = out.len();
         out.push(NodeEstimate::default());

@@ -840,10 +840,11 @@ mod tests {
 
     /// One statement = one catalog + residency snapshot, shared by the
     /// search, the estimates and the re-planner; the catalog is copied
-    /// once if breakers are staged (however many), never otherwise.
+    /// once if breakers are staged (however many), never otherwise — and
+    /// with no estimate far enough off to re-plan, none is ANALYZEd.
     #[test]
     fn a_query_takes_one_snapshot_and_copies_the_catalog_at_most_once() {
-        use crate::engine::CATALOG_COPIES;
+        use crate::engine::{CATALOG_COPIES, MAT_ANALYZES};
         let counts = || (SNAPSHOTS.with(|n| n.get()), CATALOG_COPIES.with(|n| n.get()));
         let mut tango = setup();
         tango.refresh_statistics().unwrap();
@@ -876,6 +877,7 @@ mod tests {
         );
         let (s2, c2) = counts();
         assert_eq!((s2 - s1, c2 - c1), (1, 1));
+        assert_eq!(MAT_ANALYZES.with(|n| n.get()), 0);
 
         // the session's own snapshot was never written to or replaced
         assert!(Arc::ptr_eq(&shared, &tango.catalog.as_ref().unwrap().1));

@@ -87,16 +87,26 @@ impl RelationStats {
         }
     }
 
+    /// The size-only statistics of a relation of `rows` tuples totalling
+    /// `bytes`: cardinality, blocks and average tuple size, no attribute
+    /// statistics (estimates over it fall back to the textbook defaults).
+    pub fn of_size(rows: usize, bytes: u64, schema: &Schema) -> Self {
+        RelationStats {
+            rows: rows as f64,
+            blocks: bytes.div_ceil(8192).max(1),
+            avg_tuple_bytes: match rows {
+                0 => schema.est_tuple_bytes() as f64,
+                n => bytes as f64 / n as f64,
+            },
+            attrs: BTreeMap::new(),
+        }
+    }
+
     /// Compute full statistics from a materialized column sample. Used by
     /// the mini-DBMS's ANALYZE and by tests.
     pub fn from_relation(rel: &tango_algebra::Relation, histogram_buckets: usize) -> Self {
         let schema: &Schema = rel.schema();
-        let mut s = RelationStats {
-            rows: rel.len() as f64,
-            blocks: (rel.byte_size() as u64).div_ceil(8192).max(1),
-            avg_tuple_bytes: rel.avg_tuple_bytes(),
-            attrs: BTreeMap::new(),
-        };
+        let mut s = RelationStats::of_size(rel.len(), rel.byte_size() as u64, schema);
         for (i, attr) in schema.attrs().iter().enumerate() {
             let col: Vec<&Value> = rel.tuples().iter().map(|t| &t[i]).collect();
             let nums: Vec<f64> = col.iter().filter_map(|v| v.as_f64()).collect();

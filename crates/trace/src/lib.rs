@@ -131,6 +131,11 @@ impl SpanSlot {
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Bytes produced so far (the running total of [`Self::add_batch`]).
+    pub fn bytes(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
     /// Record DBMS server-side compute time observed by this operator
     /// (`TRANSFER^M` reads it from the statement's result cursor).
     pub fn add_server_time(&self, d: Duration) {

@@ -7,9 +7,12 @@
 //! The input must be sorted on (all non-temporal attributes, `T1`); the
 //! output is sorted the same way.
 
-use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::cursor::{
+    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts,
+    Result,
+};
 use std::sync::Arc;
-use tango_algebra::{Batch, Period, Schema, Tuple, Type, Value};
+use tango_algebra::{Batch, Period, Schema, Tuple, Type};
 
 /// The coalescing cursor: merges value-equivalent tuples with
 /// overlapping or adjacent periods into maximal periods.
@@ -59,21 +62,11 @@ impl Coalesce {
         self.value_idx.iter().all(|&i| a[i].total_cmp(&b[i]) == std::cmp::Ordering::Equal)
     }
 
-    fn tuple_period(&self, t: &Tuple) -> Option<Period> {
-        let p = Period::new(t[self.period.0].as_day()?, t[self.period.1].as_day()?);
-        p.is_valid().then_some(p)
-    }
-
-    fn finish(&self, base: &Tuple, p: Period) -> Tuple {
-        let mut out = base.clone();
-        let (v1, v2) = if self.date_typed {
-            (Value::Date(p.start), Value::Date(p.end))
-        } else {
-            (Value::Int(p.start as i64), Value::Int(p.end as i64))
-        };
-        out.set(self.period.0, v1);
-        out.set(self.period.1, v2);
-        out
+    fn finish(&self, mut base: Tuple, p: Period) -> Tuple {
+        let (t1, t2) = period_values(self.date_typed, p);
+        base.set(self.period.0, t1);
+        base.set(self.period.1, t2);
+        base
     }
 
     /// The merge scan, one maximal period per call.
@@ -83,7 +76,7 @@ impl Coalesce {
         }
         loop {
             if self.done {
-                return Ok(self.current.take().map(|(t, p)| self.finish(&t, p)));
+                return Ok(self.current.take().map(|(t, p)| self.finish(t, p)));
             }
             let nxt = self.input.next()?;
             match nxt {
@@ -92,7 +85,7 @@ impl Coalesce {
                     continue;
                 }
                 Some(t) => {
-                    let Some(p) = self.tuple_period(&t) else {
+                    let Some(p) = read_period(&t, self.period) else {
                         continue; // skip empty/null periods
                     };
                     match self.current.take() {
@@ -104,7 +97,7 @@ impl Coalesce {
                                 self.merged += 1;
                                 self.current = Some((cur, cp.merge(&p)));
                             } else {
-                                let out = self.finish(&cur, cp);
+                                let out = self.finish(cur, cp);
                                 self.current = Some((t, p));
                                 return Ok(Some(out));
                             }

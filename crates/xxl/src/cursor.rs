@@ -11,7 +11,9 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use tango_algebra::{AlgebraError, Batch, Relation, Schema, Tuple, DEFAULT_BATCH_ROWS};
+use tango_algebra::{
+    AlgebraError, Batch, Period, Relation, Schema, Tuple, Value, DEFAULT_BATCH_ROWS,
+};
 
 /// Per-execution knobs threaded from the session options through the
 /// engine into every operator constructor (`with_opts`).
@@ -170,6 +172,26 @@ pub fn fill_batch(
         }
     }
     Ok((!rows.is_empty()).then(|| Batch::new(schema, rows)))
+}
+
+/// The valid-time period `t` carries in columns `(t1, t2)`; `None` when
+/// an endpoint is NULL or the period is empty. Such a row holds at no
+/// time point, so the row-logic temporal operators read their inputs
+/// through this and let the row join, subtract and merge nothing
+/// (`TAGGR^M` applies the same rule to its endpoint columns).
+pub(crate) fn read_period(t: &Tuple, (t1, t2): (usize, usize)) -> Option<Period> {
+    let p = Period::new(t[t1].as_day()?, t[t2].as_day()?);
+    p.is_valid().then_some(p)
+}
+
+/// The `(T1, T2)` values that spell `p` in an output row: dates when the
+/// period attributes are `date_typed`, integers otherwise.
+pub(crate) fn period_values(date_typed: bool, p: Period) -> (Value, Value) {
+    if date_typed {
+        (Value::Date(p.start), Value::Date(p.end))
+    } else {
+        (Value::Int(p.start as i64), Value::Int(p.end as i64))
+    }
 }
 
 /// Buffers an input cursor batch-at-a-time while exposing a cheap

@@ -35,13 +35,27 @@
 //! * [`filter::Filter`] — `FILTER^M`,
 //! * [`project::Project`] — `PROJECT^M`,
 //! * [`sort::Sort`] / [`sort::ExternalSort`] — `SORT^M`,
-//! * [`merge_join::MergeJoin`] — `MERGEJOIN^M` (sort-merge equi join),
-//! * [`temporal_join::TemporalMergeJoin`] — `TMERGEJOIN^M` (⋈ᵀ),
+//! * [`merge_join::MergeJoin`] — `MERGEJOIN^M` (sort-merge equi join);
+//!   its module holds the crate's one sort-merge sweep (Section 4.1: the
+//!   regular and the temporal join are one algorithm) — a key-group
+//!   reader over a sorted input, the join over two of them that emits
+//!   what a pairing makes of each matching row pair, and that join's
+//!   partition-parallel driver,
+//! * [`temporal_join::TemporalMergeJoin`] — `TMERGEJOIN^M` (⋈ᵀ): the
+//!   same sweep, pairing rows by intersecting their periods,
 //! * [`nested_loop::NestedLoopJoin`] — fallback theta join,
 //! * [`taggr::TemporalAggregate`] — `TAGGR^M`, the two-sorted-copies
 //!   sweep of Section 3.4,
 //! * [`dedup::DupElim`], [`coalesce::Coalesce`], [`tdiff::TemporalDiff`] —
-//!   the extension operators the paper lists as future additions.
+//!   the extension operators the paper lists as future additions
+//!   (`TDIFF^M` probes its right side through the same key-group reader),
+//! * [`delta`] — Z-set deltas for refreshing cached fragments in place.
+//!
+//! The temporal operators share one rule: a period with a NULL endpoint,
+//! or an empty one, holds at no time point — such a row joins,
+//! subtracts, merges and aggregates nothing. The row-logic ones read a
+//! row's period through one helper and all of them write one through its
+//! inverse (`cursor.rs`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -106,8 +120,30 @@ pub use temporal_join::TemporalMergeJoin;
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use crate::{BoxCursor, Cursor, Result, VecScan};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use tango_algebra::{Attr, Relation, Schema, Type};
+    use tango_algebra::{Attr, Batch, Relation, Schema, Type};
+
+    /// A scan of `rel` that counts the batches pulled from it (the pull
+    /// that finds the end included).
+    pub(crate) fn counting_scan(rel: Relation) -> (BoxCursor, Arc<AtomicUsize>) {
+        struct Counting(VecScan, Arc<AtomicUsize>);
+        impl Cursor for Counting {
+            fn schema(&self) -> &Arc<Schema> {
+                self.0.schema()
+            }
+            fn open(&mut self) -> Result<()> {
+                self.0.open()
+            }
+            fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.next_batch(max_rows)
+            }
+        }
+        let pulls = Arc::new(AtomicUsize::new(0));
+        (Box::new(Counting(VecScan::new(rel), pulls.clone())), pulls)
+    }
 
     /// POSITION relation from Figure 3(a) of the paper.
     pub fn figure3_position() -> Relation {

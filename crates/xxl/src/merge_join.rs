@@ -1,10 +1,18 @@
-//! `MERGEJOIN^M` — sort-merge equi join.
+//! `MERGEJOIN^M` — sort-merge equi join — and the one sort-merge sweep of
+//! this crate.
 //!
 //! The paper implements both regular and temporal joins in the middleware
 //! as sort-merge joins (Section 4.1, rules T2/T3); inputs must be sorted
 //! on their join attributes. The output is ordered by the left input's
 //! join attributes, which is why the optimizer can sometimes skip a final
 //! sort.
+//!
+//! The sweep is written once: [`KeyGroups`] reads a key-sorted input as
+//! runs of consecutive equal-key rows, [`SortMerge`] aligns two of them
+//! and emits, left-row major, whatever its [`Pairing`] makes of each row
+//! pair — concatenation here, period intersection in
+//! [`crate::temporal_join`] — and `TDIFF^M` probes its right side through
+//! the same [`KeyGroups::seek`].
 
 use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
 use crate::par::{partition_pairs, run_ordered, ParStats};
@@ -12,81 +20,198 @@ use crate::scan::VecScan;
 use std::cmp::Ordering;
 use std::sync::Arc;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{Schema, Tuple};
+use tango_algebra::{Batch, Schema, Tuple};
 
-/// The `MERGEJOIN^M` cursor: sort-merge equi join over inputs sorted on
-/// the join attributes; output ordered by the left input.
+/// Compare `l` on `lkeys` with `r` on `rkeys`, attribute by attribute.
+fn key_cmp(lkeys: &[usize], rkeys: &[usize], l: &Tuple, r: &Tuple) -> Ordering {
+    for (&li, &ri) in lkeys.iter().zip(rkeys) {
+        let o = l[li].total_cmp(&r[ri]);
+        if o != Ordering::Equal {
+            return o;
+        }
+    }
+    Ordering::Equal
+}
+
+/// A key-sorted input read as runs of consecutive equal-key rows: at most
+/// one run is buffered, and `next` is the first row behind it (`None`
+/// exactly at end of input).
+pub(crate) struct KeyGroups {
+    input: BatchBuffered,
+    keys: Vec<usize>,
+    group: Vec<Tuple>,
+    next: Option<Tuple>,
+}
+
+impl KeyGroups {
+    pub(crate) fn new(input: BoxCursor, keys: Vec<usize>, batch_rows: usize) -> Self {
+        let input = BatchBuffered::with_rows(input, batch_rows);
+        KeyGroups { input, keys, group: Vec::new(), next: None }
+    }
+
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
+        self.input.schema()
+    }
+
+    /// Open the input and read its first row.
+    pub(crate) fn open(&mut self) -> Result<()> {
+        self.group.clear();
+        self.input.open()?;
+        self.next = self.input.next()?;
+        Ok(())
+    }
+
+    /// The buffered group; empty before the first match, once spent and
+    /// at end of input.
+    pub(crate) fn group(&self) -> &[Tuple] {
+        &self.group
+    }
+
+    /// Buffer the next group, whatever its key; `false` at end of input.
+    pub(crate) fn advance(&mut self) -> Result<bool> {
+        self.group.clear();
+        let Some(first) = self.next.take() else {
+            return Ok(false);
+        };
+        self.group.push(first);
+        while let Some(t) = self.input.next()? {
+            if key_cmp(&self.keys, &self.keys, &self.group[0], &t).is_ne() {
+                self.next = Some(t);
+                break;
+            }
+            self.group.push(t);
+        }
+        Ok(true)
+    }
+
+    /// Position on the group whose key equals `probe`'s (read through
+    /// `probe_keys`) and say whether there is one. Probes must arrive in
+    /// key order: groups ordering before the probe are dropped unread, an
+    /// equal one is buffered once and replayed for equal probes, and one
+    /// ordering after it stays unread for later probes.
+    pub(crate) fn seek(&mut self, probe: &Tuple, probe_keys: &[usize]) -> Result<bool> {
+        if let Some(first) = self.group.first() {
+            if key_cmp(probe_keys, &self.keys, probe, first).is_eq() {
+                return Ok(true);
+            }
+            self.group.clear();
+        }
+        while let Some(r) = &self.next {
+            match key_cmp(probe_keys, &self.keys, probe, r) {
+                Ordering::Less => break,
+                Ordering::Equal => return self.advance(),
+                Ordering::Greater => self.next = self.input.next()?,
+            }
+        }
+        Ok(false)
+    }
+
+    /// Drop the buffered group: no later probe can equal its key.
+    pub(crate) fn spend(&mut self) {
+        self.group.clear();
+    }
+
+    /// Nothing buffered and nothing left to read.
+    pub(crate) fn at_end(&self) -> bool {
+        self.group.is_empty() && self.next.is_none()
+    }
+
+    /// Every row not yet handed out in a group.
+    fn drain(&mut self) -> Result<Vec<Tuple>> {
+        let mut rows: Vec<Tuple> = self.next.take().into_iter().collect();
+        rows.extend(self.input.drain()?);
+        Ok(rows)
+    }
+
+    pub(crate) fn close(&mut self) -> Result<()> {
+        self.group.clear();
+        self.next = None;
+        self.input.close()
+    }
+}
+
+/// What a sort-merge join makes of one key-matched (left row, right row)
+/// pair.
+pub(crate) trait Pairing: Clone + Send {
+    /// Name of the operator, for error messages.
+    const NAME: &'static str;
+    /// Name of the matched-key-groups counter.
+    const GROUPS: &'static str;
+
+    /// Called once per matched pair of groups, before any of its pairs.
+    fn begin(&mut self, _left: &[Tuple], _right: &[Tuple]) {}
+
+    /// The output row of the pair at positions `(i, j)` of the matched
+    /// groups, or `None` if the pair contributes nothing.
+    fn pair(&self, i: usize, j: usize, l: &Tuple, r: &Tuple) -> Option<Tuple>;
+}
+
+/// Resolve the `eq` attribute pairs of a join named `what` to (left,
+/// right) key indices.
+pub(crate) fn resolve_keys(
+    what: &str,
+    left: &Schema,
+    right: &Schema,
+    eq: &[(String, String)],
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    if eq.is_empty() {
+        return Err(ExecError::State(format!("{what} requires at least one key")));
+    }
+    let mut keys = (Vec::with_capacity(eq.len()), Vec::with_capacity(eq.len()));
+    for (l, r) in eq {
+        keys.0.push(left.index_of(l)?);
+        keys.1.push(right.index_of(r)?);
+    }
+    Ok(keys)
+}
+
+/// The sort-merge join: aligns the key groups of two key-sorted inputs
+/// and emits the pairing of every (left row, right row) of each matched
+/// pair of groups, left-row major — so the output is ordered like the
+/// left input.
 ///
 /// With `workers > 1` both inputs are materialized, the left side is
-/// split at key-group boundaries, each partition joins against its
-/// aligned right range on the worker pool, and the partition outputs are
-/// concatenated in key order — identical to the sequential output.
-pub struct MergeJoin {
-    left: BatchBuffered,
-    right: BatchBuffered,
-    opts: ExecOpts,
-    eq: Vec<(String, String)>,
-    /// Resolved join-attribute indices (left, right).
-    keys: Vec<(usize, usize)>,
+/// split into ~morsel-sized partitions at key-group boundaries, each
+/// partition joins against its aligned right range (both sides are
+/// key-sorted, so partitions cover disjoint key ranges) on the worker
+/// pool, and the partition outputs are concatenated in key order —
+/// identical to the sequential output.
+pub(crate) struct SortMerge<P> {
+    left: KeyGroups,
+    right: KeyGroups,
+    pairing: P,
     schema: Arc<Schema>,
-    state: Option<State>,
+    opts: ExecOpts,
+    /// Next pair to emit within (left group × right group).
+    at: (usize, usize),
+    opened: bool,
     /// Parallel path: the concatenated partition outputs, served as a scan.
     staged: Option<VecScan>,
     groups: u64,
     par: Option<ParStats>,
 }
 
-struct State {
-    /// Current left tuple under consideration.
-    left_cur: Option<Tuple>,
-    /// Buffered right group (all right tuples with the current key).
-    right_group: Vec<Tuple>,
-    /// Lookahead on the right input.
-    right_next: Option<Tuple>,
-    /// Output position within the current (left tuple × right group).
-    emit_idx: usize,
-    /// Does the current left tuple match the buffered right group?
-    matching: bool,
-}
-
-impl MergeJoin {
-    /// Join `left` and `right` on the `eq` attribute pairs; both inputs
-    /// must be sorted on those attributes.
-    pub fn new(left: BoxCursor, right: BoxCursor, eq: &[(String, String)]) -> Result<Self> {
-        Self::with_opts(left, right, eq, ExecOpts::default())
-    }
-
-    /// Like [`MergeJoin::new`] with explicit execution knobs.
-    pub fn with_opts(
+impl<P: Pairing> SortMerge<P> {
+    pub(crate) fn new(
         left: BoxCursor,
         right: BoxCursor,
-        eq: &[(String, String)],
+        (lkeys, rkeys): (Vec<usize>, Vec<usize>),
+        pairing: P,
+        schema: Arc<Schema>,
         opts: ExecOpts,
-    ) -> Result<Self> {
-        let mut keys = Vec::with_capacity(eq.len());
-        for (l, r) in eq {
-            keys.push((left.schema().index_of(l)?, right.schema().index_of(r)?));
-        }
-        if keys.is_empty() {
-            return Err(ExecError::State("merge join requires at least one key".into()));
-        }
-        let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
-        let (left, right) = (
-            BatchBuffered::with_rows(left, opts.batch_rows),
-            BatchBuffered::with_rows(right, opts.batch_rows),
-        );
-        Ok(MergeJoin {
-            left,
-            right,
-            opts,
-            eq: eq.to_vec(),
-            keys,
+    ) -> Self {
+        SortMerge {
+            left: KeyGroups::new(left, lkeys, opts.batch_rows),
+            right: KeyGroups::new(right, rkeys, opts.batch_rows),
+            pairing,
             schema,
-            state: None,
+            opts,
+            at: (0, 0),
+            opened: false,
             staged: None,
             groups: 0,
             par: None,
-        })
+        }
     }
 
     /// Parallel path: materialize, partition at key boundaries, run a
@@ -95,11 +220,9 @@ impl MergeJoin {
         let lrows = self.left.drain()?;
         let rrows = self.right.drain()?;
         let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
-        let keys = self.keys.clone();
-        let same = |a: &Tuple, b: &Tuple| {
-            keys.iter().all(|&(li, _)| a[li].total_cmp(&b[li]) == Ordering::Equal)
-        };
-        let cmp = |l: &Tuple, r: &Tuple| key_cmp(&keys, l, r);
+        let (lkeys, rkeys) = (&self.left.keys, &self.right.keys);
+        let same = |a: &Tuple, b: &Tuple| key_cmp(lkeys, lkeys, a, b).is_eq();
+        let cmp = |l: &Tuple, r: &Tuple| key_cmp(lkeys, rkeys, l, r);
         let parts = partition_pairs(&lrows, &rrows, self.opts.workers, same, cmp);
         let mut lit = lrows.into_iter();
         let mut rit = rrows.into_iter();
@@ -113,21 +236,22 @@ impl MergeJoin {
                 }
                 let rpart: Vec<Tuple> = rit.by_ref().take(rhi - rlo).collect();
                 rpos = rhi;
-                let (ls, rs, eq) = (ls.clone(), rs.clone(), self.eq.clone());
+                let mut j = SortMerge::new(
+                    Box::new(VecScan::from_parts(ls.clone(), lpart)),
+                    Box::new(VecScan::from_parts(rs.clone(), rpart)),
+                    (lkeys.clone(), rkeys.clone()),
+                    self.pairing.clone(),
+                    self.schema.clone(),
+                    ExecOpts::default(),
+                );
                 move || -> Result<(Vec<Tuple>, u64)> {
-                    let mut j = MergeJoin::new(
-                        Box::new(VecScan::from_parts(ls, lpart)),
-                        Box::new(VecScan::from_parts(rs, rpart)),
-                        &eq,
-                    )?;
                     j.open()?;
                     let mut out = Vec::new();
                     while let Some(t) = j.step()? {
                         out.push(t);
                     }
-                    let groups = j.groups;
                     j.close()?;
-                    Ok((out, groups))
+                    Ok((out, j.groups))
                 }
             })
             .collect();
@@ -147,113 +271,43 @@ impl MergeJoin {
 
     /// The merge itself, one output row per call.
     fn step(&mut self) -> Result<Option<Tuple>> {
-        // Split borrows up front: the merge state, the two inputs and the
-        // key indices are disjoint fields, so the loop below can advance
-        // the inputs while holding borrowed tuples out of the state — no
-        // per-iteration `Tuple` clones.
-        let MergeJoin { left, right, keys, state, groups, .. } = self;
-        let st = state.as_mut().ok_or_else(|| ExecError::State("merge join not opened".into()))?;
+        if !self.opened {
+            return Err(ExecError::State(format!("{} not opened", P::NAME)));
+        }
         loop {
-            // Emit pending pairs for the current left tuple.
-            if st.matching {
-                if let Some(l) = &st.left_cur {
-                    if st.emit_idx < st.right_group.len() {
-                        let out = l.concat(&st.right_group[st.emit_idx]);
-                        st.emit_idx += 1;
+            // Emit the remaining pairs of the matched groups.
+            let (lg, rg) = (self.left.group(), self.right.group());
+            while self.at.0 < lg.len() {
+                while self.at.1 < rg.len() {
+                    let (i, j) = self.at;
+                    self.at.1 += 1;
+                    if let Some(out) = self.pairing.pair(i, j, &lg[i], &rg[j]) {
                         return Ok(Some(out));
                     }
                 }
-                // Exhausted the group for this left tuple: advance left; if
-                // the next left tuple has the same key, replay the group.
-                let prev = st.left_cur.take();
-                st.left_cur = left.next()?;
-                st.emit_idx = 0;
-                st.matching = match (&prev, &st.left_cur) {
-                    (Some(p), Some(c)) => {
-                        keys.iter().all(|&(li, _)| p[li].total_cmp(&c[li]) == Ordering::Equal)
-                    }
-                    _ => false,
-                };
-                if st.matching {
-                    continue;
+                self.at = (self.at.0 + 1, 0);
+            }
+            // Left keys are distinct from group to group, so a right
+            // group matches once.
+            self.right.spend();
+            self.at = (0, 0);
+            // Align on the next common key. The right side's end is
+            // checked first: once it is reached no left group is read.
+            loop {
+                if self.right.at_end() || !self.left.advance()? {
+                    return Ok(None);
+                }
+                if self.right.seek(&self.left.group()[0], &self.left.keys)? {
+                    break;
                 }
             }
-            let Some(cur) = st.left_cur.as_ref() else {
-                return Ok(None);
-            };
-            // Advance the right side until its key >= left key, buffering
-            // the group when equal.
-            if st.right_next.is_none() {
-                // No more right tuples can match this or any later left
-                // tuple unless a buffered group matches — check group.
-                if !st.right_group.is_empty() && key_cmp(keys, cur, &st.right_group[0]).is_eq() {
-                    st.matching = true;
-                    st.emit_idx = 0;
-                    continue;
-                }
-                return Ok(None);
-            }
-            // If the buffered group already matches the left key, use it.
-            if !st.right_group.is_empty() && key_cmp(keys, cur, &st.right_group[0]).is_eq() {
-                st.matching = true;
-                st.emit_idx = 0;
-                continue;
-            }
-            let r = st.right_next.as_ref().unwrap();
-            match key_cmp(keys, cur, r) {
-                Ordering::Less => {
-                    // left key too small: advance left
-                    st.left_cur = left.next()?;
-                    if st.left_cur.is_none() {
-                        return Ok(None);
-                    }
-                }
-                Ordering::Greater => {
-                    // right key too small: discard and advance right
-                    st.right_group.clear();
-                    st.right_next = right.next()?;
-                }
-                Ordering::Equal => {
-                    // Buffer the whole right group with this key, moving
-                    // the lookahead tuple in rather than cloning it.
-                    let first = st.right_next.take().unwrap();
-                    let mut group = vec![first];
-                    loop {
-                        match right.next()? {
-                            Some(t)
-                                if keys.iter().all(|&(_, ri)| {
-                                    group[0][ri].total_cmp(&t[ri]) == Ordering::Equal
-                                }) =>
-                            {
-                                group.push(t)
-                            }
-                            other => {
-                                st.right_next = other;
-                                break;
-                            }
-                        }
-                    }
-                    *groups += 1;
-                    st.right_group = group;
-                    st.matching = true;
-                    st.emit_idx = 0;
-                }
-            }
+            self.groups += 1;
+            self.pairing.begin(self.left.group(), self.right.group());
         }
     }
 }
 
-fn key_cmp(keys: &[(usize, usize)], l: &Tuple, r: &Tuple) -> Ordering {
-    for &(li, ri) in keys {
-        let o = l[li].total_cmp(&r[ri]);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
-impl Cursor for MergeJoin {
+impl<P: Pairing> Cursor for SortMerge<P> {
     fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }
@@ -261,22 +315,14 @@ impl Cursor for MergeJoin {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
+        self.opened = true;
         if self.opts.workers > 1 {
             return self.open_parallel();
         }
-        let left_cur = self.left.next()?;
-        let right_next = self.right.next()?;
-        self.state = Some(State {
-            left_cur,
-            right_group: Vec::new(),
-            right_next,
-            emit_idx: 0,
-            matching: false,
-        });
         Ok(())
     }
 
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<tango_algebra::Batch>> {
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
         if let Some(s) = &mut self.staged {
             return s.next_batch(max_rows);
         }
@@ -284,14 +330,14 @@ impl Cursor for MergeJoin {
     }
 
     fn close(&mut self) -> Result<()> {
-        self.state = None;
+        self.opened = false;
         self.staged = None;
         self.left.close()?;
         self.right.close()
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("right_groups", self.groups)];
+        let mut out = vec![(P::GROUPS, self.groups)];
         if let Some(par) = &self.par {
             out.extend(par.counters());
         }
@@ -299,11 +345,76 @@ impl Cursor for MergeJoin {
     }
 }
 
+/// Forward [`Cursor`] from a public join to the [`SortMerge`] it wraps.
+macro_rules! sort_merge_cursor {
+    ($join:ty) => {
+        impl Cursor for $join {
+            fn schema(&self) -> &Arc<Schema> {
+                self.0.schema()
+            }
+            fn open(&mut self) -> Result<()> {
+                self.0.open()
+            }
+            fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+                self.0.next_batch(max_rows)
+            }
+            fn close(&mut self) -> Result<()> {
+                self.0.close()
+            }
+            fn counters(&self) -> Vec<(&'static str, u64)> {
+                self.0.counters()
+            }
+        }
+    };
+}
+pub(crate) use sort_merge_cursor;
+
+/// `MERGEJOIN^M`'s pairing: the two rows side by side.
+#[derive(Clone)]
+struct Concat;
+
+impl Pairing for Concat {
+    const NAME: &'static str = "merge join";
+    const GROUPS: &'static str = "right_groups";
+
+    fn pair(&self, _: usize, _: usize, l: &Tuple, r: &Tuple) -> Option<Tuple> {
+        Some(l.concat(r))
+    }
+}
+
+/// The `MERGEJOIN^M` cursor: sort-merge equi join over inputs sorted on
+/// the join attributes; output ordered by the left input. `workers > 1`
+/// joins key-range partitions in parallel, with identical output.
+pub struct MergeJoin(SortMerge<Concat>);
+
+impl MergeJoin {
+    /// Join `left` and `right` on the `eq` attribute pairs; both inputs
+    /// must be sorted on those attributes.
+    pub fn new(left: BoxCursor, right: BoxCursor, eq: &[(String, String)]) -> Result<Self> {
+        Self::with_opts(left, right, eq, ExecOpts::default())
+    }
+
+    /// Like [`MergeJoin::new`] with explicit execution knobs.
+    pub fn with_opts(
+        left: BoxCursor,
+        right: BoxCursor,
+        eq: &[(String, String)],
+        opts: ExecOpts,
+    ) -> Result<Self> {
+        let keys = resolve_keys(Concat::NAME, left.schema(), right.schema(), eq)?;
+        let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
+        Ok(MergeJoin(SortMerge::new(left, right, keys, Concat, schema, opts)))
+    }
+}
+
+sort_merge_cursor!(MergeJoin);
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::collect;
     use crate::scan::VecScan;
+    use crate::testutil::counting_scan;
     use proptest::prelude::*;
     use tango_algebra::{tup, Attr, Relation, SortSpec, Type};
 
@@ -342,6 +453,57 @@ mod tests {
     fn duplicate_left_keys_replay_group() {
         let got = join_pairs(vec![(1, 10), (1, 11)], vec![(1, 100), (1, 101)]);
         assert_eq!(got.len(), 4);
+    }
+
+    fn key_groups(keys: &[i64]) -> KeyGroups {
+        let r = rel("K", "X", keys.iter().map(|&k| (k, 0)).collect());
+        let mut g = KeyGroups::new(Box::new(VecScan::new(r)), vec![0], 2);
+        g.open().unwrap();
+        g
+    }
+
+    #[test]
+    fn seek_keeps_a_group_that_orders_after_the_probe() {
+        let mut g = key_groups(&[1, 3, 3]);
+        assert!(!g.seek(&tup![2], &[0]).unwrap(), "1 is dropped, 3 is not a match");
+        assert!(g.group().is_empty() && !g.at_end());
+        assert!(g.seek(&tup![3], &[0]).unwrap(), "3 was kept for the later probe");
+        assert_eq!(g.group().len(), 2);
+    }
+
+    #[test]
+    fn seek_replays_one_group_for_equal_consecutive_probes() {
+        let mut g = key_groups(&[1, 1, 2]);
+        assert!(g.seek(&tup![1], &[0]).unwrap());
+        assert!(g.seek(&tup![1], &[0]).unwrap(), "the buffered group serves the equal probe");
+        assert_eq!(g.group(), &[tup![1, 0], tup![1, 0]]);
+        assert!(g.seek(&tup![2], &[0]).unwrap());
+        assert_eq!(g.group(), &[tup![2, 0]]);
+    }
+
+    #[test]
+    fn seek_is_stable_at_end_of_input() {
+        let mut g = key_groups(&[1]);
+        for _ in 0..2 {
+            assert!(!g.seek(&tup![9], &[0]).unwrap());
+            assert!(g.at_end() && g.group().is_empty());
+        }
+        assert!(!g.advance().unwrap());
+        g.spend();
+        assert!(g.at_end());
+    }
+
+    /// Once the right input has ended no further left group is read:
+    /// the first left batch is pulled at `open`, the second closes the
+    /// key-1 group, the other two stay unread.
+    #[test]
+    fn right_input_ending_first_pulls_no_further_left_batch() {
+        let (left, pulls) = counting_scan(rel("K", "X", (2..10).map(|i| (i / 2, i)).collect()));
+        let right = Box::new(VecScan::new(rel("K2", "Y", vec![(1, 0)])));
+        let opts = ExecOpts { batch_rows: 2, ..Default::default() };
+        let mj = MergeJoin::with_opts(left, right, &[("K".into(), "K2".into())], opts).unwrap();
+        assert_eq!(collect(Box::new(mj)).unwrap().len(), 2);
+        assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     proptest! {

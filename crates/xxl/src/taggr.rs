@@ -18,14 +18,14 @@
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
 
-use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::cursor::{drain_batches, period_values, BoxCursor, Cursor, ExecError, ExecOpts, Result};
 use crate::par::{run_ordered, ParStats, MORSEL_ROWS};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
 use tango_algebra::value::Key;
 use tango_algebra::{
-    AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Schema, SortSpec, Type, Value,
+    AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Period, Schema, SortSpec, Type, Value,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -339,14 +339,6 @@ fn day_col(data: &Batch, col: usize) -> Vec<i64> {
         .collect()
 }
 
-fn mk_t(date_typed: bool, v: i64) -> Value {
-    if date_typed {
-        Value::Date(v as Day)
-    } else {
-        Value::Int(v)
-    }
-}
-
 /// Shared read-only view a sweep job needs.
 struct SweepCtx<'a> {
     data: &'a Batch,
@@ -422,8 +414,9 @@ fn sweep_groups(
                     for (c, v) in group_vals.iter().enumerate() {
                         out[c].push(v.clone());
                     }
-                    out[width_g].push(mk_t(ctx.date_typed, p));
-                    out[width_g + 1].push(mk_t(ctx.date_typed, t));
+                    let (t1, t2) = period_values(ctx.date_typed, Period::new(p as Day, t as Day));
+                    out[width_g].push(t1);
+                    out[width_g + 1].push(t2);
                     for (c, s) in states.iter().enumerate() {
                         out[width_g + 2 + c].push(s.current());
                     }

@@ -5,26 +5,26 @@
 //!
 //! Both inputs must be sorted on all non-temporal attributes (then `T1`).
 
-use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use std::cmp::Ordering;
+use crate::cursor::{
+    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts,
+    Result,
+};
+use crate::merge_join::KeyGroups;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tango_algebra::{Batch, Period, Schema, Tuple, Type, Value};
+use tango_algebra::{Batch, Schema, Tuple, Type};
 
 /// The temporal-difference cursor: subtracts the right input's periods
 /// from value-equivalent left tuples, splitting them into the remaining
 /// fragments. Inputs sorted on (value attributes, `T1`).
 pub struct TemporalDiff {
     left: BatchBuffered,
-    right: BatchBuffered,
+    /// The right input, one value combination's rows at a time.
+    right: KeyGroups,
     value_idx: Vec<usize>,
     lperiod: (usize, usize),
     rperiod: (usize, usize),
     date_typed: bool,
-    rnext: Option<Tuple>,
-    /// Buffered right group (periods of the current value combination).
-    rgroup: Vec<Period>,
-    rgroup_key: Option<Tuple>,
     out: VecDeque<Tuple>,
     opened: bool,
     splits: u64,
@@ -56,112 +56,15 @@ impl TemporalDiff {
         let date_typed = matches!(ls.attr(lperiod.0).ty, Type::Date);
         Ok(TemporalDiff {
             left: BatchBuffered::with_rows(left, opts.batch_rows),
-            right: BatchBuffered::with_rows(right, opts.batch_rows),
+            right: KeyGroups::new(right, value_idx.clone(), opts.batch_rows),
             value_idx,
             lperiod,
             rperiod,
             date_typed,
-            rnext: None,
-            rgroup: Vec::new(),
-            rgroup_key: None,
             out: VecDeque::new(),
             opened: false,
             splits: 0,
         })
-    }
-
-    fn value_cmp(&self, a: &Tuple, b: &Tuple) -> Ordering {
-        for &i in &self.value_idx {
-            let o = a[i].total_cmp(&b[i]);
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Advance the right side until its group key >= the left tuple's key,
-    /// buffering the matching group's periods.
-    fn align_right(&mut self, l: &Tuple) -> Result<()> {
-        if let Some(k) = &self.rgroup_key {
-            if self.value_cmp(k, l) == Ordering::Equal {
-                return Ok(()); // group already buffered
-            }
-        }
-        loop {
-            if self.rnext.is_none() {
-                self.rnext = self.right.next()?;
-                if self.rnext.is_none() {
-                    self.rgroup.clear();
-                    self.rgroup_key = None;
-                    return Ok(());
-                }
-            }
-            let r = self.rnext.as_ref().unwrap();
-            match self.value_cmp(r, l) {
-                Ordering::Less => {
-                    self.rnext = None; // discard, fetch next
-                }
-                Ordering::Greater => {
-                    self.rgroup.clear();
-                    self.rgroup_key = None;
-                    return Ok(());
-                }
-                Ordering::Equal => {
-                    // buffer the whole group
-                    let key = r.clone();
-                    let mut periods = Vec::new();
-                    loop {
-                        let r = match self.rnext.take() {
-                            Some(r) => r,
-                            None => match self.right.next()? {
-                                Some(r) => r,
-                                None => break,
-                            },
-                        };
-                        if self.value_cmp(&r, &key) != Ordering::Equal {
-                            self.rnext = Some(r);
-                            break;
-                        }
-                        if let (Some(a), Some(b)) =
-                            (r[self.rperiod.0].as_day(), r[self.rperiod.1].as_day())
-                        {
-                            let p = Period::new(a, b);
-                            if p.is_valid() {
-                                periods.push(p);
-                            }
-                        }
-                    }
-                    self.rgroup = periods;
-                    self.rgroup_key = Some(key);
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    fn push_fragments(&mut self, l: &Tuple, mut fragments: Vec<Period>) {
-        for p in &self.rgroup {
-            let mut next = Vec::new();
-            for f in fragments {
-                next.extend(f.subtract(p));
-            }
-            fragments = next;
-            if fragments.is_empty() {
-                break;
-            }
-        }
-        for f in fragments {
-            let mut t = l.clone();
-            let (v1, v2) = if self.date_typed {
-                (Value::Date(f.start), Value::Date(f.end))
-            } else {
-                (Value::Int(f.start as i64), Value::Int(f.end as i64))
-            };
-            t.set(self.lperiod.0, v1);
-            t.set(self.lperiod.1, v2);
-            self.out.push_back(t);
-        }
     }
 
     /// The difference scan, one surviving fragment per call.
@@ -176,25 +79,29 @@ impl TemporalDiff {
             let Some(l) = self.left.next()? else {
                 return Ok(None);
             };
-            let Some(p) = l[self.lperiod.0]
-                .as_day()
-                .zip(l[self.lperiod.1].as_day())
-                .map(|(a, b)| Period::new(a, b))
-                .filter(Period::is_valid)
-            else {
+            let Some(p) = read_period(&l, self.lperiod) else {
                 continue;
             };
-            self.align_right(&l)?;
-            let matches = self
-                .rgroup_key
-                .as_ref()
-                .map(|k| self.value_cmp(k, &l) == Ordering::Equal)
-                .unwrap_or(false);
-            if matches {
-                self.splits += 1;
-                self.push_fragments(&l, vec![p]);
-            } else {
-                self.out.push_back(l);
+            if !self.right.seek(&l, &self.value_idx)? {
+                return Ok(Some(l));
+            }
+            self.splits += 1;
+            let mut fragments = vec![p];
+            for r in self.right.group() {
+                let Some(rp) = read_period(r, self.rperiod) else {
+                    continue;
+                };
+                fragments = fragments.iter().flat_map(|f| f.subtract(&rp)).collect();
+                if fragments.is_empty() {
+                    break;
+                }
+            }
+            for f in fragments {
+                let mut t = l.clone();
+                let (t1, t2) = period_values(self.date_typed, f);
+                t.set(self.lperiod.0, t1);
+                t.set(self.lperiod.1, t2);
+                self.out.push_back(t);
             }
         }
     }
@@ -218,7 +125,6 @@ impl Cursor for TemporalDiff {
 
     fn close(&mut self) -> Result<()> {
         self.out.clear();
-        self.rgroup.clear();
         self.left.close()?;
         self.right.close()
     }

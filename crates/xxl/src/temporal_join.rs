@@ -8,32 +8,20 @@
 //! Inputs must be sorted on the join attributes; the output is ordered by
 //! them, so a query that sorts its result on the join key needs no extra
 //! sort after this algorithm (exploited by Queries 2 and 3 in the paper).
+//! The sweep is [`crate::merge_join`]'s; only the pairing is temporal.
 
-use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{partition_pairs, run_ordered, ParStats};
-use crate::scan::VecScan;
-use std::cmp::Ordering;
+use crate::cursor::{period_values, read_period, BoxCursor, Cursor, ExecError, ExecOpts, Result};
+use crate::merge_join::{resolve_keys, sort_merge_cursor, Pairing, SortMerge};
 use std::sync::Arc;
 use tango_algebra::logical::tjoin_schema;
-use tango_algebra::{Batch, Period, Schema, Tuple, Value};
+use tango_algebra::{Batch, Period, Schema, Tuple, Type};
 
-/// The `TMERGEJOIN^M` cursor: sort-merge temporal equi join — matches on
-/// the join attributes *and* overlapping periods, emitting the
-/// intersected period. Inputs sorted on the join attributes.
-///
-/// With `workers > 1` the join materializes both inputs, splits the left
-/// side into ~morsel-sized partitions at key-group boundaries, aligns the
-/// matching right ranges (both sides are key-sorted, so partitions cover
-/// disjoint key ranges), and runs an independent sequential sub-join per
-/// partition; outputs are concatenated in partition order, which equals
-/// the sequential output exactly.
-pub struct TemporalMergeJoin {
-    left: BatchBuffered,
-    right: BatchBuffered,
-    opts: ExecOpts,
-    eq: Vec<(String, String)>,
-    lkeys: Vec<usize>,
-    rkeys: Vec<usize>,
+/// `TMERGEJOIN^M`'s pairing: the non-period attributes of both rows (the
+/// right side's join attributes dropped) over the intersection of their
+/// periods; a pair whose periods do not overlap — or one of which is
+/// NULL or empty — contributes nothing.
+#[derive(Clone)]
+struct Intersect {
     /// Left attribute indices copied to the output (non-period).
     lkeep: Vec<usize>,
     /// Right attribute indices copied to the output (non-period, non-key).
@@ -41,26 +29,40 @@ pub struct TemporalMergeJoin {
     lperiod: (usize, usize),
     rperiod: (usize, usize),
     date_typed: bool,
-    schema: Arc<Schema>,
-    state: Option<State>,
-    /// Parallel path: the concatenated partition outputs, served as a scan.
-    staged: Option<VecScan>,
-    groups: u64,
-    par: Option<ParStats>,
+    /// Periods of the matched groups, parsed once per group instead of
+    /// once per (left, right) pair.
+    lper: Vec<Option<Period>>,
+    rper: Vec<Option<Period>>,
 }
 
-struct State {
-    lgroup: Vec<Tuple>,
-    rgroup: Vec<Tuple>,
-    /// Periods of the buffered groups, parsed once per group instead of
-    /// once per (left, right) pair in the emission loop.
-    lper: Vec<Period>,
-    rper: Vec<Period>,
-    lnext: Option<Tuple>,
-    rnext: Option<Tuple>,
-    i: usize,
-    j: usize,
+impl Pairing for Intersect {
+    const NAME: &'static str = "temporal join";
+    const GROUPS: &'static str = "key_groups";
+
+    fn begin(&mut self, left: &[Tuple], right: &[Tuple]) {
+        self.lper.clear();
+        self.lper.extend(left.iter().map(|t| read_period(t, self.lperiod)));
+        self.rper.clear();
+        self.rper.extend(right.iter().map(|t| read_period(t, self.rperiod)));
+    }
+
+    fn pair(&self, i: usize, j: usize, l: &Tuple, r: &Tuple) -> Option<Tuple> {
+        let p = self.lper[i]?.intersect(&self.rper[j]?)?;
+        let mut out = Vec::with_capacity(self.lkeep.len() + self.rkeep.len() + 2);
+        out.extend(self.lkeep.iter().map(|&c| l[c].clone()));
+        out.extend(self.rkeep.iter().map(|&c| r[c].clone()));
+        let (t1, t2) = period_values(self.date_typed, p);
+        out.push(t1);
+        out.push(t2);
+        Some(Tuple::new(out))
+    }
 }
+
+/// The `TMERGEJOIN^M` cursor: sort-merge temporal equi join — matches on
+/// the join attributes *and* overlapping periods, emitting the
+/// intersected period. Inputs sorted on the join attributes; `workers >
+/// 1` joins key-range partitions in parallel, with identical output.
+pub struct TemporalMergeJoin(SortMerge<Intersect>);
 
 impl TemporalMergeJoin {
     /// Temporal join of `left` and `right` on the `eq` attribute pairs.
@@ -75,298 +77,37 @@ impl TemporalMergeJoin {
         eq: &[(String, String)],
         opts: ExecOpts,
     ) -> Result<Self> {
-        let ls = left.schema();
-        let rs = right.schema();
+        let (ls, rs) = (left.schema(), right.schema());
         let lperiod = ls
             .period()
             .ok_or_else(|| ExecError::State("temporal join: left input not temporal".into()))?;
         let rperiod = rs
             .period()
             .ok_or_else(|| ExecError::State("temporal join: right input not temporal".into()))?;
-        let mut lkeys = Vec::new();
-        let mut rkeys = Vec::new();
-        for (l, r) in eq {
-            lkeys.push(ls.index_of(l)?);
-            rkeys.push(rs.index_of(r)?);
-        }
-        if lkeys.is_empty() {
-            return Err(ExecError::State("temporal join requires at least one key".into()));
-        }
-        let lkeep: Vec<usize> =
-            (0..ls.len()).filter(|&i| i != lperiod.0 && i != lperiod.1).collect();
-        let rkeep: Vec<usize> = (0..rs.len())
-            .filter(|&i| i != rperiod.0 && i != rperiod.1 && !rkeys.contains(&i))
-            .collect();
-        let eq_owned: Vec<(String, String)> = eq.to_vec();
-        let schema = Arc::new(tjoin_schema(&eq_owned, ls, rs)?);
-        let date_typed =
-            matches!(schema.attr(schema.period().unwrap().0).ty, tango_algebra::Type::Date);
-        let (left, right) = (
-            BatchBuffered::with_rows(left, opts.batch_rows),
-            BatchBuffered::with_rows(right, opts.batch_rows),
-        );
-        Ok(TemporalMergeJoin {
-            left,
-            right,
-            opts,
-            eq: eq_owned,
-            lkeys,
-            rkeys,
-            lkeep,
-            rkeep,
+        let keys = resolve_keys(Intersect::NAME, ls, rs, eq)?;
+        let schema = Arc::new(tjoin_schema(eq, ls, rs)?);
+        let pairing = Intersect {
+            lkeep: (0..ls.len()).filter(|&i| i != lperiod.0 && i != lperiod.1).collect(),
+            rkeep: (0..rs.len())
+                .filter(|&i| i != rperiod.0 && i != rperiod.1 && !keys.1.contains(&i))
+                .collect(),
             lperiod,
             rperiod,
-            date_typed,
-            schema,
-            state: None,
-            staged: None,
-            groups: 0,
-            par: None,
-        })
-    }
-
-    /// Parallel path: materialize, partition at key boundaries, run a
-    /// sequential sub-join per partition, concatenate in order.
-    fn open_parallel(&mut self) -> Result<()> {
-        let lrows = self.left.drain()?;
-        let rrows = self.right.drain()?;
-        let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
-        let (lkeys, rkeys) = (self.lkeys.clone(), self.rkeys.clone());
-        let same =
-            |a: &Tuple, b: &Tuple| lkeys.iter().all(|&k| a[k].total_cmp(&b[k]) == Ordering::Equal);
-        let cmp = |l: &Tuple, r: &Tuple| key_cmp(&lkeys, &rkeys, l, r);
-        let parts = partition_pairs(&lrows, &rrows, self.opts.workers, same, cmp);
-        let mut lit = lrows.into_iter();
-        let mut rit = rrows.into_iter();
-        let mut rpos = 0usize;
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .map(|(llo, lhi, rlo, rhi)| {
-                let lpart: Vec<Tuple> = lit.by_ref().take(lhi - llo).collect();
-                for _ in rpos..rlo {
-                    rit.next();
-                }
-                let rpart: Vec<Tuple> = rit.by_ref().take(rhi - rlo).collect();
-                rpos = rhi;
-                let (ls, rs, eq) = (ls.clone(), rs.clone(), self.eq.clone());
-                move || -> Result<(Vec<Tuple>, u64)> {
-                    let mut j = TemporalMergeJoin::new(
-                        Box::new(VecScan::from_parts(ls, lpart)),
-                        Box::new(VecScan::from_parts(rs, rpart)),
-                        &eq,
-                    )?;
-                    j.open()?;
-                    let mut out = Vec::new();
-                    while let Some(t) = j.step()? {
-                        out.push(t);
-                    }
-                    let groups = j.groups;
-                    j.close()?;
-                    Ok((out, groups))
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut rows = Vec::new();
-        for res in results {
-            let (out, g) = res?;
-            self.groups += g;
-            rows.extend(out);
-        }
-        self.par = Some(stats);
-        let mut scan = VecScan::from_parts(self.schema.clone(), rows);
-        scan.open()?;
-        self.staged = Some(scan);
-        Ok(())
-    }
-
-    /// Read all consecutive tuples sharing the key of `first` from `input`.
-    fn read_group(
-        input: &mut BatchBuffered,
-        first: Tuple,
-        keys: &[usize],
-    ) -> Result<(Vec<Tuple>, Option<Tuple>)> {
-        let mut group = vec![first];
-        loop {
-            match input.next()? {
-                Some(t) => {
-                    let same =
-                        keys.iter().all(|&k| t[k].total_cmp(&group[0][k]) == Ordering::Equal);
-                    if same {
-                        group.push(t);
-                    } else {
-                        return Ok((group, Some(t)));
-                    }
-                }
-                None => return Ok((group, None)),
-            }
-        }
-    }
-
-    /// The merge itself, one output row per call.
-    fn step(&mut self) -> Result<Option<Tuple>> {
-        // Split borrows up front (same pattern as `MergeJoin::step`): the
-        // state, the two inputs and the resolved indices are disjoint
-        // fields, so the loop can advance the inputs while reading the
-        // buffered groups out of the state.
-        let TemporalMergeJoin {
-            left,
-            right,
-            lkeys,
-            rkeys,
-            lkeep,
-            rkeep,
-            lperiod,
-            rperiod,
-            date_typed,
-            state,
-            groups,
-            ..
-        } = self;
-        let st =
-            state.as_mut().ok_or_else(|| ExecError::State("temporal join not opened".into()))?;
-        loop {
-            // Emit remaining overlapping pairs of the buffered groups,
-            // intersecting the periods parsed once per group.
-            while st.i < st.lgroup.len() {
-                while st.j < st.rgroup.len() {
-                    let (i, j) = (st.i, st.j);
-                    st.j += 1;
-                    if let Some(p) = st.lper[i].intersect(&st.rper[j]) {
-                        let out = emit(lkeep, rkeep, *date_typed, &st.lgroup[i], &st.rgroup[j], p);
-                        return Ok(Some(out));
-                    }
-                }
-                st.j = 0;
-                st.i += 1;
-            }
-            st.lgroup.clear();
-            st.rgroup.clear();
-            st.lper.clear();
-            st.rper.clear();
-            st.i = 0;
-            st.j = 0;
-            // Align the two inputs on the next common key.
-            loop {
-                let (Some(l), Some(r)) = (&st.lnext, &st.rnext) else {
-                    return Ok(None);
-                };
-                match key_cmp(lkeys, rkeys, l, r) {
-                    Ordering::Less => st.lnext = left.next()?,
-                    Ordering::Greater => st.rnext = right.next()?,
-                    Ordering::Equal => break,
-                }
-            }
-            // Buffer both groups, parse their periods once, and restart
-            // emission.
-            let lfirst = st.lnext.take().unwrap();
-            let rfirst = st.rnext.take().unwrap();
-            let (lg, ln) = Self::read_group(left, lfirst, lkeys)?;
-            let (rg, rn) = Self::read_group(right, rfirst, rkeys)?;
-            *groups += 1;
-            let parse = |g: &[Tuple], (p0, p1): (usize, usize)| -> Vec<Period> {
-                g.iter()
-                    .map(|t| Period::new(t[p0].as_day().unwrap_or(0), t[p1].as_day().unwrap_or(0)))
-                    .collect()
-            };
-            st.lper = parse(&lg, *lperiod);
-            st.rper = parse(&rg, *rperiod);
-            st.lgroup = lg;
-            st.rgroup = rg;
-            st.lnext = ln;
-            st.rnext = rn;
-        }
-    }
-}
-
-fn key_cmp(lkeys: &[usize], rkeys: &[usize], l: &Tuple, r: &Tuple) -> Ordering {
-    for (&li, &ri) in lkeys.iter().zip(rkeys) {
-        let o = l[li].total_cmp(&r[ri]);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
-fn emit(
-    lkeep: &[usize],
-    rkeep: &[usize],
-    date_typed: bool,
-    l: &Tuple,
-    r: &Tuple,
-    p: Period,
-) -> Tuple {
-    let mut out = Vec::with_capacity(lkeep.len() + rkeep.len() + 2);
-    for &i in lkeep {
-        out.push(l[i].clone());
-    }
-    for &i in rkeep {
-        out.push(r[i].clone());
-    }
-    if date_typed {
-        out.push(Value::Date(p.start));
-        out.push(Value::Date(p.end));
-    } else {
-        out.push(Value::Int(p.start as i64));
-        out.push(Value::Int(p.end as i64));
-    }
-    Tuple::new(out)
-}
-
-impl Cursor for TemporalMergeJoin {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
-        let lnext = self.left.next()?;
-        let rnext = self.right.next()?;
-        self.state = Some(State {
-            lgroup: Vec::new(),
-            rgroup: Vec::new(),
+            date_typed: matches!(schema.attr(schema.period().unwrap().0).ty, Type::Date),
             lper: Vec::new(),
             rper: Vec::new(),
-            lnext,
-            rnext,
-            i: 0,
-            j: 0,
-        });
-        Ok(())
-    }
-
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if let Some(s) = &mut self.staged {
-            return s.next_batch(max_rows);
-        }
-        fill_batch(self.schema.clone(), max_rows, || self.step())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.state = None;
-        self.staged = None;
-        self.left.close()?;
-        self.right.close()
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("key_groups", self.groups)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        };
+        Ok(TemporalMergeJoin(SortMerge::new(left, right, keys, pairing, schema, opts)))
     }
 }
+
+sort_merge_cursor!(TemporalMergeJoin);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::collect;
+    use crate::scan::VecScan;
     use crate::taggr::TemporalAggregate;
     use crate::testutil::figure3_position;
     use proptest::prelude::*;
@@ -416,6 +157,20 @@ mod tests {
             Attr::new("T2", Type::Int),
         ]));
         Relation::new(s, vals.iter().map(|&(k, v, t1, t2)| tup![k, v, t1, t2]).collect())
+    }
+
+    /// Once the right input has ended no further left group is read:
+    /// the first left batch is pulled at `open`, the second closes the
+    /// key-1 group, the other two stay unread.
+    #[test]
+    fn right_input_ending_first_pulls_no_further_left_batch() {
+        let rows: Vec<_> = (2..10).map(|i| (i / 2, i, 0, 9)).collect();
+        let (left, pulls) = crate::testutil::counting_scan(temporal_rel(&rows));
+        let right = Box::new(VecScan::new(temporal_rel(&[(1, 0, 3, 5)])));
+        let opts = ExecOpts { batch_rows: 2, ..Default::default() };
+        let tj = TemporalMergeJoin::with_opts(left, right, &[("K".into(), "K".into())], opts);
+        assert_eq!(collect(Box::new(tj.unwrap())).unwrap().len(), 2);
+        assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     proptest! {

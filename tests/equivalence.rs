@@ -362,3 +362,37 @@ fn order_by_is_respected_everywhere() {
         assert!(rel.is_sorted_by(&SortSpec::by(["PosID"])), "unsorted output from plan:\n{plan}");
     }
 }
+
+/// A row whose period has a NULL endpoint holds at no time point, so it
+/// joins nothing — wherever the temporal join runs. `TJOIN^D` gets that
+/// from SQL's three-valued `A.T1 < B.T2 AND B.T1 < A.T2`; `TMERGEJOIN^M`
+/// must read the period the same way.
+#[test]
+fn null_period_endpoints_join_nothing_in_either_placement() {
+    let db = Database::new(Link::new(LinkProfile::instant()));
+    let schema = || {
+        Schema::with_inferred_period(vec![
+            Attr::new("K", Type::Int),
+            Attr::new("V", Type::Int),
+            Attr::new("T1", Type::Int),
+            Attr::new("T2", Type::Int),
+        ])
+    };
+    db.create_table("A", schema()).unwrap();
+    db.create_table("B", schema()).unwrap();
+    db.insert_rows("A", vec![tup![1, 10, 2, 9], tup![1, 11, Value::Null, 10]]).unwrap();
+    db.insert_rows("B", vec![tup![1, 20, 5, 8]]).unwrap();
+    for t in ["A", "B"] {
+        Connection::new(db.clone())
+            .execute(&format!("ANALYZE TABLE {t} COMPUTE STATISTICS"))
+            .unwrap();
+    }
+    let sql = "VALIDTIME SELECT A.K, A.V, B.V FROM A, B WHERE A.K = B.K";
+    let (mid, mid_plan) = run_with_factors(&db, sql, mid_heavy());
+    assert!(mid_plan.contains("TMERGEJOIN^M"), "{mid_plan}");
+    let in_dbms = CostFactors { p_mjm: 1e6, p_mjout: 1e6, p_sm: 1e6, ..Default::default() };
+    let (dbms, dbms_plan) = run_with_factors(&db, sql, in_dbms);
+    assert!(dbms_plan.contains("TJOIN^D"), "{dbms_plan}");
+    assert!(mid.multiset_eq(&dbms), "placements disagree\nmid:\n{mid}\ndbms:\n{dbms}");
+    assert_eq!(mid.tuples(), &[tup![1, 10, 20, 5, 8]]);
+}
