@@ -372,16 +372,6 @@ impl Batch {
         matches!(self.repr, Repr::Cols { .. })
     }
 
-    /// The rows of the batch when in row layout (scans, wire transfers).
-    /// Columnar batches return `None`; use [`Batch::tuple_at`] or
-    /// [`Batch::into_rows`] to materialize.
-    pub fn as_rows(&self) -> Option<&[Tuple]> {
-        match &self.repr {
-            Repr::Rows(rows) => Some(rows),
-            Repr::Cols { .. } => None,
-        }
-    }
-
     /// The columns, base offset and length when in columnar layout.
     /// Row indices passed to [`Column`] accessors are absolute, i.e.
     /// `offset..offset + len`.
@@ -627,7 +617,7 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert_eq!(b.schema().len(), 1);
-        assert_eq!(b.byte_size(), b.as_rows().unwrap().iter().map(Tuple::byte_size).sum::<usize>());
+        assert_eq!(b.byte_size(), tup![1].byte_size() + tup![2].byte_size());
         assert_eq!(b.into_rows(), vec![tup![1], tup![2]]);
     }
 

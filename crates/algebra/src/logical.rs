@@ -139,10 +139,6 @@ impl Logical {
         Logical::Project { items, input: Box::new(self) }
     }
 
-    pub fn project_cols<'a>(self, cols: impl IntoIterator<Item = &'a str>) -> Logical {
-        self.project(cols.into_iter().map(ProjItem::col).collect())
-    }
-
     pub fn sort(self, keys: SortSpec) -> Logical {
         Logical::Sort { keys, input: Box::new(self) }
     }

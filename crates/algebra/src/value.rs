@@ -141,11 +141,6 @@ impl Value {
         }
     }
 
-    /// SQL equality (`None` when either side is null).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
-    }
-
     /// Addition with numeric coercion; date + int = date.
     pub fn add(&self, other: &Value) -> Result<Value> {
         self.arith(other, "+", |a, b| a + b)

@@ -50,7 +50,15 @@ impl Side {
 fn chain_plan(b: &PlanBuilder) -> PhysNode {
     let pred = Expr::cmp(CmpOp::Gt, Expr::col("PayRate"), Expr::lit(Value::Double(10.0)));
     let order = SortSpec::by(["PosID", "EmpID", "Dept", "PosCode", "PayRate", "Hours", "T1", "T2"]);
-    b.un(Algo::TransferM, b.un(Algo::SortD(order), b.un(Algo::FilterD(pred), b.scan("POSITION"))))
+    PhysNode::over(
+        Algo::TransferM,
+        vec![PhysNode::over(
+            Algo::SortD(order),
+            vec![PhysNode::over(Algo::FilterD(pred), vec![b.scan("POSITION")]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap()
 }
 
 /// Query 1's all-DBMS plan: `TAGGR^D` over POSITION, sorted on
@@ -61,13 +69,19 @@ fn taggr_plan(b: &PlanBuilder) -> PhysNode {
     let aggs =
         vec![tango_algebra::AggSpec::new(tango_algebra::AggFunc::Count, Some("PosID"), "Cnt")];
     let proj = ["PosID", "T1", "T2"].iter().map(|c| ProjItem::col(*c)).collect();
-    b.un(
+    PhysNode::over(
         Algo::TransferM,
-        b.un(
+        vec![PhysNode::over(
             Algo::SortD(SortSpec::by(["PosID", "T1"])),
-            b.un(Algo::TAggrD { group_by, aggs }, b.un(Algo::ProjectD(proj), b.scan("POSITION"))),
-        ),
+            vec![PhysNode::over(
+                Algo::TAggrD { group_by, aggs },
+                vec![PhysNode::over(Algo::ProjectD(proj), vec![b.scan("POSITION")]).unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
     )
+    .unwrap()
 }
 
 fn main() {

@@ -2,13 +2,13 @@
 //! Figures 7, 9 and the Query 3/4 plan pairs of the paper, plus the
 //! temporal-SQL texts used for the "optimizer's choice" series.
 
-use std::sync::Arc;
 use tango_algebra::date::format_date;
 use tango_algebra::{AggFunc, AggSpec, CmpOp, Day, Expr, ProjItem, SortSpec, Value};
 use tango_core::phys::{Algo, PhysNode};
 use tango_minidb::Connection;
 
-/// PhysNode builder that derives schemas as it stacks algorithms.
+/// Scans for hand-built plans: a table's schema comes from the catalog;
+/// every other node's from [`PhysNode::over`].
 pub struct PlanBuilder {
     conn: Connection,
 }
@@ -21,27 +21,7 @@ impl PlanBuilder {
     pub fn scan(&self, table: &str) -> PhysNode {
         let schema =
             self.conn.table_schema(table).unwrap_or_else(|| panic!("unknown table {table}"));
-        PhysNode {
-            algo: Algo::ScanD(table.to_string()),
-            schema: Arc::new(schema),
-            children: vec![],
-        }
-    }
-
-    pub fn un(&self, algo: Algo, child: PhysNode) -> PhysNode {
-        let schema = Arc::new(
-            algo.output_schema(&[child.schema.as_ref()])
-                .unwrap_or_else(|e| panic!("schema derivation failed for {}: {e}", algo.label())),
-        );
-        PhysNode { algo, schema, children: vec![child] }
-    }
-
-    pub fn bin(&self, algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
-        let schema = Arc::new(
-            algo.output_schema(&[l.schema.as_ref(), r.schema.as_ref()])
-                .unwrap_or_else(|e| panic!("schema derivation failed for {}: {e}", algo.label())),
-        );
-        PhysNode { algo, schema, children: vec![l, r] }
+        PhysNode::scan(table, schema)
     }
 }
 
@@ -80,30 +60,44 @@ pub fn q1_sql(table: &str) -> String {
 /// The three plans of Figure 7.
 pub fn q1_plans(b: &PlanBuilder, table: &str) -> Vec<(&'static str, PhysNode)> {
     let (group_by, aggs) = count_agg();
-    let dbms_proj =
-        |b: &PlanBuilder| b.un(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), b.scan(table));
+    let dbms_proj = |b: &PlanBuilder| {
+        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), vec![b.scan(table)])
+            .unwrap()
+    };
     let sort_keys = SortSpec::by(["PosID", "T1"]);
 
     // Plan 1: sort in the DBMS, aggregate in the middleware
-    let p1 = b.un(
+    let p1 = PhysNode::over(
         Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-        b.un(Algo::TransferM, b.un(Algo::SortD(sort_keys.clone()), dbms_proj(b))),
-    );
+        vec![PhysNode::over(
+            Algo::TransferM,
+            vec![PhysNode::over(Algo::SortD(sort_keys.clone()), vec![dbms_proj(b)]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     // Plan 2: sort and aggregate in the middleware
-    let p2 = b.un(
+    let p2 = PhysNode::over(
         Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-        b.un(Algo::SortM(sort_keys.clone()), b.un(Algo::TransferM, dbms_proj(b))),
-    );
+        vec![PhysNode::over(
+            Algo::SortM(sort_keys.clone()),
+            vec![PhysNode::over(Algo::TransferM, vec![dbms_proj(b)]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     // Plan 3: everything in the DBMS (constant-period SQL)
-    let p3 = b.un(
+    let p3 = PhysNode::over(
         Algo::TransferM,
-        b.un(
+        vec![PhysNode::over(
             Algo::SortD(SortSpec::by(["PosID", "T1"])),
-            b.un(Algo::TAggrD { group_by, aggs }, dbms_proj(b)),
-        ),
-    );
+            vec![PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![dbms_proj(b)]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
     vec![("plan1 (sortD+taggrM)", p1), ("plan2 (sortM+taggrM)", p2), ("plan3 (all DBMS)", p3)]
 }
 
@@ -134,74 +128,131 @@ pub fn q2_plans(b: &PlanBuilder, start: Day, end: Day) -> Vec<(&'static str, Phy
     // aggregation-side argument: σ_w then project to (PosID, T1, T2)
     let a_side = |filtered: bool| {
         let scan = b.scan("POSITION");
-        let input = if filtered { b.un(Algo::FilterD(win.clone()), scan) } else { scan };
-        b.un(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), input)
+        let input = if filtered {
+            PhysNode::over(Algo::FilterD(win.clone()), vec![scan]).unwrap()
+        } else {
+            scan
+        };
+        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), vec![input]).unwrap()
     };
     // middleware temporal aggregation over a DBMS-sorted argument
-    let agg_m = |filtered: bool| {
-        b.un(
-            Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-            b.un(Algo::TransferM, b.un(Algo::SortD(sortspec.clone()), a_side(filtered))),
-        )
-    };
+    let agg_m =
+        |filtered: bool| {
+            PhysNode::over(
+                Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
+                vec![PhysNode::over(
+                    Algo::TransferM,
+                    vec![PhysNode::over(Algo::SortD(sortspec.clone()), vec![a_side(filtered)])
+                        .unwrap()],
+                )
+                .unwrap()],
+            )
+            .unwrap()
+        };
     // join-side POSITION: σ_w ∧ payrate in the DBMS
-    let p_side = || b.un(Algo::FilterD(Expr::and(win.clone(), payrate_pred())), b.scan("POSITION"));
+    let p_side = || {
+        PhysNode::over(
+            Algo::FilterD(Expr::and(win.clone(), payrate_pred())),
+            vec![b.scan("POSITION")],
+        )
+        .unwrap()
+    };
     let eq = eqp("PosID", "PosID");
 
     // Plan 1: taggr in the middleware; join, sort in the DBMS
-    let p1 = b.un(
+    let p1 = PhysNode::over(
         Algo::TransferM,
-        b.un(
+        vec![PhysNode::over(
             Algo::SortD(SortSpec::by(["PosID"])),
-            b.bin(Algo::TJoinD(eq.clone()), b.un(Algo::TransferD, agg_m(true)), p_side()),
-        ),
-    );
+            vec![PhysNode::over(
+                Algo::TJoinD(eq.clone()),
+                vec![PhysNode::over(Algo::TransferD, vec![agg_m(true)]).unwrap(), p_side()],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     // Plan 2: + temporal join in the middleware (right side sorted in DBMS)
-    let p2 = b.bin(
+    let p2 = PhysNode::over(
         Algo::TMergeJoinM(eq.clone()),
-        agg_m(true),
-        b.un(Algo::TransferM, b.un(Algo::SortD(SortSpec::by(["PosID"])), p_side())),
-    );
+        vec![
+            agg_m(true),
+            PhysNode::over(
+                Algo::TransferM,
+                vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![p_side()]).unwrap()],
+            )
+            .unwrap(),
+        ],
+    )
+    .unwrap();
 
     // Plan 3: + sorting in the middleware
-    let p3 = b.bin(
+    let p3 = PhysNode::over(
         Algo::TMergeJoinM(eq.clone()),
-        agg_m(true),
-        b.un(Algo::SortM(SortSpec::by(["PosID"])), b.un(Algo::TransferM, p_side())),
-    );
+        vec![
+            agg_m(true),
+            PhysNode::over(
+                Algo::SortM(SortSpec::by(["PosID"])),
+                vec![PhysNode::over(Algo::TransferM, vec![p_side()]).unwrap()],
+            )
+            .unwrap(),
+        ],
+    )
+    .unwrap();
 
     // Plan 4: + selection in the middleware (whole base relation crosses
     // the wire)
-    let p4 = b.bin(
+    let p4 = PhysNode::over(
         Algo::TMergeJoinM(eq.clone()),
-        agg_m(true),
-        b.un(
-            Algo::SortM(SortSpec::by(["PosID"])),
-            b.un(
-                Algo::FilterM(Expr::and(win.clone(), payrate_pred())),
-                b.un(Algo::TransferM, b.scan("POSITION")),
-            ),
-        ),
-    );
+        vec![
+            agg_m(true),
+            PhysNode::over(
+                Algo::SortM(SortSpec::by(["PosID"])),
+                vec![PhysNode::over(
+                    Algo::FilterM(Expr::and(win.clone(), payrate_pred())),
+                    vec![PhysNode::over(Algo::TransferM, vec![b.scan("POSITION")]).unwrap()],
+                )
+                .unwrap()],
+            )
+            .unwrap(),
+        ],
+    )
+    .unwrap();
 
     // Plan 5: like Plan 1, but no selection on the aggregation argument
-    let p5 = b.un(
+    let p5 = PhysNode::over(
         Algo::TransferM,
-        b.un(
+        vec![PhysNode::over(
             Algo::SortD(SortSpec::by(["PosID"])),
-            b.bin(Algo::TJoinD(eq.clone()), b.un(Algo::TransferD, agg_m(false)), p_side()),
-        ),
-    );
+            vec![PhysNode::over(
+                Algo::TJoinD(eq.clone()),
+                vec![PhysNode::over(Algo::TransferD, vec![agg_m(false)]).unwrap(), p_side()],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     // Plan 6: everything in the DBMS
-    let p6 = b.un(
+    let p6 = PhysNode::over(
         Algo::TransferM,
-        b.un(
+        vec![PhysNode::over(
             Algo::SortD(SortSpec::by(["PosID"])),
-            b.bin(Algo::TJoinD(eq), b.un(Algo::TAggrD { group_by, aggs }, a_side(true)), p_side()),
-        ),
-    );
+            vec![PhysNode::over(
+                Algo::TJoinD(eq),
+                vec![
+                    PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![a_side(true)]).unwrap(),
+                    p_side(),
+                ],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     vec![
         ("plan1 (taggrM)", p1),
@@ -229,23 +280,35 @@ pub fn q3_sql(bound: Day) -> String {
 pub fn q3_plans(b: &PlanBuilder, bound: Day) -> Vec<(&'static str, PhysNode)> {
     let sel = Expr::cmp(CmpOp::Lt, Expr::col("T1"), Expr::Lit(Value::Date(bound)));
     let side = || {
-        b.un(
+        PhysNode::over(
             Algo::ProjectD(proj_cols(&["PosID", "EmpID", "T1", "T2"])),
-            b.un(Algo::FilterD(sel.clone()), b.scan("POSITION")),
+            vec![PhysNode::over(Algo::FilterD(sel.clone()), vec![b.scan("POSITION")]).unwrap()],
         )
+        .unwrap()
     };
     let eq = eqp("PosID", "PosID");
 
     // Plan 1: all in the DBMS
-    let p1 = b.un(
+    let p1 = PhysNode::over(
         Algo::TransferM,
-        b.un(Algo::SortD(SortSpec::by(["PosID"])), b.bin(Algo::TJoinD(eq.clone()), side(), side())),
-    );
+        vec![PhysNode::over(
+            Algo::SortD(SortSpec::by(["PosID"])),
+            vec![PhysNode::over(Algo::TJoinD(eq.clone()), vec![side(), side()]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
 
     // Plan 2: temporal join in the middleware (both sides sorted in the
     // DBMS; the merge output needs no final sort)
-    let sorted_side = || b.un(Algo::TransferM, b.un(Algo::SortD(SortSpec::by(["PosID"])), side()));
-    let p2 = b.bin(Algo::TMergeJoinM(eq), sorted_side(), sorted_side());
+    let sorted_side = || {
+        PhysNode::over(
+            Algo::TransferM,
+            vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![side()]).unwrap()],
+        )
+        .unwrap()
+    };
+    let p2 = PhysNode::over(Algo::TMergeJoinM(eq), vec![sorted_side(), sorted_side()]).unwrap();
 
     vec![("plan1 (all DBMS)", p1), ("plan2 (tjoinM)", p2)]
 }
@@ -266,17 +329,39 @@ pub fn q4_sql(pos_table: &str) -> String {
 /// SQL (`/*+ USE_NL */`, `/*+ USE_MERGE */`) exactly like the paper used
 /// Oracle hints; see the `fig11b_query4` binary.
 pub fn q4_plan1(b: &PlanBuilder, pos_table: &str) -> PhysNode {
-    let pos = b.un(Algo::ProjectD(proj_cols(&["PosID", "EmpID"])), b.scan(pos_table));
-    let emp = b.un(Algo::ProjectD(proj_cols(&["EmpID", "EmpName", "Address"])), b.scan("EMPLOYEE"));
-    let join = b.bin(
-        Algo::MergeJoinM(eqp("EmpID", "EmpID")),
-        b.un(Algo::SortM(SortSpec::by(["EmpID"])), b.un(Algo::TransferM, pos)),
-        b.un(Algo::SortM(SortSpec::by(["EmpID"])), b.un(Algo::TransferM, emp)),
-    );
-    b.un(
-        Algo::SortM(SortSpec::by(["PosID"])),
-        b.un(Algo::ProjectM(proj_cols(&["PosID", "EmpName", "Address"])), join),
+    let pos =
+        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "EmpID"])), vec![b.scan(pos_table)])
+            .unwrap();
+    let emp = PhysNode::over(
+        Algo::ProjectD(proj_cols(&["EmpID", "EmpName", "Address"])),
+        vec![b.scan("EMPLOYEE")],
     )
+    .unwrap();
+    let join = PhysNode::over(
+        Algo::MergeJoinM(eqp("EmpID", "EmpID")),
+        vec![
+            PhysNode::over(
+                Algo::SortM(SortSpec::by(["EmpID"])),
+                vec![PhysNode::over(Algo::TransferM, vec![pos]).unwrap()],
+            )
+            .unwrap(),
+            PhysNode::over(
+                Algo::SortM(SortSpec::by(["EmpID"])),
+                vec![PhysNode::over(Algo::TransferM, vec![emp]).unwrap()],
+            )
+            .unwrap(),
+        ],
+    )
+    .unwrap();
+    PhysNode::over(
+        Algo::SortM(SortSpec::by(["PosID"])),
+        vec![PhysNode::over(
+            Algo::ProjectM(proj_cols(&["PosID", "EmpName", "Address"])),
+            vec![join],
+        )
+        .unwrap()],
+    )
+    .unwrap()
 }
 
 /// Hinted SQL for the DBMS-side plans of Query 4.

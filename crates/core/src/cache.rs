@@ -687,20 +687,6 @@ impl MidCache {
         self.store.lock().stats.bypasses += 1;
     }
 
-    /// Drop all entries that depend on `table` (any version). Validation
-    /// at lookup already catches stale entries lazily; this is for
-    /// explicit invalidation, e.g. after `DROP TABLE`.
-    pub fn invalidate_table(&self, table: &str) -> usize {
-        let t = table.to_uppercase();
-        let mut s = self.store.lock();
-        let before = s.entries.len();
-        s.entries.retain(|e| !e.deps.iter().any(|(d, _)| *d == t));
-        let dropped = before - s.entries.len();
-        s.bytes = s.entries.iter().map(|e| e.bytes).sum();
-        s.stats.invalidations += dropped as u64;
-        dropped
-    }
-
     /// Look up a fragment. A hit requires a fresh entry (every recorded
     /// table version unchanged per `version_of`) with the same signature
     /// and a stored order that [satisfies](SortSpec::satisfies) the
@@ -1474,17 +1460,6 @@ mod tests {
         assert!(r.serves("OTHER", &SortSpec::none()).is_none());
     }
 
-    #[test]
-    fn explicit_table_invalidation() {
-        let cache = MidCache::new(1 << 20);
-        cache.insert(&key("A"), schema(), rows(2), vec![("T".into(), 1)], 1.0);
-        let mut other = key("B");
-        other.tables = vec!["U".into()];
-        cache.insert(&other, schema(), rows(2), vec![("U".into(), 1)], 1.0);
-        assert_eq!(cache.invalidate_table("t"), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
     /// The serving report lists contents and counters (the JSON form
     /// is parsed back by `tests/observability.rs`).
     #[test]
@@ -1500,7 +1475,7 @@ mod tests {
     }
 
     /// Hammer one cache from many threads: mixed lookups, inserts and
-    /// invalidations must keep the global byte count exact and never
+    /// clears must keep the global byte count exact and never
     /// deadlock or double-free.
     #[test]
     fn concurrent_hammer_keeps_accounting_exact() {
@@ -1521,7 +1496,7 @@ mod tests {
                         }
                     }
                     if i % 50 == 49 {
-                        cache.invalidate_table("T");
+                        cache.clear();
                     }
                 }
             }));

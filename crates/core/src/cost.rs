@@ -161,9 +161,12 @@ impl CostFactors {
         }
     }
 
-    /// Given an observed runtime for an algorithm instance, back out the
-    /// implied dominant cost factor (used by the feedback loop). Returns
-    /// `None` for zero-cost or fixed-cost-dominated algorithms.
+    /// The value of an algorithm's dominant cost factor under which its
+    /// formula predicts `observed_us` (used by the feedback loop) — so an
+    /// observation equal to the model's own prediction implies the
+    /// factor it already has. Every formula is linear in each factor:
+    /// price once with the factor at 0 and once at 1, and solve. `None`
+    /// for an algorithm without an adaptable factor.
     pub fn implied_factor(
         &self,
         algo: &Algo,
@@ -171,59 +174,40 @@ impl CostFactors {
         output: &RelationStats,
         observed_us: f64,
     ) -> Option<(FactorId, f64)> {
-        let x = match algo {
-            Algo::TransferM => size(inputs[0]),
-            Algo::TransferD => size(inputs[0]),
-            Algo::FilterM(p) => p.complexity() as f64 * size(inputs[0]),
-            Algo::SortM(_) | Algo::SortXM(..) => size(inputs[0]) * log2_card(inputs[0]),
-            Algo::SortD(_) => size(inputs[0]) * log2_card(inputs[0]),
-            Algo::TAggrM { .. } => size(inputs[0]),
-            Algo::TAggrD { .. } => size(inputs[0]),
-            Algo::MergeJoinM(_) | Algo::TMergeJoinM(_) => size(inputs[0]) + size(inputs[1]),
-            Algo::JoinD(_) | Algo::TJoinD(_) => size(inputs[0]) + size(inputs[1]) + size(output),
-            _ => return None,
-        };
-        if x <= 0.0 {
-            return None;
-        }
         let id = FactorId::for_algo(algo)?;
-        let adjusted = match algo {
-            // strip the fixed part before computing a per-byte rate
-            Algo::TransferD => (observed_us - self.p_td_fixed).max(0.0),
-            _ => observed_us,
+        let cost_at = |v: f64| {
+            let mut f = *self;
+            *f.factor_mut(id) = v;
+            f.cost(algo, inputs, output)
         };
-        Some((id, adjusted / x))
+        let rest = cost_at(0.0);
+        let per_unit = cost_at(1.0) - rest;
+        (per_unit > 0.0).then(|| (id, ((observed_us - rest) / per_unit).max(0.0)))
+    }
+
+    fn factor_mut(&mut self, id: FactorId) -> &mut f64 {
+        match id {
+            FactorId::Tm => &mut self.p_tm,
+            FactorId::Td => &mut self.p_td,
+            FactorId::Sem => &mut self.p_sem,
+            FactorId::Sm => &mut self.p_sm,
+            FactorId::Sd => &mut self.p_sd,
+            FactorId::TaggM => &mut self.p_taggm1,
+            FactorId::TaggD => &mut self.p_taggd1,
+            FactorId::Mjm => &mut self.p_mjm,
+            FactorId::Jd => &mut self.p_jd,
+        }
     }
 
     /// Read the factor addressed by `id`.
     pub fn get(&self, id: FactorId) -> f64 {
-        match id {
-            FactorId::Tm => self.p_tm,
-            FactorId::Td => self.p_td,
-            FactorId::Sem => self.p_sem,
-            FactorId::Sm => self.p_sm,
-            FactorId::Sd => self.p_sd,
-            FactorId::TaggM => self.p_taggm1,
-            FactorId::TaggD => self.p_taggd1,
-            FactorId::Mjm => self.p_mjm,
-            FactorId::Jd => self.p_jd,
-        }
+        let mut f = *self;
+        *f.factor_mut(id)
     }
 
     /// Overwrite the factor addressed by `id` (clamped positive).
     pub fn set(&mut self, id: FactorId, v: f64) {
-        let v = v.max(1e-9);
-        match id {
-            FactorId::Tm => self.p_tm = v,
-            FactorId::Td => self.p_td = v,
-            FactorId::Sem => self.p_sem = v,
-            FactorId::Sm => self.p_sm = v,
-            FactorId::Sd => self.p_sd = v,
-            FactorId::TaggM => self.p_taggm1 = v,
-            FactorId::TaggD => self.p_taggd1 = v,
-            FactorId::Mjm => self.p_mjm = v,
-            FactorId::Jd => self.p_jd = v,
-        }
+        *self.factor_mut(id) = v.max(1e-9);
     }
 }
 
@@ -317,6 +301,40 @@ mod tests {
         let (id, p) = f.implied_factor(&Algo::TransferM, &[&input], &out, cost).unwrap();
         assert_eq!(id, FactorId::Tm);
         assert!((p - f.p_tm).abs() < 1e-12);
+    }
+
+    /// Feeding the model its own prediction back must hold every
+    /// adaptable factor still, whatever other terms (output, spill,
+    /// fixed) the algorithm's formula charges.
+    #[test]
+    fn the_models_own_prediction_moves_no_factor() {
+        let f = CostFactors::default();
+        let (l, r, out) = (stats(10_000.0, 50.0), stats(3_000.0, 40.0), stats(25_000.0, 70.0));
+        let eq = || vec![("A".to_string(), "A".to_string())];
+        let by_a = || tango_algebra::SortSpec::by(["A"]);
+        let algos = [
+            Algo::TransferM,
+            Algo::TransferD,
+            Algo::FilterM(Expr::and(
+                Expr::eq(Expr::col("A"), Expr::lit(1)),
+                Expr::eq(Expr::col("B"), Expr::lit(2)),
+            )),
+            Algo::SortM(by_a()),
+            Algo::SortXM(by_a(), 100),
+            Algo::SortD(by_a()),
+            Algo::TAggrM { group_by: vec![], aggs: vec![] },
+            Algo::TAggrD { group_by: vec![], aggs: vec![] },
+            Algo::MergeJoinM(eq()),
+            Algo::TMergeJoinM(eq()),
+            Algo::JoinD(eq()),
+            Algo::TJoinD(eq()),
+        ];
+        for algo in algos {
+            let predicted = f.cost(&algo, &[&l, &r], &out);
+            let (id, implied) = f.implied_factor(&algo, &[&l, &r], &out, predicted).unwrap();
+            let rel_err = (implied / f.get(id) - 1.0).abs();
+            assert!(rel_err < 1e-9, "{}: {id:?} {} -> {implied}", algo.label(), f.get(id));
+        }
     }
 
     #[test]

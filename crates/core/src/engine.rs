@@ -25,9 +25,9 @@ use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    drain_of, fill_batch, BoxCursor, CachedScan, Coalesce, Cursor, DupElim, ExecOpts, ExternalSort,
-    Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate, TemporalDiff,
-    TemporalMergeJoin, VecScan,
+    drain_batches, drain_of, fill_batch, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor,
+    DupElim, ExecOpts, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
+    TemporalAggregate, TemporalDiff, TemporalMergeJoin,
 };
 
 /// Observed execution of one algorithm instance.
@@ -285,7 +285,12 @@ impl<'a> Executor<'a> {
                 }
                 None => plan,
             };
-            Ok(ctx.materialize(plan)?.0)
+            let (schema, batches, _) = ctx.materialize(plan)?;
+            let mut rows = Vec::with_capacity(batches.iter().map(Batch::len).sum());
+            for b in batches {
+                rows.extend(b.into_rows());
+            }
+            Ok(Relation::new(schema, rows))
         })();
         let wall = started.elapsed();
         // drop temp tables whatever happened ("the table must be dropped
@@ -360,35 +365,16 @@ fn replace_at(n: &mut PhysNode, path: &[usize], new: PhysNode) {
     }
 }
 
-/// The sort order a plan node's output is known to arrive in — a
-/// conservative derivation (`none` when unknown) used to pin the
-/// delivery order across a re-plan and to record what order each
-/// materialization holds.
-fn delivered_order(n: &PhysNode, mats: &HashMap<String, SortSpec>) -> SortSpec {
-    let child = |i: usize| n.children.get(i).map(|c| delivered_order(c, mats)).unwrap_or_default();
-    match &n.algo {
-        Algo::SortM(s) | Algo::SortXM(s, _) | Algo::SortD(s) => s.clone(),
-        Algo::TAggrM { group_by, .. } | Algo::TAggrD { group_by, .. } => {
-            let mut cols = group_by.clone();
-            cols.push("T1".into());
-            SortSpec::by(cols)
-        }
-        Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) => {
-            SortSpec::by(eq.iter().map(|(l, _)| l.clone()))
-        }
-        Algo::MatScanM(name) => mats.get(name).cloned().unwrap_or_default(),
-        // order-preserving pass-throughs
-        Algo::TransferM
-        | Algo::TransferD
-        | Algo::FilterM(_)
-        | Algo::FilterD(_)
-        | Algo::DupElimM
-        | Algo::DupElimD
-        | Algo::CoalesceM
-        | Algo::TDiffM => child(0),
-        Algo::ProjectM(_) | Algo::ProjectD(_) => child(0).project_onto(&n.schema),
-        _ => SortSpec::none(),
+/// The sort order a plan node's output is known to arrive in (`none`
+/// when unknown): the algorithms' order contracts ([`Algo::delivered_order`])
+/// folded over the plan. Pins the delivery order across a re-plan and
+/// records what order each materialization holds.
+pub(crate) fn delivered_order(n: &PhysNode, mats: &HashMap<String, SortSpec>) -> SortSpec {
+    if let Algo::MatScanM(name) = &n.algo {
+        return mats.get(name).cloned().unwrap_or_default();
     }
+    let inputs: Vec<SortSpec> = n.children.iter().map(|c| delivered_order(c, mats)).collect();
+    n.algo.delivered_order(&n.schema, &inputs)
 }
 
 /// Copy of the working plan with each `MATSCAN^M`'s rendered subtree
@@ -457,8 +443,9 @@ struct Ctx<'a> {
 
 /// One mid-query materialization held by the engine.
 struct MatEntry {
-    /// The drained breaker output.
-    rel: Relation,
+    schema: Arc<Schema>,
+    /// The drained breaker output, as the batches it arrived in.
+    batches: Vec<Batch>,
     /// The `MATSCAN^M` span that will serve it, created eagerly at
     /// materialization time so span order stays the post-order of the
     /// final plan.
@@ -535,14 +522,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Run a middleware-resident subtree from `open` to `close`. Returns
-    /// its output and its span index.
-    fn materialize(&mut self, node: &PhysNode) -> Result<(Relation, usize)> {
+    /// its output, as the batches it arrived in, and its span index.
+    fn materialize(&mut self, node: &PhysNode) -> Result<(Arc<Schema>, Vec<Batch>, usize)> {
         let (mut cur, idx) = self.build_mid(node)?;
         cur.open()?;
         let schema = cur.schema().clone();
-        let rows = drain_of(cur.as_mut(), self.exec.batch_rows)?;
+        let batches = drain_batches(cur.as_mut(), self.exec.batch_rows)?;
         cur.close()?;
-        Ok((Relation::new(schema, rows), idx))
+        Ok((schema, batches, idx))
     }
 
     /// The re-planning policy (see [`Replan`]): stage `work`'s pipeline
@@ -565,9 +552,9 @@ impl<'a> Ctx<'a> {
             // what the optimizer believes this breaker will produce
             let believed = cfg.sem.stats(&breaker).ok();
             let est_rows = believed.as_ref().map(|s| s.rows);
-            let (rel, breaker_idx) = self.materialize(&breaker)?;
+            let (schema, batches, breaker_idx) = self.materialize(&breaker)?;
             let slot = self.collector.slot(breaker_idx).clone();
-            let actual = rel.len();
+            let actual: usize = batches.iter().map(Batch::len).sum();
 
             // register the materialization: its observed size (the span
             // counted it while the breaker drained) over the attribute
@@ -581,12 +568,12 @@ impl<'a> Ctx<'a> {
             if Arc::strong_count(&cfg.sem.catalog) > 1 {
                 CATALOG_COPIES.with(|n| n.set(n.get() + 1));
             }
-            let mut stats = RelationStats::of_size(actual, slot.bytes(), rel.schema());
+            let mut stats = RelationStats::of_size(actual, slot.bytes(), &schema);
             stats.attrs = believed.map(|b| b.attrs).unwrap_or_default();
-            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), (rel.schema().clone(), stats));
+            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), (schema.clone(), stats));
             cfg.sem.materialized.insert(name.clone(), order);
             let span = self.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]);
-            self.mats.insert(name.clone(), MatEntry { rel, span });
+            self.mats.insert(name.clone(), MatEntry { schema, batches, span });
             replace_at(
                 work,
                 &path,
@@ -617,8 +604,10 @@ impl<'a> Ctx<'a> {
                 if analyzed.insert(name.clone()) {
                     #[cfg(test)]
                     MAT_ANALYZES.with(|n| n.set(n.get() + 1));
-                    let stats = RelationStats::from_relation(&mat.rel, cfg.histogram_buckets);
-                    catalog.insert(name.clone(), (mat.rel.schema().clone(), stats));
+                    let rows = mat.batches.iter().cloned().flat_map(Batch::into_rows).collect();
+                    let rel = Relation::new(mat.schema.clone(), rows);
+                    let stats = RelationStats::from_relation(&rel, cfg.histogram_buckets);
+                    catalog.insert(name.clone(), (mat.schema.clone(), stats));
                 }
             }
             // no feasible alternative: keep the running plan
@@ -671,25 +660,28 @@ impl<'a> Ctx<'a> {
     /// node's span is created before its cursor, so span order is the
     /// plan's post-order and a cursor can report into its own span.
     fn build_mid(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
-        let not_mid =
-            || TangoError::Exec(format!("{} is not a middleware algorithm", node.algo.label()));
         match &node.algo {
             Algo::TransferM => return self.build_transfer_m(node),
-            // serve a mid-query materialization by moving its rows out (each
+            // serve a mid-query materialization by moving its batches out (each
             // is consumed once: staging never descends into a MATSCAN^M);
             // its span was created eagerly when the breaker drained, so
             // reuse it rather than appending a new one (children are kept
             // for rendering only)
             Algo::MatScanM(name) => {
-                let MatEntry { rel, span: (idx, slot) } =
+                let MatEntry { schema, batches, span: (idx, slot) } =
                     self.mats.remove(name).ok_or_else(|| {
                         TangoError::Exec(format!(
                             "mid-query materialization {name} is unknown or was already served"
                         ))
                     })?;
-                return Ok((self.instrument(Box::new(VecScan::new(rel)), slot), idx));
+                return Ok((self.instrument(Box::new(BatchScan::new(schema, batches)), slot), idx));
             }
-            other if other.site() != Site::Middleware => return Err(not_mid()),
+            other if other.site() != Site::Middleware => {
+                return Err(TangoError::Exec(format!(
+                    "{} is not a middleware algorithm",
+                    other.label()
+                )))
+            }
             _ => {}
         }
         let mut inputs = Vec::with_capacity(node.children.len());
@@ -700,35 +692,7 @@ impl<'a> Ctx<'a> {
             child_ids.push(id);
         }
         let (idx, slot) = self.new_slot(node.algo.clone(), child_ids);
-        let mut inputs = inputs.into_iter();
-        let mut input = || {
-            inputs
-                .next()
-                .ok_or_else(|| TangoError::Exec(format!("{} lacks an input", node.algo.label())))
-        };
-        let exec = self.exec;
-        let cursor: BoxCursor = match &node.algo {
-            Algo::FilterM(pred) => Box::new(Filter::new(input()?, pred.clone())),
-            Algo::ProjectM(items) => Box::new(Project::new(input()?, items.clone())?),
-            Algo::SortM(spec) => Box::new(Sort::with_opts(input()?, spec.clone(), exec)),
-            Algo::SortXM(spec, run_rows) => {
-                Box::new(ExternalSort::with_opts(input()?, spec.clone(), *run_rows, exec))
-            }
-            Algo::MergeJoinM(eq) => Box::new(MergeJoin::with_opts(input()?, input()?, eq, exec)?),
-            Algo::TMergeJoinM(eq) => {
-                Box::new(TemporalMergeJoin::with_opts(input()?, input()?, eq, exec)?)
-            }
-            Algo::TAggrM { group_by, aggs } => Box::new(TemporalAggregate::with_opts(
-                input()?,
-                group_by.clone(),
-                aggs.clone(),
-                exec,
-            )?),
-            Algo::DupElimM => Box::new(DupElim::new(input()?)),
-            Algo::CoalesceM => Box::new(Coalesce::with_opts(input()?, exec)?),
-            Algo::TDiffM => Box::new(TemporalDiff::with_opts(input()?, input()?, exec)?),
-            _ => return Err(not_mid()),
-        };
+        let cursor = cursor_for(&node.algo, inputs, self.exec)?;
         Ok((self.instrument(cursor, slot), idx))
     }
 
@@ -1038,67 +1002,87 @@ fn wire_exec_err(e: &tango_minidb::DbError) -> tango_xxl::ExecError {
     }
 }
 
+/// The cursor evaluating middleware algorithm `algo` over `inputs` (in
+/// argument order) — the one algorithm → cursor table. The transfers and
+/// `MATSCAN^M` are the engine's own cursors, built where their state is.
+fn cursor_for(algo: &Algo, inputs: Vec<BoxCursor>, exec: ExecOpts) -> tango_xxl::Result<BoxCursor> {
+    let state = |what: &str| tango_xxl::ExecError::State(format!("{} {what}", algo.label()));
+    let mut inputs = inputs.into_iter();
+    let mut input = || inputs.next().ok_or_else(|| state("lacks an input"));
+    Ok(match algo {
+        Algo::FilterM(pred) => Box::new(Filter::new(input()?, pred.clone())),
+        Algo::ProjectM(items) => Box::new(Project::new(input()?, items.clone())?),
+        Algo::SortM(spec) => Box::new(Sort::with_opts(input()?, spec.clone(), exec)),
+        Algo::SortXM(spec, run_rows) => {
+            Box::new(ExternalSort::with_opts(input()?, spec.clone(), *run_rows, exec))
+        }
+        Algo::MergeJoinM(eq) => Box::new(MergeJoin::with_opts(input()?, input()?, eq, exec)?),
+        Algo::TMergeJoinM(eq) => {
+            Box::new(TemporalMergeJoin::with_opts(input()?, input()?, eq, exec)?)
+        }
+        Algo::TAggrM { group_by, aggs } => {
+            Box::new(TemporalAggregate::with_opts(input()?, group_by.clone(), aggs.clone(), exec)?)
+        }
+        Algo::DupElimM => Box::new(DupElim::new(input()?)),
+        Algo::CoalesceM => Box::new(Coalesce::with_opts(input()?, exec)?),
+        Algo::TDiffM => Box::new(TemporalDiff::with_opts(input()?, input()?, exec)?),
+        _ => return Err(state("has no middleware cursor")),
+    })
+}
+
 /// Build a middleware evaluation of a DBMS plan fragment — the re-plan
 /// fallback: every base relation (including already-loaded temp tables)
 /// is fetched with a plain `SELECT *`-shaped `T^M`, and the fragment's
-/// relational work runs on the XXL operators, with sorts inserted where
-/// the merge-based algorithms need ordered inputs. This is the transfer
+/// relational work runs on each operator's middleware algorithm
+/// ([`TOp::mid_algo`](crate::phys::TOp::mid_algo)), with a `SORT^M`
+/// wherever its order contract asks for an order. This is the transfer
 /// operator "flipped": `T^M ∘ fragment^D` becomes `fragment^M ∘ T^M`.
 fn middleware_fallback(
     conn: &Connection,
     node: &PhysNode,
     exec: ExecOpts,
 ) -> tango_xxl::Result<BoxCursor> {
-    let child = |i: usize| middleware_fallback(conn, &node.children[i], exec);
-    let sorted =
-        |c: BoxCursor, spec: SortSpec| -> BoxCursor { Box::new(Sort::with_opts(c, spec, exec)) };
-    // both join inputs, each sorted on its side of the equi-join keys
-    let sorted_pair = |eq: &[(String, String)]| -> tango_xxl::Result<(BoxCursor, BoxCursor)> {
-        Ok((
-            sorted(child(0)?, SortSpec::by(eq.iter().map(|(a, _)| a.clone()))),
-            sorted(child(1)?, SortSpec::by(eq.iter().map(|(_, b)| b.clone()))),
-        ))
-    };
-    Ok(match &node.algo {
-        Algo::ScanD(table) => {
-            let cols: Vec<&str> = node.schema.attrs().iter().map(|a| a.name.as_str()).collect();
-            let sql = format!("SELECT {} FROM {}", cols.join(", "), table);
-            Box::new(FetchCursor {
-                conn: conn.clone(),
-                sql,
-                schema: node.schema.clone(),
-                cur: None,
-            })
+    if let Algo::ScanD(table) = &node.algo {
+        let cols: Vec<&str> = node.schema.attrs().iter().map(|a| a.name.as_str()).collect();
+        let sql = format!("SELECT {} FROM {}", cols.join(", "), table);
+        return Ok(Box::new(FetchCursor {
+            conn: conn.clone(),
+            sql,
+            schema: node.schema.clone(),
+            cur: None,
+        }));
+    }
+    let mut inputs: Vec<BoxCursor> = node
+        .children
+        .iter()
+        .map(|c| middleware_fallback(conn, c, exec))
+        .collect::<tango_xxl::Result<_>>()?;
+    let algo = match &node.algo {
+        Algo::SortD(spec) => Algo::SortM(spec.clone()),
+        // the one operator without a middleware algorithm of its own
+        Algo::ProductD => {
+            let (Some(r), Some(l)) = (inputs.pop(), inputs.pop()) else {
+                return Err(tango_xxl::ExecError::State("PRODUCT^D lacks an input".into()));
+            };
+            return Ok(Box::new(NestedLoopJoin::with_opts(l, r, None, exec)));
         }
-        Algo::FilterD(pred) => Box::new(Filter::new(child(0)?, pred.clone())),
-        Algo::ProjectD(items) => Box::new(Project::new(child(0)?, items.clone())?),
-        Algo::SortD(spec) => sorted(child(0)?, spec.clone()),
-        Algo::DupElimD => Box::new(DupElim::new(child(0)?)),
-        Algo::JoinD(eq) => {
-            let (l, r) = sorted_pair(eq)?;
-            Box::new(MergeJoin::with_opts(l, r, eq, exec)?)
-        }
-        Algo::TJoinD(eq) => {
-            let (l, r) = sorted_pair(eq)?;
-            Box::new(TemporalMergeJoin::with_opts(l, r, eq, exec)?)
-        }
-        Algo::ProductD => Box::new(NestedLoopJoin::with_opts(child(0)?, child(1)?, None, exec)),
-        Algo::TAggrD { group_by, aggs } => {
-            let input_schema = &node.children[0].schema;
-            let mut keys = group_by.clone();
-            if let Some((t1, _)) = input_schema.period() {
-                keys.push(input_schema.attr(t1).name.clone());
-            }
-            let input = sorted(child(0)?, SortSpec::by(keys));
-            Box::new(TemporalAggregate::with_opts(input, group_by.clone(), aggs.clone(), exec)?)
-        }
-        other => {
-            return Err(tango_xxl::ExecError::State(format!(
+        other => other.op().and_then(|op| op.mid_algo()).ok_or_else(|| {
+            tango_xxl::ExecError::State(format!(
                 "cannot re-plan {} in the middleware",
                 other.label()
-            )))
-        }
-    })
+            ))
+        })?,
+    };
+    let mut orders =
+        algo.input_orders(&node.schema, &SortSpec::none()).unwrap_or_default().into_iter();
+    let inputs = inputs
+        .into_iter()
+        .map(|c| match orders.next() {
+            Some(order) if !order.is_none() => Box::new(Sort::with_opts(c, order, exec)),
+            _ => c,
+        })
+        .collect();
+    cursor_for(&algo, inputs, exec)
 }
 
 /// Fetches one base relation for the re-plan fallback: a plain SELECT
@@ -1488,10 +1472,11 @@ impl Cursor for TransferDCursor {
     }
 }
 
+#[cfg(test)]
 impl ExecReport {
     /// Find the first step running the same algorithm *kind* (parameters
     /// ignored for parameterized variants).
-    pub fn exec_step(&self, algo: &Algo) -> Option<&StepReport> {
+    fn exec_step(&self, algo: &Algo) -> Option<&StepReport> {
         self.steps.iter().find(|s| std::mem::discriminant(&s.algo) == std::mem::discriminant(algo))
     }
 }
@@ -1514,25 +1499,16 @@ mod tests {
     }
 
     fn scan(c: &Connection, table: &str) -> PhysNode {
-        PhysNode {
-            algo: Algo::ScanD(table.into()),
-            schema: Arc::new(c.table_schema(table).unwrap()),
-            children: vec![],
-        }
-    }
-
-    fn un(algo: Algo, child: PhysNode) -> PhysNode {
-        let schema = Arc::new(algo.output_schema(&[child.schema.as_ref()]).unwrap());
-        PhysNode { algo, schema, children: vec![child] }
-    }
-
-    fn bin(algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
-        let schema = Arc::new(algo.output_schema(&[l.schema.as_ref(), r.schema.as_ref()]).unwrap());
-        PhysNode { algo, schema, children: vec![l, r] }
+        PhysNode::scan(table, c.table_schema(table).unwrap())
     }
 
     fn execute(conn: &Connection, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
         Executor::new(conn).run(plan).map(|run| (run.rel, run.report))
+    }
+
+    /// `leaf` under a chain of one-input algorithms, innermost first.
+    fn chain(leaf: PhysNode, algos: impl IntoIterator<Item = Algo>) -> PhysNode {
+        algos.into_iter().fold(leaf, |input, algo| PhysNode::over(algo, vec![input]).unwrap())
     }
 
     /// The Figure 5 shape below the final fetch: aggregate in the
@@ -1540,19 +1516,21 @@ mod tests {
     /// against POSITION in the DBMS.
     fn figure5_join(conn: &Connection) -> PhysNode {
         let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "COUNTofPosID")];
-        let agg_m = un(
-            Algo::TAggrM { group_by: vec!["PosID".into()], aggs },
-            un(
+        let loaded = chain(
+            scan(conn, "POSITION"),
+            [
+                Algo::SortD(SortSpec::by(["PosID", "T1"])),
                 Algo::TransferM,
-                un(Algo::SortD(SortSpec::by(["PosID", "T1"])), scan(conn, "POSITION")),
-            ),
+                Algo::TAggrM { group_by: vec!["PosID".into()], aggs },
+                Algo::TransferD,
+            ],
         );
         let eq = vec![("PosID".to_string(), "PosID".to_string())];
-        bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), scan(conn, "POSITION"))
+        PhysNode::over(Algo::TJoinD(eq), vec![loaded, scan(conn, "POSITION")]).unwrap()
     }
 
     fn figure5_plan(conn: &Connection) -> PhysNode {
-        un(Algo::TransferM, un(Algo::SortD(SortSpec::by(["PosID"])), figure5_join(conn)))
+        chain(figure5_join(conn), [Algo::SortD(SortSpec::by(["PosID"])), Algo::TransferM])
     }
 
     #[test]
@@ -1607,7 +1585,7 @@ mod tests {
         let conn = setup();
         conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
         let all = Expr::eq(Expr::col("PosID"), Expr::col("PosID"));
-        let plan = un(Algo::FilterM(all), un(Algo::TransferM, scan(&conn, "POSITION")));
+        let plan = chain(scan(&conn, "POSITION"), [Algo::TransferM, Algo::FilterM(all)]);
         let staged = |ratio: f64| {
             let before = MAT_ANALYZES.with(|n| n.get());
             let replan = Some(replan(&conn, ratio));
@@ -1632,21 +1610,17 @@ mod tests {
     #[test]
     fn temp_tables_cleaned_on_failure() {
         let conn = setup();
-        let ghost = PhysNode {
-            algo: Algo::ScanD("GHOST".into()),
-            schema: Arc::new(Schema::with_inferred_period(vec![
+        let ghost = PhysNode::scan(
+            "GHOST",
+            Schema::with_inferred_period(vec![
                 Attr::new("PosID", Type::Int),
                 Attr::new("T1", Type::Int),
                 Attr::new("T2", Type::Int),
-            ])),
-            children: vec![],
-        };
-        let eq = vec![("PosID".to_string(), "PosID".to_string())];
-        let plan = bin(
-            Algo::TMergeJoinM(eq),
-            un(Algo::TransferM, figure5_join(&conn)),
-            un(Algo::TransferM, ghost),
+            ]),
         );
+        let eq = vec![("PosID".to_string(), "PosID".to_string())];
+        let sides = [figure5_join(&conn), ghost].map(|side| chain(side, [Algo::TransferM]));
+        let plan = PhysNode::over(Algo::TMergeJoinM(eq), sides.to_vec()).unwrap();
         for replan in [None, Some(replan(&conn, 8.0))] {
             let staged = replan.is_some();
             let err = Executor { replan, ..Executor::new(&conn) }.run(&plan).err();
@@ -1668,13 +1642,8 @@ mod tests {
     #[test]
     fn empty_results_flow_through() {
         let conn = setup();
-        let plan = un(
-            Algo::FilterM(tango_algebra::Expr::eq(
-                tango_algebra::Expr::col("PosID"),
-                tango_algebra::Expr::lit(999),
-            )),
-            un(Algo::TransferM, scan(&conn, "POSITION")),
-        );
+        let none = Expr::eq(Expr::col("PosID"), Expr::lit(999));
+        let plan = chain(scan(&conn, "POSITION"), [Algo::TransferM, Algo::FilterM(none)]);
         let (rel, report) = execute(&conn, &plan).unwrap();
         assert!(rel.is_empty());
         assert_eq!(report.rows, 0);

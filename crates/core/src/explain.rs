@@ -6,7 +6,7 @@
 //! (post-order over the middleware-visible tree: a `TRANSFER^M`'s span
 //! follows the `TRANSFER^D` loader spans inside its fragment; interior
 //! DBMS nodes are folded into the generated SQL and get no span of their
-//! own), and [`step_indices`] replays that order as a pure function of
+//! own), and `step_indices` replays that order as a pure function of
 //! the plan, so the renderer never guesses at the mapping.
 
 use crate::engine::ExecReport;
@@ -27,7 +27,7 @@ pub struct NodeEstimate {
 /// the generated SQL of the enclosing `TRANSFER^M`.
 ///
 /// Mirrors the span-creation order of `engine::Executor::run` exactly.
-pub fn step_indices(plan: &PhysNode) -> Vec<Option<usize>> {
+fn step_indices(plan: &PhysNode) -> Vec<Option<usize>> {
     let mut out = vec![None; plan.node_count()];
     let mut next = 0usize;
     go_mid(plan, 0, &mut next, &mut out);
@@ -80,21 +80,6 @@ fn fmt_rows(r: f64) -> String {
         format!("{r:.0}")
     } else {
         format!("{r:.1}")
-    }
-}
-
-fn params_of(algo: &Algo) -> String {
-    match algo {
-        Algo::FilterM(p) | Algo::FilterD(p) => format!(" [{p}]"),
-        Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-            let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
-            format!(" [group by {}; {}]", group_by.join(", "), a.join(", "))
-        }
-        Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) | Algo::JoinD(eq) | Algo::TJoinD(eq) => {
-            let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
-            format!(" [{}]", c.join(" AND "))
-        }
-        _ => String::new(),
     }
 }
 
@@ -166,7 +151,7 @@ impl Renderer<'_> {
         let out = &mut self.out;
         out.push_str(&"  ".repeat(depth));
         out.push_str(&n.algo.label());
-        out.push_str(&params_of(&n.algo));
+        out.push_str(&n.algo.params());
 
         let site = match n.algo.site() {
             Site::Middleware => "middleware",
@@ -237,35 +222,21 @@ impl Renderer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use tango_algebra::{Attr, Schema, SortSpec, Type};
 
-    fn schema() -> Arc<Schema> {
-        Arc::new(Schema::with_inferred_period(vec![
-            Attr::new("K", Type::Int),
-            Attr::new("T1", Type::Int),
-            Attr::new("T2", Type::Int),
-        ]))
-    }
-
-    fn node(algo: Algo, children: Vec<PhysNode>) -> PhysNode {
-        PhysNode { algo, schema: schema(), children }
+    fn scan() -> PhysNode {
+        let attrs = ["K", "T1", "T2"].map(|name| Attr::new(name, Type::Int));
+        PhysNode::scan("T", Schema::with_inferred_period(attrs.to_vec()))
     }
 
     /// Pipeline FILTER^M ← TRANSFER^M ← SORT^D ← SCAN: SORT^D and the
     /// scan are folded into the SQL; steps are created bottom-up.
     #[test]
     fn step_indices_fold_dbms_interior_nodes() {
-        let plan = node(
-            Algo::FilterM(tango_algebra::Expr::lit(1)),
-            vec![node(
-                Algo::TransferM,
-                vec![node(
-                    Algo::SortD(SortSpec::by(["K"])),
-                    vec![node(Algo::ScanD("T".into()), vec![])],
-                )],
-            )],
-        );
+        let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["K"])), vec![scan()]).unwrap();
+        let fetched = PhysNode::over(Algo::TransferM, vec![sorted]).unwrap();
+        let plan =
+            PhysNode::over(Algo::FilterM(tango_algebra::Expr::lit(1)), vec![fetched]).unwrap();
         // pre-order: 0=FILTER^M 1=TRANSFER^M 2=SORT^D 3=SCAN
         let map = step_indices(&plan);
         assert_eq!(map, vec![Some(1), Some(0), None, None]);
@@ -275,15 +246,14 @@ mod tests {
     /// (after its middleware input) before the enclosing TRANSFER^M.
     #[test]
     fn step_indices_transfer_d_round_trip() {
-        let inner = node(Algo::TransferM, vec![node(Algo::ScanD("T".into()), vec![])]);
-        let agg = node(Algo::TAggrM { group_by: vec!["K".into()], aggs: vec![] }, vec![inner]);
-        let plan = node(
-            Algo::TransferM,
-            vec![node(
-                Algo::TJoinD(vec![("K".into(), "K".into())]),
-                vec![node(Algo::TransferD, vec![agg]), node(Algo::ScanD("T".into()), vec![])],
-            )],
-        );
+        let inner = PhysNode::over(Algo::TransferM, vec![scan()]).unwrap();
+        let agg =
+            PhysNode::over(Algo::TAggrM { group_by: vec!["K".into()], aggs: vec![] }, vec![inner])
+                .unwrap();
+        let loaded = PhysNode::over(Algo::TransferD, vec![agg]).unwrap();
+        let eq = vec![("K".into(), "K".into())];
+        let join = PhysNode::over(Algo::TJoinD(eq), vec![loaded, scan()]).unwrap();
+        let plan = PhysNode::over(Algo::TransferM, vec![join]).unwrap();
         // pre-order: 0=T^M 1=TJOIN^D 2=T^D 3=TAGGR^M 4=T^M(inner) 5=SCAN 6=SCAN
         // engine order: inner T^M=0, TAGGR^M=1, T^D=2, outer T^M=3
         let map = step_indices(&plan);
@@ -292,7 +262,7 @@ mod tests {
 
     #[test]
     fn explain_renders_site_and_estimates() {
-        let plan = node(Algo::TransferM, vec![node(Algo::ScanD("T".into()), vec![])]);
+        let plan = PhysNode::over(Algo::TransferM, vec![scan()]).unwrap();
         let est = vec![
             NodeEstimate { est_rows: 42.0, est_cost_us: 10.0 },
             NodeEstimate { est_rows: 42.0, est_cost_us: 5.0 },

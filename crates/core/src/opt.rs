@@ -6,12 +6,12 @@
 //! * Physical properties: `(site, ordering)` ([`crate::phys::Req`]).
 //! * Heuristic Group 1 of the paper — "move to the middleware only those
 //!   operations that may be processed more efficiently there" — is
-//!   embodied in the algorithm inventory: exactly the operations with
-//!   efficient special-purpose middleware algorithms (temporal
-//!   aggregation, joins, temporal joins, plus the order-preserving
-//!   selection/projection that avoid needless transfers) have
-//!   middleware implementations; everything else can only run in the
-//!   DBMS.
+//!   embodied in the algorithm inventory ([`TOp::mid_algo`]): exactly
+//!   the operations with efficient special-purpose middleware algorithms
+//!   (temporal aggregation, joins, temporal joins, plus the
+//!   order-preserving selection/projection that avoid needless transfers)
+//!   have middleware implementations; everything else can only run in
+//!   the DBMS.
 //! * Heuristic Group 2 — "eliminate redundant operations" — is
 //!   structural: transfers and sorts exist only as property *enforcers*,
 //!   so `T^M(T^D(r))` pairs (rules T7/T8) and redundant sorts (rules
@@ -25,7 +25,7 @@ use crate::phys::{Algo, PhysNode, Req, Site, TOp};
 use crate::rules;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tango_algebra::{Logical, Schema, SortKey, SortSpec};
+use tango_algebra::{Logical, Schema, SortSpec};
 use tango_stats::RelationStats;
 use volcano::{Enforcer, GroupId, Implementation, Memo, NewExpr, PhysPlan, SearchStats, Semantics};
 
@@ -274,13 +274,6 @@ impl TangoSem {
         Ok(props)
     }
 
-    /// Order produced by `TAGGR^M`: grouping attributes then `T1`.
-    fn taggr_order(group_by: &[String]) -> SortSpec {
-        let mut cols: Vec<String> = group_by.to_vec();
-        cols.push("T1".to_string());
-        SortSpec::by(cols)
-    }
-
     /// Pick the middleware sort enforcer for the given input: in-memory
     /// `SORT^M` normally, the external merge sort `XSORT^M` when the
     /// estimated input exceeds the configured sort-memory budget. The
@@ -294,20 +287,6 @@ impl TangoSem {
             }
             _ => Algo::SortM(order),
         }
-    }
-
-    /// Order a coalesce/diff requires: all value attributes then `T1`.
-    fn value_order(schema: &Schema) -> SortSpec {
-        let period = schema.period();
-        let mut cols: Vec<String> = schema
-            .attrs()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| period.is_none_or(|(a, b)| *i != a && *i != b))
-            .map(|(_, a)| a.name.clone())
-            .collect();
-        cols.push("T1".to_string());
-        SortSpec::by(cols)
     }
 }
 
@@ -333,166 +312,45 @@ impl Semantics for TangoSem {
         props: &GroupProps,
         required: &Req,
     ) -> Vec<Implementation<Self>> {
-        let mut out = Vec::new();
-        let cost = |algo: &Algo| self.cost(algo, child_props, props, &required.order);
-        match required.site {
-            // ---------------- DBMS-side generic algorithms ------------
-            // None of them guarantees an output order; `SORT^D` is the
-            // only way to deliver order at the DBMS (as enforcer).
+        // the algorithm evaluating `op` at the required site (`phys.rs` is
+        // the inventory) and what it then requires of each input
+        let candidate = match required.site {
+            // No generic DBMS algorithm guarantees an output order —
+            // `SORT^D` is the only way to deliver one there (as enforcer)
+            // — and mid-query materializations live only in the
+            // middleware: the DBMS has no table to scan.
             Site::Dbms => {
-                // mid-query materializations live only in the middleware —
-                // the DBMS has no table to scan
                 let scannable = match op {
                     TOp::Get { table } => {
                         self.table(table).is_some() && self.mat_order(table).is_none()
                     }
                     _ => true,
                 };
-                // no SQL implementation for coalescing / temporal
-                // difference in the generic dialect: middleware only
-                if let Some(algo) = op.dbms_algo().filter(|_| required.order.is_none() && scannable)
-                {
-                    out.push(Implementation {
-                        cost: cost(&algo),
-                        algo,
-                        child_required: vec![Req::any(Site::Dbms); child_props.len()],
-                    });
-                }
+                op.dbms_algo()
+                    .filter(|_| required.order.is_none() && scannable)
+                    .map(|algo| (algo, vec![Req::any(Site::Dbms); child_props.len()]))
             }
-            // ---------------- middleware (XXL) algorithms -------------
-            Site::Middleware => match op {
-                // base relations live in the DBMS; reachable only via the
-                // TRANSFER^M enforcer. Mid-query materializations are the
-                // exception: they already sit in middleware memory, in
-                // the order they were drained in.
-                TOp::Get { table } => {
-                    if let Some(stored) = self.mat_order(table) {
-                        if stored.satisfies(&required.order) {
-                            let algo = Algo::MatScanM(table.clone());
-                            out.push(Implementation {
-                                cost: cost(&algo),
-                                algo,
-                                child_required: vec![],
-                            });
-                        }
-                    }
-                }
-                TOp::Select { pred } => {
-                    // FILTER^M is order-preserving: pass the requirement
-                    // through to the child (rule-E4 behaviour).
-                    let algo = Algo::FilterM(pred.clone());
-                    out.push(Implementation {
-                        cost: cost(&algo),
-                        algo,
-                        child_required: vec![Req::mid(required.order.clone())],
-                    });
-                }
-                TOp::Project { items } => {
-                    // order-preserving when every required key is a plain
-                    // column the projection passes through (precondition
-                    // of rule E5). The requirement names *output* columns,
-                    // so remap each key through its item's alias before
-                    // pushing it below the projection; a key fed by a
-                    // computed item cannot be sorted early.
-                    let mapped: Option<Vec<SortKey>> = required
-                        .order
-                        .keys()
-                        .iter()
-                        .map(|k| {
-                            let item =
-                                items.iter().find(|it| it.alias.eq_ignore_ascii_case(&k.col))?;
-                            match &item.expr {
-                                tango_algebra::Expr::Col { name, .. } => {
-                                    Some(SortKey { col: name.clone(), desc: k.desc })
-                                }
-                                _ => None,
-                            }
-                        })
-                        .collect();
-                    if let Some(keys) = mapped {
-                        let algo = Algo::ProjectM(items.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(SortSpec(keys))],
-                        });
-                    }
-                }
-                TOp::Join { eq } => {
-                    let lorder = SortSpec::by(eq.iter().map(|(l, _)| l.clone()));
-                    let rorder = SortSpec::by(eq.iter().map(|(_, r)| r.clone()));
-                    // sort-merge join output is ordered by the left join
-                    // attributes
-                    if lorder.satisfies(&required.order) {
-                        let algo = Algo::MergeJoinM(eq.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(lorder), Req::mid(rorder)],
-                        });
-                    }
-                }
-                TOp::TJoin { eq } => {
-                    let lorder = SortSpec::by(eq.iter().map(|(l, _)| l.clone()));
-                    let rorder = SortSpec::by(eq.iter().map(|(_, r)| r.clone()));
-                    if lorder.satisfies(&required.order) {
-                        let algo = Algo::TMergeJoinM(eq.clone());
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(lorder), Req::mid(rorder)],
-                        });
-                    }
-                }
-                // no special-purpose middleware Cartesian product: the
-                // DBMS handles products (heuristic group 1)
-                TOp::Product => {}
-                TOp::TAggr { group_by, aggs } => {
-                    let in_order = Self::taggr_order(group_by);
-                    let out_order = Self::taggr_order(group_by);
-                    if out_order.satisfies(&required.order) {
-                        let algo = Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() };
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(in_order)],
-                        });
-                    }
-                }
-                TOp::DupElim => {
-                    // hash-based, keeps first occurrences: order-preserving
-                    let algo = Algo::DupElimM;
-                    out.push(Implementation {
-                        cost: cost(&algo),
-                        algo,
-                        child_required: vec![Req::mid(required.order.clone())],
-                    });
-                }
-                TOp::Coalesce => {
-                    let order = Self::value_order(&props.schema);
-                    if order.satisfies(&required.order) {
-                        let algo = Algo::CoalesceM;
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(order)],
-                        });
-                    }
-                }
-                TOp::Diff => {
-                    let order = Self::value_order(&props.schema);
-                    if order.satisfies(&required.order) {
-                        let algo = Algo::TDiffM;
-                        out.push(Implementation {
-                            cost: cost(&algo),
-                            algo,
-                            child_required: vec![Req::mid(order.clone()), Req::mid(order)],
-                        });
-                    }
-                }
-            },
-        }
-        out
+            // Applicable iff the algorithm's order contract can deliver
+            // the required order; a `MATSCAN^M` delivers the order its
+            // materialization was drained in, the one fact the table
+            // cannot know.
+            Site::Middleware => op.mid_algo().and_then(|algo| {
+                let orders = match &algo {
+                    Algo::MatScanM(name) => self
+                        .mat_order(name)
+                        .filter(|o| o.satisfies(&required.order))
+                        .map(|_| vec![]),
+                    _ => algo.input_orders(&props.schema, &required.order),
+                };
+                Some((algo, orders?.into_iter().map(Req::mid).collect()))
+            }),
+        };
+        let priced = candidate.map(|(algo, child_required)| Implementation {
+            cost: self.cost(&algo, child_props, props, &required.order),
+            algo,
+            child_required,
+        });
+        priced.into_iter().collect()
     }
 
     fn enforcers(&self, props: &GroupProps, required: &Req) -> Vec<Enforcer<Self>> {
@@ -634,17 +492,15 @@ fn annotate(plan: &PhysPlan<Algo>, memo: &Memo<TangoSem>) -> Result<PhysNode> {
     fn go(p: &PhysPlan<Algo>, sem: &TangoSem) -> Result<PhysNode> {
         let children: Vec<PhysNode> =
             p.children.iter().map(|c| go(c, sem)).collect::<Result<_>>()?;
-        let schema = match &p.algo {
-            Algo::ScanD(t) | Algo::MatScanM(t) => sem
-                .table(t)
-                .map(|(s, _)| s.clone())
-                .ok_or_else(|| TangoError::Optimizer(format!("unknown table {t}")))?,
-            other => {
-                let kids: Vec<&Schema> = children.iter().map(|c| c.schema.as_ref()).collect();
-                Arc::new(other.output_schema(&kids)?)
+        match &p.algo {
+            Algo::ScanD(t) | Algo::MatScanM(t) => {
+                let (schema, _) = sem
+                    .table(t)
+                    .ok_or_else(|| TangoError::Optimizer(format!("unknown table {t}")))?;
+                Ok(PhysNode { algo: p.algo.clone(), schema: schema.clone(), children })
             }
-        };
-        Ok(PhysNode { algo: p.algo.clone(), schema, children })
+            other => Ok(PhysNode::over(other.clone(), children)?),
+        }
     }
     go(plan, memo.semantics())
 }
@@ -693,13 +549,8 @@ mod tests {
         ]
     }
 
-    /// Query 1–4 under default factors: [`optimize`] returns the
-    /// plan and the cost a search with the cycle guard and *no* table
-    /// finds over the same memo (Query 2: half a million optimize calls).
-    /// Query 2's winning tree has alternatives of equal cost; both
-    /// searches keep the first of the cheapest, so the plans still agree.
-    #[test]
-    fn figure_queries_match_the_exhaustive_search() {
+    /// The UIS tables at `UisConfig::small`, analyzed, and their catalog.
+    fn uis() -> (Connection, Arc<Catalog>) {
         let cfg = UisConfig::small(0xEC1);
         let db = Database::new(Link::new(LinkProfile::instant()));
         for (name, rel) in
@@ -711,14 +562,27 @@ mod tests {
         }
         let conn = Connection::new(db);
         let catalog = Arc::new(collector::collect(&conn, true).unwrap());
+        (conn, catalog)
+    }
+
+    fn sem(catalog: &Arc<Catalog>) -> TangoSem {
         let (factors, options) = (CostFactors::default(), OptOptions::default());
+        TangoSem::new(catalog.clone(), factors, options, Arc::default(), HashMap::new())
+    }
+
+    /// Query 1–4 under default factors: [`optimize`] returns the
+    /// plan and the cost a search with the cycle guard and *no* table
+    /// finds over the same memo (Query 2: half a million optimize calls).
+    /// Query 2's winning tree has alternatives of equal cost; both
+    /// searches keep the first of the cheapest, so the plans still agree.
+    #[test]
+    fn figure_queries_match_the_exhaustive_search() {
+        let (conn, catalog) = uis();
         for sql in figure_queries() {
             let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
-            let sem =
-                || TangoSem::new(catalog.clone(), factors, options, Arc::default(), HashMap::new());
-            let found = optimize(&logical, sem(), None).unwrap();
+            let found = optimize(&logical, sem(&catalog), None).unwrap();
 
-            let (memo, root, required) = explore(&logical, sem(), None).unwrap();
+            let (memo, root, required) = explore(&logical, sem(&catalog), None).unwrap();
             let exact = reference::exhaustive(&memo, root, required).expect("feasible");
             assert_eq!(found.cost, exact.cost, "{sql}");
             assert_eq!(
@@ -727,6 +591,30 @@ mod tests {
                 "{sql}"
             );
             assert!(found.search.cycles_pruned > 0 && found.search.cache_hits > 0, "{sql}");
+        }
+    }
+
+    /// The optimizer and the engine read one order table: the order the
+    /// engine derives for the chosen plan (what it pins a re-plan to)
+    /// satisfies the order the statement asked the optimizer for.
+    #[test]
+    fn the_engine_derives_the_order_the_optimizer_planned_for() {
+        let (conn, catalog) = uis();
+        let more = [
+            "VALIDTIME SELECT DISTINCT PosID, EmpID FROM POSITION ORDER BY PosID",
+            "VALIDTIME COALESCE SELECT PosID FROM POSITION ORDER BY PosID",
+        ];
+        for sql in figure_queries().into_iter().chain(more.map(String::from)) {
+            let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
+            let (_, asked) = to_initial(&logical).unwrap();
+            assert!(!asked.is_none(), "{sql}");
+            let plan = optimize(&logical, sem(&catalog), None).unwrap().plan;
+            let derived = crate::engine::delivered_order(&plan, &HashMap::new());
+            assert!(
+                derived.satisfies(&asked),
+                "{sql}: [{derived}] for [{asked}]\n{}",
+                plan.render()
+            );
         }
     }
 }

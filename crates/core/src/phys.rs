@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 use tango_algebra::logical::{concat_schemas, taggr_schema, tjoin_schema};
-use tango_algebra::{AggSpec, Expr, Logical, ProjItem, Schema, SortSpec};
+use tango_algebra::{AggSpec, AlgebraError, Expr, Logical, ProjItem, Schema, SortKey, SortSpec};
 
 /// Where a plan fragment is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,29 +140,57 @@ impl TOp {
         })
     }
 
+    /// The middleware algorithm evaluating this operator — the inverse
+    /// of [`Algo::op`] on the middleware side, and heuristic group 1 as a
+    /// table: exactly the operations with an efficient special-purpose
+    /// middleware algorithm have one (there is no middleware Cartesian
+    /// product: the DBMS handles products). A `Get` is a `MATSCAN^M`,
+    /// which only a mid-query materialization can serve — base relations
+    /// live in the DBMS and arrive through `TRANSFER^M`.
+    pub fn mid_algo(&self) -> Option<Algo> {
+        Some(match self {
+            TOp::Get { table } => Algo::MatScanM(table.clone()),
+            TOp::Select { pred } => Algo::FilterM(pred.clone()),
+            TOp::Project { items } => Algo::ProjectM(items.clone()),
+            TOp::Join { eq } => Algo::MergeJoinM(eq.clone()),
+            TOp::TJoin { eq } => Algo::TMergeJoinM(eq.clone()),
+            TOp::Product => return None,
+            TOp::TAggr { group_by, aggs } => {
+                Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            TOp::DupElim => Algo::DupElimM,
+            TOp::Coalesce => Algo::CoalesceM,
+            TOp::Diff => Algo::TDiffM,
+        })
+    }
+
     /// Output schema given child schemas; `table_schema` resolves `Get`.
     pub fn output_schema(
         &self,
         children: &[&Schema],
         table_schema: &dyn Fn(&str) -> Option<Schema>,
     ) -> tango_algebra::Result<Schema> {
-        use tango_algebra::AlgebraError;
+        let child = |i: usize| {
+            children
+                .get(i)
+                .copied()
+                .ok_or_else(|| AlgebraError::Schema(format!("{self:?} lacks input {i}")))
+        };
         Ok(match self {
             TOp::Get { table } => table_schema(table)
                 .ok_or_else(|| AlgebraError::Schema(format!("unknown table {table}")))?,
-            TOp::Select { .. } | TOp::DupElim | TOp::Coalesce => children[0].clone(),
-            TOp::Diff => children[0].clone(),
+            TOp::Select { .. } | TOp::DupElim | TOp::Coalesce | TOp::Diff => child(0)?.clone(),
             TOp::Project { items } => {
                 let mut attrs = Vec::with_capacity(items.len());
                 for it in items {
-                    let ty = tango_algebra::logical::infer_type(&it.expr, children[0])?;
+                    let ty = tango_algebra::logical::infer_type(&it.expr, child(0)?)?;
                     attrs.push(tango_algebra::Attr::new(it.alias.clone(), ty));
                 }
                 Schema::with_inferred_period(attrs)
             }
-            TOp::Join { .. } | TOp::Product => concat_schemas(children[0], children[1]),
-            TOp::TJoin { eq } => tjoin_schema(eq, children[0], children[1])?,
-            TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, children[0])?,
+            TOp::Join { .. } | TOp::Product => concat_schemas(child(0)?, child(1)?),
+            TOp::TJoin { eq } => tjoin_schema(eq, child(0)?, child(1)?)?,
+            TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, child(0)?)?,
         })
     }
 }
@@ -314,45 +342,136 @@ impl Algo {
         }
     }
 
-    /// Output schema given child schemas.
-    pub fn output_schema(&self, children: &[&Schema]) -> tango_algebra::Result<Schema> {
-        Ok(match self {
-            Algo::FilterM(_)
-            | Algo::FilterD(_)
-            | Algo::SortM(_)
-            | Algo::SortXM(..)
-            | Algo::SortD(_)
-            | Algo::DupElimM
-            | Algo::DupElimD
-            | Algo::CoalesceM
-            | Algo::TransferM
-            | Algo::TransferD => children[0].clone(),
-            Algo::TDiffM => children[0].clone(),
-            Algo::ProjectM(items) | Algo::ProjectD(items) => {
-                TOp::Project { items: items.clone() }.output_schema(children, &|_| None)?
-            }
-            Algo::MergeJoinM(_) | Algo::JoinD(_) | Algo::ProductD => {
-                concat_schemas(children[0], children[1])
-            }
-            Algo::TMergeJoinM(eq) | Algo::TJoinD(eq) => tjoin_schema(eq, children[0], children[1])?,
+    /// The parameters [`Algo::label`] leaves out, bracketed as the plans
+    /// of Figure 7/9 print them (empty when the label says everything).
+    pub fn params(&self) -> String {
+        match self {
+            Algo::FilterM(p) | Algo::FilterD(p) => format!(" [{p}]"),
             Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                taggr_schema(group_by, aggs, children[0])?
+                let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
+                format!(" [group by {}; {}]", group_by.join(", "), a.join(", "))
             }
-            Algo::ScanD(_) => {
-                return Err(tango_algebra::AlgebraError::Schema(
-                    "ScanD schema must come from the catalog".into(),
-                ))
+            Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) | Algo::JoinD(eq) | Algo::TJoinD(eq) => {
+                let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
+                format!(" [{}]", c.join(" AND "))
             }
-            Algo::MatScanM(name) => match children.first() {
-                Some(c) => (*c).clone(),
-                None => {
-                    return Err(tango_algebra::AlgebraError::Schema(format!(
-                        "MatScanM {name} schema must come from the materialized relation"
-                    )))
-                }
-            },
-        })
+            _ => String::new(),
+        }
     }
+
+    /// Output schema given child schemas: the evaluated operator's
+    /// ([`TOp::output_schema`]); an enforcer delivers its input's. A
+    /// scan's comes from the catalog — only a `MATSCAN^M` that keeps its
+    /// consumed subtree as a child can answer.
+    pub fn output_schema(&self, children: &[&Schema]) -> tango_algebra::Result<Schema> {
+        match self.op() {
+            Some(TOp::Get { .. }) | None => match children.first() {
+                Some(c) => Ok((*c).clone()),
+                None => Err(AlgebraError::Schema(format!("{} has no input schema", self.label()))),
+            },
+            Some(op) => op.output_schema(children, &|_| None),
+        }
+    }
+
+    /// The order contract of this algorithm over its output `schema` —
+    /// the one table Section 3.4's "argument sorted on …" sentences live
+    /// in. DBMS algorithms promise nothing ("the middleware cannot know
+    /// which algorithms the DBMS will pick"): `SORT^D` is the only way to
+    /// an order there, `TRANSFER^D` loads into an unordered table. In an
+    /// optimizer-produced plan that loses nothing — a `SORT^D` is only
+    /// ever the enforcer directly under a `TRANSFER^M`.
+    fn order_contract(&self, schema: &Schema) -> OrderContract<'_> {
+        // all value attributes, then `T1`: what coalescing and temporal
+        // difference merge on
+        let value_order = || {
+            let period = schema.period();
+            let values = schema.attrs().iter().enumerate();
+            let values = values.filter(|(i, _)| period.is_none_or(|(a, b)| *i != a && *i != b));
+            SortSpec::by(values.map(|(_, a)| a.name.clone()).chain(["T1".to_string()]))
+        };
+        match self {
+            // hash-based DUPELIM^M keeps first occurrences; TRANSFER^M
+            // ships rows as the DBMS delivers them (rule T6)
+            Algo::FilterM(_) | Algo::DupElimM | Algo::TransferM => OrderContract::Preserves,
+            Algo::ProjectM(items) => OrderContract::Renames(items),
+            Algo::MergeJoinM(eq) | Algo::TMergeJoinM(eq) => OrderContract::Merges(vec![
+                SortSpec::by(eq.iter().map(|(l, _)| l.clone())),
+                SortSpec::by(eq.iter().map(|(_, r)| r.clone())),
+            ]),
+            Algo::TAggrM { group_by, .. } => OrderContract::Merges(vec![SortSpec::by(
+                group_by.iter().cloned().chain(["T1".to_string()]),
+            )]),
+            Algo::CoalesceM => OrderContract::Merges(vec![value_order()]),
+            Algo::TDiffM => OrderContract::Merges(vec![value_order(); 2]),
+            Algo::SortM(s) | Algo::SortXM(s, _) | Algo::SortD(s) => {
+                OrderContract::Delivers(s.clone())
+            }
+            _ => OrderContract::Delivers(SortSpec::none()),
+        }
+    }
+
+    /// The order each input must arrive in for this algorithm to deliver
+    /// `required` over its output `schema` (inputs beyond the answer's
+    /// length are asked nothing); `None` when it cannot deliver it.
+    pub fn input_orders(&self, schema: &Schema, required: &SortSpec) -> Option<Vec<SortSpec>> {
+        match self.order_contract(schema) {
+            OrderContract::Preserves => Some(vec![required.clone()]),
+            // the requirement names *output* columns: it goes below the
+            // projection only if every key is a plain column passed
+            // through (precondition of rule E5) — a key fed by a computed
+            // item cannot be sorted early
+            OrderContract::Renames(items) => {
+                let below = passed_through(required, items, true);
+                (below.keys().len() == required.keys().len()).then(|| vec![below])
+            }
+            OrderContract::Merges(inputs) => inputs[0].satisfies(required).then_some(inputs),
+            OrderContract::Delivers(order) => order.satisfies(required).then(Vec::new),
+        }
+    }
+
+    /// The order this algorithm's output arrives in, given the orders its
+    /// inputs arrive in (`none` when unknown) — [`Algo::input_orders`]
+    /// read the other way. A `MATSCAN^M` holds whatever order its
+    /// materialization was drained in, which only its registrar knows.
+    pub fn delivered_order(&self, schema: &Schema, inputs: &[SortSpec]) -> SortSpec {
+        let input = || inputs.first().cloned().unwrap_or_default();
+        match self.order_contract(schema) {
+            OrderContract::Preserves => input(),
+            OrderContract::Renames(items) => passed_through(&input(), items, false),
+            OrderContract::Merges(mut needs) => needs.swap_remove(0),
+            OrderContract::Delivers(order) => order,
+        }
+    }
+}
+
+/// How an algorithm relates the order of its output to its inputs'.
+enum OrderContract<'a> {
+    /// One input, delivered in whatever order it arrives in.
+    Preserves,
+    /// `PROJECT^M`: preserves the order of the keys these items pass
+    /// through as plain columns, under their aliases.
+    Renames(&'a [ProjItem]),
+    /// A sort-merge sweep: needs each input in the order listed for it
+    /// and delivers the first input's.
+    Merges(Vec<SortSpec>),
+    /// Asks nothing of its inputs and delivers this order (`none`: makes
+    /// no promise).
+    Delivers(SortSpec),
+}
+
+/// The longest prefix of `order` whose keys `items` pass through as plain
+/// columns, renamed from output alias to input column (`down`) or back.
+fn passed_through(order: &SortSpec, items: &[ProjItem], down: bool) -> SortSpec {
+    let rename = |k: &SortKey| {
+        items.iter().find_map(|it| match &it.expr {
+            Expr::Col { name, .. } => {
+                let (from, to) = if down { (&it.alias, name) } else { (name, &it.alias) };
+                from.eq_ignore_ascii_case(&k.col).then(|| SortKey { col: to.clone(), desc: k.desc })
+            }
+            _ => None,
+        })
+    };
+    SortSpec(order.keys().iter().map_while(rename).collect())
 }
 
 /// A physical plan annotated with per-node output schemas — the form the
@@ -368,28 +487,25 @@ pub struct PhysNode {
 }
 
 impl PhysNode {
+    /// `algo` applied to `children`, its schema derived by the table
+    /// ([`Algo::output_schema`]).
+    pub fn over(algo: Algo, children: Vec<PhysNode>) -> tango_algebra::Result<PhysNode> {
+        let inputs: Vec<&Schema> = children.iter().map(|c| c.schema.as_ref()).collect();
+        let schema = Arc::new(algo.output_schema(&inputs)?);
+        Ok(PhysNode { algo, schema, children })
+    }
+
+    /// A `SCAN^D` of `table`, whose schema the catalog knows.
+    pub fn scan(table: impl Into<String>, schema: Schema) -> PhysNode {
+        PhysNode { algo: Algo::ScanD(table.into()), schema: Arc::new(schema), children: vec![] }
+    }
+
     /// Render the plan like Figure 7/9 of the paper.
     pub fn render(&self) -> String {
         fn go(n: &PhysNode, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
             out.push_str(&n.algo.label());
-            match &n.algo {
-                Algo::FilterM(p) | Algo::FilterD(p) => {
-                    out.push_str(&format!(" [{p}]"));
-                }
-                Algo::TAggrM { group_by, aggs } | Algo::TAggrD { group_by, aggs } => {
-                    let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
-                    out.push_str(&format!(" [group by {}; {}]", group_by.join(", "), a.join(", ")));
-                }
-                Algo::MergeJoinM(eq)
-                | Algo::TMergeJoinM(eq)
-                | Algo::JoinD(eq)
-                | Algo::TJoinD(eq) => {
-                    let c: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
-                    out.push_str(&format!(" [{}]", c.join(" AND ")));
-                }
-                _ => {}
-            }
+            out.push_str(&n.algo.params());
             out.push('\n');
             for c in &n.children {
                 go(c, depth + 1, out);
@@ -419,5 +535,92 @@ impl PhysNode {
     /// Does any node in this plan satisfy the predicate?
     pub fn any(&self, f: &dyn Fn(&Algo) -> bool) -> bool {
         f(&self.algo) || self.children.iter().any(|c| c.any(f))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tango_algebra::{Attr, Type};
+
+    fn eq() -> Vec<(String, String)> {
+        vec![("K".into(), "K2".into())]
+    }
+
+    /// Both inverses of [`Algo::op`] lead back to the operator.
+    #[test]
+    fn every_operator_maps_back_through_its_algorithms() {
+        let ops = [
+            TOp::Get { table: "T".into() },
+            TOp::Select { pred: Expr::lit(1) },
+            TOp::Project { items: vec![ProjItem::col("K")] },
+            TOp::Join { eq: eq() },
+            TOp::TJoin { eq: eq() },
+            TOp::Product,
+            TOp::TAggr { group_by: vec!["K".into()], aggs: vec![] },
+            TOp::DupElim,
+            TOp::Coalesce,
+            TOp::Diff,
+        ];
+        for op in ops {
+            for algo in [op.dbms_algo(), op.mid_algo()].into_iter().flatten() {
+                assert_eq!(algo.op().as_ref(), Some(&op), "{}", algo.label());
+            }
+        }
+        // heuristic group 1: products stay in the DBMS; generic SQL can
+        // neither coalesce nor subtract periods
+        assert!(TOp::Product.mid_algo().is_none());
+        assert!(TOp::Coalesce.dbms_algo().is_none() && TOp::Diff.dbms_algo().is_none());
+    }
+
+    /// An algorithm with an order contract answers for the order it
+    /// delivers and for no order it cannot deliver.
+    #[test]
+    fn contracts_answer_exactly_for_what_they_deliver() {
+        let attrs = ["K", "V", "T1", "T2"].map(|name| Attr::new(name, Type::Int));
+        let schema = Schema::with_inferred_period(attrs.to_vec());
+        let by = |cols: &[&str]| SortSpec::by(cols.iter().copied());
+        let contracts = [
+            (Algo::MergeJoinM(eq()), by(&["K"]), vec![by(&["K"]), by(&["K2"])]),
+            (Algo::TMergeJoinM(eq()), by(&["K"]), vec![by(&["K"]), by(&["K2"])]),
+            (
+                Algo::TAggrM { group_by: vec!["K".into()], aggs: vec![] },
+                by(&["K", "T1"]),
+                vec![by(&["K", "T1"])],
+            ),
+            (Algo::CoalesceM, by(&["K", "V", "T1"]), vec![by(&["K", "V", "T1"])]),
+            (Algo::TDiffM, by(&["K", "V", "T1"]), vec![by(&["K", "V", "T1"]); 2]),
+        ];
+        for (algo, delivered, needs) in contracts {
+            let inputs = vec![SortSpec::none(); needs.len()];
+            assert_eq!(algo.delivered_order(&schema, &inputs), delivered, "{}", algo.label());
+            assert_eq!(algo.input_orders(&schema, &delivered), Some(needs.clone()));
+            assert_eq!(algo.input_orders(&schema, &SortSpec::none()), Some(needs));
+            assert_eq!(algo.input_orders(&schema, &by(&["T2"])), None, "{}", algo.label());
+        }
+        // the order-preserving ones hand any requirement down
+        for algo in [Algo::FilterM(Expr::lit(1)), Algo::DupElimM] {
+            assert_eq!(algo.input_orders(&schema, &by(&["V"])), Some(vec![by(&["V"])]));
+            assert_eq!(algo.delivered_order(&schema, &[by(&["V"])]), by(&["V"]));
+        }
+    }
+
+    #[test]
+    fn project_remaps_an_aliased_key_and_refuses_a_computed_one() {
+        let schema = Schema::new(vec![Attr::new("Id", Type::Int), Attr::new("Twice", Type::Int)]);
+        let twice = Expr::Arith(
+            tango_algebra::ArithOp::Add,
+            Box::new(Expr::col("K")),
+            Box::new(Expr::col("K")),
+        );
+        let project = Algo::ProjectM(vec![
+            ProjItem::named(Expr::col("P.K"), "Id"),
+            ProjItem::named(twice, "Twice"),
+        ]);
+        let by = |col: &str| SortSpec::by([col]);
+        assert_eq!(project.input_orders(&schema, &by("id")), Some(vec![by("P.K")]));
+        assert_eq!(project.input_orders(&schema, &by("Twice")), None);
+        assert_eq!(project.input_orders(&schema, &SortSpec::by(["Id", "Twice"])), None);
+        assert_eq!(project.delivered_order(&schema, &[SortSpec::by(["P.K", "V"])]), by("Id"));
     }
 }

@@ -43,7 +43,7 @@ use tango_trace::json::{self, Json};
 
 /// Default whole-tree sweep budget of [`Rewriter::apply`]; a pack file
 /// may lower it with a `"budget"` key.
-pub const DEFAULT_PASS_BUDGET: usize = 32;
+pub(crate) const DEFAULT_PASS_BUDGET: usize = 32;
 
 /// One loaded rule pack: a named, ordered list of rules.
 #[derive(Debug, Clone)]
@@ -65,12 +65,12 @@ pub struct Rule {
     /// Rule name (reported in traces as `pack/rule`).
     pub name: String,
     /// What the rule does.
-    pub kind: RuleKind,
+    pub(crate) kind: RuleKind,
 }
 
 /// The two rule kinds a pack may mix.
 #[derive(Debug, Clone)]
-pub enum RuleKind {
+pub(crate) enum RuleKind {
     /// Declarative expression rewrite: pattern → replacement template.
     Expr {
         /// Pattern matched against expression nodes.
@@ -85,7 +85,7 @@ pub enum RuleKind {
 /// Named plan-level passes (the osm2streets-style `Transformation`
 /// enum: Rust implementations, selected and ordered from config).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanPass {
+pub(crate) enum PlanPass {
     /// `σ_p(A × B)` → `σ_rest(A ⋈_eq B)`: extract cross-input `Col = Col`
     /// conjuncts of a selection over a cartesian product into an
     /// equi-join (the output schema of `×` and `⋈` is the same
@@ -127,7 +127,7 @@ impl PlanPass {
 
 /// What a binding variable may match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindKind {
+pub(crate) enum BindKind {
     /// `"?x"` — any expression.
     Any,
     /// `"?x:col"` — a column reference.
@@ -138,7 +138,7 @@ pub enum BindKind {
 
 /// An expression pattern (the `"match"` side of an `expr` rule).
 #[derive(Debug, Clone)]
-pub enum Pat {
+pub(crate) enum Pat {
     /// A binding variable; a name repeated within one pattern must bind
     /// equal expressions.
     Bind(String, BindKind),
@@ -154,7 +154,7 @@ pub enum Pat {
 
 /// Operator position of a [`Pat::Cmp`].
 #[derive(Debug, Clone)]
-pub enum OpPat {
+pub(crate) enum OpPat {
     /// A literal operator, e.g. `"<="`.
     Exact(CmpOp),
     /// `"?op"` — bind whatever operator is there.
@@ -163,7 +163,7 @@ pub enum OpPat {
 
 /// A replacement template (the `"replace"` side of an `expr` rule).
 #[derive(Debug, Clone)]
-pub enum Template {
+pub(crate) enum Template {
     /// `"?x"` — substitute the bound expression.
     Var(String),
     /// `["cmp", op, l, r]`
@@ -178,7 +178,7 @@ pub enum Template {
 
 /// Operator position of a [`Template::Cmp`].
 #[derive(Debug, Clone)]
-pub enum OpTemplate {
+pub(crate) enum OpTemplate {
     /// A literal operator.
     Exact(CmpOp),
     /// `"?op"` — the bound operator, unchanged.
@@ -194,7 +194,7 @@ pub enum OpTemplate {
 
 /// The 3VL-sound negation of a comparison operator: `NOT (a op b)` ≡
 /// `a negate(op) b` (both are `UNKNOWN` on `NULL` operands).
-pub fn negate_op(op: CmpOp) -> CmpOp {
+pub(crate) fn negate_op(op: CmpOp) -> CmpOp {
     match op {
         CmpOp::Eq => CmpOp::Ne,
         CmpOp::Ne => CmpOp::Eq,
@@ -259,7 +259,7 @@ impl Rewriter {
     }
 
     /// Build a rewriter from already-parsed packs.
-    pub fn from_packs(packs: Vec<RulePack>) -> Rewriter {
+    pub(crate) fn from_packs(packs: Vec<RulePack>) -> Rewriter {
         let budget = packs.iter().map(|p| p.budget).min().unwrap_or(DEFAULT_PASS_BUDGET);
         Rewriter { packs, budget }
     }

@@ -48,6 +48,7 @@ pub struct IndexDef {
     pub map: BTreeMap<Key, Vec<usize>>,
 }
 
+#[derive(Default)]
 pub struct DbInner {
     pub tables: HashMap<String, Table>,
     pub indexes: Vec<IndexDef>,
@@ -57,20 +58,6 @@ pub struct DbInner {
     /// middleware cache's refresh-by-delta maintenance; see
     /// [`crate::delta::DeltaLog`].
     pub delta_logs: HashMap<String, DeltaLog>,
-    /// Byte cap applied to newly created delta logs.
-    pub delta_cap: usize,
-}
-
-impl Default for DbInner {
-    fn default() -> Self {
-        DbInner {
-            tables: HashMap::new(),
-            indexes: Vec::new(),
-            version_clock: 0,
-            delta_logs: HashMap::new(),
-            delta_cap: DEFAULT_DELTA_LOG_CAP,
-        }
-    }
 }
 
 impl DbInner {
@@ -193,12 +180,11 @@ impl Database {
         }
         inner.version_clock += 1;
         let version = inner.version_clock;
-        let cap = inner.delta_cap;
         inner.tables.insert(
             key.clone(),
             Table { schema: Arc::new(schema), rows: Vec::new(), stats: None, version },
         );
-        inner.delta_logs.insert(key, DeltaLog::new(version, cap));
+        inner.delta_logs.insert(key, DeltaLog::new(version, DEFAULT_DELTA_LOG_CAP));
         Ok(())
     }
 
@@ -397,16 +383,6 @@ impl Database {
     /// Total bytes currently held across all per-table delta logs.
     pub fn delta_log_bytes(&self) -> u64 {
         self.inner.read().delta_logs.values().map(|l| l.bytes() as u64).sum()
-    }
-
-    /// Set the per-table delta-log byte cap, applying it to existing
-    /// logs immediately (they compact if now over it).
-    pub fn set_delta_cap(&self, cap: usize) {
-        let mut inner = self.inner.write();
-        inner.delta_cap = cap;
-        for log in inner.delta_logs.values_mut() {
-            log.set_cap(cap);
-        }
     }
 
     /// Atomically read the delta records each `(table, since)` request

@@ -91,12 +91,6 @@ impl DeltaLog {
         self.bytes
     }
 
-    /// Change the byte cap (compacting immediately if now over it).
-    pub fn set_cap(&mut self, cap: usize) {
-        self.cap = cap;
-        self.compact();
-    }
-
     /// Can a snapshot taken at version `since` be brought forward?
     pub fn covers(&self, since: u64) -> bool {
         since >= self.floor

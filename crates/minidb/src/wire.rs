@@ -149,13 +149,6 @@ impl Link {
         self.accrue(self.cost(roundtrips, bytes))
     }
 
-    /// Charge a cursor fetch of `rows` rows totalling `bytes` bytes: the
-    /// number of round trips is `ceil(rows / row_prefetch)`.
-    pub fn charge_fetch(&self, rows: u64, bytes: u64) -> Duration {
-        let prefetch = self.profile.row_prefetch.max(1) as u64;
-        self.charge(rows.div_ceil(prefetch).max(1), bytes)
-    }
-
     /// The fallible transfer: like [`Link::charge`], but each round trip
     /// is numbered and offered to the installed [`FaultInjector`].
     /// Latency faults (spike/throttle) inflate the returned duration;
@@ -239,8 +232,8 @@ mod tests {
             row_prefetch: 10,
             mode: WireMode::Virtual,
         });
-        // 25 rows -> 3 roundtrips (3ms) + 1e6 bytes at 1MB/s (1s)
-        let d = link.charge_fetch(25, 1_000_000);
+        // 3 roundtrips (3ms) + 1e6 bytes at 1MB/s (1s)
+        let d = link.charge(3, 1_000_000);
         assert!((d.as_secs_f64() - 1.003).abs() < 1e-6, "{d:?}");
         assert_eq!(link.total(), d);
         link.reset();
@@ -250,7 +243,7 @@ mod tests {
     #[test]
     fn instant_profile_is_free() {
         let link = Link::new(LinkProfile::instant());
-        assert_eq!(link.charge_fetch(1_000_000, u64::MAX / 4), Duration::ZERO);
+        assert_eq!(link.charge(1_000_000, u64::MAX / 4), Duration::ZERO);
     }
 
     #[test]

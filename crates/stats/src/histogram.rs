@@ -8,7 +8,6 @@
 //! `cardinality / buckets`.
 
 use serde::{Deserialize, Serialize};
-use tango_algebra::Value;
 
 /// A height-balanced (equi-depth) histogram over numeric/date values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,14 +36,6 @@ impl Histogram {
             endpoints.push(vals[idx]);
         }
         Some(Histogram { endpoints, values: n as u64 })
-    }
-
-    /// Build from [`Value`]s using their numeric view (strings are not
-    /// histogrammed, as in the paper's setting where histograms matter for
-    /// time attributes).
-    pub fn build_values(vals: &[Value], buckets: usize) -> Option<Histogram> {
-        let nums: Vec<f64> = vals.iter().filter_map(Value::as_f64).collect();
-        Self::build(nums, buckets)
     }
 
     /// Number of buckets.

@@ -25,9 +25,7 @@
 //!   benchmark binaries, the parser reads rule packs and those reports
 //!   back.
 //!
-//! A [`TraceHandle`] is an `Option<Arc<SpanSlot>>` for code that may run
-//! without a span; the engine itself always traces (every cursor it
-//! builds is handed its span).
+//! The engine always traces: every cursor it builds is handed its span.
 
 #![warn(missing_docs)]
 
@@ -185,40 +183,6 @@ impl SpanSlot {
     }
 }
 
-/// A possibly-absent span: `None` costs nothing on the hot path.
-///
-/// ```
-/// # use tango_trace::TraceHandle;
-/// let disabled = TraceHandle::disabled();
-/// disabled.with(|s| s.add_batch(1, 100)); // no-op, no atomics touched
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle(Option<Arc<SpanSlot>>);
-
-impl TraceHandle {
-    /// A handle that records nothing.
-    pub fn disabled() -> TraceHandle {
-        TraceHandle(None)
-    }
-
-    /// A handle recording into `slot`.
-    pub fn enabled(slot: Arc<SpanSlot>) -> TraceHandle {
-        TraceHandle(Some(slot))
-    }
-
-    /// Is this handle recording?
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Run `f` against the slot if recording.
-    pub fn with(&self, f: impl FnOnce(&SpanSlot)) {
-        if let Some(s) = &self.0 {
-            f(s);
-        }
-    }
-}
-
 /// Accumulates [`SpanSlot`]s during an execution and resolves them into
 /// [`OpSpan`]s. Spans are created in post-order of the executed plan, so
 /// child indices always precede their parent.
@@ -325,52 +289,6 @@ pub struct OpSpan {
     pub annotations: Vec<(&'static str, String)>,
     /// Indices of input spans.
     pub children: Vec<usize>,
-}
-
-impl OpSpan {
-    /// Serialize as a JSON object.
-    pub fn to_json(&self) -> String {
-        use json::*;
-        let mut o = Object::new();
-        o.string("op", &self.name);
-        o.string("site", self.site.name());
-        o.number("inclusive_us", self.inclusive_us);
-        o.number("exclusive_us", self.exclusive_us);
-        o.number("rows", self.rows as f64);
-        o.number("bytes", self.bytes as f64);
-        o.number("server_us", self.server_us);
-        if !self.annotations.is_empty() {
-            let mut a = Object::new();
-            for (k, v) in &self.annotations {
-                a.string(k, v);
-            }
-            o.raw("annotations", &a.build());
-        }
-        if !self.counters.is_empty() {
-            let mut c = Object::new();
-            for (k, v) in &self.counters {
-                c.number(k, *v as f64);
-            }
-            o.raw("counters", &c.build());
-        }
-        if !self.events.is_empty() {
-            o.raw("events", &events_to_json(&self.events));
-        }
-        o.raw(
-            "children",
-            &format!(
-                "[{}]",
-                self.children.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
-            ),
-        );
-        o.build()
-    }
-}
-
-/// Serialize a span list as a JSON array (same order as collected, so
-/// the `children` indices stay valid).
-pub fn spans_to_json(spans: &[OpSpan]) -> String {
-    format!("[{}]", spans.iter().map(OpSpan::to_json).collect::<Vec<_>>().join(","))
 }
 
 /// Serialize a list of span events as a JSON array of
@@ -699,15 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handle_is_inert() {
-        let h = TraceHandle::disabled();
-        assert!(!h.is_enabled());
-        let mut called = false;
-        h.with(|_| called = true);
-        assert!(!called);
-    }
-
-    #[test]
     fn stopwatch_adds_wire_delta() {
         let sw = Stopwatch::start(Duration::from_millis(5));
         // pretend 7ms of wire were charged while we ran
@@ -737,24 +646,8 @@ mod tests {
         assert_eq!(spans[0].events.len(), 3);
         assert_eq!(spans[0].events[0].kind, "fault");
         assert_eq!(spans[0].events[2].kind, "replan");
-        let j = spans_to_json(&spans);
-        assert!(j.contains("\"events\":[{\"kind\":\"fault\""), "{j}");
+        let j = events_to_json(&spans[0].events);
+        assert!(j.starts_with("[{\"kind\":\"fault\""), "{j}");
         assert!(j.contains("\"kind\":\"replan\""), "{j}");
-        // spans without events omit the field entirely (golden stability)
-        let mut c2 = Collector::new();
-        c2.span("SORT^M", SpanSite::Middleware, vec![]);
-        assert!(!spans_to_json(&Collector::finish(c2)).contains("events"));
-    }
-
-    #[test]
-    fn spans_serialize_with_counters() {
-        let mut c = Collector::new();
-        let (_, s) = c.span("SORT^M", SpanSite::Middleware, vec![]);
-        s.set_counters(vec![("buffered_rows", 10)]);
-        let spans = Collector::finish(c);
-        let j = spans_to_json(&spans);
-        assert!(j.starts_with('['), "{j}");
-        assert!(j.contains("\"counters\":{\"buffered_rows\":10}"), "{j}");
-        assert!(j.contains("\"site\":\"middleware\""), "{j}");
     }
 }

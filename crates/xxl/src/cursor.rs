@@ -145,9 +145,10 @@ pub fn drain_of(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Tuple>> {
     Ok(tuples)
 }
 
-/// Drain an already-open cursor into whole batches (no materialization),
-/// for pipeline breakers that columnarize their input.
-pub(crate) fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch>> {
+/// Drain an already-open cursor into whole batches, each in the layout
+/// it arrived in (no materialization) — for pipeline breakers that
+/// columnarize their input, and for the engine staging one.
+pub fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch>> {
     let mut out = Vec::new();
     while let Some(b) = c.next_batch(rows)? {
         out.push(b);
@@ -199,7 +200,7 @@ pub(crate) fn period_values(date_typed: bool, p: Period) -> (Value, Value) {
 /// inputs in this adapter: their group-reading logic stays row-oriented,
 /// but each underlying (possibly traced, possibly remote) cursor is only
 /// dispatched once per batch.
-pub struct BatchBuffered {
+pub(crate) struct BatchBuffered {
     inner: BoxCursor,
     buf: VecDeque<Tuple>,
     done: bool,
@@ -209,17 +210,17 @@ pub struct BatchBuffered {
 impl BatchBuffered {
     /// Wrap `inner`, refilling `rows` tuples at a time; rows are pulled
     /// through the wrapper from `open` on.
-    pub fn with_rows(inner: BoxCursor, rows: usize) -> Self {
+    pub(crate) fn with_rows(inner: BoxCursor, rows: usize) -> Self {
         BatchBuffered { inner, buf: VecDeque::new(), done: false, rows: rows.max(1) }
     }
 
     /// The wrapped cursor's schema.
-    pub fn schema(&self) -> &Arc<Schema> {
+    pub(crate) fn schema(&self) -> &Arc<Schema> {
         self.inner.schema()
     }
 
     /// Open the wrapped cursor.
-    pub fn open(&mut self) -> Result<()> {
+    pub(crate) fn open(&mut self) -> Result<()> {
         self.buf.clear();
         self.done = false;
         self.inner.open()
@@ -229,7 +230,7 @@ impl BatchBuffered {
     /// (fallible and lifecycle-bound, which `Iterator` cannot express).
     #[allow(clippy::should_implement_trait)]
     #[inline]
-    pub fn next(&mut self) -> Result<Option<Tuple>> {
+    pub(crate) fn next(&mut self) -> Result<Option<Tuple>> {
         if let Some(t) = self.buf.pop_front() {
             return Ok(Some(t));
         }
@@ -264,7 +265,7 @@ impl BatchBuffered {
     }
 
     /// Close the wrapped cursor.
-    pub fn close(&mut self) -> Result<()> {
+    pub(crate) fn close(&mut self) -> Result<()> {
         self.buf.clear();
         self.inner.close()
     }

@@ -1,5 +1,5 @@
-//! Delta rules and the [`DeltaApply`] cursor — incremental maintenance
-//! of cached fragment results.
+//! Delta rules and the [`DeltaApply`] merge — incremental maintenance of
+//! cached fragment results.
 //!
 //! A fragment delta is a **signed multiset** ([`ZSet`]): each tuple
 //! carries a net weight (insertions minus deletions). The cacheable
@@ -23,7 +23,7 @@
 //! falls back to a refetch — incremental maintenance is an optimization
 //! that must be byte-identical or absent.
 
-use crate::cursor::{collect, BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{collect, BoxCursor, Cursor, Result};
 use crate::filter::Filter;
 use crate::merge_join::MergeJoin;
 use crate::project::Project;
@@ -33,7 +33,7 @@ use crate::temporal_join::TemporalMergeJoin;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
-use tango_algebra::{Batch, Expr, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Expr, Relation, Schema, SortSpec, Tuple};
 
 /// A signed multiset of tuples: net insert (+) / delete (−) weights.
 #[derive(Debug, Clone)]
@@ -221,8 +221,8 @@ pub fn delta_join(
     }
 }
 
-/// Merges a cached fragment snapshot with a net delta and serves the
-/// refreshed rows — the execution side of refresh-by-delta.
+/// Merges a cached fragment snapshot with a net delta into the refreshed
+/// rows — the execution side of refresh-by-delta.
 ///
 /// Construction performs the whole merge eagerly (`try_new`); it yields
 /// `None` when the merged multiset cannot be proven byte-identical to a
@@ -230,10 +230,7 @@ pub fn delta_join(
 /// or the delivered order leaves equal-key runs with non-identical
 /// tuples (order-ambiguous). Callers treat `None` as "bail to refetch".
 pub struct DeltaApply {
-    schema: Arc<Schema>,
     rows: Arc<Vec<Tuple>>,
-    pos: usize,
-    opened: bool,
 }
 
 impl DeltaApply {
@@ -276,42 +273,13 @@ impl DeltaApply {
                 return Ok(None);
             }
         }
-        Ok(Some(DeltaApply { schema, rows: Arc::new(rows), pos: 0, opened: false }))
+        Ok(Some(DeltaApply { rows: Arc::new(rows) }))
     }
 
     /// The refreshed fragment rows (shared, so the caller can commit the
     /// same allocation to the cache it serves from).
     pub fn rows(&self) -> &Arc<Vec<Tuple>> {
         &self.rows
-    }
-}
-
-impl Cursor for DeltaApply {
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.opened = true;
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if !self.opened {
-            return Err(ExecError::State("DeltaApply pulled before open".into()));
-        }
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max_rows.max(1)).min(self.rows.len());
-        let batch = Batch::new(self.schema.clone(), self.rows[self.pos..end].to_vec());
-        self.pos = end;
-        Ok(Some(batch))
-    }
-
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![("refreshed_rows", self.rows.len() as u64)]
     }
 }
 
@@ -368,8 +336,7 @@ mod tests {
         d.add(tup![2, "Tom", 5, 10], -1);
         let order = SortSpec::by(["PosID", "T1"]);
         let a = DeltaApply::try_new(s, &base, &d, &order).unwrap().expect("determined");
-        let rel = collect(Box::new(a)).unwrap();
-        assert_eq!(rel.tuples(), &[tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
+        assert_eq!(a.rows()[..], [tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! `Batch` layout; the row-logic operators (merge joins, coalescing,
 //! difference, nested loop) keep a private row step, fill
 //! their output batches through one shared helper, and read their inputs
-//! through [`cursor::BatchBuffered`], so an upstream (possibly traced,
-//! possibly remote) cursor is dispatched once per batch. Execution knobs
+//! through the crate's `BatchBuffered` adapter, so an upstream (possibly
+//! traced, possibly remote) cursor is dispatched once per batch. Execution knobs
 //! travel per operator instance as [`ExecOpts`] (every plan-reachable
 //! algorithm with internal pulls has a `with_opts` constructor; there is
 //! no process-wide state): `batch_rows` sizes those pulls and `workers`
@@ -30,6 +30,8 @@
 //! Inventory:
 //!
 //! * [`scan::VecScan`] — scan of a materialized relation,
+//! * [`scan::BatchScan`] — scan of stored batches, each handed on in the
+//!   layout it was stored in (serves a drained pipeline breaker),
 //! * [`scan::CachedScan`] — scan of a *shared* cached relation (serves
 //!   middleware-cache hits without consuming the entry),
 //! * [`filter::Filter`] — `FILTER^M`,
@@ -103,7 +105,7 @@ pub mod temporal_join;
 
 pub use coalesce::Coalesce;
 pub use cursor::{
-    collect, drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result,
+    collect, drain_batches, drain_of, fill_batch, BoxCursor, Cursor, ExecError, ExecOpts, Result,
 };
 pub use dedup::DupElim;
 pub use delta::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
@@ -112,7 +114,7 @@ pub use merge_join::MergeJoin;
 pub use nested_loop::NestedLoopJoin;
 pub use par::{morsel_ranges, run_ordered, ParStats, MORSEL_ROWS};
 pub use project::Project;
-pub use scan::{CachedScan, VecScan};
+pub use scan::{BatchScan, CachedScan, VecScan};
 pub use sort::{ExternalSort, Sort};
 pub use taggr::TemporalAggregate;
 pub use tdiff::TemporalDiff;

@@ -1,6 +1,8 @@
-//! Scan over a materialized relation.
+//! Scans over materialized relations: owned rows, stored batches, shared
+//! rows.
 
 use crate::cursor::{Cursor, Result};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tango_algebra::{Batch, Relation, Schema, Tuple};
 
@@ -42,6 +44,52 @@ impl Cursor for VecScan {
         } else {
             Ok(Some(Batch::new(self.schema.clone(), rows)))
         }
+    }
+}
+
+/// Streams stored batches in order, each in the layout it was stored in —
+/// how a drained pipeline breaker is served, so columnar output stays
+/// columnar for the operators downstream. A batch no larger than the
+/// pull is handed on whole; a larger one is cut from a position kept
+/// into it (re-slicing the remainder would copy a row-layout batch once
+/// per pull).
+pub struct BatchScan {
+    schema: Arc<Schema>,
+    batches: VecDeque<Batch>,
+    /// Rows of the front batch already handed on.
+    pos: usize,
+}
+
+impl BatchScan {
+    /// Scan `batches`, all of `schema`.
+    pub fn new(schema: Arc<Schema>, batches: Vec<Batch>) -> Self {
+        let batches = batches.into_iter().filter(|b| !b.is_empty()).collect();
+        BatchScan { schema, batches, pos: 0 }
+    }
+}
+
+impl Cursor for BatchScan {
+    fn schema(&self) -> &Arc<Schema> {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
+        let Some(front) = self.batches.front() else { return Ok(None) };
+        let n = (front.len() - self.pos).min(max_rows.max(1));
+        if n == front.len() {
+            return Ok(self.batches.pop_front());
+        }
+        let cut = front.slice(self.pos, n);
+        self.pos += n;
+        if self.pos == front.len() {
+            self.batches.pop_front();
+            self.pos = 0;
+        }
+        Ok(Some(cut))
     }
 }
 
@@ -106,6 +154,41 @@ mod tests {
         let expected = rel.clone();
         let got = collect(Box::new(VecScan::new(rel))).unwrap();
         assert!(got.list_eq(&expected));
+    }
+
+    /// Columnar batches come back columnar, a pull smaller than a stored
+    /// batch splits it without losing or reordering rows, and the end of
+    /// the stream is stable.
+    #[test]
+    fn batch_scan_hands_on_stored_batches() {
+        let rel = figure3_position();
+        let schema = rel.schema().clone();
+        let stored = || {
+            let columnar = Batch::new(schema.clone(), rel.tuples().to_vec()).columnarize();
+            vec![columnar.slice(0, 2), Batch::new(schema.clone(), vec![]), columnar.slice(2, 1)]
+        };
+        let mut whole = BatchScan::new(schema.clone(), stored());
+        whole.open().unwrap();
+        let first = whole.next_batch(1024).unwrap().unwrap();
+        assert!(first.is_columnar() && first.len() == 2);
+        assert_eq!(whole.next_batch(1024).unwrap().unwrap().len(), 1);
+        assert!(whole.next_batch(1024).unwrap().is_none());
+        assert!(whole.next_batch(1024).unwrap().is_none());
+
+        let mut by_row = BatchScan::new(schema.clone(), stored());
+        by_row.open().unwrap();
+        let mut rows = Vec::new();
+        while let Some(b) = by_row.next_batch(1).unwrap() {
+            assert!(b.is_columnar() && b.len() == 1);
+            rows.extend(b.into_rows());
+        }
+        assert_eq!(rows, rel.tuples());
+
+        // a row-layout batch is cut the same way
+        let mut rows_in = BatchScan::new(schema.clone(), vec![Batch::new(schema, rows.clone())]);
+        let sizes: Vec<usize> =
+            std::iter::from_fn(|| rows_in.next_batch(2).unwrap().map(|b| b.len())).collect();
+        assert_eq!(sizes, [2, 1]);
     }
 
     #[test]

@@ -93,21 +93,7 @@ fn disabled_cache_changes_nothing() {
 }
 
 fn scan(conn: &tango::minidb::Connection, table: &str) -> PhysNode {
-    PhysNode {
-        algo: Algo::ScanD(table.into()),
-        schema: Arc::new(conn.table_schema(table).unwrap()),
-        children: vec![],
-    }
-}
-
-fn un(algo: Algo, child: PhysNode) -> PhysNode {
-    let schema = Arc::new(algo.output_schema(&[child.schema.as_ref()]).unwrap());
-    PhysNode { algo, schema, children: vec![child] }
-}
-
-fn bin(algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
-    let schema = Arc::new(algo.output_schema(&[l.schema.as_ref(), r.schema.as_ref()]).unwrap());
-    PhysNode { algo, schema, children: vec![l, r] }
+    PhysNode::scan(table, conn.table_schema(table).unwrap())
 }
 
 /// Figure 9's mixed Query 2 placement: the Figure 5 round trip where the
@@ -117,22 +103,36 @@ fn figure9_mixed_plan(conn: &tango::minidb::Connection) -> PhysNode {
     let group_by = vec!["PosID".to_string()];
     let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")];
     let keys = SortSpec::by(["PosID", "T1"]);
-    let arg = un(
+    let arg = PhysNode::over(
         Algo::ProjectD(["PosID", "T1", "T2"].iter().map(|c| ProjItem::col(*c)).collect()),
-        scan(conn, "POSITION"),
-    );
-    let agg_m =
-        un(Algo::TAggrM { group_by, aggs }, un(Algo::TransferM, un(Algo::SortD(keys), arg)));
-    let payrate = Expr::cmp(CmpOp::Gt, Expr::col("PayRate"), Expr::lit(5.0));
-    let p_side = un(Algo::FilterD(payrate), scan(conn, "POSITION"));
-    let eq = vec![("PosID".to_string(), "PosID".to_string())];
-    un(
-        Algo::TransferM,
-        un(
-            Algo::SortD(SortSpec::by(["PosID"])),
-            bin(Algo::TJoinD(eq), un(Algo::TransferD, agg_m), p_side),
-        ),
+        vec![scan(conn, "POSITION")],
     )
+    .unwrap();
+    let agg_m = PhysNode::over(
+        Algo::TAggrM { group_by, aggs },
+        vec![PhysNode::over(
+            Algo::TransferM,
+            vec![PhysNode::over(Algo::SortD(keys), vec![arg]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap();
+    let payrate = Expr::cmp(CmpOp::Gt, Expr::col("PayRate"), Expr::lit(5.0));
+    let p_side = PhysNode::over(Algo::FilterD(payrate), vec![scan(conn, "POSITION")]).unwrap();
+    let eq = vec![("PosID".to_string(), "PosID".to_string())];
+    PhysNode::over(
+        Algo::TransferM,
+        vec![PhysNode::over(
+            Algo::SortD(SortSpec::by(["PosID"])),
+            vec![PhysNode::over(
+                Algo::TJoinD(eq),
+                vec![PhysNode::over(Algo::TransferD, vec![agg_m]).unwrap(), p_side],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap()
 }
 
 /// A fragment that scans a `TRANSFER^D` temp table is uncacheable: its

@@ -164,7 +164,6 @@ fn approx_window_push_preserves_snapshots() {
 
 mod placements {
     use super::make_db;
-    use std::sync::Arc;
     use tango::algebra::{AggFunc, AggSpec, Expr, ProjItem, Relation, SortSpec};
     use tango::core::engine::Executor;
     use tango::core::phys::{Algo, PhysNode};
@@ -176,22 +175,7 @@ mod placements {
 
     impl PlanBuilder {
         fn scan(&self, table: &str) -> PhysNode {
-            PhysNode {
-                algo: Algo::ScanD(table.into()),
-                schema: Arc::new(self.conn.table_schema(table).unwrap()),
-                children: vec![],
-            }
-        }
-
-        fn un(&self, algo: Algo, child: PhysNode) -> PhysNode {
-            let schema = Arc::new(algo.output_schema(&[child.schema.as_ref()]).unwrap());
-            PhysNode { algo, schema, children: vec![child] }
-        }
-
-        fn bin(&self, algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
-            let schema =
-                Arc::new(algo.output_schema(&[l.schema.as_ref(), r.schema.as_ref()]).unwrap());
-            PhysNode { algo, schema, children: vec![l, r] }
+            PhysNode::scan(table, self.conn.table_schema(table).unwrap())
         }
     }
 
@@ -211,21 +195,37 @@ mod placements {
     fn q1_plans(b: &PlanBuilder) -> Vec<(&'static str, PhysNode)> {
         let (group_by, aggs) = count_agg();
         let dbms_proj = |b: &PlanBuilder| {
-            b.un(Algo::ProjectD(proj(&["PosID", "T1", "T2"])), b.scan("POSITION"))
+            PhysNode::over(Algo::ProjectD(proj(&["PosID", "T1", "T2"])), vec![b.scan("POSITION")])
+                .unwrap()
         };
         let keys = SortSpec::by(["PosID", "T1"]);
-        let p1 = b.un(
+        let p1 = PhysNode::over(
             Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-            b.un(Algo::TransferM, b.un(Algo::SortD(keys.clone()), dbms_proj(b))),
-        );
-        let p2 = b.un(
+            vec![PhysNode::over(
+                Algo::TransferM,
+                vec![PhysNode::over(Algo::SortD(keys.clone()), vec![dbms_proj(b)]).unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
+        let p2 = PhysNode::over(
             Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-            b.un(Algo::SortM(keys.clone()), b.un(Algo::TransferM, dbms_proj(b))),
-        );
-        let p3 = b.un(
+            vec![PhysNode::over(
+                Algo::SortM(keys.clone()),
+                vec![PhysNode::over(Algo::TransferM, vec![dbms_proj(b)]).unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
+        let p3 = PhysNode::over(
             Algo::TransferM,
-            b.un(Algo::SortD(keys), b.un(Algo::TAggrD { group_by, aggs }, dbms_proj(b))),
-        );
+            vec![PhysNode::over(
+                Algo::SortD(keys),
+                vec![PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![dbms_proj(b)]).unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
         vec![("mixed: sortD+taggrM", p1), ("middleware: sortM+taggrM", p2), ("all DBMS", p3)]
     }
 
@@ -235,43 +235,70 @@ mod placements {
         let (group_by, aggs) = count_agg();
         let keys = SortSpec::by(["PosID", "T1"]);
         let arg = |b: &PlanBuilder| {
-            b.un(Algo::ProjectD(proj(&["PosID", "T1", "T2"])), b.scan("POSITION"))
+            PhysNode::over(Algo::ProjectD(proj(&["PosID", "T1", "T2"])), vec![b.scan("POSITION")])
+                .unwrap()
         };
         let agg_m = |b: &PlanBuilder| {
-            b.un(
+            PhysNode::over(
                 Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-                b.un(Algo::TransferM, b.un(Algo::SortD(keys.clone()), arg(b))),
+                vec![PhysNode::over(
+                    Algo::TransferM,
+                    vec![PhysNode::over(Algo::SortD(keys.clone()), vec![arg(b)]).unwrap()],
+                )
+                .unwrap()],
             )
+            .unwrap()
         };
         let payrate = || Expr::cmp(tango::algebra::CmpOp::Gt, Expr::col("PayRate"), Expr::lit(5.0));
-        let p_side = |b: &PlanBuilder| b.un(Algo::FilterD(payrate()), b.scan("POSITION"));
+        let p_side = |b: &PlanBuilder| {
+            PhysNode::over(Algo::FilterD(payrate()), vec![b.scan("POSITION")]).unwrap()
+        };
 
         // mixed with T^D: aggregate in the middleware, join + sort in the DBMS
-        let p1 = b.un(
+        let p1 = PhysNode::over(
             Algo::TransferM,
-            b.un(
+            vec![PhysNode::over(
                 Algo::SortD(SortSpec::by(["PosID"])),
-                b.bin(Algo::TJoinD(eq_posid()), b.un(Algo::TransferD, agg_m(b)), p_side(b)),
-            ),
-        );
-        // middleware join over a DBMS-sorted probe side
-        let p2 = b.bin(
-            Algo::TMergeJoinM(eq_posid()),
-            agg_m(b),
-            b.un(Algo::TransferM, b.un(Algo::SortD(SortSpec::by(["PosID"])), p_side(b))),
-        );
-        // everything in the DBMS
-        let p3 = b.un(
-            Algo::TransferM,
-            b.un(
-                Algo::SortD(SortSpec::by(["PosID"])),
-                b.bin(
+                vec![PhysNode::over(
                     Algo::TJoinD(eq_posid()),
-                    b.un(Algo::TAggrD { group_by, aggs }, arg(b)),
-                    p_side(b),
-                ),
-            ),
-        );
+                    vec![PhysNode::over(Algo::TransferD, vec![agg_m(b)]).unwrap(), p_side(b)],
+                )
+                .unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
+        // middleware join over a DBMS-sorted probe side
+        let p2 = PhysNode::over(
+            Algo::TMergeJoinM(eq_posid()),
+            vec![
+                agg_m(b),
+                PhysNode::over(
+                    Algo::TransferM,
+                    vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![p_side(b)])
+                        .unwrap()],
+                )
+                .unwrap(),
+            ],
+        )
+        .unwrap();
+        // everything in the DBMS
+        let p3 = PhysNode::over(
+            Algo::TransferM,
+            vec![PhysNode::over(
+                Algo::SortD(SortSpec::by(["PosID"])),
+                vec![PhysNode::over(
+                    Algo::TJoinD(eq_posid()),
+                    vec![
+                        PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![arg(b)]).unwrap(),
+                        p_side(b),
+                    ],
+                )
+                .unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
         vec![("mixed: taggrM+T^D+joinD", p1), ("middleware: tjoinM", p2), ("all DBMS", p3)]
     }
 
@@ -280,22 +307,31 @@ mod placements {
     fn q3_plans(b: &PlanBuilder) -> Vec<(&'static str, PhysNode)> {
         let sel = Expr::cmp(tango::algebra::CmpOp::Lt, Expr::col("T1"), Expr::lit(40));
         let side = |b: &PlanBuilder| {
-            b.un(
+            PhysNode::over(
                 Algo::ProjectD(proj(&["PosID", "EmpID", "T1", "T2"])),
-                b.un(Algo::FilterD(sel.clone()), b.scan("POSITION")),
+                vec![PhysNode::over(Algo::FilterD(sel.clone()), vec![b.scan("POSITION")]).unwrap()],
             )
+            .unwrap()
         };
-        let p1 = b.un(
+        let p1 = PhysNode::over(
             Algo::TransferM,
-            b.un(
+            vec![PhysNode::over(
                 Algo::SortD(SortSpec::by(["PosID"])),
-                b.bin(Algo::TJoinD(eq_posid()), side(b), side(b)),
-            ),
-        );
+                vec![PhysNode::over(Algo::TJoinD(eq_posid()), vec![side(b), side(b)]).unwrap()],
+            )
+            .unwrap()],
+        )
+        .unwrap();
         let sorted_side = |b: &PlanBuilder| {
-            b.un(Algo::TransferM, b.un(Algo::SortD(SortSpec::by(["PosID"])), side(b)))
+            PhysNode::over(
+                Algo::TransferM,
+                vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![side(b)]).unwrap()],
+            )
+            .unwrap()
         };
-        let p2 = b.bin(Algo::TMergeJoinM(eq_posid()), sorted_side(b), sorted_side(b));
+        let p2 =
+            PhysNode::over(Algo::TMergeJoinM(eq_posid()), vec![sorted_side(b), sorted_side(b)])
+                .unwrap();
         vec![("all DBMS", p1), ("middleware: tjoinM", p2)]
     }
 

@@ -58,21 +58,7 @@ fn default_rows(n: usize) -> Vec<(i64, i64, f64, i32, i32)> {
 }
 
 fn scan(conn: &Connection, table: &str) -> PhysNode {
-    PhysNode {
-        algo: Algo::ScanD(table.into()),
-        schema: Arc::new(conn.table_schema(table).unwrap()),
-        children: vec![],
-    }
-}
-
-fn un(algo: Algo, child: PhysNode) -> PhysNode {
-    let schema = Arc::new(algo.output_schema(&[child.schema.as_ref()]).unwrap());
-    PhysNode { algo, schema, children: vec![child] }
-}
-
-fn bin(algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
-    let schema = Arc::new(algo.output_schema(&[l.schema.as_ref(), r.schema.as_ref()]).unwrap());
-    PhysNode { algo, schema, children: vec![l, r] }
+    PhysNode::scan(table, conn.table_schema(table).unwrap())
 }
 
 /// `SEL`-chain fragment: σ(PayRate ≥ 0) over POSITION, delivered sorted
@@ -80,13 +66,21 @@ fn bin(algo: Algo, l: PhysNode, r: PhysNode) -> PhysNode {
 fn chain_plan(conn: &Connection) -> PhysNode {
     let pred = Expr::cmp(CmpOp::Ge, Expr::col("PayRate"), Expr::lit(0.0));
     let order = SortSpec::by(["PosID", "EmpID", "PayRate", "T1", "T2"]);
-    un(Algo::TransferM, un(Algo::SortD(order), un(Algo::FilterD(pred), scan(conn, "POSITION"))))
+    PhysNode::over(
+        Algo::TransferM,
+        vec![PhysNode::over(
+            Algo::SortD(order),
+            vec![PhysNode::over(Algo::FilterD(pred), vec![scan(conn, "POSITION")]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap()
 }
 
 /// The SALARY side as its own cacheable fragment — querying this first
 /// makes it the *resident other side* a join delta can replay against.
 fn salary_plan(conn: &Connection) -> PhysNode {
-    un(Algo::TransferM, scan(conn, "SALARY"))
+    PhysNode::over(Algo::TransferM, vec![scan(conn, "SALARY")]).unwrap()
 }
 
 /// Temporal merge join POSITION ⋈ᵀ SALARY on EmpID, both sides linear
@@ -94,10 +88,19 @@ fn salary_plan(conn: &Connection) -> PhysNode {
 fn join_plan(conn: &Connection) -> PhysNode {
     let eq = vec![("EmpID".to_string(), "EmpID".to_string())];
     let order = SortSpec::by(["EmpID", "PosID", "PayRate", "Amount", "T1", "T2"]);
-    un(
+    PhysNode::over(
         Algo::TransferM,
-        un(Algo::SortD(order), bin(Algo::TJoinD(eq), scan(conn, "POSITION"), scan(conn, "SALARY"))),
+        vec![PhysNode::over(
+            Algo::SortD(order),
+            vec![PhysNode::over(
+                Algo::TJoinD(eq),
+                vec![scan(conn, "POSITION"), scan(conn, "SALARY")],
+            )
+            .unwrap()],
+        )
+        .unwrap()],
     )
+    .unwrap()
 }
 
 /// `TAGGR^D` fragment: COUNT of POSITION rows per PosID, delivered on
@@ -105,14 +108,20 @@ fn join_plan(conn: &Connection) -> PhysNode {
 fn taggr_plan(conn: &Connection) -> PhysNode {
     let group_by = vec!["PosID".to_string()];
     let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")];
-    let arg = un(
+    let arg = PhysNode::over(
         Algo::ProjectD(["PosID", "T1", "T2"].iter().map(|c| ProjItem::col(*c)).collect()),
-        scan(conn, "POSITION"),
-    );
-    un(
-        Algo::TransferM,
-        un(Algo::SortD(SortSpec::by(["PosID", "T1"])), un(Algo::TAggrD { group_by, aggs }, arg)),
+        vec![scan(conn, "POSITION")],
     )
+    .unwrap();
+    PhysNode::over(
+        Algo::TransferM,
+        vec![PhysNode::over(
+            Algo::SortD(SortSpec::by(["PosID", "T1"])),
+            vec![PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![arg]).unwrap()],
+        )
+        .unwrap()],
+    )
+    .unwrap()
 }
 
 fn cache_annotations(exec: &tango::core::engine::ExecReport) -> Vec<Option<&str>> {

@@ -34,16 +34,6 @@ fn db_with(rows: &[Row]) -> Connection {
     Connection::new(db)
 }
 
-fn scan_node() -> PhysNode {
-    PhysNode { algo: Algo::ScanD("R".into()), schema: Arc::new(schema()), children: vec![] }
-}
-
-fn node(algo: Algo, children: Vec<PhysNode>) -> PhysNode {
-    let kids: Vec<&Schema> = children.iter().map(|c| c.schema.as_ref()).collect();
-    let out = algo.output_schema(&kids).unwrap();
-    PhysNode { algo, schema: Arc::new(out), children }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -68,10 +58,7 @@ proptest! {
         ).unwrap();
         let mid = collect(Box::new(agg)).unwrap();
         // DBMS side via the translator
-        let sql_node = node(
-            Algo::TAggrD { group_by: vec!["PosID".into()], aggs },
-            vec![scan_node()],
-        );
+        let sql_node = PhysNode::over(Algo::TAggrD { group_by: vec!["PosID".into()], aggs }, vec![PhysNode::scan("R", schema())]).unwrap();
         let sql = render_select(&sql_node).unwrap();
         let dbms = db_with(&rows).query_all(&sql).unwrap();
         prop_assert!(
@@ -97,7 +84,7 @@ proptest! {
         ).unwrap();
         let mid = collect(Box::new(tj)).unwrap();
         // DBMS side
-        let sql_node = node(Algo::TJoinD(eq), vec![scan_node(), scan_node()]);
+        let sql_node = PhysNode::over(Algo::TJoinD(eq), vec![PhysNode::scan("R", schema()), PhysNode::scan("R", schema())]).unwrap();
         let sql = render_select(&sql_node).unwrap();
         let dbms = db_with(&rows).query_all(&sql).unwrap();
         prop_assert!(
@@ -116,13 +103,7 @@ proptest! {
         use tango::algebra::{CmpOp, Expr, ProjItem};
         let rows: Vec<Row> = raw.into_iter().map(|(p, e, a, d)| (p, e, a, a + d)).collect();
         let pred = Expr::cmp(CmpOp::Ge, Expr::col("PosID"), Expr::lit(cut));
-        let frag = node(
-            Algo::SortD(SortSpec::by(["EmpID", "T1"])),
-            vec![node(
-                Algo::ProjectD(vec![ProjItem::col("EmpID"), ProjItem::col("T1")]),
-                vec![node(Algo::FilterD(pred.clone()), vec![scan_node()])],
-            )],
-        );
+        let frag = PhysNode::over(Algo::SortD(SortSpec::by(["EmpID", "T1"])), vec![PhysNode::over(Algo::ProjectD(vec![ProjItem::col("EmpID"), ProjItem::col("T1")]), vec![PhysNode::over(Algo::FilterD(pred.clone()), vec![PhysNode::scan("R", schema())]).unwrap()]).unwrap()]).unwrap();
         let sql = render_select(&frag).unwrap();
         let dbms = db_with(&rows).query_all(&sql).unwrap();
         // reference: direct computation
