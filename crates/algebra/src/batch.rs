@@ -65,9 +65,31 @@ impl Bitmap {
         self.len == 0
     }
 
-    /// Number of valid (non-null) rows in `from..to`.
+    /// Number of valid (non-null) rows in `from..to`, counted a word at
+    /// a time (every slice of a nullable column asks).
     pub fn count_valid(&self, from: usize, to: usize) -> usize {
-        (from..to).filter(|&i| self.get(i)).count()
+        if from >= to {
+            return 0;
+        }
+        let (first, last) = (from / 64, (to - 1) / 64);
+        let lo = u64::MAX << (from % 64);
+        let hi = u64::MAX >> (63 - (to - 1) % 64);
+        if first == last {
+            return (self.words[first] & lo & hi).count_ones() as usize;
+        }
+        let inner: u32 = self.words[first + 1..last].iter().map(|w| w.count_ones()).sum();
+        ((self.words[first] & lo).count_ones() + inner + (self.words[last] & hi).count_ones())
+            as usize
+    }
+
+    /// `len` rows, all valid.
+    fn all_valid(len: usize) -> Bitmap {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            // bits past `len` stay clear: `push` only ever sets
+            *last >>= (64 - len % 64) % 64;
+        }
+        Bitmap { words, len }
     }
 }
 
@@ -92,94 +114,13 @@ pub enum Column {
 
 impl Column {
     /// Build a column from exact values, picking the tightest layout that
-    /// round-trips every variant.
+    /// round-trips every variant (see [`ColumnBuilder`]).
     pub fn from_values(vals: Vec<Value>) -> Column {
-        use crate::value::Type;
-        let mut kind: Option<Type> = None;
-        let mut uniform = true;
-        let mut any_null = false;
-        let mut any_val = false;
-        for v in &vals {
-            match v.ty() {
-                None => any_null = true,
-                Some(t) => {
-                    any_val = true;
-                    match kind {
-                        None => kind = Some(t),
-                        Some(k) if k == t => {}
-                        Some(_) => {
-                            uniform = false;
-                            break;
-                        }
-                    }
-                }
-            }
+        let mut b = ColumnBuilder::default();
+        for v in vals {
+            b.push(v);
         }
-        if !uniform || !any_val {
-            return Column::Mixed { vals: Arc::new(vals) };
-        }
-        let valid = |any_null: bool, vals: &[Value]| {
-            if !any_null {
-                return None;
-            }
-            let mut bm = Bitmap::default();
-            for v in vals {
-                bm.push(!v.is_null());
-            }
-            Some(Arc::new(bm))
-        };
-        match kind.unwrap() {
-            Type::Int => {
-                let valid = valid(any_null, &vals);
-                let out = vals.iter().map(|v| v.as_int().unwrap_or(0)).collect();
-                Column::Int { vals: Arc::new(out), valid }
-            }
-            Type::Date => {
-                let valid = valid(any_null, &vals);
-                let out = vals.iter().map(|v| v.as_int().unwrap_or(0)).collect();
-                Column::Date { vals: Arc::new(out), valid }
-            }
-            Type::Double => {
-                let valid = valid(any_null, &vals);
-                let out = vals
-                    .iter()
-                    .map(|v| match v {
-                        Value::Double(d) => *d,
-                        _ => 0.0,
-                    })
-                    .collect();
-                Column::Double { vals: Arc::new(out), valid }
-            }
-            Type::Str => {
-                let valid = valid(any_null, &vals);
-                let mut dict: Vec<String> = Vec::new();
-                let mut by_str: HashMap<String, u32> = HashMap::new();
-                let mut codes = Vec::with_capacity(vals.len());
-                for v in vals {
-                    match v {
-                        Value::Str(s) => {
-                            let code = match by_str.get(&s) {
-                                Some(&c) => c,
-                                None => {
-                                    let c = dict.len() as u32;
-                                    by_str.insert(s.clone(), c);
-                                    dict.push(s);
-                                    c
-                                }
-                            };
-                            codes.push(code);
-                        }
-                        _ => codes.push(0),
-                    }
-                }
-                // An all-null Str column can have an empty dict; make code 0
-                // resolvable anyway.
-                if dict.is_empty() {
-                    dict.push(String::new());
-                }
-                Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid }
-            }
-        }
+        b.finish()
     }
 
     pub fn len(&self) -> usize {
@@ -331,6 +272,180 @@ impl Column {
             },
         }
     }
+
+    /// Push rows `offset..offset + rows.len()` onto `rows`, one value per
+    /// tuple — the layout is matched here, once, not once per cell.
+    fn append_to(&self, offset: usize, rows: &mut [Tuple]) {
+        fn fill<T: Copy>(
+            vals: &[T],
+            valid: &Option<Arc<Bitmap>>,
+            offset: usize,
+            rows: &mut [Tuple],
+            value: impl Fn(T) -> Value,
+        ) {
+            let vals = &vals[offset..offset + rows.len()];
+            match valid {
+                None => rows.iter_mut().zip(vals).for_each(|(t, &v)| t.0.push(value(v))),
+                Some(bm) => {
+                    for (i, (t, &v)) in rows.iter_mut().zip(vals).enumerate() {
+                        t.0.push(if bm.get(offset + i) { value(v) } else { Value::Null });
+                    }
+                }
+            }
+        }
+        match self {
+            Column::Int { vals, valid } => fill(vals, valid, offset, rows, Value::Int),
+            Column::Date { vals, valid } => {
+                fill(vals, valid, offset, rows, |d| Value::Date(d as crate::date::Day))
+            }
+            Column::Double { vals, valid } => fill(vals, valid, offset, rows, Value::Double),
+            Column::Str { codes, dict, valid } => {
+                fill(codes, valid, offset, rows, |c| Value::Str(dict[c as usize].clone()))
+            }
+            Column::Mixed { vals } => {
+                rows.iter_mut().zip(&vals[offset..]).for_each(|(t, v)| t.0.push(v.clone()))
+            }
+        }
+    }
+}
+
+/// Builds a [`Column`] one value at a time — the one place a column's
+/// layout is decided ([`Column::from_values`] is a loop over `push`).
+/// From the first non-null value on, values land in a typed vector
+/// (`i64`s, `f64`s, dictionary codes in first-occurrence order) and a NULL
+/// is a zero slot under a cleared validity bit; the bitmap exists only
+/// once a NULL was pushed. A second variant in one column (`Int` rows
+/// among `Date` rows) demotes it to exact values, and a column that never
+/// saw a non-null value has no type and finishes as [`Column::Mixed`] too.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnBuilder {
+    vals: Building,
+    /// Validity of the rows so far; `None` until the first NULL.
+    valid: Option<Bitmap>,
+}
+
+#[derive(Debug, Clone)]
+enum Building {
+    /// This many NULLs and nothing else yet: the type is still open.
+    Nulls(usize),
+    Int(Vec<i64>),
+    Date(Vec<i64>),
+    Double(Vec<f64>),
+    Str {
+        codes: Vec<u32>,
+        dict: Vec<String>,
+        by_str: HashMap<String, u32>,
+    },
+    Mixed(Vec<Value>),
+}
+
+impl Default for Building {
+    fn default() -> Self {
+        Building::Nulls(0)
+    }
+}
+
+impl ColumnBuilder {
+    /// Append one value.
+    pub fn push(&mut self, v: Value) {
+        use Building::*;
+        /// `n` null slots, then the value that types the column.
+        fn typed<T: Clone + Default>(n: usize, v: T) -> Vec<T> {
+            let mut xs = vec![T::default(); n];
+            xs.push(v);
+            xs
+        }
+        let (n, is_valid) = (self.len(), !v.is_null());
+        match (&mut self.vals, v) {
+            (Mixed(vs), v) => return vs.push(v),
+            (Nulls(k), Value::Null) => *k += 1,
+            (Int(xs) | Date(xs), Value::Null) => xs.push(0),
+            (Double(xs), Value::Null) => xs.push(0.0),
+            (Str { codes, .. }, Value::Null) => codes.push(0),
+            (Int(xs), Value::Int(x)) => xs.push(x),
+            (Date(xs), Value::Date(d)) => xs.push(d as i64),
+            (Double(xs), Value::Double(x)) => xs.push(x),
+            (Str { codes, dict, by_str }, Value::Str(s)) => {
+                let code = by_str.get(&s).copied().unwrap_or_else(|| {
+                    by_str.insert(s.clone(), dict.len() as u32);
+                    dict.push(s);
+                    dict.len() as u32 - 1
+                });
+                codes.push(code);
+            }
+            (Nulls(_), Value::Int(x)) => self.vals = Int(typed(n, x)),
+            (Nulls(_), Value::Date(d)) => self.vals = Date(typed(n, d as i64)),
+            (Nulls(_), Value::Double(x)) => self.vals = Double(typed(n, x)),
+            (Nulls(_), Value::Str(s)) => {
+                let by_str = HashMap::from([(s.clone(), 0)]);
+                self.vals = Str { codes: typed(n, 0), dict: vec![s], by_str };
+            }
+            (_, v) => {
+                // a second variant: exact values from here on
+                let col = std::mem::take(self).finish();
+                let mut vs: Vec<Value> = (0..n).map(|i| col.value_at(i)).collect();
+                vs.push(v);
+                return self.vals = Mixed(vs);
+            }
+        }
+        match &mut self.valid {
+            Some(bm) => bm.push(is_valid),
+            None if is_valid => {}
+            None => {
+                let mut bm = Bitmap::all_valid(n);
+                bm.push(false);
+                self.valid = Some(bm);
+            }
+        }
+    }
+
+    /// Append everything `other` holds, as if pushed value by value.
+    pub fn extend(&mut self, other: ColumnBuilder) {
+        use Building::*;
+        if self.is_empty() {
+            return *self = other;
+        }
+        let no_nulls = self.valid.is_none() && other.valid.is_none();
+        match (&mut self.vals, &other.vals) {
+            (Int(a), Int(b)) | (Date(a), Date(b)) if no_nulls => a.extend_from_slice(b),
+            (Double(a), Double(b)) if no_nulls => a.extend_from_slice(b),
+            _ => {
+                let col = other.finish();
+                (0..col.len()).for_each(|i| self.push(col.value_at(i)));
+            }
+        }
+    }
+
+    /// Values pushed so far.
+    pub fn len(&self) -> usize {
+        match &self.vals {
+            Building::Nulls(n) => *n,
+            Building::Int(xs) | Building::Date(xs) => xs.len(),
+            Building::Double(xs) => xs.len(),
+            Building::Str { codes, .. } => codes.len(),
+            Building::Mixed(vs) => vs.len(),
+        }
+    }
+
+    /// Whether nothing was pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The finished column.
+    pub fn finish(self) -> Column {
+        let valid = self.valid.map(Arc::new);
+        match self.vals {
+            Building::Nulls(n) => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
+            Building::Int(vals) => Column::Int { vals: Arc::new(vals), valid },
+            Building::Date(vals) => Column::Date { vals: Arc::new(vals), valid },
+            Building::Double(vals) => Column::Double { vals: Arc::new(vals), valid },
+            Building::Str { codes, dict, .. } => {
+                Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid }
+            }
+            Building::Mixed(vals) => Column::Mixed { vals: Arc::new(vals) },
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -363,6 +478,11 @@ impl Batch {
         Batch { schema, repr: Repr::Cols { cols: Arc::new(cols), offset: 0, len }, bytes }
     }
 
+    /// Finish one builder per attribute of `schema` into a columnar batch.
+    pub fn from_builders(schema: Arc<Schema>, cols: Vec<ColumnBuilder>) -> Self {
+        Batch::from_columns(schema, cols.into_iter().map(ColumnBuilder::finish).collect())
+    }
+
     /// The schema shared by every row of the batch.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -389,16 +509,11 @@ impl Batch {
         match self.repr {
             Repr::Cols { .. } => self,
             Repr::Rows(rows) => {
-                let width = self.schema.len();
-                let mut per_col: Vec<Vec<Value>> =
-                    (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
+                let mut cols = vec![ColumnBuilder::default(); self.schema.len()];
                 for t in rows {
-                    for (c, v) in t.0.into_iter().enumerate().take(width) {
-                        per_col[c].push(v);
-                    }
+                    cols.iter_mut().zip(t.0).for_each(|(col, v)| col.push(v));
                 }
-                let cols = per_col.into_iter().map(Column::from_values).collect();
-                Batch::from_columns(self.schema, cols)
+                Batch::from_builders(self.schema, cols)
             }
         }
     }
@@ -454,32 +569,24 @@ impl Batch {
                 bytes,
             };
         }
-        // General path: rebuild per-column value vectors (moving values out
-        // of row batches, materializing columnar ones).
-        let width = schema.len();
-        let rows_total: usize = batches.iter().map(Batch::len).sum();
-        let mut per_col: Vec<Vec<Value>> =
-            (0..width).map(|_| Vec::with_capacity(rows_total)).collect();
+        // General path: rebuild the columns (moving values out of row
+        // batches, materializing columnar ones).
+        let mut out = vec![ColumnBuilder::default(); schema.len()];
         for b in batches {
             match b.repr {
                 Repr::Rows(rows) => {
                     for t in rows {
-                        for (c, v) in t.0.into_iter().enumerate().take(width) {
-                            per_col[c].push(v);
-                        }
+                        out.iter_mut().zip(t.0).for_each(|(col, v)| col.push(v));
                     }
                 }
                 Repr::Cols { cols, offset, len } => {
-                    for (c, col) in cols.iter().enumerate().take(width) {
-                        for i in offset..offset + len {
-                            per_col[c].push(col.value_at(i));
-                        }
+                    for (col, src) in out.iter_mut().zip(cols.iter()) {
+                        (offset..offset + len).for_each(|i| col.push(src.value_at(i)));
                     }
                 }
             }
         }
-        let cols = per_col.into_iter().map(Column::from_values).collect();
-        Batch::from_columns(schema, cols)
+        Batch::from_builders(schema, out)
     }
 
     /// Materialize row `i` (batch-relative) as a `Tuple`.
@@ -514,6 +621,14 @@ impl Batch {
                 _ => None,
             },
         }
+    }
+
+    /// The same rows under another handle of their schema (a cache hit is
+    /// served under the asking plan node's attribute names).
+    pub fn with_schema(mut self, schema: Arc<Schema>) -> Batch {
+        debug_assert_eq!(schema.len(), self.schema.len());
+        self.schema = schema;
+        self
     }
 
     /// Zero-copy sub-range `[from, from + n)` of a columnar batch (row
@@ -569,9 +684,14 @@ impl Batch {
     pub fn into_rows(self) -> Vec<Tuple> {
         match self.repr {
             Repr::Rows(rows) => rows,
-            Repr::Cols { cols, offset, len } => (0..len)
-                .map(|i| Tuple(cols.iter().map(|c| c.value_at(offset + i)).collect()))
-                .collect(),
+            Repr::Cols { cols, offset, len } => {
+                // each tuple allocated once at its exact width, then
+                // filled column by column
+                let mut rows: Vec<Tuple> =
+                    (0..len).map(|_| Tuple(Vec::with_capacity(cols.len()))).collect();
+                cols.iter().for_each(|c| c.append_to(offset, &mut rows));
+                rows
+            }
         }
     }
 
@@ -719,5 +839,81 @@ mod tests {
             b.gather(&[2, 1, 0]).into_rows(),
             vec![rows[2].clone(), rows[1].clone(), rows[0].clone()]
         );
+    }
+
+    /// The word-wise count agrees with the bit loop on unaligned ranges.
+    #[test]
+    fn count_valid_by_words_matches_the_bit_loop() {
+        let mut bm = Bitmap::default();
+        (0..200).for_each(|i| bm.push(i % 3 != 0 && i % 7 != 1));
+        for (from, to) in [(0, 0), (3, 61), (63, 65), (1, 200), (64, 128), (0, 200), (199, 200)] {
+            let by_bit = (from..to).filter(|&i| bm.get(i)).count();
+            assert_eq!(bm.count_valid(from, to), by_bit, "{from}..{to}");
+        }
+        let ones = Bitmap::all_valid(70);
+        assert_eq!((ones.len(), ones.count_valid(0, 70), ones.words[1]), (70, 70, 0b11_1111));
+    }
+
+    /// Value vectors covering every layout decision, with the layout each
+    /// must get.
+    fn layout_cases() -> Vec<(Vec<Value>, &'static str)> {
+        use Value::*;
+        let s = |x: &str| Str(x.to_string());
+        vec![
+            (vec![], "Mixed"),
+            (vec![Null, Null], "Mixed"),
+            (vec![Int(1), Int(-2), Int(3)], "Int"),
+            (vec![Null, Int(1), Null, Int(0)], "Int"),
+            (vec![Date(5), Null, Date(7)], "Date"),
+            (vec![Double(-0.0), Double(f64::NAN), Null, Double(1.5)], "Double"),
+            (vec![Null, s("b"), s(""), s("b"), Null, s("a")], "Str"),
+            (vec![Int(5), Date(5), Null], "Mixed"),
+            (vec![Null, s("x"), Null, Int(1)], "Mixed"),
+        ]
+    }
+
+    /// Pushed value by value, or as two builders joined at any point, a
+    /// column gets the expected layout and gives back `{:?}`-exact values.
+    #[test]
+    fn column_builder_decides_layout_once() {
+        for (vals, layout) in layout_cases() {
+            let whole = Column::from_values(vals.clone());
+            let shown = format!("{whole:?}");
+            assert!(shown.starts_with(layout), "{vals:?} -> {shown}");
+            let no_nulls = !vals.iter().any(Value::is_null);
+            assert_eq!(shown.contains("valid: None"), layout != "Mixed" && no_nulls, "{shown}");
+            assert_eq!(whole.len(), vals.len());
+            for (i, v) in vals.iter().enumerate() {
+                assert_eq!(format!("{:?}", whole.value_at(i)), format!("{v:?}"));
+            }
+            for cut in 0..=vals.len() {
+                let mut halves = [ColumnBuilder::default(), ColumnBuilder::default()];
+                for (i, v) in vals.iter().enumerate() {
+                    halves[(i >= cut) as usize].push(v.clone());
+                }
+                let [mut joined, tail] = halves;
+                joined.extend(tail);
+                assert_eq!(joined.len(), vals.len());
+                assert_eq!(format!("{:?}", joined.finish()), shown, "{vals:?} cut at {cut}");
+            }
+        }
+    }
+
+    /// The column-major `into_rows` of a slice is `tuple_at` row by row.
+    #[test]
+    fn into_rows_of_a_slice_matches_tuple_at() {
+        // every case as one column, cycled to a common length
+        let cols: Vec<Column> = layout_cases()
+            .into_iter()
+            .filter(|(vals, _)| !vals.is_empty())
+            .map(|(vals, _)| Column::from_values(vals.iter().cycle().take(12).cloned().collect()))
+            .collect();
+        let attrs = (0..cols.len()).map(|i| Attr::new(format!("C{i}"), Type::Int)).collect();
+        let schema = Arc::new(Schema::new(attrs));
+        let b = Batch::from_columns(schema, cols).slice(3, 8);
+        let by_row: Vec<Tuple> = (0..b.len()).map(|i| b.tuple_at(i)).collect();
+        let rows = b.into_rows();
+        assert!(rows.iter().all(|t| t.0.capacity() == t.0.len()));
+        assert_eq!(format!("{rows:?}"), format!("{by_row:?}"));
     }
 }

@@ -43,7 +43,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{Batch, Bitmap, Column, DEFAULT_BATCH_ROWS};
+pub use batch::{Batch, Bitmap, Column, ColumnBuilder, DEFAULT_BATCH_ROWS};
 pub use date::Day;
 pub use error::{AlgebraError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};

@@ -20,15 +20,15 @@
 //! The whole store — entries, counters, byte total, byte budget, the
 //! GreedyDual-Size clock and the admission frequency sketch — is plain
 //! data behind **one mutex**. Every public method takes it once, does
-//! in-memory work only (rows travel as `Arc`s, so a hit copies a
-//! pointer) and releases it before returning; none calls another
-//! locking method and none runs while the engine talks to the DBMS (the
-//! `version_of` / `delta_bytes_of` callbacks of [`MidCache::lookup`] and
-//! [`MidCache::residency`] are client-side catalog peeks, not round
-//! trips), so the lock is never held across wire I/O and cannot
-//! deadlock. One lock also means one view: the admission contest,
-//! eviction and the budget all judge the same global minimum-priority
-//! victim.
+//! in-memory work only (an entry is one columnar batch of `Arc`-shared
+//! columns, so a hit copies pointers) and releases it before returning;
+//! none calls another locking method and none runs while the engine talks
+//! to the DBMS (the `version_of` / `delta_bytes_of` callbacks of
+//! [`MidCache::lookup`] and [`MidCache::residency`] are client-side
+//! catalog peeks, not round trips), so the lock is never held across wire
+//! I/O and cannot deadlock. One lock also means one view: the admission
+//! contest, eviction and the budget all judge the same global
+//! minimum-priority victim.
 //!
 //! # Keying — canonical fragment signatures
 //!
@@ -79,7 +79,7 @@
 //! Because versions are read *before* a fragment's SQL is issued, a
 //! write racing a populating query always invalidates the entry that
 //! query admits — cross-session invalidation needs no extra machinery.
-//! A successful refresh replaces the entry's rows and dependency
+//! A successful refresh replaces the entry's batch and dependency
 //! versions in place ([`MidCache::refresh`], counted in
 //! [`CacheStats::refreshes`]/[`CacheStats::refresh_bytes`]); a bailed
 //! refresh ([`CacheStats::refresh_bails`]) degrades to the refetch
@@ -134,8 +134,7 @@ use crate::cost::CostFactors;
 use crate::phys::{Algo, PhysNode, Site, TOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
-use tango_algebra::{ProjItem, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, ProjItem, SortSpec};
 
 /// Default cache budget used by a new session: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -250,12 +249,10 @@ fn erase(
 /// A materialized relation served from the cache: shared, immutable.
 #[derive(Debug, Clone)]
 pub struct CachedRelation {
-    /// Output schema of the cached fragment.
-    pub schema: Arc<Schema>,
-    /// The materialized tuples, shared with the store.
-    pub rows: Arc<Vec<Tuple>>,
-    /// Encoded byte size of the entry.
-    pub bytes: u64,
+    /// The materialized fragment: one columnar batch whose columns are
+    /// shared with the store and every other hit. Its
+    /// [`Batch::byte_size`] is the entry's size.
+    pub batch: Batch,
     /// Sort order the rows are stored in.
     pub order: SortSpec,
 }
@@ -290,12 +287,8 @@ pub enum Lookup {
 /// the cache lock.
 #[derive(Debug, Clone)]
 pub struct StaleEntry {
-    /// Output schema of the cached fragment.
-    pub schema: Arc<Schema>,
-    /// The stale base rows, shared with the store.
-    pub rows: Arc<Vec<Tuple>>,
-    /// Encoded byte size of the stale base.
-    pub bytes: u64,
+    /// The stale base, its columns shared with the store.
+    pub batch: Batch,
     /// Sort order the rows are stored in (the order a refresh must
     /// restore, and the `order` to address the entry by on
     /// [`MidCache::refresh`]/[`MidCache::remove`]).
@@ -338,14 +331,16 @@ pub struct Admission {
     pub admitted: bool,
     /// Why (not).
     pub outcome: AdmitOutcome,
+    /// The relation's size as the store accounts it ([`Batch::byte_size`]).
+    pub bytes: u64,
     /// `(sql, bytes)` of entries evicted to make room — the engine turns
     /// each into an `evict` span event.
     pub evicted: Vec<(String, u64)>,
 }
 
 impl Admission {
-    fn skipped(outcome: AdmitOutcome) -> Admission {
-        Admission { admitted: false, outcome, evicted: Vec::new() }
+    fn skipped(outcome: AdmitOutcome, bytes: u64) -> Admission {
+        Admission { admitted: false, outcome, bytes, evicted: Vec::new() }
     }
 }
 
@@ -391,8 +386,9 @@ struct Entry {
     hash: u64,
     order: SortSpec,
     sql: String,
-    schema: Arc<Schema>,
-    rows: Arc<Vec<Tuple>>,
+    /// The fragment, columnar; hits and refreshes share its columns.
+    batch: Batch,
+    /// `batch.byte_size()`: the wire-size estimate every policy weighs.
     bytes: u64,
     /// `(table, write-version)` dependencies recorded at fill time.
     deps: Vec<(String, u64)>,
@@ -734,20 +730,13 @@ impl MidCache {
             let e = &mut s.entries[i];
             e.priority = p;
             e.hits += 1;
-            return Lookup::Hit(CachedRelation {
-                schema: e.schema.clone(),
-                rows: e.rows.clone(),
-                bytes: e.bytes,
-                order: e.order.clone(),
-            });
+            return Lookup::Hit(CachedRelation { batch: e.batch.clone(), order: e.order.clone() });
         }
         if let Some((i, delta_bytes)) = stale {
             let e = &s.entries[i];
             return Lookup::Stale {
                 entry: StaleEntry {
-                    schema: e.schema.clone(),
-                    rows: e.rows.clone(),
-                    bytes: e.bytes,
+                    batch: e.batch.clone(),
                     order: e.order.clone(),
                     deps: e.deps.clone(),
                     delta_bytes,
@@ -762,7 +751,9 @@ impl MidCache {
         Lookup::Miss { invalidated }
     }
 
-    /// Admit a fully-materialized fragment result. `deps` are the
+    /// Admit a fully-materialized fragment result, held columnar. Its size
+    /// is [`Batch::byte_size`] — the wire-size estimate, Σ
+    /// `Tuple::byte_size` of its rows, whatever the layout. `deps` are the
     /// `(table, write-version)` pairs read *before* the fragment's SQL
     /// was issued; `fill_cost_us` is the measured wire + server time the
     /// transfer spent producing it (the refetch cost GreedyDual-Size
@@ -776,25 +767,25 @@ impl MidCache {
     pub fn insert(
         &self,
         key: &FragmentKey,
-        schema: Arc<Schema>,
-        rows: Vec<Tuple>,
+        batch: Batch,
         deps: Vec<(String, u64)>,
         fill_cost_us: f64,
     ) -> Admission {
-        let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
+        let batch = batch.columnarize();
+        let bytes = batch.byte_size() as u64;
         let hash = sig_hash(&key.signature);
         let mut s = self.store.lock();
         let freq = s.sketch.touch(hash);
         if bytes > s.budget {
             s.stats.rejections += 1;
-            return Admission::skipped(AdmitOutcome::Oversized);
+            return Admission::skipped(AdmitOutcome::Oversized, bytes);
         }
         if let Some(i) = s.position(key) {
             if !newer_deps(&deps, &s.entries[i].deps) {
                 // a concurrent session populated the same (or a
                 // fresher) entry first: exactly-one-populate
                 s.stats.duplicate_populates += 1;
-                return Admission::skipped(AdmitOutcome::Duplicate);
+                return Admission::skipped(AdmitOutcome::Duplicate, bytes);
             }
             s.take(i);
         }
@@ -806,7 +797,7 @@ impl MidCache {
             let cold = s.victim().is_some_and(|v| freq <= s.sketch.estimate(s.entries[v].hash));
             if cheap || cold {
                 s.stats.admission_rejects += 1;
-                return Admission::skipped(AdmitOutcome::Rejected);
+                return Admission::skipped(AdmitOutcome::Rejected, bytes);
             }
         }
         let priority = s.gds_priority(fill_cost_us, bytes);
@@ -815,8 +806,7 @@ impl MidCache {
             hash,
             order: key.order.clone(),
             sql: key.sql.clone(),
-            schema,
-            rows: Arc::new(rows),
+            batch,
             bytes,
             deps,
             fill_cost_us,
@@ -826,29 +816,30 @@ impl MidCache {
         s.bytes += bytes;
         s.stats.insertions += 1;
         let evicted = s.enforce_budget();
-        Admission { admitted: true, outcome: AdmitOutcome::Admitted, evicted }
+        Admission { admitted: true, outcome: AdmitOutcome::Admitted, bytes, evicted }
     }
 
     /// Commit a refresh-by-delta: replace the entry addressed by
     /// `key.signature` + `key.order` (the *stored* order from
     /// [`StaleEntry::order`], not the requested one) with the merged
-    /// rows and the post-replay dependency versions. `delta_bytes` is
+    /// batch and the post-replay dependency versions. `delta_bytes` is
     /// the replay traffic, counted in [`CacheStats::refresh_bytes`].
     ///
     /// Returns `false` without touching the store when the entry
     /// vanished (evicted concurrently) or already carries newer deps (a
     /// racing session refreshed or repopulated first) — the caller's
-    /// merged rows are still correct to serve, they just do not enter
+    /// merged batch is still correct to serve, they just do not enter
     /// the cache. Counted as a hit too: the query was served from
     /// resident bytes plus a delta, not a refill.
     pub fn refresh(
         &self,
         key: &FragmentKey,
-        rows: Arc<Vec<Tuple>>,
+        batch: Batch,
         deps: Vec<(String, u64)>,
         delta_bytes: u64,
     ) -> bool {
-        let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
+        let batch = batch.columnarize();
+        let bytes = batch.byte_size() as u64;
         let mut s = self.store.lock();
         let Some(i) = s.position(key) else { return false };
         if !newer_deps(&deps, &s.entries[i].deps) {
@@ -857,7 +848,7 @@ impl MidCache {
         let p = s.gds_priority(s.entries[i].fill_cost_us, bytes);
         let e = &mut s.entries[i];
         let old_bytes = e.bytes;
-        e.rows = rows;
+        e.batch = batch;
         e.bytes = bytes;
         e.deps = deps;
         e.priority = p;
@@ -882,20 +873,16 @@ impl MidCache {
     }
 
     /// Peek at a resident entry by bare signature (any stored order),
-    /// returning its schema, rows and recorded deps. No validation, no
+    /// returning its batch and recorded deps. No validation, no
     /// counter updates, no priority touch — the refresh path uses this
     /// to find the *resident other side* of a delta join and checks the
     /// returned deps against its own version snapshot itself.
-    #[allow(clippy::type_complexity)]
-    pub fn peek_by_signature(
-        &self,
-        signature: &str,
-    ) -> Option<(Arc<Schema>, Arc<Vec<Tuple>>, Vec<(String, u64)>)> {
+    pub fn peek_by_signature(&self, signature: &str) -> Option<(Batch, Vec<(String, u64)>)> {
         let s = self.store.lock();
         s.entries
             .iter()
             .find(|e| e.signature == signature)
-            .map(|e| (e.schema.clone(), e.rows.clone(), e.deps.clone()))
+            .map(|e| (e.batch.clone(), e.deps.clone()))
     }
 
     /// Record that a refresh attempt bailed (unsupported shape,
@@ -1132,7 +1119,8 @@ pub fn maintenance_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_algebra::{tup, Attr, Expr, Type};
+    use std::sync::Arc;
+    use tango_algebra::{tup, Attr, Expr, Schema, Tuple, Type};
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![Attr::new("A", Type::Int)]))
@@ -1149,6 +1137,11 @@ mod tests {
 
     fn rows(n: usize) -> Vec<Tuple> {
         (0..n as i64).map(|i| tup![i]).collect()
+    }
+
+    /// The entry the engine would admit for `rows(n)`.
+    fn batch(n: usize) -> Batch {
+        Batch::new(schema(), rows(n)).columnarize()
     }
 
     /// No delta source: every stale entry is `Gone`, restoring the
@@ -1208,12 +1201,12 @@ mod tests {
         let mut k = key("GET[T]()");
         k.order = SortSpec::by(["A"]);
         assert!(matches!(cache.lookup(&k, &versions, &no_delta), Lookup::Miss { .. }));
-        cache.insert(&k, schema(), rows(10), vec![("T".into(), 1)], 500.0);
+        cache.insert(&k, batch(10), vec![("T".into(), 1)], 500.0);
         // stored order (A) satisfies both (A) and the unsorted request
         assert!(matches!(cache.lookup(&k, &versions, &no_delta), Lookup::Hit(_)));
         let unordered = key("GET[T]()");
         match cache.lookup(&unordered, &versions, &no_delta) {
-            Lookup::Hit(rel) => assert_eq!(rel.rows.len(), 10),
+            Lookup::Hit(rel) => assert_eq!(rel.batch.len(), 10),
             other => panic!("expected hit, got {other:?}"),
         }
         // but a different requested order misses
@@ -1230,7 +1223,7 @@ mod tests {
     fn version_bump_invalidates() {
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 1)], 100.0);
+        cache.insert(&k, batch(4), vec![("T".into(), 1)], 100.0);
         assert!(matches!(cache.lookup(&k, &|_| Some(1), &no_delta), Lookup::Hit(_)));
         match cache.lookup(&k, &|_| Some(2), &no_delta) {
             Lookup::Miss { invalidated } => assert_eq!(invalidated, vec![k.sql.clone()]),
@@ -1240,9 +1233,34 @@ mod tests {
         assert_eq!(cache.bytes(), 0, "invalidation must release the global byte count");
         assert_eq!(cache.stats().invalidations, 1);
         // residency snapshots validate too
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 2)], 100.0);
+        cache.insert(&k, batch(4), vec![("T".into(), 2)], 100.0);
         assert!(cache.residency(&|_| Some(3), &no_delta).is_empty());
         assert_eq!(cache.bytes(), 0);
+    }
+
+    /// What admission, eviction, the budget and the optimizer's residency
+    /// prices weigh is the rows' wire-size estimate — Σ `Tuple::byte_size`
+    /// — whichever layout came in; what is stored is columnar.
+    #[test]
+    fn stored_bytes_are_the_rows_wire_size() {
+        use tango_algebra::Value::{Date, Null};
+        let attrs = [("A", Type::Int), ("S", Type::Str), ("D", Type::Date), ("X", Type::Double)];
+        let schema = Arc::new(Schema::new(attrs.map(|(n, t)| Attr::new(n, t)).to_vec()));
+        let rows = vec![
+            tup![1, "ab", Date(3), 1.5],
+            tup![Null, "", Null, Null],
+            tup![7, Null, Date(9), -0.0],
+        ];
+        let wire: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
+        let cache = MidCache::new(1 << 20);
+        let adm = cache.insert(&key("K"), Batch::new(schema, rows), vec![], 1.0);
+        assert_eq!((adm.bytes, cache.bytes()), (wire, wire));
+        match cache.lookup(&key("K"), &|_| Some(1), &no_delta) {
+            Lookup::Hit(rel) => {
+                assert!(rel.batch.is_columnar() && rel.batch.byte_size() as u64 == wire)
+            }
+            other => panic!("expected hit, got {other:?}"),
+        }
     }
 
     /// Ask for the absent `k` `n` times: every miss feeds the sketch, so
@@ -1266,10 +1284,10 @@ mod tests {
         let cheap = key("CHEAP");
         let dear = key("DEAR");
         let third = key("THIRD");
-        cache.insert(&cheap, schema(), rows(8), vec![], 10.0);
-        cache.insert(&dear, schema(), rows(8), vec![], 10_000.0);
+        cache.insert(&cheap, batch(8), vec![], 10.0);
+        cache.insert(&dear, batch(8), vec![], 10_000.0);
         ask(&cache, &third, 1);
-        let adm = cache.insert(&third, schema(), rows(8), vec![], 1_000.0);
+        let adm = cache.insert(&third, batch(8), vec![], 1_000.0);
         assert_eq!(adm.evicted.len(), 1);
         assert_eq!(adm.evicted[0].0, cheap.sql, "cheapest-to-refill entry should go first");
         assert!(cache.bytes() <= cache.budget());
@@ -1284,7 +1302,7 @@ mod tests {
     #[test]
     fn oversized_entries_are_rejected() {
         let cache = MidCache::new(16);
-        let adm = cache.insert(&key("BIG"), schema(), rows(1000), vec![], 1.0);
+        let adm = cache.insert(&key("BIG"), batch(1000), vec![], 1.0);
         assert!(!adm.admitted);
         assert_eq!(adm.outcome, AdmitOutcome::Oversized);
         assert!(cache.is_empty());
@@ -1298,27 +1316,27 @@ mod tests {
     fn duplicate_and_stale_populates_are_dropped() {
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        assert!(cache.insert(&k, schema(), rows(8), vec![("T".into(), 1)], 1.0).admitted);
+        assert!(cache.insert(&k, batch(8), vec![("T".into(), 1)], 1.0).admitted);
         let bytes_once = cache.bytes();
 
         // identical deps: the racing second populate is a no-op
-        let adm = cache.insert(&k, schema(), rows(8), vec![("T".into(), 1)], 1.0);
+        let adm = cache.insert(&k, batch(8), vec![("T".into(), 1)], 1.0);
         assert!(!adm.admitted);
         assert_eq!(adm.outcome, AdmitOutcome::Duplicate);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), bytes_once, "a duplicate populate double-counted bytes");
 
         // staler deps lose against the fresher incumbent
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 3)], 1.0);
-        let adm = cache.insert(&k, schema(), rows(8), vec![("T".into(), 2)], 1.0);
+        cache.insert(&k, batch(4), vec![("T".into(), 3)], 1.0);
+        let adm = cache.insert(&k, batch(8), vec![("T".into(), 2)], 1.0);
         assert_eq!(adm.outcome, AdmitOutcome::Duplicate);
         match cache.lookup(&k, &|_| Some(3), &no_delta) {
-            Lookup::Hit(rel) => assert_eq!(rel.rows.len(), 4, "stale populate replaced fresh"),
+            Lookup::Hit(rel) => assert_eq!(rel.batch.len(), 4, "stale populate replaced fresh"),
             other => panic!("expected hit, got {other:?}"),
         }
 
         // fresher deps replace in place (no duplicate entries)
-        let adm = cache.insert(&k, schema(), rows(2), vec![("T".into(), 5)], 1.0);
+        let adm = cache.insert(&k, batch(2), vec![("T".into(), 5)], 1.0);
         assert!(adm.admitted);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().insertions, 3);
@@ -1336,10 +1354,10 @@ mod tests {
         let v = |_: &str| Some(1);
         let incumbent = key("INCUMBENT");
         let challenger = key("CHALLENGER");
-        assert!(cache.insert(&incumbent, schema(), rows(8), vec![], 1_000.0).admitted);
+        assert!(cache.insert(&incumbent, batch(8), vec![], 1_000.0).admitted);
 
         // a cold challenger is rejected, the incumbent stays
-        let adm = cache.insert(&challenger, schema(), rows(8), vec![], 1_000.0);
+        let adm = cache.insert(&challenger, batch(8), vec![], 1_000.0);
         assert!(!adm.admitted);
         assert_eq!(adm.outcome, AdmitOutcome::Rejected);
         assert!(matches!(cache.lookup(&incumbent, &v, &no_delta), Lookup::Hit(_)));
@@ -1348,7 +1366,7 @@ mod tests {
         // demand for the challenger keeps arriving (missed lookups feed
         // the sketch) — eventually it outweighs the incumbent and enters
         ask(&cache, &challenger, 4);
-        let adm = cache.insert(&challenger, schema(), rows(8), vec![], 1_000.0);
+        let adm = cache.insert(&challenger, batch(8), vec![], 1_000.0);
         assert!(adm.admitted, "a repeatedly-requested fragment must win admission");
         assert!(matches!(cache.lookup(&challenger, &v, &no_delta), Lookup::Hit(_)));
     }
@@ -1359,10 +1377,10 @@ mod tests {
     fn admission_gate_rejects_cheap_refetches() {
         let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
         let cache = MidCache::new(row_bytes * 10);
-        assert!(cache.insert(&key("A"), schema(), rows(8), vec![], 1_000.0).admitted);
+        assert!(cache.insert(&key("A"), batch(8), vec![], 1_000.0).admitted);
         ask(&cache, &key("B"), 1);
         // fill cost far below ADMISSION_MIN_FILL_US_PER_BYTE × bytes
-        let adm = cache.insert(&key("B"), schema(), rows(8), vec![], 0.001);
+        let adm = cache.insert(&key("B"), batch(8), vec![], 0.001);
         assert_eq!(adm.outcome, AdmitOutcome::Rejected);
     }
 
@@ -1380,11 +1398,11 @@ mod tests {
         let v = |_: &str| Some(1);
         let hot = key("HOT");
         let cold = key("COLD");
-        assert!(cache.insert(&hot, schema(), rows(8), vec![], 1_000.0).admitted);
+        assert!(cache.insert(&hot, batch(8), vec![], 1_000.0).admitted);
         for _ in 0..4 {
             assert!(matches!(cache.lookup(&hot, &v, &no_delta), Lookup::Hit(_)));
         }
-        let adm = cache.insert(&cold, schema(), rows(8), vec![], 5_000.0);
+        let adm = cache.insert(&cold, batch(8), vec![], 5_000.0);
         assert_eq!(adm.outcome, AdmitOutcome::Rejected);
         assert!(adm.evicted.is_empty());
         assert!(matches!(cache.lookup(&hot, &v, &no_delta), Lookup::Hit(_)));
@@ -1397,7 +1415,7 @@ mod tests {
     fn unpressured_cache_admits_everything() {
         let cache = MidCache::new(1 << 20);
         for i in 0..10 {
-            let adm = cache.insert(&key(&format!("K{i}")), schema(), rows(4), vec![], 0.0001);
+            let adm = cache.insert(&key(&format!("K{i}")), batch(4), vec![], 0.0001);
             assert!(adm.admitted);
         }
         assert_eq!(cache.stats().admission_rejects, 0);
@@ -1410,11 +1428,11 @@ mod tests {
     fn replacement_and_budget_shrink() {
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        cache.insert(&k, schema(), rows(8), vec![("T".into(), 1)], 1.0);
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 2)], 1.0);
+        cache.insert(&k, batch(8), vec![("T".into(), 1)], 1.0);
+        cache.insert(&k, batch(4), vec![("T".into(), 2)], 1.0);
         assert_eq!(cache.len(), 1);
         match cache.lookup(&k, &|_| Some(2), &no_delta) {
-            Lookup::Hit(rel) => assert_eq!(rel.rows.len(), 4),
+            Lookup::Hit(rel) => assert_eq!(rel.batch.len(), 4),
             other => panic!("expected hit, got {other:?}"),
         }
         cache.set_budget(1);
@@ -1433,7 +1451,7 @@ mod tests {
         for i in 0..12 {
             let k = key(&format!("SIG{i}"));
             ask(&cache, &k, i);
-            assert!(cache.insert(&k, schema(), rows(8), vec![], 100.0).admitted);
+            assert!(cache.insert(&k, batch(8), vec![], 100.0).admitted);
             assert!(
                 cache.bytes() <= cache.budget(),
                 "global budget exceeded: {} > {}",
@@ -1450,8 +1468,8 @@ mod tests {
         let cache = MidCache::new(1 << 20);
         let mut sorted = key("GET[T]()");
         sorted.order = SortSpec::by(["A"]);
-        cache.insert(&sorted, schema(), rows(20), vec![("T".into(), 1)], 1.0);
-        cache.insert(&key("GET[T]()"), schema(), rows(5), vec![("T".into(), 1)], 1.0);
+        cache.insert(&sorted, batch(20), vec![("T".into(), 1)], 1.0);
+        cache.insert(&key("GET[T]()"), batch(5), vec![("T".into(), 1)], 1.0);
         let r = cache.residency(&|_| Some(1), &no_delta);
         let small = r.serves("GET[T]()", &SortSpec::none()).unwrap();
         let ordered = r.serves("GET[T]()", &SortSpec::by(["A"])).unwrap();
@@ -1465,7 +1483,7 @@ mod tests {
     #[test]
     fn report_renders_text_and_json() {
         let cache = MidCache::new(1 << 20);
-        cache.insert(&key("A"), schema(), rows(2), vec![("T".into(), 1)], 1.0);
+        cache.insert(&key("A"), batch(2), vec![("T".into(), 1)], 1.0);
         let _ = cache.lookup(&key("A"), &|_| Some(1), &no_delta);
         cache.note_bypass();
         let text = cache.render_report();
@@ -1489,10 +1507,10 @@ mod tests {
                 for i in 0..200u64 {
                     let k = key(&format!("SIG{}", (t * 7 + i) % 10));
                     match cache.lookup(&k, &|_| Some(1), &no_delta) {
-                        Lookup::Hit(rel) => assert_eq!(rel.rows.len(), 8),
+                        Lookup::Hit(rel) => assert_eq!(rel.batch.len(), 8),
                         Lookup::Stale { .. } => unreachable!("no delta source"),
                         Lookup::Miss { .. } => {
-                            cache.insert(&k, schema(), rows(8), vec![("T".into(), 1)], 500.0);
+                            cache.insert(&k, batch(8), vec![("T".into(), 1)], 500.0);
                         }
                     }
                     if i % 50 == 49 {
@@ -1517,11 +1535,11 @@ mod tests {
     fn covered_staleness_is_surfaced_not_dropped() {
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 1)], 100.0);
+        cache.insert(&k, batch(4), vec![("T".into(), 1)], 100.0);
         let covered = |_: &str, since: u64| Some(since * 7);
         match cache.lookup(&k, &|_| Some(3), &covered) {
             Lookup::Stale { entry, invalidated } => {
-                assert_eq!(entry.rows.len(), 4);
+                assert_eq!(entry.batch.len(), 4);
                 assert_eq!(entry.delta_bytes, 7, "replay bytes since the recorded version");
                 assert_eq!(entry.deps, vec![("T".to_string(), 1)]);
                 assert!(invalidated.is_empty());
@@ -1546,23 +1564,23 @@ mod tests {
     fn refresh_commits_in_place() {
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        cache.insert(&k, schema(), rows(4), vec![("T".into(), 1)], 100.0);
-        assert!(cache.refresh(&k, Arc::new(rows(6)), vec![("T".into(), 3)], 42));
+        cache.insert(&k, batch(4), vec![("T".into(), 1)], 100.0);
+        assert!(cache.refresh(&k, batch(6), vec![("T".into(), 3)], 42));
         assert_eq!(cache.len(), 1);
         let expected: u64 = rows(6).iter().map(|t| t.byte_size() as u64).sum();
         assert_eq!(cache.bytes(), expected, "refresh must swap the byte accounting");
         match cache.lookup(&k, &|_| Some(3), &no_delta) {
-            Lookup::Hit(rel) => assert_eq!(rel.rows.len(), 6),
+            Lookup::Hit(rel) => assert_eq!(rel.batch.len(), 6),
             other => panic!("expected hit on refreshed entry, got {other:?}"),
         }
         let s = cache.stats();
         assert_eq!((s.refreshes, s.refresh_bytes), (1, 42));
         assert_eq!(s.hits, 2, "the refresh itself serves the querying session");
         // a racing refresh carrying older deps loses
-        assert!(!cache.refresh(&k, Arc::new(rows(1)), vec![("T".into(), 2)], 1));
+        assert!(!cache.refresh(&k, batch(1), vec![("T".into(), 2)], 1));
         // refreshing an entry that is no longer resident is a no-op
         assert!(cache.remove(&k));
-        assert!(!cache.refresh(&k, Arc::new(rows(1)), vec![("T".into(), 9)], 1));
+        assert!(!cache.refresh(&k, batch(1), vec![("T".into(), 9)], 1));
         assert_eq!(cache.stats().invalidations, 1, "remove counts as an invalidation");
         assert_eq!(cache.bytes(), 0);
     }
@@ -1588,7 +1606,7 @@ mod tests {
         let f = CostFactors::default();
         let cache = MidCache::new(1 << 20);
         let k = key("GET[T]()");
-        cache.insert(&k, schema(), rows(10), vec![("T".into(), 1)], 100.0);
+        cache.insert(&k, batch(10), vec![("T".into(), 1)], 100.0);
         let base: u64 = rows(10).iter().map(|t| t.byte_size() as u64).sum();
 
         let fresh = cache.residency(&|_| Some(1), &no_delta);

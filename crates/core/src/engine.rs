@@ -20,7 +20,7 @@ use crate::{refresh, to_sql};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Batch, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, ColumnBuilder, Relation, Schema, SortSpec, Tuple};
 use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
@@ -462,9 +462,10 @@ enum CacheDecision {
     /// Resident and fresh: serve this relation, issue no SQL.
     Hit(cache::CachedRelation),
     /// Resident but stale, and refresh-by-delta succeeded at plan-build
-    /// time: serve the merged fragment, issue no fragment SQL (the delta
-    /// fetch was the only wire traffic).
-    Refresh { rows: Arc<Vec<Tuple>>, bytes: u64, delta_bytes: u64 },
+    /// time: serve the merged fragment — the batch the cache committed —
+    /// and issue no fragment SQL (the delta fetch was the only wire
+    /// traffic).
+    Refresh { batch: Batch, delta_bytes: u64 },
     /// Resident but stale, and the maintenance decision says the entry
     /// does not earn its keep: it was dropped, and the query streams
     /// normally *without* re-populating.
@@ -712,14 +713,14 @@ impl<'a> Ctx<'a> {
             CacheDecision::Hit(rel) => {
                 // serve the resident copy: no SQL, no wire
                 slot.add_annotation("cache", "hit");
-                let scan = Box::new(CachedScan::new(schema, rel.rows, rel.bytes));
+                let scan = Box::new(CachedScan::new(rel.batch.with_schema(schema)));
                 return Ok((self.instrument(scan, slot), idx));
             }
-            CacheDecision::Refresh { rows, bytes, delta_bytes } => {
+            CacheDecision::Refresh { batch, delta_bytes } => {
                 // serve the delta-merged copy: no fragment SQL
                 slot.add_annotation("cache", "refresh");
                 slot.add_event("refresh", format!("merged {delta_bytes} delta bytes in place"));
-                let scan = Box::new(CachedScan::new(schema, rows, bytes));
+                let scan = Box::new(CachedScan::new(batch.with_schema(schema)));
                 return Ok((self.instrument(scan, slot), idx));
             }
             CacheDecision::Off => {}
@@ -745,7 +746,7 @@ impl<'a> Ctx<'a> {
                     cache,
                     key,
                     deps,
-                    rows: Vec::new(),
+                    cols: vec![ColumnBuilder::default(); schema.len()],
                     wire_start: Duration::ZERO,
                     server_us: 0.0,
                 });
@@ -838,7 +839,7 @@ impl<'a> Ctx<'a> {
                 let supported = refresh::supported(clean, &entry.order);
                 let choice = cache::maintenance_choice(
                     &self.factors,
-                    entry.bytes,
+                    entry.batch.byte_size() as u64,
                     entry.delta_bytes,
                     entry.fill_cost_us,
                     entry.hits,
@@ -847,14 +848,13 @@ impl<'a> Ctx<'a> {
                 match choice {
                     cache::Maintenance::Refresh => {
                         match refresh::try_refresh(self.conn, cache, clean, &entry) {
-                            refresh::RefreshOutcome::Done { rows, new_deps, delta_bytes } => {
-                                let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
+                            refresh::RefreshOutcome::Done { batch, new_deps, delta_bytes } => {
                                 // a losing race (entry evicted or already
-                                // refreshed by a peer) only means our rows
-                                // don't enter the cache; they are still
+                                // refreshed by a peer) only means our batch
+                                // doesn't enter the cache; it is still
                                 // the correct current result to serve
-                                cache.refresh(&addr, rows.clone(), new_deps, delta_bytes);
-                                CacheDecision::Refresh { rows, bytes, delta_bytes }
+                                cache.refresh(&addr, batch.clone(), new_deps, delta_bytes);
+                                CacheDecision::Refresh { batch, delta_bytes }
                             }
                             refresh::RefreshOutcome::Bail(reason) => {
                                 cache.note_refresh_bail();
@@ -1157,8 +1157,9 @@ struct TransferMCursor {
     /// Sink for the producing statement's server-side execution time
     /// and for fault/retry/replan events.
     server_sink: Arc<SpanSlot>,
-    /// Pending cache population (a cache miss): rows are accumulated at
-    /// wire-fetch time and inserted only if the stream drains cleanly.
+    /// Pending cache population (a cache miss): rows are accumulated,
+    /// column by column, at wire-fetch time and inserted only if the
+    /// stream drains cleanly.
     /// Dropped on degrade — a re-planned or partial result must never
     /// populate the cache.
     populate: Option<CachePopulate>,
@@ -1178,8 +1179,9 @@ struct CachePopulate {
     key: cache::FragmentKey,
     /// `(table, write-version)` pairs read before the SQL was issued.
     deps: Vec<(String, u64)>,
-    /// Every row fetched off the wire so far, in stream order.
-    rows: Vec<Tuple>,
+    /// Every row fetched off the wire so far, in stream order: one
+    /// builder per attribute of the fragment's schema.
+    cols: Vec<ColumnBuilder>,
     /// Connection wire clock when the transfer opened — the wire part of
     /// the entry's fill cost.
     wire_start: Duration,
@@ -1237,19 +1239,21 @@ impl TransferMCursor {
     /// Record rows fetched off the wire for a pending population.
     fn populate_rows(&mut self, rows: &[Tuple]) {
         if let Some(p) = &mut self.populate {
-            p.rows.extend_from_slice(rows);
+            for t in rows {
+                p.cols.iter_mut().zip(&t.0).for_each(|(col, v)| col.push(v.clone()));
+            }
         }
     }
 
     /// The stream drained cleanly (no fault, no fallback, no error up to
-    /// end-of-stream): admit the accumulated rows into the cache, with
+    /// end-of-stream): admit the accumulated columns into the cache, with
     /// the measured wire + server time as the entry's refetch cost.
     fn finish_populate(&mut self) {
         let Some(p) = self.populate.take() else { return };
         let wire_us = self.conn.wire_time().saturating_sub(p.wire_start).as_secs_f64() * 1e6;
-        let bytes: u64 = p.rows.iter().map(|t| t.byte_size() as u64).sum();
-        let admission =
-            p.cache.insert(&p.key, self.schema.clone(), p.rows, p.deps, wire_us + p.server_us);
+        let batch = Batch::from_builders(self.schema.clone(), p.cols);
+        let admission = p.cache.insert(&p.key, batch, p.deps, wire_us + p.server_us);
+        let bytes = admission.bytes;
         if admission.admitted {
             self.populated_bytes = Some(bytes);
         }

@@ -27,7 +27,7 @@ use crate::to_sql;
 use std::collections::HashSet;
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
-use tango_algebra::{CmpOp, Expr, Schema, SortSpec, Tuple, Value};
+use tango_algebra::{Batch, CmpOp, Expr, Relation, Schema, SortSpec, Tuple, Value};
 use tango_minidb::{Connection, DeltaOp, DeltaRecord};
 use tango_xxl::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 
@@ -39,8 +39,8 @@ const MAX_TOUCHED_GROUPS: usize = 64;
 pub(crate) enum RefreshOutcome {
     /// The merged fragment, proven byte-identical to a cold refetch.
     Done {
-        /// Refreshed fragment rows, in the delivered order.
-        rows: Arc<Vec<Tuple>>,
+        /// The refreshed fragment, columnar, in the delivered order.
+        batch: Batch,
         /// Post-replay `(table, version)` dependency snapshot.
         new_deps: Vec<(String, u64)>,
         /// Replay traffic: tombstone wire bytes plus any touched-group
@@ -183,8 +183,8 @@ fn records_of<'a>(snap: &'a tango_minidb::DeltaSnapshot, table: &str) -> &'a [De
 /// Attempt to refresh one stale cached fragment in place. `fragment` is
 /// the cleaned DBMS subtree of the `TRANSFER^M` (as keyed by
 /// [`cache::fragment_key`]); `stale` the resident entry surfaced by
-/// lookup. On [`RefreshOutcome::Done`] the caller commits the rows via
-/// [`MidCache::refresh`] and serves them; on bail it falls back to the
+/// lookup. On [`RefreshOutcome::Done`] the caller commits the batch via
+/// [`MidCache::refresh`] and serves it; on bail it falls back to the
 /// ordinary streamed transfer. Nothing here writes to the cache.
 pub(crate) fn try_refresh(
     conn: &Connection,
@@ -192,6 +192,7 @@ pub(crate) fn try_refresh(
     fragment: &PhysNode,
     stale: &StaleEntry,
 ) -> RefreshOutcome {
+    let schema = stale.batch.schema();
     let inner = strip_sorts(fragment);
     let Some(shape) = shape(inner) else {
         return RefreshOutcome::Bail("fragment shape has no delta rule".into());
@@ -210,6 +211,9 @@ pub(crate) fn try_refresh(
         return RefreshOutcome::Bail("dependency table vanished".into());
     };
 
+    // the stale base as rows, read once per attempt: every consumer walks
+    // and hashes each base tuple
+    let base = Relation::new(schema.clone(), stale.batch.clone().into_rows());
     let delta = match &shape {
         Shape::Chain(chain) => {
             let z = zset_of_records(chain.scan.schema.clone(), records_of(&snap, &chain.table));
@@ -239,14 +243,13 @@ pub(crate) fn try_refresh(
             let Some(other_key) = cache::fragment_key(other_node, "", &is_temp) else {
                 return RefreshOutcome::Bail("unchanged join side is uncacheable".into());
             };
-            let Some((oschema, orows, odeps)) = cache.peek_by_signature(&other_key.signature)
-            else {
+            let Some((resident, odeps)) = cache.peek_by_signature(&other_key.signature) else {
                 return RefreshOutcome::Bail("unchanged join side not resident".into());
             };
             if odeps.iter().any(|(t, v)| snap.version_of(t) != Some(*v)) {
                 return RefreshOutcome::Bail("resident join side is itself stale".into());
             }
-            if *oschema != *other_node.schema {
+            if resident.schema() != &other_node.schema {
                 return RefreshOutcome::Bail("resident join side schema mismatch".into());
             }
             let z = zset_of_records(changed.scan.schema.clone(), records_of(&snap, &changed.table));
@@ -254,7 +257,7 @@ pub(crate) fn try_refresh(
                 Ok(z) => z,
                 Err(e) => return RefreshOutcome::Bail(format!("delta replay failed: {e}")),
             };
-            let full = ZSet::from_rows(oschema, orows.iter().cloned());
+            let full = ZSet::from_rows(resident.schema().clone(), resident.into_rows());
             let joined = if changed_left {
                 delta_join(*temporal, &dz, &full, eq)
             } else {
@@ -266,7 +269,7 @@ pub(crate) fn try_refresh(
             }
         }
         Shape::Aggr { input, group_by, node } => {
-            match aggr_delta(conn, &snap, stale, input, group_by, node, &new_deps) {
+            match aggr_delta(conn, &snap, &base, input, group_by, node, &new_deps) {
                 Ok((z, extra_bytes)) => {
                     delta_bytes += extra_bytes;
                     z
@@ -276,8 +279,11 @@ pub(crate) fn try_refresh(
         }
     };
 
-    match DeltaApply::try_new(stale.schema.clone(), &stale.rows, &delta, &stale.order) {
-        Ok(Some(da)) => RefreshOutcome::Done { rows: da.rows().clone(), new_deps, delta_bytes },
+    match DeltaApply::try_new(schema.clone(), base.tuples(), &delta, &stale.order) {
+        Ok(Some(da)) => {
+            let batch = Batch::new(schema.clone(), da.into_rows()).columnarize();
+            RefreshOutcome::Done { batch, new_deps, delta_bytes }
+        }
         Ok(None) => RefreshOutcome::Bail("merge is not order-determined".into()),
         Err(e) => RefreshOutcome::Bail(format!("delta merge failed: {e}")),
     }
@@ -290,7 +296,7 @@ pub(crate) fn try_refresh(
 fn aggr_delta(
     conn: &Connection,
     snap: &tango_minidb::DeltaSnapshot,
-    stale: &StaleEntry,
+    base: &Relation,
     input: &Chain<'_>,
     group_by: &[String],
     node: &PhysNode,
@@ -298,7 +304,8 @@ fn aggr_delta(
 ) -> std::result::Result<(ZSet, u64), String> {
     let z = zset_of_records(input.scan.schema.clone(), records_of(snap, &input.table));
     let din = apply_chain(z, &input.steps).map_err(|e| format!("delta replay failed: {e}"))?;
-    let mut delta = ZSet::new(stale.schema.clone());
+    let schema = base.schema();
+    let mut delta = ZSet::new(schema.clone());
     if din.is_empty() {
         return Ok((delta, 0));
     }
@@ -359,9 +366,9 @@ fn aggr_delta(
     }
     let out_idx: Vec<usize> = group_by
         .iter()
-        .map(|c| stale.schema.index_of(c).map_err(|_| format!("group column {c} missing")))
+        .map(|c| schema.index_of(c).map_err(|_| format!("group column {c} missing")))
         .collect::<std::result::Result<_, _>>()?;
-    for row in &*stale.rows {
+    for row in base.tuples() {
         let key: Vec<Value> = out_idx.iter().map(|i| row.values()[*i].clone()).collect();
         if touched.contains(&key) {
             delta.add(row.clone(), -1);

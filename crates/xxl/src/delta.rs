@@ -230,7 +230,7 @@ pub fn delta_join(
 /// or the delivered order leaves equal-key runs with non-identical
 /// tuples (order-ambiguous). Callers treat `None` as "bail to refetch".
 pub struct DeltaApply {
-    rows: Arc<Vec<Tuple>>,
+    rows: Vec<Tuple>,
 }
 
 impl DeltaApply {
@@ -273,13 +273,12 @@ impl DeltaApply {
                 return Ok(None);
             }
         }
-        Ok(Some(DeltaApply { rows: Arc::new(rows) }))
+        Ok(Some(DeltaApply { rows }))
     }
 
-    /// The refreshed fragment rows (shared, so the caller can commit the
-    /// same allocation to the cache it serves from).
-    pub fn rows(&self) -> &Arc<Vec<Tuple>> {
-        &self.rows
+    /// The refreshed fragment rows, in the delivered order.
+    pub fn into_rows(self) -> Vec<Tuple> {
+        self.rows
     }
 }
 
@@ -336,7 +335,7 @@ mod tests {
         d.add(tup![2, "Tom", 5, 10], -1);
         let order = SortSpec::by(["PosID", "T1"]);
         let a = DeltaApply::try_new(s, &base, &d, &order).unwrap().expect("determined");
-        assert_eq!(a.rows()[..], [tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
+        assert_eq!(a.into_rows()[..], [tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
     }
 
     #[test]

@@ -46,30 +46,13 @@ impl Cursor for Filter {
             let Some(b) = self.input.next_batch(max_rows)? else {
                 return Ok(None);
             };
-            if b.is_columnar() {
-                // Vectorized path: a tri-state kernel over the flat columns
-                // where the predicate shape supports one, per-row
-                // materialization where it doesn't; survivors are gathered
-                // into a fresh columnar batch (or the input batch is passed
-                // through untouched when nothing drops).
+            // Vectorized path, where the batch is columnar and the predicate
+            // shape has a tri-state kernel: survivors are gathered into a
+            // fresh columnar batch (or the batch is passed through untouched
+            // when nothing drops). Everything else takes the row path below.
+            if let Some(tri) = pred.eval_batch_tri(&b) {
                 let n = b.len();
-                let sel: Vec<u32> = match pred.eval_batch_tri(&b) {
-                    Some(tri) => tri
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &t)| t == 1)
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                    None => {
-                        let mut sel = Vec::new();
-                        for i in 0..n {
-                            if pred.matches(&b.tuple_at(i))? {
-                                sel.push(i as u32);
-                            }
-                        }
-                        sel
-                    }
-                };
+                let sel: Vec<u32> = (0..n as u32).filter(|&i| tri[i as usize] == 1).collect();
                 self.dropped += (n - sel.len()) as u64;
                 if sel.len() == n {
                     return Ok(Some(b));
@@ -109,9 +92,9 @@ impl Cursor for Filter {
 mod tests {
     use super::*;
     use crate::cursor::collect;
-    use crate::scan::VecScan;
+    use crate::scan::{BatchScan, VecScan};
     use crate::testutil::figure3_position;
-    use tango_algebra::{tup, CmpOp};
+    use tango_algebra::{tup, Attr, CmpOp, Type, Value};
 
     #[test]
     fn filters_and_preserves_order() {
@@ -128,5 +111,37 @@ mod tests {
         let got = collect(Box::new(Filter::new(Box::new(VecScan::new(figure3_position())), pred)))
             .unwrap();
         assert_eq!(got.len(), 3); // all three periods overlap [4, 6)
+    }
+
+    /// Columnar input, stored as two batches cut at row 2, is filtered to
+    /// the same rows as row input — with and without a columnar kernel.
+    #[test]
+    fn columnar_input_agrees_with_rows() {
+        let schema =
+            Arc::new(Schema::new(vec![Attr::new("A", Type::Int), Attr::new("B", Type::Int)]));
+        let null = || Value::Null;
+        let rows = vec![tup![1, null()], tup![2, 5], tup![3, 1], tup![null(), 3], tup![5, 5]];
+        let whole = Batch::new(schema.clone(), rows.clone()).columnarize();
+        let (a, b) = (|| Expr::col("A"), || Expr::col("B"));
+        for (pred, kept) in [
+            // a kernel over a nullable column: NULL compares UNKNOWN, dropped
+            (
+                Expr::cmp(CmpOp::Gt, b(), Expr::lit(2)),
+                vec![tup![2, 5], tup![null(), 3], tup![5, 5]],
+            ),
+            // column against column has no kernel: the row path decides
+            (Expr::cmp(CmpOp::Lt, a(), b()), vec![tup![2, 5]]),
+            // the first batch is dropped whole, the stream goes on (either path)
+            (Expr::cmp(CmpOp::Ge, a(), Expr::lit(3)), vec![tup![3, 1], tup![5, 5]]),
+            (Expr::cmp(CmpOp::Ge, a(), b()), vec![tup![3, 1], tup![5, 5]]),
+        ] {
+            let stored = vec![whole.slice(0, 2), whole.slice(2, 3)];
+            let columnar = Box::new(BatchScan::new(schema.clone(), stored));
+            let by_row = Box::new(VecScan::from_parts(schema.clone(), rows.clone()));
+            for input in [columnar as BoxCursor, by_row] {
+                let got = collect(Box::new(Filter::new(input, pred.clone()))).unwrap();
+                assert_eq!(got.tuples(), kept, "{pred}");
+            }
+        }
     }
 }

@@ -32,8 +32,8 @@
 //! * [`scan::VecScan`] — scan of a materialized relation,
 //! * [`scan::BatchScan`] — scan of stored batches, each handed on in the
 //!   layout it was stored in (serves a drained pipeline breaker),
-//! * [`scan::CachedScan`] — scan of a *shared* cached relation (serves
-//!   middleware-cache hits without consuming the entry),
+//! * [`scan::CachedScan`] — the same over one *shared* columnar batch: a
+//!   middleware-cache hit, served as zero-copy slices of the entry,
 //! * [`filter::Filter`] — `FILTER^M`,
 //! * [`project::Project`] — `PROJECT^M`,
 //! * [`sort::Sort`] / [`sort::ExternalSort`] — `SORT^M`,

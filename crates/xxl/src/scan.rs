@@ -1,5 +1,5 @@
-//! Scans over materialized relations: owned rows, stored batches, shared
-//! rows.
+//! Scans over materialized relations: owned rows, stored batches, one
+//! shared columnar batch.
 
 use crate::cursor::{Cursor, Result};
 use std::collections::VecDeque;
@@ -93,48 +93,38 @@ impl Cursor for BatchScan {
     }
 }
 
-/// Streams a *shared* materialized relation (`Arc<Vec<Tuple>>`) in list
-/// order, cloning tuples as they are emitted.
+/// Streams one *shared* columnar batch through a [`BatchScan`]: a
+/// zero-copy [`Batch::slice`] per pull.
 ///
 /// This is the serving cursor of the middleware relation cache: a cache
 /// hit replaces a `TRANSFER^M`'s wire traffic with a `CachedScan` over
-/// the resident copy, which stays shared (and reusable by later hits)
-/// rather than being consumed. Reports one counter, `cache_bytes` — the
-/// stored byte size of the entry being served.
+/// the resident copy, whose columns stay shared with the store (and every
+/// other hit) rather than being cloned or consumed. Reports one counter,
+/// `cache_bytes` — the stored byte size of the entry being served.
 pub struct CachedScan {
-    schema: Arc<Schema>,
-    rows: Arc<Vec<Tuple>>,
-    pos: usize,
+    scan: BatchScan,
     entry_bytes: u64,
-    opened: bool,
 }
 
 impl CachedScan {
-    /// Serve `rows` (the cached entry, `entry_bytes` encoded bytes).
-    pub fn new(schema: Arc<Schema>, rows: Arc<Vec<Tuple>>, entry_bytes: u64) -> Self {
-        CachedScan { schema, rows, pos: 0, entry_bytes, opened: false }
+    /// Serve `batch`, the cached entry.
+    pub fn new(batch: Batch) -> Self {
+        let entry_bytes = batch.byte_size() as u64;
+        CachedScan { scan: BatchScan::new(batch.schema().clone(), vec![batch]), entry_bytes }
     }
 }
 
 impl Cursor for CachedScan {
     fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        self.scan.schema()
     }
 
     fn open(&mut self) -> Result<()> {
-        self.opened = true;
-        Ok(())
+        self.scan.open()
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        debug_assert!(self.opened, "scan consumed before open()");
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + max_rows.max(1)).min(self.rows.len());
-        let batch = Batch::new(self.schema.clone(), self.rows[self.pos..end].to_vec());
-        self.pos = end;
-        Ok(Some(batch))
+        self.scan.next_batch(max_rows)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -194,23 +184,25 @@ mod tests {
     #[test]
     fn cached_scan_is_repeatable_and_counts_bytes() {
         let rel = figure3_position();
-        let schema = rel.schema().clone();
-        let rows = Arc::new(rel.tuples().to_vec());
+        let rows = rel.tuples().to_vec();
+        let entry = Batch::new(rel.schema().clone(), rows.clone()).columnarize();
         let bytes: u64 = rows.iter().map(|t| t.byte_size() as u64).sum();
         for _ in 0..2 {
-            let c = CachedScan::new(schema.clone(), rows.clone(), bytes);
+            let c = CachedScan::new(entry.clone());
             assert_eq!(c.counters(), vec![("cache_bytes", bytes)]);
             let got = collect(Box::new(c)).unwrap();
             assert!(got.list_eq(&figure3_position()));
         }
-        // small pulls cover the entry exactly
-        let mut c = CachedScan::new(schema, rows.clone(), bytes);
+        // small pulls cover the entry exactly, as slices of the shared
+        // columns that concatenate back without a copy
+        let mut c = CachedScan::new(entry.clone());
         c.open().unwrap();
-        let mut n = 0;
-        while let Some(b) = c.next_batch(2).unwrap() {
-            assert!(!b.is_empty());
-            n += b.len();
-        }
-        assert_eq!(n, rows.len());
+        let pulls: Vec<Batch> = std::iter::from_fn(|| c.next_batch(2).unwrap()).collect();
+        assert!(pulls.iter().all(Batch::is_columnar));
+        assert_eq!(pulls.iter().map(Batch::len).collect::<Vec<_>>(), [2, 1]);
+        let whole = Batch::concat(rel.schema().clone(), pulls);
+        let shared = |b: &Batch| b.columns().unwrap().0.as_ptr();
+        assert_eq!(shared(&whole), shared(&entry));
+        assert_eq!(whole.into_rows(), rows);
     }
 }

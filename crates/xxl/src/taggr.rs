@@ -9,11 +9,11 @@
 //! TAGGR is a pipeline breaker, so the cursor materializes its input as
 //! one columnar batch at `open` and runs the sweep over flat arrays:
 //! group boundaries come from extracted key columns, period endpoints
-//! from a flat `(start, end)` pair of `i64` vectors, and output rows are
-//! built column-at-a-time. With `workers > 1` the groups are partitioned
-//! into ~morsel-sized chunks (groups never span a chunk) and swept
-//! concurrently; chunk outputs are concatenated in group order, so the
-//! result is byte-identical to the sequential sweep.
+//! from a flat `(start, end)` pair of `i64` vectors, and output rows go
+//! straight into typed column builders. With `workers > 1` the groups are
+//! partitioned into ~morsel-sized chunks (groups never span a chunk) and
+//! swept concurrently; chunk outputs are concatenated in group order, so
+//! the result is byte-identical to the sequential sweep.
 //!
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
@@ -25,7 +25,8 @@ use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
 use tango_algebra::value::Key;
 use tango_algebra::{
-    AggFunc, AggSpec, Batch, BatchKeys, Column, Day, Period, Schema, SortSpec, Type, Value,
+    AggFunc, AggSpec, Batch, BatchKeys, Column, ColumnBuilder, Day, Period, Schema, SortSpec, Type,
+    Value,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -154,14 +155,14 @@ impl TemporalAggregate {
             .into_iter()
             .map(|(a, b)| {
                 move || {
-                    let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
+                    let mut cols = vec![ColumnBuilder::default(); width];
                     let (_, g, cp) = sweep_groups(ctx_ref, &bounds[a..b], &mut cols, usize::MAX);
                     (cols, g, cp)
                 }
             })
             .collect();
         let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
+        let mut cols = vec![ColumnBuilder::default(); width];
         let (mut groups, mut cps) = (0u64, 0u64);
         for (chunk_cols, g, cp) in results {
             groups += g;
@@ -173,10 +174,7 @@ impl TemporalAggregate {
         self.groups += groups;
         self.constant_periods += cps;
         self.par = Some(stats);
-        self.out = Some(Batch::from_columns(
-            self.schema.clone(),
-            cols.into_iter().map(Column::from_values).collect(),
-        ));
+        self.out = Some(Batch::from_builders(self.schema.clone(), cols));
         self.out_pos = 0;
         self.next_group = self.bounds.len();
         Ok(())
@@ -185,8 +183,7 @@ impl TemporalAggregate {
     /// Sequential path: sweep groups until at least `min_rows` output rows
     /// are staged (or the input is exhausted).
     fn refill(&mut self, min_rows: usize) -> Result<()> {
-        let width = self.schema.len();
-        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
+        let mut cols = vec![ColumnBuilder::default(); self.schema.len()];
         let data = self
             .data
             .as_ref()
@@ -205,14 +202,7 @@ impl TemporalAggregate {
         self.next_group += processed;
         self.groups += g;
         self.constant_periods += cp;
-        self.out = if cols.first().map(|c| c.is_empty()).unwrap_or(true) {
-            None
-        } else {
-            Some(Batch::from_columns(
-                self.schema.clone(),
-                cols.into_iter().map(Column::from_values).collect(),
-            ))
-        };
+        self.out = (!cols[0].is_empty()).then(|| Batch::from_builders(self.schema.clone(), cols));
         self.out_pos = 0;
         Ok(())
     }
@@ -350,7 +340,7 @@ struct SweepCtx<'a> {
     ends_all: &'a [i64],
 }
 
-/// Sweep whole groups from `bounds` into the per-column output vectors
+/// Sweep whole groups from `bounds` into the per-column output builders
 /// until at least `min_rows` rows are produced (or `bounds` is
 /// exhausted). Returns (groups processed, non-empty groups, constant
 /// periods). The per-group algorithm — retain non-empty periods, sort a
@@ -359,7 +349,7 @@ struct SweepCtx<'a> {
 fn sweep_groups(
     ctx: &SweepCtx<'_>,
     bounds: &[(u32, u32)],
-    out: &mut [Vec<Value>],
+    out: &mut [ColumnBuilder],
     min_rows: usize,
 ) -> (usize, u64, u64) {
     let mut states: Vec<Box<dyn AggState>> = ctx.aggs.iter().map(|a| new_state(a.func)).collect();
@@ -732,6 +722,66 @@ mod tests {
         for workers in [2, 8] {
             let par = collect(Box::new(mk(workers))).unwrap();
             assert!(seq.list_eq(&par), "parallel TAGGR diverged at workers={workers}");
+        }
+    }
+
+    /// A `SUM` that turns NULL in mid-stream (a constant period whose
+    /// only holders have a NULL argument) and a `MIN` over strings agree,
+    /// as wire bytes, with a row-at-a-time reference that recomputes every
+    /// constant period from the rows holding over it — at any `workers`.
+    #[test]
+    fn null_and_string_aggregates_match_the_reference() {
+        use tango_algebra::codec::encode_tuple;
+        let mut x = 7u64;
+        let mut next = |m: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as i64
+        };
+        // (G, V or NULL, N, T1, T2), sorted on (G, T1)
+        let mut rows: Vec<(i64, Value, &str, i64, i64)> = (0..60)
+            .map(|_| {
+                let (t1, v) = (next(30), (next(3) != 0).then(|| next(9) - 4));
+                let name = ["Tom", "Jane", "", "Ann"][next(4) as usize];
+                (next(6), v.map_or(Value::Null, Value::Int), name, t1, t1 + next(8))
+            })
+            .collect();
+        rows.sort_by_key(|r| (r.0, r.3));
+        let mut expected = Vec::new();
+        for g in 0..6 {
+            let held: Vec<_> = rows.iter().filter(|r| r.0 == g && r.3 < r.4).collect();
+            let mut ends: Vec<i64> = held.iter().flat_map(|r| [r.3, r.4]).collect();
+            ends.sort_unstable();
+            ends.dedup();
+            for w in ends.windows(2) {
+                let active = || held.iter().filter(|r| r.3 <= w[0] && w[1] <= r.4);
+                let Some(min) = active().map(|r| r.2).min() else { continue };
+                let sum = active().filter_map(|r| r.1.as_int()).reduce(|a, b| a + b);
+                expected.push(tup![g, w[0], w[1], sum.map_or(Value::Null, Value::Int), min]);
+            }
+        }
+        assert!(expected.windows(2).any(|w| !w[0][3].is_null() && w[1][3].is_null()));
+        let bytes = |tuples: &[tango_algebra::Tuple]| {
+            let mut buf = Vec::new();
+            tuples.iter().for_each(|t| encode_tuple(t, &mut buf));
+            buf
+        };
+        let ty = |n| if n == "N" { Type::Str } else { Type::Int };
+        let attrs = ["G", "V", "N", "T1", "T2"].map(|n| Attr::new(n, ty(n))).to_vec();
+        let input = rows.iter().map(|r| tup![r.0, r.1.clone(), r.2, r.3, r.4]).collect();
+        let input = Relation::new(Arc::new(Schema::with_inferred_period(attrs)), input);
+        for workers in [1, 4] {
+            let agg = TemporalAggregate::with_opts(
+                Box::new(VecScan::new(input.clone())),
+                vec!["G".into()],
+                vec![
+                    AggSpec::new(AggFunc::Sum, Some("V"), "S"),
+                    AggSpec::new(AggFunc::Min, Some("N"), "M"),
+                ],
+                ExecOpts { workers, ..ExecOpts::default() },
+            )
+            .unwrap();
+            let got = collect(Box::new(agg)).unwrap();
+            assert_eq!(bytes(got.tuples()), bytes(&expected), "workers={workers}");
         }
     }
 

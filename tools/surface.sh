@@ -22,5 +22,6 @@ echo "lines:        tango-core $(lines crates/core/src/*.rs)  tango-xxl $(lines 
 echo "non-test:     cache.rs $(non_test_lines crates/core/src/cache.rs)  rewrite.rs $(non_test_lines crates/core/src/rewrite.rs)"
 echo "non-test:     opt.rs $(non_test_lines crates/core/src/opt.rs)  phys.rs $(non_test_lines crates/core/src/phys.rs)  explain.rs $(non_test_lines crates/core/src/explain.rs)  cost.rs $(non_test_lines crates/core/src/cost.rs)"
 echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)  temporal_join.rs $(non_test_lines crates/xxl/src/temporal_join.rs)  tdiff.rs $(non_test_lines crates/xxl/src/tdiff.rs)"
+echo "non-test:     batch.rs $(non_test_lines crates/algebra/src/batch.rs)  taggr.rs $(non_test_lines crates/xxl/src/taggr.rs)  scan.rs $(non_test_lines crates/xxl/src/scan.rs)"
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)  ExecOpts $(fields ExecOpts crates/xxl/src/cursor.rs)"
