@@ -161,14 +161,19 @@ impl Expr {
         Expr::and(Expr::cmp(CmpOp::Lt, Expr::col(t1), b), Expr::cmp(CmpOp::Gt, Expr::col(t2), a))
     }
 
-    /// Resolve every column reference against `schema`.
+    /// Resolve every column reference against `schema`; the first column
+    /// it does not have is the error.
     pub fn bind(&mut self, schema: &Schema) -> Result<()> {
-        self.try_visit_mut(&mut |e| {
+        let mut unknown = None;
+        self.visit_mut(&mut |e| {
             if let Expr::Col { name, index } = e {
-                *index = Some(schema.index_of(name)?);
+                match schema.index_of(name) {
+                    Ok(i) => *index = Some(i),
+                    Err(e) => _ = unknown.get_or_insert(e),
+                }
             }
-            Ok(())
-        })
+        });
+        unknown.map_or(Ok(()), Err)
     }
 
     /// A bound copy of this expression.
@@ -178,18 +183,17 @@ impl Expr {
         Ok(e)
     }
 
-    fn try_visit_mut(&mut self, f: &mut impl FnMut(&mut Expr) -> Result<()>) -> Result<()> {
-        f(self)?;
+    /// Visit every node in place, parents before children.
+    pub fn visit_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
         match self {
-            Expr::Col { .. } | Expr::Lit(_) => Ok(()),
+            Expr::Col { .. } | Expr::Lit(_) => {}
             Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
-                l.try_visit_mut(f)?;
-                r.try_visit_mut(f)
+                l.visit_mut(f);
+                r.visit_mut(f);
             }
-            Expr::Not(e) | Expr::IsNull(e, _) => e.try_visit_mut(f),
-            Expr::Greatest(es) | Expr::Least(es) => {
-                es.iter_mut().try_for_each(|e| e.try_visit_mut(f))
-            }
+            Expr::Not(e) | Expr::IsNull(e, _) => e.visit_mut(f),
+            Expr::Greatest(es) | Expr::Least(es) => es.iter_mut().for_each(|e| e.visit_mut(f)),
         }
     }
 
@@ -546,6 +550,32 @@ mod tests {
         assert!(e.matches(&tup![1, 2, "x"]).unwrap());
         assert!(!e.matches(&tup![3, 2, "x"]).unwrap());
         assert!(!e.matches(&tup![1, 2, "y"]).unwrap());
+    }
+
+    /// `visit_mut` reaches a column wherever one can sit, including
+    /// inside `GREATEST` / `LEAST` / `IS NULL`.
+    #[test]
+    fn visit_mut_reaches_every_variant() {
+        let col = |n: &str| Box::new(Expr::col(n));
+        let mut e = Expr::and(
+            Expr::or(
+                Expr::Cmp(CmpOp::Lt, col("a"), Box::new(Expr::lit(1))),
+                Expr::not(Expr::IsNull(col("b"), true)),
+            ),
+            Expr::eq(
+                Expr::Arith(ArithOp::Add, col("c"), col("d")),
+                Expr::Greatest(vec![Expr::col("e"), Expr::Least(vec![Expr::col("f")])]),
+            ),
+        );
+        let mut kinds = std::collections::HashSet::new();
+        e.visit_mut(&mut |n| {
+            kinds.insert(std::mem::discriminant(n));
+            if let Expr::Col { name, .. } = n {
+                name.make_ascii_uppercase();
+            }
+        });
+        assert_eq!(kinds.len(), 10, "all ten variants visited");
+        assert_eq!(e.columns(), ["A", "B", "C", "D", "E", "F"]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use date::Day;
 pub use error::{AlgebraError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use interval::Period;
-pub use logical::{AggFunc, AggSpec, Logical, ProjItem, SchemaSource};
+pub use logical::{AggFunc, AggSpec, Logical, ProjItem, TOp};
 pub use order::{sort_tuples, BatchKeys, SortKey, SortSpec};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};

@@ -1,16 +1,19 @@
-//! The logical operator tree.
+//! The logical algebra: its operators ([`TOp`]) and trees of them
+//! ([`Logical`]).
 //!
-//! This is the algebra the temporal-SQL parser produces and the TANGO
-//! optimizer transforms. Operators carry *names*, not resolved indices;
-//! binding to physical schemas happens when plans are lowered to
-//! algorithms or translated to SQL.
+//! This is the one algebra the temporal-SQL parser produces, the rewrite
+//! packs and the statistics derivation read, and the optimizer's memo
+//! stores. Operators carry *names*, not resolved indices; binding to
+//! physical schemas happens when plans are lowered to algorithms or
+//! translated to SQL.
 //!
-//! Operator inventory (paper Sections 2–4): `Get` (base relation),
-//! `Select` (σ), `Project` (π), `Sort`, `Join` (⋈), `TJoin` (⋈ᵀ, temporal
-//! join intersecting periods), `Product` (×), `TAggr` (ξᵀ, temporal
-//! aggregation), plus the extension operators the paper lists as
-//! candidates (`DupElim`, `Coalesce`, `Diff`) and the two transfer
-//! operators `TransferM` (T^M) and `TransferD` (T^D).
+//! Operator inventory (paper Sections 2–4), all variants of [`TOp`]:
+//! `Get` (base relation), `Select` (σ), `Project` (π), `Join` (⋈), `TJoin`
+//! (⋈ᵀ, temporal join intersecting periods), `Product` (×), `TAggr` (ξᵀ,
+//! temporal aggregation), plus the extension operators the paper lists as
+//! candidates (`DupElim`, `Coalesce`, `Diff`). A [`Logical`] tree
+//! additionally has `Sort` and the two transfer operators `TransferM`
+//! (T^M) and `TransferD` (T^D).
 
 use crate::error::{AlgebraError, Result};
 use crate::expr::Expr;
@@ -19,11 +22,6 @@ use crate::schema::{Attr, Schema};
 use crate::value::Type;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Source of base-relation schemas (implemented by catalogs).
-pub trait SchemaSource {
-    fn table_schema(&self, name: &str) -> Result<Schema>;
-}
 
 /// A projection item: an expression plus its output name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -94,32 +92,87 @@ impl fmt::Display for AggSpec {
     }
 }
 
-/// The logical operator tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Logical {
+/// One operator of the algebra, without its inputs: what a [`Logical`]
+/// tree applies at each node and what the optimizer's memo stores per
+/// class element (there the inputs are classes). `Sort` and the transfers
+/// are absent — order and evaluation site are physical properties, so a
+/// value of this type cannot be either.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum TOp {
     /// Base relation stored in the DBMS.
     Get { table: String },
     /// σ_pred
-    Select { pred: Expr, input: Box<Logical> },
+    Select { pred: Expr },
     /// π_items
-    Project { items: Vec<ProjItem>, input: Box<Logical> },
-    /// Explicit sort (list-producing).
-    Sort { keys: SortSpec, input: Box<Logical> },
+    Project { items: Vec<ProjItem> },
     /// Equi-join ⋈ on `eq` column pairs (left, right).
-    Join { eq: Vec<(String, String)>, left: Box<Logical>, right: Box<Logical> },
+    Join { eq: Vec<(String, String)> },
     /// Temporal join ⋈ᵀ: equi-join plus period overlap; the output period
     /// is the intersection.
-    TJoin { eq: Vec<(String, String)>, left: Box<Logical>, right: Box<Logical> },
+    TJoin { eq: Vec<(String, String)> },
     /// Cartesian product ×.
-    Product { left: Box<Logical>, right: Box<Logical> },
+    Product,
     /// Temporal aggregation ξᵀ.
-    TAggr { group_by: Vec<String>, aggs: Vec<AggSpec>, input: Box<Logical> },
+    TAggr { group_by: Vec<String>, aggs: Vec<AggSpec> },
     /// Duplicate elimination (extension operator).
-    DupElim { input: Box<Logical> },
+    DupElim,
     /// Temporal coalescing (extension operator).
-    Coalesce { input: Box<Logical> },
+    Coalesce,
     /// Multiset difference (extension operator).
-    Diff { left: Box<Logical>, right: Box<Logical> },
+    Diff,
+}
+
+impl TOp {
+    /// Hand `f` every expression the operator carries (a selection's
+    /// predicate, a projection's items), for rewriting in place.
+    pub fn visit_exprs_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            TOp::Select { pred } => f(pred),
+            TOp::Project { items } => items.iter_mut().for_each(|it| f(&mut it.expr)),
+            _ => {}
+        }
+    }
+
+    /// Output schema given child schemas; `table_schema` resolves `Get`.
+    pub fn output_schema(
+        &self,
+        children: &[&Schema],
+        table_schema: &dyn Fn(&str) -> Option<Schema>,
+    ) -> Result<Schema> {
+        let child = |i: usize| {
+            children
+                .get(i)
+                .copied()
+                .ok_or_else(|| AlgebraError::Schema(format!("{self:?} lacks input {i}")))
+        };
+        Ok(match self {
+            TOp::Get { table } => table_schema(table)
+                .ok_or_else(|| AlgebraError::Schema(format!("unknown table {table}")))?,
+            TOp::Select { .. } | TOp::DupElim | TOp::Coalesce | TOp::Diff => child(0)?.clone(),
+            TOp::Project { items } => {
+                let mut attrs = Vec::with_capacity(items.len());
+                for it in items {
+                    let ty = infer_type(&it.expr, child(0)?)?;
+                    attrs.push(Attr::new(it.alias.clone(), ty));
+                }
+                Schema::with_inferred_period(attrs)
+            }
+            TOp::Join { .. } | TOp::Product => concat_schemas(child(0)?, child(1)?),
+            TOp::TJoin { eq } => tjoin_schema(eq, child(0)?, child(1)?)?,
+            TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, child(0)?)?,
+        })
+    }
+}
+
+/// The logical operator tree: operators applied to input trees, plus the
+/// three nodes that state a physical property (an explicit sort, the two
+/// transfers) and that the optimizer turns into requirements.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Logical {
+    /// `op` applied to `inputs`, in argument order.
+    Apply { op: TOp, inputs: Vec<Logical> },
+    /// Explicit sort (list-producing).
+    Sort { keys: SortSpec, input: Box<Logical> },
     /// T^M: move the relation from the DBMS to the middleware.
     TransferM { input: Box<Logical> },
     /// T^D: move the relation from the middleware into the DBMS.
@@ -128,15 +181,15 @@ pub enum Logical {
 
 impl Logical {
     pub fn get(table: impl Into<String>) -> Logical {
-        Logical::Get { table: table.into() }
+        Logical::Apply { op: TOp::Get { table: table.into() }, inputs: vec![] }
     }
 
     pub fn select(self, pred: Expr) -> Logical {
-        Logical::Select { pred, input: Box::new(self) }
+        Logical::Apply { op: TOp::Select { pred }, inputs: vec![self] }
     }
 
     pub fn project(self, items: Vec<ProjItem>) -> Logical {
-        Logical::Project { items, input: Box::new(self) }
+        Logical::Apply { op: TOp::Project { items }, inputs: vec![self] }
     }
 
     pub fn sort(self, keys: SortSpec) -> Logical {
@@ -144,15 +197,15 @@ impl Logical {
     }
 
     pub fn join(self, other: Logical, eq: Vec<(String, String)>) -> Logical {
-        Logical::Join { eq, left: Box::new(self), right: Box::new(other) }
+        Logical::Apply { op: TOp::Join { eq }, inputs: vec![self, other] }
     }
 
     pub fn tjoin(self, other: Logical, eq: Vec<(String, String)>) -> Logical {
-        Logical::TJoin { eq, left: Box::new(self), right: Box::new(other) }
+        Logical::Apply { op: TOp::TJoin { eq }, inputs: vec![self, other] }
     }
 
     pub fn taggr(self, group_by: Vec<String>, aggs: Vec<AggSpec>) -> Logical {
-        Logical::TAggr { group_by, aggs, input: Box::new(self) }
+        Logical::Apply { op: TOp::TAggr { group_by, aggs }, inputs: vec![self] }
     }
 
     pub fn transfer_m(self) -> Logical {
@@ -163,83 +216,28 @@ impl Logical {
         Logical::TransferD { input: Box::new(self) }
     }
 
-    /// A short operator name for plan displays.
-    pub fn name(&self) -> &'static str {
+    pub fn children(&self) -> &[Logical] {
         match self {
-            Logical::Get { .. } => "GET",
-            Logical::Select { .. } => "SELECT",
-            Logical::Project { .. } => "PROJECT",
-            Logical::Sort { .. } => "SORT",
-            Logical::Join { .. } => "JOIN",
-            Logical::TJoin { .. } => "TJOIN",
-            Logical::Product { .. } => "PRODUCT",
-            Logical::TAggr { .. } => "TAGGR",
-            Logical::DupElim { .. } => "DUPELIM",
-            Logical::Coalesce { .. } => "COALESCE",
-            Logical::Diff { .. } => "DIFF",
-            Logical::TransferM { .. } => "T^M",
-            Logical::TransferD { .. } => "T^D",
-        }
-    }
-
-    pub fn children(&self) -> Vec<&Logical> {
-        match self {
-            Logical::Get { .. } => vec![],
-            Logical::Select { input, .. }
-            | Logical::Project { input, .. }
-            | Logical::Sort { input, .. }
-            | Logical::TAggr { input, .. }
-            | Logical::DupElim { input }
-            | Logical::Coalesce { input }
+            Logical::Apply { inputs, .. } => inputs,
+            Logical::Sort { input, .. }
             | Logical::TransferM { input }
-            | Logical::TransferD { input } => vec![input],
-            Logical::Join { left, right, .. }
-            | Logical::TJoin { left, right, .. }
-            | Logical::Product { left, right }
-            | Logical::Diff { left, right } => vec![left, right],
+            | Logical::TransferD { input } => std::slice::from_ref(input),
         }
     }
 
-    /// Derive the output schema, resolving base relations through `src`.
-    pub fn output_schema(&self, src: &dyn SchemaSource) -> Result<Schema> {
+    /// Derive the output schema ([`TOp::output_schema`] folded over the
+    /// tree); `table_schema` resolves base relations.
+    pub fn output_schema(&self, table_schema: &dyn Fn(&str) -> Option<Schema>) -> Result<Schema> {
         match self {
-            Logical::Get { table } => src.table_schema(table),
-            Logical::Select { input, .. }
-            | Logical::Sort { input, .. }
-            | Logical::DupElim { input }
-            | Logical::Coalesce { input }
+            Logical::Apply { op, inputs } => {
+                let inputs: Vec<Schema> =
+                    inputs.iter().map(|i| i.output_schema(table_schema)).collect::<Result<_>>()?;
+                op.output_schema(&inputs.iter().collect::<Vec<_>>(), table_schema)
+            }
+            Logical::Sort { input, .. }
             | Logical::TransferM { input }
-            | Logical::TransferD { input } => input.output_schema(src),
-            Logical::Diff { left, .. } => left.output_schema(src),
-            Logical::Project { items, input } => {
-                let in_schema = input.output_schema(src)?;
-                let mut attrs = Vec::with_capacity(items.len());
-                for it in items {
-                    let ty = infer_type(&it.expr, &in_schema)?;
-                    attrs.push(Attr::new(it.alias.clone(), ty));
-                }
-                Ok(Schema::with_inferred_period(attrs))
-            }
-            Logical::Join { left, right, .. } | Logical::Product { left, right } => {
-                let l = left.output_schema(src)?;
-                let r = right.output_schema(src)?;
-                Ok(concat_schemas(&l, &r))
-            }
-            Logical::TJoin { eq, left, right } => {
-                let l = left.output_schema(src)?;
-                let r = right.output_schema(src)?;
-                tjoin_schema(eq, &l, &r)
-            }
-            Logical::TAggr { group_by, aggs, input } => {
-                let in_schema = input.output_schema(src)?;
-                taggr_schema(group_by, aggs, &in_schema)
-            }
+            | Logical::TransferD { input } => input.output_schema(table_schema),
         }
-    }
-
-    /// Count operators in the tree (used in optimizer reporting).
-    pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
     }
 }
 
@@ -347,43 +345,55 @@ pub fn taggr_schema(group_by: &[String], aggs: &[AggSpec], input: &Schema) -> Re
     Schema::temporal(attrs, "T1", "T2")
 }
 
+/// The operator's name and bracketed parameters: its line of a plan
+/// display.
+impl fmt::Display for TOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TOp::Get { table } => write!(f, "GET {table}"),
+            TOp::Select { pred } => write!(f, "SELECT [{pred}]"),
+            TOp::Project { items } => {
+                let cols: Vec<String> = items
+                    .iter()
+                    .map(|i| {
+                        if matches!(&i.expr, Expr::Col { name, .. } if name.rsplit('.').next() == Some(i.alias.as_str()) || name == &i.alias)
+                        {
+                            i.alias.clone()
+                        } else {
+                            format!("{} AS {}", i.expr, i.alias)
+                        }
+                    })
+                    .collect();
+                write!(f, "PROJECT [{}]", cols.join(", "))
+            }
+            TOp::Join { eq } | TOp::TJoin { eq } => {
+                let name = if matches!(self, TOp::Join { .. }) { "JOIN" } else { "TJOIN" };
+                let conds: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
+                write!(f, "{name} [{}]", conds.join(" AND "))
+            }
+            TOp::Product => f.write_str("PRODUCT"),
+            TOp::TAggr { group_by, aggs } => {
+                let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
+                write!(f, "TAGGR [group by {}; {}]", group_by.join(", "), a.join(", "))
+            }
+            TOp::DupElim => f.write_str("DUPELIM"),
+            TOp::Coalesce => f.write_str("COALESCE"),
+            TOp::Diff => f.write_str("DIFF"),
+        }
+    }
+}
+
 impl fmt::Display for Logical {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(op: &Logical, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
-            write!(f, "{}{}", "  ".repeat(depth), op.name())?;
-            match op {
-                Logical::Get { table } => write!(f, " {table}")?,
-                Logical::Select { pred, .. } => write!(f, " [{pred}]")?,
-                Logical::Project { items, .. } => {
-                    let cols: Vec<String> = items
-                        .iter()
-                        .map(|i| {
-                            if matches!(&i.expr, Expr::Col { name, .. } if name.rsplit('.').next() == Some(i.alias.as_str()) || name == &i.alias)
-                            {
-                                i.alias.clone()
-                            } else {
-                                format!("{} AS {}", i.expr, i.alias)
-                            }
-                        })
-                        .collect();
-                    write!(f, " [{}]", cols.join(", "))?
-                }
-                Logical::Sort { keys, .. } => write!(f, " [{keys}]")?,
-                Logical::Join { eq, .. } | Logical::TJoin { eq, .. } => {
-                    let conds: Vec<String> = eq.iter().map(|(l, r)| format!("{l}={r}")).collect();
-                    write!(f, " [{}]", conds.join(" AND "))?
-                }
-                Logical::TAggr { group_by, aggs, .. } => {
-                    let a: Vec<String> = aggs.iter().map(ToString::to_string).collect();
-                    write!(f, " [group by {}; {}]", group_by.join(", "), a.join(", "))?
-                }
-                _ => {}
+        fn go(node: &Logical, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+            let pad = "  ".repeat(depth);
+            match node {
+                Logical::Apply { op, .. } => writeln!(f, "{pad}{op}")?,
+                Logical::Sort { keys, .. } => writeln!(f, "{pad}SORT [{keys}]")?,
+                Logical::TransferM { .. } => writeln!(f, "{pad}T^M")?,
+                Logical::TransferD { .. } => writeln!(f, "{pad}T^D")?,
             }
-            writeln!(f)?;
-            for c in op.children() {
-                go(c, f, depth + 1)?;
-            }
-            Ok(())
+            node.children().iter().try_for_each(|c| go(c, f, depth + 1))
         }
         go(self, f, 0)
     }
@@ -392,29 +402,15 @@ impl fmt::Display for Logical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
-    struct Src(HashMap<String, Schema>);
-
-    impl SchemaSource for Src {
-        fn table_schema(&self, name: &str) -> Result<Schema> {
-            self.0
-                .get(&name.to_uppercase())
-                .cloned()
-                .ok_or_else(|| AlgebraError::UnknownColumn(name.to_string()))
-        }
-    }
-
-    fn src() -> Src {
+    fn src() -> impl Fn(&str) -> Option<Schema> {
         let pos = Schema::with_inferred_period(vec![
             Attr::new("PosID", Type::Int),
             Attr::new("EmpName", Type::Str),
             Attr::new("T1", Type::Date),
             Attr::new("T2", Type::Date),
         ]);
-        let mut m = HashMap::new();
-        m.insert("POSITION".to_string(), pos);
-        Src(m)
+        move |name| name.eq_ignore_ascii_case("POSITION").then(|| pos.clone())
     }
 
     #[test]

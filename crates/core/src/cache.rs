@@ -131,10 +131,11 @@
 //! newer versions replace the incumbent.
 
 use crate::cost::CostFactors;
-use crate::phys::{Algo, PhysNode, Site, TOp};
+use crate::phys::{Algo, PhysNode, Site};
+use crate::refresh::RefreshBail;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use tango_algebra::{Batch, ProjItem, SortSpec};
+use std::collections::{BTreeMap, HashMap};
+use tango_algebra::{Batch, ProjItem, SortSpec, TOp};
 
 /// Default cache budget used by a new session: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -527,6 +528,9 @@ struct Store {
     /// Whether lookups may surface stale-but-delta-covered entries for
     /// refresh-by-delta (off = binary drop-on-write staleness).
     refreshing: bool,
+    /// [`CacheStats::refresh_bails`] split by reason
+    /// ([`RefreshBail::kind`]).
+    bails: BTreeMap<&'static str, u64>,
 }
 
 impl Store {
@@ -618,6 +622,7 @@ impl MidCache {
                 clock: 0.0,
                 sketch: FreqSketch::new(),
                 refreshing: true,
+                bails: BTreeMap::new(),
             }),
         }
     }
@@ -888,8 +893,10 @@ impl MidCache {
     /// Record that a refresh attempt bailed (unsupported shape,
     /// ambiguous merge, racing write, wire fault) and degraded to the
     /// refetch path.
-    pub fn note_refresh_bail(&self) {
-        self.store.lock().stats.refresh_bails += 1;
+    pub(crate) fn note_refresh_bail(&self, reason: &RefreshBail) {
+        let mut s = self.store.lock();
+        s.stats.refresh_bails += 1;
+        *s.bails.entry(reason.kind()).or_default() += 1;
     }
 
     /// Snapshot which fragments are resident, for the optimizer.
@@ -931,7 +938,7 @@ impl MidCache {
         format!(
             "cache: {} entries, {}/{} bytes\n  hits {}, misses {}, evictions {}, \
              admission rejects {}, invalidations {}, duplicates {}, \
-             refreshes {} ({} delta bytes, {} bails)\n",
+             refreshes {} ({} delta bytes, {} bails)\n{}",
             s.entries.len(),
             s.bytes,
             s.budget,
@@ -944,12 +951,14 @@ impl MidCache {
             st.refreshes,
             st.refresh_bytes,
             st.refresh_bails,
+            s.bails.iter().map(|(why, n)| format!("  bailed {n}: {why}\n")).collect::<String>(),
         )
     }
 
     /// The serving report as JSON (via the `tango-trace` writer):
     /// `{"entries": n, "bytes": .., "budget": .., "totals": {...}}` with
-    /// every [`CacheStats`] counter under `totals`.
+    /// every [`CacheStats`] counter under `totals`, plus — once a refresh
+    /// has bailed — `"refresh_bail_reasons": {reason: count}`.
     pub fn stats_json(&self) -> String {
         use tango_trace::json::Object;
         let s = self.store.lock();
@@ -972,6 +981,13 @@ impl MidCache {
         o.number("bytes", s.bytes as f64);
         o.number("budget", s.budget as f64);
         o.raw("totals", &totals.build());
+        if !s.bails.is_empty() {
+            let mut reasons = Object::new();
+            for (why, n) in &s.bails {
+                reasons.number(why, *n as f64);
+            }
+            o.raw("refresh_bail_reasons", &reasons.build());
+        }
         o.build()
     }
 }

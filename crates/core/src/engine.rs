@@ -483,7 +483,7 @@ enum CacheDecision {
         deps: Vec<(String, u64)>,
         invalidated: Vec<String>,
         label: &'static str,
-        bail: Option<String>,
+        bail: Option<refresh::RefreshBail>,
     },
 }
 
@@ -705,8 +705,11 @@ impl<'a> Ctx<'a> {
         // cursors as prerequisites
         let (clean, prereqs, prereq_ids) = self.lower_dbms(&node.children[0])?;
         let sql = to_sql::render_select(&clean)?;
-        let decision = self.consult_cache(&clean, &sql);
         let (idx, slot) = self.new_slot(Algo::TransferM, prereq_ids);
+        // a refresh is a delta round trip and a merge: this span's time
+        let sw = Stopwatch::start(self.conn.wire_time());
+        let decision = self.consult_cache(&clean, &sql);
+        slot.add_time(sw.elapsed(self.conn.wire_time()));
         let schema = node.schema.clone();
         let mut populate = None;
         match decision {
@@ -814,7 +817,7 @@ impl<'a> Ctx<'a> {
                     key: cache::FragmentKey,
                     invalidated: Vec<String>,
                     label: &'static str,
-                    bail: Option<String>| {
+                    bail: Option<refresh::RefreshBail>| {
             match read_deps(&key) {
                 None => {
                     cache.note_bypass();
@@ -848,7 +851,7 @@ impl<'a> Ctx<'a> {
                 match choice {
                     cache::Maintenance::Refresh => {
                         match refresh::try_refresh(self.conn, cache, clean, &entry) {
-                            refresh::RefreshOutcome::Done { batch, new_deps, delta_bytes } => {
+                            Ok(refresh::Refreshed { batch, new_deps, delta_bytes }) => {
                                 // a losing race (entry evicted or already
                                 // refreshed by a peer) only means our batch
                                 // doesn't enter the cache; it is still
@@ -856,8 +859,8 @@ impl<'a> Ctx<'a> {
                                 cache.refresh(&addr, batch.clone(), new_deps, delta_bytes);
                                 CacheDecision::Refresh { batch, delta_bytes }
                             }
-                            refresh::RefreshOutcome::Bail(reason) => {
-                                cache.note_refresh_bail();
+                            Err(reason) => {
+                                cache.note_refresh_bail(&reason);
                                 miss(cache, key, invalidated, "miss", Some(reason))
                             }
                         }
@@ -1034,7 +1037,7 @@ fn cursor_for(algo: &Algo, inputs: Vec<BoxCursor>, exec: ExecOpts) -> tango_xxl:
 /// fallback: every base relation (including already-loaded temp tables)
 /// is fetched with a plain `SELECT *`-shaped `T^M`, and the fragment's
 /// relational work runs on each operator's middleware algorithm
-/// ([`TOp::mid_algo`](crate::phys::TOp::mid_algo)), with a `SORT^M`
+/// ([`Algo::mid`]), with a `SORT^M`
 /// wherever its order contract asks for an order. This is the transfer
 /// operator "flipped": `T^M ∘ fragment^D` becomes `fragment^M ∘ T^M`.
 fn middleware_fallback(
@@ -1066,7 +1069,7 @@ fn middleware_fallback(
             };
             return Ok(Box::new(NestedLoopJoin::with_opts(l, r, None, exec)));
         }
-        other => other.op().and_then(|op| op.mid_algo()).ok_or_else(|| {
+        other => other.op().and_then(|op| Algo::mid(&op)).ok_or_else(|| {
             tango_xxl::ExecError::State(format!(
                 "cannot re-plan {} in the middleware",
                 other.label()

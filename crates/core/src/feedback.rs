@@ -30,9 +30,10 @@ pub fn apply_feedback(factors: &mut CostFactors, report: &ExecReport, alpha: f64
         if step.exclusive_us < 50.0 {
             continue;
         }
-        // a cache hit never touched the wire, so its timing says nothing
-        // about the transfer factor it would otherwise update
-        if step.annotation("cache") == Some("hit") {
+        // a cache hit never touched the wire and a refresh shipped only a
+        // delta, so their timing says nothing about the transfer factor
+        // they would otherwise update
+        if matches!(step.annotation("cache"), Some("hit" | "refresh")) {
             continue;
         }
         // steps downstream of a mid-query re-plan splice ran over a

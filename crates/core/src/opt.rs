@@ -6,7 +6,7 @@
 //! * Physical properties: `(site, ordering)` ([`crate::phys::Req`]).
 //! * Heuristic Group 1 of the paper — "move to the middleware only those
 //!   operations that may be processed more efficiently there" — is
-//!   embodied in the algorithm inventory ([`TOp::mid_algo`]): exactly
+//!   embodied in the algorithm inventory ([`Algo::mid`]): exactly
 //!   the operations with efficient special-purpose middleware algorithms
 //!   (temporal aggregation, joins, temporal joins, plus the
 //!   order-preserving selection/projection that avoid needless transfers)
@@ -21,11 +21,11 @@ use crate::cache::{self, Residency};
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
 use crate::explain::NodeEstimate;
-use crate::phys::{Algo, PhysNode, Req, Site, TOp};
+use crate::phys::{Algo, PhysNode, Req, Site};
 use crate::rules;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tango_algebra::{Logical, Schema, SortSpec};
+use tango_algebra::{Logical, Schema, SortSpec, TOp};
 use tango_stats::RelationStats;
 use volcano::{Enforcer, GroupId, Implementation, Memo, NewExpr, PhysPlan, SearchStats, Semantics};
 
@@ -149,32 +149,21 @@ impl TangoSem {
     /// physical plan already carries both.
     fn props(
         &self,
-        op: TOp,
+        op: &TOp,
         children: &[&GroupProps],
         schema: Arc<Schema>,
         signature: String,
     ) -> GroupProps {
-        let stats = match op {
-            TOp::Get { table } => {
-                self.table(&table).map(|(_, s)| s.clone()).unwrap_or_else(|| RelationStats {
-                    rows: 1000.0,
-                    avg_tuple_bytes: schema.est_tuple_bytes() as f64,
-                    ..Default::default()
-                })
-            }
-            _ => {
-                let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
-                let child_schemas: Vec<&Schema> =
-                    children.iter().map(|p| p.schema.as_ref()).collect();
-                tango_stats::derive_stats_with(
-                    &op.logical(vec![]),
-                    &child_stats,
-                    &child_schemas,
-                    &schema,
-                    self.options.naive_overlaps,
-                )
-            }
+        let collected = match op {
+            TOp::Get { table } => self.table(table).map(|(_, s)| s.clone()),
+            _ => None,
         };
+        let stats = collected.unwrap_or_else(|| {
+            let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
+            let child_schemas: Vec<&Schema> = children.iter().map(|p| p.schema.as_ref()).collect();
+            let naive_overlaps = self.options.naive_overlaps;
+            tango_stats::derive_stats(op, &child_stats, &child_schemas, &schema, naive_overlaps)
+        });
         GroupProps { schema, stats, signature }
     }
 
@@ -249,7 +238,7 @@ impl TangoSem {
                     _ => kids.iter().collect(),
                 };
                 // only a TRANSFER^M reads a signature, and it reads its own
-                let props = self.props(op, &inputs, n.schema.clone(), String::new());
+                let props = self.props(&op, &inputs, n.schema.clone(), String::new());
                 let cost = self.cost(&n.algo, &inputs, &props, &SortSpec::none());
                 (props, cost)
             }
@@ -302,7 +291,7 @@ impl Semantics for TangoSem {
             .output_schema(&child_schemas, &|t| self.table(t).map(|(s, _)| s.as_ref().clone()))
             .unwrap_or_else(|_| Schema::new(vec![]));
         let child_sigs: Vec<String> = children.iter().map(|p| p.signature.clone()).collect();
-        self.props(op.clone(), children, Arc::new(schema), cache::top_signature(op, &child_sigs))
+        self.props(op, children, Arc::new(schema), cache::top_signature(op, &child_sigs))
     }
 
     fn implementations(
@@ -326,7 +315,7 @@ impl Semantics for TangoSem {
                     }
                     _ => true,
                 };
-                op.dbms_algo()
+                Algo::dbms(op)
                     .filter(|_| required.order.is_none() && scannable)
                     .map(|algo| (algo, vec![Req::any(Site::Dbms); child_props.len()]))
             }
@@ -334,7 +323,7 @@ impl Semantics for TangoSem {
             // the required order; a `MATSCAN^M` delivers the order its
             // materialization was drained in, the one fact the table
             // cannot know.
-            Site::Middleware => op.mid_algo().and_then(|algo| {
+            Site::Middleware => Algo::mid(op).and_then(|algo| {
                 let orders = match &algo {
                     Algo::MatScanM(name) => self
                         .mat_order(name)
@@ -388,7 +377,7 @@ impl Semantics for TangoSem {
 /// Convert a parser-produced [`Logical`] tree into the memo form,
 /// stripping the top `T^M` and top-level sorts into required properties
 /// (site = middleware, the recorded ordering).
-fn to_initial(logical: &Logical) -> Result<(NewExpr<TOp>, SortSpec)> {
+fn to_initial(logical: &Logical) -> (NewExpr<TOp>, SortSpec) {
     let mut node = logical;
     let mut order = SortSpec::none();
     loop {
@@ -400,33 +389,21 @@ fn to_initial(logical: &Logical) -> Result<(NewExpr<TOp>, SortSpec)> {
                 }
                 node = input;
             }
-            _ => break,
+            Logical::Apply { .. } => return (convert(node), order),
         }
     }
-    Ok((convert(node)?, order))
 }
 
-fn convert(l: &Logical) -> Result<NewExpr<TOp>> {
-    let kids: Vec<NewExpr<TOp>> = l.children().into_iter().map(convert).collect::<Result<_>>()?;
-    Ok(match l {
-        // transfers and inner sorts are physical concerns: drop them
-        Logical::TransferM { .. } | Logical::TransferD { .. } | Logical::Sort { .. } => kids
-            .into_iter()
-            .next()
-            .ok_or_else(|| TangoError::Optimizer("sort/transfer without input".into()))?,
-        Logical::Get { table } => NewExpr::Op(TOp::Get { table: table.clone() }, vec![]),
-        Logical::Select { pred, .. } => NewExpr::Op(TOp::Select { pred: pred.clone() }, kids),
-        Logical::Project { items, .. } => NewExpr::Op(TOp::Project { items: items.clone() }, kids),
-        Logical::Join { eq, .. } => NewExpr::Op(TOp::Join { eq: eq.clone() }, kids),
-        Logical::TJoin { eq, .. } => NewExpr::Op(TOp::TJoin { eq: eq.clone() }, kids),
-        Logical::Product { .. } => NewExpr::Op(TOp::Product, kids),
-        Logical::TAggr { group_by, aggs, .. } => {
-            NewExpr::Op(TOp::TAggr { group_by: group_by.clone(), aggs: aggs.clone() }, kids)
+fn convert(l: &Logical) -> NewExpr<TOp> {
+    match l {
+        Logical::Apply { op, inputs } => {
+            NewExpr::Op(op.clone(), inputs.iter().map(convert).collect())
         }
-        Logical::DupElim { .. } => NewExpr::Op(TOp::DupElim, kids),
-        Logical::Coalesce { .. } => NewExpr::Op(TOp::Coalesce, kids),
-        Logical::Diff { .. } => NewExpr::Op(TOp::Diff, kids),
-    })
+        // transfers and inner sorts are physical concerns: drop them
+        Logical::TransferM { input }
+        | Logical::TransferD { input }
+        | Logical::Sort { input, .. } => convert(input),
+    }
 }
 
 /// The result of one optimization run.
@@ -479,7 +456,7 @@ fn explore(
     sem: TangoSem,
     pinned_order: Option<SortSpec>,
 ) -> Result<(Memo<TangoSem>, GroupId, Req)> {
-    let (tree, order) = to_initial(logical)?;
+    let (tree, order) = to_initial(logical);
     let rules = rules::rule_set(sem.options);
     let mut memo = Memo::new(sem);
     let root = memo.insert_root(tree);
@@ -594,6 +571,23 @@ mod tests {
         }
     }
 
+    /// The outermost sort becomes the required order; inner sorts and
+    /// both transfers are physical concerns and leave no operator behind.
+    #[test]
+    fn to_initial_keeps_the_outer_order_and_drops_sorts_and_transfers() {
+        let pred = tango_algebra::Expr::lit(1);
+        let plan = Logical::get("T")
+            .sort(SortSpec::by(["B"]))
+            .select(pred.clone())
+            .transfer_m()
+            .sort(SortSpec::by(["A"]));
+        let (tree, order) = to_initial(&plan.transfer_d());
+        assert_eq!(order, SortSpec::by(["A"]));
+        let get = NewExpr::Op(TOp::Get { table: "T".into() }, vec![]);
+        let expected = NewExpr::Op(TOp::Select { pred }, vec![get]);
+        assert_eq!(format!("{tree:?}"), format!("{expected:?}"));
+    }
+
     /// The optimizer and the engine read one order table: the order the
     /// engine derives for the chosen plan (what it pins a re-plan to)
     /// satisfies the order the statement asked the optimizer for.
@@ -606,7 +600,7 @@ mod tests {
         ];
         for sql in figure_queries().into_iter().chain(more.map(String::from)) {
             let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
-            let (_, asked) = to_initial(&logical).unwrap();
+            let (_, asked) = to_initial(&logical);
             assert!(!asked.is_none(), "{sql}");
             let plan = optimize(&logical, sem(&catalog), None).unwrap().plan;
             let derived = crate::engine::delivered_order(&plan, &HashMap::new());

@@ -1,5 +1,6 @@
-//! Physical machinery: evaluation sites, physical properties, the logical
-//! operator payload for the memo, and the physical algorithm inventory.
+//! Physical machinery: evaluation sites, physical properties and the
+//! physical algorithm inventory, tied to the algebra's operators
+//! ([`TOp`], which the memo stores as is).
 //!
 //! The key design move (mirroring the paper): **where an operation runs
 //! is a physical property**. Required properties are pairs *(site,
@@ -13,8 +14,9 @@
 //! site actually changes.
 
 use std::sync::Arc;
-use tango_algebra::logical::{concat_schemas, taggr_schema, tjoin_schema};
-use tango_algebra::{AggSpec, AlgebraError, Expr, Logical, ProjItem, Schema, SortKey, SortSpec};
+use tango_algebra::{
+    AggSpec, AlgebraError, Expr, Logical, ProjItem, Schema, SortKey, SortSpec, TOp,
+};
 
 /// Where a plan fragment is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,149 +51,6 @@ impl Req {
     /// The given site, any ordering.
     pub fn any(site: Site) -> Req {
         Req { site, order: SortSpec::none() }
-    }
-}
-
-/// The logical operator payload stored in memo expressions. Children
-/// live in the memo; note the absence of `Sort` and the transfers — both
-/// are physical-property concerns (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum TOp {
-    /// Base-relation access.
-    Get {
-        /// The table name.
-        table: String,
-    },
-    /// Selection.
-    Select {
-        /// The predicate.
-        pred: Expr,
-    },
-    /// Generalized projection.
-    Project {
-        /// Output expressions with aliases.
-        items: Vec<ProjItem>,
-    },
-    /// Regular equi join.
-    Join {
-        /// Join-attribute pairs (left, right).
-        eq: Vec<(String, String)>,
-    },
-    /// Temporal equi join (plus period overlap).
-    TJoin {
-        /// Join-attribute pairs (left, right).
-        eq: Vec<(String, String)>,
-    },
-    /// Cartesian product.
-    Product,
-    /// Temporal aggregation.
-    TAggr {
-        /// Grouping attributes.
-        group_by: Vec<String>,
-        /// Aggregates to compute.
-        aggs: Vec<AggSpec>,
-    },
-    /// Duplicate elimination.
-    DupElim,
-    /// Temporal coalescing.
-    Coalesce,
-    /// Temporal difference.
-    Diff,
-}
-
-impl TOp {
-    /// The [`Logical`] node applying this operator to `inputs`, in
-    /// argument order. A missing input becomes a placeholder `Get` — the
-    /// statistics derivation dispatches on the operator's shape alone and
-    /// passes none.
-    pub fn logical(self, inputs: Vec<Logical>) -> Logical {
-        let mut inputs = inputs.into_iter();
-        let mut next = || Box::new(inputs.next().unwrap_or(Logical::Get { table: String::new() }));
-        match self {
-            TOp::Get { table } => Logical::Get { table },
-            TOp::Select { pred } => Logical::Select { pred, input: next() },
-            TOp::Project { items } => Logical::Project { items, input: next() },
-            TOp::Join { eq } => Logical::Join { eq, left: next(), right: next() },
-            TOp::TJoin { eq } => Logical::TJoin { eq, left: next(), right: next() },
-            TOp::Product => Logical::Product { left: next(), right: next() },
-            TOp::TAggr { group_by, aggs } => Logical::TAggr { group_by, aggs, input: next() },
-            TOp::DupElim => Logical::DupElim { input: next() },
-            TOp::Coalesce => Logical::Coalesce { input: next() },
-            TOp::Diff => Logical::Diff { left: next(), right: next() },
-        }
-    }
-
-    /// The generic DBMS algorithm evaluating this operator — the inverse
-    /// of [`Algo::op`] on the DBMS side. Coalescing and temporal
-    /// difference have no SQL implementation in the generic dialect.
-    pub fn dbms_algo(&self) -> Option<Algo> {
-        Some(match self {
-            TOp::Get { table } => Algo::ScanD(table.clone()),
-            TOp::Select { pred } => Algo::FilterD(pred.clone()),
-            TOp::Project { items } => Algo::ProjectD(items.clone()),
-            TOp::Join { eq } => Algo::JoinD(eq.clone()),
-            TOp::TJoin { eq } => Algo::TJoinD(eq.clone()),
-            TOp::Product => Algo::ProductD,
-            TOp::TAggr { group_by, aggs } => {
-                Algo::TAggrD { group_by: group_by.clone(), aggs: aggs.clone() }
-            }
-            TOp::DupElim => Algo::DupElimD,
-            TOp::Coalesce | TOp::Diff => return None,
-        })
-    }
-
-    /// The middleware algorithm evaluating this operator — the inverse
-    /// of [`Algo::op`] on the middleware side, and heuristic group 1 as a
-    /// table: exactly the operations with an efficient special-purpose
-    /// middleware algorithm have one (there is no middleware Cartesian
-    /// product: the DBMS handles products). A `Get` is a `MATSCAN^M`,
-    /// which only a mid-query materialization can serve — base relations
-    /// live in the DBMS and arrive through `TRANSFER^M`.
-    pub fn mid_algo(&self) -> Option<Algo> {
-        Some(match self {
-            TOp::Get { table } => Algo::MatScanM(table.clone()),
-            TOp::Select { pred } => Algo::FilterM(pred.clone()),
-            TOp::Project { items } => Algo::ProjectM(items.clone()),
-            TOp::Join { eq } => Algo::MergeJoinM(eq.clone()),
-            TOp::TJoin { eq } => Algo::TMergeJoinM(eq.clone()),
-            TOp::Product => return None,
-            TOp::TAggr { group_by, aggs } => {
-                Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() }
-            }
-            TOp::DupElim => Algo::DupElimM,
-            TOp::Coalesce => Algo::CoalesceM,
-            TOp::Diff => Algo::TDiffM,
-        })
-    }
-
-    /// Output schema given child schemas; `table_schema` resolves `Get`.
-    pub fn output_schema(
-        &self,
-        children: &[&Schema],
-        table_schema: &dyn Fn(&str) -> Option<Schema>,
-    ) -> tango_algebra::Result<Schema> {
-        let child = |i: usize| {
-            children
-                .get(i)
-                .copied()
-                .ok_or_else(|| AlgebraError::Schema(format!("{self:?} lacks input {i}")))
-        };
-        Ok(match self {
-            TOp::Get { table } => table_schema(table)
-                .ok_or_else(|| AlgebraError::Schema(format!("unknown table {table}")))?,
-            TOp::Select { .. } | TOp::DupElim | TOp::Coalesce | TOp::Diff => child(0)?.clone(),
-            TOp::Project { items } => {
-                let mut attrs = Vec::with_capacity(items.len());
-                for it in items {
-                    let ty = tango_algebra::logical::infer_type(&it.expr, child(0)?)?;
-                    attrs.push(tango_algebra::Attr::new(it.alias.clone(), ty));
-                }
-                Schema::with_inferred_period(attrs)
-            }
-            TOp::Join { .. } | TOp::Product => concat_schemas(child(0)?, child(1)?),
-            TOp::TJoin { eq } => tjoin_schema(eq, child(0)?, child(1)?)?,
-            TOp::TAggr { group_by, aggs } => taggr_schema(group_by, aggs, child(0)?)?,
-        })
     }
 }
 
@@ -289,6 +148,49 @@ impl Algo {
             | Algo::TAggrD { .. }
             | Algo::DupElimD => Site::Dbms,
         }
+    }
+
+    /// The generic DBMS algorithm evaluating `op` — the inverse of
+    /// [`Algo::op`] on the DBMS side. Coalescing and temporal difference
+    /// have no SQL implementation in the generic dialect.
+    pub fn dbms(op: &TOp) -> Option<Algo> {
+        Some(match op {
+            TOp::Get { table } => Algo::ScanD(table.clone()),
+            TOp::Select { pred } => Algo::FilterD(pred.clone()),
+            TOp::Project { items } => Algo::ProjectD(items.clone()),
+            TOp::Join { eq } => Algo::JoinD(eq.clone()),
+            TOp::TJoin { eq } => Algo::TJoinD(eq.clone()),
+            TOp::Product => Algo::ProductD,
+            TOp::TAggr { group_by, aggs } => {
+                Algo::TAggrD { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            TOp::DupElim => Algo::DupElimD,
+            TOp::Coalesce | TOp::Diff => return None,
+        })
+    }
+
+    /// The middleware algorithm evaluating `op` — the inverse of
+    /// [`Algo::op`] on the middleware side, and heuristic group 1 as a
+    /// table: exactly the operations with an efficient special-purpose
+    /// middleware algorithm have one (there is no middleware Cartesian
+    /// product: the DBMS handles products). A `Get` is a `MATSCAN^M`,
+    /// which only a mid-query materialization can serve — base relations
+    /// live in the DBMS and arrive through `TRANSFER^M`.
+    pub fn mid(op: &TOp) -> Option<Algo> {
+        Some(match op {
+            TOp::Get { table } => Algo::MatScanM(table.clone()),
+            TOp::Select { pred } => Algo::FilterM(pred.clone()),
+            TOp::Project { items } => Algo::ProjectM(items.clone()),
+            TOp::Join { eq } => Algo::MergeJoinM(eq.clone()),
+            TOp::TJoin { eq } => Algo::TMergeJoinM(eq.clone()),
+            TOp::Product => return None,
+            TOp::TAggr { group_by, aggs } => {
+                Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() }
+            }
+            TOp::DupElim => Algo::DupElimM,
+            TOp::Coalesce => Algo::CoalesceM,
+            TOp::Diff => Algo::TDiffM,
+        })
     }
 
     /// The logical operator this algorithm evaluates — the one table
@@ -522,8 +424,10 @@ impl PhysNode {
     pub fn logical(&self) -> Logical {
         match self.algo.op() {
             None => self.children[0].logical(),
-            Some(op @ TOp::Get { .. }) => op.logical(vec![]),
-            Some(op) => op.logical(self.children.iter().map(PhysNode::logical).collect()),
+            Some(op @ TOp::Get { .. }) => Logical::Apply { op, inputs: vec![] },
+            Some(op) => {
+                Logical::Apply { op, inputs: self.children.iter().map(PhysNode::logical).collect() }
+            }
         }
     }
 
@@ -547,30 +451,40 @@ mod tests {
         vec![("K".into(), "K2".into())]
     }
 
-    /// Both inverses of [`Algo::op`] lead back to the operator.
+    /// Both inverses of [`Algo::op`] lead back to the operator, and a plan
+    /// node built over either algorithm reads back as the `Apply` of that
+    /// operator to its inputs.
     #[test]
     fn every_operator_maps_back_through_its_algorithms() {
         let ops = [
-            TOp::Get { table: "T".into() },
-            TOp::Select { pred: Expr::lit(1) },
-            TOp::Project { items: vec![ProjItem::col("K")] },
-            TOp::Join { eq: eq() },
-            TOp::TJoin { eq: eq() },
-            TOp::Product,
-            TOp::TAggr { group_by: vec!["K".into()], aggs: vec![] },
-            TOp::DupElim,
-            TOp::Coalesce,
-            TOp::Diff,
+            (TOp::Get { table: "T".into() }, 0),
+            (TOp::Select { pred: Expr::lit(1) }, 1),
+            (TOp::Project { items: vec![ProjItem::col("K")] }, 1),
+            (TOp::Join { eq: eq() }, 2),
+            (TOp::TJoin { eq: eq() }, 2),
+            (TOp::Product, 2),
+            (TOp::TAggr { group_by: vec!["K".into()], aggs: vec![] }, 1),
+            (TOp::DupElim, 1),
+            (TOp::Coalesce, 1),
+            (TOp::Diff, 2),
         ];
-        for op in ops {
-            for algo in [op.dbms_algo(), op.mid_algo()].into_iter().flatten() {
+        let attrs = ["K", "K2", "T1", "T2"].map(|name| Attr::new(name, Type::Int));
+        let scan = PhysNode::scan("T", Schema::with_inferred_period(attrs.to_vec()));
+        for (op, arity) in ops {
+            for algo in [Algo::dbms(&op), Algo::mid(&op)].into_iter().flatten() {
                 assert_eq!(algo.op().as_ref(), Some(&op), "{}", algo.label());
+                let node = match arity {
+                    0 => PhysNode { algo, ..scan.clone() },
+                    _ => PhysNode::over(algo, vec![scan.clone(); arity]).unwrap(),
+                };
+                let inputs = vec![Logical::get("T"); arity];
+                assert_eq!(node.logical(), Logical::Apply { op: op.clone(), inputs });
             }
         }
         // heuristic group 1: products stay in the DBMS; generic SQL can
         // neither coalesce nor subtract periods
-        assert!(TOp::Product.mid_algo().is_none());
-        assert!(TOp::Coalesce.dbms_algo().is_none() && TOp::Diff.dbms_algo().is_none());
+        assert!(Algo::mid(&TOp::Product).is_none());
+        assert!(Algo::dbms(&TOp::Coalesce).is_none() && Algo::dbms(&TOp::Diff).is_none());
     }
 
     /// An algorithm with an order contract answers for the order it

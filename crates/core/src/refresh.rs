@@ -35,20 +35,92 @@ use tango_xxl::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 /// the generated `OR` chain would rival a full refetch.
 const MAX_TOUCHED_GROUPS: usize = 64;
 
-/// The result of one refresh attempt.
-pub(crate) enum RefreshOutcome {
-    /// The merged fragment, proven byte-identical to a cold refetch.
-    Done {
-        /// The refreshed fragment, columnar, in the delivered order.
-        batch: Batch,
-        /// Post-replay `(table, version)` dependency snapshot.
-        new_deps: Vec<(String, u64)>,
-        /// Replay traffic: tombstone wire bytes plus any touched-group
-        /// refetch bytes.
-        delta_bytes: u64,
-    },
-    /// The attempt could not be proven identical; fall back to refetch.
-    Bail(String),
+/// A merged fragment, proven byte-identical to a cold refetch.
+pub(crate) struct Refreshed {
+    /// The refreshed fragment, columnar, in the delivered order.
+    pub(crate) batch: Batch,
+    /// Post-replay `(table, version)` dependency snapshot.
+    pub(crate) new_deps: Vec<(String, u64)>,
+    /// Replay traffic: tombstone wire bytes plus any touched-group
+    /// refetch bytes.
+    pub(crate) delta_bytes: u64,
+}
+
+/// Why a refresh attempt could not be proven identical to a refetch (the
+/// caller falls back to one). The cache counts bails per variant
+/// ([`MidCache::note_refresh_bail`]); `Display` is the text of the
+/// `refresh bailed: …` span event.
+#[derive(Debug)]
+pub(crate) enum RefreshBail {
+    NoDeltaRule,
+    LogTruncated,
+    DeltaFetch(String),
+    TableVanished,
+    Replay(String),
+    BothSidesChanged,
+    NoDependencyMoved,
+    OtherSideUncacheable,
+    OtherSideNotResident,
+    OtherSideStale,
+    OtherSideSchema,
+    DeltaJoin(String),
+    NotOrderDetermined,
+    Merge(String),
+    GroupColumnMissing(String),
+    GroupKeyNotLiteral,
+    TooManyGroups,
+    RefetchRender(String),
+    Refetch(String),
+    RefetchRaced,
+}
+
+impl RefreshBail {
+    /// The variant's text without its detail: the key of the per-reason
+    /// counts.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            RefreshBail::NoDeltaRule => "fragment shape has no delta rule",
+            RefreshBail::LogTruncated => "delta log no longer covers the snapshot",
+            RefreshBail::DeltaFetch(_) => "delta fetch failed",
+            RefreshBail::TableVanished => "dependency table vanished",
+            RefreshBail::Replay(_) => "delta replay failed",
+            RefreshBail::BothSidesChanged => "both join sides changed",
+            RefreshBail::NoDependencyMoved => "no dependency moved",
+            RefreshBail::OtherSideUncacheable => "unchanged join side is uncacheable",
+            RefreshBail::OtherSideNotResident => "unchanged join side not resident",
+            RefreshBail::OtherSideStale => "resident join side is itself stale",
+            RefreshBail::OtherSideSchema => "resident join side schema mismatch",
+            RefreshBail::DeltaJoin(_) => "delta join failed",
+            RefreshBail::NotOrderDetermined => "merge is not order-determined",
+            RefreshBail::Merge(_) => "delta merge failed",
+            RefreshBail::GroupColumnMissing(_) => "group column missing",
+            RefreshBail::GroupKeyNotLiteral => "group key not renderable as a literal predicate",
+            RefreshBail::TooManyGroups => "too many touched groups",
+            RefreshBail::RefetchRender(_) => "refetch render",
+            RefreshBail::Refetch(_) => "touched-group refetch failed",
+            RefreshBail::RefetchRaced => "write raced the touched-group refetch",
+        }
+    }
+}
+
+/// `kind` carrying the text of the error that stopped the attempt.
+fn detail<E: std::fmt::Display>(kind: fn(String) -> RefreshBail) -> impl Fn(E) -> RefreshBail {
+    move |e| kind(e.to_string())
+}
+
+impl std::fmt::Display for RefreshBail {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RefreshBail::GroupColumnMissing(c) => write!(f, "group column {c} missing"),
+            RefreshBail::DeltaFetch(e)
+            | RefreshBail::Replay(e)
+            | RefreshBail::DeltaJoin(e)
+            | RefreshBail::Merge(e)
+            | RefreshBail::RefetchRender(e)
+            | RefreshBail::Refetch(e) => write!(f, "{}: {e}", self.kind()),
+            _ => f.write_str(self.kind()),
+        }
+    }
 }
 
 /// One operator of a linear chain, applied bottom-up to a delta.
@@ -183,33 +255,27 @@ fn records_of<'a>(snap: &'a tango_minidb::DeltaSnapshot, table: &str) -> &'a [De
 /// Attempt to refresh one stale cached fragment in place. `fragment` is
 /// the cleaned DBMS subtree of the `TRANSFER^M` (as keyed by
 /// [`cache::fragment_key`]); `stale` the resident entry surfaced by
-/// lookup. On [`RefreshOutcome::Done`] the caller commits the batch via
-/// [`MidCache::refresh`] and serves it; on bail it falls back to the
+/// lookup. The caller commits a [`Refreshed`] batch via
+/// [`MidCache::refresh`] and serves it; on a bail it falls back to the
 /// ordinary streamed transfer. Nothing here writes to the cache.
 pub(crate) fn try_refresh(
     conn: &Connection,
     cache: &MidCache,
     fragment: &PhysNode,
     stale: &StaleEntry,
-) -> RefreshOutcome {
+) -> Result<Refreshed, RefreshBail> {
     let schema = stale.batch.schema();
-    let inner = strip_sorts(fragment);
-    let Some(shape) = shape(inner) else {
-        return RefreshOutcome::Bail("fragment shape has no delta rule".into());
-    };
+    let shape = shape(strip_sorts(fragment)).ok_or(RefreshBail::NoDeltaRule)?;
     // one locked read: every dep table's pending tombstones plus a
     // consistent all-table version vector
-    let snap = match conn.fetch_deltas_multi(&stale.deps) {
-        Ok(Some(s)) => s,
-        Ok(None) => return RefreshOutcome::Bail("delta log no longer covers the snapshot".into()),
-        Err(e) => return RefreshOutcome::Bail(format!("delta fetch failed: {e}")),
-    };
+    let snap = conn
+        .fetch_deltas_multi(&stale.deps)
+        .map_err(detail(RefreshBail::DeltaFetch))?
+        .ok_or(RefreshBail::LogTruncated)?;
     let mut delta_bytes = snap.byte_size();
     let new_deps: Option<Vec<(String, u64)>> =
         stale.deps.iter().map(|(t, _)| snap.version_of(t).map(|v| (t.clone(), v))).collect();
-    let Some(new_deps) = new_deps else {
-        return RefreshOutcome::Bail("dependency table vanished".into());
-    };
+    let new_deps = new_deps.ok_or(RefreshBail::TableVanished)?;
 
     // the stale base as rows, read once per attempt: every consumer walks
     // and hashes each base tuple
@@ -217,76 +283,54 @@ pub(crate) fn try_refresh(
     let delta = match &shape {
         Shape::Chain(chain) => {
             let z = zset_of_records(chain.scan.schema.clone(), records_of(&snap, &chain.table));
-            match apply_chain(z, &chain.steps) {
-                Ok(z) => z,
-                Err(e) => return RefreshOutcome::Bail(format!("delta replay failed: {e}")),
-            }
+            apply_chain(z, &chain.steps).map_err(detail(RefreshBail::Replay))?
         }
         Shape::Join { temporal, eq, left, right, children } => {
             let moved = |c: &Chain| {
                 stale.deps.iter().any(|(t, v)| *t == c.table && snap.version_of(t) != Some(*v))
             };
-            let (changed, other, other_node, changed_left) = match (moved(left), moved(right)) {
-                (true, false) => (left, right, &children[1], true),
-                (false, true) => (right, left, &children[0], false),
-                (true, true) => {
-                    return RefreshOutcome::Bail("both join sides changed".into());
-                }
-                (false, false) => {
-                    return RefreshOutcome::Bail("no dependency moved".into());
-                }
+            let (changed, other_node, changed_left) = match (moved(left), moved(right)) {
+                (true, false) => (left, &children[1], true),
+                (false, true) => (right, &children[0], false),
+                (true, true) => return Err(RefreshBail::BothSidesChanged),
+                (false, false) => return Err(RefreshBail::NoDependencyMoved),
             };
-            let _ = other;
             // the unchanged side must be resident as its own fresh
             // fragment — that is what the delta joins against
             let is_temp = |t: &str| t.to_uppercase().starts_with("TANGO_TMP_");
-            let Some(other_key) = cache::fragment_key(other_node, "", &is_temp) else {
-                return RefreshOutcome::Bail("unchanged join side is uncacheable".into());
-            };
-            let Some((resident, odeps)) = cache.peek_by_signature(&other_key.signature) else {
-                return RefreshOutcome::Bail("unchanged join side not resident".into());
-            };
+            let other_key = cache::fragment_key(other_node, "", &is_temp)
+                .ok_or(RefreshBail::OtherSideUncacheable)?;
+            let (resident, odeps) = cache
+                .peek_by_signature(&other_key.signature)
+                .ok_or(RefreshBail::OtherSideNotResident)?;
             if odeps.iter().any(|(t, v)| snap.version_of(t) != Some(*v)) {
-                return RefreshOutcome::Bail("resident join side is itself stale".into());
+                return Err(RefreshBail::OtherSideStale);
             }
             if resident.schema() != &other_node.schema {
-                return RefreshOutcome::Bail("resident join side schema mismatch".into());
+                return Err(RefreshBail::OtherSideSchema);
             }
             let z = zset_of_records(changed.scan.schema.clone(), records_of(&snap, &changed.table));
-            let dz = match apply_chain(z, &changed.steps) {
-                Ok(z) => z,
-                Err(e) => return RefreshOutcome::Bail(format!("delta replay failed: {e}")),
-            };
+            let dz = apply_chain(z, &changed.steps).map_err(detail(RefreshBail::Replay))?;
             let full = ZSet::from_rows(resident.schema().clone(), resident.into_rows());
             let joined = if changed_left {
                 delta_join(*temporal, &dz, &full, eq)
             } else {
                 delta_join(*temporal, &full, &dz, eq)
             };
-            match joined {
-                Ok(z) => z,
-                Err(e) => return RefreshOutcome::Bail(format!("delta join failed: {e}")),
-            }
+            joined.map_err(detail(RefreshBail::DeltaJoin))?
         }
         Shape::Aggr { input, group_by, node } => {
-            match aggr_delta(conn, &snap, &base, input, group_by, node, &new_deps) {
-                Ok((z, extra_bytes)) => {
-                    delta_bytes += extra_bytes;
-                    z
-                }
-                Err(reason) => return RefreshOutcome::Bail(reason),
-            }
+            let (z, refetched) = aggr_delta(conn, &snap, &base, input, group_by, node, &new_deps)?;
+            delta_bytes += refetched;
+            z
         }
     };
 
-    match DeltaApply::try_new(schema.clone(), base.tuples(), &delta, &stale.order) {
-        Ok(Some(da)) => {
-            let batch = Batch::new(schema.clone(), da.into_rows()).columnarize();
-            RefreshOutcome::Done { batch, new_deps, delta_bytes }
-        }
-        Ok(None) => RefreshOutcome::Bail("merge is not order-determined".into()),
-        Err(e) => RefreshOutcome::Bail(format!("delta merge failed: {e}")),
-    }
+    let merged = DeltaApply::try_new(schema.clone(), base.tuples(), &delta, &stale.order)
+        .map_err(detail(RefreshBail::Merge))?
+        .ok_or(RefreshBail::NotOrderDetermined)?;
+    let batch = Batch::new(schema.clone(), merged.into_rows()).columnarize();
+    Ok(Refreshed { batch, new_deps, delta_bytes })
 }
 
 /// Touched-group re-aggregation: refetch only the groups whose input
@@ -301,9 +345,9 @@ fn aggr_delta(
     group_by: &[String],
     node: &PhysNode,
     new_deps: &[(String, u64)],
-) -> std::result::Result<(ZSet, u64), String> {
+) -> Result<(ZSet, u64), RefreshBail> {
     let z = zset_of_records(input.scan.schema.clone(), records_of(snap, &input.table));
-    let din = apply_chain(z, &input.steps).map_err(|e| format!("delta replay failed: {e}"))?;
+    let din = apply_chain(z, &input.steps).map_err(detail(RefreshBail::Replay))?;
     let schema = base.schema();
     let mut delta = ZSet::new(schema.clone());
     if din.is_empty() {
@@ -314,17 +358,17 @@ fn aggr_delta(
     let in_schema = &node.children[0].schema;
     let in_idx: Vec<usize> = group_by
         .iter()
-        .map(|c| in_schema.index_of(c).map_err(|_| format!("group column {c} missing")))
-        .collect::<std::result::Result<_, _>>()?;
+        .map(|c| in_schema.index_of(c).map_err(|_| RefreshBail::GroupColumnMissing(c.clone())))
+        .collect::<Result<_, _>>()?;
     let mut touched: HashSet<Vec<Value>> = HashSet::new();
     for (row, _) in din.iter() {
         let key: Vec<Value> = in_idx.iter().map(|i| row.values()[*i].clone()).collect();
         if !key.iter().all(|v| matches!(v, Value::Int(_) | Value::Str(_))) {
-            return Err("group key not renderable as a literal predicate".into());
+            return Err(RefreshBail::GroupKeyNotLiteral);
         }
         touched.insert(key);
         if touched.len() > MAX_TOUCHED_GROUPS {
-            return Err("too many touched groups".into());
+            return Err(RefreshBail::TooManyGroups);
         }
     }
     // refetch exactly those groups: WHERE (k = v AND ...) OR ...
@@ -345,8 +389,8 @@ fn aggr_delta(
         schema: node.schema.clone(),
         children: vec![node.clone()],
     };
-    let sql = to_sql::render_select(&refetch).map_err(|e| format!("refetch render: {e}"))?;
-    let mut cur = conn.query(&sql).map_err(|e| format!("touched-group refetch failed: {e}"))?;
+    let sql = to_sql::render_select(&refetch).map_err(detail(RefreshBail::RefetchRender))?;
+    let mut cur = conn.query(&sql).map_err(detail(RefreshBail::Refetch))?;
     let mut fetched: Vec<Tuple> = Vec::new();
     let mut fetched_bytes = 0u64;
     loop {
@@ -356,18 +400,18 @@ fn aggr_delta(
                 fetched.extend(batch);
             }
             Ok(None) => break,
-            Err(e) => return Err(format!("touched-group refetch failed: {e}")),
+            Err(e) => return Err(RefreshBail::Refetch(e.to_string())),
         }
     }
     // the refetch ran after the snapshot: if any dependency moved in
     // between, the spliced result would mix versions
     if new_deps.iter().any(|(t, v)| conn.table_version(t) != Some(*v)) {
-        return Err("write raced the touched-group refetch".into());
+        return Err(RefreshBail::RefetchRaced);
     }
     let out_idx: Vec<usize> = group_by
         .iter()
-        .map(|c| schema.index_of(c).map_err(|_| format!("group column {c} missing")))
-        .collect::<std::result::Result<_, _>>()?;
+        .map(|c| schema.index_of(c).map_err(|_| RefreshBail::GroupColumnMissing(c.clone())))
+        .collect::<Result<_, _>>()?;
     for row in base.tuples() {
         let key: Vec<Value> = out_idx.iter().map(|i| row.values()[*i].clone()).collect();
         if touched.contains(&key) {

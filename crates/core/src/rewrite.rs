@@ -38,8 +38,12 @@
 use crate::error::{Result, TangoError};
 use std::path::{Path, PathBuf};
 use tango_algebra::logical::{concat_schemas, tjoin_schema};
-use tango_algebra::{CmpOp, Expr, Logical, ProjItem, SchemaSource};
+use tango_algebra::{CmpOp, Expr, Logical, ProjItem, Schema, TOp};
 use tango_trace::json::{self, Json};
+
+/// Resolves a base relation's schema (what [`Logical::output_schema`]
+/// takes).
+type Tables<'a> = &'a dyn Fn(&str) -> Option<Schema>;
 
 /// Default whole-tree sweep budget of [`Rewriter::apply`]; a pack file
 /// may lower it with a `"budget"` key.
@@ -272,7 +276,7 @@ impl Rewriter {
     /// Rewrite a logical plan to fixpoint (bounded by the pass budget).
     /// Returns the rewritten plan and the firing record; a plan no rule
     /// matches comes back unchanged with an empty outcome.
-    pub fn apply(&self, mut plan: Logical, src: &dyn SchemaSource) -> (Logical, RewriteOutcome) {
+    pub fn apply(&self, mut plan: Logical, src: Tables<'_>) -> (Logical, RewriteOutcome) {
         let mut counts: Vec<Vec<u64>> =
             self.packs.iter().map(|p| vec![0u64; p.rules.len()]).collect();
         let mut passes = 0;
@@ -718,28 +722,16 @@ struct Binds {
     ops: Vec<(String, CmpOp)>,
 }
 
-/// Structural expression equality ignoring resolved column indexes
-/// (rewriting runs before binding; a repeated binder must not care).
+/// Structural expression equality ignoring resolved column indexes and
+/// the case of column names (rewriting runs before binding; a repeated
+/// binder must not care).
 fn same_expr(a: &Expr, b: &Expr) -> bool {
-    match (a, b) {
-        (Expr::Col { name: an, .. }, Expr::Col { name: bn, .. }) => an.eq_ignore_ascii_case(bn),
-        (Expr::Lit(x), Expr::Lit(y)) => x == y,
-        (Expr::Cmp(ao, al, ar), Expr::Cmp(bo, bl, br)) => {
-            ao == bo && same_expr(al, bl) && same_expr(ar, br)
-        }
-        (Expr::And(al, ar), Expr::And(bl, br)) | (Expr::Or(al, ar), Expr::Or(bl, br)) => {
-            same_expr(al, bl) && same_expr(ar, br)
-        }
-        (Expr::Not(ai), Expr::Not(bi)) => same_expr(ai, bi),
-        (Expr::Arith(ao, al, ar), Expr::Arith(bo, bl, br)) => {
-            ao == bo && same_expr(al, bl) && same_expr(ar, br)
-        }
-        (Expr::Greatest(xs), Expr::Greatest(ys)) | (Expr::Least(xs), Expr::Least(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_expr(x, y))
-        }
-        (Expr::IsNull(ai, an), Expr::IsNull(bi, bn)) => an == bn && same_expr(ai, bi),
-        _ => false,
-    }
+    let canonical = |e: &Expr| {
+        let mut e = e.clone();
+        rename_cols(&mut e, &mut |name| name.make_ascii_uppercase());
+        e
+    };
+    canonical(a) == canonical(b)
 }
 
 fn match_pat(p: &Pat, e: &Expr, b: &mut Binds) -> bool {
@@ -829,7 +821,7 @@ struct Sweep<'a> {
     packs: &'a [RulePack],
     counts: &'a mut Vec<Vec<u64>>,
     changed: bool,
-    src: &'a dyn SchemaSource,
+    src: Tables<'a>,
 }
 
 impl Sweep<'_> {
@@ -869,43 +861,13 @@ impl Sweep<'_> {
     fn plan(&mut self, node: Logical) -> Logical {
         // children (and their expressions) first
         let node = match node {
-            Logical::Get { .. } => node,
-            Logical::Select { pred, input } => {
-                Logical::Select { pred: self.expr(&pred), input: Box::new(self.plan(*input)) }
+            Logical::Apply { mut op, inputs } => {
+                op.visit_exprs_mut(|e| *e = self.expr(e));
+                Logical::Apply { op, inputs: inputs.into_iter().map(|i| self.plan(i)).collect() }
             }
-            Logical::Project { items, input } => Logical::Project {
-                items: items
-                    .into_iter()
-                    .map(|it| ProjItem { expr: self.expr(&it.expr), alias: it.alias })
-                    .collect(),
-                input: Box::new(self.plan(*input)),
-            },
             Logical::Sort { keys, input } => {
                 Logical::Sort { keys, input: Box::new(self.plan(*input)) }
             }
-            Logical::Join { eq, left, right } => Logical::Join {
-                eq,
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-            },
-            Logical::TJoin { eq, left, right } => Logical::TJoin {
-                eq,
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-            },
-            Logical::Product { left, right } => Logical::Product {
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-            },
-            Logical::TAggr { group_by, aggs, input } => {
-                Logical::TAggr { group_by, aggs, input: Box::new(self.plan(*input)) }
-            }
-            Logical::DupElim { input } => Logical::DupElim { input: Box::new(self.plan(*input)) },
-            Logical::Coalesce { input } => Logical::Coalesce { input: Box::new(self.plan(*input)) },
-            Logical::Diff { left, right } => Logical::Diff {
-                left: Box::new(self.plan(*left)),
-                right: Box::new(self.plan(*right)),
-            },
             Logical::TransferM { input } => {
                 Logical::TransferM { input: Box::new(self.plan(*input)) }
             }
@@ -932,7 +894,7 @@ impl Sweep<'_> {
 // Plan passes.
 // ---------------------------------------------------------------------------
 
-fn apply_pass(pass: PlanPass, node: &Logical, src: &dyn SchemaSource) -> Option<Logical> {
+fn apply_pass(pass: PlanPass, node: &Logical, src: Tables<'_>) -> Option<Logical> {
     match pass {
         PlanPass::ProductToJoin => pass_product_to_join(node, src),
         PlanPass::MergeSelects => pass_merge_selects(node),
@@ -940,20 +902,25 @@ fn apply_pass(pass: PlanPass, node: &Logical, src: &dyn SchemaSource) -> Option<
     }
 }
 
+/// `node` as an operator over exactly `N` inputs.
+fn applied<const N: usize>(node: &Logical) -> Option<(&TOp, &[Logical; N])> {
+    match node {
+        Logical::Apply { op, inputs } => Some((op, inputs.as_slice().try_into().ok()?)),
+        _ => None,
+    }
+}
+
 /// `σ_{q ∧ p}` keeps exactly the rows where both `q` and `p` are TRUE
 /// (Kleene AND), i.e. the rows `σ_p(σ_q(·))` keeps.
 fn pass_merge_selects(node: &Logical) -> Option<Logical> {
-    let Logical::Select { pred: p, input } = node else { return None };
-    let Logical::Select { pred: q, input: inner } = input.as_ref() else { return None };
-    Some(Logical::Select {
-        pred: Expr::and(q.clone(), p.clone()),
-        input: Box::new(inner.as_ref().clone()),
-    })
+    let (TOp::Select { pred: p }, [input]) = applied(node)? else { return None };
+    let (TOp::Select { pred: q }, [inner]) = applied(input)? else { return None };
+    Some(inner.clone().select(Expr::and(q.clone(), p.clone())))
 }
 
-fn pass_product_to_join(node: &Logical, src: &dyn SchemaSource) -> Option<Logical> {
-    let Logical::Select { pred, input } = node else { return None };
-    let Logical::Product { left, right } = input.as_ref() else { return None };
+fn pass_product_to_join(node: &Logical, src: Tables<'_>) -> Option<Logical> {
+    let (TOp::Select { pred }, [input]) = applied(node)? else { return None };
+    let (TOp::Product, [left, right]) = applied(input)? else { return None };
     let ls = left.output_schema(src).ok()?;
     let rs = right.output_schema(src).ok()?;
     let concat = concat_schemas(&ls, &rs);
@@ -988,11 +955,7 @@ fn pass_product_to_join(node: &Logical, src: &dyn SchemaSource) -> Option<Logica
     if eq.is_empty() {
         return None;
     }
-    let join = Logical::Join {
-        eq,
-        left: Box::new(left.as_ref().clone()),
-        right: Box::new(right.as_ref().clone()),
-    };
+    let join = left.clone().join(right.clone(), eq);
     // Join and Product share the concatenated output schema, so dropping
     // the consumed conjuncts is layout-preserving by construction.
     Some(match Expr::and_all(rest) {
@@ -1008,10 +971,10 @@ fn pass_product_to_join(node: &Logical, src: &dyn SchemaSource) -> Option<Logica
 /// tests — and the intersection endpoints are exactly the
 /// `GREATEST`/`LEAST` items. Bails (no fire) unless the shape matches
 /// completely and the rewritten output schema is byte-identical.
-fn pass_overlap_to_tjoin(node: &Logical, src: &dyn SchemaSource) -> Option<Logical> {
-    let Logical::Project { items, input } = node else { return None };
-    let Logical::Select { pred, input: jin } = input.as_ref() else { return None };
-    let Logical::Join { eq, left, right } = jin.as_ref() else { return None };
+fn pass_overlap_to_tjoin(node: &Logical, src: Tables<'_>) -> Option<Logical> {
+    let (TOp::Project { items }, [input]) = applied(node)? else { return None };
+    let (TOp::Select { pred }, [jin]) = applied(input)? else { return None };
+    let (TOp::Join { eq }, [left, right]) = applied(jin)? else { return None };
     if eq.is_empty() {
         return None;
     }
@@ -1138,56 +1101,33 @@ fn pass_overlap_to_tjoin(node: &Logical, src: &dyn SchemaSource) -> Option<Logic
         rest_mapped.push(remap(c)?);
     }
 
-    let tjoin = Logical::TJoin {
-        eq: eq.clone(),
-        left: Box::new(left.as_ref().clone()),
-        right: Box::new(right.as_ref().clone()),
-    };
+    let tjoin = left.clone().tjoin(right.clone(), eq.clone());
     let inner = match Expr::and_all(rest_mapped) {
         Some(p) => tjoin.select(p),
         None => tjoin,
     };
-    let new = Logical::Project { items: new_items, input: Box::new(inner) };
+    let new = inner.project(new_items);
     // safety net: the rewrite must preserve the node's output schema
     let before = node.output_schema(src).ok()?;
     let after = new.output_schema(src).ok()?;
     (before == after).then_some(new)
 }
 
-/// Apply `f` to every column name of `e`, in place.
+/// Apply `f` to every column name of `e`, in place; a renamed column
+/// loses the index it was bound to.
 fn rename_cols(e: &mut Expr, f: &mut dyn FnMut(&mut String)) {
-    match e {
-        Expr::Col { name, .. } => f(name),
-        Expr::Lit(_) => {}
-        Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
-            rename_cols(l, f);
-            rename_cols(r, f);
+    e.visit_mut(&mut |n| {
+        if let Expr::Col { name, index } = n {
+            f(name);
+            *index = None;
         }
-        Expr::Not(i) | Expr::IsNull(i, _) => rename_cols(i, f),
-        Expr::Greatest(es) | Expr::Least(es) => {
-            for x in es {
-                rename_cols(x, f);
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_algebra::{Attr, Schema, SortSpec, Type};
-
-    struct Schemas(Vec<(String, Schema)>);
-
-    impl SchemaSource for Schemas {
-        fn table_schema(&self, t: &str) -> tango_algebra::Result<Schema> {
-            self.0
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(t))
-                .map(|(_, s)| s.clone())
-                .ok_or_else(|| tango_algebra::AlgebraError::Schema(format!("no table {t}")))
-        }
-    }
+    use tango_algebra::{Attr, SortSpec, Type};
 
     fn position() -> Schema {
         Schema::with_inferred_period(vec![
@@ -1198,8 +1138,8 @@ mod tests {
         ])
     }
 
-    fn src() -> Schemas {
-        Schemas(vec![("POSITION".into(), position())])
+    fn src() -> impl Fn(&str) -> Option<Schema> {
+        |t| t.eq_ignore_ascii_case("POSITION").then(position)
     }
 
     fn pack(text: &str) -> RulePack {
@@ -1218,13 +1158,15 @@ mod tests {
     #[test]
     fn not_cmp_fires_and_counts() {
         let rw = Rewriter::from_packs(vec![pack(NOT_CMP)]);
-        let plan = Logical::Get { table: "POSITION".into() }.select(Expr::not(Expr::cmp(
+        let plan = Logical::get("POSITION").select(Expr::not(Expr::cmp(
             CmpOp::Gt,
             Expr::col("T1"),
             Expr::lit(10i64),
         )));
         let (out, outcome) = rw.apply(plan, &src());
-        let Logical::Select { pred, .. } = &out else { panic!("expected select") };
+        let Logical::Apply { op: TOp::Select { pred }, .. } = &out else {
+            panic!("expected select")
+        };
         assert!(same_expr(&pred.clone(), &Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(10i64))));
         assert_eq!(outcome.total_fires(), 1);
         assert!(!outcome.budget_hit);
@@ -1235,7 +1177,7 @@ mod tests {
     #[test]
     fn no_match_leaves_plan_unchanged() {
         let rw = Rewriter::from_packs(vec![pack(NOT_CMP)]);
-        let plan = Logical::Get { table: "POSITION".into() }
+        let plan = Logical::get("POSITION")
             .select(Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(10i64)))
             .sort(SortSpec::by(["PosID"]));
         let before = format!("{plan}");
@@ -1259,7 +1201,7 @@ mod tests {
         }"#,
         );
         let rw = Rewriter::from_packs(vec![looping]);
-        let plan = Logical::Get { table: "POSITION".into() }.select(Expr::cmp(
+        let plan = Logical::get("POSITION").select(Expr::cmp(
             CmpOp::Lt,
             Expr::col("T1"),
             Expr::lit(10i64),
@@ -1284,16 +1226,13 @@ mod tests {
         }"#,
         );
         let rw = Rewriter::from_packs(vec![p]);
-        let hit = Logical::Get { table: "POSITION".into() }
-            .select(Expr::eq(Expr::col("T1"), Expr::col("T1")));
+        let hit = Logical::get("POSITION").select(Expr::eq(Expr::col("T1"), Expr::col("T1")));
         let (_, o) = rw.apply(hit, &src());
         assert_eq!(o.total_fires(), 1);
-        let miss = Logical::Get { table: "POSITION".into() }
-            .select(Expr::eq(Expr::col("T1"), Expr::col("T2")));
+        let miss = Logical::get("POSITION").select(Expr::eq(Expr::col("T1"), Expr::col("T2")));
         let (_, o) = rw.apply(miss, &src());
         assert_eq!(o.total_fires(), 0);
-        let lit = Logical::Get { table: "POSITION".into() }
-            .select(Expr::eq(Expr::lit(1i64), Expr::lit(1i64)));
+        let lit = Logical::get("POSITION").select(Expr::eq(Expr::lit(1i64), Expr::lit(1i64)));
         let (_, o) = rw.apply(lit, &src());
         assert_eq!(o.total_fires(), 0, ":col must not match literals");
     }
@@ -1307,9 +1246,9 @@ mod tests {
         }"#,
         );
         let rw = Rewriter::from_packs(vec![p]);
-        let plan = Logical::Product {
-            left: Box::new(Logical::Get { table: "POSITION".into() }),
-            right: Box::new(Logical::Get { table: "POSITION".into() }),
+        let plan = Logical::Apply {
+            op: TOp::Product,
+            inputs: vec![Logical::get("POSITION"), Logical::get("POSITION")],
         }
         .select(Expr::and(
             Expr::eq(Expr::col("PosID"), Expr::col("PosID_2")),
@@ -1323,6 +1262,44 @@ mod tests {
         let rendered = format!("{out}");
         assert!(rendered.contains("JOIN"), "{rendered}");
         assert!(!rendered.contains("PRODUCT"), "{rendered}");
+    }
+
+    /// The fold moves columns to other positions (`EmpID_2` is column 5 of
+    /// the join and column 2 of the temporal join), so an index bound
+    /// against the join must not survive the rename.
+    #[test]
+    fn overlap_to_tjoin_unbinds_the_columns_it_renames() {
+        let rw = Rewriter::load(&["compat".to_string()]).unwrap(); // that one pass
+        let join = Logical::get("POSITION")
+            .join(Logical::get("POSITION"), vec![("PosID".to_string(), "PosID".to_string())]);
+        let concat = join.output_schema(&src()).unwrap();
+        let bound = |e: Expr| e.bound(&concat).unwrap();
+        let lt = |a: &str, b: &str| Expr::cmp(CmpOp::Lt, Expr::col(a), Expr::col(b));
+        let pred = bound(Expr::and(
+            Expr::and(lt("T1", "T2_2"), lt("T1_2", "T2")),
+            Expr::cmp(CmpOp::Gt, Expr::col("EmpID_2"), Expr::lit(5i64)),
+        ));
+        let items = vec![
+            ProjItem::named(bound(Expr::col("PosID_2")), "PosID"),
+            ProjItem::named(bound(Expr::col("EmpID_2")), "Other"),
+            ProjItem::named(bound(Expr::Greatest(vec![Expr::col("T1"), Expr::col("T1_2")])), "T1"),
+            ProjItem::named(bound(Expr::Least(vec![Expr::col("T2"), Expr::col("T2_2")])), "T2"),
+        ];
+        let (out, o) = rw.apply(join.select(pred).project(items), &src());
+        assert_eq!(o.total_fires(), 1);
+        let Some((TOp::Project { items }, [input])) = applied(&out) else { panic!("{out}") };
+        let Some((TOp::Select { pred }, [tjoin])) = applied(input) else { panic!("{out}") };
+        assert!(matches!(applied(tjoin), Some((TOp::TJoin { .. }, [_, _]))), "{out}");
+        let mut cols = 0;
+        for e in items.iter().map(|it| &it.expr).chain([pred]) {
+            e.visit(&mut |n| {
+                if let Expr::Col { index, .. } = n {
+                    cols += 1;
+                    assert_eq!(*index, None, "{n} kept the index it had in the join");
+                }
+            });
+        }
+        assert_eq!(cols, 5);
     }
 
     #[test]

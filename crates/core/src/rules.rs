@@ -26,9 +26,8 @@
 //!   implementation is cost-symmetric anyway.
 
 use crate::opt::{OptOptions, TangoSem};
-use crate::phys::TOp;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{CmpOp, Expr, ProjItem, Schema};
+use tango_algebra::{CmpOp, Expr, ProjItem, Schema, TOp};
 use volcano::{ExprId, Memo, NewExpr, Rule, RuleKind};
 
 /// Build the active rule set.

@@ -515,10 +515,7 @@ impl Tango {
     pub fn apply_rewrites(&mut self, logical: Logical) -> Result<(Logical, RewriteOutcome)> {
         let conn = self.conn.clone();
         match self.rewriter()? {
-            Some(rw) => {
-                let src = move |t: &str| -> Option<Schema> { conn.table_schema(t) };
-                Ok(rw.apply(logical, &tsql::SrcFn(&src)))
-            }
+            Some(rw) => Ok(rw.apply(logical, &|t: &str| conn.table_schema(t))),
             None => Ok((logical, RewriteOutcome::default())),
         }
     }

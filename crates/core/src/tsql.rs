@@ -18,7 +18,7 @@
 
 use crate::error::{Result, TangoError};
 use std::collections::HashMap;
-use tango_algebra::{AggSpec, Expr, Logical, ProjItem, Schema, SortKey, SortSpec};
+use tango_algebra::{AggSpec, Expr, Logical, ProjItem, Schema, SortKey, SortSpec, TOp};
 use tango_minidb::ast::{FromItem, SelectItem, SelectStmt, Stmt};
 
 /// Parse a temporal-SQL statement into the initial logical plan
@@ -107,7 +107,7 @@ fn block_to_logical(
             }
             FromItem::Subquery { query, alias } => {
                 let plan = block_to_logical(query, table_schema)?;
-                let schema = plan.output_schema(&SrcFn(table_schema))?;
+                let schema = plan.output_schema(table_schema)?;
                 items.push(Item { binding: alias.clone(), schema, plan });
             }
         }
@@ -183,7 +183,6 @@ fn block_to_logical(
     }
 
     // ---- fold joins, maintaining the (item, attr) -> output-name map --
-    let src = SrcFn(table_schema);
     let mut name_map: HashMap<(usize, String), String> = HashMap::new();
     for a in items[0].schema.attrs() {
         name_map.insert((0, a.name.to_uppercase()), a.name.clone());
@@ -218,11 +217,11 @@ fn block_to_logical(
             }
             plan = plan.tjoin(right_plan, eq.clone());
         } else if eq.is_empty() {
-            plan = Logical::Product { left: Box::new(plan), right: Box::new(right_plan) };
+            plan = Logical::Apply { op: TOp::Product, inputs: vec![plan, right_plan] };
         } else {
             plan = plan.join(right_plan, eq.clone());
         }
-        let new_schema = plan.output_schema(&src)?;
+        let new_schema = plan.output_schema(table_schema)?;
         // rebuild the name map against the new schema
         let mut new_map: HashMap<(usize, String), String> = HashMap::new();
         if stmt.validtime {
@@ -337,7 +336,7 @@ fn block_to_logical(
             }
         }
         plan = plan.taggr(group_by, aggs);
-        cur_schema = plan.output_schema(&src)?;
+        cur_schema = plan.output_schema(table_schema)?;
     }
 
     // ---- projection -----------------------------------------------------
@@ -411,18 +410,18 @@ fn block_to_logical(
         });
     if !identity {
         plan = plan.project(proj);
-        cur_schema = plan.output_schema(&src)?;
+        cur_schema = plan.output_schema(table_schema)?;
     }
 
     // ---- DISTINCT / COALESCE ---------------------------------------------
     if stmt.distinct {
-        plan = Logical::DupElim { input: Box::new(plan) };
+        plan = Logical::Apply { op: TOp::DupElim, inputs: vec![plan] };
     }
     if stmt.coalesce {
         if !cur_schema.is_temporal() {
             return Err(TangoError::Parse("VALIDTIME COALESCE requires a temporal result".into()));
         }
-        plan = Logical::Coalesce { input: Box::new(plan) };
+        plan = Logical::Apply { op: TOp::Coalesce, inputs: vec![plan] };
     }
 
     // ---- ORDER BY --------------------------------------------------------
@@ -445,32 +444,16 @@ fn block_to_logical(
     Ok(plan)
 }
 
-/// Rewrite every column reference via `f`.
+/// Rewrite every column reference via `f` (its first error wins); a
+/// renamed column loses the index it was bound to.
 fn rewrite_cols(e: &mut Expr, f: &dyn Fn(&str) -> Result<String>) -> Result<()> {
-    match e {
-        Expr::Col { name, index } => {
-            *name = f(name)?;
-            *index = None;
-            Ok(())
+    let mut result = Ok(());
+    e.visit_mut(&mut |n| {
+        if let (Expr::Col { name, index }, true) = (n, result.is_ok()) {
+            result = f(name).map(|renamed| (*name, *index) = (renamed, None));
         }
-        Expr::Lit(_) => Ok(()),
-        Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
-            rewrite_cols(l, f)?;
-            rewrite_cols(r, f)
-        }
-        Expr::Not(x) | Expr::IsNull(x, _) => rewrite_cols(x, f),
-        Expr::Greatest(es) | Expr::Least(es) => es.iter_mut().try_for_each(|x| rewrite_cols(x, f)),
-    }
-}
-
-/// Adapter: `Fn(&str) -> Option<Schema>` as a [`tango_algebra::SchemaSource`].
-pub struct SrcFn<'a>(pub &'a dyn Fn(&str) -> Option<Schema>);
-
-impl tango_algebra::SchemaSource for SrcFn<'_> {
-    fn table_schema(&self, name: &str) -> tango_algebra::Result<Schema> {
-        (self.0)(name)
-            .ok_or_else(|| tango_algebra::AlgebraError::Schema(format!("unknown table {name}")))
-    }
+    });
+    result
 }
 
 #[cfg(test)]
@@ -525,7 +508,7 @@ mod tests {
         // the single-table temporal restriction was pushed to input A
         assert!(s.contains("SELECT [(T1 < DATE '1990-01-01')]"), "{s}");
         // output carries the intersected period
-        let schema = plan.output_schema(&SrcFn(&schemas)).unwrap();
+        let schema = plan.output_schema(&schemas).unwrap();
         assert!(schema.is_temporal());
         assert!(schema.has("EmpID") || schema.has("EmpID_2"));
     }
@@ -561,7 +544,7 @@ mod tests {
         let s = plan.to_string();
         assert!(s.contains("JOIN"), "{s}");
         assert!(!s.contains("TJOIN"), "{s}");
-        let schema = plan.output_schema(&SrcFn(&schemas)).unwrap();
+        let schema = plan.output_schema(&schemas).unwrap();
         assert_eq!(schema.names().collect::<Vec<_>>(), vec!["PosID", "EmpName", "Address"]);
     }
 

@@ -6,49 +6,35 @@
 //! formulas), and per-attribute statistics propagated where meaningful.
 
 use crate::stats::{AttrStats, RelationStats};
-use crate::std_sel::select_cardinality_with;
-use tango_algebra::{AggFunc, Expr, Logical, Schema};
+use crate::std_sel::select_cardinality;
+use tango_algebra::{AggFunc, Expr, Schema, TOp};
 
 /// Derive the statistics of `op`'s output.
 ///
 /// `input_stats`/`input_schemas` are the operator's children in order;
 /// `out_schema` is the operator's output schema (from
-/// [`Logical::output_schema`]). `Get` is not derivable here — base
-/// statistics come from the DBMS catalog via the Statistics Collector.
-pub fn derive_stats(
-    op: &Logical,
-    input_stats: &[&RelationStats],
-    input_schemas: &[&Schema],
-    out_schema: &Schema,
-) -> RelationStats {
-    derive_stats_with(op, input_stats, input_schemas, out_schema, false)
-}
-
-/// [`derive_stats`] with an explicit estimation mode.
-///
+/// [`TOp::output_schema`]). A `Get` gets a placeholder — base statistics
+/// come from the DBMS catalog via the Statistics Collector.
 /// `naive_overlaps` disables the joint `Overlaps`-pattern estimator in
-/// selections (see [`crate::std_sel::select_cardinality_with`]) so the
-/// Section 3.3 misestimate can be reproduced deliberately.
-pub fn derive_stats_with(
-    op: &Logical,
+/// selections (see [`select_cardinality`]) so the Section 3.3 misestimate
+/// can be reproduced deliberately.
+pub fn derive_stats(
+    op: &TOp,
     input_stats: &[&RelationStats],
     input_schemas: &[&Schema],
     out_schema: &Schema,
     naive_overlaps: bool,
 ) -> RelationStats {
     match op {
-        Logical::Get { .. } => RelationStats {
+        TOp::Get { .. } => RelationStats {
             rows: 1000.0,
             avg_tuple_bytes: out_schema.est_tuple_bytes() as f64,
             ..Default::default()
         },
-        Logical::Select { pred, .. } => {
-            derive_select_with(pred, input_stats[0], input_schemas[0], naive_overlaps)
+        TOp::Select { pred } => {
+            derive_select(pred, input_stats[0], input_schemas[0], naive_overlaps)
         }
-        Logical::Sort { .. } | Logical::TransferM { .. } | Logical::TransferD { .. } => {
-            input_stats[0].clone()
-        }
-        Logical::Project { items, .. } => {
+        TOp::Project { items } => {
             let input = input_stats[0];
             let mut out = RelationStats { rows: input.rows, ..Default::default() };
             for it in items {
@@ -59,12 +45,12 @@ pub fn derive_stats_with(
             out.blocks = blocks_of(&out);
             out
         }
-        Logical::Join { eq, .. } => derive_join(eq, input_stats, out_schema, 1.0),
-        Logical::TJoin { eq, .. } => {
+        TOp::Join { eq } => derive_join(eq, input_stats, out_schema, 1.0),
+        TOp::TJoin { eq } => {
             let overlap = overlap_factor(input_stats, input_schemas);
             derive_join(eq, input_stats, out_schema, overlap)
         }
-        Logical::Product { .. } => {
+        TOp::Product => {
             let rows = input_stats[0].rows * input_stats[1].rows;
             let mut out = merge_attrs(input_stats, rows);
             out.rows = rows;
@@ -72,10 +58,10 @@ pub fn derive_stats_with(
             out.blocks = blocks_of(&out);
             out
         }
-        Logical::TAggr { group_by, aggs, .. } => {
+        TOp::TAggr { group_by, aggs } => {
             derive_taggr(group_by, aggs, input_stats[0], input_schemas[0], out_schema)
         }
-        Logical::DupElim { .. } => {
+        TOp::DupElim => {
             let input = input_stats[0];
             // Cardinality bounded by the product of per-attribute distinct
             // counts, saturating at the input cardinality.
@@ -88,7 +74,7 @@ pub fn derive_stats_with(
             cap_distincts(&mut out);
             out
         }
-        Logical::Coalesce { .. } => {
+        TOp::Coalesce => {
             // Coalescing merges value-equivalent adjacent periods; the
             // reduction depends on the data. Without further information we
             // assume a modest reduction (none is also possible).
@@ -97,7 +83,7 @@ pub fn derive_stats_with(
             cap_distincts(&mut out);
             out
         }
-        Logical::Diff { .. } => {
+        TOp::Diff => {
             let mut out = input_stats[0].clone();
             // Classic textbook guess: half the left input survives.
             out.rows = (out.rows * 0.5).max(0.0);
@@ -108,14 +94,9 @@ pub fn derive_stats_with(
 }
 
 /// Derive statistics for a selection, applying the temporal analyzer when
-/// the input schema is temporal.
-pub fn derive_select(pred: &Expr, input: &RelationStats, schema: &Schema) -> RelationStats {
-    derive_select_with(pred, input, schema, false)
-}
-
-/// [`derive_select`] with an explicit estimation mode (see
-/// [`derive_stats_with`]).
-pub fn derive_select_with(
+/// the input schema is temporal (and `naive_overlaps` is off, see
+/// [`derive_stats`]).
+pub fn derive_select(
     pred: &Expr,
     input: &RelationStats,
     schema: &Schema,
@@ -123,7 +104,7 @@ pub fn derive_select_with(
 ) -> RelationStats {
     let period =
         schema.period().map(|(i, j)| (schema.attr(i).name.as_str(), schema.attr(j).name.as_str()));
-    let rows = select_cardinality_with(pred, input, period, naive_overlaps);
+    let rows = select_cardinality(pred, input, period, naive_overlaps);
     let mut out = input.clone();
     out.rows = rows;
     cap_distincts(&mut out);
@@ -470,10 +451,9 @@ mod tests {
     #[test]
     fn join_cardinality_uses_max_distinct() {
         let (s, schema) = position_stats(10_000.0);
-        let op = Logical::get("A")
-            .join(Logical::get("B"), vec![("PosID".to_string(), "PosID".to_string())]);
+        let op = TOp::Join { eq: vec![("PosID".to_string(), "PosID".to_string())] };
         let out_schema = tango_algebra::logical::concat_schemas(&schema, &schema);
-        let d = derive_stats(&op, &[&s, &s], &[&schema, &schema], &out_schema);
+        let d = derive_stats(&op, &[&s, &s], &[&schema, &schema], &out_schema, false);
         // |L|*|R| / max(d, d) = 1e8 / 2000 = 50_000
         assert!((d.rows - 50_000.0).abs() < 1.0, "got {}", d.rows);
         assert!(d.avg_tuple_bytes > s.avg_tuple_bytes);
@@ -539,10 +519,8 @@ mod tests {
     #[test]
     fn tjoin_smaller_than_join() {
         let (s, schema) = position_stats(10_000.0);
-        let j = Logical::get("A")
-            .join(Logical::get("B"), vec![("PosID".to_string(), "PosID".to_string())]);
-        let tj = Logical::get("A")
-            .tjoin(Logical::get("B"), vec![("PosID".to_string(), "PosID".to_string())]);
+        let j = TOp::Join { eq: vec![("PosID".to_string(), "PosID".to_string())] };
+        let tj = TOp::TJoin { eq: vec![("PosID".to_string(), "PosID".to_string())] };
         let out_j = tango_algebra::logical::concat_schemas(&schema, &schema);
         let out_tj = tango_algebra::logical::tjoin_schema(
             &[("PosID".to_string(), "PosID".to_string())],
@@ -550,8 +528,8 @@ mod tests {
             &schema,
         )
         .unwrap();
-        let dj = derive_stats(&j, &[&s, &s], &[&schema, &schema], &out_j);
-        let dtj = derive_stats(&tj, &[&s, &s], &[&schema, &schema], &out_tj);
+        let dj = derive_stats(&j, &[&s, &s], &[&schema, &schema], &out_j, false);
+        let dtj = derive_stats(&tj, &[&s, &s], &[&schema, &schema], &out_tj, false);
         assert!(dtj.rows < dj.rows, "temporal join must be rarer: {} vs {}", dtj.rows, dj.rows);
         assert!(dtj.rows > 0.0);
     }
@@ -560,7 +538,7 @@ mod tests {
     fn select_derivation_is_temporal_aware() {
         let (s, schema) = position_stats(10_000.0);
         let pred = Expr::overlaps("T1", "T2", Expr::lit(500), Expr::lit(510));
-        let d = derive_select(&pred, &s, &schema);
+        let d = derive_select(&pred, &s, &schema, false);
         assert!(d.rows < 0.1 * s.rows, "temporal estimate should be selective: {}", d.rows);
         for a in d.attrs.values() {
             assert!(a.distinct <= d.rows.max(1.0) as u64);
@@ -573,10 +551,54 @@ mod tests {
         let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "C")];
         let out_schema =
             tango_algebra::logical::taggr_schema(&["PosID".to_string()], &aggs, &schema).unwrap();
-        let op = Logical::get("A").taggr(vec!["PosID".into()], aggs);
-        let d = derive_stats(&op, &[&s], &[&schema], &out_schema);
+        let op = TOp::TAggr { group_by: vec!["PosID".into()], aggs };
+        let d = derive_stats(&op, &[&s], &[&schema], &out_schema, false);
         assert!(d.rows > 0.0);
         assert!(d.attr("T1").unwrap().distinct >= 900);
         assert!(d.avg_tuple_bytes > 0.0);
+    }
+
+    /// Every operator over fixed input statistics: the rows and bytes per
+    /// tuple the derivation produced when it still dispatched on a
+    /// `Logical` tree.
+    #[test]
+    fn every_operator_derives_the_pinned_rows_and_bytes() {
+        let (s, schema) = position_stats(10_000.0);
+        let (small, _) = position_stats(100.0);
+        let eq = || vec![("PosID".to_string(), "PosID".to_string())];
+        let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "C")];
+        let overlap = Expr::overlaps("T1", "T2", Expr::lit(500), Expr::lit(510));
+        let items = vec![
+            tango_algebra::ProjItem::col("PosID"),
+            tango_algebra::ProjItem::named(
+                Expr::Greatest(vec![Expr::col("T1"), Expr::col("T2")]),
+                "G",
+            ),
+        ];
+        let table: [(TOp, &[&RelationStats], bool, f64, f64); 11] = [
+            (TOp::Get { table: "A".into() }, &[], false, 1000.0, 42.0),
+            (TOp::Select { pred: overlap.clone() }, &[&s], false, 595.4128440366976, 40.0),
+            (TOp::Select { pred: overlap }, &[&s], true, 2806.8294495412847, 40.0),
+            (TOp::Project { items }, &[&s], false, 10_000.0, 16.0),
+            (TOp::Join { eq: eq() }, &[&s, &small], false, 500.0, 84.0),
+            (TOp::TJoin { eq: eq() }, &[&s, &small], false, 50.0, 60.0),
+            (TOp::Product, &[&s, &small], false, 1_000_000.0, 80.0),
+            (TOp::TAggr { group_by: vec!["PosID".into()], aggs }, &[&s], false, 10_800.0, 32.0),
+            (TOp::DupElim, &[&small], false, 100.0, 40.0),
+            (TOp::Coalesce, &[&s], false, 7000.0, 40.0),
+            (TOp::Diff, &[&s, &small], false, 5000.0, 40.0),
+        ];
+        for (op, inputs, naive, rows, bytes) in table {
+            let schemas = vec![&schema; inputs.len()];
+            let out_schema = op.output_schema(&schemas, &|_| Some(schema.clone())).unwrap();
+            let d = derive_stats(&op, inputs, &schemas, &out_schema, naive);
+            let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want;
+            assert!(
+                close(d.rows, rows) && close(d.avg_tuple_bytes, bytes),
+                "{op} (naive {naive}): {} rows x {} bytes",
+                d.rows,
+                d.avg_tuple_bytes
+            );
+        }
     }
 }

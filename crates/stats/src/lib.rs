@@ -24,7 +24,7 @@ pub mod stats;
 pub mod std_sel;
 pub mod temporal_sel;
 
-pub use cardinality::{derive_stats, derive_stats_with};
+pub use cardinality::derive_stats;
 pub use histogram::Histogram;
 pub use stats::{AttrStats, RelationStats};
 pub use temporal_sel::{end_before, overlaps_cardinality, start_before, timeslice_cardinality};

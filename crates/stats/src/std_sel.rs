@@ -116,18 +116,13 @@ pub fn selectivity(pred: &Expr, stats: &RelationStats) -> f64 {
 /// conjunct pair `T1 < B` (or `<=`) and `T2 > A` (or `>=`) — and
 /// estimates it *jointly* with [`temporal_sel::overlaps_cardinality`];
 /// remaining conjuncts are estimated conventionally and multiplied in.
-pub fn select_cardinality(pred: &Expr, stats: &RelationStats, period: Option<(&str, &str)>) -> f64 {
-    select_cardinality_with(pred, stats, period, false)
-}
-
-/// [`select_cardinality`] with an explicit estimation mode.
 ///
-/// With `naive_overlaps` set, the joint `Overlaps`-pattern analyzer is
-/// bypassed and every temporal conjunct is estimated independently — the
-/// naive approach Section 3.3 shows to be ~40× wrong. This mode exists to
-/// seed misestimates on purpose (adaptivity tests and benchmarks); normal
+/// With `naive_overlaps` set, the joint analyzer is bypassed and every
+/// temporal conjunct is estimated independently — the naive approach
+/// Section 3.3 shows to be ~40× wrong. This mode exists to seed
+/// misestimates on purpose (adaptivity tests and benchmarks); normal
 /// optimization always uses the joint estimator.
-pub fn select_cardinality_with(
+pub fn select_cardinality(
     pred: &Expr,
     stats: &RelationStats,
     period: Option<(&str, &str)>,
@@ -235,8 +230,8 @@ mod tests {
         let a = day(1997, 2, 1);
         let b = day(1997, 2, 8);
         let pred = Expr::overlaps("T1", "T2", Expr::lit(Value::Date(a)), Expr::lit(Value::Date(b)));
-        let joint = select_cardinality(&pred, &s, Some(("T1", "T2")));
-        let naive = select_cardinality(&pred, &s, None);
+        let joint = select_cardinality(&pred, &s, Some(("T1", "T2")), false);
+        let naive = select_cardinality(&pred, &s, None, false);
         assert!(joint < naive / 10.0, "joint={joint} naive={naive}");
         // joint should be ~0.7% of rows
         assert!((joint / s.rows) < 0.02);
@@ -276,7 +271,7 @@ mod tests {
             Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(Value::Date(a))),
             Expr::cmp(CmpOp::Gt, Expr::col("T2"), Expr::lit(Value::Date(a))),
         );
-        let card = select_cardinality(&pred, &s, Some(("T1", "T2")));
+        let card = select_cardinality(&pred, &s, Some(("T1", "T2")), false);
         // ~7-day periods: a timeslice catches a thin sliver of 1000 rows
         assert!(card < 0.05 * s.rows, "got {card}");
         assert!(card > 0.0);
@@ -294,7 +289,7 @@ mod tests {
             ),
             Expr::cmp(CmpOp::Gt, Expr::col("PayRate"), Expr::lit(Value::Double(10.0))),
         );
-        let card = select_cardinality(&pred, &s, Some(("T1", "T2")));
+        let card = select_cardinality(&pred, &s, Some(("T1", "T2")), false);
         let temporal_only = select_cardinality(
             &Expr::overlaps(
                 "T1",
@@ -304,6 +299,7 @@ mod tests {
             ),
             &s,
             Some(("T1", "T2")),
+            false,
         );
         assert!((card / temporal_only - 0.9).abs() < 0.02);
     }

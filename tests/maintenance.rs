@@ -179,6 +179,31 @@ fn chain_refresh_survives_writes_byte_identically() {
     assert!(warm.list_eq(&expect));
 }
 
+/// The cache consult — here a delta round trip and a merge — runs inside
+/// the `TRANSFER^M` span, so the steps account for every microsecond of
+/// wire time the run was charged.
+#[test]
+fn refresh_time_is_charged_to_the_transfer_step() {
+    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let mut tango = Tango::connect(db.clone());
+    let plan = chain_plan(tango.conn());
+    tango.execute_physical(&plan).unwrap();
+    tango.execute_physical(&plan).unwrap(); // hit: the entry earns its keep
+
+    db.insert_rows("POSITION", vec![tup![999, 9, Value::Double(3.5), 0, 40]]).unwrap();
+    tango.options_mut().feedback = true;
+    let p_tm = tango.factors().p_tm;
+    let (_, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("refresh")]);
+    let wire_us = exec.wire.as_secs_f64() * 1e6;
+    assert!(wire_us > 0.0, "the delta fetch crosses the wire");
+    let stepped_us: f64 = exec.steps.iter().map(|st| st.exclusive_us).sum();
+    assert!(stepped_us >= wire_us, "steps sum to {stepped_us} µs of {wire_us} µs on the wire");
+    // a delta fetch timed against the whole fragment's bytes is no
+    // observation of the transfer factor
+    assert_eq!(tango.factors().p_tm, p_tm);
+}
+
 /// The maintenance decision is priced, not hard-coded: the *same* stale
 /// entry is refreshed under the default factors but refetched when
 /// `p_delta` makes replay merging prohibitive — flipped by cost alone.
@@ -336,6 +361,53 @@ fn faulted_refresh_never_corrupts_or_populates() {
     let (warm, _) = tango.execute_physical(&plan).unwrap();
     assert_eq!(db.link().roundtrips(), rt2, "the repopulated entry must serve hits");
     assert!(warm.list_eq(&expect));
+}
+
+/// Bails are counted by reason: a fragment whose delivered order has ties
+/// (`serve-churn`'s `PROJ[PosID,T1,T2](SEL[PosID < k](…))` shape) cannot
+/// be merged order-determined, a faulted delta fetch never gets that far,
+/// and the report splits [`CacheStats::refresh_bails`] between the two.
+///
+/// [`CacheStats::refresh_bails`]: tango::core::cache::CacheStats::refresh_bails
+#[test]
+fn refresh_bails_are_reported_by_reason() {
+    let rows: Vec<_> =
+        (0..150).map(|i| (i % 10, 1 + i % 20, 1.0, i as i32, 200 + i as i32)).collect();
+    let db = make_db(LinkProfile::default(), &rows);
+    let mut tango = Tango::connect(db.clone());
+    let items = ["PosID", "T1", "T2"].iter().map(|c| ProjItem::col(*c)).collect();
+    let pred = Expr::cmp(CmpOp::Lt, Expr::col("PosID"), Expr::lit(5));
+    let filter = PhysNode::over(Algo::FilterD(pred), vec![scan(tango.conn(), "POSITION")]);
+    let project = PhysNode::over(Algo::ProjectD(items), vec![filter.unwrap()]).unwrap();
+    let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![project]).unwrap();
+    let tied = PhysNode::over(Algo::TransferM, vec![sorted]).unwrap();
+    let keyed = chain_plan(tango.conn());
+    for plan in [&tied, &keyed] {
+        tango.execute_physical(plan).unwrap();
+        tango.execute_physical(plan).unwrap(); // hit: worth refreshing
+    }
+
+    db.insert_rows("POSITION", vec![tup![3, 9, Value::Double(3.5), 0, 40]]).unwrap();
+    let (got, exec) = tango.execute_physical(&tied).unwrap();
+    assert!(got.list_eq(&control_run(&db, &tied)));
+    let events: Vec<&str> =
+        exec.steps.iter().flat_map(|st| &st.events).map(|e| e.detail.as_str()).collect();
+    assert_eq!(events, ["refresh bailed: merge is not order-determined"]);
+
+    let rt = db.link().roundtrips();
+    let fault = Fault::Fatal("ORA-03113: end-of-file on delta channel".into());
+    db.link().set_injector(Arc::new(FaultPlan::scripted([(rt + 1, fault)])));
+    tango.execute_physical(&keyed).unwrap();
+    db.link().clear_injector();
+
+    assert_eq!(tango.cache().stats().refresh_bails, 2);
+    let report = tango.cache().render_report();
+    assert!(report.contains("2 bails)\n  bailed 1: delta fetch failed\n"), "{report}");
+    assert!(report.ends_with("  bailed 1: merge is not order-determined\n"), "{report}");
+    let json = tango.cache().stats_json();
+    let reasons =
+        r#""refresh_bail_reasons":{"delta fetch failed":1,"merge is not order-determined":1}"#;
+    assert!(json.contains(reasons), "{json}");
 }
 
 /// Write-heavy racing: concurrent writers against warm refresher
