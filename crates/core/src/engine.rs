@@ -26,7 +26,7 @@ use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
     drain_batches, drain_of, fill_batch, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor,
-    DupElim, ExecOpts, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
+    DeltaApply, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
     TemporalAggregate, TemporalDiff, TemporalMergeJoin,
 };
 
@@ -462,10 +462,10 @@ enum CacheDecision {
     /// Resident and fresh: serve this relation, issue no SQL.
     Hit(cache::CachedRelation),
     /// Resident but stale, and refresh-by-delta succeeded at plan-build
-    /// time: serve the merged fragment — the batch the cache committed —
+    /// time: serve the spliced fragment — the batch the cache committed —
     /// and issue no fragment SQL (the delta fetch was the only wire
     /// traffic).
-    Refresh { batch: Batch, delta_bytes: u64 },
+    Refresh { spliced: DeltaApply, delta_bytes: u64 },
     /// Resident but stale, and the maintenance decision says the entry
     /// does not earn its keep: it was dropped, and the query streams
     /// normally *without* re-populating.
@@ -719,12 +719,18 @@ impl<'a> Ctx<'a> {
                 let scan = Box::new(CachedScan::new(rel.batch.with_schema(schema)));
                 return Ok((self.instrument(scan, slot), idx));
             }
-            CacheDecision::Refresh { batch, delta_bytes } => {
-                // serve the delta-merged copy: no fragment SQL
+            CacheDecision::Refresh { spliced, delta_bytes } => {
+                // serve the spliced copy: no fragment SQL
+                let DeltaApply { batch, delta_rows, runs } = spliced;
                 slot.add_annotation("cache", "refresh");
-                slot.add_event("refresh", format!("merged {delta_bytes} delta bytes in place"));
+                let what = match runs {
+                    0 => "no change".to_string(),
+                    _ => format!("spliced {delta_rows} delta rows into {runs} runs"),
+                };
+                slot.add_event("refresh", format!("{what} ({delta_bytes} delta bytes)"));
                 let scan = Box::new(CachedScan::new(batch.with_schema(schema)));
-                return Ok((self.instrument(scan, slot), idx));
+                let did = vec![("delta_rows", delta_rows), ("refresh_runs", runs)];
+                return Ok((self.instrument_with(scan, slot, did), idx));
             }
             CacheDecision::Off => {}
             CacheDecision::Bypass => slot.add_annotation("cache", "bypass"),
@@ -781,7 +787,18 @@ impl<'a> Ctx<'a> {
     }
 
     fn instrument(&self, inner: BoxCursor, slot: Arc<SpanSlot>) -> BoxCursor {
-        Box::new(Instrumented { inner, slot, conn: self.conn.clone(), batches: 0 })
+        self.instrument_with(inner, slot, Vec::new())
+    }
+
+    /// [`Ctx::instrument`] a cursor whose step also reports `driver`
+    /// counters — what the engine did on its behalf before it opened.
+    fn instrument_with(
+        &self,
+        inner: BoxCursor,
+        slot: Arc<SpanSlot>,
+        driver: Vec<(&'static str, u64)>,
+    ) -> BoxCursor {
+        Box::new(Instrumented { inner, slot, conn: self.conn.clone(), batches: 0, driver })
     }
 
     /// Decide hit/refresh/refetch/drop/miss/bypass for one `TRANSFER^M`
@@ -851,13 +868,13 @@ impl<'a> Ctx<'a> {
                 match choice {
                     cache::Maintenance::Refresh => {
                         match refresh::try_refresh(self.conn, cache, clean, &entry) {
-                            Ok(refresh::Refreshed { batch, new_deps, delta_bytes }) => {
+                            Ok(refresh::Refreshed { spliced, new_deps, delta_bytes }) => {
                                 // a losing race (entry evicted or already
                                 // refreshed by a peer) only means our batch
                                 // doesn't enter the cache; it is still
                                 // the correct current result to serve
-                                cache.refresh(&addr, batch.clone(), new_deps, delta_bytes);
-                                CacheDecision::Refresh { batch, delta_bytes }
+                                cache.refresh(&addr, spliced.batch.clone(), new_deps, delta_bytes);
+                                CacheDecision::Refresh { spliced, delta_bytes }
                             }
                             Err(reason) => {
                                 cache.note_refresh_bail(&reason);
@@ -941,6 +958,9 @@ struct Instrumented {
     /// Batches this operator produced (reported as a `batches` counter
     /// at close unless it produced none, like a `TRANSFER^D` loader).
     batches: u64,
+    /// Counters of the engine's own work for this step (a refresh's
+    /// `delta_rows` / `refresh_runs`), reported after the cursor's.
+    driver: Vec<(&'static str, u64)>,
 }
 
 impl Instrumented {
@@ -976,6 +996,7 @@ impl Cursor for Instrumented {
     fn close(&mut self) -> tango_xxl::Result<()> {
         // sample the operator's counters before it releases its state
         let mut counters = self.inner.counters();
+        counters.extend(self.driver.iter().copied());
         if self.batches > 0 {
             counters.push(("batches", self.batches));
         }

@@ -30,10 +30,14 @@ pub fn apply_feedback(factors: &mut CostFactors, report: &ExecReport, alpha: f64
         if step.exclusive_us < 50.0 {
             continue;
         }
-        // a cache hit never touched the wire and a refresh shipped only a
-        // delta, so their timing says nothing about the transfer factor
-        // they would otherwise update
-        if matches!(step.annotation("cache"), Some("hit" | "refresh")) {
+        // a cache hit never touched the wire, and a step with a `refresh`
+        // event holds a delta round trip and a splice — it was served by
+        // the refresh, or is the miss the attempt bailed to — so their
+        // timing says nothing about the transfer factor they would
+        // otherwise update
+        if step.annotation("cache") == Some("hit")
+            || step.events.iter().any(|e| e.kind == "refresh")
+        {
             continue;
         }
         // steps downstream of a mid-query re-plan splice ran over a

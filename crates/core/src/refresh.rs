@@ -6,17 +6,23 @@
 //!
 //! * a **linear chain** (`SEL` / `PROJ` over one base `GET`) replays the
 //!   table's tombstones through the same filter/project cursors;
-//! * an **equi or temporal merge join** of two such chains, when exactly
-//!   one side's table moved and the *other side's* subfragment is
-//!   resident fresh in the cache, delta-joins the changed side's replay
-//!   against the resident copy (`Δ(A ⋈ B) = ΔA ⋈ B`);
+//! * an **equi or temporal merge join** of two such chains, possibly
+//!   below further linear steps: a side has changed iff a record of the
+//!   window survives its chain. No survivor on either side leaves the
+//!   fragment unchanged (a self-join included); one changed side of two
+//!   different tables, with the *other side's* subfragment resident fresh
+//!   in the cache, delta-joins the survivors against the resident copy
+//!   (`Δ(A ⋈ B) = ΔA ⋈ B`) and replays the steps above the join;
 //! * a **temporal aggregate** over a chain re-fetches only the *touched
 //!   groups* (the group keys appearing in the input delta) with a
 //!   generated `WHERE` clause, and splices them over the cached base.
 //!
-//! Every path ends in [`DeltaApply`], which re-establishes the delivered
-//! sort order and verifies the merge is order-determined — the refreshed
-//! fragment is byte-identical to a cold refetch or the attempt bails.
+//! Every path ends in [`DeltaApply::splice`], which rebuilds only the
+//! equal-sort-key runs the delta touches and verifies each of them is
+//! order-determined — the refreshed fragment is byte-identical to a cold
+//! refetch or the attempt bails. The records are replayed **un-netted**:
+//! a row deleted and re-inserted moved to the end of its table, so its
+//! run counts as touched although the multiset did not change.
 //! Bails are cheap and safe: the engine falls back to the ordinary
 //! streamed transfer (with populate), and a faulted refresh never
 //! commits anything to the cache.
@@ -27,18 +33,18 @@ use crate::to_sql;
 use std::collections::HashSet;
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
-use tango_algebra::{Batch, CmpOp, Expr, Relation, Schema, SortSpec, Tuple, Value};
-use tango_minidb::{Connection, DeltaOp, DeltaRecord};
+use tango_algebra::{Batch, CmpOp, Expr, Schema, SortSpec, Tuple, Value};
+use tango_minidb::{Connection, DeltaOp, DeltaRecord, DeltaSnapshot};
 use tango_xxl::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 
 /// Touched-group refetch gives up past this many distinct group keys —
 /// the generated `OR` chain would rival a full refetch.
 const MAX_TOUCHED_GROUPS: usize = 64;
 
-/// A merged fragment, proven byte-identical to a cold refetch.
+/// A spliced fragment, proven byte-identical to a cold refetch.
 pub(crate) struct Refreshed {
-    /// The refreshed fragment, columnar, in the delivered order.
-    pub(crate) batch: Batch,
+    /// The refreshed fragment and what the splice did to produce it.
+    pub(crate) spliced: DeltaApply,
     /// Post-replay `(table, version)` dependency snapshot.
     pub(crate) new_deps: Vec<(String, u64)>,
     /// Replay traffic: tombstone wire bytes plus any touched-group
@@ -58,7 +64,6 @@ pub(crate) enum RefreshBail {
     TableVanished,
     Replay(String),
     BothSidesChanged,
-    NoDependencyMoved,
     OtherSideUncacheable,
     OtherSideNotResident,
     OtherSideStale,
@@ -85,7 +90,6 @@ impl RefreshBail {
             RefreshBail::TableVanished => "dependency table vanished",
             RefreshBail::Replay(_) => "delta replay failed",
             RefreshBail::BothSidesChanged => "both join sides changed",
-            RefreshBail::NoDependencyMoved => "no dependency moved",
             RefreshBail::OtherSideUncacheable => "unchanged join side is uncacheable",
             RefreshBail::OtherSideNotResident => "unchanged join side not resident",
             RefreshBail::OtherSideStale => "resident join side is itself stale",
@@ -149,6 +153,8 @@ enum Shape<'a> {
         right: Chain<'a>,
         /// The join children, for resident-other-side signature lookups.
         children: &'a [PhysNode],
+        /// Linear steps above the join, applied to the joined delta.
+        above: Vec<Step>,
     },
     Aggr {
         input: Chain<'a>,
@@ -166,51 +172,49 @@ fn strip_sorts(mut node: &PhysNode) -> &PhysNode {
     node
 }
 
+/// Peel the linear `SEL`/`PROJ` steps off `node`: the steps in bottom-up
+/// order, and the node below them.
+fn peel(mut node: &PhysNode) -> (Vec<Step>, &PhysNode) {
+    let mut steps = Vec::new();
+    loop {
+        steps.push(match &node.algo {
+            Algo::FilterD(p) => Step::Filter(p.clone()),
+            Algo::ProjectD(items) => Step::Project(items.clone()),
+            _ => break,
+        });
+        node = &node.children[0];
+    }
+    steps.reverse();
+    (steps, node)
+}
+
 fn linear_chain(node: &PhysNode) -> Option<Chain<'_>> {
-    match &node.algo {
-        Algo::ScanD(t) => Some(Chain { steps: Vec::new(), table: t.to_uppercase(), scan: node }),
-        Algo::FilterD(p) => {
-            let mut c = linear_chain(&node.children[0])?;
-            c.steps.push(Step::Filter(p.clone()));
-            Some(c)
-        }
-        Algo::ProjectD(items) => {
-            let mut c = linear_chain(&node.children[0])?;
-            c.steps.push(Step::Project(items.clone()));
-            Some(c)
-        }
+    let (steps, scan) = peel(node);
+    match &scan.algo {
+        Algo::ScanD(t) => Some(Chain { steps, table: t.to_uppercase(), scan }),
         _ => None,
     }
 }
 
 fn shape(inner: &PhysNode) -> Option<Shape<'_>> {
-    if let Some(c) = linear_chain(inner) {
-        return Some(Shape::Chain(c));
-    }
-    match &inner.algo {
-        Algo::JoinD(eq) | Algo::TJoinD(eq) => {
-            let left = linear_chain(&inner.children[0])?;
-            let right = linear_chain(&inner.children[1])?;
-            // a self-join's delta is quadratic in the change — out of scope
-            if left.table == right.table {
-                return None;
-            }
-            Some(Shape::Join {
-                temporal: matches!(inner.algo, Algo::TJoinD(_)),
-                eq,
-                left,
-                right,
-                children: &inner.children,
-            })
+    let (above, core) = peel(inner);
+    match &core.algo {
+        Algo::ScanD(t) => {
+            Some(Shape::Chain(Chain { steps: above, table: t.to_uppercase(), scan: core }))
         }
-        Algo::TAggrD { group_by, .. } => {
-            if group_by.is_empty() {
-                // no group key: any write touches "the" group — that is
-                // a full refetch by definition
-                return None;
-            }
-            let input = linear_chain(&inner.children[0])?;
-            Some(Shape::Aggr { input, group_by, node: inner })
+        Algo::JoinD(eq) | Algo::TJoinD(eq) => Some(Shape::Join {
+            temporal: matches!(core.algo, Algo::TJoinD(_)),
+            eq,
+            left: linear_chain(&core.children[0])?,
+            right: linear_chain(&core.children[1])?,
+            children: &core.children,
+            above,
+        }),
+        // no group key: any write touches "the" group — that is a full
+        // refetch by definition
+        Algo::TAggrD { group_by, .. } if above.is_empty() && !group_by.is_empty() => {
+            let input = linear_chain(&core.children[0])?;
+            Some(Shape::Aggr { input, group_by, node: core })
         }
         _ => None,
     }
@@ -248,8 +252,12 @@ fn apply_chain(mut z: ZSet, steps: &[Step]) -> tango_xxl::Result<ZSet> {
     Ok(z)
 }
 
-fn records_of<'a>(snap: &'a tango_minidb::DeltaSnapshot, table: &str) -> &'a [DeltaRecord] {
-    snap.tables.iter().find(|(t, _)| t == table).map(|(_, r)| r.as_slice()).unwrap_or(&[])
+/// The window's records of `chain`'s table replayed through its steps,
+/// un-netted: empty iff no written row survives the chain.
+fn replay(snap: &DeltaSnapshot, chain: &Chain<'_>) -> Result<ZSet, RefreshBail> {
+    let recs = snap.tables.iter().find(|(t, _)| *t == chain.table).map(|(_, r)| r.as_slice());
+    let z = zset_of_records(chain.scan.schema.clone(), recs.unwrap_or(&[]));
+    apply_chain(z, &chain.steps).map_err(detail(RefreshBail::Replay))
 }
 
 /// Attempt to refresh one stale cached fragment in place. `fragment` is
@@ -277,82 +285,75 @@ pub(crate) fn try_refresh(
         stale.deps.iter().map(|(t, _)| snap.version_of(t).map(|v| (t.clone(), v))).collect();
     let new_deps = new_deps.ok_or(RefreshBail::TableVanished)?;
 
-    // the stale base as rows, read once per attempt: every consumer walks
-    // and hashes each base tuple
-    let base = Relation::new(schema.clone(), stale.batch.clone().into_rows());
     let delta = match &shape {
-        Shape::Chain(chain) => {
-            let z = zset_of_records(chain.scan.schema.clone(), records_of(&snap, &chain.table));
-            apply_chain(z, &chain.steps).map_err(detail(RefreshBail::Replay))?
-        }
-        Shape::Join { temporal, eq, left, right, children } => {
-            let moved = |c: &Chain| {
-                stale.deps.iter().any(|(t, v)| *t == c.table && snap.version_of(t) != Some(*v))
-            };
-            let (changed, other_node, changed_left) = match (moved(left), moved(right)) {
-                (true, false) => (left, &children[1], true),
-                (false, true) => (right, &children[0], false),
-                (true, true) => return Err(RefreshBail::BothSidesChanged),
-                (false, false) => return Err(RefreshBail::NoDependencyMoved),
-            };
-            // the unchanged side must be resident as its own fresh
-            // fragment — that is what the delta joins against
-            let is_temp = |t: &str| t.to_uppercase().starts_with("TANGO_TMP_");
-            let other_key = cache::fragment_key(other_node, "", &is_temp)
-                .ok_or(RefreshBail::OtherSideUncacheable)?;
-            let (resident, odeps) = cache
-                .peek_by_signature(&other_key.signature)
-                .ok_or(RefreshBail::OtherSideNotResident)?;
-            if odeps.iter().any(|(t, v)| snap.version_of(t) != Some(*v)) {
-                return Err(RefreshBail::OtherSideStale);
-            }
-            if resident.schema() != &other_node.schema {
-                return Err(RefreshBail::OtherSideSchema);
-            }
-            let z = zset_of_records(changed.scan.schema.clone(), records_of(&snap, &changed.table));
-            let dz = apply_chain(z, &changed.steps).map_err(detail(RefreshBail::Replay))?;
-            let full = ZSet::from_rows(resident.schema().clone(), resident.into_rows());
-            let joined = if changed_left {
-                delta_join(*temporal, &dz, &full, eq)
+        Shape::Chain(chain) => replay(&snap, chain)?,
+        Shape::Join { temporal, eq, left, right, children, above } => {
+            let (dl, dr) = (replay(&snap, left)?, replay(&snap, right)?);
+            if dl.is_empty() && dr.is_empty() {
+                // no written row reaches the join: the fragment stands
+                ZSet::new(schema.clone())
+            } else if left.table == right.table || !(dl.is_empty() || dr.is_empty()) {
+                // survivors on both sides make the delta quadratic in the
+                // change; in a self-join one is enough — the write moved
+                // the other side's table too, so no resident copy of that
+                // side is fresh to join against
+                return Err(RefreshBail::BothSidesChanged);
             } else {
-                delta_join(*temporal, &full, &dz, eq)
-            };
-            joined.map_err(detail(RefreshBail::DeltaJoin))?
+                let changed_left = dr.is_empty();
+                let (dz, other_node) =
+                    if changed_left { (dl, &children[1]) } else { (dr, &children[0]) };
+                // the unchanged side must be resident as its own fresh
+                // fragment — that is what the delta joins against
+                let is_temp = |t: &str| t.to_uppercase().starts_with("TANGO_TMP_");
+                let other_key = cache::fragment_key(other_node, "", &is_temp)
+                    .ok_or(RefreshBail::OtherSideUncacheable)?;
+                let (resident, odeps) = cache
+                    .peek_by_signature(&other_key.signature)
+                    .ok_or(RefreshBail::OtherSideNotResident)?;
+                if odeps.iter().any(|(t, v)| snap.version_of(t) != Some(*v)) {
+                    return Err(RefreshBail::OtherSideStale);
+                }
+                if resident.schema() != &other_node.schema {
+                    return Err(RefreshBail::OtherSideSchema);
+                }
+                let full = ZSet::from_rows(resident.schema().clone(), resident.into_rows());
+                let joined = if changed_left {
+                    delta_join(*temporal, &dz, &full, eq)
+                } else {
+                    delta_join(*temporal, &full, &dz, eq)
+                };
+                let joined = joined.map_err(detail(RefreshBail::DeltaJoin))?;
+                apply_chain(joined, above).map_err(detail(RefreshBail::Replay))?
+            }
         }
         Shape::Aggr { input, group_by, node } => {
-            let (z, refetched) = aggr_delta(conn, &snap, &base, input, group_by, node, &new_deps)?;
+            let din = replay(&snap, input)?;
+            let (z, refetched) = aggr_delta(conn, &stale.batch, &din, group_by, node, &new_deps)?;
             delta_bytes += refetched;
             z
         }
     };
 
-    let merged = DeltaApply::try_new(schema.clone(), base.tuples(), &delta, &stale.order)
+    let spliced = DeltaApply::splice(&stale.batch, &delta, &stale.order)
         .map_err(detail(RefreshBail::Merge))?
         .ok_or(RefreshBail::NotOrderDetermined)?;
-    let batch = Batch::new(schema.clone(), merged.into_rows()).columnarize();
-    Ok(Refreshed { batch, new_deps, delta_bytes })
+    Ok(Refreshed { spliced, new_deps, delta_bytes })
 }
 
-/// Touched-group re-aggregation: refetch only the groups whose input
-/// changed, and splice them over the cached base (removed groups simply
-/// yield no refetched rows). Returns the output-schema delta plus the
-/// refetch wire bytes.
+/// Touched-group re-aggregation: refetch only the groups the input delta
+/// `din` names, and splice them over the cached `base` (removed groups
+/// simply yield no refetched rows). Returns the output-schema delta plus
+/// the refetch wire bytes.
 fn aggr_delta(
     conn: &Connection,
-    snap: &tango_minidb::DeltaSnapshot,
-    base: &Relation,
-    input: &Chain<'_>,
+    base: &Batch,
+    din: &ZSet,
     group_by: &[String],
     node: &PhysNode,
     new_deps: &[(String, u64)],
 ) -> Result<(ZSet, u64), RefreshBail> {
-    let z = zset_of_records(input.scan.schema.clone(), records_of(snap, &input.table));
-    let din = apply_chain(z, &input.steps).map_err(detail(RefreshBail::Replay))?;
     let schema = base.schema();
     let mut delta = ZSet::new(schema.clone());
-    if din.is_empty() {
-        return Ok((delta, 0));
-    }
     // group keys touched by the input delta, read off the aggregate's
     // input schema (the chain's output)
     let in_schema = &node.children[0].schema;
@@ -372,7 +373,7 @@ fn aggr_delta(
         }
     }
     // refetch exactly those groups: WHERE (k = v AND ...) OR ...
-    let pred = touched
+    let groups: Vec<Expr> = touched
         .iter()
         .map(|key| {
             group_by
@@ -380,10 +381,12 @@ fn aggr_delta(
                 .zip(key)
                 .map(|(c, v)| Expr::cmp(CmpOp::Eq, Expr::col(c.clone()), Expr::Lit(v.clone())))
                 .reduce(Expr::and)
-                .expect("group_by is non-empty")
+                .ok_or(RefreshBail::NoDeltaRule) // an aggregate without a group key
         })
-        .reduce(Expr::or)
-        .expect("touched is non-empty");
+        .collect::<Result<_, _>>()?;
+    let Some(pred) = groups.into_iter().reduce(Expr::or) else {
+        return Ok((delta, 0)); // no written row reaches the aggregate
+    };
     let refetch = PhysNode {
         algo: Algo::FilterD(pred),
         schema: node.schema.clone(),
@@ -412,10 +415,10 @@ fn aggr_delta(
         .iter()
         .map(|c| schema.index_of(c).map_err(|_| RefreshBail::GroupColumnMissing(c.clone())))
         .collect::<Result<_, _>>()?;
-    for row in base.tuples() {
-        let key: Vec<Value> = out_idx.iter().map(|i| row.values()[*i].clone()).collect();
+    for r in 0..base.len() {
+        let key: Vec<Value> = out_idx.iter().map(|i| base.value_at(r, *i)).collect();
         if touched.contains(&key) {
-            delta.add(row.clone(), -1);
+            delta.add(base.tuple_at(r), -1);
         }
     }
     for row in fetched {

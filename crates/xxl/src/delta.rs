@@ -1,9 +1,9 @@
-//! Delta rules and the [`DeltaApply`] merge — incremental maintenance of
+//! Delta rules and the [`DeltaApply`] splice — incremental maintenance of
 //! cached fragment results.
 //!
 //! A fragment delta is a **signed multiset** ([`ZSet`]): each tuple
-//! carries a net weight (insertions minus deletions). The cacheable
-//! operator shapes propagate deltas with the classic rules:
+//! carries how often the window inserted and how often it deleted it.
+//! The cacheable operator shapes propagate deltas with the classic rules:
 //!
 //! * `FILTER` / `PROJECT` are *linear*: `ΔF(R) = F(ΔR)` — run the
 //!   existing cursor over the delta's positive and negative parts
@@ -13,33 +13,40 @@
 //!   resident other side with the ordinary (temporal) merge-join cursor
 //!   ([`delta_join`]).
 //!
-//! [`DeltaApply`] then merges a cached base at version `v` with the net
-//! delta for `(v, v']`, re-establishes the fragment's delivered sort
-//! order, and — crucially — verifies the result is **order-determined**:
-//! every run of tuples equal under the sort keys must be fully
-//! identical, so the merged sequence is the *only* sequence a cold
-//! refetch could deliver. Ambiguity (or a negative net count, which a
-//! correct log can never produce) makes the merge bail, and the caller
-//! falls back to a refetch — incremental maintenance is an optimization
-//! that must be byte-identical or absent.
+//! [`DeltaApply`] then splices the delta for `(v, v']` into a cached base
+//! at version `v`, which is already in the fragment's delivered sort
+//! order: it rebuilds only the equal-sort-key **runs** the delta touches
+//! and — crucially — verifies each of them is **order-determined**: a
+//! touched run must end up fully identical, so the spliced sequence is
+//! the *only* sequence a cold refetch could deliver. Ambiguity (or a
+//! deletion the run does not hold, which a correct log can never
+//! produce) makes the splice bail, and the caller falls back to a
+//! refetch — incremental maintenance is an optimization that must be
+//! byte-identical or absent.
 
-use crate::cursor::{collect, BoxCursor, Cursor, Result};
+use crate::cursor::{collect, BoxCursor, Cursor, ExecError, Result};
 use crate::filter::Filter;
 use crate::merge_join::MergeJoin;
 use crate::project::Project;
 use crate::scan::VecScan;
 use crate::sort::Sort;
 use crate::temporal_join::TemporalMergeJoin;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
-use tango_algebra::{Expr, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, Expr, Relation, Schema, SortSpec, Tuple};
 
-/// A signed multiset of tuples: net insert (+) / delete (−) weights.
+/// A signed multiset of tuples, **un-netted**: per tuple, how many
+/// copies the window inserted (+) and how many it deleted (−). A tuple
+/// deleted and re-inserted stays in the set with net weight zero — the
+/// write moved it to the end of its table, so the rows it ties with are
+/// *touched* even though the multiset is not (see [`DeltaApply`]).
 #[derive(Debug, Clone)]
 pub struct ZSet {
     schema: Arc<Schema>,
-    weights: HashMap<Tuple, i64>,
+    /// `(insertions, deletions)` per carried tuple.
+    weights: HashMap<Tuple, (u64, u64)>,
 }
 
 impl ZSet {
@@ -53,33 +60,25 @@ impl ZSet {
         &self.schema
     }
 
-    /// Add `weight` copies of `row` (negative = deletions); zero-net
-    /// rows are dropped eagerly.
+    /// Add `weight` copies of `row` (negative = deletions).
     pub fn add(&mut self, row: Tuple, weight: i64) {
         if weight == 0 {
             return;
         }
-        match self.weights.entry(row) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                *e.get_mut() += weight;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(weight);
-            }
-        }
+        let (ins, del) = self.weights.entry(row).or_default();
+        *(if weight > 0 { ins } else { del }) += weight.unsigned_abs();
     }
 
     /// Fold another delta (same schema) into this one.
     pub fn merge(&mut self, other: ZSet) {
-        for (t, w) in other.weights {
-            self.add(t, w);
+        for (t, (i, d)) in other.weights {
+            let (ins, del) = self.weights.entry(t).or_default();
+            *ins += i;
+            *del += d;
         }
     }
 
-    /// No net effect?
+    /// No tuple touched at all?
     pub fn is_empty(&self) -> bool {
         self.weights.is_empty()
     }
@@ -89,20 +88,19 @@ impl ZSet {
         self.weights.len()
     }
 
-    /// Iterate `(row, net weight)` pairs (arbitrary order).
+    /// Iterate `(row, net weight)` pairs (arbitrary order); the net weight
+    /// of a deleted-and-re-inserted row is zero.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
-        self.weights.iter().map(|(t, w)| (t, *w))
+        self.weights.iter().map(|(t, (i, d))| (t, *i as i64 - *d as i64))
     }
 
     /// Expand into (insertions, deletions), each row repeated by its
-    /// weight's magnitude.
+    /// count on that side.
     pub fn parts(&self) -> (Vec<Tuple>, Vec<Tuple>) {
         let (mut pos, mut neg) = (Vec::new(), Vec::new());
-        for (t, w) in &self.weights {
-            let (dst, n) = if *w > 0 { (&mut pos, *w) } else { (&mut neg, -*w) };
-            for _ in 0..n {
-                dst.push(t.clone());
-            }
+        for (t, (i, d)) in &self.weights {
+            pos.extend(std::iter::repeat_n(t, *i as usize).cloned());
+            neg.extend(std::iter::repeat_n(t, *d as usize).cloned());
         }
         (pos, neg)
     }
@@ -178,107 +176,149 @@ pub fn delta_join(
     right: &ZSet,
     eq: &[(String, String)],
 ) -> Result<ZSet> {
-    let lcols: Vec<&str> = eq.iter().map(|(l, _)| l.as_str()).collect();
-    let rcols: Vec<&str> = eq.iter().map(|(_, r)| r.as_str()).collect();
-    let sorted = |schema: &Arc<Schema>, rows: Vec<Tuple>, cols: &[&str]| -> BoxCursor {
-        Box::new(Sort::new(scan_of(schema, rows), SortSpec::by(cols.iter().copied())))
+    let sorted = |schema: &Arc<Schema>, rows: Vec<Tuple>, cols: Vec<&str>| -> BoxCursor {
+        Box::new(Sort::new(scan_of(schema, rows), SortSpec::by(cols)))
     };
+    let join = |lrows: Vec<Tuple>, rrows: Vec<Tuple>| -> Result<BoxCursor> {
+        let l = sorted(&left.schema, lrows, eq.iter().map(|(l, _)| l.as_str()).collect());
+        let r = sorted(&right.schema, rrows, eq.iter().map(|(_, r)| r.as_str()).collect());
+        Ok(if temporal {
+            Box::new(TemporalMergeJoin::new(l, r, eq)?)
+        } else {
+            Box::new(MergeJoin::new(l, r, eq)?)
+        })
+    };
+    // the join of nothing names the output schema
+    let mut out = ZSet::new(join(Vec::new(), Vec::new())?.schema().clone());
     let (lpos, lneg) = left.parts();
     let (rpos, rneg) = right.parts();
-    let mut out: Option<ZSet> = None;
-    for (lrows, lsign) in [(lpos, 1i64), (lneg, -1i64)] {
-        if lrows.is_empty() {
-            continue;
-        }
-        for (rrows, rsign) in [(&rpos, 1i64), (&rneg, -1i64)] {
-            if rrows.is_empty() {
-                continue;
+    for (lrows, lsign) in [(lpos, 1), (lneg, -1)] {
+        for (rrows, rsign) in [(&rpos, 1), (&rneg, -1)] {
+            if !lrows.is_empty() && !rrows.is_empty() {
+                run_part(join(lrows.clone(), rrows.clone())?, lsign * rsign, &mut out)?;
             }
-            let l = sorted(&left.schema, lrows.clone(), &lcols);
-            let r = sorted(&right.schema, rrows.clone(), &rcols);
-            let join: BoxCursor = if temporal {
-                Box::new(TemporalMergeJoin::new(l, r, eq)?)
-            } else {
-                Box::new(MergeJoin::new(l, r, eq)?)
-            };
-            let target = out.get_or_insert_with(|| ZSet::new(join.schema().clone()));
-            run_part(join, lsign * rsign, target)?;
         }
     }
-    match out {
-        Some(z) => Ok(z),
-        None => {
-            // both parts empty on one side: probe for the output schema
-            let l = sorted(&left.schema, Vec::new(), &lcols);
-            let r = sorted(&right.schema, Vec::new(), &rcols);
-            let join: BoxCursor = if temporal {
-                Box::new(TemporalMergeJoin::new(l, r, eq)?)
-            } else {
-                Box::new(MergeJoin::new(l, r, eq)?)
-            };
-            Ok(ZSet::new(join.schema().clone()))
-        }
-    }
+    Ok(out)
 }
 
-/// Merges a cached fragment snapshot with a net delta into the refreshed
-/// rows — the execution side of refresh-by-delta.
+/// First index in `[lo, hi)` at which the monotone `pred` turns false.
+fn partition(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// A cached fragment brought forward by a delta — the execution side of
+/// refresh-by-delta.
 ///
-/// Construction performs the whole merge eagerly (`try_new`); it yields
-/// `None` when the merged multiset cannot be proven byte-identical to a
-/// cold refetch: a tuple's net count went negative (log/base mismatch)
-/// or the delivered order leaves equal-key runs with non-identical
-/// tuples (order-ambiguous). Callers treat `None` as "bail to refetch".
+/// Construction performs the whole splice eagerly; it yields `None` when
+/// the result cannot be proven byte-identical to a cold refetch: a run
+/// lacks a tuple the delta deletes (log/base mismatch), or a run the
+/// delta touches is left with non-identical tuples (order-ambiguous).
+/// Callers treat `None` as "bail to refetch".
+///
+/// Runs the delta does not touch are handed on in the order the base
+/// holds them. That is the order a cold refetch delivers because the DBMS
+/// moves no surviving row past another: minidb's `DELETE` is a `retain`,
+/// its `INSERT` appends, and `Relation::sort_by` is stable — so rows that
+/// tie under the sort keys keep their relative table order, and only a
+/// run that gained, lost or re-appended a row can change.
 pub struct DeltaApply {
-    rows: Vec<Tuple>,
+    /// The refreshed fragment, columnar, in the delivered order. An empty
+    /// delta hands back the base's own columns.
+    pub batch: Batch,
+    /// Delta rows the splice carried (insertions plus deletions).
+    pub delta_rows: u64,
+    /// Equal-sort-key runs it rebuilt.
+    pub runs: u64,
 }
 
 impl DeltaApply {
-    /// Merge `base + delta`, sort by `order`, and verify the result is
-    /// order-determined. `order` must be the fragment's delivered sort
-    /// order and non-trivial — an unordered fragment can never be proven
-    /// byte-identical, so it is rejected outright.
+    /// Splice `delta` into `base`, which must be sorted by `order` — the
+    /// fragment's delivered sort order, non-trivial: an unordered
+    /// fragment can never be proven byte-identical, so it is rejected
+    /// outright. Each delta row's run is located by binary search and
+    /// only those runs are rebuilt (base run − deletions + insertions);
+    /// the result is the untouched stretches of `base`, as zero-copy
+    /// slices, concatenated with the rebuilt runs.
+    pub fn splice(base: &Batch, delta: &ZSet, order: &SortSpec) -> Result<Option<DeltaApply>> {
+        if order.is_none() {
+            return Ok(None);
+        }
+        let schema = base.schema();
+        if delta.schema.len() != schema.len() {
+            return Err(ExecError::State("delta and fragment differ in width".into()));
+        }
+        if delta.is_empty() {
+            return Ok(Some(DeltaApply { batch: base.clone(), delta_rows: 0, runs: 0 }));
+        }
+        let keys = order.resolve(schema);
+        if keys.len() != order.keys().len() {
+            return Ok(None); // sorted on a column the fragment does not deliver
+        }
+        let cmp = order.comparator(schema);
+        // base row `r` against a delta row, on the sort keys
+        let cmp_base = |r: usize, t: &Tuple| {
+            keys.iter().fold(Ordering::Equal, |acc, &(i, desc)| {
+                let o = base.value_at(r, i).total_cmp(&t[i]);
+                acc.then(if desc { o.reverse() } else { o })
+            })
+        };
+        let mut rows: Vec<(&Tuple, &(u64, u64))> = delta.weights.iter().collect();
+        rows.sort_by(|a, b| cmp(a.0, b.0));
+        let mut pieces = Vec::new();
+        let (mut done, mut runs) = (0, 0);
+        for group in rows.chunk_by(|a, b| cmp(a.0, b.0).is_eq()) {
+            let probe = group[0].0;
+            let lo = partition(done, base.len(), |r| cmp_base(r, probe).is_lt());
+            let hi = partition(lo, base.len(), |r| cmp_base(r, probe).is_le());
+            #[cfg(test)]
+            tests::BASE_ROWS_PULLED.with(|n| n.set(n.get() + hi - lo));
+            let mut run: Vec<Tuple> = (lo..hi).map(|r| base.tuple_at(r)).collect();
+            for &(t, &(ins, del)) in group {
+                run.extend(std::iter::repeat_n(t, ins as usize).cloned());
+                for _ in 0..del {
+                    match run.iter().position(|held| held == t) {
+                        Some(at) => run.remove(at),
+                        None => return Ok(None), // deleting a row the run never had
+                    };
+                }
+            }
+            // order-determined check: a cold refetch may deliver the
+            // run's tuples in another interleaving unless all are identical
+            if run.windows(2).any(|w| w[0] != w[1]) {
+                return Ok(None);
+            }
+            pieces.push(base.slice(done, lo - done));
+            pieces.push(Batch::new(schema.clone(), run));
+            (done, runs) = (hi, runs + 1);
+        }
+        pieces.push(base.slice(done, base.len() - done));
+        pieces.retain(|p| !p.is_empty());
+        let delta_rows = delta.weights.values().map(|(i, d)| i + d).sum();
+        Ok(Some(DeltaApply { batch: Batch::concat(schema.clone(), pieces), delta_rows, runs }))
+    }
+
+    /// [`DeltaApply::splice`] over a base held as rows.
     pub fn try_new(
         schema: Arc<Schema>,
         base: &[Tuple],
         delta: &ZSet,
         order: &SortSpec,
     ) -> Result<Option<DeltaApply>> {
-        if order.is_none() {
-            return Ok(None);
-        }
-        let mut counts: HashMap<&Tuple, i64> = HashMap::with_capacity(base.len());
-        for t in base {
-            *counts.entry(t).or_insert(0) += 1;
-        }
-        for (t, w) in delta.iter() {
-            *counts.entry(t).or_insert(0) += w;
-        }
-        let mut rows = Vec::with_capacity(base.len());
-        for (t, n) in counts {
-            if n < 0 {
-                return Ok(None); // deleting rows the base never had
-            }
-            for _ in 0..n {
-                rows.push(t.clone());
-            }
-        }
-        let cmp = order.comparator(&schema);
-        rows.sort_by(&cmp);
-        // order-determined check: within every equal-sort-key run, all
-        // tuples must be fully identical, otherwise a cold refetch could
-        // legally deliver a different interleaving
-        for w in rows.windows(2) {
-            if cmp(&w[0], &w[1]) == std::cmp::Ordering::Equal && w[0] != w[1] {
-                return Ok(None);
-            }
-        }
-        Ok(Some(DeltaApply { rows }))
+        Self::splice(&Batch::new(schema, base.to_vec()), delta, order)
     }
 
     /// The refreshed fragment rows, in the delivered order.
     pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
+        self.batch.into_rows()
     }
 }
 
@@ -286,6 +326,13 @@ impl DeltaApply {
 mod tests {
     use super::*;
     use tango_algebra::{tup, Attr, CmpOp, Type};
+
+    thread_local! {
+        /// Base rows the splices of this thread pulled out of their
+        /// columns (the touched runs).
+        pub(super) static BASE_ROWS_PULLED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn schema() -> Arc<Schema> {
         Arc::new(Schema::with_inferred_period(vec![
@@ -354,5 +401,94 @@ mod tests {
         assert!(DeltaApply::try_new(s.clone(), &base, &d2, &order2).unwrap().is_none());
         // and an unordered fragment is rejected outright
         assert!(DeltaApply::try_new(s, &base, &d, &SortSpec::none()).unwrap().is_none());
+    }
+
+    /// Three runs under `(PosID, T1)`: a tie of different `T2`s, a pair of
+    /// identical rows, a single row.
+    fn runs_base() -> Batch {
+        let rows = vec![
+            tup![1, "A", 5, 10],
+            tup![1, "B", 5, 20],
+            tup![2, "C", 5, 10],
+            tup![2, "C", 5, 10],
+            tup![3, "D", 7, 9],
+        ];
+        Batch::new(schema(), rows).columnarize()
+    }
+
+    fn spliced(base: &Batch, writes: &[(Tuple, i64)]) -> Option<DeltaApply> {
+        let mut d = ZSet::new(schema());
+        writes.iter().for_each(|(t, w)| d.add(t.clone(), *w));
+        DeltaApply::splice(base, &d, &SortSpec::by(["PosID", "T1"])).unwrap()
+    }
+
+    #[test]
+    fn splice_rebuilds_only_the_touched_runs() {
+        let base = runs_base();
+        let rows = base.clone().into_rows();
+        // before the first run, between runs, after the last run
+        for (new, at) in [(tup![0, "N", 1, 2], 0), (tup![2, "N", 6, 8], 4), (tup![9, "N", 1, 2], 5)]
+        {
+            let a = spliced(&base, &[(new.clone(), 1)]).expect("a fresh key is its own run");
+            assert_eq!((a.delta_rows, a.runs), (1, 1));
+            assert!(a.batch.is_columnar());
+            let mut expect = rows.clone();
+            expect.insert(at, new);
+            assert_eq!(a.into_rows(), expect);
+        }
+        // the first, last and only run: one more copy of an identical row,
+        // and a deletion that empties the run
+        let grown = spliced(&base, &[(tup![2, "C", 5, 10], 1)]).expect("stays identical");
+        assert_eq!(grown.batch.len(), 6);
+        let emptied = spliced(&base, &[(tup![3, "D", 7, 9], -1)]).expect("nothing left to order");
+        assert_eq!(emptied.into_rows()[..], rows[..4]);
+        let only = Batch::new(schema(), vec![tup![3, "D", 7, 9]]).columnarize();
+        assert!(spliced(&only, &[(tup![3, "D", 7, 9], -1)]).unwrap().batch.is_empty());
+        assert_eq!(spliced(&only, &[(tup![3, "D", 7, 9], 1)]).unwrap().batch.len(), 2);
+        // a write into the tied run is ambiguous, whichever way it goes;
+        // a deletion that leaves the run identical is not
+        assert!(spliced(&base, &[(tup![1, "Z", 5, 30], 1)]).is_none());
+        let a = spliced(&base, &[(tup![1, "B", 5, 20], -1)]).expect("one row left");
+        assert_eq!(a.into_rows()[0], tup![1, "A", 5, 10]);
+        assert!(spliced(&base, &[(tup![1, "Z", 5, 30], -1)]).is_none(), "not in the run");
+        // a descending key is searched in its own direction
+        let falling = Batch::new(schema(), vec![tup![3, "D", 7, 9], tup![1, "A", 5, 10]]);
+        let mut d = ZSet::new(schema());
+        d.add(tup![2, "N", 1, 2], 1);
+        let order = SortSpec(vec![tango_algebra::SortKey::desc("PosID")]);
+        let a = DeltaApply::splice(&falling, &d, &order).unwrap().expect("a fresh key");
+        assert_eq!(a.into_rows()[1], tup![2, "N", 1, 2]);
+    }
+
+    #[test]
+    fn a_reinserted_row_touches_its_run() {
+        let base = runs_base();
+        // delete + re-insert nets to zero but moves the row behind the
+        // rows it ties with: only an all-identical run is still determined
+        let moved = |t: Tuple| spliced(&base, &[(t.clone(), -1), (t, 1)]);
+        assert!(moved(tup![1, "A", 5, 10]).is_none());
+        let a = moved(tup![2, "C", 5, 10]).expect("identical rows have one order");
+        assert_eq!((a.delta_rows, a.runs), (2, 1));
+        assert_eq!(a.into_rows(), base.clone().into_rows());
+    }
+
+    #[test]
+    fn splice_cost_follows_the_delta() {
+        let rows: Vec<Tuple> = (0..10_000).map(|i| tup![i / 4, "E", i % 4, 99]).collect();
+        let base = Batch::new(schema(), rows).columnarize();
+        let shared = |b: &Batch| b.columns().unwrap().0.as_ptr();
+        // an empty delta hands back the base's own columns
+        let same = spliced(&base, &[]).expect("nothing to order");
+        assert_eq!((same.delta_rows, same.runs), (0, 0));
+        assert_eq!(shared(&same.batch), shared(&base));
+        // a row with a fresh key is placed without reading a base tuple
+        BASE_ROWS_PULLED.with(|n| n.set(0));
+        let a = spliced(&base, &[(tup![1234, "E", 7, 99], 1)]).expect("a fresh key");
+        assert_eq!(BASE_ROWS_PULLED.with(|n| n.get()), 0);
+        assert_eq!(a.batch.len(), 10_001);
+        assert_eq!(a.batch.tuple_at(4 * 1234 + 4), tup![1234, "E", 7, 99]);
+        // and a row joining a run reads that run only
+        spliced(&base, &[(tup![1234, "E", 2, 99], 1)]).expect("identical to the row it joins");
+        assert_eq!(BASE_ROWS_PULLED.with(|n| n.get()), 1);
     }
 }

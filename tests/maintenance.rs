@@ -8,15 +8,20 @@
 //! refresh never corrupts or populates the cache.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Barrier};
 use std::thread;
+use tango::algebra::date::{day, format_date};
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, CmpOp, Expr, ProjItem, Schema, SortSpec, Type, Value,
 };
+use tango::core::cache::fragment_key;
 use tango::core::cost::CostFactors;
 use tango::core::phys::{Algo, PhysNode};
 use tango::minidb::{Connection, Database, Fault, FaultPlan, Link, LinkProfile};
-use tango::Tango;
+use tango::uis::{generate_employee, generate_position, UisConfig};
+use tango::{Tango, TangoOptions};
 
 const QUERY1: &str = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
                       GROUP BY PosID ORDER BY PosID";
@@ -124,6 +129,35 @@ fn taggr_plan(conn: &Connection) -> PhysNode {
     .unwrap()
 }
 
+/// `serve-churn`'s chain shape: `PROJ[PosID,T1,T2]` over POSITION,
+/// delivered on `(PosID, T1)` — a partial key, so rows may tie with
+/// different `T2`.
+fn tied_chain_plan(conn: &Connection) -> PhysNode {
+    let items = ["PosID", "T1", "T2"].iter().map(|c| ProjItem::col(*c)).collect();
+    let project = PhysNode::over(Algo::ProjectD(items), vec![scan(conn, "POSITION")]).unwrap();
+    let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["PosID", "T1"])), vec![project]);
+    PhysNode::over(Algo::TransferM, vec![sorted.unwrap()]).unwrap()
+}
+
+/// Query 3's shape: a temporal self-join of POSITION below start bounds,
+/// a projection above the join, delivered on `PosID` alone.
+fn self_join_plan(conn: &Connection, left_before: i64, right_before: i64) -> PhysNode {
+    let side = |before: i64| {
+        let pred = Expr::cmp(CmpOp::Lt, Expr::col("T1"), Expr::lit(before));
+        PhysNode::over(Algo::FilterD(pred), vec![scan(conn, "POSITION")]).unwrap()
+    };
+    let eq = vec![("PosID".to_string(), "PosID".to_string())];
+    let join = PhysNode::over(Algo::TJoinD(eq), vec![side(left_before), side(right_before)]);
+    let items = ["PosID", "EmpID", "EmpID_2", "T1", "T2"].iter().map(|c| ProjItem::col(*c));
+    let project = PhysNode::over(Algo::ProjectD(items.collect()), vec![join.unwrap()]).unwrap();
+    let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![project]).unwrap();
+    PhysNode::over(Algo::TransferM, vec![sorted]).unwrap()
+}
+
+fn events(exec: &tango::core::engine::ExecReport) -> Vec<&str> {
+    exec.steps.iter().flat_map(|st| &st.events).map(|e| e.detail.as_str()).collect()
+}
+
 fn cache_annotations(exec: &tango::core::engine::ExecReport) -> Vec<Option<&str>> {
     exec.steps
         .iter()
@@ -202,6 +236,123 @@ fn refresh_time_is_charged_to_the_transfer_step() {
     // a delta fetch timed against the whole fragment's bytes is no
     // observation of the transfer factor
     assert_eq!(tango.factors().p_tm, p_tm);
+}
+
+/// A bailed refresh leaves its delta round trip and failed splice in the
+/// `cache miss` step's time; feedback must not read that as transfer time.
+#[test]
+fn a_bailed_refresh_is_no_observation_of_the_transfer_factor() {
+    let rows: Vec<_> = (0..150).map(|i| (i % 10, 1 + i % 20, 1.0, 0, 30 + i as i32)).collect();
+    let db = make_db(LinkProfile::default(), &rows);
+    let mut tango = Tango::connect(db.clone());
+    let plan = tied_chain_plan(tango.conn());
+    tango.execute_physical(&plan).unwrap();
+    tango.execute_physical(&plan).unwrap(); // hit: the entry earns its keep
+
+    // lands in the run (3, 0), whose rows differ in T2
+    db.insert_rows("POSITION", vec![tup![3, 9, Value::Double(3.5), 0, 999]]).unwrap();
+    tango.options_mut().feedback = true;
+    let p_tm = tango.factors().p_tm;
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("miss")]);
+    assert_eq!(events(&exec), ["refresh bailed: merge is not order-determined"]);
+    assert!(got.list_eq(&control_run(&db, &plan)));
+    assert_eq!(tango.factors().p_tm, p_tm);
+}
+
+/// The order check covers the runs a write touches, not the fragment: a
+/// base full of ties refreshes as long as the write misses them, bails
+/// when it lands in one — and a row deleted and re-inserted lands in its
+/// own run although the multiset did not change.
+#[test]
+fn tied_fragment_refreshes_when_the_write_misses_its_ties() {
+    // per PosID two rows at T1 = 0 that differ in T2, and one at T1 = 5
+    let rows: Vec<_> = (0..30)
+        .map(|i| (i / 3, 1 + i % 20, 1.0, if i % 3 == 2 { 5 } else { 0 }, 30 + i as i32))
+        .collect();
+    let db = make_db(LinkProfile::default(), &rows);
+    let mut tango = Tango::connect(db.clone());
+    let plan = tied_chain_plan(tango.conn());
+    tango.execute_physical(&plan).unwrap();
+    tango.execute_physical(&plan).unwrap(); // hit: the entry earns its keep
+
+    // a fresh (PosID, T1): no tie is touched
+    db.insert_rows("POSITION", vec![tup![4, 9, Value::Double(3.5), 2, 40]]).unwrap();
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("refresh")]);
+    assert_eq!(events(&exec), ["spliced 1 delta rows into 1 runs (56 delta bytes)"]);
+    assert_eq!(tango.cache().stats().refresh_bails, 0);
+    let expect = control_run(&db, &plan);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
+
+    // a third T2 in the tied run (4, 0): a cold refetch could interleave
+    db.insert_rows("POSITION", vec![tup![4, 9, Value::Double(3.5), 0, 77]]).unwrap();
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("miss")]);
+    assert_eq!(events(&exec), ["refresh bailed: merge is not order-determined"]);
+    let expect = control_run(&db, &plan);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
+    tango.execute_physical(&plan).unwrap(); // the refilled entry earns a hit
+
+    // delete + re-insert of the first row of the tied run (7, 0) inside one
+    // window: the netted delta is empty, the cold order is not the old one
+    let conn = Connection::new(db.clone());
+    conn.execute("DELETE FROM POSITION WHERE PosID = 7 AND T2 = 51").unwrap();
+    db.insert_rows("POSITION", vec![tup![7, 2, Value::Double(1.0), 0, 51]]).unwrap();
+    let expect = control_run(&db, &plan);
+    assert!(expect.multiset_eq(&got) && !expect.list_eq(&got), "the write must reorder the run");
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("miss")]);
+    assert_eq!(events(&exec), ["refresh bailed: merge is not order-determined"]);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
+    assert_eq!(tango.cache().stats().refresh_bails, 2);
+}
+
+/// A join is unchanged by a write that survives neither side's chain —
+/// a self-join included, whatever its delivered order ties: the refresh
+/// is one delta round trip that hands back the entry's own columns. A
+/// write one side keeps is the quadratic case and refetches.
+#[test]
+fn self_join_is_unchanged_by_a_write_neither_side_keeps() {
+    let rows: Vec<_> =
+        (0..60).map(|i| (i % 6, 1 + i % 20, 1.0, (i % 9) as i32, 40 + i as i32)).collect();
+    let db = make_db(LinkProfile::default(), &rows);
+    let mut tango = Tango::connect(db.clone());
+    let plan = self_join_plan(tango.conn(), 20, 30);
+    tango.execute_physical(&plan).unwrap();
+    tango.execute_physical(&plan).unwrap(); // hit: the entry earns its keep
+    let key = fragment_key(&plan.children[0], "", &|_: &str| false).unwrap();
+    let columns = |t: &Tango| {
+        let (batch, _) = t.cache().peek_by_signature(&key.signature).unwrap();
+        batch.columns().unwrap().0.as_ptr()
+    };
+    let entry = columns(&tango);
+
+    // starts after both bounds: neither filter keeps it
+    db.insert_rows("POSITION", vec![tup![3, 9, Value::Double(3.5), 35, 90]]).unwrap();
+    let rt = db.link().roundtrips();
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(db.link().roundtrips() - rt, 1, "the delta fetch and nothing else");
+    assert_eq!(cache_annotations(&exec), vec![Some("refresh")]);
+    assert_eq!(events(&exec), ["no change (56 delta bytes)"]);
+    assert_eq!(columns(&tango), entry, "an unchanged fragment keeps its column allocation");
+    let expect = control_run(&db, &plan);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
+    let rt = db.link().roundtrips();
+    let (warm, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(db.link().roundtrips(), rt, "a post-refresh hit must not touch the wire");
+    assert_eq!(cache_annotations(&exec), vec![Some("hit")]);
+    assert!(warm.list_eq(&expect));
+
+    // starts between the bounds: the right side keeps it
+    db.insert_rows("POSITION", vec![tup![3, 9, Value::Double(3.5), 25, 90]]).unwrap();
+    let (got, exec) = tango.execute_physical(&plan).unwrap();
+    assert_eq!(cache_annotations(&exec), vec![Some("miss")]);
+    assert_eq!(events(&exec), ["refresh bailed: both join sides changed"]);
+    let s = tango.cache().stats();
+    assert_eq!((s.refreshes, s.refresh_bails, s.invalidations), (1, 1, 0), "{s:?}");
+    let expect = control_run(&db, &plan);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
 }
 
 /// The maintenance decision is priced, not hard-coded: the *same* stale
@@ -410,6 +561,103 @@ fn refresh_bails_are_reported_by_reason() {
     assert!(json.contains(reasons), "{json}");
 }
 
+/// `serve-churn` at small scale: the benchmark's eight pool statements
+/// (texts as `benchmark/src/workload.rs` generates them, jitter 0) under
+/// its write stream — every 20th op an `INSERT` starting in 1995–1997 or
+/// a `DELETE` of the oldest inserted row. Each read runs the plan the
+/// cache-on session chose against a cache-off session too, and no write
+/// may cost an entry: what the pool used to refetch it now refreshes.
+#[test]
+fn churn_pool_refreshes_what_it_used_to_refetch() {
+    let cfg = UisConfig::small(0xEC1);
+    let db = Database::new(Link::new(LinkProfile::instant()));
+    for (name, rel) in
+        [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+    {
+        db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+        db.insert_rows(name, rel.into_tuples()).unwrap();
+        db.analyze(name).unwrap();
+    }
+    let conn = Connection::new(db.clone());
+    conn.execute("CREATE INDEX EMP_PK ON EMPLOYEE (EmpID)").unwrap();
+
+    let mut pool: Vec<String> = [8, 16, 24, 32]
+        .iter()
+        .map(|k| {
+            format!(
+                "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
+                 WHERE PosID < {k} GROUP BY PosID ORDER BY PosID"
+            )
+        })
+        .collect();
+    for k in [400, 800] {
+        pool.push(format!(
+            "SELECT EmpID, Dept, Salary FROM EMPLOYEE WHERE EmpID < {k} ORDER BY EmpID"
+        ));
+    }
+    pool.push(
+        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
+         WHERE A.PosID = B.PosID AND A.T1 < DATE '1988-01-01' AND B.T1 < DATE '1988-01-01' \
+         ORDER BY A.PosID"
+            .to_string(),
+    );
+    pool.push(
+        "SELECT PosID, EmpID, T1, T2 FROM POSITION WHERE PosID < 36 \
+         AND NOT (T1 > DATE '1996-01-01') AND NOT (T2 < DATE '1995-01-01') \
+         ORDER BY PosID, EmpID, T1, T2"
+            .to_string(),
+    );
+
+    let packs = ["temporal-normalize", "subquery-to-join", "compat"];
+    let mut options =
+        TangoOptions { rewrite_packs: packs.map(String::from).to_vec(), ..Default::default() };
+    // the reported plan is then the plan that ran, which the control re-runs
+    options.opt.replan_ratio = None;
+    let mut tango = Tango::connect_with(db.clone(), options);
+    tango.refresh_statistics().unwrap();
+    for _ in 0..2 {
+        // populate, then one earned hit per fragment
+        pool.iter().for_each(|sql| drop(tango.query(sql).unwrap()));
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut below = |n: u64| rng.gen_range(0..n);
+    let mut live = std::collections::VecDeque::new();
+    let mut inserted = 0i64;
+    for op in 1..=400usize {
+        if op % 20 == 0 {
+            if live.len() > 4 && below(2) == 0 {
+                let marker: i64 = live.pop_front().unwrap();
+                conn.execute(&format!("DELETE FROM POSITION WHERE EmpID = {marker}")).unwrap();
+                continue;
+            }
+            inserted += 1;
+            let marker = 9_000_000 + inserted;
+            live.push_back(marker);
+            let pos_id = 1 + below(35) as i64;
+            let t1 = day(1995, 1, 1) + below(1000) as i32;
+            let t2 = t1 + 30 + below(700) as i32;
+            conn.execute(&format!(
+                "INSERT INTO POSITION VALUES ({pos_id}, {marker}, {}, 'Bench', 19.5, 40, \
+                 DATE '{}', DATE '{}')",
+                1 + pos_id % 40,
+                format_date(t1),
+                format_date(t2),
+            ))
+            .unwrap();
+            continue;
+        }
+        let sql = &pool[below(pool.len() as u64) as usize];
+        let (got, report) = tango.query(sql).unwrap();
+        let expect = control_run(&db, &report.optimized.plan);
+        assert!(got.list_eq(&expect), "op {op}: {sql}\nexpected:\n{expect}\ngot:\n{got}");
+    }
+    let s = tango.cache().stats();
+    assert!(s.refreshes > 0, "{s:?}");
+    assert_eq!(s.invalidations, 0, "{s:?}");
+    assert!(s.refresh_bails * 20 <= s.refreshes, "{s:?}");
+}
+
 /// Write-heavy racing: concurrent writers against warm refresher
 /// sessions. No interleaving may serve stale or corrupt bytes, and once
 /// the dust settles a deterministic write must still be settled — as an
@@ -497,7 +745,7 @@ proptest! {
             1..50,
         ),
         writes in proptest::collection::vec(
-            (0u8..3, 0i64..40, 1i64..8, 0i32..50, 1i32..30),
+            (0u8..4, 0i64..40, 1i64..8, 0i32..50, 1i32..30),
             1..8,
         ),
         batch in proptest::sample::select(vec![1usize, 1024]),
@@ -519,7 +767,9 @@ proptest! {
         let plans = [
             salary_plan(&conn), // first: the join's resident other side
             chain_plan(&conn),
+            tied_chain_plan(&conn), // a partial key: the order check is per run
             join_plan(&conn),
+            self_join_plan(&conn, 20, 30), // one table twice, a step above the join
             taggr_plan(&conn),
         ];
         let mut check = |note: &str| {
@@ -554,7 +804,7 @@ proptest! {
                 1 => {
                     conn.execute(&format!("DELETE FROM POSITION WHERE PosID = {p}")).map(|_| ()).unwrap()
                 }
-                _ => {
+                2 => {
                     db.insert_rows(
                         "POSITION",
                         vec![tup![p, e, Value::Double(0.5), t1, t1 + d]],
@@ -563,6 +813,14 @@ proptest! {
                     conn.execute(&format!("DELETE FROM POSITION WHERE EmpID = {e} AND T1 = {t1}"))
                         .map(|_| ())
                         .unwrap();
+                }
+                _ => {
+                    // delete and re-insert the same rows: the multiset
+                    // stands, the rows move behind the ones they tie with
+                    let held = format!("FROM POSITION WHERE EmpID = {e}");
+                    let rows = conn.query_all(&format!("SELECT * {held}")).unwrap();
+                    conn.execute(&format!("DELETE {held}")).unwrap();
+                    db.insert_rows("POSITION", rows.into_tuples()).unwrap();
                 }
             }
             check(&format!("after write {i}"));
