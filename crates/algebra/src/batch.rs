@@ -9,7 +9,7 @@
 //! * **Columnar** — typed column vectors ([`Column`]: `i64` ints/dates,
 //!   `f64` doubles, dictionary-encoded strings) with a packed validity
 //!   [`Bitmap`], shared via `Arc` so slicing is zero-copy. Pipeline
-//!   breakers (sort, TAGGR, parallel joins) columnarize once and run their
+//!   breakers (sort, TAGGR) columnarize once and run their
 //!   hot loops — key extraction, group-boundary detection, interval sweeps
 //!   — over the flat arrays.
 //!
@@ -526,6 +526,7 @@ impl Batch {
             return Batch::new(schema, Vec::new()).columnarize();
         }
         if batches.len() == 1 {
+            // invariant: exactly one batch, checked on the line above
             return batches.into_iter().next().unwrap().columnarize();
         }
         // Zero-copy path: contiguous slices over one shared column set.
@@ -559,6 +560,8 @@ impl Batch {
                 }
             }
             let bytes = batches.iter().map(|b| b.bytes).sum();
+            // invariant: `batches` is non-empty (checked on entry) and
+            // `contiguous` holds only over `Repr::Cols` batches
             let cols = match batches.into_iter().next().unwrap().repr {
                 Repr::Cols { cols, .. } => cols,
                 _ => unreachable!(),

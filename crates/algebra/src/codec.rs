@@ -66,8 +66,13 @@ impl<'a> Decoder<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed (`pos` never passes the end).
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(AlgebraError::Schema("codec: truncated buffer".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -75,25 +80,34 @@ impl<'a> Decoder<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, for the fixed-width `from_le_bytes` readers.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     pub fn decode_value(&mut self) -> Result<Value> {
         let tag = self.take(1)?[0];
         Ok(match tag {
             TAG_NULL => Value::Null,
-            TAG_INT => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            TAG_DOUBLE => Value::Double(f64::from_le_bytes(self.take(8)?.try_into().unwrap())),
+            TAG_INT => Value::Int(i64::from_le_bytes(self.take_array()?)),
+            TAG_DOUBLE => Value::Double(f64::from_le_bytes(self.take_array()?)),
             TAG_STR => {
-                let len = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
+                let len = u32::from_le_bytes(self.take_array()?) as usize;
                 let bytes = self.take(len)?;
                 Value::Str(String::from_utf8_lossy(bytes).into_owned())
             }
-            TAG_DATE => Value::Date(i32::from_le_bytes(self.take(4)?.try_into().unwrap())),
+            TAG_DATE => Value::Date(i32::from_le_bytes(self.take_array()?)),
             other => return Err(AlgebraError::Schema(format!("codec: bad tag {other}"))),
         })
     }
 
     pub fn decode_tuple(&mut self) -> Result<Tuple> {
-        let arity = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        let mut vs = Vec::with_capacity(arity);
+        let arity = u16::from_le_bytes(self.take_array()?) as usize;
+        // a value takes at least its tag byte: a corrupt arity cannot
+        // reserve more than the buffer could hold
+        let mut vs = Vec::with_capacity(arity.min(self.remaining()));
         for _ in 0..arity {
             vs.push(self.decode_value()?);
         }

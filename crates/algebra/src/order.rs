@@ -208,13 +208,13 @@ pub fn sort_tuples(tuples: &mut Vec<Tuple>, spec: &SortSpec, schema: &Schema) {
         order
     }
     let mut src: Vec<Option<Tuple>> = std::mem::take(tuples).into_iter().map(Some).collect();
+    // invariant: `order` is a permutation, so each slot is taken once
     tuples.extend(order.into_iter().map(|i| src[i as usize].take().unwrap()));
 }
 
 /// Sort keys extracted once from a (usually columnar) batch: the flat-array
-/// equivalent of [`sort_tuples`]'s per-row key extraction. Comparisons,
-/// permutation sorts and parallel chunk merges all run over these arrays
-/// without touching tuples.
+/// equivalent of [`sort_tuples`]'s per-row key extraction. Comparisons
+/// and permutation sorts run over these arrays without touching tuples.
 ///
 /// Ordering semantics are identical to [`SortSpec::comparator`]
 /// (`total_cmp`, stable on ties), so a permutation produced here applied
@@ -319,45 +319,6 @@ impl BatchKeys {
         order.sort_unstable_by(|&a, &b| self.cmp(a as usize, b as usize).then_with(|| a.cmp(&b)));
         order
     }
-
-    /// Merge sorted chunk permutations into one, breaking key ties by
-    /// global row index. For chunks covering contiguous ascending ranges
-    /// this reproduces the exact stable permutation [`Self::sort_range`]
-    /// would produce over the union — the invariant that makes parallel
-    /// chunked sorts byte-identical to sequential ones.
-    pub fn merge(&self, chunks: Vec<Vec<u32>>) -> Vec<u32> {
-        let total = chunks.iter().map(Vec::len).sum();
-        let mut pos = vec![0usize; chunks.len()];
-        let mut out: Vec<u32> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<(usize, u32)> = None;
-            for (c, ch) in chunks.iter().enumerate() {
-                if pos[c] < ch.len() {
-                    let idx = ch[pos[c]];
-                    best = match best {
-                        None => Some((c, idx)),
-                        Some((bc, bi)) => {
-                            if self.cmp(idx as usize, bi as usize).then(idx.cmp(&bi))
-                                == Ordering::Less
-                            {
-                                Some((c, idx))
-                            } else {
-                                Some((bc, bi))
-                            }
-                        }
-                    };
-                }
-            }
-            match best {
-                Some((c, i)) => {
-                    out.push(i);
-                    pos[c] += 1;
-                }
-                None => break,
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -411,10 +372,6 @@ mod tests {
             let keys = BatchKeys::extract(&b, &spec, &schema);
             let perm = keys.sort_range(0, b.len());
             assert_eq!(b.gather(&perm).into_rows(), expect);
-            // Chunked sorts + merge reproduce the sequential permutation.
-            let chunks =
-                vec![keys.sort_range(0, 100), keys.sort_range(100, 200), keys.sort_range(200, 257)];
-            assert_eq!(keys.merge(chunks), perm);
         }
     }
 }

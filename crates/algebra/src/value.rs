@@ -172,8 +172,8 @@ impl Value {
                 Ok(Value::Date(*d + delta as Day))
             }
             (a, b) => {
-                if let (Value::Int(_), Value::Int(_)) = (a, b) {
-                    let (x, y) = (a.as_int().unwrap(), b.as_int().unwrap());
+                if let (Value::Int(x), Value::Int(y)) = (a, b) {
+                    let (x, y) = (*x, *y);
                     let r = match op {
                         "+" => x.wrapping_add(y),
                         "-" => x.wrapping_sub(y),

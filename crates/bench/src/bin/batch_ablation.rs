@@ -9,24 +9,14 @@
 //! construction (the transfer cursor ships prefetch-aligned batches in
 //! both modes), so the interesting number is **wall** time.
 //!
-//! A second sweep varies the morsel worker count
-//! (`TangoOptions::workers` = 1, 2, 4, 8) at the default batch size and
-//! verifies the parallel results are **byte-identical** to the
-//! sequential run through the wire codec. The host core count is
-//! recorded in the JSON (`host_cpus`) so speedups are read in context —
-//! on a single-core host the parallel wall times measure scheduling
-//! overhead, not speedup, and such runs are stamped
-//! `scheduling_overhead_only: true`. The worker-speedup check is
-//! evaluated only on hosts with at least 4 cores and otherwise prints
-//! `skipped: N cpus` (the byte-identity and wire-invariance checks
-//! always gate).
+//! The host core count is recorded in the JSON (`host_cpus`) so the
+//! wall times are read in context.
 //!
 //! Usage: `cargo run --release -p tango-bench --bin batch_ablation \
 //!         [--small] [--check]`
 //!
 //! Writes `BENCH_batch.json` in the working directory; `--check` exits
-//! non-zero if the default batch size is slower than row-at-a-time or if
-//! any worker count changes the result bytes or the wire time.
+//! non-zero if the default batch size is slower than row-at-a-time.
 
 use std::time::Duration;
 use tango_algebra::date::day;
@@ -39,7 +29,6 @@ use tango_trace::json::Object;
 use tango_uis::UisConfig;
 
 const SIZES: [usize; 5] = [1, 64, 256, 1024, 4096];
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const RUNS: usize = 3;
 
 struct Sample {
@@ -76,46 +65,6 @@ fn measure(
         }
     }
     best.unwrap()
-}
-
-/// Best-of-[`RUNS`] wall time for one plan at one morsel worker count
-/// (default batch size), plus the wire-codec bytes of the result for the
-/// byte-identity check against the sequential run.
-fn measure_workers(
-    tango: &mut Tango,
-    link: &tango_minidb::Link,
-    plan: &PhysNode,
-    workers: usize,
-) -> (Sample, Vec<u8>) {
-    tango.options_mut().workers = workers;
-    let mut best: Option<Sample> = None;
-    let mut bytes = Vec::new();
-    for _ in 0..RUNS {
-        link.reset();
-        let (rel, report) = match tango.execute_physical(plan) {
-            Ok(r) => r,
-            Err(e) => panic!("plan failed at workers={workers}: {e}\n{}", plan.render()),
-        };
-        let mut buf = Vec::new();
-        for t in rel.tuples() {
-            tango_algebra::codec::encode_tuple(t, &mut buf);
-        }
-        if bytes.is_empty() {
-            bytes = buf;
-        } else {
-            assert_eq!(bytes, buf, "workers={workers}: repeated runs not byte-identical");
-        }
-        if best.as_ref().is_none_or(|b| report.wall < b.wall) {
-            best = Some(Sample {
-                batch_rows: workers, // reused as the x-axis of this sweep
-                wall: report.wall,
-                wire: report.wire,
-                rows: rel.len(),
-            });
-        }
-    }
-    tango.options_mut().workers = 1;
-    (best.unwrap(), bytes)
 }
 
 fn main() {
@@ -169,52 +118,6 @@ fn main() {
             failed = true;
         }
 
-        // morsel worker sweep at the default batch size, gated on
-        // byte-identical results and invariant wire time
-        setup.tango.options_mut().batch_rows = None;
-        let mut worker_samples = Vec::new();
-        let mut base_bytes: Vec<u8> = Vec::new();
-        let mut base_wire = Duration::ZERO;
-        for w in WORKERS {
-            let (s, bytes) = measure_workers(&mut setup.tango, setup.db.link(), plan, w);
-            eprintln!(
-                "    workers {w}: wall {:>9.3}ms wire {:>9.3}ms rows {}",
-                s.wall.as_secs_f64() * 1e3,
-                s.wire.as_secs_f64() * 1e3,
-                s.rows
-            );
-            if w == 1 {
-                base_bytes = bytes;
-                base_wire = s.wire;
-            } else {
-                if bytes != base_bytes {
-                    eprintln!("    FAIL: workers={w} changed the result bytes");
-                    failed = true;
-                }
-                if s.wire != base_wire {
-                    eprintln!("    FAIL: workers={w} changed the wire time");
-                    failed = true;
-                }
-            }
-            worker_samples.push(s);
-        }
-        let w8 = worker_samples.iter().find(|s| s.batch_rows == 8).unwrap().wall;
-        let w_speedup = worker_samples[0].wall.as_secs_f64() / w8.as_secs_f64().max(1e-9);
-        if host_cpus < 4 {
-            // 8 workers on fewer than 4 cores measure the morsel pool's
-            // scheduling overhead, not a speedup: record the wall times,
-            // gate on nothing
-            eprintln!("    wall ratio at 8 workers: {w_speedup:.2}x (skipped: {host_cpus} cpus)");
-        } else {
-            eprintln!("    wall speedup at 8 workers: {w_speedup:.2}x");
-            if w_speedup < 1.0 {
-                eprintln!(
-                    "    FAIL: morsel pool slower than sequential on a {host_cpus}-core host"
-                );
-                failed = true;
-            }
-        }
-
         let sizes_json: Vec<String> = samples
             .iter()
             .map(|s| {
@@ -227,24 +130,11 @@ fn main() {
                     .build()
             })
             .collect();
-        let workers_json: Vec<String> = worker_samples
-            .iter()
-            .map(|s| {
-                Object::new()
-                    .number("workers", s.batch_rows as f64)
-                    .number("wall_us", s.wall.as_secs_f64() * 1e6)
-                    .number("wire_us", s.wire.as_secs_f64() * 1e6)
-                    .number("rows", s.rows as f64)
-                    .build()
-            })
-            .collect();
         query_objs.push(
             Object::new()
                 .string("plan", name)
                 .raw("sizes", &format!("[{}]", sizes_json.join(",")))
                 .number("wall_speedup_at_default", speedup)
-                .raw("workers", &format!("[{}]", workers_json.join(",")))
-                .number("wall_speedup_at_8_workers", w_speedup)
                 .build(),
         );
         per_size.push(samples);
@@ -262,9 +152,6 @@ fn main() {
         .number("row_prefetch", uis_link_profile().row_prefetch as f64)
         .number("default_batch_rows", DEFAULT_BATCH_ROWS as f64)
         .number("host_cpus", host_cpus as f64)
-        // single-core runs: the worker sweep's wall times measure the
-        // morsel pool's scheduling overhead, not parallel speedup
-        .raw("scheduling_overhead_only", if host_cpus == 1 { "true" } else { "false" })
         .raw("queries", &format!("[{}]", query_objs.join(",")))
         .build();
     std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");

@@ -169,6 +169,7 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
         })?;
         add("transfer_m", bytes, t, &mut samples);
         let plain_scan_t = t;
+        // invariant: `timed` returned `Ok`, so its closure ran past the assignment
         let fetched = fetched.unwrap();
 
         // SORT^D: sorted fetch minus plain fetch

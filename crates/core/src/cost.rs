@@ -75,9 +75,9 @@ impl Default for CostFactors {
     /// in-process engine talking over a LAN-profile wire). Calibration
     /// replaces the load-bearing ones — and because the calibration
     /// probes drain the real `tango-xxl` cursors, the fitted middleware
-    /// factors automatically reflect the columnar batch loops (and any
-    /// `workers` setting) of the session being calibrated; the defaults
-    /// here stay fixed so uncalibrated plans are reproducible.
+    /// factors automatically reflect the columnar batch loops of the
+    /// session being calibrated; the defaults here stay fixed so
+    /// uncalibrated plans are reproducible.
     fn default() -> Self {
         CostFactors {
             p_tm: 0.30,

@@ -20,13 +20,13 @@ use crate::{refresh, to_sql};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Batch, ColumnBuilder, Relation, Schema, SortSpec, Tuple};
+use tango_algebra::{Batch, ColumnBuilder, Relation, Schema, SortSpec, Tuple, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
     drain_batches, drain_of, fill_batch, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor,
-    DeltaApply, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
+    DeltaApply, DupElim, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
     TemporalAggregate, TemporalDiff, TemporalMergeJoin,
 };
 
@@ -167,9 +167,9 @@ pub struct Executor<'a> {
     /// [`cache::fragment_key`]) streams normally and is annotated as
     /// such. `None` runs as if the cache did not exist.
     pub cache: Option<&'a Arc<MidCache>>,
-    /// Per-execution knobs (batch size, morsel-parallel worker pool),
-    /// threaded into every operator the plan builds.
-    pub exec: ExecOpts,
+    /// Rows per batch pulled between operators, threaded into every
+    /// operator the plan builds.
+    pub batch_rows: usize,
     /// Cost factors: what the per-`TRANSFER^M` cache-maintenance decision
     /// (refresh-by-delta vs refetch vs drop, see
     /// [`cache::maintenance_choice`]) prices with.
@@ -255,7 +255,7 @@ impl<'a> Executor<'a> {
         Executor {
             conn,
             cache: None,
-            exec: ExecOpts::default(),
+            batch_rows: DEFAULT_BATCH_ROWS,
             factors: CostFactors::default(),
             replan: None,
         }
@@ -274,7 +274,7 @@ impl<'a> Executor<'a> {
         // meter this session's wire alone — the link clock is shared with
         // every other session on the database and would cross-charge
         let wire_before = conn.wire_time();
-        let mut ctx = Ctx::new(conn, self.cache, self.exec, self.factors);
+        let mut ctx = Ctx::new(conn, self.cache, self.batch_rows, self.factors);
         let mut staging = self.replan.map(|cfg| (plan.clone(), cfg));
         let started = Instant::now();
         let result = (|| -> Result<Relation> {
@@ -434,8 +434,8 @@ struct Ctx<'a> {
     /// plan: spans created after that point are annotated so the
     /// cost-factor feedback loop skips their (mixed-plan) observations.
     spliced: bool,
-    /// Per-execution knobs threaded into every operator constructor.
-    exec: ExecOpts,
+    /// Rows per batch, threaded into every operator constructor.
+    batch_rows: usize,
     /// Cost factors for the cache-maintenance decision (refresh vs
     /// refetch vs drop) at each `TRANSFER^M`.
     factors: CostFactors,
@@ -491,7 +491,7 @@ impl<'a> Ctx<'a> {
     fn new(
         conn: &'a Connection,
         cache: Option<&Arc<MidCache>>,
-        exec: ExecOpts,
+        batch_rows: usize,
         factors: CostFactors,
     ) -> Ctx<'a> {
         Ctx {
@@ -503,7 +503,7 @@ impl<'a> Ctx<'a> {
             cache: cache.cloned(),
             mats: HashMap::new(),
             spliced: false,
-            exec,
+            batch_rows,
             factors,
         }
     }
@@ -528,7 +528,7 @@ impl<'a> Ctx<'a> {
         let (mut cur, idx) = self.build_mid(node)?;
         cur.open()?;
         let schema = cur.schema().clone();
-        let batches = drain_batches(cur.as_mut(), self.exec.batch_rows)?;
+        let batches = drain_batches(cur.as_mut(), self.batch_rows)?;
         cur.close()?;
         Ok((schema, batches, idx))
     }
@@ -693,7 +693,7 @@ impl<'a> Ctx<'a> {
             child_ids.push(id);
         }
         let (idx, slot) = self.new_slot(node.algo.clone(), child_ids);
-        let cursor = cursor_for(&node.algo, inputs, self.exec)?;
+        let cursor = cursor_for(&node.algo, inputs, self.batch_rows)?;
         Ok((self.instrument(cursor, slot), idx))
     }
 
@@ -769,7 +769,7 @@ impl<'a> Ctx<'a> {
             // retries, the fragment is re-planned with middleware
             // operators (see `degrade`)
             fragment: clean,
-            exec: self.exec,
+            batch_rows: self.batch_rows,
             prereqs,
             cur: None,
             buf: VecDeque::new(),
@@ -779,8 +779,7 @@ impl<'a> Ctx<'a> {
             populated_bytes: None,
             round_trips: 0,
             rows_emitted: 0,
-            wire_retries: 0,
-            wire_faults: 0,
+            wire: WireMeter::new(self.conn, &slot),
             replans: 0,
         });
         Ok((self.instrument(cursor, slot), idx))
@@ -912,15 +911,12 @@ impl<'a> Ctx<'a> {
             };
             let (idx, slot) = self.new_slot(Algo::TransferD, vec![input_id]);
             let loader = TransferDCursor {
-                conn: self.conn.clone(),
                 table,
                 schema: node.schema.clone(),
                 input: Some(input),
-                batch_rows: self.exec.batch_rows,
+                batch_rows: self.batch_rows,
                 rows_loaded: 0,
-                sink: slot.clone(),
-                wire_retries: 0,
-                wire_faults: 0,
+                wire: WireMeter::new(self.conn, &slot),
             };
             return Ok((scan, vec![self.instrument(Box::new(loader), slot)], vec![idx]));
         }
@@ -1029,27 +1025,36 @@ fn wire_exec_err(e: &tango_minidb::DbError) -> tango_xxl::ExecError {
 /// The cursor evaluating middleware algorithm `algo` over `inputs` (in
 /// argument order) — the one algorithm → cursor table. The transfers and
 /// `MATSCAN^M` are the engine's own cursors, built where their state is.
-fn cursor_for(algo: &Algo, inputs: Vec<BoxCursor>, exec: ExecOpts) -> tango_xxl::Result<BoxCursor> {
+fn cursor_for(
+    algo: &Algo,
+    inputs: Vec<BoxCursor>,
+    batch_rows: usize,
+) -> tango_xxl::Result<BoxCursor> {
     let state = |what: &str| tango_xxl::ExecError::State(format!("{} {what}", algo.label()));
     let mut inputs = inputs.into_iter();
     let mut input = || inputs.next().ok_or_else(|| state("lacks an input"));
     Ok(match algo {
         Algo::FilterM(pred) => Box::new(Filter::new(input()?, pred.clone())),
         Algo::ProjectM(items) => Box::new(Project::new(input()?, items.clone())?),
-        Algo::SortM(spec) => Box::new(Sort::with_opts(input()?, spec.clone(), exec)),
+        Algo::SortM(spec) => Box::new(Sort::with_batch_rows(input()?, spec.clone(), batch_rows)),
         Algo::SortXM(spec, run_rows) => {
-            Box::new(ExternalSort::with_opts(input()?, spec.clone(), *run_rows, exec))
+            Box::new(ExternalSort::with_batch_rows(input()?, spec.clone(), *run_rows, batch_rows))
         }
-        Algo::MergeJoinM(eq) => Box::new(MergeJoin::with_opts(input()?, input()?, eq, exec)?),
+        Algo::MergeJoinM(eq) => {
+            Box::new(MergeJoin::with_batch_rows(input()?, input()?, eq, batch_rows)?)
+        }
         Algo::TMergeJoinM(eq) => {
-            Box::new(TemporalMergeJoin::with_opts(input()?, input()?, eq, exec)?)
+            Box::new(TemporalMergeJoin::with_batch_rows(input()?, input()?, eq, batch_rows)?)
         }
-        Algo::TAggrM { group_by, aggs } => {
-            Box::new(TemporalAggregate::with_opts(input()?, group_by.clone(), aggs.clone(), exec)?)
-        }
+        Algo::TAggrM { group_by, aggs } => Box::new(TemporalAggregate::with_batch_rows(
+            input()?,
+            group_by.clone(),
+            aggs.clone(),
+            batch_rows,
+        )?),
         Algo::DupElimM => Box::new(DupElim::new(input()?)),
-        Algo::CoalesceM => Box::new(Coalesce::with_opts(input()?, exec)?),
-        Algo::TDiffM => Box::new(TemporalDiff::with_opts(input()?, input()?, exec)?),
+        Algo::CoalesceM => Box::new(Coalesce::with_batch_rows(input()?, batch_rows)?),
+        Algo::TDiffM => Box::new(TemporalDiff::with_batch_rows(input()?, input()?, batch_rows)?),
         _ => return Err(state("has no middleware cursor")),
     })
 }
@@ -1064,7 +1069,7 @@ fn cursor_for(algo: &Algo, inputs: Vec<BoxCursor>, exec: ExecOpts) -> tango_xxl:
 fn middleware_fallback(
     conn: &Connection,
     node: &PhysNode,
-    exec: ExecOpts,
+    batch_rows: usize,
 ) -> tango_xxl::Result<BoxCursor> {
     if let Algo::ScanD(table) = &node.algo {
         let cols: Vec<&str> = node.schema.attrs().iter().map(|a| a.name.as_str()).collect();
@@ -1079,7 +1084,7 @@ fn middleware_fallback(
     let mut inputs: Vec<BoxCursor> = node
         .children
         .iter()
-        .map(|c| middleware_fallback(conn, c, exec))
+        .map(|c| middleware_fallback(conn, c, batch_rows))
         .collect::<tango_xxl::Result<_>>()?;
     let algo = match &node.algo {
         Algo::SortD(spec) => Algo::SortM(spec.clone()),
@@ -1088,7 +1093,7 @@ fn middleware_fallback(
             let (Some(r), Some(l)) = (inputs.pop(), inputs.pop()) else {
                 return Err(tango_xxl::ExecError::State("PRODUCT^D lacks an input".into()));
             };
-            return Ok(Box::new(NestedLoopJoin::with_opts(l, r, None, exec)));
+            return Ok(Box::new(NestedLoopJoin::with_batch_rows(l, r, None, batch_rows)));
         }
         other => other.op().and_then(|op| Algo::mid(&op)).ok_or_else(|| {
             tango_xxl::ExecError::State(format!(
@@ -1102,16 +1107,75 @@ fn middleware_fallback(
     let inputs = inputs
         .into_iter()
         .map(|c| match orders.next() {
-            Some(order) if !order.is_none() => Box::new(Sort::with_opts(c, order, exec)),
+            Some(order) if !order.is_none() => {
+                Box::new(Sort::with_batch_rows(c, order, batch_rows))
+            }
             _ => c,
         })
         .collect();
-    cursor_for(&algo, inputs, exec)
+    cursor_for(&algo, inputs, batch_rows)
+}
+
+/// The one fault/retry meter of the wire cursors: samples the
+/// connection's meters around a wire operation and records what the
+/// operation added on the step's span — `fault` / `retry` events and the
+/// `wire_faults` / `wire_retries` counters.
+struct WireMeter {
+    conn: Connection,
+    sink: Arc<SpanSlot>,
+    faults: u64,
+    retries: u64,
+}
+
+impl WireMeter {
+    fn new(conn: &Connection, sink: &Arc<SpanSlot>) -> Self {
+        WireMeter { conn: conn.clone(), sink: sink.clone(), faults: 0, retries: 0 }
+    }
+
+    /// Run `op` against the connection and record the faults and retries
+    /// the connection saw meanwhile.
+    fn around<T>(&mut self, op: impl FnOnce(&Connection) -> T) -> T {
+        let before = (self.conn.wire_faults(), self.conn.wire_retries());
+        let out = op(&self.conn);
+        let faults = self.conn.wire_faults() - before.0;
+        let retries = self.conn.wire_retries() - before.1;
+        self.faults += faults;
+        self.retries += retries;
+        if faults > 0 {
+            self.sink.add_event("fault", format!("{faults} wire fault(s) injected"));
+        }
+        if retries > 0 {
+            self.sink.add_event("retry", format!("{retries} retr(y/ies) with backoff"));
+        }
+        out
+    }
+
+    /// The step counters, present only once non-zero.
+    fn counters(&self, c: &mut Vec<(&'static str, u64)>) {
+        if self.retries > 0 {
+            c.push(("wire_retries", self.retries));
+        }
+        if self.faults > 0 {
+            c.push(("wire_faults", self.faults));
+        }
+    }
+}
+
+/// A submitted statement must deliver the arity its plan node promises.
+fn check_arity(what: &str, cur: &DbCursor, schema: &Schema) -> tango_xxl::Result<()> {
+    if cur.schema().len() == schema.len() {
+        return Ok(());
+    }
+    Err(tango_xxl::ExecError::Dbms(format!(
+        "{what} arity mismatch: expected {}, got {}",
+        schema.len(),
+        cur.schema().len()
+    )))
 }
 
 /// Fetches one base relation for the re-plan fallback: a plain SELECT
 /// over the same faulty link (its transfers still go through the
-/// connection's retry loop).
+/// connection's retry loop, metered by the degraded `TRANSFER^M`).
 struct FetchCursor {
     conn: Connection,
     sql: String,
@@ -1126,13 +1190,7 @@ impl Cursor for FetchCursor {
 
     fn open(&mut self) -> tango_xxl::Result<()> {
         let cur = self.conn.query(&self.sql).map_err(|e| wire_exec_err(&e))?;
-        if cur.schema().len() != self.schema.len() {
-            return Err(tango_xxl::ExecError::Dbms(format!(
-                "fallback fetch arity mismatch: expected {}, got {}",
-                self.schema.len(),
-                cur.schema().len()
-            )));
-        }
+        check_arity("fallback fetch", &cur, &self.schema)?;
         self.cur = Some(cur);
         Ok(())
     }
@@ -1170,7 +1228,7 @@ struct TransferMCursor {
     /// for re-planning.
     fragment: PhysNode,
     /// The executor's knobs, for the operators a re-plan builds.
-    exec: ExecOpts,
+    batch_rows: usize,
     prereqs: Vec<BoxCursor>,
     cur: Option<DbCursor>,
     /// Rows of a prefetch batch beyond what the last `next_batch`
@@ -1179,7 +1237,7 @@ struct TransferMCursor {
     /// The middleware re-plan of `fragment`, once degraded.
     fallback: Option<BoxCursor>,
     /// Sink for the producing statement's server-side execution time
-    /// and for fault/retry/replan events.
+    /// and for replan and cache events.
     server_sink: Arc<SpanSlot>,
     /// Pending cache population (a cache miss): rows are accumulated,
     /// column by column, at wire-fetch time and inserted only if the
@@ -1191,8 +1249,9 @@ struct TransferMCursor {
     populated_bytes: Option<u64>,
     round_trips: u64,
     rows_emitted: u64,
-    wire_retries: u64,
-    wire_faults: u64,
+    /// Faults and retries of the SQL's own transfers and, once
+    /// degraded, of the fallback's base fetches.
+    wire: WireMeter,
     replans: u64,
 }
 
@@ -1214,26 +1273,6 @@ struct CachePopulate {
 }
 
 impl TransferMCursor {
-    /// Sample the connection's fault/retry meters around a wire
-    /// operation and record the deltas as span events + counters.
-    fn note_wire_activity(&mut self, before: (u64, u64)) {
-        let faults = self.conn.wire_faults() - before.0;
-        let retries = self.conn.wire_retries() - before.1;
-        self.wire_faults += faults;
-        self.wire_retries += retries;
-        if faults > 0 {
-            self.server_sink.add_event("fault", format!("{faults} wire fault(s) injected"));
-        }
-        if retries > 0 {
-            self.server_sink
-                .add_event("retry", format!("{retries} transfer retr(y/ies) with backoff"));
-        }
-    }
-
-    fn meters(&self) -> (u64, u64) {
-        (self.conn.wire_faults(), self.conn.wire_retries())
-    }
-
     /// The graceful-degradation path: flip the transfer operator and
     /// evaluate the fragment in the middleware. Only transient/timeout
     /// failures degrade; everything else propagates.
@@ -1253,8 +1292,8 @@ impl TransferMCursor {
                  re-planned with middleware operators over base fetches"
             ),
         );
-        let mut fb = middleware_fallback(&self.conn, &self.fragment, self.exec)?;
-        fb.open()?;
+        let mut fb = middleware_fallback(&self.conn, &self.fragment, self.batch_rows)?;
+        self.wire.around(|_| fb.open())?;
         self.cur = None;
         self.fallback = Some(fb);
         Ok(())
@@ -1314,17 +1353,9 @@ impl Cursor for TransferMCursor {
         if let Some(p) = &mut self.populate {
             p.wire_start = self.conn.wire_time();
         }
-        let before = self.meters();
-        match self.conn.query(&self.sql) {
+        match self.wire.around(|conn| conn.query(&self.sql)) {
             Ok(cur) => {
-                self.note_wire_activity(before);
-                if cur.schema().len() != self.schema.len() {
-                    return Err(tango_xxl::ExecError::Dbms(format!(
-                        "translated SQL arity mismatch: expected {}, got {}",
-                        self.schema.len(),
-                        cur.schema().len()
-                    )));
-                }
+                check_arity("translated SQL", &cur, &self.schema)?;
                 self.server_sink.add_server_time(cur.server_time());
                 if let Some(p) = &mut self.populate {
                     p.server_us = cur.server_time().as_secs_f64() * 1e6;
@@ -1333,17 +1364,14 @@ impl Cursor for TransferMCursor {
                 self.cur = Some(cur);
                 Ok(())
             }
-            Err(e) => {
-                self.note_wire_activity(before);
-                self.degrade("submit", &e)
-            }
+            Err(e) => self.degrade("submit", &e),
         }
     }
 
     fn next_batch(&mut self, max_rows: usize) -> tango_xxl::Result<Option<Batch>> {
         let max = max_rows.max(1);
         if let Some(fb) = &mut self.fallback {
-            let r = fb.next_batch(max);
+            let r = self.wire.around(|_| fb.next_batch(max));
             if let Ok(Some(b)) = &r {
                 self.rows_emitted += b.len() as u64;
             }
@@ -1356,20 +1384,17 @@ impl Cursor for TransferMCursor {
             self.rows_emitted += rows.len() as u64;
             return Ok(Some(Batch::new(self.schema.clone(), rows)));
         }
-        if self.cur.is_none() {
-            return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
-        }
         // Aggregate prefetch batches until the requested batch is full —
         // the wire sees the same round trips and charges as fetching row
         // by row; only the hand-off granularity to the middleware
         // operators changes.
         let mut rows: Vec<Tuple> = Vec::new();
         while rows.len() < max {
-            let before = (self.conn.wire_faults(), self.conn.wire_retries());
-            let got = self.cur.as_mut().unwrap().fetch_batch();
-            match got {
+            let Some(cur) = self.cur.as_mut() else {
+                return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
+            };
+            match self.wire.around(|_| cur.fetch_batch()) {
                 Ok(Some(mut got)) => {
-                    self.note_wire_activity(before);
                     self.populate_rows(&got);
                     if rows.is_empty() {
                         rows = got;
@@ -1378,12 +1403,10 @@ impl Cursor for TransferMCursor {
                     }
                 }
                 Ok(None) => {
-                    self.note_wire_activity(before);
                     self.finish_populate();
                     break;
                 }
                 Err(e) => {
-                    self.note_wire_activity(before);
                     if self.rows_emitted == 0 && rows.is_empty() {
                         // nothing delivered yet: safe to re-plan, at
                         // batch granularity
@@ -1418,12 +1441,7 @@ impl Cursor for TransferMCursor {
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let mut c = vec![("sql_round_trips", self.round_trips)];
-        if self.wire_retries > 0 {
-            c.push(("wire_retries", self.wire_retries));
-        }
-        if self.wire_faults > 0 {
-            c.push(("wire_faults", self.wire_faults));
-        }
+        self.wire.counters(&mut c);
         if self.replans > 0 {
             c.push(("replans", self.replans));
         }
@@ -1439,17 +1457,14 @@ impl Cursor for TransferMCursor {
 /// prerequisite step, as in Figure 5 where the top `TRANSFER^M` "does
 /// not take any arguments, but must be preceded by the `TRANSFER^D`".
 struct TransferDCursor {
-    conn: Connection,
     table: String,
     schema: Arc<Schema>,
     input: Option<BoxCursor>,
     /// Rows per pull while draining `input` (the executor's batch size).
     batch_rows: usize,
     rows_loaded: u64,
-    /// Sink for fault/retry events raised during the bulk load.
-    sink: Arc<SpanSlot>,
-    wire_retries: u64,
-    wire_faults: u64,
+    /// Faults and retries of the bulk load.
+    wire: WireMeter,
 }
 
 impl Cursor for TransferDCursor {
@@ -1466,21 +1481,12 @@ impl Cursor for TransferDCursor {
         let rows = drain_of(input.as_mut(), self.batch_rows)?;
         input.close()?;
         self.rows_loaded = rows.len() as u64;
-        // Sample the connection meters around the load alone, so nested
-        // `T^M` activity never shows up on this span.
-        let before = (self.conn.wire_faults(), self.conn.wire_retries());
-        let loaded = self.conn.load_direct(&self.table, self.schema.as_ref().clone(), rows);
-        let faults = self.conn.wire_faults() - before.0;
-        let retries = self.conn.wire_retries() - before.1;
-        self.wire_faults += faults;
-        self.wire_retries += retries;
-        if faults > 0 {
-            self.sink.add_event("fault", format!("{faults} wire fault(s) injected during load"));
-        }
-        if retries > 0 {
-            self.sink.add_event("retry", format!("{retries} bulk-load retr(y/ies) with backoff"));
-        }
-        loaded.map_err(|e| wire_exec_err(&e))?;
+        // Metered around the load alone, so nested `T^M` activity never
+        // shows up on this span.
+        let schema = self.schema.as_ref().clone();
+        self.wire
+            .around(|conn| conn.load_direct(&self.table, schema, rows))
+            .map_err(|e| wire_exec_err(&e))?;
         Ok(())
     }
 
@@ -1490,12 +1496,7 @@ impl Cursor for TransferDCursor {
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let mut c = vec![("rows_loaded", self.rows_loaded), ("sql_round_trips", 1)];
-        if self.wire_retries > 0 {
-            c.push(("wire_retries", self.wire_retries));
-        }
-        if self.wire_faults > 0 {
-            c.push(("wire_faults", self.wire_faults));
-        }
+        self.wire.counters(&mut c);
         c
     }
 }

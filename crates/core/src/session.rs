@@ -37,7 +37,7 @@ use crate::rewrite::{RewriteOutcome, Rewriter};
 use crate::tsql;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Logical, Relation, Schema};
+use tango_algebra::{Logical, Relation, Schema, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, Database};
 use volcano::SearchStats;
 
@@ -70,11 +70,12 @@ pub struct TangoOptions {
     /// default) means [`tango_algebra::DEFAULT_BATCH_ROWS`]; `Some(1)`
     /// degenerates to row-at-a-time execution.
     pub batch_rows: Option<usize>,
-    /// Worker threads for the morsel-parallel middleware operators
-    /// (sorts, joins, TAGGR). `1` (the default) runs everything
-    /// sequentially — today's exact plans, traces and golden EXPLAIN
-    /// ANALYZE output; `0` auto-sizes to the host's available
-    /// parallelism.
+    /// Inert: nothing reads it. It sized a morsel worker pool that lost
+    /// to the one-thread engine at every setting measured and that the
+    /// cost model could not price (`docs/PERFORMANCE.md`, "Mechanisms
+    /// kept and cut"); a query runs on the one thread that pulls its
+    /// root cursor. The field stays only because the frozen `benchmark/`
+    /// harness names it in a struct literal (ROADMAP item 1(b)).
     pub workers: usize,
     /// Rewrite rule packs applied between the parser and the optimizer,
     /// in order — names resolved under `rules/` or literal paths (see
@@ -95,21 +96,6 @@ impl Default for TangoOptions {
             batch_rows: None,
             workers: 1,
             rewrite_packs: Vec::new(),
-        }
-    }
-}
-
-impl TangoOptions {
-    /// Resolve the per-execution knobs: the session's `batch_rows`
-    /// (`None` = the default) and the worker-pool width (`0` = the
-    /// host's available parallelism).
-    pub fn exec_opts(&self) -> tango_xxl::ExecOpts {
-        tango_xxl::ExecOpts {
-            batch_rows: self.batch_rows.unwrap_or(tango_algebra::DEFAULT_BATCH_ROWS).max(1),
-            workers: match self.workers {
-                0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-                n => n,
-            },
         }
     }
 }
@@ -640,7 +626,7 @@ impl Tango {
         let run = Executor {
             conn: &self.conn,
             cache: self.active_cache(),
-            exec: self.options.exec_opts(),
+            batch_rows: self.options.batch_rows.unwrap_or(DEFAULT_BATCH_ROWS).max(1),
             factors: self.factors,
             replan,
         }

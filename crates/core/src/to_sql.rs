@@ -15,7 +15,6 @@
 
 use crate::error::{Result, TangoError};
 use crate::phys::{Algo, PhysNode};
-use std::fmt::Write;
 use tango_algebra::{AggSpec, Schema, SortSpec};
 
 /// Render a pure-DBMS plan fragment as a SELECT statement. `T^D`
@@ -128,7 +127,7 @@ fn render(node: &PhysNode) -> Result<Rendered> {
             );
             if !eq.is_empty() {
                 let conds: Vec<String> = eq.iter().map(|(a, b)| format!("A.{a} = B.{b}")).collect();
-                write!(sql, " WHERE {}", conds.join(" AND ")).unwrap();
+                sql += &format!(" WHERE {}", conds.join(" AND "));
             }
             Rendered::Query(sql)
         }

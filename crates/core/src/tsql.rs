@@ -163,8 +163,11 @@ fn block_to_logical(
         let cols = c.columns();
         let owners: Vec<Option<usize>> =
             cols.iter().map(|cn| resolve(cn, &items).ok().map(|(i, _)| i)).collect();
-        if !cols.is_empty() && owners.iter().all(|o| o == &owners[0] && o.is_some()) {
-            let i = owners[0].unwrap();
+        let owner = match owners.split_first() {
+            Some((&Some(i), rest)) if rest.iter().all(|o| *o == Some(i)) => Some(i),
+            _ => None,
+        };
+        if let Some(i) = owner {
             // rewrite to the item's local attribute names
             let mut local = c.clone();
             rewrite_cols(&mut local, &|n| resolve(n, &items).map(|(_, a)| a))?;

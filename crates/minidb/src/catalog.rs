@@ -146,11 +146,13 @@ impl Database {
     pub fn middleware_state<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
         let mut init = Some(init);
         let slot = self.middleware.get_or_init(|| {
+            // invariant: `get_or_init` runs its closure at most once
             Arc::new(init.take().expect("first initialization")()) as Arc<dyn Any + Send + Sync>
         });
         match slot.clone().downcast::<T>() {
             Ok(state) => state,
-            // a different T is installed; `init` was then not consumed
+            // invariant: a different T is installed, so the closure above
+            // (which would have installed a T) never ran and `init` is unconsumed
             Err(_) => Arc::new(init.take().expect("type mismatch implies foreign init")()),
         }
     }

@@ -142,6 +142,7 @@ impl DeltaLog {
             let Some(front) = self.records.front() else { break };
             let v = front.version;
             while self.records.front().is_some_and(|r| r.version == v) {
+                // invariant: the loop condition just saw a front record
                 let rec = self.records.pop_front().expect("front checked");
                 self.bytes -= rec.byte_size();
             }

@@ -30,7 +30,7 @@ pub fn plan_select(stmt: &SelectStmt, db: &DbInner) -> Result<Plan> {
     if blocks.len() == 1 {
         return plan_block(stmt, db, true);
     }
-    let global_order = blocks.last().unwrap().order_by.clone();
+    let global_order = cur.order_by.clone(); // `cur` ended on the last block
     let mut plans = Vec::with_capacity(blocks.len());
     for b in &blocks {
         plans.push(plan_block(b, db, false)?);

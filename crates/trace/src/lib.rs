@@ -568,7 +568,9 @@ pub mod json {
                         // consume one UTF-8 scalar
                         let rest = std::str::from_utf8(&self.b[self.i..])
                             .map_err(|_| self.fail("invalid UTF-8"))?;
-                        let c = rest.chars().next().unwrap();
+                        let Some(c) = rest.chars().next() else {
+                            return Err(self.fail("invalid UTF-8"));
+                        };
                         out.push(c);
                         self.i += c.len_utf8();
                     }

@@ -149,7 +149,7 @@ pub fn generate_position(cfg: &UisConfig) -> Relation {
         let dept = 1 + pos_id % 40;
         let pos_code = format!("P{:05}", pos_id);
         let pay_rate = 2.0 + rng.gen::<f64>() * 48.0;
-        let hours = *[10i64, 20, 30, 40].get(rng.gen_range(0..4usize)).unwrap();
+        let hours = [10i64, 20, 30, 40][rng.gen_range(0..4usize)];
         let t1 = skewed_start(&mut rng);
         // durations: weeks to a few years, clipped at the dataset's "now"
         let dur = rng.gen_range(14i32..1460);

@@ -213,6 +213,7 @@ impl<S: Semantics> Ctx<'_, S> {
         }
 
         let best = best.map(Rc::new);
+        // invariant: this call pushed its frame on entry and every callee pops its own
         let key = self.in_progress.pop().expect("frame pushed above");
         // Memoize unless a prune beneath this frame ran into a pair
         // *above* it (see the module documentation): that answer holds

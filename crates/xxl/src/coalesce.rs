@@ -8,11 +8,10 @@
 //! output is sorted the same way.
 
 use crate::cursor::{
-    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts,
-    Result,
+    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, Result,
 };
 use std::sync::Arc;
-use tango_algebra::{Batch, Period, Schema, Tuple, Type};
+use tango_algebra::{Batch, Period, Schema, Tuple, Type, DEFAULT_BATCH_ROWS};
 
 /// The coalescing cursor: merges value-equivalent tuples with
 /// overlapping or adjacent periods into maximal periods.
@@ -32,13 +31,12 @@ impl Coalesce {
     /// Build over `input`, which must be temporal and sorted on (value
     /// attributes, `T1`).
     pub fn new(input: BoxCursor) -> Result<Self> {
-        Self::with_opts(input, ExecOpts::default())
+        Self::with_batch_rows(input, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`Coalesce::new`] with explicit execution knobs (the merge
-    /// scan is inherently sequential, so only `batch_rows` applies).
-    pub fn with_opts(input: BoxCursor, opts: ExecOpts) -> Result<Self> {
-        let input = BatchBuffered::with_rows(input, opts.batch_rows);
+    /// Like [`Coalesce::new`], pulling its input `batch_rows` at a time.
+    pub fn with_batch_rows(input: BoxCursor, batch_rows: usize) -> Result<Self> {
+        let input = BatchBuffered::with_rows(input, batch_rows);
         let schema = input.schema();
         let period = schema
             .period()

@@ -15,25 +15,6 @@ use tango_algebra::{
     AlgebraError, Batch, Period, Relation, Schema, Tuple, Value, DEFAULT_BATCH_ROWS,
 };
 
-/// Per-execution knobs threaded from the session options through the
-/// engine into every operator constructor (`with_opts`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// Rows per batch pulled between operators; 1 degenerates to
-    /// row-at-a-time execution (the batch-size ablation's baseline).
-    pub batch_rows: usize,
-    /// Worker threads for morsel-driven parallel pipeline breakers
-    /// (sorts, joins, TAGGR). `1` = sequential execution — today's exact
-    /// plans, traces and golden EXPLAIN ANALYZE output.
-    pub workers: usize,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 1 }
-    }
-}
-
 /// Errors raised during pipelined execution.
 #[derive(Debug, Clone)]
 pub enum ExecError {
@@ -251,17 +232,6 @@ impl BatchBuffered {
                 Ok(None)
             }
         }
-    }
-
-    /// Every remaining row (the parallel joins materialize both sides
-    /// before partitioning).
-    pub(crate) fn drain(&mut self) -> Result<Vec<Tuple>> {
-        let mut rows: Vec<Tuple> = std::mem::take(&mut self.buf).into();
-        if !self.done {
-            rows.extend(drain_of(self.inner.as_mut(), self.rows)?);
-            self.done = true;
-        }
-        Ok(rows)
     }
 
     /// Close the wrapped cursor.

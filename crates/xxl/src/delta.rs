@@ -305,21 +305,6 @@ impl DeltaApply {
         let delta_rows = delta.weights.values().map(|(i, d)| i + d).sum();
         Ok(Some(DeltaApply { batch: Batch::concat(schema.clone(), pieces), delta_rows, runs }))
     }
-
-    /// [`DeltaApply::splice`] over a base held as rows.
-    pub fn try_new(
-        schema: Arc<Schema>,
-        base: &[Tuple],
-        delta: &ZSet,
-        order: &SortSpec,
-    ) -> Result<Option<DeltaApply>> {
-        Self::splice(&Batch::new(schema, base.to_vec()), delta, order)
-    }
-
-    /// The refreshed fragment rows, in the delivered order.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        self.batch.into_rows()
-    }
 }
 
 #[cfg(test)]
@@ -376,31 +361,31 @@ mod tests {
     #[test]
     fn apply_merges_and_preserves_order() {
         let s = schema();
-        let base = vec![tup![1, "Jane", 5, 25], tup![2, "Tom", 5, 10]];
-        let mut d = ZSet::new(s.clone());
+        let base = Batch::new(s.clone(), vec![tup![1, "Jane", 5, 25], tup![2, "Tom", 5, 10]]);
+        let mut d = ZSet::new(s);
         d.add(tup![1, "Amy", 1, 2], 1);
         d.add(tup![2, "Tom", 5, 10], -1);
         let order = SortSpec::by(["PosID", "T1"]);
-        let a = DeltaApply::try_new(s, &base, &d, &order).unwrap().expect("determined");
-        assert_eq!(a.into_rows()[..], [tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
+        let a = DeltaApply::splice(&base, &d, &order).unwrap().expect("determined");
+        assert_eq!(a.batch.into_rows()[..], [tup![1, "Amy", 1, 2], tup![1, "Jane", 5, 25]]);
     }
 
     #[test]
     fn ambiguous_order_bails() {
         let s = schema();
         // two rows equal on the sort key but different elsewhere
-        let base = vec![tup![1, "Jane", 5, 25]];
+        let base = Batch::new(s.clone(), vec![tup![1, "Jane", 5, 25]]);
         let mut d = ZSet::new(s.clone());
         d.add(tup![1, "Tom", 7, 9], 1);
         let order = SortSpec::by(["PosID"]);
-        assert!(DeltaApply::try_new(s.clone(), &base, &d, &order).unwrap().is_none());
+        assert!(DeltaApply::splice(&base, &d, &order).unwrap().is_none());
         // deleting a row the base lacks bails too
-        let mut d2 = ZSet::new(s.clone());
+        let mut d2 = ZSet::new(s);
         d2.add(tup![9, "Nope", 1, 2], -1);
         let order2 = SortSpec::by(["PosID", "EmpName", "T1", "T2"]);
-        assert!(DeltaApply::try_new(s.clone(), &base, &d2, &order2).unwrap().is_none());
+        assert!(DeltaApply::splice(&base, &d2, &order2).unwrap().is_none());
         // and an unordered fragment is rejected outright
-        assert!(DeltaApply::try_new(s, &base, &d, &SortSpec::none()).unwrap().is_none());
+        assert!(DeltaApply::splice(&base, &d, &SortSpec::none()).unwrap().is_none());
     }
 
     /// Three runs under `(PosID, T1)`: a tie of different `T2`s, a pair of
@@ -434,14 +419,14 @@ mod tests {
             assert!(a.batch.is_columnar());
             let mut expect = rows.clone();
             expect.insert(at, new);
-            assert_eq!(a.into_rows(), expect);
+            assert_eq!(a.batch.into_rows(), expect);
         }
         // the first, last and only run: one more copy of an identical row,
         // and a deletion that empties the run
         let grown = spliced(&base, &[(tup![2, "C", 5, 10], 1)]).expect("stays identical");
         assert_eq!(grown.batch.len(), 6);
         let emptied = spliced(&base, &[(tup![3, "D", 7, 9], -1)]).expect("nothing left to order");
-        assert_eq!(emptied.into_rows()[..], rows[..4]);
+        assert_eq!(emptied.batch.into_rows()[..], rows[..4]);
         let only = Batch::new(schema(), vec![tup![3, "D", 7, 9]]).columnarize();
         assert!(spliced(&only, &[(tup![3, "D", 7, 9], -1)]).unwrap().batch.is_empty());
         assert_eq!(spliced(&only, &[(tup![3, "D", 7, 9], 1)]).unwrap().batch.len(), 2);
@@ -449,7 +434,7 @@ mod tests {
         // a deletion that leaves the run identical is not
         assert!(spliced(&base, &[(tup![1, "Z", 5, 30], 1)]).is_none());
         let a = spliced(&base, &[(tup![1, "B", 5, 20], -1)]).expect("one row left");
-        assert_eq!(a.into_rows()[0], tup![1, "A", 5, 10]);
+        assert_eq!(a.batch.into_rows()[0], tup![1, "A", 5, 10]);
         assert!(spliced(&base, &[(tup![1, "Z", 5, 30], -1)]).is_none(), "not in the run");
         // a descending key is searched in its own direction
         let falling = Batch::new(schema(), vec![tup![3, "D", 7, 9], tup![1, "A", 5, 10]]);
@@ -457,7 +442,7 @@ mod tests {
         d.add(tup![2, "N", 1, 2], 1);
         let order = SortSpec(vec![tango_algebra::SortKey::desc("PosID")]);
         let a = DeltaApply::splice(&falling, &d, &order).unwrap().expect("a fresh key");
-        assert_eq!(a.into_rows()[1], tup![2, "N", 1, 2]);
+        assert_eq!(a.batch.into_rows()[1], tup![2, "N", 1, 2]);
     }
 
     #[test]
@@ -469,7 +454,7 @@ mod tests {
         assert!(moved(tup![1, "A", 5, 10]).is_none());
         let a = moved(tup![2, "C", 5, 10]).expect("identical rows have one order");
         assert_eq!((a.delta_rows, a.runs), (2, 1));
-        assert_eq!(a.into_rows(), base.clone().into_rows());
+        assert_eq!(a.batch.into_rows(), base.clone().into_rows());
     }
 
     #[test]

@@ -18,14 +18,11 @@
 //! difference, nested loop) keep a private row step, fill
 //! their output batches through one shared helper, and read their inputs
 //! through the crate's `BatchBuffered` adapter, so an upstream (possibly
-//! traced, possibly remote) cursor is dispatched once per batch. Execution knobs
-//! travel per operator instance as [`ExecOpts`] (every plan-reachable
-//! algorithm with internal pulls has a `with_opts` constructor; there is
-//! no process-wide state): `batch_rows` sizes those pulls and `workers`
-//! sizes the morsel-driven worker pool of the [`par`] module — the heavy
-//! stages (sorts, the merge joins, `TAGGR^M`) split into ~64k-row
-//! morsels, execute on scoped threads and merge order-preserving,
-//! byte-identical to `workers = 1`.
+//! traced, possibly remote) cursor is dispatched once per batch. The size
+//! of those internal pulls travels per operator instance (every
+//! plan-reachable algorithm with internal pulls has a `with_batch_rows`
+//! constructor; there is no process-wide state), and a query runs on the
+//! one thread that pulls its root cursor.
 //!
 //! Inventory:
 //!
@@ -40,9 +37,8 @@
 //! * [`merge_join::MergeJoin`] — `MERGEJOIN^M` (sort-merge equi join);
 //!   its module holds the crate's one sort-merge sweep (Section 4.1: the
 //!   regular and the temporal join are one algorithm) — a key-group
-//!   reader over a sorted input, the join over two of them that emits
-//!   what a pairing makes of each matching row pair, and that join's
-//!   partition-parallel driver,
+//!   reader over a sorted input and the join over two of them that
+//!   emits what a pairing makes of each matching row pair,
 //! * [`temporal_join::TemporalMergeJoin`] — `TMERGEJOIN^M` (⋈ᵀ): the
 //!   same sweep, pairing rows by intersecting their periods,
 //! * [`nested_loop::NestedLoopJoin`] — fallback theta join,
@@ -95,7 +91,6 @@ pub mod delta;
 pub mod filter;
 pub mod merge_join;
 pub mod nested_loop;
-pub mod par;
 pub mod project;
 pub mod scan;
 pub mod sort;
@@ -105,14 +100,13 @@ pub mod temporal_join;
 
 pub use coalesce::Coalesce;
 pub use cursor::{
-    collect, drain_batches, drain_of, fill_batch, BoxCursor, Cursor, ExecError, ExecOpts, Result,
+    collect, drain_batches, drain_of, fill_batch, BoxCursor, Cursor, ExecError, Result,
 };
 pub use dedup::DupElim;
 pub use delta::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 pub use filter::Filter;
 pub use merge_join::MergeJoin;
 pub use nested_loop::NestedLoopJoin;
-pub use par::{morsel_ranges, run_ordered, ParStats, MORSEL_ROWS};
 pub use project::Project;
 pub use scan::{BatchScan, CachedScan, VecScan};
 pub use sort::{ExternalSort, Sort};

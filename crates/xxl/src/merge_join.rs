@@ -14,13 +14,11 @@
 //! [`crate::temporal_join`] — and `TDIFF^M` probes its right side through
 //! the same [`KeyGroups::seek`].
 
-use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{partition_pairs, run_ordered, ParStats};
-use crate::scan::VecScan;
+use crate::cursor::{fill_batch, BatchBuffered, BoxCursor, Cursor, ExecError, Result};
 use std::cmp::Ordering;
 use std::sync::Arc;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{Batch, Schema, Tuple};
+use tango_algebra::{Batch, Schema, Tuple, DEFAULT_BATCH_ROWS};
 
 /// Compare `l` on `lkeys` with `r` on `rkeys`, attribute by attribute.
 fn key_cmp(lkeys: &[usize], rkeys: &[usize], l: &Tuple, r: &Tuple) -> Ordering {
@@ -47,10 +45,6 @@ impl KeyGroups {
     pub(crate) fn new(input: BoxCursor, keys: Vec<usize>, batch_rows: usize) -> Self {
         let input = BatchBuffered::with_rows(input, batch_rows);
         KeyGroups { input, keys, group: Vec::new(), next: None }
-    }
-
-    pub(crate) fn schema(&self) -> &Arc<Schema> {
-        self.input.schema()
     }
 
     /// Open the input and read its first row.
@@ -116,13 +110,6 @@ impl KeyGroups {
         self.group.is_empty() && self.next.is_none()
     }
 
-    /// Every row not yet handed out in a group.
-    fn drain(&mut self) -> Result<Vec<Tuple>> {
-        let mut rows: Vec<Tuple> = self.next.take().into_iter().collect();
-        rows.extend(self.input.drain()?);
-        Ok(rows)
-    }
-
     pub(crate) fn close(&mut self) -> Result<()> {
         self.group.clear();
         self.next = None;
@@ -132,7 +119,7 @@ impl KeyGroups {
 
 /// What a sort-merge join makes of one key-matched (left row, right row)
 /// pair.
-pub(crate) trait Pairing: Clone + Send {
+pub(crate) trait Pairing: Send {
     /// Name of the operator, for error messages.
     const NAME: &'static str;
     /// Name of the matched-key-groups counter.
@@ -169,26 +156,15 @@ pub(crate) fn resolve_keys(
 /// and emits the pairing of every (left row, right row) of each matched
 /// pair of groups, left-row major — so the output is ordered like the
 /// left input.
-///
-/// With `workers > 1` both inputs are materialized, the left side is
-/// split into ~morsel-sized partitions at key-group boundaries, each
-/// partition joins against its aligned right range (both sides are
-/// key-sorted, so partitions cover disjoint key ranges) on the worker
-/// pool, and the partition outputs are concatenated in key order —
-/// identical to the sequential output.
 pub(crate) struct SortMerge<P> {
     left: KeyGroups,
     right: KeyGroups,
     pairing: P,
     schema: Arc<Schema>,
-    opts: ExecOpts,
     /// Next pair to emit within (left group × right group).
     at: (usize, usize),
     opened: bool,
-    /// Parallel path: the concatenated partition outputs, served as a scan.
-    staged: Option<VecScan>,
     groups: u64,
-    par: Option<ParStats>,
 }
 
 impl<P: Pairing> SortMerge<P> {
@@ -198,75 +174,17 @@ impl<P: Pairing> SortMerge<P> {
         (lkeys, rkeys): (Vec<usize>, Vec<usize>),
         pairing: P,
         schema: Arc<Schema>,
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Self {
         SortMerge {
-            left: KeyGroups::new(left, lkeys, opts.batch_rows),
-            right: KeyGroups::new(right, rkeys, opts.batch_rows),
+            left: KeyGroups::new(left, lkeys, batch_rows),
+            right: KeyGroups::new(right, rkeys, batch_rows),
             pairing,
             schema,
-            opts,
             at: (0, 0),
             opened: false,
-            staged: None,
             groups: 0,
-            par: None,
         }
-    }
-
-    /// Parallel path: materialize, partition at key boundaries, run a
-    /// sequential sub-join per partition, concatenate in order.
-    fn open_parallel(&mut self) -> Result<()> {
-        let lrows = self.left.drain()?;
-        let rrows = self.right.drain()?;
-        let (ls, rs) = (self.left.schema().clone(), self.right.schema().clone());
-        let (lkeys, rkeys) = (&self.left.keys, &self.right.keys);
-        let same = |a: &Tuple, b: &Tuple| key_cmp(lkeys, lkeys, a, b).is_eq();
-        let cmp = |l: &Tuple, r: &Tuple| key_cmp(lkeys, rkeys, l, r);
-        let parts = partition_pairs(&lrows, &rrows, self.opts.workers, same, cmp);
-        let mut lit = lrows.into_iter();
-        let mut rit = rrows.into_iter();
-        let mut rpos = 0usize;
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .map(|(llo, lhi, rlo, rhi)| {
-                let lpart: Vec<Tuple> = lit.by_ref().take(lhi - llo).collect();
-                for _ in rpos..rlo {
-                    rit.next();
-                }
-                let rpart: Vec<Tuple> = rit.by_ref().take(rhi - rlo).collect();
-                rpos = rhi;
-                let mut j = SortMerge::new(
-                    Box::new(VecScan::from_parts(ls.clone(), lpart)),
-                    Box::new(VecScan::from_parts(rs.clone(), rpart)),
-                    (lkeys.clone(), rkeys.clone()),
-                    self.pairing.clone(),
-                    self.schema.clone(),
-                    ExecOpts::default(),
-                );
-                move || -> Result<(Vec<Tuple>, u64)> {
-                    j.open()?;
-                    let mut out = Vec::new();
-                    while let Some(t) = j.step()? {
-                        out.push(t);
-                    }
-                    j.close()?;
-                    Ok((out, j.groups))
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut rows = Vec::new();
-        for res in results {
-            let (out, g) = res?;
-            self.groups += g;
-            rows.extend(out);
-        }
-        self.par = Some(stats);
-        let mut scan = VecScan::from_parts(self.schema.clone(), rows);
-        scan.open()?;
-        self.staged = Some(scan);
-        Ok(())
     }
 
     /// The merge itself, one output row per call.
@@ -316,32 +234,21 @@ impl<P: Pairing> Cursor for SortMerge<P> {
         self.left.open()?;
         self.right.open()?;
         self.opened = true;
-        if self.opts.workers > 1 {
-            return self.open_parallel();
-        }
         Ok(())
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        if let Some(s) = &mut self.staged {
-            return s.next_batch(max_rows);
-        }
         fill_batch(self.schema.clone(), max_rows, || self.step())
     }
 
     fn close(&mut self) -> Result<()> {
         self.opened = false;
-        self.staged = None;
         self.left.close()?;
         self.right.close()
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![(P::GROUPS, self.groups)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![(P::GROUPS, self.groups)]
     }
 }
 
@@ -370,7 +277,6 @@ macro_rules! sort_merge_cursor {
 pub(crate) use sort_merge_cursor;
 
 /// `MERGEJOIN^M`'s pairing: the two rows side by side.
-#[derive(Clone)]
 struct Concat;
 
 impl Pairing for Concat {
@@ -383,27 +289,26 @@ impl Pairing for Concat {
 }
 
 /// The `MERGEJOIN^M` cursor: sort-merge equi join over inputs sorted on
-/// the join attributes; output ordered by the left input. `workers > 1`
-/// joins key-range partitions in parallel, with identical output.
+/// the join attributes; output ordered by the left input.
 pub struct MergeJoin(SortMerge<Concat>);
 
 impl MergeJoin {
     /// Join `left` and `right` on the `eq` attribute pairs; both inputs
     /// must be sorted on those attributes.
     pub fn new(left: BoxCursor, right: BoxCursor, eq: &[(String, String)]) -> Result<Self> {
-        Self::with_opts(left, right, eq, ExecOpts::default())
+        Self::with_batch_rows(left, right, eq, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`MergeJoin::new`] with explicit execution knobs.
-    pub fn with_opts(
+    /// Like [`MergeJoin::new`], pulling its inputs `batch_rows` at a time.
+    pub fn with_batch_rows(
         left: BoxCursor,
         right: BoxCursor,
         eq: &[(String, String)],
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Result<Self> {
         let keys = resolve_keys(Concat::NAME, left.schema(), right.schema(), eq)?;
         let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
-        Ok(MergeJoin(SortMerge::new(left, right, keys, Concat, schema, opts)))
+        Ok(MergeJoin(SortMerge::new(left, right, keys, Concat, schema, batch_rows)))
     }
 }
 
@@ -500,34 +405,12 @@ mod tests {
     fn right_input_ending_first_pulls_no_further_left_batch() {
         let (left, pulls) = counting_scan(rel("K", "X", (2..10).map(|i| (i / 2, i)).collect()));
         let right = Box::new(VecScan::new(rel("K2", "Y", vec![(1, 0)])));
-        let opts = ExecOpts { batch_rows: 2, ..Default::default() };
-        let mj = MergeJoin::with_opts(left, right, &[("K".into(), "K2".into())], opts).unwrap();
+        let mj = MergeJoin::with_batch_rows(left, right, &[("K".into(), "K2".into())], 2).unwrap();
         assert_eq!(collect(Box::new(mj)).unwrap().len(), 2);
         assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     proptest! {
-        /// Parallel partitioned join equals the sequential merge exactly.
-        #[test]
-        fn parallel_matches_sequential(
-            l in proptest::collection::vec((0i64..8, 0i64..100), 0..50),
-            r in proptest::collection::vec((0i64..8, 0i64..100), 0..50),
-        ) {
-            let mut lr = rel("K", "X", l);
-            let mut rr = rel("K2", "Y", r);
-            lr.sort_by(&SortSpec::by(["K"]));
-            rr.sort_by(&SortSpec::by(["K2"]));
-            let mk = |workers: usize| MergeJoin::with_opts(
-                Box::new(VecScan::new(lr.clone())),
-                Box::new(VecScan::new(rr.clone())),
-                &[("K".to_string(), "K2".to_string())],
-                crate::cursor::ExecOpts { workers, ..Default::default() },
-            ).unwrap();
-            let seq = collect(Box::new(mk(1))).unwrap();
-            let par = collect(Box::new(mk(8))).unwrap();
-            prop_assert!(seq.list_eq(&par));
-        }
-
         #[test]
         fn agrees_with_nested_loop(
             l in proptest::collection::vec((0i64..8, 0i64..100), 0..40),

@@ -2,16 +2,16 @@
 //! middleware. Materializes the right input at open; order-preserving on
 //! the left input (outer-major output order).
 
-use crate::cursor::{drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, ExecOpts, Result};
+use crate::cursor::{drain_of, fill_batch, BatchBuffered, BoxCursor, Cursor, Result};
 use std::sync::Arc;
 use tango_algebra::logical::concat_schemas;
-use tango_algebra::{Batch, Expr, Schema, Tuple};
+use tango_algebra::{Batch, Expr, Schema, Tuple, DEFAULT_BATCH_ROWS};
 
 /// The nested-loop theta-join cursor (right input materialized at open).
 pub struct NestedLoopJoin {
     left: BatchBuffered,
     right: BoxCursor,
-    opts: ExecOpts,
+    batch_rows: usize,
     pred: Option<Expr>,
     bound: Option<Expr>,
     schema: Arc<Schema>,
@@ -24,22 +24,22 @@ impl NestedLoopJoin {
     /// `pred` is evaluated over the concatenated tuple; `None` yields the
     /// Cartesian product.
     pub fn new(left: BoxCursor, right: BoxCursor, pred: Option<Expr>) -> Self {
-        Self::with_opts(left, right, pred, ExecOpts::default())
+        Self::with_batch_rows(left, right, pred, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`NestedLoopJoin::new`] with explicit execution knobs (only
-    /// `batch_rows` applies: the loop is sequential).
-    pub fn with_opts(
+    /// Like [`NestedLoopJoin::new`], pulling its inputs `batch_rows` at a
+    /// time.
+    pub fn with_batch_rows(
         left: BoxCursor,
         right: BoxCursor,
         pred: Option<Expr>,
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Self {
         let schema = Arc::new(concat_schemas(left.schema(), right.schema()));
         NestedLoopJoin {
-            left: BatchBuffered::with_rows(left, opts.batch_rows),
+            left: BatchBuffered::with_rows(left, batch_rows),
             right,
-            opts,
+            batch_rows,
             pred,
             bound: None,
             schema,
@@ -85,7 +85,7 @@ impl Cursor for NestedLoopJoin {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.right_buf = drain_of(self.right.as_mut(), self.opts.batch_rows)?;
+        self.right_buf = drain_of(self.right.as_mut(), self.batch_rows)?;
         self.bound = match &self.pred {
             Some(p) => Some(p.bound(&self.schema)?),
             None => None,

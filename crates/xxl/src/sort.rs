@@ -5,21 +5,16 @@
 //! * [`Sort`] materializes its input, columnarizes it, and sorts by
 //!   permutation over flat key arrays (the default; the paper's prototype
 //!   worked in memory and listed very-large-relation support as future
-//!   work). With `workers > 1` the permutation is computed over
-//!   morsel-sized chunks in parallel and stable-merged — byte-identical
-//!   to the sequential sort.
+//!   work).
 //! * [`ExternalSort`] is that future work: it spills sorted runs to
 //!   temporary files using the binary tuple codec and k-way merges them,
-//!   bounding memory by the run size. With `workers > 1`, up to `workers`
-//!   run chunks are sorted concurrently before being spilled in input
-//!   order, so the run files are identical to a sequential spill.
+//!   bounding memory by the run size.
 //!
 //! Both sorts are stable, so they refine any pre-existing order — a
 //! property rule T12 (`sort_A(sort_B(r)) → sort_A(r)` when
 //! `IsPrefixOf(B, A)`) depends on.
 
-use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{morsel_ranges, run_ordered, ParStats};
+use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, Result};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fs::File;
@@ -27,30 +22,27 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tango_algebra::codec::{encode_tuple, Decoder};
-use tango_algebra::{sort_tuples, Batch, BatchKeys, Schema, SortSpec, Tuple};
+use tango_algebra::{sort_tuples, Batch, BatchKeys, Schema, SortSpec, Tuple, DEFAULT_BATCH_ROWS};
 
-/// In-memory sort: columnar permutation sort with an optional parallel
-/// chunk phase.
+/// In-memory sort: columnar permutation sort.
 pub struct Sort {
     input: BoxCursor,
     spec: SortSpec,
-    opts: ExecOpts,
+    batch_rows: usize,
     sorted: Option<Batch>,
     pos: usize,
     buffered: u64,
-    par: Option<ParStats>,
 }
 
 impl Sort {
     /// Sort `input` by `spec` (stable; materializes at open).
     pub fn new(input: BoxCursor, spec: SortSpec) -> Self {
-        Self::with_opts(input, spec, ExecOpts::default())
+        Self::with_batch_rows(input, spec, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`Sort::new`] with explicit execution knobs (batch size and
-    /// worker-pool width).
-    pub fn with_opts(input: BoxCursor, spec: SortSpec, opts: ExecOpts) -> Self {
-        Sort { input, spec, opts, sorted: None, pos: 0, buffered: 0, par: None }
+    /// Like [`Sort::new`], pulling its input `batch_rows` at a time.
+    pub fn with_batch_rows(input: BoxCursor, spec: SortSpec, batch_rows: usize) -> Self {
+        Sort { input, spec, batch_rows, sorted: None, pos: 0, buffered: 0 }
     }
 }
 
@@ -62,28 +54,16 @@ impl Cursor for Sort {
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
         let schema = self.input.schema().clone();
-        let batches = drain_batches(self.input.as_mut(), self.opts.batch_rows)?;
+        let batches = drain_batches(self.input.as_mut(), self.batch_rows)?;
         let data = Batch::concat(schema.clone(), batches);
         self.buffered = data.len() as u64;
         self.pos = 0;
         let keys = BatchKeys::extract(&data, &self.spec, &schema);
-        if data.is_empty() || keys.is_empty() {
-            self.sorted = Some(data);
-            return Ok(());
-        }
-        let n = data.len();
-        let ranges = morsel_ranges(n, self.opts.workers);
-        let perm = if ranges.len() > 1 {
-            let keys_ref = &keys;
-            let jobs: Vec<_> =
-                ranges.into_iter().map(|(lo, hi)| move || keys_ref.sort_range(lo, hi)).collect();
-            let (chunks, stats) = run_ordered(self.opts.workers, jobs);
-            self.par = Some(stats);
-            keys.merge(chunks)
+        self.sorted = Some(if data.is_empty() || keys.is_empty() {
+            data
         } else {
-            keys.sort_range(0, n)
-        };
-        self.sorted = Some(data.gather(&perm));
+            data.gather(&keys.sort_range(0, data.len()))
+        });
         Ok(())
     }
 
@@ -106,11 +86,7 @@ impl Cursor for Sort {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("rows_buffered", self.buffered)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("rows_buffered", self.buffered)]
     }
 }
 
@@ -120,11 +96,10 @@ pub struct ExternalSort {
     input: BoxCursor,
     spec: SortSpec,
     run_size: usize,
-    opts: ExecOpts,
+    batch_rows: usize,
     merge: Option<MergeState>,
     runs_spilled: u64,
     rows_spilled: u64,
-    par: Option<ParStats>,
 }
 
 struct Run {
@@ -155,15 +130,16 @@ impl Run {
     }
 }
 
-/// Write one already-sorted run to a fresh spill file.
-fn spill_run(chunk: Vec<Tuple>, dir: &Path) -> Result<Run> {
+/// Sort one run and write it to a fresh spill file, leaving `chunk` empty.
+fn spill_run(chunk: &mut Vec<Tuple>, spec: &SortSpec, schema: &Schema, dir: &Path) -> Result<Run> {
+    sort_tuples(chunk, spec, schema);
     static RUN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let id = RUN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = dir.join(format!("tango-sort-{}-{id}.run", std::process::id()));
     let file = File::create(&path).map_err(|e| ExecError::State(format!("spill create: {e}")))?;
     let mut w = BufWriter::new(file);
     let mut buf = Vec::new();
-    for t in chunk {
+    for t in chunk.drain(..) {
         buf.clear();
         encode_tuple(&t, &mut buf);
         w.write_all(&(buf.len() as u32).to_le_bytes())
@@ -223,24 +199,24 @@ impl ExternalSort {
     /// Sort `input` by `spec`, spilling sorted runs of `run_size` tuples
     /// to temporary files and merging them on demand.
     pub fn new(input: BoxCursor, spec: SortSpec, run_size: usize) -> Self {
-        Self::with_opts(input, spec, run_size, ExecOpts::default())
+        Self::with_batch_rows(input, spec, run_size, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`ExternalSort::new`] with explicit execution knobs. With
-    /// `workers > 1`, run chunks accumulate until the pool is full and are
-    /// then sorted concurrently; spilling stays in input order so the run
-    /// files (and all downstream results) are byte-identical to a
-    /// sequential spill.
-    pub fn with_opts(input: BoxCursor, spec: SortSpec, run_size: usize, opts: ExecOpts) -> Self {
+    /// Like [`ExternalSort::new`], pulling its input `batch_rows` at a time.
+    pub fn with_batch_rows(
+        input: BoxCursor,
+        spec: SortSpec,
+        run_size: usize,
+        batch_rows: usize,
+    ) -> Self {
         ExternalSort {
             input,
             spec,
             run_size: run_size.max(2),
-            opts,
+            batch_rows,
             merge: None,
             runs_spilled: 0,
             rows_spilled: 0,
-            par: None,
         }
     }
 }
@@ -252,57 +228,22 @@ impl Cursor for ExternalSort {
 
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
-        let spec = self.spec.clone();
         let schema = self.input.schema().clone();
-        let keys = self.spec.resolve(self.input.schema());
+        let keys = self.spec.resolve(&schema);
         let dir = std::env::temp_dir();
-        let workers = self.opts.workers.max(1);
         let mut runs: Vec<Run> = Vec::new();
-        let mut par = ParStats::default();
-        let mut pending: Vec<Vec<Tuple>> = Vec::new();
         let mut chunk: Vec<Tuple> = Vec::with_capacity(self.run_size);
-        let flush = |pending: &mut Vec<Vec<Tuple>>,
-                     runs: &mut Vec<Run>,
-                     par: &mut ParStats|
-         -> Result<()> {
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let (spec, schema) = (&spec, &schema);
-            let jobs: Vec<_> = std::mem::take(pending)
-                .into_iter()
-                .map(|mut c| {
-                    move || {
-                        sort_tuples(&mut c, spec, schema);
-                        c
-                    }
-                })
-                .collect();
-            let (sorted, stats) = run_ordered(workers, jobs);
-            par.absorb(&stats);
-            for c in sorted {
-                runs.push(spill_run(c, &dir)?);
-            }
-            Ok(())
-        };
-        while let Some(b) = self.input.next_batch(self.opts.batch_rows)? {
+        while let Some(b) = self.input.next_batch(self.batch_rows)? {
             for t in b.into_rows() {
                 self.rows_spilled += 1;
                 chunk.push(t);
                 if chunk.len() >= self.run_size {
-                    pending.push(std::mem::take(&mut chunk));
-                    if pending.len() >= workers {
-                        flush(&mut pending, &mut runs, &mut par)?;
-                    }
+                    runs.push(spill_run(&mut chunk, &self.spec, &schema, &dir)?);
                 }
             }
         }
         if !chunk.is_empty() {
-            pending.push(chunk);
-        }
-        flush(&mut pending, &mut runs, &mut par)?;
-        if workers > 1 {
-            self.par = Some(par);
+            runs.push(spill_run(&mut chunk, &self.spec, &schema, &dir)?);
         }
         self.runs_spilled = runs.len() as u64;
         let mut heap = BinaryHeap::with_capacity(runs.len());
@@ -348,12 +289,7 @@ impl Cursor for ExternalSort {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out =
-            vec![("runs_spilled", self.runs_spilled), ("rows_spilled", self.rows_spilled)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("runs_spilled", self.runs_spilled), ("rows_spilled", self.rows_spilled)]
     }
 }
 
@@ -392,31 +328,6 @@ mod tests {
         assert_eq!(got.tuples()[2][1], Value::Str("second".into()));
     }
 
-    #[test]
-    fn parallel_sort_matches_sequential() {
-        let mut x = 9u64;
-        let vals: Vec<(i64, i64)> = (0..5000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (((x >> 33) % 100) as i64, ((x >> 11) % 100) as i64)
-            })
-            .collect();
-        let spec = SortSpec::by(["A", "B"]);
-        let seq =
-            collect(Box::new(Sort::new(Box::new(VecScan::new(rel(vals.clone()))), spec.clone())))
-                .unwrap();
-        for workers in [2, 8] {
-            let opts = ExecOpts { workers, ..ExecOpts::default() };
-            let par = collect(Box::new(Sort::with_opts(
-                Box::new(VecScan::new(rel(vals.clone()))),
-                spec.clone(),
-                opts,
-            )))
-            .unwrap();
-            assert!(seq.list_eq(&par), "parallel sort diverged at workers={workers}");
-        }
-    }
-
     proptest! {
         #[test]
         fn external_sort_matches_in_memory(vals in proptest::collection::vec((0i64..50, 0i64..50), 0..200), run in 2usize..40) {
@@ -424,15 +335,6 @@ mod tests {
             let mem = collect(Box::new(Sort::new(Box::new(VecScan::new(rel(vals.clone()))), spec.clone()))).unwrap();
             let ext = collect(Box::new(ExternalSort::new(Box::new(VecScan::new(rel(vals))), spec, run))).unwrap();
             prop_assert!(mem.list_eq(&ext), "external sort diverged from in-memory sort");
-        }
-
-        #[test]
-        fn parallel_external_sort_matches(vals in proptest::collection::vec((0i64..50, 0i64..50), 0..300), run in 2usize..40) {
-            let spec = SortSpec::by(["A", "B"]);
-            let seq = collect(Box::new(ExternalSort::new(Box::new(VecScan::new(rel(vals.clone()))), spec.clone(), run))).unwrap();
-            let opts = ExecOpts { workers: 4, ..ExecOpts::default() };
-            let par = collect(Box::new(ExternalSort::with_opts(Box::new(VecScan::new(rel(vals))), spec, run, opts))).unwrap();
-            prop_assert!(seq.list_eq(&par), "parallel external sort diverged");
         }
     }
 }

@@ -10,23 +10,19 @@
 //! one columnar batch at `open` and runs the sweep over flat arrays:
 //! group boundaries come from extracted key columns, period endpoints
 //! from a flat `(start, end)` pair of `i64` vectors, and output rows go
-//! straight into typed column builders. With `workers > 1` the groups are
-//! partitioned into ~morsel-sized chunks (groups never span a chunk) and
-//! swept concurrently; chunk outputs are concatenated in group order, so
-//! the result is byte-identical to the sequential sweep.
+//! straight into typed column builders.
 //!
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
 
-use crate::cursor::{drain_batches, period_values, BoxCursor, Cursor, ExecError, ExecOpts, Result};
-use crate::par::{run_ordered, ParStats, MORSEL_ROWS};
+use crate::cursor::{drain_batches, period_values, BoxCursor, Cursor, ExecError, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
 use tango_algebra::value::Key;
 use tango_algebra::{
     AggFunc, AggSpec, Batch, BatchKeys, Column, ColumnBuilder, Day, Period, Schema, SortSpec, Type,
-    Value,
+    Value, DEFAULT_BATCH_ROWS,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -38,7 +34,7 @@ const NO_DAY: i64 = i64::MIN;
 /// sorted on (group attributes, `T1`).
 pub struct TemporalAggregate {
     input: BoxCursor,
-    opts: ExecOpts,
+    batch_rows: usize,
     group_by: Vec<String>,
     group_idx: Vec<usize>,
     agg_arg_idx: Vec<Option<usize>>,
@@ -50,7 +46,7 @@ pub struct TemporalAggregate {
     data: Option<Batch>,
     /// Row ranges of the input's groups, in input order.
     bounds: Vec<(u32, u32)>,
-    /// Next `bounds` entry the lazy sequential path will sweep.
+    /// Next `bounds` entry to sweep.
     next_group: usize,
     /// Flat period endpoints per input row ([`NO_DAY`] = empty/null).
     starts_all: Vec<i64>,
@@ -61,22 +57,22 @@ pub struct TemporalAggregate {
     opened: bool,
     groups: u64,
     constant_periods: u64,
-    par: Option<ParStats>,
 }
 
 impl TemporalAggregate {
     /// Aggregate `input` per `group_by` combination over every constant
     /// period; `aggs` define the computed columns.
     pub fn new(input: BoxCursor, group_by: Vec<String>, aggs: Vec<AggSpec>) -> Result<Self> {
-        Self::with_opts(input, group_by, aggs, ExecOpts::default())
+        Self::with_batch_rows(input, group_by, aggs, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`TemporalAggregate::new`] with explicit execution knobs.
-    pub fn with_opts(
+    /// Like [`TemporalAggregate::new`], pulling its input `batch_rows` at
+    /// a time.
+    pub fn with_batch_rows(
         input: BoxCursor,
         group_by: Vec<String>,
         aggs: Vec<AggSpec>,
-        opts: ExecOpts,
+        batch_rows: usize,
     ) -> Result<Self> {
         let in_schema = input.schema();
         let period = in_schema
@@ -97,7 +93,7 @@ impl TemporalAggregate {
         let schema = Arc::new(taggr_schema(&group_by, &aggs, in_schema)?);
         Ok(TemporalAggregate {
             input,
-            opts,
+            batch_rows,
             group_by,
             group_idx,
             agg_arg_idx,
@@ -115,73 +111,11 @@ impl TemporalAggregate {
             opened: false,
             groups: 0,
             constant_periods: 0,
-            par: None,
         })
     }
 
-    /// Sweep all groups in parallel morsels and stage the whole output.
-    fn run_parallel(&mut self) -> Result<()> {
-        let data = self.data.as_ref().expect("opened");
-        let total_rows = data.len();
-        let target = MORSEL_ROWS.min(total_rows.div_ceil(self.opts.workers)).max(1);
-        // Chunk whole groups by accumulated input rows so no group spans
-        // two morsels.
-        let mut chunks: Vec<(usize, usize)> = Vec::new();
-        let (mut start, mut acc) = (0usize, 0usize);
-        for (i, &(lo, hi)) in self.bounds.iter().enumerate() {
-            acc += (hi - lo) as usize;
-            if acc >= target {
-                chunks.push((start, i + 1));
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < self.bounds.len() {
-            chunks.push((start, self.bounds.len()));
-        }
-        let ctx = SweepCtx {
-            data,
-            group_idx: &self.group_idx,
-            agg_arg_idx: &self.agg_arg_idx,
-            aggs: &self.aggs,
-            date_typed: self.date_typed,
-            starts_all: &self.starts_all,
-            ends_all: &self.ends_all,
-        };
-        let bounds = &self.bounds;
-        let width = self.schema.len();
-        let ctx_ref = &ctx;
-        let jobs: Vec<_> = chunks
-            .into_iter()
-            .map(|(a, b)| {
-                move || {
-                    let mut cols = vec![ColumnBuilder::default(); width];
-                    let (_, g, cp) = sweep_groups(ctx_ref, &bounds[a..b], &mut cols, usize::MAX);
-                    (cols, g, cp)
-                }
-            })
-            .collect();
-        let (results, stats) = run_ordered(self.opts.workers, jobs);
-        let mut cols = vec![ColumnBuilder::default(); width];
-        let (mut groups, mut cps) = (0u64, 0u64);
-        for (chunk_cols, g, cp) in results {
-            groups += g;
-            cps += cp;
-            for (dst, src) in cols.iter_mut().zip(chunk_cols) {
-                dst.extend(src);
-            }
-        }
-        self.groups += groups;
-        self.constant_periods += cps;
-        self.par = Some(stats);
-        self.out = Some(Batch::from_builders(self.schema.clone(), cols));
-        self.out_pos = 0;
-        self.next_group = self.bounds.len();
-        Ok(())
-    }
-
-    /// Sequential path: sweep groups until at least `min_rows` output rows
-    /// are staged (or the input is exhausted).
+    /// Sweep groups until at least `min_rows` output rows are staged (or
+    /// the input is exhausted).
     fn refill(&mut self, min_rows: usize) -> Result<()> {
         let mut cols = vec![ColumnBuilder::default(); self.schema.len()];
         let data = self
@@ -216,7 +150,7 @@ impl Cursor for TemporalAggregate {
     fn open(&mut self) -> Result<()> {
         self.input.open()?;
         let in_schema = self.input.schema().clone();
-        let batches = drain_batches(self.input.as_mut(), self.opts.batch_rows)?;
+        let batches = drain_batches(self.input.as_mut(), self.batch_rows)?;
         let data = Batch::concat(in_schema.clone(), batches);
         let n = data.len();
         self.bounds.clear();
@@ -243,9 +177,6 @@ impl Cursor for TemporalAggregate {
         self.out_pos = 0;
         self.data = Some(data);
         self.opened = true;
-        if self.opts.workers > 1 && !self.bounds.is_empty() {
-            self.run_parallel()?;
-        }
         Ok(())
     }
 
@@ -284,11 +215,7 @@ impl Cursor for TemporalAggregate {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("groups", self.groups), ("constant_periods", self.constant_periods)];
-        if let Some(par) = &self.par {
-            out.extend(par.counters());
-        }
-        out
+        vec![("groups", self.groups), ("constant_periods", self.constant_periods)]
     }
 }
 
@@ -329,7 +256,7 @@ fn day_col(data: &Batch, col: usize) -> Vec<i64> {
         .collect()
 }
 
-/// Shared read-only view a sweep job needs.
+/// The read-only view of the operator a sweep needs.
 struct SweepCtx<'a> {
     data: &'a Batch,
     group_idx: &'a [usize],
@@ -691,44 +618,10 @@ mod tests {
         Relation::new(s, vals.iter().map(|&(g, a, b)| tup![g, a, b]).collect())
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut x = 11u64;
-        let vals: Vec<(i64, i32, i32)> = (0..4000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let g = ((x >> 33) % 64) as i64;
-                let t1 = ((x >> 11) % 50) as i32;
-                (g, t1, t1 + 1 + ((x >> 5) % 20) as i32)
-            })
-            .collect();
-        let mut rel = input_rel(&vals);
-        rel.sort_by(&SortSpec::by(["G", "T1"]));
-        let mk = |workers: usize| {
-            let opts = ExecOpts { workers, ..ExecOpts::default() };
-            TemporalAggregate::with_opts(
-                Box::new(VecScan::new(rel.clone())),
-                vec!["G".into()],
-                vec![
-                    AggSpec::count_star("C"),
-                    AggSpec::new(AggFunc::Sum, Some("T2"), "S"),
-                    AggSpec::new(AggFunc::Min, Some("T1"), "M"),
-                ],
-                opts,
-            )
-            .unwrap()
-        };
-        let seq = collect(Box::new(mk(1))).unwrap();
-        for workers in [2, 8] {
-            let par = collect(Box::new(mk(workers))).unwrap();
-            assert!(seq.list_eq(&par), "parallel TAGGR diverged at workers={workers}");
-        }
-    }
-
     /// A `SUM` that turns NULL in mid-stream (a constant period whose
     /// only holders have a NULL argument) and a `MIN` over strings agree,
     /// as wire bytes, with a row-at-a-time reference that recomputes every
-    /// constant period from the rows holding over it — at any `workers`.
+    /// constant period from the rows holding over it.
     #[test]
     fn null_and_string_aggregates_match_the_reference() {
         use tango_algebra::codec::encode_tuple;
@@ -769,20 +662,17 @@ mod tests {
         let attrs = ["G", "V", "N", "T1", "T2"].map(|n| Attr::new(n, ty(n))).to_vec();
         let input = rows.iter().map(|r| tup![r.0, r.1.clone(), r.2, r.3, r.4]).collect();
         let input = Relation::new(Arc::new(Schema::with_inferred_period(attrs)), input);
-        for workers in [1, 4] {
-            let agg = TemporalAggregate::with_opts(
-                Box::new(VecScan::new(input.clone())),
-                vec!["G".into()],
-                vec![
-                    AggSpec::new(AggFunc::Sum, Some("V"), "S"),
-                    AggSpec::new(AggFunc::Min, Some("N"), "M"),
-                ],
-                ExecOpts { workers, ..ExecOpts::default() },
-            )
-            .unwrap();
-            let got = collect(Box::new(agg)).unwrap();
-            assert_eq!(bytes(got.tuples()), bytes(&expected), "workers={workers}");
-        }
+        let agg = TemporalAggregate::new(
+            Box::new(VecScan::new(input)),
+            vec!["G".into()],
+            vec![
+                AggSpec::new(AggFunc::Sum, Some("V"), "S"),
+                AggSpec::new(AggFunc::Min, Some("N"), "M"),
+            ],
+        )
+        .unwrap();
+        let got = collect(Box::new(agg)).unwrap();
+        assert_eq!(bytes(got.tuples()), bytes(&expected));
     }
 
     proptest! {
@@ -836,24 +726,6 @@ mod tests {
             // cardinality bounds from Section 3.4
             let n = fixed.len();
             prop_assert!(got.len() < 2 * n);
-        }
-
-        /// Parallel sweep equals sequential on arbitrary inputs (including
-        /// empty periods and many tiny groups).
-        #[test]
-        fn parallel_matches_sequential_prop(vals in proptest::collection::vec((0i64..6, 0i32..30, 0i32..12), 0..80)) {
-            let fixed: Vec<(i64, i32, i32)> = vals.into_iter().map(|(g, t1, d)| (g, t1, t1 + d)).collect();
-            let mut rel = input_rel(&fixed);
-            rel.sort_by(&SortSpec::by(["G", "T1"]));
-            let mk = |workers: usize| TemporalAggregate::with_opts(
-                Box::new(VecScan::new(rel.clone())),
-                vec!["G".into()],
-                vec![AggSpec::count_star("C")],
-                ExecOpts { workers, ..ExecOpts::default() },
-            ).unwrap();
-            let seq = collect(Box::new(mk(1))).unwrap();
-            let par = collect(Box::new(mk(8))).unwrap();
-            prop_assert!(seq.list_eq(&par));
         }
     }
 }

@@ -6,13 +6,12 @@
 //! Both inputs must be sorted on all non-temporal attributes (then `T1`).
 
 use crate::cursor::{
-    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, ExecOpts,
-    Result,
+    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, Result,
 };
 use crate::merge_join::KeyGroups;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tango_algebra::{Batch, Schema, Tuple, Type};
+use tango_algebra::{Batch, Schema, Tuple, Type, DEFAULT_BATCH_ROWS};
 
 /// The temporal-difference cursor: subtracts the right input's periods
 /// from value-equivalent left tuples, splitting them into the remaining
@@ -34,12 +33,11 @@ impl TemporalDiff {
     /// Subtract `right` from `left`; both must be temporal with matching
     /// value attributes.
     pub fn new(left: BoxCursor, right: BoxCursor) -> Result<Self> {
-        Self::with_opts(left, right, ExecOpts::default())
+        Self::with_batch_rows(left, right, DEFAULT_BATCH_ROWS)
     }
 
-    /// Like [`TemporalDiff::new`] with explicit execution knobs (the
-    /// merge scan is inherently sequential, so only `batch_rows` applies).
-    pub fn with_opts(left: BoxCursor, right: BoxCursor, opts: ExecOpts) -> Result<Self> {
+    /// Like [`TemporalDiff::new`], pulling its inputs `batch_rows` at a time.
+    pub fn with_batch_rows(left: BoxCursor, right: BoxCursor, batch_rows: usize) -> Result<Self> {
         let ls = left.schema();
         let rs = right.schema();
         let lperiod = ls
@@ -55,8 +53,8 @@ impl TemporalDiff {
             (0..ls.len()).filter(|&i| i != lperiod.0 && i != lperiod.1).collect();
         let date_typed = matches!(ls.attr(lperiod.0).ty, Type::Date);
         Ok(TemporalDiff {
-            left: BatchBuffered::with_rows(left, opts.batch_rows),
-            right: KeyGroups::new(right, value_idx.clone(), opts.batch_rows),
+            left: BatchBuffered::with_rows(left, batch_rows),
+            right: KeyGroups::new(right, value_idx.clone(), batch_rows),
             value_idx,
             lperiod,
             rperiod,

@@ -9,7 +9,10 @@
 //!   literal characters and character classes (`[a-z0-9]`, ranges
 //!   allowed) with `{lo,hi}` / `{n}` / `*` / `+` / `?` quantifiers.
 //! * Deterministic: each test's RNG is seeded from its own name, so
-//!   failures reproduce across runs.
+//!   failures reproduce across runs. `TANGO_PROPTEST_SEED` (decimal or
+//!   `0x…` hex) is XOR-ed into that seed to run every property over
+//!   another stream — CI sweeps three — and a failing property prints
+//!   the value to export to replay it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -367,15 +370,40 @@ pub mod prop {
 pub mod test_runner {
     use super::{SeedableRng, TestRng};
 
+    /// `TANGO_PROPTEST_SEED`, or 0 when unset (the committed streams).
+    fn env_seed() -> u64 {
+        let Ok(s) = std::env::var("TANGO_PROPTEST_SEED") else { return 0 };
+        let s = s.trim();
+        let parsed = match s.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => s.parse(),
+        };
+        parsed.unwrap_or_else(|_| panic!("bad TANGO_PROPTEST_SEED: {s}"))
+    }
+
     /// Seed an RNG deterministically from the test's name so each
-    /// property gets an independent, reproducible stream.
+    /// property gets an independent, reproducible stream, varied by
+    /// `TANGO_PROPTEST_SEED`.
     pub fn rng_for(test_name: &str) -> TestRng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in test_name.bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
-        TestRng::seed_from_u64(h)
+        TestRng::seed_from_u64(h ^ env_seed())
+    }
+
+    /// Held by a running property: if it unwinds, says which seed to
+    /// export to replay the failure.
+    pub struct ReplayNote(pub &'static str);
+
+    impl Drop for ReplayNote {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let seed = env_seed();
+                eprintln!("proptest: {} failed; replay with TANGO_PROPTEST_SEED={seed:#x}", self.0);
+            }
+        }
     }
 }
 
@@ -412,7 +440,9 @@ macro_rules! __proptest_impl {
             #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
-                let mut rng = $crate::test_runner::rng_for(concat!(module_path!(), "::", stringify!($name)));
+                let name = concat!(module_path!(), "::", stringify!($name));
+                let mut rng = $crate::test_runner::rng_for(name);
+                let _replay = $crate::test_runner::ReplayNote(name);
                 for __case in 0..config.cases {
                     let _ = __case;
                     $(let $pat = $crate::Strategy::generate(&($strat), &mut rng);)*

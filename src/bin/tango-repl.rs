@@ -21,7 +21,6 @@
 //! * `\explain <sql>`   — the DBMS's own EXPLAIN for conventional SQL
 //! * `\calibrate`       — run cost-factor calibration
 //! * `\factors`         — show the current cost factors
-//! * `\workers [n]`     — show/set the morsel worker pool (0 = auto)
 //! * `\batch [n]`       — show/set this session's batch size
 //! * `\rewrites [p,..]` — show/set the rewrite rule packs applied
 //!   between parse and optimize (`\rewrites none` clears; see
@@ -130,20 +129,6 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
                 f.p_taggm1, f.p_taggm2, f.p_taggd1, f.p_taggd2, f.p_mjm, f.p_jd
             );
         }
-        "\\workers" => {
-            let rest = rest.trim().trim_end_matches(';');
-            if rest.is_empty() {
-                println!("workers = {} (0 = auto)", tango.options().workers);
-            } else {
-                match rest.parse::<usize>() {
-                    Ok(n) => {
-                        tango.options_mut().workers = n;
-                        println!("workers = {n}");
-                    }
-                    Err(_) => println!("usage: \\workers <n>  (0 = auto, 1 = sequential)"),
-                }
-            }
-        }
         "\\batch" => {
             let rest = rest.trim().trim_end_matches(';');
             if rest.is_empty() {
@@ -230,7 +215,7 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
             }
             Err(e) => println!("error: {e}"),
         },
-        other => println!("unknown meta command {other} (try \\quit, \\plan, \\explain, \\calibrate, \\factors, \\workers, \\batch, \\rewrites, \\cache, \\tables)"),
+        other => println!("unknown meta command {other} (try \\quit, \\plan, \\explain, \\calibrate, \\factors, \\batch, \\rewrites, \\cache, \\tables)"),
     }
     false
 }

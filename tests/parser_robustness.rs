@@ -1,8 +1,23 @@
 //! Parser robustness: no input may panic the SQL or temporal-SQL
-//! parsers, and expression rendering round-trips through the parser.
+//! parsers, the wire-codec decoder or the rule-pack loader, and
+//! expression rendering round-trips through the parser.
 
 use proptest::prelude::*;
-use tango::algebra::{Attr, CmpOp, Expr, Schema, Type, Value};
+use tango::algebra::codec::{encode_tuple, Decoder};
+use tango::algebra::{Attr, CmpOp, Expr, Schema, Tuple, Type, Value};
+use tango::core::rewrite::RulePack;
+
+/// One value of each wire type.
+fn arb_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-1000i64..1000).prop_map(Value::Int),
+        (-5.0f64..5.0).prop_map(Value::Double),
+        "[ -~]{0,12}".prop_map(Value::Str),
+        (0i32..20_000).prop_map(Value::Date),
+    ]
+    .boxed()
+}
 
 proptest! {
     /// Arbitrary garbage must produce `Err`, never a panic.
@@ -38,6 +53,62 @@ proptest! {
             })
         };
         let _ = tango::core::tsql::parse_tsql(&input, &schema);
+    }
+
+    /// A damaged encoding — cut short, then bits flipped — decodes to
+    /// `Ok` or `Err`, never a panic, and no corrupt length outruns the
+    /// input: every decoded value took at least a byte of it.
+    #[test]
+    fn codec_decoder_never_panics(
+        rows in prop::collection::vec(prop::collection::vec(arb_value(), 0..6), 1..4),
+        keep_percent in 0usize..=100,
+        flips in prop::collection::vec((0usize..10_000, 0u32..8), 0..4),
+    ) {
+        let mut buf = Vec::new();
+        for r in &rows {
+            encode_tuple(&Tuple::new(r.clone()), &mut buf);
+        }
+        buf.truncate(buf.len() * keep_percent / 100);
+        for (at, bit) in flips {
+            if let Some(n) = std::num::NonZeroUsize::new(buf.len()) {
+                buf[at % n] ^= 1 << bit;
+            }
+        }
+        let mut d = Decoder::new(&buf);
+        while !d.is_done() {
+            let before = d.position();
+            match d.decode_tuple() {
+                Ok(t) => prop_assert!(t.len() < d.position() - before),
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Mutated copies of the three shipped packs — a span cut out,
+    /// characters overwritten with JSON and template syntax — load or
+    /// are rejected, never a panic.
+    #[test]
+    fn rule_pack_parser_never_panics(
+        pack in prop::sample::select(vec![
+            include_str!("../rules/compat.json"),
+            include_str!("../rules/subquery-to-join.json"),
+            include_str!("../rules/temporal-normalize.json"),
+        ]),
+        cut in (0usize..10_000, 0usize..40),
+        edits in prop::collection::vec(
+            (0usize..10_000, prop::sample::select("\"{}[],:$\\x0 ".chars().collect())),
+            0..4,
+        ),
+    ) {
+        let mut chars: Vec<char> = pack.chars().collect();
+        let at = cut.0 % chars.len();
+        chars.drain(at..(at + cut.1).min(chars.len()));
+        for (at, c) in edits {
+            let n = chars.len(); // the packs are far longer than a cut
+            chars[at % n] = c;
+        }
+        let text: String = chars.into_iter().collect();
+        let _ = RulePack::parse(&text, "<mutated>");
     }
 }
 

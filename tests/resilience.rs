@@ -223,6 +223,37 @@ fn exhausted_retries_replan_and_match_baseline() {
     assert_eq!(tango.conn().wire_retries(), 2); // two backoffs before giving up
 }
 
+/// A fault that lands after the degrade — on a base fetch of the
+/// re-plan fallback — is metered on the degraded `TRANSFER^M` step like
+/// the faults that degraded it.
+#[test]
+fn fallback_fetch_faults_land_on_the_transfer_step() {
+    let db = seed_db();
+    let mut tango = wire_session(&db);
+    let optimized = tango.optimize(QUERY1).unwrap();
+    let (baseline, _) = tango.execute_physical(&optimized.plan).unwrap();
+
+    tango.conn_mut().set_retry_policy(RetryPolicy { max_attempts: 3, ..RetryPolicy::default() });
+    let rt = db.link().roundtrips();
+    // rt+1..rt+3 exhaust the submission's attempts; rt+4 is the
+    // fallback's own fetch, retried once at rt+5
+    db.link().set_injector(Arc::new(FaultPlan::scripted([
+        (rt + 1, Fault::Transient("chaos".into())),
+        (rt + 2, Fault::Transient("chaos".into())),
+        (rt + 3, Fault::Transient("chaos".into())),
+        (rt + 4, Fault::Transient("late".into())),
+    ])));
+    let (rel, exec) = tango.execute_physical(&optimized.plan).unwrap();
+    db.link().clear_injector();
+
+    assert!(rel.multiset_eq(&baseline), "baseline:\n{baseline}\nreplanned:\n{rel}");
+    assert_eq!((tango.conn().wire_faults(), tango.conn().wire_retries()), (4, 3));
+    let text = optimized.explain_analyze(&exec, true);
+    assert!(text.contains("replans 1"), "{text}");
+    assert!(text.contains("wire_faults 4"), "a fault after the degrade went unmetered:\n{text}");
+    assert!(text.contains("wire_retries 3"), "{text}");
+}
+
 /// A fatal fault surfaces as one clean, classified error — no panic, no
 /// partial result, no leaked temp tables — and the session keeps working
 /// once the fault clears.

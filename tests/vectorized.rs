@@ -4,7 +4,7 @@
 //! randomized inputs, for full middleware plans end to end, and under
 //! seeded chaos schedules on the simulated wire.
 //!
-//! The batch size is per operator ([`ExecOpts`]) and per session
+//! The batch size is per operator (`with_batch_rows`) and per session
 //! (`TangoOptions::batch_rows`), so the tests here share no state.
 
 use proptest::prelude::*;
@@ -16,8 +16,8 @@ use tango::algebra::{
 };
 use tango::minidb::{Database, FaultPlan, Link, LinkProfile, WireMode};
 use tango::xxl::{
-    collect, drain_of, BoxCursor, Coalesce, DupElim, ExecOpts, ExternalSort, Filter, MergeJoin,
-    Project, Sort, TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
+    drain_of, BoxCursor, Coalesce, DupElim, ExternalSort, Filter, MergeJoin, Project, Sort,
+    TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
 };
 use tango::Tango;
 
@@ -35,10 +35,10 @@ fn collect_of(mut c: BoxCursor, rows: usize) -> Relation {
 }
 
 /// The same cursor constructor at every size of [`SIZES`] — built with
-/// `ExecOpts { batch_rows }` (its internal pulls) and drained with pulls
-/// of the same size — against the batch-1 baseline.
-fn assert_differential(label: &str, make: &dyn Fn(ExecOpts) -> BoxCursor) {
-    let at = |batch_rows: usize| collect_of(make(ExecOpts { batch_rows, workers: 1 }), batch_rows);
+/// that `batch_rows` (its internal pulls) and drained with pulls of the
+/// same size — against the batch-1 baseline.
+fn assert_differential(label: &str, make: &dyn Fn(usize) -> BoxCursor) {
+    let at = |batch_rows: usize| collect_of(make(batch_rows), batch_rows);
     let row = at(1);
     for bs in SIZES {
         let batched = at(bs);
@@ -100,11 +100,11 @@ proptest! {
             )
         });
         assert_differential("SORT^M", &|o| {
-            Box::new(Sort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), o))
+            Box::new(Sort::with_batch_rows(scan(&rel), SortSpec::by(["PosID", "T1"]), o))
         });
         for run in [2usize, 7] {
             assert_differential("XSORT^M", &|o| {
-                Box::new(ExternalSort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), run, o))
+                Box::new(ExternalSort::with_batch_rows(scan(&rel), SortSpec::by(["PosID", "T1"]), run, o))
             });
         }
         assert_differential("DUPELIM^M", &|_| Box::new(DupElim::new(scan(&rel))));
@@ -122,14 +122,14 @@ proptest! {
         let r = sorted_by(&temporal_rel(&right), &["PosID", "T1"]);
         let eq = [("PosID".to_string(), "PosID".to_string())];
         assert_differential("MERGEJOIN^M", &|o| {
-            Box::new(MergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
+            Box::new(MergeJoin::with_batch_rows(scan(&l), scan(&r), &eq, o).unwrap())
         });
         assert_differential("TMERGEJOIN^M", &|o| {
-            Box::new(TemporalMergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
+            Box::new(TemporalMergeJoin::with_batch_rows(scan(&l), scan(&r), &eq, o).unwrap())
         });
         assert_differential("TAGGR^M", &|o| {
             Box::new(
-                TemporalAggregate::with_opts(
+                TemporalAggregate::with_batch_rows(
                     scan(&l),
                     vec!["PosID".into()],
                     vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")],
@@ -143,159 +143,11 @@ proptest! {
         let lv = sorted_by(&l, &["PosID", "EmpID", "T1"]);
         let rv = sorted_by(&r, &["PosID", "EmpID", "T1"]);
         assert_differential("COALESCE^M", &|o| {
-            Box::new(Coalesce::with_opts(scan(&lv), o).unwrap())
+            Box::new(Coalesce::with_batch_rows(scan(&lv), o).unwrap())
         });
         assert_differential("TDIFF^M", &|o| {
-            Box::new(TemporalDiff::with_opts(scan(&lv), scan(&rv), o).unwrap())
+            Box::new(TemporalDiff::with_batch_rows(scan(&lv), scan(&rv), o).unwrap())
         });
-    }
-}
-
-// -------------------------------------------------------------- parallel
-
-/// Wire-codec encoding of a whole relation: the strictest equality there
-/// is — any drift in value *variants* (Int vs Date), float bits or null
-/// placement changes the bytes even when `total_cmp` would not notice.
-fn encode_rel(rel: &Relation) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for t in rel.tuples() {
-        tango::algebra::codec::encode_tuple(t, &mut buf);
-    }
-    buf
-}
-
-/// Morsel-parallel differential: the cursor built with any
-/// (workers × batch_rows) combination must be byte-identical (through
-/// the wire codec) to the sequential default.
-fn assert_parallel_differential(label: &str, make: &dyn Fn(ExecOpts) -> BoxCursor) {
-    let base = collect(make(ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 1 })).unwrap();
-    let base_bytes = encode_rel(&base);
-    for workers in [1usize, 2, 8] {
-        for batch_rows in [1usize, 1024] {
-            let opts = ExecOpts { batch_rows, workers };
-            let got = collect(make(opts)).unwrap();
-            assert!(
-                got.list_eq(&base),
-                "{label}: workers={workers} batch={batch_rows} changed the result\n\
-                 base:\n{base}\ngot:\n{got}"
-            );
-            assert_eq!(
-                encode_rel(&got),
-                base_bytes,
-                "{label}: workers={workers} batch={batch_rows} drifted at the byte level"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-
-    /// Every morsel-parallel operator, workers 1/2/8 × batch 1/1024:
-    /// byte-identical to the sequential run.
-    #[test]
-    fn parallel_operators_agree(
-        left in proptest::collection::vec((0i64..5, 0i64..4, 0i32..25, 1i32..10), 0..40),
-        right in proptest::collection::vec((0i64..5, 0i64..4, 0i32..25, 1i32..10), 0..40),
-    ) {
-        let l = sorted_by(&temporal_rel(&left), &["PosID", "T1"]);
-        let r = sorted_by(&temporal_rel(&right), &["PosID", "T1"]);
-        let eq = [("PosID".to_string(), "PosID".to_string())];
-        assert_parallel_differential("SORT^M", &|o| {
-            Box::new(Sort::with_opts(scan(&l), SortSpec::by(["EmpID", "T1"]), o))
-        });
-        assert_parallel_differential("XSORT^M", &|o| {
-            Box::new(ExternalSort::with_opts(scan(&l), SortSpec::by(["EmpID", "T1"]), 7, o))
-        });
-        assert_parallel_differential("MERGEJOIN^M", &|o| {
-            Box::new(MergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
-        });
-        assert_parallel_differential("TMERGEJOIN^M", &|o| {
-            Box::new(TemporalMergeJoin::with_opts(scan(&l), scan(&r), &eq, o).unwrap())
-        });
-        assert_parallel_differential("TAGGR^M", &|o| {
-            Box::new(
-                TemporalAggregate::with_opts(
-                    scan(&l),
-                    vec!["PosID".into()],
-                    vec![
-                        AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt"),
-                        AggSpec::new(AggFunc::Sum, Some("EmpID"), "S"),
-                    ],
-                    o,
-                )
-                .unwrap(),
-            )
-        });
-        let lv = sorted_by(&l, &["PosID", "EmpID", "T1"]);
-        assert_parallel_differential("COALESCE^M", &|o| {
-            Box::new(Coalesce::with_opts(scan(&lv), o).unwrap())
-        });
-    }
-}
-
-/// Dynamic morsel claiming must not leak into results: repeated parallel
-/// runs of the same cursor are byte-identical.
-#[test]
-fn parallel_runs_are_deterministic() {
-    let mut x = 7u64;
-    let raw: Vec<Row> = (0..3000)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (
-                ((x >> 33) % 64) as i64,
-                ((x >> 21) % 16) as i64,
-                ((x >> 11) % 50) as i32,
-                1 + ((x >> 5) % 20) as i32,
-            )
-        })
-        .collect();
-    let rel = sorted_by(&temporal_rel(&raw), &["PosID", "T1"]);
-    let opts = ExecOpts { batch_rows: DEFAULT_BATCH_ROWS, workers: 8 };
-    let make = || -> BoxCursor {
-        Box::new(
-            TemporalAggregate::with_opts(
-                Box::new(Sort::with_opts(scan(&rel), SortSpec::by(["PosID", "T1"]), opts)),
-                vec!["PosID".into()],
-                vec![
-                    AggSpec::new(AggFunc::Count, None, "Cnt"),
-                    AggSpec::new(AggFunc::Avg, Some("EmpID"), "A"),
-                ],
-                opts,
-            )
-            .unwrap(),
-        )
-    };
-    let first = encode_rel(&collect(make()).unwrap());
-    for run in 1..4 {
-        let again = encode_rel(&collect(make()).unwrap());
-        assert_eq!(first, again, "parallel run {run} was not byte-identical");
-    }
-}
-
-/// The per-session knobs (`TangoOptions::workers` / `batch_rows`) end to
-/// end: parallel sessions answer every figure query byte-identically to
-/// the sequential baseline, with exact row accounting.
-#[test]
-fn parallel_sessions_agree_with_sequential() {
-    let db = seed_db();
-    let mut tango = Tango::connect(db);
-    let baselines: Vec<Vec<u8>> =
-        queries().iter().map(|q| encode_rel(&tango.query(q).unwrap().0)).collect();
-    for workers in [2usize, 8] {
-        for batch_rows in [Some(1usize), Some(1024), None] {
-            tango.options_mut().workers = workers;
-            tango.options_mut().batch_rows = batch_rows;
-            for (q, base) in queries().iter().zip(&baselines) {
-                let (rel, report) = tango.query(q).unwrap();
-                assert_eq!(
-                    &encode_rel(&rel),
-                    base,
-                    "workers={workers} batch_rows={batch_rows:?} changed the answer\nquery: {q}"
-                );
-                assert_eq!(report.exec.rows, rel.len(), "row accounting, query {q}");
-            }
-        }
     }
 }
 

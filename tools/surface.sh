@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Print the tracked size numbers of the middleware (ROADMAP aim 2):
-# source lines, public items and option-field counts. Prints only; CI
+# source lines, public items, unwrap sites and option-field counts. Prints only; CI
 # runs it so every PR's log carries the numbers, and CHANGES.md quotes
 # its output before and after a change instead of hand-run commands.
 set -euo pipefail
@@ -11,6 +11,19 @@ lines() { cat "$@" | wc -l; }
 non_test_lines() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 public_items() {
     grep -hE "^\s*pub (fn|struct|enum|trait|type|const|static|mod|use) " "$@" | wc -l
+}
+# `.unwrap()` / `.expect(` sites of the given files above their test
+# code — the first `#[cfg(test)]` module or impl; a `#[cfg(test)]`
+# `thread_local!` in mid-file does not end the count (ROADMAP item 3:
+# each site is either gone or carries an `// invariant:` comment)
+unwrap_sites() {
+    for f in "$@"; do
+        awk '/^#\[cfg\(test\)\]/ { armed = 1; next }
+             armed && /^(pub\(crate\) )?mod |^impl |^#\[path/ { exit }
+             { armed = 0 }
+             !/^[ \t]*\/\// && /\.unwrap\(\)|\.expect\(/ { n++ }
+             END { print n + 0 }' "$f"
+    done | awk '{ s += $1 } END { print s + 0 }'
 }
 # `pub` fields of struct $1 in file $2
 fields() {
@@ -26,4 +39,5 @@ echo "non-test:     batch.rs $(non_test_lines crates/algebra/src/batch.rs)  tagg
 echo "non-test:     logical.rs $(non_test_lines crates/algebra/src/logical.rs)  cardinality.rs $(non_test_lines crates/stats/src/cardinality.rs)"
 echo "non-test:     refresh.rs $(non_test_lines crates/core/src/refresh.rs)  delta.rs $(non_test_lines crates/xxl/src/delta.rs)"
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)"
-echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)  ExecOpts $(fields ExecOpts crates/xxl/src/cursor.rs)"
+echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
+echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
