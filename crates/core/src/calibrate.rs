@@ -8,7 +8,7 @@
 use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
 use crate::phys::{Algo, PhysNode};
-use crate::to_sql;
+use crate::{engine, to_sql};
 use rand_free::SmallRng;
 use std::sync::Arc;
 use tango_algebra::{tup, AggFunc, AggSpec, Attr, Relation, Schema, SortSpec, Type};
@@ -123,8 +123,11 @@ fn probe_rows(n: usize, rng: &mut SmallRng) -> Vec<tango_algebra::Tuple> {
 /// Run the calibration experiment and fit the cost factors.
 ///
 /// Creates temporary `TANGO_CAL_*` tables in the DBMS, probes each
-/// algorithm at several input sizes, and drops the tables again.
-pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
+/// algorithm at several input sizes, and drops the tables again. The
+/// probes fetch the way the engine's `TRANSFER^M` does at `batch_rows`
+/// (one round trip per batch, see [`engine::query_batched`]), so `p_tm`
+/// prices the transfer the session will run.
+pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Calibration> {
     let mut rng = SmallRng::new(seed | 1);
     let sizes = [1_000usize, 4_000, 12_000];
     let mut samples: Vec<Sample> = Vec::new();
@@ -134,6 +137,9 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
         out.push(Sample { probe, x, t_us });
     };
 
+    let fetch = |sql: &str| -> Result<Relation> {
+        engine::fetch_all(conn, sql, batch_rows).map_err(|e| TangoError::Dbms(e.to_string()))
+    };
     // wire-aware timing helper: wall time + virtual wire delta
     let timed = |conn: &Connection, f: &mut dyn FnMut() -> Result<()>| -> Result<f64> {
         let sw = Stopwatch::start(conn.wire_time());
@@ -161,10 +167,7 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
         // TRANSFER^M (scan + fetch over the wire) — linear in bytes
         let mut fetched = None;
         let t = timed(conn, &mut || {
-            fetched = Some(
-                conn.query_all(&format!("SELECT K, V, S, T1, T2 FROM {table}"))
-                    .map_err(|e| TangoError::Dbms(e.to_string()))?,
-            );
+            fetched = Some(fetch(&format!("SELECT K, V, S, T1, T2 FROM {table}"))?);
             Ok(())
         })?;
         add("transfer_m", bytes, t, &mut samples);
@@ -174,8 +177,7 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
 
         // SORT^D: sorted fetch minus plain fetch
         let t_sorted = timed(conn, &mut || {
-            conn.query_all(&format!("SELECT K, V, S, T1, T2 FROM {table} ORDER BY K, T1"))
-                .map_err(|e| TangoError::Dbms(e.to_string()))?;
+            fetch(&format!("SELECT K, V, S, T1, T2 FROM {table} ORDER BY K, T1"))?;
             Ok(())
         })?;
         add("sort_d", bytes * log2n, (t_sorted - plain_scan_t).max(1.0), &mut samples);
@@ -253,26 +255,17 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
     // -- second pass: DBMS-side composite probes
     for (i, &n) in sizes.iter().enumerate() {
         let table = format!("TANGO_CAL_{i}");
-        let t_probe = conn
-            .query_all(&format!("SELECT K FROM {table}"))
-            .map_err(|e| TangoError::Dbms(e.to_string()))?;
-        let bytes = {
-            // recompute input size from the stored table
-            let s = conn.table_stats(&table).unwrap_or_default();
-            s.size_bytes()
-        };
-        let _ = t_probe;
+        // input size from the stored table's statistics
+        let bytes = conn.table_stats(&table).unwrap_or_default().size_bytes();
 
         // JOIN^D (generic): wrap the join in COUNT(*) so only one row
         // crosses the wire and the measurement is the join itself
         let mut join_out_rows = 0f64;
         let t = timed(conn, &mut || {
-            let r = conn
-                .query_all(&format!(
-                    "SELECT COUNT(*) AS N FROM \
-                     (SELECT A.K k, A.V v, B.V w FROM {table} A, {table} B WHERE A.K = B.K) J"
-                ))
-                .map_err(|e| TangoError::Dbms(e.to_string()))?;
+            let r = fetch(&format!(
+                "SELECT COUNT(*) AS N FROM \
+                 (SELECT A.K k, A.V v, B.V w FROM {table} A, {table} B WHERE A.K = B.K) J"
+            ))?;
             join_out_rows = r.tuples()[0][0].as_f64().unwrap_or(0.0);
             Ok(())
         })?;
@@ -300,9 +293,7 @@ pub fn calibrate(conn: &Connection, seed: u64) -> Result<Calibration> {
             let sql = to_sql::render_select(&node)?;
             let mut out_rows = 0f64;
             let t = timed(conn, &mut || {
-                let r = conn
-                    .query_all(&format!("SELECT COUNT(*) AS N FROM ({sql}) X"))
-                    .map_err(|e| TangoError::Dbms(e.to_string()))?;
+                let r = fetch(&format!("SELECT COUNT(*) AS N FROM ({sql}) X"))?;
                 out_rows = r.tuples()[0][0].as_f64().unwrap_or(0.0);
                 Ok(())
             })?;
@@ -373,7 +364,7 @@ mod tests {
     #[test]
     fn calibration_produces_positive_factors() {
         let conn = Connection::new(Database::in_memory());
-        let cal = calibrate(&conn, 7).unwrap();
+        let cal = calibrate(&conn, 7, 1024).unwrap();
         let f = cal.factors;
         for v in [f.p_tm, f.p_td, f.p_sem, f.p_sm, f.p_sd, f.p_taggm1, f.p_taggd1, f.p_mjm, f.p_jd]
         {
@@ -386,5 +377,19 @@ mod tests {
         assert!(f.p_tm > f.p_sem, "p_tm={} p_sem={}", f.p_tm, f.p_sem);
         // and DBMS temporal aggregation much more expensive than middleware
         assert!(f.p_taggd1 > f.p_taggm1, "taggd={} taggm={}", f.p_taggd1, f.p_taggm1);
+    }
+
+    /// The transfer probe fetches the way the engine will: on the default
+    /// link (50-row prefetch, 500 µs a trip) a session that fetches 1,024
+    /// rows a trip pays far less latency per byte than a row-at-a-time
+    /// one, whose fetches stay at the prefetch floor.
+    #[test]
+    fn transfer_factor_follows_the_fetch_size() {
+        let conn = Connection::new(Database::in_memory());
+        let p_tm = |batch_rows| calibrate(&conn, 7, batch_rows).unwrap().factors.p_tm;
+        let (row, batch) = (p_tm(1), p_tm(1024));
+        // ≈ 0.33 vs ≈ 0.54 µs/B on the bench host; the wire part alone is
+        // 0.25 vs 0.46, the rest is decode time, which noise inflates
+        assert!(batch < 0.8 * row, "p_tm at batch 1024 {batch} vs batch 1 {row}");
     }
 }

@@ -25,9 +25,9 @@ use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    drain_batches, drain_of, fill_batch, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor,
-    DeltaApply, DupElim, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort,
-    TemporalAggregate, TemporalDiff, TemporalMergeJoin,
+    drain_batches, drain_of, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor, DeltaApply,
+    DupElim, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate,
+    TemporalDiff, TemporalMergeJoin,
 };
 
 /// Observed execution of one algorithm instance.
@@ -772,7 +772,6 @@ impl<'a> Ctx<'a> {
             batch_rows: self.batch_rows,
             prereqs,
             cur: None,
-            buf: VecDeque::new(),
             fallback: None,
             server_sink: slot.clone(),
             populate,
@@ -866,7 +865,8 @@ impl<'a> Ctx<'a> {
                 );
                 match choice {
                     cache::Maintenance::Refresh => {
-                        match refresh::try_refresh(self.conn, cache, clean, &entry) {
+                        match refresh::try_refresh(self.conn, cache, clean, &entry, self.batch_rows)
+                        {
                             Ok(refresh::Refreshed { spliced, new_deps, delta_bytes }) => {
                                 // a losing race (entry evicted or already
                                 // refreshed by a peer) only means our batch
@@ -1078,6 +1078,7 @@ fn middleware_fallback(
             conn: conn.clone(),
             sql,
             schema: node.schema.clone(),
+            batch_rows,
             cur: None,
         }));
     }
@@ -1173,6 +1174,75 @@ fn check_arity(what: &str, cur: &DbCursor, schema: &Schema) -> tango_xxl::Result
     )))
 }
 
+/// The one fetch rule of the middleware's wire readers: open `sql` with
+/// a fetch size of one executor batch, the link's default prefetch as the
+/// floor — a transfer makes one round trip per batch, and a batch-1 run
+/// still pays exactly the link's prefetch windows.
+pub(crate) fn query_batched(
+    conn: &Connection,
+    sql: &str,
+    batch_rows: usize,
+) -> tango_minidb::Result<DbCursor> {
+    let mut cur = conn.query(sql)?;
+    cur.set_fetch_size(batch_rows.max(cur.fetch_size()));
+    Ok(cur)
+}
+
+/// Read the whole result of `sql` under the [`query_batched`] rule.
+pub(crate) fn fetch_all(
+    conn: &Connection,
+    sql: &str,
+    batch_rows: usize,
+) -> tango_minidb::Result<Relation> {
+    let mut cur = query_batched(conn, sql, batch_rows)?;
+    let mut rows = Vec::new();
+    while let Some(mut batch) = cur.fetch_batch()? {
+        rows.append(&mut batch);
+    }
+    Ok(Relation::new(cur.schema().clone(), rows))
+}
+
+/// A [`query_batched`] cursor served `max` rows per pull, at most one
+/// wire trip each. A trip's rows beyond the request (when the batch is
+/// below the link's prefetch floor) wait in `buf`.
+struct BatchReader {
+    cur: DbCursor,
+    buf: VecDeque<Tuple>,
+    /// The server has no rows left: a trip came back short or empty.
+    done: bool,
+}
+
+impl BatchReader {
+    fn new(cur: DbCursor) -> Self {
+        BatchReader { cur, buf: VecDeque::new(), done: false }
+    }
+
+    fn next(&mut self, max: usize) -> tango_minidb::Result<Option<Vec<Tuple>>> {
+        if self.buf.len() < max && !self.done {
+            match self.cur.fetch_batch()? {
+                Some(rows) => {
+                    self.done = rows.len() < self.cur.fetch_size();
+                    if self.buf.is_empty() && rows.len() <= max {
+                        return Ok(Some(rows));
+                    }
+                    self.buf.extend(rows);
+                }
+                None => self.done = true,
+            }
+        }
+        if self.buf.is_empty() {
+            return Ok(None);
+        }
+        let take = max.min(self.buf.len());
+        Ok(Some(self.buf.drain(..take).collect()))
+    }
+
+    /// Every row of the result has been handed out.
+    fn drained(&self) -> bool {
+        self.done && self.buf.is_empty()
+    }
+}
+
 /// Fetches one base relation for the re-plan fallback: a plain SELECT
 /// over the same faulty link (its transfers still go through the
 /// connection's retry loop, metered by the degraded `TRANSFER^M`).
@@ -1180,7 +1250,8 @@ struct FetchCursor {
     conn: Connection,
     sql: String,
     schema: Arc<Schema>,
-    cur: Option<DbCursor>,
+    batch_rows: usize,
+    cur: Option<BatchReader>,
 }
 
 impl Cursor for FetchCursor {
@@ -1189,9 +1260,10 @@ impl Cursor for FetchCursor {
     }
 
     fn open(&mut self) -> tango_xxl::Result<()> {
-        let cur = self.conn.query(&self.sql).map_err(|e| wire_exec_err(&e))?;
+        let cur =
+            query_batched(&self.conn, &self.sql, self.batch_rows).map_err(|e| wire_exec_err(&e))?;
         check_arity("fallback fetch", &cur, &self.schema)?;
-        self.cur = Some(cur);
+        self.cur = Some(BatchReader::new(cur));
         Ok(())
     }
 
@@ -1200,7 +1272,8 @@ impl Cursor for FetchCursor {
             .cur
             .as_mut()
             .ok_or_else(|| tango_xxl::ExecError::State("fallback fetch not opened".into()))?;
-        fill_batch(self.schema.clone(), max_rows, || cur.fetch().map_err(|e| wire_exec_err(&e)))
+        let rows = cur.next(max_rows.max(1)).map_err(|e| wire_exec_err(&e))?;
+        Ok(rows.map(|rows| Batch::new(self.schema.clone(), rows)))
     }
 
     fn close(&mut self) -> tango_xxl::Result<()> {
@@ -1227,20 +1300,18 @@ struct TransferMCursor {
     /// The cleaned DBMS fragment (temp scans in place of `T^D`), kept
     /// for re-planning.
     fragment: PhysNode,
-    /// The executor's knobs, for the operators a re-plan builds.
+    /// The executor's batch: the fetch size of the SQL's cursor (see
+    /// [`query_batched`]) and of the operators a re-plan builds.
     batch_rows: usize,
     prereqs: Vec<BoxCursor>,
-    cur: Option<DbCursor>,
-    /// Rows of a prefetch batch beyond what the last `next_batch`
-    /// request asked for, served before the next wire pull.
-    buf: VecDeque<Tuple>,
+    cur: Option<BatchReader>,
     /// The middleware re-plan of `fragment`, once degraded.
     fallback: Option<BoxCursor>,
     /// Sink for the producing statement's server-side execution time
     /// and for replan and cache events.
     server_sink: Arc<SpanSlot>,
     /// Pending cache population (a cache miss): rows are accumulated,
-    /// column by column, at wire-fetch time and inserted only if the
+    /// column by column, as they are emitted and inserted only if the
     /// stream drains cleanly.
     /// Dropped on degrade — a re-planned or partial result must never
     /// populate the cache.
@@ -1299,7 +1370,7 @@ impl TransferMCursor {
         Ok(())
     }
 
-    /// Record rows fetched off the wire for a pending population.
+    /// Record rows emitted off the wire for a pending population.
     fn populate_rows(&mut self, rows: &[Tuple]) {
         if let Some(p) = &mut self.populate {
             for t in rows {
@@ -1353,7 +1424,7 @@ impl Cursor for TransferMCursor {
         if let Some(p) = &mut self.populate {
             p.wire_start = self.conn.wire_time();
         }
-        match self.wire.around(|conn| conn.query(&self.sql)) {
+        match self.wire.around(|conn| query_batched(conn, &self.sql, self.batch_rows)) {
             Ok(cur) => {
                 check_arity("translated SQL", &cur, &self.schema)?;
                 self.server_sink.add_server_time(cur.server_time());
@@ -1361,7 +1432,7 @@ impl Cursor for TransferMCursor {
                     p.server_us = cur.server_time().as_secs_f64() * 1e6;
                 }
                 self.round_trips += 1;
-                self.cur = Some(cur);
+                self.cur = Some(BatchReader::new(cur));
                 Ok(())
             }
             Err(e) => self.degrade("submit", &e),
@@ -1377,59 +1448,34 @@ impl Cursor for TransferMCursor {
             }
             return r;
         }
-        // serve overflow from the previous prefetch batch first
-        if !self.buf.is_empty() {
-            let take = max.min(self.buf.len());
-            let rows: Vec<Tuple> = self.buf.drain(..take).collect();
-            self.rows_emitted += rows.len() as u64;
-            return Ok(Some(Batch::new(self.schema.clone(), rows)));
-        }
-        // Aggregate prefetch batches until the requested batch is full —
-        // the wire sees the same round trips and charges as fetching row
-        // by row; only the hand-off granularity to the middleware
-        // operators changes.
-        let mut rows: Vec<Tuple> = Vec::new();
-        while rows.len() < max {
-            let Some(cur) = self.cur.as_mut() else {
-                return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
-            };
-            match self.wire.around(|_| cur.fetch_batch()) {
-                Ok(Some(mut got)) => {
-                    self.populate_rows(&got);
-                    if rows.is_empty() {
-                        rows = got;
-                    } else {
-                        rows.append(&mut got);
-                    }
-                }
-                Ok(None) => {
+        let Some(cur) = self.cur.as_mut() else {
+            return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
+        };
+        match self.wire.around(|_| cur.next(max)) {
+            Ok(Some(rows)) => {
+                let drained = cur.drained();
+                self.populate_rows(&rows);
+                self.rows_emitted += rows.len() as u64;
+                if drained {
                     self.finish_populate();
-                    break;
                 }
-                Err(e) => {
-                    if self.rows_emitted == 0 && rows.is_empty() {
-                        // nothing delivered yet: safe to re-plan, at
-                        // batch granularity
-                        self.degrade("fetch", &e)?;
-                        return self.next_batch(max);
-                    }
-                    return Err(wire_exec_err(&e));
-                }
+                Ok(Some(Batch::new(self.schema.clone(), rows)))
             }
+            Ok(None) => {
+                self.finish_populate();
+                Ok(None)
+            }
+            // nothing delivered yet: safe to re-plan, at batch granularity
+            Err(e) if self.rows_emitted == 0 => {
+                self.degrade("fetch", &e)?;
+                self.next_batch(max)
+            }
+            Err(e) => Err(wire_exec_err(&e)),
         }
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        if rows.len() > max {
-            self.buf.extend(rows.drain(max..));
-        }
-        self.rows_emitted += rows.len() as u64;
-        Ok(Some(Batch::new(self.schema.clone(), rows)))
     }
 
     fn close(&mut self) -> tango_xxl::Result<()> {
         self.cur = None;
-        self.buf.clear();
         if let Some(mut fb) = self.fallback.take() {
             fb.close()?;
         }

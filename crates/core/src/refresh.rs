@@ -29,11 +29,11 @@
 
 use crate::cache::{self, MidCache, StaleEntry};
 use crate::phys::{Algo, PhysNode};
-use crate::to_sql;
+use crate::{engine, to_sql};
 use std::collections::HashSet;
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
-use tango_algebra::{Batch, CmpOp, Expr, Schema, SortSpec, Tuple, Value};
+use tango_algebra::{Batch, CmpOp, Expr, Schema, SortSpec, Value};
 use tango_minidb::{Connection, DeltaOp, DeltaRecord, DeltaSnapshot};
 use tango_xxl::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 
@@ -266,11 +266,14 @@ fn replay(snap: &DeltaSnapshot, chain: &Chain<'_>) -> Result<ZSet, RefreshBail> 
 /// lookup. The caller commits a [`Refreshed`] batch via
 /// [`MidCache::refresh`] and serves it; on a bail it falls back to the
 /// ordinary streamed transfer. Nothing here writes to the cache.
+/// `batch_rows` is the executor's batch, the fetch size of any refetch
+/// (see [`engine::query_batched`]).
 pub(crate) fn try_refresh(
     conn: &Connection,
     cache: &MidCache,
     fragment: &PhysNode,
     stale: &StaleEntry,
+    batch_rows: usize,
 ) -> Result<Refreshed, RefreshBail> {
     let schema = stale.batch.schema();
     let shape = shape(strip_sorts(fragment)).ok_or(RefreshBail::NoDeltaRule)?;
@@ -328,7 +331,8 @@ pub(crate) fn try_refresh(
         }
         Shape::Aggr { input, group_by, node } => {
             let din = replay(&snap, input)?;
-            let (z, refetched) = aggr_delta(conn, &stale.batch, &din, group_by, node, &new_deps)?;
+            let (z, refetched) =
+                aggr_delta(conn, &stale.batch, &din, group_by, node, &new_deps, batch_rows)?;
             delta_bytes += refetched;
             z
         }
@@ -351,6 +355,7 @@ fn aggr_delta(
     group_by: &[String],
     node: &PhysNode,
     new_deps: &[(String, u64)],
+    batch_rows: usize,
 ) -> Result<(ZSet, u64), RefreshBail> {
     let schema = base.schema();
     let mut delta = ZSet::new(schema.clone());
@@ -393,19 +398,9 @@ fn aggr_delta(
         children: vec![node.clone()],
     };
     let sql = to_sql::render_select(&refetch).map_err(detail(RefreshBail::RefetchRender))?;
-    let mut cur = conn.query(&sql).map_err(detail(RefreshBail::Refetch))?;
-    let mut fetched: Vec<Tuple> = Vec::new();
-    let mut fetched_bytes = 0u64;
-    loop {
-        match cur.fetch_batch() {
-            Ok(Some(batch)) => {
-                fetched_bytes += batch.iter().map(|t| t.byte_size() as u64).sum::<u64>();
-                fetched.extend(batch);
-            }
-            Ok(None) => break,
-            Err(e) => return Err(RefreshBail::Refetch(e.to_string())),
-        }
-    }
+    let fetched =
+        engine::fetch_all(conn, &sql, batch_rows).map_err(detail(RefreshBail::Refetch))?;
+    let fetched_bytes = fetched.byte_size() as u64;
     // the refetch ran after the snapshot: if any dependency moved in
     // between, the spliced result would mix versions
     if new_deps.iter().any(|(t, v)| conn.table_version(t) != Some(*v)) {
@@ -421,7 +416,7 @@ fn aggr_delta(
             delta.add(base.tuple_at(r), -1);
         }
     }
-    for row in fetched {
+    for row in fetched.into_tuples() {
         delta.add(row, 1);
     }
     Ok((delta, fetched_bytes))

@@ -411,9 +411,10 @@ impl Tango {
     }
 
     /// Run the calibration experiment (Cost Estimator) and adopt the
-    /// fitted factors.
+    /// fitted factors. Its probes fetch at this session's batch size, as
+    /// the session's transfers will.
     pub fn calibrate(&mut self) -> Result<Calibration> {
-        let cal = calibrate::calibrate(&self.conn, 0xCAFE)?;
+        let cal = calibrate::calibrate(&self.conn, 0xCAFE, self.batch_rows())?;
         self.factors = cal.factors;
         Ok(cal)
     }
@@ -618,6 +619,11 @@ impl Tango {
         Ok((run.rel, run.report))
     }
 
+    /// Rows per executor batch: [`TangoOptions::batch_rows`] resolved.
+    fn batch_rows(&self) -> usize {
+        self.options.batch_rows.unwrap_or(DEFAULT_BATCH_ROWS).max(1)
+    }
+
     /// The one way this session executes a plan: traced, against the
     /// active cache, under the session's knobs and factors — re-planning
     /// mid-query when `replan` says so — followed by cost-factor feedback
@@ -626,7 +632,7 @@ impl Tango {
         let run = Executor {
             conn: &self.conn,
             cache: self.active_cache(),
-            batch_rows: self.options.batch_rows.unwrap_or(DEFAULT_BATCH_ROWS).max(1),
+            batch_rows: self.batch_rows(),
             factors: self.factors,
             replan,
         }

@@ -6,6 +6,12 @@
 //! by the `TRANSFER^D` algorithm, where the paper calls INSERT-based
 //! loading "inefficient for large amounts of data").
 //!
+//! A [`DbCursor`] ships its result one *fetch size* of rows per round
+//! trip. The fetch size is per cursor (JDBC `setFetchSize`) and starts at
+//! the link's default, `LinkProfile::row_prefetch`; the middleware's
+//! readers raise it to their executor batch, so a transfer makes one
+//! round trip per batch.
+//!
 //! Two resilience mechanisms live here:
 //!
 //! * every wire transfer goes through a retry loop driven by the
@@ -370,11 +376,15 @@ impl Connection {
 }
 
 /// A client-side cursor over a server-side result. Rows are encoded on
-/// the "server", charged to the link in prefetch-sized batches, and
-/// decoded on the "client" — like a JDBC result set with row prefetch.
-/// Fetch batches are retried under the connection's [`RetryPolicy`]
+/// the "server", charged to the link one fetch-size batch per round
+/// trip, and decoded on the "client" — like a JDBC result set, whose
+/// fetch size ([`DbCursor::set_fetch_size`], JDBC `setFetchSize`)
+/// starts at the connection's default, [`LinkProfile::row_prefetch`].
+/// Fetch trips are retried under the connection's [`RetryPolicy`]
 /// (rows are buffered server-side, so re-requesting a batch is safe)
 /// and count against its per-statement timeout.
+///
+/// [`LinkProfile::row_prefetch`]: crate::wire::LinkProfile::row_prefetch
 pub struct DbCursor {
     schema: Arc<Schema>,
     /// Remaining server-side rows (front is next).
@@ -382,6 +392,8 @@ pub struct DbCursor {
     /// Client-side buffer of decoded rows.
     client_buf: std::collections::VecDeque<Tuple>,
     link: Arc<Link>,
+    /// Rows encoded and charged per round trip.
+    fetch_size: usize,
     /// Wire time charged by this cursor so far.
     wire_time: Duration,
     /// Server execution time for the producing statement.
@@ -391,7 +403,7 @@ pub struct DbCursor {
     /// Statement clock: submission + server + wire + backoff time
     /// consumed so far, checked against the policy's timeout.
     elapsed: Duration,
-    /// Reusable wire-encoding buffer: one prefetch batch is encoded here
+    /// Reusable wire-encoding buffer: one fetch batch is encoded here
     /// per round trip, so its capacity is retained across trips.
     wire_buf: Vec<u8>,
 }
@@ -406,11 +418,13 @@ impl DbCursor {
         elapsed: Duration,
     ) -> Self {
         let schema = result.schema().clone();
+        let fetch_size = link.profile().row_prefetch.max(1);
         DbCursor {
             schema,
             server_rows: result.into_tuples().into_iter(),
             client_buf: std::collections::VecDeque::new(),
             link,
+            fetch_size,
             wire_time: Duration::ZERO,
             server_time,
             retry,
@@ -438,24 +452,30 @@ impl DbCursor {
         self.elapsed
     }
 
-    /// Encode the next prefetch batch into `wire_buf` and charge the
-    /// round trip. Returns `false` at end of stream. On success the
-    /// encoded rows sit in `self.wire_buf`, ready to decode.
-    fn pull_prefetch(&mut self) -> Result<bool> {
-        let prefetch = self.link.profile().row_prefetch.max(1);
+    /// Rows each round trip fetches (JDBC `getFetchSize`).
+    pub fn fetch_size(&self) -> usize {
+        self.fetch_size
+    }
+
+    /// Set the rows each following round trip fetches (JDBC
+    /// `setFetchSize`; 0 is read as 1). Bytes on the wire do not depend
+    /// on it, round trips do: `n` rows take ⌈n / rows⌉ fetch trips.
+    pub fn set_fetch_size(&mut self, rows: usize) {
+        self.fetch_size = rows.max(1);
+    }
+
+    /// Encode the next fetch batch into `wire_buf` and charge its one
+    /// round trip. Returns the rows encoded, 0 at end of stream; on
+    /// success they sit in `self.wire_buf`, ready to decode.
+    fn pull_trip(&mut self) -> Result<usize> {
         self.wire_buf.clear();
-        let mut n = 0u64;
-        for _ in 0..prefetch {
-            match self.server_rows.next() {
-                Some(t) => {
-                    encode_tuple(&t, &mut self.wire_buf);
-                    n += 1;
-                }
-                None => break,
-            }
+        let mut n = 0;
+        for t in self.server_rows.by_ref().take(self.fetch_size) {
+            encode_tuple(&t, &mut self.wire_buf);
+            n += 1;
         }
         if n == 0 {
-            return Ok(false);
+            return Ok(0);
         }
         let spent = retrying_transfer(
             &self.link,
@@ -467,14 +487,14 @@ impl DbCursor {
         )?;
         self.wire_time += spent;
         self.elapsed += spent;
-        Ok(true)
+        Ok(n)
     }
 
-    /// Fetch the next row, pulling a prefetch batch across the wire when
+    /// Fetch the next row, pulling a fetch batch across the wire when
     /// the client buffer is empty.
     pub fn fetch(&mut self) -> Result<Option<Tuple>> {
         if self.client_buf.is_empty() {
-            if !self.pull_prefetch()? {
+            if self.pull_trip()? == 0 {
                 return Ok(None);
             }
             let mut d = Decoder::new(&self.wire_buf);
@@ -485,19 +505,20 @@ impl DbCursor {
         Ok(self.client_buf.pop_front())
     }
 
-    /// Fetch the next prefetch-aligned batch: everything currently
-    /// buffered client-side, or one prefetch batch pulled across the
-    /// wire and decoded straight into the returned vector. Wire charges
-    /// and round-trip numbering are identical to calling
-    /// [`DbCursor::fetch`] row by row — batching only changes how
-    /// decoded rows are handed to the caller, so fault-injection
-    /// scripts keyed on round-trip ordinals behave the same either way.
+    /// Fetch the next batch: everything currently buffered client-side,
+    /// or one fetch batch pulled across the wire and decoded straight
+    /// into the returned vector. Wire charges and round-trip numbering
+    /// are identical to calling [`DbCursor::fetch`] row by row at the
+    /// same fetch size — batching only changes how decoded rows are
+    /// handed to the caller, so fault-injection scripts keyed on
+    /// round-trip ordinals behave the same either way.
     pub fn fetch_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
         if self.client_buf.is_empty() {
-            if !self.pull_prefetch()? {
+            let n = self.pull_trip()?;
+            if n == 0 {
                 return Ok(None);
             }
-            let mut rows = Vec::with_capacity(self.link.profile().row_prefetch.max(1));
+            let mut rows = Vec::with_capacity(n);
             let mut d = Decoder::new(&self.wire_buf);
             while !d.is_done() {
                 rows.push(d.decode_tuple()?);
@@ -608,6 +629,60 @@ mod tests {
         // to the row-at-a-time fetch of the test above
         assert_eq!(sizes, vec![2, 2, 1]);
         assert_eq!(cur.wire_time(), Duration::from_millis(3));
+    }
+
+    /// The fetch size moves round trips, never bytes: 23 rows at fetch
+    /// size f make ⌈23/f⌉ trips of f rows, carrying the bytes the default
+    /// prefetch carries, and a scripted fault still hits exactly one trip.
+    #[test]
+    fn fetch_size_sets_the_trips_not_the_bytes() {
+        let c = Connection::new(Database::new(Link::new(LinkProfile {
+            roundtrip_latency_us: 1000.0,
+            bytes_per_sec: 1e6,
+            row_prefetch: 2,
+            mode: WireMode::Virtual,
+        })));
+        let schema = Schema::new(vec![Attr::new("A", Type::Int), Attr::new("S", Type::Str)]);
+        c.load_direct("T", schema, (0..23).map(|i| tup![i, format!("s{i}")]).collect()).unwrap();
+        // (fetch trips, wire time net of their latency, batch sizes)
+        let drain = |fetch: Option<usize>| {
+            let mut cur = c.query("SELECT A, S FROM T").unwrap();
+            if let Some(f) = fetch {
+                cur.set_fetch_size(f);
+            }
+            let rt = c.link().roundtrips();
+            let mut sizes = Vec::new();
+            while let Some(b) = cur.fetch_batch().unwrap() {
+                sizes.push(b.len());
+            }
+            let trips = c.link().roundtrips() - rt;
+            (trips, cur.wire_time() - Duration::from_millis(trips), sizes)
+        };
+        let (default_trips, default_bytes, _) = drain(None);
+        assert_eq!(default_trips, 12);
+        for f in [1, 2, 5, 8, 23, 100] {
+            let (trips, bytes, sizes) = drain(Some(f));
+            assert_eq!(trips, 23u64.div_ceil(f as u64), "fetch size {f}");
+            assert!(sizes.iter().rev().skip(1).all(|&n| n == f), "fetch size {f}: {sizes:?}");
+            assert_eq!(sizes.iter().sum::<usize>(), 23);
+            let drift = bytes.as_nanos().abs_diff(default_bytes.as_nanos());
+            assert!(drift < 1_000, "fetch size {f}: bytes moved by {drift}ns");
+        }
+
+        // one fault ordinal per trip: fail the third fetch trip at size 5
+        let mut cur = c.query("SELECT A, S FROM T").unwrap();
+        cur.set_fetch_size(5);
+        let rt = c.link().roundtrips();
+        c.link().set_injector(Arc::new(FaultPlan::scripted([(rt + 3, Fault::Disconnect)])));
+        let mut rows = Vec::new();
+        while let Some(b) = cur.fetch_batch().unwrap() {
+            rows.extend(b);
+        }
+        c.link().clear_injector();
+        assert_eq!(rows.len(), 23);
+        assert_eq!(rows[10], tup![10, "s10"], "the retried trip re-sent its own rows");
+        assert_eq!((c.wire_faults(), c.wire_retries()), (1, 1));
+        assert_eq!(c.link().roundtrips() - rt, 5 + 1, "five trips plus the one retry");
     }
 
     /// 1,000 rows at 500µs a round trip: an INSERT per row would charge

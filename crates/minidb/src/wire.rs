@@ -3,10 +3,13 @@
 //! The paper's transfer costs come from JDBC round trips between the
 //! middleware (a Java process) and Oracle. In this reproduction both ends
 //! live in one process, so an in-process link charges each data movement
-//! against a configurable profile: a fixed latency per round trip (one
-//! round trip fetches `row_prefetch` rows — the JDBC row-prefetch setting
-//! the paper discusses in Section 3.2) plus a bandwidth term over the
-//! encoded bytes.
+//! against a configurable profile: a fixed latency per round trip plus a
+//! bandwidth term over the encoded bytes. One fetch round trip carries a
+//! cursor's *fetch size* of rows — the JDBC row-prefetch setting the
+//! paper discusses in Section 3.2. `row_prefetch` is the connection's
+//! default fetch size; a cursor may set its own
+//! ([`crate::DbCursor::set_fetch_size`]), which changes the round trips
+//! of a result but never its bytes.
 //!
 //! By default charges accrue on a **virtual clock** (deterministic, free
 //! to run), and experiment harnesses report wall time + virtual wire
@@ -42,14 +45,16 @@ pub struct LinkProfile {
     pub roundtrip_latency_us: f64,
     /// Payload bandwidth (bytes per second).
     pub bytes_per_sec: f64,
-    /// Rows fetched per round trip by a client cursor (JDBC row prefetch).
+    /// Default fetch size: rows a client cursor fetches per round trip
+    /// until it sets its own (JDBC row prefetch / `setFetchSize`).
     pub row_prefetch: usize,
     pub mode: WireMode,
 }
 
 impl Default for LinkProfile {
     /// A LAN-ish profile close to the paper's setup: sub-millisecond round
-    /// trips, a few MB/s effective throughput, prefetch of 50 rows.
+    /// trips, a few MB/s effective throughput, a default fetch size of
+    /// 50 rows.
     fn default() -> Self {
         LinkProfile {
             roundtrip_latency_us: 500.0,

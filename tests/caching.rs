@@ -233,6 +233,9 @@ fn faulted_transfers_never_populate() {
         &default_rows(120),
     );
     let mut tango = Tango::connect(db.clone());
+    // a batch of the link's prefetch: a transfer makes one round trip per
+    // batch, so this keeps several trips for (b)'s fault to land on
+    tango.options_mut().batch_rows = Some(8);
     let optimized = tango.optimize(QUERY1).unwrap();
 
     // (a) the submission exhausts its retries and the fragment re-plans:

@@ -286,6 +286,9 @@ fn fatal_faults_surface_cleanly_and_the_session_survives() {
 fn no_replan_after_rows_were_emitted() {
     let db = seed_db();
     let mut tango = wire_session(&db);
+    // a batch of the link's prefetch: a transfer makes one round trip per
+    // batch, so this keeps several trips for the fault to land on
+    tango.options_mut().batch_rows = Some(8);
     tango.query(QUERY1).unwrap(); // warm catalog + plan caches
     tango.conn_mut().set_retry_policy(RetryPolicy::none());
 

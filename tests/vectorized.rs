@@ -14,6 +14,9 @@ use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, Expr, ProjItem, Relation, Schema, SortSpec, Type, Value,
     DEFAULT_BATCH_ROWS,
 };
+use tango::core::cost::CostFactors;
+use tango::core::phys::{Algo, PhysNode};
+use tango::core::to_sql;
 use tango::minidb::{Database, FaultPlan, Link, LinkProfile, WireMode};
 use tango::xxl::{
     drain_of, BoxCursor, Coalesce, DupElim, ExternalSort, Filter, MergeJoin, Project, Sort,
@@ -247,6 +250,61 @@ fn middleware_plans_agree_row_vs_batch() {
             );
             // row accounting stays exact regardless of batch size
             assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
+        }
+    }
+}
+
+/// A `TRANSFER^M` makes one round trip per batch, the link's prefetch
+/// as the floor. Over a cold, uncached Query-1 transfer at every batch
+/// size: 1 + ⌈rows / max(bs, prefetch)⌉ round trips, wire that never
+/// grows with the batch, batch 1 charged exactly what fetching in
+/// prefetch windows charges, ⌈rows / bs⌉ batches handed on (no
+/// half-batches), and the same answer.
+#[test]
+fn transfer_makes_one_round_trip_per_batch() {
+    fn transfer_arg(n: &PhysNode) -> Option<&PhysNode> {
+        match n.algo {
+            Algo::TransferM => Some(&n.children[0]),
+            _ => n.children.iter().find_map(transfer_arg),
+        }
+    }
+    let db = seed_db();
+    let mut tango = Tango::connect(db.clone());
+    tango.options_mut().cache_budget = None;
+    // aggregate in the middleware, so the transfer ships all of POSITION
+    tango.set_factors(CostFactors { p_taggd1: 1e9, ..*tango.factors() });
+    let optimized = tango.optimize(&queries()[0]).unwrap();
+    assert!(optimized.plan.any(&|a| matches!(a, Algo::TAggrM { .. })), "{}", optimized.explain());
+    let prefetch = wire_profile().row_prefetch;
+
+    // the parent's charge: the same SQL drained in prefetch windows
+    let sql = to_sql::render_select(transfer_arg(&optimized.plan).unwrap()).unwrap();
+    let before = tango.conn().wire_time();
+    let mut cur = tango.conn().query(&sql).unwrap();
+    while cur.fetch().unwrap().is_some() {}
+    let windowed = tango.conn().wire_time() - before;
+
+    let (mut row, mut prev) = (None::<Relation>, Duration::MAX);
+    for bs in [1usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
+        tango.options_mut().batch_rows = Some(bs);
+        let (rt, before) = (db.link().roundtrips(), tango.conn().wire_time());
+        let (rel, exec) = tango.execute_physical(&optimized.plan).unwrap();
+        let trips = db.link().roundtrips() - rt;
+        let wire = tango.conn().wire_time() - before;
+        let step = exec.steps.iter().find(|s| s.algo == Algo::TransferM).unwrap();
+        let rows = step.out_rows as usize;
+        assert_eq!(rows, 120, "the transfer ships all of POSITION");
+        assert_eq!(trips, 1 + rows.div_ceil(bs.max(prefetch)) as u64, "batch {bs}");
+        let batches = step.counters.iter().find(|(k, _)| *k == "batches").map(|c| c.1);
+        assert_eq!(batches, Some(rows.div_ceil(bs) as u64), "batch {bs}");
+        if bs == 1 {
+            assert_eq!(wire, windowed, "batch 1 must charge the prefetch windows");
+        }
+        assert!(wire <= prev, "batch {bs}: wire {wire:?} grew from {prev:?}");
+        prev = wire;
+        match &row {
+            Some(row) => assert!(rel.list_eq(row), "batch {bs} changed the answer"),
+            None => row = Some(rel),
         }
     }
 }
