@@ -204,6 +204,7 @@ impl Database {
     pub fn insert_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<u64> {
         let mut inner = self.inner.write();
         let key = name.to_uppercase();
+        let oversize = inner.delta_logs.get(&key).is_some_and(|l| l.overflows(&rows));
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
         let arity = table.schema.len();
@@ -216,12 +217,22 @@ impl Database {
                 )));
             }
         }
-        table.rows.extend(rows.iter().cloned());
+        // an oversize write moves into the heap: its log entry is a poison
+        let logged = if oversize {
+            table.rows.extend(rows);
+            None
+        } else {
+            table.rows.extend(rows.iter().cloned());
+            Some(rows)
+        };
         table.stats = None; // stale until re-ANALYZEd
         inner.bump_version(name);
         let v = inner.version_clock;
         if let Some(log) = inner.delta_logs.get_mut(&key) {
-            log.record(v, DeltaOp::Insert, rows);
+            match logged {
+                Some(rows) => log.record(v, DeltaOp::Insert, rows),
+                None => log.poison(v),
+            }
         }
         inner.refresh_indexes_for(name)?;
         Ok(n)
@@ -582,6 +593,26 @@ mod tests {
         assert!(db.table_version("POSITION").unwrap() > v2);
 
         assert!(db.table_version("NOPE").is_none());
+    }
+
+    /// A bulk load past the delta log's cap lands whole in the heap and
+    /// leaves the log empty with its floor at the load's version.
+    #[test]
+    fn an_oversize_insert_poisons_the_delta_log() {
+        let db = Database::in_memory();
+        db.create_table("DOCS", Schema::new(vec![Attr::new("Body", Type::Str)])).unwrap();
+        db.insert_rows("DOCS", vec![tup!["small"]]).unwrap();
+        let v0 = db.table_version("DOCS").unwrap();
+        assert!(db.delta_bytes_since("DOCS", v0 - 1).unwrap() > 0);
+        let page = "x".repeat(1 << 14);
+        let rows: Vec<Tuple> =
+            (0..(DEFAULT_DELTA_LOG_CAP >> 14) + 1).map(|_| tup![page.as_str()]).collect();
+        db.insert_rows("DOCS", rows.clone()).unwrap();
+        let v1 = db.table_version("DOCS").unwrap();
+        assert_eq!(db.inner.read().table("DOCS").unwrap().rows.len(), rows.len() + 1);
+        assert_eq!(db.delta_log_bytes(), 0);
+        assert_eq!(db.delta_bytes_since("DOCS", v0), None);
+        assert_eq!(db.delta_bytes_since("DOCS", v1), Some(0));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * **poisoning** — in-place `UPDATE` mutates heap rows without a
 //!   delete/insert pair, which tombstone replay cannot reproduce, so an
 //!   update clears the log and raises `floor` to the update's version.
+//!   An INSERT whose rows alone exceed the cap (a bulk load) poisons the
+//!   log too: compaction would drop all of it anyway.
 
 use std::collections::VecDeque;
 use tango_algebra::Tuple;
@@ -108,8 +110,21 @@ impl DeltaLog {
         self.compact();
     }
 
-    /// Record an effect tombstones cannot replay (in-place UPDATE): drop
-    /// everything and raise the floor to `version`.
+    /// Do one statement's `rows` alone exceed the cap? Then `record`
+    /// would log them only for `compact` to drop every record, old and
+    /// new — the state `poison` at the statement's version leaves
+    /// directly, without cloning the rows into the log.
+    pub(crate) fn overflows(&self, rows: &[Tuple]) -> bool {
+        let mut bytes = 0;
+        rows.iter().any(|r| {
+            bytes += r.byte_size() + DELTA_RECORD_OVERHEAD;
+            bytes > self.cap
+        })
+    }
+
+    /// Record an effect tombstones cannot replay (in-place UPDATE, or a
+    /// write larger than the cap): drop everything and raise the floor
+    /// to `version`.
     pub fn poison(&mut self, version: u64) {
         self.records.clear();
         self.bytes = 0;
@@ -184,6 +199,32 @@ mod tests {
         assert!(log.covers(1));
         assert!(!log.covers(0));
         assert_eq!(log.records_since(1).unwrap().len(), 1);
+    }
+
+    /// A write that alone exceeds the cap is poisoned instead of logged;
+    /// logging it and compacting leaves the very same log.
+    #[test]
+    fn an_oversize_write_poisons_exactly_as_logging_it_would() {
+        let rec_bytes = DeltaRecord { version: 0, op: DeltaOp::Insert, row: tup![1] }.byte_size();
+        let (mut logged, mut poisoned) =
+            (DeltaLog::new(0, 3 * rec_bytes), DeltaLog::new(0, 3 * rec_bytes));
+        for log in [&mut logged, &mut poisoned] {
+            log.record(1, DeltaOp::Insert, vec![tup![1]]);
+        }
+        let big = vec![tup![2], tup![3], tup![4], tup![5]];
+        assert!(!logged.overflows(&big[..3]), "a write at the cap is logged");
+        assert!(poisoned.overflows(&big));
+        logged.record(2, DeltaOp::Insert, big);
+        poisoned.poison(2);
+        assert_eq!((logged.floor(), logged.bytes()), (poisoned.floor(), poisoned.bytes()));
+        for since in 0..4 {
+            assert_eq!(logged.covers(since), poisoned.covers(since));
+            let recs = |log: &DeltaLog| {
+                log.records_since(since)
+                    .map(|rs| rs.into_iter().map(|r| (r.version, r.op, r.row)).collect::<Vec<_>>())
+            };
+            assert_eq!(recs(&logged), recs(&poisoned));
+        }
     }
 
     #[test]

@@ -244,21 +244,23 @@ fn plan_block(stmt: &SelectStmt, db: &DbInner, with_order: bool) -> Result<Plan>
     }
 
     // -- 7. ORDER BY: resolved against the output columns; SQL also
-    // allows ordering by input columns that were projected away, in which
-    // case the sort slides below the projection.
+    // allows ordering by input columns that were projected away or
+    // renamed, in which case the sort slides below the projection.
     if with_order && !stmt.order_by.is_empty() {
         match sort_plan(plan.clone(), &stmt.order_by) {
             Ok(p) => plan = p,
             Err(e) => {
-                if let PlanOp::Project { items, input } = plan.op {
-                    let sorted = sort_plan(*input, &stmt.order_by)?;
-                    plan = Plan {
-                        op: PlanOp::Project { items, input: Box::new(sorted) },
-                        schema: plan.schema,
-                    };
-                } else {
-                    return Err(e);
-                }
+                let op = match plan.op {
+                    PlanOp::Project { items, input } => PlanOp::Project {
+                        items,
+                        input: Box::new(sort_plan(*input, &stmt.order_by)?),
+                    },
+                    PlanOp::Rename { input } => {
+                        PlanOp::Rename { input: Box::new(sort_plan(*input, &stmt.order_by)?) }
+                    }
+                    _ => return Err(e),
+                };
+                plan = Plan { op, schema: plan.schema };
             }
         }
     }
@@ -304,30 +306,25 @@ fn push_predicates(item: Plan, preds: Vec<Expr>, db: &DbInner) -> Result<Plan> {
                 if db.index_on(&table, bare(&col)).is_some() {
                     let entry = chosen.get_or_insert((bare(&col).to_string(), None, None));
                     if entry.0.eq_ignore_ascii_case(bare(&col)) {
-                        match op {
-                            CmpOp::Eq => {
-                                entry.1 = Some((val.clone(), true));
-                                entry.2 = Some((val, true));
-                                used[pi] = true;
+                        // a bound fills an empty side only; a second bound
+                        // on a side stays behind as a residual filter
+                        let (lo, hi) = (&mut entry.1, &mut entry.2);
+                        used[pi] = match op {
+                            CmpOp::Eq if lo.is_none() && hi.is_none() => {
+                                *lo = Some((val.clone(), true));
+                                *hi = Some((val, true));
+                                true
                             }
-                            CmpOp::Gt => {
-                                entry.1 = Some((val, false));
-                                used[pi] = true;
+                            CmpOp::Gt | CmpOp::Ge if lo.is_none() => {
+                                *lo = Some((val, op == CmpOp::Ge));
+                                true
                             }
-                            CmpOp::Ge => {
-                                entry.1 = Some((val, true));
-                                used[pi] = true;
+                            CmpOp::Lt | CmpOp::Le if hi.is_none() => {
+                                *hi = Some((val, op == CmpOp::Le));
+                                true
                             }
-                            CmpOp::Lt => {
-                                entry.2 = Some((val, false));
-                                used[pi] = true;
-                            }
-                            CmpOp::Le => {
-                                entry.2 = Some((val, true));
-                                used[pi] = true;
-                            }
-                            _ => {}
-                        }
+                            _ => false,
+                        };
                     }
                 }
             }
@@ -397,6 +394,10 @@ fn plan_projection(stmt: &SelectStmt, input: Plan) -> Result<Plan> {
     project_plan(input, items)
 }
 
+/// A projection whose every item is a plain column resolving — by the
+/// `Schema::index_of` that `Expr::bound` evaluates with — to the input
+/// column at the item's own position keeps each row as it is, so it is
+/// planned as a `Rename` that copies nothing.
 fn project_plan(input: Plan, items: Vec<(Expr, String)>) -> Result<Plan> {
     let mut attrs = Vec::with_capacity(items.len());
     for (e, alias) in &items {
@@ -404,7 +405,16 @@ fn project_plan(input: Plan, items: Vec<(Expr, String)>) -> Result<Plan> {
         attrs.push(Attr::new(alias.clone(), ty));
     }
     let schema = Arc::new(Schema::with_inferred_period(attrs));
-    Ok(Plan { op: PlanOp::Project { items, input: Box::new(input) }, schema })
+    let in_place = items.len() == input.schema.len()
+        && items.iter().enumerate().all(|(i, (e, _))| {
+            matches!(e, Expr::Col { name, .. } if input.schema.index_of(name).ok() == Some(i))
+        });
+    let op = if in_place {
+        PlanOp::Rename { input: Box::new(input) }
+    } else {
+        PlanOp::Project { items, input: Box::new(input) }
+    };
+    Ok(Plan { op, schema })
 }
 
 fn plan_aggregate(stmt: &SelectStmt, input: Plan) -> Result<Plan> {
@@ -642,6 +652,29 @@ mod tests {
         assert_eq!(rows.tuples(), &[tup!["Jane"], tup!["Tom"]]);
     }
 
+    /// Found by `exec`'s generated-statement property: an index range
+    /// scan must select what the predicates it absorbed select.
+    #[test]
+    fn index_range_scans_select_what_their_predicates_select() {
+        let db = setup();
+        db.insert_rows("POSITION", vec![tup![Value::Null, "Ann", 7, 9]]).unwrap();
+        db.create_index("IX", "POSITION", "PosID").unwrap();
+        let names = |pred: &str| {
+            let sql = format!("SELECT EmpName FROM POSITION WHERE {pred}");
+            assert!(plan(&db, &sql).render().contains("INDEX RANGE SCAN"), "{sql}");
+            q(&db, &sql)
+        };
+        // a NULL key sorts first in the index, below every open lower bound
+        assert_eq!(names("PosID < 2"), vec![tup!["Tom"], tup!["Jane"]]);
+        assert_eq!(names("PosID = NULL"), Vec::<Tuple>::new());
+        // a second bound on one side is a filter, whichever comes first
+        assert_eq!(names("PosID > 1 AND PosID > 0"), vec![tup!["Tom"]]);
+        assert_eq!(names("PosID > 0 AND PosID > 1"), vec![tup!["Tom"]]);
+        // bounds that cross select nothing rather than panic
+        assert_eq!(names("PosID > 2 AND PosID < 1"), Vec::<Tuple>::new());
+        assert_eq!(names("PosID > 1 AND PosID < 1"), Vec::<Tuple>::new());
+    }
+
     #[test]
     fn cross_join_falls_back_to_nested_loops() {
         let db = setup();
@@ -657,6 +690,77 @@ mod tests {
             "SELECT A.EmpName, B.EmpName FROM POSITION A, POSITION B              WHERE A.PosID = B.PosID AND A.T2 < B.T2 ORDER BY A.EmpName",
         );
         assert_eq!(rows, vec![tup!["Tom", "Jane"]]);
+    }
+
+    fn plan(db: &Database, sql: &str) -> Plan {
+        let crate::ast::Stmt::Select(s) = parse(sql).unwrap() else { panic!() };
+        plan_select(&s, &db.inner.read()).unwrap()
+    }
+
+    /// TANGO's all-columns wrapper around a base access keeps every
+    /// column in place, so it is a `Rename` over the filtered scan.
+    #[test]
+    fn tangos_base_access_projection_is_a_rename() {
+        let db = setup();
+        let sql = "SELECT X.PosID AS PosID, X.EmpName AS EmpName, X.T1 AS T1, X.T2 AS T2 \
+                   FROM POSITION X WHERE X.T1 > 3";
+        let p = plan(&db, sql);
+        let PlanOp::Rename { input } = &p.op else { panic!("{}", p.render()) };
+        assert!(matches!(input.op, PlanOp::Filter { .. }), "{}", p.render());
+        assert_eq!(p.render(), "VIEW\n  FILTER [(X.T1 > 3)]\n    TABLE SCAN POSITION\n");
+        assert_eq!(p.schema.names().collect::<Vec<_>>(), ["PosID", "EmpName", "T1", "T2"]);
+        assert_eq!(q(&db, sql), vec![tup![1, "Jane", 5, 25], tup![2, "Tom", 5, 10]]);
+    }
+
+    /// Every projection that moves, drops, repeats or computes a value
+    /// stays a `Project` — including a swap of two same-typed columns,
+    /// and a swap whose items share a bare name that is ambiguous over
+    /// the join schema (`index_of` resolves the qualified name exactly).
+    #[test]
+    fn projections_that_change_rows_stay_projects() {
+        let db = setup();
+        let cases: [(&str, Vec<Tuple>); 6] = [
+            (
+                "SELECT PosID, EmpName, T2 AS T1, T1 AS T2 FROM POSITION WHERE PosID = 2",
+                vec![tup![2, "Tom", 10, 5]],
+            ),
+            ("SELECT PosID, EmpName, T1 FROM POSITION WHERE PosID = 2", vec![tup![2, "Tom", 5]]),
+            (
+                "SELECT PosID, EmpName, T1, T1 FROM POSITION WHERE PosID = 2",
+                vec![tup![2, "Tom", 5, 5]],
+            ),
+            (
+                "SELECT PosID, EmpName, GREATEST(T1, 4) AS T1, T2 FROM POSITION WHERE T1 = 2",
+                vec![tup![1, "Tom", 4, 20]],
+            ),
+            (
+                "SELECT PosID, EmpName, T1, 7 AS T2 FROM POSITION WHERE PosID = 2",
+                vec![tup![2, "Tom", 5, 7]],
+            ),
+            (
+                "SELECT B.PosID, A.EmpName, A.T1, A.T2, A.PosID, B.EmpName, B.T1, B.T2 \
+                 FROM POSITION A, POSITION B WHERE A.PosID = B.PosID AND A.T1 < B.T1",
+                vec![tup![1, "Tom", 2, 20, 1, "Jane", 5, 25]],
+            ),
+        ];
+        for (sql, want) in cases {
+            let p = plan(&db, sql);
+            assert!(matches!(p.op, PlanOp::Project { .. }), "{sql}\n{}", p.render());
+            assert_eq!(q(&db, sql), want, "{sql}");
+        }
+    }
+
+    /// ORDER BY an input column the renaming projection hides slides the
+    /// sort below the `Rename`, as it does below a `Project`.
+    #[test]
+    fn order_by_an_input_name_under_a_renaming_projection() {
+        let db = setup();
+        let rows =
+            q(&db, "SELECT PosID AS P, EmpName AS E, T1 AS A, T2 AS B FROM POSITION ORDER BY T1");
+        assert_eq!(
+            rows,
+            vec![tup![1, "Tom", 2, 20], tup![1, "Jane", 5, 25], tup![2, "Tom", 5, 10]]
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Print the tracked size numbers of the middleware (ROADMAP aim 2):
+# Print the tracked size numbers of the middleware and the stand-in DBMS
+# (ROADMAP aim 2):
 # source lines, public items, unwrap sites and option-field counts. Prints only; CI
 # runs it so every PR's log carries the numbers, and CHANGES.md quotes
 # its output before and after a change instead of hand-run commands.
@@ -31,13 +32,14 @@ fields() {
         'index($0, s) == 1 { on = 1; next } on && /^}/ { exit } on && /^[ \t]*pub [a-z_]+:/ { n++ } END { print n + 0 }' "$2"
 }
 
-echo "lines:        tango-core $(lines crates/core/src/*.rs)  tango-xxl $(lines crates/xxl/src/*.rs)  volcano $(lines crates/volcano/src/*.rs)  tango-algebra $(lines crates/algebra/src/*.rs)  tango-stats $(lines crates/stats/src/*.rs)"
+echo "lines:        tango-core $(lines crates/core/src/*.rs)  tango-xxl $(lines crates/xxl/src/*.rs)  volcano $(lines crates/volcano/src/*.rs)  tango-algebra $(lines crates/algebra/src/*.rs)  tango-stats $(lines crates/stats/src/*.rs)  tango-minidb $(lines crates/minidb/src/*.rs)"
 echo "non-test:     cache.rs $(non_test_lines crates/core/src/cache.rs)  rewrite.rs $(non_test_lines crates/core/src/rewrite.rs)"
 echo "non-test:     opt.rs $(non_test_lines crates/core/src/opt.rs)  phys.rs $(non_test_lines crates/core/src/phys.rs)  explain.rs $(non_test_lines crates/core/src/explain.rs)  cost.rs $(non_test_lines crates/core/src/cost.rs)"
 echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)  temporal_join.rs $(non_test_lines crates/xxl/src/temporal_join.rs)  tdiff.rs $(non_test_lines crates/xxl/src/tdiff.rs)"
 echo "non-test:     batch.rs $(non_test_lines crates/algebra/src/batch.rs)  taggr.rs $(non_test_lines crates/xxl/src/taggr.rs)  scan.rs $(non_test_lines crates/xxl/src/scan.rs)"
 echo "non-test:     logical.rs $(non_test_lines crates/algebra/src/logical.rs)  cardinality.rs $(non_test_lines crates/stats/src/cardinality.rs)"
 echo "non-test:     refresh.rs $(non_test_lines crates/core/src/refresh.rs)  delta.rs $(non_test_lines crates/xxl/src/delta.rs)"
-echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)"
+echo "non-test:     minidb exec.rs $(non_test_lines crates/minidb/src/exec.rs)  minidb planner.rs $(non_test_lines crates/minidb/src/planner.rs)"
+echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)  tango-minidb $(public_items crates/minidb/src/*.rs)"
 echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
