@@ -399,23 +399,6 @@ impl ColumnBuilder {
         }
     }
 
-    /// Append everything `other` holds, as if pushed value by value.
-    pub fn extend(&mut self, other: ColumnBuilder) {
-        use Building::*;
-        if self.is_empty() {
-            return *self = other;
-        }
-        let no_nulls = self.valid.is_none() && other.valid.is_none();
-        match (&mut self.vals, &other.vals) {
-            (Int(a), Int(b)) | (Date(a), Date(b)) if no_nulls => a.extend_from_slice(b),
-            (Double(a), Double(b)) if no_nulls => a.extend_from_slice(b),
-            _ => {
-                let col = other.finish();
-                (0..col.len()).for_each(|i| self.push(col.value_at(i)));
-            }
-        }
-    }
-
     /// Values pushed so far.
     pub fn len(&self) -> usize {
         match &self.vals {
@@ -875,8 +858,9 @@ mod tests {
         ]
     }
 
-    /// Pushed value by value, or as two builders joined at any point, a
-    /// column gets the expected layout and gives back `{:?}`-exact values.
+    /// Pushed value by value, or resumed at any point with the values a
+    /// finished first half gives back, a column gets the expected layout
+    /// and gives back `{:?}`-exact values.
     #[test]
     fn column_builder_decides_layout_once() {
         for (vals, layout) in layout_cases() {
@@ -890,12 +874,10 @@ mod tests {
                 assert_eq!(format!("{:?}", whole.value_at(i)), format!("{v:?}"));
             }
             for cut in 0..=vals.len() {
-                let mut halves = [ColumnBuilder::default(), ColumnBuilder::default()];
-                for (i, v) in vals.iter().enumerate() {
-                    halves[(i >= cut) as usize].push(v.clone());
-                }
-                let [mut joined, tail] = halves;
-                joined.extend(tail);
+                let head = Column::from_values(vals[..cut].to_vec());
+                let mut joined = ColumnBuilder::default();
+                (0..cut).for_each(|i| joined.push(head.value_at(i)));
+                vals[cut..].iter().for_each(|v| joined.push(v.clone()));
                 assert_eq!(joined.len(), vals.len());
                 assert_eq!(format!("{:?}", joined.finish()), shown, "{vals:?} cut at {cut}");
             }

@@ -4,6 +4,11 @@
 //! evaluation in the middleware algorithms, selectivity analysis in the
 //! optimizer, and SQL rendering in the Translator-To-SQL (the `Display`
 //! impl emits valid SQL for the mini-DBMS dialect).
+//!
+//! Evaluation lends its operands: a comparison, an arithmetic step or a
+//! `GREATEST` / `LEAST` reads a bound column or a literal in place and
+//! clones nothing it does not return, and a predicate's `AND` / `OR` /
+//! `NOT` combine three-valued booleans without building a `Value`.
 
 use crate::batch::{Batch, Bitmap, Column};
 use crate::date::format_date;
@@ -245,41 +250,17 @@ impl Expr {
                 None => Err(AlgebraError::Unbound(name.clone())),
             },
             Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp(op, l, r) => {
-                let lv = l.eval(t)?;
-                let rv = r.eval(t)?;
-                Ok(match lv.sql_cmp(&rv) {
-                    Some(o) => Value::Int(op.eval(o) as i64),
-                    None => Value::Null,
-                })
+            Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(_) => {
+                Ok(tvl(self.eval_bool(t)?))
             }
-            Expr::And(l, r) => {
-                let a = l.eval_bool(t)?;
-                let b = r.eval_bool(t)?;
-                Ok(tvl(match (a, b) {
-                    (Some(false), _) | (_, Some(false)) => Some(false),
-                    (Some(true), Some(true)) => Some(true),
-                    _ => None,
-                }))
-            }
-            Expr::Or(l, r) => {
-                let a = l.eval_bool(t)?;
-                let b = r.eval_bool(t)?;
-                Ok(tvl(match (a, b) {
-                    (Some(true), _) | (_, Some(true)) => Some(true),
-                    (Some(false), Some(false)) => Some(false),
-                    _ => None,
-                }))
-            }
-            Expr::Not(e) => Ok(tvl(e.eval_bool(t)?.map(|b| !b))),
             Expr::Arith(op, l, r) => {
-                let lv = l.eval(t)?;
-                let rv = r.eval(t)?;
+                let (mut x, mut y) = (None, None);
+                let (a, b) = (l.operand(t, &mut x)?, r.operand(t, &mut y)?);
                 match op {
-                    ArithOp::Add => lv.add(&rv),
-                    ArithOp::Sub => lv.sub(&rv),
-                    ArithOp::Mul => lv.mul(&rv),
-                    ArithOp::Div => lv.div(&rv),
+                    ArithOp::Add => a.add(b),
+                    ArithOp::Sub => a.sub(b),
+                    ArithOp::Mul => a.mul(b),
+                    ArithOp::Div => a.div(b),
                 }
             }
             Expr::Greatest(es) => fold_extreme(es, t, Ordering::Greater),
@@ -291,13 +272,42 @@ impl Expr {
         }
     }
 
-    /// Evaluate as a three-valued boolean (`None` = SQL UNKNOWN).
+    /// Evaluate as a three-valued boolean (`None` = SQL UNKNOWN). Both
+    /// sides of a comparison, `AND` or `OR` are always evaluated, left
+    /// first: a FALSE left side of an `AND` still reports an error on its
+    /// right.
     pub fn eval_bool(&self, t: &Tuple) -> Result<Option<bool>> {
-        Ok(match self.eval(t)? {
-            Value::Null => None,
-            Value::Int(i) => Some(i != 0),
-            Value::Double(d) => Some(d != 0.0),
-            _ => None,
+        Ok(match self {
+            Expr::Cmp(op, l, r) => {
+                let (mut x, mut y) = (None, None);
+                l.operand(t, &mut x)?.sql_cmp(r.operand(t, &mut y)?).map(|o| op.eval(o))
+            }
+            Expr::And(l, r) => match (l.eval_bool(t)?, r.eval_bool(t)?) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Expr::Or(l, r) => match (l.eval_bool(t)?, r.eval_bool(t)?) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            Expr::Not(e) => e.eval_bool(t)?.map(|b| !b),
+            _ => match self.eval(t)? {
+                Value::Int(i) => Some(i != 0),
+                Value::Double(d) => Some(d != 0.0),
+                _ => None,
+            },
+        })
+    }
+
+    /// This expression's value: a bound column or a literal lent in
+    /// place, anything else evaluated into `slot`.
+    fn operand<'a>(&'a self, t: &'a Tuple, slot: &'a mut Option<Value>) -> Result<&'a Value> {
+        Ok(match self {
+            Expr::Col { index: Some(i), .. } => &t[*i],
+            Expr::Lit(v) => v,
+            _ => slot.insert(self.eval(t)?),
         })
     }
 
@@ -467,23 +477,18 @@ fn tvl(b: Option<bool>) -> Value {
     }
 }
 
+/// `GREATEST` / `LEAST`: a value is cloned only when it takes the lead.
 fn fold_extreme(es: &[Expr], t: &Tuple, want: Ordering) -> Result<Value> {
     let mut best: Option<Value> = None;
     for e in es {
-        let v = e.eval(t)?;
+        let mut slot = None;
+        let v = e.operand(t, &mut slot)?;
         if v.is_null() {
             return Ok(Value::Null); // SQL GREATEST/LEAST: any NULL => NULL
         }
-        best = Some(match best {
-            None => v,
-            Some(b) => {
-                if v.sql_cmp(&b) == Some(want) {
-                    v
-                } else {
-                    b
-                }
-            }
-        });
+        if best.as_ref().is_none_or(|b| v.sql_cmp(b) == Some(want)) {
+            best = Some(v.clone());
+        }
     }
     Ok(best.unwrap_or(Value::Null))
 }
@@ -672,5 +677,210 @@ mod tests {
                 assert_eq!(tri[r], want, "{p} row {r}");
             }
         }
+    }
+
+    /// The evaluator before operands were lent: every operand is cloned
+    /// into a `Value` and every predicate round-trips through one.
+    fn reference_eval(e: &Expr, t: &Tuple) -> Result<Value> {
+        match e {
+            Expr::Col { name, index } => match index {
+                Some(i) => Ok(t[*i].clone()),
+                None => Err(AlgebraError::Unbound(name.clone())),
+            },
+            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Cmp(op, l, r) => {
+                let lv = reference_eval(l, t)?;
+                let rv = reference_eval(r, t)?;
+                Ok(match lv.sql_cmp(&rv) {
+                    Some(o) => Value::Int(op.eval(o) as i64),
+                    None => Value::Null,
+                })
+            }
+            Expr::And(l, r) => {
+                let a = reference_eval_bool(l, t)?;
+                let b = reference_eval_bool(r, t)?;
+                Ok(tvl(match (a, b) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                }))
+            }
+            Expr::Or(l, r) => {
+                let a = reference_eval_bool(l, t)?;
+                let b = reference_eval_bool(r, t)?;
+                Ok(tvl(match (a, b) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                }))
+            }
+            Expr::Not(e) => Ok(tvl(reference_eval_bool(e, t)?.map(|b| !b))),
+            Expr::Arith(op, l, r) => {
+                let lv = reference_eval(l, t)?;
+                let rv = reference_eval(r, t)?;
+                match op {
+                    ArithOp::Add => lv.add(&rv),
+                    ArithOp::Sub => lv.sub(&rv),
+                    ArithOp::Mul => lv.mul(&rv),
+                    ArithOp::Div => lv.div(&rv),
+                }
+            }
+            Expr::Greatest(es) | Expr::Least(es) => {
+                let want =
+                    if matches!(e, Expr::Greatest(_)) { Ordering::Greater } else { Ordering::Less };
+                let mut best: Option<Value> = None;
+                for e in es {
+                    let v = reference_eval(e, t)?;
+                    if v.is_null() {
+                        return Ok(Value::Null);
+                    }
+                    best = Some(match best {
+                        None => v,
+                        Some(b) => {
+                            if v.sql_cmp(&b) == Some(want) {
+                                v
+                            } else {
+                                b
+                            }
+                        }
+                    });
+                }
+                Ok(best.unwrap_or(Value::Null))
+            }
+            Expr::IsNull(e, negated) => {
+                let v = reference_eval(e, t)?;
+                Ok(Value::Int((v.is_null() != *negated) as i64))
+            }
+        }
+    }
+
+    fn reference_eval_bool(e: &Expr, t: &Tuple) -> Result<Option<bool>> {
+        Ok(match reference_eval(e, t)? {
+            Value::Null => None,
+            Value::Int(i) => Some(i != 0),
+            Value::Double(d) => Some(d != 0.0),
+            _ => None,
+        })
+    }
+
+    /// A splitmix64 stream: one generated case per seed.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// `Null`, `Int`, `Double`, `Date` or `Str`, over few distinct
+        /// values so that comparisons often tie.
+        fn value(&mut self) -> Value {
+            let k = self.below(5) as i64 - 2;
+            match self.below(5) {
+                0 => Value::Null,
+                1 => Value::Int(k),
+                2 => Value::Double(k as f64 / 2.0),
+                3 => Value::Date(k as i32),
+                _ => Value::Str(["", "a", "b", "ab", "b"][(k + 2) as usize].into()),
+            }
+        }
+
+        /// A column of the five-column tuple (now and then left unbound),
+        /// or a literal.
+        fn leaf(&mut self) -> Expr {
+            match self.below(12) {
+                0 => Expr::col(format!("U{}", self.below(3))),
+                1..=6 => {
+                    let i = self.below(5) as usize;
+                    Expr::Col { name: format!("C{i}"), index: Some(i) }
+                }
+                _ => Expr::Lit(self.value()),
+            }
+        }
+
+        /// Comparisons of every operand shape, nested `AND` / `OR` /
+        /// `NOT`, `IS [NOT] NULL`, arithmetic and `GREATEST` / `LEAST`.
+        fn expr(&mut self, depth: u32) -> Expr {
+            if depth == 0 {
+                return self.leaf();
+            }
+            let sub = |g: &mut Gen| {
+                if g.below(3) == 0 {
+                    g.expr(depth - 1)
+                } else {
+                    g.leaf()
+                }
+            };
+            let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
+                [self.below(6) as usize];
+            match self.below(9) {
+                0 | 1 => Expr::cmp(op, sub(self), sub(self)),
+                2 => Expr::and(self.expr(depth - 1), self.expr(depth - 1)),
+                3 => Expr::or(self.expr(depth - 1), self.expr(depth - 1)),
+                4 => Expr::not(self.expr(depth - 1)),
+                5 => Expr::IsNull(Box::new(sub(self)), self.below(2) == 0),
+                6 => {
+                    let op = [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div]
+                        [self.below(4) as usize];
+                    Expr::Arith(op, Box::new(sub(self)), Box::new(sub(self)))
+                }
+                k => {
+                    let es = (0..1 + self.below(3)).map(|_| sub(self)).collect();
+                    if k == 7 {
+                        Expr::Greatest(es)
+                    } else {
+                        Expr::Least(es)
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// The lending evaluator returns exactly what the cloning one
+        /// returned — the same value, or the same error — for every
+        /// expression shape over tuples that mix all five value kinds.
+        #[test]
+        fn lent_operands_evaluate_like_cloned_ones(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let depth = 1 + g.below(3) as u32;
+            let e = g.expr(depth);
+            for _ in 0..4 {
+                let t = Tuple::new((0..5).map(|_| g.value()).collect());
+                let shown = |r: &dyn fmt::Debug| format!("{r:?}");
+                assert_eq!(
+                    shown(&e.eval(&t)),
+                    shown(&reference_eval(&e, &t)),
+                    "eval of {e} over {t:?} (case seed {seed:#x})"
+                );
+                assert_eq!(
+                    shown(&e.eval_bool(&t)),
+                    shown(&reference_eval_bool(&e, &t)),
+                    "eval_bool of {e} over {t:?} (case seed {seed:#x})"
+                );
+            }
+        }
+    }
+
+    /// The generator reaches what the property must cover: every error
+    /// kind an evaluation can raise, and every three-valued outcome.
+    #[test]
+    fn the_evaluator_generator_reaches_errors_and_all_three_truth_values() {
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..2_000u64 {
+            let mut g = Gen(seed);
+            let e = g.expr(2);
+            let t = Tuple::new((0..5).map(|_| g.value()).collect());
+            seen.insert(match e.eval_bool(&t) {
+                Ok(b) => format!("{b:?}"),
+                Err(err) => format!("{:?}", std::mem::discriminant(&err)),
+            });
+        }
+        assert_eq!(seen.len(), 5, "{seen:?}"); // TRUE, FALSE, UNKNOWN, TypeMismatch, Unbound
     }
 }

@@ -238,37 +238,28 @@ impl Database {
         Ok(n)
     }
 
-    /// Delete rows satisfying `pred` (all rows when `None`).
+    /// Delete rows satisfying `pred` (all rows when `None`). Every row is
+    /// decided before any is removed, so a predicate that fails on some
+    /// row deletes nothing.
     pub fn delete_rows(&self, name: &str, pred: Option<&tango_algebra::Expr>) -> Result<u64> {
         let mut inner = self.inner.write();
         let key = name.to_uppercase();
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-        let before = table.rows.len();
-        let mut tombstones = Vec::new();
-        match pred {
-            None => tombstones = std::mem::take(&mut table.rows),
+        let tombstones = match pred {
+            None => std::mem::take(&mut table.rows),
             Some(p) => {
                 let bound = p.bound(&table.schema)?;
-                let mut err = None;
-                table.rows.retain(|t| match bound.matches(t) {
-                    Ok(m) => {
-                        if m {
-                            tombstones.push(t.clone());
-                        }
-                        !m
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        true
-                    }
-                });
-                if let Some(e) = err {
-                    return Err(e.into());
-                }
+                let doomed: Vec<bool> = table
+                    .rows
+                    .iter()
+                    .map(|t| bound.matches(t))
+                    .collect::<tango_algebra::Result<_>>()?;
+                let mut doomed = doomed.into_iter();
+                table.rows.extract_if(.., |_| doomed.next() == Some(true)).collect()
             }
-        }
-        let removed = (before - table.rows.len()) as u64;
+        };
+        let removed = tombstones.len() as u64;
         table.stats = None;
         inner.bump_version(name);
         let v = inner.version_clock;
@@ -279,7 +270,9 @@ impl Database {
         Ok(removed)
     }
 
-    /// Update columns of rows satisfying `pred`.
+    /// Update columns of rows satisfying `pred`. The predicate and every
+    /// right-hand side are evaluated over all rows before any is written,
+    /// so an expression that fails on some row updates nothing.
     pub fn update_rows(
         &self,
         name: &str,
@@ -296,22 +289,21 @@ impl Database {
             let i = table.schema.index_of(col)?;
             bound_sets.push((i, e.bound(&table.schema)?));
         }
-        let mut n = 0u64;
-        for row in &mut table.rows {
-            let hit = match &bound_pred {
-                Some(p) => p.matches(row)?,
-                None => true,
-            };
-            if hit {
-                // evaluate all right-hand sides against the *old* row
-                let vals: Vec<(usize, Value)> = bound_sets
+        // every right-hand side reads the *old* row
+        let mut writes: Vec<(usize, Vec<Value>)> = Vec::new();
+        for (rid, row) in table.rows.iter().enumerate() {
+            if bound_pred.as_ref().map_or(Ok(true), |p| p.matches(row))? {
+                let vals = bound_sets
                     .iter()
-                    .map(|(i, e)| e.eval(row).map(|v| (*i, v)))
+                    .map(|(_, e)| e.eval(row))
                     .collect::<tango_algebra::Result<_>>()?;
-                for (i, v) in vals {
-                    row.set(i, v);
-                }
-                n += 1;
+                writes.push((rid, vals));
+            }
+        }
+        let n = writes.len() as u64;
+        for (rid, vals) in writes {
+            for ((i, _), v) in bound_sets.iter().zip(vals) {
+                table.rows[rid].set(*i, v);
             }
         }
         table.stats = None;

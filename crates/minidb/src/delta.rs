@@ -169,6 +169,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tango_algebra::tup;
 
     #[test]
@@ -224,6 +225,54 @@ mod tests {
                     .map(|rs| rs.into_iter().map(|r| (r.version, r.op, r.row)).collect::<Vec<_>>())
             };
             assert_eq!(recs(&logged), recs(&poisoned));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Random sequences of every operation, caps down to 0: nothing
+        /// panics, the log stays within its cap, a suffix can be read
+        /// exactly when the log covers it, the head is always covered, and
+        /// a covered suffix is every record logged after it.
+        #[test]
+        fn random_operation_sequences_never_panic(
+            cap in 0usize..160,
+            ops in prop::collection::vec((0usize..5, 0u64..3, 0usize..4, 0u64..8), 0..40),
+        ) {
+            let mut log = DeltaLog::new(2, cap);
+            let (mut clock, mut logged) = (2, Vec::new());
+            for (kind, step, n, back) in ops {
+                let rows: Vec<Tuple> = (0..n as i64).map(|i| tup![i, "x".repeat(n)]).collect();
+                let size: usize = rows.iter().map(|r| r.byte_size() + DELTA_RECORD_OVERHEAD).sum();
+                match kind {
+                    0 | 1 => {
+                        clock += step;
+                        let op = [DeltaOp::Insert, DeltaOp::Delete][kind];
+                        logged.extend(rows.iter().map(|r| (clock, op, r.clone())));
+                        log.record(clock, op, rows);
+                    }
+                    2 => {
+                        clock += step;
+                        log.poison(clock);
+                    }
+                    _ => prop_assert_eq!(log.overflows(&rows), size > cap),
+                }
+                prop_assert!(log.bytes() <= cap, "{} bytes over a cap of {cap}", log.bytes());
+                prop_assert!(log.covers(clock), "the head {clock} is not covered");
+                // from past the head down to below the floor
+                let since = (clock + 1).saturating_sub(back);
+                let records = log.records_since(since);
+                prop_assert_eq!(records.is_some(), log.covers(since), "since {since}");
+                prop_assert_eq!(log.bytes_since(since).is_some(), log.covers(since));
+                if let Some(records) = records {
+                    let bytes: usize = records.iter().map(DeltaRecord::byte_size).sum();
+                    prop_assert_eq!(log.bytes_since(since), Some(bytes as u64));
+                    let got: Vec<_> = records.into_iter().map(|r| (r.version, r.op, r.row)).collect();
+                    let want: Vec<_> = logged.iter().filter(|r| r.0 > since).cloned().collect();
+                    prop_assert_eq!(got, want, "since {since}");
+                }
+            }
         }
     }
 

@@ -514,6 +514,40 @@ fn faulted_refresh_never_corrupts_or_populates() {
     assert!(warm.list_eq(&expect));
 }
 
+/// A DELETE or UPDATE that fails on some row writes nothing: no row, no
+/// version, no delta record. A warm entry over the table therefore stays
+/// fresh, and still equals a cold run. Each statement below matches
+/// `(1, NULL)` before it fails on `(2, 'a')`.
+#[test]
+fn a_failing_write_leaves_the_table_and_its_warm_entries_unchanged() {
+    let db = Database::new(Link::new(LinkProfile::default()));
+    let conn = Connection::new(db.clone());
+    conn.execute("CREATE TABLE T (X INT, S VARCHAR(5))").unwrap();
+    conn.execute("INSERT INTO T VALUES (1, NULL), (2, 'a')").unwrap();
+    let mut tango = Tango::connect(db.clone());
+    let plan = PhysNode::over(Algo::TransferM, vec![scan(tango.conn(), "T")]).unwrap();
+    let (before, _) = tango.execute_physical(&plan).unwrap();
+    tango.execute_physical(&plan).unwrap(); // hit: the entry earns its keep
+    let version = db.table_version("T").unwrap();
+    let delta = db.delta_bytes_since("T", version - 1);
+    assert!(delta.is_some_and(|b| b > 0), "the insert is logged: {delta:?}");
+
+    for sql in [
+        "DELETE FROM T WHERE X = 1 OR S + 1 > 0",
+        "UPDATE T SET X = 10 WHERE X = 1 OR S + 1 > 0",
+        "UPDATE T SET S = S + 1",
+    ] {
+        let err = conn.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("a + 1"), "{sql}: {err}");
+        assert_eq!(db.table_version("T"), Some(version), "{sql}");
+        assert_eq!(db.delta_bytes_since("T", version - 1), delta, "{sql}");
+        let (got, exec) = tango.execute_physical(&plan).unwrap();
+        assert_eq!(cache_annotations(&exec), vec![Some("hit")], "{sql}");
+        assert!(got.list_eq(&before), "{sql}: {got}");
+        assert!(control_run(&db, &plan).list_eq(&before), "{sql} changed the table");
+    }
+}
+
 /// Bails are counted by reason: a fragment whose delivered order has ties
 /// (`serve-churn`'s `PROJ[PosID,T1,T2](SEL[PosID < k](…))` shape) cannot
 /// be merged order-determined, a faulted delta fetch never gets that far,

@@ -39,7 +39,8 @@ echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)
 echo "non-test:     batch.rs $(non_test_lines crates/algebra/src/batch.rs)  taggr.rs $(non_test_lines crates/xxl/src/taggr.rs)  scan.rs $(non_test_lines crates/xxl/src/scan.rs)"
 echo "non-test:     logical.rs $(non_test_lines crates/algebra/src/logical.rs)  cardinality.rs $(non_test_lines crates/stats/src/cardinality.rs)"
 echo "non-test:     refresh.rs $(non_test_lines crates/core/src/refresh.rs)  delta.rs $(non_test_lines crates/xxl/src/delta.rs)"
-echo "non-test:     minidb exec.rs $(non_test_lines crates/minidb/src/exec.rs)  minidb planner.rs $(non_test_lines crates/minidb/src/planner.rs)"
+echo "non-test:     minidb exec.rs $(non_test_lines crates/minidb/src/exec.rs)  minidb planner.rs $(non_test_lines crates/minidb/src/planner.rs)  minidb catalog.rs $(non_test_lines crates/minidb/src/catalog.rs)"
+echo "non-test:     algebra expr.rs $(non_test_lines crates/algebra/src/expr.rs)"
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)  tango-minidb $(public_items crates/minidb/src/*.rs)"
 echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
