@@ -29,6 +29,9 @@ fn main() {
 
     eprintln!("loading UIS ({} POSITION rows) + calibrating ...", cfg.position_rows);
     let mut setup = load_uis(&cfg, uis_link_profile(), true);
+    // the paper's system had no middleware cache: every plan pays its own
+    // transfers, and no placement reads what an earlier one left resident
+    setup.tango.options_mut().cache_budget = None;
 
     let names = [
         "plan1 (taggrM)",

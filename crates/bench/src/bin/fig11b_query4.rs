@@ -33,6 +33,9 @@ fn main() {
         cfg.position_rows, cfg.employee_rows
     );
     let mut setup = load_uis(&cfg, uis_link_profile(), true);
+    // the paper's system had no middleware cache: every plan pays its own
+    // transfers, and no placement reads what an earlier one left resident
+    setup.tango.options_mut().cache_budget = None;
 
     let mut table = Table::new(
         "Figure 11(b) — Query 4 (regular join), time by POSITION size",

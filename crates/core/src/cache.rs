@@ -13,7 +13,9 @@
 //! concurrent**: one `MidCache` lives at `Database` scope (every
 //! [`crate::Tango`] session attached to the same database sees the same
 //! residency — a fragment one session paid to fetch is a warm hit for
-//! all of them). See `docs/CONCURRENCY.md` for the full serving model.
+//! all of them). `docs/CACHING.md` owns the cache policy as a whole —
+//! admission, eviction, refresh-by-delta — and `docs/CONCURRENCY.md` the
+//! serving model; the sections below say how this module implements them.
 //!
 //! # Locking
 //!
@@ -90,18 +92,13 @@
 //! Under byte pressure, inserting means evicting, and evicting the
 //! wrong entry under contention is how shared caches churn. When an
 //! insert would force eviction (and only then — an unpressured cache
-//! admits everything), the candidate must *win* its space:
-//!
-//! * fragments **cheaper to refetch than the space they occupy**
-//!   (measured fill cost below [`ADMISSION_MIN_FILL_US_PER_BYTE`] per
-//!   byte) are rejected outright — serving them from cache could never
-//!   repay the bytes; and
-//! * otherwise the candidate's access frequency — estimated by a small
-//!   count-min sketch touched on every lookup and insert, TinyLFU
-//!   style — must strictly exceed the would-be victim's; ties keep the
-//!   incumbent. A fragment that keeps missing accumulates frequency
-//!   and wins admission on a later attempt, so hot fragments displace
-//!   cold ones but a one-off scan cannot flush the working set.
+//! admits everything), the candidate must *win* its space: its access
+//! frequency — estimated by a small count-min sketch touched on every
+//! lookup and insert, TinyLFU style — must strictly exceed the would-be
+//! victim's; ties keep the incumbent. A fragment that keeps missing
+//! accumulates frequency and wins admission on a later attempt, so hot
+//! fragments displace cold ones but a one-off scan cannot flush the
+//! working set.
 //!
 //! The would-be victim is the entry eviction would remove first — the
 //! global minimum GreedyDual-Size priority. Rejections are counted in
@@ -139,12 +136,6 @@ use tango_algebra::{Batch, ProjItem, SortSpec, TOp};
 
 /// Default cache budget used by a new session: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
-
-/// Admission floor: under byte pressure, a fragment whose measured fill
-/// cost is below this many µs per byte is cheaper to refetch than the
-/// space it would occupy (serving a resident byte itself costs
-/// `p_cached` ≈ 0.004 µs) and is never admitted.
-pub const ADMISSION_MIN_FILL_US_PER_BYTE: f64 = 0.01;
 
 fn canon(name: &str, params: &str, children: &[String]) -> String {
     format!("{name}[{params}]({})", children.join(","))
@@ -320,8 +311,7 @@ pub enum AdmitOutcome {
     /// session populated first (the exactly-one-populate guarantee).
     Duplicate,
     /// Rejected by the TinyLFU admission gate: under byte pressure the
-    /// candidate was cheaper to refetch than to store, or not accessed
-    /// frequently enough to displace the eviction victim.
+    /// candidate was not accessed more often than the eviction victim.
     Rejected,
 }
 
@@ -525,9 +515,6 @@ struct Store {
     clock: f64,
     /// TinyLFU frequency memory, touched on every lookup and insert.
     sketch: FreqSketch,
-    /// Whether lookups may surface stale-but-delta-covered entries for
-    /// refresh-by-delta (off = binary drop-on-write staleness).
-    refreshing: bool,
     /// [`CacheStats::refresh_bails`] split by reason
     /// ([`RefreshBail::kind`]).
     bails: BTreeMap<&'static str, u64>,
@@ -621,7 +608,6 @@ impl MidCache {
                 budget,
                 clock: 0.0,
                 sketch: FreqSketch::new(),
-                refreshing: true,
                 bails: BTreeMap::new(),
             }),
         }
@@ -638,21 +624,6 @@ impl MidCache {
         let mut s = self.store.lock();
         s.budget = budget;
         s.enforce_budget();
-    }
-
-    /// Whether incremental maintenance is active (it is by default):
-    /// lookups surface stale-but-delta-covered entries as
-    /// [`Lookup::Stale`] and the engine prices refresh-by-delta against
-    /// refetch and drop.
-    pub fn refresh_enabled(&self) -> bool {
-        self.store.lock().refreshing
-    }
-
-    /// Enable or disable incremental maintenance. Disabled, the engine
-    /// passes no delta source and every version-moved entry is dropped
-    /// at lookup — the pre-delta-log drop-on-write baseline.
-    pub fn set_refresh(&self, on: bool) {
-        self.store.lock().refreshing = on;
     }
 
     /// Total bytes currently stored.
@@ -694,8 +665,8 @@ impl MidCache {
     /// requested one. A stale entry whose moved tables are all covered
     /// by `delta_bytes_of` (delta-log replay bytes since the recorded
     /// version, `None` = uncovered) is returned as [`Lookup::Stale`]
-    /// instead of being dropped; passing `&|_, _| None` restores the
-    /// binary drop-on-write behavior. Hits refresh the entry's
+    /// instead of being dropped (a source that covers nothing drops every
+    /// version-moved entry). Hits refresh the entry's
     /// GreedyDual-Size priority; every lookup feeds the admission
     /// frequency sketch. Stale lookups count as neither hit nor miss —
     /// the engine's maintenance decision settles them
@@ -795,12 +766,11 @@ impl MidCache {
             s.take(i);
         }
         if s.bytes + bytes > s.budget {
-            // under pressure the candidate must win its space: dearer to
-            // refetch than to keep, and asked for more often than the
-            // entry eviction would remove for it (ties keep the incumbent)
-            let cheap = fill_cost_us < bytes as f64 * ADMISSION_MIN_FILL_US_PER_BYTE;
+            // under pressure the candidate must win its space: asked for
+            // more often than the entry eviction would remove for it
+            // (ties keep the incumbent)
             let cold = s.victim().is_some_and(|v| freq <= s.sketch.estimate(s.entries[v].hash));
-            if cheap || cold {
+            if cold {
                 s.stats.admission_rejects += 1;
                 return Admission::skipped(AdmitOutcome::Rejected, bytes);
             }
@@ -903,9 +873,7 @@ impl MidCache {
     /// Uncoverable (`Gone`) entries are dropped (as at lookup); fresh
     /// entries are advertised at served size, stale-but-covered ones
     /// with their pending replay bytes so the enforcer can price
-    /// refresh-by-delta ([`Residency::transfer_cost`]). Pass
-    /// `&|_, _| None` for `delta_bytes_of` to advertise fresh entries
-    /// only (drop-on-write behavior).
+    /// refresh-by-delta ([`Residency::transfer_cost`]).
     pub fn residency(
         &self,
         version_of: &dyn Fn(&str) -> Option<u64>,
@@ -1042,20 +1010,6 @@ impl Residency {
         self.by_signature.is_empty()
     }
 
-    /// If a *fresh* fragment with this signature is resident in an
-    /// order that [satisfies](SortSpec::satisfies) `required`, the
-    /// stored byte size (smallest such entry); `None` otherwise. Stale
-    /// entries are priced by [`Residency::transfer_cost`], not
-    /// advertised here.
-    pub fn serves(&self, signature: &str, required: &SortSpec) -> Option<u64> {
-        self.by_signature
-            .get(signature)?
-            .iter()
-            .filter(|r| r.delta_bytes.is_none() && r.order.satisfies(required))
-            .map(|r| r.bytes)
-            .min()
-    }
-
     /// The cheapest cost (µs) of a `TRANSFER^M` served from residency:
     /// `p_cached × bytes` for a fresh entry, delta replay + merge + the
     /// cached serve for a stale one. `None` when nothing satisfying is
@@ -1160,8 +1114,8 @@ mod tests {
         Batch::new(schema(), rows(n)).columnarize()
     }
 
-    /// No delta source: every stale entry is `Gone`, restoring the
-    /// pre-maintenance drop-on-write behavior the older tests pin.
+    /// A delta source that covers nothing: every stale entry is `Gone`
+    /// and dropped at lookup, the behavior the older tests pin.
     fn no_delta(_: &str, _: u64) -> Option<u64> {
         None
     }
@@ -1387,19 +1341,6 @@ mod tests {
         assert!(matches!(cache.lookup(&challenger, &v, &no_delta), Lookup::Hit(_)));
     }
 
-    /// Fragments cheaper to refetch than the space they occupy are
-    /// rejected under pressure, however often they are asked for.
-    #[test]
-    fn admission_gate_rejects_cheap_refetches() {
-        let row_bytes = rows(1).iter().map(|t| t.byte_size() as u64).sum::<u64>();
-        let cache = MidCache::new(row_bytes * 10);
-        assert!(cache.insert(&key("A"), batch(8), vec![], 1_000.0).admitted);
-        ask(&cache, &key("B"), 1);
-        // fill cost far below ADMISSION_MIN_FILL_US_PER_BYTE × bytes
-        let adm = cache.insert(&key("B"), batch(8), vec![], 0.001);
-        assert_eq!(adm.outcome, AdmitOutcome::Rejected);
-    }
-
     /// Admission and eviction judge the same victim. A hot incumbent
     /// fills the budget; a cold newcomer with a higher fill cost per
     /// byte must lose to it. (In the sharded store these two signatures
@@ -1479,19 +1420,23 @@ mod tests {
         assert_eq!(cache.stats().evictions, 9);
     }
 
+    /// A transfer is priced from the smallest resident entry whose
+    /// order satisfies the request.
     #[test]
-    fn residency_reports_smallest_satisfying_entry() {
+    fn residency_prices_smallest_satisfying_entry() {
+        let f = CostFactors::default();
         let cache = MidCache::new(1 << 20);
         let mut sorted = key("GET[T]()");
         sorted.order = SortSpec::by(["A"]);
         cache.insert(&sorted, batch(20), vec![("T".into(), 1)], 1.0);
         cache.insert(&key("GET[T]()"), batch(5), vec![("T".into(), 1)], 1.0);
         let r = cache.residency(&|_| Some(1), &no_delta);
-        let small = r.serves("GET[T]()", &SortSpec::none()).unwrap();
-        let ordered = r.serves("GET[T]()", &SortSpec::by(["A"])).unwrap();
+        let cost = |order: SortSpec| r.transfer_cost("GET[T]()", &order, &f);
+        let small = cost(SortSpec::none()).unwrap();
+        let ordered = cost(SortSpec::by(["A"])).unwrap();
         assert!(small < ordered, "unordered request should pick the smaller entry");
-        assert!(r.serves("GET[T]()", &SortSpec::by(["B"])).is_none());
-        assert!(r.serves("OTHER", &SortSpec::none()).is_none());
+        assert!(cost(SortSpec::by(["B"])).is_none());
+        assert!(r.transfer_cost("OTHER", &SortSpec::none(), &f).is_none());
     }
 
     /// The serving report lists contents and counters (the JSON form
@@ -1616,7 +1561,7 @@ mod tests {
     }
 
     /// Residency prices stale entries at replay + merge + serve, fresh
-    /// ones at the cached serve; `serves` stays fresh-only.
+    /// ones at the cached serve.
     #[test]
     fn residency_prices_stale_entries() {
         let f = CostFactors::default();
@@ -1631,7 +1576,6 @@ mod tests {
 
         let covered = |_: &str, _: u64| Some(64);
         let stale = cache.residency(&|_| Some(2), &covered);
-        assert!(stale.serves("GET[T]()", &SortSpec::none()).is_none(), "serves is fresh-only");
         let stale_cost = stale.transfer_cost("GET[T]()", &SortSpec::none(), &f).unwrap();
         let expected = refresh_cost_us(&f, base, 64) + f.p_cached * base as f64;
         assert!((stale_cost - expected).abs() < 1e-9);

@@ -814,14 +814,7 @@ impl<'a> Ctx<'a> {
             return CacheDecision::Bypass;
         };
         let version_of = |t: &str| self.conn.table_version(t);
-        let refreshing = cache.refresh_enabled();
-        let delta_bytes_of = |t: &str, since: u64| {
-            if refreshing {
-                self.conn.delta_bytes_since(t, since)
-            } else {
-                None
-            }
-        };
+        let delta_bytes_of = |t: &str, since: u64| self.conn.delta_bytes_since(t, since);
         // the `(table, version)` snapshot a populate would record, read
         // before any SQL; `None` = a referenced table has no version
         // (dictionary view, dropped mid-build): don't populate

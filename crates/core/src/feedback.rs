@@ -14,11 +14,13 @@ use crate::cost::CostFactors;
 use crate::engine::ExecReport;
 use tango_stats::RelationStats;
 
-/// Update `factors` in place from one execution report. `alpha` is the
-/// smoothing weight of the new observation (0 = ignore, 1 = replace).
-/// Returns the number of factors updated.
-pub fn apply_feedback(factors: &mut CostFactors, report: &ExecReport, alpha: f64) -> usize {
-    let alpha = alpha.clamp(0.0, 1.0);
+/// Smoothing weight of each new observation (0 = ignore, 1 = replace).
+const FEEDBACK_ALPHA: f64 = 0.3;
+
+/// Update `factors` in place from one execution report, blending each
+/// implied factor in at weight `FEEDBACK_ALPHA`. Returns the number of
+/// factors updated.
+pub fn apply_feedback(factors: &mut CostFactors, report: &ExecReport) -> usize {
     let mut updated = 0;
     let obs_stats = |rows: u64, bytes: u64| RelationStats {
         rows: rows as f64,
@@ -67,7 +69,7 @@ pub fn apply_feedback(factors: &mut CostFactors, report: &ExecReport, alpha: f64
         if let Some((id, implied)) = factors.implied_factor(&step.algo, &in_refs, &out, observed_us)
         {
             let old = factors.get(id);
-            factors.set(id, (1.0 - alpha) * old + alpha * implied);
+            factors.set(id, (1.0 - FEEDBACK_ALPHA) * old + FEEDBACK_ALPHA * implied);
             updated += 1;
         }
     }
@@ -107,7 +109,7 @@ mod tests {
         let mut f = CostFactors { p_tm: 1.0, ..Default::default() };
         // observed: 20_000 µs for 10_000 bytes => implied p_tm = 2.0
         for _ in 0..40 {
-            apply_feedback(&mut f, &report(20_000.0, 100, 10_000), 0.3);
+            apply_feedback(&mut f, &report(20_000.0, 100, 10_000));
         }
         assert!((f.p_tm - 2.0).abs() < 0.01, "p_tm = {}", f.p_tm);
     }
@@ -115,7 +117,7 @@ mod tests {
     #[test]
     fn tiny_observations_ignored() {
         let mut f = CostFactors { p_tm: 1.0, ..Default::default() };
-        let n = apply_feedback(&mut f, &report(10.0, 1, 10), 0.5);
+        let n = apply_feedback(&mut f, &report(10.0, 1, 10));
         assert_eq!(n, 0);
         assert_eq!(f.p_tm, 1.0);
     }
@@ -125,15 +127,8 @@ mod tests {
         let mut f = CostFactors { p_tm: 1.0, ..Default::default() };
         let mut r = report(20_000.0, 100, 10_000);
         r.steps[0].annotations.push(("replan", "spliced".into()));
-        let n = apply_feedback(&mut f, &r, 0.5);
+        let n = apply_feedback(&mut f, &r);
         assert_eq!(n, 0, "spliced step must not refit factors");
-        assert_eq!(f.p_tm, 1.0);
-    }
-
-    #[test]
-    fn alpha_zero_is_inert() {
-        let mut f = CostFactors { p_tm: 1.0, ..Default::default() };
-        apply_feedback(&mut f, &report(20_000.0, 100, 10_000), 0.0);
         assert_eq!(f.p_tm, 1.0);
     }
 }

@@ -49,23 +49,15 @@ pub struct TangoOptions {
     /// Give the optimizer histograms on (time) attributes — the paper's
     /// Query 2 compares plan choice with and without them.
     pub use_histograms: bool,
-    /// Adapt cost factors from observed runtimes after every query.
+    /// Adapt cost factors from observed runtimes after every query
+    /// (`feedback::apply_feedback`).
     pub feedback: bool,
-    /// Smoothing weight of each new observation (0 = ignore, 1 = replace).
-    pub feedback_alpha: f64,
     /// Byte budget of the middleware relation cache; `None` disables
     /// caching entirely (every `TRANSFER^M` streams from the DBMS and the
-    /// optimizer sees an empty [`Residency`]).
+    /// optimizer sees an empty [`Residency`]). How cached entries are
+    /// admitted, evicted and kept fresh across writes is
+    /// `docs/CACHING.md`'s.
     pub cache_budget: Option<u64>,
-    /// Whether stale cache entries may be **refreshed by delta replay**
-    /// instead of dropped on write. `true` (the default) keeps
-    /// stale-but-covered entries resident and lets the engine pick the
-    /// cheapest of refresh / refetch / drop per entry
-    /// ([`crate::cache::maintenance_choice`]); `false` restores
-    /// drop-on-write (every write invalidates dependent entries at the
-    /// next lookup — the baseline the `cache_maintenance` bench
-    /// compares against).
-    pub cache_refresh: bool,
     /// Rows per batch pulled between operators, per session. `None` (the
     /// default) means [`tango_algebra::DEFAULT_BATCH_ROWS`]; `Some(1)`
     /// degenerates to row-at-a-time execution.
@@ -90,9 +82,7 @@ impl Default for TangoOptions {
             opt: OptOptions::default(),
             use_histograms: true,
             feedback: false,
-            feedback_alpha: 0.3,
             cache_budget: Some(DEFAULT_CACHE_BUDGET),
-            cache_refresh: true,
             batch_rows: None,
             workers: 1,
             rewrite_packs: Vec::new(),
@@ -287,9 +277,8 @@ impl Tango {
 
     /// [`Tango::connect`] with explicit options. The shared cache is
     /// created lazily by the first connecting session; later sessions
-    /// attach to it, and [`TangoOptions::cache_budget`] and
-    /// [`TangoOptions::cache_refresh`] are applied per query by
-    /// whichever session runs.
+    /// attach to it, and [`TangoOptions::cache_budget`] is applied per
+    /// query by whichever session runs.
     pub fn connect_with(db: Database, options: TangoOptions) -> Tango {
         let budget = options.cache_budget.unwrap_or(DEFAULT_CACHE_BUDGET);
         let cache = db.middleware_state(|| MidCache::new(budget));
@@ -381,30 +370,23 @@ impl Tango {
     }
 
     /// The cache to hand to the engine this query, with the configured
-    /// budget and refresh toggle applied — or `None` when caching is
-    /// disabled.
+    /// budget applied — or `None` when caching is disabled.
     fn active_cache(&self) -> Option<&Arc<MidCache>> {
         self.cache.set_budget(self.options.cache_budget?);
-        self.cache.set_refresh(self.options.cache_refresh);
         Some(&self.cache)
     }
 
     /// Snapshot of which fragment signatures the cache can serve right
     /// now — fresh entries at served size, stale-but-covered ones with
-    /// their pending delta bytes (when [`TangoOptions::cache_refresh`]
-    /// is on) — after dropping uncoverable entries. The optimizer's
-    /// view of middleware residency.
+    /// their pending delta bytes — after dropping uncoverable entries.
+    /// The optimizer's view of middleware residency.
     fn residency(&self) -> Residency {
         match self.active_cache() {
             Some(cache) => {
                 let conn = &self.conn;
-                if self.options.cache_refresh {
-                    cache.residency(&|t| conn.table_version(t), &|t, since| {
-                        conn.delta_bytes_since(t, since)
-                    })
-                } else {
-                    cache.residency(&|t| conn.table_version(t), &|_, _| None)
-                }
+                cache.residency(&|t| conn.table_version(t), &|t, since| {
+                    conn.delta_bytes_since(t, since)
+                })
             }
             None => Residency::default(),
         }
@@ -638,7 +620,7 @@ impl Tango {
         }
         .run(plan)?;
         if self.options.feedback {
-            feedback::apply_feedback(&mut self.factors, &run.report, self.options.feedback_alpha);
+            feedback::apply_feedback(&mut self.factors, &run.report);
         }
         Ok(run)
     }

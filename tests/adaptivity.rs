@@ -133,11 +133,12 @@ fn feedback_corrects_bad_factors() {
     bad.p_tm = calibrated_tm * 100.0;
     tango.set_factors(bad);
     tango.options_mut().feedback = true;
-    tango.options_mut().feedback_alpha = 0.5;
     // feedback learns from the wire; with the relation cache on, the
     // repeats would be hits that (deliberately) teach it nothing
     tango.options_mut().cache_budget = None;
-    for _ in 0..6 {
+    // each observation keeps 70% of the old factor: 100 · 0.7^k falls
+    // under 9 from k = 7, and the rest is margin for the observed rate
+    for _ in 0..10 {
         tango
             .query("VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID")
             .unwrap();

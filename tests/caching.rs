@@ -13,7 +13,10 @@ use tango::algebra::{
 };
 use tango::core::cost::CostFactors;
 use tango::core::phys::{Algo, PhysNode};
-use tango::minidb::{Database, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode};
+use tango::minidb::delta::DELTA_RECORD_OVERHEAD;
+use tango::minidb::{
+    Database, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode, DEFAULT_DELTA_LOG_CAP,
+};
 use tango::Tango;
 
 const QUERY1: &str = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
@@ -165,26 +168,31 @@ fn temp_table_fragments_bypass() {
     assert_eq!((s.hits, s.bypasses), (1, 2), "{s:?}");
 }
 
-/// A write to a base table invalidates dependent entries: the next run
-/// misses, refetches, and sees the new data. Pinned to the drop-on-write
-/// baseline (`cache_refresh: false`) — with incremental maintenance on,
-/// the same write becomes an in-place refresh instead (see
-/// `tests/maintenance.rs`).
+/// A write the delta log cannot cover invalidates dependent entries: the
+/// next run misses, refetches, and sees the new data. The write is an
+/// INSERT larger than the table's delta-log cap, which poisons the log
+/// instead of entering it, so no refresh can replay it. (A write the log
+/// does cover is refreshed in place instead; see `tests/maintenance.rs`.)
 #[test]
 fn writes_invalidate_and_results_stay_fresh() {
     let db = make_db(LinkProfile::default(), &default_rows(100));
     let mut tango = Tango::connect(db.clone());
-    tango.options_mut().cache_refresh = false;
     tango.query(QUERY1).unwrap();
     tango.query(QUERY1).unwrap();
     assert_eq!(tango.cache().stats().hits, 1);
 
-    db.insert_rows("POSITION", vec![tup![9, 9, Value::Double(1.0), 0, 99]]).unwrap();
+    let row = tup![9, 9, Value::Double(1.0), 0, 99];
+    let over_cap = DEFAULT_DELTA_LOG_CAP / (row.byte_size() + DELTA_RECORD_OVERHEAD) + 1;
+    db.insert_rows("POSITION", vec![row; over_cap]).unwrap();
+    assert_eq!(db.delta_log_bytes(), 0, "an over-cap insert must poison the log");
     db.analyze("POSITION").unwrap();
+    // plan over the grown table as the control below will
+    tango.refresh_statistics().unwrap();
 
     let (stale_free, report) = tango.query(QUERY1).unwrap();
     let s = tango.cache().stats();
     assert!(s.invalidations >= 1, "{s:?}");
+    assert_eq!(s.refreshes, 0, "an uncovered write cannot be refreshed: {s:?}");
     assert_eq!(s.hits, 1, "a post-write run must not be served stale: {s:?}");
 
     // control: a cache-off session on the modified database

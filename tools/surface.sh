@@ -33,6 +33,8 @@ fields() {
 }
 
 echo "lines:        tango-core $(lines crates/core/src/*.rs)  tango-xxl $(lines crates/xxl/src/*.rs)  volcano $(lines crates/volcano/src/*.rs)  tango-algebra $(lines crates/algebra/src/*.rs)  tango-stats $(lines crates/stats/src/*.rs)  tango-minidb $(lines crates/minidb/src/*.rs)"
+bench_bins=(crates/bench/src/bin/*.rs)
+echo "tango-bench:  lines $(lines crates/bench/src/*.rs "${bench_bins[@]}")  binaries ${#bench_bins[@]}"
 echo "non-test:     cache.rs $(non_test_lines crates/core/src/cache.rs)  rewrite.rs $(non_test_lines crates/core/src/rewrite.rs)"
 echo "non-test:     opt.rs $(non_test_lines crates/core/src/opt.rs)  phys.rs $(non_test_lines crates/core/src/phys.rs)  explain.rs $(non_test_lines crates/core/src/explain.rs)  cost.rs $(non_test_lines crates/core/src/cost.rs)"
 echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)  temporal_join.rs $(non_test_lines crates/xxl/src/temporal_join.rs)  tdiff.rs $(non_test_lines crates/xxl/src/tdiff.rs)"
