@@ -178,7 +178,7 @@ impl Value {
                         "+" => x.wrapping_add(y),
                         "-" => x.wrapping_sub(y),
                         "*" => x.wrapping_mul(y),
-                        "/" => x / y,
+                        "/" => x.wrapping_div(y),
                         _ => unreachable!(),
                     };
                     return Ok(Value::Int(r));
@@ -310,6 +310,11 @@ mod tests {
     #[test]
     fn division_by_zero_is_null() {
         assert_eq!(Value::Int(1).div(&Value::Int(0)).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn integer_division_overflow_wraps() {
+        assert_eq!(Value::Int(i64::MIN).div(&Value::Int(-1)).unwrap(), Value::Int(i64::MIN));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Rewrite-pack ablation — each checked-in rule pack run against a query
+//! Rewrite-pack ablation — each shipped rule pack run against a query
 //! spelled the way the pack exists to fix, with and without the pack.
 //!
-//! Three scenarios, one per pack under `rules/`:
+//! Three scenarios, one per pack:
 //!
 //! * **temporal-normalize** — the Section 3.3 `Overlaps` window spelled
 //!   through `NOT (...)` conjuncts. Unrewritten, the joint estimator

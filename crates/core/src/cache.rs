@@ -84,8 +84,8 @@
 //! A successful refresh replaces the entry's batch and dependency
 //! versions in place ([`MidCache::refresh`], counted in
 //! [`CacheStats::refreshes`]/[`CacheStats::refresh_bytes`]); a bailed
-//! refresh ([`CacheStats::refresh_bails`]) degrades to the refetch
-//! path, which drops the stale entry first.
+//! refresh ([`CacheStats::refresh_bails`]) takes the miss path: the
+//! fragment streams from the DBMS like any miss.
 //!
 //! # Admission — TinyLFU frequency gating
 //!
@@ -353,8 +353,7 @@ pub struct CacheStats {
     /// Insertions rejected because the relation exceeds the budget.
     pub rejections: u64,
     /// Insertions rejected by the TinyLFU admission gate (under byte
-    /// pressure: refetch cheaper than the space, or candidate frequency
-    /// not above the victim's).
+    /// pressure, the candidate's frequency was not above the victim's).
     pub admission_rejects: u64,
     /// Insertions dropped because a concurrent session already
     /// populated the same (or a fresher) entry.
@@ -366,7 +365,7 @@ pub struct CacheStats {
     /// traffic that replaced full refills.
     pub refresh_bytes: u64,
     /// Refresh attempts that bailed (unsupported shape, ambiguous
-    /// merge, racing write, wire fault) and degraded to refetch/drop.
+    /// merge, racing write, wire fault) and took the miss path.
     pub refresh_bails: u64,
 }
 

@@ -1,28 +1,23 @@
-//! Config-driven query rewriting — the adaptable stage *before* the
-//! Volcano optimizer ever runs.
+//! Query rewriting — the adaptable stage *before* the Volcano optimizer
+//! ever runs.
 //!
 //! The paper's middleware adapts after optimization (cost-model
 //! calibration, mid-query re-planning); this module adds the missing
-//! front door: declarative pattern → replacement rules, loaded from
-//! checked-in JSON rule packs (`rules/*.json`), applied to the logical
-//! algebra tree between the tsql parser and the optimizer. Rules fix
-//! queries the optimizer cannot — predicate spellings its estimator does
-//! not recognize, cartesian products hiding equi-joins, a second SQL
-//! surface that never mentions `VALIDTIME`.
+//! front door: named rewrite rules, applied to the logical algebra tree
+//! between the tsql parser and the optimizer. Rules fix queries the
+//! optimizer cannot — predicate spellings its estimator does not
+//! recognize, cartesian products hiding equi-joins, a second SQL surface
+//! that never mentions `VALIDTIME`.
 //!
-//! A pack mixes two rule kinds (see `docs/REWRITES.md` for the full
-//! format reference):
+//! Every rule is a Rust function, and every pack a `'static` table of
+//! rules (osm2streets-style named transformation suites; `docs/REWRITES.md`
+//! tabulates what each rule rewrites and why that is sound). A rule is
+//! one of two kinds:
 //!
-//! * **`expr` rules** — declarative expression patterns with binding
-//!   variables (`"?a"` any expression, `"?c:col"` a column, `"?l:lit"` a
-//!   literal, `"?op"` a comparison operator) and a replacement template
-//!   that may transform bound operators (`["negate", "?op"]`,
-//!   `["flip", "?op"]`). Matched bottom-up against every predicate and
-//!   projection expression.
-//! * **`pass` rules** — named plan-level transformations implemented in
-//!   Rust and *selected and ordered* from the pack file:
-//!   [`PlanPass::ProductToJoin`], [`PlanPass::MergeSelects`],
-//!   [`PlanPass::SqlOverlapToTJoin`].
+//! * **expression rules** — `fn(&Expr) -> Option<Expr>`, tried bottom-up
+//!   at every node of every predicate and projection expression;
+//! * **plan passes** — `fn(&Logical, Tables) -> Option<Logical>`, tried
+//!   bottom-up at every operator node.
 //!
 //! Packs are applied to **fixpoint with a pass budget**: whole-tree
 //! sweeps repeat until nothing changes or the budget is hit (looping
@@ -36,178 +31,88 @@
 //! or `\rewrites` in the REPL.
 
 use crate::error::{Result, TangoError};
-use std::path::{Path, PathBuf};
 use tango_algebra::logical::{concat_schemas, tjoin_schema};
 use tango_algebra::{CmpOp, Expr, Logical, ProjItem, Schema, TOp};
-use tango_trace::json::{self, Json};
 
 /// Resolves a base relation's schema (what [`Logical::output_schema`]
 /// takes).
 type Tables<'a> = &'a dyn Fn(&str) -> Option<Schema>;
 
-/// Default whole-tree sweep budget of [`Rewriter::apply`]; a pack file
-/// may lower it with a `"budget"` key.
+/// Whole-tree sweep budget of [`Rewriter::apply`]. The shipped packs
+/// settle within two sweeps; the bound stops a rule set that loops.
 pub(crate) const DEFAULT_PASS_BUDGET: usize = 32;
 
-/// One loaded rule pack: a named, ordered list of rules.
-#[derive(Debug, Clone)]
+/// A rule pack: a named, ordered suite of rules.
+#[derive(Debug)]
 pub struct RulePack {
-    /// Pack name (the `"pack"` key; also the file stem under `rules/`).
-    pub name: String,
+    /// Pack name, as [`TangoOptions::rewrite_packs`](crate::TangoOptions::rewrite_packs)
+    /// lists it.
+    pub name: &'static str,
     /// One-line human description.
-    pub description: String,
-    /// Sweep budget this pack is content with (a [`Rewriter`] running
-    /// several packs uses the smallest).
-    pub budget: usize,
+    pub description: &'static str,
     /// Rules, in application order.
-    pub rules: Vec<Rule>,
+    pub rules: &'static [Rule],
 }
 
-/// One rule of a pack.
-#[derive(Debug, Clone)]
+/// One named rule of a pack.
+#[derive(Debug)]
 pub struct Rule {
     /// Rule name (reported in traces as `pack/rule`).
-    pub name: String,
-    /// What the rule does.
-    pub(crate) kind: RuleKind,
+    pub name: &'static str,
+    kind: RuleKind,
 }
 
-/// The two rule kinds a pack may mix.
-#[derive(Debug, Clone)]
-pub(crate) enum RuleKind {
-    /// Declarative expression rewrite: pattern → replacement template.
-    Expr {
-        /// Pattern matched against expression nodes.
-        pattern: Pat,
-        /// Template instantiated from the pattern's bindings.
-        replace: Template,
+/// The two rule kinds a pack may mix. Each returns `None` where it does
+/// not apply.
+#[derive(Debug, Clone, Copy)]
+enum RuleKind {
+    /// Rewrites one expression node.
+    Expr(fn(&Expr) -> Option<Expr>),
+    /// Rewrites one operator node.
+    Plan(fn(&Logical, Tables<'_>) -> Option<Logical>),
+}
+
+const NOT_CMP: Rule = Rule { name: "not-cmp", kind: RuleKind::Expr(not_cmp) };
+
+/// The shipped packs. Both `temporal-normalize` and `subquery-to-join`
+/// list `not-cmp`: each needs it alone, and together the first one
+/// listed fires.
+const PACKS: &[RulePack] = &[
+    RulePack {
+        name: "temporal-normalize",
+        description: "Normalize negated/flipped temporal predicates into the paper's \
+                      StartBefore/EndBefore form (T1 <= hi AND T2 >= lo), the only spelling the \
+                      Section 3.3 joint Overlaps estimator and the window-push optimizer rules \
+                      recognize.",
+        rules: &[
+            NOT_CMP,
+            Rule { name: "not-not", kind: RuleKind::Expr(not_not) },
+            Rule { name: "demorgan-and", kind: RuleKind::Expr(demorgan_and) },
+            Rule { name: "demorgan-or", kind: RuleKind::Expr(demorgan_or) },
+            Rule { name: "flip-literal", kind: RuleKind::Expr(flip_literal) },
+        ],
     },
-    /// A named plan-level pass (Rust-implemented, config-selected).
-    Pass(PlanPass),
-}
-
-/// Named plan-level passes (the osm2streets-style `Transformation`
-/// enum: Rust implementations, selected and ordered from config).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PlanPass {
-    /// `σ_p(A × B)` → `σ_rest(A ⋈_eq B)`: extract cross-input `Col = Col`
-    /// conjuncts of a selection over a cartesian product into an
-    /// equi-join (the output schema of `×` and `⋈` is the same
-    /// concatenation, so the rewrite is layout-preserving).
-    ProductToJoin,
-    /// `σ_p(σ_q(X))` → `σ_{q ∧ p}(X)` — collapse adjacent selections.
-    MergeSelects,
-    /// Recognize the plain-SQL spelling of a temporal join — the exact
-    /// shape `Translator-To-SQL` emits for `TJOIN^D` (Figure 5 of the
-    /// paper: `GREATEST`/`LEAST` intersection items over a strict
-    /// overlap `A.T1 < B.T2 AND B.T1 < A.T2`) — and map it back onto
-    /// the algebra's `TJoin`, opening the temporal operators and
-    /// estimators to queries that never said `VALIDTIME`.
-    SqlOverlapToTJoin,
-}
-
-impl PlanPass {
-    /// The config-file name of this pass.
-    pub fn config_name(self) -> &'static str {
-        match self {
-            PlanPass::ProductToJoin => "product-to-join",
-            PlanPass::MergeSelects => "merge-selects",
-            PlanPass::SqlOverlapToTJoin => "sql-overlap-to-tjoin",
-        }
-    }
-
-    fn from_config_name(s: &str) -> Option<PlanPass> {
-        match s {
-            "product-to-join" => Some(PlanPass::ProductToJoin),
-            "merge-selects" => Some(PlanPass::MergeSelects),
-            "sql-overlap-to-tjoin" => Some(PlanPass::SqlOverlapToTJoin),
-            _ => None,
-        }
-    }
-
-    const ALL: [PlanPass; 3] =
-        [PlanPass::ProductToJoin, PlanPass::MergeSelects, PlanPass::SqlOverlapToTJoin];
-}
-
-/// What a binding variable may match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BindKind {
-    /// `"?x"` — any expression.
-    Any,
-    /// `"?x:col"` — a column reference.
-    Col,
-    /// `"?x:lit"` — a literal.
-    Lit,
-}
-
-/// An expression pattern (the `"match"` side of an `expr` rule).
-#[derive(Debug, Clone)]
-pub(crate) enum Pat {
-    /// A binding variable; a name repeated within one pattern must bind
-    /// equal expressions.
-    Bind(String, BindKind),
-    /// `["cmp", op, l, r]` — a comparison with an exact or bound operator.
-    Cmp(OpPat, Box<Pat>, Box<Pat>),
-    /// `["and", l, r]`
-    And(Box<Pat>, Box<Pat>),
-    /// `["or", l, r]`
-    Or(Box<Pat>, Box<Pat>),
-    /// `["not", p]`
-    Not(Box<Pat>),
-}
-
-/// Operator position of a [`Pat::Cmp`].
-#[derive(Debug, Clone)]
-pub(crate) enum OpPat {
-    /// A literal operator, e.g. `"<="`.
-    Exact(CmpOp),
-    /// `"?op"` — bind whatever operator is there.
-    Bind(String),
-}
-
-/// A replacement template (the `"replace"` side of an `expr` rule).
-#[derive(Debug, Clone)]
-pub(crate) enum Template {
-    /// `"?x"` — substitute the bound expression.
-    Var(String),
-    /// `["cmp", op, l, r]`
-    Cmp(OpTemplate, Box<Template>, Box<Template>),
-    /// `["and", l, r]`
-    And(Box<Template>, Box<Template>),
-    /// `["or", l, r]`
-    Or(Box<Template>, Box<Template>),
-    /// `["not", t]`
-    Not(Box<Template>),
-}
-
-/// Operator position of a [`Template::Cmp`].
-#[derive(Debug, Clone)]
-pub(crate) enum OpTemplate {
-    /// A literal operator.
-    Exact(CmpOp),
-    /// `"?op"` — the bound operator, unchanged.
-    Var(String),
-    /// `["flip", "?op"]` — mirror the bound operator (`<` → `>`, `<=` →
-    /// `>=`), for swapping comparison operands.
-    Flip(String),
-    /// `["negate", "?op"]` — the three-valued-logic negation (`<` → `>=`,
-    /// `=` → `<>`): `NOT (a op b)` ≡ `a negate(op) b` because both sides
-    /// are `UNKNOWN` exactly when a `NULL` is involved.
-    Negate(String),
-}
-
-/// The 3VL-sound negation of a comparison operator: `NOT (a op b)` ≡
-/// `a negate(op) b` (both are `UNKNOWN` on `NULL` operands).
-pub(crate) fn negate_op(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Le,
-    }
-}
+    RulePack {
+        name: "subquery-to-join",
+        description: "Turn a FROM-subquery correlated through WHERE conjuncts over a cartesian \
+                      product into a real equi-join: negated inequalities become equalities, \
+                      cross-input Col = Col conjuncts become join keys, adjacent selections \
+                      collapse.",
+        rules: &[
+            NOT_CMP,
+            Rule { name: "merge-selects", kind: RuleKind::Plan(merge_selects) },
+            Rule { name: "product-to-join", kind: RuleKind::Plan(product_to_join) },
+        ],
+    },
+    RulePack {
+        name: "compat",
+        description: "Map the plain-SQL spelling of a temporal join (GREATEST/LEAST intersection \
+                      items over a strict overlap predicate, the exact Figure 5 TJOIN^D \
+                      rendering) onto tsql's TJoin, opening the temporal algebra to queries that \
+                      never said VALIDTIME.",
+        rules: &[Rule { name: "sql-overlap-to-tjoin", kind: RuleKind::Plan(sql_overlap_to_tjoin) }],
+    },
+];
 
 /// One rule's aggregate firing count over a query.
 #[derive(Debug, Clone)]
@@ -244,32 +149,32 @@ impl RewriteOutcome {
     }
 }
 
-/// A loaded, ordered set of rule packs, ready to rewrite plans.
+/// An ordered set of rule packs, ready to rewrite plans.
 #[derive(Debug, Clone)]
 pub struct Rewriter {
-    packs: Vec<RulePack>,
-    budget: usize,
+    packs: Vec<&'static RulePack>,
 }
 
 impl Rewriter {
-    /// Load packs by name (resolved under `rules/`, see
-    /// [`RulePack::load`]) or literal path, in the given order.
+    /// The shipped packs of the given names, in the given order.
     pub fn load(names: &[String]) -> Result<Rewriter> {
-        let mut packs = Vec::with_capacity(names.len());
-        for n in names {
-            packs.push(RulePack::load(n)?);
-        }
-        Ok(Rewriter::from_packs(packs))
+        let packs = names
+            .iter()
+            .map(|name| {
+                PACKS.iter().find(|p| p.name == name).ok_or_else(|| {
+                    let shipped: Vec<&str> = PACKS.iter().map(|p| p.name).collect();
+                    TangoError::Rewrite(format!(
+                        "unknown rule pack '{name}' (tried the shipped packs: {})",
+                        shipped.join(", ")
+                    ))
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(Rewriter { packs })
     }
 
-    /// Build a rewriter from already-parsed packs.
-    pub(crate) fn from_packs(packs: Vec<RulePack>) -> Rewriter {
-        let budget = packs.iter().map(|p| p.budget).min().unwrap_or(DEFAULT_PASS_BUDGET);
-        Rewriter { packs, budget }
-    }
-
-    /// The loaded packs, in application order.
-    pub fn packs(&self) -> &[RulePack] {
+    /// The packs, in application order.
+    pub fn packs(&self) -> &[&'static RulePack] {
         &self.packs
     }
 
@@ -289,19 +194,19 @@ impl Rewriter {
             if !changed {
                 break;
             }
-            if passes >= self.budget {
+            if passes >= DEFAULT_PASS_BUDGET {
                 budget_hit = true;
                 break;
             }
         }
         let mut fires = Vec::new();
-        for (p, pack) in self.packs.iter().enumerate() {
-            for (r, rule) in pack.rules.iter().enumerate() {
-                if counts[p][r] > 0 {
+        for (pack, counts) in self.packs.iter().zip(&counts) {
+            for (rule, &n) in pack.rules.iter().zip(counts) {
+                if n > 0 {
                     fires.push(RuleFire {
-                        pack: pack.name.clone(),
-                        rule: rule.name.clone(),
-                        fires: counts[p][r],
+                        pack: pack.name.to_string(),
+                        rule: rule.name.to_string(),
+                        fires: n,
                     });
                 }
             }
@@ -310,559 +215,57 @@ impl Rewriter {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pack loading: path resolution, JSON parsing, schema validation.
-// ---------------------------------------------------------------------------
-
-fn err(msg: impl Into<String>) -> TangoError {
-    TangoError::Rewrite(msg.into())
-}
-
-impl RulePack {
-    /// Load a pack by name or path. A bare name `x` resolves to
-    /// `rules/x.json` relative to the current directory, then relative
-    /// to the repository root (so tests and the REPL agree); anything
-    /// containing a path separator or `.json` is used verbatim.
-    pub fn load(name: &str) -> Result<RulePack> {
-        let mut candidates: Vec<PathBuf> = Vec::new();
-        if name.contains('/') || name.contains('\\') || name.ends_with(".json") {
-            candidates.push(PathBuf::from(name));
-        } else {
-            let file = format!("{name}.json");
-            candidates.push(Path::new("rules").join(&file));
-            candidates.push(
-                Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("..")
-                    .join("..")
-                    .join("rules")
-                    .join(file),
-            );
-        }
-        for c in &candidates {
-            if c.is_file() {
-                let text =
-                    std::fs::read_to_string(c).map_err(|e| err(format!("{}: {e}", c.display())))?;
-                return RulePack::parse(&text, &c.display().to_string());
-            }
-        }
-        let tried: Vec<String> = candidates.iter().map(|c| c.display().to_string()).collect();
-        Err(err(format!("rule pack '{name}' not found (tried: {})", tried.join(", "))))
-    }
-
-    /// Parse a pack from JSON text; `origin` labels errors (a path or
-    /// `"<inline>"`). The schema is validated strictly — unknown keys,
-    /// missing fields, unbound template variables and unknown pass names
-    /// are all rejected with the offending name in the message.
-    pub fn parse(text: &str, origin: &str) -> Result<RulePack> {
-        let doc = json::parse(text).map_err(|e| err(format!("{origin}: {e}")))?;
-        let obj = as_obj(&doc, origin, "rule pack")?;
-        let mut name = None;
-        let mut description = None;
-        let mut budget = DEFAULT_PASS_BUDGET;
-        let mut rules = None;
-        for (k, v) in obj {
-            match k.as_str() {
-                "pack" => name = Some(as_str(v, origin, "pack")?.to_string()),
-                "description" => description = Some(as_str(v, origin, "description")?.to_string()),
-                "budget" => {
-                    let n = as_num(v, origin, "budget")?;
-                    if !(1.0..=10_000.0).contains(&n) || n.fract() != 0.0 {
-                        return Err(err(format!(
-                            "{origin}: \"budget\" must be an integer in 1..=10000, got {n}"
-                        )));
-                    }
-                    budget = n as usize;
-                }
-                "rules" => rules = Some(v),
-                other => {
-                    return Err(err(format!(
-                        "{origin}: unknown rule-pack key \"{other}\" \
-                         (expected \"pack\", \"description\", \"budget\", \"rules\")"
-                    )))
-                }
-            }
-        }
-        let name = name.ok_or_else(|| err(format!("{origin}: missing \"pack\" name")))?;
-        let description =
-            description.ok_or_else(|| err(format!("{origin}: missing \"description\"")))?;
-        let rules_json = match rules {
-            Some(Json::Arr(items)) if !items.is_empty() => items,
-            Some(Json::Arr(_)) => {
-                return Err(err(format!("{origin}: \"rules\" must not be empty")))
-            }
-            Some(_) => return Err(err(format!("{origin}: \"rules\" must be an array"))),
-            None => return Err(err(format!("{origin}: missing \"rules\" array"))),
-        };
-        let mut parsed = Vec::with_capacity(rules_json.len());
-        for (i, r) in rules_json.iter().enumerate() {
-            parsed.push(parse_rule(r, origin, i)?);
-        }
-        Ok(RulePack { name, description, budget, rules: parsed })
-    }
-}
-
-fn parse_rule(j: &Json, origin: &str, idx: usize) -> Result<Rule> {
-    let obj = as_obj(j, origin, &format!("rules[{idx}]"))?;
-    let mut name = None;
-    let mut kind = None;
-    let mut pattern = None;
-    let mut replace = None;
-    let mut pass = None;
-    for (k, v) in obj {
-        match k.as_str() {
-            "name" => name = Some(as_str(v, origin, "name")?.to_string()),
-            "kind" => kind = Some(as_str(v, origin, "kind")?.to_string()),
-            "match" => pattern = Some(v),
-            "replace" => replace = Some(v),
-            "pass" => pass = Some(as_str(v, origin, "pass")?.to_string()),
-            other => {
-                return Err(err(format!(
-                    "{origin}: rules[{idx}]: unknown key \"{other}\" \
-                     (expected \"name\", \"kind\", \"match\", \"replace\", \"pass\")"
-                )))
-            }
-        }
-    }
-    let name = name.ok_or_else(|| err(format!("{origin}: rules[{idx}]: missing \"name\"")))?;
-    let kind = kind.ok_or_else(|| err(format!("{origin}: rule '{name}': missing \"kind\"")))?;
-    let where_ = format!("{origin}: rule '{name}'");
-    match kind.as_str() {
-        "expr" => {
-            let p = pattern.ok_or_else(|| err(format!("{where_}: missing \"match\"")))?;
-            let r = replace.ok_or_else(|| err(format!("{where_}: missing \"replace\"")))?;
-            if pass.is_some() {
-                return Err(err(format!("{where_}: \"pass\" is only valid for kind \"pass\"")));
-            }
-            let pattern = parse_pat(p, &where_)?;
-            let replace = parse_template(r, &where_)?;
-            let mut bound = Vec::new();
-            pattern_binders(&pattern, &mut bound);
-            check_template_bound(&replace, &bound, &where_)?;
-            Ok(Rule { name, kind: RuleKind::Expr { pattern, replace } })
-        }
-        "pass" => {
-            if pattern.is_some() || replace.is_some() {
-                return Err(err(format!(
-                    "{where_}: \"match\"/\"replace\" are only valid for kind \"expr\""
-                )));
-            }
-            let p = pass.ok_or_else(|| err(format!("{where_}: missing \"pass\"")))?;
-            let pass = PlanPass::from_config_name(&p).ok_or_else(|| {
-                let known: Vec<&str> = PlanPass::ALL.iter().map(|p| p.config_name()).collect();
-                err(format!("{where_}: unknown pass \"{p}\" (known passes: {})", known.join(", ")))
-            })?;
-            Ok(Rule { name, kind: RuleKind::Pass(pass) })
-        }
-        other => {
-            Err(err(format!("{where_}: unknown kind \"{other}\" (expected \"expr\" or \"pass\")")))
-        }
-    }
-}
-
-fn as_obj<'a>(j: &'a Json, origin: &str, what: &str) -> Result<&'a [(String, Json)]> {
-    match j {
-        Json::Obj(kv) => Ok(kv),
-        _ => Err(err(format!("{origin}: {what} must be a JSON object"))),
-    }
-}
-
-fn as_str<'a>(j: &'a Json, origin: &str, what: &str) -> Result<&'a str> {
-    match j {
-        Json::Str(s) => Ok(s),
-        _ => Err(err(format!("{origin}: \"{what}\" must be a string"))),
-    }
-}
-
-fn as_num(j: &Json, origin: &str, what: &str) -> Result<f64> {
-    match j {
-        Json::Num(n) => Ok(*n),
-        _ => Err(err(format!("{origin}: \"{what}\" must be a number"))),
-    }
-}
-
-fn parse_binder(s: &str, where_: &str) -> Result<(String, BindKind)> {
-    let body = &s[1..];
-    let (name, kind) = match body.split_once(':') {
-        None => (body, BindKind::Any),
-        Some((n, "col")) => (n, BindKind::Col),
-        Some((n, "lit")) => (n, BindKind::Lit),
-        Some((_, k)) => {
-            return Err(err(format!(
-                "{where_}: unknown binder kind \"{k}\" in \"{s}\" (expected \"col\" or \"lit\")"
-            )))
-        }
-    };
-    if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return Err(err(format!("{where_}: bad binder name in \"{s}\"")));
-    }
-    Ok((name.to_string(), kind))
-}
-
-fn parse_cmp_op(s: &str) -> Option<CmpOp> {
-    match s {
-        "=" => Some(CmpOp::Eq),
-        "<>" => Some(CmpOp::Ne),
-        "<" => Some(CmpOp::Lt),
-        "<=" => Some(CmpOp::Le),
-        ">" => Some(CmpOp::Gt),
-        ">=" => Some(CmpOp::Ge),
-        _ => None,
-    }
-}
-
-fn parse_pat(j: &Json, where_: &str) -> Result<Pat> {
-    match j {
-        Json::Str(s) if s.starts_with('?') => {
-            let (name, kind) = parse_binder(s, where_)?;
-            Ok(Pat::Bind(name, kind))
-        }
-        Json::Str(s) => Err(err(format!(
-            "{where_}: pattern atom \"{s}\" is not a binder (binders start with '?')"
-        ))),
-        Json::Arr(items) => {
-            let head = match items.first() {
-                Some(Json::Str(s)) => s.as_str(),
-                _ => {
-                    return Err(err(format!("{where_}: pattern list must start with a form name")))
-                }
-            };
-            let arity = |n: usize| -> Result<()> {
-                if items.len() == n + 1 {
-                    Ok(())
-                } else {
-                    Err(err(format!(
-                        "{where_}: \"{head}\" takes {n} argument(s), got {}",
-                        items.len() - 1
-                    )))
-                }
-            };
-            match head {
-                "not" => {
-                    arity(1)?;
-                    Ok(Pat::Not(Box::new(parse_pat(&items[1], where_)?)))
-                }
-                "and" | "or" => {
-                    arity(2)?;
-                    let l = Box::new(parse_pat(&items[1], where_)?);
-                    let r = Box::new(parse_pat(&items[2], where_)?);
-                    Ok(if head == "and" { Pat::And(l, r) } else { Pat::Or(l, r) })
-                }
-                "cmp" => {
-                    arity(3)?;
-                    let op = match &items[1] {
-                        Json::Str(s) if s.starts_with('?') => {
-                            let (name, kind) = parse_binder(s, where_)?;
-                            if kind != BindKind::Any {
-                                return Err(err(format!(
-                                    "{where_}: operator binder \"{s}\" must be untyped"
-                                )));
-                            }
-                            OpPat::Bind(name)
-                        }
-                        Json::Str(s) => OpPat::Exact(parse_cmp_op(s).ok_or_else(|| {
-                            err(format!("{where_}: unknown comparison operator \"{s}\""))
-                        })?),
-                        _ => {
-                            return Err(err(format!(
-                                "{where_}: \"cmp\" operator must be a string or \"?op\" binder"
-                            )))
-                        }
-                    };
-                    let l = Box::new(parse_pat(&items[2], where_)?);
-                    let r = Box::new(parse_pat(&items[3], where_)?);
-                    Ok(Pat::Cmp(op, l, r))
-                }
-                other => Err(err(format!(
-                    "{where_}: unknown pattern form \"{other}\" \
-                     (expected \"cmp\", \"and\", \"or\", \"not\")"
-                ))),
-            }
-        }
-        _ => Err(err(format!("{where_}: pattern must be a binder string or a list"))),
-    }
-}
-
-fn parse_template(j: &Json, where_: &str) -> Result<Template> {
-    match j {
-        Json::Str(s) if s.starts_with('?') => {
-            let (name, kind) = parse_binder(s, where_)?;
-            if kind != BindKind::Any {
-                return Err(err(format!(
-                    "{where_}: template variable \"{s}\" must be untyped (types live on the pattern)"
-                )));
-            }
-            Ok(Template::Var(name))
-        }
-        Json::Arr(items) => {
-            let head = match items.first() {
-                Some(Json::Str(s)) => s.as_str(),
-                _ => {
-                    return Err(err(format!("{where_}: template list must start with a form name")))
-                }
-            };
-            let arity = |n: usize| -> Result<()> {
-                if items.len() == n + 1 {
-                    Ok(())
-                } else {
-                    Err(err(format!(
-                        "{where_}: \"{head}\" takes {n} argument(s), got {}",
-                        items.len() - 1
-                    )))
-                }
-            };
-            match head {
-                "not" => {
-                    arity(1)?;
-                    Ok(Template::Not(Box::new(parse_template(&items[1], where_)?)))
-                }
-                "and" | "or" => {
-                    arity(2)?;
-                    let l = Box::new(parse_template(&items[1], where_)?);
-                    let r = Box::new(parse_template(&items[2], where_)?);
-                    Ok(if head == "and" { Template::And(l, r) } else { Template::Or(l, r) })
-                }
-                "cmp" => {
-                    arity(3)?;
-                    let op = parse_op_template(&items[1], where_)?;
-                    let l = Box::new(parse_template(&items[2], where_)?);
-                    let r = Box::new(parse_template(&items[3], where_)?);
-                    Ok(Template::Cmp(op, l, r))
-                }
-                other => Err(err(format!(
-                    "{where_}: unknown template form \"{other}\" \
-                     (expected \"cmp\", \"and\", \"or\", \"not\")"
-                ))),
-            }
-        }
-        _ => Err(err(format!("{where_}: template must be a \"?var\" string or a list"))),
-    }
-}
-
-fn parse_op_template(j: &Json, where_: &str) -> Result<OpTemplate> {
-    match j {
-        Json::Str(s) if s.starts_with('?') => Ok(OpTemplate::Var(parse_binder(s, where_)?.0)),
-        Json::Str(s) => Ok(OpTemplate::Exact(
-            parse_cmp_op(s)
-                .ok_or_else(|| err(format!("{where_}: unknown comparison operator \"{s}\"")))?,
-        )),
-        Json::Arr(items) => {
-            let (f, v) = match items.as_slice() {
-                [Json::Str(f), Json::Str(v)] if v.starts_with('?') => (f.as_str(), v.as_str()),
-                _ => {
-                    return Err(err(format!(
-                        "{where_}: operator function must be [\"flip\"|\"negate\", \"?op\"]"
-                    )))
-                }
-            };
-            let name = parse_binder(v, where_)?.0;
-            match f {
-                "flip" => Ok(OpTemplate::Flip(name)),
-                "negate" => Ok(OpTemplate::Negate(name)),
-                other => Err(err(format!(
-                    "{where_}: unknown operator function \"{other}\" \
-                     (expected \"flip\" or \"negate\")"
-                ))),
-            }
-        }
-        _ => Err(err(format!("{where_}: bad operator position in template"))),
-    }
-}
-
-fn pattern_binders(p: &Pat, out: &mut Vec<String>) {
-    match p {
-        Pat::Bind(n, _) => out.push(n.clone()),
-        Pat::Cmp(op, l, r) => {
-            if let OpPat::Bind(n) = op {
-                out.push(n.clone());
-            }
-            pattern_binders(l, out);
-            pattern_binders(r, out);
-        }
-        Pat::And(l, r) | Pat::Or(l, r) => {
-            pattern_binders(l, out);
-            pattern_binders(r, out);
-        }
-        Pat::Not(i) => pattern_binders(i, out),
-    }
-}
-
-fn check_template_bound(t: &Template, bound: &[String], where_: &str) -> Result<()> {
-    let check = |n: &str| -> Result<()> {
-        if bound.iter().any(|b| b == n) {
-            Ok(())
-        } else {
-            Err(err(format!("{where_}: template variable \"?{n}\" is not bound by the pattern")))
-        }
-    };
-    match t {
-        Template::Var(n) => check(n),
-        Template::Cmp(op, l, r) => {
-            match op {
-                OpTemplate::Var(n) | OpTemplate::Flip(n) | OpTemplate::Negate(n) => check(n)?,
-                OpTemplate::Exact(_) => {}
-            }
-            check_template_bound(l, bound, where_)?;
-            check_template_bound(r, bound, where_)
-        }
-        Template::And(l, r) | Template::Or(l, r) => {
-            check_template_bound(l, bound, where_)?;
-            check_template_bound(r, bound, where_)
-        }
-        Template::Not(i) => check_template_bound(i, bound, where_),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Matching and application.
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Binds {
-    exprs: Vec<(String, Expr)>,
-    ops: Vec<(String, CmpOp)>,
-}
-
-/// Structural expression equality ignoring resolved column indexes and
-/// the case of column names (rewriting runs before binding; a repeated
-/// binder must not care).
-fn same_expr(a: &Expr, b: &Expr) -> bool {
-    let canonical = |e: &Expr| {
-        let mut e = e.clone();
-        rename_cols(&mut e, &mut |name| name.make_ascii_uppercase());
-        e
-    };
-    canonical(a) == canonical(b)
-}
-
-fn match_pat(p: &Pat, e: &Expr, b: &mut Binds) -> bool {
-    match p {
-        Pat::Bind(name, kind) => {
-            let ok = match kind {
-                BindKind::Any => true,
-                BindKind::Col => matches!(e, Expr::Col { .. }),
-                BindKind::Lit => matches!(e, Expr::Lit(_)),
-            };
-            if !ok {
-                return false;
-            }
-            if let Some((_, prev)) = b.exprs.iter().find(|(n, _)| n == name) {
-                return same_expr(prev, e);
-            }
-            b.exprs.push((name.clone(), e.clone()));
-            true
-        }
-        Pat::Cmp(op_pat, pl, pr) => match e {
-            Expr::Cmp(op, l, r) => {
-                match op_pat {
-                    OpPat::Exact(want) => {
-                        if want != op {
-                            return false;
-                        }
-                    }
-                    OpPat::Bind(name) => {
-                        if let Some((_, prev)) = b.ops.iter().find(|(n, _)| n == name) {
-                            if prev != op {
-                                return false;
-                            }
-                        } else {
-                            b.ops.push((name.clone(), *op));
-                        }
-                    }
-                }
-                match_pat(pl, l, b) && match_pat(pr, r, b)
-            }
-            _ => false,
-        },
-        Pat::And(pl, pr) => match e {
-            Expr::And(l, r) => match_pat(pl, l, b) && match_pat(pr, r, b),
-            _ => false,
-        },
-        Pat::Or(pl, pr) => match e {
-            Expr::Or(l, r) => match_pat(pl, l, b) && match_pat(pr, r, b),
-            _ => false,
-        },
-        Pat::Not(pi) => match e {
-            Expr::Not(i) => match_pat(pi, i, b),
-            _ => false,
-        },
-    }
-}
-
-fn instantiate(t: &Template, b: &Binds) -> Expr {
-    match t {
-        Template::Var(n) => {
-            b.exprs.iter().find(|(bn, _)| bn == n).map(|(_, e)| e.clone()).unwrap_or_else(|| {
-                // unreachable: load-time validation rejects unbound vars
-                Expr::lit(0i64)
-            })
-        }
-        Template::Cmp(op, l, r) => {
-            let bound = |n: &str| {
-                b.ops.iter().find(|(bn, _)| bn == n).map(|(_, o)| *o).unwrap_or(CmpOp::Eq)
-            };
-            let op = match op {
-                OpTemplate::Exact(o) => *o,
-                OpTemplate::Var(n) => bound(n),
-                OpTemplate::Flip(n) => bound(n).flip(),
-                OpTemplate::Negate(n) => negate_op(bound(n)),
-            };
-            Expr::cmp(op, instantiate(l, b), instantiate(r, b))
-        }
-        Template::And(l, r) => Expr::and(instantiate(l, b), instantiate(r, b)),
-        Template::Or(l, r) => Expr::or(instantiate(l, b), instantiate(r, b)),
-        Template::Not(i) => Expr::not(instantiate(i, b)),
-    }
-}
-
 /// One whole-tree sweep: expression rules bottom-up over every predicate
 /// and projection item, then plan passes bottom-up over the operator
-/// tree. `changed` records whether anything fired.
+/// tree. At each node the first rule (in pack order) that fires wins,
+/// and the sweep moves on; `changed` records whether anything fired.
 struct Sweep<'a> {
-    packs: &'a [RulePack],
-    counts: &'a mut Vec<Vec<u64>>,
+    packs: &'a [&'static RulePack],
+    counts: &'a mut [Vec<u64>],
     changed: bool,
     src: Tables<'a>,
 }
 
 impl Sweep<'_> {
-    fn expr(&mut self, e: &Expr) -> Expr {
-        // children first
-        let rebuilt = match e {
-            Expr::Col { .. } | Expr::Lit(_) => e.clone(),
-            Expr::Cmp(op, l, r) => Expr::cmp(*op, self.expr(l), self.expr(r)),
-            Expr::And(l, r) => Expr::and(self.expr(l), self.expr(r)),
-            Expr::Or(l, r) => Expr::or(self.expr(l), self.expr(r)),
-            Expr::Not(i) => Expr::not(self.expr(i)),
-            Expr::Arith(op, l, r) => {
-                Expr::Arith(*op, Box::new(self.expr(l)), Box::new(self.expr(r)))
-            }
-            Expr::Greatest(es) => Expr::Greatest(es.iter().map(|x| self.expr(x)).collect()),
-            Expr::Least(es) => Expr::Least(es.iter().map(|x| self.expr(x)).collect()),
-            Expr::IsNull(i, neg) => Expr::IsNull(Box::new(self.expr(i)), *neg),
-        };
-        // then this node: first matching rule fires once per sweep
-        for (pi, pack) in self.packs.iter().enumerate() {
-            for (ri, rule) in pack.rules.iter().enumerate() {
-                let RuleKind::Expr { pattern, replace } = &rule.kind else { continue };
-                let mut b = Binds::default();
-                if match_pat(pattern, &rebuilt, &mut b) {
-                    let new = instantiate(replace, &b);
-                    if !same_expr(&new, &rebuilt) {
-                        self.counts[pi][ri] += 1;
-                        self.changed = true;
-                        return new;
-                    }
+    /// The first rule that `fire` fires at one node, counted.
+    fn first<T>(&mut self, fire: impl Fn(RuleKind) -> Option<T>) -> Option<T> {
+        for (pack, counts) in self.packs.iter().zip(self.counts.iter_mut()) {
+            for (rule, count) in pack.rules.iter().zip(counts) {
+                if let Some(new) = fire(rule.kind) {
+                    *count += 1;
+                    self.changed = true;
+                    return Some(new);
                 }
             }
         }
-        rebuilt
+        None
+    }
+
+    fn expr(&mut self, e: &mut Expr) {
+        // children first
+        match e {
+            Expr::Col { .. } | Expr::Lit(_) => {}
+            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
+                self.expr(l);
+                self.expr(r);
+            }
+            Expr::Not(i) | Expr::IsNull(i, _) => self.expr(i),
+            Expr::Greatest(es) | Expr::Least(es) => es.iter_mut().for_each(|x| self.expr(x)),
+        }
+        let fired = self.first(|kind| match kind {
+            RuleKind::Expr(rule) => rule(e),
+            RuleKind::Plan(_) => None,
+        });
+        if let Some(new) = fired {
+            *e = new;
+        }
     }
 
     fn plan(&mut self, node: Logical) -> Logical {
         // children (and their expressions) first
         let node = match node {
             Logical::Apply { mut op, inputs } => {
-                op.visit_exprs_mut(|e| *e = self.expr(e));
+                op.visit_exprs_mut(|e| self.expr(e));
                 Logical::Apply { op, inputs: inputs.into_iter().map(|i| self.plan(i)).collect() }
             }
             Logical::Sort { keys, input } => {
@@ -875,32 +278,88 @@ impl Sweep<'_> {
                 Logical::TransferD { input: Box::new(self.plan(*input)) }
             }
         };
-        // then plan passes at this node: first firing pass wins the sweep
-        for (pi, pack) in self.packs.iter().enumerate() {
-            for (ri, rule) in pack.rules.iter().enumerate() {
-                let RuleKind::Pass(pass) = &rule.kind else { continue };
-                if let Some(new) = apply_pass(*pass, &node, self.src) {
-                    self.counts[pi][ri] += 1;
-                    self.changed = true;
-                    return new;
-                }
-            }
+        let src = self.src;
+        let fired = self.first(|kind| match kind {
+            RuleKind::Plan(pass) => pass(&node, src),
+            RuleKind::Expr(_) => None,
+        });
+        fired.unwrap_or(node)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Expression rules. Each is sound under SQL's three-valued logic: the
+// replacement is TRUE, FALSE or UNKNOWN exactly where the original is.
+// ---------------------------------------------------------------------------
+
+/// The 3VL-sound negation of a comparison operator: `NOT (a op b)` ≡
+/// `a negate(op) b` (both are `UNKNOWN` on `NULL` operands).
+fn negate_op(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Eq => CmpOp::Ne,
+        CmpOp::Ne => CmpOp::Eq,
+        CmpOp::Lt => CmpOp::Ge,
+        CmpOp::Ge => CmpOp::Lt,
+        CmpOp::Le => CmpOp::Gt,
+        CmpOp::Gt => CmpOp::Le,
+    }
+}
+
+/// The operand of a `NOT`.
+fn negated(e: &Expr) -> Option<&Expr> {
+    match e {
+        Expr::Not(inner) => Some(inner),
+        _ => None,
+    }
+}
+
+/// `NOT (a op b)` → `a negate(op) b`.
+fn not_cmp(e: &Expr) -> Option<Expr> {
+    match negated(e)? {
+        Expr::Cmp(op, a, b) => Some(Expr::Cmp(negate_op(*op), a.clone(), b.clone())),
+        _ => None,
+    }
+}
+
+/// `NOT (NOT a)` → `a`: Kleene negation swaps TRUE and FALSE and keeps
+/// UNKNOWN, so twice is the identity.
+fn not_not(e: &Expr) -> Option<Expr> {
+    match negated(e)? {
+        Expr::Not(a) => Some((**a).clone()),
+        _ => None,
+    }
+}
+
+/// `NOT (a AND b)` → `NOT a OR NOT b` (De Morgan holds in Kleene logic).
+fn demorgan_and(e: &Expr) -> Option<Expr> {
+    match negated(e)? {
+        Expr::And(a, b) => Some(Expr::or(Expr::not((**a).clone()), Expr::not((**b).clone()))),
+        _ => None,
+    }
+}
+
+/// `NOT (a OR b)` → `NOT a AND NOT b`.
+fn demorgan_or(e: &Expr) -> Option<Expr> {
+    match negated(e)? {
+        Expr::Or(a, b) => Some(Expr::and(Expr::not((**a).clone()), Expr::not((**b).clone()))),
+        _ => None,
+    }
+}
+
+/// `lit op col` → `col flip(op) lit`: the same comparison read from the
+/// other side, so the column comes first as the estimator expects.
+fn flip_literal(e: &Expr) -> Option<Expr> {
+    match e {
+        Expr::Cmp(op, l, c) if matches!(**l, Expr::Lit(_)) && matches!(**c, Expr::Col { .. }) => {
+            Some(Expr::Cmp(op.flip(), c.clone(), l.clone()))
         }
-        node
+        _ => None,
     }
 }
 
 // ---------------------------------------------------------------------------
 // Plan passes.
 // ---------------------------------------------------------------------------
-
-fn apply_pass(pass: PlanPass, node: &Logical, src: Tables<'_>) -> Option<Logical> {
-    match pass {
-        PlanPass::ProductToJoin => pass_product_to_join(node, src),
-        PlanPass::MergeSelects => pass_merge_selects(node),
-        PlanPass::SqlOverlapToTJoin => pass_overlap_to_tjoin(node, src),
-    }
-}
 
 /// `node` as an operator over exactly `N` inputs.
 fn applied<const N: usize>(node: &Logical) -> Option<(&TOp, &[Logical; N])> {
@@ -912,13 +371,13 @@ fn applied<const N: usize>(node: &Logical) -> Option<(&TOp, &[Logical; N])> {
 
 /// `σ_{q ∧ p}` keeps exactly the rows where both `q` and `p` are TRUE
 /// (Kleene AND), i.e. the rows `σ_p(σ_q(·))` keeps.
-fn pass_merge_selects(node: &Logical) -> Option<Logical> {
+fn merge_selects(node: &Logical, _: Tables<'_>) -> Option<Logical> {
     let (TOp::Select { pred: p }, [input]) = applied(node)? else { return None };
     let (TOp::Select { pred: q }, [inner]) = applied(input)? else { return None };
     Some(inner.clone().select(Expr::and(q.clone(), p.clone())))
 }
 
-fn pass_product_to_join(node: &Logical, src: Tables<'_>) -> Option<Logical> {
+fn product_to_join(node: &Logical, src: Tables<'_>) -> Option<Logical> {
     let (TOp::Select { pred }, [input]) = applied(node)? else { return None };
     let (TOp::Product, [left, right]) = applied(input)? else { return None };
     let ls = left.output_schema(src).ok()?;
@@ -971,7 +430,7 @@ fn pass_product_to_join(node: &Logical, src: Tables<'_>) -> Option<Logical> {
 /// tests — and the intersection endpoints are exactly the
 /// `GREATEST`/`LEAST` items. Bails (no fire) unless the shape matches
 /// completely and the rewritten output schema is byte-identical.
-fn pass_overlap_to_tjoin(node: &Logical, src: Tables<'_>) -> Option<Logical> {
+fn sql_overlap_to_tjoin(node: &Logical, src: Tables<'_>) -> Option<Logical> {
     let (TOp::Project { items }, [input]) = applied(node)? else { return None };
     let (TOp::Select { pred }, [jin]) = applied(input)? else { return None };
     let (TOp::Join { eq }, [left, right]) = applied(jin)? else { return None };
@@ -1142,32 +601,24 @@ mod tests {
         |t| t.eq_ignore_ascii_case("POSITION").then(position)
     }
 
-    fn pack(text: &str) -> RulePack {
-        RulePack::parse(text, "<inline>").unwrap()
+    fn rewriter(pack: &'static RulePack) -> Rewriter {
+        Rewriter { packs: vec![pack] }
     }
 
-    const NOT_CMP: &str = r#"{
-        "pack": "t", "description": "d",
-        "rules": [
-            {"name": "not-cmp", "kind": "expr",
-             "match": ["not", ["cmp", "?op", "?a", "?b"]],
-             "replace": ["cmp", ["negate", "?op"], "?a", "?b"]}
-        ]
-    }"#;
+    static NOT_CMP_ONLY: RulePack = RulePack { name: "t", description: "d", rules: &[NOT_CMP] };
 
     #[test]
     fn not_cmp_fires_and_counts() {
-        let rw = Rewriter::from_packs(vec![pack(NOT_CMP)]);
         let plan = Logical::get("POSITION").select(Expr::not(Expr::cmp(
             CmpOp::Gt,
             Expr::col("T1"),
             Expr::lit(10i64),
         )));
-        let (out, outcome) = rw.apply(plan, &src());
+        let (out, outcome) = rewriter(&NOT_CMP_ONLY).apply(plan, &src());
         let Logical::Apply { op: TOp::Select { pred }, .. } = &out else {
             panic!("expected select")
         };
-        assert!(same_expr(&pred.clone(), &Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(10i64))));
+        assert_eq!(*pred, Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(10i64)));
         assert_eq!(outcome.total_fires(), 1);
         assert!(!outcome.budget_hit);
         assert_eq!(outcome.fires[0].pack, "t");
@@ -1176,76 +627,49 @@ mod tests {
 
     #[test]
     fn no_match_leaves_plan_unchanged() {
-        let rw = Rewriter::from_packs(vec![pack(NOT_CMP)]);
         let plan = Logical::get("POSITION")
             .select(Expr::cmp(CmpOp::Le, Expr::col("T1"), Expr::lit(10i64)))
             .sort(SortSpec::by(["PosID"]));
         let before = format!("{plan}");
-        let (out, outcome) = rw.apply(plan, &src());
+        let (out, outcome) = rewriter(&NOT_CMP_ONLY).apply(plan, &src());
         assert_eq!(format!("{out}"), before);
         assert!(outcome.is_empty());
         assert_eq!(outcome.passes, 1);
     }
 
+    /// `a op b` → `b flip(op) a`: always applies, so it alone loops.
+    fn swap_operands(e: &Expr) -> Option<Expr> {
+        match e {
+            Expr::Cmp(op, a, b) => Some(Expr::Cmp(op.flip(), b.clone(), a.clone())),
+            _ => None,
+        }
+    }
+
     #[test]
     fn looping_rules_hit_budget_not_hang() {
-        // a comparison-flipper alone loops forever: budget must stop it
-        let looping = pack(
-            r#"{
-            "pack": "loop", "description": "d", "budget": 4,
-            "rules": [
-                {"name": "flip", "kind": "expr",
-                 "match": ["cmp", "?op", "?a", "?b"],
-                 "replace": ["cmp", ["flip", "?op"], "?b", "?a"]}
-            ]
-        }"#,
-        );
-        let rw = Rewriter::from_packs(vec![looping]);
+        static LOOP: RulePack = RulePack {
+            name: "loop",
+            description: "d",
+            rules: &[Rule { name: "swap", kind: RuleKind::Expr(swap_operands) }],
+        };
         let plan = Logical::get("POSITION").select(Expr::cmp(
             CmpOp::Lt,
             Expr::col("T1"),
             Expr::lit(10i64),
         ));
-        let (_, outcome) = rw.apply(plan, &src());
+        let (_, outcome) = rewriter(&LOOP).apply(plan, &src());
         assert!(outcome.budget_hit);
-        assert_eq!(outcome.passes, 4);
-        assert_eq!(outcome.total_fires(), 4);
-    }
-
-    #[test]
-    fn binder_kinds_and_repeats() {
-        // ?x repeated must bind equal expressions; :lit must reject cols
-        let p = pack(
-            r#"{
-            "pack": "t", "description": "d",
-            "rules": [
-                {"name": "self-eq", "kind": "expr",
-                 "match": ["cmp", "=", "?x:col", "?x:col"],
-                 "replace": ["cmp", "<=", "?x", "?x"]}
-            ]
-        }"#,
-        );
-        let rw = Rewriter::from_packs(vec![p]);
-        let hit = Logical::get("POSITION").select(Expr::eq(Expr::col("T1"), Expr::col("T1")));
-        let (_, o) = rw.apply(hit, &src());
-        assert_eq!(o.total_fires(), 1);
-        let miss = Logical::get("POSITION").select(Expr::eq(Expr::col("T1"), Expr::col("T2")));
-        let (_, o) = rw.apply(miss, &src());
-        assert_eq!(o.total_fires(), 0);
-        let lit = Logical::get("POSITION").select(Expr::eq(Expr::lit(1i64), Expr::lit(1i64)));
-        let (_, o) = rw.apply(lit, &src());
-        assert_eq!(o.total_fires(), 0, ":col must not match literals");
+        assert_eq!(outcome.passes, DEFAULT_PASS_BUDGET);
+        assert_eq!(outcome.total_fires(), DEFAULT_PASS_BUDGET as u64);
     }
 
     #[test]
     fn product_to_join_extracts_cross_keys() {
-        let p = pack(
-            r#"{
-            "pack": "t", "description": "d",
-            "rules": [{"name": "p2j", "kind": "pass", "pass": "product-to-join"}]
-        }"#,
-        );
-        let rw = Rewriter::from_packs(vec![p]);
+        static P2J: RulePack = RulePack {
+            name: "t",
+            description: "d",
+            rules: &[Rule { name: "p2j", kind: RuleKind::Plan(product_to_join) }],
+        };
         let plan = Logical::Apply {
             op: TOp::Product,
             inputs: vec![Logical::get("POSITION"), Logical::get("POSITION")],
@@ -1255,7 +679,7 @@ mod tests {
             Expr::cmp(CmpOp::Lt, Expr::col("T1"), Expr::lit(10i64)),
         ));
         let before = plan.output_schema(&src()).unwrap();
-        let (out, o) = rw.apply(plan, &src());
+        let (out, o) = rewriter(&P2J).apply(plan, &src());
         assert_eq!(o.total_fires(), 1);
         let after = out.output_schema(&src()).unwrap();
         assert_eq!(before, after, "rewrite must preserve the output schema");
@@ -1300,59 +724,5 @@ mod tests {
             });
         }
         assert_eq!(cols, 5);
-    }
-
-    #[test]
-    fn malformed_packs_rejected_with_useful_errors() {
-        let cases: Vec<(&str, &str)> = vec![
-            ("{", "expected"),
-            (r#"{"pack": "x"}"#, "missing \"description\""),
-            (r#"{"pack": "x", "description": "d"}"#, "missing \"rules\""),
-            (r#"{"pack": "x", "description": "d", "rules": []}"#, "must not be empty"),
-            (r#"{"pack": "x", "description": "d", "typo": 1, "rules": []}"#, "unknown rule-pack key \"typo\""),
-            (
-                r#"{"pack": "x", "description": "d", "rules": [{"name": "r", "kind": "pass", "pass": "nope"}]}"#,
-                "unknown pass \"nope\" (known passes: product-to-join, merge-selects, sql-overlap-to-tjoin)",
-            ),
-            (
-                r#"{"pack": "x", "description": "d", "rules": [{"name": "r", "kind": "expr", "match": "?a", "replace": "?b"}]}"#,
-                "\"?b\" is not bound",
-            ),
-            (
-                r#"{"pack": "x", "description": "d", "rules": [{"name": "r", "kind": "expr", "match": ["wat", "?a"], "replace": "?a"}]}"#,
-                "unknown pattern form \"wat\"",
-            ),
-            (r#"{"pack": "x", "description": "d", "budget": 0, "rules": []}"#, "\"budget\" must be"),
-        ];
-        for (text, needle) in cases {
-            let e = RulePack::parse(text, "<inline>").unwrap_err().to_string();
-            assert!(e.contains(needle), "error {e:?} should contain {needle:?}");
-            assert!(e.contains("<inline>"), "error {e:?} should name its origin");
-        }
-        let e = Rewriter::load(&["no-such-pack".to_string()]).unwrap_err().to_string();
-        assert!(e.contains("no-such-pack") && e.contains("tried"), "{e}");
-    }
-
-    /// Every checked-in file under `rules/` loads, and is named after
-    /// the pack it holds (packs are looked up by file stem).
-    #[test]
-    fn shipped_rule_packs_parse_and_match_their_file_stem() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join("rules");
-        let mut seen = 0;
-        for entry in std::fs::read_dir(&dir).expect("rules/ directory") {
-            let path = entry.unwrap().path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            seen += 1;
-            let text = std::fs::read_to_string(&path).unwrap();
-            let pack = RulePack::parse(&text, &path.display().to_string()).unwrap();
-            assert_eq!(
-                Some(pack.name.as_str()),
-                path.file_stem().and_then(|s| s.to_str()),
-                "pack name must match its file stem"
-            );
-        }
-        assert!(seen >= 3, "expected the three shipped packs under rules/, found {seen}");
     }
 }

@@ -70,9 +70,9 @@ pub struct TangoOptions {
     /// harness names it in a struct literal (ROADMAP item 1(b)).
     pub workers: usize,
     /// Rewrite rule packs applied between the parser and the optimizer,
-    /// in order — names resolved under `rules/` or literal paths (see
-    /// [`crate::rewrite`] and `docs/REWRITES.md`). Empty (the default)
-    /// skips the rewrite stage entirely.
+    /// in order — names of the shipped packs (see [`crate::rewrite`] and
+    /// `docs/REWRITES.md`). Empty (the default) skips the rewrite stage
+    /// entirely.
     pub rewrite_packs: Vec<String>,
 }
 
@@ -263,9 +263,6 @@ pub struct Tango {
     /// [`TangoOptions::use_histograms`] value it was collected under.
     catalog: Option<(bool, Arc<Catalog>)>,
     cache: Arc<MidCache>,
-    /// Loaded rewriter, cached per pack list (reloaded when
-    /// [`TangoOptions::rewrite_packs`] changes).
-    rewriter: Option<(Vec<String>, Rewriter)>,
 }
 
 impl Tango {
@@ -302,7 +299,6 @@ impl Tango {
             options,
             catalog: None,
             cache,
-            rewriter: None,
         }
     }
 
@@ -461,32 +457,16 @@ impl Tango {
         Ok((optimized, snapshot))
     }
 
-    /// The loaded rewriter for the session's current pack list (packs
-    /// are parsed and validated once, then cached until the list
-    /// changes), or `None` when no packs are configured.
-    pub fn rewriter(&mut self) -> Result<Option<&Rewriter>> {
-        if self.options.rewrite_packs.is_empty() {
-            return Ok(None);
-        }
-        let stale = match &self.rewriter {
-            Some((packs, _)) => *packs != self.options.rewrite_packs,
-            None => true,
-        };
-        if stale {
-            let rw = Rewriter::load(&self.options.rewrite_packs)?;
-            self.rewriter = Some((self.options.rewrite_packs.clone(), rw));
-        }
-        Ok(self.rewriter.as_ref().map(|(_, rw)| rw))
-    }
-
-    /// Run the config-driven rewrite stage over a logical plan (a no-op
-    /// with an empty outcome when no packs are configured).
+    /// Run the rewrite stage over a logical plan (a no-op with an empty
+    /// outcome when no packs are configured). Pack names resolve per
+    /// statement: an unknown one fails the statement.
     pub fn apply_rewrites(&mut self, logical: Logical) -> Result<(Logical, RewriteOutcome)> {
-        let conn = self.conn.clone();
-        match self.rewriter()? {
-            Some(rw) => Ok(rw.apply(logical, &|t: &str| conn.table_schema(t))),
-            None => Ok((logical, RewriteOutcome::default())),
+        if self.options.rewrite_packs.is_empty() {
+            return Ok((logical, RewriteOutcome::default()));
         }
+        let rewriter = Rewriter::load(&self.options.rewrite_packs)?;
+        let conn = &self.conn;
+        Ok(rewriter.apply(logical, &|t: &str| conn.table_schema(t)))
     }
 
     /// Optimize an already-built logical plan.

@@ -31,6 +31,7 @@
 //! * `\quit`
 
 use std::io::{BufRead, Write};
+use tango::core::rewrite::Rewriter;
 use tango::core::Tango;
 use tango::minidb::{Connection, Database, Link, LinkProfile};
 use tango::uis::{figure3, generate_employee, generate_position, UisConfig};
@@ -164,8 +165,8 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
             if tango.options().rewrite_packs.is_empty() {
                 println!("rewrites = off (try \\rewrites temporal-normalize,subquery-to-join,compat)");
             } else {
-                match tango.rewriter() {
-                    Ok(Some(rw)) => {
+                match Rewriter::load(&tango.options().rewrite_packs) {
+                    Ok(rw) => {
                         for p in rw.packs() {
                             println!(
                                 "  {} ({} rule{}): {}",
@@ -176,7 +177,6 @@ fn handle_meta(line: &str, tango: &mut Tango, conn: &Connection) -> bool {
                             );
                         }
                     }
-                    Ok(None) => {}
                     Err(e) => {
                         println!("error: {e}");
                         tango.options_mut().rewrite_packs = Vec::new();

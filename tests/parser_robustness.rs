@@ -1,11 +1,10 @@
 //! Parser robustness: no input may panic the SQL or temporal-SQL
-//! parsers, the wire-codec decoder or the rule-pack loader, and
-//! expression rendering round-trips through the parser.
+//! parsers or the wire-codec decoder, and expression rendering
+//! round-trips through the parser.
 
 use proptest::prelude::*;
 use tango::algebra::codec::{encode_tuple, Decoder};
 use tango::algebra::{Attr, CmpOp, Expr, Schema, Tuple, Type, Value};
-use tango::core::rewrite::RulePack;
 
 /// One value of each wire type.
 fn arb_value() -> BoxedStrategy<Value> {
@@ -84,32 +83,6 @@ proptest! {
         }
     }
 
-    /// Mutated copies of the three shipped packs — a span cut out,
-    /// characters overwritten with JSON and template syntax — load or
-    /// are rejected, never a panic.
-    #[test]
-    fn rule_pack_parser_never_panics(
-        pack in prop::sample::select(vec![
-            include_str!("../rules/compat.json"),
-            include_str!("../rules/subquery-to-join.json"),
-            include_str!("../rules/temporal-normalize.json"),
-        ]),
-        cut in (0usize..10_000, 0usize..40),
-        edits in prop::collection::vec(
-            (0usize..10_000, prop::sample::select("\"{}[],:$\\x0 ".chars().collect())),
-            0..4,
-        ),
-    ) {
-        let mut chars: Vec<char> = pack.chars().collect();
-        let at = cut.0 % chars.len();
-        chars.drain(at..(at + cut.1).min(chars.len()));
-        for (at, c) in edits {
-            let n = chars.len(); // the packs are far longer than a cut
-            chars[at % n] = c;
-        }
-        let text: String = chars.into_iter().collect();
-        let _ = RulePack::parse(&text, "<mutated>");
-    }
 }
 
 /// Expression SQL rendering is re-parseable and evaluates identically —

@@ -1,5 +1,5 @@
-//! Config-driven rewrite layer, end to end: the checked-in packs under
-//! `rules/` must load, fire on the spellings they exist to fix, surface
+//! Rewrite layer, end to end: the shipped rule packs must resolve by
+//! name, fire on the spellings they exist to fix, surface
 //! their firings in EXPLAIN ANALYZE / the optimizer trace, and — the
 //! soundness contract — never change a query's result. The differential
 //! sweep runs every query with and without every pack combination at

@@ -38,6 +38,21 @@ fn arithmetic_and_aliases() {
     );
 }
 
+/// `i64::MIN / -1` overflows; over stored data it wraps, as `+`, `-`
+/// and `*` do, in the DBMS and in the middleware alike.
+#[test]
+fn integer_division_overflow_wraps() {
+    let db = Database::in_memory();
+    let c = Connection::new(db.clone());
+    c.execute("CREATE TABLE W (A INT, B INT)").unwrap();
+    db.insert_rows("W", vec![tup![i64::MIN, -1]]).unwrap();
+    c.execute("ANALYZE TABLE W COMPUTE STATISTICS").unwrap();
+    let sql = "SELECT A / B AS Q FROM W";
+    assert_eq!(q(&c, sql), vec![tup![i64::MIN]]);
+    let (rel, _) = tango::Tango::connect(db).query(sql).unwrap();
+    assert_eq!(rel.into_tuples(), vec![tup![i64::MIN]]);
+}
+
 #[test]
 fn null_semantics() {
     let c = fresh();

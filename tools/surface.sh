@@ -46,3 +46,5 @@ echo "non-test:     algebra expr.rs $(non_test_lines crates/algebra/src/expr.rs)
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)  tango-minidb $(public_items crates/minidb/src/*.rs)"
 echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
+prose() { for f in "$@"; do printf ' %s %s' "$f" "$(lines "$f")"; done; }
+echo "prose lines:$(prose README.md DESIGN.md EXPERIMENTS.md docs/*.md)"
