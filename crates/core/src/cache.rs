@@ -20,8 +20,9 @@
 //! # Locking
 //!
 //! The whole store — entries, counters, byte total, byte budget, the
-//! GreedyDual-Size clock and the admission frequency sketch — is plain
-//! data behind **one mutex**. Every public method takes it once, does
+//! GreedyDual-Size clock, the admission frequency sketch and the delta
+//! mirror refreshes share ([`crate::refresh`]) — is plain data behind
+//! **one mutex**. Every public method takes it once, does
 //! in-memory work only (an entry is one columnar batch of `Arc`-shared
 //! columns, so a hit copies pointers) and releases it before returning;
 //! none calls another locking method and none runs while the engine talks
@@ -129,10 +130,11 @@
 
 use crate::cost::CostFactors;
 use crate::phys::{Algo, PhysNode, Site};
-use crate::refresh::RefreshBail;
+use crate::refresh::{DeltaMirror, RefreshBail};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use tango_algebra::{Batch, ProjItem, SortSpec, TOp};
+use tango_minidb::DeltaSnapshot;
 
 /// Default cache budget used by a new session: 64 MiB.
 pub const DEFAULT_CACHE_BUDGET: u64 = 64 * 1024 * 1024;
@@ -517,6 +519,8 @@ struct Store {
     /// [`CacheStats::refresh_bails`] split by reason
     /// ([`RefreshBail::kind`]).
     bails: BTreeMap<&'static str, u64>,
+    /// The delta records refreshes already fetched.
+    mirror: DeltaMirror,
 }
 
 impl Store {
@@ -608,6 +612,7 @@ impl MidCache {
                 clock: 0.0,
                 sketch: FreqSketch::new(),
                 bails: BTreeMap::new(),
+                mirror: DeltaMirror::default(),
             }),
         }
     }
@@ -646,11 +651,13 @@ impl MidCache {
         self.store.lock().stats
     }
 
-    /// Drop every entry. Counters are preserved.
+    /// Drop every entry and every mirrored delta record. Counters are
+    /// preserved.
     pub fn clear(&self) {
         let mut s = self.store.lock();
         s.entries.clear();
         s.bytes = 0;
+        s.mirror.clear();
     }
 
     /// Record that a transfer's fragment was uncacheable.
@@ -857,6 +864,23 @@ impl MidCache {
             .iter()
             .find(|e| e.signature == signature)
             .map(|e| (e.batch.clone(), e.deps.clone()))
+    }
+
+    /// The delta records `(table, since)` requests must replay, read from
+    /// the delta mirror when it covers them ([`DeltaMirror::serve`];
+    /// `version_of` is a client-side catalog peek, as at lookup).
+    pub(crate) fn mirrored_deltas(
+        &self,
+        reqs: &[(String, u64)],
+        version_of: &dyn Fn(&str) -> Option<u64>,
+    ) -> Option<DeltaSnapshot> {
+        self.store.lock().mirror.serve(reqs, version_of)
+    }
+
+    /// Keep the records a delta fetch for `reqs` returned in the delta
+    /// mirror ([`DeltaMirror::absorb`]).
+    pub(crate) fn mirror_deltas(&self, reqs: &[(String, u64)], snap: &DeltaSnapshot) {
+        self.store.lock().mirror.absorb(reqs, snap);
     }
 
     /// Record that a refresh attempt bailed (unsupported shape,

@@ -16,8 +16,10 @@ use crate::phys::Algo;
 use serde::{Deserialize, Serialize};
 use tango_stats::RelationStats;
 
-/// The calibratable cost factors (µs per byte unless noted).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// The calibratable cost factors (µs per byte unless noted). Each field
+/// is named by a [`FactorId`]; [`FactorId::ALL`] lists them in
+/// declaration order, the order of [`CostFactors::values`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostFactors {
     /// `TRANSFER^M`: per byte shipped DBMS → middleware.
     pub p_tm: f64,
@@ -106,6 +108,23 @@ impl Default for CostFactors {
     }
 }
 
+impl CostFactors {
+    /// The factors from their values in [`FactorId::ALL`] order, as
+    /// given (unlike [`CostFactors::set`], nothing is clamped).
+    pub fn from_values(values: [f64; FactorId::COUNT]) -> CostFactors {
+        let mut f = CostFactors::default();
+        for (id, v) in FactorId::ALL.into_iter().zip(values) {
+            *f.factor_mut(id) = v;
+        }
+        f
+    }
+
+    /// Every factor's value, in [`FactorId::ALL`] order.
+    pub fn values(&self) -> [f64; FactorId::COUNT] {
+        FactorId::ALL.map(|id| self.get(id))
+    }
+}
+
 /// `size(r)` of the formulas.
 fn size(s: &RelationStats) -> f64 {
     s.size_bytes().max(1.0)
@@ -188,14 +207,27 @@ impl CostFactors {
     fn factor_mut(&mut self, id: FactorId) -> &mut f64 {
         match id {
             FactorId::Tm => &mut self.p_tm,
+            FactorId::Cached => &mut self.p_cached,
             FactorId::Td => &mut self.p_td,
+            FactorId::TdFixed => &mut self.p_td_fixed,
             FactorId::Sem => &mut self.p_sem,
+            FactorId::Pm => &mut self.p_pm,
             FactorId::Sm => &mut self.p_sm,
             FactorId::Sd => &mut self.p_sd,
-            FactorId::TaggM => &mut self.p_taggm1,
-            FactorId::TaggD => &mut self.p_taggd1,
+            FactorId::TaggM1 => &mut self.p_taggm1,
+            FactorId::TaggM2 => &mut self.p_taggm2,
+            FactorId::TaggD1 => &mut self.p_taggd1,
+            FactorId::TaggD2 => &mut self.p_taggd2,
             FactorId::Mjm => &mut self.p_mjm,
+            FactorId::Mjout => &mut self.p_mjout,
             FactorId::Jd => &mut self.p_jd,
+            FactorId::Scan => &mut self.p_scan,
+            FactorId::Cart => &mut self.p_cart,
+            FactorId::Dupm => &mut self.p_dupm,
+            FactorId::Dupd => &mut self.p_dupd,
+            FactorId::Coal => &mut self.p_coal,
+            FactorId::Diff => &mut self.p_diff,
+            FactorId::Delta => &mut self.p_delta,
         }
     }
 
@@ -211,30 +243,114 @@ impl CostFactors {
     }
 }
 
-/// The calibratable/adaptable factors addressed by name.
+/// Names every [`CostFactors`] field. The variant docs say which field;
+/// [`FactorId::name`] spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FactorId {
-    /// `TRANSFER^M` per-byte rate.
+    /// `p_tm`: `TRANSFER^M` per-byte rate.
     Tm,
-    /// `TRANSFER^D` per-byte rate.
+    /// `p_cached`: cached `TRANSFER^M` per-byte rate.
+    Cached,
+    /// `p_td`: `TRANSFER^D` per-byte rate.
     Td,
-    /// `FILTER^M` per-byte rate.
+    /// `p_td_fixed`: `TRANSFER^D` fixed cost.
+    TdFixed,
+    /// `p_sem`: `FILTER^M` per-byte rate.
     Sem,
-    /// `SORT^M` rate.
+    /// `p_pm`: `PROJECT^M` rate.
+    Pm,
+    /// `p_sm`: `SORT^M` rate.
     Sm,
-    /// `SORT^D` rate.
+    /// `p_sd`: `SORT^D` rate.
     Sd,
-    /// `TAGGR^M` argument-side rate.
-    TaggM,
-    /// `TAGGR^D` argument-side rate.
-    TaggD,
-    /// `MERGEJOIN^M`/`TMERGEJOIN^M` input-side rate.
+    /// `p_taggm1`: `TAGGR^M` argument-side rate.
+    TaggM1,
+    /// `p_taggm2`: `TAGGR^M` result-side rate.
+    TaggM2,
+    /// `p_taggd1`: `TAGGR^D` argument-side rate.
+    TaggD1,
+    /// `p_taggd2`: `TAGGR^D` result-side rate.
+    TaggD2,
+    /// `p_mjm`: `MERGEJOIN^M`/`TMERGEJOIN^M` input-side rate.
     Mjm,
-    /// Generic DBMS join rate.
+    /// `p_mjout`: `MERGEJOIN^M`/`TMERGEJOIN^M` output-side rate.
+    Mjout,
+    /// `p_jd`: generic DBMS join rate.
     Jd,
+    /// `p_scan`: generic DBMS scan rate.
+    Scan,
+    /// `p_cart`: generic DBMS Cartesian product rate.
+    Cart,
+    /// `p_dupm`: `DUPELIM^M` rate.
+    Dupm,
+    /// `p_dupd`: DBMS `SELECT DISTINCT` rate.
+    Dupd,
+    /// `p_coal`: `COALESCE^M` rate.
+    Coal,
+    /// `p_diff`: `TDIFF^M` rate.
+    Diff,
+    /// `p_delta`: refresh-by-delta merge rate.
+    Delta,
 }
 
 impl FactorId {
+    /// How many factors there are.
+    pub const COUNT: usize = 22;
+
+    /// Every factor, in [`CostFactors`] declaration order.
+    pub const ALL: [FactorId; FactorId::COUNT] = [
+        FactorId::Tm,
+        FactorId::Cached,
+        FactorId::Td,
+        FactorId::TdFixed,
+        FactorId::Sem,
+        FactorId::Pm,
+        FactorId::Sm,
+        FactorId::Sd,
+        FactorId::TaggM1,
+        FactorId::TaggM2,
+        FactorId::TaggD1,
+        FactorId::TaggD2,
+        FactorId::Mjm,
+        FactorId::Mjout,
+        FactorId::Jd,
+        FactorId::Scan,
+        FactorId::Cart,
+        FactorId::Dupm,
+        FactorId::Dupd,
+        FactorId::Coal,
+        FactorId::Diff,
+        FactorId::Delta,
+    ];
+
+    /// The [`CostFactors`] field this factor names.
+    pub fn name(self) -> &'static str {
+        match self {
+            FactorId::Tm => "p_tm",
+            FactorId::Cached => "p_cached",
+            FactorId::Td => "p_td",
+            FactorId::TdFixed => "p_td_fixed",
+            FactorId::Sem => "p_sem",
+            FactorId::Pm => "p_pm",
+            FactorId::Sm => "p_sm",
+            FactorId::Sd => "p_sd",
+            FactorId::TaggM1 => "p_taggm1",
+            FactorId::TaggM2 => "p_taggm2",
+            FactorId::TaggD1 => "p_taggd1",
+            FactorId::TaggD2 => "p_taggd2",
+            FactorId::Mjm => "p_mjm",
+            FactorId::Mjout => "p_mjout",
+            FactorId::Jd => "p_jd",
+            FactorId::Scan => "p_scan",
+            FactorId::Cart => "p_cart",
+            FactorId::Dupm => "p_dupm",
+            FactorId::Dupd => "p_dupd",
+            FactorId::Coal => "p_coal",
+            FactorId::Diff => "p_diff",
+            FactorId::Delta => "p_delta",
+        }
+    }
+
     /// The dominant factor of an algorithm, if it has one.
     fn for_algo(algo: &Algo) -> Option<FactorId> {
         Some(match algo {
@@ -243,8 +359,8 @@ impl FactorId {
             Algo::FilterM(_) => FactorId::Sem,
             Algo::SortM(_) | Algo::SortXM(..) => FactorId::Sm,
             Algo::SortD(_) => FactorId::Sd,
-            Algo::TAggrM { .. } => FactorId::TaggM,
-            Algo::TAggrD { .. } => FactorId::TaggD,
+            Algo::TAggrM { .. } => FactorId::TaggM1,
+            Algo::TAggrD { .. } => FactorId::TaggD1,
             Algo::MergeJoinM(_) | Algo::TMergeJoinM(_) => FactorId::Mjm,
             Algo::JoinD(_) | Algo::TJoinD(_) => FactorId::Jd,
             _ => return None,
@@ -344,5 +460,33 @@ mod tests {
         assert_eq!(f.get(FactorId::Jd), 42.0);
         f.set(FactorId::Jd, -1.0); // clamped to positive
         assert!(f.get(FactorId::Jd) > 0.0);
+    }
+
+    /// `values` and `from_values` round-trip every factor unclamped, in
+    /// `FactorId::ALL` order, and the names are the fields' own, once
+    /// each, in declaration order.
+    #[test]
+    fn factor_values_round_trip_in_field_order() {
+        let defaults = CostFactors::default();
+        let mut perturbed = defaults.values();
+        for (i, v) in perturbed.iter_mut().enumerate() {
+            *v = if i % 2 == 0 { -(i as f64) } else { *v * 1.5 + i as f64 };
+        }
+        for values in [defaults.values(), perturbed] {
+            let f = CostFactors::from_values(values);
+            assert_eq!(CostFactors::from_values(f.values()), f);
+            assert_eq!(f.values(), values, "nothing is clamped");
+            for (id, v) in FactorId::ALL.into_iter().zip(values) {
+                assert_eq!(f.get(id), v, "{}", id.name());
+            }
+        }
+        let names: Vec<&str> = FactorId::ALL.iter().map(|id| id.name()).collect();
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), FactorId::COUNT, "{names:?}");
+        // the Debug rendering lists the fields in declaration order
+        let debug = format!("{defaults:?}");
+        let fields: Vec<&str> =
+            debug.split(['{', ',']).skip(1).filter_map(|kv| kv.split(':').next()).collect();
+        assert_eq!(fields.iter().map(|f| f.trim()).collect::<Vec<_>>(), names);
     }
 }

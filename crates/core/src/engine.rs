@@ -464,8 +464,8 @@ enum CacheDecision {
     /// Resident but stale, and refresh-by-delta succeeded at plan-build
     /// time: serve the spliced fragment — the batch the cache committed —
     /// and issue no fragment SQL (the delta fetch was the only wire
-    /// traffic).
-    Refresh { spliced: DeltaApply, delta_bytes: u64 },
+    /// traffic, none at all when the delta mirror served the records).
+    Refresh { spliced: DeltaApply, delta_bytes: u64, mirrored: bool },
     /// Resident but stale, and the maintenance decision says the entry
     /// does not earn its keep: it was dropped, and the query streams
     /// normally *without* re-populating.
@@ -719,7 +719,7 @@ impl<'a> Ctx<'a> {
                 let scan = Box::new(CachedScan::new(rel.batch.with_schema(schema)));
                 return Ok((self.instrument(scan, slot), idx));
             }
-            CacheDecision::Refresh { spliced, delta_bytes } => {
+            CacheDecision::Refresh { spliced, delta_bytes, mirrored } => {
                 // serve the spliced copy: no fragment SQL
                 let DeltaApply { batch, delta_rows, runs } = spliced;
                 slot.add_annotation("cache", "refresh");
@@ -727,7 +727,8 @@ impl<'a> Ctx<'a> {
                     0 => "no change".to_string(),
                     _ => format!("spliced {delta_rows} delta rows into {runs} runs"),
                 };
-                slot.add_event("refresh", format!("{what} ({delta_bytes} delta bytes)"));
+                let source = if mirrored { ", served by the delta mirror" } else { "" };
+                slot.add_event("refresh", format!("{what} ({delta_bytes} delta bytes{source})"));
                 let scan = Box::new(CachedScan::new(batch.with_schema(schema)));
                 let did = vec![("delta_rows", delta_rows), ("refresh_runs", runs)];
                 return Ok((self.instrument_with(scan, slot, did), idx));
@@ -860,13 +861,13 @@ impl<'a> Ctx<'a> {
                     cache::Maintenance::Refresh => {
                         match refresh::try_refresh(self.conn, cache, clean, &entry, self.batch_rows)
                         {
-                            Ok(refresh::Refreshed { spliced, new_deps, delta_bytes }) => {
+                            Ok(refresh::Refreshed { spliced, new_deps, delta_bytes, mirrored }) => {
                                 // a losing race (entry evicted or already
                                 // refreshed by a peer) only means our batch
                                 // doesn't enter the cache; it is still
                                 // the correct current result to serve
                                 cache.refresh(&addr, spliced.batch.clone(), new_deps, delta_bytes);
-                                CacheDecision::Refresh { spliced, delta_bytes }
+                                CacheDecision::Refresh { spliced, delta_bytes, mirrored }
                             }
                             Err(reason) => {
                                 cache.note_refresh_bail(&reason);

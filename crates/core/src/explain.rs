@@ -66,7 +66,7 @@ fn go_dbms(n: &PhysNode, pre: usize, next: &mut usize, out: &mut Vec<Option<usiz
 }
 
 /// Format a microsecond quantity for humans.
-fn fmt_us(us: f64) -> String {
+pub(crate) fn fmt_us(us: f64) -> String {
     if us >= 1000.0 {
         format!("{:.1}ms", us / 1000.0)
     } else {

@@ -26,15 +26,21 @@
 //! Bails are cheap and safe: the engine falls back to the ordinary
 //! streamed transfer (with populate), and a faulted refresh never
 //! commits anything to the cache.
+//!
+//! One write stales every resident fragment over the written table, and
+//! each of them needs the same records. The cache keeps the records a
+//! refresh fetched in its [`DeltaMirror`], so the first refresh after a
+//! write pays the delta round trip and the others read the mirror.
 
 use crate::cache::{self, MidCache, StaleEntry};
 use crate::phys::{Algo, PhysNode};
 use crate::{engine, to_sql};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tango_algebra::logical::ProjItem;
 use tango_algebra::{Batch, CmpOp, Expr, Schema, SortSpec, Value};
-use tango_minidb::{Connection, DeltaOp, DeltaRecord, DeltaSnapshot};
+use tango_minidb::delta::DeltaLog;
+use tango_minidb::{Connection, DeltaOp, DeltaRecord, DeltaSnapshot, DEFAULT_DELTA_LOG_CAP};
 use tango_xxl::{delta_filter, delta_join, delta_project, DeltaApply, ZSet};
 
 /// Touched-group refetch gives up past this many distinct group keys —
@@ -48,8 +54,12 @@ pub(crate) struct Refreshed {
     /// Post-replay `(table, version)` dependency snapshot.
     pub(crate) new_deps: Vec<(String, u64)>,
     /// Replay traffic: tombstone wire bytes plus any touched-group
-    /// refetch bytes.
+    /// refetch bytes — only what crossed the wire, so 0 for the
+    /// tombstones of a `mirrored` refresh.
     pub(crate) delta_bytes: u64,
+    /// Whether the tombstones came from the cache's [`DeltaMirror`]
+    /// rather than a delta round trip.
+    pub(crate) mirrored: bool,
 }
 
 /// Why a refresh attempt could not be proven identical to a refetch (the
@@ -260,6 +270,103 @@ fn replay(snap: &DeltaSnapshot, chain: &Chain<'_>) -> Result<ZSet, RefreshBail> 
     apply_chain(z, &chain.steps).map_err(detail(RefreshBail::Replay))
 }
 
+/// The delta records refreshes already fetched, per base table: a copy
+/// of the server's delta log over the version range `(from, to]` a fetch
+/// covered, held by the Database-scoped [`MidCache`] so that every
+/// fragment one write stales shares the round trip the first refresh
+/// paid.
+///
+/// **Validity rule.** The mirror serves a `(table, since)` request set
+/// only if, for every table, the current write-version equals the
+/// mirror's `to` and `from ≤ since`. Versions come from one database-wide
+/// monotonic clock, so an unchanged version means unchanged contents
+/// (across DROP/CREATE too), and the records the mirror hands out are
+/// exactly the ones the server's log would. Checking the tables one by
+/// one is enough: each `to` was read before the check and versions only
+/// grow, so every table held its `to` at the moment of the first check.
+///
+/// Each table's copy is a [`DeltaLog`] under the server's per-table cap,
+/// compacted the same way (its floor is `from`). Only fetches that
+/// returned records reach the mirror: a faulted fetch or one the log no
+/// longer covers (compaction, an `UPDATE`'s poisoning) leaves it as it
+/// was, and the moved version keeps it from serving anyway.
+#[derive(Debug, Default)]
+pub(crate) struct DeltaMirror {
+    /// Upper-cased table → its copied log and the version it reaches.
+    tables: HashMap<String, (DeltaLog, u64)>,
+}
+
+impl DeltaMirror {
+    /// The snapshot the server would return for `reqs` now, if the
+    /// mirror covers every request under the validity rule. `version_of`
+    /// reads a table's current write-version.
+    pub(crate) fn serve(
+        &self,
+        reqs: &[(String, u64)],
+        version_of: &dyn Fn(&str) -> Option<u64>,
+    ) -> Option<DeltaSnapshot> {
+        let mut tables = Vec::with_capacity(reqs.len());
+        let mut versions = Vec::with_capacity(reqs.len());
+        for (name, since) in reqs {
+            let key = name.to_uppercase();
+            let (log, to) = self.tables.get(&key)?;
+            if version_of(&key) != Some(*to) {
+                return None;
+            }
+            tables.push((key.clone(), log.records_since(*since)?));
+            versions.push((key, *to));
+        }
+        versions.sort();
+        versions.dedup();
+        Some(DeltaSnapshot { tables, versions })
+    }
+
+    /// Keep what a fetch for `reqs` returned. A table's copy grows when
+    /// the fetch starts inside it, is replaced when the fetch reaches
+    /// further back or starts past it, and is kept when it is already as
+    /// new and reaches as far back.
+    pub(crate) fn absorb(&mut self, reqs: &[(String, u64)], snap: &DeltaSnapshot) {
+        for ((_, since), (key, recs)) in reqs.iter().zip(&snap.tables) {
+            let Some(v) = snap.version_of(key) else { continue };
+            match self.tables.get_mut(key) {
+                // newer, or as new and reaching as far back
+                Some((log, to)) if v < *to || (v == *to && log.covers(*since)) => {}
+                // the fetch starts inside the copy: both are exact copies
+                // of the server's log, so only the records past `to` are new
+                Some((log, to)) if log.covers(*since) && *since <= *to => {
+                    let newer = recs.iter().filter(|r| r.version > *to);
+                    append(log, newer);
+                    *to = v;
+                }
+                _ => {
+                    let mut log = DeltaLog::new(*since, DEFAULT_DELTA_LOG_CAP);
+                    append(&mut log, recs.iter());
+                    self.tables.insert(key.clone(), (log, v));
+                }
+            }
+        }
+    }
+
+    /// Forget every copied record.
+    pub(crate) fn clear(&mut self) {
+        self.tables.clear();
+    }
+}
+
+/// Log `recs` (version order) statement by statement, so compaction drops
+/// whole statements as the server's does.
+fn append<'a>(log: &mut DeltaLog, recs: impl Iterator<Item = &'a DeltaRecord>) {
+    let mut recs = recs.peekable();
+    while let Some(first) = recs.next() {
+        let (version, op) = (first.version, first.op);
+        let mut rows = vec![first.row.clone()];
+        while let Some(r) = recs.next_if(|r| r.version == version && r.op == op) {
+            rows.push(r.row.clone());
+        }
+        log.record(version, op, rows);
+    }
+}
+
 /// Attempt to refresh one stale cached fragment in place. `fragment` is
 /// the cleaned DBMS subtree of the `TRANSFER^M` (as keyed by
 /// [`cache::fragment_key`]); `stale` the resident entry surfaced by
@@ -277,13 +384,22 @@ pub(crate) fn try_refresh(
 ) -> Result<Refreshed, RefreshBail> {
     let schema = stale.batch.schema();
     let shape = shape(strip_sorts(fragment)).ok_or(RefreshBail::NoDeltaRule)?;
-    // one locked read: every dep table's pending tombstones plus a
-    // consistent all-table version vector
-    let snap = conn
-        .fetch_deltas_multi(&stale.deps)
-        .map_err(detail(RefreshBail::DeltaFetch))?
-        .ok_or(RefreshBail::LogTruncated)?;
-    let mut delta_bytes = snap.byte_size();
+    // every dep table's pending tombstones plus the versions they bring
+    // the fragment to: from the mirror when it covers them, else from
+    // one locked read on the server, which the mirror then keeps
+    let (snap, mirrored) =
+        match cache.mirrored_deltas(&stale.deps, &|t: &str| conn.table_version(t)) {
+            Some(snap) => (snap, true),
+            None => {
+                let snap = conn
+                    .fetch_deltas_multi(&stale.deps)
+                    .map_err(detail(RefreshBail::DeltaFetch))?
+                    .ok_or(RefreshBail::LogTruncated)?;
+                cache.mirror_deltas(&stale.deps, &snap);
+                (snap, false)
+            }
+        };
+    let mut delta_bytes = if mirrored { 0 } else { snap.byte_size() };
     let new_deps: Option<Vec<(String, u64)>> =
         stale.deps.iter().map(|(t, _)| snap.version_of(t).map(|v| (t.clone(), v))).collect();
     let new_deps = new_deps.ok_or(RefreshBail::TableVanished)?;
@@ -341,7 +457,7 @@ pub(crate) fn try_refresh(
     let spliced = DeltaApply::splice(&stale.batch, &delta, &stale.order)
         .map_err(detail(RefreshBail::Merge))?
         .ok_or(RefreshBail::NotOrderDetermined)?;
-    Ok(Refreshed { spliced, new_deps, delta_bytes })
+    Ok(Refreshed { spliced, new_deps, delta_bytes, mirrored })
 }
 
 /// Touched-group re-aggregation: refetch only the groups the input delta
@@ -420,4 +536,158 @@ fn aggr_delta(
         delta.add(row, 1);
     }
     Ok((delta, fetched_bytes))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use tango_algebra::{tup, Attr, Type};
+    use tango_minidb::{Database, Link, LinkProfile};
+
+    fn db_with(tables: &[&str]) -> (Database, Connection) {
+        let db = Database::new(Link::new(LinkProfile::instant()));
+        for t in tables {
+            let schema = Schema::new(vec![Attr::new("X", Type::Int), Attr::new("Y", Type::Int)]);
+            db.create_table(t, schema).unwrap();
+        }
+        let conn = Connection::new(db.clone());
+        (db, conn)
+    }
+
+    fn version_of(db: &Database) -> impl Fn(&str) -> Option<u64> + '_ {
+        move |t: &str| db.table_version(t)
+    }
+
+    type Flat = Vec<(String, Vec<(u64, DeltaOp, Vec<Value>)>)>;
+
+    fn flat(snap: &DeltaSnapshot) -> Flat {
+        let recs = |rs: &[DeltaRecord]| {
+            rs.iter().map(|r| (r.version, r.op, r.row.values().to_vec())).collect::<Vec<_>>()
+        };
+        snap.tables.iter().map(|(t, rs)| (t.clone(), recs(rs))).collect()
+    }
+
+    /// The cache's mirror serves only at the version it reaches and only
+    /// from its floor on; a fetch that starts inside it extends it, and
+    /// clearing the cache empties it.
+    #[test]
+    fn mirror_serves_only_what_it_covers() {
+        let (db, _conn) = db_with(&["T"]);
+        let v0 = db.table_version("T").unwrap();
+        db.insert_rows("T", vec![tup![1, 1]]).unwrap();
+        let v1 = db.table_version("T").unwrap();
+        let cache = MidCache::new(1 << 20);
+        let at = |since: u64| vec![("T".to_string(), since)];
+        let serve = |since: u64| cache.mirrored_deltas(&at(since), &version_of(&db));
+        assert!(serve(v0).is_none(), "an empty mirror serves nothing");
+
+        cache.mirror_deltas(&at(v0), &db.deltas_since_multi(&at(v0)).unwrap());
+        for since in [v0, v1] {
+            let served = serve(since).unwrap();
+            assert_eq!(flat(&served), flat(&db.deltas_since_multi(&at(since)).unwrap()));
+            assert_eq!(served.version_of("t"), Some(v1));
+        }
+        assert!(serve(v0 - 1).is_none(), "below its floor");
+
+        db.insert_rows("T", vec![tup![2, 2]]).unwrap();
+        assert!(serve(v1).is_none(), "the version moved");
+        cache.mirror_deltas(&at(v1), &db.deltas_since_multi(&at(v1)).unwrap());
+        assert_eq!(serve(v0).unwrap().tables[0].1.len(), 2, "the fetch from v1 extended v0's copy");
+
+        cache.clear();
+        assert!(serve(v1).is_none(), "clearing the cache empties its mirror");
+    }
+
+    /// A table's copy stays under the server's cap: growing it past the
+    /// cap drops whole statements from the front, and the copy then no
+    /// longer serves the snapshots they covered.
+    #[test]
+    fn mirror_copy_is_capped_like_the_servers_log() {
+        let big = |v: u64| DeltaRecord {
+            version: v,
+            op: DeltaOp::Insert,
+            row: tup!["x".repeat(DEFAULT_DELTA_LOG_CAP * 3 / 5)],
+        };
+        let snap = |since: u64, v: u64| DeltaSnapshot {
+            tables: vec![("T".to_string(), (since + 1..=v).map(big).collect())],
+            versions: vec![("T".to_string(), v)],
+        };
+        let at = |since: u64| vec![("T".to_string(), since)];
+        let mut mirror = DeltaMirror::default();
+        mirror.absorb(&at(0), &snap(0, 1));
+        mirror.absorb(&at(1), &snap(1, 2));
+        let (log, to) = &mirror.tables["T"];
+        assert!(log.bytes() <= DEFAULT_DELTA_LOG_CAP, "{} bytes", log.bytes());
+        assert_eq!((log.floor(), *to), (1, 2));
+        let at_two = |_: &str| Some(2);
+        assert!(mirror.serve(&at(0), &at_two).is_none(), "version 1 was compacted away");
+        assert_eq!(mirror.serve(&at(1), &at_two).unwrap().tables[0].1.len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Random writes (inserts, deletes, log-poisoning updates) to two
+        /// tables, interleaved with refresh fetches from random earlier
+        /// versions: whatever the mirror serves equals what the server
+        /// would return at that moment, and each copy stays under the
+        /// server's cap.
+        #[test]
+        fn mirror_answers_as_the_server_would(
+            ops in prop::collection::vec((0u8..6, 0usize..2, 0i64..4, 0usize..8), 1..40),
+        ) {
+            let names = ["T", "U"];
+            let (db, conn) = db_with(&names);
+            let mut seen: Vec<Vec<u64>> =
+                names.iter().map(|t| vec![db.table_version(t).unwrap()]).collect();
+            let mut mirror = DeltaMirror::default();
+            for (kind, t, x, back) in ops {
+                let name = names[t];
+                match kind {
+                    0 | 1 => {
+                        db.insert_rows(name, vec![tup![x, kind as i64]]).unwrap();
+                    }
+                    2 => {
+                        conn.execute(&format!("DELETE FROM {name} WHERE X = {x}")).unwrap();
+                    }
+                    3 => {
+                        conn.execute(&format!("UPDATE {name} SET Y = 7 WHERE X = {x}")).unwrap();
+                    }
+                    _ => {
+                        // a refresh of a fragment over one table or both
+                        let pick = |i: usize| {
+                            let vs = &seen[i];
+                            (names[i].to_string(), vs[vs.len() - 1 - back.min(vs.len() - 1)])
+                        };
+                        let reqs = if kind == 4 { vec![pick(t)] } else { vec![pick(0), pick(1)] };
+                        let server = db.deltas_since_multi(&reqs);
+                        match mirror.serve(&reqs, &version_of(&db)) {
+                            Some(served) => {
+                                let server = server.expect("the mirror served what the log lost");
+                                prop_assert_eq!(flat(&served), flat(&server));
+                                for (t, _) in &reqs {
+                                    prop_assert_eq!(served.version_of(t), server.version_of(t));
+                                }
+                            }
+                            None => {
+                                if let Some(snap) = server {
+                                    mirror.absorb(&reqs, &snap);
+                                }
+                            }
+                        }
+                    }
+                }
+                for (i, t) in names.iter().enumerate() {
+                    let v = db.table_version(t).unwrap();
+                    if seen[i].last() != Some(&v) {
+                        seen[i].push(v);
+                    }
+                }
+                for (log, _) in mirror.tables.values() {
+                    prop_assert!(log.bytes() <= DEFAULT_DELTA_LOG_CAP);
+                }
+            }
+        }
+    }
 }

@@ -237,6 +237,8 @@ pub struct QueryReport {
     pub optimized: OptimizedQuery,
     /// The execution report (per-operator spans).
     pub exec: ExecReport,
+    /// Where the [`Tango::query`] call's wall time went.
+    pub phases: QueryPhases,
 }
 
 impl QueryReport {
@@ -245,6 +247,88 @@ impl QueryReport {
     /// optimization time is included").
     pub fn total(&self) -> Duration {
         self.optimized.optimize_time + self.exec.total()
+    }
+
+    /// Serialize as a JSON object: `{"phases_us": {...}, "exec": {...}}`,
+    /// the phases in microseconds next to [`ExecReport::to_json`].
+    pub fn to_json(&self) -> String {
+        use tango_trace::json::Object;
+        let mut phases = Object::new();
+        for (name, d) in self.phases.named() {
+            phases.number(name, d.as_secs_f64() * 1e6);
+        }
+        let mut o = Object::new();
+        o.raw("phases_us", &phases.build());
+        o.raw("exec", &self.exec.to_json());
+        o.build()
+    }
+}
+
+/// Where one [`Tango::query`] call's wall time went, phase by phase.
+/// The phases are consecutive laps of one clock started as the call
+/// begins, so they sum to the call's wall time but for its entry and
+/// return. Execution's virtual wire time is not wall time and is not in
+/// here ([`ExecReport::wire`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryPhases {
+    /// Temporal SQL to the initial logical plan.
+    pub parse: Duration,
+    /// The rewrite stage (packs off: resolving that there are none).
+    pub rewrite: Duration,
+    /// The statistics and cache-residency snapshot planning reads.
+    pub snapshot: Duration,
+    /// The Volcano search.
+    pub search: Duration,
+    /// Running the plan, cost-factor feedback included.
+    pub execute: Duration,
+    /// Pricing the plan that ran for its node estimates, and
+    /// surfacing the rewrites on its root.
+    pub pricing: Duration,
+}
+
+impl QueryPhases {
+    /// The phases with their names, in the order they run.
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("parse", self.parse),
+            ("rewrite", self.rewrite),
+            ("snapshot", self.snapshot),
+            ("search", self.search),
+            ("execute", self.execute),
+            ("pricing", self.pricing),
+        ]
+    }
+
+    /// The sum of the phases.
+    pub fn total(&self) -> Duration {
+        self.named().iter().map(|(_, d)| *d).sum()
+    }
+
+    /// One `phases: parse 12µs, rewrite 0µs, …` line.
+    pub fn render(&self) -> String {
+        let each: Vec<String> = self
+            .named()
+            .iter()
+            .map(|(name, d)| format!("{name} {}", explain::fmt_us(d.as_secs_f64() * 1e6)))
+            .collect();
+        format!("phases: {}\n", each.join(", "))
+    }
+}
+
+/// A clock that hands out consecutive laps.
+struct Laps(Instant);
+
+impl Laps {
+    fn start() -> Laps {
+        Laps(Instant::now())
+    }
+
+    /// The time since the previous lap (or the start), starting the next.
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now - self.0;
+        self.0 = now;
+        lap
     }
 }
 
@@ -441,19 +525,30 @@ impl Tango {
     /// Parse, rewrite (when [`TangoOptions::rewrite_packs`] are active)
     /// and optimize a temporal-SQL statement.
     pub fn optimize(&mut self, sql: &str) -> Result<OptimizedQuery> {
-        let (optimized, snapshot) = self.optimize_sql(sql)?;
+        let mut phases = QueryPhases::default();
+        let (optimized, snapshot) = self.optimize_sql(sql, &mut Laps::start(), &mut phases)?;
         optimized.priced(&snapshot)
     }
 
     /// [`Tango::optimize`] short of the node estimates, handing back the
     /// snapshot the plan was searched under: [`Tango::query`] re-plans
-    /// against the same one and prices once, the plan that ran.
-    fn optimize_sql(&mut self, sql: &str) -> Result<(OptimizedQuery, TangoSem)> {
+    /// against the same one and prices once, the plan that ran. Each
+    /// step's time is a lap of `laps`, recorded in `phases`.
+    fn optimize_sql(
+        &mut self,
+        sql: &str,
+        laps: &mut Laps,
+        phases: &mut QueryPhases,
+    ) -> Result<(OptimizedQuery, TangoSem)> {
         let logical = self.parse(sql)?;
+        phases.parse = laps.lap();
         let (logical, rewrites) = self.apply_rewrites(logical)?;
+        phases.rewrite = laps.lap();
         let snapshot = self.snapshot()?;
+        phases.snapshot = laps.lap();
         let mut optimized = self.optimize_under(logical, &snapshot)?;
         optimized.rewrites = rewrites;
+        phases.search = laps.lap();
         Ok((optimized, snapshot))
     }
 
@@ -503,17 +598,19 @@ impl Tango {
 
     /// `EXPLAIN ANALYZE`: optimize and execute `sql`, then render the
     /// plan annotated with estimated vs. actual rows, site placement and
-    /// per-operator exclusive times, followed by the cache serving
-    /// report (hit/miss/evict/admission-reject counters) when caching is
+    /// per-operator exclusive times, followed by the call's phase times
+    /// ([`QueryPhases::render`]) and the cache serving report
+    /// (hit/miss/evict/admission-reject counters) when caching is
     /// enabled. Returns the rendering plus the full report
     /// (the result relation is discarded, as in PostgreSQL).
     pub fn explain_analyze(&mut self, sql: &str) -> Result<(String, QueryReport)> {
         let (_, report) = self.query(sql)?;
         let mut text = report.optimized.explain_analyze(&report.exec, false);
+        if !text.ends_with('\n') {
+            text.push('\n');
+        }
+        text.push_str(&report.phases.render());
         if self.options.cache_budget.is_some() {
-            if !text.ends_with('\n') {
-                text.push('\n');
-            }
             text.push_str(&self.cache.render_report());
         }
         Ok((text, report))
@@ -530,7 +627,8 @@ impl Tango {
     /// is then the plan as actually executed, with each staged breaker
     /// under a `MATSCAN^M` node.
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
-        let (mut optimized, snapshot) = self.optimize_sql(sql)?;
+        let (mut laps, mut phases) = (Laps::start(), QueryPhases::default());
+        let (mut optimized, snapshot) = self.optimize_sql(sql, &mut laps, &mut phases)?;
         let replan = self.options.opt.replan_ratio.map(|ratio| Replan {
             sem: snapshot.clone(),
             ratio,
@@ -541,6 +639,7 @@ impl Tango {
             },
         });
         let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, replan)?;
+        phases.execute = laps.lap();
         // the executed plan differs from the optimized one (staged
         // breakers became MATSCAN^M nodes; a re-plan may have spliced):
         // adopt it so EXPLAIN ANALYZE shows what ran, priced as the plan
@@ -571,7 +670,8 @@ impl Tango {
                 }
             }
         }
-        Ok((rel, QueryReport { optimized, exec }))
+        phases.pricing = laps.lap();
+        Ok((rel, QueryReport { optimized, exec, phases }))
     }
 
     /// Execute a hand-built physical plan (the performance study runs

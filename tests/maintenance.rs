@@ -552,6 +552,8 @@ fn a_failing_write_leaves_the_table_and_its_warm_entries_unchanged() {
 /// (`serve-churn`'s `PROJ[PosID,T1,T2](SEL[PosID < k](…))` shape) cannot
 /// be merged order-determined, a faulted delta fetch never gets that far,
 /// and the report splits [`CacheStats::refresh_bails`] between the two.
+/// The fetch faults after a second write, one the delta mirror has not
+/// seen: without it the mirror would answer that fetch.
 ///
 /// [`CacheStats::refresh_bails`]: tango::core::cache::CacheStats::refresh_bails
 #[test]
@@ -579,6 +581,9 @@ fn refresh_bails_are_reported_by_reason() {
         exec.steps.iter().flat_map(|st| &st.events).map(|e| e.detail.as_str()).collect();
     assert_eq!(events, ["refresh bailed: merge is not order-determined"]);
 
+    // a second write moves POSITION past the records the first refresh
+    // fetched, so the delta mirror cannot answer the next fetch
+    db.insert_rows("POSITION", vec![tup![4, 9, Value::Double(3.5), 1, 41]]).unwrap();
     let rt = db.link().roundtrips();
     let fault = Fault::Fatal("ORA-03113: end-of-file on delta channel".into());
     db.link().set_injector(Arc::new(FaultPlan::scripted([(rt + 1, fault)])));
@@ -593,6 +598,138 @@ fn refresh_bails_are_reported_by_reason() {
     let reasons =
         r#""refresh_bail_reasons":{"delta fetch failed":1,"merge is not order-determined":1}"#;
     assert!(json.contains(reasons), "{json}");
+}
+
+/// A second chain over POSITION: σ(PayRate ≥ 1) delivered on every column.
+fn paid_chain_plan(conn: &Connection) -> PhysNode {
+    let pred = Expr::cmp(CmpOp::Ge, Expr::col("PayRate"), Expr::lit(1.0));
+    let order = SortSpec::by(["PosID", "EmpID", "PayRate", "T1", "T2"]);
+    let filter = PhysNode::over(Algo::FilterD(pred), vec![scan(conn, "POSITION")]).unwrap();
+    let sorted = PhysNode::over(Algo::SortD(order), vec![filter]).unwrap();
+    PhysNode::over(Algo::TransferM, vec![sorted]).unwrap()
+}
+
+/// Three fragments over POSITION that every write below refreshes: two
+/// chains that keep the written row and a self-join that keeps neither
+/// copy of it (the rows start at `T1 = 0`, the writes at `T1 ≥ 35`).
+fn position_fragments(conn: &Connection) -> [PhysNode; 3] {
+    [chain_plan(conn), paid_chain_plan(conn), self_join_plan(conn, 20, 30)]
+}
+
+/// Populate each plan and earn it a hit, so a write makes it worth
+/// refreshing.
+fn warm(tango: &mut Tango, plans: &[PhysNode]) {
+    for plan in plans {
+        tango.execute_physical(plan).unwrap();
+        tango.execute_physical(plan).unwrap();
+    }
+}
+
+/// Read `plan`, which must refresh, and check its result against a
+/// cache-off run: the refresh event and the round trips the read cost.
+fn read(db: &Database, tango: &mut Tango, plan: &PhysNode) -> (String, u64) {
+    let rt = db.link().roundtrips();
+    let (got, exec) = tango.execute_physical(plan).unwrap();
+    let trips = db.link().roundtrips() - rt;
+    assert_eq!(cache_annotations(&exec), vec![Some("refresh")], "{:?}", events(&exec));
+    let expect = control_run(db, plan);
+    assert!(got.list_eq(&expect), "expected:\n{expect}\ngot:\n{got}");
+    let [event] = events(&exec)[..] else { panic!("one refresh event: {:?}", events(&exec)) };
+    (event.to_string(), trips)
+}
+
+fn write(db: &Database, t1: i32) {
+    db.insert_rows("POSITION", vec![tup![900 + t1 as i64, 9, Value::Double(3.5), t1, 90]]).unwrap();
+}
+
+/// One write stales three resident fragments, and refreshing all three
+/// costs the one delta round trip the first refresh pays: the others read
+/// the records from the cache's delta mirror, and count no delta bytes.
+/// The mirror belongs to the database's shared cache, so a second
+/// session reading after the first pays no round trip either.
+#[test]
+fn one_write_costs_one_delta_round_trip_however_many_fragments_it_stales() {
+    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let mut tango = Tango::connect(db.clone());
+    let plans = position_fragments(tango.conn());
+    warm(&mut tango, &plans);
+
+    write(&db, 35);
+    let reads: Vec<_> = plans.iter().map(|p| read(&db, &mut tango, p)).collect();
+    let trips: Vec<u64> = reads.iter().map(|(_, trips)| *trips).collect();
+    assert_eq!(trips, [1, 0, 0], "{reads:?}");
+    assert_eq!(
+        reads.iter().map(|(event, _)| event.as_str()).collect::<Vec<_>>(),
+        [
+            "spliced 1 delta rows into 1 runs (56 delta bytes)",
+            "spliced 1 delta rows into 1 runs (0 delta bytes, served by the delta mirror)",
+            "no change (0 delta bytes, served by the delta mirror)",
+        ]
+    );
+    let s = tango.cache().stats();
+    assert_eq!((s.refreshes, s.refresh_bytes, s.refresh_bails), (3, 56, 0), "{s:?}");
+
+    write(&db, 36);
+    let mut other = Tango::connect(db.clone());
+    assert_eq!(read(&db, &mut tango, &plans[0]).1, 1);
+    for plan in &plans[1..] {
+        let (event, trips) = read(&db, &mut other, plan);
+        assert_eq!(trips, 0, "{event}");
+    }
+}
+
+/// A fragment that skipped a write holds a snapshot older than the
+/// mirror's first record: it fetches its own delta, and the mirror then
+/// reaches back far enough for a third fragment as old.
+#[test]
+fn a_fragment_that_skipped_a_write_fetches_its_own_delta() {
+    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let mut tango = Tango::connect(db.clone());
+    let [chain, paid, self_join] = position_fragments(tango.conn());
+    warm(&mut tango, &[chain.clone(), self_join.clone()]);
+    write(&db, 35);
+    warm(&mut tango, std::slice::from_ref(&paid)); // populated after the write
+
+    write(&db, 36);
+    assert_eq!(read(&db, &mut tango, &paid).1, 1);
+    let (event, trips) = read(&db, &mut tango, &chain);
+    assert_eq!((event.as_str(), trips), ("spliced 2 delta rows into 2 runs (112 delta bytes)", 1));
+    let (event, trips) = read(&db, &mut tango, &self_join);
+    assert_eq!(
+        (event.as_str(), trips),
+        ("no change (0 delta bytes, served by the delta mirror)", 0)
+    );
+}
+
+/// A faulted delta fetch leaves the mirror as it was: after the next
+/// write the mirror still stops at the version before it, so the next
+/// fragment fetches for itself — and from then on the mirror serves.
+#[test]
+fn a_faulted_delta_fetch_leaves_the_mirror_unchanged() {
+    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let mut tango = Tango::connect(db.clone());
+    let [chain, paid, self_join] = position_fragments(tango.conn());
+    warm(&mut tango, &[chain.clone(), paid.clone(), self_join.clone()]);
+    write(&db, 35);
+    assert_eq!(read(&db, &mut tango, &chain).1, 1);
+
+    write(&db, 36);
+    let rt = db.link().roundtrips();
+    let fault = Fault::Fatal("ORA-03113: end-of-file on delta channel".into());
+    db.link().set_injector(Arc::new(FaultPlan::scripted([(rt + 1, fault)])));
+    let (got, exec) = tango.execute_physical(&paid).unwrap();
+    db.link().clear_injector();
+    assert_eq!(cache_annotations(&exec), vec![Some("miss")]);
+    assert!(events(&exec)[0].starts_with("refresh bailed: delta fetch failed"), "{exec:?}");
+    assert!(got.list_eq(&control_run(&db, &paid)));
+
+    let (event, trips) = read(&db, &mut tango, &self_join);
+    assert_eq!((event.as_str(), trips), ("no change (112 delta bytes)", 1));
+    let (event, trips) = read(&db, &mut tango, &chain);
+    assert_eq!(
+        (event.as_str(), trips),
+        ("spliced 1 delta rows into 1 runs (0 delta bytes, served by the delta mirror)", 0)
+    );
 }
 
 /// `serve-churn` at small scale: the benchmark's eight pool statements

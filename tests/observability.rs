@@ -396,3 +396,47 @@ fn explain_analyze_entry_point_runs_the_query() {
     assert!(trace.contains("classes"), "{trace}");
     assert!(trace.contains("optimize calls"), "{trace}");
 }
+
+/// `Tango::query` times its own phases — parse, rewrite, snapshot,
+/// search, execute, pricing — as consecutive laps of one clock, so they
+/// sum to the call's wall time; what is left is the call's entry and
+/// return. The quietest of five calls bounds that rest by ε (a loaded
+/// host can preempt any single call between its last lap and its return).
+/// The phases appear in the report's JSON and in `EXPLAIN ANALYZE`.
+#[test]
+fn query_phases_sum_to_the_calls_wall_time() {
+    const EPSILON: std::time::Duration = std::time::Duration::from_micros(200);
+    let (db, _conn) = setup();
+    let mut tango = Tango::connect(db);
+    tango.options_mut().rewrite_packs = vec!["temporal-normalize".into()];
+    let mut rests = Vec::new();
+    for _ in 0..5 {
+        let start = std::time::Instant::now();
+        let (_, report) = tango.query(QUERY1).unwrap();
+        let wall = start.elapsed();
+        let phases = report.phases;
+        assert!(phases.total() <= wall, "{phases:?} sum past the call's {wall:?}");
+        for (name, d) in phases.named() {
+            assert!(d > std::time::Duration::ZERO, "{name} took no time: {phases:?}");
+        }
+        rests.push(wall - phases.total());
+    }
+    let rest = rests.iter().min().unwrap();
+    assert!(*rest < EPSILON, "the phases miss {rest:?} of the call: {rests:?}");
+
+    let (_, report) = tango.query(QUERY1).unwrap();
+    let json = parse(&report.to_json()).expect("QueryReport::to_json");
+    assert_eq!(keys(&json), ["phases_us", "exec"]);
+    let phases = get(&json, "phases_us");
+    assert_eq!(keys(phases), ["parse", "rewrite", "snapshot", "search", "execute", "pricing"]);
+    let sum: f64 = report.phases.named().iter().map(|(_, d)| d.as_secs_f64() * 1e6).sum();
+    let Json::Num(execute) = get(phases, "execute") else { panic!("{phases:?}") };
+    assert!(*execute > 0.0 && *execute <= sum, "{phases:?}");
+    assert_eq!(get(&json, "exec"), &parse(&report.exec.to_json()).unwrap());
+
+    let (text, _) = tango.explain_analyze(QUERY1).unwrap();
+    let line = text.lines().find(|l| l.starts_with("phases: ")).expect(&text);
+    assert!(line.starts_with("phases: parse ") && line.contains(", pricing "), "{line}");
+    let redacted = report.optimized.explain_analyze(&report.exec, true);
+    assert!(!redacted.contains("phases"), "the redacted rendering stays as it was:\n{redacted}");
+}
