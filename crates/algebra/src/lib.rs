@@ -23,6 +23,8 @@
 //!   the paper's two equivalence notions (list and multiset equality),
 //! * [`Batch`] — a run of consecutive tuples sharing one schema, the
 //!   unit of the engine's vectorized (batch-at-a-time) execution,
+//! * [`ExactSum`] — the exactly rounded `SUM` / `AVG` total that every
+//!   placement of an aggregate shares,
 //! * [`Expr`] — scalar expressions with SQL rendering (used both for
 //!   predicate evaluation and by the Translator-To-SQL),
 //! * [`SortSpec`] — sort orders and the `IsPrefixOf` predicate of rules
@@ -34,6 +36,7 @@ pub mod batch;
 pub mod codec;
 pub mod date;
 pub mod error;
+pub mod exact_sum;
 pub mod expr;
 pub mod interval;
 pub mod logical;
@@ -46,6 +49,7 @@ pub mod value;
 pub use batch::{Batch, Bitmap, Column, ColumnBuilder, DEFAULT_BATCH_ROWS};
 pub use date::Day;
 pub use error::{AlgebraError, Result};
+pub use exact_sum::ExactSum;
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use interval::Period;
 pub use logical::{AggFunc, AggSpec, Logical, ProjItem, TOp};

@@ -280,6 +280,30 @@ impl BatchKeys {
         Ordering::Equal
     }
 
+    /// The runs of equal keys among rows `0..n` (rows already grouped on
+    /// the keys), as `[start, end)` ranges in row order; one run when
+    /// there are no keys. Each key column is compared in one pass.
+    pub fn runs(&self, n: usize) -> Vec<(u32, u32)> {
+        let mut starts = vec![false; n]; // row r opens a run
+        for (col, _) in &self.cols {
+            let new = |r: usize| match col {
+                KeyVals::Ints(v) => v[r] != v[r - 1],
+                KeyVals::Vals(v) => v[r].total_cmp(&v[r - 1]) != Ordering::Equal,
+            };
+            (1..n).for_each(|r| starts[r] |= new(r));
+        }
+        let mut runs = Vec::new();
+        let mut lo = 0;
+        for r in (1..n).filter(|&r| starts[r]) {
+            runs.push((lo as u32, r as u32));
+            lo = r;
+        }
+        if n > 0 {
+            runs.push((lo as u32, n as u32));
+        }
+        runs
+    }
+
     /// Stable sort permutation of rows `[lo, hi)`: returned indices applied
     /// in order visit the range's rows in key order, ties in input order.
     pub fn sort_range(&self, lo: usize, hi: usize) -> Vec<u32> {

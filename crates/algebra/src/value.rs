@@ -249,6 +249,19 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// The total order of [`Value::total_cmp`], the one `ORDER BY` sorts in.
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.key().hash(state)

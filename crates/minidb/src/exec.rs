@@ -18,7 +18,9 @@ use crate::error::{DbError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tango_algebra::value::Key;
-use tango_algebra::{sort_tuples, AggFunc, Expr, Relation, Schema, SortSpec, Tuple, Value};
+use tango_algebra::{
+    sort_tuples, AggFunc, ExactSum, Expr, Relation, Schema, SortSpec, Tuple, Value,
+};
 
 /// One aggregate computed by `HashAgg`.
 #[derive(Debug, Clone, PartialEq)]
@@ -511,22 +513,25 @@ fn key_cmp(l: &Tuple, li: &[usize], r: &Tuple, ri: &[usize]) -> std::cmp::Orderi
 }
 
 /// Aggregate accumulator (no removal; the DBMS aggregates whole groups).
+/// SUM and AVG over doubles add exactly and round once ([`ExactSum`]), so
+/// the heap order of a group never changes the answer, and the answer is
+/// the middleware's `TAGGR^M` to the bit.
 enum Acc {
     Count(i64),
-    Sum { int: i64, float: f64, n: i64, saw_float: bool },
+    Sum { int: i64, float: ExactSum, n: i64, saw_float: bool },
     Min(Option<Value>),
     Max(Option<Value>),
-    Avg { sum: f64, n: i64 },
+    Avg { sum: ExactSum, n: i64 },
 }
 
 impl Acc {
     fn new(f: AggFunc) -> Acc {
         match f {
             AggFunc::Count => Acc::Count(0),
-            AggFunc::Sum => Acc::Sum { int: 0, float: 0.0, n: 0, saw_float: false },
+            AggFunc::Sum => Acc::Sum { int: 0, float: ExactSum::default(), n: 0, saw_float: false },
             AggFunc::Min => Acc::Min(None),
             AggFunc::Max => Acc::Max(None),
-            AggFunc::Avg => Acc::Avg { sum: 0.0, n: 0 },
+            AggFunc::Avg => Acc::Avg { sum: ExactSum::default(), n: 0 },
         }
     }
 
@@ -547,7 +552,7 @@ impl Acc {
                     *n += 1;
                 }
                 Some(Value::Double(d)) => {
-                    *float += d;
+                    float.add(*d);
                     *n += 1;
                     *saw_float = true;
                 }
@@ -577,7 +582,7 @@ impl Acc {
             }
             Acc::Avg { sum, n } => {
                 if let Some(x) = v.and_then(Value::as_f64) {
-                    *sum += x;
+                    sum.add(x);
                     *n += 1;
                 }
             }
@@ -591,7 +596,9 @@ impl Acc {
                 if *n == 0 {
                     Value::Null
                 } else if *saw_float {
-                    Value::Double(*float + *int as f64)
+                    let mut float = float.clone();
+                    float.add(*int as f64);
+                    Value::Double(float.value())
                 } else {
                     Value::Int(*int)
                 }
@@ -601,7 +608,7 @@ impl Acc {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Double(sum / *n as f64)
+                    Value::Double(sum.value() / *n as f64)
                 }
             }
         }

@@ -43,7 +43,10 @@
 //!   same sweep, pairing rows by intersecting their periods,
 //! * [`nested_loop::NestedLoopJoin`] — fallback theta join,
 //! * [`taggr::TemporalAggregate`] — `TAGGR^M`, the two-sorted-copies
-//!   sweep of Section 3.4,
+//!   sweep of Section 3.4, run once over typed columns: each aggregate
+//!   reads its argument column in place, and SUM / AVG over doubles sum
+//!   exactly (`tango_algebra::ExactSum`), so the answer is `TAGGR^D`'s to
+//!   the bit,
 //! * [`dedup::DupElim`], [`coalesce::Coalesce`], [`tdiff::TemporalDiff`] —
 //!   the extension operators the paper lists as future additions
 //!   (`TDIFF^M` probes its right side through the same key-group reader),
@@ -52,8 +55,9 @@
 //! The temporal operators share one rule: a period with a NULL endpoint,
 //! or an empty one, holds at no time point — such a row joins,
 //! subtracts, merges and aggregates nothing. The row-logic ones read a
-//! row's period through one helper and all of them write one through its
-//! inverse (`cursor.rs`).
+//! row's period through one helper and write one through its inverse
+//! (`cursor.rs`); `TAGGR^M` reads and writes periods as flat `i64`
+//! columns.
 //!
 //! ```
 //! use std::sync::Arc;

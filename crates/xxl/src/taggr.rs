@@ -7,22 +7,30 @@
 //! period endpoints.
 //!
 //! TAGGR is a pipeline breaker, so the cursor materializes its input as
-//! one columnar batch at `open` and runs the sweep over flat arrays:
-//! group boundaries come from extracted key columns, period endpoints
-//! from a flat `(start, end)` pair of `i64` vectors, and output rows go
-//! straight into typed column builders.
+//! one columnar batch at `open` (columnarizing a row-layout input there,
+//! once) and runs one sweep over typed columns. Group boundaries come
+//! from extracted key columns and period endpoints from flat `i64`
+//! vectors; the sweep records `(first row of group, T1, T2)` per constant
+//! period and the rows holding it, which is `COUNT(*)` (and a COUNT over
+//! an int column with no NULLs). Each other aggregate is a typed
+//! accumulator ([`Acc`]) that reads its argument column in place — COUNT
+//! its validity bitmap, SUM and AVG its `i64` / `f64` values, MIN and MAX
+//! a multiset of its keys. SUM and AVG over doubles keep an [`ExactSum`],
+//! so removing values as periods end leaves no rounding error behind and
+//! the answer is `TAGGR^D`'s to the bit. The output's grouping columns
+//! are one `Column::gather` per refill, and MIN / MAX a gather of a row
+//! holding the extreme.
 //!
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
 
-use crate::cursor::{drain_batches, period_values, BoxCursor, Cursor, ExecError, Result};
-use std::collections::BTreeMap;
+use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, Result};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
-use tango_algebra::value::Key;
 use tango_algebra::{
-    AggFunc, AggSpec, Batch, BatchKeys, Column, ColumnBuilder, Day, Period, Schema, SortSpec, Type,
-    Value, DEFAULT_BATCH_ROWS,
+    AggFunc, AggSpec, Batch, BatchKeys, Bitmap, Column, ExactSum, Schema, SortSpec, Type, Value,
+    DEFAULT_BATCH_ROWS,
 };
 
 /// Sentinel for "no valid day" in the flattened period-endpoint arrays
@@ -117,27 +125,50 @@ impl TemporalAggregate {
     /// Sweep groups until at least `min_rows` output rows are staged (or
     /// the input is exhausted).
     fn refill(&mut self, min_rows: usize) -> Result<()> {
-        let mut cols = vec![ColumnBuilder::default(); self.schema.len()];
-        let data = self
-            .data
-            .as_ref()
+        let data = self.data.as_ref();
+        let (cols, offset, _) = data
+            .and_then(Batch::columns)
             .ok_or_else(|| ExecError::State("temporal aggregation not opened".into()))?;
-        let ctx = SweepCtx {
-            data,
-            group_idx: &self.group_idx,
-            agg_arg_idx: &self.agg_arg_idx,
-            aggs: &self.aggs,
-            date_typed: self.date_typed,
-            starts_all: &self.starts_all,
-            ends_all: &self.ends_all,
-        };
-        let (processed, g, cp) =
-            sweep_groups(&ctx, &self.bounds[self.next_group..], &mut cols, min_rows.max(1));
+        // room for `min_rows` periods and the group that crosses it, and
+        // no more: a refill's output lives on in its batch
+        let room = (min_rows + min_rows / 16).min(2 * self.starts_all.len());
+        let accs = self.aggs.iter().zip(&self.agg_arg_idx).map(|(a, &arg)| {
+            // COUNT over an int column with no NULLs counts the rows
+            // held, which the sweep knows without reading the column
+            let counts_rows = |&c: &usize| data.and_then(|d| d.int_col(c)).is_some();
+            let arg = arg.filter(|c| a.func != AggFunc::Count || !counts_rows(c));
+            Acc::new(a.func, arg.map(|c| &cols[c]), room)
+        });
+        let mut accs: Vec<Acc> = accs.collect();
+        let v = || Vec::with_capacity(room);
+        let mut periods = Periods { firsts: Vec::with_capacity(room), t1: v(), t2: v(), held: v() };
+        let (processed, groups) = sweep_groups(
+            (&self.starts_all, &self.ends_all),
+            offset,
+            &self.bounds[self.next_group..],
+            &mut accs,
+            &mut periods,
+            min_rows.max(1),
+        );
         self.next_group += processed;
-        self.groups += g;
-        self.constant_periods += cp;
-        self.out = (!cols[0].is_empty()).then(|| Batch::from_builders(self.schema.clone(), cols));
+        self.groups += groups;
+        self.constant_periods += periods.t1.len() as u64;
         self.out_pos = 0;
+        self.out = None;
+        if !periods.t1.is_empty() {
+            let mut out: Vec<Column> =
+                self.group_idx.iter().map(|&c| cols[c].gather(&periods.firsts)).collect();
+            for vals in [periods.t1, periods.t2] {
+                let (vals, valid) = (Arc::new(vals), None);
+                out.push(match self.date_typed {
+                    true => Column::Date { vals, valid },
+                    false => Column::Int { vals, valid },
+                });
+            }
+            let held = Arc::new(periods.held);
+            out.extend(accs.into_iter().map(|a| a.finish(&held)));
+            self.out = Some(Batch::from_columns(self.schema.clone(), out));
+        }
         Ok(())
     }
 }
@@ -152,24 +183,8 @@ impl Cursor for TemporalAggregate {
         let in_schema = self.input.schema().clone();
         let batches = drain_batches(self.input.as_mut(), self.batch_rows)?;
         let data = Batch::concat(in_schema.clone(), batches);
-        let n = data.len();
-        self.bounds.clear();
-        if n > 0 {
-            let spec = SortSpec::by(self.group_by.iter().map(String::as_str));
-            let keys = BatchKeys::extract(&data, &spec, &in_schema);
-            if keys.is_empty() {
-                self.bounds.push((0, n as u32));
-            } else {
-                let mut lo = 0usize;
-                for r in 1..n {
-                    if keys.cmp(r - 1, r) != std::cmp::Ordering::Equal {
-                        self.bounds.push((lo as u32, r as u32));
-                        lo = r;
-                    }
-                }
-                self.bounds.push((lo as u32, n as u32));
-            }
-        }
+        let spec = SortSpec::by(self.group_by.iter().map(String::as_str));
+        self.bounds = BatchKeys::extract(&data, &spec, &in_schema).runs(data.len());
         self.starts_all = day_col(&data, self.period.0);
         self.ends_all = day_col(&data, self.period.1);
         self.next_group = 0;
@@ -223,317 +238,298 @@ impl Cursor for TemporalAggregate {
 /// with no valid day: nulls, non-numeric values, ints outside `i32`).
 fn day_col(data: &Batch, col: usize) -> Vec<i64> {
     if let Some((cols, offset, len)) = data.columns() {
-        match &cols[col] {
-            Column::Date { vals, valid } => {
-                return (0..len)
-                    .map(|r| {
-                        if valid.as_ref().map(|b| b.get(offset + r)).unwrap_or(true) {
-                            vals[offset + r]
-                        } else {
-                            NO_DAY
-                        }
-                    })
-                    .collect();
-            }
-            Column::Int { vals, valid } => {
-                return (0..len)
-                    .map(|r| {
-                        let ok = valid.as_ref().map(|b| b.get(offset + r)).unwrap_or(true);
-                        let v = vals[offset + r];
-                        if ok && i32::try_from(v).is_ok() {
-                            v
-                        } else {
-                            NO_DAY
-                        }
-                    })
-                    .collect();
-            }
-            _ => {}
+        if let Column::Int { vals, valid } | Column::Date { vals, valid } = &cols[col] {
+            let day = |r: usize| valid.as_ref().is_none_or(|b| b.get(r)).then_some(vals[r]);
+            let day = |r| day(r).filter(|&v| i32::try_from(v).is_ok()).unwrap_or(NO_DAY);
+            return (offset..offset + len).map(day).collect();
         }
     }
-    (0..data.len())
-        .map(|r| data.value_at(r, col).as_day().map(|d| d as i64).unwrap_or(NO_DAY))
-        .collect()
+    (0..data.len()).map(|r| data.value_at(r, col).as_day().map_or(NO_DAY, i64::from)).collect()
 }
 
-/// The read-only view of the operator a sweep needs.
-struct SweepCtx<'a> {
-    data: &'a Batch,
-    group_idx: &'a [usize],
-    agg_arg_idx: &'a [Option<usize>],
-    aggs: &'a [AggSpec],
-    date_typed: bool,
-    starts_all: &'a [i64],
-    ends_all: &'a [i64],
+/// The constant periods one refill emits: the input row (absolute) whose
+/// grouping values each carries, its endpoints, and the rows holding it.
+struct Periods {
+    firsts: Vec<u32>,
+    t1: Vec<i64>,
+    t2: Vec<i64>,
+    held: Vec<i64>,
 }
 
-/// Sweep whole groups from `bounds` into the per-column output builders
-/// until at least `min_rows` rows are produced (or `bounds` is
-/// exhausted). Returns (groups processed, non-empty groups, constant
-/// periods). The per-group algorithm — retain non-empty periods, sort a
-/// second index copy by `T2`, advance start/end events emitting one row
-/// per constant period — is the exact sweep of Section 3.4.
+/// Sweep whole groups from `bounds` (rows relative to the input batch,
+/// whose columns start at `offset`) until at least `min_rows` constant
+/// periods are recorded in `out` (or `bounds` is exhausted). Returns
+/// (groups processed, non-empty groups). The per-group algorithm — retain
+/// non-empty periods, sort a second index copy by `T2`, advance start/end
+/// events emitting one row per constant period — is the exact sweep of
+/// Section 3.4.
 fn sweep_groups(
-    ctx: &SweepCtx<'_>,
+    (starts, ends): (&[i64], &[i64]),
+    offset: usize,
     bounds: &[(u32, u32)],
-    out: &mut [ColumnBuilder],
+    accs: &mut [Acc<'_>],
+    out: &mut Periods,
     min_rows: usize,
-) -> (usize, u64, u64) {
-    let mut states: Vec<Box<dyn AggState>> = ctx.aggs.iter().map(|a| new_state(a.func)).collect();
-    let width_g = ctx.group_idx.len();
-    let mut kept: Vec<u32> = Vec::new();
-    let mut starts: Vec<i64> = Vec::new();
-    let mut ends: Vec<i64> = Vec::new();
-    let mut by_end: Vec<u32> = Vec::new();
-    let (mut groups, mut cps) = (0u64, 0u64);
-    let mut processed = 0usize;
+) -> (usize, u64) {
+    // per group: its (`T1`, row)s, and its (`T2`, index in `kept`)s
+    let (mut kept, mut by_end) = (Vec::new(), Vec::new());
+    let (mut processed, mut groups) = (0usize, 0u64);
+    let reads_rows = accs.iter().any(|a| a.arg.is_some());
     for &(lo, hi) in bounds {
-        if out[0].len() >= min_rows {
+        if out.t1.len() >= min_rows {
             break;
         }
         processed += 1;
         // Drop tuples with empty or null periods: they hold at no time
         // point and contribute nothing.
         kept.clear();
-        for r in lo..hi {
-            let (s, e) = (ctx.starts_all[r as usize], ctx.ends_all[r as usize]);
-            if s != NO_DAY && e != NO_DAY && s < e {
-                kept.push(r);
-            }
-        }
-        if kept.is_empty() {
-            continue; // an empty group produces no constant periods
-        }
-        groups += 1;
-        let k = kept.len();
-        starts.clear();
-        starts.extend(kept.iter().map(|&r| ctx.starts_all[r as usize]));
-        ends.clear();
-        ends.extend(kept.iter().map(|&r| ctx.ends_all[r as usize]));
-        // Second copy, sorted on T2 (the algorithm's internal sort).
         by_end.clear();
-        by_end.extend(0..k as u32);
-        by_end.sort_unstable_by_key(|&i| ends[i as usize]);
-        for s in states.iter_mut() {
-            s.reset();
+        for r in lo as usize..hi as usize {
+            if starts[r] != NO_DAY && ends[r] != NO_DAY && starts[r] < ends[r] {
+                by_end.push((ends[r], kept.len()));
+                kept.push((starts[r], offset + r));
+            }
         }
-        let group_vals: Vec<Value> =
-            ctx.group_idx.iter().map(|&c| ctx.data.value_at(kept[0] as usize, c)).collect();
-        let mut i = 0usize; // next start event (group is sorted by T1)
-        let mut j = 0usize; // next end event (via by_end)
-        let mut active = 0usize;
-        let mut prev: Option<i64> = None;
+        let Some(&(_, first)) = kept.first() else { continue };
+        groups += 1;
+        // The second copy, sorted on T2 (the algorithm's internal sort).
+        by_end.sort_unstable();
+        // Every row the group adds it also removes, so each accumulator is
+        // empty again — exactly — when the group ends: no reset.
+        let (k, mut i, mut j, mut prev) = (kept.len(), 0, 0, NO_DAY);
         while j < k {
-            let end_t = ends[by_end[j] as usize];
-            let t = if i < k { end_t.min(starts[i]) } else { end_t };
-            if let Some(p) = prev {
-                if p < t && active > 0 {
-                    for (c, v) in group_vals.iter().enumerate() {
-                        out[c].push(v.clone());
-                    }
-                    let (t1, t2) = period_values(ctx.date_typed, Period::new(p as Day, t as Day));
-                    out[width_g].push(t1);
-                    out[width_g + 1].push(t2);
-                    for (c, s) in states.iter().enumerate() {
-                        out[width_g + 2 + c].push(s.current());
-                    }
-                    cps += 1;
+            let end_t = by_end[j].0;
+            let t = if i < k { end_t.min(kept[i].0) } else { end_t };
+            if i > j && prev < t {
+                out.firsts.push(first as u32);
+                out.t1.push(prev);
+                out.t2.push(t);
+                out.held.push((i - j) as i64);
+                if reads_rows {
+                    accs.iter_mut().filter(|a| a.arg.is_some()).for_each(Acc::emit);
                 }
             }
-            while i < k && starts[i] == t {
-                let row = kept[i] as usize;
-                for (s, arg) in states.iter_mut().zip(ctx.agg_arg_idx) {
-                    match arg {
-                        Some(a) => {
-                            let v = ctx.data.value_at(row, *a);
-                            s.add(Some(&v));
-                        }
-                        None => s.add(None),
-                    }
+            while i < k && kept[i].0 == t {
+                if reads_rows {
+                    accs.iter_mut().for_each(|a| a.step(kept[i].1, true));
                 }
-                active += 1;
                 i += 1;
             }
-            while j < k && ends[by_end[j] as usize] == t {
-                let row = kept[by_end[j] as usize] as usize;
-                for (s, arg) in states.iter_mut().zip(ctx.agg_arg_idx) {
-                    match arg {
-                        Some(a) => {
-                            let v = ctx.data.value_at(row, *a);
-                            s.remove(Some(&v));
-                        }
-                        None => s.remove(None),
-                    }
+            while j < k && by_end[j].0 == t {
+                if reads_rows {
+                    let row = kept[by_end[j].1].1;
+                    accs.iter_mut().for_each(|a| a.step(row, false));
                 }
-                active -= 1;
                 j += 1;
             }
-            prev = Some(t);
+            prev = t;
         }
     }
-    (processed, groups, cps)
+    (processed, groups)
 }
 
-/// Incremental aggregate state with add/remove (the sweep enters and
-/// leaves tuples as their periods start and end).
-trait AggState: Send {
-    fn add(&mut self, v: Option<&Value>);
-    fn remove(&mut self, v: Option<&Value>);
-    fn current(&self) -> Value;
-    /// Return to the empty state (one state box is reused across all the
-    /// groups a sweep covers).
-    fn reset(&mut self);
+/// One aggregate over the rows the sweep holds. It reads its argument
+/// column in place at absolute row indices (`None`: nothing to read, as
+/// for `COUNT(*)`) and appends a value per constant period to its output.
+struct Acc<'a> {
+    func: AggFunc,
+    arg: Option<&'a Column>,
+    held: Held<'a>,
+    out: Out<'a>,
 }
 
-fn new_state(f: AggFunc) -> Box<dyn AggState> {
-    match f {
-        AggFunc::Count => Box::new(CountState { n: 0 }),
-        AggFunc::Sum => Box::new(SumState { int: 0, float: 0.0, n: 0, saw_float: false }),
-        AggFunc::Avg => Box::new(AvgState { sum: 0.0, n: 0 }),
-        AggFunc::Min => Box::new(ExtState { vals: BTreeMap::new(), min: true }),
-        AggFunc::Max => Box::new(ExtState { vals: BTreeMap::new(), min: false }),
-    }
-}
-
-struct CountState {
+/// What an [`Acc`] holds of the rows the sweep holds.
+#[derive(Default)]
+struct Held<'a> {
+    /// Rows whose argument counts: non-null for COUNT, numeric for SUM
+    /// and AVG. (`COUNT(*)` reads the rows held off the sweep.)
     n: i64,
-}
-
-impl AggState for CountState {
-    fn add(&mut self, v: Option<&Value>) {
-        // COUNT(*) counts rows; COUNT(col) counts non-null values.
-        if v.is_none_or(|v| !v.is_null()) {
-            self.n += 1;
-        }
-    }
-    fn remove(&mut self, v: Option<&Value>) {
-        if v.is_none_or(|v| !v.is_null()) {
-            self.n -= 1;
-        }
-    }
-    fn current(&self) -> Value {
-        Value::Int(self.n)
-    }
-    fn reset(&mut self) {
-        self.n = 0;
-    }
-}
-
-struct SumState {
+    /// SUM of the integer arguments (wrapping, so a removal undoes an
+    /// addition even past an overflow).
     int: i64,
-    float: f64,
-    n: i64,
-    saw_float: bool,
+    /// SUM of the double arguments; for AVG, of every argument.
+    sum: ExactSum,
+    /// Double arguments: a `Mixed` column's SUM is a double while one is
+    /// held.
+    doubles: i64,
+    /// MIN / MAX: the keys → (rows holding the key, one such row).
+    ext: BTreeMap<ExtKey<'a>, (u32, u32)>,
+    /// MIN / MAX: a row whose argument is NULL, the answer when every
+    /// held row has one.
+    null_row: u32,
 }
 
-impl SumState {
-    fn apply(&mut self, v: Option<&Value>, sign: i64) {
-        match v {
-            Some(Value::Int(i)) => {
-                self.int += sign * i;
-                self.n += sign;
+/// An [`Acc`]'s output column so far.
+enum Out<'a> {
+    Counts(Vec<i64>),
+    Ints(Vec<i64>, Bitmap),
+    Doubles(Vec<f64>, Bitmap),
+    /// MIN / MAX: the rows to gather from the argument column.
+    Rows(Vec<u32>, &'a Column),
+    /// SUM over a `Mixed` column: an int or a double per period.
+    Values(Vec<Value>),
+}
+
+/// A MIN / MAX argument's sort key: ints and dates as themselves, doubles
+/// as their total-order bits (with −0 read as +0), strings borrowed from
+/// the column's dictionary, a `Mixed` column's values as values.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ExtKey<'a> {
+    Num(i64),
+    Str(&'a str),
+    Val(&'a Value),
+}
+
+/// A numeric argument (`Int` for ints and dates).
+enum Num {
+    Int(i64),
+    Double(f64),
+}
+
+impl<'a> Acc<'a> {
+    /// An empty accumulator with room for `cap` output values.
+    fn new(func: AggFunc, arg: Option<&'a Column>, cap: usize) -> Acc<'a> {
+        let cap = if arg.is_some() { cap } else { 0 };
+        let out = match (func, arg) {
+            (AggFunc::Count, _) => Out::Counts(Vec::with_capacity(cap)),
+            (AggFunc::Min | AggFunc::Max, Some(col)) => Out::Rows(Vec::with_capacity(cap), col),
+            (AggFunc::Avg, _) | (AggFunc::Sum, Some(Column::Double { .. })) => {
+                Out::Doubles(Vec::with_capacity(cap), Bitmap::default())
             }
-            Some(Value::Double(d)) => {
-                self.float += sign as f64 * d;
-                self.n += sign;
-                self.saw_float = true;
-            }
-            Some(Value::Date(d)) => {
-                self.int += sign * *d as i64;
-                self.n += sign;
-            }
-            _ => {}
-        }
+            (AggFunc::Sum, Some(Column::Mixed { .. })) => Out::Values(Vec::with_capacity(cap)),
+            _ => Out::Ints(Vec::with_capacity(cap), Bitmap::default()),
+        };
+        Acc { func, arg, held: Held::default(), out }
     }
-}
 
-impl AggState for SumState {
-    fn add(&mut self, v: Option<&Value>) {
-        self.apply(v, 1);
-    }
-    fn remove(&mut self, v: Option<&Value>) {
-        self.apply(v, -1);
-    }
-    fn current(&self) -> Value {
-        if self.n == 0 {
-            Value::Null
-        } else if self.saw_float {
-            Value::Double(self.float + self.int as f64)
-        } else {
-            Value::Int(self.int)
-        }
-    }
-    fn reset(&mut self) {
-        *self = SumState { int: 0, float: 0.0, n: 0, saw_float: false };
-    }
-}
-
-struct AvgState {
-    sum: f64,
-    n: i64,
-}
-
-impl AggState for AvgState {
-    fn add(&mut self, v: Option<&Value>) {
-        if let Some(x) = v.and_then(Value::as_f64) {
-            self.sum += x;
-            self.n += 1;
-        }
-    }
-    fn remove(&mut self, v: Option<&Value>) {
-        if let Some(x) = v.and_then(Value::as_f64) {
-            self.sum -= x;
-            self.n -= 1;
-        }
-    }
-    fn current(&self) -> Value {
-        if self.n == 0 {
-            Value::Null
-        } else {
-            Value::Double(self.sum / self.n as f64)
-        }
-    }
-    fn reset(&mut self) {
-        self.sum = 0.0;
-        self.n = 0;
-    }
-}
-
-/// MIN/MAX need a multiset because a value leaving the sweep may not be
-/// the extreme one.
-struct ExtState {
-    vals: BTreeMap<Key, (Value, usize)>,
-    min: bool,
-}
-
-impl AggState for ExtState {
-    fn add(&mut self, v: Option<&Value>) {
-        if let Some(v) = v {
-            if !v.is_null() {
-                self.vals.entry(v.key()).or_insert_with(|| (v.clone(), 0)).1 += 1;
-            }
-        }
-    }
-    fn remove(&mut self, v: Option<&Value>) {
-        if let Some(v) = v {
-            if !v.is_null() {
-                if let Some(e) = self.vals.get_mut(&v.key()) {
-                    e.1 -= 1;
-                    if e.1 == 0 {
-                        self.vals.remove(&v.key());
+    /// Enter (`add`) or leave the row at absolute index `row`.
+    fn step(&mut self, row: usize, add: bool) {
+        let (h, d) = (&mut self.held, if add { 1 } else { -1 });
+        let Some(col) = self.arg else { return };
+        match self.func {
+            AggFunc::Count => h.n += d * col.is_valid(row) as i64,
+            AggFunc::Sum | AggFunc::Avg => {
+                let x = match (num(col, row), self.func) {
+                    (None, _) => return,
+                    (Some(Num::Int(i)), AggFunc::Sum) => {
+                        h.int = if add { h.int.wrapping_add(i) } else { h.int.wrapping_sub(i) };
+                        h.n += d;
+                        return;
                     }
+                    (Some(Num::Int(i)), _) => i as f64,
+                    (Some(Num::Double(x)), _) => {
+                        h.doubles += d;
+                        x
+                    }
+                };
+                if add {
+                    h.sum.add(x)
+                } else {
+                    h.sum.sub(x)
                 }
+                h.n += d;
             }
+            AggFunc::Min | AggFunc::Max => match ext_key(col, row) {
+                None => h.null_row = row as u32,
+                Some(k) => match h.ext.entry(k) {
+                    Entry::Occupied(mut e) if !add => {
+                        e.get_mut().0 -= 1;
+                        if e.get().0 == 0 {
+                            e.remove();
+                        }
+                    }
+                    e => e.or_insert((0, row as u32)).0 += 1,
+                },
+            },
         }
     }
-    fn current(&self) -> Value {
-        let entry =
-            if self.min { self.vals.values().next() } else { self.vals.values().next_back() };
-        entry.map(|(v, _)| v.clone()).unwrap_or(Value::Null)
+
+    /// Append the value over the constant period that just ended.
+    fn emit(&mut self) {
+        let (h, held) = (&self.held, self.held.n > 0);
+        match &mut self.out {
+            Out::Counts(vals) => vals.push(h.n),
+            Out::Ints(vals, ok) => {
+                vals.push(if held { h.int } else { 0 });
+                ok.push(held);
+            }
+            Out::Doubles(vals, ok) => {
+                let avg = self.func == AggFunc::Avg;
+                vals.push(match held {
+                    true if avg => h.sum.value() / h.n as f64,
+                    true => h.sum.value(),
+                    false => 0.0,
+                });
+                ok.push(held);
+            }
+            Out::Rows(rows, _) => {
+                let mut held = h.ext.values();
+                let ext = if self.func == AggFunc::Min { held.next() } else { held.next_back() };
+                rows.push(ext.map_or(h.null_row, |&(_, row)| row));
+            }
+            Out::Values(vals) => vals.push(match (held, h.doubles > 0) {
+                (false, _) => Value::Null,
+                (true, false) => Value::Int(h.int),
+                (true, true) => {
+                    let mut sum = h.sum.clone();
+                    sum.add(h.int as f64);
+                    Value::Double(sum.value())
+                }
+            }),
+        }
     }
-    fn reset(&mut self) {
-        self.vals.clear();
+
+    /// The output column; `held` has the rows holding each period, which
+    /// is `COUNT(*)`, and the length of an aggregate with nothing to read.
+    fn finish(self, held: &Arc<Vec<i64>>) -> Column {
+        let valid = |ok: Bitmap| (ok.count_valid(0, ok.len()) < ok.len()).then(|| Arc::new(ok));
+        match (self.arg, self.out) {
+            (None, Out::Counts(_)) => Column::Int { vals: held.clone(), valid: None },
+            (None, _) => Column::from_values(vec![Value::Null; held.len()]),
+            (_, Out::Counts(vals)) => Column::Int { vals: Arc::new(vals), valid: None },
+            (_, Out::Ints(vals, ok)) => Column::Int { vals: Arc::new(vals), valid: valid(ok) },
+            (_, Out::Doubles(vals, ok)) => {
+                Column::Double { vals: Arc::new(vals), valid: valid(ok) }
+            }
+            (_, Out::Rows(rows, col)) => col.gather(&rows),
+            (_, Out::Values(vals)) => Column::from_values(vals),
+        }
     }
+}
+
+/// The numeric value of `col` at absolute row `row`; `None` for NULLs and
+/// strings.
+fn num(col: &Column, row: usize) -> Option<Num> {
+    if !col.is_valid(row) {
+        return None;
+    }
+    match col {
+        Column::Int { vals, .. } | Column::Date { vals, .. } => Some(Num::Int(vals[row])),
+        Column::Double { vals, .. } => Some(Num::Double(vals[row])),
+        Column::Str { .. } => None,
+        Column::Mixed { vals } => match vals[row] {
+            Value::Int(i) => Some(Num::Int(i)),
+            Value::Date(d) => Some(Num::Int(d as i64)),
+            Value::Double(x) => Some(Num::Double(x)),
+            _ => None,
+        },
+    }
+}
+
+/// The MIN / MAX key of `col` at absolute row `row`; `None` for NULLs.
+fn ext_key(col: &Column, row: usize) -> Option<ExtKey<'_>> {
+    if !col.is_valid(row) {
+        return None;
+    }
+    Some(match col {
+        Column::Int { vals, .. } | Column::Date { vals, .. } => ExtKey::Num(vals[row]),
+        Column::Double { vals, .. } => {
+            let bits = (vals[row] + 0.0).to_bits() as i64;
+            ExtKey::Num(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+        }
+        Column::Str { codes, dict, .. } => ExtKey::Str(&dict[codes[row] as usize]),
+        Column::Mixed { vals } => ExtKey::Val(&vals[row]),
+    })
 }
 
 #[cfg(test)]
@@ -543,7 +539,7 @@ mod tests {
     use crate::scan::VecScan;
     use crate::testutil::figure3_position;
     use proptest::prelude::*;
-    use tango_algebra::{tup, Attr, Relation, SortSpec};
+    use tango_algebra::{tup, Attr, Day, Relation, SortSpec, Tuple};
 
     /// Figure 3(c): the aggregation result of the paper's example.
     #[test]
@@ -675,7 +671,150 @@ mod tests {
         assert_eq!(bytes(got.tuples()), bytes(&expected));
     }
 
+    /// The argument column of [`every_aggregate_matches_pointwise`]: one
+    /// of the four types, or ints and doubles in one column (`Mixed`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum ArgKind {
+        Int,
+        Date,
+        Double,
+        Str,
+        Mixed,
+    }
+
+    /// The draw that reads NULL (an argument or a `T1`).
+    const NULL_DRAW: i64 = -5;
+
+    fn draw_arg(kind: ArgKind, k: i64) -> Value {
+        match kind {
+            _ if k == NULL_DRAW => Value::Null,
+            ArgKind::Int => Value::Int(k),
+            ArgKind::Date => Value::Date(k as Day),
+            ArgKind::Double => Value::Double(k as f64 * 0.1),
+            ArgKind::Str => Value::Str(["b", "a", "", "ab", "c"][k.rem_euclid(5) as usize].into()),
+            ArgKind::Mixed if k % 2 == 0 => Value::Int(k),
+            ArgKind::Mixed => Value::Double(k as f64 * 0.3),
+        }
+    }
+
+    /// The aggregate `f` by its definition, over the argument values of
+    /// the rows that hold one time point.
+    fn by_definition(f: AggFunc, held: &[Value]) -> Value {
+        let vals: Vec<&Value> = held.iter().filter(|v| !v.is_null()).collect();
+        let nums: Vec<f64> = vals.iter().filter_map(|v| v.as_f64()).collect();
+        let mut exact = ExactSum::default();
+        nums.iter().for_each(|&x| exact.add(x));
+        let ints = vals.iter().all(|v| v.as_int().is_some());
+        match f {
+            AggFunc::Count => Value::Int(vals.len() as i64),
+            AggFunc::Sum | AggFunc::Avg if nums.is_empty() => Value::Null,
+            AggFunc::Sum if ints => Value::Int(vals.iter().filter_map(|v| v.as_int()).sum()),
+            AggFunc::Sum => Value::Double(exact.value()),
+            AggFunc::Avg => Value::Double(exact.value() / nums.len() as f64),
+            AggFunc::Min => vals.iter().min().map_or(Value::Null, |v| (*v).clone()),
+            AggFunc::Max => vals.iter().max().map_or(Value::Null, |v| (*v).clone()),
+        }
+    }
+
     proptest! {
+        /// Every aggregate, over every argument type with NULLs, over Int
+        /// and Date periods with NULL and empty ones, under 0–2 grouping
+        /// columns, at three input batch sizes, from a row-layout input
+        /// and from a columnar one that starts mid-column: at every time
+        /// point, exactly one output row of a group covers the point iff
+        /// a row of the group holds it, and its values — type included —
+        /// are the aggregates of the rows holding it.
+        #[test]
+        fn every_aggregate_matches_pointwise(
+            raw in proptest::collection::vec((-1i64..3, 0usize..2, -5i64..6, -5i64..20, -2i64..8), 0..40),
+            kind in prop::sample::select(vec![ArgKind::Int, ArgKind::Date, ArgKind::Double, ArgKind::Str, ArgKind::Mixed]),
+            date_periods in prop::sample::select(vec![false, true]),
+            width in 0usize..3,
+            batch_rows in prop::sample::select(vec![1usize, 7, 1024]),
+            columnar in prop::sample::select(vec![false, true]),
+        ) {
+            let day = |d: i64| if date_periods { Value::Date(d as Day) } else { Value::Int(d) };
+            let rows: Vec<Tuple> = raw
+                .iter()
+                .map(|&(g1, g2, a, t1, len)| {
+                    let (t1, t2) = match (t1, len) {
+                        (NULL_DRAW, _) => (Value::Null, day(3)),
+                        (_, 7) => (day(t1), Value::Null),
+                        _ => (day(t1), day(t1 + len)),
+                    };
+                    let g1 = if g1 < 0 { Value::Null } else { Value::Int(g1) };
+                    tup![g1, ["x", "y"][g2], draw_arg(kind, a), t1, t2]
+                })
+                .collect();
+            let (t_ty, a_ty) = (if date_periods { Type::Date } else { Type::Int }, match kind {
+                ArgKind::Int => Type::Int,
+                ArgKind::Date => Type::Date,
+                ArgKind::Str => Type::Str,
+                ArgKind::Double | ArgKind::Mixed => Type::Double,
+            });
+            let attrs = vec![
+                Attr::new("G1", Type::Int),
+                Attr::new("G2", Type::Str),
+                Attr::new("A", a_ty),
+                Attr::new("T1", t_ty),
+                Attr::new("T2", t_ty),
+            ];
+            let group_by: Vec<String> = ["G1", "G2"][..width].iter().map(|g| g.to_string()).collect();
+            let order: Vec<&str> = group_by.iter().map(String::as_str).chain(["T1"]).collect();
+            let mut rel = Relation::new(Arc::new(Schema::with_inferred_period(attrs)), rows.clone());
+            rel.sort_by(&SortSpec::by(order.iter().copied()));
+            let input: BoxCursor = if columnar {
+                // a columnar entry whose rows start one row into its columns
+                let schema = rel.schema().clone();
+                let mut padded = vec![tup![0, "x", Value::Null, day(0), day(1)]];
+                padded.extend(rel.into_tuples());
+                let n = padded.len() - 1;
+                Box::new(crate::scan::CachedScan::new(Batch::new(schema, padded).columnarize().slice(1, n)))
+            } else {
+                Box::new(VecScan::new(rel))
+            };
+            let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
+            let mut aggs = vec![AggSpec::count_star("N")];
+            aggs.extend(funcs.iter().map(|&f| AggSpec::new(f, Some("A"), f.sql())));
+            let agg = TemporalAggregate::with_batch_rows(input, group_by.clone(), aggs, batch_rows).unwrap();
+            let got = collect(Box::new(agg)).unwrap();
+            let out = got.tuples();
+            prop_assert!(got.is_sorted_by(&SortSpec::by(order.iter().copied())));
+            for o in out {
+                prop_assert_eq!(o[width].ty(), Some(t_ty));
+                prop_assert!(o[width].as_int() < o[width + 1].as_int(), "empty output period {o:?}");
+            }
+            let key = |t: &Tuple| t.values()[..width].to_vec();
+            let covers = |t: &Tuple, lo: usize, at: i64| {
+                matches!((t[lo].as_int(), t[lo + 1].as_int()), (Some(a), Some(b)) if a <= at && at < b)
+            };
+            for row in &rows {
+                for at in -6..30 {
+                    let held: Vec<Value> = rows
+                        .iter()
+                        .filter(|r| key(r) == key(row) && covers(r, 3, at))
+                        .map(|r| r[2].clone())
+                        .collect();
+                    let covering: Vec<&Tuple> =
+                        out.iter().filter(|o| key(o) == key(row) && covers(o, width, at)).collect();
+                    if held.is_empty() {
+                        prop_assert!(covering.is_empty(), "t={at}: no row holds, yet {covering:?}");
+                        continue;
+                    }
+                    prop_assert_eq!(covering.len(), 1, "t={}: {:?}", at, covering);
+                    let o = covering[0];
+                    prop_assert_eq!(&o[width + 2], &Value::Int(held.len() as i64));
+                    for (i, &f) in funcs.iter().enumerate() {
+                        let (want, got) = (by_definition(f, &held), &o[width + 3 + i]);
+                        prop_assert!(
+                            got == &want && got.ty() == want.ty(),
+                            "{} at t={at} over {held:?}: got {got:?}, want {want:?}", f.sql()
+                        );
+                    }
+                }
+            }
+        }
+
         /// Invariant: at every time point, the COUNT reported by the
         /// constant-period output equals the number of input tuples of
         /// that group whose period contains the point.

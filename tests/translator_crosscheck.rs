@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tango::algebra::{tup, AggFunc, AggSpec, Attr, Relation, Schema, SortSpec, Type};
+use tango::algebra::{tup, AggFunc, AggSpec, Attr, Relation, Schema, SortSpec, Type, Value};
 use tango::core::phys::{Algo, PhysNode};
 use tango::core::to_sql::render_select;
 use tango::minidb::{Connection, Database, Link, LinkProfile};
@@ -34,8 +34,82 @@ fn db_with(rows: &[Row]) -> Connection {
     Connection::new(db)
 }
 
+/// (PosID, Pay or NULL, T1, T2): an input with a DOUBLE argument.
+type PayRow = (i64, Option<f64>, i32, i32);
+
+fn pay_schema() -> Schema {
+    Schema::with_inferred_period(vec![
+        Attr::new("PosID", Type::Int),
+        Attr::new("Pay", Type::Double),
+        Attr::new("T1", Type::Int),
+        Attr::new("T2", Type::Int),
+    ])
+}
+
+/// `TAGGR^M` and `TAGGR^D` (the SQL the translator renders, run by the
+/// DBMS) over the same `PayRow`s, grouped on PosID.
+fn taggr_both_ways(rows: &[PayRow], aggs: Vec<AggSpec>) -> (Relation, Relation, String) {
+    let pay = |p: Option<f64>| p.map_or(Value::Null, Value::Double);
+    let tuples = rows.iter().map(|&(g, p, a, b)| tup![g, pay(p), a, b]).collect();
+    let rel = Relation::new(Arc::new(pay_schema()), tuples);
+    let db = Database::new(Link::new(LinkProfile::instant()));
+    db.create_table("R", pay_schema()).unwrap();
+    db.insert_rows("R", rel.clone().into_tuples()).unwrap();
+    let mut sorted = rel;
+    sorted.sort_by(&SortSpec::by(["PosID", "T1"]));
+    let group_by = vec!["PosID".to_string()];
+    let agg =
+        TemporalAggregate::new(Box::new(VecScan::new(sorted)), group_by.clone(), aggs.clone());
+    let mid = collect(Box::new(agg.unwrap())).unwrap();
+    let scan = PhysNode::scan("R", pay_schema());
+    let sql_node = PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![scan]).unwrap();
+    let sql = render_select(&sql_node).unwrap();
+    let dbms = Connection::new(db).query_all(&sql).unwrap();
+    (mid, dbms, sql)
+}
+
+fn every_pay_aggregate() -> Vec<AggSpec> {
+    [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
+        .into_iter()
+        .map(|f| AggSpec::new(f, Some("Pay"), f.sql()))
+        .collect()
+}
+
+/// A running `f64` sum drifts as the sweep adds and removes values: on
+/// [5, 10) only the 0.1 row holds, but 0.1 + 0.2 + 0.3 − 0.2 − 0.3 is
+/// 0.10000000000000009. Both placements must read exactly 0.1.
+#[test]
+fn taggr_sum_over_double_has_no_drift() {
+    let rows = [(1, Some(0.1), 0, 10), (1, Some(0.2), 1, 3), (1, Some(0.3), 2, 5)];
+    let aggs = vec![
+        AggSpec::new(AggFunc::Sum, Some("Pay"), "S"),
+        AggSpec::new(AggFunc::Avg, Some("Pay"), "A"),
+    ];
+    let (mid, dbms, sql) = taggr_both_ways(&rows, aggs);
+    assert!(mid.multiset_eq(&dbms), "sql: {sql}\nmid:\n{mid}\ndbms:\n{dbms}");
+    let last = mid.tuples().last().unwrap();
+    assert_eq!((last[1].as_int(), last[2].as_int()), (Some(5), Some(10)));
+    assert_eq!(last[3].as_f64(), Some(0.1));
+    assert_eq!(last[4].as_f64(), Some(0.1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// TAGGR^M vs TAGGR^D for every aggregate over a DOUBLE column with
+    /// NULLs: the two placements agree to the bit.
+    #[test]
+    fn taggr_every_aggregate_over_double(
+        raw in proptest::collection::vec((0i64..4, -5i64..20, 0i32..25, 1i32..10), 1..30),
+    ) {
+        let pay = |k: i64| (k != -5).then_some(k as f64 * 0.1);
+        let rows: Vec<PayRow> = raw.into_iter().map(|(p, k, a, d)| (p, pay(k), a, a + d)).collect();
+        let (mid, dbms, sql) = taggr_both_ways(&rows, every_pay_aggregate());
+        prop_assert!(
+            mid.multiset_eq(&dbms),
+            "taggr diverged\nsql: {sql}\nmid:\n{mid}\ndbms:\n{dbms}"
+        );
+    }
 
     /// TAGGR^M vs the constant-period SQL of TAGGR^D.
     #[test]
