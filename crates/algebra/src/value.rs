@@ -233,12 +233,56 @@ impl Value {
 /// Hashable key form of [`Value`]. Integer-like values (ints, dates and
 /// integral doubles) share the `Num` variant so `Int(5)` and `Date(5)`
 /// join/group together, mirroring the numeric comparison semantics.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Ordered as [`Value::total_cmp`] orders the values: `NULL` first, then
+/// every numeric key by its value, then strings — so a B-tree over keys
+/// answers a numeric range.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Key {
     Null,
     Num(i64),
+    /// A non-integral (or out-of-range) double, as the `total_cmp` bit
+    /// pattern of [`Value::key`].
     Float(i64),
     Str(String),
+}
+
+impl Key {
+    /// The double a `Float` key was made from.
+    #[inline]
+    fn float(norm: i64) -> f64 {
+        f64::from_bits(if norm < 0 { norm & i64::MAX } else { !norm } as u64)
+    }
+}
+
+impl Ord for Key {
+    // inlined across crates: ANALYZE and index builds sort millions of
+    // keys
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn rank(k: &Key) -> u8 {
+            match k {
+                Key::Null => 0,
+                Key::Num(_) | Key::Float(_) => 1,
+                Key::Str(_) => 2,
+            }
+        }
+        match (self, other) {
+            (Key::Num(a), Key::Num(b)) => a.cmp(b),
+            (Key::Str(a), Key::Str(b)) => a.cmp(b),
+            // the bit pattern orders as `f64::total_cmp` when unsigned
+            (Key::Float(a), Key::Float(b)) => (*a as u64).cmp(&(*b as u64)),
+            (Key::Num(a), Key::Float(b)) => (*a as f64).total_cmp(&Key::float(*b)),
+            (Key::Float(a), Key::Num(b)) => Key::float(*a).total_cmp(&(*b as f64)),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+impl PartialOrd for Key {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl PartialEq for Value {
@@ -328,6 +372,27 @@ mod tests {
     #[test]
     fn integer_division_overflow_wraps() {
         assert_eq!(Value::Int(i64::MIN).div(&Value::Int(-1)).unwrap(), Value::Int(i64::MIN));
+    }
+
+    proptest::proptest! {
+        /// Keys order as their values do, whatever mix of INT, DATE and
+        /// DOUBLE (negative, fractional, integral, huge, infinite, NaN)
+        /// meets. `-0.0` is left out: it keys as `0`, equal to `0.0` as
+        /// `Eq` and `Hash` require, where `total_cmp` orders it below.
+        #[test]
+        fn keys_order_as_total_cmp(a in 0usize..64, b in 0usize..64, x in -400i64..400, y in -400i64..400) {
+            let value = |pick: usize, n: i64| match pick % 8 {
+                0 => Value::Int(n),
+                1 => Value::Date(n as Day),
+                2 => Value::Double(n as f64),
+                3 | 4 => Value::Double(n as f64 / 8.0 + 0.01),
+                5 => Value::Double(n as f64 * 1e17),
+                6 => Value::Double([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX][n.rem_euclid(4) as usize]),
+                _ => Value::Int(n * (1 << 50)),
+            };
+            let (a, b) = (value(a, x), value(b, y));
+            proptest::prop_assert_eq!(a.key().cmp(&b.key()), a.total_cmp(&b), "{:?} vs {:?}", a, b);
+        }
     }
 
     #[test]

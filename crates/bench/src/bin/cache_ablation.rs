@@ -18,9 +18,10 @@
 
 use std::time::Duration;
 use tango_algebra::date::day;
-use tango_bench::plans::{placement_summary, q2_sql};
+use tango_bench::plans::placement_summary;
 use tango_bench::{load_uis, time_query_report, uis_link_profile, Table};
 use tango_trace::json::Object;
+use tango_uis::queries::q2_sql;
 use tango_uis::UisConfig;
 
 const WARM_RUNS: usize = 3;

@@ -15,9 +15,10 @@
 
 use std::time::Duration;
 use tango_algebra::date::day;
-use tango_bench::plans::{placement_summary, q2_plans, q2_sql, q3_plans, q3_sql, PlanBuilder};
+use tango_bench::plans::{placement_summary, q2_plans, q3_plans, PlanBuilder};
 use tango_bench::{load_uis, time_plan, uis_link_profile};
 use tango_core::cost::CostFactors;
+use tango_uis::queries::{q2_sql, q3_sql};
 use tango_uis::UisConfig;
 
 fn main() {

@@ -14,10 +14,11 @@
 //! Usage: `cargo run --release -p tango-bench --bin fig10_query2 [--small]`
 
 use tango_algebra::date::day;
-use tango_bench::plans::{placement_summary, q2_plans, q2_sql, PlanBuilder};
+use tango_bench::plans::{placement_summary, q2_plans, PlanBuilder};
 use tango_bench::{
     load_uis, time_plan_report, time_query_report, uis_link_profile, JsonLog, Table,
 };
+use tango_uis::queries::q2_sql;
 use tango_uis::UisConfig;
 
 fn main() {

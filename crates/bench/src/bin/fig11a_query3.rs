@@ -13,10 +13,11 @@
 //! Usage: `cargo run --release -p tango-bench --bin fig11a_query3 [--small]`
 
 use tango_algebra::date::day;
-use tango_bench::plans::{placement_summary, q3_plans, q3_sql, PlanBuilder};
+use tango_bench::plans::{placement_summary, q3_plans, PlanBuilder};
 use tango_bench::{
     load_uis, time_plan_report, time_query_report, uis_link_profile, JsonLog, Table,
 };
+use tango_uis::queries::q3_sql;
 use tango_uis::UisConfig;
 
 fn main() {

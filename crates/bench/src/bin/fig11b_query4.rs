@@ -10,11 +10,12 @@
 //! Usage: `cargo run --release -p tango-bench --bin fig11b_query4 [--small]`
 
 use std::time::Instant;
-use tango_bench::plans::{placement_summary, q4_dbms_sql, q4_plan1, q4_sql, PlanBuilder};
+use tango_bench::plans::{placement_summary, q4_dbms_sql, q4_plan1, PlanBuilder};
 use tango_bench::setup::load_position_variant;
 use tango_bench::{
     load_uis, time_plan_report, time_query_report, uis_link_profile, JsonLog, Table,
 };
+use tango_uis::queries::q4_sql;
 use tango_uis::{UisConfig, POSITION_VARIANTS};
 
 fn main() {

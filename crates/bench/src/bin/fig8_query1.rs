@@ -8,11 +8,12 @@
 //!
 //! Usage: `cargo run --release -p tango-bench --bin fig8_query1 [--small]`
 
-use tango_bench::plans::{placement_summary, q1_plans, q1_sql, PlanBuilder};
+use tango_bench::plans::{placement_summary, q1_plans, PlanBuilder};
 use tango_bench::setup::load_position_variant;
 use tango_bench::{
     load_uis, time_plan_report, time_query_report, uis_link_profile, JsonLog, Table,
 };
+use tango_uis::queries::q1_sql;
 use tango_uis::{UisConfig, POSITION_VARIANTS};
 
 fn main() {

@@ -24,8 +24,9 @@
 //! Usage: `cargo run --release -p tango-bench --bin optimizer_stats [--no-pushdown] [--small] [--check]`
 
 use tango_algebra::date::day;
-use tango_bench::plans::{placement_summary, q1_sql, q2_sql, q3_sql, q4_sql};
+use tango_bench::plans::placement_summary;
 use tango_bench::{load_uis, uis_link_profile};
+use tango_uis::queries::{q1_sql, q2_sql, q3_sql, q4_sql};
 use tango_uis::UisConfig;
 
 fn main() {

@@ -13,9 +13,10 @@
 //! Usage: `cargo run --release -p tango-bench --bin wire_ablation`
 
 use std::time::Instant;
-use tango_bench::plans::{placement_summary, q1_sql};
+use tango_bench::plans::placement_summary;
 use tango_bench::setup::load_uis;
 use tango_minidb::{LinkProfile, WireMode};
+use tango_uis::queries::q1_sql;
 use tango_uis::UisConfig;
 
 fn main() {

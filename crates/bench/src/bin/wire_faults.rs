@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use tango_algebra::date::day;
 use tango_algebra::Relation;
-use tango_bench::plans::{q1_sql, q2_sql, q3_sql, q4_sql};
 use tango_bench::setup::{load_uis, uis_link_profile};
 use tango_minidb::FaultPlan;
+use tango_uis::queries::{q1_sql, q2_sql, q3_sql, q4_sql};
 use tango_uis::UisConfig;
 
 fn main() {

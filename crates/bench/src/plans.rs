@@ -1,8 +1,8 @@
 //! Hand-built physical plans replicating the exact plan shapes of
-//! Figures 7, 9 and the Query 3/4 plan pairs of the paper, plus the
-//! temporal-SQL texts used for the "optimizer's choice" series.
+//! Figures 7, 9 and the Query 3/4 plan pairs of the paper. The
+//! temporal-SQL texts of the "optimizer's choice" series are
+//! `tango_uis::queries`.
 
-use tango_algebra::date::format_date;
 use tango_algebra::{AggFunc, AggSpec, CmpOp, Day, Expr, ProjItem, SortSpec, Value};
 use tango_core::phys::{Algo, PhysNode};
 use tango_minidb::Connection;
@@ -49,13 +49,6 @@ fn proj_cols(cols: &[&str]) -> Vec<ProjItem> {
 // ====================================================================
 // Query 1 (Figure 7): temporal aggregation over POSITION, sorted output
 // ====================================================================
-
-pub fn q1_sql(table: &str) -> String {
-    format!(
-        "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM {table} \
-         GROUP BY PosID ORDER BY PosID"
-    )
-}
 
 /// The three plans of Figure 7.
 pub fn q1_plans(b: &PlanBuilder, table: &str) -> Vec<(&'static str, PhysNode)> {
@@ -104,19 +97,6 @@ pub fn q1_plans(b: &PlanBuilder, table: &str) -> Vec<(&'static str, PhysNode)> {
 // ====================================================================
 // Query 2 (Figure 9): window + payrate selection, taggr ⋈ᵀ POSITION
 // ====================================================================
-
-pub fn q2_sql(start: Day, end: Day) -> String {
-    format!(
-        "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
-           (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
-           POSITION P \
-         WHERE A.PosID = P.PosID AND P.PayRate > 10 \
-           AND T1 < DATE '{}' AND T2 > DATE '{}' \
-         ORDER BY P.PosID",
-        format_date(end),
-        format_date(start),
-    )
-}
 
 /// The six plans discussed for Query 2 (four shown in Figure 9 plus the
 /// unpushed-selection and all-DBMS variants).
@@ -268,15 +248,6 @@ pub fn q2_plans(b: &PlanBuilder, start: Day, end: Day) -> Vec<(&'static str, Phy
 // Query 3 (Figure 11a): temporal self-join
 // ====================================================================
 
-pub fn q3_sql(bound: Day) -> String {
-    format!(
-        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < DATE '{0}' AND B.T1 < DATE '{0}' \
-         ORDER BY A.PosID",
-        format_date(bound),
-    )
-}
-
 pub fn q3_plans(b: &PlanBuilder, bound: Day) -> Vec<(&'static str, PhysNode)> {
     let sel = Expr::cmp(CmpOp::Lt, Expr::col("T1"), Expr::Lit(Value::Date(bound)));
     let side = || {
@@ -316,13 +287,6 @@ pub fn q3_plans(b: &PlanBuilder, bound: Day) -> Vec<(&'static str, PhysNode)> {
 // ====================================================================
 // Query 4 (Figure 11b): regular join POSITION ⋈ EMPLOYEE
 // ====================================================================
-
-pub fn q4_sql(pos_table: &str) -> String {
-    format!(
-        "SELECT P.PosID, E.EmpName, E.Address FROM {pos_table} P, EMPLOYEE E \
-         WHERE P.EmpID = E.EmpID ORDER BY P.PosID"
-    )
-}
 
 /// Plan 1 of Figure 11(b): sort + merge join + projection in the
 /// middleware. Plans 2/3 are forced DBMS join methods — issued as hinted

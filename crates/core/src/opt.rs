@@ -494,36 +494,14 @@ mod tests {
 
     use super::*;
     use crate::{collector, tsql};
-    use tango_algebra::date::{day, format_date};
+    use tango_algebra::date::day;
     use tango_minidb::{Connection, Database, Link, LinkProfile};
+    use tango_uis::queries::{q1_sql, q2_sql, q3_sql, q4_sql};
     use tango_uis::{generate_employee, generate_position, UisConfig};
 
     fn figure_queries() -> [String; 4] {
-        let date = |y| format_date(day(y, 1, 1));
-        [
-            "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-             GROUP BY PosID ORDER BY PosID"
-                .to_string(),
-            format!(
-                "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
-                   (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
-                   POSITION P \
-                 WHERE A.PosID = P.PosID AND P.PayRate > 10 \
-                   AND T1 < DATE '{}' AND T2 > DATE '{}' \
-                 ORDER BY P.PosID",
-                date(1996),
-                date(1983),
-            ),
-            format!(
-                "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-                 WHERE A.PosID = B.PosID AND A.T1 < DATE '{0}' AND B.T1 < DATE '{0}' \
-                 ORDER BY A.PosID",
-                date(1996),
-            ),
-            "SELECT P.PosID, E.EmpName, E.Address FROM POSITION P, EMPLOYEE E \
-             WHERE P.EmpID = E.EmpID ORDER BY P.PosID"
-                .to_string(),
-        ]
+        let date = |y| day(y, 1, 1);
+        [q1_sql("POSITION"), q2_sql(date(1983), date(1996)), q3_sql(date(1996)), q4_sql("POSITION")]
     }
 
     /// The UIS tables at `UisConfig::small`, analyzed, and their catalog.

@@ -166,6 +166,10 @@ fn render(node: &PhysNode) -> Result<Rendered> {
             let mut conds: Vec<String> = eq.iter().map(|(a, b)| format!("A.{a} = B.{b}")).collect();
             conds.push(format!("A.{lt1} < B.{rt2}"));
             conds.push(format!("A.{lt2} > B.{rt1}"));
+            // a row whose period is empty holds at no time point, so it
+            // joins nothing (as in `TMERGEJOIN^M`)
+            conds.push(format!("A.{lt1} < A.{lt2}"));
+            conds.push(format!("B.{rt1} < B.{rt2}"));
             Rendered::Query(format!(
                 "SELECT {} FROM {}, {} WHERE {}",
                 sel.join(", "),
@@ -197,7 +201,7 @@ fn render(node: &PhysNode) -> Result<Rendered> {
 /// Structure (for grouping attributes `g…` over argument `R`):
 ///
 /// 1. `points` — the distinct period endpoints per group
-///    (`T1 ∪ T2`);
+///    (`T1 ∪ T2`) of the rows whose period holds at some time point;
 /// 2. `cp` — candidate constant periods: each point paired with the next
 ///    point of the same group (`MIN` over later points);
 /// 3. outer query — joins candidate periods back to `R`, keeping periods
@@ -218,8 +222,11 @@ fn taggr_sql(
             .collect::<Vec<_>>()
             .join(", ")
     };
+    // a row whose period is empty or has a NULL endpoint holds at no
+    // time point, so its endpoints bound no constant period
     let points = format!(
-        "SELECT DISTINCT {}{}{t1} AS t FROM {} UNION SELECT DISTINCT {}{}{t2} FROM {}",
+        "SELECT DISTINCT {}{}{t1} AS t FROM {} WHERE {t1} < {t2} \
+         UNION SELECT DISTINCT {}{}{t2} FROM {} WHERE {t1} < {t2}",
         g_sel(""),
         if group_by.is_empty() { "" } else { ", " },
         child.from_clause("XP1"),

@@ -658,6 +658,45 @@ mod tests {
         assert_eq!(*heap, rows, "a statement must leave the heap as it was");
     }
 
+    /// An index range scan walks its B-tree in key order, which must be
+    /// the numeric order the unindexed scan compares in: a fractional
+    /// bound against an INT index, and negative and integral values in a
+    /// DOUBLE index.
+    #[test]
+    fn index_range_scans_order_ints_and_doubles_numerically() {
+        let db = Database::in_memory();
+        let schema = Schema::new(vec![Attr::new("K", Type::Int), Attr::new("D", Type::Double)]);
+        db.create_table("R", schema).unwrap();
+        let rows = [(1, 0.5), (2, -0.5), (3, 1.0), (4, 2.5)];
+        db.insert_rows("R", rows.iter().map(|&(k, d)| tup![k, Value::Double(d)]).collect())
+            .unwrap();
+        let ks = |sql: &str| -> Vec<Value> {
+            let inner = db.inner.read();
+            let mut got: Vec<Value> = run(&plan(&inner, sql), &inner)
+                .unwrap()
+                .into_tuples()
+                .into_iter()
+                .map(|t| t[0].clone())
+                .collect();
+            got.sort();
+            got
+        };
+        let cases = [("D < 0.7", vec![1, 2]), ("K < 2.5", vec![1, 2]), ("D >= 1", vec![3, 4])];
+        let scanned: Vec<_> =
+            cases.iter().map(|(pred, _)| ks(&format!("SELECT * FROM R WHERE {pred}"))).collect();
+        db.create_index("IK", "R", "K").unwrap();
+        db.create_index("ID", "R", "D").unwrap();
+        for ((pred, want), scanned) in cases.iter().zip(scanned) {
+            let sql = format!("SELECT * FROM R WHERE {pred}");
+            let inner = db.inner.read();
+            assert!(matches!(plan(&inner, &sql).op, PlanOp::IndexScan { .. }), "{sql}");
+            drop(inner);
+            let want: Vec<Value> = want.iter().map(|&k| Value::Int(k)).collect();
+            assert_eq!(scanned, want, "unindexed {sql}");
+            assert_eq!(ks(&sql), want, "indexed {sql}");
+        }
+    }
+
     /// One generated statement over `R(K, S, T1, T2)`, or over the
     /// self-join `R A, R B` on `K`, with the reference answer the test
     /// computes itself from the rows.

@@ -18,6 +18,7 @@
 //! Generation is deterministic for a given seed.
 
 pub mod figure3;
+pub mod queries;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -13,12 +13,12 @@
 //! cardinalities, and splice the flipped plan in — without changing a
 //! single result byte.
 
-use proptest::prelude::*;
+mod support;
+
 use std::sync::Arc;
+use support::{position_db, wire_fitted, Row};
 use tango::algebra::{tup, Attr, Schema, SortSpec, Type, Value};
-use tango::minidb::{
-    Connection, Database, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode,
-};
+use tango::minidb::{Database, Fault, FaultPlan, LinkProfile, RetryPolicy, WireMode};
 use tango::Tango;
 
 /// Valid-time domain of the fixture (days).
@@ -53,18 +53,6 @@ fn slow_wire() -> LinkProfile {
 /// unique. `POSINFO(PosID, Info)`: one wide dossier row per position.
 /// Deterministic xorshift so the fixture can never drift.
 fn rescue_db(profile: LinkProfile, positions: usize, versions: usize) -> Database {
-    let db = Database::new(Link::new(profile));
-    let position = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    db.create_table("POSITION", position).unwrap();
-    let posinfo = Schema::new(vec![Attr::new("PosID", Type::Int), Attr::new("Info", Type::Str)]);
-    db.create_table("POSINFO", posinfo).unwrap();
-
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     let mut step = || {
         x ^= x << 13;
@@ -73,7 +61,7 @@ fn rescue_db(profile: LinkProfile, positions: usize, versions: usize) -> Databas
         x
     };
     let stride = DOMAIN / versions as i64;
-    let mut rows = Vec::with_capacity(positions * versions);
+    let mut rows: Vec<Row> = Vec::with_capacity(positions * versions);
     for p in 0..positions as i64 {
         for v in 0..versions as i64 {
             // each version lives in its own stratum of the domain, so T1
@@ -81,34 +69,19 @@ fn rescue_db(profile: LinkProfile, positions: usize, versions: usize) -> Databas
             let t1 = v * stride + (step() % (stride as u64 - 40).max(1)) as i64;
             let t2 = t1 + 1 + (step() % 39) as i64;
             let emp = (step() % (positions as u64 * 2)) as i64;
-            rows.push(tup![p, emp, Value::Double((step() % 100) as f64 / 2.0), t1, t2]);
+            rows.push((p, emp, (step() % 100) as f64 / 2.0, t1 as i32, t2 as i32));
         }
     }
-    db.insert_rows("POSITION", rows).unwrap();
+    let db = position_db(profile, &rows);
+    let posinfo = Schema::new(vec![Attr::new("PosID", Type::Int), Attr::new("Info", Type::Str)]);
+    db.create_table("POSINFO", posinfo).unwrap();
     let dossier: Vec<_> = (0..positions as i64)
         .map(|p| tup![p, Value::Str(format!("dossier-{p:06}-{}", "x".repeat(140)))])
         .collect();
     db.insert_rows("POSINFO", dossier).unwrap();
-    let conn = Connection::new(db.clone());
-    conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
-    conn.execute("ANALYZE TABLE POSINFO COMPUTE STATISTICS").unwrap();
+    db.analyze("POSINFO").unwrap();
+    db.link().reset();
     db
-}
-
-/// Cost factors fitted to the fixture's slow virtual wire — pinned, not
-/// measured by `calibrate()`, so the chosen plans (and hence the
-/// assertions below) never depend on how loaded the test machine is.
-/// The values approximate a calibration run against [`slow_wire`]:
-/// transfers are expensive per byte, DBMS-side work is cheap.
-fn rescue_factors() -> tango::core::cost::CostFactors {
-    tango::core::cost::CostFactors {
-        p_tm: 5.0,
-        p_td: 4.5,
-        p_td_fixed: 200.0,
-        p_jd: 0.06,
-        p_mjm: 0.02,
-        ..Default::default()
-    }
 }
 
 /// A session with the cache disabled (every run pays the true wire
@@ -175,7 +148,8 @@ fn parse_divergence(detail: &str) -> f64 {
 #[test]
 fn misestimate_rescue_flips_placement_mid_query() {
     let db = rescue_db(slow_wire(), 200, 30);
-    let factors = rescue_factors();
+    // pinned factors approximating a calibration against `slow_wire`
+    let factors = wire_fitted();
 
     // ground truth: accurate joint estimator, no adaptivity
     let (truth, truth_report) = session_with(&db, factors, false, None).query(RESCUE_SQL).unwrap();
@@ -435,84 +409,5 @@ fn retried_faults_leave_the_rescue_intact() {
             "more than one cardinality re-plan under fault at +{lag}:\n{}",
             report.optimized.explain_analyze(&report.exec, true)
         );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Differential property: adaptive ≡ non-adaptive
-// ---------------------------------------------------------------------
-
-/// Query shapes whose plans exercise every pipeline-breaker kind the
-/// stager knows: `TRANSFER^M` (conventional join), `TAGGR^M` (temporal
-/// aggregation), and the middleware sorts that appear between a join and
-/// an aggregate (`SORT^M`, or `XSORT^M` under a small sort budget).
-/// Each returns `(sql, order)` — the ORDER BY may not be a total order,
-/// so the differential compares multisets plus sortedness.
-fn breaker_queries() -> Vec<(&'static str, SortSpec)> {
-    vec![
-        (RESCUE_SQL, SortSpec::by(["PosID", "T1"])),
-        (
-            "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION \
-             GROUP BY PosID ORDER BY PosID",
-            SortSpec::by(["PosID"]),
-        ),
-        (
-            "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-             WHERE A.PosID = B.PosID AND A.T1 < 2500 AND B.T1 < 2500 ORDER BY A.PosID",
-            SortSpec::by(["PosID"]),
-        ),
-        (
-            "VALIDTIME SELECT P.PosID, C, P.EmpID FROM \
-               (VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID) A, \
-               POSITION P WHERE A.PosID = P.PosID AND P.PayRate > 5 ORDER BY P.PosID",
-            SortSpec::by(["PosID"]),
-        ),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    /// For random thresholds, estimator modes, sort budgets and batch
-    /// sizes, the adaptive executor returns exactly what the classic
-    /// executor returns, for every breaker kind.
-    #[test]
-    fn adaptive_matches_non_adaptive(
-        ratio_pick in 0usize..4,
-        naive_pick in 0usize..2,
-        budget_pick in 0usize..2,
-        batch_pick in 0usize..2,
-    ) {
-        let ratio = [Some(1.2), Some(4.0), Some(8.0), Some(1e9)][ratio_pick];
-        let naive = naive_pick == 1;
-        let tiny_sort_budget = budget_pick == 1;
-        let batch = [1usize, 1024][batch_pick];
-        let db = rescue_db(LinkProfile::instant(), 12, 6);
-
-        for (sql, order) in breaker_queries() {
-            let mut base = session(&db, naive, None);
-            base.options_mut().batch_rows = Some(batch);
-            if tiny_sort_budget {
-                base.options_mut().opt.mid_sort_budget = Some(16);
-            }
-            let (expected, _) = base.query(sql).unwrap();
-
-            let mut adaptive = session(&db, naive, ratio);
-            adaptive.options_mut().batch_rows = Some(batch);
-            if tiny_sort_budget {
-                adaptive.options_mut().opt.mid_sort_budget = Some(16);
-            }
-            let (got, report) = adaptive.query(sql).unwrap();
-            assert!(
-                got.multiset_eq(&expected),
-                "adaptive(ratio {ratio:?}, naive {naive}, batch {batch}) diverged on {sql}\n\
-                 expected:\n{expected}\ngot:\n{got}\nplan:\n{}",
-                report.optimized.explain()
-            );
-            assert!(
-                got.is_sorted_by(&order),
-                "adaptive lost the delivery order on {sql}:\n{got}"
-            );
-        }
     }
 }

@@ -6,8 +6,10 @@
 //! fragment it needs already resides in the middleware — the paper's
 //! Figure 10 scenario as a first-class state.
 
-use proptest::prelude::*;
+mod support;
+
 use std::sync::Arc;
+use support::{chaos_profile, lcg_rows, position_db, Row};
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, CmpOp, Expr, ProjItem, Schema, SortSpec, Type, Value,
 };
@@ -17,59 +19,25 @@ use tango::minidb::delta::DELTA_RECORD_OVERHEAD;
 use tango::minidb::{
     Database, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode, DEFAULT_DELTA_LOG_CAP,
 };
+use tango::uis::queries::q1_sql;
 use tango::Tango;
-
-const QUERY1: &str = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-                      GROUP BY PosID ORDER BY PosID";
-
-fn make_db(profile: LinkProfile, rows: &[(i64, i64, f64, i32, i32)]) -> Database {
-    let db = Database::new(Link::new(profile));
-    let schema = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    db.create_table("POSITION", schema).unwrap();
-    db.insert_rows(
-        "POSITION",
-        rows.iter().map(|&(p, e, pay, t1, t2)| tup![p, e, Value::Double(pay), t1, t2]).collect(),
-    )
-    .unwrap();
-    db.analyze("POSITION").unwrap();
-    db.link().reset();
-    db
-}
-
-fn default_rows(n: usize) -> Vec<(i64, i64, f64, i32, i32)> {
-    let mut state = 0xDEAD_BEEF_u64;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = |m: u64, s: u64| ((s >> 33) % m) as i64;
-            let t1 = r(60, state) as i32;
-            (1 + r(5, state), 1 + r(20, state ^ 7), r(200, state ^ 13) as f64 / 10.0, t1, t1 + 5)
-        })
-        .collect()
-}
 
 /// A repeated query is answered from the resident copy: byte-identical
 /// result, a `cache hit` annotation instead of SQL round trips, and not
 /// one additional wire round trip.
 #[test]
 fn warm_run_is_byte_identical_and_wire_free() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = position_db(LinkProfile::default(), &lcg_rows(150));
     let mut tango = Tango::connect(db.clone());
 
-    let (cold, cold_report) = tango.query(QUERY1).unwrap();
+    let (cold, cold_report) = tango.query(&q1_sql("POSITION")).unwrap();
     let cold_text = cold_report.optimized.explain_analyze(&cold_report.exec, true);
     assert!(cold_text.contains("cache miss"), "{cold_text}");
     assert!(cold_text.contains("cache_bytes"), "{cold_text}");
     assert_eq!(tango.cache().stats().insertions, 1);
 
     let wire_before = db.link().roundtrips();
-    let (warm, warm_report) = tango.query(QUERY1).unwrap();
+    let (warm, warm_report) = tango.query(&q1_sql("POSITION")).unwrap();
     assert_eq!(db.link().roundtrips(), wire_before, "a hit must not touch the wire");
     assert!(warm.list_eq(&cold), "cached result differs\ncold:\n{cold}\nwarm:\n{warm}");
 
@@ -84,11 +52,11 @@ fn warm_run_is_byte_identical_and_wire_free() {
 /// insertions, no annotations.
 #[test]
 fn disabled_cache_changes_nothing() {
-    let db = make_db(LinkProfile::default(), &default_rows(50));
+    let db = position_db(LinkProfile::default(), &lcg_rows(50));
     let mut tango = Tango::connect(db);
     tango.options_mut().cache_budget = None;
-    let (a, report) = tango.query(QUERY1).unwrap();
-    let (b, _) = tango.query(QUERY1).unwrap();
+    let (a, report) = tango.query(&q1_sql("POSITION")).unwrap();
+    let (b, _) = tango.query(&q1_sql("POSITION")).unwrap();
     assert!(a.list_eq(&b));
     let text = report.optimized.explain_analyze(&report.exec, true);
     assert!(!text.contains("cache"), "{text}");
@@ -144,7 +112,7 @@ fn figure9_mixed_plan(conn: &tango::minidb::Connection) -> PhysNode {
 /// cacheable inner transfer (the aggregation argument) populates.
 #[test]
 fn temp_table_fragments_bypass() {
-    let db = make_db(LinkProfile::instant(), &default_rows(80));
+    let db = position_db(LinkProfile::instant(), &lcg_rows(80));
     let mut tango = Tango::connect(db);
     let plan = figure9_mixed_plan(tango.conn());
     let (rel, exec) = tango.execute_physical(&plan).unwrap();
@@ -175,10 +143,10 @@ fn temp_table_fragments_bypass() {
 /// does cover is refreshed in place instead; see `tests/maintenance.rs`.)
 #[test]
 fn writes_invalidate_and_results_stay_fresh() {
-    let db = make_db(LinkProfile::default(), &default_rows(100));
+    let db = position_db(LinkProfile::default(), &lcg_rows(100));
     let mut tango = Tango::connect(db.clone());
-    tango.query(QUERY1).unwrap();
-    tango.query(QUERY1).unwrap();
+    tango.query(&q1_sql("POSITION")).unwrap();
+    tango.query(&q1_sql("POSITION")).unwrap();
     assert_eq!(tango.cache().stats().hits, 1);
 
     let row = tup![9, 9, Value::Double(1.0), 0, 99];
@@ -189,7 +157,7 @@ fn writes_invalidate_and_results_stay_fresh() {
     // plan over the grown table as the control below will
     tango.refresh_statistics().unwrap();
 
-    let (stale_free, report) = tango.query(QUERY1).unwrap();
+    let (stale_free, report) = tango.query(&q1_sql("POSITION")).unwrap();
     let s = tango.cache().stats();
     assert!(s.invalidations >= 1, "{s:?}");
     assert_eq!(s.refreshes, 0, "an uncovered write cannot be refreshed: {s:?}");
@@ -198,7 +166,7 @@ fn writes_invalidate_and_results_stay_fresh() {
     // control: a cache-off session on the modified database
     let mut control = Tango::connect(db);
     control.options_mut().cache_budget = None;
-    let (expect, _) = control.query(QUERY1).unwrap();
+    let (expect, _) = control.query(&q1_sql("POSITION")).unwrap();
     assert!(
         stale_free.list_eq(&expect),
         "post-write result is stale\nexpected:\n{expect}\ngot:\n{stale_free}"
@@ -211,11 +179,11 @@ fn writes_invalidate_and_results_stay_fresh() {
 /// The byte budget is a hard bound, enforced by eviction/rejection.
 #[test]
 fn budget_is_a_hard_bound() {
-    let db = make_db(LinkProfile::default(), &default_rows(200));
+    let db = position_db(LinkProfile::default(), &lcg_rows(200));
     let mut tango = Tango::connect(db);
     tango.options_mut().cache_budget = Some(512);
     for sql in [
-        QUERY1,
+        &q1_sql("POSITION"),
         "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION WHERE PayRate > 5 GROUP BY PosID",
         "SELECT EmpID, PosID FROM POSITION WHERE PosID < 3 ORDER BY EmpID, PosID",
     ] {
@@ -231,20 +199,12 @@ fn budget_is_a_hard_bound() {
 /// drain does.
 #[test]
 fn faulted_transfers_never_populate() {
-    let db = make_db(
-        LinkProfile {
-            roundtrip_latency_us: 100.0,
-            bytes_per_sec: 4.0 * 1024.0 * 1024.0,
-            row_prefetch: 8,
-            mode: WireMode::Virtual,
-        },
-        &default_rows(120),
-    );
+    let db = position_db(chaos_profile(), &lcg_rows(120));
     let mut tango = Tango::connect(db.clone());
     // a batch of the link's prefetch: a transfer makes one round trip per
     // batch, so this keeps several trips for (b)'s fault to land on
     tango.options_mut().batch_rows = Some(8);
-    let optimized = tango.optimize(QUERY1).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
 
     // (a) the submission exhausts its retries and the fragment re-plans:
     // the fallback's rows come from base-table fetches, not the keyed
@@ -293,7 +253,7 @@ fn faulted_transfers_never_populate() {
 fn optimizer_flips_placement_for_resident_fragments() {
     // 2 groups, 10 distinct starts: the aggregate collapses to a handful
     // of rows, so "evaluate in place, ship the tiny result" wins cold
-    let rows: Vec<(i64, i64, f64, i32, i32)> = (0..4_000)
+    let rows: Vec<Row> = (0..4_000)
         .map(|i: i64| (i % 2, i, 9.0, ((i % 10) * 5) as i32, ((i % 10) * 5 + 12) as i32))
         .collect();
     let glacial = LinkProfile {
@@ -302,7 +262,7 @@ fn optimizer_flips_placement_for_resident_fragments() {
         row_prefetch: 10,
         mode: WireMode::Virtual,
     };
-    let db = make_db(glacial, &rows);
+    let db = position_db(glacial, &rows);
     let mut tango = Tango::connect(db);
     tango.calibrate().unwrap();
     let sql = "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION \
@@ -348,66 +308,15 @@ fn optimizer_flips_placement_for_resident_fragments() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
-    /// Differential: for random data, random interleaved writes and the
-    /// benchmark query family, a cache-on session answers every query
-    /// exactly like a cache-off session over the same database state.
-    #[test]
-    fn cached_sessions_agree_with_uncached(
-        rows in proptest::collection::vec(
-            (1i64..6, 1i64..8, 0.0f64..20.0, 0i32..50, 1i32..30),
-            1..40,
-        ),
-        extra in (1i64..6, 1i64..8, 0i32..50, 1i32..30),
-    ) {
-        let fixed: Vec<(i64, i64, f64, i32, i32)> =
-            rows.into_iter().map(|(p, e, pay, t1, d)| (p, e, pay, t1, t1 + d)).collect();
-        let db = make_db(LinkProfile::instant(), &fixed);
-        let mut cached = Tango::connect(db.clone());
-        let mut uncached = Tango::connect(db.clone());
-        uncached.options_mut().cache_budget = None;
-
-        let queries = [
-            QUERY1.to_string(),
-            "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-             WHERE A.PosID = B.PosID AND A.T1 < 40 AND B.T1 < 40 ORDER BY A.PosID".to_string(),
-            "SELECT EmpID, PosID FROM POSITION WHERE PayRate > 5 ORDER BY EmpID, PosID".to_string(),
-        ];
-        let check = |cached: &mut Tango, uncached: &mut Tango| {
-            for sql in &queries {
-                // twice: the second run exercises the hit path
-                for pass in ["cold", "warm"] {
-                    let (a, _) = cached.query(sql).unwrap_or_else(|e| panic!("{e}\nsql: {sql}"));
-                    let (b, _) = uncached.query(sql).unwrap_or_else(|e| panic!("{e}\nsql: {sql}"));
-                    assert!(
-                        a.multiset_eq(&b),
-                        "{pass} cached run diverged\nsql: {sql}\ncached:\n{a}\nuncached:\n{b}"
-                    );
-                }
-            }
-        };
-        check(&mut cached, &mut uncached);
-        // a write in between: the cached session must not serve stale rows
-        let (p, e, t1, d) = extra;
-        db.insert_rows("POSITION", vec![tup![p, e, Value::Double(3.0), t1, t1 + d]]).unwrap();
-        db.analyze("POSITION").unwrap();
-        cached.refresh_statistics().unwrap();
-        uncached.refresh_statistics().unwrap();
-        check(&mut cached, &mut uncached);
-        prop_assert!(cached.cache().stats().hits >= 1, "the warm passes never hit");
-    }
-}
-
 /// The cached scan repeats the delivered order: a warm ORDER BY run is
 /// list-equal, not just multiset-equal, to the cold one.
 #[test]
 fn warm_runs_preserve_order() {
-    let db = make_db(LinkProfile::default(), &default_rows(80));
+    let db = position_db(LinkProfile::default(), &lcg_rows(80));
     let mut tango = Tango::connect(db);
-    let (cold, _) = tango.query(QUERY1).unwrap();
+    let (cold, _) = tango.query(&q1_sql("POSITION")).unwrap();
     for _ in 0..3 {
-        let (warm, _) = tango.query(QUERY1).unwrap();
+        let (warm, _) = tango.query(&q1_sql("POSITION")).unwrap();
         assert!(warm.list_eq(&cold));
     }
 }

@@ -9,23 +9,31 @@
 //! same miss populate exactly once, the TinyLFU admission gate holds
 //! under pressure, and the chaos seeds survive a 4-thread stampede.
 
+mod support;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
+use support::{chaos_profile, chaos_seeds};
 use tango::algebra::{tup, Relation};
-use tango::minidb::{Connection, Database, FaultPlan, Link, LinkProfile, WireMode};
+use tango::minidb::{Connection, Database, FaultPlan, Link, LinkProfile};
 use tango::Tango;
 
-fn seed_db() -> Database {
-    let db = Database::new(Link::new(LinkProfile::instant()));
+/// `POSITION(PosID, EmpName, T1, T2)` over `profile`: `n` rows over
+/// `groups` positions, starts cycling through `0..span`, each `len` long.
+fn named_db(profile: LinkProfile, n: i64, groups: i64, span: i64, len: i64) -> Database {
+    let db = Database::new(Link::new(profile));
     let conn = Connection::new(db.clone());
     conn.execute("CREATE TABLE POSITION (PosID INT, EmpName VARCHAR(20), T1 INT, T2 INT)").unwrap();
-    let rows: Vec<_> =
-        (0..2_000).map(|i: i64| tup![i % 50, format!("emp{i}"), i % 100, i % 100 + 10]).collect();
-    db.insert_rows("POSITION", rows).unwrap();
+    let rows = (0..n).map(|i| tup![i % groups, format!("emp{i}"), i % span, i % span + len]);
+    db.insert_rows("POSITION", rows.collect()).unwrap();
     conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
     db
+}
+
+fn seed_db() -> Database {
+    named_db(LinkProfile::instant(), 2_000, 50, 100, 10)
 }
 
 #[test]
@@ -89,17 +97,7 @@ fn concurrent_middleware_sessions() {
 /// the cursors it hands out) share a single meter.
 #[test]
 fn sessions_meter_their_own_wire_time() {
-    let db = {
-        let db = Database::new(Link::new(LinkProfile::default()));
-        let conn = Connection::new(db.clone());
-        conn.execute("CREATE TABLE POSITION (PosID INT, EmpName VARCHAR(20), T1 INT, T2 INT)")
-            .unwrap();
-        let rows: Vec<_> =
-            (0..500).map(|i: i64| tup![i % 50, format!("emp{i}"), i % 100, i % 100 + 10]).collect();
-        db.insert_rows("POSITION", rows).unwrap();
-        conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
-        db
-    };
+    let db = named_db(LinkProfile::default(), 500, 50, 100, 10);
     const SQL: &str = "SELECT PosID, COUNT(*) AS C FROM POSITION GROUP BY PosID ORDER BY PosID";
 
     // serial baseline: what one session's meter reads after one query
@@ -423,33 +421,8 @@ fn admission_gate_protects_a_pressured_cache() {
 /// relation another thread abandoned).
 #[test]
 fn chaos_seeds_survive_four_threads() {
-    let seeds: Vec<u64> = match std::env::var("TANGO_CHAOS_SEED") {
-        Ok(s) => {
-            let s = s.trim().to_string();
-            let parsed = match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => s.parse(),
-            };
-            vec![parsed.unwrap_or_else(|_| panic!("bad TANGO_CHAOS_SEED: {s}"))]
-        }
-        Err(_) => vec![0xA11CE, 0x5EED5, 0xC0FFEE],
-    };
-    let db = {
-        let db = Database::new(Link::new(LinkProfile {
-            roundtrip_latency_us: 100.0,
-            bytes_per_sec: 4.0 * 1024.0 * 1024.0,
-            row_prefetch: 8,
-            mode: WireMode::Virtual,
-        }));
-        let conn = Connection::new(db.clone());
-        conn.execute("CREATE TABLE POSITION (PosID INT, EmpName VARCHAR(20), T1 INT, T2 INT)")
-            .unwrap();
-        let rows: Vec<_> =
-            (0..400).map(|i: i64| tup![i % 20, format!("emp{i}"), i % 60, i % 60 + 8]).collect();
-        db.insert_rows("POSITION", rows).unwrap();
-        conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
-        db
-    };
+    let seeds = chaos_seeds();
+    let db = named_db(chaos_profile(), 400, 20, 60, 8);
     let queries: Vec<String> = vec![
         "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID ORDER BY PosID"
             .to_string(),

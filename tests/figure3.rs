@@ -59,48 +59,3 @@ fn figure3b_example_query() {
     // and the result arrives ordered by PosID as requested
     assert!(rel.is_sorted_by(&SortSpec::by(["PosID"])));
 }
-
-/// The same query must yield identical results no matter where the
-/// optimizer places the operators — force extreme cost factors to drive
-/// the plan to each side.
-#[test]
-fn placement_is_semantically_transparent() {
-    let sql = "VALIDTIME SELECT P.PosID, P.EmpName, A.Cnt FROM \
-               (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
-               POSITION P \
-               WHERE A.PosID = P.PosID ORDER BY P.PosID";
-
-    let (_db, mut tango) = setup();
-    // force "everything in the DBMS": make middleware work absurdly costly
-    let mut expensive_mid = *tango.factors();
-    expensive_mid.p_tm = 1e6;
-    expensive_mid.p_taggm1 = 1e6;
-    expensive_mid.p_mjm = 1e6;
-    tango.set_factors(expensive_mid);
-    let (dbms_rel, dbms_rep) = tango.query(sql).unwrap();
-    assert!(
-        dbms_rep.optimized.explain().contains("TAGGR^D"),
-        "expected a DBMS-heavy plan:\n{}",
-        dbms_rep.optimized.explain()
-    );
-
-    // force "everything in the middleware"
-    let mut expensive_dbms = *tango.factors();
-    expensive_dbms.p_tm = 1e-9;
-    expensive_dbms.p_taggm1 = 1e-9;
-    expensive_dbms.p_mjm = 1e-9;
-    expensive_dbms.p_taggd1 = 1e6;
-    expensive_dbms.p_jd = 1e6;
-    tango.set_factors(expensive_dbms);
-    let (mid_rel, mid_rep) = tango.query(sql).unwrap();
-    assert!(
-        mid_rep.optimized.explain().contains("TAGGR^M"),
-        "expected a middleware-heavy plan:\n{}",
-        mid_rep.optimized.explain()
-    );
-
-    assert!(
-        dbms_rel.multiset_eq(&mid_rel),
-        "placement changed the result!\nDBMS:\n{dbms_rel}\nmiddleware:\n{mid_rel}"
-    );
-}

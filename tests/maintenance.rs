@@ -2,16 +2,19 @@
 //! evict — the engine prices refreshing a stale fragment by delta-log
 //! replay against refetching or dropping it, picks the cheapest, and a
 //! refreshed fragment is **byte-identical** to a cold refetch. The
-//! differential suites gate exactly that equivalence across the
-//! cacheable shapes (filter/project chains, the merge joins, `TAGGR`),
-//! write mixes and batch sizes, and the chaos test pins that a faulted
-//! refresh never corrupts or populates the cache.
+//! suites here pin each shape's refresh (filter/project chains, the
+//! merge joins, `TAGGR`), its events, round trips and bails, and that a
+//! faulted refresh never corrupts or populates the cache; refreshed ≡
+//! uncached across generated statements, write mixes and every other
+//! mode is `tests/oracle.rs`'s.
 
-use proptest::prelude::*;
+mod support;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Barrier};
 use std::thread;
+use support::{keyed_rows, position_db, serving_pool, uis_db, Row, ALL_PACKS};
 use tango::algebra::date::{day, format_date};
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, CmpOp, Expr, ProjItem, Schema, SortSpec, Type, Value,
@@ -20,28 +23,12 @@ use tango::core::cache::fragment_key;
 use tango::core::cost::CostFactors;
 use tango::core::phys::{Algo, PhysNode};
 use tango::minidb::{Connection, Database, Fault, FaultPlan, Link, LinkProfile};
-use tango::uis::{generate_employee, generate_position, UisConfig};
+use tango::uis::queries::q1_sql;
 use tango::{Tango, TangoOptions};
 
-const QUERY1: &str = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-                      GROUP BY PosID ORDER BY PosID";
-
 /// POSITION plus a SALARY side table (for the two-table join shapes).
-fn make_db(profile: LinkProfile, rows: &[(i64, i64, f64, i32, i32)]) -> Database {
-    let db = Database::new(Link::new(profile));
-    let position = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    db.create_table("POSITION", position).unwrap();
-    db.insert_rows(
-        "POSITION",
-        rows.iter().map(|&(p, e, pay, t1, t2)| tup![p, e, Value::Double(pay), t1, t2]).collect(),
-    )
-    .unwrap();
+fn make_db(profile: LinkProfile, rows: &[Row]) -> Database {
+    let db = position_db(profile, rows);
     let salary = Schema::with_inferred_period(vec![
         Attr::new("EmpID", Type::Int),
         Attr::new("Amount", Type::Int),
@@ -50,16 +37,9 @@ fn make_db(profile: LinkProfile, rows: &[(i64, i64, f64, i32, i32)]) -> Database
     ]);
     db.create_table("SALARY", salary).unwrap();
     db.insert_rows("SALARY", (1..=20).map(|e| tup![e, 100 + 7 * e, 0, 60]).collect()).unwrap();
-    db.analyze("POSITION").unwrap();
     db.analyze("SALARY").unwrap();
     db.link().reset();
     db
-}
-
-fn default_rows(n: usize) -> Vec<(i64, i64, f64, i32, i32)> {
-    // distinct PosID per row: the chain fragment's delivered order is a
-    // key, so every merge is provably order-determined
-    (0..n as i64).map(|i| (i, 1 + i % 20, (i % 37) as f64 / 3.0, 0, 30 + (i % 11) as i32)).collect()
 }
 
 fn scan(conn: &Connection, table: &str) -> PhysNode {
@@ -178,7 +158,7 @@ fn control_run(db: &Database, plan: &PhysNode) -> tango::algebra::Relation {
 /// to a cold refetch.
 #[test]
 fn chain_refresh_survives_writes_byte_identically() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = chain_plan(tango.conn());
 
@@ -218,7 +198,7 @@ fn chain_refresh_survives_writes_byte_identically() {
 /// wire time the run was charged.
 #[test]
 fn refresh_time_is_charged_to_the_transfer_step() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = chain_plan(tango.conn());
     tango.execute_physical(&plan).unwrap();
@@ -360,7 +340,7 @@ fn self_join_is_unchanged_by_a_write_neither_side_keeps() {
 /// `p_delta` makes replay merging prohibitive — flipped by cost alone.
 #[test]
 fn maintenance_picks_refetch_when_replay_outcosts_it() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = chain_plan(tango.conn());
     tango.execute_physical(&plan).unwrap();
@@ -387,7 +367,7 @@ fn maintenance_picks_refetch_when_replay_outcosts_it() {
 /// without repopulating.
 #[test]
 fn maintenance_drops_never_hit_entries() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = chain_plan(tango.conn());
     tango.execute_physical(&plan).unwrap(); // populate; zero hits so far
@@ -410,7 +390,7 @@ fn maintenance_drops_never_hit_entries() {
 /// tombstones against the resident other side — no join SQL re-runs.
 #[test]
 fn join_refresh_replays_against_resident_other_side() {
-    let db = make_db(LinkProfile::default(), &default_rows(60));
+    let db = make_db(LinkProfile::default(), &keyed_rows(60));
     let mut tango = Tango::connect(db.clone());
     let jplan = join_plan(tango.conn());
     let splan = salary_plan(tango.conn());
@@ -431,7 +411,7 @@ fn join_refresh_replays_against_resident_other_side() {
 
     // without the resident other side the same write must *bail* to a
     // refetch — and still produce identical bytes
-    let db2 = make_db(LinkProfile::default(), &default_rows(60));
+    let db2 = make_db(LinkProfile::default(), &keyed_rows(60));
     let mut solo = Tango::connect(db2.clone());
     let jplan2 = join_plan(solo.conn());
     solo.execute_physical(&jplan2).unwrap();
@@ -452,7 +432,7 @@ fn join_refresh_replays_against_resident_other_side() {
 /// them over the cached base.
 #[test]
 fn taggr_refresh_refetches_only_touched_groups() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = taggr_plan(tango.conn());
     tango.execute_physical(&plan).unwrap();
@@ -483,7 +463,7 @@ fn taggr_refresh_refetches_only_touched_groups() {
 /// populates the cache.
 #[test]
 fn faulted_refresh_never_corrupts_or_populates() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plan = chain_plan(tango.conn());
     tango.execute_physical(&plan).unwrap();
@@ -649,7 +629,7 @@ fn write(db: &Database, t1: i32) {
 /// session reading after the first pays no round trip either.
 #[test]
 fn one_write_costs_one_delta_round_trip_however_many_fragments_it_stales() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let plans = position_fragments(tango.conn());
     warm(&mut tango, &plans);
@@ -683,7 +663,7 @@ fn one_write_costs_one_delta_round_trip_however_many_fragments_it_stales() {
 /// reaches back far enough for a third fragment as old.
 #[test]
 fn a_fragment_that_skipped_a_write_fetches_its_own_delta() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let [chain, paid, self_join] = position_fragments(tango.conn());
     warm(&mut tango, &[chain.clone(), self_join.clone()]);
@@ -706,7 +686,7 @@ fn a_fragment_that_skipped_a_write_fetches_its_own_delta() {
 /// fragment fetches for itself — and from then on the mirror serves.
 #[test]
 fn a_faulted_delta_fetch_leaves_the_mirror_unchanged() {
-    let db = make_db(LinkProfile::default(), &default_rows(150));
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
     let mut tango = Tango::connect(db.clone());
     let [chain, paid, self_join] = position_fragments(tango.conn());
     warm(&mut tango, &[chain.clone(), paid.clone(), self_join.clone()]);
@@ -740,48 +720,12 @@ fn a_faulted_delta_fetch_leaves_the_mirror_unchanged() {
 /// may cost an entry: what the pool used to refetch it now refreshes.
 #[test]
 fn churn_pool_refreshes_what_it_used_to_refetch() {
-    let cfg = UisConfig::small(0xEC1);
-    let db = Database::new(Link::new(LinkProfile::instant()));
-    for (name, rel) in
-        [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
-    {
-        db.create_table(name, rel.schema().as_ref().clone()).unwrap();
-        db.insert_rows(name, rel.into_tuples()).unwrap();
-        db.analyze(name).unwrap();
-    }
+    let db = uis_db();
     let conn = Connection::new(db.clone());
-    conn.execute("CREATE INDEX EMP_PK ON EMPLOYEE (EmpID)").unwrap();
+    let pool = serving_pool();
 
-    let mut pool: Vec<String> = [8, 16, 24, 32]
-        .iter()
-        .map(|k| {
-            format!(
-                "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-                 WHERE PosID < {k} GROUP BY PosID ORDER BY PosID"
-            )
-        })
-        .collect();
-    for k in [400, 800] {
-        pool.push(format!(
-            "SELECT EmpID, Dept, Salary FROM EMPLOYEE WHERE EmpID < {k} ORDER BY EmpID"
-        ));
-    }
-    pool.push(
-        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < DATE '1988-01-01' AND B.T1 < DATE '1988-01-01' \
-         ORDER BY A.PosID"
-            .to_string(),
-    );
-    pool.push(
-        "SELECT PosID, EmpID, T1, T2 FROM POSITION WHERE PosID < 36 \
-         AND NOT (T1 > DATE '1996-01-01') AND NOT (T2 < DATE '1995-01-01') \
-         ORDER BY PosID, EmpID, T1, T2"
-            .to_string(),
-    );
-
-    let packs = ["temporal-normalize", "subquery-to-join", "compat"];
     let mut options =
-        TangoOptions { rewrite_packs: packs.map(String::from).to_vec(), ..Default::default() };
+        TangoOptions { rewrite_packs: ALL_PACKS.map(String::from).to_vec(), ..Default::default() };
     // the reported plan is then the plan that ran, which the control re-runs
     options.opt.replan_ratio = None;
     let mut tango = Tango::connect_with(db.clone(), options);
@@ -835,7 +779,7 @@ fn churn_pool_refreshes_what_it_used_to_refetch() {
 /// in-place refresh or an invalidation, never ignored.
 #[test]
 fn racing_writers_vs_refreshers_stay_consistent() {
-    let db = make_db(LinkProfile::instant(), &default_rows(80));
+    let db = make_db(LinkProfile::instant(), &keyed_rows(80));
     let start = Arc::new(Barrier::new(4)); // 2 writers + 2 refreshers
     let writers: Vec<_> = (0..2)
         .map(|w| {
@@ -867,7 +811,7 @@ fn racing_writers_vs_refreshers_stay_consistent() {
                 for _ in 0..15 {
                     let (rel, _) = tango.execute_physical(&plan).unwrap();
                     assert!(!rel.is_empty());
-                    let (rel2, _) = tango.query(QUERY1).unwrap();
+                    let (rel2, _) = tango.query(&q1_sql("POSITION")).unwrap();
                     assert!(!rel2.is_empty());
                 }
             })
@@ -900,93 +844,4 @@ fn racing_writers_vs_refreshers_stay_consistent() {
         "the post-race write was neither refreshed nor invalidated: {s:?}"
     );
     assert!(after.tuples().iter().any(|t| t[0] == Value::Int(7777)), "{after}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-    /// Differential gate: across the cacheable shapes, insert/delete/
-    /// mixed write batches and batch sizes 1 and 1024, a refresh-by-delta
-    /// session answers every query byte-identically to a cache-off
-    /// session over the same database state. Refresh is an optimization
-    /// that must be invisible or absent.
-    #[test]
-    fn refresh_by_delta_is_equivalent_to_refetch(
-        rows in proptest::collection::vec(
-            (0i64..40, 1i64..8, 0.0f64..20.0, 0i32..50, 1i32..30),
-            1..50,
-        ),
-        writes in proptest::collection::vec(
-            (0u8..4, 0i64..40, 1i64..8, 0i32..50, 1i32..30),
-            1..8,
-        ),
-        batch in proptest::sample::select(vec![1usize, 1024]),
-    ) {
-        let fixed: Vec<(i64, i64, f64, i32, i32)> =
-            rows.into_iter().map(|(p, e, pay, t1, d)| (p, e, pay, t1, t1 + d)).collect();
-        let db = make_db(LinkProfile::instant(), &fixed);
-
-        let mut refreshing = Tango::connect_private(db.clone());
-        refreshing.options_mut().batch_rows = Some(batch);
-        let mut uncached = Tango::connect_private(db.clone());
-        uncached.options_mut().cache_budget = None;
-        uncached.options_mut().batch_rows = Some(batch);
-
-        let conn = Connection::new(db.clone());
-        let plans = [
-            salary_plan(&conn), // first: the join's resident other side
-            chain_plan(&conn),
-            tied_chain_plan(&conn), // a partial key: the order check is per run
-            join_plan(&conn),
-            self_join_plan(&conn, 20, 30), // one table twice, a step above the join
-            taggr_plan(&conn),
-        ];
-        let mut check = |note: &str| {
-            for plan in &plans {
-                // twice: the second run exercises hit/refresh paths
-                for pass in ["cold", "warm"] {
-                    let (a, _) = refreshing.execute_physical(plan).unwrap();
-                    let (b, _) = uncached.execute_physical(plan).unwrap();
-                    prop_assert!(
-                        a.list_eq(&b),
-                        "refresh-by-delta diverged ({note}, {pass})\nexpected:\n{b}\ngot:\n{a}"
-                    );
-                }
-            }
-        };
-
-        check("pre-write");
-        for (i, &(kind, p, e, t1, d)) in writes.iter().enumerate() {
-            match kind {
-                0 => db
-                    .insert_rows(
-                        "POSITION",
-                        vec![tup![p, e, Value::Double(1.25), t1, t1 + d]],
-                    )
-                    .map(|_| ())
-                    .unwrap(),
-                1 => {
-                    conn.execute(&format!("DELETE FROM POSITION WHERE PosID = {p}")).map(|_| ()).unwrap()
-                }
-                2 => {
-                    db.insert_rows(
-                        "POSITION",
-                        vec![tup![p, e, Value::Double(0.5), t1, t1 + d]],
-                    )
-                    .unwrap();
-                    conn.execute(&format!("DELETE FROM POSITION WHERE EmpID = {e} AND T1 = {t1}"))
-                        .map(|_| ())
-                        .unwrap();
-                }
-                _ => {
-                    // delete and re-insert the same rows: the multiset
-                    // stands, the rows move behind the ones they tie with
-                    let held = format!("FROM POSITION WHERE EmpID = {e}");
-                    let rows = conn.query_all(&format!("SELECT * {held}")).unwrap();
-                    conn.execute(&format!("DELETE {held}")).unwrap();
-                    db.insert_rows("POSITION", rows.into_tuples()).unwrap();
-                }
-            }
-            check(&format!("after write {i}"));
-        }
-    }
 }

@@ -8,86 +8,35 @@
 //! repeat exactly from run to run, so they gate; optimization *time* is
 //! deliberately not asserted anywhere.
 
-use tango::algebra::date::{day, format_date};
+mod support;
+
+use support::{serving_pool, uis_db, ALL_PACKS};
+use tango::algebra::date::day;
 use tango::core::OptimizedQuery;
-use tango::minidb::{Connection, Database, Link, LinkProfile};
-use tango::uis::{generate_employee, generate_position, UisConfig};
+use tango::uis::queries::{q1_sql, q2_sql, q3_sql, q4_sql};
 use tango::Tango;
 
-/// The UIS tables at smoke-test scale, analyzed; a session with default
-/// cost factors (a fresh calibration moves plans — and counts — from run
-/// to run) and all three rewrite packs, as the serving workloads run.
+/// The UIS tables at smoke-test scale; a session with default cost
+/// factors (a fresh calibration moves plans — and counts — from run to
+/// run) and all three rewrite packs, as the serving workloads run.
 fn uis_session() -> Tango {
-    let cfg = UisConfig::small(0xEC1);
-    let db = Database::new(Link::new(LinkProfile::instant()));
-    for (name, rel) in
-        [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
-    {
-        db.create_table(name, rel.schema().as_ref().clone()).unwrap();
-        db.insert_rows(name, rel.into_tuples()).unwrap();
-        db.analyze(name).unwrap();
-    }
-    Connection::new(db.clone()).execute("CREATE INDEX EMP_PK ON EMPLOYEE (EmpID)").unwrap();
-    let mut tango = Tango::connect(db);
-    tango.options_mut().rewrite_packs =
-        ["temporal-normalize", "subquery-to-join", "compat"].map(String::from).to_vec();
+    let mut tango = Tango::connect(uis_db());
+    tango.options_mut().rewrite_packs = ALL_PACKS.map(String::from).to_vec();
     tango
 }
 
-const Q1: &str =
-    "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID ORDER BY PosID";
-
 fn q2() -> String {
-    format!(
-        "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
-           (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
-           POSITION P \
-         WHERE A.PosID = P.PosID AND P.PayRate > 10 \
-           AND T1 < DATE '{}' AND T2 > DATE '{}' \
-         ORDER BY P.PosID",
-        format_date(day(1996, 1, 1)),
-        format_date(day(1983, 1, 1)),
-    )
+    q2_sql(day(1983, 1, 1), day(1996, 1, 1))
 }
 
-fn q3(bound: i32) -> String {
-    format!(
-        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < DATE '{0}' AND B.T1 < DATE '{0}' \
-         ORDER BY A.PosID",
-        format_date(bound),
-    )
-}
-
-const Q4: &str = "SELECT P.PosID, E.EmpName, E.Address FROM POSITION P, EMPLOYEE E \
-                  WHERE P.EmpID = E.EmpID ORDER BY P.PosID";
-
-/// The eight statements of the benchmark's serving pool (`serve-warm`,
-/// `serve-churn`), without the per-seed jitter.
-fn serving_pool() -> Vec<String> {
-    let mut pool: Vec<String> = [8, 16, 24, 32]
-        .iter()
-        .map(|k| {
-            format!(
-                "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-                 WHERE PosID < {k} GROUP BY PosID ORDER BY PosID"
-            )
-        })
-        .collect();
-    for k in [400, 800] {
-        pool.push(format!(
-            "SELECT EmpID, Dept, Salary FROM EMPLOYEE WHERE EmpID < {k} ORDER BY EmpID"
-        ));
-    }
-    pool.push(q3(day(1988, 1, 1)));
-    pool.push(format!(
-        "SELECT PosID, EmpID, T1, T2 FROM POSITION WHERE PosID < 36 \
-         AND NOT (T1 > DATE '{}') AND NOT (T2 < DATE '{}') \
-         ORDER BY PosID, EmpID, T1, T2",
-        format_date(day(1996, 1, 1)),
-        format_date(day(1995, 1, 1)),
-    ));
-    pool
+/// The four figure statements, Query 3 at its 1996 bound.
+fn figure_queries() -> [(&'static str, String); 4] {
+    [
+        ("Query 1", q1_sql("POSITION")),
+        ("Query 2", q2()),
+        ("Query 3", q3_sql(day(1996, 1, 1))),
+        ("Query 4", q4_sql("POSITION")),
+    ]
 }
 
 fn assert_linear(name: &str, q: &OptimizedQuery) {
@@ -100,13 +49,7 @@ fn assert_linear(name: &str, q: &OptimizedQuery) {
 #[test]
 fn figure_queries_search_in_proportion_to_the_memo() {
     let mut tango = uis_session();
-    let queries = [
-        ("Query 1", Q1.to_string()),
-        ("Query 2", q2()),
-        ("Query 3", q3(day(1996, 1, 1))),
-        ("Query 4", Q4.to_string()),
-    ];
-    for (name, sql) in queries {
+    for (name, sql) in figure_queries() {
         assert_linear(name, &tango.optimize(&sql).unwrap());
     }
 }
@@ -172,12 +115,7 @@ fn search_counts_repeat_exactly() {
 #[test]
 fn node_estimates_sum_to_the_plan_cost() {
     const SEARCH_BLIND_WHEN_WARM: [&str; 3] = ["Query 3", "Query 4", "pool statement 6"];
-    let figures = [
-        ("Query 1", Q1.to_string()),
-        ("Query 2", q2()),
-        ("Query 3", q3(day(1996, 1, 1))),
-        ("Query 4", Q4.to_string()),
-    ];
+    let figures = figure_queries();
     let pool = serving_pool();
     let pool = pool.iter().enumerate().map(|(i, sql)| (format!("pool statement {i}"), sql.clone()));
     let statements: Vec<(String, String)> =

@@ -18,83 +18,15 @@
 //! with a fixed default set, so every failure here is reproducible by
 //! exporting the seed the log names.
 
+mod support;
+
 use std::sync::Arc;
 use std::time::Duration;
-use tango::algebra::{tup, Attr, Relation, Schema, SortSpec, Type, Value};
-use tango::minidb::{
-    Database, ErrorClass, Fault, FaultPlan, Link, LinkProfile, RetryPolicy, WireMode,
-};
+use support::{chaos_seeds, seed_db};
+use tango::algebra::{Relation, SortSpec};
+use tango::minidb::{Database, ErrorClass, Fault, FaultPlan, RetryPolicy};
+use tango::uis::queries::q1_sql;
 use tango::Tango;
-
-/// The seeds this run sweeps: `TANGO_CHAOS_SEED` overrides (one seed,
-/// decimal or `0x…` hex) so CI can shard and failures can be replayed.
-fn seeds() -> Vec<u64> {
-    if let Ok(s) = std::env::var("TANGO_CHAOS_SEED") {
-        let s = s.trim();
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        return vec![parsed.unwrap_or_else(|_| panic!("bad TANGO_CHAOS_SEED: {s}"))];
-    }
-    vec![0xA11CE, 0x5EED5, 0xC0FFEE]
-}
-
-/// A wire slow enough that batching matters (prefetch 8 ⇒ a Query-1 run
-/// makes a dozen-plus round trips for the chaos schedules to hit).
-fn chaos_profile() -> LinkProfile {
-    LinkProfile {
-        roundtrip_latency_us: 100.0,
-        bytes_per_sec: 4.0 * 1024.0 * 1024.0,
-        row_prefetch: 8,
-        mode: WireMode::Virtual,
-    }
-}
-
-/// Deterministic POSITION (120 rows) + EMPLOYEE (40 rows) — an LCG, not
-/// `rand`, so the fixture can never drift under a shim change.
-fn seed_db() -> Database {
-    let db = Database::new(Link::new(chaos_profile()));
-    let position = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    let employee =
-        Schema::new(vec![Attr::new("EmpID", Type::Int), Attr::new("EmpName", Type::Str)]);
-    db.create_table("POSITION", position).unwrap();
-    db.create_table("EMPLOYEE", employee).unwrap();
-
-    let mut state = 0x1234_5678_9ABC_DEF0u64;
-    let mut next = move |m: u64| -> i64 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) % m) as i64
-    };
-    let rows: Vec<_> = (0..120)
-        .map(|_| {
-            let t1 = next(60);
-            tup![
-                1 + next(7),
-                1 + next(40),
-                Value::Double(next(200) as f64 / 10.0),
-                t1,
-                t1 + 1 + next(25)
-            ]
-        })
-        .collect();
-    db.insert_rows("POSITION", rows).unwrap();
-    db.insert_rows("EMPLOYEE", (1..=40).map(|i: i64| tup![i, format!("emp{i}")]).collect())
-        .unwrap();
-    db.analyze("POSITION").unwrap();
-    db.analyze("EMPLOYEE").unwrap();
-    db.link().reset();
-    db
-}
-
-const QUERY1: &str = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-                      GROUP BY PosID ORDER BY PosID";
 
 /// A session with the relation cache off: every run in this file must
 /// exercise the wire — which is the thing under test — rather than be
@@ -111,7 +43,7 @@ fn wire_session(db: &Database) -> Tango {
 /// and a conventional join.
 fn queries() -> Vec<String> {
     vec![
-        QUERY1.to_string(),
+        q1_sql("POSITION"),
         "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
            (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
            POSITION P WHERE A.PosID = P.PosID AND P.PayRate > 10 \
@@ -136,7 +68,7 @@ fn seeded_chaos_schedules_leave_results_identical() {
     let baselines: Vec<Relation> = queries().iter().map(|q| tango.query(q).unwrap().0).collect();
 
     let mut total_faults = 0u64;
-    for seed in seeds() {
+    for seed in chaos_seeds() {
         // budget 3 < default max_attempts 4: a retry loop always wins
         let plan = Arc::new(
             FaultPlan::random(seed, 0.2)
@@ -168,7 +100,7 @@ fn seeded_chaos_schedules_leave_results_identical() {
 fn retry_events_are_visible_in_explain_analyze() {
     let db = seed_db();
     let mut tango = wire_session(&db);
-    let optimized = tango.optimize(QUERY1).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
     let (baseline, _) = tango.execute_physical(&optimized.plan).unwrap();
 
     let rt = db.link().roundtrips();
@@ -194,7 +126,7 @@ fn retry_events_are_visible_in_explain_analyze() {
 fn exhausted_retries_replan_and_match_baseline() {
     let db = seed_db();
     let mut tango = wire_session(&db);
-    let optimized = tango.optimize(QUERY1).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
     let (baseline, _) = tango.execute_physical(&optimized.plan).unwrap();
 
     tango.conn_mut().set_retry_policy(RetryPolicy { max_attempts: 3, ..RetryPolicy::default() });
@@ -230,7 +162,7 @@ fn exhausted_retries_replan_and_match_baseline() {
 fn fallback_fetch_faults_land_on_the_transfer_step() {
     let db = seed_db();
     let mut tango = wire_session(&db);
-    let optimized = tango.optimize(QUERY1).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
     let (baseline, _) = tango.execute_physical(&optimized.plan).unwrap();
 
     tango.conn_mut().set_retry_policy(RetryPolicy { max_attempts: 3, ..RetryPolicy::default() });
@@ -261,7 +193,7 @@ fn fallback_fetch_faults_land_on_the_transfer_step() {
 fn fatal_faults_surface_cleanly_and_the_session_survives() {
     let db = seed_db();
     let mut tango = wire_session(&db);
-    let (baseline, _) = tango.query(QUERY1).unwrap();
+    let (baseline, _) = tango.query(&q1_sql("POSITION")).unwrap();
     let tables_before = db.table_names().len();
 
     let rt = db.link().roundtrips();
@@ -269,14 +201,14 @@ fn fatal_faults_surface_cleanly_and_the_session_survives() {
         rt + 1,
         Fault::Fatal("ORA-00600: internal error".into()),
     )])));
-    let err = tango.query(QUERY1).map(|_| ()).unwrap_err();
+    let err = tango.query(&q1_sql("POSITION")).map(|_| ()).unwrap_err();
     assert_eq!(err.wire_class(), Some(ErrorClass::Fatal), "{err}");
     assert!(err.to_string().contains("fatal"), "{err}");
     assert_eq!(tango.conn().wire_retries(), 0, "fatal failures must never be retried");
     db.link().clear_injector();
 
     assert_eq!(db.table_names().len(), tables_before, "temp tables leaked by the failed run");
-    let (again, _) = tango.query(QUERY1).unwrap();
+    let (again, _) = tango.query(&q1_sql("POSITION")).unwrap();
     assert!(again.list_eq(&baseline), "session unusable after a cleared fault");
 }
 
@@ -289,14 +221,14 @@ fn no_replan_after_rows_were_emitted() {
     // a batch of the link's prefetch: a transfer makes one round trip per
     // batch, so this keeps several trips for the fault to land on
     tango.options_mut().batch_rows = Some(8);
-    tango.query(QUERY1).unwrap(); // warm catalog + plan caches
+    tango.query(&q1_sql("POSITION")).unwrap(); // warm catalog + plan caches
     tango.conn_mut().set_retry_policy(RetryPolicy::none());
 
     // rt+1 is the submission; rt+3 lands inside the row-fetch batches
     let rt = db.link().roundtrips();
     db.link()
         .set_injector(Arc::new(FaultPlan::scripted([(rt + 3, Fault::Transient("drop".into()))])));
-    let err = tango.query(QUERY1).map(|_| ()).unwrap_err();
+    let err = tango.query(&q1_sql("POSITION")).map(|_| ()).unwrap_err();
     db.link().clear_injector();
     assert_eq!(err.wire_class(), Some(ErrorClass::Transient), "{err}");
 }
@@ -308,11 +240,11 @@ fn no_replan_after_rows_were_emitted() {
 fn disabled_injection_is_free_on_the_wire_clock() {
     let db = seed_db();
     let mut tango = wire_session(&db);
-    tango.query(QUERY1).unwrap(); // warm catalog so runs are comparable
+    tango.query(&q1_sql("POSITION")).unwrap(); // warm catalog so runs are comparable
 
     let cost_of_run = |tango: &mut Tango, db: &Database| -> Duration {
         let before = db.link().total();
-        tango.query(QUERY1).unwrap();
+        tango.query(&q1_sql("POSITION")).unwrap();
         db.link().total() - before
     };
 

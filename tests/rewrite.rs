@@ -5,32 +5,21 @@
 //! sweep runs every query with and without every pack combination at
 //! batch sizes 1 and 1024 and demands identical rows.
 
+mod support;
+
 use proptest::prelude::*;
-use tango::algebra::{tup, Attr, Relation, Schema, Type, Value};
-use tango::minidb::{Connection, Database, Link, LinkProfile};
+use support::{
+    create_posinfo, pack_sets, position_db, Row, ALL_PACKS, REWRITE_FIGURES, REWRITE_TARGETS,
+};
+use tango::algebra::{tup, Relation, Value};
+use tango::minidb::{Database, LinkProfile};
 use tango::Tango;
 
-const ALL_PACKS: [&str; 3] = ["temporal-normalize", "subquery-to-join", "compat"];
-
-/// `POSITION` as in `tests/equivalence.rs`, plus one `POSINFO` dossier
-/// row per distinct PosID so the join spellings have a second table.
-fn make_db(rows: &[(i64, i64, f64, i32, i32)]) -> Database {
-    let db = Database::new(Link::new(LinkProfile::instant()));
-    let schema = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    db.create_table("POSITION", schema).unwrap();
-    db.insert_rows(
-        "POSITION",
-        rows.iter().map(|&(p, e, pay, t1, t2)| tup![p, e, Value::Double(pay), t1, t2]).collect(),
-    )
-    .unwrap();
-    let posinfo = Schema::new(vec![Attr::new("PosID", Type::Int), Attr::new("Info", Type::Str)]);
-    db.create_table("POSINFO", posinfo).unwrap();
+/// POSITION plus one `POSINFO` dossier row per distinct PosID, so the
+/// join spellings have a second table.
+fn make_db(rows: &[Row]) -> Database {
+    let db = position_db(LinkProfile::instant(), rows);
+    create_posinfo(&db);
     let mut ids: Vec<i64> = rows.iter().map(|r| r.0).collect();
     ids.sort_unstable();
     ids.dedup();
@@ -39,9 +28,7 @@ fn make_db(rows: &[(i64, i64, f64, i32, i32)]) -> Database {
         ids.into_iter().map(|p| tup![p, Value::Str(format!("info-{p}"))]).collect(),
     )
     .unwrap();
-    let conn = Connection::new(db.clone());
-    conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
-    conn.execute("ANALYZE TABLE POSINFO COMPUTE STATISTICS").unwrap();
+    db.analyze("POSINFO").unwrap();
     db
 }
 
@@ -52,51 +39,8 @@ fn run(db: &Database, packs: &[&str], batch: usize, sql: &str) -> Relation {
     tango.query(sql).unwrap_or_else(|e| panic!("{e}\npacks: {packs:?}\nsql: {sql}")).0
 }
 
-/// The spellings each pack exists to fix. Every query carries an ORDER
-/// BY over all projected columns so results are compared byte-for-byte.
-fn target_queries() -> Vec<&'static str> {
-    vec![
-        // temporal-normalize: an Overlaps window hidden behind NOT
-        "SELECT P.PosID, P.T1, I.Info FROM POSITION P, POSINFO I \
-         WHERE P.PosID = I.PosID AND NOT (P.T1 > 40) AND NOT (P.T2 < 10) \
-         ORDER BY P.PosID, P.T1, I.Info",
-        // subquery-to-join: the join key hidden behind NOT (a <> b)
-        "SELECT P.PosID, P.T1, I.Info \
-         FROM (SELECT PosID, Info FROM POSINFO) I, POSITION P \
-         WHERE NOT (I.PosID <> P.PosID) ORDER BY P.PosID, P.T1, I.Info",
-        // compat: the Figure 5 plain-SQL rendering of TJOIN^D
-        "SELECT A.PosID, A.EmpID, B.EmpID AS EmpID2, \
-         GREATEST(A.T1, B.T1) AS S1, LEAST(A.T2, B.T2) AS S2 \
-         FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < B.T2 AND B.T1 < A.T2 \
-         ORDER BY A.PosID, A.EmpID, EmpID2, S1, S2",
-    ]
-}
-
-/// The `tests/equivalence.rs` figure-query family — queries the packs
-/// mostly do *not* fire on; the sweep proves they stay inert.
-fn figure_queries() -> Vec<&'static str> {
-    vec![
-        "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID ORDER BY PosID",
-        "VALIDTIME SELECT COUNT(EmpID) AS C, MIN(PayRate) AS MN, MAX(PayRate) AS MX \
-         FROM POSITION WHERE PosID < 3 GROUP BY PosID",
-        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < 40 AND B.T1 < 40 ORDER BY A.PosID",
-        "VALIDTIME SELECT P.PosID, C, P.EmpID FROM \
-           (VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID) A, \
-           POSITION P WHERE A.PosID = P.PosID AND P.PayRate > 5 ORDER BY P.PosID",
-        "SELECT EmpID, PosID FROM POSITION WHERE PayRate > 5 AND PosID < 4 ORDER BY EmpID, PosID",
-    ]
-}
-
-fn pack_sets() -> Vec<Vec<&'static str>> {
-    let mut sets: Vec<Vec<&'static str>> = ALL_PACKS.iter().map(|p| vec![*p]).collect();
-    sets.push(ALL_PACKS.to_vec());
-    sets
-}
-
 fn dataset() -> Database {
-    let rows: Vec<(i64, i64, f64, i32, i32)> = (0..48)
+    let rows: Vec<Row> = (0..48)
         .map(|i| {
             let t1 = ((i * 13) % 55) as i32;
             (1 + i % 5, 1 + (i * 7) % 11, ((i * 3) % 17) as f64, t1, t1 + 2 + (i % 9) as i32)
@@ -116,7 +60,7 @@ fn dataset() -> Database {
 #[test]
 fn packs_fire_and_surface_in_traces() {
     let db = dataset();
-    for (pack, sql) in ALL_PACKS.iter().zip(target_queries()) {
+    for (pack, sql) in ALL_PACKS.iter().zip(REWRITE_TARGETS) {
         let mut tango = Tango::connect(db.clone());
         tango.options_mut().rewrite_packs = vec![pack.to_string()];
         let (text, report) = tango.explain_analyze(sql).unwrap();
@@ -145,7 +89,7 @@ fn packs_fire_and_surface_in_traces() {
 fn no_packs_means_no_rewrite_annotations() {
     let db = dataset();
     let mut tango = Tango::connect(db.clone());
-    let (text, report) = tango.explain_analyze(target_queries()[0]).unwrap();
+    let (text, report) = tango.explain_analyze(REWRITE_TARGETS[0]).unwrap();
     assert!(report.optimized.rewrites.is_empty());
     assert!(!text.contains("rewrite_fires"), "phantom rewrite annotation:\n{text}");
     assert!(!report.optimized.optimizer_trace().contains("rewrite:"));
@@ -158,7 +102,7 @@ fn unknown_pack_is_a_useful_error() {
     let db = dataset();
     let mut tango = Tango::connect(db.clone());
     tango.options_mut().rewrite_packs = vec!["no-such-pack".to_string()];
-    let err = match tango.query(target_queries()[0]) {
+    let err = match tango.query(REWRITE_TARGETS[0]) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("query with unknown pack unexpectedly succeeded"),
     };
@@ -180,7 +124,7 @@ fn unknown_pack_is_a_useful_error() {
 fn differential_fixed_dataset() {
     let db = dataset();
     for batch in [1usize, 1024] {
-        for sql in target_queries() {
+        for sql in REWRITE_TARGETS {
             let baseline = run(&db, &[], batch, sql);
             for packs in pack_sets() {
                 let got = run(&db, &packs, batch, sql);
@@ -191,7 +135,7 @@ fn differential_fixed_dataset() {
                 );
             }
         }
-        for sql in figure_queries() {
+        for sql in REWRITE_FIGURES {
             let baseline = run(&db, &[], batch, sql);
             for packs in pack_sets() {
                 let got = run(&db, &packs, batch, sql);
@@ -216,12 +160,12 @@ proptest! {
             1..32,
         ),
     ) {
-        let fixed: Vec<(i64, i64, f64, i32, i32)> =
+        let fixed: Vec<Row> =
             rows.into_iter().map(|(p, e, pay, t1, d)| (p, e, pay, t1, t1 + d)).collect();
         let db = make_db(&fixed);
         let all: Vec<&str> = ALL_PACKS.to_vec();
         for batch in [1usize, 1024] {
-            for sql in target_queries() {
+            for sql in REWRITE_TARGETS {
                 let baseline = run(&db, &[], batch, sql);
                 let got = run(&db, &all, batch, sql);
                 prop_assert_eq!(
@@ -230,7 +174,7 @@ proptest! {
                     "rows differ at batch {}\nsql: {}", batch, sql
                 );
             }
-            for sql in figure_queries() {
+            for sql in REWRITE_FIGURES {
                 let baseline = run(&db, &[], batch, sql);
                 let got = run(&db, &all, batch, sql);
                 prop_assert!(

@@ -8,67 +8,35 @@
 //! plan. A change to how rules are written, ordered or swept that moves
 //! any of these fails here before it can move a benchmark counter.
 
+mod support;
+
 use proptest::prelude::*;
+use support::{
+    create_posinfo, pack_sets, position_db, ALL_PACKS, REWRITE_FIGURES, REWRITE_TARGETS,
+};
 use tango::algebra::{Attr, CmpOp, Expr, Logical, Schema, TOp, Tuple, Type, Value};
 use tango::core::rewrite::Rewriter;
-use tango::minidb::{Database, Link, LinkProfile};
+use tango::minidb::{Database, LinkProfile};
 use tango::Tango;
-
-const ALL_PACKS: [&str; 3] = ["temporal-normalize", "subquery-to-join", "compat"];
 
 /// The tables of `tests/rewrite.rs`, empty: parsing and rewriting read
 /// only their schemas.
 fn schemas() -> Database {
-    let db = Database::new(Link::new(LinkProfile::instant()));
-    let position = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    db.create_table("POSITION", position).unwrap();
-    let posinfo = Schema::new(vec![Attr::new("PosID", Type::Int), Attr::new("Info", Type::Str)]);
-    db.create_table("POSINFO", posinfo).unwrap();
+    let db = position_db(LinkProfile::instant(), &[]);
+    create_posinfo(&db);
     db
 }
 
-/// `tests/rewrite.rs`' target queries, then its figure queries.
-const QUERIES: [&str; 8] = [
-    "SELECT P.PosID, P.T1, I.Info FROM POSITION P, POSINFO I \
-     WHERE P.PosID = I.PosID AND NOT (P.T1 > 40) AND NOT (P.T2 < 10) \
-     ORDER BY P.PosID, P.T1, I.Info",
-    "SELECT P.PosID, P.T1, I.Info \
-     FROM (SELECT PosID, Info FROM POSINFO) I, POSITION P \
-     WHERE NOT (I.PosID <> P.PosID) ORDER BY P.PosID, P.T1, I.Info",
-    "SELECT A.PosID, A.EmpID, B.EmpID AS EmpID2, \
-     GREATEST(A.T1, B.T1) AS S1, LEAST(A.T2, B.T2) AS S2 \
-     FROM POSITION A, POSITION B \
-     WHERE A.PosID = B.PosID AND A.T1 < B.T2 AND B.T1 < A.T2 \
-     ORDER BY A.PosID, A.EmpID, EmpID2, S1, S2",
-    "VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID ORDER BY PosID",
-    "VALIDTIME SELECT COUNT(EmpID) AS C, MIN(PayRate) AS MN, MAX(PayRate) AS MX \
-     FROM POSITION WHERE PosID < 3 GROUP BY PosID",
-    "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-     WHERE A.PosID = B.PosID AND A.T1 < 40 AND B.T1 < 40 ORDER BY A.PosID",
-    "VALIDTIME SELECT P.PosID, C, P.EmpID FROM \
-       (VALIDTIME SELECT PosID, COUNT(PosID) AS C FROM POSITION GROUP BY PosID) A, \
-       POSITION P WHERE A.PosID = P.PosID AND P.PayRate > 5 ORDER BY P.PosID",
-    "SELECT EmpID, PosID FROM POSITION WHERE PayRate > 5 AND PosID < 4 ORDER BY EmpID, PosID",
-];
-
-/// `tests/rewrite.rs`' `pack_sets()`: each pack alone, then all three.
-fn pack_sets() -> Vec<Vec<&'static str>> {
-    let mut sets: Vec<Vec<&'static str>> = ALL_PACKS.iter().map(|p| vec![*p]).collect();
-    sets.push(ALL_PACKS.to_vec());
-    sets
+/// The rewrite targets, then the figure queries.
+fn queries() -> impl Iterator<Item = &'static str> {
+    REWRITE_TARGETS.into_iter().chain(REWRITE_FIGURES)
 }
 
 /// One query's record: a header, then the rewritten plan.
-fn record(db: &Database, packs: &[&str], q: usize) -> String {
+fn record(db: &Database, packs: &[&str], q: usize, sql: &str) -> String {
     let mut tango = Tango::connect(db.clone());
     tango.options_mut().rewrite_packs = packs.iter().map(|p| p.to_string()).collect();
-    let logical = tango.parse(QUERIES[q]).unwrap_or_else(|e| panic!("q{q}: {e}"));
+    let logical = tango.parse(sql).unwrap_or_else(|e| panic!("q{q}: {e}"));
     let (out, outcome) = tango.apply_rewrites(logical).unwrap();
     let fires: Vec<String> =
         outcome.fires.iter().map(|f| format!("{}/{}×{}", f.pack, f.rule, f.fires)).collect();
@@ -86,8 +54,8 @@ fn firing_record_is_pinned() {
     let db = schemas();
     let mut expected = EXPECTED.split("\n\n");
     for packs in pack_sets() {
-        for q in 0..QUERIES.len() {
-            let got = record(&db, &packs, q);
+        for (q, sql) in queries().enumerate() {
+            let got = record(&db, &packs, q, sql);
             let want = expected.next().unwrap_or("<missing>");
             assert_eq!(
                 got.trim_end(),

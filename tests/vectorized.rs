@@ -1,23 +1,28 @@
 //! Differential suite for batch-at-a-time execution: every batch size
 //! must agree **byte for byte** with the row-at-a-time degenerate case
 //! (`batch_rows = 1`, one-row pulls) — for every XXL operator on
-//! randomized inputs, for full middleware plans end to end, and under
-//! seeded chaos schedules on the simulated wire.
+//! randomized inputs, and for the external-sort plan end to end. Whole
+//! statements at every batch size, on a clean or a faulty wire, are
+//! `tests/oracle.rs`'s; a `TRANSFER^M`'s round trips per batch are
+//! pinned here.
 //!
 //! The batch size is per operator (`with_batch_rows`) and per session
 //! (`TangoOptions::batch_rows`), so the tests here share no state.
 
+mod support;
+
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+use support::{chaos_profile, seed_db};
 use tango::algebra::{
-    tup, AggFunc, AggSpec, Attr, Expr, ProjItem, Relation, Schema, SortSpec, Type, Value,
+    tup, AggFunc, AggSpec, Attr, Expr, ProjItem, Relation, Schema, SortSpec, Type,
     DEFAULT_BATCH_ROWS,
 };
 use tango::core::cost::CostFactors;
 use tango::core::phys::{Algo, PhysNode};
 use tango::core::to_sql;
-use tango::minidb::{Database, FaultPlan, Link, LinkProfile, WireMode};
+use tango::uis::queries::q1_sql;
 use tango::xxl::{
     drain_of, BoxCursor, Coalesce, DupElim, ExternalSort, Filter, MergeJoin, Project, Sort,
     TemporalAggregate, TemporalDiff, TemporalMergeJoin, VecScan,
@@ -156,104 +161,6 @@ proptest! {
 
 // ---------------------------------------------------------------- engine
 
-/// A wire slow enough that the prefetch/batch interplay matters (same
-/// shape as the resilience fixture).
-fn wire_profile() -> LinkProfile {
-    LinkProfile {
-        roundtrip_latency_us: 100.0,
-        bytes_per_sec: 4.0 * 1024.0 * 1024.0,
-        row_prefetch: 8,
-        mode: WireMode::Virtual,
-    }
-}
-
-/// Deterministic POSITION (120 rows) + EMPLOYEE (40 rows), LCG-seeded —
-/// the same fixture the chaos suite uses.
-fn seed_db() -> Database {
-    let db = Database::new(Link::new(wire_profile()));
-    let position = Schema::with_inferred_period(vec![
-        Attr::new("PosID", Type::Int),
-        Attr::new("EmpID", Type::Int),
-        Attr::new("PayRate", Type::Double),
-        Attr::new("T1", Type::Int),
-        Attr::new("T2", Type::Int),
-    ]);
-    let employee =
-        Schema::new(vec![Attr::new("EmpID", Type::Int), Attr::new("EmpName", Type::Str)]);
-    db.create_table("POSITION", position).unwrap();
-    db.create_table("EMPLOYEE", employee).unwrap();
-
-    let mut state = 0x1234_5678_9ABC_DEF0u64;
-    let mut next = move |m: u64| -> i64 {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 33) % m) as i64
-    };
-    let rows: Vec<_> = (0..120)
-        .map(|_| {
-            let t1 = next(60);
-            tup![
-                1 + next(7),
-                1 + next(40),
-                Value::Double(next(200) as f64 / 10.0),
-                t1,
-                t1 + 1 + next(25)
-            ]
-        })
-        .collect();
-    db.insert_rows("POSITION", rows).unwrap();
-    db.insert_rows("EMPLOYEE", (1..=40).map(|i: i64| tup![i, format!("emp{i}")]).collect())
-        .unwrap();
-    db.analyze("POSITION").unwrap();
-    db.analyze("EMPLOYEE").unwrap();
-    db.link().reset();
-    db
-}
-
-/// The plan shapes of Figures 7, 9 and 11(a): temporal aggregation,
-/// nested aggregation + temporal join, temporal self-join, and a
-/// conventional join.
-fn queries() -> Vec<String> {
-    vec![
-        "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-         GROUP BY PosID ORDER BY PosID"
-            .to_string(),
-        "VALIDTIME SELECT P.PosID, Cnt, P.EmpID FROM \
-           (VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION GROUP BY PosID) A, \
-           POSITION P WHERE A.PosID = P.PosID AND P.PayRate > 10 \
-           AND T1 < 40 AND T2 > 5 ORDER BY P.PosID"
-            .to_string(),
-        "VALIDTIME SELECT A.PosID, A.EmpID, B.EmpID FROM POSITION A, POSITION B \
-         WHERE A.PosID = B.PosID AND A.T1 < 30 AND B.T1 < 30 ORDER BY A.PosID"
-            .to_string(),
-        "SELECT P.PosID, E.EmpName FROM POSITION P, EMPLOYEE E \
-         WHERE P.EmpID = E.EmpID ORDER BY P.PosID"
-            .to_string(),
-    ]
-}
-
-/// Full middleware plans (optimizer → transfer wire → XXL stack → trace)
-/// must deliver identical bytes at every batch size, including sizes
-/// that do not divide the wire prefetch.
-#[test]
-fn middleware_plans_agree_row_vs_batch() {
-    let db = seed_db();
-    let mut tango = Tango::connect(db);
-    for q in queries() {
-        tango.options_mut().batch_rows = Some(1);
-        let (row, _) = tango.query(&q).unwrap();
-        for bs in [2usize, 3, 8, 50, DEFAULT_BATCH_ROWS] {
-            tango.options_mut().batch_rows = Some(bs);
-            let (batch, report) = tango.query(&q).unwrap();
-            assert!(
-                batch.list_eq(&row),
-                "batch size {bs} changed the answer\nquery: {q}\nrow:\n{row}\nbatch:\n{batch}"
-            );
-            // row accounting stays exact regardless of batch size
-            assert_eq!(report.exec.rows, row.len(), "batch size {bs}, query {q}");
-        }
-    }
-}
-
 /// A `TRANSFER^M` makes one round trip per batch, the link's prefetch
 /// as the floor. Over a cold, uncached Query-1 transfer at every batch
 /// size: 1 + ⌈rows / max(bs, prefetch)⌉ round trips, wire that never
@@ -273,9 +180,9 @@ fn transfer_makes_one_round_trip_per_batch() {
     tango.options_mut().cache_budget = None;
     // aggregate in the middleware, so the transfer ships all of POSITION
     tango.set_factors(CostFactors { p_taggd1: 1e9, ..*tango.factors() });
-    let optimized = tango.optimize(&queries()[0]).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
     assert!(optimized.plan.any(&|a| matches!(a, Algo::TAggrM { .. })), "{}", optimized.explain());
-    let prefetch = wire_profile().row_prefetch;
+    let prefetch = chaos_profile().row_prefetch;
 
     // the parent's charge: the same SQL drained in prefetch windows
     let sql = to_sql::render_select(transfer_arg(&optimized.plan).unwrap()).unwrap();
@@ -319,9 +226,7 @@ fn external_sort_plan_agrees_row_vs_batch() {
     f.p_sd = 1e6; // force the ordering into the middleware
     tango.set_factors(f);
     tango.options_mut().opt.mid_sort_budget = Some(64);
-    let q = "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
-             GROUP BY PosID ORDER BY PosID";
-    let optimized = tango.optimize(q).unwrap();
+    let optimized = tango.optimize(&q1_sql("POSITION")).unwrap();
     assert!(optimized.explain().contains("XSORT^M"), "{}", optimized.explain());
     tango.options_mut().batch_rows = Some(1);
     let (row, _) = tango.execute_physical(&optimized.plan).unwrap();
@@ -329,42 +234,5 @@ fn external_sort_plan_agrees_row_vs_batch() {
         tango.options_mut().batch_rows = Some(bs);
         let (batch, _) = tango.execute_physical(&optimized.plan).unwrap();
         assert!(batch.list_eq(&row), "batch size {bs}\nrow:\n{row}\nbatch:\n{batch}");
-    }
-}
-
-/// Seeded chaos schedules (latency spikes, throttles, transient faults
-/// under the retry budget) must leave row- and batch-mode results
-/// byte-identical to the fault-free baseline.
-#[test]
-fn chaos_schedules_agree_row_vs_batch() {
-    let db = seed_db();
-    let mut tango = Tango::connect(db.clone());
-    let queries = &queries()[..2]; // aggregation + join cover both wires
-    let baselines: Vec<Relation> = queries.iter().map(|q| tango.query(q).unwrap().0).collect();
-
-    for seed in [0xA11CEu64, 0x5EED5, 0xC0FFEE] {
-        let plan = Arc::new(
-            FaultPlan::random(seed, 0.2)
-                .with_budget(3)
-                .with_spikes(0.1, Duration::from_millis(2))
-                .with_throttle(0.1, 4.0),
-        );
-        for bs in [1usize, 8, DEFAULT_BATCH_ROWS] {
-            // set before arming the link: changing an option re-collects
-            // statistics, which must not consume the fault schedule
-            tango.options_mut().batch_rows = Some(bs);
-            tango.refresh_statistics().unwrap();
-            db.link().set_injector(plan.clone());
-            for (q, base) in queries.iter().zip(&baselines) {
-                let (rel, _) = tango.query(q).unwrap_or_else(|e| {
-                    panic!("seed {seed:#x} batch {bs}: chaos run failed: {e}\nquery: {q}")
-                });
-                assert!(
-                    rel.list_eq(base),
-                    "seed {seed:#x} batch {bs}: chaos result differs\nquery: {q}"
-                );
-            }
-            db.link().clear_injector();
-        }
     }
 }

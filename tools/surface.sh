@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Print the tracked size numbers of the middleware and the stand-in DBMS
 # (ROADMAP aim 2):
-# source lines, public items, unwrap sites and option-field counts. Prints only; CI
+# source lines, public items, unwrap sites, option-field counts, and the
+# integration tests' lines and POSITION fixture sites. Prints only; CI
 # runs it so every PR's log carries the numbers, and CHANGES.md quotes
 # its output before and after a change instead of hand-run commands.
 set -euo pipefail
@@ -46,5 +47,7 @@ echo "non-test:     algebra expr.rs $(non_test_lines crates/algebra/src/expr.rs)
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)  tango-minidb $(public_items crates/minidb/src/*.rs)"
 echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
+mapfile -t test_files < <(find tests -name '*.rs' | sort)
+echo "tests:        lines $(lines "${test_files[@]}")  create_table(\"POSITION\" sites $(cat "${test_files[@]}" | grep -c 'create_table("POSITION"')"
 prose() { for f in "$@"; do printf ' %s %s' "$f" "$(lines "$f")"; done; }
 echo "prose lines:$(prose README.md DESIGN.md EXPERIMENTS.md docs/*.md)"
