@@ -27,11 +27,48 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// The default number of rows per batch. Large enough to amortize
 /// per-batch overhead, small enough to keep a batch cache-resident.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
+
+/// A string dictionary inverted: each string to its code. Hashed with
+/// [`FxHasher`], as dictionaries are built one value at a time.
+pub type StrCodes = HashMap<String, u32, BuildHasherDefault<FxHasher>>;
+
+/// The multiply-rotate hash of the Rust compiler's own tables: several
+/// times cheaper than the default SipHash on short strings. Dictionary
+/// keys are data values, not adversarial input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(b as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Packed validity bitmap: bit `i` set means row `i` holds a value,
 /// cleared means NULL.
@@ -80,6 +117,27 @@ impl Bitmap {
         let inner: u32 = self.words[first + 1..last].iter().map(|w| w.count_ones()).sum();
         ((self.words[first] & lo).count_ones() + inner + (self.words[last] & hi).count_ones())
             as usize
+    }
+
+    /// Set or clear bit `i`.
+    fn set(&mut self, i: usize, valid: bool) {
+        let (w, b) = (i / 64, i % 64);
+        self.words[w] = (self.words[w] & !(1 << b)) | ((valid as u64) << b);
+    }
+
+    /// Keep the bits `keep` marks, in order, moving each down in place.
+    fn retain(&mut self, keep: &[bool]) {
+        let mut j = 0;
+        for (i, _) in keep.iter().enumerate().filter(|(_, k)| **k) {
+            // j <= i: bit i is read before any write reaches it
+            self.set(j, self.get(i));
+            j += 1;
+        }
+        self.len = j;
+        self.words.truncate(j.div_ceil(64));
+        if let Some(last) = self.words.last_mut() {
+            *last &= u64::MAX >> ((64 - j % 64) % 64);
+        }
     }
 
     /// `len` rows, all valid.
@@ -273,40 +331,181 @@ impl Column {
         }
     }
 
-    /// Push rows `offset..offset + rows.len()` onto `rows`, one value per
+    /// Push row `at[k]` (absolute index) onto `rows[k]`, one value per
     /// tuple — the layout is matched here, once, not once per cell.
-    fn append_to(&self, offset: usize, rows: &mut [Tuple]) {
+    pub fn push_rows(&self, at: impl IntoIterator<Item = usize>, rows: &mut [Tuple]) {
         fn fill<T: Copy>(
             vals: &[T],
             valid: &Option<Arc<Bitmap>>,
-            offset: usize,
+            at: impl IntoIterator<Item = usize>,
             rows: &mut [Tuple],
             value: impl Fn(T) -> Value,
         ) {
-            let vals = &vals[offset..offset + rows.len()];
+            let cells = rows.iter_mut().zip(at);
             match valid {
-                None => rows.iter_mut().zip(vals).for_each(|(t, &v)| t.0.push(value(v))),
-                Some(bm) => {
-                    for (i, (t, &v)) in rows.iter_mut().zip(vals).enumerate() {
-                        t.0.push(if bm.get(offset + i) { value(v) } else { Value::Null });
-                    }
-                }
+                None => cells.for_each(|(t, i)| t.0.push(value(vals[i]))),
+                Some(bm) => cells.for_each(|(t, i)| {
+                    t.0.push(if bm.get(i) { value(vals[i]) } else { Value::Null })
+                }),
             }
         }
         match self {
-            Column::Int { vals, valid } => fill(vals, valid, offset, rows, Value::Int),
+            Column::Int { vals, valid } => fill(vals, valid, at, rows, Value::Int),
             Column::Date { vals, valid } => {
-                fill(vals, valid, offset, rows, |d| Value::Date(d as crate::date::Day))
+                fill(vals, valid, at, rows, |d| Value::Date(d as crate::date::Day))
             }
-            Column::Double { vals, valid } => fill(vals, valid, offset, rows, Value::Double),
+            Column::Double { vals, valid } => fill(vals, valid, at, rows, Value::Double),
             Column::Str { codes, dict, valid } => {
-                fill(codes, valid, offset, rows, |c| Value::Str(dict[c as usize].clone()))
+                fill(codes, valid, at, rows, |c| Value::Str(dict[c as usize].clone()))
             }
             Column::Mixed { vals } => {
-                rows.iter_mut().zip(&vals[offset..]).for_each(|(t, v)| t.0.push(v.clone()))
+                rows.iter_mut().zip(at).for_each(|(t, i)| t.0.push(vals[i].clone()))
             }
         }
     }
+
+    /// Append `vals` in place: a stored table's INSERT. A string finds
+    /// its dictionary code in `codes`, the column's dictionary inverted,
+    /// which this keeps in step. A value the layout cannot hold (the
+    /// first non-NULL of an untyped column, or a second variant) rebuilds
+    /// the column once through a [`ColumnBuilder`], with the rest.
+    pub fn extend(&mut self, vals: impl IntoIterator<Item = Value>, codes: &mut StrCodes) {
+        let mut vals = vals.into_iter();
+        while let Some(v) = vals.next() {
+            if let Err(v) = self.push_in_place(v, codes) {
+                let mut b = self.reopen(|_| None);
+                b.push(v);
+                vals.for_each(|v| b.push(v));
+                (*self, *codes) = b.finish_with_codes();
+                return;
+            }
+        }
+    }
+
+    /// Overwrite row `i` with `v` in place: a stored table's UPDATE. A
+    /// value the layout cannot hold rebuilds the column, as in
+    /// [`Column::extend`].
+    pub fn set(&mut self, i: usize, v: &Value, codes: &mut StrCodes) {
+        fn put<T>(xs: &mut Arc<Vec<T>>, valid: &mut Option<Arc<Bitmap>>, i: usize, x: T)
+        where
+            T: Clone,
+        {
+            Arc::make_mut(xs)[i] = x;
+            if let Some(bm) = valid {
+                Arc::make_mut(bm).set(i, true);
+            }
+        }
+        let n = self.len();
+        match (&mut *self, v) {
+            (Column::Int { vals, valid }, Value::Int(x)) => put(vals, valid, i, *x),
+            (Column::Date { vals, valid }, Value::Date(d)) => put(vals, valid, i, *d as i64),
+            (Column::Double { vals, valid }, Value::Double(x)) => put(vals, valid, i, *x),
+            (Column::Str { codes: cs, dict, valid }, Value::Str(s)) => {
+                let code = dict_code(dict, codes, s);
+                put(cs, valid, i, code)
+            }
+            (
+                Column::Int { valid, .. }
+                | Column::Date { valid, .. }
+                | Column::Double { valid, .. }
+                | Column::Str { valid, .. },
+                Value::Null,
+            ) => Arc::make_mut(valid.get_or_insert_with(|| Arc::new(Bitmap::all_valid(n))))
+                .set(i, false),
+            (Column::Mixed { vals }, v) if v.is_null() || vals.iter().any(|x| !x.is_null()) => {
+                Arc::make_mut(vals)[i] = v.clone()
+            }
+            _ => {
+                (*self, *codes) = self.reopen(|j| (j == i).then(|| v.clone())).finish_with_codes();
+            }
+        }
+    }
+
+    /// Keep the rows `keep` marks, in order, compacting in place: a
+    /// stored table's DELETE.
+    pub fn retain(&mut self, keep: &[bool]) {
+        fn compact<T: Clone>(xs: &mut Arc<Vec<T>>, keep: &[bool]) {
+            let mut k = keep.iter();
+            Arc::make_mut(xs).retain(|_| k.next() == Some(&true));
+        }
+        fn compact_valid(valid: &mut Option<Arc<Bitmap>>, keep: &[bool]) {
+            if let Some(bm) = valid {
+                Arc::make_mut(bm).retain(keep);
+            }
+        }
+        match self {
+            Column::Int { vals, valid } | Column::Date { vals, valid } => {
+                compact(vals, keep);
+                compact_valid(valid, keep);
+            }
+            Column::Double { vals, valid } => {
+                compact(vals, keep);
+                compact_valid(valid, keep);
+            }
+            Column::Str { codes, valid, .. } => {
+                compact(codes, keep);
+                compact_valid(valid, keep);
+            }
+            Column::Mixed { vals } => compact(vals, keep),
+        }
+    }
+
+    /// Append `v` if the layout holds it as it is; else give it back.
+    fn push_in_place(&mut self, v: Value, codes: &mut StrCodes) -> Result<(), Value> {
+        fn push<T: Clone>(xs: &mut Arc<Vec<T>>, valid: &mut Option<Arc<Bitmap>>, x: T, ok: bool) {
+            let n = xs.len();
+            Arc::make_mut(xs).push(x);
+            match valid {
+                Some(bm) => Arc::make_mut(bm).push(ok),
+                None if ok => {}
+                None => {
+                    let mut bm = Bitmap::all_valid(n);
+                    bm.push(false);
+                    *valid = Some(Arc::new(bm));
+                }
+            }
+        }
+        match (self, v) {
+            (Column::Int { vals, valid }, Value::Int(x)) => push(vals, valid, x, true),
+            (Column::Date { vals, valid }, Value::Date(d)) => push(vals, valid, d as i64, true),
+            (Column::Double { vals, valid }, Value::Double(x)) => push(vals, valid, x, true),
+            (Column::Str { codes: cs, dict, valid }, Value::Str(s)) => {
+                let code = dict_code(dict, codes, &s);
+                push(cs, valid, code, true)
+            }
+            (Column::Int { vals, valid } | Column::Date { vals, valid }, Value::Null) => {
+                push(vals, valid, 0, false)
+            }
+            (Column::Double { vals, valid }, Value::Null) => push(vals, valid, 0.0, false),
+            (Column::Str { codes: cs, valid, .. }, Value::Null) => push(cs, valid, 0, false),
+            // a column that holds only NULLs has no type yet
+            (Column::Mixed { vals }, v) if v.is_null() || vals.iter().any(|x| !x.is_null()) => {
+                Arc::make_mut(vals).push(v)
+            }
+            (_, v) => return Err(v),
+        }
+        Ok(())
+    }
+
+    /// A builder holding this column's values, with `replace(i)`'s value
+    /// in place of row `i` where it gives one.
+    fn reopen(&self, replace: impl Fn(usize) -> Option<Value>) -> ColumnBuilder {
+        let mut b = ColumnBuilder::default();
+        (0..self.len()).for_each(|i| b.push(replace(i).unwrap_or_else(|| self.value_at(i))));
+        b
+    }
+}
+
+/// The code of `s` in `dict`, found through `codes` by hash; a new string
+/// is appended to both.
+fn dict_code(dict: &mut Arc<Vec<String>>, codes: &mut StrCodes, s: &str) -> u32 {
+    if let Some(&c) = codes.get(s) {
+        return c;
+    }
+    let c = dict.len() as u32;
+    Arc::make_mut(dict).push(s.to_string());
+    codes.insert(s.to_string(), c);
+    c
 }
 
 /// Builds a [`Column`] one value at a time — the one place a column's
@@ -334,7 +533,7 @@ enum Building {
     Str {
         codes: Vec<u32>,
         dict: Vec<String>,
-        by_str: HashMap<String, u32>,
+        by_str: StrCodes,
     },
     Mixed(Vec<Value>),
 }
@@ -366,10 +565,10 @@ impl ColumnBuilder {
             (Date(xs), Value::Date(d)) => xs.push(d as i64),
             (Double(xs), Value::Double(x)) => xs.push(x),
             (Str { codes, dict, by_str }, Value::Str(s)) => {
-                let code = by_str.get(&s).copied().unwrap_or_else(|| {
-                    by_str.insert(s.clone(), dict.len() as u32);
-                    dict.push(s);
-                    dict.len() as u32 - 1
+                let fresh = dict.len() as u32;
+                let code = *by_str.entry(s).or_insert_with_key(|s| {
+                    dict.push(s.clone());
+                    fresh
                 });
                 codes.push(code);
             }
@@ -377,7 +576,7 @@ impl ColumnBuilder {
             (Nulls(_), Value::Date(d)) => self.vals = Date(typed(n, d as i64)),
             (Nulls(_), Value::Double(x)) => self.vals = Double(typed(n, x)),
             (Nulls(_), Value::Str(s)) => {
-                let by_str = HashMap::from([(s.clone(), 0)]);
+                let by_str = StrCodes::from_iter([(s.clone(), 0)]);
                 self.vals = Str { codes: typed(n, 0), dict: vec![s], by_str };
             }
             (_, v) => {
@@ -417,17 +616,24 @@ impl ColumnBuilder {
 
     /// The finished column.
     pub fn finish(self) -> Column {
+        self.finish_with_codes().0
+    }
+
+    /// The finished column, and a string column's dictionary inverted.
+    fn finish_with_codes(self) -> (Column, StrCodes) {
         let valid = self.valid.map(Arc::new);
-        match self.vals {
+        let col = match self.vals {
             Building::Nulls(n) => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
             Building::Int(vals) => Column::Int { vals: Arc::new(vals), valid },
             Building::Date(vals) => Column::Date { vals: Arc::new(vals), valid },
             Building::Double(vals) => Column::Double { vals: Arc::new(vals), valid },
-            Building::Str { codes, dict, .. } => {
-                Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid }
+            Building::Str { codes, dict, by_str } => {
+                let col = Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid };
+                return (col, by_str);
             }
             Building::Mixed(vals) => Column::Mixed { vals: Arc::new(vals) },
-        }
+        };
+        (col, StrCodes::default())
     }
 }
 
@@ -675,7 +881,7 @@ impl Batch {
                 // filled column by column
                 let mut rows: Vec<Tuple> =
                     (0..len).map(|_| Tuple(Vec::with_capacity(cols.len()))).collect();
-                cols.iter().for_each(|c| c.append_to(offset, &mut rows));
+                cols.iter().for_each(|c| c.push_rows(offset..offset + len, &mut rows));
                 rows
             }
         }
@@ -707,6 +913,16 @@ mod tests {
     use crate::schema::Attr;
     use crate::tup;
     use crate::value::Type;
+
+    /// A string column's dictionary inverted: each string to its code.
+    fn dict_codes(col: &Column) -> StrCodes {
+        match col {
+            Column::Str { dict, .. } => {
+                dict.iter().enumerate().map(|(c, s)| (s.clone(), c as u32)).collect()
+            }
+            _ => StrCodes::default(),
+        }
+    }
 
     fn abc_schema() -> Arc<Schema> {
         Arc::new(Schema::new(vec![
@@ -880,6 +1096,44 @@ mod tests {
                 vals[cut..].iter().for_each(|v| joined.push(v.clone()));
                 assert_eq!(joined.len(), vals.len());
                 assert_eq!(format!("{:?}", joined.finish()), shown, "{vals:?} cut at {cut}");
+            }
+        }
+    }
+
+    /// Appending, overwriting and compacting in place give back exactly
+    /// the values a column built afresh holds, through every layout
+    /// decision: appended in two parts it is that column, layout and all,
+    /// and the string codes stay the dictionary inverted.
+    #[test]
+    fn in_place_writes_match_a_rebuilt_column() {
+        let shown =
+            |c: &Column| format!("{:?}", (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>());
+        let cases = layout_cases();
+        for (vals, _) in &cases {
+            for cut in 0..=vals.len() {
+                let (mut col, mut codes) = (Column::from_values(vec![]), StrCodes::default());
+                col.extend(vals[..cut].to_vec(), &mut codes);
+                col.extend(vals[cut..].to_vec(), &mut codes);
+                assert_eq!(format!("{col:?}"), format!("{:?}", Column::from_values(vals.clone())));
+                assert_eq!(codes, dict_codes(&col), "{vals:?} cut at {cut}");
+
+                let keep: Vec<bool> = (0..vals.len()).map(|i| (i + cut) % 3 != 0).collect();
+                let kept: Vec<Value> =
+                    vals.iter().zip(&keep).filter(|(_, k)| **k).map(|(v, _)| v.clone()).collect();
+                let mut compacted = col.clone();
+                compacted.retain(&keep);
+                assert_eq!(shown(&compacted), shown(&Column::from_values(kept)));
+
+                // every other case's values written over this one's rows
+                for (others, _) in &cases {
+                    let (mut col, mut codes, mut want) = (col.clone(), codes.clone(), vals.clone());
+                    for (i, v) in others.iter().enumerate().take(vals.len()) {
+                        col.set(i, v, &mut codes);
+                        want[i] = v.clone();
+                    }
+                    assert_eq!(shown(&col), shown(&Column::from_values(want)), "{others:?}");
+                    assert_eq!(codes, dict_codes(&col));
+                }
             }
         }
     }

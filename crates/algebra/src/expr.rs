@@ -321,14 +321,18 @@ impl Expr {
     /// with [`Expr::eval_bool`] row by row. Returns `None` when the batch
     /// is row-layout or the expression shape has no columnar kernel
     /// (callers fall back to row-at-a-time evaluation). Kernels cover the
-    /// filter shapes the optimizer pushes into the middleware: column-vs-
-    /// literal comparisons, AND/OR/NOT over them, and `IS [NOT] NULL`.
+    /// filter shapes the optimizer pushes into the middleware and the
+    /// DBMS: column-vs-literal and column-vs-column comparisons, AND/OR/NOT
+    /// over them, and `IS [NOT] NULL`.
     pub fn eval_batch_tri(&self, b: &Batch) -> Option<Vec<u8>> {
         let (cols, offset, len) = b.columns()?;
-        self.tri_kernel(cols, offset, len)
+        self.eval_tri(cols, offset, len)
     }
 
-    fn tri_kernel(&self, cols: &[Column], offset: usize, len: usize) -> Option<Vec<u8>> {
+    /// [`Expr::eval_batch_tri`] over rows `offset..offset + len` of bare
+    /// columns, as a stored table holds them; column indices are bound
+    /// against `cols`.
+    pub fn eval_tri(&self, cols: &[Column], offset: usize, len: usize) -> Option<Vec<u8>> {
         match self {
             Expr::Lit(v) => {
                 let t = match v {
@@ -343,13 +347,16 @@ impl Expr {
                 let (i, lit, op) = match (&**l, &**r) {
                     (Expr::Col { index: Some(i), .. }, Expr::Lit(v)) => (*i, v, *op),
                     (Expr::Lit(v), Expr::Col { index: Some(i), .. }) => (*i, v, op.flip()),
+                    (Expr::Col { index: Some(i), .. }, Expr::Col { index: Some(j), .. }) => {
+                        return cmp_col_col(&cols[*i], &cols[*j], offset, len, *op)
+                    }
                     _ => return None,
                 };
                 Some(cmp_col_lit(&cols[i], offset, len, op, lit))
             }
             Expr::And(l, r) => {
-                let a = l.tri_kernel(cols, offset, len)?;
-                let b = r.tri_kernel(cols, offset, len)?;
+                let a = l.eval_tri(cols, offset, len)?;
+                let b = r.eval_tri(cols, offset, len)?;
                 Some(
                     a.iter()
                         .zip(&b)
@@ -366,8 +373,8 @@ impl Expr {
                 )
             }
             Expr::Or(l, r) => {
-                let a = l.tri_kernel(cols, offset, len)?;
-                let b = r.tri_kernel(cols, offset, len)?;
+                let a = l.eval_tri(cols, offset, len)?;
+                let b = r.eval_tri(cols, offset, len)?;
                 Some(
                     a.iter()
                         .zip(&b)
@@ -384,7 +391,7 @@ impl Expr {
                 )
             }
             Expr::Not(e) => {
-                let mut a = e.tri_kernel(cols, offset, len)?;
+                let mut a = e.eval_tri(cols, offset, len)?;
                 for t in &mut a {
                     *t = match *t {
                         0 => 1,
@@ -468,6 +475,50 @@ fn cmp_col_lit(col: &Column, offset: usize, len: usize, op: CmpOp, lit: &Value) 
             })
             .collect(),
     }
+}
+
+/// Compare two columns row by row over `[offset, offset + len)`,
+/// reproducing [`Value::sql_cmp`] + [`CmpOp::eval`]: integer-like pairs
+/// (`Int`, `Date`) exactly, any pair with a `Double` by `f64::total_cmp`.
+/// `None` for a string or mixed column: the row path decides those.
+fn cmp_col_col(l: &Column, r: &Column, offset: usize, len: usize, op: CmpOp) -> Option<Vec<u8>> {
+    type Side<'a, T> = (&'a [T], &'a Option<Arc<Bitmap>>);
+    fn sweep<A: Copy, B: Copy>(
+        (xs, xv): Side<A>,
+        (ys, yv): Side<B>,
+        (offset, len, op): (usize, usize, CmpOp),
+        cmp: impl Fn(A, B) -> Ordering,
+    ) -> Vec<u8> {
+        let (xs, ys) = (&xs[offset..offset + len], &ys[offset..offset + len]);
+        let mut out: Vec<u8> = xs.iter().zip(ys).map(|(&x, &y)| op.eval(cmp(x, y)) as u8).collect();
+        for bm in [xv, yv].into_iter().flatten() {
+            for (r, slot) in out.iter_mut().enumerate() {
+                if !bm.get(offset + r) {
+                    *slot = 2;
+                }
+            }
+        }
+        out
+    }
+    fn int(c: &Column) -> Option<Side<'_, i64>> {
+        match c {
+            Column::Int { vals, valid } | Column::Date { vals, valid } => Some((vals, valid)),
+            _ => None,
+        }
+    }
+    let at = (offset, len, op);
+    Some(match (l, r) {
+        (Column::Double { vals: x, valid: xv }, Column::Double { vals: y, valid: yv }) => {
+            sweep((x, xv), (y, yv), at, |a: f64, b: f64| a.total_cmp(&b))
+        }
+        (Column::Double { vals: x, valid: xv }, c) => {
+            sweep((x, xv), int(c)?, at, |a: f64, b: i64| a.total_cmp(&(b as f64)))
+        }
+        (c, Column::Double { vals: y, valid: yv }) => {
+            sweep(int(c)?, (y, yv), at, |a: i64, b: f64| (a as f64).total_cmp(&b))
+        }
+        (a, b) => sweep(int(a)?, int(b)?, at, |a: i64, b: i64| a.cmp(&b)),
+    })
 }
 
 fn tvl(b: Option<bool>) -> Value {
@@ -630,51 +681,99 @@ mod tests {
         assert!(e.eval(&tup![1]).is_err());
     }
 
-    #[test]
-    fn batch_tri_matches_eval_bool() {
-        use crate::batch::Batch;
-        use std::sync::Arc;
-        let schema = schema();
-        let mut rows = Vec::new();
-        let mut x: u64 = 3;
-        for _ in 0..123 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let a = match x % 5 {
-                0 => Value::Null,
-                _ => Value::Int(((x >> 20) % 10) as i64),
-            };
-            let b = Value::Int(((x >> 7) % 10) as i64);
-            let s = match (x >> 11) % 4 {
-                0 => Value::Null,
-                k => Value::Str(format!("s{k}")),
-            };
-            rows.push(Tuple::new(vec![a, b, s]));
+    /// Values of one column kind (0 Int, 1 Date, 2 Double, 3 Str, 4 mixed
+    /// variants), NULL now and then, over few distinct values so that
+    /// comparisons tie; doubles include `-0.0` and NaN.
+    fn kernel_value(g: &mut Gen, kind: u64) -> Value {
+        let k = g.below(5) as i64 - 2;
+        let kind = if kind == 4 { g.below(4) } else { kind };
+        match (g.below(6), kind) {
+            (0, _) => Value::Null,
+            (_, 0) => Value::Int(k),
+            (_, 1) => Value::Date(k as i32),
+            (_, 2) => [Value::Double(k as f64 / 2.0), Value::Double(-0.0), Value::Double(f64::NAN)]
+                [g.below(3) as usize % 3]
+                .clone(),
+            _ => Value::Str(["", "a", "b", "ab", "b"][(k + 2) as usize].into()),
         }
-        let preds = vec![
-            Expr::cmp(CmpOp::Lt, Expr::col("A"), Expr::lit(5)),
-            Expr::cmp(CmpOp::Ge, Expr::lit(4), Expr::col("B")),
-            Expr::eq(Expr::col("S"), Expr::lit("s2")),
-            Expr::and(
-                Expr::cmp(CmpOp::Gt, Expr::col("A"), Expr::lit(1)),
-                Expr::not(Expr::eq(Expr::col("S"), Expr::lit("s1"))),
-            ),
-            Expr::or(
-                Expr::IsNull(Box::new(Expr::col("A")), false),
-                Expr::cmp(CmpOp::Ne, Expr::col("B"), Expr::lit(3)),
-            ),
-            Expr::cmp(CmpOp::Le, Expr::col("A"), Expr::lit(Value::Double(3.5))),
-        ];
-        let batch = Batch::new(Arc::new(schema.clone()), rows.clone()).columnarize();
-        for p in preds {
-            let p = p.bound(&schema).unwrap();
-            let tri = p.eval_batch_tri(&batch).expect("kernel supported");
-            for (r, t) in rows.iter().enumerate() {
-                let want = match p.eval_bool(t).unwrap() {
+    }
+
+    /// A predicate over the five kernel columns `K0..K4` (kinds as in
+    /// [`kernel_value`]), and whether a kernel must cover it: every shape
+    /// does except a comparison of two columns that are not both laid out
+    /// as numbers (`numeric`).
+    fn kernel_pred(g: &mut Gen, depth: u32, numeric: &[bool]) -> (Expr, bool) {
+        let col = |i: u64| Expr::Col { name: format!("K{i}"), index: Some(i as usize) };
+        let op =
+            [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge][g.below(6) as usize];
+        let pick = if depth == 0 { g.below(4) } else { g.below(8) };
+        match pick {
+            0 | 1 => {
+                let (i, kind) = (g.below(5), g.below(5));
+                let lit = Expr::Lit(kernel_value(g, kind));
+                let e =
+                    if pick == 0 { Expr::cmp(op, col(i), lit) } else { Expr::cmp(op, lit, col(i)) };
+                (e, true)
+            }
+            2 => {
+                let (i, j) = (g.below(5), g.below(5));
+                (Expr::cmp(op, col(i), col(j)), numeric[i as usize] && numeric[j as usize])
+            }
+            3 => (Expr::IsNull(Box::new(col(g.below(5))), g.below(2) == 0), true),
+            4 => {
+                let kind = g.below(5);
+                (Expr::Lit(kernel_value(g, kind)), true)
+            }
+            5 | 6 => {
+                let (l, a) = kernel_pred(g, depth - 1, numeric);
+                let (r, b) = kernel_pred(g, depth - 1, numeric);
+                (if pick == 5 { Expr::and(l, r) } else { Expr::or(l, r) }, a && b)
+            }
+            _ => {
+                let (e, a) = kernel_pred(g, depth - 1, numeric);
+                (Expr::not(e), a)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// The batch kernels agree with `eval_bool` row by row — every DBMS
+        /// base-table predicate and every `FILTER^M` batch goes through
+        /// them — over Int, Date, Double, Str and mixed-variant columns with
+        /// NULLs, `-0.0` and NaN, fractional literals against Int columns,
+        /// and Str literals against numeric ones; and a kernel exists for
+        /// every shape it must cover. The batch is a slice, so the kernels
+        /// read at an offset.
+        #[test]
+        fn batch_tri_matches_eval_bool(seed in 0u64..u64::MAX) {
+            use crate::batch::Batch;
+            let mut g = Gen(seed);
+            let n = 1 + g.below(80) as usize;
+            let cols: Vec<Column> = (0..5)
+                .map(|kind| Column::from_values((0..n).map(|_| kernel_value(&mut g, kind)).collect()))
+                .collect();
+            let attrs = (0..5).map(|i| crate::schema::Attr::new(format!("K{i}"), Type::Int)).collect();
+            let numeric: Vec<bool> = cols
+                .iter()
+                .map(|c| matches!(c, Column::Int { .. } | Column::Date { .. } | Column::Double { .. }))
+                .collect();
+            let from = g.below(n as u64) as usize;
+            let batch = Batch::from_columns(Arc::new(Schema::new(attrs)), cols)
+                .slice(from, n - from);
+            let depth = 1 + g.below(3) as u32;
+            let (p, covered) = kernel_pred(&mut g, depth, &numeric);
+            let tri = p.eval_batch_tri(&batch);
+            proptest::prop_assert_eq!(tri.is_some(), covered, "{} (case seed {:#x})", p, seed);
+            for (r, t) in tri.iter().flatten().enumerate() {
+                let row = batch.tuple_at(r);
+                let want = match p.eval_bool(&row).unwrap() {
                     Some(true) => 1,
                     Some(false) => 0,
                     None => 2,
                 };
-                assert_eq!(tri[r], want, "{p} row {r}");
+                proptest::prop_assert_eq!(*t, want, "{} over {:?} (case seed {:#x})", p, row, seed);
             }
         }
     }

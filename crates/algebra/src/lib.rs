@@ -46,7 +46,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{Batch, Bitmap, Column, ColumnBuilder, DEFAULT_BATCH_ROWS};
+pub use batch::{Batch, Bitmap, Column, ColumnBuilder, StrCodes, DEFAULT_BATCH_ROWS};
 pub use date::Day;
 pub use error::{AlgebraError, Result};
 pub use exact_sum::ExactSum;

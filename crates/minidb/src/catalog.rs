@@ -3,6 +3,7 @@
 
 use crate::delta::{DeltaLog, DeltaOp, DeltaRecord, DEFAULT_DELTA_LOG_CAP};
 use crate::error::{DbError, Result};
+use crate::exec::select;
 use crate::wire::Link;
 use parking_lot::RwLock;
 use std::any::Any;
@@ -10,17 +11,30 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use tango_algebra::value::Key;
-use tango_algebra::{Attr, Relation, Schema, Tuple, Type, Value};
+use tango_algebra::{
+    Attr, Column, ColumnBuilder, Relation, Schema, StrCodes, Tuple, Type, Value, DEFAULT_BATCH_ROWS,
+};
 use tango_stats::RelationStats;
 
 /// Number of histogram buckets ANALYZE collects per numeric column
 /// (Oracle's default height-balanced histogram size ballpark).
 pub const HISTOGRAM_BUCKETS: usize = 20;
 
-/// A stored table: schema, heap of rows, optional ANALYZE statistics.
+/// A stored table: schema, heap, optional ANALYZE statistics.
+///
+/// The heap is one typed [`Column`] per attribute — the layout the
+/// middleware's batches use — held once: no row-form copy beside it. A
+/// statement lends the columns ([`crate::exec`]); a write appends,
+/// overwrites or compacts them in place.
 pub struct Table {
     pub schema: Arc<Schema>,
-    pub rows: Vec<Tuple>,
+    /// One column per attribute, each `len` rows long, in heap order.
+    pub cols: Vec<Column>,
+    /// Per column, its dictionary inverted (string to code) for a string
+    /// column, else empty: an INSERT finds a string's code by hash.
+    codes: Vec<StrCodes>,
+    /// Rows in the heap (a table may have no columns).
+    pub len: usize,
     pub stats: Option<RelationStats>,
     /// Monotonic write-version stamp, drawn from the database-wide
     /// [`DbInner::version_clock`]. Bumped by every DML statement that
@@ -30,13 +44,64 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn byte_size(&self) -> usize {
-        self.rows.iter().map(Tuple::byte_size).sum()
+    fn new(schema: Schema, version: u64) -> Table {
+        let n = schema.len();
+        Table {
+            schema: Arc::new(schema),
+            cols: vec![ColumnBuilder::default().finish(); n],
+            codes: vec![StrCodes::default(); n],
+            len: 0,
+            stats: None,
+            version,
+        }
     }
 
-    pub fn blocks(&self) -> u64 {
-        (self.byte_size() as u64).div_ceil(8192).max(1)
+    /// Heap rows `rids` (every row when `None`), boxed at full width.
+    pub fn boxed_rows(&self, rids: Option<&[u32]>) -> Vec<Tuple> {
+        let cols: Vec<Option<&Column>> = self.cols.iter().map(Some).collect();
+        box_rows(&cols, rids, self.len)
     }
+
+    /// Append `rows`, moving each value into its column, one column at
+    /// a time.
+    fn append(&mut self, mut rows: Vec<Tuple>) {
+        for (c, (col, codes)) in self.cols.iter_mut().zip(&mut self.codes).enumerate() {
+            col.extend(rows.iter_mut().map(|t| std::mem::replace(&mut t.0[c], Value::Null)), codes);
+        }
+        self.len += rows.len();
+    }
+
+    /// Remove rows `rids`, compacting every column in place.
+    fn remove(&mut self, rids: &[u32]) {
+        let mut keep = vec![true; self.len];
+        rids.iter().for_each(|&r| keep[r as usize] = false);
+        self.cols.iter_mut().for_each(|c| c.retain(&keep));
+        self.len -= rids.len();
+    }
+}
+
+/// Rows `rids` (every row of the `len` when `None`) of heap columns
+/// `cols`, boxed as tuples; a `None` column reads NULL. One batch of rows
+/// at a time, column by column within it, so even a wide heap is walked
+/// once.
+pub(crate) fn box_rows(cols: &[Option<&Column>], rids: Option<&[u32]>, len: usize) -> Vec<Tuple> {
+    let n = rids.map_or(len, <[u32]>::len);
+    let mut rows: Vec<Tuple> = Vec::with_capacity(n);
+    for from in (0..n).step_by(DEFAULT_BATCH_ROWS) {
+        let to = n.min(from + DEFAULT_BATCH_ROWS);
+        rows.extend((from..to).map(|_| Tuple::new(Vec::with_capacity(cols.len()))));
+        let batch = &mut rows[from..];
+        for col in cols {
+            match (col, rids) {
+                (None, _) => batch.iter_mut().for_each(|t| t.0.push(Value::Null)),
+                (Some(c), Some(rids)) => {
+                    c.push_rows(rids[from..to].iter().map(|&r| r as usize), batch)
+                }
+                (Some(c), None) => c.push_rows(from..to, batch),
+            }
+        }
+    }
+    rows
 }
 
 /// A secondary B-tree index on one column.
@@ -76,8 +141,8 @@ impl DbInner {
         let table = self.table(&table_name)?;
         let ci = table.schema.index_of(&col)?;
         let mut map: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
-        for (rid, row) in table.rows.iter().enumerate() {
-            map.entry(row[ci].key()).or_default().push(rid);
+        for rid in 0..table.len {
+            map.entry(table.cols[ci].value_at(rid).key()).or_default().push(rid);
         }
         self.indexes[i].map = map;
         Ok(())
@@ -182,10 +247,7 @@ impl Database {
         }
         inner.version_clock += 1;
         let version = inner.version_clock;
-        inner.tables.insert(
-            key.clone(),
-            Table { schema: Arc::new(schema), rows: Vec::new(), stats: None, version },
-        );
+        inner.tables.insert(key.clone(), Table::new(schema, version));
         inner.delta_logs.insert(key, DeltaLog::new(version, DEFAULT_DELTA_LOG_CAP));
         Ok(())
     }
@@ -217,14 +279,9 @@ impl Database {
                 )));
             }
         }
-        // an oversize write moves into the heap: its log entry is a poison
-        let logged = if oversize {
-            table.rows.extend(rows);
-            None
-        } else {
-            table.rows.extend(rows.iter().cloned());
-            Some(rows)
-        };
+        // an oversize write's log entry is a poison
+        let logged = (!oversize).then(|| rows.clone());
+        table.append(rows);
         table.stats = None; // stale until re-ANALYZEd
         inner.bump_version(name);
         let v = inner.version_clock;
@@ -246,19 +303,12 @@ impl Database {
         let key = name.to_uppercase();
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-        let tombstones = match pred {
-            None => std::mem::take(&mut table.rows),
-            Some(p) => {
-                let bound = p.bound(&table.schema)?;
-                let doomed: Vec<bool> = table
-                    .rows
-                    .iter()
-                    .map(|t| bound.matches(t))
-                    .collect::<tango_algebra::Result<_>>()?;
-                let mut doomed = doomed.into_iter();
-                table.rows.extract_if(.., |_| doomed.next() == Some(true)).collect()
-            }
+        let rids = match pred {
+            None => (0..table.len as u32).collect(),
+            Some(p) => select(&p.bound(&table.schema)?, &table.cols, None, table.len)?,
         };
+        let tombstones = table.boxed_rows(Some(&rids));
+        table.remove(&rids);
         let removed = tombstones.len() as u64;
         table.stats = None;
         inner.bump_version(name);
@@ -289,21 +339,26 @@ impl Database {
             let i = table.schema.index_of(col)?;
             bound_sets.push((i, e.bound(&table.schema)?));
         }
+        let rids = match &bound_pred {
+            None => (0..table.len as u32).collect(),
+            Some(p) => select(p, &table.cols, None, table.len)?,
+        };
         // every right-hand side reads the *old* row
-        let mut writes: Vec<(usize, Vec<Value>)> = Vec::new();
-        for (rid, row) in table.rows.iter().enumerate() {
-            if bound_pred.as_ref().map_or(Ok(true), |p| p.matches(row))? {
+        let mut writes: Vec<(usize, Vec<Value>)> = Vec::with_capacity(rids.len());
+        if !bound_sets.is_empty() {
+            let rows = table.boxed_rows(Some(&rids));
+            for (&rid, row) in rids.iter().zip(&rows) {
                 let vals = bound_sets
                     .iter()
                     .map(|(_, e)| e.eval(row))
                     .collect::<tango_algebra::Result<_>>()?;
-                writes.push((rid, vals));
+                writes.push((rid as usize, vals));
             }
         }
-        let n = writes.len() as u64;
+        let n = rids.len() as u64;
         for (rid, vals) in writes {
             for ((i, _), v) in bound_sets.iter().zip(vals) {
-                table.rows[rid].set(*i, v);
+                table.cols[*i].set(rid, &v, &mut table.codes[*i]);
             }
         }
         table.stats = None;
@@ -333,8 +388,8 @@ impl Database {
             .collect();
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-        let rel = Relation::new(table.schema.clone(), table.rows.clone());
-        let mut stats = RelationStats::from_relation(&rel, HISTOGRAM_BUCKETS);
+        let mut stats =
+            RelationStats::from_columns(&table.schema, &table.cols, table.len, HISTOGRAM_BUCKETS);
         for (col, clustered) in indexed {
             if let Some(a) = stats.attrs.get_mut(&col) {
                 a.indexed = true;
@@ -601,10 +656,49 @@ mod tests {
             (0..(DEFAULT_DELTA_LOG_CAP >> 14) + 1).map(|_| tup![page.as_str()]).collect();
         db.insert_rows("DOCS", rows.clone()).unwrap();
         let v1 = db.table_version("DOCS").unwrap();
-        assert_eq!(db.inner.read().table("DOCS").unwrap().rows.len(), rows.len() + 1);
+        assert_eq!(db.inner.read().table("DOCS").unwrap().len, rows.len() + 1);
         assert_eq!(db.delta_log_bytes(), 0);
         assert_eq!(db.delta_bytes_since("DOCS", v0), None);
         assert_eq!(db.delta_bytes_since("DOCS", v1), Some(0));
+    }
+
+    /// ANALYZE over the columnar heap gathers exactly the statistics of
+    /// the rows it holds, boxed, for the UIS tables — loaded, then
+    /// written to — and the heap gives those rows back as loaded.
+    #[test]
+    fn analyze_equals_statistics_over_the_boxed_heap() {
+        use tango_uis::{generate_employee, generate_position, UisConfig};
+        let cfg = UisConfig::small(7);
+        let db = Database::in_memory();
+        for (name, rel) in
+            [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+        {
+            db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+            db.insert_rows(name, rel.tuples().to_vec()).unwrap();
+            {
+                let inner = db.inner.read();
+                let t = inner.table(name).unwrap();
+                let heap = format!("{:?}", t.boxed_rows(None));
+                assert_eq!(heap, format!("{:?}", rel.tuples()), "{name} as loaded");
+            }
+            for written in [false, true] {
+                db.analyze(name).unwrap();
+                let inner = db.inner.read();
+                let t = inner.table(name).unwrap();
+                let rel = Relation::new(t.schema.clone(), t.boxed_rows(None));
+                let want = RelationStats::from_relation(&rel, HISTOGRAM_BUCKETS);
+                assert_eq!(t.stats.as_ref(), Some(&want), "{name}, written: {written}");
+                drop(inner);
+                let first = tango_algebra::Expr::col(rel.schema().attr(0).name.clone());
+                let low = tango_algebra::Expr::cmp(
+                    tango_algebra::CmpOp::Lt,
+                    first,
+                    tango_algebra::Expr::lit(50),
+                );
+                db.delete_rows(name, Some(&low)).unwrap();
+                db.insert_rows(name, rel.tuples()[..10].to_vec()).unwrap();
+            }
+        }
     }
 
     #[test]

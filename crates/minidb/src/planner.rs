@@ -90,8 +90,9 @@ fn plan_block(stmt: &SelectStmt, db: &DbInner, with_order: bool) -> Result<Plan>
     let mut residual: Vec<Expr> = Vec::new();
     'conj: for c in conjuncts {
         let cols = c.columns();
-        let covering: Vec<usize> =
-            (0..items.len()).filter(|&i| cols.iter().all(|col| items[i].schema.has(col))).collect();
+        let covering: Vec<usize> = (0..items.len())
+            .filter(|&i| cols.iter().all(|col| covers(&items[i].schema, col)))
+            .collect();
         if covering.len() == 1 {
             single[covering[0]].push(c);
             continue;
@@ -102,7 +103,7 @@ fn plan_block(stmt: &SelectStmt, db: &DbInner, with_order: bool) -> Result<Plan>
                 (l.as_ref(), r.as_ref())
             {
                 let owner = |col: &str| -> Vec<usize> {
-                    (0..items.len()).filter(|&i| items[i].schema.has(col)).collect()
+                    (0..items.len()).filter(|&i| covers(&items[i].schema, col)).collect()
                 };
                 let (lo, ro) = (owner(ln), owner(rn));
                 for &a in &lo {
@@ -179,7 +180,7 @@ fn plan_block(stmt: &SelectStmt, db: &DbInner, with_order: bool) -> Result<Plan>
                     // apply now-covered residual predicates
                     let mut remaining = Vec::new();
                     for c in residual {
-                        if c.columns().iter().all(|col| cur.schema.has(col)) {
+                        if c.columns().iter().all(|col| covers(&cur.schema, col)) {
                             let schema = cur.schema.clone();
                             cur = Plan {
                                 op: PlanOp::Filter { pred: c, input: Box::new(cur) },
@@ -216,7 +217,7 @@ fn plan_block(stmt: &SelectStmt, db: &DbInner, with_order: bool) -> Result<Plan>
         // apply residual predicates that are now fully covered
         let mut remaining = Vec::new();
         for c in residual {
-            if c.columns().iter().all(|col| cur.schema.has(col)) {
+            if c.columns().iter().all(|col| covers(&cur.schema, col)) {
                 let schema = cur.schema.clone();
                 cur = Plan { op: PlanOp::Filter { pred: c, input: Box::new(cur) }, schema };
             } else {
@@ -342,6 +343,17 @@ fn push_predicates(item: Plan, preds: Vec<Expr>, db: &DbInner) -> Result<Plan> {
         item = Plan { op: PlanOp::Filter { pred, input: Box::new(item) }, schema };
     }
     Ok(item)
+}
+
+/// Whether `schema` — a FROM item's, qualified by its binding, or a join
+/// of such — has `col`. A qualified name counts only under its own
+/// qualifier: `Schema::has` falls back to the bare name, so `A.T1` would
+/// also be found in `B`, and `A.Foo` in `B` when only `B` has `Foo`.
+fn covers(schema: &Schema, col: &str) -> bool {
+    match col.contains('.') {
+        true => schema.names().any(|n| n.eq_ignore_ascii_case(col)),
+        false => schema.has(col),
+    }
 }
 
 fn bare(name: &str) -> &str {
@@ -776,5 +788,67 @@ mod tests {
              WHERE TABLE_NAME = 'POSITION' AND COLUMN_NAME = 'POSID'",
         );
         assert_eq!(rows, vec![tup!["POSID", 2]]);
+    }
+
+    /// A qualified column belongs to the FROM item its qualifier names:
+    /// `A.Foo` is not `B.Foo` because only `B` has a `Foo`.
+    #[test]
+    fn a_qualified_column_is_not_found_under_another_binding() {
+        let db = Database::in_memory();
+        let cols = |second: &str| {
+            Schema::new(vec![Attr::new("PosID", Type::Int), Attr::new(second, Type::Int)])
+        };
+        db.create_table("P", cols("Bar")).unwrap();
+        db.create_table("Q", cols("Foo")).unwrap();
+        db.insert_rows("P", vec![tup![1, 10]]).unwrap();
+        db.insert_rows("Q", vec![tup![1, 3]]).unwrap();
+        let sql = |pred: &str| {
+            format!("SELECT A.PosID FROM P A, Q B WHERE A.PosID = B.PosID AND {pred} < 5")
+        };
+        let crate::ast::Stmt::Select(s) = parse(&sql("A.Foo")).unwrap() else { panic!() };
+        let err = plan_select(&s, &db.inner.read()).unwrap_err();
+        assert!(err.to_string().contains("unknown columns: (A.Foo < 5)"), "{err}");
+        assert_eq!(q(&db, &sql("B.Foo")), vec![tup![1]]);
+    }
+
+    /// Query 3's DBMS fragment, as the middleware renders `TJOIN^D` over
+    /// two filtered POSITION accesses: each side's `T1 < T2` conjunct is
+    /// applied below the join, over that side's rows, and only the two
+    /// conjuncts that read both sides sit above it.
+    #[test]
+    fn query_3s_one_sided_conjuncts_run_below_the_join() {
+        let db = Database::in_memory();
+        let schema = Schema::with_inferred_period(vec![
+            Attr::new("PosID", Type::Int),
+            Attr::new("EmpID", Type::Int),
+            Attr::new("PayRate", Type::Double),
+            Attr::new("T1", Type::Date),
+            Attr::new("T2", Type::Date),
+        ]);
+        db.create_table("POSITION", schema).unwrap();
+        let side = "(SELECT PosID AS PosID, EmpID AS EmpID, T1 AS T1, T2 AS T2 FROM \
+                    (SELECT X.PosID AS PosID, X.EmpID AS EmpID, X.PayRate AS PayRate, \
+                    X.T1 AS T1, X.T2 AS T2 FROM POSITION X \
+                    WHERE (T1 < DATE '1996-01-01')) X)";
+        let sql = format!(
+            "SELECT A.PosID AS PosID, A.EmpID AS EmpID, B.EmpID AS EmpID_1, \
+             GREATEST(A.T1, B.T1) AS T1, LEAST(A.T2, B.T2) AS T2 FROM {side} A, {side} B \
+             WHERE A.PosID = B.PosID AND A.T1 < B.T2 AND A.T2 > B.T1 \
+             AND A.T1 < A.T2 AND B.T1 < B.T2"
+        );
+        let side = |b: &str| {
+            format!(
+                "FILTER [({b}.T1 < {b}.T2)]\n  VIEW\n    PROJECT [4 columns]\n      VIEW\n        \
+                 VIEW\n          FILTER [(T1 < DATE '1996-01-01')]\n            TABLE SCAN POSITION"
+            )
+        };
+        let mut want =
+            "PROJECT [5 columns]\n  FILTER [(A.T2 > B.T1)]\n    FILTER [(A.T1 < B.T2)]\n      \
+                        HASH JOIN [A.PosID=B.PosID]\n"
+                .to_string();
+        for b in ["A", "B"] {
+            side(b).lines().for_each(|l| want += &format!("        {l}\n"));
+        }
+        assert_eq!(plan(&db, &sql).render(), want);
     }
 }

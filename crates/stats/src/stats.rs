@@ -8,7 +8,8 @@
 use crate::histogram::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use tango_algebra::{Schema, Value};
+use tango_algebra::value::Key;
+use tango_algebra::{Column, Schema, Value};
 
 /// Statistics for one attribute.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -102,43 +103,105 @@ impl RelationStats {
         }
     }
 
-    /// Compute full statistics from a materialized column sample. Used by
-    /// the mini-DBMS's ANALYZE and by tests.
+    /// Compute full statistics from a materialized column sample. The
+    /// mini-DBMS's ANALYZE ([`RelationStats::from_columns`]) must equal
+    /// it over the rows of its heap.
     pub fn from_relation(rel: &tango_algebra::Relation, histogram_buckets: usize) -> Self {
         let schema: &Schema = rel.schema();
         let mut s = RelationStats::of_size(rel.len(), rel.byte_size() as u64, schema);
         for (i, attr) in schema.attrs().iter().enumerate() {
             let col: Vec<&Value> = rel.tuples().iter().map(|t| &t[i]).collect();
-            let nums: Vec<f64> = col.iter().filter_map(|v| v.as_f64()).collect();
-            let nulls = col.iter().filter(|v| v.is_null()).count() as u64;
-            let mut keys: Vec<_> = col.iter().filter(|v| !v.is_null()).map(|v| v.key()).collect();
-            keys.sort();
-            keys.dedup();
-            let histogram = if histogram_buckets > 0 && !nums.is_empty() {
-                Histogram::build(nums.clone(), histogram_buckets)
-            } else {
-                None
-            };
-            let width_sum: usize = col.iter().map(|v| v.byte_size()).sum();
-            s.set_attr(
-                &attr.name,
-                AttrStats {
-                    min: nums.iter().copied().reduce(f64::min),
-                    max: nums.iter().copied().reduce(f64::max),
-                    distinct: keys.len() as u64,
-                    nulls,
-                    histogram,
-                    avg_width: if col.is_empty() {
-                        8.0
-                    } else {
-                        width_sum as f64 / col.len() as f64
-                    },
-                    indexed: false,
-                    clustered: false,
-                },
-            );
+            s.set_attr(&attr.name, values_stats(&col, histogram_buckets).0);
         }
         s
+    }
+
+    /// [`RelationStats::from_relation`] of the first `len` rows of a table
+    /// held as typed columns (the mini-DBMS's heap), read in place: numbers
+    /// from their flat vectors, a string column's distinct count from its
+    /// dictionary codes. No row is boxed and no string copied.
+    pub fn from_columns(schema: &Schema, cols: &[Column], len: usize, buckets: usize) -> Self {
+        let attrs: Vec<(AttrStats, usize)> =
+            cols.iter().map(|c| column_stats(c, len, buckets)).collect();
+        let bytes = attrs.iter().map(|(_, width)| *width as u64).sum();
+        let mut s = RelationStats::of_size(len, bytes, schema);
+        for (attr, (stats, _)) in schema.attrs().iter().zip(attrs) {
+            s.set_attr(&attr.name, stats);
+        }
+        s
+    }
+}
+
+/// One attribute's statistics from its values, in row order, and the
+/// values' total width.
+fn values_stats(col: &[&Value], buckets: usize) -> (AttrStats, usize) {
+    let nums: Vec<f64> = col.iter().filter_map(|v| v.as_f64()).collect();
+    let nulls = col.iter().filter(|v| v.is_null()).count();
+    let mut keys: Vec<_> = col.iter().filter(|v| !v.is_null()).map(|v| v.key()).collect();
+    keys.sort();
+    keys.dedup();
+    let width_sum: usize = col.iter().map(|v| v.byte_size()).sum();
+    (attr_stats(nums, nulls, keys.len(), width_sum, col.len(), buckets), width_sum)
+}
+
+/// [`values_stats`] of rows `0..len` of one column.
+fn column_stats(col: &Column, len: usize, buckets: usize) -> (AttrStats, usize) {
+    let valid = |i: &usize| col.is_valid(*i);
+    let nulls = len - (0..len).filter(valid).count();
+    let (nums, distinct, width_sum) = match col {
+        Column::Int { vals, .. } | Column::Date { vals, .. } => {
+            let mut ints: Vec<i64> = (0..len).filter(valid).map(|i| vals[i]).collect();
+            let nums = ints.iter().map(|&x| x as f64).collect();
+            let width = if matches!(col, Column::Int { .. }) { 8 } else { 4 };
+            ints.sort_unstable();
+            ints.dedup();
+            (nums, ints.len(), width * (len - nulls) + nulls)
+        }
+        Column::Double { vals, .. } => {
+            let nums: Vec<f64> = (0..len).filter(valid).map(|i| vals[i]).collect();
+            let mut keys: Vec<Key> = nums.iter().map(|&x| Value::Double(x).key()).collect();
+            keys.sort();
+            keys.dedup();
+            (nums, keys.len(), 8 * (len - nulls) + nulls)
+        }
+        Column::Str { codes, dict, .. } => {
+            let mut seen = vec![false; dict.len()];
+            let mut width = nulls;
+            for i in (0..len).filter(valid) {
+                seen[codes[i] as usize] = true;
+                width += 2 + dict[codes[i] as usize].len();
+            }
+            (Vec::new(), seen.iter().filter(|s| **s).count(), width)
+        }
+        Column::Mixed { .. } => {
+            let vals: Vec<Value> = (0..len).map(|i| col.value_at(i)).collect();
+            return values_stats(&vals.iter().collect::<Vec<_>>(), buckets);
+        }
+    };
+    (attr_stats(nums, nulls, distinct, width_sum, len, buckets), width_sum)
+}
+
+fn attr_stats(
+    nums: Vec<f64>,
+    nulls: usize,
+    distinct: usize,
+    width_sum: usize,
+    rows: usize,
+    buckets: usize,
+) -> AttrStats {
+    AttrStats {
+        min: nums.iter().copied().reduce(f64::min),
+        max: nums.iter().copied().reduce(f64::max),
+        distinct: distinct as u64,
+        nulls: nulls as u64,
+        histogram: if buckets > 0 && !nums.is_empty() {
+            Histogram::build(nums, buckets)
+        } else {
+            None
+        },
+        avg_width: if rows == 0 { 8.0 } else { width_sum as f64 / rows as f64 },
+        indexed: false,
+        clustered: false,
     }
 }
 
