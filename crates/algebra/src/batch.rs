@@ -65,6 +65,14 @@ impl Hasher for FxHasher {
         self.add(b as u64);
     }
 
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
     fn finish(&self) -> u64 {
         self.0
     }

@@ -1,12 +1,13 @@
 //! Sort orders and the `IsPrefixOf` predicate used by rules T10–T12.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Column};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// One sort key: column name plus direction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -260,6 +261,33 @@ impl BatchKeys {
         BatchKeys { cols }
     }
 
+    /// The keys of whole columns, each with its direction (`true` =
+    /// descending): an `Int` or `Date` column with no NULL is taken as its
+    /// `i64`s, any other column is read as values and packs as `i64`s
+    /// only when every one is integer-like, as [`BatchKeys::extract`]
+    /// decides.
+    pub fn from_columns(keys: impl IntoIterator<Item = (Column, bool)>) -> BatchKeys {
+        let cols = keys
+            .into_iter()
+            .map(|(col, desc)| {
+                let vals = match col {
+                    Column::Int { vals, valid: None } | Column::Date { vals, valid: None } => {
+                        KeyVals::Ints(Arc::unwrap_or_clone(vals))
+                    }
+                    col => {
+                        let vals: Vec<Value> = (0..col.len()).map(|i| col.value_at(i)).collect();
+                        match vals.iter().map(Value::as_int).collect() {
+                            Some(ints) => KeyVals::Ints(ints),
+                            None => KeyVals::Vals(vals),
+                        }
+                    }
+                };
+                (vals, desc)
+            })
+            .collect();
+        BatchKeys { cols }
+    }
+
     /// No usable sort keys: the permutation is the identity.
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
@@ -374,7 +402,6 @@ mod tests {
     fn batch_keys_match_sort_tuples() {
         use crate::schema::Attr;
         use crate::value::Type;
-        use std::sync::Arc;
         let schema =
             Arc::new(Schema::new(vec![Attr::new("A", Type::Int), Attr::new("B", Type::Str)]));
         let mut x: u64 = 7;
@@ -396,6 +423,9 @@ mod tests {
             let keys = BatchKeys::extract(&b, &spec, &schema);
             let perm = keys.sort_range(0, b.len());
             assert_eq!(b.gather(&perm).into_rows(), expect);
+            let (cols, _, _) = b.columns().unwrap();
+            let whole = spec.resolve(&schema).into_iter().map(|(i, desc)| (cols[i].clone(), desc));
+            assert_eq!(BatchKeys::from_columns(whole).sort_range(0, b.len()), perm);
         }
     }
 }

@@ -207,15 +207,18 @@ impl Value {
     }
 
     /// A hashable, totally ordered key view of this value (floats keyed by
-    /// their `total_cmp` bit pattern). Used for hash joins and grouping.
+    /// their `total_cmp` bit pattern). Used for hash joins and grouping:
+    /// two values share a key exactly when `=` holds between them.
     pub fn key(&self) -> Key {
         match self {
             Value::Null => Key::Null,
             Value::Int(i) => Key::Num(*i),
             Value::Double(d) => {
-                if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d <= i64::MAX as f64 {
+                let in_range = *d >= i64::MIN as f64 && *d <= i64::MAX as f64;
+                if d.fract() == 0.0 && in_range && !(*d == 0.0 && d.is_sign_negative()) {
                     // Integral doubles key like ints so mixed-type equi
-                    // joins agree with sql_cmp.
+                    // joins agree with sql_cmp; `-0.0` does not, as
+                    // `sql_cmp` orders it below `0`.
                     Key::Num(*d as i64)
                 } else {
                     // Map to a sortable integer key (total_cmp bit trick).
@@ -240,8 +243,8 @@ impl Value {
 pub enum Key {
     Null,
     Num(i64),
-    /// A non-integral (or out-of-range) double, as the `total_cmp` bit
-    /// pattern of [`Value::key`].
+    /// A non-integral (or out-of-range) double, or `-0.0`, as the
+    /// `total_cmp` bit pattern of [`Value::key`].
     Float(i64),
     Str(String),
 }
@@ -376,9 +379,8 @@ mod tests {
 
     proptest::proptest! {
         /// Keys order as their values do, whatever mix of INT, DATE and
-        /// DOUBLE (negative, fractional, integral, huge, infinite, NaN)
-        /// meets. `-0.0` is left out: it keys as `0`, equal to `0.0` as
-        /// `Eq` and `Hash` require, where `total_cmp` orders it below.
+        /// DOUBLE (negative, fractional, integral, huge, infinite, NaN,
+        /// `-0.0`) meets.
         #[test]
         fn keys_order_as_total_cmp(a in 0usize..64, b in 0usize..64, x in -400i64..400, y in -400i64..400) {
             let value = |pick: usize, n: i64| match pick % 8 {
@@ -387,7 +389,7 @@ mod tests {
                 2 => Value::Double(n as f64),
                 3 | 4 => Value::Double(n as f64 / 8.0 + 0.01),
                 5 => Value::Double(n as f64 * 1e17),
-                6 => Value::Double([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX][n.rem_euclid(4) as usize]),
+                6 => Value::Double([f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::MAX, -0.0, 0.0][n.rem_euclid(6) as usize]),
                 _ => Value::Int(n * (1 << 50)),
             };
             let (a, b) = (value(a, x), value(b, y));
@@ -400,5 +402,11 @@ mod tests {
         assert_eq!(Value::Int(5).key(), Value::Date(5).key());
         assert_ne!(Value::Int(5).key(), Value::Int(6).key());
         assert_eq!(Value::Str("x".into()).key(), Value::Str("x".into()).key());
+        // `=` keeps `-0.0` apart from `0`, and so do the keys
+        for zero in [Value::Int(0), Value::Double(0.0)] {
+            assert_ne!(Value::Double(-0.0).sql_cmp(&zero), Some(Ordering::Equal));
+            assert_ne!(Value::Double(-0.0).key(), zero.key());
+        }
+        assert_eq!(Value::Double(0.0).key(), Value::Int(0).key());
     }
 }

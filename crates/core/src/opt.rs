@@ -456,12 +456,27 @@ fn explore(
     sem: TangoSem,
     pinned_order: Option<SortSpec>,
 ) -> Result<(Memo<TangoSem>, GroupId, Req)> {
+    if let Some(t) = unanalyzed(logical, &sem) {
+        return Err(TangoError::Optimizer(format!("no statistics for table {t}: run ANALYZE {t}")));
+    }
     let (tree, order) = to_initial(logical);
     let rules = rules::rule_set(sem.options);
     let mut memo = Memo::new(sem);
     let root = memo.insert_root(tree);
     memo.explore(&rules);
     Ok((memo, root, Req::mid(pinned_order.unwrap_or(order))))
+}
+
+/// A table `logical` reads that the catalog holds no statistics for: the
+/// search would find no plan over it.
+fn unanalyzed<'a>(logical: &'a Logical, sem: &TangoSem) -> Option<&'a str> {
+    match logical {
+        Logical::Apply { op: TOp::Get { table }, .. } if sem.table(table).is_none() => Some(table),
+        Logical::Apply { inputs, .. } => inputs.iter().find_map(|i| unanalyzed(i, sem)),
+        Logical::TransferM { input }
+        | Logical::TransferD { input }
+        | Logical::Sort { input, .. } => unanalyzed(input, sem),
+    }
 }
 
 /// Attach output schemas to a physical plan by bottom-up derivation.

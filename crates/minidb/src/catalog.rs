@@ -35,6 +35,8 @@ pub struct Table {
     codes: Vec<StrCodes>,
     /// Rows in the heap (a table may have no columns).
     pub len: usize,
+    /// The last ANALYZE's statistics, kept across writes until the next
+    /// one: a plan over slightly stale statistics beats no plan.
     pub stats: Option<RelationStats>,
     /// Monotonic write-version stamp, drawn from the database-wide
     /// [`DbInner::version_clock`]. Bumped by every DML statement that
@@ -62,6 +64,15 @@ impl Table {
         box_rows(&cols, rids, self.len)
     }
 
+    /// Column `ci` keyed from scratch: the index a `CREATE INDEX` builds.
+    pub(crate) fn keyed(&self, ci: usize) -> IndexMap {
+        let mut map = IndexMap::new();
+        for rid in 0..self.len {
+            map.entry(self.cols[ci].value_at(rid).key()).or_default().push(rid);
+        }
+        map
+    }
+
     /// Append `rows`, moving each value into its column, one column at
     /// a time.
     fn append(&mut self, mut rows: Vec<Tuple>) {
@@ -86,6 +97,7 @@ impl Table {
 /// once.
 pub(crate) fn box_rows(cols: &[Option<&Column>], rids: Option<&[u32]>, len: usize) -> Vec<Tuple> {
     let n = rids.map_or(len, <[u32]>::len);
+    crate::exec::count_boxed(n);
     let mut rows: Vec<Tuple> = Vec::with_capacity(n);
     for from in (0..n).step_by(DEFAULT_BATCH_ROWS) {
         let to = n.min(from + DEFAULT_BATCH_ROWS);
@@ -109,8 +121,11 @@ pub struct IndexDef {
     pub name: String,
     pub table: String,
     pub col: String,
-    /// value key -> row ids
-    pub map: BTreeMap<Key, Vec<usize>>,
+    /// Value key to heap row ids, ascending. A write moves only what it
+    /// changed: an INSERT adds its rows, a DELETE drops its rows and
+    /// shifts each survivor down past them, an UPDATE moves the rows
+    /// whose key it changed.
+    pub map: IndexMap,
 }
 
 #[derive(Default)]
@@ -136,16 +151,18 @@ impl DbInner {
             .find(|ix| ix.table.eq_ignore_ascii_case(table) && ix.col.eq_ignore_ascii_case(col))
     }
 
-    fn rebuild_index(&mut self, i: usize) -> Result<()> {
-        let (table_name, col) = (self.indexes[i].table.clone(), self.indexes[i].col.clone());
-        let table = self.table(&table_name)?;
-        let ci = table.schema.index_of(&col)?;
-        let mut map: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
-        for rid in 0..table.len {
-            map.entry(table.cols[ci].value_at(rid).key()).or_default().push(rid);
-        }
-        self.indexes[i].map = map;
-        Ok(())
+    /// Each index on table `name`, with its column's position, beside
+    /// the table: what a write brings forward.
+    fn indexes_of(&mut self, name: &str) -> Result<(&Table, Vec<(&mut IndexMap, usize)>)> {
+        let DbInner { tables, indexes, .. } = self;
+        let t =
+            tables.get(&name.to_uppercase()).ok_or_else(|| DbError::NoSuchTable(name.into()))?;
+        let ixs = indexes
+            .iter_mut()
+            .filter(|ix| ix.table.eq_ignore_ascii_case(name))
+            .map(|ix| Ok((&mut ix.map, t.schema.index_of(&ix.col)?)))
+            .collect::<Result<_>>()?;
+        Ok((t, ixs))
     }
 
     /// Advance the version clock and stamp `table` with the new value.
@@ -157,19 +174,25 @@ impl DbInner {
             t.version = v;
         }
     }
+}
 
-    pub fn refresh_indexes_for(&mut self, table: &str) -> Result<()> {
-        let ids: Vec<usize> = self
-            .indexes
-            .iter()
-            .enumerate()
-            .filter(|(_, ix)| ix.table.eq_ignore_ascii_case(table))
-            .map(|(i, _)| i)
-            .collect();
-        for i in ids {
-            self.rebuild_index(i)?;
+/// An index's entries: each key to the heap rows holding it, ascending.
+pub type IndexMap = BTreeMap<Key, Vec<usize>>;
+
+/// Move heap row `rid` from key `old` to key `new`, keeping each row
+/// list ascending and no list empty.
+fn rekey(map: &mut IndexMap, rid: usize, old: &Key, new: Key) {
+    if let Some(rids) = map.get_mut(old) {
+        if let Ok(at) = rids.binary_search(&rid) {
+            rids.remove(at);
         }
-        Ok(())
+        if rids.is_empty() {
+            map.remove(old);
+        }
+    }
+    let rids = map.entry(new).or_default();
+    if let Err(at) = rids.binary_search(&rid) {
+        rids.insert(at, rid);
     }
 }
 
@@ -281,8 +304,8 @@ impl Database {
         }
         // an oversize write's log entry is a poison
         let logged = (!oversize).then(|| rows.clone());
+        let old_len = table.len;
         table.append(rows);
-        table.stats = None; // stale until re-ANALYZEd
         inner.bump_version(name);
         let v = inner.version_clock;
         if let Some(log) = inner.delta_logs.get_mut(&key) {
@@ -291,7 +314,12 @@ impl Database {
                 None => log.poison(v),
             }
         }
-        inner.refresh_indexes_for(name)?;
+        let (t, ixs) = inner.indexes_of(name)?;
+        for (map, ci) in ixs {
+            for rid in old_len..t.len {
+                map.entry(t.cols[ci].value_at(rid).key()).or_default().push(rid);
+            }
+        }
         Ok(n)
     }
 
@@ -310,13 +338,25 @@ impl Database {
         let tombstones = table.boxed_rows(Some(&rids));
         table.remove(&rids);
         let removed = tombstones.len() as u64;
-        table.stats = None;
         inner.bump_version(name);
         let v = inner.version_clock;
         if let Some(log) = inner.delta_logs.get_mut(&key) {
             log.record(v, DeltaOp::Delete, tombstones);
         }
-        inner.refresh_indexes_for(name)?;
+        // `rids` ascends: a survivor's new id is its old one less the
+        // deleted rows below it
+        for (map, _) in inner.indexes_of(name)?.1 {
+            map.retain(|_, ids| {
+                ids.retain_mut(|id| match rids.binary_search(&(*id as u32)) {
+                    Ok(_) => false,
+                    Err(below) => {
+                        *id -= below;
+                        true
+                    }
+                });
+                !ids.is_empty()
+            });
+        }
         Ok(removed)
     }
 
@@ -331,8 +371,8 @@ impl Database {
     ) -> Result<u64> {
         let mut inner = self.inner.write();
         let key = name.to_uppercase();
-        let table =
-            inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
+        let DbInner { tables, indexes, .. } = &mut *inner;
+        let table = tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
         let bound_pred = pred.map(|p| p.bound(&table.schema)).transpose()?;
         let mut bound_sets = Vec::with_capacity(sets.len());
         for (col, e) in sets {
@@ -355,13 +395,25 @@ impl Database {
                 writes.push((rid as usize, vals));
             }
         }
+        // the keys of the indexed columns this writes, before it does
+        let indexed: Vec<usize> = indexes
+            .iter()
+            .filter(|ix| ix.table.eq_ignore_ascii_case(name))
+            .filter_map(|ix| table.schema.index_of(&ix.col).ok())
+            .filter(|ci| bound_sets.iter().any(|(i, _)| i == ci))
+            .collect();
+        let old_keys: Vec<(usize, Vec<Key>)> = indexed
+            .into_iter()
+            .map(|ci| {
+                (ci, rids.iter().map(|&r| table.cols[ci].value_at(r as usize).key()).collect())
+            })
+            .collect();
         let n = rids.len() as u64;
         for (rid, vals) in writes {
             for ((i, _), v) in bound_sets.iter().zip(vals) {
                 table.cols[*i].set(rid, &v, &mut table.codes[*i]);
             }
         }
-        table.stats = None;
         inner.bump_version(name);
         let v = inner.version_clock;
         if n > 0 {
@@ -371,7 +423,17 @@ impl Database {
                 log.poison(v);
             }
         }
-        inner.refresh_indexes_for(name)?;
+        let (t, ixs) = inner.indexes_of(name)?;
+        for (map, ci) in ixs {
+            for (_, old) in old_keys.iter().filter(|(c, _)| *c == ci) {
+                for (&rid, old) in rids.iter().zip(old) {
+                    let new = t.cols[ci].value_at(rid as usize).key();
+                    if new != *old {
+                        rekey(map, rid as usize, old, new);
+                    }
+                }
+            }
+        }
         Ok(n)
     }
 
@@ -402,15 +464,15 @@ impl Database {
 
     pub fn create_index(&self, name: &str, table: &str, col: &str) -> Result<()> {
         let mut inner = self.inner.write();
-        inner.table(table)?; // existence check
+        let t = inner.table(table)?;
+        let map = t.keyed(t.schema.index_of(col)?);
         inner.indexes.push(IndexDef {
             name: name.to_string(),
             table: table.to_string(),
             col: col.to_string(),
-            map: BTreeMap::new(),
+            map,
         });
-        let i = inner.indexes.len() - 1;
-        inner.rebuild_index(i)
+        Ok(())
     }
 
     pub fn table_schema(&self, name: &str) -> Option<Schema> {

@@ -3,38 +3,48 @@
 //! Deliberately a different execution style from the middleware: the
 //! mini-DBMS evaluates operator-at-a-time with hash-based joins and
 //! aggregation — the "conventional DBMS" the middleware treats as a very
-//! capable file system. It materializes each operator's output; base
-//! tables are read in place. The heap is typed columns
-//! ([`crate::catalog::Table`]), and a base-table access stays columnar
-//! until an operator needs rows:
+//! capable file system. It materializes each operator's output, in one
+//! columnar form from the scans to the statement's root: typed columns
+//! ([`Column`]) and a selection of row ids into them. `run` boxes the
+//! root's rows, once, for the cursor. Per operator:
 //!
-//! * a scan lends the heap's columns under the read lock `run`'s caller
-//!   holds, with a selection vector of heap row ids (none: every row);
-//!   an index range scan hands on the row ids it finds as that selection;
-//! * a `Filter` over them narrows the selection with the batch kernels
+//! * a scan shares the heap's columns ([`crate::catalog::Table`]) under
+//!   the read lock `run`'s caller holds, with no selection (every row);
+//!   an index range scan hands on the row ids it finds as the selection;
+//! * a `Filter` narrows the selection with the batch kernels
 //!   ([`Expr::eval_tri`]: column-vs-literal and column-vs-column
 //!   comparisons, `AND` / `OR` / `NOT`, `IS NULL`), falling back to
 //!   row-at-a-time `eval_bool` over just the predicate's columns where no
-//!   kernel covers the predicate;
+//!   kernel covers the predicate — over a base table or a join alike;
 //! * a projection of plain columns, and a `Rename` (a projection that
 //!   keeps every column in place, which `EXPLAIN` shows as `VIEW`), pick
-//!   columns and copy nothing;
-//! * the first row operator — a join, sort, aggregate, distinct, union or
-//!   the final result — boxes only the selected rows, at only the columns
-//!   that it or an operator above it reads; the others read NULL. A
-//!   join of two wide tables under a narrow projection copies the few
-//!   columns the statement uses.
+//!   columns and copy nothing; a computed item is a column: `GREATEST` /
+//!   `LEAST` over `Int` or `Date` columns by a kernel, anything else row
+//!   by row over only the columns it reads;
+//! * a join finds (left id, right id) pairs — a hash join on `i64`s for
+//!   `Int` / `Date` keys, on [`Value::key`]s otherwise; merge, nested
+//!   loops and index nested loops alike — and gathers each column some
+//!   operator above reads at them, left order first, then build order
+//!   within a key;
+//! * a sort is a stable argsort of its key columns, a new selection;
+//! * `HASH GROUP BY`, `HASH UNIQUE` and `UNION ALL` read their key and
+//!   argument columns and emit columns; `Int` / `Date` keys hash as
+//!   `i64`s there too.
 //!
-//! Joins, sorts and aggregation run row-at-a-time over boxed rows.
+//! `need` marks the columns an operator above reads; the others are
+//! neither gathered nor kept, and box as NULL.
 
 use crate::catalog::{box_rows, dictionary_view, DbInner};
 use crate::error::{DbError, Result};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
+use tango_algebra::batch::FxHasher;
 use tango_algebra::value::Key;
 use tango_algebra::{
-    sort_tuples, AggFunc, Column, ExactSum, Expr, Relation, Schema, SortSpec, Tuple, Value,
-    DEFAULT_BATCH_ROWS,
+    AggFunc, BatchKeys, Bitmap, Column, ColumnBuilder, ExactSum, Expr, Relation, Schema, SortSpec,
+    Tuple, Value, DEFAULT_BATCH_ROWS,
 };
 
 /// One aggregate computed by `HashAgg`.
@@ -219,40 +229,82 @@ impl Plan {
 }
 
 /// Execute a plan against the database (storage lock held by the caller).
+/// The statement's rows are boxed here, once, for the cursor.
 pub fn run(plan: &Plan, db: &DbInner) -> Result<Relation> {
     let all = vec![true; plan.schema.len()];
-    Ok(Relation::new(plan.schema.clone(), eval(plan, db, &all)?.into_owned(&all)))
+    let out = eval(plan, db, &all)?;
+    let cols: Vec<Option<&Column>> = out.cols.iter().map(Option::as_ref).collect();
+    Ok(Relation::new(plan.schema.clone(), box_rows(&cols, out.sel.as_deref(), out.len)))
 }
 
-/// One operator's output: heap columns lent for as long as the caller's
-/// read lock lives, or rows an operator materialized.
-enum Rows<'a> {
-    /// Output column `i` is heap column `pick[i]`; the rows are `sel`,
-    /// heap row ids in output order (every row in heap order when
-    /// `None`).
-    Lent {
-        cols: &'a [Column],
-        pick: Vec<usize>,
-        sel: Option<Vec<u32>>,
-        len: usize,
-    },
-    Owned(Vec<Tuple>),
+/// One operator's output: columns, and the rows of them it holds.
+struct Rows {
+    /// One per output column: a heap column, shared under the read lock
+    /// `run`'s caller holds, or one an operator built. `None` where no
+    /// operator above reads the column; boxed, it reads NULL.
+    cols: Vec<Option<Column>>,
+    /// The rows, as indices into the columns, in output order; every row
+    /// of the `len` in order when `None`.
+    sel: Option<Vec<u32>>,
+    /// The columns' length.
+    len: usize,
 }
 
-impl Rows<'_> {
-    /// The rows as tuples of their own: boxed at this point when they
-    /// are still the heap's, and then only at the columns `need` marks;
-    /// the others read NULL.
-    fn into_owned(self, need: &[bool]) -> Vec<Tuple> {
-        match self {
-            Rows::Owned(rows) => rows,
-            Rows::Lent { cols, pick, sel, len } => {
-                let kept: Vec<Option<&Column>> =
-                    pick.iter().zip(need).map(|(&c, &n)| n.then(|| &cols[c])).collect();
-                box_rows(&kept, sel.as_deref(), len)
-            }
-        }
+impl Rows {
+    /// Whole columns `len` rows long, each kept where `need` marks it.
+    fn whole(cols: impl IntoIterator<Item = Column>, need: &[bool], len: usize) -> Rows {
+        let cols = cols.into_iter().zip(need).map(|(c, &n)| n.then_some(c)).collect();
+        Rows { cols, sel: None, len }
     }
+
+    /// The number of rows.
+    fn rows(&self) -> usize {
+        self.sel.as_ref().map_or(self.len, Vec::len)
+    }
+
+    /// The column index of row `k`.
+    fn id(&self, k: usize) -> usize {
+        self.sel.as_ref().map_or(k, |s| s[k] as usize)
+    }
+
+    /// Column `i`, which an operator reads.
+    fn col(&self, i: usize) -> Result<&Column> {
+        self.cols[i]
+            .as_ref()
+            .ok_or_else(|| DbError::Semantic(format!("column {i} was not kept for its reader")))
+    }
+
+    /// Column `i` at the rows, in order.
+    fn dense(&self, i: usize) -> Result<Column> {
+        let c = self.col(i)?;
+        Ok(self.sel.as_ref().map_or_else(|| c.clone(), |s| c.gather(s)))
+    }
+
+    /// Every column, one not kept as an empty stand-in: the form the
+    /// kernels bind against. No kernel reads a stand-in, as `need` keeps
+    /// what a predicate reads.
+    fn view(&self) -> Vec<Column> {
+        let absent = ColumnBuilder::default().finish();
+        self.cols.iter().map(|c| c.clone().unwrap_or_else(|| absent.clone())).collect()
+    }
+
+    /// The columns `need` marks, at column indices `ids`.
+    fn gather(&self, ids: &[u32], need: &[bool]) -> Vec<Option<Column>> {
+        self.cols
+            .iter()
+            .zip(need)
+            .map(|(c, &n)| c.as_ref().filter(|_| n).map(|c| c.gather(ids)))
+            .collect()
+    }
+}
+
+/// A join's output: the left columns `need` marks at `lids`, then the
+/// right ones at `rids`, pair by pair.
+fn joined(l: &Rows, lids: &[u32], r: &Rows, rids: &[u32], need: &[bool]) -> Rows {
+    let (ln, rn) = need.split_at(l.cols.len());
+    let mut cols = l.gather(lids, ln);
+    cols.extend(r.gather(rids, rn));
+    Rows { cols, sel: None, len: lids.len() }
 }
 
 /// `need` with the columns `e` reads marked too.
@@ -280,11 +332,17 @@ fn mark_columns(e: &Expr, used: &mut [bool]) {
     });
 }
 
+/// Count `n` rows boxed (tests read the count).
+pub(crate) fn count_boxed(_n: usize) {
+    #[cfg(test)]
+    tests::BOXED.with(|b| b.set(b.get() + _n));
+}
+
 /// The heap rows among `sel` (every row of the `len` when `None`) that
 /// `pred`, bound over `cols`, accepts, in order: decided by the batch
 /// kernels where they cover the predicate, row by row otherwise, one
-/// batch of rows at a time. Shared by a base-table `Filter` and by
-/// DELETE / UPDATE.
+/// batch of rows at a time. Shared by every `Filter`, a nested-loop
+/// join's predicate, and DELETE / UPDATE.
 pub(crate) fn select(
     pred: &Expr,
     cols: &[Column],
@@ -295,6 +353,7 @@ pub(crate) fn select(
     mark_columns(pred, &mut used);
     let n = sel.as_ref().map_or(len, Vec::len);
     let mut kept = Vec::new();
+    let mut row = Tuple::new(vec![Value::Null; cols.len()]);
     for from in (0..n).step_by(DEFAULT_BATCH_ROWS) {
         let m = DEFAULT_BATCH_ROWS.min(n - from);
         let at = |k: usize| sel.as_ref().map_or((from + k) as u32, |s| s[from + k]);
@@ -317,13 +376,11 @@ pub(crate) fn select(
             kept.extend((0..m).filter(|&k| tri[k] == 1).map(at));
             continue;
         }
+        count_boxed(m);
         for k in 0..m {
-            let row = Tuple::new(
-                view.iter()
-                    .zip(&used)
-                    .map(|(c, &u)| if u { c.value_at(offset + k) } else { Value::Null })
-                    .collect(),
-            );
+            for (i, c) in view.iter().enumerate().filter(|(i, _)| used[*i]) {
+                row.set(i, c.value_at(offset + k));
+            }
             if pred.matches(&row)? {
                 kept.push(at(k));
             }
@@ -332,23 +389,198 @@ pub(crate) fn select(
     Ok(kept)
 }
 
+/// `e`, bound over `rows`, at every row in order, as a column: a plain
+/// column gathered, `GREATEST` / `LEAST` over int-like columns by its
+/// kernel, anything else row by row over only the columns `e` reads.
+fn computed(e: &Expr, rows: &Rows) -> Result<Column> {
+    match e {
+        Expr::Col { index: Some(i), .. } => rows.dense(*i),
+        Expr::Greatest(es) => {
+            extreme(es, rows, Ordering::Greater).map_or_else(|| row_by_row(e, rows), Ok)
+        }
+        Expr::Least(es) => {
+            extreme(es, rows, Ordering::Less).map_or_else(|| row_by_row(e, rows), Ok)
+        }
+        _ => row_by_row(e, rows),
+    }
+}
+
+/// `e` evaluated row by row into a column, through one scratch row that
+/// holds only the columns `e` reads.
+fn row_by_row(e: &Expr, rows: &Rows) -> Result<Column> {
+    let mut used = vec![false; rows.cols.len()];
+    mark_columns(e, &mut used);
+    let read: Vec<(usize, &Column)> = (0..used.len())
+        .filter(|&i| used[i])
+        .map(|i| Ok((i, rows.col(i)?)))
+        .collect::<Result<_>>()?;
+    let mut row = Tuple::new(vec![Value::Null; rows.cols.len()]);
+    let mut out = ColumnBuilder::default();
+    count_boxed(rows.rows());
+    for k in 0..rows.rows() {
+        let id = rows.id(k);
+        for &(i, c) in &read {
+            row.set(i, c.value_at(id));
+        }
+        out.push(e.eval(&row)?);
+    }
+    Ok(out.finish())
+}
+
+/// `GREATEST` (`want` = `Greater`) or `LEAST` of plain columns that are
+/// all `Int` or all `Date`, at every row of `rows`: what `Expr::eval`
+/// gives row by row — NULL where any operand is NULL, and the operands'
+/// variant kept. `None` for any other operand list.
+fn extreme(es: &[Expr], rows: &Rows, want: Ordering) -> Option<Column> {
+    let mut date = None;
+    let mut ops = Vec::with_capacity(es.len());
+    for e in es {
+        let Expr::Col { index: Some(i), .. } = e else { return None };
+        let (vals, valid, is_date) = match rows.cols[*i].as_ref()? {
+            Column::Int { vals, valid } => (vals, valid, false),
+            Column::Date { vals, valid } => (vals, valid, true),
+            _ => return None,
+        };
+        if *date.get_or_insert(is_date) != is_date {
+            return None; // `Int` against `Date`: the winner's variant, row by row
+        }
+        ops.push((vals.as_slice(), valid.as_deref()));
+    }
+    let ((first, first_valid), rest) = ops.split_first()?;
+    let n = rows.rows();
+    let mut vals: Vec<i64> = (0..n).map(|k| first[rows.id(k)]).collect();
+    for (xs, _) in rest {
+        let pick = |v: &mut i64, x: i64| {
+            *v = if want == Ordering::Greater { x.max(*v) } else { x.min(*v) }
+        };
+        vals.iter_mut().enumerate().for_each(|(k, v)| pick(v, xs[rows.id(k)]));
+    }
+    let mut valid = None;
+    for bm in std::iter::once(first_valid).chain(rest.iter().map(|(_, v)| v)).flatten() {
+        for k in (0..n).filter(|&k| !bm.get(rows.id(k))) {
+            valid.get_or_insert_with(|| vec![true; n])[k] = false;
+            vals[k] = 0;
+        }
+    }
+    let valid = valid.map(|v: Vec<bool>| {
+        let mut bm = Bitmap::default();
+        v.into_iter().for_each(|b| bm.push(b));
+        Arc::new(bm)
+    });
+    let vals = Arc::new(vals);
+    Some(match date {
+        Some(true) => Column::Date { vals, valid },
+        _ => Column::Int { vals, valid },
+    })
+}
+
+/// The stable order of `rows` by key columns `keys` (index, descending),
+/// as positions among the rows.
+fn argsort(rows: &Rows, keys: &[(usize, bool)]) -> Result<Vec<u32>> {
+    let cols: Vec<(Column, bool)> =
+        keys.iter().map(|&(i, desc)| Ok((rows.dense(i)?, desc))).collect::<Result<_>>()?;
+    Ok(BatchKeys::from_columns(cols).sort_range(0, rows.rows()))
+}
+
+/// The most key columns read as `i64`s in place.
+const INT_KEYS: usize = 4;
+
+/// A row's key: up to [`INT_KEYS`] int-like columns' `i64`s with a bit
+/// per NULL column, or the [`Value::key`] of each key column.
+#[derive(PartialEq, Eq, Hash)]
+enum RowKey {
+    Ints([i64; INT_KEYS], u8),
+    Keys(Vec<Key>),
+}
+
+/// Hashed with [`FxHasher`]: keys are data values, not adversarial
+/// input, as for [`tango_algebra::StrCodes`].
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// How an operator reads its key columns.
+enum KeyCols<'a> {
+    /// Up to [`INT_KEYS`] `Int` or `Date` columns, read as `i64`s.
+    Ints(Vec<(&'a [i64], Option<&'a Bitmap>)>),
+    /// Anything else, read as [`Value::key`]s.
+    Any(Vec<&'a Column>),
+}
+
+impl<'a> KeyCols<'a> {
+    /// Key columns `cols`: int-like ones are read as `i64`s where `ints`
+    /// allows it — a join's two sides must agree.
+    fn new(cols: Vec<&'a Column>, ints: bool) -> KeyCols<'a> {
+        if !(ints && Self::int_like(&cols)) {
+            return KeyCols::Any(cols);
+        }
+        let ints = cols.into_iter().filter_map(|c| match c {
+            Column::Int { vals, valid } | Column::Date { vals, valid } => {
+                Some((vals.as_slice(), valid.as_deref()))
+            }
+            _ => None,
+        });
+        KeyCols::Ints(ints.collect())
+    }
+
+    /// Whether `cols` are at most [`INT_KEYS`] int-like columns.
+    fn int_like(cols: &[&Column]) -> bool {
+        cols.len() <= INT_KEYS
+            && cols.iter().all(|c| matches!(c, Column::Int { .. } | Column::Date { .. }))
+    }
+
+    /// The key of column index `id`, NULLs and all: `GROUP BY` and
+    /// `DISTINCT` put NULLs together.
+    fn at(&self, id: usize) -> RowKey {
+        match self {
+            KeyCols::Ints(cols) => {
+                let (mut key, mut nulls) = ([0; INT_KEYS], 0u8);
+                for (j, (vals, valid)) in cols.iter().enumerate() {
+                    match valid.is_some_and(|b| !b.get(id)) {
+                        true => nulls |= 1 << j,
+                        false => key[j] = vals[id],
+                    }
+                }
+                RowKey::Ints(key, nulls)
+            }
+            KeyCols::Any(cols) => RowKey::Keys(cols.iter().map(|c| c.value_at(id).key()).collect()),
+        }
+    }
+
+    /// The key of column index `id`, `None` where a key column is NULL:
+    /// `=` holds for no such row.
+    fn joinable(&self, id: usize) -> Option<RowKey> {
+        match self {
+            KeyCols::Ints(_) => Some(self.at(id)).filter(|k| matches!(k, RowKey::Ints(_, 0))),
+            KeyCols::Any(cols) => cols.iter().all(|c| c.is_valid(id)).then(|| self.at(id)),
+        }
+    }
+}
+
+/// Each side's key columns, read alike.
+fn join_keys<'a>(
+    (l, li): (&'a Rows, &[usize]),
+    (r, ri): (&'a Rows, &[usize]),
+) -> Result<(KeyCols<'a>, KeyCols<'a>)> {
+    let lc: Vec<&Column> = li.iter().map(|&i| l.col(i)).collect::<Result<_>>()?;
+    let rc: Vec<&Column> = ri.iter().map(|&i| r.col(i)).collect::<Result<_>>()?;
+    let ints = KeyCols::int_like(&lc) && KeyCols::int_like(&rc);
+    Ok((KeyCols::new(lc, ints), KeyCols::new(rc, ints)))
+}
+
 /// Evaluate `plan`. `need` marks the output columns some operator above
-/// reads: a row operator boxes only the input columns that it or an
-/// operator above it reads, so a wide heap is copied at the width the
-/// statement uses. Every expression still reads all of its columns.
-fn eval<'a>(plan: &Plan, db: &'a DbInner, need: &[bool]) -> Result<Rows<'a>> {
+/// reads: an operator gathers and keeps only those and the ones it
+/// reads itself, so a wide heap is copied at the width the statement
+/// uses. Every expression still reads all of its columns.
+fn eval(plan: &Plan, db: &DbInner, need: &[bool]) -> Result<Rows> {
     match &plan.op {
         PlanOp::Scan { table } => {
             if let Some(v) = dictionary_view(table, db) {
-                return Ok(Rows::Owned(v.into_tuples()));
+                let cols = (0..v.schema().len()).map(|i| {
+                    Column::from_values(v.tuples().iter().map(|t| t[i].clone()).collect())
+                });
+                return Ok(Rows::whole(cols, need, v.len()));
             }
             let t = db.table(table)?;
-            Ok(Rows::Lent {
-                cols: &t.cols,
-                pick: (0..t.cols.len()).collect(),
-                sel: None,
-                len: t.len,
-            })
+            Ok(Rows::whole(t.cols.iter().cloned(), need, t.len))
         }
         PlanOp::IndexScan { table, col, lo, hi } => {
             let t = db.table(table)?;
@@ -373,34 +605,23 @@ fn eval<'a>(plan: &Plan, db: &'a DbInner, need: &[bool]) -> Result<Rows<'a>> {
                     sel.extend(rids.iter().map(|&r| r as u32));
                 }
             }
-            let pick = (0..t.cols.len()).collect();
-            Ok(Rows::Lent { cols: &t.cols, pick, sel: Some(sel), len: t.len })
+            Ok(Rows { sel: Some(sel), ..Rows::whole(t.cols.iter().cloned(), need, t.len) })
         }
         PlanOp::Rename { input } => eval(input, db, need),
         PlanOp::Filter { pred, input } => {
             let bound = pred.bound(&input.schema)?;
-            match eval(input, db, &needing(need, &bound))? {
-                Rows::Lent { cols, pick, sel, len } => {
-                    let view: Vec<Column> = pick.iter().map(|&c| cols[c].clone()).collect();
-                    let sel = Some(select(&bound, &view, sel, len)?);
-                    Ok(Rows::Lent { cols, pick, sel, len })
-                }
-                Rows::Owned(mut rows) => {
-                    let mut keep = Vec::with_capacity(rows.len());
-                    for t in &rows {
-                        keep.push(bound.matches(t)?);
-                    }
-                    let mut keep = keep.into_iter();
-                    rows.retain(|_| keep.next() == Some(true));
-                    Ok(Rows::Owned(rows))
-                }
-            }
+            let mut rows = eval(input, db, &needing(need, &bound))?;
+            let sel = select(&bound, &rows.view(), rows.sel.take(), rows.len)?;
+            Ok(Rows { sel: Some(sel), ..rows })
         }
         PlanOp::Project { items, input } => {
             let bound: Vec<Expr> = items
                 .iter()
                 .map(|(e, _)| e.bound(&input.schema))
                 .collect::<tango_algebra::Result<_>>()?;
+            let mut used = vec![false; input.schema.len()];
+            bound.iter().for_each(|e| mark_columns(e, &mut used));
+            let rows = eval(input, db, &used)?;
             let plain: Option<Vec<usize>> = bound
                 .iter()
                 .map(|e| match e {
@@ -408,152 +629,182 @@ fn eval<'a>(plan: &Plan, db: &'a DbInner, need: &[bool]) -> Result<Rows<'a>> {
                     _ => None,
                 })
                 .collect();
-            let mut used = vec![false; input.schema.len()];
-            bound.iter().for_each(|e| mark_columns(e, &mut used));
-            let input_rows = match (eval(input, db, &used)?, plain) {
-                // plain columns over the heap pick columns, copying nothing
-                (Rows::Lent { cols, pick, sel, len }, Some(plain)) => {
-                    let pick = plain.iter().map(|&i| pick[i]).collect();
-                    return Ok(Rows::Lent { cols, pick, sel, len });
-                }
-                (r, _) => r.into_owned(&used),
-            };
-            let mut rows = Vec::with_capacity(input_rows.len());
-            for t in &input_rows {
-                let mut vals = Vec::with_capacity(bound.len());
-                for e in &bound {
-                    vals.push(e.eval(t)?);
-                }
-                rows.push(Tuple::new(vals));
+            // plain columns pick columns, copying nothing
+            if let Some(plain) = plain {
+                let cols = plain.iter().map(|&i| rows.cols[i].clone()).collect();
+                return Ok(Rows { cols, ..rows });
             }
-            Ok(Rows::Owned(rows))
+            let cols = bound.iter().map(|e| computed(e, &rows).map(Some)).collect::<Result<_>>()?;
+            Ok(Rows { cols, sel: None, len: rows.rows() })
         }
         PlanOp::Sort { keys, input } => {
+            let names: Vec<String> = keys.keys().iter().map(|k| k.col.clone()).collect();
+            let ki = resolve_keys(&names, &input.schema)?;
             let mut in_need = need.to_vec();
-            let cols: Vec<String> = keys.keys().iter().map(|k| k.col.clone()).collect();
-            resolve_keys(&cols, &input.schema)?.into_iter().for_each(|i| in_need[i] = true);
-            let mut rows = eval(input, db, &in_need)?.into_owned(&in_need);
-            sort_tuples(&mut rows, keys, &input.schema);
-            Ok(Rows::Owned(rows))
+            ki.iter().for_each(|&i| in_need[i] = true);
+            let mut rows = eval(input, db, &in_need)?;
+            let keys: Vec<(usize, bool)> =
+                ki.into_iter().zip(keys.keys()).map(|(i, k)| (i, k.desc)).collect();
+            let sel =
+                argsort(&rows, &keys)?.into_iter().map(|k| rows.id(k as usize) as u32).collect();
+            rows.sel = Some(sel);
+            Ok(rows)
         }
         PlanOp::HashJoin { lkeys, rkeys, left, right } => {
             let li = resolve_keys(lkeys, &left.schema)?;
             let ri = resolve_keys(rkeys, &right.schema)?;
             let (ln, rn) = split_need(need, left.schema.len(), &li, &ri);
-            let l = eval(left, db, &ln)?.into_owned(&ln);
-            let r = eval(right, db, &rn)?.into_owned(&rn);
-            // build on the right input
-            let mut table: HashMap<Vec<Key>, Vec<&Tuple>> = HashMap::new();
-            for t in &r {
-                if ri.iter().any(|&i| t[i].is_null()) {
-                    continue; // NULL keys never join
-                }
-                table.entry(ri.iter().map(|&i| t[i].key()).collect()).or_default().push(t);
-            }
-            let mut rows = Vec::new();
-            for lt in &l {
-                if li.iter().any(|&i| lt[i].is_null()) {
-                    continue;
-                }
-                let k: Vec<Key> = li.iter().map(|&i| lt[i].key()).collect();
-                if let Some(matches) = table.get(&k) {
-                    for rt in matches {
-                        rows.push(lt.concat(rt));
-                    }
+            let (l, r) = (eval(left, db, &ln)?, eval(right, db, &rn)?);
+            let (lk, rk) = join_keys((&l, &li), (&r, &ri))?;
+            // build on the right input: number each key, then lay each
+            // key's rows out contiguously, in build order
+            let mut keys: FxMap<RowKey, u32> = FxMap::default();
+            let mut built: Vec<(u32, u32)> = Vec::with_capacity(r.rows());
+            for k in 0..r.rows() {
+                let id = r.id(k);
+                if let Some(key) = rk.joinable(id) {
+                    let next = keys.len() as u32;
+                    built.push((*keys.entry(key).or_insert(next), id as u32));
                 }
             }
-            Ok(Rows::Owned(rows))
+            let mut start = vec![0u32; keys.len() + 1];
+            built.iter().for_each(|&(g, _)| start[g as usize + 1] += 1);
+            (1..start.len()).for_each(|g| start[g] += start[g - 1]);
+            let mut members = vec![0u32; built.len()];
+            let mut next = start.clone();
+            for (g, id) in built {
+                members[next[g as usize] as usize] = id;
+                next[g as usize] += 1;
+            }
+            // probe in left order
+            let (mut lids, mut rids) = (Vec::new(), Vec::new());
+            for k in 0..l.rows() {
+                let id = l.id(k);
+                if let Some(&g) = lk.joinable(id).as_ref().and_then(|key| keys.get(key)) {
+                    let hits = &members[start[g as usize] as usize..start[g as usize + 1] as usize];
+                    lids.extend(std::iter::repeat_n(id as u32, hits.len()));
+                    rids.extend_from_slice(hits);
+                }
+            }
+            Ok(joined(&l, &lids, &r, &rids, need))
         }
         PlanOp::MergeJoin { lkeys, rkeys, left, right } => {
             let li = resolve_keys(lkeys, &left.schema)?;
             let ri = resolve_keys(rkeys, &right.schema)?;
             let (ln, rn) = split_need(need, left.schema.len(), &li, &ri);
-            let mut lt = eval(left, db, &ln)?.into_owned(&ln);
-            let mut rt = eval(right, db, &rn)?.into_owned(&rn);
-            sort_tuples(&mut lt, &SortSpec::by(lkeys.iter().map(String::as_str)), &left.schema);
-            sort_tuples(&mut rt, &SortSpec::by(rkeys.iter().map(String::as_str)), &right.schema);
-            let mut rows = Vec::new();
+            let (l, r) = (eval(left, db, &ln)?, eval(right, db, &rn)?);
+            // each side's column indices in key order, and its keys in
+            // that order
+            let sorted = |rows: &Rows, ki: &[usize]| -> Result<(Vec<u32>, Vec<Vec<Value>>)> {
+                let asc: Vec<(usize, bool)> = ki.iter().map(|&i| (i, false)).collect();
+                let ids: Vec<u32> =
+                    argsort(rows, &asc)?.into_iter().map(|k| rows.id(k as usize) as u32).collect();
+                let keys = ki
+                    .iter()
+                    .map(|&i| {
+                        let c = rows.col(i)?;
+                        Ok(ids.iter().map(|&id| c.value_at(id as usize)).collect())
+                    })
+                    .collect::<Result<_>>()?;
+                Ok((ids, keys))
+            };
+            let ((lo, lv), (ro, rv)) = (sorted(&l, &li)?, sorted(&r, &ri)?);
+            let cmp = |i: usize, j: usize| {
+                lv.iter()
+                    .zip(&rv)
+                    .map(|(a, b)| a[i].total_cmp(&b[j]))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            };
+            let (mut lids, mut rids) = (Vec::new(), Vec::new());
             let (mut i, mut j) = (0usize, 0usize);
-            while i < lt.len() && j < rt.len() {
-                let cmp = key_cmp(&lt[i], &li, &rt[j], &ri);
-                match cmp {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        if li.iter().any(|&k| lt[i][k].is_null()) {
+            while i < lo.len() && j < ro.len() {
+                match cmp(i, j) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        if lv.iter().any(|c| c[i].is_null()) {
                             i += 1;
                             continue;
                         }
                         // group bounds
-                        let mut i2 = i;
-                        while i2 < lt.len() && key_cmp(&lt[i2], &li, &rt[j], &ri).is_eq() {
-                            i2 += 1;
-                        }
-                        let mut j2 = j;
-                        while j2 < rt.len() && key_cmp(&lt[i], &li, &rt[j2], &ri).is_eq() {
-                            j2 += 1;
-                        }
-                        for l_row in &lt[i..i2] {
-                            for r_row in &rt[j..j2] {
-                                rows.push(l_row.concat(r_row));
-                            }
+                        let i2 = (i..lo.len()).find(|&x| cmp(x, j).is_ne()).unwrap_or(lo.len());
+                        let j2 = (j..ro.len()).find(|&y| cmp(i, y).is_ne()).unwrap_or(ro.len());
+                        for &lid in &lo[i..i2] {
+                            lids.extend(std::iter::repeat_n(lid, j2 - j));
+                            rids.extend_from_slice(&ro[j..j2]);
                         }
                         i = i2;
                         j = j2;
                     }
                 }
             }
-            Ok(Rows::Owned(rows))
+            Ok(joined(&l, &lids, &r, &rids, need))
         }
         PlanOp::NlJoin { pred, left, right } => {
             let bound = match pred {
                 Some(p) => Some(p.bound(&plan.schema)?),
                 None => None,
             };
+            let reads = bound.as_ref().map(|p| needing(&vec![false; need.len()], p));
             let all = bound.as_ref().map_or_else(|| need.to_vec(), |p| needing(need, p));
             let (ln, rn) = split_need(&all, left.schema.len(), &[], &[]);
-            let l = eval(left, db, &ln)?.into_owned(&ln);
-            let r = eval(right, db, &rn)?.into_owned(&rn);
-            let mut rows = Vec::new();
-            for lt in &l {
-                for rt in &r {
-                    let out = lt.concat(rt);
-                    match &bound {
-                        None => rows.push(out),
-                        Some(p) => {
-                            if p.matches(&out)? {
-                                rows.push(out);
-                            }
+            let (l, r) = (eval(left, db, &ln)?, eval(right, db, &rn)?);
+            // every pair in left order, decided a batch of pairs at a time
+            let (mut lids, mut rids) = (Vec::new(), Vec::new());
+            let (mut bl, mut br) = (Vec::new(), Vec::new());
+            let mut decide = |bl: &mut Vec<u32>, br: &mut Vec<u32>| -> Result<()> {
+                match (&bound, &reads) {
+                    (Some(p), Some(reads)) => {
+                        let pairs = joined(&l, bl, &r, br, reads);
+                        for k in select(p, &pairs.view(), None, pairs.len)? {
+                            lids.push(bl[k as usize]);
+                            rids.push(br[k as usize]);
                         }
+                        bl.clear();
+                        br.clear();
+                    }
+                    _ => {
+                        lids.append(bl);
+                        rids.append(br);
+                    }
+                }
+                Ok(())
+            };
+            for a in 0..l.rows() {
+                for b in 0..r.rows() {
+                    bl.push(l.id(a) as u32);
+                    br.push(r.id(b) as u32);
+                    if bl.len() == DEFAULT_BATCH_ROWS {
+                        decide(&mut bl, &mut br)?;
                     }
                 }
             }
-            Ok(Rows::Owned(rows))
+            decide(&mut bl, &mut br)?;
+            Ok(joined(&l, &lids, &r, &rids, need))
         }
         PlanOp::IndexNlJoin { lkey, table, col, left } => {
             let ki = left.schema.index_of(lkey)?;
             let (ln, rn) = split_need(need, left.schema.len(), &[ki], &[]);
-            let l = eval(left, db, &ln)?.into_owned(&ln);
+            let l = eval(left, db, &ln)?;
             let t = db.table(table)?;
             let ix = db
                 .index_on(table, col)
                 .ok_or_else(|| DbError::Semantic(format!("no index on {table}.{col}")))?;
-            let mut rows = Vec::new();
-            for lt in &l {
-                if lt[ki].is_null() {
+            let key = l.col(ki)?;
+            let (mut lids, mut rids) = (Vec::new(), Vec::new());
+            for k in 0..l.rows() {
+                let id = l.id(k);
+                if !key.is_valid(id) {
                     continue;
                 }
-                for &rid in ix.map.get(&lt[ki].key()).into_iter().flatten() {
-                    let mut out = Vec::with_capacity(lt.len() + t.cols.len());
-                    out.extend_from_slice(lt.values());
-                    out.extend(t.cols.iter().zip(&rn).map(|(c, &n)| match n {
-                        true => c.value_at(rid),
-                        false => Value::Null,
-                    }));
-                    rows.push(Tuple::new(out));
+                for &rid in ix.map.get(&key.value_at(id).key()).into_iter().flatten() {
+                    lids.push(id as u32);
+                    rids.push(rid as u32);
                 }
             }
-            Ok(Rows::Owned(rows))
+            let r = Rows::whole(t.cols.iter().cloned(), &rn, t.len);
+            Ok(joined(&l, &lids, &r, &rids, need))
         }
         PlanOp::HashAgg { group_by, aggs, input } => {
             let gi = resolve_keys(group_by, &input.schema)?;
@@ -564,82 +815,82 @@ fn eval<'a>(plan: &Plan, db: &'a DbInner, need: &[bool]) -> Result<Rows<'a>> {
             let mut used = vec![false; input.schema.len()];
             gi.iter().for_each(|&i| used[i] = true);
             bound_args.iter().flatten().for_each(|e| mark_columns(e, &mut used));
-            let r = eval(input, db, &used)?.into_owned(&used);
-            struct Group {
-                reprs: Vec<Value>,
-                accs: Vec<Acc>,
-            }
-            let mut order: Vec<Vec<Key>> = Vec::new();
-            let mut groups: HashMap<Vec<Key>, Group> = HashMap::new();
-            for t in &r {
-                let k: Vec<Key> = gi.iter().map(|&i| t[i].key()).collect();
-                let g = groups.entry(k.clone()).or_insert_with(|| {
-                    order.push(k);
-                    Group {
-                        reprs: gi.iter().map(|&i| t[i].clone()).collect(),
-                        accs: aggs.iter().map(|a| Acc::new(a.func)).collect(),
-                    }
-                });
-                for (acc, arg) in g.accs.iter_mut().zip(&bound_args) {
-                    let v = match arg {
-                        Some(e) => Some(e.eval(t)?),
-                        None => None,
-                    };
-                    acc.add(v.as_ref());
+            let rows = eval(input, db, &used)?;
+            let gc: Vec<&Column> = gi.iter().map(|&i| rows.col(i)).collect::<Result<_>>()?;
+            let keys = KeyCols::new(gc.clone(), true);
+            let args: Vec<Option<Column>> = bound_args
+                .iter()
+                .map(|a| a.as_ref().map(|e| computed(e, &rows)).transpose())
+                .collect::<Result<_>>()?;
+            // groups in first-seen order: each one's first row and its
+            // accumulators, `aggs.len()` apiece
+            let mut groups: FxMap<RowKey, u32> = FxMap::default();
+            let mut first: Vec<u32> = Vec::new();
+            let mut accs: Vec<Acc> = Vec::new();
+            for k in 0..rows.rows() {
+                let id = rows.id(k);
+                let next = first.len() as u32;
+                let g = *groups.entry(keys.at(id)).or_insert(next);
+                if g == next {
+                    first.push(id as u32);
+                    accs.extend(aggs.iter().map(|a| Acc::new(a.func)));
+                }
+                let group = &mut accs[g as usize * aggs.len()..][..aggs.len()];
+                for (acc, arg) in group.iter_mut().zip(&args) {
+                    acc.add(arg.as_ref().map(|c| c.value_at(k)).as_ref());
                 }
             }
             // A global aggregate over an empty input still yields one row.
-            if gi.is_empty() && groups.is_empty() {
-                order.push(Vec::new());
-                groups.insert(
-                    Vec::new(),
-                    Group {
-                        reprs: Vec::new(),
-                        accs: aggs.iter().map(|a| Acc::new(a.func)).collect(),
-                    },
-                );
+            let n = if gi.is_empty() && first.is_empty() {
+                accs.extend(aggs.iter().map(|a| Acc::new(a.func)));
+                1
+            } else {
+                first.len()
+            };
+            let mut cols: Vec<Option<Column>> = gc.iter().map(|c| Some(c.gather(&first))).collect();
+            for a in 0..aggs.len() {
+                let mut out = ColumnBuilder::default();
+                (0..n).for_each(|g| out.push(accs[g * aggs.len() + a].finish()));
+                cols.push(Some(out.finish()));
             }
-            let mut rows = Vec::with_capacity(order.len());
-            for k in order {
-                let g = &groups[&k];
-                let mut vals = g.reprs.clone();
-                vals.extend(g.accs.iter().map(Acc::finish));
-                rows.push(Tuple::new(vals));
-            }
-            Ok(Rows::Owned(rows))
+            Ok(Rows { cols, sel: None, len: n })
         }
         PlanOp::Distinct { input } => {
-            let mut seen = std::collections::HashSet::new();
             let all = vec![true; input.schema.len()];
-            let mut rows = eval(input, db, &all)?.into_owned(&all);
-            rows.retain(|t| seen.insert(t.values().iter().map(Value::key).collect::<Vec<Key>>()));
-            Ok(Rows::Owned(rows))
+            let mut rows = eval(input, db, &all)?;
+            let cols: Vec<&Column> = (0..all.len()).map(|i| rows.col(i)).collect::<Result<_>>()?;
+            let keys = KeyCols::new(cols, true);
+            let mut seen = FxMap::default();
+            let sel = (0..rows.rows())
+                .map(|k| rows.id(k))
+                .filter(|&id| seen.insert(keys.at(id), ()).is_none())
+                .map(|id| id as u32)
+                .collect();
+            rows.sel = Some(sel);
+            Ok(rows)
         }
         PlanOp::UnionAll { inputs } => {
-            let mut rows = Vec::new();
+            let mut out = vec![ColumnBuilder::default(); plan.schema.len()];
+            let mut len = 0;
             for p in inputs {
                 if p.schema.len() != plan.schema.len() {
                     return Err(DbError::Semantic("UNION arity mismatch".into()));
                 }
-                rows.extend(eval(p, db, need)?.into_owned(need));
+                let rows = eval(p, db, need)?;
+                for (i, b) in out.iter_mut().enumerate().filter(|(i, _)| need[*i]) {
+                    let c = rows.col(i)?;
+                    (0..rows.rows()).for_each(|k| b.push(c.value_at(rows.id(k))));
+                }
+                len += rows.rows();
             }
-            Ok(Rows::Owned(rows))
+            let cols = out.into_iter().zip(need).map(|(b, &n)| n.then(|| b.finish())).collect();
+            Ok(Rows { cols, sel: None, len })
         }
     }
 }
 
 fn resolve_keys(names: &[String], schema: &Schema) -> Result<Vec<usize>> {
     names.iter().map(|n| schema.index_of(n).map_err(DbError::from)).collect()
-}
-
-fn key_cmp(l: &Tuple, li: &[usize], r: &Tuple, ri: &[usize]) -> std::cmp::Ordering {
-    for (&a, &b) in li.iter().zip(ri) {
-        let o = l[a].total_cmp(&r[b]);
-        if o != std::cmp::Ordering::Equal {
-            return o;
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Aggregate accumulator (no removal; the DBMS aggregates whole groups).
@@ -755,9 +1006,26 @@ mod tests {
     use std::cmp::Ordering;
     use tango_algebra::{tup, Attr, Type};
 
+    thread_local! {
+        /// Rows put into a `Tuple` on this thread: by `box_rows`, or to
+        /// evaluate an expression row by row.
+        pub(super) static BOXED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
     fn plan(db: &DbInner, sql: &str) -> Plan {
         let crate::ast::Stmt::Select(s) = parse(sql).unwrap() else { panic!("{sql}") };
         plan_select(&s, db).unwrap_or_else(|e| panic!("{sql}: {e}"))
+    }
+
+    /// The address of a column's value buffer: two columns that share it
+    /// are one column.
+    fn buffer(c: &Column) -> *const () {
+        match c {
+            Column::Int { vals, .. } | Column::Date { vals, .. } => Arc::as_ptr(vals).cast(),
+            Column::Double { vals, .. } => Arc::as_ptr(vals).cast(),
+            Column::Str { codes, .. } => Arc::as_ptr(codes).cast(),
+            Column::Mixed { vals } => Arc::as_ptr(vals).cast(),
+        }
     }
 
     #[test]
@@ -774,15 +1042,16 @@ mod tests {
         db.insert_rows("POSITION", rows.clone()).unwrap();
         let inner = db.inner.read();
         let table = inner.table("POSITION").unwrap();
+        // each output column is the heap column it shares its buffer with
         let lent = |sql: &str| {
             let p = plan(&inner, sql);
-            match eval(&p, &inner, &vec![true; p.schema.len()]).unwrap() {
-                Rows::Lent { cols, pick, sel, .. } => {
-                    assert!(std::ptr::eq(cols, table.cols.as_slice()), "{sql}: a copied heap");
-                    (pick, sel)
-                }
-                Rows::Owned(_) => panic!("{sql}: boxed below the final result"),
-            }
+            let rows = eval(&p, &inner, &vec![true; p.schema.len()]).unwrap();
+            let pick = rows.cols.iter().map(|c| {
+                let c = c.as_ref().unwrap();
+                let heap = table.cols.iter().position(|h| buffer(h) == buffer(c));
+                heap.unwrap_or_else(|| panic!("{sql}: a copied heap column"))
+            });
+            (pick.collect::<Vec<_>>(), rows.sel)
         };
 
         assert_eq!(lent("SELECT * FROM POSITION"), (vec![0, 1, 2, 3], None));
@@ -895,20 +1164,39 @@ mod tests {
     }
 
     /// One generated statement over `R(K, S, T1, T2)`, or over the
-    /// self-join `R A, R B` on `K`, with the reference answer the test
-    /// computes itself from the rows.
+    /// self-join `R A, R B`, with the reference answer the test computes
+    /// itself from the rows.
     struct Case {
         sql: String,
         want: Vec<Tuple>,
-        /// With ORDER BY: each wanted row's sort key. Rows of equal key
-        /// may come in any order.
+        /// With ORDER BY: each wanted row's sort key.
         keys: Option<Vec<Value>>,
+        /// Whether the answer's order is the reference's, row for row.
+        /// Every operator keeps its input's order or sorts stably, and a
+        /// join emits left order, then build order within a key — except
+        /// a merge join, which emits key order, and an index range scan:
+        /// then only each run of equal sort keys (the whole answer when
+        /// unordered) is a multiset.
+        listed: bool,
     }
 
     const COLS: [&str; 4] = ["K", "S", "T1", "T2"];
     const OPS: [&str; 5] = ["=", "<", "<=", ">", ">="];
 
     const STRS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+    /// The join conditions, as (A column, B column) pairs: INT, VARCHAR
+    /// and DOUBLE keys (`-0.0` among them), two keys, INT against DATE,
+    /// DATE against DOUBLE, and two int-like keys.
+    const ONS: [&[(usize, usize)]; 7] = [
+        &[(0, 0)],
+        &[(1, 1)],
+        &[(3, 3)],
+        &[(0, 0), (1, 1)],
+        &[(0, 2)],
+        &[(2, 3)],
+        &[(0, 0), (2, 2)],
+    ];
 
     fn lit(col: usize, n: i64) -> Value {
         if col % 4 == 1 {
@@ -918,13 +1206,19 @@ mod tests {
         }
     }
 
-    /// A row of `R`: a negative number is NULL, as is string 3; `T2` is
-    /// a DOUBLE, with negative, fractional and integral values.
+    /// A row of `R`: a negative number is NULL, as is string 3; `T1` is a
+    /// DATE; `T2` is a DOUBLE, with negative, fractional and integral
+    /// values, `0` and `-0.0`.
     fn r_row(k: i64, s: usize, t1: i64, t2: i64) -> Tuple {
         let int = |n: i64| if n < 0 { Value::Null } else { Value::Int(n) };
         let s = if s == 3 { Value::Null } else { Value::Str(STRS[s % 6].into()) };
-        let t2 = if t2 < 0 { Value::Null } else { Value::Double(t2 as f64 / 2.0 - 1.0) };
-        Tuple::new(vec![int(k), s, int(t1), t2])
+        let t1 = if t1 < 0 { Value::Null } else { Value::Date(t1 as i32) };
+        let t2 = match t2 {
+            ..0 => Value::Null,
+            7 => Value::Double(-0.0),
+            _ => Value::Double(t2 as f64 / 2.0 - 1.0),
+        };
+        Tuple::new(vec![int(k), s, t1, t2])
     }
 
     /// One generated write: its kind, a row, and a predicate or a target.
@@ -932,7 +1226,7 @@ mod tests {
 
     /// Apply `writes` to the table `R` and to `rows`, its row-vector
     /// reference: INSERTs of new strings, of NULLs and of values that
-    /// demote an INT column to mixed variants, DELETEs and UPDATEs.
+    /// demote a typed column to mixed variants, DELETEs and UPDATEs.
     fn apply_writes(db: &Database, rows: &mut Vec<Tuple>, writes: &[Write]) {
         use tango_algebra::CmpOp;
         for &(kind, (k, s, t1, t2), (c, op, n)) in writes {
@@ -946,10 +1240,11 @@ mod tests {
                 0 | 1 => {
                     let mut row = r_row(k, s, t1, t2);
                     if kind == 1 {
-                        // a DATE among INTs, or a fraction among them
-                        match n % 2 {
+                        // a DATE among INTs, a fraction or an INT among DATEs
+                        match n % 3 {
                             0 => row.set(0, Value::Date(k.max(0) as i32)),
-                            _ => row.set(2, Value::Double(t1 as f64 + 0.5)),
+                            1 => row.set(2, Value::Double(t1 as f64 + 0.5)),
+                            _ => row.set(2, Value::Int(t1.max(0))),
                         }
                     }
                     db.insert_rows("R", vec![row.clone()]).unwrap();
@@ -982,16 +1277,31 @@ mod tests {
         }
     }
 
-    fn holds(v: &Value, op: usize, l: &Value) -> bool {
-        let o = v.total_cmp(l);
-        !v.is_null()
-            && match OPS[op] {
-                "=" => o == Ordering::Equal,
-                "<" => o == Ordering::Less,
-                "<=" => o != Ordering::Greater,
-                ">" => o == Ordering::Greater,
-                _ => o != Ordering::Less,
+    /// `a op b` as SQL decides it: never over a NULL, nor between a
+    /// string and a number.
+    fn holds(a: &Value, op: usize, b: &Value) -> bool {
+        a.sql_cmp(b).is_some_and(|o| match OPS[op] {
+            "=" => o == Ordering::Equal,
+            "<" => o == Ordering::Less,
+            "<=" => o != Ordering::Greater,
+            ">" => o == Ordering::Greater,
+            _ => o != Ordering::Less,
+        })
+    }
+
+    /// `GREATEST` (`want` = `Greater`) or `LEAST` as SQL has it: NULL if
+    /// any operand is, else the first operand no later one beats.
+    fn extreme_of(vals: &[&Value], want: Ordering) -> Value {
+        let mut best: Option<&Value> = None;
+        for v in vals {
+            if v.is_null() {
+                return Value::Null;
             }
+            if best.is_none_or(|b| v.sql_cmp(b) == Some(want)) {
+                best = Some(v);
+            }
+        }
+        best.cloned().unwrap_or(Value::Null)
     }
 
     fn sort_on(rows: &mut [Tuple], col: usize, desc: bool) {
@@ -1005,35 +1315,54 @@ mod tests {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn case(
-        rows: &[Tuple],
+    /// What a generated statement draws: over one table or the self-join,
+    /// which join condition, method and cross-side predicates, the
+    /// single-side predicates, the select list, and what is above it.
+    struct Shape {
         join: bool,
         qualify: bool,
-        preds: &[(usize, usize, i64)],
+        /// Index into [`ONS`], and 0 hash, 1 merge, 2 nested loops (index
+        /// nested loops when `R` has an index on the right key).
+        on: usize,
+        method: usize,
+        /// `A.<c> op B.<c>`: column, operator, column.
+        cross: Vec<(usize, usize, usize)>,
+        preds: Vec<(usize, usize, i64)>,
+        /// 0 every column, 1 every column with two swapped, 2 the columns
+        /// `cols` names, 3 `GREATEST` / `LEAST` of two numeric columns
+        /// and one plain column.
         list_mode: usize,
-        cols: &[usize],
+        cols: Vec<usize>,
+        /// 0 none, 1 DISTINCT, 2 GROUP BY, 3 UNION ALL of the block with
+        /// itself.
         extra: usize,
-        (order, by, desc): (usize, usize, bool),
-    ) -> Case {
-        let width = if join { 8 } else { 4 };
-        let name = |c: usize| match (join, qualify) {
+        /// ORDER BY: 0 none, 1 an output column, 2 an input column.
+        order: usize,
+        by: usize,
+        desc: bool,
+    }
+
+    fn case(rows: &[Tuple], sh: &Shape) -> Case {
+        let (join, width) = (sh.join, if sh.join { 8 } else { 4 });
+        let name = |c: usize| match (join, sh.qualify) {
             (true, _) => format!("{}.{}", ["A", "B"][c / 4], COLS[c % 4]),
             (false, true) => format!("X.{}", COLS[c]),
             (false, false) => COLS[c].to_string(),
         };
+        let on = ONS[sh.on];
+        let cross: Vec<(usize, usize, usize)> = if join { sh.cross.clone() } else { Vec::new() };
         let mut input: Vec<Tuple> = if join {
-            let rows = rows.to_vec();
-            rows.iter()
-                .flat_map(|a| {
-                    rows.iter().filter(|b| !a[0].is_null() && a[0] == b[0]).map(|b| a.concat(b))
-                })
+            let pairs = rows.iter().flat_map(|a| rows.iter().map(move |b| (a, b)));
+            pairs
+                .filter(|(a, b)| on.iter().all(|&(x, y)| holds(&a[x], 0, &b[y])))
+                .filter(|(a, b)| cross.iter().all(|&(x, op, y)| holds(&a[x], op, &b[y])))
+                .map(|(a, b)| a.concat(b))
                 .collect()
         } else {
             rows.to_vec()
         };
         let preds: Vec<(usize, usize, Value)> =
-            preds.iter().map(|&(c, op, n)| (c % width, op, lit(c % width, n))).collect();
+            sh.preds.iter().map(|&(c, op, n)| (c % width, op, lit(c % width, n))).collect();
         input.retain(|t| preds.iter().all(|(c, op, l)| holds(&t[*c], *op, l)));
         let mut conj: Vec<String> = preds
             .iter()
@@ -1043,25 +1372,41 @@ mod tests {
             })
             .collect();
         if join {
-            conj.insert(0, "A.K = B.K".into());
+            for &(x, y) in on.iter().rev() {
+                conj.insert(0, format!("A.{} = B.{}", COLS[x], COLS[y]));
+            }
+            conj.extend(
+                cross.iter().map(|&(x, op, y)| format!("A.{} {} B.{}", COLS[x], OPS[op], COLS[y])),
+            );
         }
-        let from = match (join, qualify) {
+        let from = match (join, sh.qualify) {
             (true, _) => "R A, R B",
             (false, true) => "R X",
             (false, false) => "R",
         };
         let where_ =
             if conj.is_empty() { String::new() } else { format!(" WHERE {}", conj.join(" AND ")) };
+        let hint = match (join, sh.method) {
+            (true, 1) => "/*+ USE_MERGE */ ",
+            (true, 2) => "/*+ USE_NL */ ",
+            _ => "",
+        };
+        let listed = !(join && sh.method == 1);
+        let (cols, dir) = (&sh.cols, if sh.desc { " DESC" } else { "" });
 
-        if extra == 2 {
-            // GROUP BY one column, with COUNT(*) and MIN of another
-            let (g, m) = (cols[0] % width, cols[cols.len() - 1] % width);
-            let mut groups: Vec<(Value, i64, Value)> = Vec::new();
+        if sh.extra == 2 {
+            // GROUP BY one column or two, with COUNT(*) and MIN of another
+            let mut g: Vec<usize> =
+                cols.iter().take(1 + (cols.len() > 2) as usize).map(|c| c % width).collect();
+            g.dedup();
+            let m = cols[cols.len() - 1] % width;
+            let mut groups: Vec<(Vec<Value>, i64, Value)> = Vec::new();
             for t in &input {
-                let i = match groups.iter().position(|(k, ..)| *k == t[g]) {
+                let key: Vec<Value> = g.iter().map(|&c| t[c].clone()).collect();
+                let i = match groups.iter().position(|(k, ..)| *k == key) {
                     Some(i) => i,
                     None => {
-                        groups.push((t[g].clone(), 0, Value::Null));
+                        groups.push((key, 0, Value::Null));
                         groups.len() - 1
                     }
                 };
@@ -1071,58 +1416,92 @@ mod tests {
                     *min = t[m].clone();
                 }
             }
-            let mut want: Vec<Tuple> =
-                groups.into_iter().map(|(k, n, m)| Tuple::new(vec![k, Value::Int(n), m])).collect();
+            let mut want: Vec<Tuple> = groups
+                .into_iter()
+                .map(|(mut k, n, m)| {
+                    k.extend([Value::Int(n), m]);
+                    Tuple::new(k)
+                })
+                .collect();
+            let keys: Vec<String> = g.iter().map(|&c| name(c)).collect();
+            let items: Vec<String> =
+                keys.iter().zip(["G", "H"]).map(|(k, a)| format!("{k} AS {a}")).collect();
             let mut sql = format!(
-                "SELECT {g} AS G, COUNT(*) AS N, MIN({m}) AS M FROM {from}{where_} GROUP BY {g}",
-                g = name(g),
+                "SELECT {hint}{}, COUNT(*) AS N, MIN({m}) AS M FROM {from}{where_} GROUP BY {}",
+                items.join(", "),
+                keys.join(", "),
                 m = name(m)
             );
             let mut keys = None;
-            if order > 0 {
-                sort_on(&mut want, 0, desc);
-                sql += &format!(" ORDER BY G{}", if desc { " DESC" } else { "" });
+            if sh.order > 0 {
+                sort_on(&mut want, 0, sh.desc);
+                sql += &format!(" ORDER BY G{dir}");
                 keys = Some(want.iter().map(|t| t[0].clone()).collect());
             }
-            return Case { sql, want, keys };
+            return Case { sql, want, keys, listed };
         }
 
-        let list: Vec<usize> = match list_mode {
-            0 => (0..width).collect(),
+        // each output column: an input column, or GREATEST / LEAST of two
+        let numeric: Vec<usize> = (0..width).filter(|c| c % 4 != 1).collect();
+        let (x, y) =
+            (numeric[cols[0] % numeric.len()], numeric[cols[cols.len() - 1] % numeric.len()]);
+        let list: Vec<(usize, Option<Ordering>)> = match sh.list_mode {
+            0 => (0..width).map(|c| (c, None)).collect(),
             1 => {
                 let mut l: Vec<usize> = (0..width).collect();
                 l.swap(cols[0] % width, cols[cols.len() - 1] % width);
-                l
+                l.into_iter().map(|c| (c, None)).collect()
             }
-            _ => cols.iter().map(|c| c % width).collect(),
+            2 => cols.iter().map(|c| (c % width, None)).collect(),
+            _ => vec![
+                (x, Some(Ordering::Greater)),
+                (x, Some(Ordering::Less)),
+                (cols[0] % width, None),
+            ],
+        };
+        let item = |&(c, f): &(usize, Option<Ordering>)| match f {
+            None => name(c),
+            Some(Ordering::Greater) => format!("GREATEST({}, {})", name(c), name(y)),
+            Some(_) => format!("LEAST({}, {})", name(c), name(y)),
         };
         // the identity list in TANGO's own spelling: `X.K AS K, …`
         let alias = |i: usize| {
-            if list_mode == 0 && !join {
+            if sh.list_mode == 0 && !join {
                 COLS[i].to_string()
             } else {
                 format!("C{i}")
             }
         };
-        let items: Vec<String> =
-            list.iter().enumerate().map(|(i, &c)| format!("{} AS {}", name(c), alias(i))).collect();
-        let distinct = extra == 1;
-        let mut sql = format!(
-            "SELECT {}{} FROM {from}{where_}",
+        let items: Vec<String> = list
+            .iter()
+            .enumerate()
+            .map(|(i, it)| format!("{} AS {}", item(it), alias(i)))
+            .collect();
+        let (distinct, union) = (sh.extra == 1, sh.extra == 3);
+        let block = format!(
+            "SELECT {hint}{}{} FROM {from}{where_}",
             if distinct { "DISTINCT " } else { "" },
             items.join(", ")
         );
-        let dir = if desc { " DESC" } else { "" };
+        let mut sql = if union { format!("{block} UNION ALL {block}") } else { block };
         // ORDER BY an input column the list may hide — the sort then
         // slides below the projection — or by an output column
         let mut keys = None;
-        if order == 2 && !distinct {
-            let c = by % width;
-            sort_on(&mut input, c, desc);
+        let by_input = sh.order == 2 && !distinct && !union;
+        if by_input {
+            let c = sh.by % width;
+            sort_on(&mut input, c, sh.desc);
             sql += &format!(" ORDER BY {}{dir}", name(c));
             keys = Some(input.iter().map(|t| t[c].clone()).collect());
         }
-        let mut want: Vec<Tuple> = input.iter().map(|t| t.project(&list)).collect();
+        let out = |t: &Tuple| {
+            let vals = list.iter().map(|&(c, f)| match f {
+                None => t[c].clone(),
+                Some(want) => extreme_of(&[&t[c], &t[y]], want),
+            });
+            Tuple::new(vals.collect())
+        };
+        let mut want: Vec<Tuple> = input.iter().map(out).collect();
         if distinct {
             let mut seen: Vec<Tuple> = Vec::new();
             want.retain(|t| {
@@ -1133,45 +1512,133 @@ mod tests {
                 fresh
             });
         }
-        if order == 1 || (order == 2 && distinct) {
-            let j = by % list.len();
-            sort_on(&mut want, j, desc);
+        if union {
+            want.extend_from_within(..);
+        }
+        if sh.order > 0 && !by_input {
+            let j = sh.by % list.len();
+            sort_on(&mut want, j, sh.desc);
             sql += &format!(" ORDER BY {}{dir}", alias(j));
             keys = Some(want.iter().map(|t| t[j].clone()).collect());
         }
-        Case { sql, want, keys }
+        Case { sql, want, keys, listed }
     }
 
-    fn canonical(mut rows: Vec<Tuple>) -> Vec<Tuple> {
-        rows.sort_by(|a, b| {
-            a.values()
-                .iter()
-                .zip(b.values())
-                .map(|(x, y)| x.total_cmp(y))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-        });
-        rows
+    /// Rows as a multiset, variant for variant: sorted by their `{:?}`.
+    fn canonical(rows: &[Tuple]) -> Vec<String> {
+        let mut shown: Vec<String> = rows.iter().map(|t| format!("{t:?}")).collect();
+        shown.sort();
+        shown
+    }
+
+    /// A small query-3 shaped fixture: `POSITION(PosID, EmpID, PayRate,
+    /// T1 DATE, T2 DATE)`, `n` rows, some with NULL or empty periods.
+    fn query_3_db(n: i64) -> Database {
+        let db = Database::in_memory();
+        let schema = Schema::with_inferred_period(vec![
+            Attr::new("PosID", Type::Int),
+            Attr::new("EmpID", Type::Int),
+            Attr::new("PayRate", Type::Double),
+            Attr::new("T1", Type::Date),
+            Attr::new("T2", Type::Date),
+        ]);
+        db.create_table("POSITION", schema).unwrap();
+        let date = |d: i64| if d % 17 == 0 { Value::Null } else { Value::Date(d as i32) };
+        let rows = (0..n)
+            .map(|i| {
+                let t1 = (i * 7919) % 40;
+                tup![i % 13, i, Value::Double(i as f64 / 4.0), date(t1), date(t1 + (i % 9) - 2)]
+            })
+            .collect();
+        db.insert_rows("POSITION", rows).unwrap();
+        db
+    }
+
+    /// Query 3's fragment, as the middleware renders `TJOIN^D` over two
+    /// filtered POSITION accesses, ordered: it runs columnar from the
+    /// scans to its root — the hash join, the column-vs-column filters,
+    /// the `GREATEST` / `LEAST` projection and the sort — and boxes
+    /// exactly its result rows, once, for the cursor.
+    #[test]
+    fn query_3s_fragment_boxes_once() {
+        let db = query_3_db(400);
+        let side = "(SELECT PosID AS PosID, EmpID AS EmpID, T1 AS T1, T2 AS T2 FROM \
+                    (SELECT X.PosID AS PosID, X.EmpID AS EmpID, X.PayRate AS PayRate, \
+                    X.T1 AS T1, X.T2 AS T2 FROM POSITION X \
+                    WHERE (T1 < DATE '1970-01-31')) X)";
+        let sql = format!(
+            "SELECT A.PosID AS PosID, A.EmpID AS EmpID, B.EmpID AS EmpID_1, \
+             GREATEST(A.T1, B.T1) AS T1, LEAST(A.T2, B.T2) AS T2 FROM {side} A, {side} B \
+             WHERE A.PosID = B.PosID AND A.T1 < B.T2 AND A.T2 > B.T1 \
+             AND A.T1 < A.T2 AND B.T1 < B.T2 ORDER BY PosID"
+        );
+        let inner = db.inner.read();
+        let p = plan(&inner, &sql);
+        for node in ["SORT [PosID]", "PROJECT [5 columns]", "HASH JOIN", "FILTER [(A.T1 < B.T2)]"] {
+            assert!(p.render().contains(node), "{node} in\n{}", p.render());
+        }
+        BOXED.with(|b| b.set(0));
+        let got = run(&p, &inner).unwrap().into_tuples();
+        assert_eq!(BOXED.with(|b| b.get()), got.len(), "rows boxed for {} result rows", got.len());
+
+        // the answer, from the boxed heap
+        let heap = inner.table("POSITION").unwrap().boxed_rows(None);
+        let side: Vec<&Tuple> = heap
+            .iter()
+            .filter(|t| holds(&t[3], 1, &Value::Date(30)) && holds(&t[3], 1, &t[4]))
+            .collect();
+        let mut want = Vec::new();
+        for a in &side {
+            for b in side.iter().filter(|b| holds(&a[0], 0, &b[0])) {
+                if holds(&a[3], 1, &b[4]) && holds(&a[4], 3, &b[3]) {
+                    let (t1, t2) = (
+                        extreme_of(&[&a[3], &b[3]], Ordering::Greater),
+                        extreme_of(&[&a[4], &b[4]], Ordering::Less),
+                    );
+                    want.push(Tuple::new(vec![a[0].clone(), a[1].clone(), b[1].clone(), t1, t2]));
+                }
+            }
+        }
+        sort_on(&mut want, 0, false);
+        assert!(want.len() > 100, "{} rows", want.len());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// Each index after the generated writes is the index built from
+    /// scratch over the heap.
+    fn assert_indexes_rebuilt(inner: &DbInner, sql: &str) {
+        let table = inner.table("R").unwrap();
+        for ix in &inner.indexes {
+            let ci = table.schema.index_of(&ix.col).unwrap();
+            assert_eq!(ix.map, table.keyed(ci), "index {} after the writes, then {sql}", ix.col);
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
         /// Every answer — through lent scans, kernel filters, projections
-        /// that pick columns, and every operator above them — equals a
-        /// reference computed from the rows directly: as a list when
-        /// ordered, as a multiset otherwise. The statement runs after a
-        /// generated write sequence, with or without an index on an INT or
-        /// a DOUBLE column, and the heap must equal the written row vector.
+        /// that pick or compute columns, and every operator above them —
+        /// equals a reference computed from the rows directly, value for
+        /// value and variant for variant: as a list, or where a merge
+        /// join reorders, each run of equal sort keys as a multiset. The
+        /// statement runs after a generated write sequence, with or
+        /// without an index on an INT, a DATE, a DOUBLE or (probed by
+        /// index nested loops) a VARCHAR column; the heap must equal the
+        /// written row vector, and each index the one rebuilt from it. Joins draw their keys (INT, VARCHAR, DOUBLE
+        /// with `-0.0`, two keys, INT against DATE, DATE against DOUBLE;
+        /// NULLs in each), their method (hash, merge, nested loops, index
+        /// nested loops) and cross-side predicates.
         #[test]
         fn generated_statements_match_a_reference(
             raw in prop::collection::vec((-1i64..4, 0usize..4, -1i64..8, -1i64..8), 0..20),
-            (dups, index, join, qualify) in (0usize..6, 0usize..3, 0usize..4, 0usize..2),
+            (dups, index, join, qualify) in (0usize..6, 0usize..4, 0usize..3, 0usize..2),
             writes in prop::collection::vec(
                 (0usize..5, (-1i64..5, 0usize..6, -1i64..8, -1i64..8), (0usize..4, 0usize..5, 0i64..8)),
                 0..6,
             ),
             preds in prop::collection::vec((0usize..8, 0usize..5, 0i64..8), 0..3),
+            (on, method, cross) in (0usize..7, 0usize..3, prop::collection::vec((0usize..4, 0usize..5, 0usize..4), 0..2)),
             (list_mode, cols) in (0usize..4, prop::collection::vec(0usize..8, 1..7)),
             (extra, order, by, desc) in (0usize..4, 0usize..3, 0usize..8, 0usize..2),
         ) {
@@ -1181,34 +1648,44 @@ mod tests {
             rows.extend_from_within(..n);
 
             let db = Database::in_memory();
-            let types = [Type::Int, Type::Str, Type::Int, Type::Double];
+            let types = [Type::Int, Type::Str, Type::Date, Type::Double];
             let schema = Schema::new(COLS.iter().zip(types).map(|(c, t)| Attr::new(*c, t)).collect());
             db.create_table("R", schema).unwrap();
             db.insert_rows("R", rows.clone()).unwrap();
+            // nested loops probe an index on the right key when there is one
+            let nl = join == 0 && method == 2;
             if index > 0 {
-                db.create_index("IX", "R", ["K", "T2"][index - 1]).unwrap();
+                let col = if nl { COLS[ONS[on][0].1] } else { ["K", "T1", "T2"][index - 1] };
+                db.create_index("IX", "R", col).unwrap();
             }
             apply_writes(&db, &mut rows, &writes);
-            let c = case(&rows, join == 0, qualify == 1, &preds, list_mode, &cols, extra,
-                (order, by, desc == 1));
+            let shape = Shape {
+                join: join == 0, qualify: qualify == 1, on, method, cross, preds, list_mode, cols,
+                extra, order, by, desc: desc == 1,
+            };
+            let c = case(&rows, &shape);
             let inner = db.inner.read();
-            let got = run(&plan(&inner, &c.sql), &inner)
-                .unwrap_or_else(|e| panic!("{}: {e}", c.sql))
-                .into_tuples();
+            let p = plan(&inner, &c.sql);
+            let got = run(&p, &inner).unwrap_or_else(|e| panic!("{}: {e}", c.sql)).into_tuples();
             prop_assert_eq!(got.len(), c.want.len(), "{}", c.sql);
-            // a list up to ties: each run of equal sort keys, as a multiset
+            // an index range scan hands its rows on in key order
+            if c.listed && !p.render().contains("INDEX RANGE SCAN") {
+                prop_assert_eq!(format!("{got:?}"), format!("{:?}", c.want), "{}", c.sql);
+            }
+            // each run of equal sort keys, as a multiset
             let keys = c.keys.unwrap_or_else(|| vec![Value::Null; got.len()]);
             let mut start = 0;
             for end in 1..=keys.len() {
                 if end == keys.len() || keys[end] != keys[start] {
                     let (g, w) = (&got[start..end], &c.want[start..end]);
-                    prop_assert_eq!(canonical(g.to_vec()), canonical(w.to_vec()), "{}", c.sql);
+                    prop_assert_eq!(canonical(g), canonical(w), "{}", c.sql);
                     start = end;
                 }
             }
             let table = inner.table("R").unwrap();
             let heap = format!("{:?}", table.boxed_rows(None));
             prop_assert_eq!(heap, format!("{rows:?}"), "{}", c.sql);
+            assert_indexes_rebuilt(&inner, &c.sql);
         }
     }
 }

@@ -845,3 +845,22 @@ fn racing_writers_vs_refreshers_stay_consistent() {
     );
     assert!(after.tuples().iter().any(|t| t[0] == Value::Int(7777)), "{after}");
 }
+
+/// A write keeps the table's last statistics: a session that connects
+/// after it plans over them, where it used to fail every statement with
+/// `no feasible plan` until the next ANALYZE. A table that was never
+/// analyzed gets an error that names its missing statistics.
+#[test]
+fn a_session_connected_after_a_write_plans_over_the_last_statistics() {
+    let db = position_db(LinkProfile::default(), &keyed_rows(8));
+    Connection::new(db.clone()).execute("INSERT INTO POSITION VALUES (1, 2, 3.0, 4, 9)").unwrap();
+    let (got, _) = Tango::connect(db.clone()).query(&q1_sql("POSITION")).unwrap();
+    assert!(!got.is_empty(), "{got}");
+
+    db.create_table("FRESH", db.table_schema("POSITION").unwrap()).unwrap();
+    let Err(err) = Tango::connect(db).query(&q1_sql("FRESH")) else {
+        panic!("a statement over an unanalyzed table planned")
+    };
+    let err = err.to_string();
+    assert!(err.contains("no statistics for table FRESH"), "{err}");
+}

@@ -502,9 +502,9 @@ impl Case<'_> {
                 }
                 let wrote = write(&self.db, &mut self.rng);
                 self.state += 1;
-                // a write drops the table's statistics, and a session
-                // connected later plans nothing over an unanalyzed table;
-                // the sessions open here keep the snapshot they planned on
+                // a write leaves the table's statistics stale: sessions
+                // connected later plan over fresh ones; the sessions open
+                // here keep the snapshot they planned on
                 self.db.analyze("POSITION").unwrap();
                 if mirror {
                     other.query(primer).unwrap();
