@@ -502,6 +502,189 @@ impl Column {
         (0..self.len()).for_each(|i| b.push(replace(i).unwrap_or_else(|| self.value_at(i))));
         b
     }
+
+    /// Rows `rows` (every row when `None`), in order, as a column that
+    /// shares no buffer with this one: a string column's dictionary keeps
+    /// only the strings those rows hold. The result is the column
+    /// [`Column::from_values`] builds from the rows' values, copied from
+    /// the typed vectors without boxing one.
+    pub fn copied(&self, rows: Option<&[u32]>) -> Column {
+        match rows {
+            Some(ids) => Column::concat(&[(&self.gather(ids), 0, ids.len())]),
+            None => Column::concat(&[(self, 0, self.len())]),
+        }
+    }
+
+    /// The rows `from..to` of each piece, one piece after another, as one
+    /// column: the column a [`ColumnBuilder`] fed their values builds.
+    /// Where every piece with rows shares a typed layout, the typed
+    /// vectors are copied and string dictionaries merged; otherwise the
+    /// values go through a builder.
+    fn concat(pieces: &[(&Column, usize, usize)]) -> Column {
+        let pieces: Vec<_> = pieces.iter().filter(|(_, from, to)| from < to).copied().collect();
+        let n: usize = pieces.iter().map(|(_, from, to)| to - from).sum();
+        let layout = |c: &Column| std::mem::discriminant(c);
+        let uniform = pieces.windows(2).all(|w| layout(w[0].0) == layout(w[1].0));
+        let nullable = pieces.iter().any(|(c, from, to)| c.nulls_in(*from, *to));
+        let valid = nullable.then(|| {
+            let mut bm = Bitmap::default();
+            pieces
+                .iter()
+                .for_each(|(c, from, to)| (*from..*to).for_each(|i| bm.push(c.is_valid(i))));
+            Arc::new(bm)
+        });
+        /// The pieces' typed vectors end to end, a NULL slot zeroed.
+        fn join<T: Copy + Default>(
+            pieces: &[(&Column, usize, usize)],
+            n: usize,
+            vals: impl Fn(&Column) -> &[T],
+        ) -> Vec<T> {
+            let mut out = Vec::with_capacity(n);
+            for (c, from, to) in pieces {
+                let at = out.len();
+                out.extend_from_slice(&vals(c)[*from..*to]);
+                if c.nulls_in(*from, *to) {
+                    (*from..*to)
+                        .filter(|&i| !c.is_valid(i))
+                        .for_each(|i| out[at + i - from] = T::default());
+                }
+            }
+            out
+        }
+        fn ints(c: &Column) -> &[i64] {
+            match c {
+                Column::Int { vals, .. } | Column::Date { vals, .. } => vals,
+                _ => unreachable!("uniform layout"),
+            }
+        }
+        let col = match pieces.first().map(|p| p.0) {
+            Some(Column::Int { .. }) if uniform => {
+                Column::Int { vals: Arc::new(join(&pieces, n, ints)), valid }
+            }
+            Some(Column::Date { .. }) if uniform => {
+                Column::Date { vals: Arc::new(join(&pieces, n, ints)), valid }
+            }
+            Some(Column::Double { .. }) if uniform => Column::Double {
+                vals: Arc::new(join(&pieces, n, |c| match c {
+                    Column::Double { vals, .. } => vals.as_slice(),
+                    _ => unreachable!("uniform layout"),
+                })),
+                valid,
+            },
+            Some(Column::Str { .. }) if uniform => {
+                let mut merged = StrMerge::default();
+                let mut codes = Vec::with_capacity(n);
+                for (c, from, to) in &pieces {
+                    let Column::Str { codes: cs, dict, .. } = c else {
+                        unreachable!("uniform layout")
+                    };
+                    merged.switch_to(dict);
+                    codes.extend((*from..*to).map(|i| {
+                        if c.is_valid(i) {
+                            merged.code(dict, cs[i])
+                        } else {
+                            0
+                        }
+                    }));
+                }
+                Column::Str { codes: Arc::new(codes), dict: Arc::new(merged.dict), valid }
+            }
+            _ => {
+                let mut b = ColumnBuilder::default();
+                pieces
+                    .iter()
+                    .for_each(|(c, from, to)| (*from..*to).for_each(|i| b.push(c.value_at(i))));
+                return b.finish();
+            }
+        };
+        col.typed_or_nulls()
+    }
+
+    /// Whether a row in `from..to` is NULL.
+    fn nulls_in(&self, from: usize, to: usize) -> bool {
+        match self {
+            Column::Int { valid, .. }
+            | Column::Date { valid, .. }
+            | Column::Double { valid, .. }
+            | Column::Str { valid, .. } => {
+                valid.as_ref().is_some_and(|bm| bm.count_valid(from, to) < to - from)
+            }
+            Column::Mixed { vals } => vals[from..to].iter().any(Value::is_null),
+        }
+    }
+
+    /// A typed column that holds no value has no type yet: the builder
+    /// finishes it as [`Column::Mixed`] NULLs.
+    fn typed_or_nulls(self) -> Column {
+        let n = self.len();
+        let holds_value = match &self {
+            Column::Mixed { .. } => true,
+            Column::Int { valid, .. }
+            | Column::Date { valid, .. }
+            | Column::Double { valid, .. }
+            | Column::Str { valid, .. } => {
+                n > 0 && valid.as_ref().is_none_or(|bm| bm.count_valid(0, n) > 0)
+            }
+        };
+        match holds_value {
+            true => self,
+            false => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
+        }
+    }
+}
+
+/// String dictionaries merged into one, codes in first-use order: each
+/// source dictionary's codes map through a table built as they are met.
+/// A dictionary holds each string once, so while one source has been
+/// read nothing is hashed; the merged strings are indexed by hash only
+/// once a second source arrives.
+#[derive(Default)]
+struct StrMerge {
+    dict: Vec<String>,
+    /// `dict` inverted, once a second source made it needed.
+    by_str: Option<StrCodes>,
+    /// The source dictionary `remap` is for, by address, and each of its
+    /// codes' merged code (`u32::MAX` until met).
+    source: Option<*const Vec<String>>,
+    remap: Vec<u32>,
+}
+
+impl StrMerge {
+    /// Read codes of `dict` from here on.
+    fn switch_to(&mut self, dict: &Arc<Vec<String>>) {
+        let ptr = Arc::as_ptr(dict);
+        if self.source.is_some_and(|s| s != ptr) && self.by_str.is_none() {
+            let merged = self.dict.iter().enumerate();
+            self.by_str = Some(merged.map(|(m, s)| (s.clone(), m as u32)).collect());
+        }
+        if self.source != Some(ptr) {
+            self.source = Some(ptr);
+            self.remap.clear();
+        }
+    }
+
+    /// The merged code of source code `c` of `dict`.
+    fn code(&mut self, dict: &[String], c: u32) -> u32 {
+        if self.remap.len() < dict.len() {
+            self.remap.resize(dict.len(), u32::MAX);
+        }
+        let slot = &mut self.remap[c as usize];
+        if *slot == u32::MAX {
+            let s = &dict[c as usize];
+            let fresh = self.dict.len() as u32;
+            *slot = match &mut self.by_str {
+                Some(by_str) => match by_str.get(s.as_str()) {
+                    Some(&m) => m,
+                    None => *by_str.entry(s.clone()).or_insert(fresh),
+                },
+                None => fresh,
+            };
+            if *slot == fresh {
+                self.dict.push(s.clone());
+            }
+        }
+        *slot
+    }
 }
 
 /// The code of `s` in `dict`, found through `codes` by hash; a new string
@@ -606,6 +789,54 @@ impl ColumnBuilder {
         }
     }
 
+    /// Append `Value::Int(x)`; into an `Int` column without building the
+    /// `Value`.
+    pub(crate) fn push_int(&mut self, x: i64) {
+        let Building::Int(xs) = &mut self.vals else { return self.push(Value::Int(x)) };
+        xs.push(x);
+        self.push_valid();
+    }
+
+    /// Append `Value::Date(d)`; into a `Date` column without building the
+    /// `Value`.
+    pub(crate) fn push_date(&mut self, d: crate::date::Day) {
+        let Building::Date(xs) = &mut self.vals else { return self.push(Value::Date(d)) };
+        xs.push(d as i64);
+        self.push_valid();
+    }
+
+    /// Append `Value::Double(x)`; into a `Double` column without building
+    /// the `Value`.
+    pub(crate) fn push_double(&mut self, x: f64) {
+        let Building::Double(xs) = &mut self.vals else { return self.push(Value::Double(x)) };
+        xs.push(x);
+        self.push_valid();
+    }
+
+    /// Append `Value::Str(s)`; into a `Str` column the dictionary is
+    /// searched by `&str`, so a string it holds allocates nothing.
+    pub(crate) fn push_str(&mut self, s: &str) {
+        let Building::Str { codes, dict, by_str } = &mut self.vals else {
+            return self.push(Value::Str(s.to_string()));
+        };
+        let code = match by_str.get(s) {
+            Some(&c) => c,
+            None => {
+                dict.push(s.to_string());
+                *by_str.entry(s.to_string()).or_insert(dict.len() as u32 - 1)
+            }
+        };
+        codes.push(code);
+        self.push_valid();
+    }
+
+    /// The validity of a value just pushed into a typed vector.
+    fn push_valid(&mut self) {
+        if let Some(bm) = &mut self.valid {
+            bm.push(true);
+        }
+    }
+
     /// Values pushed so far.
     pub fn len(&self) -> usize {
         match &self.vals {
@@ -627,8 +858,10 @@ impl ColumnBuilder {
         self.finish_with_codes().0
     }
 
-    /// The finished column, and a string column's dictionary inverted.
-    fn finish_with_codes(self) -> (Column, StrCodes) {
+    /// The finished column, and a string column's dictionary inverted
+    /// (empty for any other layout): what a stored table keeps beside its
+    /// column so an INSERT finds a string's code by hash.
+    pub fn finish_with_codes(self) -> (Column, StrCodes) {
         let valid = self.valid.map(Arc::new);
         let col = match self.vals {
             Building::Nulls(n) => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
@@ -769,24 +1002,20 @@ impl Batch {
                 bytes,
             };
         }
-        // General path: rebuild the columns (moving values out of row
-        // batches, materializing columnar ones).
-        let mut out = vec![ColumnBuilder::default(); schema.len()];
-        for b in batches {
-            match b.repr {
-                Repr::Rows(rows) => {
-                    for t in rows {
-                        out.iter_mut().zip(t.0).for_each(|(col, v)| col.push(v));
-                    }
-                }
-                Repr::Cols { cols, offset, len } => {
-                    for (col, src) in out.iter_mut().zip(cols.iter()) {
-                        (offset..offset + len).for_each(|i| col.push(src.value_at(i)));
-                    }
-                }
-            }
-        }
-        Batch::from_builders(schema, out)
+        // General path: each column concatenated from the batches' typed
+        // vectors (a row batch columnarized first).
+        let batches: Vec<Batch> = batches.into_iter().map(Batch::columnarize).collect();
+        let cols = (0..schema.len())
+            .map(|c| {
+                let pieces: Vec<(&Column, usize, usize)> = batches
+                    .iter()
+                    .filter_map(|b| b.columns())
+                    .map(|(cols, offset, len)| (&cols[c], offset, offset + len))
+                    .collect();
+                Column::concat(&pieces)
+            })
+            .collect();
+        Batch::from_columns(schema, cols)
     }
 
     /// Materialize row `i` (batch-relative) as a `Tuple`.
@@ -1141,6 +1370,27 @@ mod tests {
                     }
                     assert_eq!(shown(&col), shown(&Column::from_values(want)), "{others:?}");
                     assert_eq!(codes, dict_codes(&col));
+                }
+            }
+        }
+    }
+
+    /// Concatenated ranges of columns — one layout or several, each with
+    /// its own dictionary or one met twice — are the column a builder fed
+    /// their values builds.
+    #[test]
+    fn concat_matches_a_builder() {
+        let cases = layout_cases();
+        for (a, _) in &cases {
+            for (b, _) in &cases {
+                // reversed, a string column's dictionary is in another order
+                let b: Vec<Value> = b.iter().rev().cloned().collect();
+                let (ca, cb) = (Column::from_values(a.clone()), Column::from_values(b.clone()));
+                for cut in 0..=a.len() {
+                    let pieces = [(&ca, cut, a.len()), (&cb, 0, b.len()), (&ca, 0, cut)];
+                    let values = a[cut..].iter().chain(&b).chain(&a[..cut]).cloned().collect();
+                    let want = format!("{:?}", Column::from_values(values));
+                    assert_eq!(format!("{:?}", Column::concat(&pieces)), want, "{a:?} | {b:?}");
                 }
             }
         }

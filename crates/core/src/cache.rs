@@ -108,8 +108,9 @@
 //! # Eviction — GreedyDual-Size
 //!
 //! The store keeps an inflation clock `L`; an entry's priority is
-//! `L + fill_cost/size` where `fill_cost` is the measured wire+server
-//! time the entry saved. Eviction removes the minimum-priority entry
+//! `L + fill_cost/size` where `fill_cost` is what the entry's fill cost
+//! the session, measured: the transfer's own time (submission, server,
+//! fetch trips, decoding, populating) plus its wire time. Eviction removes the minimum-priority entry
 //! and advances `L` to its priority; a hit refreshes the entry's
 //! priority against the current clock. This is the classic
 //! GreedyDual-Size policy: recency, byte footprint and the real cost of
@@ -737,9 +738,9 @@ impl MidCache {
     /// is [`Batch::byte_size`] — the wire-size estimate, Σ
     /// `Tuple::byte_size` of its rows, whatever the layout. `deps` are the
     /// `(table, write-version)` pairs read *before* the fragment's SQL
-    /// was issued; `fill_cost_us` is the measured wire + server time the
-    /// transfer spent producing it (the refetch cost GreedyDual-Size
-    /// weighs against size).
+    /// was issued; `fill_cost_us` is what producing it cost the session,
+    /// measured — the transfer's own time plus its wire time (the refetch
+    /// cost GreedyDual-Size weighs against size, and a refresh against).
     ///
     /// Concurrency semantics (see module docs): an already-resident
     /// entry with the same signature, order and equal-or-newer deps

@@ -11,10 +11,10 @@ use crate::phys::{Algo, PhysNode};
 use crate::{engine, to_sql};
 use rand_free::SmallRng;
 use std::sync::Arc;
-use tango_algebra::{tup, AggFunc, AggSpec, Attr, Relation, Schema, SortSpec, Type};
+use tango_algebra::{tup, AggFunc, AggSpec, Attr, Batch, Schema, SortSpec, Type};
 use tango_minidb::Connection;
 use tango_trace::Stopwatch;
-use tango_xxl::{collect as drain, VecScan};
+use tango_xxl::{collect as drain, BatchScan};
 
 /// A tiny deterministic PRNG so the calibrator needs no extra crate
 /// dependencies in this module (xorshift64*).
@@ -137,9 +137,13 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
         out.push(Sample { probe, x, t_us });
     };
 
-    let fetch = |sql: &str| -> Result<Relation> {
+    let fetch = |sql: &str| -> Result<Vec<Batch>> {
         engine::fetch_all(conn, sql, batch_rows).map_err(|e| TangoError::Dbms(e.to_string()))
     };
+    // a middleware operator's input, as a `TRANSFER^M` delivers it
+    let scan = |b: &[Batch]| Box::new(BatchScan::new(Arc::new(probe_schema()), b.to_vec()));
+    // the one value of a `COUNT(*)` probe's answer
+    let count = |r: &[Batch]| r.first().and_then(|b| b.value_at(0, 0).as_f64()).unwrap_or(0.0);
     // wire-aware timing helper: wall time + virtual wire delta
     let timed = |conn: &Connection, f: &mut dyn FnMut() -> Result<()>| -> Result<f64> {
         let sw = Stopwatch::start(conn.wire_time());
@@ -149,14 +153,14 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
 
     for (i, &n) in sizes.iter().enumerate() {
         let table = format!("TANGO_CAL_{i}");
-        let rows = probe_rows(n, &mut rng);
-        let rel = Relation::new(Arc::new(probe_schema()), rows.clone());
-        let bytes = rel.byte_size() as f64;
+        let batch = Batch::new(Arc::new(probe_schema()), probe_rows(n, &mut rng)).columnarize();
+        let bytes = batch.byte_size() as f64;
         let log2n = (n as f64).log2();
 
-        // TRANSFER^D (direct-path load) — affine in bytes
+        // TRANSFER^D (direct-path load of columns, as the engine's) —
+        // affine in bytes
         let t = timed(conn, &mut || {
-            conn.load_direct(&table, probe_schema(), rows.clone())
+            conn.load_direct_batches(&table, probe_schema(), vec![batch.clone()])
                 .map_err(|e| TangoError::Dbms(e.to_string()))?;
             Ok(())
         })?;
@@ -176,19 +180,17 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
         let fetched = fetched.unwrap();
 
         // SORT^D: sorted fetch minus plain fetch
+        let mut sorted = None;
         let t_sorted = timed(conn, &mut || {
-            fetch(&format!("SELECT K, V, S, T1, T2 FROM {table} ORDER BY K, T1"))?;
+            sorted = Some(fetch(&format!("SELECT K, V, S, T1, T2 FROM {table} ORDER BY K, T1"))?);
             Ok(())
         })?;
         add("sort_d", bytes * log2n, (t_sorted - plain_scan_t).max(1.0), &mut samples);
 
         // SORT^M over the materialized relation
         let t = timed(conn, &mut || {
-            drain(Box::new(tango_xxl::Sort::new(
-                Box::new(VecScan::new(fetched.clone())),
-                SortSpec::by(["K", "T1"]),
-            )))
-            .map_err(|e| TangoError::Exec(e.to_string()))?;
+            drain(Box::new(tango_xxl::Sort::new(scan(&fetched), SortSpec::by(["K", "T1"]))))
+                .map_err(|e| TangoError::Exec(e.to_string()))?;
             Ok(())
         })?;
         add("sort_m", bytes * log2n, t, &mut samples);
@@ -200,21 +202,17 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
             tango_algebra::Expr::lit(500_000),
         );
         let t = timed(conn, &mut || {
-            drain(Box::new(tango_xxl::Filter::new(
-                Box::new(VecScan::new(fetched.clone())),
-                pred.clone(),
-            )))
-            .map_err(|e| TangoError::Exec(e.to_string()))?;
+            drain(Box::new(tango_xxl::Filter::new(scan(&fetched), pred.clone())))
+                .map_err(|e| TangoError::Exec(e.to_string()))?;
             Ok(())
         })?;
         add("filter_m", bytes, t, &mut samples);
 
-        // TAGGR^M over a sorted copy
-        let mut sorted = fetched.clone();
-        sorted.sort_by(&SortSpec::by(["K", "T1"]));
+        // TAGGR^M over the sorted fetch
+        let sorted = sorted.ok_or_else(|| TangoError::Exec("sorted fetch did not run".into()))?;
         let t = timed(conn, &mut || {
             let agg = tango_xxl::TemporalAggregate::new(
-                Box::new(VecScan::new(sorted.clone())),
+                scan(&sorted),
                 vec!["K".into()],
                 vec![AggSpec::new(AggFunc::Count, Some("K"), "C")],
             )
@@ -228,8 +226,8 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
         let mut out_bytes = 0f64;
         let t = timed(conn, &mut || {
             let mj = tango_xxl::MergeJoin::new(
-                Box::new(VecScan::new(sorted.clone())),
-                Box::new(VecScan::new(sorted.clone())),
+                scan(&sorted),
+                scan(&sorted),
                 &[("K".to_string(), "K".to_string())],
             )
             .map_err(|e| TangoError::Exec(e.to_string()))?;
@@ -266,7 +264,7 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
                 "SELECT COUNT(*) AS N FROM \
                  (SELECT A.K k, A.V v, B.V w FROM {table} A, {table} B WHERE A.K = B.K) J"
             ))?;
-            join_out_rows = r.tuples()[0][0].as_f64().unwrap_or(0.0);
+            join_out_rows = count(&r);
             Ok(())
         })?;
         let join_out_bytes = join_out_rows * 24.0; // three int columns
@@ -294,7 +292,7 @@ pub fn calibrate(conn: &Connection, seed: u64, batch_rows: usize) -> Result<Cali
             let mut out_rows = 0f64;
             let t = timed(conn, &mut || {
                 let r = fetch(&format!("SELECT COUNT(*) AS N FROM ({sql}) X"))?;
-                out_rows = r.tuples()[0][0].as_f64().unwrap_or(0.0);
+                out_rows = count(&r);
                 Ok(())
             })?;
             add("taggr_d", bytes + out_rows * 32.0, t.max(1.0), &mut samples);

@@ -20,13 +20,13 @@ use crate::{refresh, to_sql};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::{Batch, ColumnBuilder, Relation, Schema, SortSpec, Tuple, DEFAULT_BATCH_ROWS};
+use tango_algebra::{Batch, Relation, Schema, SortSpec, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, DbCursor, ErrorClass};
 use tango_stats::RelationStats;
 use tango_trace::{Collector, SpanEvent, SpanSite, SpanSlot, Stopwatch};
 use tango_xxl::{
-    drain_batches, drain_of, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor, DeltaApply,
-    DupElim, ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate,
+    drain_batches, BatchScan, BoxCursor, CachedScan, Coalesce, Cursor, DeltaApply, DupElim,
+    ExternalSort, Filter, MergeJoin, NestedLoopJoin, Project, Sort, TemporalAggregate,
     TemporalDiff, TemporalMergeJoin,
 };
 
@@ -304,6 +304,15 @@ impl<'a> Executor<'a> {
         let report = ExecReport { rows: rel.len(), wall, wire, steps };
         Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.sem)) })
     }
+}
+
+/// The statistics of a materialization held as `batches`: ANALYZE over
+/// their columns, concatenated, as [`RelationStats::from_relation`] of
+/// their rows would read them.
+fn analyze(schema: &Arc<Schema>, batches: &[Batch], buckets: usize) -> RelationStats {
+    let all = Batch::concat(schema.clone(), batches.to_vec());
+    let (cols, offset, len) = all.columns().unwrap_or((&[], 0, 0));
+    RelationStats::from_columns(schema, cols, offset..offset + len, buckets)
 }
 
 /// Resolve collected spans into step reports.
@@ -605,9 +614,7 @@ impl<'a> Ctx<'a> {
                 if analyzed.insert(name.clone()) {
                     #[cfg(test)]
                     MAT_ANALYZES.with(|n| n.set(n.get() + 1));
-                    let rows = mat.batches.iter().cloned().flat_map(Batch::into_rows).collect();
-                    let rel = Relation::new(mat.schema.clone(), rows);
-                    let stats = RelationStats::from_relation(&rel, cfg.histogram_buckets);
+                    let stats = analyze(&mat.schema, &mat.batches, cfg.histogram_buckets);
                     catalog.insert(name.clone(), (mat.schema.clone(), stats));
                 }
             }
@@ -756,9 +763,9 @@ impl<'a> Ctx<'a> {
                     cache,
                     key,
                     deps,
-                    cols: vec![ColumnBuilder::default(); schema.len()],
+                    batches: Vec::new(),
                     wire_start: Duration::ZERO,
-                    server_us: 0.0,
+                    own: Duration::ZERO,
                 });
             }
         }
@@ -1182,53 +1189,66 @@ pub(crate) fn query_batched(
     Ok(cur)
 }
 
-/// Read the whole result of `sql` under the [`query_batched`] rule.
+/// Read the whole result of `sql` under the [`query_batched`] rule: the
+/// columnar batches its trips decode into.
 pub(crate) fn fetch_all(
     conn: &Connection,
     sql: &str,
     batch_rows: usize,
-) -> tango_minidb::Result<Relation> {
+) -> tango_minidb::Result<Vec<Batch>> {
     let mut cur = query_batched(conn, sql, batch_rows)?;
-    let mut rows = Vec::new();
-    while let Some(mut batch) = cur.fetch_batch()? {
-        rows.append(&mut batch);
-    }
-    Ok(Relation::new(cur.schema().clone(), rows))
+    std::iter::from_fn(|| cur.fetch_columns().transpose()).collect()
 }
 
 /// A [`query_batched`] cursor served `max` rows per pull, at most one
-/// wire trip each. A trip's rows beyond the request (when the batch is
-/// below the link's prefetch floor) wait in `buf`.
+/// wire trip each, as the columnar batches its trips decode into. A
+/// trip's rows beyond the request (when the batch is below the link's
+/// prefetch floor) wait in `buf` and are handed on as zero-copy slices;
+/// a pull that spans two trips concatenates its two pieces.
 struct BatchReader {
     cur: DbCursor,
-    buf: VecDeque<Tuple>,
+    /// Trips fetched and not yet handed on, front first.
+    buf: VecDeque<Batch>,
+    /// Rows of the front trip already handed on.
+    at: usize,
     /// The server has no rows left: a trip came back short or empty.
     done: bool,
 }
 
 impl BatchReader {
     fn new(cur: DbCursor) -> Self {
-        BatchReader { cur, buf: VecDeque::new(), done: false }
+        BatchReader { cur, buf: VecDeque::new(), at: 0, done: false }
     }
 
-    fn next(&mut self, max: usize) -> tango_minidb::Result<Option<Vec<Tuple>>> {
-        if self.buf.len() < max && !self.done {
-            match self.cur.fetch_batch()? {
-                Some(rows) => {
-                    self.done = rows.len() < self.cur.fetch_size();
-                    if self.buf.is_empty() && rows.len() <= max {
-                        return Ok(Some(rows));
+    fn next(&mut self, max: usize) -> tango_minidb::Result<Option<Batch>> {
+        let buffered = self.buf.iter().map(Batch::len).sum::<usize>() - self.at;
+        if buffered < max && !self.done {
+            match self.cur.fetch_columns()? {
+                Some(trip) => {
+                    self.done = trip.len() < self.cur.fetch_size();
+                    if self.buf.is_empty() && trip.len() <= max {
+                        return Ok(Some(trip));
                     }
-                    self.buf.extend(rows);
+                    self.buf.push_back(trip);
                 }
                 None => self.done = true,
             }
         }
-        if self.buf.is_empty() {
-            return Ok(None);
+        let mut pieces = Vec::new();
+        let mut want = max;
+        while let Some(front) = self.buf.front().filter(|_| want > 0) {
+            let n = (front.len() - self.at).min(want);
+            pieces.push(if n == front.len() { front.clone() } else { front.slice(self.at, n) });
+            (self.at, want) = (self.at + n, want - n);
+            if self.at == front.len() {
+                self.buf.pop_front();
+                self.at = 0;
+            }
         }
-        let take = max.min(self.buf.len());
-        Ok(Some(self.buf.drain(..take).collect()))
+        Ok(match pieces.len() {
+            0 | 1 => pieces.pop(),
+            _ => Some(Batch::concat(pieces[0].schema().clone(), pieces)),
+        })
     }
 
     /// Every row of the result has been handed out.
@@ -1266,8 +1286,8 @@ impl Cursor for FetchCursor {
             .cur
             .as_mut()
             .ok_or_else(|| tango_xxl::ExecError::State("fallback fetch not opened".into()))?;
-        let rows = cur.next(max_rows.max(1)).map_err(|e| wire_exec_err(&e))?;
-        Ok(rows.map(|rows| Batch::new(self.schema.clone(), rows)))
+        let batch = cur.next(max_rows.max(1)).map_err(|e| wire_exec_err(&e))?;
+        Ok(batch.map(|b| b.with_schema(self.schema.clone())))
     }
 
     fn close(&mut self) -> tango_xxl::Result<()> {
@@ -1304,9 +1324,9 @@ struct TransferMCursor {
     /// Sink for the producing statement's server-side execution time
     /// and for replan and cache events.
     server_sink: Arc<SpanSlot>,
-    /// Pending cache population (a cache miss): rows are accumulated,
-    /// column by column, as they are emitted and inserted only if the
-    /// stream drains cleanly.
+    /// Pending cache population (a cache miss): the batches emitted are
+    /// kept, and concatenated into the entry only if the stream drains
+    /// cleanly.
     /// Dropped on degrade — a re-planned or partial result must never
     /// populate the cache.
     populate: Option<CachePopulate>,
@@ -1327,14 +1347,15 @@ struct CachePopulate {
     key: cache::FragmentKey,
     /// `(table, write-version)` pairs read before the SQL was issued.
     deps: Vec<(String, u64)>,
-    /// Every row fetched off the wire so far, in stream order: one
-    /// builder per attribute of the fragment's schema.
-    cols: Vec<ColumnBuilder>,
+    /// Every batch fetched off the wire so far, in stream order.
+    batches: Vec<Batch>,
     /// Connection wire clock when the transfer opened — the wire part of
     /// the entry's fill cost.
     wire_start: Duration,
-    /// DBMS-reported execution time of the producing statement, µs.
-    server_us: f64,
+    /// Wall time the transfer spent filling so far — submission, server,
+    /// fetch trips, decoding and keeping the batches: with the wire, what
+    /// a refetch of the entry costs the session.
+    own: Duration,
 }
 
 impl TransferMCursor {
@@ -1364,23 +1385,17 @@ impl TransferMCursor {
         Ok(())
     }
 
-    /// Record rows emitted off the wire for a pending population.
-    fn populate_rows(&mut self, rows: &[Tuple]) {
-        if let Some(p) = &mut self.populate {
-            for t in rows {
-                p.cols.iter_mut().zip(&t.0).for_each(|(col, v)| col.push(v.clone()));
-            }
-        }
-    }
-
     /// The stream drained cleanly (no fault, no fallback, no error up to
-    /// end-of-stream): admit the accumulated columns into the cache, with
-    /// the measured wire + server time as the entry's refetch cost.
-    fn finish_populate(&mut self) {
+    /// end-of-stream): admit the kept batches into the cache as one, with
+    /// what the fill cost — the transfer's own time since it opened, the
+    /// pull under way since `pulled` included, plus its wire time — as
+    /// the entry's refetch cost.
+    fn finish_populate(&mut self, pulled: Instant) {
         let Some(p) = self.populate.take() else { return };
-        let wire_us = self.conn.wire_time().saturating_sub(p.wire_start).as_secs_f64() * 1e6;
-        let batch = Batch::from_builders(self.schema.clone(), p.cols);
-        let admission = p.cache.insert(&p.key, batch, p.deps, wire_us + p.server_us);
+        let batch = Batch::concat(self.schema.clone(), p.batches);
+        let wire = self.conn.wire_time().saturating_sub(p.wire_start);
+        let fill_us = (p.own + pulled.elapsed() + wire).as_secs_f64() * 1e6;
+        let admission = p.cache.insert(&p.key, batch, p.deps, fill_us);
         let bytes = admission.bytes;
         if admission.admitted {
             self.populated_bytes = Some(bytes);
@@ -1415,6 +1430,7 @@ impl Cursor for TransferMCursor {
         for p in &mut self.prereqs {
             p.open()?;
         }
+        let started = Instant::now();
         if let Some(p) = &mut self.populate {
             p.wire_start = self.conn.wire_time();
         }
@@ -1423,7 +1439,7 @@ impl Cursor for TransferMCursor {
                 check_arity("translated SQL", &cur, &self.schema)?;
                 self.server_sink.add_server_time(cur.server_time());
                 if let Some(p) = &mut self.populate {
-                    p.server_us = cur.server_time().as_secs_f64() * 1e6;
+                    p.own += started.elapsed();
                 }
                 self.round_trips += 1;
                 self.cur = Some(BatchReader::new(cur));
@@ -1445,18 +1461,24 @@ impl Cursor for TransferMCursor {
         let Some(cur) = self.cur.as_mut() else {
             return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
         };
+        let pulled = Instant::now();
         match self.wire.around(|_| cur.next(max)) {
-            Ok(Some(rows)) => {
+            Ok(Some(batch)) => {
                 let drained = cur.drained();
-                self.populate_rows(&rows);
-                self.rows_emitted += rows.len() as u64;
-                if drained {
-                    self.finish_populate();
+                let batch = batch.with_schema(self.schema.clone());
+                self.rows_emitted += batch.len() as u64;
+                if let Some(p) = &mut self.populate {
+                    p.batches.push(batch.clone());
                 }
-                Ok(Some(Batch::new(self.schema.clone(), rows)))
+                if drained {
+                    self.finish_populate(pulled);
+                } else if let Some(p) = &mut self.populate {
+                    p.own += pulled.elapsed();
+                }
+                Ok(Some(batch))
             }
             Ok(None) => {
-                self.finish_populate();
+                self.finish_populate(pulled);
                 Ok(None)
             }
             // nothing delivered yet: safe to re-plan, at batch granularity
@@ -1518,14 +1540,14 @@ impl Cursor for TransferDCursor {
             .take()
             .ok_or_else(|| tango_xxl::ExecError::State("TRANSFER^D reopened".into()))?;
         input.open()?;
-        let rows = drain_of(input.as_mut(), self.batch_rows)?;
+        let batches = drain_batches(input.as_mut(), self.batch_rows)?;
         input.close()?;
-        self.rows_loaded = rows.len() as u64;
+        self.rows_loaded = batches.iter().map(|b| b.len() as u64).sum();
         // Metered around the load alone, so nested `T^M` activity never
         // shows up on this span.
         let schema = self.schema.as_ref().clone();
         self.wire
-            .around(|conn| conn.load_direct(&self.table, schema, rows))
+            .around(|conn| conn.load_direct_batches(&self.table, schema, batches))
             .map_err(|e| wire_exec_err(&e))?;
         Ok(())
     }
@@ -1555,7 +1577,7 @@ mod tests {
     use super::*;
     use crate::phys::PhysNode;
     use std::sync::Arc;
-    use tango_algebra::{tup, AggFunc, AggSpec, Attr, Expr, Schema, SortSpec, Type};
+    use tango_algebra::{tup, AggFunc, AggSpec, Attr, Expr, Schema, SortSpec, Type, Value};
     use tango_minidb::{Connection, Database};
 
     fn setup() -> Connection {
@@ -1670,6 +1692,45 @@ mod tests {
         assert_eq!(mat, RelationStats { attrs: base.attrs, ..observed.clone() });
         let (analyzes, mat, ..) = staged(1.0);
         assert_eq!((analyzes, mat), (1, observed));
+    }
+
+    /// The re-plan's ANALYZE reads a materialization's columns: over the
+    /// batches a multi-trip drain leaves — slices of one trip, so the
+    /// concatenation keeps their offset, and then pieces of two trips
+    /// with their own dictionaries — it is `from_relation` of the rows.
+    #[test]
+    fn the_replan_analyze_of_columns_is_that_of_their_rows() {
+        let schema = Arc::new(Schema::new(vec![
+            Attr::new("K", Type::Int),
+            Attr::new("S", Type::Str),
+            Attr::new("X", Type::Double),
+            Attr::new("D", Type::Date),
+        ]));
+        let trip = |seed: i64| {
+            let rows = (0..90)
+                .map(|i| {
+                    let k = (i * 7 + seed) % 23;
+                    let s =
+                        if k % 5 == 0 { Value::Null } else { Value::Str(format!("s{}", k % 6)) };
+                    let x = if k % 7 == 0 {
+                        Value::Double(-0.0)
+                    } else {
+                        Value::Double(k as f64 / 3.0)
+                    };
+                    tup![k, s, x, Value::Date((k * 40 + seed) as i32)]
+                })
+                .collect();
+            Batch::new(schema.clone(), rows).columnarize()
+        };
+        let (a, b) = (trip(1), trip(5));
+        for batches in [
+            vec![a.slice(3, 40), a.slice(43, 30)],
+            vec![a.slice(3, 40), b.slice(10, 25), a.slice(80, 10)],
+        ] {
+            let rows = batches.iter().cloned().flat_map(Batch::into_rows).collect();
+            let want = RelationStats::from_relation(&Relation::new(schema.clone(), rows), 4);
+            assert_eq!(analyze(&schema, &batches, 4), want);
+        }
     }
 
     /// A failing plan must still clean up its temp tables, with and

@@ -516,7 +516,7 @@ fn aggr_delta(
     let sql = to_sql::render_select(&refetch).map_err(detail(RefreshBail::RefetchRender))?;
     let fetched =
         engine::fetch_all(conn, &sql, batch_rows).map_err(detail(RefreshBail::Refetch))?;
-    let fetched_bytes = fetched.byte_size() as u64;
+    let fetched_bytes = fetched.iter().map(|b| b.byte_size() as u64).sum();
     // the refetch ran after the snapshot: if any dependency moved in
     // between, the spliced result would mix versions
     if new_deps.iter().any(|(t, v)| conn.table_version(t) != Some(*v)) {
@@ -532,7 +532,7 @@ fn aggr_delta(
             delta.add(base.tuple_at(r), -1);
         }
     }
-    for row in fetched.into_tuples() {
+    for row in fetched.into_iter().flat_map(Batch::into_rows) {
         delta.add(row, 1);
     }
     Ok((delta, fetched_bytes))

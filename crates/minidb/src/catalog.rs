@@ -323,6 +323,33 @@ impl Database {
         Ok(n)
     }
 
+    /// A direct-path load's server half: the finished `cols` (`len` rows)
+    /// become the heap of table `name`, which the load created and which
+    /// is still empty. The rows are not copied into the delta log: it is
+    /// poisoned at the load's version, so a snapshot taken between the
+    /// `CREATE` and the load refetches rather than replays.
+    pub(crate) fn load_heap(&self, name: &str, cols: Vec<ColumnBuilder>, len: usize) -> Result<()> {
+        let mut inner = self.inner.write();
+        let key = name.to_uppercase();
+        let table =
+            inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
+        if table.len != 0 || cols.len() != table.schema.len() {
+            return Err(DbError::Semantic(format!("direct load into {name}: not a fresh table")));
+        }
+        (table.cols, table.codes) = cols.into_iter().map(ColumnBuilder::finish_with_codes).unzip();
+        table.len = len;
+        inner.bump_version(name);
+        let v = inner.version_clock;
+        if let Some(log) = inner.delta_logs.get_mut(&key) {
+            log.poison(v);
+        }
+        let (t, ixs) = inner.indexes_of(name)?;
+        for (map, ci) in ixs {
+            *map = t.keyed(ci);
+        }
+        Ok(())
+    }
+
     /// Delete rows satisfying `pred` (all rows when `None`). Every row is
     /// decided before any is removed, so a predicate that fails on some
     /// row deletes nothing.
@@ -450,8 +477,12 @@ impl Database {
             .collect();
         let table =
             inner.tables.get_mut(&key).ok_or_else(|| DbError::NoSuchTable(name.to_string()))?;
-        let mut stats =
-            RelationStats::from_columns(&table.schema, &table.cols, table.len, HISTOGRAM_BUCKETS);
+        let mut stats = RelationStats::from_columns(
+            &table.schema,
+            &table.cols,
+            0..table.len,
+            HISTOGRAM_BUCKETS,
+        );
         for (col, clustered) in indexed {
             if let Some(a) = stats.attrs.get_mut(&col) {
                 a.indexed = true;
@@ -722,6 +753,31 @@ mod tests {
         assert_eq!(db.delta_log_bytes(), 0);
         assert_eq!(db.delta_bytes_since("DOCS", v0), None);
         assert_eq!(db.delta_bytes_since("DOCS", v1), Some(0));
+    }
+
+    /// A direct load does not log its rows: a snapshot taken between its
+    /// `CREATE` and its load (an empty table) has nothing to replay that
+    /// could bring it forward, so it refetches. A snapshot taken after
+    /// the load replays the writes that follow.
+    #[test]
+    fn a_snapshot_between_a_loads_create_and_its_rows_refetches() {
+        let db = Database::in_memory();
+        db.create_table("T", Schema::new(vec![Attr::new("A", Type::Int)])).unwrap();
+        let created = db.table_version("T").unwrap();
+        assert_eq!(db.delta_bytes_since("T", created), Some(0));
+        let mut cols = vec![ColumnBuilder::default()];
+        (0..3).for_each(|i| cols[0].push(Value::Int(i)));
+        db.load_heap("T", cols, 3).unwrap();
+        let loaded = db.table_version("T").unwrap();
+        assert!(loaded > created);
+        assert_eq!(db.delta_bytes_since("T", created), None);
+        assert!(db.deltas_since_multi(&[("T".to_string(), created)]).is_none());
+        assert_eq!(db.delta_bytes_since("T", loaded), Some(0));
+        db.insert_rows("T", vec![tup![9]]).unwrap();
+        assert!(db.delta_bytes_since("T", loaded).unwrap() > 0);
+        assert_eq!(db.inner.read().table("T").unwrap().boxed_rows(None).len(), 4);
+        // only a fresh table takes a load
+        assert!(db.load_heap("T", vec![ColumnBuilder::default()], 0).is_err());
     }
 
     /// ANALYZE over the columnar heap gathers exactly the statistics of

@@ -2,9 +2,15 @@
 //!
 //! Everything the middleware does against the DBMS flows through here:
 //! `query` (SELECT → server-side execution → wire-charged cursor),
-//! `execute` (DDL/DML), and `load_direct` (the direct-path bulk load used
-//! by the `TRANSFER^D` algorithm, where the paper calls INSERT-based
-//! loading "inefficient for large amounts of data").
+//! `execute` (DDL/DML), and `load_direct_batches` (the direct-path bulk
+//! load used by the `TRANSFER^D` algorithm, where the paper calls
+//! INSERT-based loading "inefficient for large amounts of data").
+//!
+//! Both directions of the wire carry rows in the codec's row format and
+//! hold them as columns at either end: a result is encoded from the
+//! columns `exec::run` returns and decoded into columns on the client; a
+//! load is encoded from the client's columns and decoded into the
+//! columns of the fresh table's heap. No row is boxed on the way.
 //!
 //! A [`DbCursor`] ships its result one *fetch size* of rows per round
 //! trip. The fetch size is per cursor (JDBC `setFetchSize`) and starts at
@@ -34,8 +40,8 @@ use crate::wire::Link;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tango_algebra::codec::{encode_tuple, Decoder};
-use tango_algebra::{Relation, Schema, Tuple};
+use tango_algebra::codec::{encode_row, Decoder};
+use tango_algebra::{Batch, ColumnBuilder, Relation, Schema, Tuple};
 
 /// Per-connection wire accounting. Cheap atomics; shared by a
 /// connection and every cursor (and clone) it spawns.
@@ -254,8 +260,7 @@ impl Connection {
                     .lines()
                     .map(|l| Tuple::new(vec![tango_algebra::Value::Str(l.to_string())]))
                     .collect();
-                let rel = Relation::new(schema, rows);
-                return Ok(self.cursor(rel, Duration::ZERO, Duration::ZERO));
+                return Ok(self.cursor(Batch::new(schema, rows), Duration::ZERO, Duration::ZERO));
             }
             _ => return Err(DbError::Semantic("query() requires a SELECT".into())),
         };
@@ -273,7 +278,7 @@ impl Connection {
         Ok(self.cursor(result, server_time, submit + server_time))
     }
 
-    fn cursor(&self, result: Relation, server_time: Duration, elapsed: Duration) -> DbCursor {
+    fn cursor(&self, result: Batch, server_time: Duration, elapsed: Duration) -> DbCursor {
         DbCursor::new(
             result,
             self.db.link().clone(),
@@ -290,24 +295,43 @@ impl Connection {
         let mut c = self.query(sql)?;
         let schema = c.schema().clone();
         let mut rows = Vec::new();
-        while let Some(t) = c.fetch()? {
-            rows.push(t);
+        while let Some(batch) = c.fetch_batch()? {
+            rows.extend(batch);
         }
         Ok(Relation::new(schema, rows))
     }
 
-    /// Direct-path bulk load (Oracle SQL*Loader style): creates the table
-    /// sized to the data, ships all rows across the wire in bulk (no
-    /// per-row statement round trips), and writes them straight into the
-    /// heap. A load whose transfer fails drops the half-created table
-    /// before surfacing the error — no partial state survives.
+    /// Direct-path bulk load of `rows`: [`Connection::load_direct_batches`]
+    /// of them as one batch.
     pub fn load_direct(&self, table: &str, schema: Schema, rows: Vec<Tuple>) -> Result<Duration> {
+        let batch = Batch::new(Arc::new(schema.clone()), rows);
+        self.load_direct_batches(table, schema, vec![batch])
+    }
+
+    /// Direct-path bulk load (Oracle SQL*Loader style): creates the table
+    /// sized to the data, ships every row of `batches` across the wire in
+    /// bulk (no per-row statement round trips; each row encoded from its
+    /// columns), and the server decodes them into the columns that become
+    /// the table's heap. The table's delta log does not hold the rows: it
+    /// is poisoned at the load's version, so a snapshot taken before the
+    /// load refetches. A load whose transfer fails drops the half-created
+    /// table before surfacing the error — no partial state survives.
+    pub fn load_direct_batches(
+        &self,
+        table: &str,
+        schema: Schema,
+        batches: Vec<Batch>,
+    ) -> Result<Duration> {
         let start = Instant::now();
+        let width = schema.len();
         self.db.create_table(table, schema)?;
         // one round trip to set up the load plus bulk payload
         let mut buf = Vec::new();
-        for r in &rows {
-            encode_tuple(r, &mut buf);
+        for b in batches {
+            let b = b.columnarize();
+            if let Some((cols, offset, len)) = b.columns() {
+                (offset..offset + len).for_each(|i| encode_row(cols, i, &mut buf));
+            }
         }
         let wire = match self.wire_transfer(Duration::ZERO, 1, buf.len() as u64) {
             Ok(w) => w,
@@ -316,13 +340,15 @@ impl Connection {
                 return Err(e);
             }
         };
-        // the server decodes the stream into the heap
+        // the server decodes the stream into the fresh heap
         let mut decoder = Decoder::new(&buf);
-        let mut decoded = Vec::with_capacity(rows.len());
+        let mut cols = vec![ColumnBuilder::default(); width];
+        let mut rows = 0;
         while !decoder.is_done() {
-            decoded.push(decoder.decode_tuple()?);
+            decoder.decode_row_into(&mut cols)?;
+            rows += 1;
         }
-        self.db.insert_rows(table, decoded)?;
+        self.db.load_heap(table, cols, rows)?;
         let server_time = start.elapsed();
         self.db.add_server_ns(server_time.as_nanos() as u64);
         Ok(wire + server_time)
@@ -376,20 +402,25 @@ impl Connection {
 }
 
 /// A client-side cursor over a server-side result. Rows are encoded on
-/// the "server", charged to the link one fetch-size batch per round
-/// trip, and decoded on the "client" — like a JDBC result set, whose
-/// fetch size ([`DbCursor::set_fetch_size`], JDBC `setFetchSize`)
-/// starts at the connection's default, [`LinkProfile::row_prefetch`].
-/// Fetch trips are retried under the connection's [`RetryPolicy`]
+/// the "server" from the result's columns, charged to the link one
+/// fetch-size batch per round trip, and decoded on the "client" straight
+/// into columns ([`DbCursor::fetch_columns`], the one decoder) — like a
+/// JDBC result set, whose fetch size ([`DbCursor::set_fetch_size`], JDBC
+/// `setFetchSize`) starts at the connection's default,
+/// [`LinkProfile::row_prefetch`]. The bytes on the wire are those of
+/// [`encode_tuple`](tango_algebra::codec::encode_tuple) over the boxed
+/// rows. Fetch trips are retried under the connection's [`RetryPolicy`]
 /// (rows are buffered server-side, so re-requesting a batch is safe)
 /// and count against its per-statement timeout.
 ///
 /// [`LinkProfile::row_prefetch`]: crate::wire::LinkProfile::row_prefetch
 pub struct DbCursor {
     schema: Arc<Schema>,
-    /// Remaining server-side rows (front is next).
-    server_rows: std::vec::IntoIter<Tuple>,
-    /// Client-side buffer of decoded rows.
+    /// The server-side result: dense columns of its own.
+    result: Batch,
+    /// Rows of `result` already shipped.
+    sent: usize,
+    /// Client-side buffer of decoded rows, for [`DbCursor::fetch`].
     client_buf: std::collections::VecDeque<Tuple>,
     link: Arc<Link>,
     /// Rows encoded and charged per round trip.
@@ -410,7 +441,7 @@ pub struct DbCursor {
 
 impl DbCursor {
     fn new(
-        result: Relation,
+        result: Batch,
         link: Arc<Link>,
         server_time: Duration,
         retry: RetryPolicy,
@@ -421,7 +452,8 @@ impl DbCursor {
         let fetch_size = link.profile().row_prefetch.max(1);
         DbCursor {
             schema,
-            server_rows: result.into_tuples().into_iter(),
+            result: result.columnarize(),
+            sent: 0,
             client_buf: std::collections::VecDeque::new(),
             link,
             fetch_size,
@@ -469,13 +501,13 @@ impl DbCursor {
     /// success they sit in `self.wire_buf`, ready to decode.
     fn pull_trip(&mut self) -> Result<usize> {
         self.wire_buf.clear();
-        let mut n = 0;
-        for t in self.server_rows.by_ref().take(self.fetch_size) {
-            encode_tuple(&t, &mut self.wire_buf);
-            n += 1;
-        }
+        let n = self.fetch_size.min(self.result.len() - self.sent);
         if n == 0 {
             return Ok(0);
+        }
+        if let Some((cols, offset, _)) = self.result.columns() {
+            let from = offset + self.sent;
+            (from..from + n).for_each(|i| encode_row(cols, i, &mut self.wire_buf));
         }
         let spent = retrying_transfer(
             &self.link,
@@ -485,47 +517,53 @@ impl DbCursor {
             1,
             self.wire_buf.len() as u64,
         )?;
+        self.sent += n;
         self.wire_time += spent;
         self.elapsed += spent;
         Ok(n)
+    }
+
+    /// Fetch the next fetch batch across the wire, decoded straight into
+    /// columns: one round trip, `None` at end of stream. The one decoder
+    /// of the wire; [`DbCursor::fetch_batch`] and [`DbCursor::fetch`]
+    /// box what it returns.
+    pub fn fetch_columns(&mut self) -> Result<Option<Batch>> {
+        if self.pull_trip()? == 0 {
+            return Ok(None);
+        }
+        let mut cols = vec![ColumnBuilder::default(); self.schema.len()];
+        let mut d = Decoder::new(&self.wire_buf);
+        while !d.is_done() {
+            d.decode_row_into(&mut cols)?;
+        }
+        Ok(Some(Batch::from_builders(self.schema.clone(), cols)))
     }
 
     /// Fetch the next row, pulling a fetch batch across the wire when
     /// the client buffer is empty.
     pub fn fetch(&mut self) -> Result<Option<Tuple>> {
         if self.client_buf.is_empty() {
-            if self.pull_trip()? == 0 {
-                return Ok(None);
-            }
-            let mut d = Decoder::new(&self.wire_buf);
-            while !d.is_done() {
-                self.client_buf.push_back(d.decode_tuple()?);
+            match self.fetch_batch()? {
+                Some(rows) => self.client_buf.extend(rows),
+                None => return Ok(None),
             }
         }
         Ok(self.client_buf.pop_front())
     }
 
-    /// Fetch the next batch: everything currently buffered client-side,
-    /// or one fetch batch pulled across the wire and decoded straight
-    /// into the returned vector. Wire charges and round-trip numbering
-    /// are identical to calling [`DbCursor::fetch`] row by row at the
-    /// same fetch size — batching only changes how decoded rows are
-    /// handed to the caller, so fault-injection scripts keyed on
-    /// round-trip ordinals behave the same either way.
+    /// Fetch the next batch as rows: everything currently buffered
+    /// client-side, or [`DbCursor::fetch_columns`]' next batch, boxed.
+    /// Wire charges and round-trip numbering are identical to calling
+    /// [`DbCursor::fetch`] row by row at the same fetch size, so
+    /// fault-injection scripts keyed on round-trip ordinals behave the
+    /// same either way.
     pub fn fetch_batch(&mut self) -> Result<Option<Vec<Tuple>>> {
-        if self.client_buf.is_empty() {
-            let n = self.pull_trip()?;
-            if n == 0 {
-                return Ok(None);
-            }
-            let mut rows = Vec::with_capacity(n);
-            let mut d = Decoder::new(&self.wire_buf);
-            while !d.is_done() {
-                rows.push(d.decode_tuple()?);
-            }
-            return Ok(Some(rows));
+        if !self.client_buf.is_empty() {
+            return Ok(Some(self.client_buf.drain(..).collect()));
         }
-        Ok(Some(self.client_buf.drain(..).collect()))
+        let Some(batch) = self.fetch_columns()? else { return Ok(None) };
+        crate::exec::count_boxed(batch.len());
+        Ok(Some(batch.into_rows()))
     }
 }
 

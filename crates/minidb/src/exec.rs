@@ -5,8 +5,10 @@
 //! aggregation — the "conventional DBMS" the middleware treats as a very
 //! capable file system. It materializes each operator's output, in one
 //! columnar form from the scans to the statement's root: typed columns
-//! ([`Column`]) and a selection of row ids into them. `run` boxes the
-//! root's rows, once, for the cursor. Per operator:
+//! ([`Column`]) and a selection of row ids into them. `run` hands the
+//! cursor the root's rows as dense columns of its own — a typed copy of
+//! the selection, taken under the read lock, that shares no buffer with
+//! the heap — and boxes none. Per operator:
 //!
 //! * a scan shares the heap's columns ([`crate::catalog::Table`]) under
 //!   the read lock `run`'s caller holds, with no selection (every row);
@@ -34,7 +36,7 @@
 //! `need` marks the columns an operator above reads; the others are
 //! neither gathered nor kept, and box as NULL.
 
-use crate::catalog::{box_rows, dictionary_view, DbInner};
+use crate::catalog::{dictionary_view, DbInner};
 use crate::error::{DbError, Result};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -43,7 +45,7 @@ use std::sync::Arc;
 use tango_algebra::batch::FxHasher;
 use tango_algebra::value::Key;
 use tango_algebra::{
-    AggFunc, BatchKeys, Bitmap, Column, ColumnBuilder, ExactSum, Expr, Relation, Schema, SortSpec,
+    AggFunc, Batch, BatchKeys, Bitmap, Column, ColumnBuilder, ExactSum, Expr, Schema, SortSpec,
     Tuple, Value, DEFAULT_BATCH_ROWS,
 };
 
@@ -229,12 +231,23 @@ impl Plan {
 }
 
 /// Execute a plan against the database (storage lock held by the caller).
-/// The statement's rows are boxed here, once, for the cursor.
-pub fn run(plan: &Plan, db: &DbInner) -> Result<Relation> {
+/// The statement's rows come back as dense columns the result owns
+/// ([`Column::copied`]): a cursor over them pins no heap buffer, so a
+/// later write never copies a heap column to get its own.
+pub fn run(plan: &Plan, db: &DbInner) -> Result<Batch> {
     let all = vec![true; plan.schema.len()];
     let out = eval(plan, db, &all)?;
-    let cols: Vec<Option<&Column>> = out.cols.iter().map(Option::as_ref).collect();
-    Ok(Relation::new(plan.schema.clone(), box_rows(&cols, out.sel.as_deref(), out.len)))
+    let sel = out.sel.as_deref();
+    let n = out.rows();
+    let cols = out
+        .cols
+        .iter()
+        .map(|c| match c {
+            Some(c) => c.copied(sel),
+            None => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
+        })
+        .collect();
+    Ok(Batch::from_columns(plan.schema.clone(), cols))
 }
 
 /// One operator's output: columns, and the rows of them it holds.
@@ -1007,8 +1020,8 @@ mod tests {
     use tango_algebra::{tup, Attr, Type};
 
     thread_local! {
-        /// Rows put into a `Tuple` on this thread: by `box_rows`, or to
-        /// evaluate an expression row by row.
+        /// Rows put into a `Tuple` on this thread: by `box_rows`, by a
+        /// cursor's row fetch, or to evaluate an expression row by row.
         pub(super) static BOXED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
@@ -1060,9 +1073,9 @@ mod tests {
         // plain columns pick heap columns; a filter over them narrows the rows
         let picked = "SELECT X.T2 AS A, X.PosID AS B FROM POSITION X WHERE X.T1 < X.T2";
         assert_eq!(lent(picked), (vec![3, 0], Some(vec![0, 1, 2])));
-        assert_eq!(run(&plan(&inner, filter), &inner).unwrap().into_tuples(), rows[1..]);
+        assert_eq!(run(&plan(&inner, filter), &inner).unwrap().into_rows(), rows[1..]);
         assert_eq!(
-            run(&plan(&inner, picked), &inner).unwrap().into_tuples(),
+            run(&plan(&inner, picked), &inner).unwrap().into_rows(),
             vec![tup![20, 1], tup![25, 1], tup![10, 2]]
         );
         assert_eq!(table.boxed_rows(None), rows, "a statement must leave the heap");
@@ -1076,7 +1089,7 @@ mod tests {
         db.create_table("R", Schema::new(vec![Attr::new("K", Type::Int)])).unwrap();
         let scan = || {
             let inner = db.inner.read();
-            let got = run(&plan(&inner, "SELECT * FROM R"), &inner).unwrap().into_tuples();
+            let got = run(&plan(&inner, "SELECT * FROM R"), &inner).unwrap().into_rows();
             got.iter().map(|t| t[0].clone()).collect::<Vec<_>>()
         };
         let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
@@ -1114,14 +1127,14 @@ mod tests {
             let inner = db.inner.read();
             let got = run(&plan(&inner, &format!("SELECT K FROM R WHERE {pred}")), &inner).unwrap();
             let want: Vec<Tuple> = (0..n).filter(|&k| want(k)).map(|k| tup![k]).collect();
-            assert_eq!(got.into_tuples(), want, "{pred}");
+            assert_eq!(got.into_rows(), want, "{pred}");
         }
         let low = Expr::cmp(tango_algebra::CmpOp::Lt, Expr::col("D"), Expr::lit(3));
         let gone = db.delete_rows("R", Some(&low)).unwrap();
         let inner = db.inner.read();
         let left: Vec<Tuple> = (0..n).filter(|&k| d(k) >= 3.0).map(|k| tup![k]).collect();
         assert_eq!(gone as usize + left.len(), n as usize);
-        assert_eq!(run(&plan(&inner, "SELECT K FROM R"), &inner).unwrap().into_tuples(), left);
+        assert_eq!(run(&plan(&inner, "SELECT K FROM R"), &inner).unwrap().into_rows(), left);
     }
 
     /// An index range scan walks its B-tree in key order, which must be
@@ -1140,7 +1153,7 @@ mod tests {
             let inner = db.inner.read();
             let mut got: Vec<Value> = run(&plan(&inner, sql), &inner)
                 .unwrap()
-                .into_tuples()
+                .into_rows()
                 .into_iter()
                 .map(|t| t[0].clone())
                 .collect();
@@ -1557,10 +1570,11 @@ mod tests {
     /// Query 3's fragment, as the middleware renders `TJOIN^D` over two
     /// filtered POSITION accesses, ordered: it runs columnar from the
     /// scans to its root — the hash join, the column-vs-column filters,
-    /// the `GREATEST` / `LEAST` projection and the sort — and boxes
-    /// exactly its result rows, once, for the cursor.
+    /// the `GREATEST` / `LEAST` projection and the sort — and hands the
+    /// cursor dense columns of its own: it boxes no row, and no result
+    /// buffer is a heap buffer.
     #[test]
-    fn query_3s_fragment_boxes_once() {
+    fn query_3s_fragment_boxes_no_row() {
         let db = query_3_db(400);
         let side = "(SELECT PosID AS PosID, EmpID AS EmpID, T1 AS T1, T2 AS T2 FROM \
                     (SELECT X.PosID AS PosID, X.EmpID AS EmpID, X.PayRate AS PayRate, \
@@ -1578,8 +1592,15 @@ mod tests {
             assert!(p.render().contains(node), "{node} in\n{}", p.render());
         }
         BOXED.with(|b| b.set(0));
-        let got = run(&p, &inner).unwrap().into_tuples();
-        assert_eq!(BOXED.with(|b| b.get()), got.len(), "rows boxed for {} result rows", got.len());
+        let result = run(&p, &inner).unwrap();
+        assert_eq!(BOXED.with(|b| b.get()), 0, "rows boxed for {} result rows", result.len());
+        let heap = &inner.table("POSITION").unwrap().cols;
+        let (cols, offset, _) = result.columns().unwrap();
+        assert_eq!(offset, 0);
+        for c in cols {
+            assert!(heap.iter().all(|h| buffer(h) != buffer(c)), "{c:?} is a heap buffer");
+        }
+        let got = result.into_rows();
 
         // the answer, from the boxed heap
         let heap = inner.table("POSITION").unwrap().boxed_rows(None);
@@ -1602,6 +1623,55 @@ mod tests {
         sort_on(&mut want, 0, false);
         assert!(want.len() > 100, "{} rows", want.len());
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    /// Query 2's traffic crosses the wire both ways without boxing a row:
+    /// the cold `TRANSFER^M` of POSITION's periods, decoded one trip at a
+    /// time into columns; the `TRANSFER^D` load of their aggregation into
+    /// a temp table, encoded from those columns and decoded into its
+    /// heap; and the final `TJOIN^D` over the temp table and POSITION,
+    /// fetched as columns. The loaded heap holds the rows it was sent.
+    #[test]
+    fn query_2s_transfers_box_no_row() {
+        let conn = crate::Connection::new(query_3_db(400));
+        let fetch = |sql: &str| {
+            let mut cur = conn.query(sql).unwrap();
+            cur.set_fetch_size(64);
+            std::iter::from_fn(|| cur.fetch_columns().unwrap()).collect::<Vec<Batch>>()
+        };
+        BOXED.with(|b| b.set(0));
+        let periods = fetch("SELECT PosID, T1, T2 FROM POSITION ORDER BY PosID, T1");
+        assert!(periods.len() > 1, "{} trips", periods.len());
+        let schema = Arc::new(Schema::with_inferred_period(vec![
+            Attr::new("PosID", Type::Int),
+            Attr::new("Cnt", Type::Int),
+            Attr::new("T1", Type::Date),
+            Attr::new("T2", Type::Date),
+        ]));
+        let counted: Vec<Batch> = periods
+            .iter()
+            .map(|b| {
+                let (cols, _, len) = b.columns().unwrap();
+                let cnt = Column::Int { vals: Arc::new(vec![1; len]), valid: None };
+                let cols = vec![cols[0].clone(), cnt, cols[1].clone(), cols[2].clone()];
+                Batch::from_columns(schema.clone(), cols)
+            })
+            .collect();
+        conn.load_direct_batches("TANGO_TMP_1", schema.as_ref().clone(), counted.clone()).unwrap();
+        let joined = fetch(
+            "SELECT P.PosID AS PosID, A.Cnt AS Cnt, P.EmpID AS EmpID, \
+             GREATEST(A.T1, P.T1) AS T1, LEAST(A.T2, P.T2) AS T2 \
+             FROM TANGO_TMP_1 A, POSITION P \
+             WHERE A.PosID = P.PosID AND P.PayRate > 10 AND A.T1 < P.T2 AND P.T1 < A.T2 \
+             ORDER BY PosID",
+        );
+        assert_eq!(BOXED.with(|b| b.get()), 0);
+        assert!(joined.iter().map(Batch::len).sum::<usize>() > 100);
+
+        let inner = conn.database().inner.read();
+        let loaded = inner.table("TANGO_TMP_1").unwrap().boxed_rows(None);
+        let sent: Vec<Tuple> = counted.into_iter().flat_map(Batch::into_rows).collect();
+        assert_eq!(format!("{loaded:?}"), format!("{sent:?}"));
     }
 
     /// Each index after the generated writes is the index built from
@@ -1666,7 +1736,7 @@ mod tests {
             let c = case(&rows, &shape);
             let inner = db.inner.read();
             let p = plan(&inner, &c.sql);
-            let got = run(&p, &inner).unwrap_or_else(|e| panic!("{}: {e}", c.sql)).into_tuples();
+            let got = run(&p, &inner).unwrap_or_else(|e| panic!("{}: {e}", c.sql)).into_rows();
             prop_assert_eq!(got.len(), c.want.len(), "{}", c.sql);
             // an index range scan hands its rows on in key order
             if c.listed && !p.render().contains("INDEX RANGE SCAN") {

@@ -508,7 +508,7 @@ mod tests {
         let crate::ast::Stmt::Select(s) = parse(sql).unwrap() else { panic!() };
         let inner = db.inner.read();
         let plan = plan_select(&s, &inner).unwrap();
-        run(&plan, &inner).unwrap().into_tuples()
+        run(&plan, &inner).unwrap().into_rows()
     }
 
     #[test]
@@ -606,7 +606,7 @@ mod tests {
         let uses_index = format!("{:?}", plan).contains("IndexScan");
         assert!(uses_index);
         let rows = run(&plan, &inner).unwrap();
-        assert_eq!(rows.tuples(), &[tup!["Tom"]]);
+        assert_eq!(rows.into_rows(), [tup!["Tom"]]);
     }
 
     #[test]
@@ -624,7 +624,7 @@ mod tests {
         let plan = plan_select(&s, &inner).unwrap();
         assert!(format!("{plan:?}").contains("IndexNlJoin"), "{plan:?}");
         let rows = run(&plan, &inner).unwrap();
-        assert_eq!(rows.tuples(), &[tup!["Tom", "Jane"]]);
+        assert_eq!(rows.into_rows(), [tup!["Tom", "Jane"]]);
     }
 
     #[test]
@@ -661,7 +661,7 @@ mod tests {
         let plan = plan_select(&s, &inner).unwrap();
         assert!(format!("{plan:?}").contains("IndexScan"), "{plan:?}");
         let rows = run(&plan, &inner).unwrap();
-        assert_eq!(rows.tuples(), &[tup!["Jane"], tup!["Tom"]]);
+        assert_eq!(rows.into_rows(), [tup!["Jane"], tup!["Tom"]]);
     }
 
     /// Found by `exec`'s generated-statement property: an index range

@@ -8,6 +8,7 @@
 use crate::histogram::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use tango_algebra::value::Key;
 use tango_algebra::{Column, Schema, Value};
 
@@ -116,15 +117,21 @@ impl RelationStats {
         s
     }
 
-    /// [`RelationStats::from_relation`] of the first `len` rows of a table
-    /// held as typed columns (the mini-DBMS's heap), read in place: numbers
-    /// from their flat vectors, a string column's distinct count from its
-    /// dictionary codes. No row is boxed and no string copied.
-    pub fn from_columns(schema: &Schema, cols: &[Column], len: usize, buckets: usize) -> Self {
+    /// [`RelationStats::from_relation`] of rows `rows` of relation held as
+    /// typed columns (the mini-DBMS's heap, a middleware batch), read in
+    /// place: numbers from their flat vectors, a string column's distinct
+    /// count from its dictionary codes. No row is boxed and no string
+    /// copied.
+    pub fn from_columns(
+        schema: &Schema,
+        cols: &[Column],
+        rows: Range<usize>,
+        buckets: usize,
+    ) -> Self {
         let attrs: Vec<(AttrStats, usize)> =
-            cols.iter().map(|c| column_stats(c, len, buckets)).collect();
+            cols.iter().map(|c| column_stats(c, rows.clone(), buckets)).collect();
         let bytes = attrs.iter().map(|(_, width)| *width as u64).sum();
-        let mut s = RelationStats::of_size(len, bytes, schema);
+        let mut s = RelationStats::of_size(rows.len(), bytes, schema);
         for (attr, (stats, _)) in schema.attrs().iter().zip(attrs) {
             s.set_attr(&attr.name, stats);
         }
@@ -144,13 +151,14 @@ fn values_stats(col: &[&Value], buckets: usize) -> (AttrStats, usize) {
     (attr_stats(nums, nulls, keys.len(), width_sum, col.len(), buckets), width_sum)
 }
 
-/// [`values_stats`] of rows `0..len` of one column.
-fn column_stats(col: &Column, len: usize, buckets: usize) -> (AttrStats, usize) {
+/// [`values_stats`] of rows `rows` of one column.
+fn column_stats(col: &Column, rows: Range<usize>, buckets: usize) -> (AttrStats, usize) {
     let valid = |i: &usize| col.is_valid(*i);
-    let nulls = len - (0..len).filter(valid).count();
+    let len = rows.len();
+    let nulls = len - rows.clone().filter(valid).count();
     let (nums, distinct, width_sum) = match col {
         Column::Int { vals, .. } | Column::Date { vals, .. } => {
-            let mut ints: Vec<i64> = (0..len).filter(valid).map(|i| vals[i]).collect();
+            let mut ints: Vec<i64> = rows.filter(valid).map(|i| vals[i]).collect();
             let nums = ints.iter().map(|&x| x as f64).collect();
             let width = if matches!(col, Column::Int { .. }) { 8 } else { 4 };
             ints.sort_unstable();
@@ -158,7 +166,7 @@ fn column_stats(col: &Column, len: usize, buckets: usize) -> (AttrStats, usize) 
             (nums, ints.len(), width * (len - nulls) + nulls)
         }
         Column::Double { vals, .. } => {
-            let nums: Vec<f64> = (0..len).filter(valid).map(|i| vals[i]).collect();
+            let nums: Vec<f64> = rows.filter(valid).map(|i| vals[i]).collect();
             let mut keys: Vec<Key> = nums.iter().map(|&x| Value::Double(x).key()).collect();
             keys.sort();
             keys.dedup();
@@ -167,14 +175,14 @@ fn column_stats(col: &Column, len: usize, buckets: usize) -> (AttrStats, usize) 
         Column::Str { codes, dict, .. } => {
             let mut seen = vec![false; dict.len()];
             let mut width = nulls;
-            for i in (0..len).filter(valid) {
+            for i in rows.filter(valid) {
                 seen[codes[i] as usize] = true;
                 width += 2 + dict[codes[i] as usize].len();
             }
             (Vec::new(), seen.iter().filter(|s| **s).count(), width)
         }
         Column::Mixed { .. } => {
-            let vals: Vec<Value> = (0..len).map(|i| col.value_at(i)).collect();
+            let vals: Vec<Value> = rows.map(|i| col.value_at(i)).collect();
             return values_stats(&vals.iter().collect::<Vec<_>>(), buckets);
         }
     };
