@@ -533,69 +533,79 @@ impl Column {
                 .for_each(|(c, from, to)| (*from..*to).for_each(|i| bm.push(c.is_valid(i))));
             Arc::new(bm)
         });
-        /// The pieces' typed vectors end to end, a NULL slot zeroed.
+        /// The pieces' typed vectors end to end, a NULL slot zeroed;
+        /// `None` if a piece has another layout.
         fn join<T: Copy + Default>(
             pieces: &[(&Column, usize, usize)],
             n: usize,
-            vals: impl Fn(&Column) -> &[T],
-        ) -> Vec<T> {
+            vals: impl Fn(&Column) -> Option<&[T]>,
+        ) -> Option<Vec<T>> {
             let mut out = Vec::with_capacity(n);
             for (c, from, to) in pieces {
                 let at = out.len();
-                out.extend_from_slice(&vals(c)[*from..*to]);
+                out.extend_from_slice(&vals(c)?[*from..*to]);
                 if c.nulls_in(*from, *to) {
                     (*from..*to)
                         .filter(|&i| !c.is_valid(i))
                         .for_each(|i| out[at + i - from] = T::default());
                 }
             }
-            out
+            Some(out)
         }
-        fn ints(c: &Column) -> &[i64] {
+        fn ints(c: &Column) -> Option<&[i64]> {
             match c {
-                Column::Int { vals, .. } | Column::Date { vals, .. } => vals,
-                _ => unreachable!("uniform layout"),
+                Column::Int { vals, .. } | Column::Date { vals, .. } => Some(vals),
+                _ => None,
             }
         }
-        let col = match pieces.first().map(|p| p.0) {
-            Some(Column::Int { .. }) if uniform => {
-                Column::Int { vals: Arc::new(join(&pieces, n, ints)), valid }
+        fn doubles(c: &Column) -> Option<&[f64]> {
+            match c {
+                Column::Double { vals, .. } => Some(vals),
+                _ => None,
             }
-            Some(Column::Date { .. }) if uniform => {
-                Column::Date { vals: Arc::new(join(&pieces, n, ints)), valid }
+        }
+        /// The pieces' codes re-coded into one merged dictionary; `None`
+        /// if a piece is not a string column.
+        fn strs(pieces: &[(&Column, usize, usize)], n: usize) -> Option<(Vec<u32>, Vec<String>)> {
+            let mut merged = StrMerge::default();
+            let mut codes = Vec::with_capacity(n);
+            for (c, from, to) in pieces {
+                let Column::Str { codes: cs, dict, .. } = c else { return None };
+                merged.switch_to(dict);
+                codes.extend((*from..*to).map(|i| {
+                    if c.is_valid(i) {
+                        merged.code(dict, cs[i])
+                    } else {
+                        0
+                    }
+                }));
             }
-            Some(Column::Double { .. }) if uniform => Column::Double {
-                vals: Arc::new(join(&pieces, n, |c| match c {
-                    Column::Double { vals, .. } => vals.as_slice(),
-                    _ => unreachable!("uniform layout"),
-                })),
+            Some((codes, merged.dict))
+        }
+        let typed = match pieces.first().map(|p| p.0) {
+            _ if !uniform => None,
+            Some(Column::Int { .. }) => {
+                join(&pieces, n, ints).map(|v| Column::Int { vals: Arc::new(v), valid })
+            }
+            Some(Column::Date { .. }) => {
+                join(&pieces, n, ints).map(|v| Column::Date { vals: Arc::new(v), valid })
+            }
+            Some(Column::Double { .. }) => {
+                join(&pieces, n, doubles).map(|v| Column::Double { vals: Arc::new(v), valid })
+            }
+            Some(Column::Str { .. }) => strs(&pieces, n).map(|(codes, dict)| Column::Str {
+                codes: Arc::new(codes),
+                dict: Arc::new(dict),
                 valid,
-            },
-            Some(Column::Str { .. }) if uniform => {
-                let mut merged = StrMerge::default();
-                let mut codes = Vec::with_capacity(n);
-                for (c, from, to) in &pieces {
-                    let Column::Str { codes: cs, dict, .. } = c else {
-                        unreachable!("uniform layout")
-                    };
-                    merged.switch_to(dict);
-                    codes.extend((*from..*to).map(|i| {
-                        if c.is_valid(i) {
-                            merged.code(dict, cs[i])
-                        } else {
-                            0
-                        }
-                    }));
-                }
-                Column::Str { codes: Arc::new(codes), dict: Arc::new(merged.dict), valid }
-            }
-            _ => {
-                let mut b = ColumnBuilder::default();
-                pieces
-                    .iter()
-                    .for_each(|(c, from, to)| (*from..*to).for_each(|i| b.push(c.value_at(i))));
-                return b.finish();
-            }
+            }),
+            _ => None,
+        };
+        let Some(col) = typed else {
+            let mut b = ColumnBuilder::default();
+            pieces
+                .iter()
+                .for_each(|(c, from, to)| (*from..*to).for_each(|i| b.push(c.value_at(i))));
+            return b.finish();
         };
         col.typed_or_nulls()
     }
@@ -951,56 +961,28 @@ impl Batch {
     /// Concatenate batches into one columnar batch. Contiguous slices of a
     /// shared column set (as produced by [`Batch::slice`]) are reassembled
     /// zero-copy.
-    pub fn concat(schema: Arc<Schema>, batches: Vec<Batch>) -> Batch {
-        if batches.is_empty() {
-            return Batch::new(schema, Vec::new()).columnarize();
-        }
-        if batches.len() == 1 {
-            // invariant: exactly one batch, checked on the line above
-            return batches.into_iter().next().unwrap().columnarize();
-        }
-        // Zero-copy path: contiguous slices over one shared column set.
-        let contiguous = {
-            let mut ok = true;
-            let mut expect: Option<(&Arc<Vec<Column>>, usize)> = None;
-            for b in &batches {
-                match (&b.repr, expect) {
-                    (Repr::Cols { cols, offset, len }, None) => expect = Some((cols, offset + len)),
-                    (Repr::Cols { cols, offset, len }, Some((base, at)))
-                        if Arc::ptr_eq(cols, base) && *offset == at =>
-                    {
-                        expect = Some((base, offset + len));
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            ok
-        };
-        if contiguous {
-            let (first_off, mut total) = match &batches[0].repr {
-                Repr::Cols { offset, len, .. } => (*offset, *len),
-                _ => unreachable!(),
+    pub fn concat(schema: Arc<Schema>, mut batches: Vec<Batch>) -> Batch {
+        if batches.len() <= 1 {
+            return match batches.pop() {
+                Some(b) => b.columnarize(),
+                None => Batch::new(schema, Vec::new()).columnarize(),
             };
-            for b in &batches[1..] {
-                if let Repr::Cols { len, .. } = &b.repr {
-                    total += len;
-                }
+        }
+        // Zero-copy path: contiguous slices over one shared column set,
+        // as (columns, first offset, total length).
+        let shared = batches.iter().try_fold(None, |run, b| match (&b.repr, run) {
+            (Repr::Cols { cols, offset, len }, None) => Some(Some((cols, *offset, *len))),
+            (Repr::Cols { cols, offset, len }, Some((base, first, total)))
+                if Arc::ptr_eq(cols, base) && *offset == first + total =>
+            {
+                Some(Some((base, first, total + len)))
             }
+            _ => None,
+        });
+        if let Some(Some((cols, offset, len))) = shared {
+            let cols = cols.clone();
             let bytes = batches.iter().map(|b| b.bytes).sum();
-            // invariant: `batches` is non-empty (checked on entry) and
-            // `contiguous` holds only over `Repr::Cols` batches
-            let cols = match batches.into_iter().next().unwrap().repr {
-                Repr::Cols { cols, .. } => cols,
-                _ => unreachable!(),
-            };
-            return Batch {
-                schema,
-                repr: Repr::Cols { cols, offset: first_off, len: total },
-                bytes,
-            };
+            return Batch { schema, repr: Repr::Cols { cols, offset, len }, bytes };
         }
         // General path: each column concatenated from the batches' typed
         // vectors (a row batch columnarized first).

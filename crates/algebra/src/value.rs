@@ -143,25 +143,32 @@ impl Value {
 
     /// Addition with numeric coercion; date + int = date.
     pub fn add(&self, other: &Value) -> Result<Value> {
-        self.arith(other, "+", |a, b| a + b)
+        self.arith(other, "+", |a, b| a + b, i64::wrapping_add)
     }
 
     pub fn sub(&self, other: &Value) -> Result<Value> {
-        self.arith(other, "-", |a, b| a - b)
+        self.arith(other, "-", |a, b| a - b, i64::wrapping_sub)
     }
 
     pub fn mul(&self, other: &Value) -> Result<Value> {
-        self.arith(other, "*", |a, b| a * b)
+        self.arith(other, "*", |a, b| a * b, i64::wrapping_mul)
     }
 
     pub fn div(&self, other: &Value) -> Result<Value> {
         if matches!(other.as_num(), Some(x) if x == 0.0) {
             return Ok(Value::Null); // SQL-style: division by zero yields NULL here
         }
-        self.arith(other, "/", |a, b| a / b)
+        self.arith(other, "/", |a, b| a / b, i64::wrapping_div)
     }
 
-    fn arith(&self, other: &Value, op: &str, f: impl Fn(f64, f64) -> f64) -> Result<Value> {
+    /// `f` over numbers; `int` over two INTs, wrapping on overflow.
+    fn arith(
+        &self,
+        other: &Value,
+        op: &str,
+        f: impl Fn(f64, f64) -> f64,
+        int: fn(i64, i64) -> i64,
+    ) -> Result<Value> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
             (Value::Date(d), b) if op == "+" || op == "-" => {
@@ -173,15 +180,7 @@ impl Value {
             }
             (a, b) => {
                 if let (Value::Int(x), Value::Int(y)) = (a, b) {
-                    let (x, y) = (*x, *y);
-                    let r = match op {
-                        "+" => x.wrapping_add(y),
-                        "-" => x.wrapping_sub(y),
-                        "*" => x.wrapping_mul(y),
-                        "/" => x.wrapping_div(y),
-                        _ => unreachable!(),
-                    };
-                    return Ok(Value::Int(r));
+                    return Ok(Value::Int(int(*x, *y)));
                 }
                 let x = a
                     .as_num()

@@ -1,21 +1,19 @@
 //! # tango-bench
 //!
 //! The experiment harness for the performance study of Section 5 of the
-//! paper. One binary per table/figure:
+//! paper, and the ablations beyond it:
 //!
-//! | binary | paper artifact |
+//! | binary | what it measures |
 //! |---|---|
-//! | `fig8_query1` | Figure 8 — Query 1 (temporal aggregation), 3 plans × POSITION sizes |
-//! | `fig10_query2` | Figure 10(a/b) — Query 2, 6 plans × selection-window end |
-//! | `fig11a_query3` | Figure 11(a) — Query 3 (temporal self-join), 2 plans × start bound |
-//! | `fig11b_query4` | Figure 11(b) — Query 4 (regular join), 3 plans × POSITION sizes |
+//! | `figures` | Figures 8, 10, 11a and 11b: every placement and the optimizer's choice per query × x-axis × link × batch, the optimizer's regret, the paper's fixed-plan shapes gated by `--check` (`docs/figures.json`, see [`sweep`]) |
 //! | `sec33_selectivity` | Section 3.3 worked example — naive vs proposed estimator |
+//! | `optimizer_stats` | Section 5.2 — classes/elements, search effort and chosen plan per query |
 //! | `wire_faults` | Chaos overhead — fault-probability sweep, retries/re-plans vs. cost |
-//! | `optimizer_stats` | Section 5.2 — classes/elements and chosen plan per query |
-//! | `calibration_study` | Ablation — default vs calibrated factors vs feedback |
-//! | `batch_ablation` | Ablation — batch-at-a-time vs row-at-a-time wall time (`BENCH_batch.json`) |
-//! | `cache_ablation` | Ablation — Query 2 cold vs warm through the relation cache (`BENCH_cache.json`) |
-//! | `concurrency_bench` | Serving tier — shared vs per-session cache under N threads × M clients (`BENCH_concurrency.json`) |
+//! | `batch_ablation` | Batch-at-a-time vs row-at-a-time wall time (`BENCH_batch.json`) |
+//! | `cache_ablation` | Query 2 cold vs warm through the relation cache (`BENCH_cache.json`) |
+//! | `concurrency_bench` | Shared vs per-session cache under N threads × M clients (`BENCH_concurrency.json`) |
+//! | `adaptive_bench` | Pinned vs re-planned execution of a misestimated window (`BENCH_adaptive.json`) |
+//! | `rewrite_bench` | Each rewrite pack on and off over the query it exists to fix (`BENCH_rewrite.json`) |
 //!
 //! Reported times are wall-clock plus the simulated wire time (the
 //! virtual JDBC link), matching how the paper's numbers include both
@@ -24,8 +22,9 @@
 pub mod plans;
 pub mod report;
 pub mod setup;
+pub mod sweep;
 
-pub use report::{JsonLog, Table};
+pub use report::Table;
 pub use setup::{load_uis, uis_link_profile, Setup};
 
 use std::time::Duration;
@@ -33,16 +32,9 @@ use tango_core::engine::ExecReport;
 use tango_core::phys::PhysNode;
 use tango_core::Tango;
 
-/// Execute a fixed physical plan, returning (total time, result rows).
-/// Total time = compute wall time + virtual wire time, like the paper's
-/// measurements.
-pub fn time_plan(tango: &mut Tango, plan: &PhysNode) -> (Duration, usize) {
-    let (t, rows, _) = time_plan_report(tango, plan);
-    (t, rows)
-}
-
-/// Like [`time_plan`], but also returns the per-operator execution
-/// report (for the machine-readable JSON emitted next to each figure).
+/// Execute a fixed physical plan, returning (total time, result rows,
+/// per-operator report). Total time = compute wall time + virtual wire
+/// time, like the paper's measurements.
 pub fn time_plan_report(tango: &mut Tango, plan: &PhysNode) -> (Duration, usize, ExecReport) {
     match tango.execute_physical(plan) {
         Ok((rel, report)) => (report.total(), rel.len(), report),
@@ -50,14 +42,9 @@ pub fn time_plan_report(tango: &mut Tango, plan: &PhysNode) -> (Duration, usize,
     }
 }
 
-/// Optimize + execute a temporal-SQL query (the "optimizer's choice"
-/// rows of the figures; includes optimization time, as in the paper).
-pub fn time_query(tango: &mut Tango, sql: &str) -> (Duration, usize, String) {
-    let (t, rows, explain, _) = time_query_report(tango, sql);
-    (t, rows, explain)
-}
-
-/// Like [`time_query`], but also returns the execution report.
+/// Optimize + execute a temporal-SQL query, returning (total time, result
+/// rows, EXPLAIN text, execution report); the total includes
+/// optimization time, as in the paper.
 pub fn time_query_report(tango: &mut Tango, sql: &str) -> (Duration, usize, String, ExecReport) {
     match tango.query(sql) {
         Ok((rel, report)) => {

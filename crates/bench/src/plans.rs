@@ -25,12 +25,29 @@ impl PlanBuilder {
     }
 }
 
+/// A plan node over `children`; the figures' shapes are well-formed.
+fn node(algo: Algo, children: Vec<PhysNode>) -> PhysNode {
+    PhysNode::over(algo, children).expect("a figure's plan shape is well-formed")
+}
+
+/// A plan node over one child.
+fn on(algo: Algo, child: PhysNode) -> PhysNode {
+    node(algo, vec![child])
+}
+
 fn eqp(l: &str, r: &str) -> Vec<(String, String)> {
     vec![(l.to_string(), r.to_string())]
 }
 
-fn count_agg() -> (Vec<String>, Vec<AggSpec>) {
-    (vec!["PosID".to_string()], vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")])
+/// `COUNT(PosID)` per `PosID`, temporally: in the DBMS or the middleware.
+fn count_agg(dbms: bool) -> Algo {
+    let group_by = vec!["PosID".to_string()];
+    let aggs = vec![AggSpec::new(AggFunc::Count, Some("PosID"), "Cnt")];
+    if dbms {
+        Algo::TAggrD { group_by, aggs }
+    } else {
+        Algo::TAggrM { group_by, aggs }
+    }
 }
 
 /// The overlap window predicate `T1 < end AND T2 > start`.
@@ -42,8 +59,16 @@ pub fn payrate_pred() -> Expr {
     Expr::cmp(CmpOp::Gt, Expr::col("PayRate"), Expr::lit(Value::Double(10.0)))
 }
 
-fn proj_cols(cols: &[&str]) -> Vec<ProjItem> {
-    cols.iter().map(|c| ProjItem::col(*c)).collect()
+fn project(cols: &[&str]) -> Algo {
+    Algo::ProjectD(cols.iter().map(|c| ProjItem::col(*c)).collect())
+}
+
+fn sort_d(keys: &[&str]) -> Algo {
+    Algo::SortD(SortSpec::by(keys.iter().copied()))
+}
+
+fn sort_m(keys: &[&str]) -> Algo {
+    Algo::SortM(SortSpec::by(keys.iter().copied()))
 }
 
 // ====================================================================
@@ -52,45 +77,14 @@ fn proj_cols(cols: &[&str]) -> Vec<ProjItem> {
 
 /// The three plans of Figure 7.
 pub fn q1_plans(b: &PlanBuilder, table: &str) -> Vec<(&'static str, PhysNode)> {
-    let (group_by, aggs) = count_agg();
-    let dbms_proj = |b: &PlanBuilder| {
-        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), vec![b.scan(table)])
-            .unwrap()
-    };
-    let sort_keys = SortSpec::by(["PosID", "T1"]);
-
+    let arg = || on(project(&["PosID", "T1", "T2"]), b.scan(table));
+    let by = ["PosID", "T1"];
     // Plan 1: sort in the DBMS, aggregate in the middleware
-    let p1 = PhysNode::over(
-        Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-        vec![PhysNode::over(
-            Algo::TransferM,
-            vec![PhysNode::over(Algo::SortD(sort_keys.clone()), vec![dbms_proj(b)]).unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-
+    let p1 = on(count_agg(false), on(Algo::TransferM, on(sort_d(&by), arg())));
     // Plan 2: sort and aggregate in the middleware
-    let p2 = PhysNode::over(
-        Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-        vec![PhysNode::over(
-            Algo::SortM(sort_keys.clone()),
-            vec![PhysNode::over(Algo::TransferM, vec![dbms_proj(b)]).unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-
+    let p2 = on(count_agg(false), on(sort_m(&by), on(Algo::TransferM, arg())));
     // Plan 3: everything in the DBMS (constant-period SQL)
-    let p3 = PhysNode::over(
-        Algo::TransferM,
-        vec![PhysNode::over(
-            Algo::SortD(SortSpec::by(["PosID", "T1"])),
-            vec![PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![dbms_proj(b)]).unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
+    let p3 = on(Algo::TransferM, on(sort_d(&by), on(count_agg(true), arg())));
     vec![("plan1 (sortD+taggrM)", p1), ("plan2 (sortM+taggrM)", p2), ("plan3 (all DBMS)", p3)]
 }
 
@@ -101,138 +95,43 @@ pub fn q1_plans(b: &PlanBuilder, table: &str) -> Vec<(&'static str, PhysNode)> {
 /// The six plans discussed for Query 2 (four shown in Figure 9 plus the
 /// unpushed-selection and all-DBMS variants).
 pub fn q2_plans(b: &PlanBuilder, start: Day, end: Day) -> Vec<(&'static str, PhysNode)> {
-    let (group_by, aggs) = count_agg();
     let win = window_pred(start, end);
-    let sortspec = SortSpec::by(["PosID", "T1"]);
-
     // aggregation-side argument: σ_w then project to (PosID, T1, T2)
     let a_side = |filtered: bool| {
         let scan = b.scan("POSITION");
-        let input = if filtered {
-            PhysNode::over(Algo::FilterD(win.clone()), vec![scan]).unwrap()
-        } else {
-            scan
-        };
-        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "T1", "T2"])), vec![input]).unwrap()
+        let input = if filtered { on(Algo::FilterD(win.clone()), scan) } else { scan };
+        on(project(&["PosID", "T1", "T2"]), input)
     };
     // middleware temporal aggregation over a DBMS-sorted argument
-    let agg_m =
-        |filtered: bool| {
-            PhysNode::over(
-                Algo::TAggrM { group_by: group_by.clone(), aggs: aggs.clone() },
-                vec![PhysNode::over(
-                    Algo::TransferM,
-                    vec![PhysNode::over(Algo::SortD(sortspec.clone()), vec![a_side(filtered)])
-                        .unwrap()],
-                )
-                .unwrap()],
-            )
-            .unwrap()
-        };
-    // join-side POSITION: σ_w ∧ payrate in the DBMS
-    let p_side = || {
-        PhysNode::over(
-            Algo::FilterD(Expr::and(win.clone(), payrate_pred())),
-            vec![b.scan("POSITION")],
-        )
-        .unwrap()
+    let agg_m = |filtered: bool| {
+        on(count_agg(false), on(Algo::TransferM, on(sort_d(&["PosID", "T1"]), a_side(filtered))))
     };
-    let eq = eqp("PosID", "PosID");
+    // join-side POSITION: σ_w ∧ payrate in the DBMS
+    let sel = || Expr::and(win.clone(), payrate_pred());
+    let p_side = || on(Algo::FilterD(sel()), b.scan("POSITION"));
+    let tjoin_d = || Algo::TJoinD(eqp("PosID", "PosID"));
+    let tjoin_m =
+        |r: PhysNode| node(Algo::TMergeJoinM(eqp("PosID", "PosID")), vec![agg_m(true), r]);
+    let by = ["PosID"];
+    // the DBMS joins, sorts and ships the result; `left` comes from below
+    let in_dbms = |left: PhysNode| {
+        on(Algo::TransferM, on(sort_d(&by), node(tjoin_d(), vec![left, p_side()])))
+    };
 
     // Plan 1: taggr in the middleware; join, sort in the DBMS
-    let p1 = PhysNode::over(
-        Algo::TransferM,
-        vec![PhysNode::over(
-            Algo::SortD(SortSpec::by(["PosID"])),
-            vec![PhysNode::over(
-                Algo::TJoinD(eq.clone()),
-                vec![PhysNode::over(Algo::TransferD, vec![agg_m(true)]).unwrap(), p_side()],
-            )
-            .unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-
+    let p1 = in_dbms(on(Algo::TransferD, agg_m(true)));
     // Plan 2: + temporal join in the middleware (right side sorted in DBMS)
-    let p2 = PhysNode::over(
-        Algo::TMergeJoinM(eq.clone()),
-        vec![
-            agg_m(true),
-            PhysNode::over(
-                Algo::TransferM,
-                vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![p_side()]).unwrap()],
-            )
-            .unwrap(),
-        ],
-    )
-    .unwrap();
-
+    let p2 = tjoin_m(on(Algo::TransferM, on(sort_d(&by), p_side())));
     // Plan 3: + sorting in the middleware
-    let p3 = PhysNode::over(
-        Algo::TMergeJoinM(eq.clone()),
-        vec![
-            agg_m(true),
-            PhysNode::over(
-                Algo::SortM(SortSpec::by(["PosID"])),
-                vec![PhysNode::over(Algo::TransferM, vec![p_side()]).unwrap()],
-            )
-            .unwrap(),
-        ],
-    )
-    .unwrap();
-
+    let p3 = tjoin_m(on(sort_m(&by), on(Algo::TransferM, p_side())));
     // Plan 4: + selection in the middleware (whole base relation crosses
     // the wire)
-    let p4 = PhysNode::over(
-        Algo::TMergeJoinM(eq.clone()),
-        vec![
-            agg_m(true),
-            PhysNode::over(
-                Algo::SortM(SortSpec::by(["PosID"])),
-                vec![PhysNode::over(
-                    Algo::FilterM(Expr::and(win.clone(), payrate_pred())),
-                    vec![PhysNode::over(Algo::TransferM, vec![b.scan("POSITION")]).unwrap()],
-                )
-                .unwrap()],
-            )
-            .unwrap(),
-        ],
-    )
-    .unwrap();
-
+    let whole = on(Algo::FilterM(sel()), on(Algo::TransferM, b.scan("POSITION")));
+    let p4 = tjoin_m(on(sort_m(&by), whole));
     // Plan 5: like Plan 1, but no selection on the aggregation argument
-    let p5 = PhysNode::over(
-        Algo::TransferM,
-        vec![PhysNode::over(
-            Algo::SortD(SortSpec::by(["PosID"])),
-            vec![PhysNode::over(
-                Algo::TJoinD(eq.clone()),
-                vec![PhysNode::over(Algo::TransferD, vec![agg_m(false)]).unwrap(), p_side()],
-            )
-            .unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-
+    let p5 = in_dbms(on(Algo::TransferD, agg_m(false)));
     // Plan 6: everything in the DBMS
-    let p6 = PhysNode::over(
-        Algo::TransferM,
-        vec![PhysNode::over(
-            Algo::SortD(SortSpec::by(["PosID"])),
-            vec![PhysNode::over(
-                Algo::TJoinD(eq),
-                vec![
-                    PhysNode::over(Algo::TAggrD { group_by, aggs }, vec![a_side(true)]).unwrap(),
-                    p_side(),
-                ],
-            )
-            .unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
+    let p6 = in_dbms(on(count_agg(true), a_side(true)));
 
     vec![
         ("plan1 (taggrM)", p1),
@@ -251,36 +150,19 @@ pub fn q2_plans(b: &PlanBuilder, start: Day, end: Day) -> Vec<(&'static str, Phy
 pub fn q3_plans(b: &PlanBuilder, bound: Day) -> Vec<(&'static str, PhysNode)> {
     let sel = Expr::cmp(CmpOp::Lt, Expr::col("T1"), Expr::Lit(Value::Date(bound)));
     let side = || {
-        PhysNode::over(
-            Algo::ProjectD(proj_cols(&["PosID", "EmpID", "T1", "T2"])),
-            vec![PhysNode::over(Algo::FilterD(sel.clone()), vec![b.scan("POSITION")]).unwrap()],
+        on(
+            project(&["PosID", "EmpID", "T1", "T2"]),
+            on(Algo::FilterD(sel.clone()), b.scan("POSITION")),
         )
-        .unwrap()
     };
-    let eq = eqp("PosID", "PosID");
-
+    let eq = || eqp("PosID", "PosID");
     // Plan 1: all in the DBMS
-    let p1 = PhysNode::over(
-        Algo::TransferM,
-        vec![PhysNode::over(
-            Algo::SortD(SortSpec::by(["PosID"])),
-            vec![PhysNode::over(Algo::TJoinD(eq.clone()), vec![side(), side()]).unwrap()],
-        )
-        .unwrap()],
-    )
-    .unwrap();
-
+    let p1 =
+        on(Algo::TransferM, on(sort_d(&["PosID"]), node(Algo::TJoinD(eq()), vec![side(), side()])));
     // Plan 2: temporal join in the middleware (both sides sorted in the
     // DBMS; the merge output needs no final sort)
-    let sorted_side = || {
-        PhysNode::over(
-            Algo::TransferM,
-            vec![PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![side()]).unwrap()],
-        )
-        .unwrap()
-    };
-    let p2 = PhysNode::over(Algo::TMergeJoinM(eq), vec![sorted_side(), sorted_side()]).unwrap();
-
+    let sorted_side = || on(Algo::TransferM, on(sort_d(&["PosID"]), side()));
+    let p2 = node(Algo::TMergeJoinM(eq()), vec![sorted_side(), sorted_side()]);
     vec![("plan1 (all DBMS)", p1), ("plan2 (tjoinM)", p2)]
 }
 
@@ -291,41 +173,34 @@ pub fn q3_plans(b: &PlanBuilder, bound: Day) -> Vec<(&'static str, PhysNode)> {
 /// Plan 1 of Figure 11(b): sort + merge join + projection in the
 /// middleware. Plans 2/3 are forced DBMS join methods — issued as hinted
 /// SQL (`/*+ USE_NL */`, `/*+ USE_MERGE */`) exactly like the paper used
-/// Oracle hints; see the `fig11b_query4` binary.
+/// Oracle hints; see [`crate::sweep`].
 pub fn q4_plan1(b: &PlanBuilder, pos_table: &str) -> PhysNode {
-    let pos =
-        PhysNode::over(Algo::ProjectD(proj_cols(&["PosID", "EmpID"])), vec![b.scan(pos_table)])
-            .unwrap();
-    let emp = PhysNode::over(
-        Algo::ProjectD(proj_cols(&["EmpID", "EmpName", "Address"])),
-        vec![b.scan("EMPLOYEE")],
-    )
-    .unwrap();
-    let join = PhysNode::over(
+    let side = |table: &str, cols: &[&str]| {
+        on(sort_m(&["EmpID"]), on(Algo::TransferM, on(project(cols), b.scan(table))))
+    };
+    let join = node(
         Algo::MergeJoinM(eqp("EmpID", "EmpID")),
         vec![
-            PhysNode::over(
-                Algo::SortM(SortSpec::by(["EmpID"])),
-                vec![PhysNode::over(Algo::TransferM, vec![pos]).unwrap()],
-            )
-            .unwrap(),
-            PhysNode::over(
-                Algo::SortM(SortSpec::by(["EmpID"])),
-                vec![PhysNode::over(Algo::TransferM, vec![emp]).unwrap()],
-            )
-            .unwrap(),
+            side(pos_table, &["PosID", "EmpID"]),
+            side("EMPLOYEE", &["EmpID", "EmpName", "Address"]),
         ],
-    )
-    .unwrap();
-    PhysNode::over(
-        Algo::SortM(SortSpec::by(["PosID"])),
-        vec![PhysNode::over(
-            Algo::ProjectM(proj_cols(&["PosID", "EmpName", "Address"])),
-            vec![join],
-        )
-        .unwrap()],
-    )
-    .unwrap()
+    );
+    let cols = ["PosID", "EmpName", "Address"].map(ProjItem::col).to_vec();
+    on(sort_m(&["PosID"]), on(Algo::ProjectM(cols), join))
+}
+
+/// Plans 2 and 3 of Figure 11(b) as the middleware prices them: its cost
+/// model has one formula for a DBMS join, whatever the join method.
+pub fn q4_dbms_plan(b: &PlanBuilder, pos_table: &str) -> PhysNode {
+    let side = |table: &str, cols: &[&str]| on(project(cols), b.scan(table));
+    let join = node(
+        Algo::JoinD(eqp("EmpID", "EmpID")),
+        vec![
+            side(pos_table, &["PosID", "EmpID"]),
+            side("EMPLOYEE", &["EmpID", "EmpName", "Address"]),
+        ],
+    );
+    on(Algo::TransferM, on(sort_d(&["PosID"]), on(project(&["PosID", "EmpName", "Address"]), join)))
 }
 
 /// Hinted SQL for the DBMS-side plans of Query 4.
@@ -339,37 +214,22 @@ pub fn q4_dbms_sql(pos_table: &str, hint: &str) -> String {
 /// Which site each interesting operator landed on — used to classify the
 /// optimizer's chosen plan against the fixed plan shapes.
 pub fn placement_summary(plan: &PhysNode) -> String {
-    let has = |f: &dyn Fn(&Algo) -> bool| plan.any(f);
-    let mut parts = Vec::new();
-    if has(&|a| matches!(a, Algo::TAggrM { .. })) {
-        parts.push("taggr=M");
-    }
-    if has(&|a| matches!(a, Algo::TAggrD { .. })) {
-        parts.push("taggr=D");
-    }
-    if has(&|a| matches!(a, Algo::TMergeJoinM(_))) {
-        parts.push("tjoin=M");
-    }
-    if has(&|a| matches!(a, Algo::TJoinD(_))) {
-        parts.push("tjoin=D");
-    }
-    if has(&|a| matches!(a, Algo::MergeJoinM(_))) {
-        parts.push("join=M");
-    }
-    if has(&|a| matches!(a, Algo::JoinD(_))) {
-        parts.push("join=D");
-    }
-    if has(&|a| matches!(a, Algo::SortM(_))) {
-        parts.push("sort=M");
-    }
-    if has(&|a| matches!(a, Algo::SortD(_))) {
-        parts.push("sort=D");
-    }
-    if has(&|a| matches!(a, Algo::FilterM(_))) {
-        parts.push("filter=M");
-    }
-    if has(&|a| matches!(a, Algo::TransferD)) {
-        parts.push("T^D");
-    }
-    parts.join(" ")
+    let label = |a: &Algo| match a {
+        Algo::TAggrM { .. } => "taggr=M",
+        Algo::TAggrD { .. } => "taggr=D",
+        Algo::TMergeJoinM(_) => "tjoin=M",
+        Algo::TJoinD(_) => "tjoin=D",
+        Algo::MergeJoinM(_) => "join=M",
+        Algo::JoinD(_) => "join=D",
+        Algo::SortM(_) => "sort=M",
+        Algo::SortD(_) => "sort=D",
+        Algo::FilterM(_) => "filter=M",
+        Algo::TransferD => "T^D",
+        _ => "",
+    };
+    let order = [
+        "taggr=M", "taggr=D", "tjoin=M", "tjoin=D", "join=M", "join=D", "sort=M", "sort=D",
+        "filter=M", "T^D",
+    ];
+    order.into_iter().filter(|l| plan.any(&|a| label(a) == *l)).collect::<Vec<_>>().join(" ")
 }

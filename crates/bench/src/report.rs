@@ -1,9 +1,8 @@
-//! Plain-text result tables (the figure series, as rows/columns) and the
-//! machine-readable per-operator JSON log emitted alongside them.
+//! Plain-text result tables: one row per x-axis value, one column per
+//! plan or series.
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use tango_core::engine::ExecReport;
 
 /// A result table: one row per x-axis value, one column per plan/series.
 pub struct Table {
@@ -108,45 +107,5 @@ fn fmt_cell(c: &Option<Duration>) -> String {
     match c {
         Some(d) => format!("{:.2}s", d.as_secs_f64()),
         None => "-".to_string(),
-    }
-}
-
-/// Collects per-run [`ExecReport`]s and writes them as one JSON array
-/// (`[{series, x, report}, ...]`) under `target/figures/<stem>.ops.json`
-/// — the machine-readable counterpart of each figure, with per-operator
-/// rows/bytes/times from the trace layer.
-#[derive(Default)]
-pub struct JsonLog {
-    entries: Vec<String>,
-}
-
-impl JsonLog {
-    pub fn new() -> JsonLog {
-        JsonLog::default()
-    }
-
-    /// Record one run: `series` is the plan/column name, `x` the x-axis
-    /// value of the figure.
-    pub fn push(&mut self, series: &str, x: impl ToString, report: &ExecReport) {
-        use tango_trace::json;
-        let entry = json::Object::new()
-            .string("series", series)
-            .string("x", &x.to_string())
-            .raw("report", &report.to_json())
-            .build();
-        self.entries.push(entry);
-    }
-
-    pub fn to_json(&self) -> String {
-        format!("[{}]", self.entries.join(","))
-    }
-
-    /// Write `target/figures/<file_stem>.ops.json`.
-    pub fn emit(&self, file_stem: &str) {
-        let dir = std::path::Path::new("target/figures");
-        let _ = std::fs::create_dir_all(dir);
-        let path = dir.join(format!("{file_stem}.ops.json"));
-        let _ = std::fs::write(&path, self.to_json());
-        eprintln!("  per-operator JSON: {}", path.display());
     }
 }

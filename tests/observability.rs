@@ -9,7 +9,6 @@ use tango::core::phys::{Algo, PhysNode, Site};
 use tango::core::tsql::{strip_explain, Explain};
 use tango::minidb::{Connection, Database, Link, LinkProfile};
 use tango::Tango;
-use tango_bench::JsonLog;
 use tango_trace::json::{parse, Json};
 use tango_trace::{events_to_json, Collector, SpanSite};
 
@@ -215,19 +214,6 @@ fn every_emitted_json_document_parses_back() {
         ]
     );
     assert_eq!(get(get(&cache, "totals"), "insertions"), &Json::Num(1.0));
-
-    // a `JsonLog` with two entries
-    let mut log = JsonLog::new();
-    log.push("plan 1", 1000, &report.exec);
-    log.push("optimizer's \"choice\"", "2000", &report.exec);
-    let log = parse(&log.to_json()).expect("JsonLog::to_json");
-    let [first, second] = items(&log) else { panic!("expected two entries: {log:?}") };
-    for entry in [first, second] {
-        assert_eq!(keys(entry), ["series", "x", "report"]);
-        assert_eq!(get(entry, "report"), &exec);
-    }
-    assert_eq!(get(first, "x"), &Json::Str("1000".into()));
-    assert_eq!(get(second, "series"), &Json::Str("optimizer's \"choice\"".into()));
 }
 
 #[test]
