@@ -71,13 +71,16 @@ impl RelationStats {
 
     /// Look up attribute statistics by (possibly qualified) name.
     pub fn attr(&self, name: &str) -> Option<&AttrStats> {
-        let bare = name.rsplit('.').next().unwrap_or(name).to_uppercase();
-        self.attrs.get(&bare)
+        self.attrs.get(&attr_key(name))
+    }
+
+    /// [`RelationStats::attr`], to narrow in place.
+    pub(crate) fn attr_mut(&mut self, name: &str) -> Option<&mut AttrStats> {
+        self.attrs.get_mut(&attr_key(name))
     }
 
     pub fn set_attr(&mut self, name: &str, stats: AttrStats) {
-        let bare = name.rsplit('.').next().unwrap_or(name).to_uppercase();
-        self.attrs.insert(bare, stats);
+        self.attrs.insert(attr_key(name), stats);
     }
 
     /// `distinct(A, r)`, defaulting to a tenth of the rows when unknown
@@ -137,6 +140,12 @@ impl RelationStats {
         }
         s
     }
+}
+
+/// The key of `name`'s statistics in [`RelationStats::attrs`]: the bare
+/// name, upper-cased.
+fn attr_key(name: &str) -> String {
+    name.rsplit('.').next().unwrap_or(name).to_uppercase()
 }
 
 /// One attribute's statistics from its values, in row order, and the

@@ -12,13 +12,13 @@ const DEFAULT_SEL: f64 = 1.0 / 3.0;
 
 /// A comparison of a column against a constant, normalized to
 /// `col OP value`.
-struct ColCmp<'a> {
-    col: &'a str,
-    op: CmpOp,
-    val: f64,
+pub(crate) struct ColCmp<'a> {
+    pub(crate) col: &'a str,
+    pub(crate) op: CmpOp,
+    pub(crate) val: f64,
 }
 
-fn as_col_cmp(e: &Expr) -> Option<ColCmp<'_>> {
+pub(crate) fn as_col_cmp(e: &Expr) -> Option<ColCmp<'_>> {
     let Expr::Cmp(op, l, r) = e else {
         return None;
     };
@@ -41,6 +41,22 @@ fn cmp_selectivity(c: &ColCmp<'_>, stats: &RelationStats) -> f64 {
     let Some(a) = stats.attr(c.col) else {
         return DEFAULT_SEL;
     };
+    // every value between the attribute's bounds passes — as after the
+    // same conjunct, once a selection has bounded its output by it (see
+    // `derive_select`)
+    if let (Some(min), Some(max)) = (a.min, a.max) {
+        let all = match c.op {
+            CmpOp::Lt => max < c.val,
+            CmpOp::Le => max <= c.val,
+            CmpOp::Gt => min > c.val,
+            CmpOp::Ge => min >= c.val,
+            CmpOp::Eq => min == c.val && max == c.val,
+            CmpOp::Ne => false,
+        };
+        if all {
+            return 1.0;
+        }
+    }
     let below = |x: f64| -> f64 {
         if let Some(h) = &a.histogram {
             if h.values > 0 {

@@ -91,19 +91,29 @@ fn search_counts_repeat_exactly() {
 /// derivation and cost closure (`TangoSem::price`), so they sum to the
 /// cost the search found, and `Tango::estimate_physical` of the returned
 /// plan is that figure again — cold and with the statement's fragments
-/// resident, under the joint and the naive `Overlaps` estimator.
+/// resident, under the joint and the naive `Overlaps` estimator, with
+/// and without the approximate rules.
 ///
-/// The one residual is documented, not hidden: the memo prices a class by
+/// The residuals are documented, not hidden: the memo prices a class by
 /// the *first* expression inserted into it, the fold prices the operators
 /// the winning plan actually runs. The two agree unless a rule put an
 /// equivalent expression into the class that derives differently:
 ///
-/// * its **statistics** — `TAggrWindowPush` (`approx_rules`) repeats
-///   Query 2's window predicate below the aggregation, so the plan it
-///   wins with applies the window's selectivity twice and folds to less
-///   than the class was priced at (ratio ≈ 0.64). Query 2 is therefore
-///   asserted with `approx_rules` off, where the first expressions are
-///   the ones that run.
+/// * its **statistics** — Query 2 runs window copies the pushdown rules
+///   made. A selection bounds its output by its conjuncts, so a copy
+///   keeps every row of its input, but a window below an operator does
+///   not derive what the same window above it does. Two classes differ:
+///   the root (the window over the temporal join) is priced from the
+///   window over the unwindowed join, while `TJoinWindowPush`'s element
+///   that runs joins windowed inputs (1,264 rows without the approximate
+///   rules); with `approx_rules`, the windowed aggregate is priced from
+///   the window over the whole aggregate (1,379 rows), while
+///   `TAggrWindowPush`'s element that runs aggregates windowed input (573
+///   rows). Query 2 folds to 1.01–1.03× its price without the
+///   approximate rules and 0.80–0.93× with them, so it is asserted
+///   within `QUERY_2_RESIDUAL` of its price in every mode, and without
+///   the approximate rules never below it (the element that runs derives
+///   more rows than the one the class was priced by).
 /// * its **signature** — the pushdown / pruning rules rewrite the DBMS
 ///   fragment of Query 3, Query 4 and pool statement 6; the engine caches
 ///   the fragment under the signature of what ran, the class still
@@ -114,6 +124,8 @@ fn search_counts_repeat_exactly() {
 ///   exact.
 #[test]
 fn node_estimates_sum_to_the_plan_cost() {
+    /// How far Query 2's fold may stray from its price, as a share of it.
+    const QUERY_2_RESIDUAL: f64 = 0.25;
     const SEARCH_BLIND_WHEN_WARM: [&str; 3] = ["Query 3", "Query 4", "pool statement 6"];
     let figures = figure_queries();
     let pool = serving_pool();
@@ -121,17 +133,28 @@ fn node_estimates_sum_to_the_plan_cost() {
     let statements: Vec<(String, String)> =
         figures.iter().map(|(n, s)| (n.to_string(), s.clone())).chain(pool).collect();
 
-    for naive in [false, true] {
+    for (naive, approx) in [(false, true), (true, true), (false, false), (true, false)] {
         let mut tango = uis_session();
         tango.options_mut().opt.naive_overlaps = naive;
+        tango.options_mut().opt.approx_rules = approx;
         for (name, sql) in &statements {
-            tango.options_mut().opt.approx_rules = name != "Query 2";
             for warm in [false, true] {
                 let q = tango.optimize(sql).unwrap();
-                let at = format!("{name} (warm {warm}, naive_overlaps {naive})");
+                let at = format!("{name} (warm {warm}, naive_overlaps {naive}, approx {approx})");
                 let folded: f64 = q.node_estimates.iter().map(|e| e.est_cost_us).sum();
                 let priced = q.est_cost_us;
-                if warm && SEARCH_BLIND_WHEN_WARM.contains(&name.as_str()) {
+                if name == "Query 2" {
+                    assert!(
+                        (folded / priced - 1.0).abs() <= QUERY_2_RESIDUAL,
+                        "{at}: node estimates sum to {folded}, the search priced {priced}\n{}",
+                        q.explain_plan()
+                    );
+                    assert!(
+                        approx || folded >= priced,
+                        "{at}: node estimates sum to {folded}, below the search's {priced}\n{}",
+                        q.explain_plan()
+                    );
+                } else if warm && SEARCH_BLIND_WHEN_WARM.contains(&name.as_str()) {
                     assert!(folded < priced, "{at}: {folded} vs {priced}\n{}", q.explain_plan());
                 } else {
                     assert!(
