@@ -26,6 +26,7 @@
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -643,6 +644,78 @@ impl Column {
     }
 }
 
+/// A string dictionary's codes found by hash, holding no second copy of
+/// its strings: an open-addressing table of codes into the dictionary it
+/// indexes, and each code's hash, so growing the table reads no string.
+#[derive(Debug, Clone, Default)]
+struct DictIndex {
+    /// A code per slot, [`DictIndex::FREE`] where none; the length is a
+    /// power of two, at least twice the codes held.
+    slots: Vec<u32>,
+    /// The hash of each code's string.
+    hashes: Vec<u64>,
+}
+
+impl DictIndex {
+    const FREE: u32 = u32::MAX;
+
+    /// An index of every string of `dict` (which holds each once).
+    fn of(dict: &[String]) -> DictIndex {
+        let mut index =
+            DictIndex { slots: Vec::new(), hashes: dict.iter().map(|s| str_hash(s)).collect() };
+        index.resize();
+        index
+    }
+
+    /// The code of `s` in `dict`; a string `dict` does not hold is
+    /// appended (moved if owned) and given the next code.
+    fn code(&mut self, dict: &mut Vec<String>, s: Cow<'_, str>) -> u32 {
+        if 2 * (dict.len() + 1) > self.slots.len() {
+            self.resize();
+        }
+        let h = str_hash(&s);
+        let i = self.find(h, |c| dict[c as usize] == *s);
+        if self.slots[i] == Self::FREE {
+            self.slots[i] = dict.len() as u32;
+            self.hashes.push(h);
+            dict.push(s.into_owned());
+        }
+        self.slots[i]
+    }
+
+    /// The slot of hash `h` holding a code `is` accepts, or the free one
+    /// a new code would take.
+    fn find(&self, h: u64, is: impl Fn(u32) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        // the hash's last step is a multiply: its high bits mix best
+        let mut i = (h >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let c = self.slots[i];
+            if c == Self::FREE || (self.hashes[c as usize] == h && is(c)) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Re-slot every code into a table with room for one more.
+    fn resize(&mut self) {
+        self.slots = vec![Self::FREE; (4 * (self.hashes.len() + 1)).next_power_of_two()];
+        for c in 0..self.hashes.len() {
+            // codes are distinct: each takes the first free slot it meets
+            let i = self.find(self.hashes[c], |_| false);
+            self.slots[i] = c as u32;
+        }
+    }
+}
+
+/// [`FxHasher`] over a string's bytes.
+fn str_hash(s: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
 /// String dictionaries merged into one, codes in first-use order: each
 /// source dictionary's codes map through a table built as they are met.
 /// A dictionary holds each string once, so while one source has been
@@ -651,8 +724,8 @@ impl Column {
 #[derive(Default)]
 struct StrMerge {
     dict: Vec<String>,
-    /// `dict` inverted, once a second source made it needed.
-    by_str: Option<StrCodes>,
+    /// `dict`'s index, once a second source made it needed.
+    by_str: Option<DictIndex>,
     /// The source dictionary `remap` is for, by address, and each of its
     /// codes' merged code (`u32::MAX` until met).
     source: Option<*const Vec<String>>,
@@ -664,8 +737,7 @@ impl StrMerge {
     fn switch_to(&mut self, dict: &Arc<Vec<String>>) {
         let ptr = Arc::as_ptr(dict);
         if self.source.is_some_and(|s| s != ptr) && self.by_str.is_none() {
-            let merged = self.dict.iter().enumerate();
-            self.by_str = Some(merged.map(|(m, s)| (s.clone(), m as u32)).collect());
+            self.by_str = Some(DictIndex::of(&self.dict));
         }
         if self.source != Some(ptr) {
             self.source = Some(ptr);
@@ -681,17 +753,13 @@ impl StrMerge {
         let slot = &mut self.remap[c as usize];
         if *slot == u32::MAX {
             let s = &dict[c as usize];
-            let fresh = self.dict.len() as u32;
             *slot = match &mut self.by_str {
-                Some(by_str) => match by_str.get(s.as_str()) {
-                    Some(&m) => m,
-                    None => *by_str.entry(s.clone()).or_insert(fresh),
-                },
-                None => fresh,
+                Some(index) => index.code(&mut self.dict, Cow::Borrowed(s)),
+                None => {
+                    self.dict.push(s.clone());
+                    self.dict.len() as u32 - 1
+                }
             };
-            if *slot == fresh {
-                self.dict.push(s.clone());
-            }
         }
         *slot
     }
@@ -734,7 +802,7 @@ enum Building {
     Str {
         codes: Vec<u32>,
         dict: Vec<String>,
-        by_str: StrCodes,
+        index: DictIndex,
     },
     Mixed(Vec<Value>),
 }
@@ -765,20 +833,16 @@ impl ColumnBuilder {
             (Int(xs), Value::Int(x)) => xs.push(x),
             (Date(xs), Value::Date(d)) => xs.push(d as i64),
             (Double(xs), Value::Double(x)) => xs.push(x),
-            (Str { codes, dict, by_str }, Value::Str(s)) => {
-                let fresh = dict.len() as u32;
-                let code = *by_str.entry(s).or_insert_with_key(|s| {
-                    dict.push(s.clone());
-                    fresh
-                });
-                codes.push(code);
+            (Str { codes, dict, index }, Value::Str(s)) => {
+                codes.push(index.code(dict, Cow::Owned(s)));
             }
             (Nulls(_), Value::Int(x)) => self.vals = Int(typed(n, x)),
             (Nulls(_), Value::Date(d)) => self.vals = Date(typed(n, d as i64)),
             (Nulls(_), Value::Double(x)) => self.vals = Double(typed(n, x)),
             (Nulls(_), Value::Str(s)) => {
-                let by_str = StrCodes::from_iter([(s.clone(), 0)]);
-                self.vals = Str { codes: typed(n, 0), dict: vec![s], by_str };
+                let (mut dict, mut index) = (Vec::new(), DictIndex::default());
+                index.code(&mut dict, Cow::Owned(s));
+                self.vals = Str { codes: typed(n, 0), dict, index };
             }
             (_, v) => {
                 // a second variant: exact values from here on
@@ -824,19 +888,13 @@ impl ColumnBuilder {
     }
 
     /// Append `Value::Str(s)`; into a `Str` column the dictionary is
-    /// searched by `&str`, so a string it holds allocates nothing.
+    /// searched by `&str`, so a string it holds allocates nothing and a
+    /// new one is copied once, into the dictionary.
     pub(crate) fn push_str(&mut self, s: &str) {
-        let Building::Str { codes, dict, by_str } = &mut self.vals else {
+        let Building::Str { codes, dict, index } = &mut self.vals else {
             return self.push(Value::Str(s.to_string()));
         };
-        let code = match by_str.get(s) {
-            Some(&c) => c,
-            None => {
-                dict.push(s.to_string());
-                *by_str.entry(s.to_string()).or_insert(dict.len() as u32 - 1)
-            }
-        };
-        codes.push(code);
+        codes.push(index.code(dict, Cow::Borrowed(s)));
         self.push_valid();
     }
 
@@ -865,26 +923,31 @@ impl ColumnBuilder {
 
     /// The finished column.
     pub fn finish(self) -> Column {
-        self.finish_with_codes().0
+        let valid = self.valid.map(Arc::new);
+        match self.vals {
+            Building::Nulls(n) => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
+            Building::Int(vals) => Column::Int { vals: Arc::new(vals), valid },
+            Building::Date(vals) => Column::Date { vals: Arc::new(vals), valid },
+            Building::Double(vals) => Column::Double { vals: Arc::new(vals), valid },
+            Building::Str { codes, dict, .. } => {
+                Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid }
+            }
+            Building::Mixed(vals) => Column::Mixed { vals: Arc::new(vals) },
+        }
     }
 
     /// The finished column, and a string column's dictionary inverted
     /// (empty for any other layout): what a stored table keeps beside its
     /// column so an INSERT finds a string's code by hash.
     pub fn finish_with_codes(self) -> (Column, StrCodes) {
-        let valid = self.valid.map(Arc::new);
-        let col = match self.vals {
-            Building::Nulls(n) => Column::Mixed { vals: Arc::new(vec![Value::Null; n]) },
-            Building::Int(vals) => Column::Int { vals: Arc::new(vals), valid },
-            Building::Date(vals) => Column::Date { vals: Arc::new(vals), valid },
-            Building::Double(vals) => Column::Double { vals: Arc::new(vals), valid },
-            Building::Str { codes, dict, by_str } => {
-                let col = Column::Str { codes: Arc::new(codes), dict: Arc::new(dict), valid };
-                return (col, by_str);
+        let col = self.finish();
+        let codes = match &col {
+            Column::Str { dict, .. } => {
+                dict.iter().enumerate().map(|(c, s)| (s.clone(), c as u32)).collect()
             }
-            Building::Mixed(vals) => Column::Mixed { vals: Arc::new(vals) },
+            _ => StrCodes::default(),
         };
-        (col, StrCodes::default())
+        (col, codes)
     }
 }
 
@@ -1317,6 +1380,39 @@ mod tests {
                 assert_eq!(format!("{:?}", joined.finish()), shown, "{vals:?} cut at {cut}");
             }
         }
+    }
+
+    /// A string column's dictionary holds each distinct string once, in
+    /// first-use order, whether a value arrives owned or borrowed and
+    /// however often the index grows; merging two such dictionaries keeps
+    /// first-use order too.
+    #[test]
+    fn dictionaries_hold_each_string_once_in_first_use_order() {
+        let strs: Vec<String> = (0..3000).map(|i| format!("s{}", (i * 7919) % 1000)).collect();
+        let mut b = ColumnBuilder::default();
+        for (i, s) in strs.iter().enumerate() {
+            match i % 2 {
+                0 => b.push_str(s),
+                _ => b.push(Value::Str(s.clone())),
+            }
+        }
+        let col = b.finish();
+        let Column::Str { codes, dict, .. } = &col else { panic!("{col:?}") };
+        let mut first_use: Vec<&String> = Vec::new();
+        for s in &strs {
+            if !first_use.contains(&s) {
+                first_use.push(s);
+            }
+        }
+        assert_eq!(dict.iter().collect::<Vec<_>>(), first_use);
+        assert!(codes.iter().zip(&strs).all(|(&c, s)| dict[c as usize] == *s));
+        let other =
+            Column::from_values(strs[500..].iter().rev().cloned().map(Value::Str).collect());
+        let merged = Column::concat(&[(&col, 2000, 3000), (&other, 0, 2500)]);
+        let mut want = ColumnBuilder::default();
+        (2000..3000).for_each(|i| want.push(col.value_at(i)));
+        (0..2500).for_each(|i| want.push(other.value_at(i)));
+        assert_eq!(format!("{merged:?}"), format!("{:?}", want.finish()));
     }
 
     /// Appending, overwriting and compacting in place give back exactly

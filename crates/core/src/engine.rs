@@ -60,6 +60,11 @@ pub struct StepReport {
     pub annotations: Vec<(&'static str, String)>,
     /// Indices of child steps within the report.
     pub children: Vec<usize>,
+    /// The node of the executed plan this step ran, by its pre-order
+    /// number (what `EXPLAIN ANALYZE` annotates): recorded as the step is
+    /// built, and carried along as staging moves the nodes already run
+    /// under `MATSCAN^M`s and a re-plan splices new ones above them.
+    pub node: Option<usize>,
 }
 
 impl StepReport {
@@ -245,6 +250,12 @@ thread_local! {
     /// ANALYZEs of mid-query materializations made by runs on this thread.
     pub(crate) static MAT_ANALYZES: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
+    /// Rows steps run on this thread handed up boxed, in row batches.
+    pub(crate) static ROWS_HANDED_UP_BOXED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Rows boxed delivering results on this thread.
+    pub(crate) static ROWS_DELIVERED_BOXED: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
 }
 
 impl<'a> Executor<'a> {
@@ -285,11 +296,13 @@ impl<'a> Executor<'a> {
                 }
                 None => plan,
             };
-            let (schema, batches, _) = ctx.materialize(plan)?;
+            let (schema, batches, _) = ctx.materialize(plan, &[])?;
             let mut rows = Vec::with_capacity(batches.iter().map(Batch::len).sum());
             for b in batches {
                 rows.extend(b.into_rows());
             }
+            #[cfg(test)]
+            ROWS_DELIVERED_BOXED.with(|n| n.set(n.get() + rows.len()));
             Ok(Relation::new(schema, rows))
         })();
         let wall = started.elapsed();
@@ -300,7 +313,9 @@ impl<'a> Executor<'a> {
         }
         let rel = result?;
         let wire = conn.wire_time().saturating_sub(wire_before);
-        let steps = resolve_steps(ctx.collector, ctx.algos);
+        let executed = staging.as_ref().map_or(plan, |(work, _)| work);
+        let nodes = ctx.paths.iter().map(|p| preorder(executed, p)).collect();
+        let steps = resolve_steps(ctx.collector, ctx.algos, nodes);
         let report = ExecReport { rows: rel.len(), wall, wire, steps };
         Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.sem)) })
     }
@@ -316,12 +331,16 @@ fn analyze(schema: &Arc<Schema>, batches: &[Batch], buckets: usize) -> RelationS
 }
 
 /// Resolve collected spans into step reports.
-fn resolve_steps(collector: Collector, algos: Vec<Algo>) -> Vec<StepReport> {
+fn resolve_steps(
+    collector: Collector,
+    algos: Vec<Algo>,
+    nodes: Vec<Option<usize>>,
+) -> Vec<StepReport> {
     collector
         .finish()
         .into_iter()
-        .zip(algos)
-        .map(|(span, algo)| StepReport {
+        .zip(algos.into_iter().zip(nodes))
+        .map(|(span, (algo, node))| StepReport {
             algo,
             label: span.name,
             inclusive_us: span.inclusive_us,
@@ -333,8 +352,34 @@ fn resolve_steps(collector: Collector, algos: Vec<Algo>) -> Vec<StepReport> {
             events: span.events,
             annotations: span.annotations,
             children: span.children,
+            node,
         })
         .collect()
+}
+
+/// The pre-order number of the node at `path` (child indices from the
+/// root) of `plan`; `None` if there is no such node.
+fn preorder(plan: &PhysNode, path: &[usize]) -> Option<usize> {
+    let (mut n, mut pre) = (plan, 0);
+    for &i in path {
+        pre += 1 + n.children.get(..i)?.iter().map(PhysNode::node_count).sum::<usize>();
+        n = n.children.get(i)?;
+    }
+    Some(pre)
+}
+
+/// Where each outermost `MATSCAN^M` of `n` sits, by name (`at` is `n`'s
+/// own path).
+fn mat_paths(n: &PhysNode, at: &mut Vec<usize>, out: &mut HashMap<String, Vec<usize>>) {
+    if let Algo::MatScanM(name) = &n.algo {
+        out.insert(name.clone(), at.clone());
+        return;
+    }
+    for (i, c) in n.children.iter().enumerate() {
+        at.push(i);
+        mat_paths(c, at, out);
+        at.pop();
+    }
 }
 
 /// Pipeline breakers: operators that buffer (or can cheaply stage) their
@@ -432,6 +477,11 @@ struct Ctx<'a> {
     collector: Collector,
     /// Algorithm of each collected span, index-aligned with the collector.
     algos: Vec<Algo>,
+    /// Where in the plan being run each collected span's node sits (child
+    /// indices from the root), index-aligned with the collector.
+    paths: Vec<Vec<usize>>,
+    /// The path of the node being built.
+    at: Vec<usize>,
     temp_seq: usize,
     /// The middleware relation cache, when this execution runs with one.
     cache: Option<Arc<MidCache>>,
@@ -508,6 +558,8 @@ impl<'a> Ctx<'a> {
             temp_tables: Vec::new(),
             collector: Collector::new(),
             algos: Vec::new(),
+            paths: Vec::new(),
+            at: Vec::new(),
             temp_seq: 0,
             cache: cache.cloned(),
             mats: HashMap::new(),
@@ -524,6 +576,7 @@ impl<'a> Ctx<'a> {
         };
         let label = algo.label();
         self.algos.push(algo);
+        self.paths.push(self.at.clone());
         let (idx, slot) = self.collector.span(label, site, children);
         if self.spliced {
             slot.add_annotation("replan", "spliced");
@@ -531,9 +584,15 @@ impl<'a> Ctx<'a> {
         (idx, slot)
     }
 
-    /// Run a middleware-resident subtree from `open` to `close`. Returns
-    /// its output, as the batches it arrived in, and its span index.
-    fn materialize(&mut self, node: &PhysNode) -> Result<(Arc<Schema>, Vec<Batch>, usize)> {
+    /// Run the middleware-resident subtree at `path` from `open` to
+    /// `close`. Returns its output, as the batches it arrived in, and its
+    /// span index.
+    fn materialize(
+        &mut self,
+        node: &PhysNode,
+        path: &[usize],
+    ) -> Result<(Arc<Schema>, Vec<Batch>, usize)> {
+        self.at = path.to_vec();
         let (mut cur, idx) = self.build_mid(node)?;
         cur.open()?;
         let schema = cur.schema().clone();
@@ -562,7 +621,7 @@ impl<'a> Ctx<'a> {
             // what the optimizer believes this breaker will produce
             let believed = cfg.sem.stats(&breaker).ok();
             let est_rows = believed.as_ref().map(|s| s.rows);
-            let (schema, batches, breaker_idx) = self.materialize(&breaker)?;
+            let (schema, batches, breaker_idx) = self.materialize(&breaker, &path)?;
             let slot = self.collector.slot(breaker_idx).clone();
             let actual: usize = batches.iter().map(Batch::len).sum();
 
@@ -582,6 +641,11 @@ impl<'a> Ctx<'a> {
             stats.attrs = believed.map(|b| b.attrs).unwrap_or_default();
             Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), (schema.clone(), stats));
             cfg.sem.materialized.insert(name.clone(), order);
+            // the breaker moves under its MATSCAN^M, and every node run
+            // so far below it with it
+            for p in self.paths.iter_mut().filter(|p| p.starts_with(&path)) {
+                p.insert(path.len(), 0);
+            }
             let span = self.new_slot(Algo::MatScanM(name.clone()), vec![breaker_idx]);
             self.mats.insert(name.clone(), MatEntry { schema, batches, span });
             replace_at(
@@ -655,10 +719,20 @@ impl<'a> Ctx<'a> {
             slot.add_counter("replan_gain_est", gain as u64);
             self.spliced = true;
             // splice: the optimizer returns bare MATSCAN^M leaves;
-            // re-attach each one's consumed subtree for rendering
+            // re-attach each one's consumed subtree for rendering, and
+            // move the nodes run so far with their MATSCAN^M
             let mut subtrees = HashMap::new();
             collect_mat_subtrees(work, &mut subtrees);
+            let (mut was, mut now) = (HashMap::new(), HashMap::new());
+            mat_paths(work, &mut Vec::new(), &mut was);
             *work = attach_mat_subtrees(new.plan, &subtrees);
+            mat_paths(work, &mut Vec::new(), &mut now);
+            for p in &mut self.paths {
+                let moved = was.iter().find(|(_, old)| p.starts_with(old));
+                if let Some((to, old)) = moved.and_then(|(m, old)| Some((now.get(m)?, old))) {
+                    p.splice(..old.len(), to.iter().copied());
+                }
+            }
         }
         Ok(())
     }
@@ -694,8 +768,10 @@ impl<'a> Ctx<'a> {
         }
         let mut inputs = Vec::with_capacity(node.children.len());
         let mut child_ids = Vec::with_capacity(node.children.len());
-        for c in &node.children {
+        for (i, c) in node.children.iter().enumerate() {
+            self.at.push(i);
             let (cursor, id) = self.build_mid(c)?;
+            self.at.pop();
             inputs.push(cursor);
             child_ids.push(id);
         }
@@ -710,7 +786,9 @@ impl<'a> Ctx<'a> {
     fn build_transfer_m(&mut self, node: &PhysNode) -> Result<(BoxCursor, usize)> {
         // replace T^D descendants with temp scans, building their loader
         // cursors as prerequisites
+        self.at.push(0);
         let (clean, prereqs, prereq_ids) = self.lower_dbms(&node.children[0])?;
+        self.at.pop();
         let sql = to_sql::render_select(&clean)?;
         let (idx, slot) = self.new_slot(Algo::TransferM, prereq_ids);
         // a refresh is a delta round trip and a merge: this span's time
@@ -901,7 +979,9 @@ impl<'a> Ctx<'a> {
     /// opened before the fragment's SQL runs.
     fn lower_dbms(&mut self, node: &PhysNode) -> Result<(PhysNode, Vec<BoxCursor>, Vec<usize>)> {
         if node.algo == Algo::TransferD {
+            self.at.push(0);
             let (input, input_id) = self.build_mid(&node.children[0])?;
+            self.at.pop();
             self.temp_seq += 1;
             let table = format!("TANGO_TMP_{}", self.temp_seq);
             self.temp_tables.push(table.clone());
@@ -930,8 +1010,10 @@ impl<'a> Ctx<'a> {
         let mut children = Vec::with_capacity(node.children.len());
         let mut prereqs = Vec::new();
         let mut ids = Vec::new();
-        for c in &node.children {
+        for (k, c) in node.children.iter().enumerate() {
+            self.at.push(k);
             let (cc, mut p, mut i) = self.lower_dbms(c)?;
+            self.at.pop();
             children.push(cc);
             prereqs.append(&mut p);
             ids.append(&mut i);
@@ -986,6 +1068,10 @@ impl Cursor for Instrumented {
         if let Ok(Some(b)) = &r {
             self.batches += 1;
             self.slot.add_batch(b.len() as u64, b.byte_size() as u64);
+            #[cfg(test)]
+            if !b.is_columnar() {
+                ROWS_HANDED_UP_BOXED.with(|n| n.set(n.get() + b.len()));
+            }
         }
         r
     }
@@ -1760,6 +1846,114 @@ mod tests {
                 "staged={staged}: temp table survived the failure"
             );
         }
+    }
+
+    /// The algorithms of `n`'s nodes, in pre-order.
+    fn preorder_algos(n: &PhysNode, out: &mut Vec<Algo>) {
+        out.push(n.algo.clone());
+        n.children.iter().for_each(|c| preorder_algos(c, out));
+    }
+
+    /// Every step names the node of `plan` it ran, and that node runs the
+    /// step's algorithm.
+    fn assert_steps_on_their_nodes(plan: &PhysNode, report: &ExecReport) {
+        let mut algos = Vec::new();
+        preorder_algos(plan, &mut algos);
+        for s in &report.steps {
+            let node = s.node.unwrap_or_else(|| panic!("{} names no node", s.label));
+            assert_eq!(
+                algos.get(node),
+                Some(&s.algo),
+                "{} at node {node}\n{}",
+                s.label,
+                plan.render()
+            );
+        }
+    }
+
+    /// Figure 5's plan: the inner T^M, TAGGR^M and T^D steps are built
+    /// before the outer T^M, and each names its own node; the DBMS
+    /// interior nodes run inside the SQL and have no step.
+    #[test]
+    fn steps_name_their_nodes() {
+        let conn = setup();
+        let plan = figure5_plan(&conn);
+        let (_, report) = execute(&conn, &plan).unwrap();
+        // pre-order: 0=T^M 1=SORT^D 2=TJOIN^D 3=T^D 4=TAGGR^M 5=T^M 6=SORT^D 7=SCAN 8=SCAN
+        let nodes: Vec<Option<usize>> = report.steps.iter().map(|s| s.node).collect();
+        assert_eq!(nodes, [Some(5), Some(4), Some(3), Some(0)]);
+        assert_steps_on_their_nodes(&plan, &report);
+    }
+
+    /// Staging moves each breaker under a MATSCAN^M after its steps ran:
+    /// every step still names its node of the plan as executed (a
+    /// re-plan's splice is `tests/observability.rs`'s golden
+    /// `explain_analyze_golden_cardinality_replan`).
+    #[test]
+    fn staged_steps_name_their_nodes_in_the_executed_plan() {
+        let conn = setup();
+        let eq = vec![("PosID".to_string(), "PosID".to_string())];
+        let sorted = |c: &Connection| {
+            chain(scan(c, "POSITION"), [Algo::SortD(SortSpec::by(["PosID"])), Algo::TransferM])
+        };
+        let join =
+            PhysNode::over(Algo::TMergeJoinM(eq), vec![sorted(&conn), sorted(&conn)]).unwrap();
+        let all = Expr::eq(Expr::col("PosID"), Expr::col("PosID"));
+        let plan = chain(join, [Algo::FilterM(all)]);
+        let replan = Some(replan(&conn, f64::INFINITY));
+        let run = Executor { replan, ..Executor::new(&conn) }.run(&plan).unwrap();
+        let (executed, _) = run.staged.unwrap();
+        assert!(executed.any(&|a| matches!(a, Algo::MatScanM(_))), "{}", executed.render());
+        assert_steps_on_their_nodes(&executed, &run.report);
+    }
+
+    /// Query 2 at smoke-test scale, staged as a session runs it: in
+    /// EXPLAIN ANALYZE only a `TRANSFER^M` reports SQL round trips and
+    /// server time, only a `FILTER^M` dropped rows and only the temporal
+    /// join counts key groups. Its sort-merge join and everything above it
+    /// hand up columns: no step hands up a row batch, and the result is
+    /// boxed once, as it is delivered.
+    #[test]
+    fn query_2s_staged_plan_boxes_only_its_result() {
+        use tango_uis::{generate_employee, generate_position, UisConfig};
+        let cfg = UisConfig::small(0xEC1);
+        let db = Database::in_memory();
+        for (name, rel) in
+            [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+        {
+            db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+            db.insert_rows(name, rel.into_tuples()).unwrap();
+            db.analyze(name).unwrap();
+        }
+        let mut tango = crate::Tango::connect(db);
+        tango.options_mut().cache_budget = None;
+        let date = |y| tango_algebra::date::day(y, 1, 1);
+        let sql = tango_uis::queries::q2_sql(date(1983), date(1986));
+        let boxed = |c: &'static std::thread::LocalKey<std::cell::Cell<usize>>| c.with(|n| n.get());
+        let before = (boxed(&ROWS_HANDED_UP_BOXED), boxed(&ROWS_DELIVERED_BOXED));
+        let (text, report) = tango.explain_analyze(&sql).unwrap();
+        let plan = &report.optimized.plan;
+        for staged in [Algo::MatScanM(String::new()), Algo::TMergeJoinM(vec![])] {
+            let kind = std::mem::discriminant(&staged);
+            assert!(plan.any(&|a| std::mem::discriminant(a) == kind), "{text}");
+        }
+        assert!(!plan.any(&|a| *a == Algo::TransferD), "{text}");
+        assert_steps_on_their_nodes(plan, &report.exec);
+        let lines: Vec<&str> = text.lines().take(plan.node_count()).collect();
+        for (counter, on) in [
+            ("sql_round_trips", "TRANSFER^M"),
+            ("server ", "TRANSFER^M"),
+            ("rows_dropped", "FILTER^M"),
+            ("key_groups", "TMERGEJOIN^M"),
+        ] {
+            let shown: Vec<&&str> = lines.iter().filter(|l| l.contains(counter)).collect();
+            assert!(!shown.is_empty(), "no {counter} in\n{text}");
+            for line in shown {
+                assert!(line.trim_start().starts_with(on), "{counter} off {on}: {line}\n{text}");
+            }
+        }
+        assert_eq!(boxed(&ROWS_HANDED_UP_BOXED) - before.0, 0, "{text}");
+        assert_eq!(boxed(&ROWS_DELIVERED_BOXED) - before.1, report.exec.rows, "{text}");
     }
 
     #[test]

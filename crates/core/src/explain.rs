@@ -2,12 +2,10 @@
 //! after execution, the per-operator spans collected by `tango-trace`.
 //!
 //! The analyzed output pairs each plan node with the engine step that
-//! executed it. The engine creates spans in a well-defined order
-//! (post-order over the middleware-visible tree: a `TRANSFER^M`'s span
-//! follows the `TRANSFER^D` loader spans inside its fragment; interior
-//! DBMS nodes are folded into the generated SQL and get no span of their
-//! own), and `step_indices` replays that order as a pure function of
-//! the plan, so the renderer never guesses at the mapping.
+//! executed it: the engine records, for every step, the pre-order number
+//! of its node in the plan as executed ([`crate::engine::StepReport::node`]),
+//! so the renderer never guesses at the mapping. Interior DBMS nodes are
+//! folded into the generated SQL and have no step of their own.
 
 use crate::engine::ExecReport;
 use crate::phys::{Algo, PhysNode, Site};
@@ -20,49 +18,6 @@ pub struct NodeEstimate {
     pub est_rows: f64,
     /// Estimated cost of this node alone (excluding children), µs.
     pub est_cost_us: f64,
-}
-
-/// For each plan node (pre-order), the index of the engine step that
-/// executed it — `None` for DBMS-interior nodes, which are evaluated by
-/// the generated SQL of the enclosing `TRANSFER^M`.
-///
-/// Mirrors the span-creation order of `engine::Executor::run` exactly.
-fn step_indices(plan: &PhysNode) -> Vec<Option<usize>> {
-    let mut out = vec![None; plan.node_count()];
-    let mut next = 0usize;
-    go_mid(plan, 0, &mut next, &mut out);
-    out
-}
-
-fn go_mid(n: &PhysNode, pre: usize, next: &mut usize, out: &mut Vec<Option<usize>>) {
-    if n.algo == Algo::TransferM {
-        // the engine lowers the DBMS fragment (creating T^D loader
-        // steps) before creating the TRANSFER^M step itself
-        go_dbms(&n.children[0], pre + 1, next, out);
-    } else {
-        let mut cpre = pre + 1;
-        for c in &n.children {
-            go_mid(c, cpre, next, out);
-            cpre += c.node_count();
-        }
-    }
-    out[pre] = Some(*next);
-    *next += 1;
-}
-
-fn go_dbms(n: &PhysNode, pre: usize, next: &mut usize, out: &mut Vec<Option<usize>>) {
-    if n.algo == Algo::TransferD {
-        go_mid(&n.children[0], pre + 1, next, out);
-        out[pre] = Some(*next);
-        *next += 1;
-        return;
-    }
-    let mut cpre = pre + 1;
-    for c in &n.children {
-        go_dbms(c, cpre, next, out);
-        cpre += c.node_count();
-    }
-    // interior DBMS node: evaluated inside the fragment's SQL, no step
 }
 
 /// Format a microsecond quantity for humans.
@@ -108,7 +63,16 @@ fn render(
     report: Option<&ExecReport>,
     redact: bool,
 ) -> String {
-    let steps = report.map(|_| step_indices(plan));
+    // each plan node's step, by pre-order number
+    let steps = report.map(|r| {
+        let mut by_node = vec![None; plan.node_count()];
+        for (si, s) in r.steps.iter().enumerate() {
+            if let Some(slot) = s.node.and_then(|n| by_node.get_mut(n)) {
+                *slot = Some(si);
+            }
+        }
+        by_node
+    });
     let mut pass =
         Renderer { estimates, report, steps: steps.as_deref(), redact, pre: 0, out: String::new() };
     pass.node(plan, 0);
@@ -222,42 +186,11 @@ impl Renderer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_algebra::{Attr, Schema, SortSpec, Type};
+    use tango_algebra::{Attr, Schema, Type};
 
     fn scan() -> PhysNode {
         let attrs = ["K", "T1", "T2"].map(|name| Attr::new(name, Type::Int));
         PhysNode::scan("T", Schema::with_inferred_period(attrs.to_vec()))
-    }
-
-    /// Pipeline FILTER^M ← TRANSFER^M ← SORT^D ← SCAN: SORT^D and the
-    /// scan are folded into the SQL; steps are created bottom-up.
-    #[test]
-    fn step_indices_fold_dbms_interior_nodes() {
-        let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["K"])), vec![scan()]).unwrap();
-        let fetched = PhysNode::over(Algo::TransferM, vec![sorted]).unwrap();
-        let plan =
-            PhysNode::over(Algo::FilterM(tango_algebra::Expr::lit(1)), vec![fetched]).unwrap();
-        // pre-order: 0=FILTER^M 1=TRANSFER^M 2=SORT^D 3=SCAN
-        let map = step_indices(&plan);
-        assert_eq!(map, vec![Some(1), Some(0), None, None]);
-    }
-
-    /// The Figure 5 shape: TRANSFER^D inside a fragment creates its step
-    /// (after its middleware input) before the enclosing TRANSFER^M.
-    #[test]
-    fn step_indices_transfer_d_round_trip() {
-        let inner = PhysNode::over(Algo::TransferM, vec![scan()]).unwrap();
-        let agg =
-            PhysNode::over(Algo::TAggrM { group_by: vec!["K".into()], aggs: vec![] }, vec![inner])
-                .unwrap();
-        let loaded = PhysNode::over(Algo::TransferD, vec![agg]).unwrap();
-        let eq = vec![("K".into(), "K".into())];
-        let join = PhysNode::over(Algo::TJoinD(eq), vec![loaded, scan()]).unwrap();
-        let plan = PhysNode::over(Algo::TransferM, vec![join]).unwrap();
-        // pre-order: 0=T^M 1=TJOIN^D 2=T^D 3=TAGGR^M 4=T^M(inner) 5=SCAN 6=SCAN
-        // engine order: inner T^M=0, TAGGR^M=1, T^D=2, outer T^M=3
-        let map = step_indices(&plan);
-        assert_eq!(map, vec![Some(3), None, Some(2), Some(1), Some(0), None, None]);
     }
 
     #[test]

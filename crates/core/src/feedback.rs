@@ -100,6 +100,7 @@ mod tests {
                 counters: vec![],
                 events: vec![],
                 children: vec![],
+                node: Some(0),
             }],
         }
     }

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use tango_algebra::{
-    AlgebraError, Batch, Period, Relation, Schema, Tuple, Value, DEFAULT_BATCH_ROWS,
+    AlgebraError, Batch, Column, Period, Relation, Schema, Tuple, Value, DEFAULT_BATCH_ROWS,
 };
 
 /// Errors raised during pipelined execution.
@@ -137,9 +137,9 @@ pub fn drain_batches(c: &mut dyn Cursor, rows: usize) -> Result<Vec<Batch>> {
     Ok(out)
 }
 
-/// The batch pull of every cursor whose logic is row-at-a-time (merge
-/// joins, coalescing, difference, nested loop, wire fetches): call its
-/// row `step` until `max_rows` tuples are gathered or the stream ends.
+/// The batch pull of every cursor whose logic is row-at-a-time
+/// (coalescing, nested loop, wire fetches): call its row `step` until
+/// `max_rows` tuples are gathered or the stream ends.
 pub fn fill_batch(
     schema: Arc<Schema>,
     max_rows: usize,
@@ -158,12 +158,30 @@ pub fn fill_batch(
 
 /// The valid-time period `t` carries in columns `(t1, t2)`; `None` when
 /// an endpoint is NULL or the period is empty. Such a row holds at no
-/// time point, so the row-logic temporal operators read their inputs
-/// through this and let the row join, subtract and merge nothing
-/// (`TAGGR^M` applies the same rule to its endpoint columns).
+/// time point, so coalescing reads its input through this and lets the
+/// row merge nothing (the sort-merge family and `TAGGR^M` apply the same
+/// rule to endpoint columns flattened by [`day_col`]).
 pub(crate) fn read_period(t: &Tuple, (t1, t2): (usize, usize)) -> Option<Period> {
     let p = Period::new(t[t1].as_day()?, t[t2].as_day()?);
     p.is_valid().then_some(p)
+}
+
+/// Sentinel for "no valid day" in flattened period-endpoint arrays (no
+/// valid day is ever `i64::MIN`; days fit in `i32`).
+pub(crate) const NO_DAY: i64 = i64::MIN;
+
+/// Flatten a period-endpoint column to `i64` days, batch-relative
+/// ([`NO_DAY`] for rows with no valid day: nulls, non-numeric values,
+/// ints outside `i32`) — [`read_period`]'s reading, once per batch.
+pub(crate) fn day_col(data: &Batch, col: usize) -> Vec<i64> {
+    if let Some((cols, offset, len)) = data.columns() {
+        if let Column::Int { vals, valid } | Column::Date { vals, valid } = &cols[col] {
+            let day = |r: usize| valid.as_ref().is_none_or(|b| b.get(r)).then_some(vals[r]);
+            let day = |r| day(r).filter(|&v| i32::try_from(v).is_ok()).unwrap_or(NO_DAY);
+            return (offset..offset + len).map(day).collect();
+        }
+    }
+    (0..data.len()).map(|r| data.value_at(r, col).as_day().map_or(NO_DAY, i64::from)).collect()
 }
 
 /// The `(T1, T2)` values that spell `p` in an output row: dates when the
@@ -177,10 +195,10 @@ pub(crate) fn period_values(date_typed: bool, p: Period) -> (Value, Value) {
 }
 
 /// Buffers an input cursor batch-at-a-time while exposing a cheap
-/// per-row [`BatchBuffered::next`]. The row-logic operators hold their
-/// inputs in this adapter: their group-reading logic stays row-oriented,
-/// but each underlying (possibly traced, possibly remote) cursor is only
-/// dispatched once per batch.
+/// per-row [`BatchBuffered::next`]. The row-logic operators (coalescing,
+/// the nested loop) hold their inputs in this adapter: their logic stays
+/// row-oriented, but each underlying (possibly traced, possibly remote)
+/// cursor is only dispatched once per batch.
 pub(crate) struct BatchBuffered {
     inner: BoxCursor,
     buf: VecDeque<Tuple>,

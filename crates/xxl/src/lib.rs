@@ -13,12 +13,13 @@
 //! [`Cursor::next_batch`] is the only pull method: the caller names a row
 //! target, so row-at-a-time execution is the `max_rows = 1` case of the
 //! one protocol. The bulk operators (scan, filter, project, sort, dedup,
-//! aggregation) produce batches natively over tango-algebra's columnar
-//! `Batch` layout; the row-logic operators (merge joins, coalescing,
-//! difference, nested loop) keep a private row step, fill
-//! their output batches through one shared helper, and read their inputs
-//! through the crate's `BatchBuffered` adapter, so an upstream (possibly
-//! traced, possibly remote) cursor is dispatched once per batch. The size
+//! aggregation) and the sort-merge family (the merge joins and the
+//! difference) produce batches natively over tango-algebra's columnar
+//! `Batch` layout; the row-logic operators (coalescing, nested loop)
+//! keep a private row step, fill their output batches through one shared
+//! helper, and read their inputs through the crate's `BatchBuffered`
+//! adapter, so an upstream (possibly traced, possibly remote) cursor is
+//! dispatched once per batch. The size
 //! of those internal pulls travels per operator instance (every
 //! plan-reachable algorithm with internal pulls has a `with_batch_rows`
 //! constructor; there is no process-wide state), and a query runs on the
@@ -37,10 +38,12 @@
 //! * [`merge_join::MergeJoin`] — `MERGEJOIN^M` (sort-merge equi join);
 //!   its module holds the crate's one sort-merge sweep (Section 4.1: the
 //!   regular and the temporal join are one algorithm) — a key-group
-//!   reader over a sorted input and the join over two of them that
-//!   emits what a pairing makes of each matching row pair,
+//!   reader over a sorted input's columnar batches and the join over two
+//!   of them that gathers its output columns at the matching (left row,
+//!   right row) pairs,
 //! * [`temporal_join::TemporalMergeJoin`] — `TMERGEJOIN^M` (⋈ᵀ): the
-//!   same sweep, pairing rows by intersecting their periods,
+//!   same sweep, keeping the pairs whose periods overlap and writing
+//!   their intersection,
 //! * [`nested_loop::NestedLoopJoin`] — fallback theta join,
 //! * [`taggr::TemporalAggregate`] — `TAGGR^M`, the two-sorted-copies
 //!   sweep of Section 3.4, run once over typed columns: each aggregate
@@ -54,10 +57,11 @@
 //!
 //! The temporal operators share one rule: a period with a NULL endpoint,
 //! or an empty one, holds at no time point — such a row joins,
-//! subtracts, merges and aggregates nothing. The row-logic ones read a
-//! row's period through one helper and write one through its inverse
-//! (`cursor.rs`); `TAGGR^M` reads and writes periods as flat `i64`
-//! columns.
+//! subtracts, merges and aggregates nothing. Coalescing reads a row's
+//! period through one helper and writes one through its inverse
+//! (`cursor.rs`); the sort-merge family and `TAGGR^M` read periods as
+//! endpoint columns flattened to days (`cursor::day_col`) and write them
+//! as flat `i64` columns.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -24,7 +24,7 @@
 //! The output is ordered on (grouping attributes, `T1`), which is why
 //! Query 1's best plan needs no final sort (Figure 7, Plan 1).
 
-use crate::cursor::{drain_batches, BoxCursor, Cursor, ExecError, Result};
+use crate::cursor::{day_col, drain_batches, BoxCursor, Cursor, ExecError, Result, NO_DAY};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 use tango_algebra::logical::taggr_schema;
@@ -32,10 +32,6 @@ use tango_algebra::{
     AggFunc, AggSpec, Batch, BatchKeys, Bitmap, Column, ExactSum, Schema, SortSpec, Type, Value,
     DEFAULT_BATCH_ROWS,
 };
-
-/// Sentinel for "no valid day" in the flattened period-endpoint arrays
-/// (no valid day is ever `i64::MIN`; days fit in `i32`).
-const NO_DAY: i64 = i64::MIN;
 
 /// The `TAGGR^M` cursor: temporal aggregation by a sweep over each
 /// group's constant periods (Section 3.4 of the paper). Input must be
@@ -232,19 +228,6 @@ impl Cursor for TemporalAggregate {
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![("groups", self.groups), ("constant_periods", self.constant_periods)]
     }
-}
-
-/// Flatten a period-endpoint column to `i64` days ([`NO_DAY`] for rows
-/// with no valid day: nulls, non-numeric values, ints outside `i32`).
-fn day_col(data: &Batch, col: usize) -> Vec<i64> {
-    if let Some((cols, offset, len)) = data.columns() {
-        if let Column::Int { vals, valid } | Column::Date { vals, valid } = &cols[col] {
-            let day = |r: usize| valid.as_ref().is_none_or(|b| b.get(r)).then_some(vals[r]);
-            let day = |r| day(r).filter(|&v| i32::try_from(v).is_ok()).unwrap_or(NO_DAY);
-            return (offset..offset + len).map(day).collect();
-        }
-    }
-    (0..data.len()).map(|r| data.value_at(r, col).as_day().map_or(NO_DAY, i64::from)).collect()
 }
 
 /// The constant periods one refill emits: the input row (absolute) whose

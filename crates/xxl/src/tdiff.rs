@@ -4,27 +4,35 @@
 //! into fragments.
 //!
 //! Both inputs must be sorted on all non-temporal attributes (then `T1`).
+//! The left input is read a columnar batch at a time, its right partners
+//! through the sort-merge sweep's [`KeyGroups`]; the surviving left rows
+//! are gathered by column with their fragment periods.
 
-use crate::cursor::{
-    fill_batch, period_values, read_period, BatchBuffered, BoxCursor, Cursor, ExecError, Result,
-};
-use crate::merge_join::KeyGroups;
-use std::collections::VecDeque;
+use crate::cursor::{period_values, BoxCursor, Cursor, ExecError, Result};
+use crate::merge_join::{pull, Held, KeyGroups};
 use std::sync::Arc;
-use tango_algebra::{Batch, Schema, Tuple, Type, DEFAULT_BATCH_ROWS};
+use tango_algebra::date::Day;
+use tango_algebra::{Batch, ColumnBuilder, Period, Schema, Type, DEFAULT_BATCH_ROWS};
 
 /// The temporal-difference cursor: subtracts the right input's periods
 /// from value-equivalent left tuples, splitting them into the remaining
 /// fragments. Inputs sorted on (value attributes, `T1`).
 pub struct TemporalDiff {
-    left: BatchBuffered,
+    left: BoxCursor,
+    /// Rows per pull.
+    rows: usize,
+    /// The left batch being read, and its next row; `None` once the left
+    /// input is exhausted.
+    buf: Option<Arc<Held>>,
+    pos: usize,
     /// The right input, one value combination's rows at a time.
     right: KeyGroups,
     value_idx: Vec<usize>,
     lperiod: (usize, usize),
-    rperiod: (usize, usize),
     date_typed: bool,
-    out: VecDeque<Tuple>,
+    /// Surviving rows of `buf` not yet emitted: the row's column index
+    /// and the fragment it keeps (`None`: its period, untouched).
+    out: Vec<(u32, Option<Period>)>,
     opened: bool,
     splits: u64,
 }
@@ -52,56 +60,78 @@ impl TemporalDiff {
         let value_idx: Vec<usize> =
             (0..ls.len()).filter(|&i| i != lperiod.0 && i != lperiod.1).collect();
         let date_typed = matches!(ls.attr(lperiod.0).ty, Type::Date);
+        let rows = batch_rows.max(1);
         Ok(TemporalDiff {
-            left: BatchBuffered::with_rows(left, batch_rows),
-            right: KeyGroups::new(right, value_idx.clone(), batch_rows),
+            left,
+            rows,
+            buf: None,
+            pos: 0,
+            right: KeyGroups::new(right, value_idx.clone(), Some(rperiod), rows),
             value_idx,
             lperiod,
-            rperiod,
             date_typed,
-            out: VecDeque::new(),
+            out: Vec::new(),
             opened: false,
             splits: 0,
         })
     }
 
-    /// The difference scan, one surviving fragment per call.
-    fn step(&mut self) -> Result<Option<Tuple>> {
-        if !self.opened {
-            return Err(ExecError::State("temporal diff not opened".into()));
+    /// Subtract the right partners of left row `i` from its period,
+    /// recording what survives.
+    fn subtract(&mut self, l: &Held, i: usize) -> Result<()> {
+        let Some((s, e)) = l.period(i) else {
+            return Ok(());
+        };
+        if !self.right.seek(l, i, &self.value_idx)? {
+            self.out.push((l.abs(i), None));
+            return Ok(());
         }
-        loop {
-            if let Some(t) = self.out.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(l) = self.left.next()? else {
-                return Ok(None);
-            };
-            let Some(p) = read_period(&l, self.lperiod) else {
-                continue;
-            };
-            if !self.right.seek(&l, &self.value_idx)? {
-                return Ok(Some(l));
-            }
-            self.splits += 1;
-            let mut fragments = vec![p];
-            for r in self.right.group() {
-                let Some(rp) = read_period(r, self.rperiod) else {
+        self.splits += 1;
+        let mut fragments = vec![Period::new(s as Day, e as Day)];
+        if let Some(g) = self.right.group() {
+            for j in g.rows.clone() {
+                let Some((rs, re)) = g.held.period(j) else {
                     continue;
                 };
+                let rp = Period::new(rs as Day, re as Day);
                 fragments = fragments.iter().flat_map(|f| f.subtract(&rp)).collect();
                 if fragments.is_empty() {
                     break;
                 }
             }
-            for f in fragments {
-                let mut t = l.clone();
-                let (t1, t2) = period_values(self.date_typed, f);
-                t.set(self.lperiod.0, t1);
-                t.set(self.lperiod.1, t2);
-                self.out.push_back(t);
-            }
         }
+        self.out.extend(fragments.into_iter().map(|f| (l.abs(i), Some(f))));
+        Ok(())
+    }
+
+    /// The first `max` surviving rows, gathered from `buf`'s columns.
+    fn flush(&mut self, max: usize) -> Option<Batch> {
+        let l = self.buf.as_ref().filter(|_| !self.out.is_empty())?;
+        let n = self.out.len().min(max);
+        let taken: Vec<(u32, Option<Period>)> = self.out.drain(..n).collect();
+        let at: Vec<u32> = taken.iter().map(|&(r, _)| r).collect();
+        let cols = l.cols();
+        let out = (0..cols.len()).map(|c| {
+            if c != self.lperiod.0 && c != self.lperiod.1 {
+                return cols[c].gather(&at);
+            }
+            let mut b = ColumnBuilder::default();
+            for &(r, fragment) in &taken {
+                b.push(match fragment {
+                    Some(f) => {
+                        let (t1, t2) = period_values(self.date_typed, f);
+                        if c == self.lperiod.0 {
+                            t1
+                        } else {
+                            t2
+                        }
+                    }
+                    None => cols[c].value_at(r as usize),
+                });
+            }
+            b.finish()
+        });
+        Some(Batch::from_columns(self.left.schema().clone(), out.collect()))
     }
 }
 
@@ -111,18 +141,38 @@ impl Cursor for TemporalDiff {
     }
 
     fn open(&mut self) -> Result<()> {
+        self.out.clear();
         self.left.open()?;
+        (self.buf, self.pos) = (pull(&mut self.left, self.rows, Some(self.lperiod))?, 0);
         self.right.open()?;
         self.opened = true;
         Ok(())
     }
 
     fn next_batch(&mut self, max_rows: usize) -> Result<Option<Batch>> {
-        fill_batch(self.schema().clone(), max_rows, || self.step())
+        if !self.opened {
+            return Err(ExecError::State("temporal diff not opened".into()));
+        }
+        let max = max_rows.max(1);
+        while self.out.len() < max {
+            let Some(l) = self.buf.clone() else { break };
+            if self.pos == l.len() {
+                // the rows held refer to this batch: hand them on first
+                if !self.out.is_empty() {
+                    break;
+                }
+                (self.buf, self.pos) = (pull(&mut self.left, self.rows, Some(self.lperiod))?, 0);
+                continue;
+            }
+            self.pos += 1;
+            self.subtract(&l, self.pos - 1)?;
+        }
+        Ok(self.flush(max))
     }
 
     fn close(&mut self) -> Result<()> {
         self.out.clear();
+        self.buf = None;
         self.left.close()?;
         self.right.close()
     }

@@ -38,7 +38,7 @@ bench_bins=(crates/bench/src/bin/*.rs)
 echo "tango-bench:  lines $(lines crates/bench/src/*.rs "${bench_bins[@]}")  binaries ${#bench_bins[@]}"
 echo "non-test:     cache.rs $(non_test_lines crates/core/src/cache.rs)  rewrite.rs $(non_test_lines crates/core/src/rewrite.rs)"
 echo "non-test:     opt.rs $(non_test_lines crates/core/src/opt.rs)  phys.rs $(non_test_lines crates/core/src/phys.rs)  explain.rs $(non_test_lines crates/core/src/explain.rs)  cost.rs $(non_test_lines crates/core/src/cost.rs)"
-echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)  temporal_join.rs $(non_test_lines crates/xxl/src/temporal_join.rs)  tdiff.rs $(non_test_lines crates/xxl/src/tdiff.rs)"
+echo "non-test:     merge_join.rs $(non_test_lines crates/xxl/src/merge_join.rs)  temporal_join.rs $(non_test_lines crates/xxl/src/temporal_join.rs)  tdiff.rs $(non_test_lines crates/xxl/src/tdiff.rs)  cursor.rs $(non_test_lines crates/xxl/src/cursor.rs)"
 echo "non-test:     batch.rs $(non_test_lines crates/algebra/src/batch.rs)  taggr.rs $(non_test_lines crates/xxl/src/taggr.rs)  scan.rs $(non_test_lines crates/xxl/src/scan.rs)"
 echo "non-test:     logical.rs $(non_test_lines crates/algebra/src/logical.rs)  cardinality.rs $(non_test_lines crates/stats/src/cardinality.rs)"
 echo "non-test:     refresh.rs $(non_test_lines crates/core/src/refresh.rs)  delta.rs $(non_test_lines crates/xxl/src/delta.rs)"
@@ -47,6 +47,13 @@ echo "non-test:     algebra expr.rs $(non_test_lines crates/algebra/src/expr.rs)
 echo "public items: tango-core $(public_items crates/core/src/*.rs)  tango-xxl $(public_items crates/xxl/src/*.rs)  volcano $(public_items crates/volcano/src/*.rs)  tango-algebra $(public_items crates/algebra/src/*.rs)  tango-stats $(public_items crates/stats/src/*.rs)  tango-minidb $(public_items crates/minidb/src/*.rs)"
 echo "unwrap sites: tango-core $(unwrap_sites crates/core/src/*.rs)  tango-xxl $(unwrap_sites crates/xxl/src/*.rs)  volcano $(unwrap_sites crates/volcano/src/*.rs)  tango-algebra $(unwrap_sites crates/algebra/src/*.rs)  tango-stats $(unwrap_sites crates/stats/src/*.rs)  tango-minidb $(unwrap_sites crates/minidb/src/*.rs)"
 echo "fields:       TangoOptions $(fields TangoOptions crates/core/src/session.rs)  OptOptions $(fields OptOptions crates/core/src/opt.rs)"
+# non-test `into_rows(` call sites: where a batch is boxed into tuples
+row_paths() {
+    for f in "$@"; do
+        awk '/^#\[cfg\(test\)\]/ { exit } !/^[ \t]*\/\// && /into_rows\(/ { n++ } END { print n + 0 }' "$f"
+    done | awk '{ s += $1 } END { print s + 0 }'
+}
+echo "row paths:    tango-xxl $(row_paths crates/xxl/src/*.rs)  tango-core $(row_paths crates/core/src/*.rs)"
 mapfile -t test_files < <(find tests -name '*.rs' | sort)
 echo "tests:        lines $(lines "${test_files[@]}")  create_table(\"POSITION\" sites $(cat "${test_files[@]}" | grep -c 'create_table("POSITION"')"
 prose() { for f in "$@"; do printf ' %s %s' "$f" "$(lines "$f")"; done; }
