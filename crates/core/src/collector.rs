@@ -12,6 +12,7 @@ use crate::error::{Result, TangoError};
 use crate::opt::Catalog;
 use std::collections::HashMap;
 use std::sync::Arc;
+use tango_algebra::Schema;
 use tango_minidb::Connection;
 use tango_stats::{AttrStats, Histogram, RelationStats};
 
@@ -19,7 +20,7 @@ use tango_stats::{AttrStats, Histogram, RelationStats};
 /// reproduces the paper's "optimizer without histograms on the time
 /// attributes" configuration (Query 2's comparison).
 pub fn collect(conn: &Connection, use_histograms: bool) -> Result<Catalog> {
-    let mut catalog: Catalog = HashMap::new();
+    let mut catalog: HashMap<String, (Arc<Schema>, RelationStats)> = HashMap::new();
 
     let tables = conn
         .query_all("SELECT TABLE_NAME, NUM_ROWS, BLOCKS, AVG_ROW_LEN FROM USER_TABLES")
@@ -92,7 +93,7 @@ pub fn collect(conn: &Connection, use_histograms: bool) -> Result<Catalog> {
         }
     }
 
-    Ok(catalog)
+    Ok(catalog.into_iter().map(|(t, (schema, stats))| (t, (schema, Arc::new(stats)))).collect())
 }
 
 #[cfg(test)]

@@ -208,9 +208,10 @@ pub struct Replan {
     /// The pricing context the original optimization ran under: the same
     /// factors, rule groups and (possibly deliberately naive) estimation
     /// mode, the same residency snapshot, and the same catalog — shared
-    /// with it, and copied only when the first breaker is staged (its
-    /// observed size is registered in the copy; its attribute statistics
-    /// are taken if and when the monitor triggers while it is held).
+    /// with it; its map of shared entries is copied when the first breaker
+    /// is staged (its observed size is registered in the copy; its
+    /// attribute statistics are taken if and when the monitor triggers
+    /// while it is held).
     pub sem: TangoSem,
     /// Trigger threshold: re-plan when actual and estimated rows at a
     /// pipeline breaker diverge by at least this factor, in either
@@ -244,8 +245,9 @@ const MAX_STAGES: usize = 32;
 
 #[cfg(test)]
 thread_local! {
-    /// Deep copies of a shared catalog made by runs on this thread.
-    pub(crate) static CATALOG_COPIES: std::cell::Cell<usize> =
+    /// Deep copies of shared [`RelationStats`] made staging breakers on
+    /// this thread.
+    pub(crate) static STATS_COPIES: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
     /// ANALYZEs of mid-query materializations made by runs on this thread.
     pub(crate) static MAT_ANALYZES: std::cell::Cell<usize> =
@@ -618,8 +620,10 @@ impl<'a> Ctx<'a> {
         for mat_seq in 0..MAX_STAGES {
             let Some(path) = find_breaker(work, true) else { break };
             let breaker = node_at(work, &path).clone();
-            // what the optimizer believes this breaker will produce
-            let believed = cfg.sem.stats(&breaker).ok();
+            // what the optimizer believes this breaker will produce: the
+            // fold of what still runs (a subtree an earlier MATSCAN^M
+            // consumed is not derived again)
+            let believed = cfg.sem.stats(&remainder_only(&breaker)).ok();
             let est_rows = believed.as_ref().map(|s| s.rows);
             let (schema, batches, breaker_idx) = self.materialize(&breaker, &path)?;
             let slot = self.collector.slot(breaker_idx).clone();
@@ -633,13 +637,17 @@ impl<'a> Ctx<'a> {
             // order stays the post-order of the final plan)
             let name = format!("#MAT{mat_seq}");
             let order = delivered_order(&breaker, &cfg.sem.materialized);
-            #[cfg(test)]
-            if Arc::strong_count(&cfg.sem.catalog) > 1 {
-                CATALOG_COPIES.with(|n| n.set(n.get() + 1));
-            }
             let mut stats = RelationStats::of_size(actual, slot.bytes(), &schema);
-            stats.attrs = believed.map(|b| b.attrs).unwrap_or_default();
-            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), (schema.clone(), stats));
+            // the believed attributes move over: the fold derived them
+            // for this breaker alone, unless it passes a table's shared
+            // statistics on unchanged (those are copied)
+            #[cfg(test)]
+            if believed.as_ref().is_some_and(|b| Arc::strong_count(b) > 1) {
+                STATS_COPIES.with(|n| n.set(n.get() + 1));
+            }
+            stats.attrs = believed.map(|b| Arc::unwrap_or_clone(b).attrs).unwrap_or_default();
+            let entry = (schema.clone(), Arc::new(stats));
+            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), entry);
             cfg.sem.materialized.insert(name.clone(), order);
             // the breaker moves under its MATSCAN^M, and every node run
             // so far below it with it
@@ -679,7 +687,7 @@ impl<'a> Ctx<'a> {
                     #[cfg(test)]
                     MAT_ANALYZES.with(|n| n.set(n.get() + 1));
                     let stats = analyze(&mat.schema, &mat.batches, cfg.histogram_buckets);
-                    catalog.insert(name.clone(), (mat.schema.clone(), stats));
+                    catalog.insert(name.clone(), (mat.schema.clone(), Arc::new(stats)));
                 }
             }
             // no feasible alternative: keep the running plan
@@ -1659,7 +1667,7 @@ impl ExecReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::phys::PhysNode;
     use std::sync::Arc;
@@ -1768,7 +1776,7 @@ mod tests {
             let replan = Some(replan(&conn, ratio));
             let run = Executor { replan, ..Executor::new(&conn) }.run(&plan).unwrap();
             let catalog = run.staged.unwrap().1.catalog;
-            let stats = |t: &str| catalog[t].1.clone();
+            let stats = |t: &str| RelationStats::clone(&catalog[t].1);
             (MAT_ANALYZES.with(|n| n.get()) - before, stats("#MAT0"), stats("POSITION"), run.rel)
         };
         // a threshold nothing reaches, then one everything reaches
@@ -1915,17 +1923,7 @@ mod tests {
     /// boxed once, as it is delivered.
     #[test]
     fn query_2s_staged_plan_boxes_only_its_result() {
-        use tango_uis::{generate_employee, generate_position, UisConfig};
-        let cfg = UisConfig::small(0xEC1);
-        let db = Database::in_memory();
-        for (name, rel) in
-            [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
-        {
-            db.create_table(name, rel.schema().as_ref().clone()).unwrap();
-            db.insert_rows(name, rel.into_tuples()).unwrap();
-            db.analyze(name).unwrap();
-        }
-        let mut tango = crate::Tango::connect(db);
+        let mut tango = crate::Tango::connect(uis_db());
         tango.options_mut().cache_budget = None;
         let date = |y| tango_algebra::date::day(y, 1, 1);
         let sql = tango_uis::queries::q2_sql(date(1983), date(1986));
@@ -1954,6 +1952,89 @@ mod tests {
         }
         assert_eq!(boxed(&ROWS_HANDED_UP_BOXED) - before.0, 0, "{text}");
         assert_eq!(boxed(&ROWS_DELIVERED_BOXED) - before.1, report.exec.rows, "{text}");
+    }
+
+    /// The UIS tables at `UisConfig::small`, analyzed.
+    pub(crate) fn uis_db() -> Database {
+        use tango_uis::{generate_employee, generate_position, UisConfig};
+        let cfg = UisConfig::small(0xEC1);
+        let db = Database::in_memory();
+        for (name, rel) in
+            [("POSITION", generate_position(&cfg)), ("EMPLOYEE", generate_employee(&cfg))]
+        {
+            db.create_table(name, rel.schema().as_ref().clone()).unwrap();
+            db.insert_rows(name, rel.into_tuples()).unwrap();
+            db.analyze(name).unwrap();
+        }
+        db
+    }
+
+    /// Queries 1–4 and the serving pool's statement 0 over [`uis_db`].
+    pub(crate) fn uis_statements() -> [(&'static str, String); 5] {
+        use tango_uis::queries::{q1_sql, q2_sql, q3_sql, q4_sql};
+        let date = |y| tango_algebra::date::day(y, 1, 1);
+        [
+            ("Query 1", q1_sql("POSITION")),
+            ("Query 2", q2_sql(date(1983), date(1996))),
+            ("Query 3", q3_sql(date(1996))),
+            ("Query 4", q4_sql("POSITION")),
+            (
+                "pool statement 0",
+                "VALIDTIME SELECT PosID, COUNT(PosID) AS Cnt FROM POSITION \
+                 WHERE PosID < 8 GROUP BY PosID ORDER BY PosID"
+                    .into(),
+            ),
+        ]
+    }
+
+    /// Every breaker `plan` staged: the child of each `MATSCAN^M`.
+    fn staged_breakers<'p>(plan: &'p PhysNode, out: &mut Vec<&'p PhysNode>) {
+        if matches!(plan.algo, Algo::MatScanM(_)) {
+            out.extend(&plan.children);
+        }
+        plan.children.iter().for_each(|c| staged_breakers(c, out));
+    }
+
+    /// Staging copies no statistics for Query 2 or for the serving pool's
+    /// statement 0, cold or served from the cache: each breaker staged
+    /// derives statistics of its own, and registering its
+    /// materialization copies the catalog's pointers.
+    #[test]
+    fn staging_query_2_or_a_pool_statement_copies_no_statistics() {
+        let mut tango = crate::Tango::connect(uis_db());
+        let [_, q2, _, _, pool_0] = uis_statements();
+        for (name, sql) in [q2, pool_0.clone(), pool_0] {
+            let before = STATS_COPIES.with(|n| n.get());
+            let (_, report) = tango.query(&sql).unwrap();
+            let plan = report.optimized.explain();
+            assert!(plan.contains("MATSCAN^M"), "{name} stages nothing\n{plan}");
+            assert_eq!(STATS_COPIES.with(|n| n.get()) - before, 0, "{name}\n{plan}");
+        }
+    }
+
+    /// The misestimate monitor folds only what still runs: for every
+    /// breaker staged in Queries 1–4 and the serving pool's statement 0,
+    /// the fold of its remainder is the fold of its whole subtree, so no
+    /// trigger can move. (Query 4 runs wholly in the DBMS: nothing to
+    /// stage.)
+    #[test]
+    fn the_monitor_folds_a_breakers_remainder_as_its_whole_subtree() {
+        let mut tango = crate::Tango::connect(uis_db());
+        let (mut staged, mut consumed) = (0, 0);
+        for (name, sql) in uis_statements() {
+            let (_, report) = tango.query(&sql).unwrap();
+            let (plan, sem) = (&report.optimized.plan, &report.optimized.pricing);
+            let mut breakers = Vec::new();
+            staged_breakers(plan, &mut breakers);
+            staged += breakers.len();
+            for b in breakers {
+                let remainder = remainder_only(b);
+                consumed += usize::from(remainder.node_count() < b.node_count());
+                let (folded, full) = (sem.stats(&remainder).unwrap(), sem.stats(b).unwrap());
+                assert_eq!(folded, full, "{name}: {}", b.render());
+            }
+        }
+        assert!(staged > 0 && consumed > 0, "{staged} breakers, none over an earlier one");
     }
 
     #[test]

@@ -34,16 +34,19 @@ use volcano::{Enforcer, GroupId, Implementation, Memo, NewExpr, PhysPlan, Search
 pub struct GroupProps {
     /// The class's output schema.
     pub schema: Arc<Schema>,
-    /// Derived statistics for the class's output.
-    pub stats: RelationStats,
+    /// Derived statistics for the class's output — for a `Get`, the
+    /// catalog's own, shared.
+    pub stats: Arc<RelationStats>,
     /// Canonical fragment signature of the class (see
     /// [`cache::top_signature`]); lets enforcers ask the middleware
     /// cache whether this fragment is already resident.
     pub signature: String,
 }
 
-/// Base-relation catalog snapshot fed by the Statistics Collector.
-pub type Catalog = HashMap<String, (Arc<Schema>, RelationStats)>;
+/// Base-relation catalog snapshot fed by the Statistics Collector. Both
+/// halves of an entry are shared: planning reads them by pointer, and
+/// copying the map copies no statistics.
+pub type Catalog = HashMap<String, (Arc<Schema>, Arc<RelationStats>)>;
 
 /// Optimizer feature switches (for the paper's comparisons and the
 /// ablation studies).
@@ -135,7 +138,7 @@ impl TangoSem {
         TangoSem { catalog, factors, options, residency, materialized }
     }
 
-    fn table(&self, name: &str) -> Option<&(Arc<Schema>, RelationStats)> {
+    fn table(&self, name: &str) -> Option<&(Arc<Schema>, Arc<RelationStats>)> {
         self.catalog.get(&name.to_uppercase())
     }
 
@@ -159,10 +162,10 @@ impl TangoSem {
             _ => None,
         };
         let stats = collected.unwrap_or_else(|| {
-            let child_stats: Vec<&RelationStats> = children.iter().map(|p| &p.stats).collect();
+            let child_stats: Vec<&RelationStats> = children.iter().map(|p| &*p.stats).collect();
             let child_schemas: Vec<&Schema> = children.iter().map(|p| p.schema.as_ref()).collect();
-            let naive_overlaps = self.options.naive_overlaps;
-            tango_stats::derive_stats(op, &child_stats, &child_schemas, &schema, naive_overlaps)
+            let naive = self.options.naive_overlaps;
+            Arc::new(tango_stats::derive_stats(op, &child_stats, &child_schemas, &schema, naive))
         });
         GroupProps { schema, stats, signature }
     }
@@ -180,9 +183,9 @@ impl TangoSem {
         order: &SortSpec,
     ) -> f64 {
         let full = match inputs {
-            [] => self.factors.cost(algo, &[&props.stats], &props.stats),
+            [] => self.factors.cost(algo, &[&*props.stats], &props.stats),
             _ => {
-                let inputs: Vec<&RelationStats> = inputs.iter().map(|p| &p.stats).collect();
+                let inputs: Vec<&RelationStats> = inputs.iter().map(|p| &*p.stats).collect();
                 self.factors.cost(algo, &inputs, &props.stats)
             }
         };
@@ -210,13 +213,15 @@ impl TangoSem {
     /// predictions in pre-order (the numbering `EXPLAIN` renders
     /// against); their costs sum to the plan's.
     pub fn price(&self, plan: &PhysNode) -> Result<Vec<NodeEstimate>> {
+        #[cfg(test)]
+        PRICINGS.with(|n| n.set(n.get() + 1));
         let mut out = Vec::with_capacity(plan.node_count());
         self.price_node(plan, &mut out)?;
         Ok(out)
     }
 
     /// The statistics that fold derives for `plan`'s output.
-    pub(crate) fn stats(&self, plan: &PhysNode) -> Result<RelationStats> {
+    pub(crate) fn stats(&self, plan: &PhysNode) -> Result<Arc<RelationStats>> {
         Ok(self.price_node(plan, &mut Vec::new())?.stats)
     }
 
@@ -286,12 +291,17 @@ impl Semantics for TangoSem {
     type Algo = Algo;
 
     fn derive_props(&self, op: &TOp, children: &[&GroupProps]) -> GroupProps {
-        let child_schemas: Vec<&Schema> = children.iter().map(|p| p.schema.as_ref()).collect();
-        let schema = op
-            .output_schema(&child_schemas, &|t| self.table(t).map(|(s, _)| s.as_ref().clone()))
-            .unwrap_or_else(|_| Schema::new(vec![]));
+        let collected = match op {
+            TOp::Get { table } => self.table(table).map(|(s, _)| s.clone()),
+            _ => None,
+        };
+        let schema = collected.unwrap_or_else(|| {
+            let child_schemas: Vec<&Schema> = children.iter().map(|p| p.schema.as_ref()).collect();
+            let schema = op.output_schema(&child_schemas, &|_| None);
+            Arc::new(schema.unwrap_or_else(|_| Schema::new(vec![])))
+        });
         let child_sigs: Vec<String> = children.iter().map(|p| p.signature.clone()).collect();
-        self.props(op, children, Arc::new(schema), cache::top_signature(op, &child_sigs))
+        self.props(op, children, schema, cache::top_signature(op, &child_sigs))
     }
 
     fn implementations(
@@ -497,6 +507,12 @@ fn annotate(plan: &PhysPlan<Algo>, memo: &Memo<TangoSem>) -> Result<PhysNode> {
     go(plan, memo.semantics())
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Pricing folds ([`TangoSem::price`]) run on this thread.
+    pub(crate) static PRICINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The table-free search `volcano`'s own tests compare against.
 #[cfg(test)]
 #[path = "../../volcano/tests/reference/mod.rs"]
@@ -561,6 +577,39 @@ mod tests {
                 "{sql}"
             );
             assert!(found.search.cycles_pruned > 0 && found.search.cache_hits > 0, "{sql}");
+        }
+    }
+
+    /// Planning reads the catalog by pointer: the class of every `Get` in
+    /// the figure queries' memos holds its table's schema and statistics,
+    /// and so do the `SORT^D` and `TRANSFER^M` enforcers the fold prices
+    /// over a scan.
+    #[test]
+    fn a_get_and_its_enforcers_share_the_catalogs_statistics() {
+        let (conn, catalog) = uis();
+        for sql in figure_queries() {
+            let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
+            let (memo, ..) = explore(&logical, sem(&catalog), None).unwrap();
+            let mut gets = 0;
+            for g in (0..memo.group_count()).map(GroupId) {
+                for &e in memo.exprs_in(g) {
+                    if let TOp::Get { table } = &memo.expr(e).op {
+                        let (schema, stats) = &catalog[table];
+                        assert!(Arc::ptr_eq(&memo.props(g).schema, schema), "{sql}: {table}");
+                        assert!(Arc::ptr_eq(&memo.props(g).stats, stats), "{sql}: {table}");
+                        gets += 1;
+                    }
+                }
+            }
+            assert!(gets > 0, "{sql}");
+        }
+
+        let (schema, stats) = &catalog["POSITION"];
+        let scan = PhysNode::scan("POSITION", Schema::clone(schema));
+        let sorted = PhysNode::over(Algo::SortD(SortSpec::by(["PosID"])), vec![scan]).unwrap();
+        let shipped = PhysNode::over(Algo::TransferM, vec![sorted.clone()]).unwrap();
+        for plan in [sorted, shipped] {
+            assert!(Arc::ptr_eq(&sem(&catalog).stats(&plan).unwrap(), stats), "{}", plan.render());
         }
     }
 

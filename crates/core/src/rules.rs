@@ -866,7 +866,7 @@ mod tests {
         ]));
         let stats = RelationStats { rows: 1000.0, avg_tuple_bytes: 28.0, ..Default::default() };
         let mut catalog: Catalog = Catalog::new();
-        catalog.insert("POSITION".into(), (schema, stats));
+        catalog.insert("POSITION".into(), (schema, Arc::new(stats)));
         TangoSem::new(
             Arc::new(catalog),
             CostFactors::default(),

@@ -35,7 +35,7 @@ use crate::opt::{self, Catalog, OptOptions, TangoSem};
 use crate::phys::PhysNode;
 use crate::rewrite::{RewriteOutcome, Rewriter};
 use crate::tsql;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tango_algebra::{Logical, Relation, Schema, DEFAULT_BATCH_ROWS};
 use tango_minidb::{Connection, Database};
@@ -126,19 +126,24 @@ pub struct OptimizedQuery {
     /// Search-effort accounting from the Volcano phase (optimize calls,
     /// implementations/enforcers considered, memo-table cache hits).
     pub search: SearchStats,
-    /// Per-node cardinality/cost predictions for the chosen plan, in
-    /// pre-order (used by `EXPLAIN [ANALYZE]`).
-    pub node_estimates: Vec<NodeEstimate>,
     /// What the config-driven rewrite stage did before optimization
     /// (empty when no [`TangoOptions::rewrite_packs`] are active).
     pub rewrites: RewriteOutcome,
+    /// What `plan` is priced under: the statement's snapshot, extended
+    /// with the observed materializations when the plan was staged.
+    pub(crate) pricing: TangoSem,
+    /// [`OptimizedQuery::node_estimates`], once read.
+    estimates: OnceLock<Vec<NodeEstimate>>,
 }
 
 impl OptimizedQuery {
-    /// Fill in `node_estimates`: the plan priced under `sem`.
-    fn priced(mut self, sem: &TangoSem) -> Result<OptimizedQuery> {
-        self.node_estimates = sem.price(&self.plan)?;
-        Ok(self)
+    /// Per-node cardinality/cost predictions for the chosen plan, in
+    /// pre-order (used by `EXPLAIN [ANALYZE]`): the plan priced as it was
+    /// searched (for a plan that ran, before feedback adapted the factors,
+    /// plus what its breakers were observed to produce). Priced on first
+    /// read; empty if a table the plan reads has no statistics.
+    pub fn node_estimates(&self) -> &[NodeEstimate] {
+        self.estimates.get_or_init(|| self.pricing.price(&self.plan).unwrap_or_default())
     }
 
     /// Render the chosen plan like Figure 7/9 of the paper.
@@ -148,14 +153,15 @@ impl OptimizedQuery {
 
     /// Render `EXPLAIN`: the plan with site placement and estimated rows.
     pub fn explain_plan(&self) -> String {
-        explain::render_explain(&self.plan, &self.node_estimates)
+        explain::render_explain(&self.plan, self.node_estimates())
     }
 
     /// Render `EXPLAIN ANALYZE`: the plan annotated with the execution
     /// report's actual rows and exclusive times. `redact_timings`
     /// replaces time values with `?` for reproducible output.
     pub fn explain_analyze(&self, exec: &ExecReport, redact_timings: bool) -> String {
-        explain::render_explain_analyze(&self.plan, &self.node_estimates, exec, redact_timings)
+        let estimates = self.node_estimates();
+        explain::render_explain_analyze(&self.plan, estimates, exec, redact_timings)
     }
 
     /// One line on what the Volcano search did: its counters and the
@@ -281,8 +287,8 @@ pub struct QueryPhases {
     pub search: Duration,
     /// Running the plan, cost-factor feedback included.
     pub execute: Duration,
-    /// Pricing the plan that ran for its node estimates, and
-    /// surfacing the rewrites on its root.
+    /// Surfacing the rewrites on the root of the plan that ran (its node
+    /// estimates are priced when first read).
     pub pricing: Duration,
 }
 
@@ -525,31 +531,27 @@ impl Tango {
     /// Parse, rewrite (when [`TangoOptions::rewrite_packs`] are active)
     /// and optimize a temporal-SQL statement.
     pub fn optimize(&mut self, sql: &str) -> Result<OptimizedQuery> {
-        let mut phases = QueryPhases::default();
-        let (optimized, snapshot) = self.optimize_sql(sql, &mut Laps::start(), &mut phases)?;
-        optimized.priced(&snapshot)
+        self.optimize_sql(sql, &mut Laps::start(), &mut QueryPhases::default())
     }
 
-    /// [`Tango::optimize`] short of the node estimates, handing back the
-    /// snapshot the plan was searched under: [`Tango::query`] re-plans
-    /// against the same one and prices once, the plan that ran. Each
-    /// step's time is a lap of `laps`, recorded in `phases`.
+    /// [`Tango::optimize`], each step's time a lap of `laps`, recorded in
+    /// `phases`.
     fn optimize_sql(
         &mut self,
         sql: &str,
         laps: &mut Laps,
         phases: &mut QueryPhases,
-    ) -> Result<(OptimizedQuery, TangoSem)> {
+    ) -> Result<OptimizedQuery> {
         let logical = self.parse(sql)?;
         phases.parse = laps.lap();
         let (logical, rewrites) = self.apply_rewrites(logical)?;
         phases.rewrite = laps.lap();
         let snapshot = self.snapshot()?;
         phases.snapshot = laps.lap();
-        let mut optimized = self.optimize_under(logical, &snapshot)?;
+        let mut optimized = Tango::optimize_under(logical, snapshot)?;
         optimized.rewrites = rewrites;
         phases.search = laps.lap();
-        Ok((optimized, snapshot))
+        Ok(optimized)
     }
 
     /// Run the rewrite stage over a logical plan (a no-op with an empty
@@ -566,13 +568,12 @@ impl Tango {
 
     /// Optimize an already-built logical plan.
     pub fn optimize_logical(&mut self, logical: Logical) -> Result<OptimizedQuery> {
-        let snapshot = self.snapshot()?;
-        self.optimize_under(logical, &snapshot)?.priced(&snapshot)
+        Tango::optimize_under(logical, self.snapshot()?)
     }
 
-    /// The search alone; `node_estimates` are filled in by
-    /// [`OptimizedQuery::priced`].
-    fn optimize_under(&self, logical: Logical, snapshot: &TangoSem) -> Result<OptimizedQuery> {
+    /// The search under `snapshot`, which the result keeps to price its
+    /// node estimates when they are read.
+    fn optimize_under(logical: Logical, snapshot: TangoSem) -> Result<OptimizedQuery> {
         let t0 = Instant::now();
         let optimized = opt::optimize(&logical, snapshot.clone(), None)?;
         let optimize_time = t0.elapsed();
@@ -585,8 +586,9 @@ impl Tango {
             optimize_time,
             rule_fires: optimized.rule_fires,
             search: optimized.search,
-            node_estimates: Vec::new(),
             rewrites: RewriteOutcome::default(),
+            pricing: snapshot,
+            estimates: OnceLock::new(),
         })
     }
 
@@ -628,9 +630,9 @@ impl Tango {
     /// under a `MATSCAN^M` node.
     pub fn query(&mut self, sql: &str) -> Result<(Relation, QueryReport)> {
         let (mut laps, mut phases) = (Laps::start(), QueryPhases::default());
-        let (mut optimized, snapshot) = self.optimize_sql(sql, &mut laps, &mut phases)?;
+        let mut optimized = self.optimize_sql(sql, &mut laps, &mut phases)?;
         let replan = self.options.opt.replan_ratio.map(|ratio| Replan {
-            sem: snapshot.clone(),
+            sem: optimized.pricing.clone(),
             ratio,
             histogram_buckets: if self.options.use_histograms {
                 tango_minidb::catalog::HISTOGRAM_BUCKETS
@@ -642,17 +644,11 @@ impl Tango {
         phases.execute = laps.lap();
         // the executed plan differs from the optimized one (staged
         // breakers became MATSCAN^M nodes; a re-plan may have spliced):
-        // adopt it so EXPLAIN ANALYZE shows what ran, priced as the plan
-        // was searched (before feedback adapted the factors) plus what
-        // the breakers were observed to produce
-        let sem = match staged {
-            Some((plan, sem)) => {
-                optimized.plan = plan;
-                sem
-            }
-            None => snapshot,
-        };
-        let optimized = optimized.priced(&sem)?;
+        // adopt it, and what it is priced under, so EXPLAIN ANALYZE shows
+        // what ran
+        if let Some((plan, sem)) = staged {
+            (optimized.plan, optimized.pricing) = (plan, sem);
+        }
         // surface pre-optimization rewrites on the plan root, so EXPLAIN
         // ANALYZE and the JSON trace carry them next to the execution
         // counters (packs off ⇒ nothing changes, golden outputs intact)
@@ -890,23 +886,24 @@ mod tests {
     }
 
     /// One statement = one catalog + residency snapshot, shared by the
-    /// search, the estimates and the re-planner; the catalog is copied
-    /// once if breakers are staged (however many), never otherwise — and
-    /// with no estimate far enough off to re-plan, none is ANALYZEd.
+    /// search, the estimates and the re-planner. Staging copies a table's
+    /// statistics only for a breaker that reads them unchanged (here the
+    /// transfer of all of POSITION) — and with no estimate far enough off
+    /// to re-plan, no materialization is ANALYZEd.
     #[test]
     fn a_query_takes_one_snapshot_and_copies_the_catalog_at_most_once() {
-        use crate::engine::{CATALOG_COPIES, MAT_ANALYZES};
-        let counts = || (SNAPSHOTS.with(|n| n.get()), CATALOG_COPIES.with(|n| n.get()));
+        use crate::engine::{MAT_ANALYZES, STATS_COPIES};
+        let counts = || (SNAPSHOTS.with(|n| n.get()), STATS_COPIES.with(|n| n.get()));
         let mut tango = setup();
         tango.refresh_statistics().unwrap();
         let shared = tango.catalog.clone().unwrap().1;
 
         // the only breaker is the root transfer: nothing staged, no copy
         let (s0, c0) = counts();
-        let (_, report) = tango
+        let (_, first) = tango
             .query("SELECT EmpName, PosID FROM POSITION WHERE PosID = 1 ORDER BY EmpName")
             .unwrap();
-        let plan = report.optimized.explain();
+        let plan = first.optimized.explain();
         assert!(!plan.contains("MATSCAN^M"), "{plan}");
         let (s1, c1) = counts();
         assert_eq!((s1 - s0, c1 - c0), (1, 0));
@@ -933,7 +930,101 @@ mod tests {
         // the session's own snapshot was never written to or replaced
         assert!(Arc::ptr_eq(&shared, &tango.catalog.as_ref().unwrap().1));
         assert!(!shared.keys().any(|t| t.starts_with("#MAT")));
+        // a report holds what its plan is priced under
+        drop((first, report));
         assert_eq!(Arc::strong_count(&shared), 2);
+    }
+
+    /// The misestimate-rescue shape at golden scale (`tests/observability.rs`,
+    /// `explain_analyze_golden_cardinality_replan`): a session whose
+    /// naive `Overlaps` estimate of a 20-day window over POSITION is 51×
+    /// off, so the monitor fires at the first breaker and the re-planned
+    /// join runs in the DBMS, spliced above it.
+    fn replanning_session() -> Tango {
+        let db = Database::new(Link::new(LinkProfile::instant()));
+        let conn = Connection::new(db.clone());
+        conn.execute("CREATE TABLE POSITION (PosID INT, EmpID INT, T1 INT, T2 INT)").unwrap();
+        conn.execute("CREATE TABLE POSINFO (PosID INT, Info VARCHAR(200))").unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut step = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut rows = Vec::new();
+        for p in 0..40 {
+            for v in 0..10 {
+                let t1 = v * 500 + (step() % 460) as i64;
+                let t2 = t1 + 1 + (step() % 39) as i64;
+                rows.push(tup![p, (step() % 80) as i64, t1, t2]);
+            }
+        }
+        db.insert_rows("POSITION", rows).unwrap();
+        let info = (0..40).map(|p| tup![p, format!("dossier-{p:06}-{}", "x".repeat(140))]);
+        db.insert_rows("POSINFO", info.collect()).unwrap();
+        conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
+        conn.execute("ANALYZE TABLE POSINFO COMPUTE STATISTICS").unwrap();
+        let mut tango = Tango::connect(db);
+        tango.options_mut().cache_budget = None;
+        tango.options_mut().opt.naive_overlaps = true;
+        tango.set_factors(CostFactors {
+            p_tm: 5.0,
+            p_td: 4.5,
+            p_td_fixed: 200.0,
+            p_jd: 0.06,
+            p_mjm: 0.02,
+            ..Default::default()
+        });
+        tango
+    }
+
+    /// EXPLAIN's estimates are priced when read, as they would have been
+    /// priced as the query returned: for Queries 1–4 at
+    /// `UisConfig::small` (staged) and for a spliced re-plan,
+    /// `node_estimates()` read after later statements warmed the cache and
+    /// feedback moved the factors is, bit for bit, [`TangoSem::price`] of
+    /// the executed plan taken as the query returned. `Tango::query` runs
+    /// no pricing fold, `Tango::explain_analyze` exactly one.
+    #[test]
+    fn estimates_priced_on_read_are_those_of_the_plan_that_ran() {
+        use crate::engine::tests::{uis_db, uis_statements};
+        let bits = |e: &[NodeEstimate]| -> Vec<(u64, u64)> {
+            e.iter().map(|e| (e.est_rows.to_bits(), e.est_cost_us.to_bits())).collect()
+        };
+        let pricings = || crate::opt::PRICINGS.with(|n| n.get());
+        let spliced = "SELECT P.PosID, P.T1, I.Info FROM POSITION P, POSINFO I \
+             WHERE P.PosID = I.PosID AND P.T1 <= 2520 AND P.T2 >= 2500 ORDER BY P.PosID, P.T1";
+        let (mut uis, mut replanning) = (Tango::connect(uis_db()), replanning_session());
+        let statements = uis_statements();
+        let mut ran = Vec::new();
+        for (name, sql) in &statements[..4] {
+            ran.push((*name, uis.query(sql).unwrap().1));
+        }
+        ran.push(("spliced re-plan", replanning.query(spliced).unwrap().1));
+        let steps = &ran[4].1.exec.steps;
+        assert!(steps.iter().any(|s| s.annotation("replan") == Some("spliced")), "{steps:?}");
+        let before = pricings();
+        let eager: Vec<Vec<NodeEstimate>> = ran
+            .iter()
+            .map(|(_, r)| r.optimized.pricing.price(&r.optimized.plan).unwrap())
+            .collect();
+        assert_eq!(pricings() - before, ran.len());
+
+        uis.options_mut().feedback = true;
+        for (_, sql) in &statements {
+            uis.query(sql).unwrap();
+        }
+        for ((name, report), eager) in ran.iter().zip(&eager) {
+            assert_eq!(bits(report.optimized.node_estimates()), bits(eager), "{name}");
+        }
+
+        let before = pricings();
+        uis.query(&statements[1].1).unwrap();
+        assert_eq!(pricings(), before, "Tango::query priced its plan");
+        let (_, report) = uis.explain_analyze(&statements[1].1).unwrap();
+        report.optimized.node_estimates();
+        assert_eq!(pricings() - before, 1, "EXPLAIN ANALYZE prices once");
     }
 
     /// Options that do not change what the Statistics Collector fetches

@@ -29,7 +29,7 @@ fn transfers_are_estimated_within_twice_their_rows() {
         // of the node estimates
         let plan = report.optimized.explain_analyze(&report.exec, true);
         let mut transfers = 0;
-        for (est, line) in report.optimized.node_estimates.iter().zip(plan.lines()) {
+        for (est, line) in report.optimized.node_estimates().iter().zip(plan.lines()) {
             if !line.trim_start().starts_with("TRANSFER^M") {
                 continue;
             }

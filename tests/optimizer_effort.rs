@@ -141,7 +141,7 @@ fn node_estimates_sum_to_the_plan_cost() {
             for warm in [false, true] {
                 let q = tango.optimize(sql).unwrap();
                 let at = format!("{name} (warm {warm}, naive_overlaps {naive}, approx {approx})");
-                let folded: f64 = q.node_estimates.iter().map(|e| e.est_cost_us).sum();
+                let folded: f64 = q.node_estimates().iter().map(|e| e.est_cost_us).sum();
                 let priced = q.est_cost_us;
                 if name == "Query 2" {
                     assert!(
