@@ -108,14 +108,17 @@
 //! # Eviction — GreedyDual-Size
 //!
 //! The store keeps an inflation clock `L`; an entry's priority is
-//! `L + fill_cost/size` where `fill_cost` is what the entry's fill cost
-//! the session, measured: the transfer's own time (submission, server,
-//! fetch trips, decoding, populating) plus its wire time. Eviction removes the minimum-priority entry
-//! and advances `L` to its priority; a hit refreshes the entry's
-//! priority against the current clock. This is the classic
-//! GreedyDual-Size policy: recency, byte footprint and the real cost of
-//! refetching all trade off in one number, and plain LRU falls out when
-//! fetch costs are uniform per byte. Entries larger than the whole budget are never admitted.
+//! `L + fill_cost/size` where `fill_cost` is the model's price of
+//! refetching the entry, fixed at its miss: the fragment's fold plus a
+//! `TRANSFER^M` over its derived output (`TangoSem::fill_cost_us`) —
+//! factors, statistics and bytes, never a clock, so every decision below
+//! repeats across build profiles and host load. Eviction removes the
+//! minimum-priority entry and advances `L` to its priority; a hit
+//! refreshes the entry's priority against the current clock. This is the
+//! classic GreedyDual-Size policy: recency, byte footprint and the cost
+//! of refetching all trade off in one number, and plain LRU falls out
+//! when fetch costs are uniform per byte. Entries larger than the whole
+//! budget are never admitted.
 //!
 //! # Exactly-one populate
 //!
@@ -293,10 +296,9 @@ pub struct StaleEntry {
     pub deps: Vec<(String, u64)>,
     /// Total replay bytes pending across all moved dependencies.
     pub delta_bytes: u64,
-    /// Measured fill cost of the original populate (the refetch price).
+    /// The model's price of refetching the entry, fixed at its fill.
     pub fill_cost_us: f64,
-    /// Hits the entry has served — the demand signal in the
-    /// refresh-benefit estimate.
+    /// Hits the entry has served: a never-hit entry is dropped.
     pub hits: u64,
     /// The SQL the entry was filled from (for span events).
     pub sql: String,
@@ -385,6 +387,7 @@ struct Entry {
     bytes: u64,
     /// `(table, write-version)` dependencies recorded at fill time.
     deps: Vec<(String, u64)>,
+    /// The model's price of refetching the entry.
     fill_cost_us: f64,
     /// GreedyDual-Size priority: clock-at-touch + fill_cost/size.
     priority: f64,
@@ -738,9 +741,8 @@ impl MidCache {
     /// is [`Batch::byte_size`] — the wire-size estimate, Σ
     /// `Tuple::byte_size` of its rows, whatever the layout. `deps` are the
     /// `(table, write-version)` pairs read *before* the fragment's SQL
-    /// was issued; `fill_cost_us` is what producing it cost the session,
-    /// measured — the transfer's own time plus its wire time (the refetch
-    /// cost GreedyDual-Size weighs against size, and a refresh against).
+    /// was issued; `fill_cost_us` is the model's price of refetching it
+    /// (what GreedyDual-Size weighs against size, and a refresh against).
     ///
     /// Concurrency semantics (see module docs): an already-resident
     /// entry with the same signature, order and equal-or-newer deps
@@ -1083,14 +1085,10 @@ pub fn refresh_cost_us(factors: &CostFactors, base_bytes: u64, delta_bytes: u64)
     factors.p_tm * delta_bytes as f64 + factors.p_delta * (base_bytes + delta_bytes) as f64
 }
 
-/// Decide the fate of a stale entry by cost alone.
-///
-/// The demand signal is `benefit = fill_cost_us × hits` — what the
-/// entry's observed hit rate would save if it stayed warm. **Refresh**
-/// wins when it is supported and cheaper than both a refill and the
-/// benefit; otherwise **Refetch** when the refill is covered by the
-/// benefit; otherwise **Drop** (in particular, a never-hit entry has
-/// zero benefit and is always dropped).
+/// Decide the fate of a stale entry from its prices: a never-hit entry
+/// has earned nothing and is **Drop**ped; a supported refresh priced at
+/// or below the entry's refetch price (`fill_cost_us`) is a **Refresh**;
+/// anything else is a **Refetch**.
 pub fn maintenance_choice(
     factors: &CostFactors,
     base_bytes: u64,
@@ -1099,14 +1097,13 @@ pub fn maintenance_choice(
     hits: u64,
     refresh_supported: bool,
 ) -> Maintenance {
-    let benefit = fill_cost_us * hits as f64;
-    let refresh = refresh_cost_us(factors, base_bytes, delta_bytes);
-    if refresh_supported && refresh <= fill_cost_us && refresh <= benefit {
-        Maintenance::Refresh
-    } else if fill_cost_us <= benefit {
-        Maintenance::Refetch
-    } else {
+    if hits == 0 {
         Maintenance::Drop
+    } else if refresh_supported && refresh_cost_us(factors, base_bytes, delta_bytes) <= fill_cost_us
+    {
+        Maintenance::Refresh
+    } else {
+        Maintenance::Refetch
     }
 }
 

@@ -12,7 +12,6 @@
 //! volume feed the adaptive cost-factor loop (`crate::feedback`).
 
 use crate::cache::{self, MidCache};
-use crate::cost::CostFactors;
 use crate::error::{Result, TangoError};
 use crate::opt::{self, TangoSem};
 use crate::phys::{Algo, PhysNode, Site};
@@ -175,10 +174,11 @@ pub struct Executor<'a> {
     /// Rows per batch pulled between operators, threaded into every
     /// operator the plan builds.
     pub batch_rows: usize,
-    /// Cost factors: what the per-`TRANSFER^M` cache-maintenance decision
-    /// (refresh-by-delta vs refetch vs drop, see
-    /// [`cache::maintenance_choice`]) prices with.
-    pub factors: CostFactors,
+    /// The pricing context the plan was optimized under, the currency of
+    /// every cache decision: a miss prices the entry's fill, a stale entry
+    /// weighs its refresh against that price. Re-planning estimates and
+    /// re-optimizes under it, registering each staged materialization.
+    pub pricing: TangoSem,
     /// `None` runs the plan as given. `Some` stages it at pipeline
     /// breakers and re-optimizes the remainder on a misestimate (see
     /// [`Replan`]).
@@ -199,20 +199,14 @@ pub struct Executor<'a> {
 /// operators between middleware and DBMS — pinned to the delivery order
 /// the original plan promised, so results stay byte-identical. If the
 /// new remainder prices cheaper than the running one (both through
-/// [`TangoSem::price`]) it is spliced over the already materialized
-/// outputs; otherwise the re-plan is declined and leaves only a
-/// `replan-declined` event. A breaker that already degraded due to a
-/// wire fault mid-drain is never re-planned a second time over the same
-/// observation.
+/// [`TangoSem::price`], under [`Executor::pricing`]) it is spliced over
+/// the already materialized outputs; otherwise the re-plan is declined
+/// and leaves only a `replan-declined` event. A breaker that already
+/// degraded due to a wire fault mid-drain is never re-planned a second
+/// time over the same observation. A staged breaker's observed size is
+/// registered in the pricing context's catalog; its attribute statistics
+/// are taken if and when the monitor triggers while it is held.
 pub struct Replan {
-    /// The pricing context the original optimization ran under: the same
-    /// factors, rule groups and (possibly deliberately naive) estimation
-    /// mode, the same residency snapshot, and the same catalog — shared
-    /// with it; its map of shared entries is copied when the first breaker
-    /// is staged (its observed size is registered in the copy; its
-    /// attribute statistics are taken if and when the monitor triggers
-    /// while it is held).
-    pub sem: TangoSem,
     /// Trigger threshold: re-plan when actual and estimated rows at a
     /// pipeline breaker diverge by at least this factor, in either
     /// direction.
@@ -232,10 +226,10 @@ pub struct Run {
     /// breaker appears as a `MATSCAN^M` node whose child is the subtree
     /// that produced the materialization, and a triggered re-plan
     /// replaces everything above the materializations; the report's
-    /// steps are in its post-order — and the pricing context extended
-    /// with the observed size of every materialization, plus the full
-    /// statistics of those a re-plan was planned over (what re-estimating
-    /// that plan needs). `None` when the plan ran as given.
+    /// steps are in its post-order — and the executor's pricing context,
+    /// extended with the observed size of every materialization, plus the
+    /// full statistics of those a re-plan was planned over (what
+    /// re-estimating that plan needs). `None` when the plan ran as given.
     pub staged: Option<(PhysNode, TangoSem)>,
 }
 
@@ -269,7 +263,7 @@ impl<'a> Executor<'a> {
             conn,
             cache: None,
             batch_rows: DEFAULT_BATCH_ROWS,
-            factors: CostFactors::default(),
+            pricing: TangoSem::default(),
             replan: None,
         }
     }
@@ -287,7 +281,7 @@ impl<'a> Executor<'a> {
         // meter this session's wire alone — the link clock is shared with
         // every other session on the database and would cross-charge
         let wire_before = conn.wire_time();
-        let mut ctx = Ctx::new(conn, self.cache, self.batch_rows, self.factors);
+        let mut ctx = Ctx::new(conn, self.cache, self.batch_rows, self.pricing);
         let mut staging = self.replan.map(|cfg| (plan.clone(), cfg));
         let started = Instant::now();
         let result = (|| -> Result<Relation> {
@@ -319,7 +313,7 @@ impl<'a> Executor<'a> {
         let nodes = ctx.paths.iter().map(|p| preorder(executed, p)).collect();
         let steps = resolve_steps(ctx.collector, ctx.algos, nodes);
         let report = ExecReport { rows: rel.len(), wall, wire, steps };
-        Ok(Run { rel, report, staged: staging.map(|(work, cfg)| (work, cfg.sem)) })
+        Ok(Run { rel, report, staged: staging.map(|(work, _)| (work, ctx.pricing)) })
     }
 }
 
@@ -497,9 +491,8 @@ struct Ctx<'a> {
     spliced: bool,
     /// Rows per batch, threaded into every operator constructor.
     batch_rows: usize,
-    /// Cost factors for the cache-maintenance decision (refresh vs
-    /// refetch vs drop) at each `TRANSFER^M`.
-    factors: CostFactors,
+    /// [`Executor::pricing`].
+    pricing: TangoSem,
 }
 
 /// One mid-query materialization held by the engine.
@@ -537,11 +530,12 @@ enum CacheDecision {
     /// attempt degraded here. `invalidated` lists uncoverable
     /// same-signature entries dropped during lookup; `deps` the
     /// `(table, version)` pairs read *before* the fragment's SQL runs,
-    /// so a concurrent write always invalidates.
+    /// so a concurrent write always invalidates; `fill_cost_us` its price.
     Miss {
         cache: Arc<MidCache>,
         key: cache::FragmentKey,
         deps: Vec<(String, u64)>,
+        fill_cost_us: f64,
         invalidated: Vec<String>,
         label: &'static str,
         bail: Option<refresh::RefreshBail>,
@@ -553,7 +547,7 @@ impl<'a> Ctx<'a> {
         conn: &'a Connection,
         cache: Option<&Arc<MidCache>>,
         batch_rows: usize,
-        factors: CostFactors,
+        pricing: TangoSem,
     ) -> Ctx<'a> {
         Ctx {
             conn,
@@ -567,7 +561,7 @@ impl<'a> Ctx<'a> {
             mats: HashMap::new(),
             spliced: false,
             batch_rows,
-            factors,
+            pricing,
         }
     }
 
@@ -607,7 +601,7 @@ impl<'a> Ctx<'a> {
     /// breakers one at a time, leaving each as a `MATSCAN^M` over its
     /// materialized output, and re-optimize what remains above them
     /// whenever a breaker's actual cardinality diverges from its estimate.
-    fn stage_breakers(&mut self, cfg: &mut Replan, work: &mut PhysNode) -> Result<()> {
+    fn stage_breakers(&mut self, cfg: &Replan, work: &mut PhysNode) -> Result<()> {
         // what a plan costs as the optimizer prices it, given everything
         // observed so far — both sides of every re-plan decision
         let priced = |sem: &TangoSem, plan: &PhysNode| -> Option<f64> {
@@ -615,7 +609,7 @@ impl<'a> Ctx<'a> {
         };
         // the delivery order the chosen plan promised — every re-optimized
         // remainder is pinned to it so the splice cannot change the result
-        let pinned = delivered_order(work, &cfg.sem.materialized).project_onto(&work.schema);
+        let pinned = delivered_order(work, &self.pricing.materialized).project_onto(&work.schema);
         let mut analyzed = HashSet::new();
         for mat_seq in 0..MAX_STAGES {
             let Some(path) = find_breaker(work, true) else { break };
@@ -623,7 +617,7 @@ impl<'a> Ctx<'a> {
             // what the optimizer believes this breaker will produce: the
             // fold of what still runs (a subtree an earlier MATSCAN^M
             // consumed is not derived again)
-            let believed = cfg.sem.stats(&remainder_only(&breaker)).ok();
+            let believed = self.pricing.stats(&remainder_only(&breaker)).ok();
             let est_rows = believed.as_ref().map(|s| s.rows);
             let (schema, batches, breaker_idx) = self.materialize(&breaker, &path)?;
             let slot = self.collector.slot(breaker_idx).clone();
@@ -636,7 +630,7 @@ impl<'a> Ctx<'a> {
             // holds, and the span that will serve it (created now so span
             // order stays the post-order of the final plan)
             let name = format!("#MAT{mat_seq}");
-            let order = delivered_order(&breaker, &cfg.sem.materialized);
+            let order = delivered_order(&breaker, &self.pricing.materialized);
             let mut stats = RelationStats::of_size(actual, slot.bytes(), &schema);
             // the believed attributes move over: the fold derived them
             // for this breaker alone, unless it passes a table's shared
@@ -647,8 +641,8 @@ impl<'a> Ctx<'a> {
             }
             stats.attrs = believed.map(|b| Arc::unwrap_or_clone(b).attrs).unwrap_or_default();
             let entry = (schema.clone(), Arc::new(stats));
-            Arc::make_mut(&mut cfg.sem.catalog).insert(name.clone(), entry);
-            cfg.sem.materialized.insert(name.clone(), order);
+            Arc::make_mut(&mut self.pricing.catalog).insert(name.clone(), entry);
+            self.pricing.materialized.insert(name.clone(), order);
             // the breaker moves under its MATSCAN^M, and every node run
             // so far below it with it
             for p in self.paths.iter_mut().filter(|p| p.starts_with(&path)) {
@@ -681,7 +675,7 @@ impl<'a> Ctx<'a> {
             }
             // a re-plan is wanted: only now ANALYZE what it will be
             // planned over — every materialization still held
-            let catalog = Arc::make_mut(&mut cfg.sem.catalog);
+            let catalog = Arc::make_mut(&mut self.pricing.catalog);
             for (name, mat) in &self.mats {
                 if analyzed.insert(name.clone()) {
                     #[cfg(test)]
@@ -691,7 +685,8 @@ impl<'a> Ctx<'a> {
                 }
             }
             // no feasible alternative: keep the running plan
-            let Ok(new) = opt::optimize(&work.logical(), cfg.sem.clone(), Some(pinned.clone()))
+            let Ok(new) =
+                opt::optimize(&work.logical(), self.pricing.clone(), Some(pinned.clone()))
             else {
                 continue;
             };
@@ -704,8 +699,8 @@ impl<'a> Ctx<'a> {
             // re-optimized one, both through the one fold. An alternative
             // that prices no cheaper (the running plan itself, usually)
             // is declined — nothing is spliced, later spans stay clean
-            let old_cost = priced(&cfg.sem, &remainder_only(work));
-            let new_cost = priced(&cfg.sem, &new.plan);
+            let old_cost = priced(&self.pricing, &remainder_only(work));
+            let new_cost = priced(&self.pricing, &new.plan);
             let gain = old_cost.zip(new_cost).map_or(0.0, |(old, new)| old - new);
             if gain <= 0.0 {
                 slot.add_event(
@@ -801,21 +796,28 @@ impl<'a> Ctx<'a> {
         let (idx, slot) = self.new_slot(Algo::TransferM, prereq_ids);
         // a refresh is a delta round trip and a merge: this span's time
         let sw = Stopwatch::start(self.conn.wire_time());
-        let decision = self.consult_cache(&clean, &sql);
+        let (decision, prices) = self.consult_cache(&clean, &sql);
         slot.add_time(sw.elapsed(self.conn.wire_time()));
+        // a stale entry's decision shows both of its prices
+        let annotate = |verdict: &str| {
+            slot.add_annotation("cache", verdict);
+            if let Some(prices) = &prices {
+                slot.add_annotation("maintenance", prices.as_str());
+            }
+        };
         let schema = node.schema.clone();
         let mut populate = None;
         match decision {
             CacheDecision::Hit(rel) => {
                 // serve the resident copy: no SQL, no wire
-                slot.add_annotation("cache", "hit");
+                annotate("hit");
                 let scan = Box::new(CachedScan::new(rel.batch.with_schema(schema)));
                 return Ok((self.instrument(scan, slot), idx));
             }
             CacheDecision::Refresh { spliced, delta_bytes, mirrored } => {
                 // serve the spliced copy: no fragment SQL
                 let DeltaApply { batch, delta_rows, runs } = spliced;
-                slot.add_annotation("cache", "refresh");
+                annotate("refresh");
                 let what = match runs {
                     0 => "no change".to_string(),
                     _ => format!("spliced {delta_rows} delta rows into {runs} runs"),
@@ -827,32 +829,26 @@ impl<'a> Ctx<'a> {
                 return Ok((self.instrument_with(scan, slot, did), idx));
             }
             CacheDecision::Off => {}
-            CacheDecision::Bypass => slot.add_annotation("cache", "bypass"),
+            CacheDecision::Bypass => annotate("bypass"),
             CacheDecision::Drop => {
                 // the maintenance decision evicted the stale entry and
                 // declined to refill it
-                slot.add_annotation("cache", "drop");
+                annotate("drop");
                 slot.add_event(
                     "invalidate",
                     "stale entry dropped: refill would outcost its future hits".to_string(),
                 );
             }
-            CacheDecision::Miss { cache, key, deps, invalidated, label, bail } => {
-                slot.add_annotation("cache", label);
+            CacheDecision::Miss { cache, key, deps, fill_cost_us, invalidated, label, bail } => {
+                annotate(label);
                 if let Some(reason) = &bail {
                     slot.add_event("refresh", format!("refresh bailed: {reason}"));
                 }
                 for stale in &invalidated {
                     slot.add_event("invalidate", format!("stale entry dropped: {stale}"));
                 }
-                populate = Some(CachePopulate {
-                    cache,
-                    key,
-                    deps,
-                    batches: Vec::new(),
-                    wire_start: Duration::ZERO,
-                    own: Duration::ZERO,
-                });
+                populate =
+                    Some(CachePopulate { cache, key, deps, fill_cost_us, batches: Vec::new() });
             }
         }
         let cursor = Box::new(TransferMCursor {
@@ -896,16 +892,16 @@ impl<'a> Ctx<'a> {
     /// Decide hit/refresh/refetch/drop/miss/bypass for one `TRANSFER^M`
     /// fragment. Dependency versions are read here — *before* the
     /// fragment's SQL is issued — so a write racing the query always
-    /// invalidates the entry we would populate. A stale-but-delta-covered
-    /// entry is settled by [`cache::maintenance_choice`] under the
-    /// session's cost factors: the cheapest of refreshing it in place,
-    /// refetching it, or dropping it without refill.
-    fn consult_cache(&self, clean: &PhysNode, sql: &str) -> CacheDecision {
-        let Some(cache) = &self.cache else { return CacheDecision::Off };
+    /// invalidates the entry we would populate. A miss prices the fill
+    /// (a fragment the model cannot price is a bypass); a stale entry is
+    /// settled by [`cache::maintenance_choice`] and returned with both of
+    /// its prices, rendered.
+    fn consult_cache(&self, clean: &PhysNode, sql: &str) -> (CacheDecision, Option<String>) {
+        let Some(cache) = &self.cache else { return (CacheDecision::Off, None) };
         let is_temp = |t: &str| t.to_uppercase().starts_with("TANGO_TMP_");
         let Some(key) = cache::fragment_key(clean, sql, &is_temp) else {
             cache.note_bypass();
-            return CacheDecision::Bypass;
+            return (CacheDecision::Bypass, None);
         };
         let version_of = |t: &str| self.conn.table_version(t);
         let delta_bytes_of = |t: &str, since: u64| self.conn.delta_bytes_since(t, since);
@@ -920,66 +916,66 @@ impl<'a> Ctx<'a> {
                     invalidated: Vec<String>,
                     label: &'static str,
                     bail: Option<refresh::RefreshBail>| {
-            match read_deps(&key) {
+            match read_deps(&key).zip(self.pricing.fill_cost_us(clean).ok()) {
                 None => {
                     cache.note_bypass();
                     CacheDecision::Bypass
                 }
-                Some(deps) => CacheDecision::Miss {
+                Some((deps, fill_cost_us)) => CacheDecision::Miss {
                     cache: cache.clone(),
                     key,
                     deps,
+                    fill_cost_us,
                     invalidated,
                     label,
                     bail,
                 },
             }
         };
-        match cache.lookup(&key, &version_of, &delta_bytes_of) {
-            cache::Lookup::Hit(rel) => CacheDecision::Hit(rel),
-            cache::Lookup::Stale { entry, invalidated } => {
-                // address the entry by its *stored* order for the commit
-                let mut addr = key.clone();
-                addr.order = entry.order.clone();
-                let supported = refresh::supported(clean, &entry.order);
-                let choice = cache::maintenance_choice(
-                    &self.factors,
-                    entry.batch.byte_size() as u64,
-                    entry.delta_bytes,
-                    entry.fill_cost_us,
-                    entry.hits,
-                    supported,
-                );
-                match choice {
-                    cache::Maintenance::Refresh => {
-                        match refresh::try_refresh(self.conn, cache, clean, &entry, self.batch_rows)
-                        {
-                            Ok(refresh::Refreshed { spliced, new_deps, delta_bytes, mirrored }) => {
-                                // a losing race (entry evicted or already
-                                // refreshed by a peer) only means our batch
-                                // doesn't enter the cache; it is still
-                                // the correct current result to serve
-                                cache.refresh(&addr, spliced.batch.clone(), new_deps, delta_bytes);
-                                CacheDecision::Refresh { spliced, delta_bytes, mirrored }
-                            }
-                            Err(reason) => {
-                                cache.note_refresh_bail(&reason);
-                                miss(cache, key, invalidated, "miss", Some(reason))
-                            }
-                        }
+        let (entry, invalidated) = match cache.lookup(&key, &version_of, &delta_bytes_of) {
+            cache::Lookup::Hit(rel) => return (CacheDecision::Hit(rel), None),
+            cache::Lookup::Miss { invalidated } => {
+                return (miss(cache, key, invalidated, "miss", None), None)
+            }
+            cache::Lookup::Stale { entry, invalidated } => (entry, invalidated),
+        };
+        // address the entry by its *stored* order for the commit
+        let mut addr = key.clone();
+        addr.order = entry.order.clone();
+        let supported = refresh::supported(clean, &entry.order);
+        let (factors, fill, delta) = (&self.pricing.factors, entry.fill_cost_us, entry.delta_bytes);
+        let bytes = entry.batch.byte_size() as u64;
+        let refresh_us = cache::refresh_cost_us(factors, bytes, delta);
+        let op = if refresh_us <= fill { "≤" } else { ">" };
+        let prices = format!("refresh {refresh_us:.1} µs {op} refetch {fill:.1} µs");
+        let choice = cache::maintenance_choice(factors, bytes, delta, fill, entry.hits, supported);
+        let decision = match choice {
+            cache::Maintenance::Refresh => {
+                match refresh::try_refresh(self.conn, cache, clean, &entry, self.batch_rows) {
+                    Ok(refresh::Refreshed { spliced, new_deps, delta_bytes, mirrored }) => {
+                        // a losing race (entry evicted or already
+                        // refreshed by a peer) only means our batch
+                        // doesn't enter the cache; it is still
+                        // the correct current result to serve
+                        cache.refresh(&addr, spliced.batch.clone(), new_deps, delta_bytes);
+                        CacheDecision::Refresh { spliced, delta_bytes, mirrored }
                     }
-                    cache::Maintenance::Refetch => {
-                        cache.remove(&addr);
-                        miss(cache, key, invalidated, "refetch", None)
-                    }
-                    cache::Maintenance::Drop => {
-                        cache.remove(&addr);
-                        CacheDecision::Drop
+                    Err(reason) => {
+                        cache.note_refresh_bail(&reason);
+                        miss(cache, key, invalidated, "miss", Some(reason))
                     }
                 }
             }
-            cache::Lookup::Miss { invalidated } => miss(cache, key, invalidated, "miss", None),
-        }
+            cache::Maintenance::Refetch => {
+                cache.remove(&addr);
+                miss(cache, key, invalidated, "refetch", None)
+            }
+            cache::Maintenance::Drop => {
+                cache.remove(&addr);
+                CacheDecision::Drop
+            }
+        };
+        (decision, Some(prices))
     }
 
     /// Replace `T^D` nodes inside a DBMS fragment with temp-table scans;
@@ -1441,15 +1437,10 @@ struct CachePopulate {
     key: cache::FragmentKey,
     /// `(table, write-version)` pairs read before the SQL was issued.
     deps: Vec<(String, u64)>,
+    /// The entry's price, fixed at the miss.
+    fill_cost_us: f64,
     /// Every batch fetched off the wire so far, in stream order.
     batches: Vec<Batch>,
-    /// Connection wire clock when the transfer opened — the wire part of
-    /// the entry's fill cost.
-    wire_start: Duration,
-    /// Wall time the transfer spent filling so far — submission, server,
-    /// fetch trips, decoding and keeping the batches: with the wire, what
-    /// a refetch of the entry costs the session.
-    own: Duration,
 }
 
 impl TransferMCursor {
@@ -1480,16 +1471,12 @@ impl TransferMCursor {
     }
 
     /// The stream drained cleanly (no fault, no fallback, no error up to
-    /// end-of-stream): admit the kept batches into the cache as one, with
-    /// what the fill cost — the transfer's own time since it opened, the
-    /// pull under way since `pulled` included, plus its wire time — as
-    /// the entry's refetch cost.
-    fn finish_populate(&mut self, pulled: Instant) {
+    /// end-of-stream): admit the kept batches into the cache as one, at
+    /// the price the miss fixed.
+    fn finish_populate(&mut self) {
         let Some(p) = self.populate.take() else { return };
         let batch = Batch::concat(self.schema.clone(), p.batches);
-        let wire = self.conn.wire_time().saturating_sub(p.wire_start);
-        let fill_us = (p.own + pulled.elapsed() + wire).as_secs_f64() * 1e6;
-        let admission = p.cache.insert(&p.key, batch, p.deps, fill_us);
+        let admission = p.cache.insert(&p.key, batch, p.deps, p.fill_cost_us);
         let bytes = admission.bytes;
         if admission.admitted {
             self.populated_bytes = Some(bytes);
@@ -1524,17 +1511,10 @@ impl Cursor for TransferMCursor {
         for p in &mut self.prereqs {
             p.open()?;
         }
-        let started = Instant::now();
-        if let Some(p) = &mut self.populate {
-            p.wire_start = self.conn.wire_time();
-        }
         match self.wire.around(|conn| query_batched(conn, &self.sql, self.batch_rows)) {
             Ok(cur) => {
                 check_arity("translated SQL", &cur, &self.schema)?;
                 self.server_sink.add_server_time(cur.server_time());
-                if let Some(p) = &mut self.populate {
-                    p.own += started.elapsed();
-                }
                 self.round_trips += 1;
                 self.cur = Some(BatchReader::new(cur));
                 Ok(())
@@ -1555,7 +1535,6 @@ impl Cursor for TransferMCursor {
         let Some(cur) = self.cur.as_mut() else {
             return Err(tango_xxl::ExecError::State("TRANSFER^M not opened".into()));
         };
-        let pulled = Instant::now();
         match self.wire.around(|_| cur.next(max)) {
             Ok(Some(batch)) => {
                 let drained = cur.drained();
@@ -1565,14 +1544,12 @@ impl Cursor for TransferMCursor {
                     p.batches.push(batch.clone());
                 }
                 if drained {
-                    self.finish_populate(pulled);
-                } else if let Some(p) = &mut self.populate {
-                    p.own += pulled.elapsed();
+                    self.finish_populate();
                 }
                 Ok(Some(batch))
             }
             Ok(None) => {
-                self.finish_populate(pulled);
+                self.finish_populate();
                 Ok(None)
             }
             // nothing delivered yet: safe to re-plan, at batch granularity
@@ -1669,6 +1646,7 @@ impl ExecReport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cost::CostFactors;
     use crate::phys::PhysNode;
     use std::sync::Arc;
     use tango_algebra::{tup, AggFunc, AggSpec, Attr, Expr, Schema, SortSpec, Type, Value};
@@ -1754,11 +1732,14 @@ pub(crate) mod tests {
         assert_eq!(batches, Some(30u64.div_ceil(7)), "T^D ignored batch_rows: {:?}", arg.counters);
     }
 
-    fn replan(conn: &Connection, ratio: f64) -> Replan {
+    /// An executor over `conn`'s statistics under default factors, staging
+    /// breakers and re-planning at `ratio`.
+    fn staged(conn: &Connection, ratio: f64) -> Executor<'_> {
         let catalog = Arc::new(crate::collector::collect(conn, true).unwrap());
         let (factors, options) = (CostFactors::default(), crate::opt::OptOptions::default());
-        let sem = TangoSem::new(catalog, factors, options, Arc::default(), HashMap::new());
-        Replan { sem, ratio, histogram_buckets: 4 }
+        let pricing = TangoSem::new(catalog, factors, options, Arc::default(), HashMap::new());
+        let replan = Some(Replan { ratio, histogram_buckets: 4 });
+        Executor { pricing, replan, ..Executor::new(conn) }
     }
 
     /// A staged breaker is registered with its observed size over the
@@ -1771,20 +1752,19 @@ pub(crate) mod tests {
         conn.execute("ANALYZE TABLE POSITION COMPUTE STATISTICS").unwrap();
         let all = Expr::eq(Expr::col("PosID"), Expr::col("PosID"));
         let plan = chain(scan(&conn, "POSITION"), [Algo::TransferM, Algo::FilterM(all)]);
-        let staged = |ratio: f64| {
+        let run_at = |ratio: f64| {
             let before = MAT_ANALYZES.with(|n| n.get());
-            let replan = Some(replan(&conn, ratio));
-            let run = Executor { replan, ..Executor::new(&conn) }.run(&plan).unwrap();
+            let run = staged(&conn, ratio).run(&plan).unwrap();
             let catalog = run.staged.unwrap().1.catalog;
             let stats = |t: &str| RelationStats::clone(&catalog[t].1);
             (MAT_ANALYZES.with(|n| n.get()) - before, stats("#MAT0"), stats("POSITION"), run.rel)
         };
         // a threshold nothing reaches, then one everything reaches
-        let (analyzes, mat, base, rel) = staged(f64::INFINITY);
+        let (analyzes, mat, base, rel) = run_at(f64::INFINITY);
         let observed = RelationStats::from_relation(&rel, 4);
         assert_eq!(analyzes, 0);
         assert_eq!(mat, RelationStats { attrs: base.attrs, ..observed.clone() });
-        let (analyzes, mat, ..) = staged(1.0);
+        let (analyzes, mat, ..) = run_at(1.0);
         assert_eq!((analyzes, mat), (1, observed));
     }
 
@@ -1845,9 +1825,9 @@ pub(crate) mod tests {
         let eq = vec![("PosID".to_string(), "PosID".to_string())];
         let sides = [figure5_join(&conn), ghost].map(|side| chain(side, [Algo::TransferM]));
         let plan = PhysNode::over(Algo::TMergeJoinM(eq), sides.to_vec()).unwrap();
-        for replan in [None, Some(replan(&conn, 8.0))] {
-            let staged = replan.is_some();
-            let err = Executor { replan, ..Executor::new(&conn) }.run(&plan).err();
+        for executor in [Executor::new(&conn), staged(&conn, 8.0)] {
+            let staged = executor.replan.is_some();
+            let err = executor.run(&plan).err();
             assert!(err.is_some(), "staged={staged}: the ghost scan must fail the query");
             assert!(
                 !conn.database().table_names().iter().any(|t| t.starts_with("TANGO_TMP")),
@@ -1908,8 +1888,7 @@ pub(crate) mod tests {
             PhysNode::over(Algo::TMergeJoinM(eq), vec![sorted(&conn), sorted(&conn)]).unwrap();
         let all = Expr::eq(Expr::col("PosID"), Expr::col("PosID"));
         let plan = chain(join, [Algo::FilterM(all)]);
-        let replan = Some(replan(&conn, f64::INFINITY));
-        let run = Executor { replan, ..Executor::new(&conn) }.run(&plan).unwrap();
+        let run = staged(&conn, f64::INFINITY).run(&plan).unwrap();
         let (executed, _) = run.staged.unwrap();
         assert!(executed.any(&|a| matches!(a, Algo::MatScanM(_))), "{}", executed.render());
         assert_steps_on_their_nodes(&executed, &run.report);

@@ -95,13 +95,13 @@ impl Default for OptOptions {
 /// the cost the search found for it — up to the memo pricing a class by
 /// its first expression where the fold prices what runs (see "One
 /// estimator" in `docs/ARCHITECTURE.md`).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TangoSem {
     /// Base-relation statistics snapshot, shared with whoever took it;
     /// mid-query materializations are registered next to the base tables.
     pub(crate) catalog: Arc<Catalog>,
     /// Cost factors used by the implementations' formulas.
-    factors: CostFactors,
+    pub(crate) factors: CostFactors,
     /// Optimizer knobs: rule groups, sort-memory budget, estimation mode.
     options: OptOptions,
     /// Snapshot of the middleware relation cache taken when optimization
@@ -225,6 +225,15 @@ impl TangoSem {
         Ok(self.price_node(plan, &mut Vec::new())?.stats)
     }
 
+    /// A cache entry's fill price: [`TangoSem::price`] of
+    /// `TRANSFER^M(fragment)` under an empty residency.
+    pub(crate) fn fill_cost_us(&self, fragment: &PhysNode) -> Result<f64> {
+        let mut out = vec![NodeEstimate::default()];
+        let props = self.price_node(fragment, &mut out)?;
+        out[0].est_cost_us = self.factors.cost(&Algo::TransferM, &[&*props.stats], &props.stats);
+        Ok(out.iter().map(|e| e.est_cost_us).sum())
+    }
+
     fn price_node(&self, n: &PhysNode, out: &mut Vec<NodeEstimate>) -> Result<GroupProps> {
         let at = out.len();
         out.push(NodeEstimate::default());
@@ -235,10 +244,8 @@ impl TangoSem {
                 let inputs: Vec<&GroupProps> = match &op {
                     // a MATSCAN^M's child is the consumed subtree, kept (and
                     // priced) for rendering only: the scan reads the
-                    // *observed* statistics registered under its name
-                    TOp::Get { table } if self.table(table).is_none() => {
-                        return Err(TangoError::Optimizer(format!("no statistics for {table}")))
-                    }
+                    // *observed* statistics registered under its name (a
+                    // table without statistics reads the derivation's prior)
                     TOp::Get { .. } => vec![],
                     _ => kids.iter().collect(),
                 };
@@ -610,6 +617,37 @@ mod tests {
         let shipped = PhysNode::over(Algo::TransferM, vec![sorted.clone()]).unwrap();
         for plan in [sorted, shipped] {
             assert!(Arc::ptr_eq(&sem(&catalog).stats(&plan).unwrap(), stats), "{}", plan.render());
+        }
+    }
+
+    /// A cache entry's fill is priced as its transfer: under an empty
+    /// residency, [`TangoSem::fill_cost_us`] of every fragment the figure
+    /// queries ship is the fold of `TRANSFER^M` over it, to the bit. A
+    /// table the catalog holds no statistics for reads the derivation's
+    /// prior, so a fragment over one is priced too.
+    #[test]
+    fn a_fill_is_priced_as_the_transfer_that_refetches_it() {
+        fn transfers<'p>(n: &'p PhysNode, out: &mut Vec<&'p PhysNode>) {
+            if n.algo == Algo::TransferM {
+                out.push(n);
+            }
+            n.children.iter().for_each(|c| transfers(c, out));
+        }
+        let (conn, catalog) = uis();
+        let mut shipped = Vec::new();
+        for sql in figure_queries() {
+            let logical = tsql::parse_tsql(&sql, &|t: &str| conn.table_schema(t)).unwrap();
+            shipped.push(optimize(&logical, sem(&catalog), None).unwrap().plan);
+        }
+        let unanalyzed = PhysNode::scan("UNANALYZED", Schema::clone(&catalog["POSITION"].0));
+        shipped.push(PhysNode::over(Algo::TransferM, vec![unanalyzed]).unwrap());
+        let mut fragments = Vec::new();
+        shipped.iter().for_each(|plan| transfers(plan, &mut fragments));
+        assert!(fragments.len() > shipped.len(), "{} transfers", fragments.len());
+        for t in fragments {
+            let sum: f64 = sem(&catalog).price(t).unwrap().iter().map(|e| e.est_cost_us).sum();
+            let fill = sem(&catalog).fill_cost_us(&t.children[0]).unwrap();
+            assert_eq!(fill.to_bits(), sum.to_bits(), "{fill} vs {sum}\n{}", t.render());
         }
     }
 

@@ -632,7 +632,6 @@ impl Tango {
         let (mut laps, mut phases) = (Laps::start(), QueryPhases::default());
         let mut optimized = self.optimize_sql(sql, &mut laps, &mut phases)?;
         let replan = self.options.opt.replan_ratio.map(|ratio| Replan {
-            sem: optimized.pricing.clone(),
             ratio,
             histogram_buckets: if self.options.use_histograms {
                 tango_minidb::catalog::HISTOGRAM_BUCKETS
@@ -640,7 +639,8 @@ impl Tango {
                 0
             },
         });
-        let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, replan)?;
+        let pricing = optimized.pricing.clone();
+        let Run { rel, report: mut exec, staged } = self.run(&optimized.plan, pricing, replan)?;
         phases.execute = laps.lap();
         // the executed plan differs from the optimized one (staged
         // breakers became MATSCAN^M nodes; a re-plan may have spliced):
@@ -671,9 +671,13 @@ impl Tango {
     }
 
     /// Execute a hand-built physical plan (the performance study runs
-    /// the paper's fixed Plans 1..n this way).
+    /// the paper's fixed Plans 1..n this way). Its cache decisions are
+    /// priced under the statistics the session has collected, if any.
     pub fn execute_physical(&mut self, plan: &PhysNode) -> Result<(Relation, ExecReport)> {
-        let run = self.run(plan, None)?;
+        let catalog = self.catalog.as_ref().map(|(_, c)| c.clone()).unwrap_or_default();
+        let (factors, opt) = (self.factors, self.options.opt);
+        let pricing = TangoSem::new(catalog, factors, opt, Arc::default(), Default::default());
+        let run = self.run(plan, pricing, None)?;
         Ok((run.rel, run.report))
     }
 
@@ -683,15 +687,15 @@ impl Tango {
     }
 
     /// The one way this session executes a plan: traced, against the
-    /// active cache, under the session's knobs and factors — re-planning
+    /// active cache, under the session's knobs and `pricing` — re-planning
     /// mid-query when `replan` says so — followed by cost-factor feedback
     /// if enabled.
-    fn run(&mut self, plan: &PhysNode, replan: Option<Replan>) -> Result<Run> {
+    fn run(&mut self, plan: &PhysNode, pricing: TangoSem, replan: Option<Replan>) -> Result<Run> {
         let run = Executor {
             conn: &self.conn,
             cache: self.active_cache(),
             batch_rows: self.batch_rows(),
-            factors: self.factors,
+            pricing,
             replan,
         }
         .run(plan)?;

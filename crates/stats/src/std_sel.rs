@@ -177,6 +177,34 @@ pub fn select_cardinality(
         }
     }
 
+    // a lower and an upper bound on one attribute bound one interval, not
+    // two independent halves: P(lo ≤ x < hi) = P(x ≥ lo) + P(x < hi) − 1
+    let bounds: Vec<Option<(ColCmp, bool)>> = conjuncts
+        .iter()
+        .map(|c| {
+            let c = as_col_cmp(c)?;
+            let upper = match c.op {
+                CmpOp::Lt | CmpOp::Le => true,
+                CmpOp::Gt | CmpOp::Ge => false,
+                CmpOp::Eq | CmpOp::Ne => return None,
+            };
+            Some((c, upper))
+        })
+        .collect();
+    for i in 0..bounds.len() {
+        let Some((lo, false)) = &bounds[i] else { continue };
+        let upper = (0..bounds.len()).find_map(|j| match &bounds[j] {
+            Some((hi, true)) if !consumed[j] && hi.col.eq_ignore_ascii_case(lo.col) => {
+                Some((j, hi))
+            }
+            _ => None,
+        });
+        if let Some((j, hi)) = upper.filter(|_| !consumed[i]) {
+            card *= (cmp_selectivity(lo, stats) + cmp_selectivity(hi, stats) - 1.0).max(0.0);
+            consumed[i] = true;
+            consumed[j] = true;
+        }
+    }
     for (i, c) in conjuncts.iter().enumerate() {
         if !consumed[i] {
             card *= selectivity(c, stats);
@@ -188,6 +216,7 @@ pub fn select_cardinality(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::Histogram;
     use crate::stats::AttrStats;
     use tango_algebra::date::day;
 
@@ -238,6 +267,29 @@ mod tests {
         // flipped literal-first form
         let e = Expr::cmp(CmpOp::Lt, Expr::lit(Value::Double(10.0)), Expr::col("PayRate"));
         assert!((selectivity(&e, &s) - sel).abs() < 1e-12);
+    }
+
+    /// A lower and an upper bound on one attribute estimate the interval
+    /// between them: over a skewed histogram, the rows whose values fall
+    /// in it, where the product of the two halves counted the whole tail.
+    #[test]
+    fn a_two_sided_range_is_one_interval() {
+        let mut s = stats();
+        // PosID thins out: value v holds 200 / v rows
+        let vals = (1..=200).flat_map(|v| std::iter::repeat_n(v as f64, 200 / v)).collect();
+        let a = s.attr_mut("PosID").expect("PosID");
+        a.histogram = Histogram::build(vals, 64);
+        let h = a.histogram.clone().expect("a histogram");
+        let range = |lo: i64, hi: i64| {
+            let ge = Expr::cmp(CmpOp::Ge, Expr::col("PosID"), Expr::lit(lo));
+            let lt = Expr::cmp(CmpOp::Lt, Expr::col("PosID"), Expr::lit(hi));
+            select_cardinality(&Expr::and(lt, ge), &s, None, false) / s.rows
+        };
+        for (lo, hi) in [(2, 3), (40, 60), (155, 162)] {
+            let within = (h.values_below(hi as f64) - h.values_below(lo as f64)) / h.values as f64;
+            assert!((range(lo, hi) - within).abs() < 1e-12, "[{lo}, {hi})");
+        }
+        assert_eq!(range(60, 40), 0.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use tango::algebra::date::{day, format_date};
 use tango::algebra::{
     tup, AggFunc, AggSpec, Attr, CmpOp, Expr, ProjItem, Schema, SortSpec, Type, Value,
 };
-use tango::core::cache::fragment_key;
+use tango::core::cache::{fragment_key, refresh_cost_us, Lookup};
 use tango::core::cost::CostFactors;
 use tango::core::phys::{Algo, PhysNode};
 use tango::minidb::{Connection, Database, Fault, FaultPlan, Link, LinkProfile};
@@ -771,6 +771,58 @@ fn churn_pool_refreshes_what_it_used_to_refetch() {
     assert!(s.refreshes > 0, "{s:?}");
     assert_eq!(s.invalidations, 0, "{s:?}");
     assert!(s.refresh_bails * 20 <= s.refreshes, "{s:?}");
+}
+
+/// A cache decision is a function of factors, statistics and bytes: one
+/// write/read sequence leaves the same counters over a free link and
+/// over a slow one. The factors price a refresh (1 µs per merged byte)
+/// above what a fill spends on the CPU and below its transfer (2 µs per
+/// byte), so a fill timed rather than priced would be refetched over the
+/// free link and refreshed over the slow one.
+#[test]
+fn a_cache_decision_does_not_depend_on_the_link() {
+    let slow = LinkProfile { bytes_per_sec: 256.0 * 1024.0, ..LinkProfile::default() };
+    let stats = [LinkProfile::instant(), slow].map(|profile| {
+        let db = make_db(profile, &keyed_rows(1000));
+        let mut tango = Tango::connect(db.clone());
+        tango.refresh_statistics().unwrap();
+        tango.set_factors(CostFactors { p_tm: 2.0, p_delta: 1.0, ..Default::default() });
+        let plan = chain_plan(tango.conn());
+        warm(&mut tango, std::slice::from_ref(&plan));
+        write(&db, 35);
+        let (got, _) = tango.execute_physical(&plan).unwrap();
+        assert!(got.list_eq(&control_run(&db, &plan)));
+        tango.cache().stats()
+    });
+    assert_eq!(stats[0], stats[1], "instant link vs slow link");
+    assert_eq!(stats[0].refreshes, 1, "{:?}", stats[0]);
+}
+
+/// A stale entry's decision shows both prices it weighed beside the
+/// verdict: the refresh as [`refresh_cost_us`] prices it, the refetch at
+/// the price the entry's fill fixed.
+#[test]
+fn a_maintenance_decision_shows_both_prices() {
+    let db = make_db(LinkProfile::default(), &keyed_rows(150));
+    let mut tango = Tango::connect(db.clone());
+    tango.refresh_statistics().unwrap();
+    let plan = chain_plan(tango.conn());
+    warm(&mut tango, std::slice::from_ref(&plan));
+    write(&db, 35);
+    let key = fragment_key(&plan.children[0], "", &|_: &str| false).unwrap();
+    let version_of = |t: &str| db.table_version(t);
+    let delta_bytes_of = |t: &str, since: u64| db.delta_bytes_since(t, since);
+    let Lookup::Stale { entry, .. } = tango.cache().lookup(&key, &version_of, &delta_bytes_of)
+    else {
+        panic!("the write stales the entry")
+    };
+    let base = entry.batch.byte_size() as u64;
+    let refresh = refresh_cost_us(tango.factors(), base, entry.delta_bytes);
+    let (_, exec) = tango.execute_physical(&plan).unwrap();
+    let [step] = &exec.steps[..] else { panic!("one step: {exec:?}") };
+    assert_eq!(step.annotation("cache"), Some("refresh"));
+    let prices = format!("refresh {refresh:.1} µs ≤ refetch {:.1} µs", entry.fill_cost_us);
+    assert_eq!(step.annotation("maintenance"), Some(prices.as_str()));
 }
 
 /// Write-heavy racing: concurrent writers against warm refresher
